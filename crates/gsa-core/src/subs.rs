@@ -6,7 +6,7 @@
 //! always a local operation, which is what rules out dangling *user*
 //! profiles by construction.
 
-use gsa_filter::{FilterEngine, MatchScratch, ShardedFilterEngine};
+use gsa_filter::{DocMatch, FilterEngine, MatchScratch, ShardedFilterEngine};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
 use gsa_wire::InterestSummary;
@@ -100,13 +100,10 @@ impl MatchEngine {
         }
     }
 
-    fn matches_into(&self, event: &Event, scratch: &mut MatchScratch, out: &mut Vec<ProfileId>) {
+    fn match_docs_into(&self, event: &Event, scratch: &mut MatchScratch, out: &mut Vec<DocMatch>) {
         match self {
-            MatchEngine::Single(e) => e.matches_into(event, scratch, out),
-            MatchEngine::Sharded(e) => {
-                out.clear();
-                out.extend(e.matches(event));
-            }
+            MatchEngine::Single(e) => e.match_docs_into(event, scratch, out),
+            MatchEngine::Sharded(e) => *out = e.match_docs(event),
         }
     }
 }
@@ -122,7 +119,7 @@ pub struct SubscriptionManager {
     /// Reusable matching state; after warm-up the engine's indexed path
     /// runs allocation-free across the event stream.
     scratch: MatchScratch,
-    matched: Vec<ProfileId>,
+    hits: Vec<DocMatch>,
 }
 
 impl SubscriptionManager {
@@ -296,14 +293,7 @@ impl SubscriptionManager {
     /// notification per matching profile. Returns the notifications
     /// produced.
     pub fn filter_event(&mut self, event: &Arc<Event>, now: SimTime) -> Vec<Notification> {
-        let mut matched = std::mem::take(&mut self.matched);
-        self.engine.matches_into(event, &mut self.scratch, &mut matched);
-        let mut out = Vec::with_capacity(matched.len());
-        for &id in &matched {
-            self.notify(id, event, now, &mut out);
-        }
-        self.matched = matched;
-        out
+        self.match_and_notify(std::slice::from_ref(event), now, true)
     }
 
     /// Like [`filter_event`](Self::filter_event) but without touching
@@ -315,14 +305,7 @@ impl SubscriptionManager {
         event: &Arc<Event>,
         now: SimTime,
     ) -> Vec<Notification> {
-        let mut matched = std::mem::take(&mut self.matched);
-        self.engine.matches_into(event, &mut self.scratch, &mut matched);
-        let mut out = Vec::with_capacity(matched.len());
-        for &id in &matched {
-            out.push(self.build_notification(id, event, now));
-        }
-        self.matched = matched;
-        out
+        self.match_and_notify(std::slice::from_ref(event), now, false)
     }
 
     /// Filters a batch of events in one pass, queueing notifications
@@ -330,14 +313,7 @@ impl SubscriptionManager {
     /// would, in event order. With a sharded backend the whole batch
     /// crosses the shard fan-out once instead of once per event.
     pub fn filter_events(&mut self, events: &[Arc<Event>], now: SimTime) -> Vec<Notification> {
-        let per_event = self.match_batch(events);
-        let mut out = Vec::new();
-        for (event, ids) in events.iter().zip(per_event) {
-            for id in ids {
-                self.notify(id, event, now, &mut out);
-            }
-        }
-        out
+        self.match_and_notify(events, now, true)
     }
 
     /// Batch variant of [`filter_event_unqueued`](Self::filter_event_unqueued):
@@ -348,74 +324,59 @@ impl SubscriptionManager {
         events: &[Arc<Event>],
         now: SimTime,
     ) -> Vec<Notification> {
-        let per_event = self.match_batch(events);
-        let mut out = Vec::new();
-        for (event, ids) in events.iter().zip(per_event) {
-            for id in ids {
-                let n = self.build_notification(id, event, now);
-                out.push(n);
-            }
-        }
-        out
+        self.match_and_notify(events, now, false)
     }
 
-    /// One match pass over a batch, per event in arrival order.
-    fn match_batch(&mut self, events: &[Arc<Event>]) -> Vec<Vec<ProfileId>> {
+    /// The one match → notification routine behind the four `filter_*`
+    /// entry points: one match pass per event in arrival order (one
+    /// fan-out per batch on a sharded backend), one notification per
+    /// matched profile in ascending id order, built from the documents
+    /// the engine reports — the expression is not evaluated again.
+    fn match_and_notify(
+        &mut self,
+        events: &[Arc<Event>],
+        now: SimTime,
+        queue: bool,
+    ) -> Vec<Notification> {
+        let mut out = Vec::new();
+        let mut emit = |event: &Arc<Event>, hits: &[DocMatch]| {
+            for of_profile in hits.chunk_by(|a, b| a.profile == b.profile) {
+                let profile = &self.profiles[&of_profile[0].profile];
+                // A docless event matches with no document at all.
+                let docs = of_profile.iter().filter_map(|hit| hit.doc);
+                let mut matched_docs = Vec::with_capacity(docs.clone().count());
+                matched_docs.extend(docs.map(|at| event.docs[at as usize].doc.clone()));
+                let notification = Notification {
+                    profile: profile.id(),
+                    client: profile.owner(),
+                    event: Arc::clone(event),
+                    matched_docs,
+                    at: now,
+                };
+                if queue {
+                    self.mailboxes
+                        .entry(notification.client)
+                        .or_default()
+                        .push(notification.clone());
+                }
+                out.push(notification);
+            }
+        };
         match &self.engine {
             MatchEngine::Sharded(sharded) if events.len() > 1 => {
                 let refs: Vec<&Event> = events.iter().map(Arc::as_ref).collect();
-                sharded.matches_batch_refs(&refs)
-            }
-            _ => {
-                let mut per = Vec::with_capacity(events.len());
-                let mut matched = std::mem::take(&mut self.matched);
-                for event in events {
-                    self.engine.matches_into(event, &mut self.scratch, &mut matched);
-                    per.push(matched.clone());
+                for (event, hits) in events.iter().zip(sharded.match_docs_batch(&refs)) {
+                    emit(event, &hits);
                 }
-                self.matched = matched;
-                per
+            }
+            engine => {
+                for event in events {
+                    engine.match_docs_into(event, &mut self.scratch, &mut self.hits);
+                    emit(event, &self.hits);
+                }
             }
         }
-    }
-
-    /// Builds the notification for one matched profile without queueing.
-    fn build_notification(
-        &self,
-        id: ProfileId,
-        event: &Arc<Event>,
-        now: SimTime,
-    ) -> Notification {
-        let profile = &self.profiles[&id];
-        let matched_docs: Vec<DocId> = profile
-            .expr()
-            .matching_docs(event)
-            .into_iter()
-            .cloned()
-            .collect();
-        Notification {
-            profile: id,
-            client: profile.owner(),
-            event: Arc::clone(event),
-            matched_docs,
-            at: now,
-        }
-    }
-
-    /// Builds and queues the notification for one matched profile.
-    fn notify(
-        &mut self,
-        id: ProfileId,
-        event: &Arc<Event>,
-        now: SimTime,
-        out: &mut Vec<Notification>,
-    ) {
-        let notification = self.build_notification(id, event, now);
-        self.mailboxes
-            .entry(notification.client)
-            .or_default()
-            .push(notification.clone());
-        out.push(notification);
+        out
     }
 
     /// Queues an already-built notification into its client's mailbox —
@@ -478,6 +439,57 @@ mod tests {
         let inbox = subs.take_notifications(client(1));
         assert_eq!(inbox.len(), 1);
         assert!(subs.take_notifications(client(1)).is_empty());
+    }
+
+    #[test]
+    fn matched_docs_are_the_documents_the_engine_reports() {
+        let docs = ["d0", "d1", "d2"].map(|id| DocSummary::new(id).with_excerpt(id));
+        let rebuilt = Arc::new(
+            Event::new(
+                EventId::new("London", 1),
+                CollectionId::new("London", "C"),
+                EventKind::CollectionRebuilt,
+                SimTime::ZERO,
+            )
+            .with_docs(docs.to_vec()),
+        );
+        let deleted = Arc::new(Event::new(
+            EventId::new("London", 2),
+            CollectionId::new("London", "C"),
+            EventKind::CollectionDeleted,
+            SimTime::ZERO,
+        ));
+        for shards in [1, 3] {
+            let mut subs = SubscriptionManager::new();
+            subs.set_shards(shards);
+            for text in [
+                r#"collection = "London.C" AND (doc = "d0" OR text ? (d2))"#,
+                r#"host = "London""#,
+                r#"doc = "nope""#,
+            ] {
+                subs.subscribe(client(1), parse_profile(text).unwrap()).unwrap();
+            }
+            let single = subs.filter_event(&rebuilt, SimTime::ZERO);
+            let docs_of = |n: &Notification| -> Vec<String> {
+                n.matched_docs.iter().map(|d| d.as_str().to_string()).collect()
+            };
+            assert_eq!(single.len(), 2, "{shards} shards");
+            assert_eq!(docs_of(&single[0]), ["d0", "d2"]);
+            assert_eq!(docs_of(&single[1]), ["d0", "d1", "d2"]);
+            // The expression, evaluated directly, names the same documents.
+            for n in &single {
+                let oracle = subs.profile(n.profile).unwrap().expr().matching_docs(&rebuilt);
+                assert_eq!(n.matched_docs.iter().collect::<Vec<_>>(), oracle);
+                assert_eq!(n.matched_docs.capacity(), n.matched_docs.len());
+            }
+            // A docless event matches on its envelope, with no documents;
+            // the batch path builds the same notifications.
+            let batch = subs.filter_events(&[Arc::clone(&rebuilt), deleted.clone()], SimTime::ZERO);
+            assert_eq!(batch[..2], single[..]);
+            assert_eq!(batch.len(), 3);
+            assert_eq!(batch[2].profile, single[1].profile);
+            assert!(batch[2].matched_docs.is_empty());
+        }
     }
 
     #[test]

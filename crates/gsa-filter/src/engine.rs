@@ -1,54 +1,143 @@
-//! The equality-preferred (counting) matching engine.
+//! The equality-preferred matching engine, access-predicate clustering
+//! variant.
 //!
-//! Second-generation implementation. The index is keyed by interned
-//! [`Symbol`] pairs (one flat hash map, one cheap integer hash per probe)
-//! instead of nested string maps, and the per-event counting state lives
-//! in a caller-owned [`MatchScratch`] whose counter slots are
-//! generation-stamped — no clearing and, after warm-up, no heap
-//! allocation per event on the indexed-equality path. Profile removal is
-//! proportional to the removed profile's own postings (back-pointers),
-//! not to the size of the whole index.
+//! Every DNF conjunction is posted under exactly **one** *access key* —
+//! an interned `(attribute, value)` pair that any context satisfying the
+//! conjunction must carry. Matching builds the small set of pairs an
+//! (event, document) context carries, walks the posting list of each, and
+//! verifies the *rest* of every conjunction found there: other equality
+//! literals by membership in the pair set, everything else (wildcards,
+//! filter queries, negations) by evaluation. Three kinds of key share the
+//! one index:
+//!
+//! * **equality** — a positive `attr = v` / `attr in [..]` literal, under
+//!   each of its values;
+//! * **token** — a required term of a positive `text ? (query)`, under a
+//!   reserved attribute symbol; a context carries one pair per excerpt
+//!   token some profile mentions;
+//! * **gram** — one case-folded trigram of the longest literal segment of
+//!   a positive wildcard, under a reserved symbol per attribute; a
+//!   context carries the trigrams of that attribute's values.
+//!
+//! Token and gram keys are only *necessary* for their literal, which is
+//! therefore still verified. A conjunction with no usable key is scanned
+//! in every context. The literal with the shortest posting lists at
+//! insert time gives access, so which one it is depends on insertion
+//! order; the match result does not, because every other literal is
+//! checked whichever one it was.
+//!
+//! Matching state lives in a caller-owned [`MatchScratch`]; with warm
+//! buffers the equality path allocates nothing. The engine reports *which*
+//! documents satisfied each profile ([`DocMatch`]), so building a
+//! notification never evaluates the expression again.
 
 use crate::intern::{FxHashMap, Symbol, SymbolTable};
-use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr};
+use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr, Wildcard};
 use gsa_store::Query;
 use gsa_types::{DocSummary, Event, ProfileId};
-use gsa_wire::probe::{DocProbe, EventProbe};
+use gsa_wire::probe::EventProbe;
 use gsa_wire::WireError;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Maximum number of indexed equality predicates per conjunction (bits of
-/// the counting bitmask); further equality predicates are verified as
-/// residuals, which is slower but exact.
-const MAX_INDEXED: usize = 64;
+/// An interned `(attribute, value)` pair: what the index is keyed by and
+/// what a matching context is made of.
+type Key = (Symbol, Symbol);
 
-/// One posting of the equality index: the conjunction holding the
-/// predicate and the predicate's bit in that conjunction's mask.
-#[derive(Debug, Clone, Copy)]
-struct Posting {
-    conj: u32,
-    mask: u64,
+/// Access key → the conjunctions posted under it.
+type Postings = FxHashMap<Key, Vec<u32>>;
+
+fn post(map: &mut Postings, key: Key, ci: u32) {
+    map.entry(key).or_default().push(ci);
 }
 
-/// A residual literal, pre-classified at insert time so the hot loop can
-/// dispatch without re-inspecting the predicate shape.
+fn unpost(map: &mut Postings, key: Key, ci: u32) {
+    if let Entry::Occupied(mut list) = map.entry(key) {
+        if let Some(at) = list.get().iter().position(|&c| c == ci) {
+            list.get_mut().swap_remove(at);
+        }
+        if list.get().is_empty() {
+            list.remove();
+        }
+    }
+}
+
+fn list_len(map: &Postings, key: Key) -> usize {
+    map.get(&key).map_or(0, Vec::len)
+}
+
+/// One profile matched through one document of the event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DocMatch {
+    /// The matching profile.
+    pub profile: ProfileId,
+    /// Index into `event.docs` of a document that satisfies the profile;
+    /// `None` only for an event without documents, matched on its
+    /// envelope alone.
+    pub doc: Option<u32>,
+}
+
+/// Writes the distinct profiles of a sorted [`DocMatch`] run to `out`.
+pub fn profile_ids(hits: &[DocMatch], out: &mut Vec<ProfileId>) {
+    out.clear();
+    out.extend(hits.iter().map(|hit| hit.profile));
+    out.dedup();
+}
+
+/// A positive equality or ID-list literal over interned symbols. It holds
+/// in a context exactly when one of its pairs is among the context's.
 #[derive(Debug)]
-enum ResidualLit {
+enum EqLit {
+    One(Key),
+    Any(Symbol, Box<[Symbol]>),
+}
+
+impl EqLit {
+    fn each_key(&self, mut visit: impl FnMut(Key)) {
+        match self {
+            EqLit::One(key) => visit(*key),
+            EqLit::Any(attr, values) => values.iter().for_each(|&v| visit((*attr, v))),
+        }
+    }
+
+    fn holds(&self, pairs: &[Key]) -> bool {
+        match self {
+            EqLit::One(key) => pairs.contains(key),
+            EqLit::Any(attr, values) => values.iter().any(|&v| pairs.contains(&(*attr, v))),
+        }
+    }
+}
+
+/// Where a conjunction is posted.
+#[derive(Debug)]
+enum Access {
+    /// No usable key: visited in every context.
+    Scan,
+    /// Under each pair of an equality literal, which the key fully
+    /// decides — the literal is not verified again.
+    Eq(EqLit),
+    /// Under a required term of a filter query. The probe sees no tokens.
+    Token(Key),
+    /// Under a trigram of a wildcard segment. The probe sees no grams.
+    Gram(Key),
+}
+
+/// A literal verified on the conjunctions an access key turns up.
+#[derive(Debug)]
+enum Lit {
+    Eq(EqLit),
     /// `text ? (query)` — evaluated against the per-context token cache,
     /// so the excerpt is tokenized once per (event, document) context no
     /// matter how many profiles carry filter queries.
-    TextQuery {
-        query: Query,
-        positive: bool,
-    },
+    TextQuery { query: Query, positive: bool },
     /// Anything else, evaluated through the generic literal path.
-    General(Literal),
+    General(Box<Literal>),
 }
 
-impl ResidualLit {
-    fn classify(lit: Literal) -> ResidualLit {
+impl Lit {
+    fn residual(lit: Literal) -> Lit {
         match lit {
             Literal {
                 predicate:
@@ -57,28 +146,87 @@ impl ResidualLit {
                         value: AttrValue::Matches(query),
                     },
                 positive,
-            } => ResidualLit::TextQuery { query, positive },
-            other => ResidualLit::General(other),
+            } => Lit::TextQuery { query, positive },
+            other => Lit::General(Box::new(other)),
         }
     }
 
-    fn matches(&self, event: &Event, doc: Option<&DocSummary>, tokens: &mut TokenCache) -> bool {
+    fn holds(
+        &self,
+        event: &Event,
+        doc: Option<&DocSummary>,
+        pairs: &[Key],
+        tokens: &mut TokenCache,
+    ) -> bool {
         match self {
-            ResidualLit::TextQuery { query, positive } => {
-                let holds = match doc {
-                    Some(doc) => query.matches_tokens(tokens.get(&doc.excerpt)),
-                    None => false,
-                };
-                holds == *positive
+            Lit::Eq(eq) => eq.holds(pairs),
+            Lit::TextQuery { query, positive } => {
+                doc.is_some_and(|d| query.matches_tokens(tokens.get(&d.excerpt))) == *positive
             }
-            ResidualLit::General(lit) => lit.matches(event, doc),
+            Lit::General(lit) => lit.matches(event, doc),
         }
     }
 }
 
+/// Whether the literal is a positive equality: one the index can key and
+/// a context's pair set can decide. Equality on the excerpt text is never
+/// what a profile means and text is not enumerated as a pair; such
+/// predicates are evaluated like any other residual.
+pub(crate) fn is_equality(lit: &Literal) -> bool {
+    lit.positive
+        && lit.predicate.attr != ProfileAttr::Text
+        && matches!(
+            lit.predicate.value,
+            AttrValue::Equals(_) | AttrValue::OneOf(_)
+        )
+}
+
+/// The segment a wildcard may be keyed on: its longest literal run of at
+/// least three ASCII bytes (any trigram of it is then a byte-exact
+/// substring of every lowercased value the pattern matches).
+fn gram_segment(pattern: &Wildcard) -> Option<&str> {
+    pattern
+        .segments()
+        .filter(|seg| seg.len() >= 3 && seg.is_ascii())
+        .max_by_key(|seg| seg.len())
+}
+
+/// Three bytes as the value half of a gram key.
+fn pack_gram(gram: &[u8]) -> Symbol {
+    Symbol::from_raw(u32::from(gram[0]) << 16 | u32::from(gram[1]) << 8 | u32::from(gram[2]))
+}
+
+/// Visits the case-folded trigrams of `value`, folded the way
+/// [`Wildcard::matches`] folds it: bytewise for ASCII, through
+/// `to_lowercase` (which can turn non-ASCII into ASCII) otherwise.
+fn each_gram(value: &str, mut visit: impl FnMut(Symbol)) {
+    let folded;
+    let bytes = if value.is_ascii() {
+        value.as_bytes()
+    } else {
+        folded = value.to_lowercase();
+        folded.as_bytes()
+    };
+    for gram in bytes.windows(3) {
+        visit(pack_gram(&[
+            gram[0].to_ascii_lowercase(),
+            gram[1].to_ascii_lowercase(),
+            gram[2].to_ascii_lowercase(),
+        ]));
+    }
+}
+
+/// How much shorter a token or gram list must be than the best equality
+/// list to be taken instead. A live token or gram key makes every
+/// document of every event pay for tokenizing or for enumerating
+/// trigrams — roughly what verifying this many candidates costs — which
+/// only pays off once the equality lists have grown that long (or the
+/// conjunction has no equality to be keyed on).
+const DERIVED_KEY_HANDICAP: usize = 16;
+
 /// Lazily tokenized excerpt of the current matching context. Built at
-/// most once per (event, document) context, shared by every filter-query
-/// residual verified in that context.
+/// most once per (event, document) context, shared by the token keys and
+/// every filter-query literal verified in that context.
 #[derive(Debug, Default)]
 struct TokenCache {
     tokens: BTreeSet<String>,
@@ -103,22 +251,29 @@ impl TokenCache {
 #[derive(Debug)]
 struct ConjEntry {
     profile: ProfileId,
-    /// Dense per-profile slot, used to deduplicate matches across the
-    /// event's documents without hashing profile ids.
+    /// Dense per-profile slot, used to report a (profile, document) pair
+    /// once without hashing profile ids.
     pslot: u32,
-    /// Bitmask with one bit per indexed predicate; candidate when all set.
-    required: u64,
-    /// Literals verified only on candidates.
-    residual: Vec<ResidualLit>,
-    /// Back-pointers into the equality index, so removal only walks the
-    /// posting lists this conjunction actually appears in.
-    keys: Vec<(Symbol, Symbol)>,
+    access: Access,
+    /// Everything but an equality access literal, equality checks first.
+    /// Exactly sized; empty (and unallocated) for a single equality.
+    lits: Box<[Lit]>,
 }
 
 #[derive(Debug)]
 struct ProfileEntry {
     conjs: Vec<u32>,
     pslot: u32,
+}
+
+/// An attribute some wildcard was gram-keyed on.
+#[derive(Debug)]
+struct GramAttr {
+    attr: ProfileAttr,
+    /// The reserved symbol its grams are posted under.
+    sym: Symbol,
+    /// Live gram keys; contexts skip the attribute at zero.
+    live: usize,
 }
 
 /// Statistics about the engine's index structure.
@@ -128,9 +283,12 @@ pub struct FilterStats {
     pub profiles: usize,
     /// Live conjunctions.
     pub conjunctions: usize,
-    /// Conjunctions reachable only by scanning (no indexed predicate).
+    /// Conjunctions reachable only by scanning (no usable access key).
     pub scan_conjunctions: usize,
-    /// Distinct (attribute, value) index entries.
+    /// Distinct access keys: the equality pairs, tokens and grams some
+    /// conjunction is posted under. An equality pair that is only ever
+    /// verified (another literal of its conjunction gave access) is not
+    /// counted.
     pub index_entries: usize,
 }
 
@@ -158,40 +316,33 @@ impl fmt::Display for FilterStats {
 
 /// Reusable per-thread matching state.
 ///
-/// The counter slots are *generation-stamped*: advancing the generation
-/// invalidates every slot in O(1), so nothing is cleared between events.
-/// After the buffers have grown to the engine's size (one warm-up call),
-/// [`FilterEngine::matches_into`] performs no heap allocation on the
-/// indexed-equality path.
+/// The per-profile slots are *generation-stamped*: advancing the
+/// generation invalidates every slot in O(1), so nothing is cleared
+/// between contexts. After the buffers have grown to the engine's size
+/// (one warm-up call), [`FilterEngine::matches_into`] performs no heap
+/// allocation on the equality path.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    /// Monotonic stamp; bumped once per event and once per context.
+    /// Monotonic stamp; bumped once per (event, document) context.
     generation: u64,
-    /// Per-conjunction `(generation, bits)` counter slots.
-    counters: Vec<(u64, u64)>,
-    /// Conjunction ids touched in the current context.
-    touched: Vec<u32>,
-    /// Per-profile-slot stamp of the event in which the profile matched.
+    /// Per-profile-slot stamp of the context the profile last matched in.
     matched: Vec<u64>,
+    /// The current context's pairs: the event's, then the document's.
+    pairs: Vec<Key>,
     /// Reusable buffer for the composed `host.name` collection key.
     collection_key: String,
-    /// Per-context tokenized excerpt for filter-query residuals.
+    /// Per-context tokenized excerpt.
     tokens: TokenCache,
+    /// The excerpt tokens some profile mentions, as symbols.
+    token_syms: Vec<Symbol>,
+    /// Backing store for [`FilterEngine::matches_into`].
+    hits: Vec<DocMatch>,
 }
 
 impl MatchScratch {
     /// Creates empty scratch state (buffers grow on first use).
     pub fn new() -> Self {
         MatchScratch::default()
-    }
-
-    fn ensure(&mut self, conjs: usize, pslots: usize) {
-        if self.counters.len() < conjs {
-            self.counters.resize(conjs, (0, 0));
-        }
-        if self.matched.len() < pslots {
-            self.matched.resize(pslots, 0);
-        }
     }
 }
 
@@ -208,11 +359,25 @@ pub struct FilterEngine {
     attr_collection: Symbol,
     attr_kind: Symbol,
     attr_doc: Symbol,
+    /// Reserved attribute of token keys.
+    attr_token: Symbol,
+    grams: Vec<GramAttr>,
     conjs: Vec<Option<ConjEntry>>,
     free_conjs: Vec<u32>,
-    /// (attribute, value) -> postings; one flat map, one probe per pair.
-    eq_index: FxHashMap<(Symbol, Symbol), Vec<Posting>>,
-    /// Conjunctions with no indexed predicate, always candidates.
+    /// Every keyed conjunction, under its one access key.
+    index: Postings,
+    /// Token- and gram-keyed conjunctions again, under one of their
+    /// equality literals: the probe carries no tokens or grams, and this
+    /// is how it still rejects on such a conjunction's equalities.
+    guard: Postings,
+    /// Live token- or gram-keyed conjunctions with no equality literal at
+    /// all; while there is one the probe cannot reject anything.
+    unguarded: usize,
+    /// Live token keys; contexts tokenize only while there is one.
+    token_keys: usize,
+    /// [`DERIVED_KEY_HANDICAP`], or what a test set instead.
+    derived_key_handicap: usize,
+    /// Conjunctions with no usable key, always candidates.
     scan: BTreeSet<u32>,
     by_profile: HashMap<ProfileId, ProfileEntry>,
     free_pslots: Vec<u32>,
@@ -234,15 +399,22 @@ impl FilterEngine {
         let attr_collection = symbols.intern(ProfileAttr::Collection.name());
         let attr_kind = symbols.intern(ProfileAttr::Kind.name());
         let attr_doc = symbols.intern(ProfileAttr::DocId.name());
+        let attr_token = symbols.reserve("text token");
         FilterEngine {
             symbols,
             attr_host,
             attr_collection,
             attr_kind,
             attr_doc,
+            attr_token,
+            grams: Vec::new(),
             conjs: Vec::new(),
             free_conjs: Vec::new(),
-            eq_index: FxHashMap::default(),
+            index: Postings::default(),
+            guard: Postings::default(),
+            unguarded: 0,
+            token_keys: 0,
+            derived_key_handicap: DERIVED_KEY_HANDICAP,
             scan: BTreeSet::new(),
             by_profile: HashMap::new(),
             free_pslots: Vec::new(),
@@ -271,7 +443,7 @@ impl FilterEngine {
             profiles: self.by_profile.len(),
             conjunctions: self.conjs.iter().flatten().count(),
             scan_conjunctions: self.scan.len(),
-            index_entries: self.eq_index.len(),
+            index_entries: self.index.len(),
         }
     }
 
@@ -280,27 +452,66 @@ impl FilterEngine {
         self.symbols.len()
     }
 
-    /// The distinct `(attribute, value)` equality pairs currently held
-    /// by the index, resolved back to strings and sorted — a read-only
-    /// export for the interest-summary layer. Every positive equality
-    /// predicate any indexed profile can match on appears here, so an
-    /// attribute digest derived per profile expression may only name
-    /// pairs this set contains (the oracle the digest tests check
-    /// against). Postings for removed profiles are pruned eagerly, so
-    /// the export never names a pair no live profile uses.
+    /// The distinct `(attribute, value)` pairs of every positive equality
+    /// literal of every live conjunction — access keys and verified-only
+    /// literals alike — resolved back to strings and sorted: a read-only
+    /// export for the interest-summary layer. An attribute digest derived
+    /// per profile expression may only name pairs this set contains (the
+    /// oracle the digest tests check against), and it never names a pair
+    /// no live profile uses.
     pub fn equality_digest(&self) -> Vec<(&str, &str)> {
-        let mut pairs: Vec<(&str, &str)> = self
-            .eq_index
-            .keys()
-            .map(|&(attr, value)| (self.symbols.resolve(attr), self.symbols.resolve(value)))
-            .collect();
+        let mut pairs = Vec::new();
+        let mut add =
+            |key: Key| pairs.push((self.symbols.resolve(key.0), self.symbols.resolve(key.1)));
+        for conj in self.conjs.iter().flatten() {
+            if let Access::Eq(eq) = &conj.access {
+                eq.each_key(&mut add);
+            }
+            for lit in conj.lits.iter() {
+                if let Lit::Eq(eq) = lit {
+                    eq.each_key(&mut add);
+                }
+            }
+        }
         pairs.sort_unstable();
+        pairs.dedup();
         pairs
+    }
+
+    /// An engine that takes token and gram keys at a different handicap —
+    /// 0 makes small test populations use them wherever they can.
+    #[cfg(test)]
+    pub(crate) fn with_derived_key_handicap(handicap: usize) -> Self {
+        FilterEngine {
+            derived_key_handicap: handicap,
+            ..FilterEngine::new()
+        }
     }
 
     #[cfg(test)]
     fn conj_slot_capacity(&self) -> usize {
         self.conjs.len()
+    }
+
+    /// Lengths of the posting lists `id`'s conjunctions sit in — what
+    /// removing it has to search.
+    #[cfg(test)]
+    fn access_list_lens(&self, id: ProfileId) -> Vec<usize> {
+        let mut lens = Vec::new();
+        for &ci in &self.by_profile[&id].conjs {
+            match &self.conj(ci).access {
+                Access::Scan => {}
+                Access::Eq(eq) => eq.each_key(|key| lens.push(list_len(&self.index, key))),
+                Access::Token(key) | Access::Gram(key) => lens.push(list_len(&self.index, *key)),
+            }
+        }
+        lens
+    }
+
+    fn conj(&self, ci: u32) -> &ConjEntry {
+        self.conjs[ci as usize]
+            .as_ref()
+            .expect("posted conjunction is live")
     }
 
     /// Registers a profile expression under `id`. Re-inserting an existing
@@ -335,49 +546,15 @@ impl FilterEngine {
                     ci
                 }
             };
-            let mut required = 0u64;
-            let mut residual = Vec::new();
-            let mut keys = Vec::new();
-            let mut bit = 0usize;
-            for lit in conj.literals {
-                if bit < MAX_INDEXED && Self::indexable(&lit) {
-                    let mask = 1u64 << bit;
-                    required |= mask;
-                    let attr = self.symbols.intern(lit.predicate.attr.name());
-                    let mut post = |symbols: &mut SymbolTable,
-                                    eq_index: &mut FxHashMap<(Symbol, Symbol), Vec<Posting>>,
-                                    value: &str| {
-                        let key = (attr, symbols.intern(value));
-                        eq_index
-                            .entry(key)
-                            .or_default()
-                            .push(Posting { conj: ci, mask });
-                        keys.push(key);
-                    };
-                    match &lit.predicate.value {
-                        AttrValue::Equals(v) => post(&mut self.symbols, &mut self.eq_index, v),
-                        AttrValue::OneOf(set) => {
-                            for v in set {
-                                post(&mut self.symbols, &mut self.eq_index, v);
-                            }
-                        }
-                        _ => unreachable!("indexable() only admits Equals/OneOf"),
-                    }
-                    bit += 1;
-                } else {
-                    residual.push(ResidualLit::classify(lit));
-                }
-            }
-            if required == 0 {
-                self.scan.insert(ci);
-            }
-            self.conjs[ci as usize] = Some(ConjEntry {
+            let (access, lits) = self.compile(conj.literals);
+            let entry = ConjEntry {
                 profile: id,
                 pslot,
-                required,
-                residual,
-                keys,
-            });
+                access,
+                lits,
+            };
+            self.link(ci, &entry, true);
+            self.conjs[ci as usize] = Some(entry);
             conj_ids.push(ci);
         }
         self.by_profile.insert(
@@ -390,27 +567,147 @@ impl FilterEngine {
         Ok(())
     }
 
-    fn indexable(lit: &Literal) -> bool {
+    /// Chooses a conjunction's access key and lays out what is left to
+    /// verify. Among the literals that can give access, the one whose
+    /// posting lists are shortest as they stand now wins — so a list the
+    /// whole server shares never outgrows the lists competing with it —
+    /// then a document-level attribute over an event-level one (whose
+    /// list is walked again for every document of an event), then the
+    /// earliest literal.
+    fn compile(&mut self, literals: Vec<Literal>) -> (Access, Box<[Lit]>) {
+        let mut best: Option<(usize, Access, (usize, bool))> = None;
+        for (i, lit) in literals.iter().enumerate() {
+            if let Some((access, cost)) = self.candidate(lit) {
+                let rank = (cost, !lit.predicate.attr.is_doc_attr());
+                if best.as_ref().is_none_or(|(.., best_rank)| rank < *best_rank) {
+                    best = Some((i, access, rank));
+                }
+            }
+        }
+        let (chosen, access) = match best {
+            Some((i, access, _)) => (Some(i), access),
+            None => (None, Access::Scan),
+        };
+        // An equality key decides its literal; a token or gram key is
+        // only necessary for its own, which is verified with the rest.
+        let verified = literals.len() - usize::from(matches!(access, Access::Eq(_)));
+        let mut lits = Vec::with_capacity(verified);
+        for (i, lit) in literals.iter().enumerate() {
+            if Some(i) != chosen && is_equality(lit) {
+                lits.push(Lit::Eq(self.intern_equality(&lit.predicate)));
+            }
+        }
+        let residual = literals.into_iter().filter(|lit| !is_equality(lit));
+        lits.extend(residual.map(Lit::residual));
+        (access, lits.into_boxed_slice())
+    }
+
+    /// The access `lit` could give and what it costs: the total length
+    /// of the posting lists the conjunction would join, plus
+    /// [`DERIVED_KEY_HANDICAP`] for a token or gram key. Interns what it
+    /// looks at; a losing candidate leaves symbols behind, never postings.
+    fn candidate(&mut self, lit: &Literal) -> Option<(Access, usize)> {
+        if is_equality(lit) {
+            let eq = self.intern_equality(&lit.predicate);
+            let mut cost = 0;
+            eq.each_key(|key| cost += list_len(&self.index, key));
+            return Some((Access::Eq(eq), cost));
+        }
         if !lit.positive {
-            return false;
+            return None;
         }
-        // Equality on the excerpt text is never what a profile means and
-        // text values are not enumerated as attribute pairs; verify such
-        // predicates as residuals.
-        if lit.predicate.attr == ProfileAttr::Text {
-            return false;
+        match &lit.predicate.value {
+            AttrValue::Matches(query) if lit.predicate.attr == ProfileAttr::Text => {
+                let mut best: Option<(Key, usize)> = None;
+                query.each_required_term(&mut |term| {
+                    let key = (self.attr_token, self.symbols.intern(term));
+                    let cost = list_len(&self.index, key);
+                    if best.is_none_or(|(_, least)| cost < least) {
+                        best = Some((key, cost));
+                    }
+                });
+                best.map(|(key, cost)| (Access::Token(key), cost + self.derived_key_handicap))
+            }
+            AttrValue::Like(pattern) => {
+                let segment = gram_segment(pattern)?;
+                let attr = self.gram_attr(&lit.predicate.attr);
+                let grams = segment.as_bytes().windows(3);
+                grams
+                    .map(|gram| (attr, pack_gram(gram)))
+                    .map(|key| (key, list_len(&self.index, key)))
+                    .min_by_key(|&(_, cost)| cost)
+                    .map(|(key, cost)| (Access::Gram(key), cost + self.derived_key_handicap))
+            }
+            _ => None,
         }
-        matches!(
-            lit.predicate.value,
-            AttrValue::Equals(_) | AttrValue::OneOf(_)
-        )
+    }
+
+    fn intern_equality(&mut self, predicate: &Predicate) -> EqLit {
+        let attr = self.symbols.intern(predicate.attr.name());
+        match &predicate.value {
+            AttrValue::Equals(v) => EqLit::One((attr, self.symbols.intern(v))),
+            AttrValue::OneOf(set) => {
+                EqLit::Any(attr, set.iter().map(|v| self.symbols.intern(v)).collect())
+            }
+            _ => unreachable!("is_equality() only admits Equals/OneOf"),
+        }
+    }
+
+    /// The reserved symbol `attr`'s grams are posted under.
+    fn gram_attr(&mut self, attr: &ProfileAttr) -> Symbol {
+        if let Some(known) = self.grams.iter().find(|g| g.attr == *attr) {
+            return known.sym;
+        }
+        let sym = self.symbols.reserve(attr.name());
+        self.grams.push(GramAttr {
+            attr: attr.clone(),
+            sym,
+            live: 0,
+        });
+        sym
+    }
+
+    /// Posts `entry` everywhere it belongs and counts it among the live
+    /// keys (`on`), or takes both back — the one place that knows where a
+    /// conjunction is linked in, so insert and remove cannot disagree.
+    fn link(&mut self, ci: u32, entry: &ConjEntry, on: bool) {
+        let edit = if on { post } else { unpost };
+        let count = |n: &mut usize| if on { *n += 1 } else { *n -= 1 };
+        let key = match &entry.access {
+            Access::Scan => {
+                if on {
+                    self.scan.insert(ci);
+                } else {
+                    self.scan.remove(&ci);
+                }
+                return;
+            }
+            Access::Eq(eq) => return eq.each_key(|key| edit(&mut self.index, key, ci)),
+            Access::Token(key) => {
+                count(&mut self.token_keys);
+                *key
+            }
+            Access::Gram(key) => {
+                let attr = self.grams.iter_mut().find(|g| g.sym == key.0);
+                count(&mut attr.expect("gram key has its attribute").live);
+                *key
+            }
+        };
+        edit(&mut self.index, key, ci);
+        // The probe cannot see this key: guard by an equality, if any.
+        match entry.lits.first() {
+            Some(Lit::Eq(eq)) => eq.each_key(|key| edit(&mut self.guard, key, ci)),
+            _ => count(&mut self.unguarded),
+        }
     }
 
     /// Removes a profile. Returns `true` when it was registered.
     ///
-    /// Cost is proportional to the lengths of the posting lists the
-    /// profile's conjunctions appear in (tracked by back-pointers), not
-    /// to the size of the whole index.
+    /// Each of the profile's conjunctions sits in the posting lists of
+    /// its one access key (and of its guard literal, if it has one);
+    /// removal searches those lists and nothing else, so a literal the
+    /// profile shares with the whole server costs nothing unless it is
+    /// the key.
     pub fn remove(&mut self, id: ProfileId) -> bool {
         let Some(entry) = self.by_profile.remove(&id) else {
             return false;
@@ -419,66 +716,106 @@ impl FilterEngine {
             let conj = self.conjs[ci as usize]
                 .take()
                 .expect("registered conjunction is live");
-            self.scan.remove(&ci);
-            for key in conj.keys {
-                // Duplicate keys (e.g. the same value indexed under two
-                // bits) are handled by the first visit; later visits see
-                // an already-pruned or removed list.
-                if let Some(postings) = self.eq_index.get_mut(&key) {
-                    postings.retain(|p| p.conj != ci);
-                    if postings.is_empty() {
-                        self.eq_index.remove(&key);
-                    }
-                }
-            }
+            self.link(ci, &conj, false);
             self.free_conjs.push(ci);
         }
         self.free_pslots.push(entry.pslot);
         true
     }
 
+    /// Appends `(attr, value)` when some profile mentions `value`; a
+    /// string never interned cannot be in any key or equality literal.
     #[inline]
-    fn postings(&self, attr: Symbol, value: &str) -> Option<&[Posting]> {
-        let value = self.symbols.lookup(value)?;
-        self.eq_index.get(&(attr, value)).map(Vec::as_slice)
+    fn push_pair(&self, pairs: &mut Vec<Key>, attr: Symbol, value: &str) {
+        if let Some(value) = self.symbols.lookup(value) {
+            pairs.push((attr, value));
+        }
+    }
+
+    /// Starts `scratch.pairs` over with the event-level pairs.
+    fn push_event_pairs(&self, scratch: &mut MatchScratch, host: &str, name: &str, kind: &str) {
+        let MatchScratch {
+            pairs,
+            collection_key,
+            ..
+        } = scratch;
+        pairs.clear();
+        self.push_pair(pairs, self.attr_host, host);
+        collection_key.clear();
+        let _ = write!(collection_key, "{host}.{name}");
+        self.push_pair(pairs, self.attr_collection, collection_key);
+        self.push_pair(pairs, self.attr_kind, kind);
+    }
+
+    /// Appends a document's pairs.
+    fn push_doc_pairs<'a>(
+        &self,
+        pairs: &mut Vec<Key>,
+        doc_id: &str,
+        metadata: impl Iterator<Item = (&'a str, &'a str)>,
+    ) {
+        self.push_pair(pairs, self.attr_doc, doc_id);
+        for (key, value) in metadata {
+            if let Some(attr) = self.symbols.lookup(key) {
+                self.push_pair(pairs, attr, value);
+            }
+        }
+    }
+
+    /// Every (profile, document) match of `event`, written to `out`
+    /// sorted by profile id, then document index. A profile is matched
+    /// once per document of the event that satisfies it — or once, with
+    /// no document, by the envelope of a docless event.
+    ///
+    /// `out` is cleared first. With warm `scratch` buffers this performs
+    /// no heap allocation on the equality path; tokenizing an excerpt
+    /// (only while the engine holds a token key or reaches a filter-query
+    /// literal) and folding a non-ASCII value may allocate.
+    pub fn match_docs_into(
+        &self,
+        event: &Event,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<DocMatch>,
+    ) {
+        out.clear();
+        if scratch.matched.len() < self.pslot_high as usize {
+            scratch.matched.resize(self.pslot_high as usize, 0);
+        }
+        let origin = &event.origin;
+        self.push_event_pairs(
+            scratch,
+            origin.host().as_str(),
+            origin.name().as_str(),
+            event.kind.as_str(),
+        );
+        let event_pairs = scratch.pairs.len();
+        if event.docs.is_empty() {
+            self.match_context(event, None, scratch, out);
+        }
+        for (at, doc) in event.docs.iter().enumerate() {
+            scratch.pairs.truncate(event_pairs);
+            let metadata = doc.metadata.iter_flat().map(|(k, v)| (k.as_str(), v));
+            self.push_doc_pairs(&mut scratch.pairs, doc.doc.as_str(), metadata);
+            let at = u32::try_from(at).expect("document index overflow");
+            self.match_context(event, Some((at, doc)), scratch, out);
+        }
+        out.sort_unstable();
     }
 
     /// The profiles matching `event`, written to `out` in ascending id
-    /// order. A profile matches when any of the event's documents — or
-    /// the document-free context, for docless events — satisfies it.
-    ///
-    /// `out` is cleared first. With warm `scratch` buffers this performs
-    /// no heap allocation on the indexed-equality path; only residual
-    /// predicates (wildcards, filter queries, negations) may allocate.
+    /// order: the distinct profiles of
+    /// [`match_docs_into`](FilterEngine::match_docs_into), with the same
+    /// allocation behaviour.
     pub fn matches_into(
         &self,
         event: &Event,
         scratch: &mut MatchScratch,
         out: &mut Vec<ProfileId>,
     ) {
-        out.clear();
-        scratch.ensure(self.conjs.len(), self.pslot_high as usize);
-        scratch.generation += 1;
-        let event_gen = scratch.generation;
-
-        // Event-level keys are materialized (and hashed) once per event,
-        // not once per document context. The composed `host.name`
-        // collection key reuses the scratch buffer.
-        let host = self.postings(self.attr_host, event.origin.host().as_str());
-        scratch.collection_key.clear();
-        let _ = write!(scratch.collection_key, "{}", event.origin);
-        let collection = self.postings(self.attr_collection, &scratch.collection_key);
-        let kind = self.postings(self.attr_kind, event.kind.as_str());
-        let event_postings = [host, collection, kind];
-
-        if event.docs.is_empty() {
-            self.match_context(event, None, &event_postings, scratch, event_gen, out);
-        } else {
-            for doc in &event.docs {
-                self.match_context(event, Some(doc), &event_postings, scratch, event_gen, out);
-            }
-        }
-        out.sort_unstable();
+        let mut hits = std::mem::take(&mut scratch.hits);
+        self.match_docs_into(event, scratch, &mut hits);
+        profile_ids(&hits, out);
+        scratch.hits = hits;
     }
 
     /// The profiles matching `event` (in ascending id order).
@@ -506,122 +843,85 @@ impl FilterEngine {
             .collect()
     }
 
-    /// [`FilterEngine::matches_batch`] for events held by reference —
-    /// callers that keep events behind `Arc`s (the delivery pipeline)
-    /// batch without cloning a single event.
-    pub fn matches_batch_refs(
-        &self,
-        events: &[&Event],
-        scratch: &mut MatchScratch,
-    ) -> Vec<Vec<ProfileId>> {
-        events
-            .iter()
-            .map(|event| {
-                let mut out = Vec::new();
-                self.matches_into(event, scratch, &mut out);
-                out
-            })
-            .collect()
-    }
-
+    /// One (event, document) context: walks the posting list of every
+    /// pair, token and gram the context carries, then the scan set, and
+    /// verifies what it finds.
     fn match_context(
         &self,
         event: &Event,
-        doc: Option<&DocSummary>,
-        event_postings: &[Option<&[Posting]>; 3],
+        doc: Option<(u32, &DocSummary)>,
         scratch: &mut MatchScratch,
-        event_gen: u64,
-        out: &mut Vec<ProfileId>,
+        out: &mut Vec<DocMatch>,
     ) {
         scratch.generation += 1;
-        let gen = scratch.generation;
-        scratch.touched.clear();
         scratch.tokens.reset();
         let MatchScratch {
-            counters,
-            touched,
+            generation,
             matched,
+            pairs,
             tokens,
+            token_syms,
             ..
         } = scratch;
+        let (at, doc) = doc.unzip();
 
-        // Phase 1: counting over the indexed equality predicates. A slot
-        // stamped with an older generation is logically zero.
-        let mut bump = |postings: &[Posting]| {
-            for p in postings {
-                let slot = &mut counters[p.conj as usize];
-                if slot.0 == gen {
-                    slot.1 |= p.mask;
-                } else {
-                    *slot = (gen, p.mask);
-                    touched.push(p.conj);
-                }
-            }
-        };
-        for postings in event_postings.iter().flatten() {
-            bump(postings);
-        }
-        if let Some(doc) = doc {
-            if let Some(postings) = self.postings(self.attr_doc, doc.doc.as_str()) {
-                bump(postings);
-            }
-            for (key, value) in doc.metadata.iter_flat() {
-                let Some(attr) = self.symbols.lookup(key.as_str()) else {
-                    continue;
-                };
-                let Some(val) = self.symbols.lookup(value) else {
-                    continue;
-                };
-                if let Some(postings) = self.eq_index.get(&(attr, val)) {
-                    bump(postings);
-                }
-            }
+        token_syms.clear();
+        if let (true, Some(doc)) = (self.token_keys > 0, doc) {
+            let mentioned = |token: &String| self.symbols.lookup(token);
+            token_syms.extend(tokens.get(&doc.excerpt).iter().filter_map(mentioned));
         }
 
-        // Phase 2: verification of candidates. A profile that already
-        // matched this event (stamped slot) is skipped entirely.
-        let mut verify = |ci: u32, bits: u64| {
-            let entry = self.conjs[ci as usize]
-                .as_ref()
-                .expect("indexed conjunction is live");
-            if bits & entry.required != entry.required {
-                return;
-            }
-            let mslot = &mut matched[entry.pslot as usize];
-            if *mslot == event_gen {
-                return;
-            }
-            if entry
-                .residual
-                .iter()
-                .all(|r| r.matches(event, doc, tokens))
+        let mut visit = |ci: u32| {
+            let entry = self.conj(ci);
+            let slot = &mut matched[entry.pslot as usize];
+            // A stamped slot: another key or another conjunction already
+            // reported the profile for this document.
+            if *slot != *generation
+                && entry
+                    .lits
+                    .iter()
+                    .all(|lit| lit.holds(event, doc, pairs, tokens))
             {
-                *mslot = event_gen;
-                out.push(entry.profile);
+                *slot = *generation;
+                out.push(DocMatch {
+                    profile: entry.profile,
+                    doc: at,
+                });
             }
         };
-        for &ci in touched.iter() {
-            verify(ci, counters[ci as usize].1);
+        let mut walk = |key: Key| {
+            if let Some(list) = self.index.get(&key) {
+                list.iter().for_each(|&ci| visit(ci));
+            }
+        };
+        pairs.iter().for_each(|&key| walk(key));
+        for &token in token_syms.iter() {
+            walk((self.attr_token, token));
         }
-        for &ci in &self.scan {
-            verify(ci, !0);
+        for attr in self.grams.iter().filter(|g| g.live > 0) {
+            attr.attr.any_value(event, doc, |value| {
+                each_gram(value, |gram| walk((attr.sym, gram)));
+                false
+            });
         }
+        self.scan.iter().for_each(|&ci| visit(ci));
     }
 
     /// Conservative zero-materialisation pre-filter: could any profile
     /// match the event behind `probe`?
     ///
-    /// Runs exactly the counting phase of
-    /// [`matches_into`](FilterEngine::matches_into) against the borrowed
-    /// attribute slices of an [`EventProbe`] — no `Event`, no metadata
-    /// record, no interning (values are looked up read-only; a value
-    /// never seen by any profile cannot be in the index). Residual
-    /// predicates are *not* verified: a conjunction whose indexed mask is
-    /// complete counts as a hit, and any scan-only conjunction (wildcards,
-    /// filter queries, pure negations) makes every event a hit. `false`
-    /// therefore proves `matches_into` would return nothing, while `true`
-    /// only means the caller must materialise the event and run the full
-    /// match.
+    /// Builds the same equality pairs as
+    /// [`match_docs_into`](FilterEngine::match_docs_into) from the
+    /// borrowed attribute slices of an [`EventProbe`] — no `Event`, no
+    /// metadata record, no interning — and answers whether some context
+    /// satisfies **all equality literals** of some conjunction. Nothing
+    /// else is verified, and the probe reads no excerpt: a token- or
+    /// gram-keyed conjunction is reached through the guard index under
+    /// one of its equalities, and one with no equality at all, like any
+    /// scan-only conjunction (short wildcards, prefix queries, pure
+    /// negations), makes every event a hit. `false` therefore proves
+    /// `matches_into` would return nothing, while `true` only means the
+    /// caller must materialise the event and run the full match.
     ///
     /// With warm `scratch` buffers this performs no heap allocation.
     ///
@@ -635,88 +935,44 @@ impl FilterEngine {
         probe: &mut EventProbe<'_>,
         scratch: &mut MatchScratch,
     ) -> Result<bool, WireError> {
-        if !self.scan.is_empty() {
+        if !self.scan.is_empty() || self.unguarded > 0 {
             return Ok(true);
         }
-        if self.eq_index.is_empty() {
+        if self.index.is_empty() {
             return Ok(false);
         }
-        scratch.ensure(self.conjs.len(), self.pslot_high as usize);
-
-        let host = self.postings(self.attr_host, probe.origin_host());
-        scratch.collection_key.clear();
-        let _ = write!(
-            scratch.collection_key,
-            "{}.{}",
-            probe.origin_host(),
-            probe.origin_name()
-        );
-        let collection = self.postings(self.attr_collection, &scratch.collection_key);
-        let kind = self.postings(self.attr_kind, probe.kind().as_str());
-        let event_postings = [host, collection, kind];
-
+        let kind = probe.kind().as_str();
+        self.push_event_pairs(scratch, probe.origin_host(), probe.origin_name(), kind);
         if probe.remaining_docs() == 0 {
-            return Ok(self.probe_context(&event_postings, None, scratch));
+            return Ok(self.probe_context(&scratch.pairs));
         }
+        let event_pairs = scratch.pairs.len();
         while let Some(doc) = probe.next_doc()? {
-            if self.probe_context(&event_postings, Some(&doc), scratch) {
+            scratch.pairs.truncate(event_pairs);
+            self.push_doc_pairs(&mut scratch.pairs, doc.id(), doc.metadata());
+            if self.probe_context(&scratch.pairs) {
                 return Ok(true);
             }
         }
         Ok(false)
     }
 
-    /// One counting context of [`probe_matches`]: returns `true` when
-    /// any conjunction's indexed mask is completed by this context.
-    fn probe_context(
-        &self,
-        event_postings: &[Option<&[Posting]>; 3],
-        doc: Option<&DocProbe<'_>>,
-        scratch: &mut MatchScratch,
-    ) -> bool {
-        scratch.generation += 1;
-        let gen = scratch.generation;
-        scratch.touched.clear();
-        let MatchScratch {
-            counters, touched, ..
-        } = scratch;
-
-        let mut bump = |postings: &[Posting]| {
-            for p in postings {
-                let slot = &mut counters[p.conj as usize];
-                if slot.0 == gen {
-                    slot.1 |= p.mask;
-                } else {
-                    *slot = (gen, p.mask);
-                    touched.push(p.conj);
-                }
-            }
+    /// One context of [`probe_matches`](FilterEngine::probe_matches):
+    /// whether a conjunction reachable from `pairs` has all its equality
+    /// literals among them.
+    fn probe_context(&self, pairs: &[Key]) -> bool {
+        let equalities_hold = |&ci: &u32| {
+            self.conj(ci).lits.iter().all(|lit| match lit {
+                Lit::Eq(eq) => eq.holds(pairs),
+                Lit::TextQuery { .. } | Lit::General(_) => true,
+            })
         };
-        for postings in event_postings.iter().flatten() {
-            bump(postings);
-        }
-        if let Some(doc) = doc {
-            if let Some(postings) = self.postings(self.attr_doc, doc.id()) {
-                bump(postings);
-            }
-            for (key, value) in doc.metadata() {
-                let Some(attr) = self.symbols.lookup(key) else {
-                    continue;
-                };
-                let Some(val) = self.symbols.lookup(value) else {
-                    continue;
-                };
-                if let Some(postings) = self.eq_index.get(&(attr, val)) {
-                    bump(postings);
-                }
-            }
-        }
-
-        touched.iter().any(|&ci| {
-            let entry = self.conjs[ci as usize]
-                .as_ref()
-                .expect("indexed conjunction is live");
-            counters[ci as usize].1 & entry.required == entry.required
+        pairs.iter().any(|key| {
+            [&self.index, &self.guard]
+                .into_iter()
+                .filter_map(|postings| postings.get(key))
+                .flatten()
+                .any(equalities_hold)
         })
     }
 }
@@ -779,9 +1035,171 @@ mod tests {
 
     #[test]
     fn scan_only_profiles_still_match() {
-        let e = engine_with(&[(1, r#"text ~ "*digital*""#)]);
+        // Too short for a gram key, nothing else to key on: scanned.
+        let e = engine_with(&[(1, r#"text ~ "*di*""#)]);
         assert_eq!(e.stats().scan_conjunctions, 1);
         assert!(e.matches(&event("Anywhere", "C", "x", "the digital age")).contains(&pid(1)));
+        // So are a prefix query, a disjunctive query and a pure negation.
+        for text in [r#"text ? (digi*)"#, r#"text ? (a OR b)"#, r#"NOT dc.Subject = "x""#] {
+            assert_eq!(engine_with(&[(1, text)]).stats().scan_conjunctions, 1, "{text}");
+        }
+    }
+
+    #[test]
+    fn wildcards_are_keyed_on_a_trigram_and_still_verified() {
+        let mut e = FilterEngine::with_derived_key_handicap(0);
+        for (id, text) in [
+            (1, r#"text ~ "*DIGITAL*""#),
+            (2, r#"dc.Subject ~ "lib*ies""#),
+            (3, r#"host = "London" AND dc.Subject ~ "*brar*""#),
+        ] {
+            e.insert(pid(id), &parse_profile(text).unwrap()).unwrap();
+        }
+        assert_eq!(e.stats().scan_conjunctions, 0);
+        assert_eq!(e.stats().index_entries, 3);
+        assert_eq!(e.equality_digest(), [("host", "London")]);
+        let hit = event("London", "E", "Libraries", "the Digital age");
+        assert_eq!(e.matches(&hit), vec![pid(1), pid(2), pid(3)]);
+        // The gram is only necessary: a value carrying it is still held
+        // to the whole pattern, and to the conjunction's other literals.
+        assert!(e.matches(&event("London", "E", "libation", "digit")).is_empty());
+        assert_eq!(e.matches(&event("Paris", "E", "Librarians", "")), vec![]);
+        // Non-ASCII values are folded the way the pattern match folds them.
+        let e = engine_with(&[(1, r#"dc.Subject ~ "*kelvin*""#)]);
+        assert_eq!(e.matches(&event("h", "c", "Lord \u{212a}ELVIN", "")), vec![pid(1)]);
+    }
+
+    #[test]
+    fn filter_queries_are_keyed_on_a_required_term() {
+        let e = engine_with(&[
+            (1, r#"text ? (digital)"#),
+            (2, r#"text ? (digital AND (age OR era) AND NOT analog)"#),
+            (3, r#"text ? (library digital)"#),
+        ]);
+        assert_eq!(e.stats().scan_conjunctions, 0);
+        // The third went where the lists were shorter.
+        assert_eq!(e.access_list_lens(pid(3)), [1]);
+        assert_eq!(e.matches(&event("London", "E", "x", "The DIGITAL age")), vec![pid(1), pid(2)]);
+        assert_eq!(e.matches(&event("London", "E", "x", "digital analog age")), vec![pid(1)]);
+        assert_eq!(
+            e.matches(&event("London", "E", "x", "a digital library")),
+            vec![pid(1), pid(3)]
+        );
+        assert!(e.matches(&event("London", "E", "x", "a library")).is_empty());
+    }
+
+    #[test]
+    fn token_and_gram_keys_wait_for_the_equality_lists_to_grow() {
+        // A live token or gram key costs every document a tokenizing or
+        // trigram pass, so an equality key is kept while its list is
+        // short: the first DERIVED_KEY_HANDICAP profiles on one anchor
+        // go under the anchor, later ones under their own term or gram.
+        let mut e = FilterEngine::new();
+        let word = |i: u64| format!("item{i:02}x");
+        for i in 0..2 * DERIVED_KEY_HANDICAP as u64 {
+            let text = if i % 2 == 0 {
+                format!(r#"collection = "London.E" AND text ? ({})"#, word(i))
+            } else {
+                format!(r#"collection = "London.E" AND dc.Subject ~ "*{}*""#, word(i))
+            };
+            e.insert(pid(i), &parse_profile(&text).unwrap()).unwrap();
+        }
+        let anchored = DERIVED_KEY_HANDICAP;
+        assert_eq!(e.access_list_lens(pid(0)), [anchored]);
+        assert_eq!(e.access_list_lens(pid(2 * anchored as u64 - 1)), [1]);
+        assert_eq!(e.stats().index_entries, 1 + anchored);
+        // Whichever key a profile got, it matches the same events.
+        for i in [0, 1, 2 * anchored as u64 - 2, 2 * anchored as u64 - 1] {
+            let word = word(i);
+            assert_eq!(e.matches(&event("London", "E", &word, &word)), vec![pid(i)]);
+            assert!(e.matches(&event("Paris", "E", &word, &word)).is_empty());
+        }
+    }
+
+    #[test]
+    fn access_key_is_the_shortest_list_document_level_on_ties() {
+        let mut e = engine_with(&[
+            (1, r#"collection = "H.D" AND dc.Subject = "a""#),
+            (2, r#"collection = "H.D" AND dc.Subject = "b""#),
+            (3, r#"collection = "H.D" AND dc.Subject = "a""#),
+            (4, r#"dc.Subject = "a" AND dc.Creator = "c""#),
+            (5, r#"collection = "H.D" AND kind = "documents-added""#),
+        ]);
+        // 1 and 2: all lists empty, the document-level literal wins. 3:
+        // its subject's list is taken, the collection's still empty. 4
+        // and 5: the creator's and the kind's lists are empty.
+        for id in 1..=5 {
+            assert_eq!(e.access_list_lens(pid(id)), [1], "profile {id}");
+        }
+        assert_eq!(e.stats().index_entries, 5);
+        // Every equality is exported, key or not.
+        let digest = e.equality_digest();
+        assert_eq!(digest.len(), 5);
+        assert!(digest.contains(&("collection", "H.D")) && digest.contains(&("dc.Subject", "a")));
+        // The result does not depend on who got which key.
+        assert_eq!(e.matches(&event("H", "D", "a", "")), vec![pid(1), pid(3), pid(5)]);
+        for id in 1..=5 {
+            assert!(e.remove(pid(id)));
+        }
+        assert_eq!(e.stats().index_entries, 0);
+        assert!(e.equality_digest().is_empty());
+    }
+
+    #[test]
+    fn removal_does_not_search_a_list_the_whole_server_shares() {
+        // N profiles share an event-level literal and, in pairs, a
+        // document-level one. A shared list is only joined while it is
+        // the shortest on offer, so it cannot outgrow the lists competing
+        // with it: cancelling any profile searches a list whose length
+        // does not grow with N.
+        for n in [4u64, 400] {
+            let mut e = FilterEngine::new();
+            for i in 0..n {
+                let text = format!(r#"collection = "H.D" AND dc.Creator = "c{}""#, i % (n / 2));
+                e.insert(pid(i), &parse_profile(&text).unwrap()).unwrap();
+            }
+            for i in 0..n {
+                assert!(e.access_list_lens(pid(i)) <= vec![2], "{i} of {n}");
+            }
+            assert!(e.remove(pid(1)));
+            assert_eq!(e.access_list_lens(pid(1 + n / 2)), [1]);
+        }
+    }
+
+    #[test]
+    fn every_matching_document_is_reported_once() {
+        let e = engine_with(&[
+            (1, r#"dc.Subject = "b" OR dc.Subject in ["a", "b"]"#),
+            (2, r#"host = "h""#),
+            (3, r#"dc.Subject = "zz""#),
+        ]);
+        let doc = |id: &str, subjects: &[&str]| {
+            let md: MetadataRecord = subjects.iter().map(|s| (keys::SUBJECT, *s)).collect();
+            DocSummary::new(id).with_metadata(md)
+        };
+        let ev = Event::new(
+            EventId::new("h", 1),
+            CollectionId::new("h", "c"),
+            EventKind::DocumentsAdded,
+            SimTime::ZERO,
+        )
+        .with_docs(vec![doc("d0", &["a", "b"]), doc("d1", &["x"]), doc("d2", &["b"])]);
+        let mut hits = Vec::new();
+        e.match_docs_into(&ev, &mut MatchScratch::new(), &mut hits);
+        let hit = |profile, doc| DocMatch { profile: pid(profile), doc };
+        assert_eq!(
+            hits,
+            [
+                hit(1, Some(0)),
+                hit(1, Some(2)),
+                hit(2, Some(0)),
+                hit(2, Some(1)),
+                hit(2, Some(2)),
+            ]
+        );
+        // A docless event matches on the envelope, with no document.
+        e.match_docs_into(&ev.clone().with_docs(Vec::new()), &mut MatchScratch::new(), &mut hits);
+        assert_eq!(hits, [hit(2, None)]);
     }
 
     #[test]
@@ -868,9 +1286,10 @@ mod tests {
             (2, r#"host = "London" AND dc.Subject = "dl""#),
             (3, r#"kind = "documents-added" AND doc in ["d1", "d2"]"#),
         ]);
-        // Entries: (host,London), (dc.Subject,dl), (kind,documents-added),
-        // (doc,d1), (doc,d2).
-        assert_eq!(e.stats().index_entries, 5);
+        // Access keys: (host,London) for 1, (dc.Subject,dl) for 2 and
+        // (doc,d1), (doc,d2) for 3 — document-level literals win, so
+        // nothing is posted under kind or a second time under host.
+        assert_eq!(e.stats().index_entries, 4);
         assert!(e.remove(pid(3)));
         assert_eq!(e.stats().index_entries, 2);
         assert!(e.remove(pid(2)));
@@ -1031,11 +1450,30 @@ mod tests {
 
     #[test]
     fn probe_passes_candidates_with_failing_residuals() {
-        // Indexed mask completes, residual fails: the probe must still
-        // pass the event through (it never verifies residuals).
+        // Equalities hold, residual fails: the probe must still pass the
+        // event through (it never verifies residuals).
         let e = engine_with(&[(1, r#"host = "London" AND text ? (digital)"#)]);
         assert!(probe_hit(&e, &event("London", "E", "x", "analog stuff")));
         assert!(!probe_hit(&e, &event("Paris", "E", "x", "digital stuff")));
+    }
+
+    #[test]
+    fn probe_holds_token_and_gram_keyed_conjunctions_to_their_equalities() {
+        // A conjunction keyed on something the probe cannot see — a
+        // token, a gram — is reached through the guard index and held to
+        // all its equality literals there.
+        for residual in [r#"text ? (digital)"#, r#"dc.Subject ~ "*digital*""#] {
+            let mut e = FilterEngine::with_derived_key_handicap(0);
+            let text = format!(r#"host = "London" AND kind = "documents-added" AND {residual}"#);
+            e.insert(pid(1), &parse_profile(&text).unwrap()).unwrap();
+            assert_eq!(e.stats().index_entries, 1);
+            assert!(e.equality_digest().contains(&("host", "London")));
+            assert!(probe_hit(&e, &event("London", "E", "x", "analog stuff")));
+            assert!(!probe_hit(&e, &event("Paris", "E", "x", "digital stuff")));
+            assert_eq!(e.matches(&event("London", "E", "digital", "digital")), vec![pid(1)]);
+            assert!(e.remove(pid(1)));
+            assert!(!probe_hit(&e, &event("London", "E", "x", "digital stuff")));
+        }
     }
 
     #[test]

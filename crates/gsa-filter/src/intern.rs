@@ -25,6 +25,15 @@ impl Symbol {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// A symbol carrying `raw` itself rather than a table index. Only
+    /// meaningful as the value half of a pair whose attribute half is
+    /// [reserved](SymbolTable::reserve): there the value namespace is the
+    /// caller's own, and small fixed-width data (a packed trigram) needs
+    /// no table entry and no lookup.
+    pub(crate) fn from_raw(raw: u32) -> Symbol {
+        Symbol(raw)
+    }
 }
 
 /// A fast, non-cryptographic hasher (FxHash-style multiply-rotate).
@@ -117,6 +126,17 @@ impl SymbolTable {
         sym
     }
 
+    /// Allocates a symbol that no string interns to: neither
+    /// [`intern`](Self::intern) nor [`lookup`](Self::lookup) ever returns
+    /// it, so a pair keyed under it cannot collide with any attribute
+    /// name or value a profile or an event can spell. `label` is only
+    /// what [`resolve`](Self::resolve) shows.
+    pub fn reserve(&mut self, label: &str) -> Symbol {
+        let sym = Symbol(u32::try_from(self.names.len()).expect("symbol table overflow"));
+        self.names.push(label.to_string());
+        sym
+    }
+
     /// Looks up an already-interned string without inserting.
     ///
     /// This is the hot-path entry point: event attribute values that no
@@ -167,6 +187,15 @@ mod tests {
         assert!(t.is_empty());
         let sym = t.intern("present");
         assert_eq!(t.lookup("present"), Some(sym));
+    }
+
+    #[test]
+    fn reserved_symbols_are_unreachable_by_string() {
+        let mut t = SymbolTable::new();
+        let reserved = t.reserve("token");
+        assert_eq!(t.lookup("token"), None);
+        assert_ne!(t.intern("token"), reserved);
+        assert_eq!(t.resolve(reserved), "token");
     }
 
     #[test]

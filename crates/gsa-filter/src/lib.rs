@@ -6,20 +6,24 @@
 //! crate provides:
 //!
 //! * [`FilterEngine`] — the equality-preferred engine: profiles are
-//!   normalized to DNF, their positive equality (and ID-list) predicates
-//!   are hash-indexed per attribute, and matching uses the counting
-//!   algorithm (a conjunction becomes a candidate only once *all* its
-//!   indexed predicates were satisfied by the event's attribute values);
-//!   residual predicates (wildcards, retrieval queries, negations) are
-//!   verified only on candidates. The index is keyed by interned
-//!   [`Symbol`](intern::Symbol) pairs and the per-event counting state
-//!   lives in a reusable [`MatchScratch`], so steady-state matching does
-//!   not allocate on the indexed-equality path.
+//!   normalized to DNF and every conjunction is posted in a hash index
+//!   under **one** access key — a positive equality (or ID-list)
+//!   predicate, a required term of a filter query, or a trigram of a
+//!   wildcard — chosen for the shortest posting lists (access-predicate
+//!   clustering). An event's attribute values, excerpt tokens and value
+//!   trigrams turn up candidate conjunctions, and only on those are the
+//!   remaining predicates verified: other equalities against the
+//!   context's interned pairs, residuals (wildcards, retrieval queries,
+//!   negations) by evaluation. It reports which documents satisfied each
+//!   profile ([`DocMatch`]). The per-event state lives in a reusable
+//!   [`MatchScratch`], so steady-state matching does not allocate on the
+//!   equality path.
 //! * [`ShardedFilterEngine`] — the same engine partitioned by profile id
 //!   into independent shards matched in parallel with scoped threads.
-//! * [`BaselineEngine`] — the first-generation string-keyed
-//!   implementation, kept so experiment E3 can measure the interned core
-//!   against the engine it replaced.
+//! * [`BaselineEngine`] — the first-generation string-keyed *counting*
+//!   implementation (every conjunction posted under every equality
+//!   predicate, hits counted per conjunction), kept as a test oracle and
+//!   so experiment E3 can measure the current engine against it.
 //! * [`NaiveFilter`] — the linear-scan baseline every profile is evaluated
 //!   against every event; used by experiment E3 to show the shape of the
 //!   equality-preferred speedup.
@@ -49,7 +53,7 @@
 //! assert_eq!(engine.matches(&event), vec![ProfileId::from_raw(1)]);
 //!
 //! // Batch path: reusable scratch state, no per-event allocation on the
-//! // indexed-equality path.
+//! // equality path.
 //! let mut scratch = MatchScratch::new();
 //! let mut matched = Vec::new();
 //! engine.matches_into(&event, &mut scratch, &mut matched);
@@ -67,7 +71,7 @@ pub mod naive;
 pub mod sharded;
 
 pub use baseline::BaselineEngine;
-pub use engine::{FilterEngine, FilterStats, MatchScratch};
+pub use engine::{profile_ids, DocMatch, FilterEngine, FilterStats, MatchScratch};
 pub use naive::NaiveFilter;
 pub use sharded::ShardedFilterEngine;
 

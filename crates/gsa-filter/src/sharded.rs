@@ -7,7 +7,7 @@
 //! Matching borrows the shards immutably, which lets
 //! [`std::thread::scope`] fan the work out without `Arc` or locking.
 
-use crate::engine::{FilterEngine, FilterStats, MatchScratch};
+use crate::engine::{profile_ids, DocMatch, FilterEngine, FilterStats, MatchScratch};
 use gsa_profile::{DnfError, ProfileExpr};
 use gsa_types::{Event, ProfileId};
 use gsa_wire::{EventProbe, WireError};
@@ -78,73 +78,84 @@ impl ShardedFilterEngine {
             .fold(FilterStats::default(), FilterStats::merge)
     }
 
-    /// The profiles matching `event` (in ascending id order), matched
-    /// shard-parallel with one scoped thread per shard.
-    pub fn matches(&self, event: &Event) -> Vec<ProfileId> {
-        if self.shards.len() == 1 {
-            return self.shards[0].matches(event);
+    /// Every (profile, document) match of `event`, sorted by profile id
+    /// then document index — [`FilterEngine::match_docs_into`] over the
+    /// union of the shards, one scoped thread per shard.
+    pub fn match_docs(&self, event: &Event) -> Vec<DocMatch> {
+        self.match_docs_batch(&[event])
+            .pop()
+            .expect("one result per event")
+    }
+
+    /// [`match_docs`](Self::match_docs) for a batch of events held by
+    /// reference, one result per event.
+    ///
+    /// This is the intended high-throughput entry point: threads are
+    /// spawned once per *batch*, each shard thread reuses one
+    /// [`MatchScratch`] across the whole batch, and the delivery
+    /// pipeline's `Arc`-shared events cross the fan-out without a clone.
+    /// Shards own disjoint profiles, so their sorted runs merge by
+    /// concatenating and sorting per event.
+    pub fn match_docs_batch(&self, events: &[&Event]) -> Vec<Vec<DocMatch>> {
+        let match_shard = |shard: &FilterEngine| {
+            let mut scratch = MatchScratch::new();
+            let per_event = |event: &&Event| {
+                let mut hits = Vec::new();
+                shard.match_docs_into(event, &mut scratch, &mut hits);
+                hits
+            };
+            events.iter().map(per_event).collect::<Vec<_>>()
+        };
+        if let [only] = self.shards.as_slice() {
+            return match_shard(only);
         }
         let per_shard = thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter()
-                .map(|shard| scope.spawn(move || shard.matches(event)))
+                .map(|shard| scope.spawn(move || match_shard(shard)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard matcher panicked"))
                 .collect::<Vec<_>>()
         });
-        let mut out: Vec<ProfileId> = per_shard.into_iter().flatten().collect();
-        out.sort_unstable();
-        out
+        let mut merged: Vec<Vec<DocMatch>> = vec![Vec::new(); events.len()];
+        for shard_results in per_shard {
+            for (event_idx, mut hits) in shard_results.into_iter().enumerate() {
+                merged[event_idx].append(&mut hits);
+            }
+        }
+        for hits in &mut merged {
+            hits.sort_unstable();
+        }
+        merged
+    }
+
+    /// The profiles matching `event` (in ascending id order).
+    pub fn matches(&self, event: &Event) -> Vec<ProfileId> {
+        self.matches_batch_refs(&[event])
+            .pop()
+            .expect("one result per event")
     }
 
     /// Matches a batch of events, returning one match set per event (each
     /// in ascending id order).
-    ///
-    /// This is the intended high-throughput entry point: threads are
-    /// spawned once per *batch*, and each shard thread reuses one
-    /// [`MatchScratch`] across the whole batch.
     pub fn matches_batch(&self, events: &[Event]) -> Vec<Vec<ProfileId>> {
         let refs: Vec<&Event> = events.iter().collect();
         self.matches_batch_refs(&refs)
     }
 
     /// [`ShardedFilterEngine::matches_batch`] for events held by
-    /// reference — the delivery pipeline batches `Arc`-shared events
-    /// through the shard fan-out without cloning any of them.
+    /// reference: the distinct profiles of
+    /// [`match_docs_batch`](Self::match_docs_batch).
     pub fn matches_batch_refs(&self, events: &[&Event]) -> Vec<Vec<ProfileId>> {
-        if self.shards.len() == 1 {
-            let mut scratch = MatchScratch::new();
-            return self.shards[0].matches_batch_refs(events, &mut scratch);
-        }
-        let per_shard = thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let mut scratch = MatchScratch::new();
-                        shard.matches_batch_refs(events, &mut scratch)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard matcher panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut merged: Vec<Vec<ProfileId>> = vec![Vec::new(); events.len()];
-        for shard_results in per_shard {
-            for (event_idx, mut ids) in shard_results.into_iter().enumerate() {
-                merged[event_idx].append(&mut ids);
-            }
-        }
-        for ids in &mut merged {
-            ids.sort_unstable();
-        }
-        merged
+        let ids = |hits: Vec<DocMatch>| {
+            let mut out = Vec::new();
+            profile_ids(&hits, &mut out);
+            out
+        };
+        self.match_docs_batch(events).into_iter().map(ids).collect()
     }
 
     /// Conservative pre-filter across all shards: `Ok(false)` proves no

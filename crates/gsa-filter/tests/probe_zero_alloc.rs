@@ -2,8 +2,8 @@
 //! one warm-up pass, probing a *non-matching* frozen binary event —
 //! [`EventProbe::from_payload`] plus [`FilterEngine::probe_matches`] —
 //! performs no heap allocation at all. The probe walks the frozen
-//! bytes in place and counts postings against the interned index; no
-//! `Event`, no strings, no XML tree.
+//! bytes in place and checks the equality literals of what the interned
+//! index turns up; no `Event`, no strings, no XML tree.
 //!
 //! Same counting-allocator harness as `zero_alloc.rs`: a wrapper around
 //! the system allocator counts allocations only inside the measured
@@ -85,6 +85,16 @@ fn probing_non_matching_binary_events_is_allocation_free_after_warmup() {
                 id += 1;
             }
         }
+    }
+    // Two-equality conjunctions keyed on a subject the stream does carry:
+    // the probe reaches them on every document and must reject on the
+    // event-level literal, by membership in the context's pairs.
+    for subject in ["physics", "history", "botany", "music"] {
+        let text = format!(r#"collection = "Alexandria.scrolls" AND dc.Subject = "{subject}""#);
+        engine
+            .insert(ProfileId::from_raw(id), &parse_profile(&text).unwrap())
+            .unwrap();
+        id += 1;
     }
 
     // Frozen v2 payload bytes are built up-front: the measured window

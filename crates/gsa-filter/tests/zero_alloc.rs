@@ -1,6 +1,6 @@
 //! Acceptance test for the zero-allocation matching claim: after one
 //! warm-up call, [`FilterEngine::matches_into`] performs no heap
-//! allocation on the indexed-equality path.
+//! allocation on the equality path.
 //!
 //! A counting wrapper around the system allocator is installed as the
 //! global allocator; the window between warm-up and assertion is the
@@ -63,11 +63,15 @@ fn matches_into_is_allocation_free_after_warmup() {
 
     let mut engine = FilterEngine::new();
     let mut id = 0u64;
-    // Indexed-equality profiles only: host / collection / kind / subject
-    // equality and id-lists, including multi-conjunction DNF shapes.
+    // Equality profiles only: host / collection / kind / subject
+    // equality and id-lists, including multi-conjunction DNF shapes and
+    // two-equality conjunctions — one event-level, one document-level
+    // literal, keyed on the second and verified on the first.
     for host in hosts {
         for subject in subjects {
             for text in [
+                format!(r#"collection = "{host}.demo" AND dc.Subject = "{subject}""#),
+                format!(r#"dc.Subject = "{subject}" AND host = "nowhere""#),
                 format!(r#"host = "{host}""#),
                 format!(r#"subject = "{subject}""#),
                 format!(r#"host = "{host}" AND subject = "{subject}""#),

@@ -1,7 +1,7 @@
 //! Attributes, micro-level values and predicates.
 
 use gsa_store::Query;
-use gsa_types::{DocSummary, Event};
+use gsa_types::{CollectionId, DocSummary, Event};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -58,17 +58,26 @@ impl ProfileAttr {
         )
     }
 
-    /// The attribute's values in the given (event, document) context.
-    fn values<'a>(&self, event: &'a Event, doc: Option<&'a DocSummary>) -> Vec<&'a str> {
+    /// Visits the attribute's values in the given (event, document)
+    /// context until `accept` returns `true`, and returns whether it did.
+    /// Document attributes have no values without a document; metadata
+    /// may have several. Nothing is collected on the way — only
+    /// `collection` has to compose its `host.name` string.
+    pub fn any_value(
+        &self,
+        event: &Event,
+        doc: Option<&DocSummary>,
+        mut accept: impl FnMut(&str) -> bool,
+    ) -> bool {
         match self {
-            ProfileAttr::Host => vec![event.origin.host().as_str()],
-            ProfileAttr::Collection => Vec::new(), // handled via owned string below
-            ProfileAttr::Kind => vec![event.kind.as_str()],
-            ProfileAttr::DocId => doc.map(|d| vec![d.doc.as_str()]).unwrap_or_default(),
-            ProfileAttr::Text => doc.map(|d| vec![d.excerpt.as_str()]).unwrap_or_default(),
-            ProfileAttr::Meta(key) => doc
-                .map(|d| d.metadata.all(key).iter().map(String::as_str).collect())
-                .unwrap_or_default(),
+            ProfileAttr::Host => accept(event.origin.host().as_str()),
+            ProfileAttr::Collection => accept(&event.origin.to_string()),
+            ProfileAttr::Kind => accept(event.kind.as_str()),
+            ProfileAttr::DocId => doc.is_some_and(|d| accept(d.doc.as_str())),
+            ProfileAttr::Text => doc.is_some_and(|d| accept(&d.excerpt)),
+            ProfileAttr::Meta(key) => {
+                doc.is_some_and(|d| d.metadata.all(key).iter().any(|v| accept(v)))
+            }
         }
     }
 }
@@ -106,6 +115,14 @@ impl Wildcard {
     /// The (lowercased) pattern text.
     pub fn as_str(&self) -> &str {
         &self.pattern
+    }
+
+    /// The literal segments between the `*`s, in order (lowercased; some
+    /// may be empty). A value the pattern [`matches`](Self::matches)
+    /// contains every one of them once lowercased, which is what lets a
+    /// filter index key a pattern on a piece of a segment.
+    pub fn segments(&self) -> impl Iterator<Item = &str> {
+        self.pattern.split('*')
     }
 
     /// Tests `value` against the pattern (case-insensitive).
@@ -280,14 +297,26 @@ impl Predicate {
     /// accepted.
     pub fn matches(&self, event: &Event, doc: Option<&DocSummary>) -> bool {
         if self.attr == ProfileAttr::Collection {
-            // Needs an owned string (host.name); handled separately.
-            return self.value.accepts(&event.origin.to_string());
+            // Exact collection names are compared against the origin's
+            // parts in place; only patterns and queries need the string.
+            match &self.value {
+                AttrValue::Equals(v) => return names_collection(v, &event.origin),
+                AttrValue::OneOf(set) => {
+                    return set.iter().any(|v| names_collection(v, &event.origin))
+                }
+                AttrValue::Like(_) | AttrValue::Matches(_) => {}
+            }
         }
-        self.attr
-            .values(event, doc)
-            .iter()
-            .any(|v| self.value.accepts(v))
+        self.attr.any_value(event, doc, |v| self.value.accepts(v))
     }
+}
+
+/// Whether `value` is `origin` in `host.name` notation.
+fn names_collection(value: &str, origin: &CollectionId) -> bool {
+    value
+        .strip_prefix(origin.host().as_str())
+        .and_then(|rest| rest.strip_prefix('.'))
+        .is_some_and(|name| name == origin.name().as_str())
 }
 
 impl fmt::Display for Predicate {
@@ -383,6 +412,52 @@ mod tests {
             AttrValue::Like(Wildcard::new("london.*")),
         );
         assert!(p.matches(&e, None));
+    }
+
+    #[test]
+    fn collection_names_are_compared_part_by_part() {
+        // Exactly `host.name`: no prefix, no suffix, dots in either part.
+        let dotted = Event::new(
+            EventId::new("a.b", 1),
+            CollectionId::new("a.b", "c.d"),
+            EventKind::CollectionRebuilt,
+            SimTime::ZERO,
+        );
+        let names = |v: &str| Predicate::equals(ProfileAttr::Collection, v).matches(&dotted, None);
+        assert!(names("a.b.c.d"));
+        for other in ["a.b.c", "a.b.c.d.e", "a.bc.d", "a.b", "a.b.", ".c.d", ""] {
+            assert!(!names(other), "{other:?}");
+        }
+        let set: BTreeSet<String> = ["x.y".to_string(), "a.b.c.d".to_string()].into();
+        let p = Predicate::new(ProfileAttr::Collection, AttrValue::OneOf(set));
+        assert!(p.matches(&dotted, None));
+        assert!(!p.matches(&event(), None));
+    }
+
+    #[test]
+    fn any_value_visits_every_value_until_accepted() {
+        let mut md = MetadataRecord::new();
+        md.add(keys::SUBJECT, "a");
+        md.add(keys::SUBJECT, "b");
+        let e = event().with_docs(vec![DocSummary::new("d").with_metadata(md)]);
+        let subject = ProfileAttr::Meta(keys::SUBJECT.into());
+        let mut seen = Vec::new();
+        assert!(!subject.any_value(&e, Some(doc(&e)), |v| {
+            seen.push(v.to_string());
+            false
+        }));
+        assert_eq!(seen, ["a", "b"]);
+        assert!(subject.any_value(&e, Some(doc(&e)), |v| v == "a"));
+        assert!(!subject.any_value(&e, None, |_| true));
+        assert!(ProfileAttr::Collection.any_value(&e, None, |v| v == "London.E"));
+    }
+
+    #[test]
+    fn wildcard_segments_are_the_lowercased_literals() {
+        let segments = |p: &str| Wildcard::new(p).segments().map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(segments("Digital*LIB*"), ["digital", "lib", ""]);
+        assert_eq!(segments("abc"), ["abc"]);
+        assert_eq!(segments("*"), ["", ""]);
     }
 
     #[test]

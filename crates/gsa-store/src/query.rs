@@ -108,6 +108,24 @@ impl Query {
         out
     }
 
+    /// Visits the query's *required* terms: the query itself when it is
+    /// a [`Query::Term`], and every `Term` reached through [`Query::And`]
+    /// nodes only. A token set the query matches contains each of them,
+    /// so a filter index may key the query on any one and still verify
+    /// the whole query on the candidates. Prefixes, and anything under an
+    /// `Or` or a `Not`, are not required.
+    pub fn each_required_term<'a>(&'a self, visit: &mut impl FnMut(&'a str)) {
+        match self {
+            Query::Term(t) => visit(t),
+            Query::And(qs) => {
+                for q in qs {
+                    q.each_required_term(visit);
+                }
+            }
+            Query::Prefix(_) | Query::Or(_) | Query::Not(_) => {}
+        }
+    }
+
     fn collect_positive<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Query::Term(t) | Query::Prefix(t) => out.push(t),
@@ -397,6 +415,25 @@ mod tests {
     fn positive_terms_skips_negations() {
         let q = Query::parse("a AND (b* OR NOT c)").unwrap();
         assert_eq!(q.positive_terms(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn required_terms_are_the_and_reachable_terms_only() {
+        let required = |text: &str| {
+            let q = Query::parse(text).unwrap();
+            let mut out = Vec::new();
+            q.each_required_term(&mut |t| out.push(t.to_string()));
+            out
+        };
+        assert_eq!(required("fox"), ["fox"]);
+        assert_eq!(required("a AND (b AND c) AND d*"), ["a", "b", "c"]);
+        assert_eq!(required("a AND (b OR c) AND NOT d"), ["a"]);
+        assert!(required("a OR b").is_empty());
+        assert!(required("pre*").is_empty());
+        assert!(required("NOT a").is_empty());
+        // Whatever the query matches contains every required term.
+        let q = Query::parse("quick AND (fox OR cat) AND NOT dog").unwrap();
+        assert!(q.matches_text("a quick cat") && !q.matches_text("a cat"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! with the common Dublin-Core-style keys provided as constants in [`keys`].
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,6 +50,15 @@ impl From<String> for MetaKey {
 
 impl AsRef<str> for MetaKey {
     fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Lets a record be looked up by `&str` without building a key. Sound
+/// because the derived `Eq`/`Ord`/`Hash` of the newtype are exactly the
+/// inner string's.
+impl Borrow<str> for MetaKey {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -118,13 +128,13 @@ impl MetadataRecord {
 
     /// Removes every value under `key`, returning them if any were present.
     pub fn remove(&mut self, key: &str) -> Option<Vec<MetaValue>> {
-        self.entries.remove(&MetaKey::new(key))
+        self.entries.remove(key)
     }
 
     /// Returns the first value under `key`, if any.
     pub fn first(&self, key: &str) -> Option<&str> {
         self.entries
-            .get(&MetaKey::new(key))
+            .get(key)
             .and_then(|vs| vs.first())
             .map(String::as_str)
     }
@@ -133,7 +143,7 @@ impl MetadataRecord {
     #[inline]
     pub fn all(&self, key: &str) -> &[MetaValue] {
         self.entries
-            .get(&MetaKey::new(key))
+            .get(key)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
