@@ -275,7 +275,11 @@ impl AlertingCore {
     /// shape, the collection-level-pruning baseline; which notifications
     /// are produced never changes either way.
     pub fn set_attr_summaries(&mut self, enabled: bool) {
-        self.attr_summaries = enabled;
+        if self.attr_summaries != enabled {
+            self.attr_summaries = enabled;
+            // The announced shape depends on the switch.
+            self.last_summary = None;
+        }
     }
 
     /// Enables or disables the delivery-time attribute probe (on by
@@ -577,6 +581,12 @@ impl AlertingCore {
     pub fn summary_refresh(&mut self) -> CoreEffects {
         let mut effects = CoreEffects::default();
         if !self.pruning {
+            return effects;
+        }
+        // No subscribe or cancel since the last refresh moved a count
+        // the summary is read from: the announcement stands, and nothing
+        // the size of the summary is built or compared.
+        if self.last_summary.is_some() && !self.subs.interests_changed() {
             return effects;
         }
         let mut summary = self.subs.interest_summary();
@@ -2206,5 +2216,57 @@ mod tests {
             .store()
             .document(&gsa_types::DocId::new("z1"))
             .is_none());
+    }
+
+    /// The summary an effect set announces, if it announces one.
+    fn announced(effects: &CoreEffects) -> Option<&InterestSummary> {
+        effects.outbound.iter().find_map(|(_, msg)| match msg {
+            SysMessage::Gds(GdsMessage::SummaryUpdate { summary, .. }) => Some(summary),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn subscribe_and_cancel_derive_one_digest_whatever_the_population() {
+        let client = ClientId::from_raw(1);
+        let stored = |n: usize| {
+            parse_profile(&format!(r#"collection = "H{}.C" AND dc.Title = "t{n}""#, n % 40)).unwrap()
+        };
+        for pruning in [true, false] {
+            for population in [10, 1_000, 10_000] {
+                let mut core = AlertingCore::new("London", "gds-2");
+                core.set_pruning(pruning);
+                core.startup(SimTime::ZERO);
+                for n in 0..population {
+                    core.subscribe(client, stored(n)).unwrap();
+                }
+                core.summary_refresh();
+                let each = usize::from(pruning);
+                let before = crate::subs::derivations();
+                let id = core.subscribe(client, stored(0)).unwrap();
+                let effects = core.summary_refresh();
+                assert_eq!(crate::subs::derivations() - before, each, "subscribe at {population}");
+                // An anchor and a value the server already holds: nothing
+                // to announce.
+                assert!(announced(&effects).is_none());
+                assert!(core.unsubscribe(id));
+                core.summary_refresh();
+                assert_eq!(crate::subs::derivations() - before, 2 * each, "cancel at {population}");
+            }
+        }
+    }
+
+    #[test]
+    fn volatile_restart_announces_the_empty_summary() {
+        let mut core = AlertingCore::new("London", "gds-2");
+        core.set_pruning(true);
+        assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));
+        core.subscribe(ClientId::from_raw(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
+        assert!(announced(&core.summary_refresh()).is_some_and(|s| s.may_match("A", "A.X")));
+        core.crash_wipe();
+        // Nothing to replay: the restart says so, although it is what a
+        // fresh server announces too.
+        assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));
+        assert!(announced(&core.summary_refresh()).is_none());
     }
 }

@@ -9,7 +9,7 @@
 use gsa_filter::{DocMatch, FilterEngine, MatchScratch, ShardedFilterEngine};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
-use gsa_wire::InterestSummary;
+use gsa_wire::{InterestCounts, InterestSummary};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -120,6 +120,30 @@ pub struct SubscriptionManager {
     /// runs allocation-free across the event stream.
     scratch: MatchScratch,
     hits: Vec<DocMatch>,
+    /// Reference counts over the stored profiles' interest digests, kept
+    /// from the first [`interest_summary`](Self::interest_summary) on —
+    /// a server that never announces a summary never derives a digest.
+    interests: Option<InterestCounts>,
+}
+
+#[cfg(test)]
+thread_local! {
+    static DERIVATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Digests derived on this thread so far (the cost pin reads it).
+#[cfg(test)]
+pub(crate) fn derivations() -> usize {
+    DERIVATIONS.with(std::cell::Cell::get)
+}
+
+/// The interest digest of one profile expression. A pure function of the
+/// expression, so what a cancel subtracts from the counts is what the
+/// subscribe added.
+fn digest_of(expr: &ProfileExpr) -> InterestSummary {
+    #[cfg(test)]
+    DERIVATIONS.with(|n| n.set(n.get() + 1));
+    gsa_profile::interests_of(expr)
 }
 
 impl SubscriptionManager {
@@ -176,9 +200,8 @@ impl SubscriptionManager {
         expr: ProfileExpr,
     ) -> Result<ProfileId, DnfError> {
         let id = ProfileId::from_raw(self.next_profile);
-        self.engine.insert(id, &expr)?;
+        self.insert_profile(id, client, expr)?;
         self.next_profile += 1;
-        self.profiles.insert(id, Profile::new(id, client, expr));
         Ok(id)
     }
 
@@ -198,9 +221,24 @@ impl SubscriptionManager {
         client: ClientId,
         expr: ProfileExpr,
     ) -> Result<(), DnfError> {
-        self.engine.insert(id, &expr)?;
-        self.profiles.insert(id, Profile::new(id, client, expr));
+        self.insert_profile(id, client, expr)?;
         self.set_next_profile_at_least(id.as_u64() + 1);
+        Ok(())
+    }
+
+    /// Indexes and stores a profile, counting its digest when counts are
+    /// kept — the one way a profile comes to be stored.
+    fn insert_profile(
+        &mut self,
+        id: ProfileId,
+        client: ClientId,
+        expr: ProfileExpr,
+    ) -> Result<(), DnfError> {
+        self.engine.insert(id, &expr)?;
+        if let Some(counts) = &mut self.interests {
+            counts.add(&digest_of(&expr));
+        }
+        self.profiles.insert(id, Profile::new(id, client, expr));
         Ok(())
     }
 
@@ -227,13 +265,22 @@ impl SubscriptionManager {
         };
         self.profiles.clear();
         self.next_profile = 0;
+        if let Some(counts) = &mut self.interests {
+            counts.clear();
+        }
     }
 
     /// Cancels a profile. Local and immediate (research problem 4).
     /// Returns `true` when it existed.
     pub fn unsubscribe(&mut self, profile: ProfileId) -> bool {
         self.engine.remove(profile);
-        self.profiles.remove(&profile).is_some()
+        let Some(removed) = self.profiles.remove(&profile) else {
+            return false;
+        };
+        if let Some(counts) = &mut self.interests {
+            counts.remove(&digest_of(removed.expr()));
+        }
+        true
     }
 
     /// Cancels all profiles of a client, returning how many were removed.
@@ -260,18 +307,38 @@ impl SubscriptionManager {
         self.profiles.values()
     }
 
+    /// `true` when a subscribe, cancel, restore or crash since the last
+    /// [`interest_summary`](Self::interest_summary) may have changed what
+    /// it returns (and before its first call).
+    pub fn interests_changed(&self) -> bool {
+        self.interests.as_ref().is_none_or(InterestCounts::changed)
+    }
+
     /// The conservative interest digest of every stored profile — the
     /// union of [`gsa_profile::interests_of`] over all expressions,
     /// announced to the GDS flood-pruning layer. Empty when no profiles
     /// are stored; wildcard as soon as any profile cannot be anchored to
-    /// exact origins.
-    pub fn interest_summary(&self) -> InterestSummary {
-        let mut summary = InterestSummary::empty();
-        for profile in self.profiles.values() {
-            summary.union_with(&gsa_profile::interests_of(profile.expr()));
-            if summary.is_wildcard() {
-                break;
+    /// exact origins. Read off reference counts that the first call
+    /// builds from the stored profiles and every later subscribe and
+    /// cancel adjusts by its own profile's digest.
+    pub fn interest_summary(&mut self) -> InterestSummary {
+        let counts = self.interests.get_or_insert_with(|| {
+            let mut counts = InterestCounts::default();
+            for profile in self.profiles.values() {
+                counts.add(&digest_of(profile.expr()));
             }
+            counts
+        });
+        counts.summary()
+    }
+
+    /// The fold the counts replace, kept as the oracle they are tested
+    /// against.
+    #[cfg(test)]
+    fn interest_summary_fold<'a>(profiles: impl Iterator<Item = &'a Profile>) -> InterestSummary {
+        let mut summary = InterestSummary::empty();
+        for profile in profiles {
+            summary.union_with(&gsa_profile::interests_of(profile.expr()));
         }
         summary
     }
@@ -410,6 +477,7 @@ mod tests {
     use super::*;
     use gsa_profile::parse_profile;
     use gsa_types::{CollectionId, DocSummary, EventId, EventKind};
+    use proptest::prelude::*;
 
     fn event(host: &str, doc: &str) -> Arc<Event> {
         Arc::new(Event::new(
@@ -546,20 +614,79 @@ mod tests {
     #[test]
     fn interest_summary_unions_profiles() {
         let mut subs = SubscriptionManager::new();
+        let sub = |subs: &mut SubscriptionManager, c, text: &str| {
+            subs.subscribe(client(c), parse_profile(text).unwrap())
+                .unwrap()
+        };
+        assert!(subs.interests_changed(), "nothing read yet");
         assert!(subs.interest_summary().is_empty());
-        let p = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        subs.subscribe(client(2), parse_profile(r#"collection = "B.C""#).unwrap()).unwrap();
+        let p = sub(&mut subs, 1, r#"host = "A""#);
+        sub(&mut subs, 2, r#"collection = "B.C""#);
         let s = subs.interest_summary();
         assert!(s.may_match("A", "A.X") && s.may_match("B", "B.C"));
         assert!(!s.may_match("Z", "Z.Z"));
+        // A second holder of an anchor changes nothing that is announced.
+        let again = sub(&mut subs, 2, r#"host = "A""#);
+        assert!(!subs.interests_changed());
         // An unanchorable profile widens the whole digest.
-        subs.subscribe(client(3), parse_profile(r#"kind = "rebuilt""#).unwrap()).unwrap();
+        sub(&mut subs, 3, r#"kind = "rebuilt""#);
+        assert!(subs.interests_changed());
         assert!(subs.interest_summary().is_wildcard());
-        // Cancellation narrows it back.
+        // Cancellation narrows it back: the last wildcard profile leaving
+        // un-wildcards the server, the last holder of an anchor drops it.
         subs.unsubscribe_client(client(3));
         subs.unsubscribe(p);
+        assert!(subs.interest_summary().may_match("A", "A.X"));
+        subs.unsubscribe(again);
+        assert!(subs.interests_changed());
         let s = subs.interest_summary();
         assert!(!s.may_match("A", "A.X") && s.may_match("B", "B.C"));
+    }
+
+    #[test]
+    fn digest_keys_come_and_go_with_the_profiles_that_decide_them() {
+        let mut subs = SubscriptionManager::new();
+        let mut titled: Vec<ProfileId> = (0..InterestSummary::MAX_ATTR_VALUES)
+            .map(|v| {
+                let text = format!(r#"host = "A" AND dc.Title = "v{v}""#);
+                subs.subscribe(client(1), parse_profile(&text).unwrap())
+                    .unwrap()
+            })
+            .collect();
+        let titles = |subs: &mut SubscriptionManager| {
+            subs.interest_summary()
+                .attr_constraint("meta:dc.Title")
+                .map(std::collections::BTreeSet::len)
+        };
+        assert_eq!(titles(&mut subs), Some(InterestSummary::MAX_ATTR_VALUES));
+        // A ninth value drops the digest; it returns when one leaves.
+        titled.push(
+            subs.subscribe(
+                client(1),
+                parse_profile(r#"host = "A" AND dc.Title = "x""#).unwrap(),
+            )
+            .unwrap(),
+        );
+        assert_eq!(titles(&mut subs), None);
+        subs.unsubscribe(titled[0]);
+        assert_eq!(titles(&mut subs), Some(InterestSummary::MAX_ATTR_VALUES));
+        // One profile that does not constrain the key unconstrains it for
+        // the server, for as long as it stays.
+        let untitled = subs
+            .subscribe(client(2), parse_profile(r#"host = "A""#).unwrap())
+            .unwrap();
+        assert!(subs.interests_changed());
+        assert_eq!(titles(&mut subs), None);
+        subs.unsubscribe(untitled);
+        assert!(subs.interests_changed());
+        assert_eq!(titles(&mut subs), Some(InterestSummary::MAX_ATTR_VALUES));
+        // An unsatisfiable profile holds no interest: it counts for nothing.
+        subs.subscribe(client(2), ProfileExpr::Or(Vec::new()))
+            .unwrap();
+        assert!(!subs.interests_changed());
+        // A crash forgets all of it.
+        subs.wipe_for_crash();
+        assert!(subs.interests_changed() && subs.interest_summary().is_empty());
     }
 
     #[test]
@@ -689,5 +816,161 @@ mod tests {
         assert!(subs.profile(p).is_some());
         assert_eq!(subs.profiles().count(), 1);
         assert!(!subs.is_empty());
+    }
+
+    /// An expression for each digest shape the counts have to get right.
+    fn shaped(shape: usize, host: usize, name: usize, value: usize) -> ProfileExpr {
+        let h = ["A", "B", "C"][host % 3];
+        let n = ["X", "Y"][name % 2];
+        let kind = ["documents-added", "collection-rebuilt"][value % 2];
+        let next = value + 1;
+        let text = match shape {
+            0 => r#"text ~ "*x*""#.to_owned(),
+            1 => format!(r#"host = "{h}""#),
+            2 => format!(r#"collection = "{h}.{n}""#),
+            3 => format!(r#"host = "{h}" OR collection = "B.{n}""#),
+            4 => format!(r#"host = "{h}" AND kind = "{kind}""#),
+            5 => format!(r#"collection = "{h}.{n}" AND dc.Title in ["v{value}", "v{next}"]"#),
+            6 => format!(r#"host = "{h}" AND dc.Title = "v{value}""#),
+            7 => format!(r#"host = "{h}" AND dc.Title = "v{value}" AND kind = "{kind}""#),
+            8 => format!(
+                r#"(host = "{h}" AND kind = "{kind}")
+                   OR (collection = "B.{n}" AND kind = "documents-added" AND dc.Title = "v{value}")"#
+            ),
+            // Unsatisfiable (an empty DNF) and always true (one empty
+            // conjunction, which nothing anchors).
+            9 => return ProfileExpr::Or(Vec::new()),
+            10 => return ProfileExpr::And(Vec::new()),
+            // Too large to normalise: subscribing fails, nothing is stored
+            // (rarely — each attempt expands 4 096 conjunctions).
+            11 if value == 0 => {
+                let either = parse_profile(r#"host = "A" OR host = "B""#).unwrap();
+                return ProfileExpr::And(vec![either; 13]);
+            }
+            _ => format!(r#"host in ["{h}", "C"]"#),
+        };
+        parse_profile(&text).unwrap()
+    }
+
+    /// Shape mixes: everything; every profile constrains the title (nine
+    /// values of one key are in reach); all but a few do; kinds beside
+    /// profiles that count for nothing; anchors and wildcards only.
+    const PALETTES: [&[usize]; 5] = [
+        &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+        &[5, 6, 6, 7],
+        &[6, 6, 6, 7, 7, 1],
+        &[4, 7, 8, 9],
+        &[0, 1, 2, 3, 10],
+    ];
+
+    /// The `(digest key, value)` pairs a profile's positive equality
+    /// literals name — all a digest may ever be made of.
+    fn equality_pairs(expr: &ProfileExpr, out: &mut Vec<(String, String)>) {
+        use gsa_profile::{AttrValue, ProfileAttr};
+        for literal in gsa_profile::dnf::to_dnf(expr)
+            .unwrap()
+            .iter()
+            .flat_map(|c| &c.literals)
+        {
+            let key = match &literal.predicate.attr {
+                ProfileAttr::Kind if literal.positive => gsa_wire::ATTR_KEY_KIND.to_owned(),
+                ProfileAttr::Meta(k) if literal.positive => {
+                    format!("{}{k}", gsa_wire::ATTR_META_PREFIX)
+                }
+                _ => continue,
+            };
+            match &literal.predicate.value {
+                AttrValue::Equals(v) => out.push((key, v.clone())),
+                AttrValue::OneOf(vs) => out.extend(vs.iter().map(|v| (key.clone(), v.clone()))),
+                _ => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// After every subscribe, cancel, client cancel, crash and
+        /// restore, the summary read off the counts is the fold of
+        /// `union_with` over the live profiles — in whatever order the
+        /// fold takes them — and an unraised change flag means the
+        /// summary did not move.
+        #[test]
+        fn counted_summary_equals_the_fold(
+            palette in 0usize..PALETTES.len(),
+            first_read in 0usize..12,
+            ops in prop::collection::vec(
+                (0usize..10, 0usize..12, 0usize..3, 0usize..2, 0usize..11),
+                1..70,
+            ),
+        ) {
+            let mut subs = SubscriptionManager::new();
+            let mut last: Option<InterestSummary> = None;
+            for (step, (op, pick, host, name, value)) in ops.into_iter().enumerate() {
+                let mut live: Vec<ProfileId> = subs.profiles().map(Profile::id).collect();
+                live.sort_unstable();
+                match op {
+                    0..=5 => {
+                        let shape = PALETTES[palette][pick % PALETTES[palette].len()];
+                        let expr = shaped(shape, host, name, value);
+                        let stored = subs.subscribe(client(host as u64), expr);
+                        prop_assert_eq!(stored.is_err(), shape == 11 && value == 0);
+                    }
+                    6 | 7 if !live.is_empty() => {
+                        prop_assert!(subs.unsubscribe(live[(pick * 7 + value) % live.len()]));
+                    }
+                    8 => {
+                        subs.unsubscribe_client(client(host as u64));
+                    }
+                    9 => {
+                        // A crash, then whatever prefix of the population a
+                        // journal would hand back (none, for a volatile host).
+                        let kept: Vec<Profile> = live[..(pick * value) % (live.len() + 1)]
+                            .iter()
+                            .map(|id| subs.profile(*id).unwrap().clone())
+                            .collect();
+                        subs.wipe_for_crash();
+                        for p in kept {
+                            subs.restore(p.id(), p.owner(), p.expr().clone()).unwrap();
+                        }
+                    }
+                    _ => {}
+                }
+                // Some populations exist before counts are first built.
+                if step < first_read {
+                    continue;
+                }
+                let moved = subs.interests_changed();
+                let counted = subs.interest_summary();
+                // The fold, in the map's order and in three others.
+                let fold = |order: &[&Profile]| {
+                    SubscriptionManager::interest_summary_fold(order.iter().copied())
+                };
+                let mut profiles: Vec<&Profile> = subs.profiles().collect();
+                prop_assert_eq!(&counted, &fold(&profiles));
+                profiles.sort_unstable_by_key(|p| p.id());
+                prop_assert_eq!(&counted, &fold(&profiles));
+                profiles.reverse();
+                prop_assert_eq!(&counted, &fold(&profiles));
+                let mid = pick % profiles.len().max(1);
+                profiles.rotate_left(mid);
+                prop_assert_eq!(&counted, &fold(&profiles));
+                if !moved {
+                    prop_assert_eq!(Some(&counted), last.as_ref());
+                }
+                // The digest names only pairs some live profile uses.
+                let mut pairs = Vec::new();
+                for p in &profiles {
+                    equality_pairs(p.expr(), &mut pairs);
+                }
+                for (key, values) in counted.attrs() {
+                    for v in values {
+                        let pair = (key.to_owned(), v.clone());
+                        prop_assert!(pairs.contains(&pair), "{key}={v} is nobody's");
+                    }
+                }
+                last = Some(counted);
+            }
+        }
     }
 }

@@ -1137,6 +1137,50 @@ mod tests {
     }
 
     #[test]
+    fn durable_restart_announces_the_pre_crash_summary_and_still_narrows() {
+        let mut system = System::new(13);
+        system.set_pruning(true);
+        system.set_durability(true);
+        system.add_gds_topology(&figure2_tree());
+        system.add_server("London", "gds-2");
+        system.run_until_quiet(SimTime::from_secs(5));
+        let client = system.add_client("London");
+        let mut ids = Vec::new();
+        for text in [
+            r#"host = "Hamilton" AND kind = "documents-added""#,
+            r#"collection = "Berlin.B" AND kind = "collection-rebuilt""#,
+            r#"host in ["Hamilton", "Auckland"] AND kind = "documents-added""#,
+        ] {
+            ids.push(system.subscribe_text("London", client, text).unwrap());
+        }
+        let cancelled = system.subscribe_text("London", client, r#"text ~ "*x*""#).unwrap();
+        assert!(system.unsubscribe("London", cancelled));
+        // What London's directory node holds as London's summary.
+        let announced = |system: &mut System| {
+            system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+            let held = system.inspect_gds("gds-2", |node| {
+                node.edge_summary(&HostName::new("London")).cloned()
+            });
+            held.expect("London announces")
+        };
+        let before = announced(&mut system);
+        assert!(before.may_match("Auckland", "Auckland.A") && before.has_attrs());
+
+        system.crash_server("London");
+        system.run_for(SimDuration::from_secs(2));
+        system.restart_server("London");
+        assert_eq!(announced(&mut system), before);
+        assert!(system.metrics().counter("state.replay_records") >= 5);
+
+        // The counts were rebuilt from the journal: the recovered
+        // profile that alone held Auckland takes it along.
+        system.unsubscribe("London", ids[2]);
+        let narrowed = announced(&mut system);
+        assert!(!narrowed.may_match("Auckland", "Auckland.A"));
+        assert!(narrowed.may_match("Hamilton", "Hamilton.D") && narrowed.has_attrs());
+    }
+
+    #[test]
     fn torn_storage_never_panics_and_never_forges_subscriptions() {
         let mut system = System::new(11);
         system.set_durability(true);

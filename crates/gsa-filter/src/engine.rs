@@ -452,32 +452,6 @@ impl FilterEngine {
         self.symbols.len()
     }
 
-    /// The distinct `(attribute, value)` pairs of every positive equality
-    /// literal of every live conjunction — access keys and verified-only
-    /// literals alike — resolved back to strings and sorted: a read-only
-    /// export for the interest-summary layer. An attribute digest derived
-    /// per profile expression may only name pairs this set contains (the
-    /// oracle the digest tests check against), and it never names a pair
-    /// no live profile uses.
-    pub fn equality_digest(&self) -> Vec<(&str, &str)> {
-        let mut pairs = Vec::new();
-        let mut add =
-            |key: Key| pairs.push((self.symbols.resolve(key.0), self.symbols.resolve(key.1)));
-        for conj in self.conjs.iter().flatten() {
-            if let Access::Eq(eq) = &conj.access {
-                eq.each_key(&mut add);
-            }
-            for lit in conj.lits.iter() {
-                if let Lit::Eq(eq) = lit {
-                    eq.each_key(&mut add);
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-
     /// An engine that takes token and gram keys at a different handicap —
     /// 0 makes small test populations use them wherever they can.
     #[cfg(test)]
@@ -1057,7 +1031,6 @@ mod tests {
         }
         assert_eq!(e.stats().scan_conjunctions, 0);
         assert_eq!(e.stats().index_entries, 3);
-        assert_eq!(e.equality_digest(), [("host", "London")]);
         let hit = event("London", "E", "Libraries", "the Digital age");
         assert_eq!(e.matches(&hit), vec![pid(1), pid(2), pid(3)]);
         // The gram is only necessary: a value carrying it is still held
@@ -1132,17 +1105,12 @@ mod tests {
             assert_eq!(e.access_list_lens(pid(id)), [1], "profile {id}");
         }
         assert_eq!(e.stats().index_entries, 5);
-        // Every equality is exported, key or not.
-        let digest = e.equality_digest();
-        assert_eq!(digest.len(), 5);
-        assert!(digest.contains(&("collection", "H.D")) && digest.contains(&("dc.Subject", "a")));
         // The result does not depend on who got which key.
         assert_eq!(e.matches(&event("H", "D", "a", "")), vec![pid(1), pid(3), pid(5)]);
         for id in 1..=5 {
             assert!(e.remove(pid(id)));
         }
         assert_eq!(e.stats().index_entries, 0);
-        assert!(e.equality_digest().is_empty());
     }
 
     #[test]
@@ -1225,45 +1193,6 @@ mod tests {
         // Profile reported once even when both branches match.
         let e = engine_with(&[(1, r#"host = "London" OR kind = "documents-added""#)]);
         assert_eq!(e.matches(&event("London", "E", "x", "")), vec![pid(1)]);
-    }
-
-    #[test]
-    fn equality_digest_exports_live_pairs_the_summary_layer_respects() {
-        let mut e = engine_with(&[
-            (1, r#"kind = "documents-added" AND host = "London""#),
-            (2, r#"dc.Language = "mi""#),
-        ]);
-        let digest = e.equality_digest();
-        for pair in [
-            ("kind", "documents-added"),
-            ("host", "London"),
-            ("dc.Language", "mi"),
-        ] {
-            assert!(digest.contains(&pair), "index lacks {pair:?}");
-        }
-        // The announcement-layer attribute digest may only name pairs
-        // this index holds: a summary claiming an interest the matcher
-        // cannot satisfy would make upstream pruning unsound.
-        for text in [
-            r#"kind = "documents-added" AND host = "London""#,
-            r#"dc.Language = "mi""#,
-        ] {
-            let summary = gsa_profile::interests_of(&parse_profile(text).unwrap());
-            for (key, values) in summary.attrs() {
-                let attr = key.strip_prefix(gsa_wire::ATTR_META_PREFIX).unwrap_or(key);
-                for value in values {
-                    assert!(
-                        digest.contains(&(attr, value.as_str())),
-                        "summary names unindexed pair {attr}={value}"
-                    );
-                }
-            }
-        }
-        // Removal prunes the export along with the postings.
-        assert!(e.remove(pid(2)));
-        let digest = e.equality_digest();
-        assert!(!digest.contains(&("dc.Language", "mi")));
-        assert!(digest.contains(&("host", "London")));
     }
 
     #[test]
@@ -1467,7 +1396,6 @@ mod tests {
             let text = format!(r#"host = "London" AND kind = "documents-added" AND {residual}"#);
             e.insert(pid(1), &parse_profile(&text).unwrap()).unwrap();
             assert_eq!(e.stats().index_entries, 1);
-            assert!(e.equality_digest().contains(&("host", "London")));
             assert!(probe_hit(&e, &event("London", "E", "x", "analog stuff")));
             assert!(!probe_hit(&e, &event("Paris", "E", "x", "digital stuff")));
             assert_eq!(e.matches(&event("London", "E", "digital", "digital")), vec![pid(1)]);

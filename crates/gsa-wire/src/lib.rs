@@ -26,7 +26,8 @@
 //!   decoding it,
 //! * [`summary`] — conservative subtree interest summaries
 //!   ([`InterestSummary`]) used by the GDS flood-pruning layer, with
-//!   both XML and binary codecs.
+//!   both XML and binary codecs, and the reference counts
+//!   ([`InterestCounts`]) a server keeps its own summary in.
 //!
 //! # Examples
 //!
@@ -58,6 +59,6 @@ pub use binary::{FrozenBytes, WireFormat};
 pub use envelope::Envelope;
 pub use payload::Payload;
 pub use probe::{DocProbe, EventProbe, MetaProbe};
-pub use summary::{InterestSummary, ATTR_KEY_KIND, ATTR_META_PREFIX};
+pub use summary::{InterestCounts, InterestSummary, ATTR_KEY_KIND, ATTR_META_PREFIX};
 pub use reliable::{Reliable, RetransmitQueue, RetryPolicy};
 pub use xml::{parse_document, WireError, XmlElement, XmlNode};

@@ -480,6 +480,190 @@ impl InterestSummary {
     }
 }
 
+/// How many digests constrain one attribute key, and with which values.
+#[derive(Debug, Default)]
+struct AttrCounts {
+    /// Anchored digests that constrain this key.
+    constraining: usize,
+    /// Value → digests naming it under this key.
+    values: BTreeMap<String, usize>,
+}
+
+/// The union of a changing set of digests, kept as reference counts so
+/// that one digest joining or leaving costs its own size, not a fold of
+/// [`InterestSummary::union_with`] over the whole set.
+///
+/// [`summary`](Self::summary) reads the union off the counts, and equals
+/// that fold in any order:
+///
+/// * wildcard is absorbing — any wildcard digest makes the union
+///   wildcard; the empty digest is the identity and is not counted;
+/// * anchors union — a host or collection is in iff some digest holds it;
+/// * digest keys intersect — a key survives a union only when both
+///   sides constrain it, so it is in iff *every* anchored digest does
+///   (which also keeps the union within
+///   [`InterestSummary::MAX_ATTR_DIGESTS`], as each digest is);
+/// * values union, and an oversize set drops its key for good — value
+///   sets only grow along a fold, so a key is dropped at some step iff
+///   the final set exceeds [`InterestSummary::MAX_ATTR_VALUES`].
+///
+/// Removal subtracts exactly what [`add`](Self::add) counted, so the
+/// union narrows when a digest leaves just as re-folding the rest would.
+#[derive(Debug, Default)]
+pub struct InterestCounts {
+    wildcards: usize,
+    /// Digests that are neither wildcard nor empty.
+    anchored: usize,
+    hosts: BTreeMap<String, usize>,
+    collections: BTreeMap<String, usize>,
+    attrs: BTreeMap<String, AttrCounts>,
+    /// `constraining` count → keys at that count. The entry at `anchored`
+    /// is the number of keys every anchored digest constrains, which is
+    /// how a key *outside* the digest being added or removed is seen to
+    /// lose or gain that property without visiting it.
+    keys_at: BTreeMap<usize, usize>,
+    /// Set when the union may have changed since [`summary`](Self::summary)
+    /// last read it.
+    changed: bool,
+}
+
+/// Moves a count one up or down; `true` when it crossed between 0 and 1.
+fn step(n: &mut usize, up: bool) -> bool {
+    if up {
+        *n += 1;
+        *n == 1
+    } else {
+        *n = n.checked_sub(1).expect("only a counted digest is removed");
+        *n == 0
+    }
+}
+
+/// [`step`] on the count stored under `key`, which exists exactly while
+/// the count is positive.
+fn step_entry<K: Ord + Clone>(counts: &mut BTreeMap<K, usize>, key: &K, up: bool) -> bool {
+    match counts.get_mut(key) {
+        Some(n) => {
+            let gone = step(n, up);
+            if gone {
+                counts.remove(key);
+            }
+            gone
+        }
+        None => {
+            assert!(up, "only a counted digest is removed");
+            counts.insert(key.clone(), 1);
+            true
+        }
+    }
+}
+
+impl InterestCounts {
+    /// Counts one more digest into the union.
+    pub fn add(&mut self, digest: &InterestSummary) {
+        self.apply(digest, true);
+    }
+
+    /// Takes a digest previously [`add`](Self::add)ed out of the union.
+    ///
+    /// # Panics
+    ///
+    /// When `digest` was never added.
+    pub fn remove(&mut self, digest: &InterestSummary) {
+        self.apply(digest, false);
+    }
+
+    /// Forgets every digest.
+    pub fn clear(&mut self) {
+        *self = InterestCounts {
+            changed: true,
+            ..InterestCounts::default()
+        };
+    }
+
+    /// `true` when an [`add`](Self::add), [`remove`](Self::remove) or
+    /// [`clear`](Self::clear) since the last [`summary`](Self::summary)
+    /// may have changed the union: a count crossed between 0 and 1, or a
+    /// key started or stopped being constrained by every anchored digest.
+    pub fn changed(&self) -> bool {
+        self.changed
+    }
+
+    fn keys_all_constrain(&self) -> usize {
+        self.keys_at.get(&self.anchored).copied().unwrap_or(0)
+    }
+
+    fn apply(&mut self, digest: &InterestSummary, up: bool) {
+        if digest.is_empty() {
+            return;
+        }
+        if digest.wildcard {
+            self.changed |= step(&mut self.wildcards, up);
+            return;
+        }
+        let all_before = self.keys_all_constrain();
+        step(&mut self.anchored, up);
+        for host in &digest.hosts {
+            self.changed |= step_entry(&mut self.hosts, host, up);
+        }
+        for collection in &digest.collections {
+            self.changed |= step_entry(&mut self.collections, collection, up);
+        }
+        for (key, values) in &digest.attrs {
+            let counts = self.attrs.entry(key.clone()).or_default();
+            let before = counts.constraining;
+            step(&mut counts.constraining, up);
+            let after = counts.constraining;
+            let mut crossed = false;
+            for value in values {
+                crossed |= step_entry(&mut counts.values, value, up);
+            }
+            // This digest moved `constraining` and `anchored` together, so
+            // every anchored digest constrains the key now iff it did
+            // before; its value set shows in the union only when so.
+            self.changed |= crossed && after == self.anchored;
+            if after == 0 {
+                self.attrs.remove(key);
+            }
+            if before > 0 {
+                step_entry(&mut self.keys_at, &before, false);
+            }
+            if after > 0 {
+                step_entry(&mut self.keys_at, &after, true);
+            }
+        }
+        // Keys this digest does not constrain: an add ends "every anchored
+        // digest constrains it" for them, a remove may begin it. Either
+        // way the number of such keys moves, because the digest's own
+        // keys keep the property as they had it.
+        self.changed |= all_before != self.keys_all_constrain();
+    }
+
+    /// The union of the counted digests, and marks it as read.
+    pub fn summary(&mut self) -> InterestSummary {
+        self.changed = false;
+        if self.wildcards > 0 {
+            return InterestSummary::wildcard();
+        }
+        let attrs: BTreeMap<String, BTreeSet<String>> = self
+            .attrs
+            .iter()
+            .filter(|(_, key)| {
+                key.constraining == self.anchored
+                    && key.values.len() <= InterestSummary::MAX_ATTR_VALUES
+            })
+            .map(|(key, counts)| (key.clone(), counts.values.keys().cloned().collect()))
+            .collect();
+        debug_assert!(attrs.len() <= InterestSummary::MAX_ATTR_DIGESTS);
+        InterestSummary {
+            wildcard: false,
+            hosts: self.hosts.keys().cloned().collect(),
+            collections: self.collections.keys().cloned().collect(),
+            attrs,
+            frozen: FrozenEncoding::default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
