@@ -484,6 +484,12 @@ impl AlertingCore {
         self.gds.gds_server()
     }
 
+    /// This host's directory-service client (read-only; its
+    /// duplicate-suppression memory is what tests inspect).
+    pub fn gds_client(&self) -> &GdsClient {
+        &self.gds
+    }
+
     /// The underlying Greenstone server (read-only).
     pub fn server(&self) -> &Server {
         &self.server

@@ -6,7 +6,7 @@ use gsa_greenstone::GsMessage;
 use gsa_types::{CollectionId, CollectionName, Event};
 use gsa_wire::binary::{frame, framed_len, unframe, varint_len, write_varint, BinReader};
 use gsa_wire::codec::{collection_from_text, event_from_xml, event_to_xml};
-use gsa_wire::reliable::{reliable_to_xml, Reliable};
+use gsa_wire::reliable::{reliable_wire_size, Reliable};
 use gsa_wire::{WireError, XmlElement};
 use std::fmt;
 
@@ -102,7 +102,7 @@ impl SysMessage {
         match self {
             SysMessage::Gs(m) => m.wire_size(),
             SysMessage::Gds(m) => m.wire_size(),
-            SysMessage::RelGds(rel) => reliable_to_xml(rel, GdsMessage::to_xml).wire_size(),
+            SysMessage::RelGds(rel) => reliable_wire_size(rel, GdsMessage::wire_size),
             SysMessage::GdsBin(m) => m.binary_wire_size(),
             SysMessage::RelGdsBin(rel) => reliable_gds_binary_size(rel),
         }

@@ -12,23 +12,28 @@ use gsa_types::{
     keys, CollectionId, DocSummary, Event, EventId, EventKind, MetadataRecord, ProfileId, SimTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static TRACKING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Per thread: the test harness allocates on its own thread while a
+    /// test runs, and only the measuring thread's allocations count.
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
+        if TRACKING.try_with(Cell::get).unwrap_or(false) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
+        if TRACKING.try_with(Cell::get).unwrap_or(false) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -102,7 +107,7 @@ fn matches_into_is_allocation_free_after_warmup() {
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
+    TRACKING.set(true);
     let mut total = 0usize;
     for _ in 0..4 {
         for event in &events {
@@ -110,7 +115,7 @@ fn matches_into_is_allocation_free_after_warmup() {
             total += matched.len();
         }
     }
-    TRACKING.store(false, Ordering::SeqCst);
+    TRACKING.set(false);
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
     assert!(total > 0, "matching produced no results");

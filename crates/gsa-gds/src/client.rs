@@ -2,10 +2,11 @@
 
 use crate::message::{GdsMessage, ResolveToken};
 use crate::node::GdsOutbound;
+use crate::seen::SeenIds;
 use gsa_types::{Event, HostName, MessageId};
 use gsa_wire::{InterestSummary, Payload};
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A Greenstone server's handle on the directory service.
 ///
@@ -18,7 +19,7 @@ pub struct GdsClient {
     next_id: u64,
     next_token: u64,
     next_summary_version: u64,
-    seen: HashSet<(HostName, u64)>,
+    seen: SeenIds,
 }
 
 impl fmt::Debug for GdsClient {
@@ -41,7 +42,7 @@ impl GdsClient {
             next_id: 0,
             next_token: 0,
             next_summary_version: 0,
-            seen: HashSet::new(),
+            seen: SeenIds::default(),
         }
     }
 
@@ -79,7 +80,7 @@ impl GdsClient {
         let id = MessageId::from_raw(self.next_id);
         self.next_id += 1;
         // Never re-deliver our own broadcast back to ourselves.
-        self.seen.insert((self.host.clone(), id.as_u64()));
+        self.seen.insert(&self.host, id.as_u64());
         id
     }
 
@@ -99,16 +100,10 @@ impl GdsClient {
     }
 
     /// Builds a broadcast of an alerting event (the Section 4.2 federated
-    /// path).
-    pub fn publish_event(&mut self, event: &Event) -> (MessageId, GdsOutbound) {
-        let id = self.fresh_id();
-        (
-            id,
-            GdsOutbound {
-                to: self.gds_server.clone(),
-                msg: GdsMessage::publish_event(id, event),
-            },
-        )
+    /// path). The payload shares the caller's event and encodes from it
+    /// directly ([`Payload::from_event`]).
+    pub fn publish_event(&mut self, event: &Arc<Event>) -> (MessageId, GdsOutbound) {
+        self.publish(Payload::from_event(Arc::clone(event)))
     }
 
     /// Builds a multicast (point-to-point when `targets.len() == 1`).
@@ -173,7 +168,7 @@ impl GdsClient {
                 origin,
                 payload,
             } => {
-                if self.seen.insert((origin.clone(), id.as_u64())) {
+                if self.seen.insert(origin, id.as_u64()) {
                     Some((origin.clone(), payload.clone()))
                 } else {
                     None
@@ -186,6 +181,12 @@ impl GdsClient {
     /// Number of distinct messages remembered for duplicate suppression.
     pub fn seen_count(&self) -> usize {
         self.seen.len()
+    }
+
+    /// Id runs the duplicate-suppression memory holds: one per origin
+    /// while deliveries arrive in order, one more per id still missing.
+    pub fn seen_runs(&self) -> usize {
+        self.seen.runs()
     }
 
     /// The version the last [`summary_update`](Self::summary_update)
@@ -291,12 +292,12 @@ mod tests {
     #[test]
     fn publish_event_encodes_event() {
         let mut c = client();
-        let event = Event::new(
+        let event = Arc::new(Event::new(
             EventId::new("Hamilton", 1),
             CollectionId::new("Hamilton", "D"),
             EventKind::CollectionRebuilt,
             SimTime::ZERO,
-        );
+        ));
         let (id, out) = c.publish_event(&event);
         match out.msg {
             GdsMessage::Publish { id: mid, payload } => {

@@ -27,6 +27,7 @@
 pub mod client;
 pub mod message;
 pub mod node;
+mod seen;
 pub mod topology;
 
 pub use client::GdsClient;

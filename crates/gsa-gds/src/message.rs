@@ -4,11 +4,14 @@ use gsa_types::{HostName, MessageId};
 use gsa_wire::binary::{
     frame, framed_len, str_len, unframe, varint_len, write_str, write_varint, BinReader,
 };
-use gsa_wire::codec::event_to_xml;
+use gsa_wire::xml::{
+    attr_wire_size, element_wire_size, number_attr_wire_size, text_wire_size,
+};
 use gsa_wire::{FrozenBytes, InterestSummary, Payload, WireError, XmlElement};
 use gsa_types::Event;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Correlates a naming-service resolution with its answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -181,12 +184,14 @@ pub enum GdsMessage {
 }
 
 impl GdsMessage {
-    /// Convenience: a `Publish` whose payload is an encoded alerting
-    /// event.
+    /// Convenience: a `Publish` of an alerting event. The event is
+    /// copied into a [`Payload::from_event`]; a caller that already holds
+    /// it behind an `Arc` shares it through
+    /// [`GdsClient::publish_event`](crate::GdsClient::publish_event).
     pub fn publish_event(id: MessageId, event: &Event) -> Self {
         GdsMessage::Publish {
             id,
-            payload: event_to_xml(event).into(),
+            payload: Payload::from_event(Arc::new(event.clone())),
         }
     }
 
@@ -465,9 +470,56 @@ impl GdsMessage {
         }
     }
 
-    /// The serialized size in bytes of the v1 XML text encoding.
+    /// The serialized size in bytes of the v1 XML text encoding,
+    /// without producing it. The writer is compact, so a message that
+    /// carries a payload sizes as its envelope (tag, id, origin,
+    /// targets) plus [`Payload::xml_size`], which every clone of the
+    /// payload shares: O(1) in the payload on every hop after the first.
+    /// Control messages are small and size through their element.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().wire_size()
+        let carrier = |tag: &str,
+                       id: &MessageId,
+                       origin: Option<&HostName>,
+                       targets: &[HostName],
+                       payload: &Payload| {
+            let attrs = number_attr_wire_size("id", id.as_u64())
+                + origin.map_or(0, |o| attr_wire_size("origin", o.as_str()));
+            let targets: usize = targets
+                .iter()
+                .map(|t| element_wire_size("target", 0, text_wire_size(t.as_str())))
+                .sum();
+            element_wire_size(tag, attrs, targets + payload.xml_size())
+        };
+        match self {
+            GdsMessage::Publish { id, payload } => carrier("gds:publish", id, None, &[], payload),
+            GdsMessage::PublishTargeted {
+                id,
+                targets,
+                payload,
+            } => carrier("gds:publish-targeted", id, None, targets, payload),
+            GdsMessage::Broadcast {
+                id,
+                origin,
+                payload,
+            } => carrier("gds:broadcast", id, Some(origin), &[], payload),
+            GdsMessage::Route {
+                id,
+                origin,
+                targets,
+                payload,
+            } => carrier("gds:route", id, Some(origin), targets, payload),
+            GdsMessage::Deliver {
+                id,
+                origin,
+                payload,
+            } => carrier("gds:deliver", id, Some(origin), &[], payload),
+            GdsMessage::Batch(items) if !items.is_empty() => element_wire_size(
+                "gds:batch",
+                0,
+                items.iter().map(GdsMessage::wire_size).sum(),
+            ),
+            _ => self.to_xml().wire_size(),
+        }
     }
 
     /// Encodes the message as a wire-format-v2 binary frame.
@@ -897,6 +949,7 @@ impl fmt::Display for GdsMessage {
 mod tests {
     use super::*;
     use gsa_types::{CollectionId, EventId, EventKind, SimTime};
+    use gsa_wire::codec::event_to_xml;
 
     fn round_trip(msg: GdsMessage) {
         let text = msg.to_xml().to_document_string();

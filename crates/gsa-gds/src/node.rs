@@ -1,7 +1,8 @@
 //! The GDS directory-server state machine.
 
 use crate::message::GdsMessage;
-use gsa_types::{FxHashSet, HostName};
+use crate::seen::SeenIds;
+use gsa_types::HostName;
 use gsa_wire::{InterestSummary, Payload, ATTR_KEY_KIND, ATTR_META_PREFIX};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
@@ -86,10 +87,10 @@ pub struct GdsNode {
     local: BTreeSet<HostName>,
     /// Greenstone server -> next hop (self for local, else a child).
     subtree: BTreeMap<HostName, HostName>,
-    /// Duplicate-suppression memory: (origin, message id). Probed on
-    /// every flood hop, so it hashes with the fast Fx construction —
-    /// it is only ever inserted into and tested, never iterated.
-    seen: FxHashSet<(HostName, u64)>,
+    /// Duplicate-suppression memory: (origin, message id), probed on
+    /// every flood hop and never forgotten — kept as id runs per origin,
+    /// so an in-order flood costs one run however long it lasts.
+    seen: SeenIds,
     /// Recently flooded events (origin, id, payload), oldest first;
     /// replayed to an adopted child to close the reparenting race where
     /// an in-flight broadcast misses the moved subtree.
@@ -116,11 +117,15 @@ pub struct GdsNode {
     /// wildcard-by-absence default already covers us, so an initial
     /// wildcard aggregate is never sent.
     last_sent_summary: Option<InterestSummary>,
-    /// Union of digest keys across all edge summaries, rebuilt whenever
-    /// an edge summary changes. The flood fast path checks this set: when
-    /// it is empty (and no grants are held) the attribute machinery is
-    /// provably a no-op and the flood takes exactly the PR 5 code path.
-    attr_keys: BTreeSet<String>,
+    /// The attribute keys a flood must read off the event, sorted: the
+    /// union of digest keys across all edge summaries and of the held
+    /// grants' keys, rebuilt whenever either changes rather than per
+    /// flood. When it is empty the attribute machinery is provably a
+    /// no-op and the flood takes exactly the PR 5 code path.
+    requested_keys: Vec<String>,
+    /// Scratch for the prune anchor (`host.name` of the event's origin),
+    /// reused across floods so the anchor costs no allocation per hop.
+    anchor_scratch: String,
     /// Opt-in rendezvous placement (off by default — the paper's flood).
     rendezvous: bool,
     /// Grants this node holds from its parent: for every `(key, value)`
@@ -190,14 +195,15 @@ impl GdsNode {
             children: BTreeSet::new(),
             local: BTreeSet::new(),
             subtree: BTreeMap::new(),
-            seen: FxHashSet::default(),
+            seen: SeenIds::default(),
             recent: VecDeque::new(),
             encode_once: false,
             pruning: false,
             edge_summaries: BTreeMap::new(),
             agg_version: 0,
             last_sent_summary: None,
-            attr_keys: BTreeSet::new(),
+            requested_keys: Vec::new(),
+            anchor_scratch: String::new(),
             rendezvous: false,
             held_grants: GrantMap::new(),
             held_grant_version: 0,
@@ -273,6 +279,12 @@ impl GdsNode {
             }
         }
         agg
+    }
+
+    /// Id runs the duplicate-suppression memory holds: one per origin
+    /// while floods arrive in order, one more per id still missing.
+    pub fn seen_runs(&self) -> usize {
+        self.seen.runs()
     }
 
     /// Drains the counters accumulated since the last call (the actor
@@ -393,6 +405,7 @@ impl GdsNode {
         if !enabled {
             self.held_grants.clear();
             self.held_grant_version = 0;
+            self.rebuild_requested_keys();
         }
     }
 
@@ -412,24 +425,27 @@ impl GdsNode {
     }
 
     /// Re-derives everything downstream of an edge-summary change: the
-    /// digest-key cache, the children's rendezvous grants (revocations
+    /// requested-key cache, the children's rendezvous grants (revocations
     /// ride the same effects batch as the change that caused them), and
     /// the upward announcement.
     fn interest_changed(&mut self, effects: &mut GdsEffects) {
-        self.rebuild_attr_keys();
+        self.rebuild_requested_keys();
         self.recompute_grants(effects);
         self.refresh_parent_summary(effects);
     }
 
-    fn rebuild_attr_keys(&mut self) {
-        self.attr_keys.clear();
-        for (_, summary) in self.edge_summaries.values() {
-            for (key, _) in summary.attrs() {
-                if !self.attr_keys.contains(key) {
-                    self.attr_keys.insert(key.to_owned());
-                }
-            }
-        }
+    /// Called wherever `edge_summaries` or `held_grants` change. Held
+    /// grants are only ever non-empty with rendezvous on (disabling it
+    /// clears them), so their keys need no further condition here.
+    fn rebuild_requested_keys(&mut self) {
+        let keys: BTreeSet<&str> = self
+            .edge_summaries
+            .values()
+            .flat_map(|(_, summary)| summary.attrs().map(|(key, _)| key))
+            .chain(self.held_grants.keys().map(String::as_str))
+            .collect();
+        self.requested_keys.clear();
+        self.requested_keys.extend(keys.into_iter().map(str::to_owned));
     }
 
     /// Recomputes and (re)issues grants for every child whose entitled
@@ -587,6 +603,7 @@ impl GdsNode {
         self.parent = parent;
         self.held_grants.clear();
         self.held_grant_version = 0;
+        self.rebuild_requested_keys();
     }
 
     /// The Greenstone servers registered directly here.
@@ -699,7 +716,7 @@ impl GdsNode {
                     self.seen_uninterned
                         .insert((origin.as_str().to_owned(), id.as_u64()));
                 }
-                if self.seen.insert((origin.clone(), id.as_u64())) {
+                if self.seen.insert(&origin, id.as_u64()) {
                     if self.encode_once {
                         // Serialise once; every forwarded clone below
                         // shares this buffer.
@@ -718,7 +735,7 @@ impl GdsNode {
                     self.seen_uninterned
                         .insert((origin.as_str().to_owned(), id.as_u64()));
                 }
-                if self.seen.insert((origin.clone(), id.as_u64())) {
+                if self.seen.insert(&origin, id.as_u64()) {
                     if self.encode_once {
                         payload.freeze();
                     }
@@ -892,6 +909,7 @@ impl GdsNode {
                 {
                     self.held_grant_version = version;
                     self.held_grants = grants;
+                    self.rebuild_requested_keys();
                     // Our own exclusivity proof feeds the children's:
                     // re-derive what we can delegate further down.
                     self.recompute_grants(effects);
@@ -931,50 +949,50 @@ impl GdsNode {
         effects: &mut GdsEffects,
     ) {
         // Attribute digests and held grants only matter when some edge
-        // summary (or the parent) actually mentions them; with both sets
-        // empty — always the case with the features off — the flood below
-        // is exactly the PR 5 anchor-only path, allocation for allocation.
+        // summary (or the parent) actually mentions them; with no key
+        // requested — always the case with the features off — the flood
+        // below is exactly the PR 5 anchor-only path.
         let confinable = self.rendezvous && !self.held_grants.is_empty();
-        let needs_attrs = !self.attr_keys.is_empty() || confinable;
+        let requested = &self.requested_keys;
         let mut event_attrs: Vec<(String, Vec<String>)> = Vec::new();
-        let anchor = if self.pruning && (!self.edge_summaries.is_empty() || confinable) {
-            // The prune anchor needs only the origin header. On frozen
-            // binary payloads the attribute probe reads it in place —
-            // no per-hop Event (and per-doc metadata) materialisation.
-            // Attribute values (event kind, per-doc metadata) are only
-            // gathered when a digest or grant could use them.
-            let requested: Vec<&str> = if needs_attrs {
-                let mut keys: BTreeSet<&str> =
-                    self.attr_keys.iter().map(String::as_str).collect();
-                if confinable {
-                    keys.extend(self.held_grants.keys().map(String::as_str));
-                }
-                keys.into_iter().collect()
-            } else {
-                Vec::new()
-            };
+        // The prune anchor: `coll` holds the origin as `host.name` and
+        // the host is its first `host_len` bytes.
+        let mut coll = std::mem::take(&mut self.anchor_scratch);
+        coll.clear();
+        let mut host_len = 0;
+        let mut set_anchor = |host: &str, name: &str| {
+            coll.push_str(host);
+            host_len = host.len();
+            coll.push('.');
+            coll.push_str(name);
+        };
+        if self.pruning && (!self.edge_summaries.is_empty() || confinable) {
+            // The anchor needs only the origin header. On frozen binary
+            // payloads the attribute probe reads it in place — no per-hop
+            // Event (and per-doc metadata) materialisation. Attribute
+            // values (event kind, per-doc metadata) are only gathered
+            // when a digest or grant could use them.
             match payload.probe_event() {
                 Some(probe) => {
-                    let host = probe.origin_host().to_string();
-                    let coll = format!("{}.{}", probe.origin_host(), probe.origin_name());
-                    if needs_attrs {
+                    set_anchor(probe.origin_host(), probe.origin_name());
+                    if !requested.is_empty() {
                         // A probe failure mid-docs leaves `event_attrs`
                         // empty: no attribute pruning, no confinement —
                         // the conservative fallback, same as the anchor.
-                        event_attrs = probe_attr_values(probe, &requested).unwrap_or_default();
+                        event_attrs = probe_attr_values(probe, requested).unwrap_or_default();
                     }
-                    Some((host, coll))
                 }
-                None => payload.decode_event().ok().map(|event| {
-                    if needs_attrs {
-                        event_attrs = event_attr_values(&event, &requested);
+                None => {
+                    if let Ok(event) = payload.decode_event() {
+                        set_anchor(event.origin.host().as_str(), event.origin.name().as_str());
+                        if !requested.is_empty() {
+                            event_attrs = event_attr_values(&event, requested);
+                        }
                     }
-                    (event.origin.host().as_str().to_string(), event.origin.to_string())
-                }),
+                }
             }
-        } else {
-            None
-        };
+        }
+        let anchor = (!coll.is_empty()).then(|| (&coll[..host_len], coll.as_str()));
         // Whether the event may be confined to this subtree: some held
         // grant key where the event has values and *all* of them are
         // granted to us (a partially granted value set must still go up —
@@ -1064,6 +1082,7 @@ impl GdsNode {
         }
         self.pruned_edges += pruned;
         self.rendezvous_confined += confined_hops;
+        self.anchor_scratch = coll;
     }
 
     /// Targeted routing along the tree using the subtree registry.
@@ -1148,11 +1167,11 @@ fn excluded_by_digests(summary: &InterestSummary, event_attrs: &[(String, Vec<St
 /// section (callers fall back to no attribute knowledge).
 fn probe_attr_values(
     mut probe: gsa_wire::EventProbe<'_>,
-    requested: &[&str],
+    requested: &[String],
 ) -> Option<Vec<(String, Vec<String>)>> {
     let mut out: Vec<(String, Vec<String>)> = requested
         .iter()
-        .map(|key| ((*key).to_owned(), Vec::new()))
+        .map(|key| (key.clone(), Vec::new()))
         .collect();
     let mut wants_meta = false;
     for (key, values) in &mut out {
@@ -1180,12 +1199,12 @@ fn probe_attr_values(
 }
 
 /// Decoded-event twin of [`probe_attr_values`] for XML (v1) payloads.
-fn event_attr_values(event: &gsa_types::Event, requested: &[&str]) -> Vec<(String, Vec<String>)> {
+fn event_attr_values(event: &gsa_types::Event, requested: &[String]) -> Vec<(String, Vec<String>)> {
     requested
         .iter()
         .map(|key| {
             let mut values: Vec<String> = Vec::new();
-            if *key == ATTR_KEY_KIND {
+            if key == ATTR_KEY_KIND {
                 values.push(event.kind.as_str().to_owned());
             } else if let Some(target) = key.strip_prefix(ATTR_META_PREFIX) {
                 for doc in &event.docs {
@@ -1196,7 +1215,7 @@ fn event_attr_values(event: &gsa_types::Event, requested: &[&str]) -> Vec<(Strin
                     }
                 }
             }
-            ((*key).to_owned(), values)
+            (key.clone(), values)
         })
         .collect()
 }
@@ -1315,6 +1334,49 @@ mod tests {
         assert_eq!(first.len(), 6);
         let (second, _) = pump(&mut nodes, &"gds-5".into(), &"gs-5".into(), publish);
         assert!(second.is_empty(), "replayed publish must be suppressed");
+    }
+
+    /// The dedup memory of a long-lived tree: floods that lose nothing
+    /// arrive in id order everywhere, so every node and every client
+    /// holds one run per publisher however many events have passed,
+    /// while still answering for each of them.
+    #[test]
+    fn in_order_floods_cost_one_run_per_origin_everywhere() {
+        const FLOODS: u64 = 50_000;
+        let mut nodes = figure2();
+        let mut clients: BTreeMap<HostName, crate::GdsClient> = (1..=7)
+            .map(|i| {
+                let gs = HostName::new(format!("gs-{i}"));
+                (gs.clone(), crate::GdsClient::new(gs, format!("gds-{i}")))
+            })
+            .collect();
+        for n in 0..FLOODS {
+            let publisher = HostName::new(if n % 2 == 0 { "gs-5" } else { "gs-1" });
+            let (_, out) = clients
+                .get_mut(&publisher)
+                .unwrap()
+                .publish(XmlElement::new("event"));
+            let (deliveries, _) = pump(&mut nodes, &out.to, &publisher, out.msg);
+            assert_eq!(deliveries.len(), 6);
+            for (to, msg) in deliveries {
+                assert!(clients.get_mut(&to).unwrap().accept(&msg).is_some());
+            }
+        }
+        for (name, node) in &nodes {
+            assert_eq!(node.seen_runs(), 2, "{name}: one run per publisher");
+        }
+        for (name, client) in &clients {
+            assert_eq!(client.seen_runs(), 2, "{name}: one run per publisher");
+            assert_eq!(client.seen_count() as u64, FLOODS, "{name} remembers every flood");
+        }
+        // And the memory still suppresses: a replay of the first flood
+        // goes nowhere.
+        let replay = GdsMessage::Publish {
+            id: MessageId::from_raw(0),
+            payload: XmlElement::new("event").into(),
+        };
+        let (again, _) = pump(&mut nodes, &"gds-5".into(), &"gs-5".into(), replay);
+        assert!(again.is_empty());
     }
 
     #[test]

@@ -523,12 +523,7 @@ pub fn payload_bytes_from_xml(el: &XmlElement) -> Vec<u8> {
     match event_from_xml(el) {
         // Only canonical event elements take the native path, so
         // freezing and thawing is the identity on the element tree.
-        Ok(event) if event_to_xml(&event) == *el => {
-            let mut buf = Vec::with_capacity(1 + event_binary_size(&event));
-            buf.push(PAYLOAD_EVENT);
-            event_to_binary(&event, &mut buf);
-            buf
-        }
+        Ok(event) if event_to_xml(&event) == *el => payload_bytes_from_event(&event),
         _ => {
             let mut buf = Vec::with_capacity(1 + xml_binary_size(el));
             buf.push(PAYLOAD_XML);
@@ -536,6 +531,18 @@ pub fn payload_bytes_from_xml(el: &XmlElement) -> Vec<u8> {
             buf
         }
     }
+}
+
+/// Encodes an event as payload bytes directly: the tag byte and the
+/// native codec, with no XML tree in between. For an event whose
+/// `<event>` element decodes back to it (every event a server issues)
+/// these are the bytes [`payload_bytes_from_xml`] produces from
+/// `event_to_xml(event)`.
+pub fn payload_bytes_from_event(event: &Event) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + event_binary_size(event));
+    buf.push(PAYLOAD_EVENT);
+    event_to_binary(event, &mut buf);
+    buf
 }
 
 /// Reconstructs the payload element from [`payload_bytes_from_xml`]

@@ -18,8 +18,9 @@
 //!   varint-framed binary codec with native encoders for events,
 //!   metadata records and document summaries, and a generic XML-tree
 //!   fallback for everything else,
-//! * [`payload`] — the dual-representation [`Payload`] carrier that
-//!   makes encode-once flood forwarding and lazy decode possible,
+//! * [`payload`] — the [`Payload`] carrier (source event, XML tree,
+//!   frozen bytes) that makes encode-once flood forwarding, O(1) sizing
+//!   and lazy decode possible,
 //! * [`probe`] — zero-materialisation attribute probes ([`EventProbe`])
 //!   that scan a frozen event's filterable attributes in place, so a
 //!   delivery-time pre-filter can reject a non-matching event without

@@ -1,33 +1,37 @@
-//! Dual-representation message payloads for encode-once forwarding.
+//! Message payloads: encode once, size in O(1), decode lazily.
 //!
-//! A [`Payload`] carries an event (or arbitrary XML body) in whichever
-//! representations have been materialised so far:
+//! A [`Payload`] carries an event (or an arbitrary XML body) in up to
+//! three representations:
 //!
-//! * an XML element tree behind an [`Arc`] — the v1 text wire's view,
+//! * the publisher's [`Event`] behind an [`Arc`] — only ever an *encode
+//!   source*: the v2 bytes and the v1 tree are both derived from it,
+//! * an XML element tree — the v1 text wire's view,
 //! * frozen v2 binary bytes ([`FrozenBytes`]) — the encode-once buffer.
 //!
-//! At least one representation is always present. Cloning a payload is
-//! always cheap (two refcount bumps), which is what lets
-//! `GdsNode::flood` hand the *same* serialised bytes to every
-//! child/parent edge instead of rebuilding and re-serialising the tree
-//! per hop. The missing representation is produced on demand:
-//! [`Payload::freeze`] fills in the binary bytes once, and
-//! [`Payload::to_xml_element`] thaws them when a v1 peer needs text.
-//! [`Payload::decode_event`] is the lazy-decode exit: on the binary
-//! fast path it deserialises the native event codec directly, never
-//! touching an XML tree.
+//! At least one is always present. The source and the XML view live in
+//! one allocation shared by every clone, so cloning a payload is two
+//! refcount bumps and whatever one clone materialises — the tree, its
+//! serialised length — every other clone finds already there. That is
+//! what lets `GdsNode::flood` hand the same bytes to every edge and
+//! lets every hop of a flood charge the payload's size without walking
+//! it. [`Payload::freeze`] fills in the binary bytes once;
+//! [`Payload::decode_event`] is the lazy-decode exit: it reads the
+//! frozen bytes (v2) or the tree (v1), exactly what a peer across a
+//! real wire would hold — never the publisher's event.
 
 use crate::binary::{
-    payload_bytes_from_xml, payload_event_from_bytes, payload_xml_from_bytes, varint_len,
-    FrozenBytes,
+    event_binary_size, event_to_binary, payload_bytes_from_event, payload_bytes_from_xml,
+    payload_event_from_bytes, payload_xml_from_bytes, varint_len, write_varint, FrozenBytes,
+    PAYLOAD_EVENT,
 };
-use crate::codec::event_from_xml;
+use crate::codec::{event_from_xml, event_to_xml};
 use crate::xml::{WireError, XmlElement};
 use gsa_types::Event;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A message payload holding an XML tree, frozen binary bytes, or both.
+/// A message payload holding a source event, an XML tree, frozen binary
+/// bytes, or several of them.
 ///
 /// # Examples
 ///
@@ -41,26 +45,58 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct Payload {
-    xml: Option<Arc<XmlElement>>,
+    shared: Arc<Shared>,
     bin: Option<FrozenBytes>,
 }
 
+/// What every clone of a payload shares: where it came from, and the
+/// XML view once somebody needed it.
+struct Shared {
+    /// The publisher's event, for payloads built by
+    /// [`Payload::from_event`].
+    event: Option<Arc<Event>>,
+    /// The XML tree: given (`From<XmlElement>`), or derived on first use
+    /// from the event or by thawing the frozen bytes.
+    xml: OnceLock<XmlElement>,
+    /// `xml`'s serialised length, counted once.
+    xml_len: OnceLock<usize>,
+}
+
 impl Payload {
-    /// Wraps frozen binary bytes received off a v2 edge. The XML tree
-    /// is only reconstructed if a v1 peer or a text encode asks for it.
-    pub fn from_frozen(bin: FrozenBytes) -> Self {
+    /// Wraps an event for publishing. Nothing is encoded yet: the v2
+    /// bytes are written straight from the event when the payload is
+    /// frozen or sent, the XML tree only if a v1 edge or a v1 receiver
+    /// asks for it.
+    pub fn from_event(event: Arc<Event>) -> Self {
+        Payload::new(Some(event), OnceLock::new(), None)
+    }
+
+    fn new(event: Option<Arc<Event>>, xml: OnceLock<XmlElement>, bin: Option<FrozenBytes>) -> Self {
         Payload {
-            xml: None,
-            bin: Some(bin),
+            shared: Arc::new(Shared {
+                event,
+                xml,
+                xml_len: OnceLock::new(),
+            }),
+            bin,
         }
     }
 
+    /// Wraps frozen binary bytes received off a v2 edge. The XML tree
+    /// is only reconstructed if a v1 peer or a text encode asks for it.
+    pub fn from_frozen(bin: FrozenBytes) -> Self {
+        Payload::new(None, OnceLock::new(), Some(bin))
+    }
+
     /// Ensures the binary representation exists, encoding it from the
-    /// XML tree exactly once. Subsequent clones share the bytes.
+    /// source exactly once. Subsequent clones share the bytes.
     pub fn freeze(&mut self) {
         if self.bin.is_none() {
-            let xml = self.xml.as_ref().expect("payload has a representation");
-            self.bin = Some(FrozenBytes::new(payload_bytes_from_xml(xml)));
+            let bytes = match &self.shared.event {
+                Some(event) => payload_bytes_from_event(event),
+                None => payload_bytes_from_xml(self.xml_element()),
+            };
+            self.bin = Some(FrozenBytes::new(bytes));
         }
     }
 
@@ -77,60 +113,80 @@ impl Payload {
 
     /// The v2 encoded size of this payload including its varint length
     /// prefix. O(1) when frozen — the flood hot path never re-encodes
-    /// just to measure.
+    /// just to measure — and plain arithmetic over the event before.
     pub fn binary_size(&self) -> usize {
-        let body = match &self.bin {
-            Some(bin) => bin.len(),
-            None => {
-                let xml = self.xml.as_ref().expect("payload has a representation");
-                payload_bytes_from_xml(xml).len()
-            }
+        let body = match (&self.bin, &self.shared.event) {
+            (Some(bin), _) => bin.len(),
+            (None, Some(event)) => 1 + event_binary_size(event),
+            (None, None) => payload_bytes_from_xml(self.xml_element()).len(),
         };
         varint_len(body as u64) + body
     }
 
     /// Appends the payload as varint length + bytes (the v2 encoding).
     pub fn write_binary(&self, buf: &mut Vec<u8>) {
-        match &self.bin {
-            Some(bin) => {
-                crate::binary::write_varint(buf, bin.len() as u64);
+        match (&self.bin, &self.shared.event) {
+            (Some(bin), _) => {
+                write_varint(buf, bin.len() as u64);
                 buf.extend_from_slice(bin);
             }
-            None => {
-                let xml = self.xml.as_ref().expect("payload has a representation");
-                let bytes = payload_bytes_from_xml(xml);
-                crate::binary::write_varint(buf, bytes.len() as u64);
+            (None, Some(event)) => {
+                write_varint(buf, 1 + event_binary_size(event) as u64);
+                buf.push(PAYLOAD_EVENT);
+                event_to_binary(event, buf);
+            }
+            (None, None) => {
+                let bytes = payload_bytes_from_xml(self.xml_element());
+                write_varint(buf, bytes.len() as u64);
                 buf.extend_from_slice(&bytes);
             }
         }
     }
 
-    /// The payload as an XML element, thawing frozen bytes if the tree
-    /// was never materialised. Malformed bytes (which a conforming
-    /// encoder never produces) decode to an `<invalid-payload/>`
-    /// marker rather than panicking mid-flood.
+    /// The payload as a borrowed XML element, materialised at most once
+    /// for the payload and all its clones: built from the source event,
+    /// or thawed from frozen bytes. Malformed bytes (which a conforming
+    /// encoder never produces) thaw to an `<invalid-payload/>` marker
+    /// rather than panicking mid-flood.
+    pub fn xml_element(&self) -> &XmlElement {
+        self.shared.xml.get_or_init(|| match (&self.shared.event, &self.bin) {
+            (Some(event), _) => event_to_xml(event),
+            (None, Some(bin)) => payload_xml_from_bytes(bin)
+                .unwrap_or_else(|_| XmlElement::new("invalid-payload")),
+            (None, None) => unreachable!("payload has a representation"),
+        })
+    }
+
+    /// The payload as an owned XML element (a copy of
+    /// [`xml_element`](Self::xml_element)).
     pub fn to_xml_element(&self) -> XmlElement {
-        if let Some(xml) = &self.xml {
-            return (**xml).clone();
-        }
-        let bin = self.bin.as_ref().expect("payload has a representation");
-        payload_xml_from_bytes(bin).unwrap_or_else(|_| XmlElement::new("invalid-payload"))
+        self.xml_element().clone()
+    }
+
+    /// The serialised length of [`xml_element`](Self::xml_element),
+    /// counted once per payload: what the v1 wire charges for it on
+    /// every hop after the first, in O(1).
+    pub fn xml_size(&self) -> usize {
+        *self
+            .shared
+            .xml_len
+            .get_or_init(|| self.xml_element().wire_size())
     }
 
     /// Decodes the payload as an alerting event. On frozen payloads
     /// this is the lazy-decode fast path: the native binary codec runs
-    /// directly and no XML tree is built.
+    /// directly and no XML tree is built. Unfrozen payloads decode the
+    /// XML tree — what a v1 receiver parsed off the wire.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] when the payload is not a well-formed
     /// event.
     pub fn decode_event(&self) -> Result<Event, WireError> {
-        if let Some(bin) = &self.bin {
-            return payload_event_from_bytes(bin);
+        match &self.bin {
+            Some(bin) => payload_event_from_bytes(bin),
+            None => event_from_xml(self.xml_element()),
         }
-        let xml = self.xml.as_ref().expect("payload has a representation");
-        event_from_xml(xml)
     }
 
     /// Opens a zero-materialisation attribute probe over the frozen
@@ -148,10 +204,7 @@ impl Payload {
 
 impl From<XmlElement> for Payload {
     fn from(el: XmlElement) -> Self {
-        Payload {
-            xml: Some(Arc::new(el)),
-            bin: None,
-        }
+        Payload::new(None, OnceLock::from(el), None)
     }
 }
 
@@ -163,16 +216,17 @@ impl PartialEq for Payload {
                 return true;
             }
         }
-        self.to_xml_element() == other.to_xml_element()
+        self.xml_element() == other.xml_element()
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (&self.xml, &self.bin) {
-            (Some(xml), _) => write!(f, "Payload({})", xml.name()),
-            (None, Some(bin)) => write!(f, "Payload(frozen, {} bytes)", bin.len()),
-            (None, None) => unreachable!("payload has a representation"),
+        match (self.shared.xml.get(), &self.shared.event, &self.bin) {
+            (Some(xml), _, _) => write!(f, "Payload({})", xml.name()),
+            (None, Some(_), _) => f.write_str("Payload(event)"),
+            (None, None, Some(bin)) => write!(f, "Payload(frozen, {} bytes)", bin.len()),
+            (None, None, None) => unreachable!("payload has a representation"),
         }
     }
 }
@@ -180,8 +234,11 @@ impl fmt::Debug for Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::event_to_xml;
-    use gsa_types::{CollectionId, EventId, EventKind, SimTime};
+    use crate::binary::PAYLOAD_XML;
+    use gsa_types::{
+        CollectionId, DocSummary, EventId, EventKind, MetadataRecord, SimTime,
+    };
+    use proptest::prelude::*;
 
     fn sample_event() -> Event {
         Event::new(
@@ -190,6 +247,14 @@ mod tests {
             EventKind::CollectionRebuilt,
             SimTime::from_millis(99),
         )
+    }
+
+    /// Every clone of a payload is handed to another simulated node,
+    /// which may run on another thread in the live runtime.
+    #[test]
+    fn payload_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Payload>();
     }
 
     #[test]
@@ -217,16 +282,21 @@ mod tests {
 
     #[test]
     fn equality_spans_representations() {
-        let el = event_to_xml(&sample_event());
+        let event = sample_event();
+        let el = event_to_xml(&event);
         let plain = Payload::from(el.clone());
         let mut frozen = Payload::from(el);
         frozen.freeze();
         let binary_only = Payload::from_frozen(frozen.frozen().unwrap().clone());
+        let sourced = Payload::from_event(Arc::new(event));
         assert_eq!(plain, frozen);
         assert_eq!(plain, binary_only);
         assert_eq!(frozen, binary_only);
+        assert_eq!(sourced, plain);
+        assert_eq!(sourced, binary_only);
         let other = Payload::from(XmlElement::new("other"));
         assert_ne!(plain, other);
+        assert_ne!(sourced, other);
     }
 
     #[test]
@@ -234,6 +304,7 @@ mod tests {
         for payload in [
             Payload::from(event_to_xml(&sample_event())),
             Payload::from(XmlElement::new("blob").with_text("free-form")),
+            Payload::from_event(Arc::new(sample_event())),
         ] {
             let mut frozen = payload.clone();
             frozen.freeze();
@@ -257,11 +328,153 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_xml_still_takes_the_generic_path() {
+        // An `<event>` element that decodes, but not back to itself (an
+        // extra attribute), and one that is no event at all.
+        let almost = event_to_xml(&sample_event()).with_attr("note", "hand-written");
+        for el in [almost, XmlElement::new("announcement").with_text("hi")] {
+            let mut p = Payload::from(el.clone());
+            p.freeze();
+            assert_eq!(p.frozen().unwrap()[0], PAYLOAD_XML);
+            let received = Payload::from_frozen(p.frozen().unwrap().clone());
+            assert_eq!(received.to_xml_element(), el, "thawing is the identity");
+        }
+    }
+
+    #[test]
     fn debug_is_compact() {
         let mut p = Payload::from(XmlElement::new("event"));
         assert_eq!(format!("{p:?}"), "Payload(event)");
         p.freeze();
         let bin_only = Payload::from_frozen(p.frozen().unwrap().clone());
         assert!(format!("{bin_only:?}").starts_with("Payload(frozen"));
+        let sourced = Payload::from_event(Arc::new(sample_event()));
+        assert_eq!(format!("{sourced:?}"), "Payload(event)");
+    }
+
+    #[test]
+    fn the_xml_view_is_built_once_and_shared_by_clones() {
+        let p = Payload::from_event(Arc::new(sample_event()));
+        let clone = p.clone();
+        assert!(p.shared.xml.get().is_none(), "nothing is encoded up front");
+        let size = clone.xml_size();
+        assert_eq!(size, event_to_xml(&sample_event()).wire_size());
+        assert!(std::ptr::eq(p.xml_element(), clone.xml_element()));
+        assert_eq!(p.shared.xml_len.get(), Some(&size));
+    }
+
+    /// A receiver holds what crossed the wire, never the publisher's
+    /// event. The witness is a host name with a dot in it, which the v1
+    /// text form cannot carry faithfully (`a.b` + `c` reads back as `a` +
+    /// `b.c`) and the v2 bytes can: a decode that peeked at the source
+    /// event would return it unchanged on both.
+    #[test]
+    fn decode_reads_the_tree_or_the_bytes_never_the_source_event() {
+        let event = Event::new(
+            EventId::new("a.b", 1),
+            CollectionId::new("a.b", "c"),
+            EventKind::DocumentsAdded,
+            SimTime::from_millis(5),
+        );
+        let unfrozen = Payload::from_event(Arc::new(event.clone()));
+        let via_tree = unfrozen.decode_event().unwrap();
+        assert_eq!(via_tree, event_from_xml(&event_to_xml(&event)).unwrap());
+        assert_eq!(via_tree.origin, CollectionId::new("a", "b.c"));
+        assert!(unfrozen.shared.xml.get().is_some(), "the v1 decode built the tree");
+
+        let mut frozen = Payload::from_event(Arc::new(event.clone()));
+        frozen.freeze();
+        assert_eq!(frozen.decode_event().unwrap(), event, "v2 decodes its bytes");
+        assert!(frozen.shared.xml.get().is_none(), "and builds no tree to do so");
+    }
+
+    fn name() -> &'static str {
+        "[A-Za-z][A-Za-z0-9-]{0,8}"
+    }
+
+    /// Free text with everything the two codecs treat specially: the
+    /// escaped characters, quotes, whitespace runs and non-ASCII.
+    fn text() -> &'static str {
+        "[ -~\t\u{e9}\u{df}\u{3bb}\u{65e5}\u{1f4da}]{0,24}"
+    }
+
+    fn arb_doc() -> BoxedStrategy<DocSummary> {
+        (
+            "[A-Za-z0-9<&\"]{1,10}",
+            prop::collection::vec(("[A-Za-z.]{1,8}", text()), 0..4),
+            text(),
+        )
+            .prop_map(|(id, pairs, excerpt)| {
+                let mut md = MetadataRecord::new();
+                for (k, v) in pairs {
+                    md.add(k, v);
+                }
+                DocSummary::new(id).with_metadata(md).with_excerpt(excerpt)
+            })
+    }
+
+    /// Events as servers issue them: dot-free host names, non-empty
+    /// collection names; 0, 1 or many documents; with and without
+    /// provenance and a rewritten root.
+    fn arb_event() -> BoxedStrategy<Event> {
+        (
+            (name(), name(), 0u64..=u64::MAX, 0usize..EventKind::ALL.len()),
+            0u64..=u64::MAX,
+            prop::collection::vec(arb_doc(), 0..5),
+            prop::collection::vec((name(), "[A-Za-z][A-Za-z0-9.]{0,8}"), 0..3),
+            prop_oneof![Just(None), (name(), 0u64..1000).prop_map(Some)],
+        )
+            .prop_map(|((host, coll, seq, kind), issued, docs, provenance, root)| {
+                let mut event = Event::new(
+                    EventId::new(host.as_str(), seq),
+                    CollectionId::new(host.as_str(), coll.as_str()),
+                    EventKind::ALL[kind],
+                    SimTime::from_micros(issued),
+                )
+                .with_docs(docs);
+                event.provenance = provenance
+                    .into_iter()
+                    .map(|(h, n)| CollectionId::new(h.as_str(), n.as_str()))
+                    .collect();
+                if let Some((h, s)) = root {
+                    event.root = EventId::new(h.as_str(), s);
+                }
+                event
+            })
+    }
+
+    proptest! {
+        /// The event-sourced payload is indistinguishable, on both wires,
+        /// from the XML-sourced one it replaces on the publish path.
+        #[test]
+        fn event_sourced_payload_encodes_like_the_xml_sourced_one(event in arb_event()) {
+            let el = event_to_xml(&event);
+            let mut from_xml = Payload::from(el.clone());
+            let sourced = Payload::from_event(Arc::new(event.clone()));
+
+            // v2: sized and written unfrozen, then frozen, byte for byte.
+            let mut unfrozen = Vec::new();
+            sourced.write_binary(&mut unfrozen);
+            prop_assert_eq!(unfrozen.len(), sourced.binary_size());
+            let mut frozen = sourced.clone();
+            frozen.freeze();
+            from_xml.freeze();
+            prop_assert_eq!(frozen.frozen().unwrap(), from_xml.frozen().unwrap());
+            prop_assert_eq!(frozen.frozen().unwrap()[0], PAYLOAD_EVENT);
+            let mut written = Vec::new();
+            frozen.write_binary(&mut written);
+            prop_assert_eq!(&written, &unfrozen);
+
+            // v1: the same tree, and its length is the memoised one.
+            prop_assert_eq!(sourced.xml_element(), &el);
+            prop_assert_eq!(sourced.xml_size(), el.to_xml_string().len());
+            prop_assert_eq!(frozen.xml_size(), sourced.to_xml_element().wire_size());
+
+            // Receivers on either wire decode the event that was sent.
+            let received = Payload::from_frozen(frozen.frozen().unwrap().clone());
+            prop_assert_eq!(received.decode_event().unwrap(), event.clone());
+            prop_assert_eq!(received.xml_size(), el.wire_size());
+            prop_assert_eq!(sourced.decode_event().unwrap(), event);
+        }
     }
 }

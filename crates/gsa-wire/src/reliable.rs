@@ -14,7 +14,7 @@
 //! protocol that already has an XML form gets a reliable wire form for
 //! free.
 
-use crate::xml::{WireError, XmlElement};
+use crate::xml::{element_wire_size, number_attr_wire_size, WireError, XmlElement};
 use gsa_types::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -63,6 +63,20 @@ pub fn reliable_to_xml<M>(
             .with_child(payload_to_xml(payload)),
         Reliable::Ack { seq } => XmlElement::new("rel-ack").with_attr("seq", seq.to_string()),
         Reliable::Nack { seq } => XmlElement::new("rel-nack").with_attr("seq", seq.to_string()),
+    }
+}
+
+/// The serialized size of [`reliable_to_xml`]'s element given a sizer for
+/// the payload: the envelope's own bytes plus the payload's, without
+/// building either.
+pub fn reliable_wire_size<M>(rel: &Reliable<M>, payload_size: impl Fn(&M) -> usize) -> usize {
+    let seq = number_attr_wire_size("seq", rel.seq());
+    match rel {
+        Reliable::Data { payload, .. } => {
+            element_wire_size("rel-data", seq, payload_size(payload))
+        }
+        Reliable::Ack { .. } => "<rel-ack/>".len() + seq,
+        Reliable::Nack { .. } => "<rel-nack/>".len() + seq,
     }
 }
 

@@ -175,36 +175,59 @@ impl XmlElement {
         out
     }
 
-    fn write_into(&self, out: &mut String) {
-        out.push('<');
-        out.push_str(&self.name);
+    fn write_into(&self, out: &mut impl Sink) {
+        out.put("<");
+        out.put(&self.name);
         for (n, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(n);
-            out.push_str("=\"");
+            out.put(" ");
+            out.put(n);
+            out.put("=\"");
             escape_into(v, true, out);
-            out.push('"');
+            out.put("\"");
         }
         if self.children.is_empty() {
-            out.push_str("/>");
+            out.put("/>");
             return;
         }
-        out.push('>');
+        out.put(">");
         for node in &self.children {
             match node {
                 XmlNode::Element(e) => e.write_into(out),
                 XmlNode::Text(t) => escape_into(t, false, out),
             }
         }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push('>');
+        out.put("</");
+        out.put(&self.name);
+        out.put(">");
     }
 
     /// The size in bytes of the serialized form; used by the simulator's
-    /// bandwidth accounting.
+    /// bandwidth accounting. Runs the serialiser into a byte counter, so
+    /// it is exact by construction and builds no string.
     pub fn wire_size(&self) -> usize {
-        self.to_xml_string().len()
+        let mut count = ByteCount(0);
+        self.write_into(&mut count);
+        count.0
+    }
+}
+
+/// Where the serialiser writes: a string, or a counter of the bytes a
+/// string would have received.
+trait Sink {
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, s: &str) {
+        self.0 += s.len();
     }
 }
 
@@ -214,16 +237,53 @@ impl fmt::Display for XmlElement {
     }
 }
 
-fn escape_into(s: &str, in_attr: bool, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            c => out.push(c),
-        }
+fn escape_into(s: &str, in_attr: bool, out: &mut impl Sink) {
+    // The escaped characters are ASCII, so slicing around them stays on
+    // character boundaries.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            b'"' if in_attr => "&quot;",
+            _ => continue,
+        };
+        out.put(&s[plain..i]);
+        out.put(entity);
+        plain = i + 1;
     }
+    out.put(&s[plain..]);
+}
+
+/// The serialized size of ` name="value"` inside a start tag (leading
+/// space and entity escapes included).
+pub fn attr_wire_size(name: &str, value: &str) -> usize {
+    let mut count = ByteCount(name.len() + 4);
+    escape_into(value, true, &mut count);
+    count.0
+}
+
+/// The serialized size of `<name ...>children</name>` given the summed
+/// sizes of its attributes ([`attr_wire_size`]) and of its (at least one)
+/// child nodes. The writer is compact — no whitespace, no declaration —
+/// so an element's size is exactly the sum of its parts.
+pub fn element_wire_size(name: &str, attrs: usize, children: usize) -> usize {
+    2 * name.len() + 5 + attrs + children
+}
+
+/// The serialized size of ` name="value"` for an unsigned number written
+/// in decimal (an `id`, `seq` or `version` attribute): digits need no
+/// escaping and no string to count them.
+pub fn number_attr_wire_size(name: &str, value: u64) -> usize {
+    name.len() + 4 + value.checked_ilog10().map_or(1, |digits| digits as usize + 1)
+}
+
+/// The serialized size of a text node.
+pub fn text_wire_size(text: &str) -> usize {
+    let mut count = ByteCount(0);
+    escape_into(text, false, &mut count);
+    count.0
 }
 
 /// An error produced while parsing an XML document.
@@ -601,6 +661,23 @@ mod tests {
     fn wire_size_matches_serialized_length() {
         let el = XmlElement::new("t").with_text("abc");
         assert_eq!(el.wire_size(), el.to_xml_string().len());
+    }
+
+    #[test]
+    fn part_sizes_add_up_to_the_element_size() {
+        let value = "a<b>&\"c\" d\u{e9}";
+        let el = XmlElement::new("gds:x")
+            .with_attr("id", "18446744073709551615")
+            .with_attr("origin", value)
+            .with_child(XmlElement::new("target").with_text(value))
+            .with_child(XmlElement::new("target").with_text(""));
+        let attrs = number_attr_wire_size("id", u64::MAX) + attr_wire_size("origin", value);
+        let children = element_wire_size("target", 0, text_wire_size(value))
+            + element_wire_size("target", 0, 0);
+        assert_eq!(element_wire_size("gds:x", attrs, children), el.to_xml_string().len());
+        for v in [0, 9, 10, 99, 100, 12_345] {
+            assert_eq!(number_attr_wire_size("seq", v), attr_wire_size("seq", &v.to_string()));
+        }
     }
 
     #[test]

@@ -137,6 +137,54 @@ fn pruned_broadcast_is_exactly_once_under_loss() {
     );
 }
 
+/// The duplicate-suppression memory is kept as id runs: loss makes
+/// floods arrive out of order and opens gaps, and every gap that
+/// retransmission later fills closes again. With the reliability layer
+/// on nothing stays lost, so every GDS node and every watcher ends on a
+/// single run for the one publisher — while still remembering each
+/// event.
+#[test]
+fn dedup_memory_closes_every_gap_that_retransmission_fills() {
+    const REBUILDS: usize = 12;
+    let mut total_drops = 0;
+    let mut most_runs = 0;
+    for seed in [1, 2, 3] {
+        let (mut system, clients, _) = lossy_world(seed, false);
+        system.set_drop_probability(0.3);
+        for n in 0..REBUILDS {
+            system
+                .rebuild("Hamilton", "D", vec![doc(&format!("d{n}"))])
+                .unwrap();
+            // Publish faster than a lost frame is repaired, so later
+            // floods overtake earlier ones.
+            system.run_for(gsa_types::SimDuration::from_millis(40));
+            for gds in figure2_tree().names() {
+                most_runs = most_runs.max(system.inspect_gds(gds.as_str(), |node| node.seen_runs()));
+            }
+        }
+        system.run_until_quiet(SimTime::from_secs(240));
+        let lost_and_never_recovered = 0;
+        for gds in figure2_tree().names() {
+            let runs = system.inspect_gds(gds.as_str(), |node| node.seen_runs());
+            assert!(
+                runs <= lost_and_never_recovered + 1,
+                "seed {seed}: {gds} holds {runs} runs"
+            );
+        }
+        for (host, client) in clients {
+            let (runs, seen) = system.inspect_core(host, |core| {
+                (core.gds_client().seen_runs(), core.gds_client().seen_count())
+            });
+            assert!(runs <= lost_and_never_recovered + 1, "seed {seed}: {host} holds {runs} runs");
+            assert_eq!(seen, REBUILDS, "seed {seed}: {host} remembers every event");
+            assert_eq!(system.take_notifications(host, client).len(), REBUILDS);
+        }
+        total_drops += system.metrics().counter("net.dropped");
+    }
+    assert!(total_drops > 0, "the lossy links actually lost traffic");
+    assert!(most_runs > 1, "floods did overtake each other: there were gaps to close");
+}
+
 #[test]
 fn acks_flow_even_on_clean_links() {
     let (mut system, clients, _) = lossy_world(9, false);
