@@ -2,23 +2,21 @@
 //! citing Fabret et al. for the equality-preferred algorithm).
 //!
 //! Sweeps the number of registered profiles and measures events/second
-//! for four engines over the same event stream:
+//! for three engines over the same event stream:
 //!
 //! * `naive` — linear scan, every profile evaluated per event (only run
 //!   at small profile counts; it degrades linearly);
 //! * `baseline` — the first-generation string-keyed equality-preferred
 //!   engine this release replaced;
 //! * `interned` — the current engine (interned symbols, flat index,
-//!   reusable scratch) driven through the allocation-free batch path;
-//! * `sharded` — the current engine partitioned across scoped threads,
-//!   driven through the batch API.
+//!   reusable scratch) driven through the allocation-free batch path.
 //!
 //! Besides the human-readable table, writes machine-readable results to
 //! `BENCH_e3_filter.json` in the working directory (the repo root when
 //! launched via `cargo run`).
 
 use gsa_bench::Table;
-use gsa_filter::{BaselineEngine, FilterEngine, MatchScratch, NaiveFilter, ShardedFilterEngine};
+use gsa_filter::{BaselineEngine, FilterEngine, MatchScratch, NaiveFilter};
 use gsa_types::{Event, EventId, EventKind, ProfileId, SimTime};
 use gsa_workload::{DocumentGenerator, GsWorld, ProfileMix, ProfilePopulation, WorldParams};
 use std::fmt::Write as _;
@@ -73,7 +71,6 @@ struct Row {
     naive: Option<f64>,
     baseline: f64,
     interned: f64,
-    sharded: f64,
     matches: usize,
 }
 
@@ -95,11 +92,7 @@ fn main() {
         title_wildcard: 0.05,
         kind_equals: 0.0,
     };
-    let shards = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    println!("E3: filter throughput — naive / baseline / interned / sharded({shards})");
+    println!("E3: filter throughput — naive / baseline / interned");
     println!("    (200 events x 3 docs per measurement, ~200 collections, selective profiles)");
     println!();
     let mut table = Table::new(vec![
@@ -107,7 +100,6 @@ fn main() {
         "naive ev/s",
         "baseline ev/s",
         "interned ev/s",
-        "sharded ev/s",
         "interned/baseline",
         "matches",
     ]);
@@ -117,12 +109,10 @@ fn main() {
         let mut naive = NaiveFilter::new();
         let mut baseline = BaselineEngine::new();
         let mut interned = FilterEngine::new();
-        let mut sharded = ShardedFilterEngine::new(shards);
         for (i, (_, _, expr)) in population.profiles.iter().enumerate() {
             let id = ProfileId::from_raw(i as u64);
             baseline.insert(id, expr).expect("indexable");
             interned.insert(id, expr).expect("indexable");
-            sharded.insert(id, expr).expect("indexable");
             if count <= NAIVE_CUTOFF {
                 naive.insert(id, expr.clone());
             }
@@ -141,15 +131,7 @@ fn main() {
             }
             total
         });
-        let (sharded_rate, sharded_matches) = measure(event_batch.len(), || {
-            sharded
-                .matches_batch(&event_batch)
-                .iter()
-                .map(Vec::len)
-                .sum()
-        });
         assert_eq!(interned_matches, baseline_matches, "engines must agree");
-        assert_eq!(interned_matches, sharded_matches, "engines must agree");
 
         let naive_rate = (count <= NAIVE_CUTOFF).then(|| {
             let (rate, naive_matches) = measure(event_batch.len(), || {
@@ -164,7 +146,6 @@ fn main() {
             naive_rate.map_or_else(|| "-".to_string(), |r| format!("{r:.0}")),
             format!("{baseline_rate:.0}"),
             format!("{interned_rate:.0}"),
-            format!("{sharded_rate:.0}"),
             format!("{:.1}x", interned_rate / baseline_rate),
             interned_matches.to_string(),
         ]);
@@ -173,25 +154,23 @@ fn main() {
             naive: naive_rate,
             baseline: baseline_rate,
             interned: interned_rate,
-            sharded: sharded_rate,
             matches: interned_matches,
         });
     }
     println!("{table}");
 
-    let json = render_json(&rows, event_batch.len(), shards);
+    let json = render_json(&rows, event_batch.len());
     let path = "BENCH_e3_filter.json";
     std::fs::write(path, &json).expect("write BENCH_e3_filter.json");
     println!("wrote {path}");
 }
 
-fn render_json(rows: &[Row], batch: usize, shards: usize) -> String {
+fn render_json(rows: &[Row], batch: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"experiment\": \"E3 filter throughput\",");
     let _ = writeln!(s, "  \"events_per_pass\": {batch},");
     let _ = writeln!(s, "  \"docs_per_event\": 3,");
-    let _ = writeln!(s, "  \"shards\": {shards},");
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let naive = r
@@ -200,13 +179,12 @@ fn render_json(rows: &[Row], batch: usize, shards: usize) -> String {
         let _ = write!(
             s,
             "    {{\"profiles\": {}, \"naive_ev_s\": {}, \"baseline_ev_s\": {:.1}, \
-             \"interned_ev_s\": {:.1}, \"sharded_ev_s\": {:.1}, \
-             \"interned_vs_baseline\": {:.2}, \"matches\": {}}}",
+             \"interned_ev_s\": {:.1}, \"interned_vs_baseline\": {:.2}, \
+             \"matches\": {}}}",
             r.profiles,
             naive,
             r.baseline,
             r.interned,
-            r.sharded,
             r.interned / r.baseline,
             r.matches
         );

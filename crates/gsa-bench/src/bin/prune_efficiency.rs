@@ -1,17 +1,17 @@
-//! Experiment E6-prune — flood cost under four delivery modes:
-//! {clustered, uniform} watcher locality × tree size × {flood, prune,
+//! Experiment E6-prune — flood cost under three delivery modes:
+//! {clustered, uniform} watcher locality × tree size × {flood,
 //! attr-prune, rendezvous}.
 //!
 //! Each cell attaches one watcher server per directory node and a
 //! publisher at the deepest node, floods a `documents-added` event
-//! storm four times — the paper's full GDS flood, anchors-only
-//! interest summaries (PR 5), attribute-tightened summaries, and
-//! attribute summaries plus rendezvous routing — and compares messages
+//! storm three times — the paper's full GDS flood, interest summaries
+//! (anchors plus attribute digests), and summaries plus rendezvous
+//! routing — and compares messages
 //! per event, bytes per event and mean delivery latency. Watchers come
 //! in three classes: *matching* (anchored to the publisher and to the
 //! storm's event kind), *wrong-attribute* (anchored to the publisher
-//! but tightened to a kind the storm never produces — prunable only
-//! once summaries carry digests), and *uninterested* (anchored to a
+//! but tightened to a kind the storm never produces — prunable by
+//! the summaries' digests, not by their anchors), and *uninterested* (anchored to a
 //! host that never publishes). Interest locality is either *clustered*
 //! (matching watchers fill exactly the root-child subtree holding the
 //! publisher, making that subtree a rendezvous candidate) or *uniform*
@@ -110,26 +110,23 @@ impl Locality {
     }
 }
 
-/// The four delivery modes, each layered on the previous one.
+/// The three delivery modes, each layered on the previous one.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// The paper's full flood — no summaries at all.
     Flood,
-    /// PR 5 anchors-only summaries (attribute digests stripped).
-    Prune,
-    /// Attribute-tightened summaries.
+    /// Interest summaries: anchors plus attribute digests.
     AttrPrune,
     /// Attribute summaries plus rendezvous routing.
     Rendezvous,
 }
 
-const MODES: [Mode; 4] = [Mode::Flood, Mode::Prune, Mode::AttrPrune, Mode::Rendezvous];
+const MODES: [Mode; 3] = [Mode::Flood, Mode::AttrPrune, Mode::Rendezvous];
 
 impl Mode {
     fn label(self) -> &'static str {
         match self {
             Mode::Flood => "flood",
-            Mode::Prune => "prune",
             Mode::AttrPrune => "attr-prune",
             Mode::Rendezvous => "rendezvous",
         }
@@ -138,10 +135,6 @@ impl Mode {
     fn configure(self, system: &mut System) {
         match self {
             Mode::Flood => {}
-            Mode::Prune => {
-                system.set_pruning(true);
-                system.set_attr_summaries(false);
-            }
             Mode::AttrPrune => system.set_pruning(true),
             Mode::Rendezvous => {
                 system.set_pruning(true);
@@ -358,7 +351,7 @@ struct Row {
     depth: u8,
     locality: &'static str,
     events: usize,
-    /// Cells in MODES order: flood, prune, attr-prune, rendezvous.
+    /// Cells in MODES order: flood, attr-prune, rendezvous.
     cells: Vec<Cell>,
 }
 
@@ -375,7 +368,7 @@ impl Row {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
-    println!("E6-prune: flood cost under four delivery modes");
+    println!("E6-prune: flood cost under three delivery modes");
     println!("    one watcher server per directory node; storm kind = documents-added");
     println!();
 
@@ -413,7 +406,7 @@ fn main() {
     }
 
     let mut table = Table::new(vec![
-        "tree", "nodes", "locality", "events", "flood-m/ev", "prune-m/ev", "attr-m/ev",
+        "tree", "nodes", "locality", "events", "flood-m/ev", "attr-m/ev",
         "rdv-m/ev", "rdv-kB/ev", "lat-ms", "edges-cut", "confined", "red-attr", "red-rdv",
     ]);
     for r in &rows {
@@ -423,7 +416,6 @@ fn main() {
             r.locality.to_string(),
             r.events.to_string(),
             format!("{:.1}", r.cell(Mode::Flood).msgs_per_event),
-            format!("{:.1}", r.cell(Mode::Prune).msgs_per_event),
             format!("{:.1}", r.cell(Mode::AttrPrune).msgs_per_event),
             format!("{:.1}", r.cell(Mode::Rendezvous).msgs_per_event),
             format!("{:.1}", r.cell(Mode::Rendezvous).bytes_per_event / 1024.0),
@@ -438,14 +430,13 @@ fn main() {
 
     for r in &rows {
         let flood = r.cell(Mode::Flood);
-        let prune = r.cell(Mode::Prune);
         let attr = r.cell(Mode::AttrPrune);
         let rdv = r.cell(Mode::Rendezvous);
         // Monotone layering, everywhere: each mode may never cost
         // messages over the one below it.
         assert!(
-            prune.messages <= flood.messages && attr.messages <= prune.messages,
-            "{}/{}: mode layering must be monotone",
+            attr.messages <= flood.messages,
+            "{}/{}: pruning may never cost messages over the flood",
             r.tree,
             r.locality,
         );
@@ -456,17 +447,9 @@ fn main() {
             r.locality,
         );
         if r.locality == "clustered" {
-            // The tentpole claims, strict where the workload is shaped
-            // for them: digests out-prune anchors, and the rendezvous
-            // point confines the hot subgroup's events to its subtree.
-            assert!(
-                attr.messages < prune.messages,
-                "{}/clustered: attr digests must strictly out-prune anchors \
-                 ({} vs {})",
-                r.tree,
-                attr.messages,
-                prune.messages,
-            );
+            // Strict where the workload is shaped for it: the
+            // rendezvous point confines the hot subgroup's events to
+            // its subtree.
             assert!(
                 rdv.messages < attr.messages,
                 "{}/clustered: rendezvous must strictly out-prune attr digests \
@@ -495,7 +478,7 @@ fn main() {
         assert_eq!(flood.confined, 0, "{}: flood mode never confines", r.tree);
         assert_eq!(attr.confined, 0, "{}: attr mode never confines", r.tree);
     }
-    println!("clustered cells: attr < prune < flood and rdv < attr, all strict; 30% bar clear");
+    println!("clustered cells: rdv < attr < flood, all strict; 30% bar clear");
 
     if !smoke {
         let json = render_json(&rows);
@@ -507,7 +490,7 @@ fn main() {
 
 fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e6_prune_efficiency\",\n");
-    out.push_str("  \"modes\": [\"flood\", \"prune\", \"attr_prune\", \"rendezvous\"],\n");
+    out.push_str("  \"modes\": [\"flood\", \"attr_prune\", \"rendezvous\"],\n");
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
@@ -517,7 +500,7 @@ fn render_json(rows: &[Row]) -> String {
              \"events\": {}, \"notifications\": {},",
             r.tree, r.nodes, r.depth, r.locality, r.events, r.cells[0].notifications,
         );
-        for (mode, key) in MODES.iter().zip(["flood", "prune", "attr_prune", "rendezvous"]) {
+        for (mode, key) in MODES.iter().zip(["flood", "attr_prune", "rendezvous"]) {
             let c = r.cell(*mode);
             let _ = writeln!(
                 out,
@@ -536,9 +519,8 @@ fn render_json(rows: &[Row]) -> String {
         }
         let _ = writeln!(
             out,
-            "     \"reduction_prune\": {:.3}, \"reduction_attr\": {:.3}, \
-             \"reduction_rendezvous\": {:.3}, \"false_negatives\": 0}}{}",
-            r.reduction(Mode::Prune),
+            "     \"reduction_attr\": {:.3}, \"reduction_rendezvous\": {:.3}, \
+             \"false_negatives\": 0}}{}",
             r.reduction(Mode::AttrPrune),
             r.reduction(Mode::Rendezvous),
             comma,

@@ -6,20 +6,15 @@
 //! directory node over an exact-size breadth-first tree (fanout 4) and
 //! measures wall-clock events/s and routed messages/s through the
 //! zero-allocation hot loop: interned counter slots, indexed link
-//! lookups, pooled command buffers and batched deliveries drained
-//! through the (optionally sharded) filter engine. Profiles are spread
-//! over four watcher servers; all but one profile per watcher is a
-//! cold indexed equality the probe rejects, so the cell exercises the
-//! at-scale common case — a delivery that matches almost nothing.
-//!
-//! Two seed-equivalent A/B rows rerun the 40×10⁴ and 200×10⁵ cells on
-//! the legacy cost model (string-keyed counters, per-message link
-//! clones, fresh command buffers) to price the refactor; every cell
-//! asserts exact delivery (events × watchers) before it reports a
-//! number.
+//! lookups, pooled command buffers and deliveries matched by each
+//! server's filter engine. Profiles are spread over four watcher
+//! servers; all but one profile per watcher is a cold indexed equality
+//! the probe rejects, so the cell exercises the at-scale common case —
+//! a delivery that matches almost nothing. Every cell asserts exact
+//! delivery (events × watchers) before it reports a number.
 //!
 //! Writes `BENCH_e7_scale.json` in the working directory. `--smoke`
-//! runs one tiny cell plus its A/B twin for CI.
+//! runs one tiny cell for CI.
 
 use gsa_bench::Table;
 use gsa_core::{System, WireConfig};
@@ -65,7 +60,6 @@ fn exact_tree(n: usize) -> GdsTopology {
 }
 
 /// One per-link latency distribution.
-#[derive(Clone)]
 struct Distro {
     label: &'static str,
     /// Default link every edge starts from.
@@ -126,9 +120,7 @@ fn event_payload(publisher: &HostName, seq: u64) -> Payload {
 struct Row {
     nodes: usize,
     profiles: usize,
-    shards: usize,
     distro: &'static str,
-    path: &'static str,
     events: usize,
     setup_ms: f64,
     wall_ms: f64,
@@ -159,149 +151,72 @@ const REPS: usize = 5;
 /// [`REPS`] times — each repetition on a fresh `MessageId` range so
 /// GDS duplicate suppression never short-circuits a flood — and
 /// reports the fastest flood + dispatch wall-clock.
-/// A fully built cell ready to measure: repetitions run one at a time
-/// through [`Cell::run_rep`] so an A/B twin pair can interleave its
-/// fast and seed-equivalent repetitions — host noise and allocator
-/// drift then land on both paths symmetrically instead of on whichever
-/// cell happened to run later.
-struct Cell {
-    system: System,
-    watchers: Vec<(String, ClientId)>,
-    publisher_node: gsa_simnet::NodeId,
-    origin_node: gsa_simnet::NodeId,
-    nodes: usize,
-    profiles: usize,
-    shards: usize,
-    distro: Distro,
-    legacy: bool,
-    events: usize,
-    setup_ms: f64,
-    reps_done: usize,
-    best: Option<Row>,
-}
+fn run_cell(nodes: usize, profiles: usize, distro: Distro, events: usize) -> Row {
+    let setup_started = Instant::now();
+    let mut system = System::new(0xE7);
+    system.set_wire(WireConfig::v2());
+    system.set_default_link(distro.base.clone());
 
-fn run_cell(nodes: usize, profiles: usize, distro: Distro, legacy: bool, events: usize) -> Row {
-    let mut cell = Cell::build(nodes, profiles, distro, legacy, events);
-    for _ in 0..REPS {
-        cell.run_rep();
-    }
-    cell.into_best()
-}
-
-/// Builds the fast and seed-equivalent twins of one cell and runs
-/// their repetitions interleaved (fast rep 0, legacy rep 0, fast rep
-/// 1, …), reporting the best of each.
-fn run_ab_cell(nodes: usize, profiles: usize, distro: Distro, events: usize) -> (Row, Row) {
-    let mut fast = Cell::build(nodes, profiles, distro.clone(), false, events);
-    let mut legacy = Cell::build(nodes, profiles, distro, true, events);
-    for _ in 0..REPS {
-        fast.run_rep();
-        legacy.run_rep();
-    }
-    (fast.into_best(), legacy.into_best())
-}
-
-impl Cell {
-    fn build(nodes: usize, profiles: usize, distro: Distro, legacy: bool, events: usize) -> Cell {
-        let setup_started = Instant::now();
-        let shards = if profiles >= 1_000_000 { 4 } else { 1 };
-        let mut system = System::new(0xE7);
-        system.set_seed_equivalent_path(legacy);
-        system.set_filter_shards(shards);
-        system.set_wire(WireConfig::v2());
-        system.set_default_link(distro.base.clone());
-
-        let topo = exact_tree(nodes);
-        system.add_gds_topology(&topo);
-        if distro.wan_core {
-            let wan = LinkConfig::new(SimDuration::from_millis(40))
-                .with_jitter(SimDuration::from_millis(5));
-            for spec in topo.specs() {
-                let Some(parent) = topo.parent_of(&spec.name) else {
-                    continue;
-                };
-                if spec.stratum <= 2 {
-                    let a = system.directory().lookup(parent).expect("gds registered");
-                    let b = system
-                        .directory()
-                        .lookup(&spec.name)
-                        .expect("gds registered");
-                    system.sim_mut().set_link(a, b, wan.clone());
-                }
+    let topo = exact_tree(nodes);
+    system.add_gds_topology(&topo);
+    if distro.wan_core {
+        let wan = LinkConfig::new(SimDuration::from_millis(40))
+            .with_jitter(SimDuration::from_millis(5));
+        for spec in topo.specs() {
+            let Some(parent) = topo.parent_of(&spec.name) else {
+                continue;
+            };
+            if spec.stratum <= 2 {
+                let a = system.directory().lookup(parent).expect("gds registered");
+                let b = system
+                    .directory()
+                    .lookup(&spec.name)
+                    .expect("gds registered");
+                system.sim_mut().set_link(a, b, wan.clone());
             }
         }
+    }
 
-        let publisher = HostName::new("Hamilton");
-        let origin_gds = HostName::new(format!("gds-{nodes}"));
-        system.add_server(publisher.as_str(), origin_gds.as_str());
+    let publisher = HostName::new("Hamilton");
+    let origin_gds = HostName::new(format!("gds-{nodes}"));
+    system.add_server(publisher.as_str(), origin_gds.as_str());
 
-        // Watchers sit at evenly spaced tree positions; each carries an
-        // equal slice of the profile population plus one hot profile that
-        // every flooded event matches, so delivery is observable end to
-        // end.
-        let mut watchers: Vec<(String, ClientId)> = Vec::new();
-        for w in 0..WATCHERS {
-            let at = 1 + w * nodes.saturating_sub(1) / WATCHERS;
-            let host = format!("watcher-{w}");
-            system.add_server(&host, &format!("gds-{at}"));
-            let quota = profiles / WATCHERS;
-            for i in 0..quota.saturating_sub(1) {
-                let client = ClientId::from_raw((w * profiles + i) as u64);
-                system
-                    .subscribe_text(&host, client, &format!(r#"host = "cold-{w}-{i}""#))
-                    .expect("valid cold profile");
-            }
-            let hot = system.add_client(&host);
+    // Watchers sit at evenly spaced tree positions; each carries an
+    // equal slice of the profile population plus one hot profile that
+    // every flooded event matches, so delivery is observable end to
+    // end.
+    let mut watchers: Vec<(String, ClientId)> = Vec::new();
+    for w in 0..WATCHERS {
+        let at = 1 + w * nodes.saturating_sub(1) / WATCHERS;
+        let host = format!("watcher-{w}");
+        system.add_server(&host, &format!("gds-{at}"));
+        let quota = profiles / WATCHERS;
+        for i in 0..quota.saturating_sub(1) {
+            let client = ClientId::from_raw((w * profiles + i) as u64);
             system
-                .subscribe_text(&host, hot, r#"host = "Hamilton""#)
-                .expect("valid hot profile");
-            watchers.push((host, hot));
+                .subscribe_text(&host, client, &format!(r#"host = "cold-{w}-{i}""#))
+                .expect("valid cold profile");
         }
-        system.run_until_quiet(SimTime::from_secs(5));
-        let setup_ms = setup_started.elapsed().as_secs_f64() * 1e3;
-
-        let publisher_node = system
-            .directory()
-            .lookup(&publisher)
-            .expect("publisher registered");
-        let origin_node = system
-            .directory()
-            .lookup(&origin_gds)
-            .expect("origin gds registered");
-
-        Cell {
-            system,
-            watchers,
-            publisher_node,
-            origin_node,
-            nodes,
-            profiles,
-            shards,
-            distro,
-            legacy,
-            events,
-            setup_ms,
-            reps_done: 0,
-            best: None,
-        }
+        let hot = system.add_client(&host);
+        system
+            .subscribe_text(&host, hot, r#"host = "Hamilton""#)
+            .expect("valid hot profile");
+        watchers.push((host, hot));
     }
+    system.run_until_quiet(SimTime::from_secs(5));
+    let setup_ms = setup_started.elapsed().as_secs_f64() * 1e3;
 
-    /// Runs one repetition on a fresh `MessageId` range and keeps the
-    /// fastest row seen so far.
-    fn run_rep(&mut self) {
-        let rep = self.reps_done;
-        self.reps_done += 1;
-        let (nodes, profiles, events) = (self.nodes, self.profiles, self.events);
-        let (shards, setup_ms, legacy) = (self.shards, self.setup_ms, self.legacy);
-        let (publisher_node, origin_node) = (self.publisher_node, self.origin_node);
-        let publisher = HostName::new("Hamilton");
-        let Cell {
-            system,
-            watchers,
-            best,
-            distro,
-            ..
-        } = self;
+    let publisher_node = system
+        .directory()
+        .lookup(&publisher)
+        .expect("publisher registered");
+    let origin_node = system
+        .directory()
+        .lookup(&origin_gds)
+        .expect("origin gds registered");
+
+    let mut best: Option<Row> = None;
+    for rep in 0..REPS {
         let base = (rep * events) as u64;
         let sent_before = system.metrics().counter("net.sent");
 
@@ -358,9 +273,7 @@ impl Cell {
         let row = Row {
             nodes,
             profiles,
-            shards,
             distro: distro.label,
-            path: if legacy { "seed-eq" } else { "fast" },
             events,
             setup_ms,
             wall_ms: wall.as_secs_f64() * 1e3,
@@ -375,29 +288,14 @@ impl Cell {
             .as_ref()
             .is_none_or(|b| row.events_per_sec > b.events_per_sec)
         {
-            *best = Some(row);
+            best = Some(row);
         }
     }
-
-    fn into_best(self) -> Row {
-        self.best.expect("REPS >= 1")
-    }
-}
-
-struct AbRow {
-    nodes: usize,
-    profiles: usize,
-    fast: f64,
-    legacy: f64,
-    speedup: f64,
+    best.expect("REPS >= 1")
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // A/B-only mode: just the seed-equivalent twin cells, no grid and
-    // no JSON — for profiling the two paths without the 10⁶-profile
-    // setup cells diluting the samples.
-    let ab_only = std::env::args().any(|a| a == "--ab");
 
     println!("E7-scale: runtime throughput sweep (nodes x profiles x latency distribution)");
     println!(
@@ -407,76 +305,25 @@ fn main() {
     println!();
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut ab: Vec<AbRow> = Vec::new();
-
-    // The A/B coordinate pairs measured on both paths; their fast rows
-    // double as the grid cells at the same coordinates, so the twins
-    // are always measured interleaved.
-    const AB_CELLS: [(usize, usize); 2] = [(40, 10_000), (200, 100_000)];
-    let mut legacy_rows: Vec<Row> = Vec::new();
-    let measure_ab = |nodes: usize,
-                      profiles: usize,
-                      events: usize,
-                      ab: &mut Vec<AbRow>,
-                      legacy_rows: &mut Vec<Row>|
-     -> Row {
-        let (fast, legacy) = run_ab_cell(nodes, profiles, lan(), events);
-        ab.push(AbRow {
-            nodes,
-            profiles,
-            fast: fast.events_per_sec,
-            legacy: legacy.events_per_sec,
-            speedup: fast.events_per_sec / legacy.events_per_sec,
-        });
-        legacy_rows.push(legacy);
-        fast
-    };
-
     if smoke {
-        rows.push(measure_ab(40, 2_000, 96, &mut ab, &mut legacy_rows));
-    } else if ab_only {
-        for &(nodes, profiles) in &AB_CELLS {
-            let fast = measure_ab(
-                nodes,
-                profiles,
-                events_for(nodes),
-                &mut ab,
-                &mut legacy_rows,
-            );
-            rows.push(fast);
-        }
+        rows.push(run_cell(40, 2_000, lan(), 96));
     } else {
-        // The full grid on the LAN distribution (the A/B cells measure
-        // their fast and seed-equivalent twins interleaved)…
+        // The full grid on the LAN distribution…
         for &nodes in &[40usize, 200, 1_000] {
             for &profiles in &[10_000usize, 100_000, 1_000_000] {
-                let events = events_for(nodes);
-                if AB_CELLS.contains(&(nodes, profiles)) {
-                    rows.push(measure_ab(
-                        nodes,
-                        profiles,
-                        events,
-                        &mut ab,
-                        &mut legacy_rows,
-                    ));
-                } else {
-                    rows.push(run_cell(nodes, profiles, lan(), false, events));
-                }
+                rows.push(run_cell(nodes, profiles, lan(), events_for(nodes)));
             }
         }
         // …and the distribution sweep at the centre cell.
         for distro in distros().into_iter().skip(1) {
-            rows.push(run_cell(200, 100_000, distro, false, events_for(200)));
+            rows.push(run_cell(200, 100_000, distro, events_for(200)));
         }
     }
-    rows.append(&mut legacy_rows);
 
     let mut table = Table::new(vec![
         "nodes",
         "profiles",
-        "shards",
         "distro",
-        "path",
         "events",
         "setup-ms",
         "wall-ms",
@@ -490,9 +337,7 @@ fn main() {
         table.row(vec![
             r.nodes.to_string(),
             r.profiles.to_string(),
-            r.shards.to_string(),
             r.distro.to_string(),
-            r.path.to_string(),
             r.events.to_string(),
             format!("{:.0}", r.setup_ms),
             format!("{:.1}", r.wall_ms),
@@ -505,22 +350,15 @@ fn main() {
     }
     println!("{table}");
 
-    for r in &ab {
-        println!(
-            "  {} nodes x {} profiles: fast {:.0} ev/s vs seed-equivalent {:.0} ev/s = {:.2}x",
-            r.nodes, r.profiles, r.fast, r.legacy, r.speedup
-        );
-    }
-
-    if !smoke && !ab_only {
-        let json = render_json(&rows, &ab);
+    if !smoke {
+        let json = render_json(&rows);
         let path = "BENCH_e7_scale.json";
         std::fs::write(path, &json).expect("write BENCH_e7_scale.json");
         println!("\nwrote {path}");
     }
 }
 
-fn render_json(rows: &[Row], ab: &[AbRow]) -> String {
+fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e7_scale_sweep\",\n");
     let _ = writeln!(out, "  \"fanout\": {FANOUT},");
     let _ = writeln!(out, "  \"watchers\": {WATCHERS},");
@@ -529,15 +367,13 @@ fn render_json(rows: &[Row], ab: &[AbRow]) -> String {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         writeln!(
             out,
-            "    {{\"nodes\": {}, \"profiles\": {}, \"shards\": {}, \"distro\": \"{}\", \
-             \"path\": \"{}\", \"events\": {}, \"setup_ms\": {:.1}, \"wall_ms\": {:.2}, \
+            "    {{\"nodes\": {}, \"profiles\": {}, \"distro\": \"{}\", \
+             \"events\": {}, \"setup_ms\": {:.1}, \"wall_ms\": {:.2}, \
              \"events_per_sec\": {:.1}, \"msgs\": {}, \"msgs_per_sec\": {:.1}, \
              \"notifications\": {}, \"mean_latency_ms\": {:.3}, \"max_latency_ms\": {:.3}}}{}",
             r.nodes,
             r.profiles,
-            r.shards,
             r.distro,
-            r.path,
             r.events,
             r.setup_ms,
             r.wall_ms,
@@ -548,17 +384,6 @@ fn render_json(rows: &[Row], ab: &[AbRow]) -> String {
             r.mean_latency_ms,
             r.max_latency_ms,
             comma,
-        )
-        .expect("string write");
-    }
-    out.push_str("  ],\n  \"seed_equivalent_ab\": [\n");
-    for (i, r) in ab.iter().enumerate() {
-        let comma = if i + 1 == ab.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"nodes\": {}, \"profiles\": {}, \"fast_events_per_sec\": {:.1}, \
-             \"legacy_events_per_sec\": {:.1}, \"speedup\": {:.2}}}{}",
-            r.nodes, r.profiles, r.fast, r.legacy, r.speedup, comma,
         )
         .expect("string write");
     }

@@ -612,14 +612,8 @@ impl AlertingActor {
         self.completed_fetches.extend(effects.fetches);
         self.completed_searches.extend(effects.searches);
         self.resolved.extend(effects.resolved);
-        let legacy = ctx.seed_equivalent_path();
         for (to, msg) in effects.outbound {
-            let node = if legacy {
-                self.directory.lookup(&to)
-            } else {
-                self.dir_cache.lookup(&self.directory, &to)
-            };
-            let Some(node) = node else {
+            let Some(node) = self.dir_cache.lookup(&self.directory, &to) else {
                 ctx.count("alert.unknown_host", 1);
                 continue;
             };
@@ -700,10 +694,9 @@ impl Actor<SysMessage> for AlertingActor {
             .unwrap_or_else(|| HostName::new(format!("unknown-{from}")));
         // A batch from the directory node drains through one core call:
         // accept, probe and mirror run per item in arrival order, then a
-        // single filter pass matches every surviving event — through the
-        // sharded engine when one is configured. Effects (and hence
-        // notification order, counters and outbound sends) are exactly
-        // what per-item frames would have produced.
+        // single filter pass matches every surviving event. Effects (and
+        // hence notification order, counters and outbound sends) are
+        // exactly what per-item frames would have produced.
         if let SysMessage::Gds(GdsMessage::Batch(items)) = msg {
             let effects = self.core.handle_gds_batch(items, ctx.now());
             self.apply(effects, ctx);
@@ -857,17 +850,8 @@ impl GdsActor {
             self.announce_armed = true;
             ctx.set_timer(ANNOUNCE_DELAY, ANNOUNCE_TAG);
         }
-        let legacy = ctx.seed_equivalent_path();
         for out in effects.outbound.drain(..) {
-            // The seed-era actor resolved every outbound edge through
-            // the shared directory's lock; the fast path hits the
-            // version-gated local cache instead.
-            let node = if legacy {
-                self.directory.lookup(&out.to)
-            } else {
-                self.dir_cache.lookup(&self.directory, &out.to)
-            };
-            let Some(node) = node else {
+            let Some(node) = self.dir_cache.lookup(&self.directory, &out.to) else {
                 ctx.count("gds.unknown_host", 1);
                 continue;
             };
@@ -1069,37 +1053,22 @@ impl Actor<SysMessage> for GdsActor {
             }
             _ => {}
         }
-        let legacy = ctx.seed_equivalent_path();
-        let from_host = if legacy {
-            // Seed-era resolution: read lock + hash probe per frame.
-            self.directory.name_of(from)
-        } else {
-            self.dir_cache.name_of(&self.directory, from).cloned()
-        }
-        .unwrap_or_else(|| HostName::new(format!("unknown-{from}")));
+        let from_host = self
+            .dir_cache
+            .name_of(&self.directory, from)
+            .cloned()
+            .unwrap_or_else(|| HostName::new(format!("unknown-{from}")));
         ctx.count_id(CounterId::GDS_MESSAGES, 1);
         if let GdsMessage::Batch(ref items) = msg {
             ctx.count(metric::WIRE_BATCH_RECEIVED, items.len() as u64);
         }
-        if legacy {
-            // Seed-era frame handling: a fresh effects buffer per
-            // message, grown by its pushes and freed after transmit.
-            // (Flood-hop string costs live in the node's seed-cost
-            // mirrors; the resolved sender name was one more owned
-            // string per frame.)
-            std::hint::black_box(from_host.as_str().to_owned());
-            let mut effects = self.node.handle_message(&from_host, msg);
-            self.apply(&mut effects, ctx);
-        } else {
-            // Steady-state frames reuse one effects buffer: take it,
-            // handle into it, transmit, put it back with its capacity
-            // intact.
-            let mut effects = std::mem::take(&mut self.scratch);
-            effects.clear();
-            self.node.handle_message_into(&from_host, msg, &mut effects);
-            self.apply(&mut effects, ctx);
-            self.scratch = effects;
-        }
+        // Steady-state frames reuse one effects buffer: take it, handle
+        // into it, transmit, put it back with its capacity intact.
+        let mut effects = std::mem::take(&mut self.scratch);
+        effects.clear();
+        self.node.handle_message_into(&from_host, msg, &mut effects);
+        self.apply(&mut effects, ctx);
+        self.scratch = effects;
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, _timer: TimerId, tag: u64) {

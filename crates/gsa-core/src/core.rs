@@ -179,10 +179,6 @@ pub struct AlertingCore {
     /// When true, the core announces its interest summary to its GDS
     /// node (subscription-aware flood pruning). Off by default.
     pruning: bool,
-    /// When true (the default), announced summaries carry the bounded
-    /// equality-attribute digests; off strips them to the PR 5
-    /// anchors-only shape — the A/B baseline for the prune bench.
-    attr_summaries: bool,
     /// The last summary announced, so no-op refreshes send nothing.
     last_summary: Option<InterestSummary>,
     /// When true (the default), frozen binary deliveries are pre-filtered
@@ -251,7 +247,6 @@ impl AlertingCore {
             dead_letters: Vec::new(),
             request_started: HashMap::new(),
             pruning: false,
-            attr_summaries: true,
             last_summary: None,
             probe: true,
             mirror_ingest: false,
@@ -270,33 +265,12 @@ impl AlertingCore {
         self.pruning = enabled;
     }
 
-    /// Enables or disables attribute digests on announced summaries (on
-    /// by default). Disabling reverts announcements to the anchors-only
-    /// shape, the collection-level-pruning baseline; which notifications
-    /// are produced never changes either way.
-    pub fn set_attr_summaries(&mut self, enabled: bool) {
-        if self.attr_summaries != enabled {
-            self.attr_summaries = enabled;
-            // The announced shape depends on the switch.
-            self.last_summary = None;
-        }
-    }
-
     /// Enables or disables the delivery-time attribute probe (on by
     /// default). The probe never changes which notifications are
     /// produced — disabling it exists so benches can measure the
     /// decode-always baseline.
     pub fn set_probe(&mut self, enabled: bool) {
         self.probe = enabled;
-    }
-
-    /// Partitions the subscription-matching backend into `shards`
-    /// independently matched engines (`1`, the default, keeps the
-    /// single engine). Sharding never changes which notifications are
-    /// produced; it lets a batched delivery drain through all shards
-    /// in one fan-out.
-    pub fn set_filter_shards(&mut self, shards: usize) {
-        self.subs.set_shards(shards);
     }
 
     /// Enables mirror ingest: delivered events whose origin is a
@@ -595,10 +569,7 @@ impl AlertingCore {
         if self.last_summary.is_some() && !self.subs.interests_changed() {
             return effects;
         }
-        let mut summary = self.subs.interest_summary();
-        if !self.attr_summaries {
-            summary.clear_attrs();
-        }
+        let summary = self.subs.interest_summary();
         if self.last_summary.as_ref() == Some(&summary) {
             return effects;
         }
@@ -1128,10 +1099,9 @@ impl AlertingCore {
     /// Accept, probe, decode and mirror run per item in arrival order,
     /// exactly as unbatching into [`handle_message`](Self::handle_message)
     /// calls would; only the profile match is deferred, so every event
-    /// that survives the probe crosses the subscription manager — and a
-    /// sharded engine's thread fan-out — in a single batched call.
-    /// Notifications come back in the same (event, ascending-profile)
-    /// order either way.
+    /// that survives the probe crosses the subscription manager in a
+    /// single batched call. Notifications come back in the same (event,
+    /// ascending-profile) order either way.
     pub fn handle_gds_batch(&mut self, items: Vec<GdsMessage>, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
         let mut batch: Vec<Arc<Event>> = Vec::with_capacity(items.len());

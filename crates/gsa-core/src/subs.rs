@@ -5,8 +5,11 @@
 //! on a server that might become unreachable). Cancellation is therefore
 //! always a local operation, which is what rules out dangling *user*
 //! profiles by construction.
+//!
+//! Events are matched by the server's one [`FilterEngine`] (the paper's
+//! §5 equality-preferred filter); there is no other matching backend.
 
-use gsa_filter::{DocMatch, FilterEngine, MatchScratch, ShardedFilterEngine};
+use gsa_filter::{DocMatch, FilterEngine, MatchScratch};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
 use gsa_wire::{InterestCounts, InterestSummary};
@@ -45,74 +48,11 @@ impl fmt::Display for Notification {
     }
 }
 
-/// The matching backend: one equality-preferred engine, or the same
-/// engine partitioned by profile id into shards matched in parallel
-/// when a batch of deliveries drains at once. The two agree exactly on
-/// semantics (a property test in `gsa-filter` pins that), so switching
-/// backends never changes which notifications are produced.
-#[derive(Debug)]
-// One engine per server, never stored in collections — the size gap
-// between variants costs nothing, while boxing would cost a deref on
-// every match.
-#[allow(clippy::large_enum_variant)]
-enum MatchEngine {
-    Single(FilterEngine),
-    Sharded(ShardedFilterEngine),
-}
-
-impl Default for MatchEngine {
-    fn default() -> Self {
-        MatchEngine::Single(FilterEngine::new())
-    }
-}
-
-impl MatchEngine {
-    fn insert(
-        &mut self,
-        id: ProfileId,
-        expr: &ProfileExpr,
-    ) -> Result<(), DnfError> {
-        match self {
-            MatchEngine::Single(e) => e.insert(id, expr),
-            MatchEngine::Sharded(e) => e.insert(id, expr),
-        }
-    }
-
-    fn remove(&mut self, id: ProfileId) {
-        match self {
-            MatchEngine::Single(e) => {
-                e.remove(id);
-            }
-            MatchEngine::Sharded(e) => {
-                e.remove(id);
-            }
-        }
-    }
-
-    fn probe_matches(
-        &self,
-        probe: &mut gsa_wire::EventProbe<'_>,
-        scratch: &mut MatchScratch,
-    ) -> Result<bool, gsa_wire::WireError> {
-        match self {
-            MatchEngine::Single(e) => e.probe_matches(probe, scratch),
-            MatchEngine::Sharded(e) => e.probe_matches(probe, scratch),
-        }
-    }
-
-    fn match_docs_into(&self, event: &Event, scratch: &mut MatchScratch, out: &mut Vec<DocMatch>) {
-        match self {
-            MatchEngine::Single(e) => e.match_docs_into(event, scratch, out),
-            MatchEngine::Sharded(e) => *out = e.match_docs(event),
-        }
-    }
-}
-
 /// Stores one server's client profiles and filters events against them
 /// with the equality-preferred engine.
 #[derive(Debug, Default)]
 pub struct SubscriptionManager {
-    engine: MatchEngine,
+    engine: FilterEngine,
     profiles: HashMap<ProfileId, Profile>,
     next_profile: u64,
     mailboxes: HashMap<ClientId, Vec<Notification>>,
@@ -150,33 +90,6 @@ impl SubscriptionManager {
     /// Creates an empty manager.
     pub fn new() -> Self {
         SubscriptionManager::default()
-    }
-
-    /// Repartitions the matching backend into `shards` independently
-    /// matched engines (`1` restores the single engine). Every stored
-    /// profile is re-indexed into its home shard; match results are
-    /// unchanged — only batch drains fan out across the shards.
-    pub fn set_shards(&mut self, shards: usize) {
-        let mut engine = if shards <= 1 {
-            MatchEngine::Single(FilterEngine::new())
-        } else {
-            MatchEngine::Sharded(ShardedFilterEngine::new(shards))
-        };
-        for profile in self.profiles.values() {
-            engine
-                .insert(profile.id(), profile.expr())
-                .expect("previously indexed profile re-indexes");
-        }
-        self.engine = engine;
-    }
-
-    /// Number of shards in the matching backend (1 for the single
-    /// engine).
-    pub fn shards(&self) -> usize {
-        match &self.engine {
-            MatchEngine::Single(_) => 1,
-            MatchEngine::Sharded(e) => e.shard_count(),
-        }
     }
 
     /// Number of stored profiles.
@@ -254,15 +167,8 @@ impl SubscriptionManager {
     /// id allocator vanish — exactly what an in-memory server loses.
     /// Client mailboxes survive deliberately: they model the *client
     /// side* inbox of already-produced notifications, not server state.
-    /// The shard count is preserved (it is deployment configuration,
-    /// not data).
     pub fn wipe_for_crash(&mut self) {
-        let shards = self.shards();
-        self.engine = if shards <= 1 {
-            MatchEngine::Single(FilterEngine::new())
-        } else {
-            MatchEngine::Sharded(ShardedFilterEngine::new(shards))
-        };
+        self.engine = FilterEngine::new();
         self.profiles.clear();
         self.next_profile = 0;
         if let Some(counts) = &mut self.interests {
@@ -377,8 +283,7 @@ impl SubscriptionManager {
 
     /// Filters a batch of events in one pass, queueing notifications
     /// exactly as per-event [`filter_event`](Self::filter_event) calls
-    /// would, in event order. With a sharded backend the whole batch
-    /// crosses the shard fan-out once instead of once per event.
+    /// would, in event order.
     pub fn filter_events(&mut self, events: &[Arc<Event>], now: SimTime) -> Vec<Notification> {
         self.match_and_notify(events, now, true)
     }
@@ -395,9 +300,9 @@ impl SubscriptionManager {
     }
 
     /// The one match → notification routine behind the four `filter_*`
-    /// entry points: one match pass per event in arrival order (one
-    /// fan-out per batch on a sharded backend), one notification per
-    /// matched profile in ascending id order, built from the documents
+    /// entry points: one match pass per event in arrival order, one
+    /// notification per matched profile in ascending id order, built
+    /// from the documents
     /// the engine reports — the expression is not evaluated again.
     fn match_and_notify(
         &mut self,
@@ -429,19 +334,10 @@ impl SubscriptionManager {
                 out.push(notification);
             }
         };
-        match &self.engine {
-            MatchEngine::Sharded(sharded) if events.len() > 1 => {
-                let refs: Vec<&Event> = events.iter().map(Arc::as_ref).collect();
-                for (event, hits) in events.iter().zip(sharded.match_docs_batch(&refs)) {
-                    emit(event, &hits);
-                }
-            }
-            engine => {
-                for event in events {
-                    engine.match_docs_into(event, &mut self.scratch, &mut self.hits);
-                    emit(event, &self.hits);
-                }
-            }
+        for event in events {
+            self.engine
+                .match_docs_into(event, &mut self.scratch, &mut self.hits);
+            emit(event, &self.hits);
         }
         out
     }
@@ -527,37 +423,34 @@ mod tests {
             EventKind::CollectionDeleted,
             SimTime::ZERO,
         ));
-        for shards in [1, 3] {
-            let mut subs = SubscriptionManager::new();
-            subs.set_shards(shards);
-            for text in [
-                r#"collection = "London.C" AND (doc = "d0" OR text ? (d2))"#,
-                r#"host = "London""#,
-                r#"doc = "nope""#,
-            ] {
-                subs.subscribe(client(1), parse_profile(text).unwrap()).unwrap();
-            }
-            let single = subs.filter_event(&rebuilt, SimTime::ZERO);
-            let docs_of = |n: &Notification| -> Vec<String> {
-                n.matched_docs.iter().map(|d| d.as_str().to_string()).collect()
-            };
-            assert_eq!(single.len(), 2, "{shards} shards");
-            assert_eq!(docs_of(&single[0]), ["d0", "d2"]);
-            assert_eq!(docs_of(&single[1]), ["d0", "d1", "d2"]);
-            // The expression, evaluated directly, names the same documents.
-            for n in &single {
-                let oracle = subs.profile(n.profile).unwrap().expr().matching_docs(&rebuilt);
-                assert_eq!(n.matched_docs.iter().collect::<Vec<_>>(), oracle);
-                assert_eq!(n.matched_docs.capacity(), n.matched_docs.len());
-            }
-            // A docless event matches on its envelope, with no documents;
-            // the batch path builds the same notifications.
-            let batch = subs.filter_events(&[Arc::clone(&rebuilt), deleted.clone()], SimTime::ZERO);
-            assert_eq!(batch[..2], single[..]);
-            assert_eq!(batch.len(), 3);
-            assert_eq!(batch[2].profile, single[1].profile);
-            assert!(batch[2].matched_docs.is_empty());
+        let mut subs = SubscriptionManager::new();
+        for text in [
+            r#"collection = "London.C" AND (doc = "d0" OR text ? (d2))"#,
+            r#"host = "London""#,
+            r#"doc = "nope""#,
+        ] {
+            subs.subscribe(client(1), parse_profile(text).unwrap()).unwrap();
         }
+        let single = subs.filter_event(&rebuilt, SimTime::ZERO);
+        let docs_of = |n: &Notification| -> Vec<String> {
+            n.matched_docs.iter().map(|d| d.as_str().to_string()).collect()
+        };
+        assert_eq!(single.len(), 2);
+        assert_eq!(docs_of(&single[0]), ["d0", "d2"]);
+        assert_eq!(docs_of(&single[1]), ["d0", "d1", "d2"]);
+        // The expression, evaluated directly, names the same documents.
+        for n in &single {
+            let oracle = subs.profile(n.profile).unwrap().expr().matching_docs(&rebuilt);
+            assert_eq!(n.matched_docs.iter().collect::<Vec<_>>(), oracle);
+            assert_eq!(n.matched_docs.capacity(), n.matched_docs.len());
+        }
+        // A docless event matches on its envelope, with no documents;
+        // the batch path builds the same notifications.
+        let batch = subs.filter_events(&[Arc::clone(&rebuilt), deleted.clone()], SimTime::ZERO);
+        assert_eq!(batch[..2], single[..]);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch[2].profile, single[1].profile);
+        assert!(batch[2].matched_docs.is_empty());
     }
 
     #[test]
@@ -710,44 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_like_single() {
-        let build = |shards| {
-            let mut subs = SubscriptionManager::new();
-            for c in 0..3u64 {
-                let text = format!(r#"host = "H{c}""#);
-                subs.subscribe(client(c), parse_profile(&text).unwrap()).unwrap();
-            }
-            subs.subscribe(client(9), parse_profile(r#"text ~ "*""#).unwrap()).unwrap();
-            subs.set_shards(shards);
-            subs
-        };
-        let events: Vec<_> = ["H0", "H1", "H2", "H9"]
-            .iter()
-            .map(|h| event(h, "d"))
-            .collect();
-        let mut single = build(1);
-        let mut sharded = build(4);
-        assert_eq!(single.shards(), 1);
-        assert_eq!(sharded.shards(), 4);
-        // Batch drain across shards, per-event drain on the single
-        // engine: byte-identical notification streams.
-        let a: Vec<Notification> = events
-            .iter()
-            .flat_map(|e| single.filter_event(e, SimTime::ZERO))
-            .collect();
-        let b = sharded.filter_events(&events, SimTime::ZERO);
-        assert_eq!(a, b);
-        // Single-event drains agree too.
-        assert_eq!(
-            single.filter_event(&events[0], SimTime::ZERO),
-            sharded.filter_event(&events[0], SimTime::ZERO)
-        );
-        // Unsubscribing routes to the home shard.
-        assert!(sharded.unsubscribe(ProfileId::from_raw(3)));
-        assert!(sharded.filter_events(&[event("Zzz", "d")], SimTime::ZERO).is_empty());
-    }
-
-    #[test]
     fn wipe_then_restore_reproduces_the_id_space() {
         let mut subs = SubscriptionManager::new();
         let p1 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
@@ -771,23 +626,6 @@ mod tests {
         let p3 = subs.subscribe(client(3), parse_profile(r#"host = "C""#).unwrap()).unwrap();
         assert_ne!(p3, p1);
         assert_ne!(p3, p2);
-    }
-
-    #[test]
-    fn wipe_for_crash_preserves_shard_count() {
-        let mut subs = SubscriptionManager::new();
-        subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        subs.set_shards(4);
-        subs.wipe_for_crash();
-        assert_eq!(subs.shards(), 4);
-        assert!(subs.is_empty());
-        subs.restore(
-            ProfileId::from_raw(0),
-            client(1),
-            parse_profile(r#"host = "A""#).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(subs.filter_event(&event("A", "d"), SimTime::ZERO).len(), 1);
     }
 
     #[test]

@@ -35,10 +35,8 @@ pub struct System {
     reliability: Option<ReliabilityConfig>,
     wire: WireConfig,
     pruning: bool,
-    attr_summaries: bool,
     rendezvous: bool,
     probe: bool,
-    filter_shards: usize,
     durability: Option<JournalConfig>,
     alert_policies: Option<AlertPolicyConfig>,
     /// The simulated disk of every durable server, held by the harness
@@ -69,38 +67,12 @@ impl System {
             reliability: None,
             wire: WireConfig::default(),
             pruning: false,
-            attr_summaries: true,
             rendezvous: false,
             probe: true,
-            filter_shards: 1,
             durability: None,
             alert_policies: None,
             media: HashMap::new(),
         }
-    }
-
-    /// Switches the simulator between its zero-allocation hot path
-    /// (default) and the seed-equivalent cost model used as the A/B
-    /// baseline by the scale benches. Values, RNG draws and event
-    /// ordering are identical either way — only the per-message cost
-    /// differs.
-    pub fn set_seed_equivalent_path(&mut self, enabled: bool) {
-        self.sim.set_seed_equivalent_path(enabled);
-    }
-
-    /// Partitions the subscription-matching backend of every server
-    /// added *after* this call into `shards` independently matched
-    /// engines (`1`, the default, keeps the single engine). Sharding
-    /// never changes which notifications are produced; batched
-    /// deliveries drain through all shards in one fan-out. Call before
-    /// [`System::add_server`].
-    pub fn set_filter_shards(&mut self, shards: usize) {
-        self.filter_shards = shards.max(1);
-    }
-
-    /// The shard count new servers receive.
-    pub fn filter_shards(&self) -> usize {
-        self.filter_shards
     }
 
     /// Sets the default link characteristics (latency/jitter/loss).
@@ -159,22 +131,6 @@ impl System {
     /// Whether new nodes get flood pruning.
     pub fn pruning(&self) -> bool {
         self.pruning
-    }
-
-    /// Enables or disables attribute digests on the summaries announced
-    /// by servers added *after* this call (on by default, but inert
-    /// until [`set_pruning`](Self::set_pruning) turns announcements on).
-    /// With digests, GDS nodes can also skip edges whose subtree
-    /// subscribes to the right collection but provably not the event's
-    /// attribute values. Off reverts to anchors-only summaries — the
-    /// collection-level-pruning baseline, message for message.
-    pub fn set_attr_summaries(&mut self, enabled: bool) {
-        self.attr_summaries = enabled;
-    }
-
-    /// Whether new servers announce attribute digests.
-    pub fn attr_summaries(&self) -> bool {
-        self.attr_summaries
     }
 
     /// Enables rendezvous routing for GDS nodes added *after* this
@@ -345,9 +301,6 @@ impl System {
         actor.set_wire(self.wire.clone());
         actor.set_pruning(self.pruning);
         actor.set_rendezvous(self.rendezvous);
-        actor
-            .node_mut()
-            .set_seed_costs(self.sim.seed_equivalent_path());
         let id = self.sim.add_node(name.as_str(), actor);
         self.directory.insert(name, id);
         id
@@ -374,11 +327,7 @@ impl System {
     ) -> NodeId {
         let mut core = AlertingCore::with_config(host, gds_server, config);
         core.set_pruning(self.pruning);
-        core.set_attr_summaries(self.attr_summaries);
         core.set_probe(self.probe);
-        if self.filter_shards > 1 {
-            core.set_filter_shards(self.filter_shards);
-        }
         if let Some(policies) = &self.alert_policies {
             core.set_alert_policies(Some(policies.clone()));
         }

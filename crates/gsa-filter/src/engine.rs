@@ -293,7 +293,7 @@ pub struct FilterStats {
 }
 
 impl FilterStats {
-    /// Component-wise sum, used to aggregate shard statistics.
+    /// Component-wise sum.
     pub fn merge(self, other: FilterStats) -> FilterStats {
         FilterStats {
             profiles: self.profiles + other.profiles,

@@ -1,6 +1,5 @@
-//! Property tests: the clustering engine, the string-keyed baseline, the
-//! sharded engine and the naive linear scan (direct expression
-//! evaluation) agree on arbitrary profiles and events — whatever order
+//! Property tests: the clustering engine, the string-keyed baseline and
+//! the naive linear scan (direct expression evaluation) agree on arbitrary profiles and events — whatever order
 //! the profiles were inserted in and under insert/remove churn — the
 //! probe is sound everywhere and exact on equalities, and the documents
 //! the engine reports are the documents the expression matches.
@@ -11,9 +10,7 @@
 //! with `And`/`Or`/`Prefix`/`Not` around a required term; mixed-case and
 //! non-ASCII patterns and values; multi-valued metadata; docless events.
 
-use crate::{
-    BaselineEngine, DocMatch, FilterEngine, MatchScratch, NaiveFilter, ShardedFilterEngine,
-};
+use crate::{BaselineEngine, DocMatch, FilterEngine, MatchScratch, NaiveFilter};
 use gsa_profile::dnf::to_dnf;
 use crate::engine::is_equality;
 use gsa_profile::{AttrValue, Predicate, ProfileAttr, ProfileExpr, Wildcard};
@@ -272,13 +269,12 @@ fn some_context_satisfies_the_equalities<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All four engines report exactly the profile set direct expression
+    /// All three engines report exactly the profile set direct expression
     /// evaluation gives, and the clustering engine does so whatever order
     /// the profiles arrived in and however readily it takes token and
     /// gram keys (which together decide who gets which access key).
-    /// The clustering engine is driven through the scratch API and the
-    /// sharded engine through the batch API, so the hot paths are the
-    /// ones being cross-checked.
+    /// The clustering engine is driven through the scratch API, so the
+    /// hot path is the one being cross-checked.
     #[test]
     fn engines_agree(
         exprs in prop::collection::vec(arb_expr(), 1..12),
@@ -288,12 +284,10 @@ proptest! {
         let mut fast = FilterEngine::new();
         let mut permuted = eager_engine();
         let mut baseline = BaselineEngine::new();
-        let mut sharded = ShardedFilterEngine::new(3);
         let mut naive = NaiveFilter::new();
         for (i, expr) in exprs.iter().enumerate() {
             fast.insert(pid(i), expr).unwrap();
             baseline.insert(pid(i), expr).unwrap();
-            sharded.insert(pid(i), expr).unwrap();
             naive.insert(pid(i), expr.clone());
         }
         let mut shuffled: Vec<usize> = (0..exprs.len()).collect();
@@ -303,8 +297,7 @@ proptest! {
         }
         let mut scratch = MatchScratch::new();
         let mut matched = Vec::new();
-        let sharded_results = sharded.matches_batch(&events);
-        for (event, from_sharded) in events.iter().zip(sharded_results) {
+        for event in &events {
             let expected: Vec<ProfileId> = (0..exprs.len())
                 .filter(|&i| exprs[i].matches_event(event))
                 .map(pid)
@@ -314,8 +307,7 @@ proptest! {
             prop_assert_eq!(&matched, &expected);
             permuted.matches_into(event, &mut scratch, &mut matched);
             prop_assert_eq!(&matched, &expected);
-            prop_assert_eq!(baseline.matches(event), expected.clone());
-            prop_assert_eq!(from_sharded, expected);
+            prop_assert_eq!(baseline.matches(event), expected);
         }
     }
 
@@ -350,8 +342,8 @@ proptest! {
     }
 
     /// Interleaved removals and re-insertions (slot reuse and re-chosen
-    /// access keys in the clustering engine, shard routing in the sharded
-    /// one) keep all engines in agreement with the naive reference.
+    /// access keys in the clustering engine) keep all engines in
+    /// agreement with the naive reference.
     #[test]
     fn engines_agree_under_churn(
         exprs in prop::collection::vec(arb_expr(), 4..10),
@@ -360,13 +352,11 @@ proptest! {
     ) {
         let mut fast = eager_engine();
         let mut baseline = BaselineEngine::new();
-        let mut sharded = ShardedFilterEngine::new(2);
         let mut naive = NaiveFilter::new();
         for (i, expr) in exprs.iter().enumerate() {
             let id = ProfileId::from_raw(i as u64);
             fast.insert(id, expr).unwrap();
             baseline.insert(id, expr).unwrap();
-            sharded.insert(id, expr).unwrap();
             naive.insert(id, expr.clone());
         }
         // Alternate removing and replacing profiles; indices may repeat so
@@ -376,12 +366,10 @@ proptest! {
             if step % 2 == 0 {
                 let removed = fast.remove(id);
                 prop_assert_eq!(baseline.remove(id), removed);
-                prop_assert_eq!(sharded.remove(id), removed);
                 naive.remove(id);
             } else {
                 fast.insert(id, replacement).unwrap();
                 baseline.insert(id, replacement).unwrap();
-                sharded.insert(id, replacement).unwrap();
                 naive.insert(id, replacement.clone());
             }
         }
@@ -392,8 +380,7 @@ proptest! {
             let expected = naive.matches(event);
             fast.matches_into(event, &mut scratch, &mut matched);
             prop_assert_eq!(&matched, &expected);
-            prop_assert_eq!(baseline.matches(event), expected.clone());
-            prop_assert_eq!(sharded.matches(event), expected);
+            prop_assert_eq!(baseline.matches(event), expected);
         }
     }
 
@@ -435,18 +422,15 @@ proptest! {
 
     /// The documents the engine reports for a matched profile are the
     /// documents its expression matches, in event order — for events
-    /// with no, one, a few and more than 64 documents, and identically
-    /// through the sharded engine.
+    /// with no, one, a few and more than 64 documents.
     #[test]
     fn reported_documents_are_the_matching_documents(
         exprs in prop::collection::vec(arb_expr(), 1..10),
         event in arb_sized_event(),
     ) {
         let mut fast = eager_engine();
-        let mut sharded = ShardedFilterEngine::new(3);
         for (i, expr) in exprs.iter().enumerate() {
             fast.insert(pid(i), expr).unwrap();
-            sharded.insert(pid(i), expr).unwrap();
         }
         let mut expected = Vec::new();
         for (i, expr) in exprs.iter().enumerate() {
@@ -469,7 +453,6 @@ proptest! {
         }
         let mut hits = Vec::new();
         fast.match_docs_into(&event, &mut MatchScratch::new(), &mut hits);
-        prop_assert_eq!(&hits, &expected);
-        prop_assert_eq!(sharded.match_docs(&event), expected);
+        prop_assert_eq!(hits, expected);
     }
 }

@@ -3,7 +3,8 @@
 //! Each Greenstone server filters incoming events against its locally
 //! stored profiles (Section 4.2) using "a variant of the
 //! equality-preferred algorithm" (Section 5, citing Fabret et al.). This
-//! crate provides:
+//! crate provides one engine that servers run and two reference
+//! implementations it is tested against:
 //!
 //! * [`FilterEngine`] — the equality-preferred engine: profiles are
 //!   normalized to DNF and every conjunction is posted in a hash index
@@ -18,8 +19,6 @@
 //!   profile ([`DocMatch`]). The per-event state lives in a reusable
 //!   [`MatchScratch`], so steady-state matching does not allocate on the
 //!   equality path.
-//! * [`ShardedFilterEngine`] — the same engine partitioned by profile id
-//!   into independent shards matched in parallel with scoped threads.
 //! * [`BaselineEngine`] — the first-generation string-keyed *counting*
 //!   implementation (every conjunction posted under every equality
 //!   predicate, hits counted per conjunction), kept as a test oracle and
@@ -68,12 +67,10 @@ pub mod baseline;
 pub mod engine;
 pub mod intern;
 pub mod naive;
-pub mod sharded;
 
 pub use baseline::BaselineEngine;
 pub use engine::{profile_ids, DocMatch, FilterEngine, FilterStats, MatchScratch};
 pub use naive::NaiveFilter;
-pub use sharded::ShardedFilterEngine;
 
 #[cfg(test)]
 mod equivalence_tests;

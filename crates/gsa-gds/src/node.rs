@@ -4,9 +4,8 @@ use crate::message::GdsMessage;
 use crate::seen::SeenIds;
 use gsa_types::HostName;
 use gsa_wire::{InterestSummary, Payload, ATTR_KEY_KIND, ATTR_META_PREFIX};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::hint::black_box;
 
 /// How many recently flooded events a node keeps for replay to an
 /// adopted child. Only needs to cover the traffic of one outage window:
@@ -158,17 +157,6 @@ pub struct GdsNode {
     rendezvous_confined: u64,
     /// Grant messages issued to children (drained by the actor).
     rendezvous_grants: u64,
-    /// Seed-equivalent cost mirrors, maintained only when
-    /// [`GdsNode::set_seed_costs`] is on. The pre-interning runtime
-    /// deduplicated floods in a SipHash set keyed by owned strings and
-    /// kept owned-string origins in the replay ring; the mirrors
-    /// re-instate that work — deep key clones, DoS-resistant hashing,
-    /// growth rehashes — next to the shared-name structures so the A/B
-    /// benches price the `Arc<str>` interning and the fast hasher
-    /// honestly. Never read back: behaviour is identical either way.
-    seen_uninterned: HashSet<(String, u64)>,
-    recent_uninterned: VecDeque<(String, u64)>,
-    seed_costs: bool,
 }
 
 impl fmt::Debug for GdsNode {
@@ -216,20 +204,7 @@ impl GdsNode {
             summary_updates: 0,
             rendezvous_confined: 0,
             rendezvous_grants: 0,
-            seen_uninterned: HashSet::new(),
-            recent_uninterned: VecDeque::new(),
-            seed_costs: false,
         }
-    }
-
-    /// Switches on the seed-equivalent cost mirrors (see the
-    /// `seen_uninterned` field docs): every flood hop additionally pays
-    /// the owned-string dedup insert, the owned-string replay-ring
-    /// entry and one deep name clone per forwarded edge, exactly like
-    /// the pre-interning runtime. Used by the scale benches' A/B
-    /// baseline via `System::set_seed_equivalent_path`.
-    pub fn set_seed_costs(&mut self, enabled: bool) {
-        self.seed_costs = enabled;
     }
 
     /// Enables encode-once forwarding: flood payloads are frozen to
@@ -546,14 +521,6 @@ impl GdsNode {
 
     /// Remembers a flooded event for replay to later-adopted children.
     fn remember(&mut self, origin: HostName, id: u64, payload: Payload) {
-        if self.seed_costs {
-            // Seed-era ring entries carried owned-string origins.
-            if self.recent_uninterned.len() == RECENT_CAP {
-                self.recent_uninterned.pop_front();
-            }
-            self.recent_uninterned
-                .push_back((origin.as_str().to_owned(), id));
-        }
         if self.recent.len() == RECENT_CAP {
             self.recent.pop_front();
         }
@@ -711,11 +678,6 @@ impl GdsNode {
             GdsMessage::Publish { id, mut payload } => {
                 // `from` is the publishing Greenstone server.
                 let origin = from.clone();
-                if self.seed_costs {
-                    // Seed-era dedup: owned-string key, SipHash probe.
-                    self.seen_uninterned
-                        .insert((origin.as_str().to_owned(), id.as_u64()));
-                }
                 if self.seen.insert(&origin, id.as_u64()) {
                     if self.encode_once {
                         // Serialise once; every forwarded clone below
@@ -731,10 +693,6 @@ impl GdsNode {
                 origin,
                 mut payload,
             } => {
-                if self.seed_costs {
-                    self.seen_uninterned
-                        .insert((origin.as_str().to_owned(), id.as_u64()));
-                }
                 if self.seen.insert(&origin, id.as_u64()) {
                     if self.encode_once {
                         payload.freeze();
@@ -1023,18 +981,8 @@ impl GdsNode {
             skip
         };
         let mid = gsa_types::MessageId::from_raw(id);
-        let seed_costs = self.seed_costs;
-        // Seed-era forwarding cloned plain owned strings per edge: the
-        // destination name plus the origin carried in every copy.
-        let charge = |name: &HostName| {
-            black_box(name.as_str().to_owned());
-        };
         for gs in &self.local {
             if gs != origin && !prunable(gs) {
-                if seed_costs {
-                    charge(gs);
-                    charge(origin);
-                }
                 effects.send(
                     gs.clone(),
                     GdsMessage::Deliver {
@@ -1044,9 +992,6 @@ impl GdsNode {
                     },
                 );
             }
-        }
-        if seed_costs {
-            charge(origin);
         }
         let forward = GdsMessage::Broadcast {
             id: mid,
@@ -1063,20 +1008,12 @@ impl GdsNode {
                     // of the tree) is skipped entirely.
                     confined_hops += 1;
                 } else {
-                    if seed_costs {
-                        charge(parent);
-                        charge(origin);
-                    }
                     effects.send(parent.clone(), forward.clone());
                 }
             }
         }
         for child in &self.children {
             if Some(child) != came_from && !prunable(child) {
-                if seed_costs {
-                    charge(child);
-                    charge(origin);
-                }
                 effects.send(child.clone(), forward.clone());
             }
         }
@@ -1619,6 +1556,9 @@ mod tests {
     #[test]
     fn pruned_flood_reaches_exactly_the_interested_server() {
         let mut nodes = pruned_figure2();
+        // The summaries carry no digests (what a population without
+        // equality literals announces): anchors alone do the pruning.
+        assert!(!host_summary("gs-5").has_attrs());
         // Sanity: summaries aggregated up — the root sees gds-3's
         // subtree as interested in gs-5.
         let root = &nodes[&HostName::new("gds-1")];

@@ -6,7 +6,7 @@
 //!
 //! * A *positive* `collection = "Host.Name"` (or `collection in [...]`)
 //!   literal anchors its conjunction to those exact origin collections
-//!   — [`Predicate::matches`] compares the event's
+//!   — [`Predicate::matches`](crate::Predicate::matches) compares the event's
 //!   `origin.to_string()` against the value with exact, case-sensitive
 //!   equality, so an event from any other origin cannot satisfy the
 //!   literal, and therefore cannot satisfy the conjunction.

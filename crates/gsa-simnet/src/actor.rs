@@ -67,10 +67,6 @@ pub struct Ctx<'a, M> {
     pub(crate) commands: Vec<Command<M>>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) next_timer: &'a mut u64,
-    /// Seed-equivalent cost model: counters travel as owned strings and
-    /// land in the string-keyed map, exactly like the pre-interning
-    /// runtime. Values are unchanged; only the cost is.
-    pub(crate) legacy: bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -111,8 +107,8 @@ impl<'a, M> Ctx<'a, M> {
     /// owned string and land in the metrics fallback map.
     pub fn count(&mut self, name: &str, delta: u64) {
         let key = match Metrics::resolve(name) {
-            Some(id) if !self.legacy => CounterKey::Id(id),
-            _ => CounterKey::Name(name.to_string()),
+            Some(id) => CounterKey::Id(id),
+            None => CounterKey::Name(name.to_string()),
         };
         self.commands.push(Command::Count { key, delta });
     }
@@ -120,12 +116,10 @@ impl<'a, M> Ctx<'a, M> {
     /// Adds `delta` to a pre-interned counter slot — the allocation-free
     /// spelling of [`Ctx::count`] for per-message hot paths.
     pub fn count_id(&mut self, id: CounterId, delta: u64) {
-        let key = if self.legacy {
-            CounterKey::Name(id.name().to_string())
-        } else {
-            CounterKey::Id(id)
-        };
-        self.commands.push(Command::Count { key, delta });
+        self.commands.push(Command::Count {
+            key: CounterKey::Id(id),
+            delta,
+        });
     }
 
     /// Records `value` into the named histogram.
@@ -139,15 +133,6 @@ impl<'a, M> Ctx<'a, M> {
     /// Deterministic per-run random number generator.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// `true` when the simulator runs the seed-equivalent cost model.
-    /// Actor layers consult this to re-instate their own seed-era
-    /// per-message costs (fresh effect buffers, locked directory
-    /// lookups) alongside the runtime-layer ones — values and delivery
-    /// are identical either way; only the cost is.
-    pub fn seed_equivalent_path(&self) -> bool {
-        self.legacy
     }
 }
 

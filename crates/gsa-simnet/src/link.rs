@@ -3,7 +3,6 @@
 use gsa_types::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Whether a link (or node) is administratively up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -138,13 +137,6 @@ pub(crate) struct LinkTable {
     overrides: Vec<Vec<(u32, LinkConfig)>>,
     /// Per-source lists of peers whose directed link is down, sorted.
     down: Vec<Vec<u32>>,
-    /// Seed-era mirror of `overrides`, consulted only on the
-    /// seed-equivalent path: the pre-refactor simulator resolved every
-    /// routed message through a `(from, to)`-keyed hash map, so the
-    /// honest baseline must pay the same per-message hash probe.
-    hashed_overrides: HashMap<(u32, u32), LinkConfig>,
-    /// Seed-era mirror of the administrative link states, ditto.
-    hashed_states: HashMap<(u32, u32), LinkState>,
 }
 
 impl LinkTable {
@@ -153,8 +145,6 @@ impl LinkTable {
             default,
             overrides: Vec::new(),
             down: Vec::new(),
-            hashed_overrides: HashMap::new(),
-            hashed_states: HashMap::new(),
         }
     }
 
@@ -173,7 +163,6 @@ impl LinkTable {
 
     /// Installs a directed override `from → to`.
     pub(crate) fn set_override(&mut self, from: u32, to: u32, cfg: LinkConfig) {
-        self.hashed_overrides.insert((from, to), cfg.clone());
         let idx = self.ensure(from);
         let edges = &mut self.overrides[idx];
         match edges.binary_search_by_key(&to, |(peer, _)| *peer) {
@@ -195,18 +184,8 @@ impl LinkTable {
         &self.default
     }
 
-    /// The effective config of the directed link `from → to`, resolved
-    /// the seed-era way: one hash probe plus a clone per message.
-    pub(crate) fn cfg_uninterned(&self, from: u32, to: u32) -> LinkConfig {
-        self.hashed_overrides
-            .get(&(from, to))
-            .unwrap_or(&self.default)
-            .clone()
-    }
-
     /// Sets the administrative state of the directed link `from → to`.
     pub(crate) fn set_state(&mut self, from: u32, to: u32, state: LinkState) {
-        self.hashed_states.insert((from, to), state);
         let idx = self.ensure(from);
         let peers = &mut self.down[idx];
         match (peers.binary_search(&to), state) {
@@ -227,19 +206,8 @@ impl LinkTable {
         }
     }
 
-    /// Whether the directed link `from → to` is administratively up,
-    /// resolved the seed-era way: one hash probe per message.
-    pub(crate) fn is_up_uninterned(&self, from: u32, to: u32) -> bool {
-        self.hashed_states
-            .get(&(from, to))
-            .copied()
-            .unwrap_or_default()
-            .is_up()
-    }
-
     /// Marks every link administratively up again.
     pub(crate) fn clear_states(&mut self) {
-        self.hashed_states.clear();
         for peers in &mut self.down {
             peers.clear();
         }
@@ -253,9 +221,6 @@ impl LinkTable {
             for (_, cfg) in edges.iter_mut() {
                 *cfg = cfg.clone().with_drop_probability(p);
             }
-        }
-        for cfg in self.hashed_overrides.values_mut() {
-            *cfg = cfg.clone().with_drop_probability(p);
         }
     }
 }

@@ -336,12 +336,6 @@ pub struct Metrics {
     histograms: BTreeMap<String, Histogram>,
     node_sent: Vec<u64>,
     node_received: Vec<u64>,
-    /// Seed-era per-node load tallies, written only by the
-    /// seed-equivalent path: the pre-refactor simulator charged a
-    /// `BTreeMap` entry probe per routed message. Readers merge these
-    /// with the dense vectors.
-    node_sent_uninterned: BTreeMap<NodeId, u64>,
-    node_received_uninterned: BTreeMap<NodeId, u64>,
 }
 
 impl Default for Metrics {
@@ -355,8 +349,6 @@ impl Default for Metrics {
             histograms: BTreeMap::new(),
             node_sent: Vec::new(),
             node_received: Vec::new(),
-            node_sent_uninterned: BTreeMap::new(),
-            node_received_uninterned: BTreeMap::new(),
         }
     }
 }
@@ -392,30 +384,21 @@ impl Metrics {
         }
     }
 
-    /// Adds `delta` to the named counter through the string-keyed map
-    /// only, skipping the interned table — the seed-era cost model (one
-    /// key allocation and a tree probe per call). Totals are identical
-    /// to [`Metrics::count`]; readers sum both stores. Exists for the
-    /// seed-equivalent benchmark path.
-    pub(crate) fn count_uninterned(&mut self, name: &str, delta: u64) {
-        *self.extra.entry(name.to_string()).or_default() += delta;
-    }
-
     /// Reads a counter (0 when never written).
     pub fn counter(&self, name: &str) -> u64 {
-        let slot = Self::resolve(name).map_or(0, |id| self.slots[id.0 as usize]);
-        slot + self.extra.get(name).copied().unwrap_or(0)
+        match Self::resolve(name) {
+            Some(id) => self.slots[id.0 as usize],
+            None => self.extra.get(name).copied().unwrap_or(0),
+        }
     }
 
-    /// Reads a pre-interned counter slot. Note this does not include
-    /// any value the seed-equivalent path stored under the same name;
-    /// use [`Metrics::counter`] for the merged total.
+    /// Reads a pre-interned counter slot.
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.slots[id.0 as usize]
     }
 
     /// All counters in name order, fixed slots and fallback map merged
-    /// (a name written through both reports one summed entry).
+    /// (a name lives in exactly one of the two).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         let mut all: Vec<(&str, u64)> = WELL_KNOWN
             .iter()
@@ -428,14 +411,6 @@ impl Metrics {
             all.push((name.as_str(), value));
         }
         all.sort_by(|a, b| a.0.cmp(b.0));
-        all.dedup_by(|dup, keep| {
-            if dup.0 == keep.0 {
-                keep.1 += dup.1;
-                true
-            } else {
-                false
-            }
-        });
         all.into_iter()
     }
 
@@ -445,17 +420,6 @@ impl Metrics {
             self.record_latency(value);
             return;
         }
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Records a histogram sample through the string-keyed map only,
-    /// skipping the `net.latency_us` fast slot — the seed-era cost model
-    /// (one key allocation and a tree probe per sample). Exists for the
-    /// seed-equivalent benchmark path; readers check both stores.
-    pub(crate) fn record_uninterned(&mut self, name: &str, value: u64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
@@ -504,55 +468,24 @@ impl Metrics {
         self.node_received[idx] += 1;
     }
 
-    /// Tallies one sent message the seed-era way — a `BTreeMap` entry
-    /// probe per call. Exists for the seed-equivalent benchmark path;
-    /// readers merge both stores.
-    pub(crate) fn note_sent_uninterned(&mut self, node: NodeId) {
-        *self.node_sent_uninterned.entry(node).or_default() += 1;
-    }
-
-    /// Tallies one received message the seed-era way, ditto.
-    pub(crate) fn note_received_uninterned(&mut self, node: NodeId) {
-        *self.node_received_uninterned.entry(node).or_default() += 1;
-    }
-
     /// Messages sent per node, ascending by node id (nodes that never
     /// sent are skipped).
     pub fn node_sent(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        Self::node_loads(&self.node_sent, &self.node_sent_uninterned)
+        Self::node_loads(&self.node_sent)
     }
 
     /// Messages received per node, ascending by node id (nodes that
     /// never received are skipped).
     pub fn node_received(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        Self::node_loads(&self.node_received, &self.node_received_uninterned)
+        Self::node_loads(&self.node_received)
     }
 
-    fn merged_loads(dense: &[u64], extra: &BTreeMap<NodeId, u64>) -> Vec<u64> {
-        let len = dense.len().max(
-            extra
-                .keys()
-                .map(|n| n.as_u32() as usize + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        let mut merged = vec![0u64; len];
-        merged[..dense.len()].copy_from_slice(dense);
-        for (node, &count) in extra {
-            merged[node.as_u32() as usize] += count;
-        }
-        merged
-    }
-
-    fn node_loads(
-        dense: &[u64],
-        extra: &BTreeMap<NodeId, u64>,
-    ) -> impl Iterator<Item = (NodeId, u64)> {
-        Self::merged_loads(dense, extra)
-            .into_iter()
+    fn node_loads(dense: &[u64]) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        dense
+            .iter()
             .enumerate()
-            .filter(|&(_, count)| count > 0)
-            .map(|(idx, count)| (NodeId::from_raw(idx as u32), count))
+            .filter(|&(_, &count)| count > 0)
+            .map(|(idx, &count)| (NodeId::from_raw(idx as u32), count))
     }
 
     /// Load-imbalance summary over per-node received counts:
@@ -562,11 +495,12 @@ impl Metrics {
     /// scheme concentrates load on few nodes, driving max/mean and the Gini
     /// coefficient up.
     pub fn receive_load_imbalance(&self) -> Option<(u64, f64, f64)> {
-        let mut loads: Vec<u64> =
-            Self::merged_loads(&self.node_received, &self.node_received_uninterned)
-                .into_iter()
-                .filter(|&c| c > 0)
-                .collect();
+        let mut loads: Vec<u64> = self
+            .node_received
+            .iter()
+            .copied()
+            .filter(|&c| c > 0)
+            .collect();
         if loads.is_empty() {
             return None;
         }
@@ -754,19 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn uninterned_and_slot_writes_merge_in_snapshots() {
-        let mut m = Metrics::new();
-        m.count_uninterned(names::NET_SENT, 2);
-        m.count_id(CounterId::NET_SENT, 3);
-        assert_eq!(m.counter(names::NET_SENT), 5);
-        let all: Vec<_> = m.counters().collect();
-        assert_eq!(all, vec![(names::NET_SENT, 5)], "one merged entry");
-        // Display shows the merged total once as well.
-        assert!(m.to_string().contains("net.sent = 5"));
-        assert_eq!(m.to_string().matches("net.sent").count(), 1);
-    }
-
-    #[test]
     fn zero_delta_still_creates_entry() {
         let mut m = Metrics::new();
         m.count(names::NET_DROPPED, 0);
@@ -831,24 +752,6 @@ mod tests {
         assert_eq!(max, 100);
         assert!(mean < 11.0);
         assert!(gini > 0.7, "gini={gini}");
-    }
-
-    #[test]
-    fn uninterned_node_loads_merge_with_dense() {
-        let mut m = Metrics::new();
-        m.note_sent(NodeId::from_raw(1));
-        m.note_sent_uninterned(NodeId::from_raw(1));
-        m.note_sent_uninterned(NodeId::from_raw(4));
-        m.note_received_uninterned(NodeId::from_raw(0));
-        let sent: Vec<_> = m.node_sent().collect();
-        assert_eq!(
-            sent,
-            vec![(NodeId::from_raw(1), 2), (NodeId::from_raw(4), 1)]
-        );
-        let received: Vec<_> = m.node_received().collect();
-        assert_eq!(received, vec![(NodeId::from_raw(0), 1)]);
-        let (max, _, _) = m.receive_load_imbalance().unwrap();
-        assert_eq!(max, 1);
     }
 
     #[test]

@@ -98,34 +98,9 @@ type ControlFn<M> = Box<dyn FnOnce(&mut Sim<M>)>;
 /// Per-message wire-size estimator used for byte accounting.
 type WireSizeFn<M> = Box<dyn Fn(&M) -> usize>;
 
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    what: What<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A slim node on the indexed queue: ordering keys only, the payload
+/// A node on the scheduling heap: ordering keys only, the payload
 /// parks in the slab. 24 bytes, so a heap sift moves an order of
-/// magnitude fewer bytes than sifting a whole [`Scheduled`] (whose
-/// `What` embeds the message inline).
+/// magnitude fewer bytes than sifting the message itself.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct SlimScheduled {
     at: SimTime,
@@ -140,31 +115,23 @@ impl PartialOrd for SlimScheduled {
 }
 impl Ord for SlimScheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed, exactly like `Scheduled`: identical (at, seq) keys
-        // give identical pop order on either queue layout.
+        // Reversed: BinaryHeap is a max-heap, we want earliest first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// The scheduling queue, in one of two layouts with identical pop
-/// order.
-enum Queue<M> {
-    /// Seed-era layout: the payload lives inside every heap node, so
-    /// each sift moves the full message.
-    Fat(BinaryHeap<Scheduled<M>>),
-    /// Indexed layout: slim key-only heap nodes; payloads park in a
-    /// slab whose slots recycle through a free list, so the steady
-    /// state allocates nothing.
-    Indexed {
-        heap: BinaryHeap<SlimScheduled>,
-        slab: Vec<Option<What<M>>>,
-        free: Vec<u32>,
-    },
+/// The scheduling queue: slim key-only heap nodes; payloads park in a
+/// slab whose slots recycle through a free list, so the steady state
+/// allocates nothing.
+struct Queue<M> {
+    heap: BinaryHeap<SlimScheduled>,
+    slab: Vec<Option<What<M>>>,
+    free: Vec<u32>,
 }
 
 impl<M> Queue<M> {
-    fn indexed() -> Self {
-        Queue::Indexed {
+    fn new() -> Self {
+        Queue {
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -172,80 +139,34 @@ impl<M> Queue<M> {
     }
 
     fn len(&self) -> usize {
-        match self {
-            Queue::Fat(heap) => heap.len(),
-            Queue::Indexed { heap, .. } => heap.len(),
-        }
+        self.heap.len()
     }
 
     /// The timestamp of the next item to pop, if any.
     fn peek_at(&self) -> Option<SimTime> {
-        match self {
-            Queue::Fat(heap) => heap.peek().map(|s| s.at),
-            Queue::Indexed { heap, .. } => heap.peek().map(|s| s.at),
-        }
+        self.heap.peek().map(|s| s.at)
     }
 
     fn push(&mut self, at: SimTime, seq: u64, what: What<M>) {
-        match self {
-            Queue::Fat(heap) => heap.push(Scheduled { at, seq, what }),
-            Queue::Indexed { heap, slab, free } => {
-                let slot = match free.pop() {
-                    Some(slot) => {
-                        slab[slot as usize] = Some(what);
-                        slot
-                    }
-                    None => {
-                        let slot = u32::try_from(slab.len()).expect("queue below u32::MAX items");
-                        slab.push(Some(what));
-                        slot
-                    }
-                };
-                heap.push(SlimScheduled { at, seq, slot });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(what);
+                slot
             }
-        }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("queue below u32::MAX items");
+                self.slab.push(Some(what));
+                slot
+            }
+        };
+        self.heap.push(SlimScheduled { at, seq, slot });
     }
 
     fn pop(&mut self) -> Option<(SimTime, What<M>)> {
-        match self {
-            Queue::Fat(heap) => heap.pop().map(|s| (s.at, s.what)),
-            Queue::Indexed { heap, slab, free } => {
-                let slim = heap.pop()?;
-                let what = slab[slim.slot as usize].take().expect("occupied slot");
-                free.push(slim.slot);
-                Some((slim.at, what))
-            }
-        }
-    }
-
-    /// Rebuilds this queue in the other layout, preserving every
-    /// pending item's (at, seq) key — and therefore the pop order.
-    fn convert(&mut self, fat: bool) {
-        if matches!(self, Queue::Fat(_)) == fat {
-            return;
-        }
-        let mut drained: Vec<(SimTime, u64, What<M>)> = Vec::with_capacity(self.len());
-        match self {
-            Queue::Fat(heap) => {
-                for s in std::mem::take(heap) {
-                    drained.push((s.at, s.seq, s.what));
-                }
-            }
-            Queue::Indexed { heap, slab, .. } => {
-                for slim in std::mem::take(heap) {
-                    let what = slab[slim.slot as usize].take().expect("occupied slot");
-                    drained.push((slim.at, slim.seq, what));
-                }
-            }
-        }
-        *self = if fat {
-            Queue::Fat(BinaryHeap::new())
-        } else {
-            Queue::indexed()
-        };
-        for (at, seq, what) in drained {
-            self.push(at, seq, what);
-        }
+        let slim = self.heap.pop()?;
+        let what = self.slab[slim.slot as usize].take().expect("occupied slot");
+        self.free.push(slim.slot);
+        Some((slim.at, what))
     }
 }
 
@@ -282,10 +203,6 @@ pub struct Sim<M> {
     wire_size: Option<WireSizeFn<M>>,
     /// Drained per-callback command buffers kept for reuse.
     command_pool: Vec<Vec<Command<M>>>,
-    /// Seed-equivalent hot path: string-keyed counters, per-message
-    /// link-config clones and fresh command vectors — the pre-interning
-    /// cost model, with identical observable behaviour.
-    legacy: bool,
 }
 
 impl<M> fmt::Debug for Sim<M> {
@@ -305,7 +222,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            queue: Queue::indexed(),
+            queue: Queue::new(),
             actors: Vec::new(),
             meta: Vec::new(),
             names: HashMap::new(),
@@ -318,7 +235,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             trace: None,
             wire_size: None,
             command_pool: Vec::new(),
-            legacy: false,
         }
     }
 
@@ -334,38 +250,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     /// re-describing the topology.
     pub fn set_drop_probability(&mut self, p: f64) {
         self.links.set_drop_probability(p);
-    }
-
-    /// Switches the per-event hot path to the seed-equivalent cost
-    /// model: counters travel and land string-keyed, the routed link
-    /// config is cloned per message, every actor callback allocates a
-    /// fresh command buffer, and the scheduling heap goes back to the
-    /// fat layout that sifts whole messages. Observable behaviour —
-    /// delivery sets, metric totals, RNG draws, event ordering — is
-    /// identical to the interned path; only the per-event cost differs.
-    /// Benchmarks use this as the honest pre-refactor baseline.
-    pub fn set_seed_equivalent_path(&mut self, enabled: bool) {
-        self.legacy = enabled;
-        // Pending items (if any) migrate with their (at, seq) keys, so
-        // the pop order is unaffected by when the switch happens.
-        self.queue.convert(enabled);
-    }
-
-    /// Whether the seed-equivalent hot path is active.
-    pub fn seed_equivalent_path(&self) -> bool {
-        self.legacy
-    }
-
-    /// Counts `delta` on a well-known counter through the active hot
-    /// path: a slot write, or the string-keyed map when the
-    /// seed-equivalent path is on.
-    #[inline]
-    fn count_net(&mut self, id: CounterId, delta: u64) {
-        if self.legacy {
-            self.metrics.count_uninterned(id.name(), delta);
-        } else {
-            self.metrics.count_id(id, delta);
-        }
     }
 
     /// Enables trace recording of every delivered message.
@@ -544,7 +428,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     commands: self.checkout_commands(),
                     rng: &mut self.rng,
                     next_timer: &mut self.next_timer,
-                    legacy: self.legacy,
                 };
                 let r = f(typed, &mut ctx);
                 let mut commands = ctx.commands;
@@ -600,26 +483,17 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 sent_at,
             } => {
                 if !self.meta[to.index()].up {
-                    self.count_net(CounterId::NET_DROPPED, 1);
+                    self.metrics.count_id(CounterId::NET_DROPPED, 1);
                     return true;
                 }
-                self.count_net(CounterId::NET_DELIVERED, 1);
-                if self.legacy {
-                    self.metrics.note_received_uninterned(to);
-                } else {
-                    self.metrics.note_received(to);
-                }
-                let latency_us = (self.now - sent_at).as_micros();
-                if self.legacy {
-                    self.metrics
-                        .record_uninterned(crate::metrics::names::NET_LATENCY_US, latency_us);
-                } else {
-                    self.metrics.record_latency(latency_us);
-                }
+                self.metrics.count_id(CounterId::NET_DELIVERED, 1);
+                self.metrics.note_received(to);
+                self.metrics
+                    .record_latency((self.now - sent_at).as_micros());
                 if let Some(trace) = &mut self.trace {
                     let mut summary = format!("{msg:?}");
                     if summary.len() > 160 {
-                        summary.truncate(157);
+                        summary.truncate(summary.floor_char_boundary(157));
                         summary.push_str("...");
                     }
                     trace.push(TraceEntry {
@@ -674,20 +548,15 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.queue.push(at, seq, what);
     }
 
-    /// Takes a command buffer for one actor callback: pooled on the
-    /// interned path, freshly allocated on the seed-equivalent path.
+    /// Takes a pooled command buffer for one actor callback.
     fn checkout_commands(&mut self) -> Vec<Command<M>> {
-        if self.legacy {
-            Vec::new()
-        } else {
-            self.command_pool.pop().unwrap_or_default()
-        }
+        self.command_pool.pop().unwrap_or_default()
     }
 
-    /// Returns a drained command buffer to the pool (dropped on the
-    /// seed-equivalent path, and past the pool cap).
+    /// Returns a drained command buffer to the pool (dropped past the
+    /// pool cap).
     fn checkin_commands(&mut self, mut buf: Vec<Command<M>>) {
-        if !self.legacy && self.command_pool.len() < COMMAND_POOL_LIMIT {
+        if self.command_pool.len() < COMMAND_POOL_LIMIT {
             buf.clear();
             self.command_pool.push(buf);
         }
@@ -707,7 +576,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             commands: self.checkout_commands(),
             rng: &mut self.rng,
             next_timer: &mut self.next_timer,
-            legacy: self.legacy,
         };
         f(actor.as_mut(), &mut ctx);
         let mut commands = ctx.commands;
@@ -734,74 +602,38 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 }
                 Command::Count { key, delta } => match key {
                     CounterKey::Id(id) => self.metrics.count_id(id, delta),
-                    CounterKey::Name(name) => {
-                        if self.legacy {
-                            self.metrics.count_uninterned(&name, delta);
-                        } else {
-                            self.metrics.count(&name, delta);
-                        }
-                    }
+                    CounterKey::Name(name) => self.metrics.count(&name, delta),
                 },
-                Command::Record { name, value } => {
-                    if self.legacy {
-                        self.metrics.record_uninterned(&name, value);
-                    } else {
-                        self.metrics.record(&name, value);
-                    }
-                }
+                Command::Record { name, value } => self.metrics.record(&name, value),
             }
         }
     }
 
     fn route(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.count_net(CounterId::NET_SENT, 1);
-        self.count_net(CounterId::NET_FRAMES, 1);
-        if self.legacy {
-            self.metrics.note_sent_uninterned(from);
-        } else {
-            self.metrics.note_sent(from);
-        }
+        self.metrics.count_id(CounterId::NET_SENT, 1);
+        self.metrics.count_id(CounterId::NET_FRAMES, 1);
+        self.metrics.note_sent(from);
         if let Some(f) = &self.wire_size {
             let bytes = f(&msg) as u64;
-            self.count_net(CounterId::NET_BYTES, bytes);
-            self.count_net(CounterId::NET_BYTES_SENT, bytes);
+            self.metrics.count_id(CounterId::NET_BYTES, bytes);
+            self.metrics.count_id(CounterId::NET_BYTES_SENT, bytes);
         }
         if to.index() >= self.actors.len() {
-            self.count_net(CounterId::NET_DROPPED, 1);
+            self.metrics.count_id(CounterId::NET_DROPPED, 1);
             return;
         }
-        let up = if self.legacy {
-            self.links.is_up_uninterned(from.0, to.0)
-        } else {
-            self.links.is_up(from.0, to.0)
-        };
+        let up = self.links.is_up(from.0, to.0);
         let same_partition = self.meta[from.index()].partition == self.meta[to.index()].partition;
         if !up || !same_partition || !self.meta[to.index()].up {
-            self.count_net(CounterId::NET_DROPPED, 1);
+            self.metrics.count_id(CounterId::NET_DROPPED, 1);
             return;
         }
-        // The sampled values (and RNG draw order) are identical on both
-        // paths; the seed-equivalent path reinstates the per-message
-        // hash probe and config clone the indexed table removed.
-        let (dropped, latency) = if self.legacy {
-            let cfg = self.links.cfg_uninterned(from.0, to.0);
-            if cfg.sample_drop(&mut self.rng) {
-                (true, SimDuration::ZERO)
-            } else {
-                (false, cfg.sample_latency(&mut self.rng))
-            }
-        } else {
-            let cfg = self.links.cfg(from.0, to.0);
-            if cfg.sample_drop(&mut self.rng) {
-                (true, SimDuration::ZERO)
-            } else {
-                (false, cfg.sample_latency(&mut self.rng))
-            }
-        };
-        if dropped {
-            self.count_net(CounterId::NET_DROPPED, 1);
+        let cfg = self.links.cfg(from.0, to.0);
+        if cfg.sample_drop(&mut self.rng) {
+            self.metrics.count_id(CounterId::NET_DROPPED, 1);
             return;
         }
+        let latency = cfg.sample_latency(&mut self.rng);
         self.push(
             self.now + latency,
             What::Deliver {
@@ -997,6 +829,18 @@ mod tests {
         assert_eq!(sim.trace().len(), 2);
         assert!(sim.trace()[0].summary.contains("ping"));
         assert!(sim.trace()[0].to_string().contains("->"));
+
+        // Byte 157 of a long non-ASCII summary falls inside a character
+        // for one parity of the ASCII padding: the cut backs off to the
+        // nearest boundary instead of panicking.
+        for pad in ["", "x"] {
+            let msg = format!("{pad}{}", "é".repeat(120));
+            sim.inject(NodeId::from_raw(1), NodeId::from_raw(0), msg);
+            sim.run_until_quiet(SimTime::from_secs(2));
+            let summary = &sim.trace().last().unwrap().summary;
+            assert!(summary.ends_with("é..."), "{summary}");
+            assert!((159..=160).contains(&summary.len()), "{summary}");
+        }
     }
 
     #[test]

@@ -65,7 +65,10 @@ struct Server {
     engine: FilterEngine,
     scratch: MatchScratch,
     payload: Vec<u8>,
-    probe_skip: CounterId,
+    /// The slot a rejection is counted in; `None` counts it under a
+    /// name outside the interned table instead, which travels as an
+    /// owned `String` (the negative control).
+    probe_skip: Option<CounterId>,
     rejected: u64,
 }
 
@@ -74,7 +77,10 @@ impl Actor<u32> for Server {
         let mut probe = EventProbe::from_payload(&self.payload).unwrap().unwrap();
         if !self.engine.probe_matches(&mut probe, &mut self.scratch).unwrap() {
             self.rejected += 1;
-            ctx.count_id(self.probe_skip, 1);
+            match self.probe_skip {
+                Some(id) => ctx.count_id(id, 1),
+                None => ctx.count("bench.unregistered", 1),
+            }
         }
         ctx.send(from, msg.wrapping_add(1));
     }
@@ -138,9 +144,9 @@ fn frozen_payload() -> Vec<u8> {
     payload_bytes_from_xml(&event_to_xml(&event))
 }
 
-#[test]
-fn steady_state_step_loop_is_allocation_free_after_warmup() {
-    let _window = WINDOW.lock().unwrap();
+/// The measured loop: a server probing every delivery and a pinger
+/// bouncing it back, over a jittered link with byte accounting on.
+fn ping_pong_sim(probe_skip: Option<CounterId>) -> Sim<u32> {
     let mut sim: Sim<u32> = Sim::new(97);
     // Fixed latency plus jitter: the route path draws from the RNG
     // every message, exactly like the scale scenarios.
@@ -149,8 +155,6 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
     );
     // Exercise the byte counters too.
     sim.set_wire_size_fn(|_| 64);
-
-    let probe_skip = Metrics::resolve("core.probe_skip").expect("interned");
     let server = NodeId::from_raw(0);
     sim.add_node(
         "server",
@@ -169,6 +173,14 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
             tick: SimDuration::from_millis(5),
         },
     );
+    sim
+}
+
+#[test]
+fn steady_state_step_loop_is_allocation_free_after_warmup() {
+    let _window = WINDOW.lock().unwrap();
+    let probe_skip = Metrics::resolve("core.probe_skip").expect("interned");
+    let mut sim = ping_pong_sim(Some(probe_skip));
 
     // Warm-up: grows the scheduling heap, the command pool, the match
     // scratch and the latency histogram to steady-state capacity.
@@ -207,37 +219,13 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn seed_equivalent_path_allocates_per_message() {
-    // Negative control: the identical loop on the seed-equivalent cost
-    // model — string-keyed counter probes, per-message link-config
-    // clones, fresh command buffers — must allocate, proving the
+fn unregistered_counter_name_allocates_per_message() {
+    // Negative control: the identical loop with the server counting
+    // under a name outside the interned table — which buffers an owned
+    // `String` per message by design — must allocate, proving the
     // harness above really measures the hot loop and not an idle sim.
     let _window = WINDOW.lock().unwrap();
-    let mut sim: Sim<u32> = Sim::new(97);
-    sim.set_seed_equivalent_path(true);
-    sim.set_default_link(
-        LinkConfig::new(SimDuration::from_millis(1)).with_jitter(SimDuration::from_micros(200)),
-    );
-    sim.set_wire_size_fn(|_| 64);
-    let probe_skip = Metrics::resolve("core.probe_skip").expect("interned");
-    let server = NodeId::from_raw(0);
-    sim.add_node(
-        "server",
-        Server {
-            engine: rejecting_engine(),
-            scratch: MatchScratch::new(),
-            payload: frozen_payload(),
-            probe_skip,
-            rejected: 0,
-        },
-    );
-    sim.add_node(
-        "pinger",
-        Pinger {
-            server,
-            tick: SimDuration::from_millis(5),
-        },
-    );
+    let mut sim = ping_pong_sim(None);
     sim.run_for(SimDuration::from_secs(2));
 
     ALLOCS.store(0, Ordering::SeqCst);
@@ -247,6 +235,7 @@ fn seed_equivalent_path_allocates_per_message() {
 
     assert!(
         ALLOCS.load(Ordering::SeqCst) > 0,
-        "the seed-equivalent cost model is supposed to allocate per message"
+        "an un-interned counter name is supposed to allocate per message"
     );
+    assert!(sim.metrics().counter("bench.unregistered") > 1_000);
 }

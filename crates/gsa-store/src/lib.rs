@@ -8,7 +8,7 @@
 //! of searching and browsing"), so this crate provides the shared
 //! machinery:
 //!
-//! * [`tokenize`] — text tokenization,
+//! * [`mod@tokenize`] — text tokenization,
 //! * [`query`] — a Boolean/prefix query language evaluated both against
 //!   indexes and against single documents (the latter is how the filter
 //!   engine matches events),

@@ -79,7 +79,7 @@ impl Query {
     /// Evaluates this query against one document given its token set and
     /// (optionally) extra tokens from metadata values.
     ///
-    /// `tokens` should be produced by [`crate::tokenize`]; a `BTreeSet`
+    /// `tokens` should be produced by [`crate::tokenize()`]; a `BTreeSet`
     /// keeps prefix queries efficient via range scans.
     pub fn matches_tokens(&self, tokens: &BTreeSet<String>) -> bool {
         match self {

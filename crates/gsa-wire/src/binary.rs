@@ -425,8 +425,7 @@ fn read_collection(r: &mut BinReader<'_>) -> Result<CollectionId, WireError> {
     Ok(CollectionId::new(host, name))
 }
 
-/// Encodes an alerting event, field for field with
-/// [`event_to_xml`](crate::codec::event_to_xml).
+/// Encodes an alerting event, field for field with [`event_to_xml`].
 pub fn event_to_binary(event: &Event, buf: &mut Vec<u8>) {
     write_str(buf, event.id.host().as_str());
     write_varint(buf, event.id.seq());

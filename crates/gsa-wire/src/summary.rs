@@ -185,16 +185,6 @@ impl InterestSummary {
         self.touch();
     }
 
-    /// Drops every attribute digest, widening the summary back to its
-    /// anchor-only (PR 5) form. Used to publish baseline summaries when
-    /// attribute tightening is disabled.
-    pub fn clear_attrs(&mut self) {
-        if !self.attrs.is_empty() {
-            self.attrs.clear();
-            self.touch();
-        }
-    }
-
     /// `true` when the summary carries at least one attribute digest.
     pub fn has_attrs(&self) -> bool {
         !self.attrs.is_empty()

@@ -272,7 +272,7 @@ fn parse_pattern(pattern: &str) -> Vec<PatternAtom> {
 }
 
 /// `&str` as a strategy: generates strings matching the pattern (regex
-/// subset; see [`parse_pattern`]). Mirrors proptest's regex strategies.
+/// subset; see `parse_pattern`). Mirrors proptest's regex strategies.
 impl Strategy for &'static str {
     type Value = String;
 

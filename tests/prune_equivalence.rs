@@ -117,16 +117,14 @@ fn pruned_broadcast_delivers_exactly_the_flood_sets() {
     }
 }
 
-/// The four delivery modes the prune bench compares. Each is layered on
+/// The three delivery modes the prune bench compares. Each is layered on
 /// the previous one and must be behaviourally invisible: identical
 /// notification sets, fewer messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Paper baseline: full flood, no summaries.
     Flood,
-    /// PR 5: anchors-only summaries (attribute digests stripped).
-    Prune,
-    /// Attribute-tightened summaries (kind + metadata digests).
+    /// Interest summaries: anchors plus kind + metadata digests.
     AttrPrune,
     /// Attribute summaries plus rendezvous routing for hot subgroups.
     Rendezvous,
@@ -136,10 +134,6 @@ impl Mode {
     fn configure(self, system: &mut System) {
         match self {
             Mode::Flood => {}
-            Mode::Prune => {
-                system.set_pruning(true);
-                system.set_attr_summaries(false);
-            }
             Mode::AttrPrune => system.set_pruning(true),
             Mode::Rendezvous => {
                 system.set_pruning(true);
@@ -219,13 +213,12 @@ fn attr_and_rendezvous_modes_deliver_exactly_the_flood_sets() {
     for seed in SEEDS {
         let (flood, flood_msgs, _, flood_confined, flood_grants) =
             attr_mode_run(seed, Mode::Flood);
-        let (prune, prune_msgs, prune_edges, _, _) = attr_mode_run(seed, Mode::Prune);
         let (attr, attr_msgs, attr_edges, attr_confined, _) =
             attr_mode_run(seed, Mode::AttrPrune);
         let (rdv, rdv_msgs, _, rdv_confined, rdv_grants) =
             attr_mode_run(seed, Mode::Rendezvous);
 
-        for (name, got) in [("prune", &prune), ("attr-prune", &attr), ("rendezvous", &rdv)] {
+        for (name, got) in [("attr-prune", &attr), ("rendezvous", &rdv)] {
             assert_eq!(
                 &flood, got,
                 "seed {seed}: {name} delivery sets diverged from the full flood"
@@ -238,23 +231,18 @@ fn attr_and_rendezvous_modes_deliver_exactly_the_flood_sets() {
         assert_eq!(flood["London"].len(), 0, "seed {seed}: no spurious deliveries");
 
         // Each layer must pay for itself, strictly on this workload:
-        // digests prune edges anchors cannot, rendezvous confines hops
-        // digests still forward.
-        assert!(prune_msgs < flood_msgs, "seed {seed}: pruning saves messages");
+        // summaries prune edges the flood crosses, rendezvous confines
+        // hops summaries still forward.
         assert!(
-            attr_msgs < prune_msgs,
-            "seed {seed}: attr digests must out-prune anchors \
-             ({attr_msgs} vs {prune_msgs})"
+            attr_msgs < flood_msgs,
+            "seed {seed}: pruning saves messages ({attr_msgs} vs {flood_msgs})"
         );
         assert!(
             rdv_msgs < attr_msgs,
             "seed {seed}: rendezvous must out-prune attr digests \
              ({rdv_msgs} vs {attr_msgs})"
         );
-        assert!(
-            attr_edges > prune_edges,
-            "seed {seed}: attr digests prune strictly more edges"
-        );
+        assert!(attr_edges > 0, "seed {seed}: pruning must actually engage");
         assert_eq!(flood_confined, 0, "seed {seed}: flood never confines");
         assert_eq!(flood_grants, 0, "seed {seed}: flood never grants");
         assert_eq!(attr_confined, 0, "seed {seed}: attr mode never confines");

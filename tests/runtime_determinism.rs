@@ -1,11 +1,9 @@
 //! Determinism regression suite for the zero-allocation runtime.
 //!
-//! The E7 scale refactor (interned counters, indexed link table, pooled
-//! command buffers, sharded batch dispatch) is only admissible if it is
-//! *invisible*: the same seed must yield byte-identical metric
-//! snapshots and per-client delivery sets, on either cost path, with
-//! either matching backend. These tests pin that bar, plus the
-//! paper-figure message counts recorded before the refactor.
+//! The same seed must yield byte-identical metric snapshots and
+//! per-client delivery sets. These tests pin that bar, plus the
+//! paper-figure message counts recorded before the E7 scale refactor
+//! (interned counters, indexed link table, pooled command buffers).
 
 use gsa_core::{BatchConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
@@ -21,10 +19,8 @@ fn doc(id: &str, text: &str) -> SourceDocument {
 /// sub-collection, four profile shapes, loss, a partition and a heal.
 /// Returns the rendered metrics snapshot and the per-client delivery
 /// sets, both in deterministic order.
-fn hybrid_run(seed: u64, legacy: bool, shards: usize) -> (String, Vec<String>) {
+fn hybrid_run(seed: u64) -> (String, Vec<String>) {
     let mut system = System::new(seed);
-    system.set_seed_equivalent_path(legacy);
-    system.set_filter_shards(shards);
     system.set_wire(WireConfig::v2_batched(BatchConfig::default()));
     system.set_pruning(true);
     system.add_gds_topology(&figure2_tree());
@@ -79,71 +75,42 @@ fn hybrid_run(seed: u64, legacy: bool, shards: usize) -> (String, Vec<String>) {
 
 #[test]
 fn same_seed_runs_are_byte_identical() {
-    let (metrics_a, deliveries_a) = hybrid_run(11, false, 1);
-    let (metrics_b, deliveries_b) = hybrid_run(11, false, 1);
+    let (metrics_a, deliveries_a) = hybrid_run(11);
+    let (metrics_b, deliveries_b) = hybrid_run(11);
     assert_eq!(metrics_a, metrics_b, "same seed must replay bit-identically");
     assert_eq!(deliveries_a, deliveries_b);
     assert!(!deliveries_a.is_empty(), "scenario must actually deliver");
     // A different seed draws different jitter: the snapshot moves.
-    let (metrics_c, _) = hybrid_run(12, false, 1);
+    let (metrics_c, _) = hybrid_run(12);
     assert_ne!(metrics_a, metrics_c, "seed must actually steer the run");
-}
-
-#[test]
-fn seed_equivalent_path_is_value_identical() {
-    // The legacy path re-instates the seed-era per-message costs
-    // (string-keyed counters, link-config clones, fresh command
-    // buffers). Values, RNG draws and ordering must not move at all.
-    let (fast_metrics, fast_deliveries) = hybrid_run(21, false, 1);
-    let (legacy_metrics, legacy_deliveries) = hybrid_run(21, true, 1);
-    assert_eq!(
-        fast_metrics, legacy_metrics,
-        "cost model must be observationally invisible"
-    );
-    assert_eq!(fast_deliveries, legacy_deliveries);
-}
-
-#[test]
-fn sharded_dispatch_is_delivery_identical() {
-    // Draining batched deliveries through four profile shards must
-    // produce the same notifications, in the same order, as the single
-    // engine — and identical metrics, since dispatch is not observable.
-    let (single_metrics, single_deliveries) = hybrid_run(31, false, 1);
-    let (sharded_metrics, sharded_deliveries) = hybrid_run(31, false, 4);
-    assert_eq!(single_metrics, sharded_metrics);
-    assert_eq!(single_deliveries, sharded_deliveries);
 }
 
 /// The Figure 2 broadcast-cost fixture recorded before the refactor:
 /// one rebuild on a seven-node tree costs 1 publish, 6 edge crossings
-/// and 6 server deliveries — 13 messages, all delivered. Both cost
-/// paths must reproduce it exactly.
+/// and 6 server deliveries — 13 messages, all delivered.
 #[test]
 fn paper_figure_message_counts_are_pinned() {
-    for legacy in [false, true] {
-        let mut system = System::new(3);
-        system.set_seed_equivalent_path(legacy);
-        system.add_gds_topology(&figure2_tree());
-        for (host, gds) in [
-            ("Hamilton", "gds-4"),
-            ("London", "gds-2"),
-            ("Auckland", "gds-1"),
-            ("Berlin", "gds-3"),
-            ("Cairo", "gds-5"),
-            ("Delhi", "gds-6"),
-            ("Edmonton", "gds-7"),
-        ] {
-            system.add_server(host, gds);
-        }
-        system.add_collection("Hamilton", CollectionConfig::simple("news", "news"));
-        system.run_until_quiet(SimTime::from_secs(5));
-        let sent_before = system.metrics().counter("net.sent");
-        let delivered_before = system.metrics().counter("net.delivered");
-        system.rebuild("Hamilton", "news", vec![doc("n1", "x")]).unwrap();
-        system.run_until_quiet(SimTime::from_secs(60));
-        let sent = system.metrics().counter("net.sent") - sent_before;
-        let delivered = system.metrics().counter("net.delivered") - delivered_before;
-        assert_eq!(sent, 13, "figure-2 fixture moved (legacy={legacy})");
-        assert_eq!(delivered, 13, "lossless tree must deliver every frame (legacy={legacy})");
+    let mut system = System::new(3);
+    system.add_gds_topology(&figure2_tree());
+    for (host, gds) in [
+        ("Hamilton", "gds-4"),
+        ("London", "gds-2"),
+        ("Auckland", "gds-1"),
+        ("Berlin", "gds-3"),
+        ("Cairo", "gds-5"),
+        ("Delhi", "gds-6"),
+        ("Edmonton", "gds-7"),
+    ] {
+        system.add_server(host, gds);
     }
+    system.add_collection("Hamilton", CollectionConfig::simple("news", "news"));
+    system.run_until_quiet(SimTime::from_secs(5));
+    let sent_before = system.metrics().counter("net.sent");
+    let delivered_before = system.metrics().counter("net.delivered");
+    system.rebuild("Hamilton", "news", vec![doc("n1", "x")]).unwrap();
+    system.run_until_quiet(SimTime::from_secs(60));
+    let sent = system.metrics().counter("net.sent") - sent_before;
+    let delivered = system.metrics().counter("net.delivered") - delivered_before;
+    assert_eq!(sent, 13, "figure-2 fixture moved");
+    assert_eq!(delivered, 13, "lossless tree must deliver every frame");
 }
