@@ -4,6 +4,7 @@
 use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
+use gsa_greenstone::GsMessage;
 use gsa_simnet::metrics::{names as metric, CounterId};
 use gsa_simnet::{Actor, Ctx, NodeId, TimerId};
 use gsa_types::{FxHashMap, HostName, SimDuration};
@@ -79,11 +80,6 @@ impl Directory {
         self.inner.read().by_name.get(name).copied()
     }
 
-    /// Reverse lookup: the host name of a node.
-    pub fn name_of(&self, node: NodeId) -> Option<HostName> {
-        self.inner.read().by_node.get(&node).cloned()
-    }
-
     /// Number of registered names.
     pub fn len(&self) -> usize {
         self.inner.read().by_name.len()
@@ -125,7 +121,7 @@ impl DirectoryCache {
         self.by_name.get(name).copied()
     }
 
-    /// Cached equivalent of [`Directory::name_of`].
+    /// Reverse lookup: the host name of a node.
     fn name_of(&mut self, directory: &Directory, node: NodeId) -> Option<&HostName> {
         self.sync(directory);
         self.by_node.get(node.as_u32() as usize).and_then(Option::as_ref)
@@ -270,13 +266,6 @@ impl WireLink {
         self.peer_fmt.insert(node, WireFormat::Binary);
     }
 
-    /// The hello announcement this host sends on tree edges, if any.
-    fn hello(&self) -> Option<GdsMessage> {
-        self.config
-            .speaks_v2()
-            .then_some(GdsMessage::Hello { version: 2 })
-    }
-
     /// Queues or sends one data message on an edge. Batchable flood
     /// traffic on a negotiated binary edge is buffered (when batching
     /// is on) and flushed by size or by the `BATCH_TAG` timer;
@@ -295,14 +284,23 @@ impl WireLink {
             _ => return send_data(ctx, node, fmt, msg, link),
         };
         let max_events = batch.max_events.max(1);
-        let max_delay = batch.max_delay;
         let buf = self.pending.entry(node).or_default();
         buf.push(msg);
         if buf.len() >= max_events {
             self.flush_edge(ctx, node, link);
-        } else if !self.timer_armed {
-            ctx.set_timer(max_delay, BATCH_TAG);
-            self.timer_armed = true;
+        } else {
+            self.arm_flush(ctx);
+        }
+    }
+
+    /// Sets the `BATCH_TAG` timer when an edge holds something (a
+    /// flushed edge leaves the map) and no timer is outstanding.
+    fn arm_flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        if let Some(batch) = &self.config.batch {
+            if !self.timer_armed && !self.pending.is_empty() {
+                ctx.set_timer(batch.max_delay, BATCH_TAG);
+                self.timer_armed = true;
+            }
         }
     }
 
@@ -381,13 +379,13 @@ impl Default for ReliabilityConfig {
 /// send time, so retransmissions reuse a frame the peer is known to
 /// understand.
 #[derive(Debug)]
-pub struct ReliableLink {
+struct ReliableLink {
     queue: RetransmitQueue<(NodeId, WireFormat, GdsMessage)>,
 }
 
 impl ReliableLink {
     /// Creates a link with the given retry policy and jitter seed.
-    pub fn new(policy: RetryPolicy, seed: u64) -> Self {
+    fn new(policy: RetryPolicy, seed: u64) -> Self {
         ReliableLink {
             queue: RetransmitQueue::new(policy, seed),
         }
@@ -430,11 +428,6 @@ impl ReliableLink {
             .map(|(_, (node, _, msg))| (node, msg))
             .collect()
     }
-
-    /// Number of unacknowledged messages in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// Picks the `SysMessage` carrier for a plain data frame in a format.
@@ -468,13 +461,6 @@ fn send_data(
     }
 }
 
-/// Acknowledges a received data envelope back to its sender, in the
-/// same format the data frame arrived in.
-fn send_ack(ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64, fmt: WireFormat) {
-    ctx.count(metric::NET_ACKS, 1);
-    ctx.send(from, rel_frame(fmt, Reliable::Ack { seq }));
-}
-
 /// Heartbeats ride plain — wrapping the liveness probe in the
 /// retransmit machinery would defeat its purpose (a lost probe *is*
 /// the signal). Hellos ride plain too: a version-1 peer would drop the
@@ -490,22 +476,210 @@ fn rides_plain(msg: &GdsMessage) -> bool {
     )
 }
 
+/// What [`EdgeTransport::receive`] leaves of a frame.
+enum Received {
+    /// A GDS message for the state machine.
+    Gds(GdsMessage),
+    /// GS-protocol traffic, which never was the transport's.
+    Gs(GsMessage),
+    /// Nothing: the frame was the transport's own business.
+    Consumed,
+}
+
+/// One actor's edge transport: everything between a [`SysMessage`] frame
+/// on a tree edge and the plain message its state machine handles — the
+/// name ↔ node translation, the per-edge wire format and batch buffers,
+/// and (when enabled) the reliable envelope. [`AlertingActor`] and
+/// [`GdsActor`] each own one; neither unwraps a carrier, acknowledges,
+/// negotiates a format or polls a queue by itself.
+#[derive(Debug)]
+struct EdgeTransport {
+    directory: Directory,
+    dir_cache: DirectoryCache,
+    wire: WireLink,
+    /// The retransmission-queue poll period and the queue (reliability
+    /// on).
+    reliable: Option<(SimDuration, ReliableLink)>,
+}
+
+impl EdgeTransport {
+    fn new(directory: Directory) -> Self {
+        EdgeTransport {
+            directory,
+            dir_cache: DirectoryCache::default(),
+            wire: WireLink::new(WireConfig::default()),
+            reliable: None,
+        }
+    }
+
+    fn enable_reliability(&mut self, config: &ReliabilityConfig, seed: u64) {
+        self.reliable = Some((config.tick, ReliableLink::new(config.retry.clone(), seed)));
+    }
+
+    fn lookup(&mut self, name: &HostName) -> Option<NodeId> {
+        self.dir_cache.lookup(&self.directory, name)
+    }
+
+    /// The actor's `on_start`, which a node coming back up runs again:
+    /// announces wire v2 on every edge in `peers` (each upgrades
+    /// independently when its hello-ack comes back) and starts the
+    /// retransmission poll. A flush timer that came due while the node
+    /// was down is lost, so the armed flag is forgotten and the timer
+    /// set again when anything is still buffered.
+    fn start<'a>(
+        &mut self,
+        ctx: &mut Ctx<'_, SysMessage>,
+        peers: impl IntoIterator<Item = &'a HostName>,
+    ) {
+        for peer in peers {
+            self.hello(ctx, peer);
+        }
+        if let Some((tick, _)) = &self.reliable {
+            ctx.set_timer(*tick, RELIABLE_TAG);
+        }
+        self.wire.timer_armed = false;
+        self.wire.arm_flush(ctx);
+    }
+
+    /// Announces wire v2 on one edge (no-op for v1 configurations).
+    fn hello(&mut self, ctx: &mut Ctx<'_, SysMessage>, peer: &HostName) {
+        if self.wire.config.speaks_v2() {
+            if let Some(node) = self.lookup(peer) {
+                ctx.send(node, SysMessage::Gds(GdsMessage::Hello { version: 2 }));
+            }
+        }
+    }
+
+    /// The transport's share of an arriving frame — the one place the
+    /// GDS carriers are taken apart. Data envelopes are acknowledged,
+    /// acks and nacks feed the retransmission queue, hellos this host
+    /// accepts are recorded and answered; what is left is the state
+    /// machine's.
+    fn receive(
+        &mut self,
+        ctx: &mut Ctx<'_, SysMessage>,
+        from: NodeId,
+        msg: SysMessage,
+    ) -> Received {
+        let msg = match msg {
+            SysMessage::Gds(m) | SysMessage::GdsBin(m) => m,
+            SysMessage::RelGds(rel) => match self.open(ctx, from, rel, WireFormat::Xml) {
+                Some(m) => m,
+                None => return Received::Consumed,
+            },
+            SysMessage::RelGdsBin(rel) => match self.open(ctx, from, rel, WireFormat::Binary) {
+                Some(m) => m,
+                None => return Received::Consumed,
+            },
+            SysMessage::Gs(m) => return Received::Gs(m),
+        };
+        // Version negotiation terminates here. A hello this host does
+        // not accept (it is configured for v1) goes on to the state
+        // machine, which ignores the tag — a legacy peer that never
+        // upgrades.
+        match msg {
+            GdsMessage::Hello { version } if self.wire.accepts(version) => {
+                self.wire.record_peer_v2(from);
+                self.send(ctx, from, GdsMessage::HelloAck { version: 2 });
+                Received::Consumed
+            }
+            GdsMessage::HelloAck { version } if self.wire.accepts(version) => {
+                self.wire.record_peer_v2(from);
+                Received::Consumed
+            }
+            msg => Received::Gds(msg),
+        }
+    }
+
+    /// Opens a reliable envelope arriving in `fmt`: the data it carries,
+    /// acknowledged; nothing for an ack or a nack, which feed the
+    /// retransmission queue.
+    fn open(
+        &mut self,
+        ctx: &mut Ctx<'_, SysMessage>,
+        from: NodeId,
+        rel: Reliable<GdsMessage>,
+        fmt: WireFormat,
+    ) -> Option<GdsMessage> {
+        match rel {
+            Reliable::Data { seq, payload } => {
+                // Always ack, even a redelivery, in the format the data
+                // arrived in: handling is idempotent (duplicate
+                // suppression at nodes and servers), and the ack is
+                // what stops the sender.
+                ctx.count(metric::NET_ACKS, 1);
+                ctx.send(from, rel_frame(fmt, Reliable::Ack { seq }));
+                Some(payload)
+            }
+            Reliable::Ack { seq } => {
+                if let Some((_, link)) = &mut self.reliable {
+                    link.ack(seq);
+                }
+                None
+            }
+            Reliable::Nack { seq } => {
+                if let Some((_, link)) = &mut self.reliable {
+                    link.nack(seq);
+                }
+                None
+            }
+        }
+    }
+
+    /// A node's name, from the lock-free directory snapshot.
+    fn name_of(&mut self, node: NodeId) -> HostName {
+        self.dir_cache
+            .name_of(&self.directory, node)
+            .cloned()
+            .unwrap_or_else(|| HostName::new(format!("unknown-{node}")))
+    }
+
+    /// Sends one GDS message on an edge: liveness and negotiation
+    /// frames plain, everything else through the batcher and, when
+    /// enabled, the reliable envelope.
+    fn send(&mut self, ctx: &mut Ctx<'_, SysMessage>, node: NodeId, msg: GdsMessage) {
+        if rides_plain(&msg) {
+            ctx.send(node, data_frame(self.wire.fmt_for(node), msg));
+        } else {
+            let link = self.reliable.as_mut().map(|(_, l)| l);
+            self.wire.dispatch(ctx, node, msg, link);
+        }
+    }
+
+    /// The two timers the transport owns; any other tag is not its.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
+        match tag {
+            RELIABLE_TAG => {
+                if let Some((tick, link)) = &mut self.reliable {
+                    let dead = link.poll(ctx);
+                    if !dead.is_empty() {
+                        ctx.count("gds.dead_letter", dead.len() as u64);
+                    }
+                    ctx.set_timer(*tick, RELIABLE_TAG);
+                }
+            }
+            BATCH_TAG => {
+                let link = self.reliable.as_mut().map(|(_, l)| l);
+                self.wire.flush_all(ctx, link);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// The simulation actor wrapping an [`AlertingCore`].
 #[derive(Debug)]
 pub struct AlertingActor {
     core: AlertingCore,
-    directory: Directory,
-    dir_cache: DirectoryCache,
+    edge: EdgeTransport,
     tick: SimDuration,
-    /// Locally-initiated distributed fetches that completed (drained by
+    /// Locally-initiated distributed fetches that completed (taken by
     /// the [`System`](crate::System) driver).
     pub completed_fetches: Vec<(gsa_greenstone::RequestId, gsa_greenstone::server::FetchResult)>,
     /// Locally-initiated distributed searches that completed.
     pub completed_searches: Vec<(gsa_greenstone::RequestId, gsa_greenstone::server::SearchResult)>,
     /// Naming-service answers that arrived.
     pub resolved: Vec<(gsa_gds::ResolveToken, Option<HostName>)>,
-    reliability: Option<(ReliabilityConfig, ReliableLink)>,
-    wire: WireLink,
 }
 
 impl AlertingActor {
@@ -514,14 +688,11 @@ impl AlertingActor {
     pub fn new(core: AlertingCore, directory: Directory, tick: SimDuration) -> Self {
         AlertingActor {
             core,
-            directory,
-            dir_cache: DirectoryCache::default(),
+            edge: EdgeTransport::new(directory),
             tick,
             completed_fetches: Vec::new(),
             completed_searches: Vec::new(),
             resolved: Vec::new(),
-            reliability: None,
-            wire: WireLink::new(WireConfig::default()),
         }
     }
 
@@ -529,14 +700,13 @@ impl AlertingActor {
     /// (registration, publishes, resolves). `seed` derives the
     /// retransmission jitter.
     pub fn enable_reliability(&mut self, config: ReliabilityConfig, seed: u64) {
-        let link = ReliableLink::new(config.retry.clone(), seed);
-        self.reliability = Some((config, link));
+        self.edge.enable_reliability(&config, seed);
     }
 
     /// Sets the wire-protocol configuration (format version,
     /// batching). Takes effect from the next hello exchange.
     pub fn set_wire(&mut self, config: WireConfig) {
-        self.wire = WireLink::new(config);
+        self.edge.wire = WireLink::new(config);
     }
 
     /// The wrapped core.
@@ -575,9 +745,6 @@ impl AlertingActor {
             if counters.probe_passed > 0 {
                 ctx.count(metric::CORE_PROBE_PASS, counters.probe_passed);
             }
-            if counters.mirrored_docs > 0 {
-                ctx.count(metric::CORE_MIRRORED_DOCS, counters.mirrored_docs);
-            }
             if counters.journal_appends > 0 {
                 ctx.count(metric::STATE_JOURNAL_APPENDS, counters.journal_appends);
             }
@@ -613,16 +780,12 @@ impl AlertingActor {
         self.completed_searches.extend(effects.searches);
         self.resolved.extend(effects.resolved);
         for (to, msg) in effects.outbound {
-            let Some(node) = self.dir_cache.lookup(&self.directory, &to) else {
+            let Some(node) = self.edge.lookup(&to) else {
                 ctx.count("alert.unknown_host", 1);
                 continue;
             };
             match msg {
-                SysMessage::Gds(m) if !rides_plain(&m) => {
-                    let link = self.reliability.as_mut().map(|(_, l)| l);
-                    self.wire.dispatch(ctx, node, m, link);
-                }
-                SysMessage::Gds(m) => ctx.send(node, data_frame(self.wire.fmt_for(node), m)),
+                SysMessage::Gds(m) => self.edge.send(ctx, node, m),
                 msg => ctx.send(node, msg),
             }
         }
@@ -633,110 +796,40 @@ impl Actor<SysMessage> for AlertingActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let effects = self.core.startup(ctx.now());
         self.apply(effects, ctx);
-        // Announce wire v2 to this host's directory node; the edge
-        // upgrades when (if) the hello-ack comes back.
-        if let Some(hello) = self.wire.hello() {
-            if let Some(node) = self.directory.lookup(self.core.gds_server()) {
-                ctx.send(node, SysMessage::Gds(hello));
-            }
-        }
+        // The one edge of a server is the one to its directory node.
+        self.edge.start(ctx, [self.core.gds_server()]);
         ctx.set_timer(self.tick, TICK_TAG);
-        if let Some((config, _)) = &self.reliability {
-            ctx.set_timer(config.tick, RELIABLE_TAG);
-        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, msg: SysMessage) {
-        let msg = match msg {
-            SysMessage::RelGds(Reliable::Data { seq, payload }) => {
-                // Always ack, even a redelivery: processing below is
-                // idempotent, and the ack is what stops the sender.
-                send_ack(ctx, from, seq, WireFormat::Xml);
-                SysMessage::Gds(payload)
-            }
-            SysMessage::RelGdsBin(Reliable::Data { seq, payload }) => {
-                send_ack(ctx, from, seq, WireFormat::Binary);
-                SysMessage::Gds(payload)
-            }
-            SysMessage::RelGds(rel) | SysMessage::RelGdsBin(rel) => {
-                if let Some((_, link)) = &mut self.reliability {
-                    match rel {
-                        Reliable::Ack { seq } => link.ack(seq),
-                        Reliable::Nack { seq } => link.nack(seq),
-                        Reliable::Data { .. } => unreachable!("handled above"),
-                    }
-                }
-                return;
-            }
-            SysMessage::GdsBin(m) => SysMessage::Gds(m),
-            other => other,
+        let msg = match self.edge.receive(ctx, from, msg) {
+            Received::Gds(m) => SysMessage::Gds(m),
+            Received::Gs(m) => SysMessage::Gs(m),
+            Received::Consumed => return,
         };
-        // Version negotiation terminates at the actor layer.
-        match &msg {
-            SysMessage::Gds(GdsMessage::Hello { version }) => {
-                if self.wire.accepts(*version) {
-                    self.wire.record_peer_v2(from);
-                    ctx.send(from, SysMessage::Gds(GdsMessage::HelloAck { version: 2 }));
-                }
-                return;
-            }
-            SysMessage::Gds(GdsMessage::HelloAck { version }) => {
-                if self.wire.accepts(*version) {
-                    self.wire.record_peer_v2(from);
-                }
-                return;
-            }
-            _ => {}
-        }
-        let from_host = self
-            .directory
-            .name_of(from)
-            .unwrap_or_else(|| HostName::new(format!("unknown-{from}")));
-        // A batch from the directory node drains through one core call:
-        // accept, probe and mirror run per item in arrival order, then a
-        // single filter pass matches every surviving event. Effects (and
-        // hence notification order, counters and outbound sends) are
-        // exactly what per-item frames would have produced.
-        if let SysMessage::Gds(GdsMessage::Batch(items)) = msg {
-            let effects = self.core.handle_gds_batch(items, ctx.now());
-            self.apply(effects, ctx);
-            return;
-        }
+        let from_host = self.edge.name_of(from);
         let effects = self.core.handle_message(&from_host, msg, ctx.now());
         self.apply(effects, ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, _timer: TimerId, tag: u64) {
-        match tag {
-            TICK_TAG => {
-                let effects = self.core.on_tick(ctx.now());
-                self.apply(effects, ctx);
-                ctx.set_timer(self.tick, TICK_TAG);
-            }
-            RELIABLE_TAG => {
-                if let Some((config, link)) = &mut self.reliability {
-                    let dead = link.poll(ctx);
-                    if !dead.is_empty() {
-                        ctx.count("gds.dead_letter", dead.len() as u64);
-                    }
-                    ctx.set_timer(config.tick, RELIABLE_TAG);
-                }
-            }
-            BATCH_TAG => {
-                let link = self.reliability.as_mut().map(|(_, l)| l);
-                self.wire.flush_all(ctx, link);
-            }
-            _ => {}
+        if tag == TICK_TAG {
+            let effects = self.core.on_tick(ctx.now());
+            self.apply(effects, ctx);
+            ctx.set_timer(self.tick, TICK_TAG);
+        } else {
+            self.edge.on_timer(ctx, tag);
         }
     }
 }
 
-/// The failure-detector and retransmission state of one reliable
-/// [`GdsActor`].
+/// The heartbeat failure detector of one reliable [`GdsActor`].
 #[derive(Debug)]
-struct GdsReliability {
-    config: ReliabilityConfig,
-    link: ReliableLink,
+struct FailureDetector {
+    /// How often the node pings its parent.
+    interval: SimDuration,
+    /// Consecutive unanswered heartbeats that declare the parent dead.
+    max_misses: u32,
     /// The fallback attachment point recorded at join time (the
     /// grandparent); consumed by one re-parenting.
     grandparent: Option<HostName>,
@@ -750,10 +843,8 @@ struct GdsReliability {
 #[derive(Debug)]
 pub struct GdsActor {
     node: GdsNode,
-    directory: Directory,
-    dir_cache: DirectoryCache,
-    reliability: Option<GdsReliability>,
-    wire: WireLink,
+    edge: EdgeTransport,
+    detector: Option<FailureDetector>,
     /// Reused effects buffer for the per-message hot path; capacity
     /// survives between frames so steady-state handling allocates
     /// nothing.
@@ -768,10 +859,8 @@ impl GdsActor {
     pub fn new(node: GdsNode, directory: Directory) -> Self {
         GdsActor {
             node,
-            directory,
-            dir_cache: DirectoryCache::default(),
-            reliability: None,
-            wire: WireLink::new(WireConfig::default()),
+            edge: EdgeTransport::new(directory),
+            detector: None,
             scratch: GdsEffects::default(),
             announce_armed: false,
         }
@@ -781,7 +870,7 @@ impl GdsActor {
     /// flood payloads at the origin (encode-once forwarding).
     pub fn set_wire(&mut self, config: WireConfig) {
         self.node.set_encode_once(config.speaks_v2());
-        self.wire = WireLink::new(config);
+        self.edge.wire = WireLink::new(config);
     }
 
     /// Enables subscription-aware flood pruning on the wrapped node.
@@ -809,10 +898,10 @@ impl GdsActor {
         grandparent: Option<HostName>,
         seed: u64,
     ) {
-        let link = ReliableLink::new(config.retry.clone(), seed);
-        self.reliability = Some(GdsReliability {
-            config,
-            link,
+        self.edge.enable_reliability(&config, seed);
+        self.detector = Some(FailureDetector {
+            interval: config.heartbeat_interval,
+            max_misses: config.heartbeat_misses,
             grandparent,
             heartbeat_pending: false,
             misses: 0,
@@ -846,69 +935,52 @@ impl GdsActor {
         if counters.rendezvous_grants > 0 {
             ctx.count(metric::GDS_RENDEZVOUS_GRANTS, counters.rendezvous_grants);
         }
-        if self.node.announce_pending() && !self.announce_armed {
-            self.announce_armed = true;
-            ctx.set_timer(ANNOUNCE_DELAY, ANNOUNCE_TAG);
-        }
+        self.arm_announce(ctx);
         for out in effects.outbound.drain(..) {
-            let Some(node) = self.dir_cache.lookup(&self.directory, &out.to) else {
-                ctx.count("gds.unknown_host", 1);
-                continue;
-            };
-            if rides_plain(&out.msg) {
-                ctx.send(node, data_frame(self.wire.fmt_for(node), out.msg));
-            } else {
-                let link = self.reliability.as_mut().map(|r| &mut r.link);
-                self.wire.dispatch(ctx, node, out.msg, link);
+            match self.edge.lookup(&out.to) {
+                Some(node) => self.edge.send(ctx, node, out.msg),
+                None => ctx.count("gds.unknown_host", 1),
             }
         }
     }
 
-    /// Announces wire v2 on one edge (no-op for v1 configurations).
-    fn say_hello(&self, ctx: &mut Ctx<'_, SysMessage>, peer: &HostName) {
-        if let Some(hello) = self.wire.hello() {
-            if let Some(node) = self.directory.lookup(peer) {
-                ctx.send(node, SysMessage::Gds(hello));
-            }
+    /// Sets the `ANNOUNCE_TAG` timer when a deferred announcement waits
+    /// and none is outstanding.
+    fn arm_announce(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        if self.node.announce_pending() && !self.announce_armed {
+            self.announce_armed = true;
+            ctx.set_timer(ANNOUNCE_DELAY, ANNOUNCE_TAG);
         }
     }
 
     /// The heartbeat-timer body: count the silence, re-parent when the
     /// detector trips, and probe the (possibly new) parent again.
     fn heartbeat_tick(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        let interval = {
-            let Some(rel) = self.reliability.as_mut() else {
-                return;
-            };
-            if self.node.parent().is_none() {
-                return;
-            }
-            if rel.heartbeat_pending {
-                rel.misses += 1;
-            }
-            rel.config.heartbeat_interval
+        let Some(detector) = self.detector.as_mut() else {
+            return;
         };
-        let tripped = self.reliability.as_ref().is_some_and(|r| {
-            r.misses >= r.config.heartbeat_misses && r.grandparent.is_some()
-        });
-        if tripped {
+        if self.node.parent().is_none() {
+            return;
+        }
+        if detector.heartbeat_pending {
+            detector.misses += 1;
+        }
+        let interval = detector.interval;
+        if detector.misses >= detector.max_misses && detector.grandparent.is_some() {
             self.reparent(ctx);
         }
-        if let Some(parent) = self.node.parent().cloned() {
-            if let Some(node) = self.directory.lookup(&parent) {
-                ctx.send(
-                    node,
-                    data_frame(self.wire.fmt_for(node), GdsMessage::Heartbeat),
-                );
+        if let Some(parent) = self.node.parent() {
+            if let Some(node) = self.edge.lookup(parent) {
+                self.edge.send(ctx, node, GdsMessage::Heartbeat);
                 // A hello can be lost (it rides plain); piggyback a
                 // fresh announcement on the heartbeat cadence until the
                 // edge upgrades.
-                if self.wire.fmt_for(node) == WireFormat::Xml {
-                    self.say_hello(ctx, &parent);
+                if self.edge.wire.fmt_for(node) == WireFormat::Xml {
+                    self.edge.hello(ctx, parent);
                 }
             }
-            if let Some(rel) = self.reliability.as_mut() {
-                rel.heartbeat_pending = true;
+            if let Some(detector) = self.detector.as_mut() {
+                detector.heartbeat_pending = true;
             }
         }
         // Piggyback a summary re-announcement on the heartbeat cadence:
@@ -928,19 +1000,16 @@ impl GdsActor {
     /// detach is also reliable — it reaches the old parent when (if) it
     /// heals, at which point it stops routing through a stale edge.
     fn reparent(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        let Some(new_parent) = self
-            .reliability
-            .as_mut()
-            .and_then(|rel| rel.grandparent.take())
-        else {
+        let Some(detector) = self.detector.as_mut() else {
             return;
         };
+        let Some(new_parent) = detector.grandparent.take() else {
+            return;
+        };
+        detector.misses = 0;
+        detector.heartbeat_pending = false;
         let old_parent = self.node.parent().cloned();
         ctx.count(metric::GDS_REPARENT, 1);
-        if let Some(rel) = self.reliability.as_mut() {
-            rel.misses = 0;
-            rel.heartbeat_pending = false;
-        }
         self.node.set_parent(Some(new_parent.clone()));
         let me = self.node.name().clone();
         let mut effects = GdsEffects::default();
@@ -969,95 +1038,44 @@ impl GdsActor {
         self.apply(&mut effects, ctx);
         // The new parent is an unknown quantity: renegotiate the edge
         // from the XML-safe default.
-        self.say_hello(ctx, &new_parent);
+        self.edge.hello(ctx, &new_parent);
     }
 }
 
 impl Actor<SysMessage> for GdsActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        // Announce wire v2 on every tree edge; each one upgrades
-        // independently when its hello-ack comes back.
-        let neighbours: Vec<HostName> = self
-            .node
-            .parent()
-            .into_iter()
-            .chain(self.node.children())
-            .cloned()
-            .collect();
-        for peer in &neighbours {
-            self.say_hello(ctx, peer);
-        }
-        if let Some(rel) = &self.reliability {
-            ctx.set_timer(rel.config.tick, RELIABLE_TAG);
+        // Every tree edge is negotiated.
+        self.edge
+            .start(ctx, self.node.parent().into_iter().chain(self.node.children()));
+        if let Some(detector) = &self.detector {
             if self.node.parent().is_some() {
-                ctx.set_timer(rel.config.heartbeat_interval, HEARTBEAT_TAG);
+                ctx.set_timer(detector.interval, HEARTBEAT_TAG);
             }
         }
+        // As for the transport's flush timer: an announce timer that
+        // came due while the node was down is gone, and the aggregate
+        // it was to announce is still dirty.
+        self.announce_armed = false;
+        self.arm_announce(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, msg: SysMessage) {
-        let msg = match msg {
-            SysMessage::Gds(m) => m,
-            SysMessage::GdsBin(m) => m,
-            SysMessage::RelGds(Reliable::Data { seq, payload }) => {
-                // Ack first, even for a redelivery — the directory's
-                // duplicate suppression makes reprocessing harmless,
-                // and the ack is what silences the sender.
-                send_ack(ctx, from, seq, WireFormat::Xml);
-                payload
-            }
-            SysMessage::RelGdsBin(Reliable::Data { seq, payload }) => {
-                send_ack(ctx, from, seq, WireFormat::Binary);
-                payload
-            }
-            SysMessage::RelGds(rel) | SysMessage::RelGdsBin(rel) => {
-                if let Some(r) = &mut self.reliability {
-                    match rel {
-                        Reliable::Ack { seq } => r.link.ack(seq),
-                        Reliable::Nack { seq } => r.link.nack(seq),
-                        Reliable::Data { .. } => unreachable!("handled above"),
-                    }
-                }
-                return;
-            }
-            _ => {
+        let msg = match self.edge.receive(ctx, from, msg) {
+            Received::Gds(m) => m,
+            Received::Gs(_) => {
                 ctx.count("gds.non_gds_message", 1);
                 return;
             }
+            Received::Consumed => return,
         };
         if matches!(msg, GdsMessage::HeartbeatAck) {
-            if let Some(rel) = &mut self.reliability {
-                rel.heartbeat_pending = false;
-                rel.misses = 0;
+            if let Some(detector) = &mut self.detector {
+                detector.heartbeat_pending = false;
+                detector.misses = 0;
             }
             return;
         }
-        // Version negotiation terminates at the actor layer. A host
-        // configured for v1 falls through to the node, which ignores
-        // the tags — modelling a legacy peer that never upgrades.
-        match msg {
-            GdsMessage::Hello { version } if self.wire.accepts(version) => {
-                self.wire.record_peer_v2(from);
-                ctx.send(
-                    from,
-                    data_frame(
-                        self.wire.fmt_for(from),
-                        GdsMessage::HelloAck { version: 2 },
-                    ),
-                );
-                return;
-            }
-            GdsMessage::HelloAck { version } if self.wire.accepts(version) => {
-                self.wire.record_peer_v2(from);
-                return;
-            }
-            _ => {}
-        }
-        let from_host = self
-            .dir_cache
-            .name_of(&self.directory, from)
-            .cloned()
-            .unwrap_or_else(|| HostName::new(format!("unknown-{from}")));
+        let from_host = self.edge.name_of(from);
         ctx.count_id(CounterId::GDS_MESSAGES, 1);
         if let GdsMessage::Batch(ref items) = msg {
             ctx.count(metric::WIRE_BATCH_RECEIVED, items.len() as u64);
@@ -1073,20 +1091,7 @@ impl Actor<SysMessage> for GdsActor {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, _timer: TimerId, tag: u64) {
         match tag {
-            RELIABLE_TAG => {
-                if let Some(rel) = &mut self.reliability {
-                    let dead = rel.link.poll(ctx);
-                    if !dead.is_empty() {
-                        ctx.count("gds.dead_letter", dead.len() as u64);
-                    }
-                    ctx.set_timer(rel.config.tick, RELIABLE_TAG);
-                }
-            }
             HEARTBEAT_TAG => self.heartbeat_tick(ctx),
-            BATCH_TAG => {
-                let link = self.reliability.as_mut().map(|r| &mut r.link);
-                self.wire.flush_all(ctx, link);
-            }
             ANNOUNCE_TAG => {
                 self.announce_armed = false;
                 if let Some(out) = self.node.flush_deferred_announcement() {
@@ -1097,7 +1102,7 @@ impl Actor<SysMessage> for GdsActor {
                     self.scratch = effects;
                 }
             }
-            _ => {}
+            tag => self.edge.on_timer(ctx, tag),
         }
     }
 }
@@ -1112,9 +1117,7 @@ mod tests {
         assert!(d.is_empty());
         d.insert("Hamilton".into(), NodeId::from_raw(3));
         assert_eq!(d.lookup(&"Hamilton".into()), Some(NodeId::from_raw(3)));
-        assert_eq!(d.name_of(NodeId::from_raw(3)), Some(HostName::new("Hamilton")));
         assert_eq!(d.lookup(&"X".into()), None);
-        assert_eq!(d.name_of(NodeId::from_raw(9)), None);
         assert_eq!(d.len(), 1);
     }
 

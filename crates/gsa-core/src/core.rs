@@ -24,7 +24,7 @@ use gsa_types::{
     SimDuration, SimTime,
 };
 use gsa_wire::reliable::{Reliable, RetryPolicy};
-use gsa_wire::{InterestSummary, Payload};
+use gsa_wire::InterestSummary;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -108,9 +108,6 @@ pub struct CoreCounters {
     /// Deliveries the probe passed through to the full decode + match
     /// path (candidate postings, or conservative pass-through).
     pub probe_passed: u64,
-    /// Documents mirrored into local super-collection stores from
-    /// delivered events (mirror ingest only).
-    pub mirrored_docs: u64,
     /// Records appended to the durable state journal (journal backend
     /// only; always zero for the default in-memory store).
     pub journal_appends: u64,
@@ -186,11 +183,6 @@ pub struct AlertingCore {
     /// some profile could match. Semantics-preserving either way; off
     /// exists for A/B measurement (decode-always).
     probe: bool,
-    /// When true, delivered events whose origin is a sub-collection of a
-    /// local collection also feed that collection's document store
-    /// (format-native replica ingest). Off by default: purely local
-    /// state, no extra messages.
-    mirror_ingest: bool,
     /// Delivery-path counters since the last [`take_counters`](Self::take_counters).
     counters: CoreCounters,
     /// The durable state backend. The default [`MemoryStateStore`]
@@ -249,7 +241,6 @@ impl AlertingCore {
             pruning: false,
             last_summary: None,
             probe: true,
-            mirror_ingest: false,
             counters: CoreCounters::default(),
             store: Box::new(MemoryStateStore),
             recovery_pending: false,
@@ -271,13 +262,6 @@ impl AlertingCore {
     /// decode-always baseline.
     pub fn set_probe(&mut self, enabled: bool) {
         self.probe = enabled;
-    }
-
-    /// Enables mirror ingest: delivered events whose origin is a
-    /// sub-collection target of a local collection feed that
-    /// collection's document store directly (off by default).
-    pub fn set_mirror_ingest(&mut self, enabled: bool) {
-        self.mirror_ingest = enabled;
     }
 
     /// Installs (or removes, with `None`) the stateful alert-lifecycle
@@ -347,37 +331,36 @@ impl AlertingCore {
         }
     }
 
-    /// Runs freshly matched notifications through the policy pipeline:
-    /// admitted ones are queued in their client mailboxes and pushed to
-    /// `effects`; suppressed and throttled ones are dropped everywhere;
-    /// digested ones wait in the engine for the next flush. Only called
-    /// when an engine is installed.
-    fn admit_notifications(
-        &mut self,
-        produced: Vec<Notification>,
-        now: SimTime,
-        effects: &mut CoreEffects,
-    ) {
-        for n in produced {
-            let Some(engine) = self.alerts.as_mut() else {
-                // Engine removed mid-loop is impossible; defensive only.
-                self.subs.queue_notification(&n);
-                effects.notifications.push(n);
-                continue;
-            };
-            let fp = fingerprint_of(engine.config(), &n);
-            let digest_key = n.event.origin.to_string();
-            match engine.observe(fp, &digest_key, n.clone(), now) {
-                AlertOutcome::Deliver => {
-                    self.subs.queue_notification(&n);
-                    effects.notifications.push(n);
+    /// Matches one event against the local profiles and delivers what
+    /// is admitted — the one step of §4.2 ("each server filters locally
+    /// and notifies its own clients"), for events built here and events
+    /// arriving over the GDS alike. Without a policy engine every match
+    /// is admitted, the paper's fire-and-forget behaviour; with one the
+    /// engine decides per notification: suppressed and throttled ones
+    /// are dropped everywhere, digested ones wait in the engine for the
+    /// flush in [`on_tick`](Self::on_tick).
+    fn notify(&mut self, event: &Arc<Event>, now: SimTime, effects: &mut CoreEffects) {
+        for n in self.subs.match_event(event, now) {
+            let admitted = match self.alerts.as_mut() {
+                None => true,
+                Some(engine) => {
+                    let fp = fingerprint_of(engine.config(), &n);
+                    let digest_key = n.event.origin.to_string();
+                    engine.observe(fp, &digest_key, n.clone(), now) == AlertOutcome::Deliver
                 }
-                AlertOutcome::Suppressed
-                | AlertOutcome::Throttled
-                | AlertOutcome::Digested => {}
+            };
+            if admitted {
+                self.deliver(n, effects);
             }
         }
         self.persist_alert_transitions();
+    }
+
+    /// Hands one admitted notification to its client: into the mailbox
+    /// and into the effects, the only way into either.
+    fn deliver(&mut self, n: Notification, effects: &mut CoreEffects) {
+        self.subs.queue_notification(&n);
+        effects.notifications.push(n);
     }
 
     /// Replaces the durable state backend (the default in-memory store
@@ -892,17 +875,8 @@ impl AlertingCore {
         }
         let event = Arc::new(event);
 
-        // 1. Local filtering (through the policy pipeline when one is
-        // installed; the engine-less path is byte-identical to the
-        // paper's fire-and-forget behaviour).
-        if self.alerts.is_some() {
-            let produced = self.subs.filter_event_unqueued(&event, now);
-            self.admit_notifications(produced, now, effects);
-        } else {
-            effects
-                .notifications
-                .extend(self.subs.filter_event(&event, now));
-        }
+        // 1. Local filtering.
+        self.notify(&event, now, effects);
 
         // 2. GDS broadcast.
         if broadcast {
@@ -1041,197 +1015,47 @@ impl AlertingCore {
         }
     }
 
+    /// The one delivery routine: every item of a frame — the message
+    /// itself, or the messages of a wire batch in arrival order — goes
+    /// through accept → probe → decode → [`notify`](Self::notify), so a
+    /// batch produces exactly the notifications, mailboxes and counters
+    /// its items would have produced as frames of their own.
     fn handle_gds(&mut self, msg: GdsMessage, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        if let GdsMessage::Batch(items) = msg {
-            return self.handle_gds_batch(items, now);
-        }
-        if let GdsMessage::ResolveResponse { token, result, .. } = &msg {
-            effects.resolved.push((*token, result.clone()));
-            return effects;
-        }
-        if let Some((_origin, payload)) = self.gds.accept(&msg) {
+        let items = match &msg {
+            GdsMessage::Batch(items) => items.as_slice(),
+            one => std::slice::from_ref(one),
+        };
+        for msg in items {
+            if let GdsMessage::ResolveResponse { token, result, .. } = msg {
+                effects.resolved.push((*token, result.clone()));
+                continue;
+            }
+            let Some((_origin, payload)) = self.gds.accept(msg) else {
+                continue;
+            };
             // Pre-filter: the attribute probe scans the frozen binary
             // encoding in place. `false` is a proof that no stored
             // profile matches, so the common non-matching delivery costs
             // read-only index probes — no Event, no XML tree. XML
             // payloads and probe errors fall through to decode-always.
-            let mut probe_rejected = false;
             if self.probe {
                 if let Some(mut probe) = payload.probe_event() {
-                    if self.subs.could_match_probe(&mut probe) {
-                        self.counters.probe_passed += 1;
-                    } else {
+                    if !self.subs.could_match_probe(&mut probe) {
                         self.counters.probe_skipped += 1;
-                        probe_rejected = true;
+                        continue;
                     }
+                    self.counters.probe_passed += 1;
                 }
             }
-            let mut decoded = None;
-            if !probe_rejected {
-                // Lazy decode: a frozen binary payload deserialises
-                // through the native event codec here, at filter time.
-                match payload.decode_event() {
-                    Ok(event) => decoded = Some(Arc::new(event)),
-                    Err(_) => self.counters.decode_errors += 1,
-                }
-            }
-            if let Some(event) = &decoded {
-                if self.alerts.is_some() {
-                    let produced = self.subs.filter_event_unqueued(event, now);
-                    self.admit_notifications(produced, now, &mut effects);
-                } else {
-                    effects
-                        .notifications
-                        .extend(self.subs.filter_event(event, now));
-                }
-            }
-            if self.mirror_ingest {
-                self.mirror_delivery(&payload, decoded.as_deref());
+            // Lazy decode: a frozen binary payload deserialises through
+            // the native event codec here, at filter time.
+            match payload.decode_event() {
+                Ok(event) => self.notify(&Arc::new(event), now, &mut effects),
+                Err(_) => self.counters.decode_errors += 1,
             }
         }
         effects
-    }
-
-    /// Handles a wire-batched run of GDS messages through one filter
-    /// pass.
-    ///
-    /// Accept, probe, decode and mirror run per item in arrival order,
-    /// exactly as unbatching into [`handle_message`](Self::handle_message)
-    /// calls would; only the profile match is deferred, so every event
-    /// that survives the probe crosses the subscription manager in a
-    /// single batched call. Notifications come back in the same (event,
-    /// ascending-profile) order either way.
-    pub fn handle_gds_batch(&mut self, items: Vec<GdsMessage>, now: SimTime) -> CoreEffects {
-        let mut effects = CoreEffects::default();
-        let mut batch: Vec<Arc<Event>> = Vec::with_capacity(items.len());
-        for msg in items {
-            if let GdsMessage::ResolveResponse { token, result, .. } = &msg {
-                effects.resolved.push((*token, result.clone()));
-                continue;
-            }
-            let Some((_origin, payload)) = self.gds.accept(&msg) else {
-                continue;
-            };
-            let mut probe_rejected = false;
-            if self.probe {
-                if let Some(mut probe) = payload.probe_event() {
-                    if self.subs.could_match_probe(&mut probe) {
-                        self.counters.probe_passed += 1;
-                    } else {
-                        self.counters.probe_skipped += 1;
-                        probe_rejected = true;
-                    }
-                }
-            }
-            let mut decoded = None;
-            if !probe_rejected {
-                match payload.decode_event() {
-                    Ok(event) => decoded = Some(Arc::new(event)),
-                    Err(_) => self.counters.decode_errors += 1,
-                }
-            }
-            if self.mirror_ingest {
-                self.mirror_delivery(&payload, decoded.as_deref());
-            }
-            if let Some(event) = decoded {
-                batch.push(event);
-            }
-        }
-        if !batch.is_empty() {
-            if self.alerts.is_some() {
-                let produced = self.subs.filter_events_unqueued(&batch, now);
-                self.admit_notifications(produced, now, &mut effects);
-            } else {
-                effects
-                    .notifications
-                    .extend(self.subs.filter_events(&batch, now));
-            }
-        }
-        effects
-    }
-
-    /// Mirrors a delivered event's documents into every local collection
-    /// that lists the event's origin among its sub-collections. Frozen
-    /// binary payloads feed the stores through borrowed probe views; an
-    /// XML payload reuses the event the filter path already decoded.
-    fn mirror_delivery(&mut self, payload: &Payload, decoded: Option<&Event>) {
-        if let Some(mut probe) = payload.probe_event() {
-            let targets = self.mirror_targets(probe.origin_host(), probe.origin_name());
-            if targets.is_empty() {
-                return;
-            }
-            match probe.kind() {
-                EventKind::CollectionDeleted => {}
-                EventKind::DocumentsRemoved => {
-                    while let Ok(Some(doc)) = probe.next_doc() {
-                        for name in &targets {
-                            if let Some(c) = self.server.collection_mut(name) {
-                                c.evict_doc(doc.id());
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    while let Ok(Some(doc)) = probe.next_doc() {
-                        for name in &targets {
-                            if let Some(c) = self.server.collection_mut(name) {
-                                c.ingest_doc_parts(doc.id(), doc.metadata(), doc.excerpt());
-                            }
-                        }
-                        self.counters.mirrored_docs += 1;
-                    }
-                }
-            }
-        } else if let Some(event) = decoded {
-            let targets = self.mirror_targets(
-                event.origin.host().as_str(),
-                event.origin.name().as_str(),
-            );
-            if targets.is_empty() {
-                return;
-            }
-            match event.kind {
-                EventKind::CollectionDeleted => {}
-                EventKind::DocumentsRemoved => {
-                    for doc in &event.docs {
-                        for name in &targets {
-                            if let Some(c) = self.server.collection_mut(name) {
-                                c.evict_doc(doc.doc.as_str());
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    for doc in &event.docs {
-                        for name in &targets {
-                            if let Some(c) = self.server.collection_mut(name) {
-                                c.ingest_doc_parts(
-                                    doc.doc.as_str(),
-                                    doc.metadata.iter_flat().map(|(k, v)| (k.as_str(), v)),
-                                    &doc.excerpt,
-                                );
-                            }
-                        }
-                        self.counters.mirrored_docs += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Local collections that list `host.name` among their
-    /// sub-collection targets.
-    fn mirror_targets(&self, host: &str, name: &str) -> Vec<CollectionName> {
-        self.server
-            .collections()
-            .filter(|c| {
-                c.config().subcollections.iter().any(|s| {
-                    s.target.host().as_str() == host && s.target.name().as_str() == name
-                })
-            })
-            .map(|c| c.config().name.clone())
-            .collect()
     }
 
     fn handle_aux(&mut self, from: &HostName, payload: AuxPayload, now: SimTime) -> CoreEffects {
@@ -1353,9 +1177,10 @@ impl AlertingCore {
         if let Some(engine) = self.alerts.as_mut() {
             let tick = engine.on_tick(now);
             for (_key, batch) in tick.flushed {
+                // Admitted when they were digested: only the delivery
+                // half is left to do.
                 for n in batch {
-                    self.subs.queue_notification(&n);
-                    effects.notifications.push(n);
+                    self.deliver(n, &mut effects);
                 }
             }
             self.persist_alert_transitions();
@@ -1368,6 +1193,8 @@ impl AlertingCore {
 mod tests {
     use super::*;
     use gsa_profile::parse_profile;
+    use gsa_wire::Payload;
+    use proptest::prelude::*;
 
     fn doc(id: &str, text: &str) -> SourceDocument {
         SourceDocument::new(id, text)
@@ -2062,138 +1889,6 @@ mod tests {
         assert!(eff.notifications.is_empty());
     }
 
-    #[test]
-    fn mirror_ingest_populates_the_supercollection_store() {
-        let (mut hamilton, _london, _eff) = hamilton_london();
-        hamilton.set_mirror_ingest(true);
-        let mut meta = gsa_types::MetadataRecord::new();
-        meta.add("Title", "Waiata");
-        let docs = vec![gsa_types::DocSummary::new("e1")
-            .with_metadata(meta)
-            .with_excerpt("he waiata tenei")];
-        // Delivered over the GDS from the sub-collection's host as a
-        // frozen binary payload: the probe path must feed the store.
-        hamilton.handle_message(
-            &HostName::new("gds-4"),
-            SysMessage::Gds(binary_deliver(1, docs)),
-            SimTime::ZERO,
-        );
-        let stored = hamilton
-            .server()
-            .collection(&"D".into())
-            .unwrap()
-            .store()
-            .document(&gsa_types::DocId::new("e1"))
-            .cloned()
-            .expect("mirrored doc lands in D");
-        assert_eq!(stored.text, "he waiata tenei");
-        assert_eq!(hamilton.take_counters().mirrored_docs, 1);
-        // build_seq is untouched: mirroring is replica state, not a build.
-        assert_eq!(
-            hamilton.server().collection(&"D".into()).unwrap().build_seq(),
-            0
-        );
-
-        // A removal event evicts the mirrored doc again.
-        let event = Event::new(
-            EventId::new("London", 2),
-            CollectionId::new("London", "E"),
-            EventKind::DocumentsRemoved,
-            SimTime::ZERO,
-        )
-        .with_docs(vec![gsa_types::DocSummary::new("e1")]);
-        let bytes =
-            gsa_wire::binary::payload_bytes_from_xml(&gsa_wire::codec::event_to_xml(&event));
-        hamilton.handle_message(
-            &HostName::new("gds-4"),
-            SysMessage::Gds(GdsMessage::Deliver {
-                id: gsa_types::MessageId::from_raw(2),
-                origin: "London".into(),
-                payload: Payload::from_frozen(bytes.into()),
-            }),
-            SimTime::ZERO,
-        );
-        assert!(hamilton
-            .server()
-            .collection(&"D".into())
-            .unwrap()
-            .store()
-            .document(&gsa_types::DocId::new("e1"))
-            .is_none());
-    }
-
-    #[test]
-    fn mirror_ingest_works_on_the_xml_fallback_path() {
-        let (mut hamilton, _london, _eff) = hamilton_london();
-        hamilton.set_mirror_ingest(true);
-        let event = Event::new(
-            EventId::new("London", 1),
-            CollectionId::new("London", "E"),
-            EventKind::DocumentsAdded,
-            SimTime::ZERO,
-        )
-        .with_docs(vec![gsa_types::DocSummary::new("e9").with_excerpt("kia ora")]);
-        hamilton.handle_message(
-            &HostName::new("gds-4"),
-            SysMessage::Gds(GdsMessage::Deliver {
-                id: gsa_types::MessageId::from_raw(1),
-                origin: "London".into(),
-                payload: gsa_wire::codec::event_to_xml(&event).into(),
-            }),
-            SimTime::ZERO,
-        );
-        let stored = hamilton
-            .server()
-            .collection(&"D".into())
-            .unwrap()
-            .store()
-            .document(&gsa_types::DocId::new("e9"))
-            .cloned()
-            .expect("mirrored doc lands in D via XML decode");
-        assert_eq!(stored.text, "kia ora");
-    }
-
-    #[test]
-    fn mirror_ingest_ignores_unrelated_origins_when_disabled_or_unmatched() {
-        let (mut hamilton, _london, _eff) = hamilton_london();
-        // Disabled: nothing is mirrored even for a matching origin.
-        hamilton.handle_message(
-            &HostName::new("gds-4"),
-            SysMessage::Gds(binary_deliver(1, vec![gsa_types::DocSummary::new("e1")])),
-            SimTime::ZERO,
-        );
-        assert_eq!(hamilton.take_counters().mirrored_docs, 0);
-        // Enabled, but the origin is no sub-collection of any local
-        // collection: still nothing.
-        hamilton.set_mirror_ingest(true);
-        let event = Event::new(
-            EventId::new("Paris", 1),
-            CollectionId::new("Paris", "Z"),
-            EventKind::DocumentsAdded,
-            SimTime::ZERO,
-        )
-        .with_docs(vec![gsa_types::DocSummary::new("z1")]);
-        let bytes =
-            gsa_wire::binary::payload_bytes_from_xml(&gsa_wire::codec::event_to_xml(&event));
-        hamilton.handle_message(
-            &HostName::new("gds-4"),
-            SysMessage::Gds(GdsMessage::Deliver {
-                id: gsa_types::MessageId::from_raw(3),
-                origin: "Paris".into(),
-                payload: Payload::from_frozen(bytes.into()),
-            }),
-            SimTime::ZERO,
-        );
-        assert_eq!(hamilton.take_counters().mirrored_docs, 0);
-        assert!(hamilton
-            .server()
-            .collection(&"D".into())
-            .unwrap()
-            .store()
-            .document(&gsa_types::DocId::new("z1"))
-            .is_none());
-    }
-
     /// The summary an effect set announces, if it announces one.
     fn announced(effects: &CoreEffects) -> Option<&InterestSummary> {
         effects.outbound.iter().find_map(|(_, msg)| match msg {
@@ -2244,5 +1939,128 @@ mod tests {
         // fresh server announces too.
         assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));
         assert!(announced(&core.summary_refresh()).is_none());
+    }
+
+    /// One generated frame item: mostly deliveries, in either payload
+    /// form, sometimes a redelivery of an earlier id, an undecodable
+    /// payload or a naming-service answer.
+    fn frame_item(seq: u64, (shape, host, kind, docs, frozen): (usize, usize, usize, usize, usize)) -> GdsMessage {
+        let origin = ["London", "Paris", "Hamilton"][host];
+        let id = gsa_types::MessageId::from_raw(match shape {
+            0 => seq.saturating_sub(1),
+            _ => seq,
+        });
+        match shape {
+            1 => {
+                return GdsMessage::ResolveResponse {
+                    token: ResolveToken(seq),
+                    name: origin.into(),
+                    result: (kind > 0).then(|| "gds-2".into()),
+                }
+            }
+            2 => {
+                return GdsMessage::Deliver {
+                    id,
+                    origin: origin.into(),
+                    payload: gsa_wire::XmlElement::new("not-an-event").into(),
+                }
+            }
+            _ => {}
+        }
+        let kind = [
+            EventKind::CollectionRebuilt,
+            EventKind::DocumentsAdded,
+            EventKind::CollectionDeleted,
+        ][kind];
+        let docs = (0..docs)
+            .map(|d| {
+                let mut meta = gsa_types::MetadataRecord::new();
+                meta.add("dc.Title", format!("t{}", (seq as usize + d) % 3));
+                gsa_types::DocSummary::new(format!("d{d}"))
+                    .with_metadata(meta)
+                    .with_excerpt(["alpha beta", "gamma"][d % 2])
+            })
+            .collect();
+        let event = Event::new(
+            EventId::new(origin, seq),
+            CollectionId::new(origin, "E"),
+            kind,
+            SimTime::ZERO,
+        )
+        .with_docs(docs);
+        let mut payload = Payload::from(gsa_wire::codec::event_to_xml(&event));
+        if frozen > 0 {
+            payload.freeze();
+        }
+        GdsMessage::Deliver {
+            id,
+            origin: origin.into(),
+            payload,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A frame's items produce what they would have produced as
+        /// frames of their own: the same notifications in the same
+        /// order with the same matched documents, the same resolved
+        /// answers, the same mailboxes and the same counters — with no
+        /// policy engine, with one that only observes and with one that
+        /// suppresses, over XML and frozen payloads, with a population
+        /// the probe can reject for (equality profiles only) and one it
+        /// cannot.
+        #[test]
+        fn a_batch_is_its_items_one_by_one(
+            policy in 0usize..3,
+            profiles in 3usize..5,
+            items in prop::collection::vec(
+                (0usize..8, 0usize..3, 0usize..3, 0usize..3, 0usize..2),
+                1..9,
+            ),
+        ) {
+            let items: Vec<GdsMessage> = (1u64..)
+                .zip(items)
+                .map(|(seq, shape)| frame_item(seq, shape))
+                .collect();
+            let clients = [ClientId::from_raw(1), ClientId::from_raw(2)];
+            let run = |frames: Vec<GdsMessage>| {
+                let mut core = AlertingCore::new("A", "gds-1");
+                core.set_alert_policies([
+                    None,
+                    Some(AlertPolicyConfig::observe_only()),
+                    Some(AlertPolicyConfig::dedup_only()),
+                ][policy].clone());
+                for (n, text) in [
+                    r#"host = "London""#,
+                    r#"collection = "Paris.E" AND dc.Title = "t1""#,
+                    r#"kind = "collection-deleted""#,
+                    r#"text ? (gamma) OR doc = "d0""#,
+                ]
+                .into_iter()
+                .take(profiles)
+                .enumerate()
+                {
+                    core.subscribe(clients[n % 2], parse_profile(text).unwrap()).unwrap();
+                }
+                let mut effects = CoreEffects::default();
+                for frame in frames {
+                    effects.extend(core.handle_message(
+                        &HostName::new("gds-1"),
+                        SysMessage::Gds(frame),
+                        SimTime::from_secs(1),
+                    ));
+                }
+                let mailboxes = clients.map(|c| core.take_notifications(c));
+                (effects, mailboxes, core.take_counters())
+            };
+            let one_by_one = run(items.clone());
+            let batched = run(vec![GdsMessage::Batch(items)]);
+            prop_assert_eq!(&one_by_one, &batched);
+            // The mailboxes hold what the effects report, nothing else.
+            let (effects, mailboxes, _) = one_by_one;
+            let queued: usize = mailboxes.iter().map(Vec::len).sum();
+            prop_assert_eq!(queued, effects.notifications.len());
+        }
     }
 }

@@ -65,8 +65,7 @@ pub use gsa_alerts::{
     AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
 };
 pub use actor::{
-    AlertingActor, BatchConfig, Directory, GdsActor, ReliabilityConfig, ReliableLink, WireConfig,
-    WireVersion,
+    AlertingActor, BatchConfig, Directory, GdsActor, ReliabilityConfig, WireConfig, WireVersion,
 };
 pub use aux::{AuxProfile, AuxStore};
 pub use message::{AuxPayload, SysMessage};

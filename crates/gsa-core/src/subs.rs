@@ -253,7 +253,7 @@ impl SubscriptionManager {
     /// event: `false` proves no stored profile can match, so the caller
     /// may skip decoding entirely. `true` (including probe errors, which
     /// pass through so the decode path reports them) means "decode and
-    /// run [`filter_event`](Self::filter_event)". Shares the manager's
+    /// run [`match_event`](Self::match_event)". Shares the manager's
     /// warm [`MatchScratch`], so after warm-up a rejected event costs no
     /// heap allocation.
     pub fn could_match_probe(&mut self, probe: &mut gsa_wire::EventProbe<'_>) -> bool {
@@ -262,89 +262,36 @@ impl SubscriptionManager {
             .unwrap_or(true)
     }
 
-    /// Filters an event against every stored profile, queueing a
-    /// notification per matching profile. Returns the notifications
-    /// produced.
-    pub fn filter_event(&mut self, event: &Arc<Event>, now: SimTime) -> Vec<Notification> {
-        self.match_and_notify(std::slice::from_ref(event), now, true)
-    }
-
-    /// Like [`filter_event`](Self::filter_event) but without touching
-    /// client mailboxes: the caller decides which of the produced
-    /// notifications are actually queued (the delivery-policy layer —
-    /// a suppressed notification must not land in a mailbox either).
-    pub fn filter_event_unqueued(
-        &mut self,
-        event: &Arc<Event>,
-        now: SimTime,
-    ) -> Vec<Notification> {
-        self.match_and_notify(std::slice::from_ref(event), now, false)
-    }
-
-    /// Filters a batch of events in one pass, queueing notifications
-    /// exactly as per-event [`filter_event`](Self::filter_event) calls
-    /// would, in event order.
-    pub fn filter_events(&mut self, events: &[Arc<Event>], now: SimTime) -> Vec<Notification> {
-        self.match_and_notify(events, now, true)
-    }
-
-    /// Batch variant of [`filter_event_unqueued`](Self::filter_event_unqueued):
-    /// same match pass as [`filter_events`](Self::filter_events), no
-    /// mailbox writes.
-    pub fn filter_events_unqueued(
-        &mut self,
-        events: &[Arc<Event>],
-        now: SimTime,
-    ) -> Vec<Notification> {
-        self.match_and_notify(events, now, false)
-    }
-
-    /// The one match → notification routine behind the four `filter_*`
-    /// entry points: one match pass per event in arrival order, one
-    /// notification per matched profile in ascending id order, built
-    /// from the documents
-    /// the engine reports — the expression is not evaluated again.
-    fn match_and_notify(
-        &mut self,
-        events: &[Arc<Event>],
-        now: SimTime,
-        queue: bool,
-    ) -> Vec<Notification> {
-        let mut out = Vec::new();
-        let mut emit = |event: &Arc<Event>, hits: &[DocMatch]| {
-            for of_profile in hits.chunk_by(|a, b| a.profile == b.profile) {
+    /// Matches an event against every stored profile: one notification
+    /// per matching profile, in ascending id order, built from the
+    /// documents the engine reports — the expression is not evaluated
+    /// again. Mailboxes are not touched; the caller decides which of
+    /// the notifications are delivered
+    /// ([`queue_notification`](Self::queue_notification)).
+    pub fn match_event(&mut self, event: &Arc<Event>, now: SimTime) -> Vec<Notification> {
+        self.engine
+            .match_docs_into(event, &mut self.scratch, &mut self.hits);
+        self.hits
+            .chunk_by(|a, b| a.profile == b.profile)
+            .map(|of_profile| {
                 let profile = &self.profiles[&of_profile[0].profile];
                 // A docless event matches with no document at all.
                 let docs = of_profile.iter().filter_map(|hit| hit.doc);
                 let mut matched_docs = Vec::with_capacity(docs.clone().count());
                 matched_docs.extend(docs.map(|at| event.docs[at as usize].doc.clone()));
-                let notification = Notification {
+                Notification {
                     profile: profile.id(),
                     client: profile.owner(),
                     event: Arc::clone(event),
                     matched_docs,
                     at: now,
-                };
-                if queue {
-                    self.mailboxes
-                        .entry(notification.client)
-                        .or_default()
-                        .push(notification.clone());
                 }
-                out.push(notification);
-            }
-        };
-        for event in events {
-            self.engine
-                .match_docs_into(event, &mut self.scratch, &mut self.hits);
-            emit(event, &self.hits);
-        }
-        out
+            })
+            .collect()
     }
 
-    /// Queues an already-built notification into its client's mailbox —
-    /// the admission path for policy-gated deliveries (immediate or
-    /// digest-flushed).
+    /// Queues a notification into its client's mailbox — how every
+    /// delivered notification gets there.
     pub fn queue_notification(&mut self, n: &Notification) {
         self.mailboxes.entry(n.client).or_default().push(n.clone());
     }
@@ -389,13 +336,27 @@ mod tests {
         ClientId::from_raw(raw)
     }
 
+    /// Matches and delivers every match, as a core without delivery
+    /// policies does.
+    fn filter_event(
+        subs: &mut SubscriptionManager,
+        event: &Arc<Event>,
+        now: SimTime,
+    ) -> Vec<Notification> {
+        let produced = subs.match_event(event, now);
+        for n in &produced {
+            subs.queue_notification(n);
+        }
+        produced
+    }
+
     #[test]
     fn subscribe_filter_notify() {
         let mut subs = SubscriptionManager::new();
         let p = subs
             .subscribe(client(1), parse_profile(r#"host = "London""#).unwrap())
             .unwrap();
-        let notifications = subs.filter_event(&event("London", "d1"), SimTime::ZERO);
+        let notifications = filter_event(&mut subs, &event("London", "d1"), SimTime::ZERO);
         assert_eq!(notifications.len(), 1);
         assert_eq!(notifications[0].profile, p);
         assert_eq!(notifications[0].client, client(1));
@@ -431,7 +392,7 @@ mod tests {
         ] {
             subs.subscribe(client(1), parse_profile(text).unwrap()).unwrap();
         }
-        let single = subs.filter_event(&rebuilt, SimTime::ZERO);
+        let single = subs.match_event(&rebuilt, SimTime::ZERO);
         let docs_of = |n: &Notification| -> Vec<String> {
             n.matched_docs.iter().map(|d| d.as_str().to_string()).collect()
         };
@@ -444,13 +405,11 @@ mod tests {
             assert_eq!(n.matched_docs.iter().collect::<Vec<_>>(), oracle);
             assert_eq!(n.matched_docs.capacity(), n.matched_docs.len());
         }
-        // A docless event matches on its envelope, with no documents;
-        // the batch path builds the same notifications.
-        let batch = subs.filter_events(&[Arc::clone(&rebuilt), deleted.clone()], SimTime::ZERO);
-        assert_eq!(batch[..2], single[..]);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[2].profile, single[1].profile);
-        assert!(batch[2].matched_docs.is_empty());
+        // A docless event matches on its envelope, with no documents.
+        let docless = subs.match_event(&deleted, SimTime::ZERO);
+        assert_eq!(docless.len(), 1);
+        assert_eq!(docless[0].profile, single[1].profile);
+        assert!(docless[0].matched_docs.is_empty());
     }
 
     #[test]
@@ -461,7 +420,7 @@ mod tests {
             .unwrap();
         assert!(subs.unsubscribe(p));
         assert!(!subs.unsubscribe(p));
-        assert!(subs.filter_event(&event("London", "d"), SimTime::ZERO).is_empty());
+        assert!(filter_event(&mut subs, &event("London", "d"), SimTime::ZERO).is_empty());
     }
 
     #[test]
@@ -479,7 +438,7 @@ mod tests {
         let mut subs = SubscriptionManager::new();
         subs.subscribe(client(1), parse_profile(r#"host = "X""#).unwrap()).unwrap();
         subs.subscribe(client(2), parse_profile(r#"host = "X""#).unwrap()).unwrap();
-        subs.filter_event(&event("X", "d"), SimTime::ZERO);
+        filter_event(&mut subs, &event("X", "d"), SimTime::ZERO);
         assert_eq!(subs.peek_notifications(client(1)).len(), 1);
         assert_eq!(subs.peek_notifications(client(2)).len(), 1);
         assert_eq!(subs.queued_notifications(), 2);
@@ -498,7 +457,7 @@ mod tests {
     fn notification_display() {
         let mut subs = SubscriptionManager::new();
         subs.subscribe(client(3), parse_profile(r#"host = "X""#).unwrap()).unwrap();
-        let n = subs.filter_event(&event("X", "d"), SimTime::from_millis(7));
+        let n = filter_event(&mut subs, &event("X", "d"), SimTime::from_millis(7));
         let s = n[0].to_string();
         assert!(s.contains("client-3"));
         assert!(s.contains("X.C"));
@@ -583,37 +542,17 @@ mod tests {
     }
 
     #[test]
-    fn filter_events_batch_equals_per_event_calls() {
-        let build = || {
-            let mut subs = SubscriptionManager::new();
-            subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-            subs.subscribe(client(2), parse_profile(r#"text ~ "*""#).unwrap()).unwrap();
-            subs
-        };
-        let events = vec![event("A", "d1"), event("B", "d2"), event("A", "d3")];
-        let mut per_event = build();
-        let mut batched = build();
-        let singles: Vec<Notification> = events
-            .iter()
-            .flat_map(|e| per_event.filter_event(e, SimTime::ZERO))
-            .collect();
-        let batch = batched.filter_events(&events, SimTime::ZERO);
-        assert_eq!(singles, batch);
-        assert_eq!(per_event.queued_notifications(), batched.queued_notifications());
-    }
-
-    #[test]
     fn wipe_then_restore_reproduces_the_id_space() {
         let mut subs = SubscriptionManager::new();
         let p1 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
         let p2 = subs.subscribe(client(2), parse_profile(r#"host = "B""#).unwrap()).unwrap();
         subs.unsubscribe(p2);
-        subs.filter_event(&event("A", "d"), SimTime::ZERO);
+        filter_event(&mut subs, &event("A", "d"), SimTime::ZERO);
         assert_eq!(subs.queued_notifications(), 1);
 
         subs.wipe_for_crash();
         assert!(subs.is_empty());
-        assert!(subs.filter_event(&event("A", "d"), SimTime::ZERO).is_empty());
+        assert!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).is_empty());
         // Mailboxes are client-side state and survive the crash.
         assert_eq!(subs.queued_notifications(), 1);
 
@@ -621,7 +560,7 @@ mod tests {
         subs.restore(p1, client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
         subs.set_next_profile_at_least(2);
         assert_eq!(subs.profile(p1).unwrap().owner(), client(1));
-        assert_eq!(subs.filter_event(&event("A", "d"), SimTime::ZERO).len(), 1);
+        assert_eq!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).len(), 1);
         // The allocator resumes past the unsubscribed-high-water mark.
         let p3 = subs.subscribe(client(3), parse_profile(r#"host = "C""#).unwrap()).unwrap();
         assert_ne!(p3, p1);
@@ -629,22 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn unqueued_variants_match_but_do_not_touch_mailboxes() {
+    fn matching_leaves_mailboxes_to_queue_notification() {
         let mut subs = SubscriptionManager::new();
         subs.subscribe(client(1), parse_profile(r#"host = "X""#).unwrap()).unwrap();
-        let single = subs.filter_event_unqueued(&event("X", "d"), SimTime::ZERO);
-        assert_eq!(single.len(), 1);
+        let matched = subs.match_event(&event("X", "d"), SimTime::ZERO);
+        assert_eq!(matched.len(), 1);
         assert_eq!(subs.queued_notifications(), 0);
-        let batch = subs.filter_events_unqueued(&[event("X", "d")], SimTime::ZERO);
-        assert_eq!(batch, single);
-        assert_eq!(subs.queued_notifications(), 0);
-        // The queueing variant produces the same notifications.
-        let queued = subs.filter_event(&event("X", "d"), SimTime::ZERO);
-        assert_eq!(queued, single);
-        assert_eq!(subs.queued_notifications(), 1);
         // Explicit admission lands in the right mailbox.
-        subs.queue_notification(&single[0]);
-        assert_eq!(subs.peek_notifications(client(1)).len(), 2);
+        subs.queue_notification(&matched[0]);
+        assert_eq!(subs.peek_notifications(client(1)), &matched[..]);
     }
 
     #[test]

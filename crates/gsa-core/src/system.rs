@@ -37,7 +37,7 @@ pub struct System {
     pruning: bool,
     rendezvous: bool,
     probe: bool,
-    durability: Option<JournalConfig>,
+    durability: bool,
     alert_policies: Option<AlertPolicyConfig>,
     /// The simulated disk of every durable server, held by the harness
     /// so crash injection can reach storage after the core is wiped.
@@ -69,7 +69,7 @@ impl System {
             pruning: false,
             rendezvous: false,
             probe: true,
-            durability: None,
+            durability: false,
             alert_policies: None,
             media: HashMap::new(),
         }
@@ -171,18 +171,12 @@ impl System {
     /// records nothing and paper-figure counts are untouched). Call
     /// before [`System::add_server`].
     pub fn set_durability(&mut self, enabled: bool) {
-        self.set_durability_config(enabled.then(JournalConfig::default));
-    }
-
-    /// Like [`set_durability`](Self::set_durability) with explicit
-    /// journal tuning (fsync batching, snapshot cadence).
-    pub fn set_durability_config(&mut self, config: Option<JournalConfig>) {
-        self.durability = config;
+        self.durability = enabled;
     }
 
     /// Whether new servers get the durable journal backend.
     pub fn durability(&self) -> bool {
-        self.durability.is_some()
+        self.durability
     }
 
     /// Installs stateful alert lifecycles + delivery policies on every
@@ -331,10 +325,13 @@ impl System {
         if let Some(policies) = &self.alert_policies {
             core.set_alert_policies(Some(policies.clone()));
         }
-        if let Some(journal) = self.durability {
+        if self.durability {
             let medium = MemMedium::new();
             self.media.insert(HostName::new(host), medium.clone());
-            core.set_state_store(Box::new(JournalStateStore::new(medium, journal)));
+            core.set_state_store(Box::new(JournalStateStore::new(
+                medium,
+                JournalConfig::default(),
+            )));
         }
         let mut actor = AlertingActor::new(core, self.directory.clone(), self.tick);
         if let Some(cfg) = &self.reliability {
@@ -585,16 +582,7 @@ impl System {
         });
         let deadline = self.sim.now() + within;
         self.sim.run_until_quiet(deadline);
-        let node = self.node(host);
-        self.sim
-            .actor::<AlertingActor, Option<FetchResult>>(node, |actor| {
-                actor
-                    .completed_fetches
-                    .iter()
-                    .find(|(r, _)| *r == rid)
-                    .map(|(_, res)| res.clone())
-            })
-            .flatten()
+        self.take_completed(host, |actor| take_entry(&mut actor.completed_fetches, &rid))
             .expect("fetch did not complete within the window; raise `within`")
     }
 
@@ -617,16 +605,7 @@ impl System {
         });
         let deadline = self.sim.now() + within;
         self.sim.run_until_quiet(deadline);
-        let node = self.node(host);
-        self.sim
-            .actor::<AlertingActor, Option<SearchResult>>(node, |actor| {
-                actor
-                    .completed_searches
-                    .iter()
-                    .find(|(r, _)| *r == rid)
-                    .map(|(_, res)| res.clone())
-            })
-            .flatten()
+        self.take_completed(host, |actor| take_entry(&mut actor.completed_searches, &rid))
             .expect("search did not complete within the window; raise `within`")
     }
 
@@ -638,15 +617,20 @@ impl System {
         let token = self.with_core(host, |core, _| core.resolve(name));
         let deadline = self.sim.now() + within;
         self.sim.run_until_quiet(deadline);
+        self.take_completed(host, |actor| take_entry(&mut actor.resolved, &token))
+            .flatten()
+    }
+
+    /// Takes one completion off a server's actor: the lists are the
+    /// driver's to drain, and an answer read is an answer removed.
+    fn take_completed<R>(
+        &mut self,
+        host: &str,
+        take: impl FnOnce(&mut AlertingActor) -> Option<R>,
+    ) -> Option<R> {
         let node = self.node(host);
         self.sim
-            .actor::<AlertingActor, Option<HostName>>(node, |actor| {
-                actor
-                    .resolved
-                    .iter()
-                    .find(|(t, _)| *t == token)
-                    .and_then(|(_, r)| r.clone())
-            })
+            .with_actor::<AlertingActor, Option<R>>(node, |actor, _| take(actor))
             .flatten()
     }
 
@@ -743,6 +727,12 @@ impl System {
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         self.sim.metrics_mut()
     }
+}
+
+/// Removes and returns the entry filed under `key`, if it is there.
+fn take_entry<K: PartialEq, V>(entries: &mut Vec<(K, V)>, key: &K) -> Option<V> {
+    let at = entries.iter().position(|(k, _)| k == key)?;
+    Some(entries.swap_remove(at).1)
 }
 
 /// Error from [`System::subscribe_text`].
@@ -872,6 +862,30 @@ mod tests {
         assert_eq!(resolved, Some(HostName::new("gds-2")));
         let unknown = system.resolve("Hamilton", "Nowhere", SimDuration::from_secs(10));
         assert_eq!(unknown, None);
+    }
+
+    #[test]
+    fn completions_are_taken_not_left_behind() {
+        let mut system = figure_world();
+        system.rebuild("London", "E", vec![doc("e1", "beta")]).unwrap();
+        system.run_until_quiet(SimTime::from_secs(60));
+        let within = SimDuration::from_secs(10);
+        for _ in 0..5 {
+            assert_eq!(system.fetch("Hamilton", "D", within).docs.len(), 1);
+            let hits = system.search("Hamilton", "D", "text", &Query::term("beta"), within);
+            assert_eq!(hits.hits.len(), 1);
+            assert!(system.resolve("Hamilton", "London", within).is_some());
+            assert!(system.resolve("Hamilton", "Nowhere", within).is_none());
+        }
+        let node = system.node("Hamilton");
+        let left = system.sim.actor::<AlertingActor, _>(node, |actor| {
+            (
+                actor.completed_fetches.len(),
+                actor.completed_searches.len(),
+                actor.resolved.len(),
+            )
+        });
+        assert_eq!(left, Some((0, 0, 0)));
     }
 
     #[test]

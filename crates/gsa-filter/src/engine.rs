@@ -292,18 +292,6 @@ pub struct FilterStats {
     pub index_entries: usize,
 }
 
-impl FilterStats {
-    /// Component-wise sum.
-    pub fn merge(self, other: FilterStats) -> FilterStats {
-        FilterStats {
-            profiles: self.profiles + other.profiles,
-            conjunctions: self.conjunctions + other.conjunctions,
-            scan_conjunctions: self.scan_conjunctions + other.scan_conjunctions,
-            index_entries: self.index_entries + other.index_entries,
-        }
-    }
-}
-
 impl fmt::Display for FilterStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -445,11 +433,6 @@ impl FilterEngine {
             scan_conjunctions: self.scan.len(),
             index_entries: self.index.len(),
         }
-    }
-
-    /// Number of distinct interned strings (attribute names and values).
-    pub fn interned_symbols(&self) -> usize {
-        self.symbols.len()
     }
 
     /// An engine that takes token and gram keys at a different handicap —
@@ -802,19 +785,6 @@ impl FilterEngine {
         let mut out = Vec::new();
         self.matches_into(event, &mut scratch, &mut out);
         out
-    }
-
-    /// Matches a batch of events with shared scratch state, returning one
-    /// match set per event (each in ascending id order).
-    pub fn matches_batch(&self, events: &[Event], scratch: &mut MatchScratch) -> Vec<Vec<ProfileId>> {
-        events
-            .iter()
-            .map(|event| {
-                let mut out = Vec::new();
-                self.matches_into(event, scratch, &mut out);
-                out
-            })
-            .collect()
     }
 
     /// One (event, document) context: walks the posting list of every
@@ -1297,40 +1267,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_batch_agrees_with_single_calls() {
-        let e = engine_with(&[
-            (1, r#"host = "London""#),
-            (2, r#"dc.Subject = "dl""#),
-        ]);
-        let events = vec![
-            event("London", "E", "dl", ""),
-            event("Paris", "E", "dl", ""),
-            event("Berlin", "E", "x", ""),
-        ];
-        let mut scratch = MatchScratch::new();
-        let batched = e.matches_batch(&events, &mut scratch);
-        let singles: Vec<_> = events.iter().map(|ev| e.matches(ev)).collect();
-        assert_eq!(batched, singles);
-        assert_eq!(batched[0], vec![pid(1), pid(2)]);
-    }
-
-    #[test]
     fn stats_display() {
         let e = engine_with(&[(1, r#"host = "London""#)]);
         let s = e.stats().to_string();
         assert!(s.contains("1 profiles"));
-        assert!(e.interned_symbols() >= 5); // 4 attribute names + "London"
-    }
-
-    #[test]
-    fn stats_merge_adds_componentwise() {
-        let a = engine_with(&[(1, r#"host = "X""#)]).stats();
-        let b = engine_with(&[(2, r#"text ~ "*y*""#)]).stats();
-        let m = a.merge(b);
-        assert_eq!(m.profiles, 2);
-        assert_eq!(m.conjunctions, 2);
-        assert_eq!(m.scan_conjunctions, 1);
-        assert_eq!(m.index_entries, 1);
     }
 
     #[test]

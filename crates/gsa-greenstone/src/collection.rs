@@ -148,25 +148,6 @@ impl Collection {
         report
     }
 
-    /// Ingests one document from borrowed parts (id, flat metadata
-    /// pairs, text) without building a [`SourceDocument`] first — the
-    /// mirror-ingest path feeds event summaries straight off a frozen
-    /// wire buffer through here. Does not bump the build sequence: a
-    /// mirrored document is replica state, not a local build.
-    pub fn ingest_doc_parts<'a, M>(&mut self, id: &str, metadata: M, text: &str)
-    where
-        M: Iterator<Item = (&'a str, &'a str)> + Clone,
-    {
-        self.store.ingest_parts(id, metadata, text);
-    }
-
-    /// Removes one mirrored document by id (absent ids are ignored).
-    /// The build sequence is untouched, matching
-    /// [`ingest_doc_parts`](Self::ingest_doc_parts).
-    pub fn evict_doc(&mut self, id: &str) {
-        self.store.remove_document(&DocId::new(id));
-    }
-
     /// Event payload summaries for the given documents.
     pub fn summaries(&self, ids: &[DocId]) -> Vec<DocSummary> {
         self.store.summaries(ids, EXCERPT_CHARS)

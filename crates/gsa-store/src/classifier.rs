@@ -100,8 +100,8 @@ impl Classifier {
 
     /// Classifies one document from the values of its classified key,
     /// already extracted — the borrowed-view twin of [`add`](Self::add)
-    /// for callers holding `&str` slices (e.g. a frozen wire buffer)
-    /// rather than a built [`MetadataRecord`].
+    /// for callers holding `&str` slices rather than a built
+    /// [`MetadataRecord`].
     pub fn add_values<'a>(&mut self, id: &DocId, values: impl IntoIterator<Item = &'a str>) {
         let rule = self.spec().rule;
         for value in values {

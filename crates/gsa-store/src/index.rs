@@ -70,8 +70,8 @@ impl InvertedIndex {
     /// previous document with the same id. Equivalent to [`add`](Self::add)
     /// on the segments joined with a separator: segment boundaries are
     /// token boundaries either way, so callers holding borrowed slices
-    /// (multi-valued metadata, frozen wire buffers) can feed them without
-    /// first concatenating into an owned string.
+    /// (multi-valued metadata) can feed them without first concatenating
+    /// into an owned string.
     pub fn add_segments<'a>(&mut self, id: DocId, segments: impl IntoIterator<Item = &'a str>) {
         self.remove(&id);
         let ord = self.docs.len() as u32;

@@ -165,55 +165,6 @@ impl DocumentStore {
         self.docs.insert(doc.id.clone(), doc);
     }
 
-    /// Adds (or replaces) a document from borrowed parts — the
-    /// format-native twin of [`add_document`](Self::add_document) for
-    /// ingest straight off a frozen wire buffer. Indexes, classifiers and
-    /// the tokenizer consume the `&str` slices directly; the one owned
-    /// [`SourceDocument`] is built last, for storage. `metadata` is the
-    /// flat `(key, value)` pair sequence (multi-valued keys contribute
-    /// one pair per value) and must be cheaply re-iterable, which
-    /// borrowed views of an encoded buffer are.
-    pub fn ingest_parts<'a, M>(&mut self, id: &str, metadata: M, text: &str)
-    where
-        M: Iterator<Item = (&'a str, &'a str)> + Clone,
-    {
-        let id = DocId::new(id);
-        if self.docs.contains_key(&id) {
-            self.remove_document(&id.clone());
-        }
-        for (spec, index) in &mut self.indexes {
-            match &spec.source {
-                IndexSource::FullText => index.add(id.clone(), text),
-                IndexSource::Metadata(key) => index.add_segments(
-                    id.clone(),
-                    metadata
-                        .clone()
-                        .filter(|(k, _)| *k == key.as_str())
-                        .map(|(_, v)| v),
-                ),
-            }
-        }
-        for classifier in &mut self.classifiers {
-            let key = classifier.spec().key.clone();
-            classifier.add_values(
-                &id,
-                metadata.clone().filter(|(k, _)| *k == key).map(|(_, v)| v),
-            );
-        }
-        let mut record = MetadataRecord::new();
-        for (k, v) in metadata {
-            record.add(k, v);
-        }
-        self.docs.insert(
-            id.clone(),
-            SourceDocument {
-                id,
-                metadata: record,
-                text: text.to_string(),
-            },
-        );
-    }
-
     /// Removes a document from storage, indexes and classifiers. Returns
     /// the removed document, if it was present.
     pub fn remove_document(&mut self, id: &DocId) -> Option<SourceDocument> {
@@ -406,69 +357,5 @@ mod tests {
     fn excerpt_respects_char_boundaries() {
         let d = SourceDocument::new("x", "héllo wörld");
         assert_eq!(d.excerpt(5), "héllo");
-    }
-
-    fn specs() -> (Vec<IndexSpec>, Vec<ClassifierSpec>) {
-        (
-            vec![
-                IndexSpec::full_text("text"),
-                IndexSpec::metadata("subjects", keys::SUBJECT),
-            ],
-            vec![
-                ClassifierSpec::by_value("creators", keys::CREATOR),
-                ClassifierSpec::by_first_letter("titles", keys::TITLE),
-            ],
-        )
-    }
-
-    #[test]
-    fn ingest_parts_equals_add_document() {
-        // Multi-valued key, a key no structure uses, and a repeated value.
-        let pairs: Vec<(&str, &str)> = vec![
-            (keys::SUBJECT, "digital libraries"),
-            (keys::SUBJECT, "alerting"),
-            (keys::CREATOR, "Hinze"),
-            (keys::CREATOR, "Hinze"),
-            (keys::TITLE, "a survey"),
-            (keys::LANGUAGE, "en"),
-        ];
-        let text = "the quick brown fox";
-        let (indexes, classifiers) = specs();
-        let mut via_parts = DocumentStore::new(indexes.clone(), classifiers.clone());
-        via_parts.ingest_parts("d1", pairs.iter().copied(), text);
-        let mut via_doc = DocumentStore::new(indexes, classifiers);
-        let md: MetadataRecord = pairs.iter().copied().collect();
-        via_doc.add_document(SourceDocument::new("d1", text).with_metadata(md));
-
-        assert_eq!(via_parts.document(&"d1".into()), via_doc.document(&"d1".into()));
-        for (index, term) in [("text", "fox"), ("subjects", "alerting"), ("subjects", "libraries")] {
-            assert_eq!(
-                via_parts.search(index, &Query::term(term)).unwrap(),
-                via_doc.search(index, &Query::term(term)).unwrap(),
-                "index {index}, term {term}"
-            );
-        }
-        for name in ["creators", "titles"] {
-            let a = via_parts.browse(name).unwrap();
-            let b = via_doc.browse(name).unwrap();
-            assert_eq!(a.bucket_labels().collect::<Vec<_>>(), b.bucket_labels().collect::<Vec<_>>());
-            for label in a.bucket_labels() {
-                assert_eq!(a.bucket(label), b.bucket(label), "classifier {name}, bucket {label}");
-            }
-        }
-    }
-
-    #[test]
-    fn ingest_parts_replaces_previous_document() {
-        let (indexes, classifiers) = specs();
-        let mut s = DocumentStore::new(indexes, classifiers);
-        s.ingest_parts("d1", [(keys::CREATOR, "Hinze")].into_iter(), "old text");
-        s.ingest_parts("d1", [(keys::CREATOR, "Buchanan")].into_iter(), "new words");
-        assert_eq!(s.len(), 1);
-        assert!(s.search("text", &Query::term("old")).unwrap().is_empty());
-        assert_eq!(s.search("text", &Query::term("new")).unwrap(), vec![DocId::new("d1")]);
-        let c = s.browse("creators").unwrap();
-        assert!(c.bucket("Hinze").is_empty());
-        assert_eq!(c.bucket("Buchanan"), &[DocId::new("d1")]);
     }
 }

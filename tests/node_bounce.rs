@@ -1,0 +1,127 @@
+//! A node that goes down and comes back must not lose a timer for good.
+//!
+//! `Sim::set_node_up(true)` re-runs `on_start`, and a timer that comes
+//! due while its node is down is dropped. An actor that remembers "my
+//! flush timer is armed" across the outage therefore never arms it
+//! again: whatever the timer was to flush waits for ever. Both
+//! scenarios bounce one directory node on the Figure-2 tree
+//! (Hamilton@gds-4 publishes, Cairo@gds-5 listens; the flood runs
+//! gds-4 → gds-1 → gds-2 → gds-5) and assert that a notification
+//! published long after the node is back still arrives.
+
+use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
+use gsa_gds::figure2_tree;
+use gsa_greenstone::CollectionConfig;
+use gsa_store::SourceDocument;
+use gsa_types::{ClientId, SimDuration, SimTime};
+
+const SEED: u64 = 7;
+
+/// How long the bounced node stays down: longer than either flush
+/// delay (1 ms announce, 2 ms batch), so a timer pending when the node
+/// goes down always comes due inside the outage.
+const OUTAGE: SimDuration = SimDuration::from_millis(50);
+
+fn world(configure: impl FnOnce(&mut System)) -> (System, ClientId) {
+    let mut system = System::new(SEED);
+    configure(&mut system);
+    system.add_gds_topology(&figure2_tree());
+    system.add_server("Hamilton", "gds-4");
+    system.add_server("Cairo", "gds-5");
+    system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
+    let client = system.add_client("Cairo");
+    system.run_until_quiet(SimTime::from_secs(5));
+    (system, client)
+}
+
+fn bounce(system: &mut System, host: &str) {
+    system.set_host_up(host, false);
+    system.run_for(OUTAGE);
+    system.set_host_up(host, true);
+}
+
+fn rebuild(system: &mut System, doc: &str) {
+    system
+        .rebuild("Hamilton", "D", vec![SourceDocument::new(doc, "fresh content")])
+        .unwrap();
+}
+
+/// Pruning on, reliability off (so no heartbeat re-announces on the
+/// node's behalf). gds-5 goes down with its deferred-announcement timer
+/// pending; the subscription Cairo registers afterwards must still
+/// reach gds-2, or gds-2 prunes Hamilton's flood away from the only
+/// subscriber.
+#[test]
+fn a_deferred_announcement_survives_its_node_bouncing() {
+    let (mut system, client) = world(|s| s.set_pruning(true));
+    // Any change to Cairo's summary marks gds-5's aggregate dirty and
+    // arms its 1 ms announce timer when the update arrives.
+    system
+        .subscribe_text("Cairo", client, r#"host = "Nowhere""#)
+        .unwrap();
+    let deadline = system.now() + SimDuration::from_millis(10);
+    while !system.inspect_gds("gds-5", |node| node.announce_pending()) {
+        assert!(system.now() < deadline, "Cairo's update never reached gds-5");
+        system.run_for(SimDuration::from_micros(50));
+    }
+    bounce(&mut system, "gds-5");
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+
+    system
+        .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
+        .unwrap();
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+    rebuild(&mut system, "d1");
+    system.run_until_quiet(system.now() + SimDuration::from_secs(30));
+    assert_eq!(
+        system.take_notifications("Cairo", client).len(),
+        1,
+        "pruning may cost messages, never a delivery ({} edges pruned)",
+        system.metrics().counter("gds.pruned_edges")
+    );
+}
+
+/// Batched v2 wire. gds-2 goes down somewhere around the 2 ms in which
+/// it holds the first rebuild's broadcast for gds-5; every 50 µs offset
+/// across that window is tried. The first rebuild may be lost with the
+/// node (best effort) — the second, published half a minute after the
+/// node is back on a healthy tree, may not.
+fn later_rebuild_crosses_a_bounced_batching_node(reliable: bool) {
+    // The broadcast reaches gds-2 about 7.3 ms after the rebuild (three
+    // links and two upstream flush delays) and leaves about 2 ms later.
+    for offset_us in (6_000..11_000).step_by(50) {
+        let (mut system, client) = world(|s| {
+            s.set_wire(WireConfig::v2_batched(BatchConfig::default()));
+            if reliable {
+                s.set_reliability(ReliabilityConfig::default());
+            }
+        });
+        system
+            .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
+            .unwrap();
+        rebuild(&mut system, "d1");
+        system.run_for(SimDuration::from_micros(offset_us));
+        bounce(&mut system, "gds-2");
+        system.run_for(SimDuration::from_secs(30));
+        system.take_notifications("Cairo", client);
+
+        rebuild(&mut system, "d2");
+        system.run_for(SimDuration::from_secs(30));
+        assert_eq!(
+            system.take_notifications("Cairo", client).len(),
+            1,
+            "reliable={reliable}, gds-2 down {offset_us} µs after the first rebuild: \
+             the second rebuild never arrived"
+        );
+    }
+}
+
+#[test]
+fn a_batch_flush_survives_its_node_bouncing_best_effort() {
+    later_rebuild_crosses_a_bounced_batching_node(false);
+}
+
+#[test]
+fn a_batch_flush_survives_its_node_bouncing_reliable() {
+    later_rebuild_crosses_a_bounced_batching_node(true);
+}

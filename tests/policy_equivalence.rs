@@ -8,9 +8,12 @@
 //! broadcast and aux-rewrite scenarios across five simulator seeds with
 //! the engine absent and present, demands identical delivery sets, and
 //! pins non-vacuity twice over: the expected notifications arrived, and
-//! the observe-only run really ran the engine (instances fired).
+//! the observe-only run really ran the engine (instances fired). Both
+//! scenarios run on the paper's XML wire and on the batched v2 wire —
+//! policies behind batch frames is what the benchmark's
+//! `production_churn` workload deploys.
 
-use gsa_core::{AlertPolicyConfig, System};
+use gsa_core::{AlertPolicyConfig, BatchConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
@@ -18,6 +21,14 @@ use gsa_types::{ClientId, CollectionId, SimTime};
 use std::collections::BTreeMap;
 
 const SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
+
+/// The wire configurations every scenario is replayed on.
+fn wires() -> [WireConfig; 2] {
+    [
+        WireConfig::default(),
+        WireConfig::v2_batched(BatchConfig::default()),
+    ]
+}
 
 fn doc(id: &str) -> SourceDocument {
     SourceDocument::new(id, "fresh content")
@@ -53,8 +64,13 @@ fn drain(system: &mut System, watchers: &[(&'static str, ClientId)]) -> Delivere
 /// two branches, watchers with host-anchored, collection-anchored,
 /// unanchorable and never-matching profiles across the rest of the
 /// tree. Returns the delivery sets plus the `alerts.firing` counter.
-fn broadcast_run(seed: u64, policies: Option<AlertPolicyConfig>) -> (Delivered, u64) {
+fn broadcast_run(
+    seed: u64,
+    wire: &WireConfig,
+    policies: Option<AlertPolicyConfig>,
+) -> (Delivered, u64) {
     let mut system = System::new(seed);
+    system.set_wire(wire.clone());
     system.set_alert_policies(policies);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
@@ -93,13 +109,13 @@ fn broadcast_run(seed: u64, policies: Option<AlertPolicyConfig>) -> (Delivered, 
 
 #[test]
 fn observe_only_broadcast_delivers_exactly_the_baseline_sets() {
-    for seed in SEEDS {
-        let (baseline, baseline_firing) = broadcast_run(seed, None);
+    for (wire, seed) in wires().iter().flat_map(|w| SEEDS.map(|s| (w, s))) {
+        let (baseline, baseline_firing) = broadcast_run(seed, wire, None);
         let (observed, observed_firing) =
-            broadcast_run(seed, Some(AlertPolicyConfig::observe_only()));
+            broadcast_run(seed, wire, Some(AlertPolicyConfig::observe_only()));
         assert_eq!(
             baseline, observed,
-            "seed {seed}: observe-only delivery sets diverged from the baseline"
+            "seed {seed}, {wire:?}: observe-only delivery sets diverged from the baseline"
         );
         // Not vacuous, part 1: the expected matches arrived and the
         // never-matching watcher stayed silent.
@@ -147,9 +163,17 @@ fn broadcast_suppressed(seed: u64) -> u64 {
 /// is announced twice — the original origin and the rewritten
 /// super-collection origin. The policy layer sits between matching and
 /// the mailbox on *both* paths (GDS delivery and local rewrite), so
-/// this pins the aux-forwarding pipeline too.
-fn aux_rewrite_run(seed: u64, policies: Option<AlertPolicyConfig>) -> (Delivered, u64) {
+/// this pins the aux-forwarding pipeline too. The two announcements
+/// leave within a batch window of each other, so on the batched wire
+/// they share frames. Returns the delivery sets, `alerts.firing` and
+/// `wire.batch.coalesced`.
+fn aux_rewrite_run(
+    seed: u64,
+    wire: &WireConfig,
+    policies: Option<AlertPolicyConfig>,
+) -> (Delivered, u64, u64) {
     let mut system = System::new(seed);
+    system.set_wire(wire.clone());
     system.set_alert_policies(policies);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
@@ -183,18 +207,19 @@ fn aux_rewrite_run(seed: u64, policies: Option<AlertPolicyConfig>) -> (Delivered
 
     let delivered = drain(&mut system, &watchers);
     let firing = system.metrics().counter("alerts.firing");
-    (delivered, firing)
+    let coalesced = system.metrics().counter("wire.batch.coalesced");
+    (delivered, firing, coalesced)
 }
 
 #[test]
 fn observe_only_aux_rewrite_delivers_exactly_the_baseline_sets() {
-    for seed in SEEDS {
-        let (baseline, baseline_firing) = aux_rewrite_run(seed, None);
-        let (observed, observed_firing) =
-            aux_rewrite_run(seed, Some(AlertPolicyConfig::observe_only()));
+    for (wire, seed) in wires().iter().flat_map(|w| SEEDS.map(|s| (w, s))) {
+        let (baseline, baseline_firing, _) = aux_rewrite_run(seed, wire, None);
+        let (observed, observed_firing, coalesced) =
+            aux_rewrite_run(seed, wire, Some(AlertPolicyConfig::observe_only()));
         assert_eq!(
             baseline, observed,
-            "seed {seed}: observe-only aux-rewrite deliveries diverged"
+            "seed {seed}, {wire:?}: observe-only aux-rewrite deliveries diverged"
         );
         let get = |host: &str| &observed[host];
         let berlin = get("Berlin");
@@ -208,6 +233,12 @@ fn observe_only_aux_rewrite_delivers_exactly_the_baseline_sets() {
         assert!(
             observed_firing > 0,
             "seed {seed}: observe-only must actually track instances"
+        );
+        // Not vacuous, part 3: the batched cell really batched.
+        assert_eq!(
+            coalesced > 0,
+            wire.batch.is_some(),
+            "seed {seed}: multi-message frames fly exactly when batching is on"
         );
     }
 }

@@ -85,6 +85,39 @@ fn same_seed_runs_are_byte_identical() {
     assert_ne!(metrics_a, metrics_c, "seed must actually steer the run");
 }
 
+/// FNV-1a, 64 bit, written out here so the pinned values below do not
+/// depend on the standard library's (unspecified) default hasher.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The whole observable output of [`hybrid_run`] — every counter, every
+/// histogram summary, every delivery line — hashed and pinned per seed,
+/// so a refactor that claims "nothing observable moves" is checked by
+/// `cargo test`. A PR that means to change behaviour updates the three
+/// constants and says why.
+#[test]
+fn hybrid_run_output_is_pinned_per_seed() {
+    let hashes = [11, 21, 31].map(|seed| {
+        let (metrics, deliveries) = hybrid_run(seed);
+        fnv1a64(format!("{metrics}\n---\n{}", deliveries.join("\n")).as_bytes())
+    });
+    let pinned = [
+        0x7e57_ae0a_6044_033d_u64,
+        0x79c1_a383_6c94_0e0d,
+        0x5b71_dc95_ecf4_3dcb,
+    ];
+    assert_eq!(
+        hashes, pinned,
+        "same-seed output moved at seeds 11/21/31: {hashes:#018x?}"
+    );
+}
+
 /// The Figure 2 broadcast-cost fixture recorded before the refactor:
 /// one rebuild on a seven-node tree costs 1 publish, 6 edge crossings
 /// and 6 server deliveries — 13 messages, all delivered.
