@@ -27,13 +27,15 @@
 //! checked whichever one it was.
 //!
 //! Matching state lives in a caller-owned [`MatchScratch`]; with warm
-//! buffers the equality path allocates nothing. The engine reports *which*
-//! documents satisfied each profile ([`DocMatch`]), so building a
-//! notification never evaluates the expression again.
+//! buffers neither the equality path nor an excerpt's tokens (a
+//! [`TokenSet`]: spans over one reused buffer) allocate anything. The
+//! engine reports *which* documents satisfied each profile
+//! ([`DocMatch`]), so building a notification never evaluates the
+//! expression again.
 
 use crate::intern::{FxHashMap, Symbol, SymbolTable};
 use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr, Wildcard};
-use gsa_store::Query;
+use gsa_store::{Query, TokenSet};
 use gsa_types::{DocSummary, Event, ProfileId};
 use gsa_wire::probe::EventProbe;
 use gsa_wire::WireError;
@@ -229,7 +231,7 @@ const DERIVED_KEY_HANDICAP: usize = 16;
 /// every filter-query literal verified in that context.
 #[derive(Debug, Default)]
 struct TokenCache {
-    tokens: BTreeSet<String>,
+    tokens: TokenSet,
     valid: bool,
 }
 
@@ -238,10 +240,9 @@ impl TokenCache {
         self.valid = false;
     }
 
-    fn get(&mut self, excerpt: &str) -> &BTreeSet<String> {
+    fn get(&mut self, excerpt: &str) -> &TokenSet {
         if !self.valid {
-            self.tokens.clear();
-            self.tokens.extend(gsa_store::tokenize(excerpt));
+            self.tokens.fill(excerpt);
             self.valid = true;
         }
         &self.tokens
@@ -308,7 +309,7 @@ impl fmt::Display for FilterStats {
 /// generation invalidates every slot in O(1), so nothing is cleared
 /// between contexts. After the buffers have grown to the engine's size
 /// (one warm-up call), [`FilterEngine::matches_into`] performs no heap
-/// allocation on the equality path.
+/// allocation on the equality path or for `text ? (query)` literals.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// Monotonic stamp; bumped once per (event, document) context.
@@ -725,9 +726,10 @@ impl FilterEngine {
     /// no document, by the envelope of a docless event.
     ///
     /// `out` is cleared first. With warm `scratch` buffers this performs
-    /// no heap allocation on the equality path; tokenizing an excerpt
-    /// (only while the engine holds a token key or reaches a filter-query
-    /// literal) and folding a non-ASCII value may allocate.
+    /// no heap allocation on the equality path, nor for tokenizing an
+    /// excerpt (done only while the engine holds a token key or reaches
+    /// a `text ? (query)` literal); a filter query on a metadata
+    /// attribute and folding a non-ASCII value may allocate.
     pub fn match_docs_into(
         &self,
         event: &Event,
@@ -811,7 +813,7 @@ impl FilterEngine {
 
         token_syms.clear();
         if let (true, Some(doc)) = (self.token_keys > 0, doc) {
-            let mentioned = |token: &String| self.symbols.lookup(token);
+            let mentioned = |token| self.symbols.lookup(token);
             token_syms.extend(tokens.get(&doc.excerpt).iter().filter_map(mentioned));
         }
 

@@ -18,7 +18,7 @@
 //!   negations) by evaluation. It reports which documents satisfied each
 //!   profile ([`DocMatch`]). The per-event state lives in a reusable
 //!   [`MatchScratch`], so steady-state matching does not allocate on the
-//!   equality path.
+//!   equality path or for excerpt tokens.
 //! * [`BaselineEngine`] — the first-generation string-keyed *counting*
 //!   implementation (every conjunction posted under every equality
 //!   predicate, hits counted per conjunction), kept as a test oracle and

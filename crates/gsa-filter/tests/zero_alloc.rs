@@ -1,6 +1,7 @@
 //! Acceptance test for the zero-allocation matching claim: after one
 //! warm-up call, [`FilterEngine::matches_into`] performs no heap
-//! allocation on the equality path.
+//! allocation on the equality path, nor for tokenizing excerpts and
+//! evaluating `text ? (query)` literals against them.
 //!
 //! A counting wrapper around the system allocator is installed as the
 //! global allocator; the window between warm-up and assertion is the
@@ -56,8 +57,12 @@ fn make_event(host: &str, seq: u64, subject: &str) -> Event {
         SimTime::from_millis(seq),
     )
     .with_docs(vec![
-        DocSummary::new(format!("doc-{seq}-a")).with_metadata(md.clone()),
-        DocSummary::new(format!("doc-{seq}-b")).with_metadata(md),
+        DocSummary::new(format!("doc-{seq}-a"))
+            .with_metadata(md.clone())
+            .with_excerpt(format!("Lectures on {subject}: Quantum THEORY, volume {seq}")),
+        DocSummary::new(format!("doc-{seq}-b"))
+            .with_metadata(md)
+            .with_excerpt(format!("a history of {subject} in {host} — Überblick")),
     ])
 }
 
@@ -68,10 +73,12 @@ fn matches_into_is_allocation_free_after_warmup() {
 
     let mut engine = FilterEngine::new();
     let mut id = 0u64;
-    // Equality profiles only: host / collection / kind / subject
-    // equality and id-lists, including multi-conjunction DNF shapes and
-    // two-equality conjunctions — one event-level, one document-level
-    // literal, keyed on the second and verified on the first.
+    // Host / collection / kind / subject equality and id-lists,
+    // including multi-conjunction DNF shapes and two-equality
+    // conjunctions — one event-level, one document-level literal, keyed
+    // on the second and verified on the first — and filter queries on the
+    // excerpt: token-keyed terms and conjunctions, a residual behind an
+    // equality, and the scanned shapes (negations, a prefix).
     for host in hosts {
         for subject in subjects {
             for text in [
@@ -83,6 +90,12 @@ fn matches_into_is_allocation_free_after_warmup() {
                 format!(r#"host = "{host}" AND event = "documents_added""#),
                 format!(r#"host in ["{host}", "nowhere"] OR subject = "{subject}""#),
                 format!(r#"collection = "{host}.demo""#),
+                format!(r#"text ? ({subject})"#),
+                format!(r#"text ? ({subject} AND quantum)"#),
+                format!(r#"host = "{host}" AND text ? (lectures OR {subject})"#),
+                format!(r#"NOT text ? ({subject})"#),
+                format!(r#"text ? (NOT {subject} AND theory)"#),
+                format!(r#"text ? (überb* AND {subject})"#),
             ] {
                 engine
                     .insert(ProfileId::from_raw(id), &parse_profile(&text).unwrap())

@@ -94,17 +94,8 @@ impl Classifier {
     /// Classifies one document, adding it to the appropriate buckets. A
     /// document appears once per distinct matching value.
     pub fn add(&mut self, id: &DocId, metadata: &MetadataRecord) {
-        let values = metadata.all(&self.spec().key);
-        self.add_values(id, values.iter().map(|v| v.as_str()));
-    }
-
-    /// Classifies one document from the values of its classified key,
-    /// already extracted — the borrowed-view twin of [`add`](Self::add)
-    /// for callers holding `&str` slices rather than a built
-    /// [`MetadataRecord`].
-    pub fn add_values<'a>(&mut self, id: &DocId, values: impl IntoIterator<Item = &'a str>) {
         let rule = self.spec().rule;
-        for value in values {
+        for value in metadata.all(&self.spec().key) {
             let bucket = rule.bucket_for(value);
             let docs = self.buckets.entry(bucket).or_default();
             if !docs.contains(id) {

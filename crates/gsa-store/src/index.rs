@@ -1,9 +1,26 @@
 //! An inverted index with Boolean and ranked retrieval.
+//!
+//! Terms are interned to dense `u32` ids the first time a document
+//! mentions them — the dictionary is probed with the `&str` the tokenizer
+//! hands out, so a known term costs one hash lookup and no `String` — and
+//! posting lists live in a `Vec` indexed by term id. A document's term
+//! frequencies come from sorting its id list in a reused scratch vector.
+//!
+//! The index is **bounded by its live documents**. Replacing or removing a
+//! document only marks its ordinal dead; once the dead ordinals, or the
+//! postings they own, outnumber the live ones, [`InvertedIndex`] compacts:
+//! dead postings are dropped, ordinals renumbered densely in indexing
+//! order, and terms no live document mentions leave the dictionary. Each
+//! compaction walks at most twice what it keeps, so the cost is amortised
+//! O(1) per posting ever added, and no query walks more than twice the
+//! postings the live documents need.
 
 use crate::query::Query;
-use crate::tokenize::tokenize;
+use crate::tokenize::for_each_token;
 use gsa_types::DocId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// One posting: internal document ordinal and term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,11 +29,25 @@ struct Posting {
     tf: u32,
 }
 
+/// What the index keeps per document ordinal.
+#[derive(Debug, Clone)]
+struct DocEntry {
+    /// `None` once the document was removed or replaced: the ordinal and
+    /// its postings are dead until the next compaction drops them.
+    id: Option<DocId>,
+    /// Tokens in the document.
+    len: u32,
+    /// Distinct terms in the document: the postings its ordinal owns.
+    terms: u32,
+}
+
 /// An inverted index over the text fed to [`InvertedIndex::add`].
 ///
-/// The term dictionary is a `BTreeMap` so prefix queries run as range
-/// scans. Documents are identified by [`DocId`]; re-adding an id replaces
-/// the previous version (an updated document after a rebuild).
+/// Documents are identified by [`DocId`]; re-adding an id replaces the
+/// previous version (an updated document after a rebuild) and moves the
+/// document to the end of the indexing order. See the [module
+/// documentation](self) for the term dictionary and the compaction rule
+/// that keeps the index no larger than twice its live documents.
 ///
 /// # Examples
 ///
@@ -31,12 +62,29 @@ struct Posting {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    terms: BTreeMap<String, Vec<Posting>>,
-    docs: Vec<DocId>,
-    doc_len: Vec<u32>,
+    /// The term dictionary, probed once per token. Only ever probed by
+    /// key: its iteration order reaches no result.
+    term_ids: HashMap<Arc<str>, u32>,
+    /// The same dictionary in term order, so prefix queries run as range
+    /// scans.
+    sorted_terms: BTreeMap<Arc<str>, u32>,
+    /// Ids of terms a compaction dropped, handed out again first.
+    free_term_ids: Vec<u32>,
+    /// Posting lists by term id, each ascending by ordinal.
+    postings: Vec<Vec<Posting>>,
+    /// Stored postings, dead ones included.
+    stored_postings: usize,
+    /// Postings owned by live documents.
+    live_postings: usize,
+    /// Documents by ordinal, in indexing order.
+    docs: Vec<DocEntry>,
+    /// The ordinal of each live document.
     by_id: HashMap<DocId, u32>,
-    /// Ordinals of removed/replaced documents, excluded from results.
-    tombstones: BTreeSet<u32>,
+    /// Tokenizer scratch, reused across documents.
+    token_buf: String,
+    /// The term ids of the document being added; the ordinal renumbering
+    /// during a compaction.
+    scratch: Vec<u32>,
 }
 
 impl InvertedIndex {
@@ -47,7 +95,7 @@ impl InvertedIndex {
 
     /// The number of live documents.
     pub fn len(&self) -> usize {
-        self.docs.len() - self.tombstones.len()
+        self.by_id.len()
     }
 
     /// Returns `true` when the index holds no live documents.
@@ -55,9 +103,11 @@ impl InvertedIndex {
         self.len() == 0
     }
 
-    /// The number of distinct terms ever indexed.
+    /// The number of distinct terms in the dictionary: every term of a
+    /// live document, plus those of removed documents that no compaction
+    /// has dropped yet.
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.term_ids.len()
     }
 
     /// Indexes `text` under `id`, replacing any previous document with the
@@ -72,33 +122,116 @@ impl InvertedIndex {
     /// token boundaries either way, so callers holding borrowed slices
     /// (multi-valued metadata) can feed them without first concatenating
     /// into an owned string.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the index would exceed `u32::MAX` ordinals or terms.
     pub fn add_segments<'a>(&mut self, id: DocId, segments: impl IntoIterator<Item = &'a str>) {
-        self.remove(&id);
-        let ord = self.docs.len() as u32;
-        let mut counts: HashMap<String, u32> = HashMap::new();
-        let mut len = 0u32;
+        let mut term_ids = std::mem::take(&mut self.scratch);
+        let mut token_buf = std::mem::take(&mut self.token_buf);
+        term_ids.clear();
         for segment in segments {
-            for t in tokenize(segment) {
-                len += 1;
-                *counts.entry(t).or_default() += 1;
+            for_each_token(segment, &mut token_buf, |term| term_ids.push(self.intern(term)));
+        }
+        let len = u32::try_from(term_ids.len()).expect("document token count overflow");
+        term_ids.sort_unstable();
+
+        let ord = u32::try_from(self.docs.len()).expect("document ordinal overflow");
+        let mut terms = 0;
+        for run in term_ids.chunk_by(|a, b| a == b) {
+            self.postings[run[0] as usize].push(Posting { doc: ord, tf: run.len() as u32 });
+            terms += 1;
+        }
+        self.stored_postings += terms as usize;
+        self.live_postings += terms as usize;
+        // A replaced document hands its id over to the new ordinal.
+        let id = match self.by_id.get_mut(&id) {
+            Some(slot) => {
+                let old = std::mem::replace(slot, ord);
+                self.kill(old)
             }
+            None => {
+                self.by_id.insert(id.clone(), ord);
+                id
+            }
+        };
+        self.docs.push(DocEntry { id: Some(id), len, terms });
+        self.scratch = term_ids;
+        self.token_buf = token_buf;
+        self.compact_if_mostly_dead();
+    }
+
+    /// The id of `term`, entering it into the dictionary when new.
+    fn intern(&mut self, term: &str) -> u32 {
+        if let Some(&id) = self.term_ids.get(term) {
+            return id;
         }
-        self.docs.push(id.clone());
-        self.doc_len.push(len);
-        self.by_id.insert(id, ord);
-        for (term, tf) in counts {
-            self.terms.entry(term).or_default().push(Posting { doc: ord, tf });
-        }
+        let id = self.free_term_ids.pop().unwrap_or_else(|| {
+            self.postings.push(Vec::new());
+            u32::try_from(self.postings.len() - 1).expect("term id overflow")
+        });
+        let term: Arc<str> = Arc::from(term);
+        self.term_ids.insert(Arc::clone(&term), id);
+        self.sorted_terms.insert(term, id);
+        id
+    }
+
+    /// Marks the live ordinal `ord` dead, returning its document's id.
+    fn kill(&mut self, ord: u32) -> DocId {
+        let entry = &mut self.docs[ord as usize];
+        self.live_postings -= entry.terms as usize;
+        entry.id.take().expect("a live ordinal")
     }
 
     /// Removes the document with `id`. Returns `true` when it was present.
     pub fn remove(&mut self, id: &DocId) -> bool {
         match self.by_id.remove(id) {
             Some(ord) => {
-                self.tombstones.insert(ord);
+                self.kill(ord);
+                self.compact_if_mostly_dead();
                 true
             }
             None => false,
+        }
+    }
+
+    /// Keeps the index within twice what its live documents need: once
+    /// dead ordinals outnumber live ones, or dead postings live ones, drops
+    /// every dead ordinal and posting and every term left without
+    /// postings, renumbering the live ordinals densely in their order.
+    fn compact_if_mostly_dead(&mut self) {
+        if self.docs.len() <= 2 * self.by_id.len() && self.stored_postings <= 2 * self.live_postings {
+            return;
+        }
+        // A live ordinal's new number: the live ordinals before it.
+        let remap = &mut self.scratch;
+        remap.clear();
+        let mut live = 0;
+        for entry in &self.docs {
+            remap.push(live);
+            live += u32::from(entry.id.is_some());
+        }
+        // Lists of terms outside the dictionary are already empty.
+        self.sorted_terms.retain(|term, &mut id| {
+            let list = &mut self.postings[id as usize];
+            list.retain_mut(|p| {
+                let live = self.docs[p.doc as usize].id.is_some();
+                p.doc = remap[p.doc as usize];
+                live
+            });
+            let mentioned = !list.is_empty();
+            if !mentioned {
+                *list = Vec::new();
+                self.term_ids.remove(term);
+                self.free_term_ids.push(id);
+            }
+            mentioned
+        });
+        self.stored_postings = self.live_postings;
+        self.docs.retain(|entry| entry.id.is_some());
+        for (ord, entry) in self.docs.iter().enumerate() {
+            let id = entry.id.as_ref().expect("retained above");
+            *self.by_id.get_mut(id).expect("every live document is in by_id") = ord as u32;
         }
     }
 
@@ -112,31 +245,35 @@ impl InvertedIndex {
         let matches = self.eval(query);
         matches
             .into_iter()
-            .filter(|ord| !self.tombstones.contains(ord))
-            .map(|ord| self.docs[ord as usize].clone())
+            .filter_map(|ord| self.docs[ord as usize].id.clone())
             .collect()
+    }
+
+    fn is_live(&self, ord: u32) -> bool {
+        self.docs[ord as usize].id.is_some()
     }
 
     fn all_live(&self) -> BTreeSet<u32> {
-        (0..self.docs.len() as u32)
-            .filter(|o| !self.tombstones.contains(o))
-            .collect()
+        (0..self.docs.len() as u32).filter(|&o| self.is_live(o)).collect()
     }
 
+    /// The posting list of `term`, dead postings included.
+    fn postings_of(&self, term: &str) -> &[Posting] {
+        self.term_ids.get(term).map_or(&[], |&id| &self.postings[id as usize])
+    }
+
+    /// The ordinals matching `query`; dead ones may be among them.
     fn eval(&self, query: &Query) -> BTreeSet<u32> {
         match query {
-            Query::Term(t) => self
-                .terms
-                .get(t)
-                .map(|ps| ps.iter().map(|p| p.doc).collect())
-                .unwrap_or_default(),
+            Query::Term(t) => self.postings_of(t).iter().map(|p| p.doc).collect(),
             Query::Prefix(p) => {
                 let mut out = BTreeSet::new();
-                for (term, ps) in self.terms.range(p.clone()..) {
+                let from = (Bound::Included(p.as_str()), Bound::Unbounded);
+                for (term, &id) in self.sorted_terms.range::<str, _>(from) {
                     if !term.starts_with(p.as_str()) {
                         break;
                     }
-                    out.extend(ps.iter().map(|p| p.doc));
+                    out.extend(self.postings[id as usize].iter().map(|p| p.doc));
                 }
                 out
             }
@@ -177,47 +314,38 @@ impl InvertedIndex {
         if n == 0.0 {
             return Vec::new();
         }
+        // Probed and drained into a total order: hash order ends here.
         let mut scores: HashMap<u32, f64> = HashMap::new();
         for term in terms {
-            let Some(postings) = self.terms.get(*term) else {
-                continue;
-            };
-            let df = postings
-                .iter()
-                .filter(|p| !self.tombstones.contains(&p.doc))
-                .count() as f64;
+            let postings = self.postings_of(term);
+            let df = postings.iter().filter(|p| self.is_live(p.doc)).count() as f64;
             if df == 0.0 {
                 continue;
             }
             let idf = (n / df).ln() + 1.0;
-            for p in postings {
-                if self.tombstones.contains(&p.doc) {
-                    continue;
-                }
-                let len = self.doc_len[p.doc as usize].max(1) as f64;
+            for p in postings.iter().filter(|p| self.is_live(p.doc)) {
+                let len = self.docs[p.doc as usize].len.max(1) as f64;
                 *scores.entry(p.doc).or_default() += (p.tf as f64 / len) * idf;
             }
         }
         let mut out: Vec<(u32, f64)> = scores.into_iter().collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
         out.into_iter()
-            .map(|(ord, s)| (self.docs[ord as usize].clone(), s))
+            .map(|(ord, s)| (self.docs[ord as usize].id.clone().expect("only live ordinals score"), s))
             .collect()
     }
 
     /// Iterates over the live document ids in indexing order.
     pub fn iter(&self) -> impl Iterator<Item = &DocId> {
-        self.docs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.tombstones.contains(&(*i as u32)))
-            .map(|(_, d)| d)
+        self.docs.iter().filter_map(|entry| entry.id.as_ref())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::tokenize;
+    use proptest::prelude::*;
 
     fn sample() -> InvertedIndex {
         let mut idx = InvertedIndex::new();
@@ -337,5 +465,213 @@ mod tests {
         assert!(idx.execute(&Query::term("old")).is_empty());
         assert_eq!(idx.execute(&Query::term("new")), vec![DocId::new("d")]);
         assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn term_count_follows_the_live_documents() {
+        let mut idx = InvertedIndex::new();
+        idx.add("a".into(), "x y");
+        idx.add("b".into(), "y z");
+        idx.remove(&"a".into());
+        idx.remove(&"b".into());
+        assert_eq!(idx.term_count(), 0);
+        // A dropped term comes back under a reused id.
+        idx.add("c".into(), "z z x");
+        assert_eq!(idx.term_count(), 2);
+        assert_eq!(idx.postings.len(), 3);
+        assert_eq!(idx.execute(&Query::term("z")), vec![DocId::new("c")]);
+    }
+
+    /// Stored postings, ordinals and dead ordinals, counted from the
+    /// structures themselves.
+    fn footprint(idx: &InvertedIndex) -> (usize, usize, usize) {
+        let postings = idx.postings.iter().map(Vec::len).sum();
+        let dead = idx.docs.iter().filter(|entry| entry.id.is_none()).count();
+        assert_eq!(postings, idx.stored_postings);
+        assert_eq!(idx.docs.len() - dead, idx.by_id.len());
+        (postings, idx.docs.len(), dead)
+    }
+
+    /// The satellite bug: the index grew with every rebuild, not with the
+    /// collection. 512 ids replaced (or removed and re-added) round after
+    /// round — the benchmark's steady state — must leave no more than
+    /// twice what the live documents need, and a term query must not walk
+    /// more postings in round 200 than in round 1.
+    fn assert_bounded_under_churn(remove_first: bool) {
+        const IDS: usize = 512;
+        const ROUNDS: usize = 200;
+        // 40 words a document: `common` in every one, the rest drawn
+        // from a vocabulary the rounds keep shifting through.
+        let text = |id: usize, round: usize| {
+            let words = (0..39).map(|k| format!("w{}", (id * 7 + round * 13 + k * k) % 600));
+            std::iter::once("common".to_string()).chain(words).collect::<Vec<_>>().join(" ")
+        };
+        let mut idx = InvertedIndex::new();
+        let mut needed = vec![0usize; IDS];
+        let common = Query::term("common");
+        for round in 0..ROUNDS {
+            for (id, needed) in needed.iter_mut().enumerate() {
+                let doc = DocId::new(format!("d{id:03}"));
+                let text = text(id, round);
+                if remove_first {
+                    assert_eq!(idx.remove(&doc), round > 0);
+                }
+                idx.add(doc, &text);
+                *needed = tokenize(&text).into_iter().collect::<BTreeSet<_>>().len();
+                // Cheap after every operation, recounted below.
+                let live = idx.len();
+                assert!(idx.docs.len() <= 2 * live && idx.stored_postings <= 2 * idx.live_postings);
+            }
+            let (postings, ordinals, dead) = footprint(&idx);
+            let needed: usize = needed.iter().sum();
+            assert_eq!(idx.live_postings, needed);
+            assert!(postings <= 2 * needed, "round {round}: {postings} postings for {needed}");
+            assert!(ordinals <= 2 * IDS && dead <= IDS, "round {round}: {ordinals} ordinals, {dead} dead");
+            // What `execute` walks for a term is its posting list.
+            let touched = idx.postings_of("common").len();
+            assert!(touched <= 2 * IDS, "round {round}: a term query walks {touched} postings");
+            assert_eq!(idx.execute(&common).len(), IDS);
+            assert!(idx.term_count() <= 600 + 1);
+        }
+        // Indexing order is replacement order, compactions or not.
+        let expected: Vec<DocId> = (0..IDS).map(|id| DocId::new(format!("d{id:03}"))).collect();
+        assert_eq!(idx.execute(&common), expected);
+    }
+
+    #[test]
+    fn replacing_documents_keeps_the_index_bounded_by_its_live_documents() {
+        assert_bounded_under_churn(false);
+    }
+
+    #[test]
+    fn removing_and_re_adding_keeps_the_index_bounded_by_its_live_documents() {
+        assert_bounded_under_churn(true);
+    }
+
+    /// What the index is held to: the documents in indexing order, each
+    /// with its tokens, scanned for every question.
+    #[derive(Default)]
+    struct Model(Vec<(DocId, Vec<String>)>);
+
+    impl Model {
+        fn remove(&mut self, id: &DocId) {
+            self.0.retain(|(d, _)| d != id);
+        }
+
+        fn add(&mut self, id: DocId, segments: &[String]) {
+            self.remove(&id);
+            self.0.push((id, segments.iter().flat_map(|s| tokenize(s)).collect()));
+        }
+
+        fn matches(tokens: &[String], query: &Query) -> bool {
+            match query {
+                Query::Term(t) => tokens.contains(t),
+                Query::Prefix(p) => tokens.iter().any(|t| t.starts_with(p.as_str())),
+                Query::And(qs) => qs.iter().all(|q| Model::matches(tokens, q)),
+                Query::Or(qs) => qs.iter().any(|q| Model::matches(tokens, q)),
+                Query::Not(q) => !Model::matches(tokens, q),
+            }
+        }
+
+        fn execute(&self, query: &Query) -> Vec<DocId> {
+            let hits = self.0.iter().filter(|(_, tokens)| Model::matches(tokens, query));
+            hits.map(|(id, _)| id.clone()).collect()
+        }
+
+        fn ranked(&self, terms: &[&str]) -> Vec<(DocId, f64)> {
+            let tf = |tokens: &[String], term: &str| tokens.iter().filter(|t| *t == term).count();
+            let mut scores = vec![0.0; self.0.len()];
+            for term in terms {
+                let df = self.0.iter().filter(|(_, tokens)| tf(tokens, term) > 0).count();
+                for (score, (_, tokens)) in scores.iter_mut().zip(&self.0) {
+                    if tf(tokens, term) > 0 {
+                        let idf = (self.0.len() as f64 / df as f64).ln() + 1.0;
+                        *score += tf(tokens, term) as f64 / tokens.len() as f64 * idf;
+                    }
+                }
+            }
+            let mut out: Vec<(usize, f64)> = scores.into_iter().enumerate().filter(|(_, s)| *s > 0.0).collect();
+            out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            out.into_iter().map(|(at, s)| (self.0[at].0.clone(), s)).collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(u8, String),
+        AddSegments(u8, Vec<String>),
+        Remove(u8),
+    }
+
+    /// Texts over two letters, so terms repeat, share prefixes and differ
+    /// in case, with `İ` for a lowercasing that changes length.
+    fn op() -> impl Strategy<Value = Op> {
+        let text = "[abAB ,İ]{0,12}";
+        prop_oneof![
+            (0u8..5, text).prop_map(|(id, text)| Op::Add(id, text)),
+            (0u8..5, text).prop_map(|(id, text)| Op::Add(id, text)),
+            (0u8..5, prop::collection::vec(text, 0..4)).prop_map(|(id, segs)| Op::AddSegments(id, segs)),
+            (0u8..5).prop_map(Op::Remove),
+        ]
+    }
+
+    fn query() -> impl Strategy<Value = Query> {
+        let leaf = prop_oneof!["[ab]{1,3}".prop_map(Query::Term), "[ab]{1,2}".prop_map(Query::Prefix)];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..3).prop_map(Query::And),
+                prop::collection::vec(inner.clone(), 0..3).prop_map(Query::Or),
+                inner.prop_map(|q| Query::Not(Box::new(q))),
+            ]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn index_equals_a_scan_of_its_documents(
+            ops in prop::collection::vec(op(), 16..48),
+            queries in prop::collection::vec(query(), 4..5),
+            ranked in prop::collection::vec("[ab]{1,3}", 0..4),
+        ) {
+            let ranked: Vec<&str> = ranked.iter().map(String::as_str).collect();
+            let (mut idx, mut model) = (InvertedIndex::new(), Model::default());
+            let mut compactions = 0;
+            for op in &ops {
+                let ordinals = idx.docs.len();
+                let doc = |id: &u8| DocId::new(format!("d{id}"));
+                match op {
+                    Op::Add(id, text) => {
+                        idx.add(doc(id), text);
+                        model.add(doc(id), std::slice::from_ref(text));
+                    }
+                    Op::AddSegments(id, segments) => {
+                        idx.add_segments(doc(id), segments.iter().map(String::as_str));
+                        model.add(doc(id), segments);
+                    }
+                    Op::Remove(id) => {
+                        prop_assert_eq!(idx.remove(&doc(id)), model.0.iter().any(|(d, _)| *d == doc(id)));
+                        model.remove(&doc(id));
+                    }
+                }
+                let added = usize::from(!matches!(op, Op::Remove(_)));
+                compactions += usize::from(idx.docs.len() < ordinals + added);
+
+                prop_assert_eq!(idx.len(), model.0.len());
+                prop_assert_eq!(idx.iter().collect::<Vec<_>>(), model.0.iter().map(|(id, _)| id).collect::<Vec<_>>());
+                for id in 0..5 {
+                    prop_assert_eq!(idx.contains(&doc(&id)), model.0.iter().any(|(d, _)| *d == doc(&id)));
+                }
+                for query in &queries {
+                    prop_assert!(idx.execute(query) == model.execute(query), "{query} after {op:?}");
+                }
+                let (got, want) = (idx.ranked(&ranked), model.ranked(&ranked));
+                prop_assert_eq!(got.len(), want.len());
+                for ((got_id, got_score), (want_id, want_score)) in got.iter().zip(&want) {
+                    prop_assert!(got_id == want_id && (got_score - want_score).abs() <= 1e-12, "{got:?} vs {want:?}");
+                }
+                footprint(&idx);
+            }
+            prop_assert!(compactions > 0, "no compaction in {} operations", ops.len());
+        }
     }
 }

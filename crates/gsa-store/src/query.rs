@@ -19,9 +19,8 @@
 //! term   := word | word'*'              -- trailing * is a prefix match
 //! ```
 
-use crate::tokenize::{normalize_term, tokenize};
+use crate::tokenize::{normalize_term, TokenSet};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -76,18 +75,12 @@ impl Query {
         Ok(q)
     }
 
-    /// Evaluates this query against one document given its token set and
-    /// (optionally) extra tokens from metadata values.
-    ///
-    /// `tokens` should be produced by [`crate::tokenize()`]; a `BTreeSet`
-    /// keeps prefix queries efficient via range scans.
-    pub fn matches_tokens(&self, tokens: &BTreeSet<String>) -> bool {
+    /// Evaluates this query against one document given its token set:
+    /// terms and prefixes are binary searches in it.
+    pub fn matches_tokens(&self, tokens: &TokenSet) -> bool {
         match self {
             Query::Term(t) => tokens.contains(t),
-            Query::Prefix(p) => tokens
-                .range(p.clone()..)
-                .next()
-                .is_some_and(|t| t.starts_with(p.as_str())),
+            Query::Prefix(p) => tokens.any_with_prefix(p),
             Query::And(qs) => qs.iter().all(|q| q.matches_tokens(tokens)),
             Query::Or(qs) => qs.iter().any(|q| q.matches_tokens(tokens)),
             Query::Not(q) => !q.matches_tokens(tokens),
@@ -96,8 +89,7 @@ impl Query {
 
     /// Evaluates this query against raw text (tokenizing it first).
     pub fn matches_text(&self, text: &str) -> bool {
-        let tokens: BTreeSet<String> = tokenize(text).into_iter().collect();
-        self.matches_tokens(&tokens)
+        self.matches_tokens(&TokenSet::of(text))
     }
 
     /// All positive terms/prefixes mentioned by the query; used by filter
@@ -398,8 +390,7 @@ mod tests {
     fn prefix_range_scan_does_not_overshoot() {
         // "libz" sorts after every "libr..." token; ensure no false match.
         let q = Query::Prefix("libr".into());
-        let tokens: BTreeSet<String> = ["libz".to_string()].into_iter().collect();
-        assert!(!q.matches_tokens(&tokens));
+        assert!(!q.matches_tokens(&TokenSet::of("libz")));
     }
 
     #[test]

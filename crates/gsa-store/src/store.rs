@@ -5,7 +5,7 @@ use crate::index::InvertedIndex;
 use crate::query::Query;
 use gsa_types::{DocId, DocSummary, MetadataRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::error::Error;
 use std::fmt;
 
@@ -79,7 +79,8 @@ impl SourceDocument {
 
     /// The first `max_chars` characters of the text, on a char boundary.
     pub fn excerpt(&self, max_chars: usize) -> String {
-        self.text.chars().take(max_chars).collect()
+        let end = self.text.char_indices().nth(max_chars).map_or(self.text.len(), |(at, _)| at);
+        self.text[..end].to_string()
     }
 
     /// Builds the event payload summary for this document.
@@ -147,22 +148,29 @@ impl DocumentStore {
 
     /// Adds (or replaces) a document, updating all indexes and classifiers.
     pub fn add_document(&mut self, doc: SourceDocument) {
-        if self.docs.contains_key(&doc.id) {
-            self.remove_document(&doc.id.clone());
-        }
+        let (doc, replaced) = match self.docs.entry(doc.id.clone()) {
+            Entry::Occupied(mut entry) => {
+                entry.insert(doc);
+                (entry.into_mut(), true)
+            }
+            Entry::Vacant(entry) => (entry.insert(doc), false),
+        };
         for (spec, index) in &mut self.indexes {
             match &spec.source {
                 IndexSource::FullText => index.add(doc.id.clone(), &doc.text),
                 IndexSource::Metadata(key) => {
-                    let joined = doc.metadata.all(key).join(" ");
-                    index.add(doc.id.clone(), &joined);
+                    let values = doc.metadata.all(key).iter().map(String::as_str);
+                    index.add_segments(doc.id.clone(), values);
                 }
             }
         }
         for classifier in &mut self.classifiers {
+            // An index replaces a re-added id itself; a classifier does not.
+            if replaced {
+                classifier.remove(&doc.id);
+            }
             classifier.add(&doc.id, &doc.metadata);
         }
-        self.docs.insert(doc.id.clone(), doc);
     }
 
     /// Removes a document from storage, indexes and classifiers. Returns
