@@ -34,12 +34,12 @@
 //! it with plain integers. Lifecycle transitions are exposed through
 //! [`AlertEngine::take_transitions`] for durable persistence (the core
 //! journals them through `gsa-state`), and bounded-label counters
-//! through [`AlertEngine::take_counters`].
+//! through [`AlertEngine::counts_mut`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gsa_types::{SimDuration, SimTime};
+use gsa_types::{CounterId, Counts, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The lifecycle states of an alert instance.
@@ -229,31 +229,6 @@ pub struct Transition {
     pub at: SimTime,
 }
 
-/// Bounded-label lifecycle counters, drained by the host through
-/// [`AlertEngine::take_counters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlertCounters {
-    /// Transitions into `Firing`.
-    pub firing: u64,
-    /// Transitions into `Acked`.
-    pub acked: u64,
-    /// Transitions into `Resolved`.
-    pub resolved: u64,
-    /// Transitions into `Stale`.
-    pub stale: u64,
-    /// Observations dropped by dedup or throttle.
-    pub suppressed: u64,
-    /// Observations buffered into digests.
-    pub digested: u64,
-}
-
-impl AlertCounters {
-    /// All-zero check, so hosts can skip the per-field drain.
-    pub fn is_zero(&self) -> bool {
-        *self == AlertCounters::default()
-    }
-}
-
 /// What a maintenance tick produced: instances that went stale and
 /// digest buffers that came due.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -307,7 +282,9 @@ pub struct AlertEngine<T> {
     /// first payload lands in an empty buffer set.
     digest_due: Option<SimTime>,
     transitions: Vec<Transition>,
-    counters: AlertCounters,
+    /// Lifecycle transitions, suppressions and digested observations
+    /// since the host last drained [`AlertEngine::counts_mut`].
+    counts: Counts,
 }
 
 impl<T> AlertEngine<T> {
@@ -320,7 +297,7 @@ impl<T> AlertEngine<T> {
             digests: BTreeMap::new(),
             digest_due: None,
             transitions: Vec::new(),
-            counters: AlertCounters::default(),
+            counts: Counts::default(),
         }
     }
 
@@ -367,12 +344,13 @@ impl<T> AlertEngine<T> {
             state,
             at: now,
         });
-        match state {
-            AlertState::Firing => self.counters.firing += 1,
-            AlertState::Acked => self.counters.acked += 1,
-            AlertState::Resolved => self.counters.resolved += 1,
-            AlertState::Stale => self.counters.stale += 1,
-        }
+        let id = match state {
+            AlertState::Firing => CounterId::ALERTS_FIRING,
+            AlertState::Acked => CounterId::ALERTS_ACKED,
+            AlertState::Resolved => CounterId::ALERTS_RESOLVED,
+            AlertState::Stale => CounterId::ALERTS_STALE,
+        };
+        self.counts.add(id, 1);
     }
 
     /// Runs one matched event through the policy pipeline.
@@ -393,7 +371,7 @@ impl<T> AlertEngine<T> {
             instance.last_seen = now;
         }
         if active && self.config.dedup {
-            self.counters.suppressed += 1;
+            self.counts.add(CounterId::ALERTS_SUPPRESSED, 1);
             return Outcome::Suppressed;
         }
         if !active {
@@ -409,7 +387,7 @@ impl<T> AlertEngine<T> {
                 bucket.used = 0;
             }
             if bucket.used >= throttle.budget {
-                self.counters.suppressed += 1;
+                self.counts.add(CounterId::ALERTS_SUPPRESSED, 1);
                 return Outcome::Throttled;
             }
             bucket.used += 1;
@@ -419,7 +397,7 @@ impl<T> AlertEngine<T> {
                 self.digest_due = Some(now + digest.interval);
             }
             self.digests.entry(digest_key.to_string()).or_default().push(payload);
-            self.counters.digested += 1;
+            self.counts.add(CounterId::ALERTS_DIGESTED, 1);
             return Outcome::Digested;
         }
         Outcome::Deliver
@@ -482,9 +460,10 @@ impl<T> AlertEngine<T> {
         std::mem::take(&mut self.transitions)
     }
 
-    /// Drains the lifecycle counters accumulated since the last call.
-    pub fn take_counters(&mut self) -> AlertCounters {
-        std::mem::take(&mut self.counters)
+    /// What the engine counted (the bounded-label `alerts.*` rows of
+    /// the counter table) since the host last drained this.
+    pub fn counts_mut(&mut self) -> &mut Counts {
+        &mut self.counts
     }
 
     /// Reinstates an instance from durable state (recovery replay).
@@ -509,7 +488,7 @@ impl<T> AlertEngine<T> {
         self.digests.clear();
         self.digest_due = None;
         self.transitions.clear();
-        self.counters = AlertCounters::default();
+        self.counts = Counts::default();
     }
 }
 
@@ -558,9 +537,9 @@ mod tests {
         assert_eq!(engine.observe(1, "c", 10, T0), Outcome::Deliver);
         assert_eq!(engine.observe(1, "c", 11, at(1)), Outcome::Deliver);
         assert_eq!(engine.state(1), Some(AlertState::Firing));
-        let counters = engine.take_counters();
-        assert_eq!(counters.firing, 1);
-        assert_eq!(counters.suppressed, 0);
+        let counters = engine.counts_mut();
+        assert_eq!(counters.get(CounterId::ALERTS_FIRING), 1);
+        assert_eq!(counters.get(CounterId::ALERTS_SUPPRESSED), 0);
     }
 
     #[test]
@@ -574,11 +553,11 @@ mod tests {
         assert!(engine.resolve(1, at(4)));
         assert_eq!(engine.observe(1, "c", 3, at(5)), Outcome::Deliver);
         assert_eq!(engine.state(1), Some(AlertState::Firing));
-        let counters = engine.take_counters();
-        assert_eq!(counters.firing, 2);
-        assert_eq!(counters.acked, 1);
-        assert_eq!(counters.resolved, 1);
-        assert_eq!(counters.suppressed, 2);
+        let counters = engine.counts_mut();
+        assert_eq!(counters.get(CounterId::ALERTS_FIRING), 2);
+        assert_eq!(counters.get(CounterId::ALERTS_ACKED), 1);
+        assert_eq!(counters.get(CounterId::ALERTS_RESOLVED), 1);
+        assert_eq!(counters.get(CounterId::ALERTS_SUPPRESSED), 2);
     }
 
     #[test]
@@ -637,7 +616,7 @@ mod tests {
         );
         // Flushed buffers are gone; the next tick flushes nothing.
         assert!(engine.on_tick(at(120)).flushed.is_empty());
-        assert_eq!(engine.take_counters().digested, 3);
+        assert_eq!(engine.counts_mut().get(CounterId::ALERTS_DIGESTED), 3);
     }
 
     #[test]
@@ -695,7 +674,7 @@ mod tests {
         engine.wipe();
         assert!(engine.is_empty());
         assert!(engine.take_transitions().is_empty());
-        assert!(engine.take_counters().is_zero());
+        assert!(engine.counts_mut().is_empty());
         // Without the instance the duplicate delivers again — the
         // volatile double-notify the durable store exists to prevent.
         assert_eq!(engine.observe(1, "c", 1, at(1)), Outcome::Deliver);

@@ -1,9 +1,8 @@
 //! Event flooding over the raw GS reference graph.
 
 use crate::msg::{BaselineMsg, Delivery, GlobalProfileId};
-use gsa_core::Directory;
 use gsa_profile::ProfileExpr;
-use gsa_simnet::{Actor, Ctx, NodeId, Sim};
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId, Sim};
 use gsa_types::{ClientId, Event, HostName, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
@@ -13,7 +12,6 @@ pub const DEFAULT_TTL: u32 = 16;
 struct GsFloodActor {
     host: HostName,
     neighbors: Vec<HostName>,
-    directory: Directory,
     dedup: bool,
     seen: HashSet<(HostName, u64)>,
     profiles: HashMap<u64, (ClientId, ProfileExpr)>,
@@ -50,11 +48,11 @@ impl GsFloodActor {
         except: Option<NodeId>,
     ) {
         if ttl == 0 {
-            ctx.count("gsflood.ttl_exhausted", 1);
+            ctx.count_id(CounterId::GSFLOOD_TTL_EXHAUSTED, 1);
             return;
         }
         for n in &self.neighbors {
-            let Some(node) = self.directory.lookup(n) else {
+            let Some(node) = ctx.resolve(n.as_str()) else {
                 continue;
             };
             if Some(node) == except {
@@ -83,7 +81,7 @@ impl Actor<BaselineMsg> for GsFloodActor {
             return;
         };
         if self.dedup && !self.seen.insert(flood_id.clone()) {
-            ctx.count("gsflood.duplicate_suppressed", 1);
+            ctx.count_id(CounterId::GSFLOOD_DUPLICATE_SUPPRESSED, 1);
             return;
         }
         self.deliver(&event, ctx.now());
@@ -99,7 +97,6 @@ impl Actor<BaselineMsg> for GsFloodActor {
 /// cycles so the duplicate cost is measurable rather than unbounded.
 pub struct GsFloodSystem {
     sim: Sim<BaselineMsg>,
-    directory: Directory,
     dedup: bool,
 }
 
@@ -111,7 +108,6 @@ impl GsFloodSystem {
         sim.set_wire_size_fn(BaselineMsg::wire_size);
         GsFloodSystem {
             sim,
-            directory: Directory::new(),
             dedup,
         }
     }
@@ -122,7 +118,6 @@ impl GsFloodSystem {
         let actor = GsFloodActor {
             host: HostName::new(host),
             neighbors,
-            directory: self.directory.clone(),
             dedup: self.dedup,
             seen: HashSet::new(),
             profiles: HashMap::new(),
@@ -130,14 +125,12 @@ impl GsFloodSystem {
             next_flood: 0,
             deliveries: Vec::new(),
         };
-        let id = self.sim.add_node(host, actor);
-        self.directory.insert(HostName::new(host), id);
-        id
+        self.sim.add_node(host, actor)
     }
 
     fn node(&self, host: &str) -> NodeId {
-        self.directory
-            .lookup(&HostName::new(host))
+        self.sim
+            .node_id(host)
             .unwrap_or_else(|| panic!("unknown host {host:?}"))
     }
 

@@ -1,9 +1,8 @@
 //! Profile flooding/replication.
 
 use crate::msg::{BaselineMsg, Delivery, GlobalProfileId};
-use gsa_core::Directory;
 use gsa_profile::ProfileExpr;
-use gsa_simnet::{Actor, Ctx, NodeId, Sim};
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId, Sim};
 use gsa_types::{ClientId, Event, HostName, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
@@ -12,7 +11,6 @@ const TTL: u32 = 32;
 struct ProfileFloodActor {
     host: HostName,
     neighbors: Vec<HostName>,
-    directory: Directory,
     seen: HashSet<(HostName, u64)>,
     /// Every profile this server knows: own ones and replicas.
     profiles: HashMap<GlobalProfileId, (ClientId, ProfileExpr)>,
@@ -34,7 +32,7 @@ impl ProfileFloodActor {
             return;
         }
         for n in &self.neighbors {
-            let Some(node) = self.directory.lookup(n) else {
+            let Some(node) = ctx.resolve(n.as_str()) else {
                 continue;
             };
             if Some(node) == except {
@@ -65,7 +63,7 @@ impl Actor<BaselineMsg> for ProfileFloodActor {
                     return;
                 }
                 self.profiles.insert(profile.clone(), (client, expr.clone()));
-                ctx.count("profileflood.replicas", 1);
+                ctx.count_id(CounterId::PROFILEFLOOD_REPLICAS, 1);
                 self.flood(
                     ctx,
                     &BaselineMsg::FloodProfileAdd {
@@ -107,7 +105,7 @@ impl Actor<BaselineMsg> for ProfileFloodActor {
                 // user-visible orphan-profile false positive.
                 let spurious = !(profile.owner == self.host && self.own_active.contains(&profile.seq));
                 if spurious {
-                    ctx.count("profileflood.spurious", 1);
+                    ctx.count_id(CounterId::PROFILEFLOOD_SPURIOUS, 1);
                 }
                 self.deliveries.push(Delivery {
                     host: self.host.clone(),
@@ -131,7 +129,6 @@ impl Actor<BaselineMsg> for ProfileFloodActor {
 /// cannot reach become **orphan profiles** — the Section 2 failure mode.
 pub struct ProfileFloodSystem {
     sim: Sim<BaselineMsg>,
-    directory: Directory,
 }
 
 impl ProfileFloodSystem {
@@ -141,7 +138,6 @@ impl ProfileFloodSystem {
         sim.set_wire_size_fn(BaselineMsg::wire_size);
         ProfileFloodSystem {
             sim,
-            directory: Directory::new(),
         }
     }
 
@@ -150,7 +146,6 @@ impl ProfileFloodSystem {
         let actor = ProfileFloodActor {
             host: HostName::new(host),
             neighbors,
-            directory: self.directory.clone(),
             seen: HashSet::new(),
             profiles: HashMap::new(),
             own_active: HashSet::new(),
@@ -158,14 +153,12 @@ impl ProfileFloodSystem {
             next_flood: 0,
             deliveries: Vec::new(),
         };
-        let id = self.sim.add_node(host, actor);
-        self.directory.insert(HostName::new(host), id);
-        id
+        self.sim.add_node(host, actor)
     }
 
     fn node(&self, host: &str) -> NodeId {
-        self.directory
-            .lookup(&HostName::new(host))
+        self.sim
+            .node_id(host)
             .unwrap_or_else(|| panic!("unknown host {host:?}"))
     }
 
@@ -235,7 +228,7 @@ impl ProfileFloodSystem {
                     }
                     if gpid.owner == actor.host {
                         local.push((gpid.clone(), *client));
-                    } else if let Some(owner_node) = actor.directory.lookup(&gpid.owner) {
+                    } else if let Some(owner_node) = ctx.resolve(gpid.owner.as_str()) {
                         ctx.send(
                             owner_node,
                             BaselineMsg::Notify {

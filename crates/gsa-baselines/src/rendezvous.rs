@@ -1,9 +1,8 @@
 //! Rendezvous-node routing (Scribe/Hermes-style).
 
 use crate::msg::{fnv1a, BaselineMsg, Delivery, GlobalProfileId};
-use gsa_core::Directory;
 use gsa_profile::ProfileExpr;
-use gsa_simnet::{Actor, Ctx, NodeId, Sim};
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId, Sim};
 use gsa_types::{ClientId, Event, HostName, SimDuration, SimTime};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -23,7 +22,6 @@ fn rendezvous_of(ring: &Ring, topic: &str) -> Option<HostName> {
 
 struct RendezvousActor {
     host: HostName,
-    directory: Directory,
     /// Profiles this node is the rendezvous for, by topic.
     table: HashMap<String, Vec<(GlobalProfileId, ClientId, ProfileExpr)>>,
     /// Profiles owned here that are still active.
@@ -44,7 +42,7 @@ impl Actor<BaselineMsg> for RendezvousActor {
                 let entry = self.table.entry(topic).or_default();
                 if !entry.iter().any(|(p, _, _)| p == &profile) {
                     entry.push((profile, client, expr));
-                    ctx.count("rendezvous.stored_profiles", 1);
+                    ctx.count_id(CounterId::RENDEZVOUS_STORED_PROFILES, 1);
                 }
             }
             BaselineMsg::RvProfileRemove { topic, profile } => {
@@ -56,13 +54,13 @@ impl Actor<BaselineMsg> for RendezvousActor {
                 }
             }
             BaselineMsg::RvEvent { topic, event } => {
-                ctx.count("rendezvous.filtered_events", 1);
+                ctx.count_id(CounterId::RENDEZVOUS_FILTERED_EVENTS, 1);
                 let Some(entry) = self.table.get(&topic) else {
                     return;
                 };
                 for (profile, client, expr) in entry {
                     if expr.matches_event(&event) {
-                        if let Some(owner_node) = self.directory.lookup(&profile.owner) {
+                        if let Some(owner_node) = ctx.resolve(profile.owner.as_str()) {
                             ctx.send(
                                 owner_node,
                                 BaselineMsg::Notify {
@@ -83,7 +81,7 @@ impl Actor<BaselineMsg> for RendezvousActor {
                 let spurious =
                     !(profile.owner == self.host && self.own_active.contains(&profile.seq));
                 if spurious {
-                    ctx.count("rendezvous.spurious", 1);
+                    ctx.count_id(CounterId::RENDEZVOUS_SPURIOUS, 1);
                 }
                 self.deliveries.push(Delivery {
                     host: self.host.clone(),
@@ -107,7 +105,6 @@ impl Actor<BaselineMsg> for RendezvousActor {
 /// "may become a bottleneck", and its failure silently loses events.
 pub struct RendezvousSystem {
     sim: Sim<BaselineMsg>,
-    directory: Directory,
     ring: Ring,
 }
 
@@ -118,7 +115,6 @@ impl RendezvousSystem {
         sim.set_wire_size_fn(BaselineMsg::wire_size);
         RendezvousSystem {
             sim,
-            directory: Directory::new(),
             ring: Arc::new(RwLock::new(Vec::new())),
         }
     }
@@ -127,21 +123,18 @@ impl RendezvousSystem {
     pub fn add_server(&mut self, host: &str) -> NodeId {
         let actor = RendezvousActor {
             host: HostName::new(host),
-            directory: self.directory.clone(),
             table: HashMap::new(),
             own_active: HashSet::new(),
             next_profile: 0,
             deliveries: Vec::new(),
         };
-        let id = self.sim.add_node(host, actor);
-        self.directory.insert(HostName::new(host), id);
         self.ring.write().push(HostName::new(host));
-        id
+        self.sim.add_node(host, actor)
     }
 
     fn node(&self, host: &str) -> NodeId {
-        self.directory
-            .lookup(&HostName::new(host))
+        self.sim
+            .node_id(host)
             .unwrap_or_else(|| panic!("unknown host {host:?}"))
     }
 
@@ -172,7 +165,7 @@ impl RendezvousSystem {
                     seq,
                 };
                 if let Some(rv) = rendezvous_of(&ring, &topic) {
-                    if let Some(rv_node) = actor.directory.lookup(&rv) {
+                    if let Some(rv_node) = ctx.resolve(rv.as_str()) {
                         ctx.send(
                             rv_node,
                             BaselineMsg::RvProfileAdd {
@@ -200,7 +193,7 @@ impl RendezvousSystem {
             .with_actor::<RendezvousActor, bool>(node, move |actor, ctx| {
                 let was_active = actor.own_active.remove(&p.seq);
                 if let Some(rv) = rendezvous_of(&ring, &topic) {
-                    if let Some(rv_node) = actor.directory.lookup(&rv) {
+                    if let Some(rv_node) = ctx.resolve(rv.as_str()) {
                         ctx.send(rv_node, BaselineMsg::RvProfileRemove { topic, profile: p });
                     }
                 }
@@ -215,10 +208,10 @@ impl RendezvousSystem {
         let node = self.node(host);
         let ring = Arc::clone(&self.ring);
         self.sim
-            .with_actor::<RendezvousActor, ()>(node, move |actor, ctx| {
+            .with_actor::<RendezvousActor, ()>(node, move |_, ctx| {
                 let topic = event.origin.to_string();
                 if let Some(rv) = rendezvous_of(&ring, &topic) {
-                    if let Some(rv_node) = actor.directory.lookup(&rv) {
+                    if let Some(rv_node) = ctx.resolve(rv.as_str()) {
                         ctx.send(rv_node, BaselineMsg::RvEvent { topic, event });
                     }
                 }

@@ -25,7 +25,7 @@
 use gsa_bench::{run_scheme, Oracle, RunConfig, Scheme, Table};
 use gsa_profile::parse_profile;
 use gsa_state::{JournalConfig, JournalStateStore, MemMedium, StateStore};
-use gsa_types::{ClientId, ProfileId, SimDuration};
+use gsa_types::{ClientId, CounterId, ProfileId, SimDuration};
 use gsa_workload::{
     FaultPlan, FaultPlanParams, GsWorld, ProfileMix, ProfilePopulation, RebuildSchedule,
     WorldParams,
@@ -88,7 +88,7 @@ fn time_recovery(medium: &MemMedium, cadence: usize, reps: usize) -> (u128, u64,
         let recovered = store.recover();
         times.push(started.elapsed().as_micros());
         profiles = recovered.profiles.len();
-        replayed = store.take_counters().replay_records;
+        replayed = store.counts_mut().get(CounterId::STATE_REPLAY_RECORDS);
     }
     times.sort_unstable();
     (times[times.len() / 2], replayed, profiles)

@@ -276,10 +276,10 @@ fn run_cell(tree: &Tree, locality: Locality, mode: Mode) -> Cell {
     system.run_until_quiet(SimTime::from_secs(10));
 
     let publisher_node = system
-        .directory()
-        .lookup(&publisher)
+        .sim()
+        .node_id(publisher.as_str())
         .expect("publisher registered");
-    let origin_node = system.directory().lookup(&deepest).expect("gds node");
+    let origin_node = system.sim().node_id(deepest.as_str()).expect("gds node");
     let sent_before = system.metrics().counter("net.sent");
     let bytes_before = system.metrics().counter("net.bytes");
     let pruned_before = system.metrics().counter("gds.pruned_edges");

@@ -167,10 +167,10 @@ fn run_cell(nodes: usize, profiles: usize, distro: Distro, events: usize) -> Row
                 continue;
             };
             if spec.stratum <= 2 {
-                let a = system.directory().lookup(parent).expect("gds registered");
+                let a = system.sim().node_id(parent.as_str()).expect("gds registered");
                 let b = system
-                    .directory()
-                    .lookup(&spec.name)
+                    .sim()
+                    .node_id(spec.name.as_str())
                     .expect("gds registered");
                 system.sim_mut().set_link(a, b, wan.clone());
             }
@@ -207,12 +207,12 @@ fn run_cell(nodes: usize, profiles: usize, distro: Distro, events: usize) -> Row
     let setup_ms = setup_started.elapsed().as_secs_f64() * 1e3;
 
     let publisher_node = system
-        .directory()
-        .lookup(&publisher)
+        .sim()
+        .node_id(publisher.as_str())
         .expect("publisher registered");
     let origin_node = system
-        .directory()
-        .lookup(&origin_gds)
+        .sim()
+        .node_id(origin_gds.as_str())
         .expect("origin gds registered");
 
     let mut best: Option<Row> = None;

@@ -21,8 +21,8 @@ use gsa_bench::Table;
 use gsa_core::{AlertingCore, BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::{balanced_tree, figure2_tree, GdsMessage, GdsTopology};
 use gsa_types::{
-    keys, ClientId, CollectionId, DocSummary, Event, EventId, EventKind, HostName, MessageId,
-    MetadataRecord, SimDuration, SimTime,
+    keys, ClientId, CollectionId, CounterId, DocSummary, Event, EventId, EventKind, HostName,
+    MessageId, MetadataRecord, SimDuration, SimTime,
 };
 use gsa_wire::binary::payload_bytes_from_xml;
 use gsa_wire::codec::event_to_xml;
@@ -174,10 +174,10 @@ fn run_cell(tree: &Tree, variant: &Variant, events: usize) -> Row {
     system.run_until_quiet(SimTime::from_secs(5));
 
     let publisher_node = system
-        .directory()
-        .lookup(&publisher)
+        .sim()
+        .node_id(publisher.as_str())
         .expect("publisher registered");
-    let origin_node = system.directory().lookup(&deepest).expect("gds node");
+    let origin_node = system.sim().node_id(deepest.as_str()).expect("gds node");
     let frames_before = system.metrics().counter("net.frames");
     let bytes_before = system.metrics().counter("net.bytes_sent");
 
@@ -321,7 +321,7 @@ fn run_delivery_cell(match_pct: u32, probe: bool, events: usize) -> DeliveryRow 
         notifications += eff.notifications.len();
     }
     let wall = started.elapsed();
-    let counters = core.take_counters();
+    let counts = core.counts_mut();
     let wall_secs = wall.as_secs_f64().max(1e-9);
     DeliveryRow {
         match_pct,
@@ -330,9 +330,9 @@ fn run_delivery_cell(match_pct: u32, probe: bool, events: usize) -> DeliveryRow 
         notifications,
         wall_ms: wall.as_secs_f64() * 1e3,
         events_per_sec: events as f64 / wall_secs,
-        probe_skipped: counters.probe_skipped,
-        probe_passed: counters.probe_passed,
-        decode_errors: counters.decode_errors,
+        probe_skipped: counts.get(CounterId::CORE_PROBE_SKIP),
+        probe_passed: counts.get(CounterId::CORE_PROBE_PASS),
+        decode_errors: counts.get(CounterId::CORE_DECODE_ERROR),
     }
 }
 

@@ -336,12 +336,12 @@ fn run_hybrid(
                 system.set_drop_probability(*p);
             }
             Action::Fault(FaultAction::SetNodeUp { host, up, .. }) => {
-                if system.directory().lookup(host).is_some() {
+                if system.sim().node_id(host.as_str()).is_some() {
                     system.set_host_up(host.as_str(), *up);
                 }
             }
             Action::Fault(FaultAction::Partition { host, group, .. }) => {
-                if system.directory().lookup(host).is_some() {
+                if system.sim().node_id(host.as_str()).is_some() {
                     system.set_partition(host.as_str(), *group);
                     tracker.partition(host, at);
                 }
@@ -351,13 +351,13 @@ fn run_hybrid(
                 tracker.heal_all(at);
             }
             Action::Fault(FaultAction::CrashServer { host, .. }) => {
-                if system.directory().lookup(host).is_some() {
+                if system.sim().node_id(host.as_str()).is_some() {
                     system.crash_server(host.as_str());
                     crash_open.entry(host.clone()).or_insert(at);
                 }
             }
             Action::Fault(FaultAction::RestartServer { host, .. }) => {
-                if system.directory().lookup(host).is_some() {
+                if system.sim().node_id(host.as_str()).is_some() {
                     system.restart_server(host.as_str());
                     if let Some(start) = crash_open.remove(host) {
                         crash_windows.entry(host.clone()).or_default().push((start, at));

@@ -1,131 +1,36 @@
 //! Simulation actors: adapters from the sans-IO state machines to
 //! `gsa-simnet`.
+//!
+//! An actor carries only what is the transport's — wire formats, batch
+//! buffers, the reliable envelope, timers. Names and counters pass
+//! through it without being kept: a host name resolves in the
+//! simulator's own name table, lent through [`Ctx::resolve`] /
+//! [`Ctx::name_of`] for the length of a callback (the name ↔ node
+//! relation exists once per world, so there is no copy to keep in
+//! step), and whatever a state machine counted arrives as one
+//! [`Counts`], drained into the metrics with one loop.
 
 use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_greenstone::GsMessage;
-use gsa_simnet::metrics::{names as metric, CounterId};
-use gsa_simnet::{Actor, Ctx, NodeId, TimerId};
-use gsa_types::{FxHashMap, HostName, SimDuration};
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId, TimerId};
+use gsa_types::{Counts, FxHashMap, HostName, SimDuration};
 use gsa_wire::reliable::{Reliable, RetransmitQueue, RetryPolicy};
 use gsa_wire::WireFormat;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// A shared host-name → node-id directory, the simulation's stand-in for
-/// IP routing. Populated by [`System`](crate::System) as nodes are added.
-#[derive(Debug, Clone, Default)]
-pub struct Directory {
-    inner: Arc<RwLock<DirectoryInner>>,
-    /// Bumped on every [`Directory::insert`]; lets per-actor caches
-    /// detect staleness with one atomic load instead of taking the
-    /// read lock on every message.
-    version: Arc<AtomicU64>,
-}
-
-#[derive(Debug, Default)]
-struct DirectoryInner {
-    by_name: HashMap<HostName, NodeId>,
-    by_node: HashMap<NodeId, HostName>,
-}
-
-impl Directory {
-    /// Creates an empty directory.
-    pub fn new() -> Self {
-        Directory::default()
-    }
-
-    /// Registers a host name for a node.
-    pub fn insert(&self, name: HostName, node: NodeId) {
-        let mut inner = self.inner.write();
-        inner.by_name.insert(name.clone(), node);
-        inner.by_node.insert(node, name);
-        // Bumped while the write lock is held, so a reader that
-        // observes the new version and then takes the read lock is
-        // guaranteed to see the insert.
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// The current change counter; advances on every insert.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Copies the current contents into a cache's tables.
-    fn snapshot_into(
-        &self,
-        by_name: &mut FxHashMap<HostName, NodeId>,
-        by_node: &mut Vec<Option<HostName>>,
-    ) {
-        let inner = self.inner.read();
-        by_name.clear();
-        by_node.clear();
-        for (name, node) in &inner.by_name {
-            by_name.insert(name.clone(), *node);
-        }
-        for (node, name) in &inner.by_node {
-            let idx = node.as_u32() as usize;
-            if by_node.len() <= idx {
-                by_node.resize(idx + 1, None);
-            }
-            by_node[idx] = Some(name.clone());
-        }
-    }
-
-    /// Resolves a host name to its node.
-    pub fn lookup(&self, name: &HostName) -> Option<NodeId> {
-        self.inner.read().by_name.get(name).copied()
-    }
-
-    /// Number of registered names.
-    pub fn len(&self) -> usize {
-        self.inner.read().by_name.len()
-    }
-
-    /// Returns `true` when no names are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+/// Surfaces what a state machine counted as simulation metrics.
+fn drain_counts(counts: &mut Counts, ctx: &mut Ctx<'_, SysMessage>) {
+    for (id, n) in counts.drain() {
+        ctx.count_id(id, n);
     }
 }
 
-/// A per-actor snapshot of the shared [`Directory`], refreshed only
-/// when the directory's change counter moves. The directory is
-/// insert-only and effectively frozen once a topology is built, so the
-/// per-message name↔node translations hit these local tables — no lock,
-/// no SipHash — after the first message following any change.
-#[derive(Debug, Default)]
-struct DirectoryCache {
-    /// Directory version the tables were copied at.
-    version: u64,
-    by_name: FxHashMap<HostName, NodeId>,
-    by_node: Vec<Option<HostName>>,
-}
-
-impl DirectoryCache {
-    /// Refreshes the tables when the directory has changed since the
-    /// last call.
-    fn sync(&mut self, directory: &Directory) {
-        let version = directory.version();
-        if version != self.version {
-            directory.snapshot_into(&mut self.by_name, &mut self.by_node);
-            self.version = version;
-        }
-    }
-
-    /// Cached equivalent of [`Directory::lookup`].
-    fn lookup(&mut self, directory: &Directory, name: &HostName) -> Option<NodeId> {
-        self.sync(directory);
-        self.by_name.get(name).copied()
-    }
-
-    /// Reverse lookup: the host name of a node.
-    fn name_of(&mut self, directory: &Directory, node: NodeId) -> Option<&HostName> {
-        self.sync(directory);
-        self.by_node.get(node.as_u32() as usize).and_then(Option::as_ref)
-    }
+/// The host name the simulator knows `node` by (a reference-count bump
+/// on the simulator's own string).
+fn host_of(ctx: &Ctx<'_, SysMessage>, node: NodeId) -> HostName {
+    HostName::new(ctx.name_of(node).clone())
 }
 
 /// Timer tag for the periodic maintenance tick.
@@ -321,8 +226,8 @@ impl WireLink {
             0 => return,
             1 => items.pop().expect("len checked"),
             n => {
-                ctx.count(metric::WIRE_BATCH_FLUSHES, 1);
-                ctx.count(metric::WIRE_BATCH_COALESCED, n as u64);
+                ctx.count_id(CounterId::WIRE_BATCH_FLUSHES, 1);
+                ctx.count_id(CounterId::WIRE_BATCH_COALESCED, n as u64);
                 GdsMessage::Batch(items)
             }
         };
@@ -417,7 +322,7 @@ impl ReliableLink {
     fn poll(&mut self, ctx: &mut Ctx<'_, SysMessage>) -> Vec<(NodeId, GdsMessage)> {
         let outcome = self.queue.poll(ctx.now());
         if !outcome.retransmit.is_empty() {
-            ctx.count(metric::NET_RETRANSMITS, outcome.retransmit.len() as u64);
+            ctx.count_id(CounterId::NET_RETRANSMITS, outcome.retransmit.len() as u64);
         }
         for (seq, (node, fmt, msg)) in outcome.retransmit {
             ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
@@ -488,14 +393,12 @@ enum Received {
 
 /// One actor's edge transport: everything between a [`SysMessage`] frame
 /// on a tree edge and the plain message its state machine handles — the
-/// name ↔ node translation, the per-edge wire format and batch buffers,
-/// and (when enabled) the reliable envelope. [`AlertingActor`] and
-/// [`GdsActor`] each own one; neither unwraps a carrier, acknowledges,
-/// negotiates a format or polls a queue by itself.
+/// per-edge wire format and batch buffers, and (when enabled) the
+/// reliable envelope. [`AlertingActor`] and [`GdsActor`] each own one;
+/// neither unwraps a carrier, acknowledges, negotiates a format or
+/// polls a queue by itself.
 #[derive(Debug)]
 struct EdgeTransport {
-    directory: Directory,
-    dir_cache: DirectoryCache,
     wire: WireLink,
     /// The retransmission-queue poll period and the queue (reliability
     /// on).
@@ -503,10 +406,8 @@ struct EdgeTransport {
 }
 
 impl EdgeTransport {
-    fn new(directory: Directory) -> Self {
+    fn new() -> Self {
         EdgeTransport {
-            directory,
-            dir_cache: DirectoryCache::default(),
             wire: WireLink::new(WireConfig::default()),
             reliable: None,
         }
@@ -514,10 +415,6 @@ impl EdgeTransport {
 
     fn enable_reliability(&mut self, config: &ReliabilityConfig, seed: u64) {
         self.reliable = Some((config.tick, ReliableLink::new(config.retry.clone(), seed)));
-    }
-
-    fn lookup(&mut self, name: &HostName) -> Option<NodeId> {
-        self.dir_cache.lookup(&self.directory, name)
     }
 
     /// The actor's `on_start`, which a node coming back up runs again:
@@ -544,7 +441,7 @@ impl EdgeTransport {
     /// Announces wire v2 on one edge (no-op for v1 configurations).
     fn hello(&mut self, ctx: &mut Ctx<'_, SysMessage>, peer: &HostName) {
         if self.wire.config.speaks_v2() {
-            if let Some(node) = self.lookup(peer) {
+            if let Some(node) = ctx.resolve(peer.as_str()) {
                 ctx.send(node, SysMessage::Gds(GdsMessage::Hello { version: 2 }));
             }
         }
@@ -607,7 +504,7 @@ impl EdgeTransport {
                 // arrived in: handling is idempotent (duplicate
                 // suppression at nodes and servers), and the ack is
                 // what stops the sender.
-                ctx.count(metric::NET_ACKS, 1);
+                ctx.count_id(CounterId::NET_ACKS, 1);
                 ctx.send(from, rel_frame(fmt, Reliable::Ack { seq }));
                 Some(payload)
             }
@@ -624,14 +521,6 @@ impl EdgeTransport {
                 None
             }
         }
-    }
-
-    /// A node's name, from the lock-free directory snapshot.
-    fn name_of(&mut self, node: NodeId) -> HostName {
-        self.dir_cache
-            .name_of(&self.directory, node)
-            .cloned()
-            .unwrap_or_else(|| HostName::new(format!("unknown-{node}")))
     }
 
     /// Sends one GDS message on an edge: liveness and negotiation
@@ -653,7 +542,7 @@ impl EdgeTransport {
                 if let Some((tick, link)) = &mut self.reliable {
                     let dead = link.poll(ctx);
                     if !dead.is_empty() {
-                        ctx.count("gds.dead_letter", dead.len() as u64);
+                        ctx.count_id(CounterId::GDS_DEAD_LETTER, dead.len() as u64);
                     }
                     ctx.set_timer(*tick, RELIABLE_TAG);
                 }
@@ -685,10 +574,10 @@ pub struct AlertingActor {
 impl AlertingActor {
     /// Wraps a core; `tick` is the maintenance-timer period (retries,
     /// request timeouts).
-    pub fn new(core: AlertingCore, directory: Directory, tick: SimDuration) -> Self {
+    pub fn new(core: AlertingCore, tick: SimDuration) -> Self {
         AlertingActor {
             core,
-            edge: EdgeTransport::new(directory),
+            edge: EdgeTransport::new(),
             tick,
             completed_fetches: Vec::new(),
             completed_searches: Vec::new(),
@@ -732,56 +621,15 @@ impl AlertingActor {
             ctx.count_id(CounterId::ALERT_EVENTS_PUBLISHED, effects.published.len() as u64);
         }
         if !effects.dead_letters.is_empty() {
-            ctx.count(metric::AUX_DEAD_LETTER, effects.dead_letters.len() as u64);
+            ctx.count_id(CounterId::AUX_DEAD_LETTER, effects.dead_letters.len() as u64);
         }
-        let counters = self.core.take_counters();
-        if !counters.is_zero() {
-            if counters.decode_errors > 0 {
-                ctx.count(metric::CORE_DECODE_ERROR, counters.decode_errors);
-            }
-            if counters.probe_skipped > 0 {
-                ctx.count(metric::CORE_PROBE_SKIP, counters.probe_skipped);
-            }
-            if counters.probe_passed > 0 {
-                ctx.count(metric::CORE_PROBE_PASS, counters.probe_passed);
-            }
-            if counters.journal_appends > 0 {
-                ctx.count(metric::STATE_JOURNAL_APPENDS, counters.journal_appends);
-            }
-            if counters.snapshot_writes > 0 {
-                ctx.count(metric::STATE_SNAPSHOT_WRITES, counters.snapshot_writes);
-            }
-            if counters.replay_records > 0 {
-                ctx.count(metric::STATE_REPLAY_RECORDS, counters.replay_records);
-            }
-            if counters.journal_corrupt > 0 {
-                ctx.count(metric::STATE_JOURNAL_CORRUPT, counters.journal_corrupt);
-            }
-            if counters.alerts_firing > 0 {
-                ctx.count_id(CounterId::ALERTS_FIRING, counters.alerts_firing);
-            }
-            if counters.alerts_acked > 0 {
-                ctx.count_id(CounterId::ALERTS_ACKED, counters.alerts_acked);
-            }
-            if counters.alerts_resolved > 0 {
-                ctx.count_id(CounterId::ALERTS_RESOLVED, counters.alerts_resolved);
-            }
-            if counters.alerts_stale > 0 {
-                ctx.count_id(CounterId::ALERTS_STALE, counters.alerts_stale);
-            }
-            if counters.alerts_suppressed > 0 {
-                ctx.count_id(CounterId::ALERTS_SUPPRESSED, counters.alerts_suppressed);
-            }
-            if counters.alerts_digested > 0 {
-                ctx.count_id(CounterId::ALERTS_DIGESTED, counters.alerts_digested);
-            }
-        }
+        drain_counts(self.core.counts_mut(), ctx);
         self.completed_fetches.extend(effects.fetches);
         self.completed_searches.extend(effects.searches);
         self.resolved.extend(effects.resolved);
         for (to, msg) in effects.outbound {
-            let Some(node) = self.edge.lookup(&to) else {
-                ctx.count("alert.unknown_host", 1);
+            let Some(node) = ctx.resolve(to.as_str()) else {
+                ctx.count_id(CounterId::ALERT_UNKNOWN_HOST, 1);
                 continue;
             };
             match msg {
@@ -807,8 +655,7 @@ impl Actor<SysMessage> for AlertingActor {
             Received::Gs(m) => SysMessage::Gs(m),
             Received::Consumed => return,
         };
-        let from_host = self.edge.name_of(from);
-        let effects = self.core.handle_message(&from_host, msg, ctx.now());
+        let effects = self.core.handle_message(&host_of(ctx, from), msg, ctx.now());
         self.apply(effects, ctx);
     }
 
@@ -856,10 +703,10 @@ pub struct GdsActor {
 impl GdsActor {
     /// Wraps a directory-server node (best-effort hops, no failure
     /// detector — the paper's §6 baseline behaviour).
-    pub fn new(node: GdsNode, directory: Directory) -> Self {
+    pub fn new(node: GdsNode) -> Self {
         GdsActor {
             node,
-            edge: EdgeTransport::new(directory),
+            edge: EdgeTransport::new(),
             detector: None,
             scratch: GdsEffects::default(),
             announce_armed: false,
@@ -874,12 +721,12 @@ impl GdsActor {
     }
 
     /// Enables subscription-aware flood pruning on the wrapped node.
-    /// Under the actor, upward announcements are deferred and coalesced:
-    /// a burst of registrations in one frame produces one announce when
-    /// the `ANNOUNCE_TAG` timer fires, not one per registration.
+    /// A pruning node only marks its aggregate dirty; the actor flushes
+    /// it when the `ANNOUNCE_TAG` timer fires, so a burst of
+    /// registrations in one frame produces one upward announce, not one
+    /// per registration.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.node.set_pruning(enabled);
-        self.node.set_deferred_announce(enabled);
     }
 
     /// Enables rendezvous placement on the wrapped node (construction-
@@ -920,26 +767,14 @@ impl GdsActor {
 
     fn apply(&mut self, effects: &mut GdsEffects, ctx: &mut Ctx<'_, SysMessage>) {
         if !effects.undeliverable.is_empty() {
-            ctx.count("gds.undeliverable", effects.undeliverable.len() as u64);
+            ctx.count_id(CounterId::GDS_UNDELIVERABLE, effects.undeliverable.len() as u64);
         }
-        let counters = self.node.take_counters();
-        if counters.pruned_edges > 0 {
-            ctx.count(metric::GDS_PRUNED_EDGES, counters.pruned_edges);
-        }
-        if counters.summary_updates > 0 {
-            ctx.count(metric::GDS_SUMMARY_UPDATES, counters.summary_updates);
-        }
-        if counters.rendezvous_confined > 0 {
-            ctx.count(metric::GDS_RENDEZVOUS_CONFINED, counters.rendezvous_confined);
-        }
-        if counters.rendezvous_grants > 0 {
-            ctx.count(metric::GDS_RENDEZVOUS_GRANTS, counters.rendezvous_grants);
-        }
+        drain_counts(self.node.counts_mut(), ctx);
         self.arm_announce(ctx);
         for out in effects.outbound.drain(..) {
-            match self.edge.lookup(&out.to) {
+            match ctx.resolve(out.to.as_str()) {
                 Some(node) => self.edge.send(ctx, node, out.msg),
-                None => ctx.count("gds.unknown_host", 1),
+                None => ctx.count_id(CounterId::GDS_UNKNOWN_HOST, 1),
             }
         }
     }
@@ -970,7 +805,7 @@ impl GdsActor {
             self.reparent(ctx);
         }
         if let Some(parent) = self.node.parent() {
-            if let Some(node) = self.edge.lookup(parent) {
+            if let Some(node) = ctx.resolve(parent.as_str()) {
                 self.edge.send(ctx, node, GdsMessage::Heartbeat);
                 // A hello can be lost (it rides plain); piggyback a
                 // fresh announcement on the heartbeat cadence until the
@@ -1009,7 +844,7 @@ impl GdsActor {
         detector.misses = 0;
         detector.heartbeat_pending = false;
         let old_parent = self.node.parent().cloned();
-        ctx.count(metric::GDS_REPARENT, 1);
+        ctx.count_id(CounterId::GDS_REPARENT, 1);
         self.node.set_parent(Some(new_parent.clone()));
         let me = self.node.name().clone();
         let mut effects = GdsEffects::default();
@@ -1063,7 +898,7 @@ impl Actor<SysMessage> for GdsActor {
         let msg = match self.edge.receive(ctx, from, msg) {
             Received::Gds(m) => m,
             Received::Gs(_) => {
-                ctx.count("gds.non_gds_message", 1);
+                ctx.count_id(CounterId::GDS_NON_GDS_MESSAGE, 1);
                 return;
             }
             Received::Consumed => return,
@@ -1075,16 +910,16 @@ impl Actor<SysMessage> for GdsActor {
             }
             return;
         }
-        let from_host = self.edge.name_of(from);
         ctx.count_id(CounterId::GDS_MESSAGES, 1);
         if let GdsMessage::Batch(ref items) = msg {
-            ctx.count(metric::WIRE_BATCH_RECEIVED, items.len() as u64);
+            ctx.count_id(CounterId::WIRE_BATCH_RECEIVED, items.len() as u64);
         }
         // Steady-state frames reuse one effects buffer: take it, handle
         // into it, transmit, put it back with its capacity intact.
         let mut effects = std::mem::take(&mut self.scratch);
         effects.clear();
-        self.node.handle_message_into(&from_host, msg, &mut effects);
+        self.node
+            .handle_message_into(&host_of(ctx, from), msg, &mut effects);
         self.apply(&mut effects, ctx);
         self.scratch = effects;
     }
@@ -1104,28 +939,5 @@ impl Actor<SysMessage> for GdsActor {
             }
             tag => self.edge.on_timer(ctx, tag),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn directory_round_trips() {
-        let d = Directory::new();
-        assert!(d.is_empty());
-        d.insert("Hamilton".into(), NodeId::from_raw(3));
-        assert_eq!(d.lookup(&"Hamilton".into()), Some(NodeId::from_raw(3)));
-        assert_eq!(d.lookup(&"X".into()), None);
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn directory_is_shared_between_clones() {
-        let d = Directory::new();
-        let d2 = d.clone();
-        d.insert("A".into(), NodeId::from_raw(0));
-        assert_eq!(d2.lookup(&"A".into()), Some(NodeId::from_raw(0)));
     }
 }

@@ -20,8 +20,8 @@ use gsa_profile::{DnfError, ProfileExpr};
 use gsa_state::{MemoryStateStore, StateStore};
 use gsa_store::{Query, SourceDocument};
 use gsa_types::{
-    ClientId, CollectionId, CollectionName, Event, EventId, EventKind, HostName, ProfileId,
-    SimDuration, SimTime,
+    ClientId, CollectionId, CollectionName, CounterId, Counts, Event, EventId, EventKind, HostName,
+    ProfileId, SimDuration, SimTime,
 };
 use gsa_wire::reliable::{Reliable, RetryPolicy};
 use gsa_wire::InterestSummary;
@@ -94,51 +94,6 @@ impl CoreEffects {
     }
 }
 
-/// Monotonic delivery-path counters, accumulated by the core and
-/// drained by the actor layer into simulation metrics (see
-/// [`AlertingCore::take_counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreCounters {
-    /// Accepted deliveries whose payload failed to decode as an event.
-    /// Before this counter existed such payloads vanished silently.
-    pub decode_errors: u64,
-    /// Deliveries rejected by the binary attribute probe — no profile
-    /// could match, so no `Event` was ever materialised.
-    pub probe_skipped: u64,
-    /// Deliveries the probe passed through to the full decode + match
-    /// path (candidate postings, or conservative pass-through).
-    pub probe_passed: u64,
-    /// Records appended to the durable state journal (journal backend
-    /// only; always zero for the default in-memory store).
-    pub journal_appends: u64,
-    /// Durable state snapshots written (compactions).
-    pub snapshot_writes: u64,
-    /// Journal records applied during crash recovery replay.
-    pub replay_records: u64,
-    /// Mid-journal (or snapshot) corruption events observed by recovery.
-    pub journal_corrupt: u64,
-    /// Alert instances that transitioned into `Firing` (policy engine
-    /// only; always zero while alert policies are off).
-    pub alerts_firing: u64,
-    /// Alert instances that transitioned into `Acked`.
-    pub alerts_acked: u64,
-    /// Alert instances that transitioned into `Resolved`.
-    pub alerts_resolved: u64,
-    /// Alert instances that went `Stale` on the quiescence timeout.
-    pub alerts_stale: u64,
-    /// Notifications dropped by dedup or throttle.
-    pub alerts_suppressed: u64,
-    /// Notifications buffered into digests instead of sent immediately.
-    pub alerts_digested: u64,
-}
-
-impl CoreCounters {
-    /// Returns `true` when every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == CoreCounters::default()
-    }
-}
-
 /// The stable alert fingerprint of one notification under a policy
 /// configuration: profile id plus the configured label values.
 fn fingerprint_of(config: &AlertPolicyConfig, n: &Notification) -> u64 {
@@ -183,8 +138,9 @@ pub struct AlertingCore {
     /// some profile could match. Semantics-preserving either way; off
     /// exists for A/B measurement (decode-always).
     probe: bool,
-    /// Delivery-path counters since the last [`take_counters`](Self::take_counters).
-    counters: CoreCounters,
+    /// Decode errors and probe verdicts on the delivery path since the
+    /// driver last drained [`counts_mut`](Self::counts_mut).
+    counts: Counts,
     /// The durable state backend. The default [`MemoryStateStore`]
     /// makes every record call a no-op, so the paper-figure scenarios
     /// pay nothing for the seam's existence.
@@ -241,8 +197,8 @@ impl AlertingCore {
             pruning: false,
             last_summary: None,
             probe: true,
-            counters: CoreCounters::default(),
-            store: Box::new(MemoryStateStore),
+            counts: Counts::default(),
+            store: Box::new(MemoryStateStore::default()),
             recovery_pending: false,
             alerts: None,
             host,
@@ -402,32 +358,16 @@ impl AlertingCore {
         self.recovery_pending = true;
     }
 
-    /// The delivery-path counters accumulated since the last
-    /// [`take_counters`](Self::take_counters).
-    pub fn counters(&self) -> CoreCounters {
-        self.counters
-    }
-
-    /// Drains the delivery-path counters (the actor layer surfaces them
-    /// as simulation metrics after each message), folding in whatever
-    /// the durable state backend accumulated since the last drain.
-    pub fn take_counters(&mut self) -> CoreCounters {
-        let mut counters = std::mem::take(&mut self.counters);
-        let state = self.store.take_counters();
-        counters.journal_appends += state.journal_appends;
-        counters.snapshot_writes += state.snapshot_writes;
-        counters.replay_records += state.replay_records;
-        counters.journal_corrupt += state.journal_corrupt;
+    /// Everything counted at this host since the driver last drained
+    /// this: the core's own delivery-path counts with the state
+    /// backend's and the alert engine's merged in (the actor layer
+    /// surfaces them as simulation metrics after each message).
+    pub fn counts_mut(&mut self) -> &mut Counts {
+        self.counts.merge(self.store.counts_mut());
         if let Some(engine) = self.alerts.as_mut() {
-            let alerts = engine.take_counters();
-            counters.alerts_firing += alerts.firing;
-            counters.alerts_acked += alerts.acked;
-            counters.alerts_resolved += alerts.resolved;
-            counters.alerts_stale += alerts.stale;
-            counters.alerts_suppressed += alerts.suppressed;
-            counters.alerts_digested += alerts.digested;
+            self.counts.merge(engine.counts_mut());
         }
-        counters
+        &mut self.counts
     }
 
     /// This host's name.
@@ -1042,17 +982,17 @@ impl AlertingCore {
             if self.probe {
                 if let Some(mut probe) = payload.probe_event() {
                     if !self.subs.could_match_probe(&mut probe) {
-                        self.counters.probe_skipped += 1;
+                        self.counts.add(CounterId::CORE_PROBE_SKIP, 1);
                         continue;
                     }
-                    self.counters.probe_passed += 1;
+                    self.counts.add(CounterId::CORE_PROBE_PASS, 1);
                 }
             }
             // Lazy decode: a frozen binary payload deserialises through
             // the native event codec here, at filter time.
             match payload.decode_event() {
                 Ok(event) => self.notify(&Arc::new(event), now, &mut effects),
-                Err(_) => self.counters.decode_errors += 1,
+                Err(_) => self.counts.add(CounterId::CORE_DECODE_ERROR, 1),
             }
         }
         effects
@@ -1702,10 +1642,11 @@ mod tests {
         };
         let eff = core.handle_message(&HostName::new("gds-1"), SysMessage::Gds(deliver), SimTime::ZERO);
         assert!(eff.notifications.is_empty());
-        assert_eq!(core.counters().decode_errors, 1);
-        // take_counters drains; the next read starts from zero.
-        assert_eq!(core.take_counters().decode_errors, 1);
-        assert!(core.counters().is_zero());
+        assert_eq!(core.counts_mut().get(CounterId::CORE_DECODE_ERROR), 1);
+        // Draining empties; the next read starts from zero.
+        let drained: Vec<_> = core.counts_mut().drain().collect();
+        assert_eq!(drained, vec![(CounterId::CORE_DECODE_ERROR, 1)]);
+        assert!(core.counts_mut().is_empty());
     }
 
     #[test]
@@ -1720,10 +1661,10 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(eff.notifications.is_empty());
-        let counters = core.take_counters();
-        assert_eq!(counters.probe_skipped, 1);
-        assert_eq!(counters.probe_passed, 0);
-        assert_eq!(counters.decode_errors, 0);
+        let counters = core.counts_mut();
+        assert_eq!(counters.get(CounterId::CORE_PROBE_SKIP), 1);
+        assert_eq!(counters.get(CounterId::CORE_PROBE_PASS), 0);
+        assert_eq!(counters.get(CounterId::CORE_DECODE_ERROR), 0);
     }
 
     #[test]
@@ -1757,9 +1698,9 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(eff.notifications.is_empty());
-        let counters = core.take_counters();
-        assert_eq!(counters.probe_skipped, 0);
-        assert_eq!(counters.probe_passed, 0);
+        let counters = core.counts_mut();
+        assert_eq!(counters.get(CounterId::CORE_PROBE_SKIP), 0);
+        assert_eq!(counters.get(CounterId::CORE_PROBE_PASS), 0);
     }
 
     #[test]
@@ -1786,9 +1727,9 @@ mod tests {
         );
         assert!(eff.notifications.is_empty());
         assert_eq!(core.take_notifications(client).len(), 1);
-        let counters = core.take_counters();
-        assert_eq!(counters.alerts_firing, 1);
-        assert_eq!(counters.alerts_suppressed, 1);
+        let counters = core.counts_mut();
+        assert_eq!(counters.get(CounterId::ALERTS_FIRING), 1);
+        assert_eq!(counters.get(CounterId::ALERTS_SUPPRESSED), 1);
         // Resolving reopens the cycle: the next match notifies again.
         assert!(core.resolve_alert(fp, SimTime::from_secs(2)));
         let eff = core.handle_message(
@@ -1824,7 +1765,7 @@ mod tests {
         let eff = core.on_tick(SimTime::from_secs(60));
         assert_eq!(eff.notifications.len(), 1);
         assert_eq!(core.take_notifications(client).len(), 1);
-        assert_eq!(core.take_counters().alerts_digested, 1);
+        assert_eq!(core.counts_mut().get(CounterId::ALERTS_DIGESTED), 1);
     }
 
     #[test]
@@ -2052,7 +1993,7 @@ mod tests {
                     ));
                 }
                 let mailboxes = clients.map(|c| core.take_notifications(c));
-                (effects, mailboxes, core.take_counters())
+                (effects, mailboxes, std::mem::take(core.counts_mut()))
             };
             let one_by_one = run(items.clone());
             let batched = run(vec![GdsMessage::Batch(items)]);

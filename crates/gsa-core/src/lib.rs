@@ -60,12 +60,12 @@ pub mod message;
 pub mod subs;
 pub mod system;
 
-pub use crate::core::{AlertingCore, CoreConfig, CoreCounters, CoreEffects};
+pub use crate::core::{AlertingCore, CoreConfig, CoreEffects};
 pub use gsa_alerts::{
     AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
 };
 pub use actor::{
-    AlertingActor, BatchConfig, Directory, GdsActor, ReliabilityConfig, WireConfig, WireVersion,
+    AlertingActor, BatchConfig, GdsActor, ReliabilityConfig, WireConfig, WireVersion,
 };
 pub use aux::{AuxProfile, AuxStore};
 pub use message::{AuxPayload, SysMessage};

@@ -4,7 +4,7 @@
 //! deterministic simulation and exposes the driver operations the
 //! examples, integration tests and benchmarks use.
 
-use crate::actor::{AlertingActor, Directory, GdsActor, ReliabilityConfig, WireConfig};
+use crate::actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
 use crate::core::{AlertingCore, CoreConfig};
 use crate::message::SysMessage;
 use crate::subs::Notification;
@@ -28,7 +28,6 @@ use std::fmt;
 /// names — a deployment-script bug, not a runtime condition.
 pub struct System {
     sim: Sim<SysMessage>,
-    directory: Directory,
     tick: SimDuration,
     next_client: u64,
     seed: u64,
@@ -60,7 +59,6 @@ impl System {
         sim.set_wire_size_fn(SysMessage::wire_size);
         System {
             sim,
-            directory: Directory::new(),
             tick: SimDuration::from_millis(500),
             next_client: 0,
             seed,
@@ -260,11 +258,6 @@ impl System {
         &mut self.sim
     }
 
-    /// The host-name directory.
-    pub fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
     /// Adds every node of a GDS topology. With reliability enabled,
     /// each node also records its grandparent as the fallback
     /// attachment point for tree self-healing.
@@ -288,23 +281,21 @@ impl System {
         grandparent: Option<HostName>,
     ) -> NodeId {
         let name = node.name().clone();
-        let mut actor = GdsActor::new(node, self.directory.clone());
+        let mut actor = GdsActor::new(node);
         if let Some(cfg) = &self.reliability {
             actor.enable_reliability(cfg.clone(), grandparent, self.jitter_seed());
         }
         actor.set_wire(self.wire.clone());
         actor.set_pruning(self.pruning);
         actor.set_rendezvous(self.rendezvous);
-        let id = self.sim.add_node(name.as_str(), actor);
-        self.directory.insert(name, id);
-        id
+        self.sim.add_node(name.as_str(), actor)
     }
 
     /// A per-actor deterministic jitter seed: a function of the system
     /// seed and the join order, so runs replay bit-identically.
     fn jitter_seed(&self) -> u64 {
         (self.seed ^ 0x9e37_79b9_7f4a_7c15)
-            .wrapping_mul(2 * self.directory.len() as u64 + 1)
+            .wrapping_mul(2 * self.sim.node_count() as u64 + 1)
     }
 
     /// Adds a Greenstone server registered at the named GDS node.
@@ -333,14 +324,12 @@ impl System {
                 JournalConfig::default(),
             )));
         }
-        let mut actor = AlertingActor::new(core, self.directory.clone(), self.tick);
+        let mut actor = AlertingActor::new(core, self.tick);
         if let Some(cfg) = &self.reliability {
             actor.enable_reliability(cfg.clone(), self.jitter_seed());
         }
         actor.set_wire(self.wire.clone());
-        let id = self.sim.add_node(host, actor);
-        self.directory.insert(HostName::new(host), id);
-        id
+        self.sim.add_node(host, actor)
     }
 
     /// Allocates a new client identity (clients are passive in the
@@ -352,8 +341,8 @@ impl System {
     }
 
     fn node(&self, host: &str) -> NodeId {
-        self.directory
-            .lookup(&HostName::new(host))
+        self.sim
+            .node_id(host)
             .unwrap_or_else(|| panic!("unknown host {host:?}"))
     }
 
@@ -810,6 +799,70 @@ mod tests {
         assert_eq!(inbox[0].event.origin, CollectionId::new("Hamilton", "D"));
         // Exactly once.
         assert!(system.take_notifications("London", client).is_empty());
+    }
+
+    #[test]
+    fn a_server_added_after_the_tree_has_run_is_addressable_by_name_at_once() {
+        // Every actor of the figure world has handled messages by now;
+        // names resolve in the simulator's table, so a host that joins
+        // afterwards needs no refresh anywhere to be reachable.
+        let mut system = figure_world();
+        system.add_server("Waikato", "gds-7");
+        system.add_collection("Waikato", CollectionConfig::simple("W", "w"));
+        let late = system.add_client("Waikato");
+        system
+            .subscribe_text("Waikato", late, r#"host = "Hamilton""#)
+            .unwrap();
+        let early = system.add_client("London");
+        system
+            .subscribe_text("London", early, r#"host = "Waikato""#)
+            .unwrap();
+        system.run_until_quiet(SimTime::from_secs(10));
+
+        // Old actor → new host: gds-7 addresses its delivery to a name
+        // registered after gds-7 started.
+        system.rebuild("Hamilton", "D", vec![doc("d1", "hello")]).unwrap();
+        // New host → old actor: gds-7 names the publisher from the
+        // sender's node id, and the name travels as the event's origin.
+        system.rebuild("Waikato", "W", vec![doc("w1", "kia ora")]).unwrap();
+        system.run_until_quiet(SimTime::from_secs(40));
+        let inbox = system.take_notifications("Waikato", late);
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].event.origin, CollectionId::new("Hamilton", "D"));
+        let inbox = system.take_notifications("London", early);
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].event.origin, CollectionId::new("Waikato", "W"));
+        assert_eq!(system.metrics().counter("gds.unknown_host"), 0);
+        assert_eq!(system.metrics().counter("alert.unknown_host"), 0);
+    }
+
+    #[test]
+    fn a_message_to_a_name_nobody_registered_is_counted_once_and_not_sent() {
+        let mut system = System::new(3);
+        let mut root = GdsNode::new("gds-1", 1, None);
+        root.add_child("ghost");
+        system.add_gds_node(root);
+        system.add_server("Hamilton", "gds-1");
+        system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
+        system.run_until_quiet(SimTime::from_secs(5));
+        assert_eq!(system.metrics().counter("gds.unknown_host"), 0);
+
+        // One frame crosses the network, the publish Hamilton → gds-1;
+        // the flood's forward to the child nobody registered goes nowhere.
+        let sent = system.metrics().counter("net.sent");
+        system.rebuild("Hamilton", "D", vec![doc("d1", "hello")]).unwrap();
+        system.run_until_quiet(SimTime::from_secs(10));
+        assert_eq!(system.metrics().counter("gds.unknown_host"), 1);
+        assert_eq!(system.metrics().counter("net.sent"), sent + 1);
+
+        // The same at a server whose directory node does not exist: its
+        // registration is counted and dropped.
+        system.add_server("Lost", "gds-99");
+        system.run_until_quiet(SimTime::from_secs(15));
+        assert_eq!(system.metrics().counter("alert.unknown_host"), 1);
+        assert_eq!(system.metrics().counter("gds.unknown_host"), 1);
+        assert_eq!(system.metrics().counter("net.sent"), sent + 1);
+        assert_eq!(system.metrics().counter("net.dropped"), 0);
     }
 
     #[test]

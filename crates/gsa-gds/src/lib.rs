@@ -32,5 +32,5 @@ pub mod topology;
 
 pub use client::GdsClient;
 pub use message::{GdsMessage, ResolveToken};
-pub use node::{GdsCounters, GdsEffects, GdsNode, GdsOutbound};
+pub use node::{GdsEffects, GdsNode, GdsOutbound};
 pub use topology::{figure2_tree, balanced_tree, GdsNodeSpec, GdsTopology};

@@ -2,7 +2,7 @@
 
 use crate::message::GdsMessage;
 use crate::seen::SeenIds;
-use gsa_types::HostName;
+use gsa_types::{CounterId, Counts, HostName};
 use gsa_wire::{InterestSummary, Payload, ATTR_KEY_KIND, ATTR_META_PREFIX};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -22,21 +22,6 @@ const MAX_GRANTS: usize = 8;
 
 /// A grant set: attribute key → values the holder owns exclusively.
 type GrantMap = BTreeMap<String, BTreeSet<String>>;
-
-/// Counters a [`GdsNode`] accumulates between [`GdsNode::take_counters`]
-/// drains (the actor layer turns them into metrics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GdsCounters {
-    /// Flood edges skipped thanks to interest summaries.
-    pub pruned_edges: u64,
-    /// Summary updates accepted from direct edges.
-    pub summary_updates: u64,
-    /// Upward flood hops skipped because a held rendezvous grant proved
-    /// the event's subgroup has no interest outside this subtree.
-    pub rendezvous_confined: u64,
-    /// Rendezvous grant messages issued to children.
-    pub rendezvous_grants: u64,
-}
 
 /// A message to be sent to another network participant (GDS node or
 /// Greenstone server — both are addressed by host name).
@@ -142,21 +127,14 @@ pub struct GdsNode {
     /// accepted summary aggregations; ranks grant candidates so the
     /// [`MAX_GRANTS`] budget goes to the hottest subgroups first.
     hot_hits: BTreeMap<String, BTreeMap<String, u64>>,
-    /// When true, summary refreshes triggered by registrations and edge
-    /// updates only mark `announce_dirty`; the actor flushes at most one
-    /// announcement per frame via
+    /// The aggregate may have changed since the last upward
+    /// announcement: registrations and edge updates only mark this, and
+    /// the driver sends at most one announcement per burst via
     /// [`GdsNode::flush_deferred_announcement`].
-    deferred_announce: bool,
-    /// A deferred upward announcement is pending.
     announce_dirty: bool,
-    /// Flood edges skipped thanks to summaries (drained by the actor).
-    pruned_edges: u64,
-    /// Summary updates accepted from direct edges (drained by the actor).
-    summary_updates: u64,
-    /// Upward hops confined by a held grant (drained by the actor).
-    rendezvous_confined: u64,
-    /// Grant messages issued to children (drained by the actor).
-    rendezvous_grants: u64,
+    /// Pruned edges, accepted summary updates, confined hops and issued
+    /// grants since the driver last drained [`GdsNode::counts_mut`].
+    counts: Counts,
 }
 
 impl fmt::Debug for GdsNode {
@@ -198,12 +176,8 @@ impl GdsNode {
             granted: BTreeMap::new(),
             grant_version: 0,
             hot_hits: BTreeMap::new(),
-            deferred_announce: false,
             announce_dirty: false,
-            pruned_edges: 0,
-            summary_updates: 0,
-            rendezvous_confined: 0,
-            rendezvous_grants: 0,
+            counts: Counts::default(),
         }
     }
 
@@ -262,15 +236,10 @@ impl GdsNode {
         self.seen.runs()
     }
 
-    /// Drains the counters accumulated since the last call (the actor
-    /// layer turns them into metrics).
-    pub fn take_counters(&mut self) -> GdsCounters {
-        GdsCounters {
-            pruned_edges: std::mem::take(&mut self.pruned_edges),
-            summary_updates: std::mem::take(&mut self.summary_updates),
-            rendezvous_confined: std::mem::take(&mut self.rendezvous_confined),
-            rendezvous_grants: std::mem::take(&mut self.rendezvous_grants),
-        }
+    /// What the node counted since its driver last drained this (the
+    /// actor layer turns it into metrics).
+    pub fn counts_mut(&mut self) -> &mut Counts {
+        &mut self.counts
     }
 
     /// Builds the upward `SummaryUpdate` for `agg`, bumping the version.
@@ -317,42 +286,6 @@ impl GdsNode {
         self.announce(agg)
     }
 
-    /// Re-announces the aggregate upward when it changed since the last
-    /// announcement. Called whenever an edge summary is (in)validated.
-    /// In deferred mode the change is only flagged; the actor drains it
-    /// once per frame via [`GdsNode::flush_deferred_announcement`].
-    fn refresh_parent_summary(&mut self, effects: &mut GdsEffects) {
-        if !self.pruning || self.parent.is_none() {
-            return;
-        }
-        if self.deferred_announce {
-            self.announce_dirty = true;
-            return;
-        }
-        if let Some(out) = self.changed_announcement() {
-            effects.send(out.to, out.msg);
-        }
-    }
-
-    /// The announcement to send if the aggregate changed since the last
-    /// one, else `None`.
-    fn changed_announcement(&mut self) -> Option<GdsOutbound> {
-        let agg = self.aggregate_summary();
-        if self.last_sent_summary.as_ref() == Some(&agg)
-            || (self.last_sent_summary.is_none() && agg.is_wildcard())
-        {
-            return None;
-        }
-        self.announce(agg)
-    }
-
-    /// Enables announcement coalescing: summary refreshes triggered by
-    /// registration/update bursts are deferred and the actor flushes at
-    /// most one upward announcement per frame.
-    pub fn set_deferred_announce(&mut self, enabled: bool) {
-        self.deferred_announce = enabled;
-    }
-
     /// Whether a deferred announcement is waiting to be flushed.
     pub fn announce_pending(&self) -> bool {
         self.announce_dirty
@@ -369,7 +302,13 @@ impl GdsNode {
         if !self.pruning || self.parent.is_none() {
             return None;
         }
-        self.changed_announcement()
+        let agg = self.aggregate_summary();
+        if self.last_sent_summary.as_ref() == Some(&agg)
+            || (self.last_sent_summary.is_none() && agg.is_wildcard())
+        {
+            return None;
+        }
+        self.announce(agg)
     }
 
     /// Opt-in rendezvous placement (construction-time knob; default off).
@@ -400,13 +339,17 @@ impl GdsNode {
     }
 
     /// Re-derives everything downstream of an edge-summary change: the
-    /// requested-key cache, the children's rendezvous grants (revocations
-    /// ride the same effects batch as the change that caused them), and
-    /// the upward announcement.
+    /// requested-key cache and the children's rendezvous grants
+    /// (revocations ride the same effects batch as the change that
+    /// caused them). The upward announcement is only flagged: the driver
+    /// sends at most one per burst via
+    /// [`GdsNode::flush_deferred_announcement`].
     fn interest_changed(&mut self, effects: &mut GdsEffects) {
         self.rebuild_requested_keys();
         self.recompute_grants(effects);
-        self.refresh_parent_summary(effects);
+        if self.pruning && self.parent.is_some() {
+            self.announce_dirty = true;
+        }
     }
 
     /// Called wherever `edge_summaries` or `held_grants` change. Held
@@ -443,7 +386,7 @@ impl GdsNode {
                 continue;
             }
             self.grant_version += 1;
-            self.rendezvous_grants += 1;
+            self.counts.add(CounterId::GDS_RENDEZVOUS_GRANTS, 1);
             effects.send(
                 child.clone(),
                 GdsMessage::RendezvousGrant {
@@ -768,7 +711,7 @@ impl GdsNode {
                 if self.rendezvous {
                     if let Some(grants) = self.granted.get(from).cloned() {
                         self.grant_version += 1;
-                        self.rendezvous_grants += 1;
+                        self.counts.add(CounterId::GDS_RENDEZVOUS_GRANTS, 1);
                         effects.send(
                             from.clone(),
                             GdsMessage::RendezvousGrant {
@@ -847,7 +790,7 @@ impl GdsNode {
                         }
                     }
                     self.edge_summaries.insert(edge, (version, summary));
-                    self.summary_updates += 1;
+                    self.counts.add(CounterId::GDS_SUMMARY_UPDATES, 1);
                     self.interest_changed(effects);
                 }
             }
@@ -1017,8 +960,8 @@ impl GdsNode {
                 effects.send(child.clone(), forward.clone());
             }
         }
-        self.pruned_edges += pruned;
-        self.rendezvous_confined += confined_hops;
+        self.counts.add(CounterId::GDS_PRUNED_EDGES, pruned);
+        self.counts.add(CounterId::GDS_RENDEZVOUS_CONFINED, confined_hops);
         self.anchor_scratch = coll;
     }
 
@@ -1184,7 +1127,8 @@ mod tests {
                 gs_deliveries.push((to, msg));
                 continue;
             };
-            let effects = node.handle_message(&from, msg);
+            let mut effects = node.handle_message(&from, msg);
+            effects.outbound.extend(node.flush_deferred_announcement());
             undeliverable.extend(effects.undeliverable);
             for out in effects.outbound {
                 queue.push((to.clone(), out.to, out.msg));
@@ -1573,7 +1517,10 @@ mod tests {
         );
         let recipients: Vec<String> = deliveries.iter().map(|(to, _)| to.to_string()).collect();
         assert_eq!(recipients, vec!["gs-6"], "only the interested server is reached");
-        let pruned: u64 = nodes.values_mut().map(|n| n.take_counters().pruned_edges).sum();
+        let pruned: u64 = nodes
+            .values_mut()
+            .map(|n| n.counts_mut().get(CounterId::GDS_PRUNED_EDGES))
+            .sum();
         assert!(pruned > 0, "some edges must have been pruned");
     }
 
@@ -1909,11 +1856,8 @@ mod tests {
             },
         );
         assert!(deliveries.is_empty());
-        let confined = nodes
-            .get_mut(&HostName::new("gds-6"))
-            .unwrap()
-            .take_counters()
-            .rendezvous_confined;
+        let node6 = nodes.get_mut(&HostName::new("gds-6")).unwrap();
+        let confined = std::mem::take(node6.counts_mut()).get(CounterId::GDS_RENDEZVOUS_CONFINED);
         assert_eq!(confined, 1, "the upward hop must be confined");
         // An event of a different kind is NOT confined and floods up.
         let (_, _) = pump(
@@ -1925,8 +1869,8 @@ mod tests {
                 payload: kind_event_payload("gs-6", 2, gsa_types::EventKind::CollectionRebuilt),
             },
         );
-        let counters = nodes.get_mut(&HostName::new("gds-6")).unwrap().take_counters();
-        assert_eq!(counters.rendezvous_confined, 0);
+        let node6 = nodes.get_mut(&HostName::new("gds-6")).unwrap();
+        assert_eq!(node6.counts_mut().get(CounterId::GDS_RENDEZVOUS_CONFINED), 0);
         // The root saw it (dedup now suppresses a replay through it).
         let root = nodes.get_mut(&HostName::new("gds-1")).unwrap();
         let effects = root.handle_message(
@@ -1969,8 +1913,12 @@ mod tests {
                 payload: kind_event_payload("gs-6", 3, gsa_types::EventKind::DocumentsAdded),
             },
         );
-        let counters = nodes.get_mut(&HostName::new("gds-6")).unwrap().take_counters();
-        assert_eq!(counters.rendezvous_confined, 0, "revoked grant must not confine");
+        let node6 = nodes.get_mut(&HostName::new("gds-6")).unwrap();
+        assert_eq!(
+            node6.counts_mut().get(CounterId::GDS_RENDEZVOUS_CONFINED),
+            0,
+            "revoked grant must not confine"
+        );
         let root = nodes.get_mut(&HostName::new("gds-1")).unwrap();
         let effects = root.handle_message(
             &"gds-3".into(),
@@ -2022,7 +1970,7 @@ mod tests {
         );
         let confined: u64 = nodes
             .values_mut()
-            .map(|n| n.take_counters().rendezvous_confined)
+            .map(|n| n.counts_mut().get(CounterId::GDS_RENDEZVOUS_CONFINED))
             .sum();
         assert_eq!(confined, 0, "no grants, no confinement");
     }
@@ -2056,7 +2004,6 @@ mod tests {
     fn deferred_announcements_coalesce_a_burst_into_one_update() {
         let mut node = GdsNode::new("gds-9", 2, Some(HostName::new("gds-1")));
         node.set_pruning(true);
-        node.set_deferred_announce(true);
         let mut updates = 0;
         for (i, gs) in ["gs-a", "gs-b", "gs-c"].iter().enumerate() {
             let effects = node.handle_message(
@@ -2074,7 +2021,7 @@ mod tests {
                 .filter(|o| matches!(o.msg, GdsMessage::SummaryUpdate { .. }))
                 .count();
         }
-        assert_eq!(updates, 0, "deferred mode must not announce inline");
+        assert_eq!(updates, 0, "a node never announces inline");
         assert!(node.announce_pending());
         let flushed = node.flush_deferred_announcement().expect("one coalesced announce");
         assert!(matches!(flushed.msg, GdsMessage::SummaryUpdate { .. }));

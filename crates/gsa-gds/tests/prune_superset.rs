@@ -81,7 +81,8 @@ fn pump(
             gs_deliveries.push((to, msg));
             continue;
         };
-        let effects = node.handle_message(&from, msg);
+        let mut effects = node.handle_message(&from, msg);
+        effects.outbound.extend(node.flush_deferred_announcement());
         for out in effects.outbound {
             queue.push((to.clone(), out.to, out.msg));
         }

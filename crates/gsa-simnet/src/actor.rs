@@ -1,10 +1,11 @@
 //! The actor abstraction: protocol state machines driven by the simulator.
 
 use crate::metrics::{CounterId, Metrics};
-use crate::sim::NodeId;
-use gsa_types::{SimDuration, SimTime};
+use crate::sim::{NodeId, NodeMeta};
+use gsa_types::{FxHashMap, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a pending timer so it can be cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,7 +40,7 @@ pub trait Actor<M>: 'static {
 }
 
 /// A counter reference carried by a buffered [`Command::Count`]: names
-/// in the pre-interned table travel as a copyable [`CounterId`] (no
+/// in the counter table travel as a copyable [`CounterId`] (no
 /// allocation on the hot path), everything else as an owned string.
 #[derive(Debug)]
 pub(crate) enum CounterKey {
@@ -54,19 +55,22 @@ pub(crate) enum Command<M> {
     SetTimer { id: TimerId, delay: SimDuration, tag: u64 },
     CancelTimer { id: TimerId },
     Count { key: CounterKey, delta: u64 },
-    Record { name: String, value: u64 },
 }
 
 /// The interface an [`Actor`] uses to interact with the simulated world.
 ///
 /// All effects are buffered and applied by the simulator after the callback
-/// returns, in order.
+/// returns, in order. For the length of the callback the context also
+/// lends the actor what the simulator owns: the RNG and the one
+/// name ↔ node table of the world.
 pub struct Ctx<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) now: SimTime,
     pub(crate) commands: Vec<Command<M>>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) next_timer: &'a mut u64,
+    pub(crate) meta: &'a [NodeMeta],
+    pub(crate) names: &'a FxHashMap<Arc<str>, NodeId>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -78,6 +82,23 @@ impl<'a, M> Ctx<'a, M> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The node added under `name`, if any — including nodes added
+    /// after this actor started. (For the actor's own id see
+    /// [`Ctx::node_id`].)
+    pub fn resolve(&self, name: &str) -> Option<NodeId> {
+        self.names.get(name).copied()
+    }
+
+    /// The name `node` was added under, shared with the simulator's
+    /// table: cloning it is a reference-count bump.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` does not belong to this simulation.
+    pub fn name_of(&self, node: NodeId) -> &Arc<str> {
+        &self.meta[node.as_u32() as usize].name
     }
 
     /// Sends `msg` to `to`. Delivery is subject to the link model: latency,
@@ -101,10 +122,11 @@ impl<'a, M> Ctx<'a, M> {
         self.commands.push(Command::CancelTimer { id });
     }
 
-    /// Adds `delta` to the named experiment counter. Names in the
-    /// pre-interned table (every transport and protocol counter) buffer
-    /// a copyable [`CounterId`] — no allocation; unknown names carry an
-    /// owned string and land in the metrics fallback map.
+    /// Adds `delta` to the named experiment counter — the spelling for
+    /// names outside the counter table (tests, one-off experiments),
+    /// which carry an owned string and land in the metrics fallback
+    /// map. A table name is looked up and buffered as its
+    /// [`CounterId`]; product code calls [`Ctx::count_id`] directly.
     pub fn count(&mut self, name: &str, delta: u64) {
         let key = match Metrics::resolve(name) {
             Some(id) => CounterKey::Id(id),
@@ -113,20 +135,12 @@ impl<'a, M> Ctx<'a, M> {
         self.commands.push(Command::Count { key, delta });
     }
 
-    /// Adds `delta` to a pre-interned counter slot — the allocation-free
-    /// spelling of [`Ctx::count`] for per-message hot paths.
+    /// Adds `delta` to a table counter's slot: no lookup, no
+    /// allocation.
     pub fn count_id(&mut self, id: CounterId, delta: u64) {
         self.commands.push(Command::Count {
             key: CounterKey::Id(id),
             delta,
-        });
-    }
-
-    /// Records `value` into the named histogram.
-    pub fn record(&mut self, name: &str, value: u64) {
-        self.commands.push(Command::Record {
-            name: name.to_string(),
-            value,
         });
     }
 

@@ -12,9 +12,12 @@
 //! # Model
 //!
 //! * An [`Actor`] reacts to messages and timers via [`Ctx`], which buffers
-//!   its outputs (sends, new timers, counter increments).
+//!   its outputs (sends, new timers, counter increments) and lends it
+//!   what the simulator owns: the RNG and the name ↔ node table
+//!   ([`Ctx::resolve`], [`Ctx::name_of`]).
 //! * The [`Sim`] owns all actors, a priority queue of pending deliveries
-//!   and timers, the link model and the metrics.
+//!   and timers, the link model, the name of every node — stored once —
+//!   and the metrics.
 //! * Physical connectivity is *universal by default* (the Internet), with
 //!   explicit partitions, downed nodes or per-pair link overrides taking
 //!   precedence. Fragmentation in the paper's sense — who *references*

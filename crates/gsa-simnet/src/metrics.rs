@@ -1,245 +1,48 @@
 //! Run metrics: named counters, histograms and per-node load accounting.
 //!
-//! Counters keep their free-form string API, but the well-known names —
-//! everything the simulator and the protocol layers touch per message —
-//! are pre-interned into fixed [`CounterId`] slots. The hot loop
-//! increments a plain array cell instead of probing a
-//! `BTreeMap<String, u64>`; names outside the table fall back to the
-//! map, so experiment-specific counters keep working unchanged.
+//! Every counter the product bumps is a row of the counter table in
+//! [`gsa_types::counter`] — declared once, there — and lives here in a
+//! fixed slot addressed by its [`CounterId`]: the hot loop increments a
+//! plain array cell. The string API stays for readers and for names
+//! outside the table (tests, experiment-specific counters), which fall
+//! back to a `BTreeMap<String, u64>`. The table is re-exported as
+//! [`CounterId`] and [`names`], so callers spell both as before.
+//!
+//! Histograms are fixed-size: exact count / sum / min / max plus
+//! log-linear buckets, so a run's memory does not grow with the number
+//! of samples and two histograms merge by adding buckets.
 
 use crate::sim::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Well-known counter names shared by the transports and protocol
-/// layers, so dashboards and tests agree on spelling.
+pub use gsa_types::CounterId;
+
+/// Well-known metric names, so dashboards and tests agree on spelling:
+/// the counter table's, plus the one histogram the simulator keeps.
 pub mod names {
-    /// Events accepted for publication by alerting cores.
-    pub const ALERT_EVENTS_PUBLISHED: &str = "alert.events_published";
-    /// Profile matches delivered to subscribers.
-    pub const ALERT_NOTIFICATIONS: &str = "alert.notifications";
-    /// Alert instances that entered the firing state.
-    pub const ALERTS_FIRING: &str = "alerts.firing";
-    /// Alert instances acknowledged.
-    pub const ALERTS_ACKED: &str = "alerts.acked";
-    /// Alert instances resolved.
-    pub const ALERTS_RESOLVED: &str = "alerts.resolved";
-    /// Alert instances expired to stale by the quiescence timeout.
-    pub const ALERTS_STALE: &str = "alerts.stale";
-    /// Notifications withheld by dedup or throttle policies.
-    pub const ALERTS_SUPPRESSED: &str = "alerts.suppressed";
-    /// Notifications buffered into digest batches.
-    pub const ALERTS_DIGESTED: &str = "alerts.digested";
-    /// GDS protocol frames processed by directory nodes.
-    pub const GDS_MESSAGES: &str = "gds.messages";
-    /// Messages handed to the network (sim transport).
-    pub const NET_SENT: &str = "net.sent";
-    /// Serialized bytes handed to the network.
-    pub const NET_BYTES: &str = "net.bytes";
-    /// Messages delivered to an up node.
-    pub const NET_DELIVERED: &str = "net.delivered";
-    /// Messages dropped in flight (loss, partitions, downed nodes,
-    /// unknown destinations) — mirrored by the real-time transport's
-    /// [`dropped_count`](crate::rt::RtNetwork::dropped_count).
-    pub const NET_DROPPED: &str = "net.dropped";
-    /// Reliable-envelope retransmissions (second and later attempts).
-    pub const NET_RETRANSMITS: &str = "net.retransmits";
-    /// Reliable-envelope acknowledgements sent.
-    pub const NET_ACKS: &str = "net.acks";
-    /// GDS nodes that re-parented to their grandparent after the
-    /// failure detector declared the parent dead.
-    pub const GDS_REPARENT: &str = "gds.reparent";
-    /// Auxiliary-profile operations abandoned after exhausting their
-    /// retry budget.
-    pub const AUX_DEAD_LETTER: &str = "aux.dead_letter";
-    /// Wire frames handed to the network (a batch frame counts once).
-    pub const NET_FRAMES: &str = "net.frames";
-    /// Serialized bytes handed to the network, as measured by the
-    /// format-aware wire-size function (alias of [`NET_BYTES`] kept
-    /// separate so dashboards can tell the v2 accounting apart).
-    pub const NET_BYTES_SENT: &str = "net.bytes_sent";
-    /// Batch frames flushed by the per-edge batcher.
-    pub const WIRE_BATCH_FLUSHES: &str = "wire.batch.flushes";
-    /// Individual messages coalesced into batch frames at senders.
-    pub const WIRE_BATCH_COALESCED: &str = "wire.batch.coalesced";
-    /// Individual messages unpacked from batch frames at receivers.
-    pub const WIRE_BATCH_RECEIVED: &str = "wire.batch.received";
-    /// Flood edges skipped because the edge's subtree interest summary
-    /// could not match the event (subscription-aware pruning).
-    pub const GDS_PRUNED_EDGES: &str = "gds.pruned_edges";
-    /// Interest-summary updates accepted by GDS nodes.
-    pub const GDS_SUMMARY_UPDATES: &str = "gds.summary_updates";
-    /// Upward flood hops skipped because a held rendezvous grant proved
-    /// the event's (attribute, value) subgroup has no interest outside
-    /// the node's subtree.
-    pub const GDS_RENDEZVOUS_CONFINED: &str = "gds.rendezvous_confined";
-    /// Rendezvous grant messages issued by GDS nodes to children.
-    pub const GDS_RENDEZVOUS_GRANTS: &str = "gds.rendezvous_grants";
-    /// Accepted deliveries whose payload failed to decode as an event
-    /// (previously dropped silently at the delivery boundary).
-    pub const CORE_DECODE_ERROR: &str = "core.decode_error";
-    /// Deliveries rejected by the binary attribute probe without
-    /// materialising an event.
-    pub const CORE_PROBE_SKIP: &str = "core.probe_skip";
-    /// Deliveries the probe passed to the full decode + match path.
-    pub const CORE_PROBE_PASS: &str = "core.probe_pass";
-    /// Records appended to the durable state journal.
-    pub const STATE_JOURNAL_APPENDS: &str = "state.journal_appends";
-    /// Durable state snapshots written (compactions).
-    pub const STATE_SNAPSHOT_WRITES: &str = "state.snapshot_writes";
-    /// Journal records applied during crash-recovery replay.
-    pub const STATE_REPLAY_RECORDS: &str = "state.replay_records";
-    /// Mid-journal corruption events observed during recovery.
-    pub const STATE_JOURNAL_CORRUPT: &str = "state.journal_corrupt";
+    pub use gsa_types::counter::names::*;
+
     /// Delivery latency histogram, one sample per delivered message.
     pub const NET_LATENCY_US: &str = "net.latency_us";
 }
 
-/// Every pre-interned counter name, in ascending lexicographic order.
-/// [`CounterId`] values are indices into this table, which is what lets
-/// snapshot iteration merge the fixed slots with the string-keyed
-/// fallback map in one sorted pass.
-const WELL_KNOWN: &[&str] = &[
-    "alert.events_published",
-    "alert.notifications",
-    "alert.unknown_host",
-    "alerts.acked",
-    "alerts.digested",
-    "alerts.firing",
-    "alerts.resolved",
-    "alerts.stale",
-    "alerts.suppressed",
-    "aux.dead_letter",
-    "core.decode_error",
-    "core.probe_pass",
-    "core.probe_skip",
-    "gds.dead_letter",
-    "gds.messages",
-    "gds.non_gds_message",
-    "gds.pruned_edges",
-    "gds.reparent",
-    "gds.summary_updates",
-    "gds.undeliverable",
-    "gds.unknown_host",
-    "gsflood.duplicate_suppressed",
-    "gsflood.ttl_exhausted",
-    "net.acks",
-    "net.bytes",
-    "net.bytes_sent",
-    "net.delivered",
-    "net.dropped",
-    "net.frames",
-    "net.retransmits",
-    "net.sent",
-    "profileflood.replicas",
-    "profileflood.spurious",
-    "rendezvous.filtered_events",
-    "rendezvous.spurious",
-    "rendezvous.stored_profiles",
-    "state.journal_appends",
-    "state.journal_corrupt",
-    "state.replay_records",
-    "state.snapshot_writes",
-    "wire.batch.coalesced",
-    "wire.batch.flushes",
-    "wire.batch.received",
-];
+/// Each power-of-two range of values is split into `2^SUB_BITS` equal
+/// buckets, so a bucket is at most `1 / 2^SUB_BITS` of its lower bound
+/// wide.
+const SUB_BITS: u32 = 5;
 
-const SLOTS: usize = WELL_KNOWN.len();
+/// Buckets covering all of `u64`: `index_of(u64::MAX) + 1`.
+const BUCKETS: usize = ((64 - SUB_BITS as usize) << SUB_BITS) + (1 << SUB_BITS);
 
-/// A pre-interned handle to one well-known counter slot.
+/// A fixed-size histogram of `u64` samples.
 ///
-/// Obtained through [`Metrics::resolve`] or the associated constants;
-/// incrementing through a `CounterId` is a single array write, with no
-/// string hashing, comparison or allocation on the path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CounterId(u16);
-
-impl CounterId {
-    /// Slot for [`names::ALERT_EVENTS_PUBLISHED`].
-    pub const ALERT_EVENTS_PUBLISHED: CounterId = CounterId::slot(names::ALERT_EVENTS_PUBLISHED);
-    /// Slot for [`names::ALERT_NOTIFICATIONS`].
-    pub const ALERT_NOTIFICATIONS: CounterId = CounterId::slot(names::ALERT_NOTIFICATIONS);
-    /// Slot for [`names::ALERTS_ACKED`].
-    pub const ALERTS_ACKED: CounterId = CounterId::slot(names::ALERTS_ACKED);
-    /// Slot for [`names::ALERTS_DIGESTED`].
-    pub const ALERTS_DIGESTED: CounterId = CounterId::slot(names::ALERTS_DIGESTED);
-    /// Slot for [`names::ALERTS_FIRING`].
-    pub const ALERTS_FIRING: CounterId = CounterId::slot(names::ALERTS_FIRING);
-    /// Slot for [`names::ALERTS_RESOLVED`].
-    pub const ALERTS_RESOLVED: CounterId = CounterId::slot(names::ALERTS_RESOLVED);
-    /// Slot for [`names::ALERTS_STALE`].
-    pub const ALERTS_STALE: CounterId = CounterId::slot(names::ALERTS_STALE);
-    /// Slot for [`names::ALERTS_SUPPRESSED`].
-    pub const ALERTS_SUPPRESSED: CounterId = CounterId::slot(names::ALERTS_SUPPRESSED);
-    /// Slot for [`names::GDS_MESSAGES`].
-    pub const GDS_MESSAGES: CounterId = CounterId::slot(names::GDS_MESSAGES);
-    /// Slot for [`names::NET_SENT`].
-    pub const NET_SENT: CounterId = CounterId::slot(names::NET_SENT);
-    /// Slot for [`names::NET_BYTES`].
-    pub const NET_BYTES: CounterId = CounterId::slot(names::NET_BYTES);
-    /// Slot for [`names::NET_BYTES_SENT`].
-    pub const NET_BYTES_SENT: CounterId = CounterId::slot(names::NET_BYTES_SENT);
-    /// Slot for [`names::NET_DELIVERED`].
-    pub const NET_DELIVERED: CounterId = CounterId::slot(names::NET_DELIVERED);
-    /// Slot for [`names::NET_DROPPED`].
-    pub const NET_DROPPED: CounterId = CounterId::slot(names::NET_DROPPED);
-    /// Slot for [`names::NET_FRAMES`].
-    pub const NET_FRAMES: CounterId = CounterId::slot(names::NET_FRAMES);
-    /// Slot for [`names::NET_RETRANSMITS`].
-    pub const NET_RETRANSMITS: CounterId = CounterId::slot(names::NET_RETRANSMITS);
-    /// Slot for [`names::NET_ACKS`].
-    pub const NET_ACKS: CounterId = CounterId::slot(names::NET_ACKS);
-
-    /// The slot of a well-known name, looked up while compiling: a
-    /// constant naming a counter that is not in the table does not
-    /// build, and the table can gain or lose a name without any
-    /// constant being renumbered.
-    const fn slot(name: &str) -> CounterId {
-        let mut i = 0;
-        while i < SLOTS {
-            if const_str_eq(WELL_KNOWN[i], name) {
-                return CounterId(i as u16);
-            }
-            i += 1;
-        }
-        panic!("counter name missing from WELL_KNOWN");
-    }
-
-    /// The name this id resolves, as spelled in counter snapshots.
-    pub fn name(self) -> &'static str {
-        WELL_KNOWN[self.0 as usize]
-    }
-
-    /// The raw slot index.
-    pub const fn as_u16(self) -> u16 {
-        self.0
-    }
-}
-
-/// `a == b` for strings, in a form constant evaluation accepts.
-const fn const_str_eq(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut i = 0;
-    while i < a.len() {
-        if a[i] != b[i] {
-            return false;
-        }
-        i += 1;
-    }
-    true
-}
-
-impl fmt::Display for CounterId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A histogram of `u64` samples with on-demand quantiles.
+/// Count, sum, minimum and maximum are exact. Quantiles come from
+/// log-linear buckets: values below 64 have a bucket each, so their
+/// quantiles are exact; above, [`Histogram::quantile`] answers with the
+/// top of the bucket the nearest-rank sample fell in (never above the
+/// maximum), which overstates that sample by less than
+/// [`Histogram::RELATIVE_ERROR`] of its value.
 ///
 /// # Examples
 ///
@@ -253,72 +56,126 @@ impl fmt::Display for CounterId {
 /// assert_eq!(h.max(), Some(100));
 /// assert_eq!(h.quantile(0.5), Some(3));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
+    n: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: [u64; BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            n: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: [0; BUCKETS],
+        }
+    }
+}
+
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Histogram({self})")
+    }
 }
 
 impl Histogram {
+    /// How far above the true nearest-rank sample a quantile can read,
+    /// as a fraction of that sample (samples below 64 read exactly).
+    pub const RELATIVE_ERROR: f64 = 1.0 / (1u64 << SUB_BITS) as f64;
+
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram::default()
     }
 
+    /// How far a value's bucket is shifted: 0 while buckets are one
+    /// value wide, then one more per power of two.
+    fn shift_of(value: u64) -> u32 {
+        (63 - (value | 1).leading_zeros()).saturating_sub(SUB_BITS)
+    }
+
+    fn index_of(value: u64) -> usize {
+        let shift = Self::shift_of(value);
+        ((shift as usize) << SUB_BITS) + (value >> shift) as usize
+    }
+
+    /// The largest value that lands in bucket `index`.
+    fn top_of(index: usize) -> u64 {
+        // Buckets below `2 << SUB_BITS` hold one value each; every later
+        // group of `1 << SUB_BITS` buckets is one more bit wide.
+        let shift = (index >> SUB_BITS).saturating_sub(1) as u32;
+        let scaled = (index - ((shift as usize) << SUB_BITS)) as u64;
+        (scaled << shift) | ((1 << shift) - 1)
+    }
+
     /// Adds one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
-        self.sorted = false;
+        self.n += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.buckets[Self::index_of(value)] += 1;
+    }
+
+    /// Adds every sample of `other`: the result equals one histogram
+    /// that recorded both streams.
+    pub fn merge(&mut self, other: &Histogram) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
     }
 
     /// The number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.n as usize
     }
 
     /// Returns `true` when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.n == 0
     }
 
     /// The arithmetic mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64)
+        (self.n > 0).then(|| self.sum as f64 / self.n as f64)
     }
 
     /// The maximum sample.
     pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
+        (self.n > 0).then_some(self.max)
     }
 
     /// The minimum sample.
     pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
+        (self.n > 0).then_some(self.min)
     }
 
-    /// The `q`-quantile (nearest-rank), `q` clamped into `[0,1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<u64> {
-        if self.samples.is_empty() {
+    /// The `q`-quantile (nearest-rank), `q` clamped into `[0,1]`, to
+    /// the resolution the type documents.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        if self.n == 0 {
             return None;
         }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
         // Nearest-rank: the smallest sample with cumulative frequency >= q.
-        let rank = (q * self.samples.len() as f64).ceil() as usize;
-        let idx = rank.saturating_sub(1).min(self.samples.len() - 1);
-        Some(self.samples[idx])
-    }
-
-    /// All samples, in insertion order if quantiles were never queried.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
+        let rank = ((q.clamp(0.0, 1.0) * self.n as f64).ceil() as u64).clamp(1, self.n);
+        let mut seen = 0;
+        for (index, &count) in self.buckets.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Some(Self::top_of(index).min(self.max));
+            }
+        }
+        unreachable!("bucket counts sum to n");
     }
 }
 
@@ -328,10 +185,7 @@ impl fmt::Display for Histogram {
             Some(mean) => write!(
                 f,
                 "n={} mean={:.1} min={} max={}",
-                self.len(),
-                mean,
-                self.min().unwrap_or(0),
-                self.max().unwrap_or(0)
+                self.n, mean, self.min, self.max
             ),
             None => write!(f, "n=0"),
         }
@@ -340,26 +194,27 @@ impl fmt::Display for Histogram {
 
 /// Metrics accumulated during a simulation run.
 ///
-/// Counters and histograms are named by free-form strings, so protocol
-/// layers can define their own without the simulator knowing about them.
-/// The simulator itself maintains `net.sent`, `net.delivered`,
+/// Counters and histograms are named by free-form strings, so tests and
+/// experiments can define their own without the simulator knowing about
+/// them. The simulator itself maintains `net.sent`, `net.delivered`,
 /// `net.dropped`, `net.bytes` and the per-node send/receive loads.
 ///
-/// Well-known names live in fixed slots addressed by [`CounterId`]; a
-/// name outside [`Metrics::resolve`]'s table lands in a fallback map.
-/// Readers ([`Metrics::counter`], [`Metrics::counters`], `Display`)
-/// merge both stores, so the split is invisible in snapshots.
+/// A name in the counter table lives in the fixed slot of its
+/// [`CounterId`]; a name outside it ([`Metrics::resolve`] says which)
+/// lands in a fallback map. Readers ([`Metrics::counter`],
+/// [`Metrics::counters`], `Display`) merge both stores, so the split is
+/// invisible in snapshots.
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    slots: [u64; SLOTS],
+    slots: [u64; CounterId::COUNT],
     /// A slot is reported in snapshots once it has been written, even
     /// with delta 0 — matching the map semantics where `count(name, 0)`
     /// creates a visible zero entry.
-    touched: [bool; SLOTS],
+    touched: [bool; CounterId::COUNT],
     extra: BTreeMap<String, u64>,
-    /// Fast slot for the per-delivery `net.latency_us` histogram.
+    /// Fast slot for the per-delivery `net.latency_us` histogram;
+    /// reported once it holds a sample.
     latency: Histogram,
-    latency_touched: bool,
     histograms: BTreeMap<String, Histogram>,
     node_sent: Vec<u64>,
     node_received: Vec<u64>,
@@ -368,11 +223,10 @@ pub struct Metrics {
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            slots: [0; SLOTS],
-            touched: [false; SLOTS],
+            slots: [0; CounterId::COUNT],
+            touched: [false; CounterId::COUNT],
             extra: BTreeMap::new(),
             latency: Histogram::new(),
-            latency_touched: false,
             histograms: BTreeMap::new(),
             node_sent: Vec::new(),
             node_received: Vec::new(),
@@ -386,21 +240,18 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Looks a name up in the pre-interned table. `None` means the name
-    /// is experiment-specific and will be kept in the fallback map.
+    /// Looks a name up in the counter table. `None` means the name is
+    /// experiment-specific and will be kept in the fallback map.
     #[inline]
     pub fn resolve(name: &str) -> Option<CounterId> {
-        WELL_KNOWN
-            .binary_search(&name)
-            .ok()
-            .map(|i| CounterId(i as u16))
+        CounterId::from_name(name)
     }
 
-    /// Adds `delta` to a pre-interned counter slot: one array write.
+    /// Adds `delta` to a table counter's slot: one array write.
     #[inline]
     pub fn count_id(&mut self, id: CounterId, delta: u64) {
-        self.slots[id.0 as usize] += delta;
-        self.touched[id.0 as usize] = true;
+        self.slots[id.index()] += delta;
+        self.touched[id.index()] = true;
     }
 
     /// Adds `delta` to the named counter.
@@ -414,25 +265,22 @@ impl Metrics {
     /// Reads a counter (0 when never written).
     pub fn counter(&self, name: &str) -> u64 {
         match Self::resolve(name) {
-            Some(id) => self.slots[id.0 as usize],
+            Some(id) => self.slots[id.index()],
             None => self.extra.get(name).copied().unwrap_or(0),
         }
     }
 
-    /// Reads a pre-interned counter slot.
+    /// Reads a table counter's slot.
     pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.slots[id.0 as usize]
+        self.slots[id.index()]
     }
 
     /// All counters in name order, fixed slots and fallback map merged
     /// (a name lives in exactly one of the two).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut all: Vec<(&str, u64)> = WELL_KNOWN
-            .iter()
-            .zip(self.slots.iter())
-            .zip(self.touched.iter())
-            .filter(|(_, &touched)| touched)
-            .map(|((name, &value), _)| (*name, value))
+        let mut all: Vec<(&str, u64)> = CounterId::all()
+            .filter(|id| self.touched[id.index()])
+            .map(|id| (id.name(), self.slots[id.index()]))
             .collect();
         for (name, &value) in self.extra.iter() {
             all.push((name.as_str(), value));
@@ -454,27 +302,18 @@ impl Metrics {
     }
 
     /// Records one delivery-latency sample into the fixed
-    /// `net.latency_us` slot: a vector push, no map probe.
+    /// `net.latency_us` slot: a bucket increment, no map probe.
     #[inline]
     pub(crate) fn record_latency(&mut self, value: u64) {
         self.latency.record(value);
-        self.latency_touched = true;
     }
 
     /// Reads a histogram, if any samples were recorded under `name`.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        if name == names::NET_LATENCY_US && self.latency_touched {
-            return Some(&self.latency);
+        if name == names::NET_LATENCY_US {
+            return (!self.latency.is_empty()).then_some(&self.latency);
         }
         self.histograms.get(name)
-    }
-
-    /// Mutable access to a histogram (for quantile queries).
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        if name == names::NET_LATENCY_US && self.latency_touched {
-            return Some(&mut self.latency);
-        }
-        self.histograms.get_mut(name)
     }
 
     #[inline]
@@ -562,7 +401,7 @@ impl fmt::Display for Metrics {
             .iter()
             .map(|(k, h)| (k.as_str(), h))
             .collect();
-        if self.latency_touched {
+        if !self.latency.is_empty() {
             hists.push((names::NET_LATENCY_US, &self.latency));
         }
         hists.sort_by(|a, b| a.0.cmp(b.0));
@@ -590,8 +429,84 @@ mod tests {
     }
 
     #[test]
-    fn histogram_empty() {
+    fn histogram_summary_is_exact_and_quantiles_are_within_the_stated_error() {
+        // 1 ..= 10^6 in a scrambled order (the multiplier is coprime to
+        // the modulus): the true nearest-rank q-quantile is ceil(q * n).
+        const N: u64 = 1_000_000;
         let mut h = Histogram::new();
+        for i in 0..N {
+            h.record(1 + (i * 7_919) % N);
+        }
+        assert_eq!(h.len() as u64, N);
+        assert_eq!(h.min(), Some(1));
+        assert_eq!(h.max(), Some(N));
+        assert_eq!(h.mean(), Some((N + 1) as f64 / 2.0));
+        assert_eq!(h.to_string(), "n=1000000 mean=500000.5 min=1 max=1000000");
+        for q in [0.0, 0.000_01, 0.000_063, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let exact = ((q * N as f64).ceil() as u64).max(1);
+            let got = h.quantile(q).unwrap();
+            assert!(got >= exact, "q={q}: {got} < {exact}");
+            let over = (got - exact) as f64 / exact as f64;
+            assert!(over < Histogram::RELATIVE_ERROR, "q={q}: {got} vs {exact}");
+            if exact < 64 {
+                assert_eq!(got, exact, "small values have a bucket each");
+            }
+        }
+        assert_eq!(h.quantile(1.0), Some(N), "never above the maximum");
+
+        // A constant stream reads back as the constant at every quantile.
+        for c in [0, 63, 64, 1_000, 123_456_789, u64::MAX / 3] {
+            let mut h = Histogram::new();
+            for _ in 0..3 {
+                h.record(c);
+            }
+            for q in [0.0, 0.5, 1.0] {
+                assert_eq!(h.quantile(q), Some(c));
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_buckets_tile_the_whole_range() {
+        // Every bucket's top maps back to that bucket and the next value
+        // starts the next one, so the buckets partition `u64`.
+        assert_eq!(Histogram::index_of(0), 0);
+        assert_eq!(Histogram::index_of(u64::MAX), BUCKETS - 1);
+        for index in 0..BUCKETS {
+            let top = Histogram::top_of(index);
+            assert_eq!(Histogram::index_of(top), index);
+            if let Some(next) = top.checked_add(1) {
+                assert_eq!(Histogram::index_of(next), index + 1);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `merge` ≡ recording both streams into one histogram.
+        #[test]
+        fn histogram_merge_equals_recording_both_streams(
+            a in proptest::prop::collection::vec(0u64..5_000_000, 0..40),
+            b in proptest::prop::collection::vec(0u64..5_000_000, 0..40),
+        ) {
+            let (mut left, mut right, mut both) =
+                (Histogram::new(), Histogram::new(), Histogram::new());
+            for &v in &a {
+                left.record(v);
+                both.record(v);
+            }
+            for &v in &b {
+                right.record(v);
+                both.record(v);
+            }
+            left.merge(&right);
+            proptest::prop_assert!(left == both);
+            proptest::prop_assert_eq!(left.to_string(), both.to_string());
+        }
+    }
+
+    #[test]
+    fn histogram_empty() {
+        let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.mean(), None);
         assert_eq!(h.quantile(0.5), None);
@@ -617,24 +532,29 @@ mod tests {
 
     #[test]
     fn interned_table_is_sorted_and_resolvable() {
-        assert!(
-            WELL_KNOWN.windows(2).all(|w| w[0] < w[1]),
-            "WELL_KNOWN must be strictly ascending for binary search \
-             and sorted snapshot merging"
-        );
-        for (i, name) in WELL_KNOWN.iter().enumerate() {
-            let id = Metrics::resolve(name).expect("well-known name resolves");
-            assert_eq!(id.as_u16() as usize, i);
-            assert_eq!(id.name(), *name);
+        // That the rows ascend is checked while `gsa-types` compiles;
+        // here: every row resolves to its own slot, by name and by id.
+        let mut m = Metrics::new();
+        for (i, id) in CounterId::all().enumerate() {
+            assert_eq!(Metrics::resolve(id.name()), Some(id));
+            m.count(id.name(), 1);
+            m.count_id(id, i as u64);
         }
+        assert!(m.extra.is_empty(), "table names must not hit the map");
+        let snapshot: Vec<(&str, u64)> = m.counters().collect();
+        let expected: Vec<(&str, u64)> = CounterId::all()
+            .enumerate()
+            .map(|(i, id)| (id.name(), 1 + i as u64))
+            .collect();
+        assert_eq!(snapshot, expected, "one slot per row, in name order");
         assert_eq!(Metrics::resolve("definitely.not.a.counter"), None);
     }
 
     #[test]
     fn counter_id_constants_match_names() {
-        // The constants are looked up by name while compiling; what is
-        // left to pin is that the run-time lookup lands on the same slot
-        // and that an id prints as its name.
+        // The constants are numbered by the table's rows while compiling;
+        // what is left to pin is that the run-time lookup lands on the
+        // same slot and that an id prints as its name.
         for (id, name) in [
             (CounterId::ALERT_EVENTS_PUBLISHED, names::ALERT_EVENTS_PUBLISHED),
             (CounterId::GDS_MESSAGES, names::GDS_MESSAGES),
@@ -697,7 +617,7 @@ mod tests {
         m.record(names::NET_LATENCY_US, 30);
         assert_eq!(m.histogram(names::NET_LATENCY_US).unwrap().len(), 2);
         assert_eq!(
-            m.histogram_mut(names::NET_LATENCY_US).unwrap().quantile(1.0),
+            m.histogram(names::NET_LATENCY_US).unwrap().quantile(1.0),
             Some(30)
         );
         assert!(m.to_string().contains("net.latency_us"));

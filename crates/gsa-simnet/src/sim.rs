@@ -3,13 +3,14 @@
 use crate::actor::{Actor, Command, CounterKey, Ctx, TimerId};
 use crate::link::{LinkConfig, LinkState, LinkTable};
 use crate::metrics::{CounterId, Metrics};
-use gsa_types::{FxHashSet, SimDuration, SimTime};
+use gsa_types::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 /// How many drained command buffers the simulator keeps for reuse.
 /// Actor callbacks never nest, so one buffer cycles in steady state;
@@ -170,8 +171,10 @@ impl<M> Queue<M> {
     }
 }
 
-struct NodeMeta {
-    name: String,
+pub(crate) struct NodeMeta {
+    /// The node's name, stored once: `names` keys share this `Arc`, and
+    /// an actor that needs it as a host name clones the `Arc` too.
+    pub(crate) name: Arc<str>,
     up: bool,
     partition: u32,
 }
@@ -185,7 +188,9 @@ pub struct Sim<M> {
     queue: Queue<M>,
     actors: Vec<Option<Box<dyn ActorObj<M>>>>,
     meta: Vec<NodeMeta>,
-    names: HashMap<String, NodeId>,
+    /// Name → node, lent to actors through [`Ctx::resolve`]. Probe-only,
+    /// so the fast hasher cannot leak an iteration order into behaviour.
+    names: FxHashMap<Arc<str>, NodeId>,
     links: LinkTable,
     /// Timers scheduled but not yet popped from the queue. Cancellation
     /// consults this set so a cancel of an already-fired (or never
@@ -225,7 +230,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             queue: Queue::new(),
             actors: Vec::new(),
             meta: Vec::new(),
-            names: HashMap::new(),
+            names: FxHashMap::default(),
             links: LinkTable::new(LinkConfig::lan()),
             pending_timers: FxHashSet::default(),
             cancelled_timers: FxHashSet::default(),
@@ -277,9 +282,9 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     ///
     /// Panics when `name` is already taken.
     pub fn add_node(&mut self, name: impl Into<String>, actor: impl Actor<M>) -> NodeId {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         assert!(
-            !self.names.contains_key(&name),
+            !self.names.contains_key(&*name),
             "duplicate node name {name:?}"
         );
         let id = NodeId(self.actors.len() as u32);
@@ -328,7 +333,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         &self.metrics
     }
 
-    /// Mutable metrics access (for quantile queries or external counts).
+    /// Mutable metrics access (for external counts).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
     }
@@ -428,6 +433,8 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     commands: self.checkout_commands(),
                     rng: &mut self.rng,
                     next_timer: &mut self.next_timer,
+                    meta: &self.meta,
+                    names: &self.names,
                 };
                 let r = f(typed, &mut ctx);
                 let mut commands = ctx.commands;
@@ -576,6 +583,8 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             commands: self.checkout_commands(),
             rng: &mut self.rng,
             next_timer: &mut self.next_timer,
+            meta: &self.meta,
+            names: &self.names,
         };
         f(actor.as_mut(), &mut ctx);
         let mut commands = ctx.commands;
@@ -604,7 +613,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     CounterKey::Id(id) => self.metrics.count_id(id, delta),
                     CounterKey::Name(name) => self.metrics.count(&name, delta),
                 },
-                Command::Record { name, value } => self.metrics.record(&name, value),
             }
         }
     }
@@ -858,6 +866,32 @@ mod tests {
         assert_eq!(sim.node_name(NodeId::from_raw(1)), "pinger");
         assert_eq!(sim.node_count(), 2);
         assert_eq!(sim.node_ids().count(), 2);
+    }
+
+    /// Forwards every message to the node named in it.
+    struct ByName;
+    impl Actor<String> for ByName {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, String>, from: NodeId, msg: String) {
+            match ctx.resolve(&msg) {
+                Some(node) => ctx.send(node, format!("from {}", ctx.name_of(from))),
+                None => ctx.count("byname.unknown", 1),
+            }
+        }
+    }
+
+    #[test]
+    fn ctx_lends_the_simulators_name_table() {
+        let mut sim: Sim<String> = Sim::new(1);
+        let router = sim.add_node("router", ByName);
+        sim.run_until_quiet(SimTime::from_secs(1));
+        // Added after the router started: visible on its next callback.
+        let echo = sim.add_node("echo", Echo);
+        sim.inject(echo, router, "echo".into());
+        sim.inject(echo, router, "nobody".into());
+        sim.run_until_quiet(SimTime::from_secs(2));
+        assert_eq!(sim.metrics().counter("echo.recv.from echo"), 1);
+        assert_eq!(sim.metrics().counter("byname.unknown"), 1);
+        assert_eq!(sim.metrics().counter("net.sent"), 1);
     }
 
     #[test]

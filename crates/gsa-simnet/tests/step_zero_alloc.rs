@@ -1,15 +1,18 @@
 //! Acceptance test for the E7 zero-allocation event loop: after a
 //! warm-up phase, the steady-state step loop — pop a delivery, run the
 //! receiving actor (which probes and match-rejects a frozen binary
-//! event, bumps counters and replies), route the reply, record the
+//! event, counts into a [`Counts`] and drains it, looks its peer up by
+//! name through the context and replies), route the reply, record the
 //! latency sample, service a recurring timer — performs no heap
 //! allocation at all.
 //!
 //! Everything the loop touches is pre-sized or pooled: counters live in
-//! fixed [`CounterId`] slots, link configs resolve by indexed lookup
-//! (no clone), command buffers check out of the simulator's pool, the
-//! scheduling heap and the latency histogram reuse warmed capacity, and
-//! the filter probe walks frozen bytes in place.
+//! fixed [`CounterId`] slots and the latency histogram in fixed buckets,
+//! a drained [`Counts`] keeps its capacity, names resolve in the
+//! simulator's own table, link configs resolve by indexed lookup (no
+//! clone), command buffers check out of the simulator's pool, the
+//! scheduling heap reuses warmed capacity, and the filter probe walks
+//! frozen bytes in place.
 //!
 //! Same counting-allocator harness as gsa-filter's `probe_zero_alloc`:
 //! a wrapper around the system allocator counts allocations only inside
@@ -18,7 +21,7 @@
 use gsa_filter::{FilterEngine, MatchScratch};
 use gsa_profile::parse_profile;
 use gsa_simnet::{Actor, CounterId, Ctx, LinkConfig, Metrics, NodeId, Sim, TimerId};
-use gsa_types::{ProfileId, SimDuration, SimTime};
+use gsa_types::{Counts, ProfileId, SimDuration, SimTime};
 use gsa_wire::binary::payload_bytes_from_xml;
 use gsa_wire::codec::event_to_xml;
 use gsa_wire::EventProbe;
@@ -60,7 +63,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// An alerting-server stand-in: every delivery is probed against an
 /// indexed profile population that rejects it (the overwhelmingly
-/// common case at scale), counted, and bounced back to the sender.
+/// common case at scale), counted the way the product's state machines
+/// count — into a [`Counts`] the actor drains after the message — and
+/// bounced back to the sender, addressed by name as the product's
+/// actors address their peers.
 struct Server {
     engine: FilterEngine,
     scratch: MatchScratch,
@@ -69,6 +75,7 @@ struct Server {
     /// name outside the interned table instead, which travels as an
     /// owned `String` (the negative control).
     probe_skip: Option<CounterId>,
+    counts: Counts,
     rejected: u64,
 }
 
@@ -78,11 +85,16 @@ impl Actor<u32> for Server {
         if !self.engine.probe_matches(&mut probe, &mut self.scratch).unwrap() {
             self.rejected += 1;
             match self.probe_skip {
-                Some(id) => ctx.count_id(id, 1),
+                Some(id) => self.counts.add(id, 1),
                 None => ctx.count("bench.unregistered", 1),
             }
         }
-        ctx.send(from, msg.wrapping_add(1));
+        for (id, n) in self.counts.drain() {
+            ctx.count_id(id, n);
+        }
+        let peer = ctx.resolve(ctx.name_of(from)).expect("the sender has a name");
+        assert_eq!(peer, from);
+        ctx.send(peer, msg.wrapping_add(1));
     }
 }
 
@@ -163,6 +175,7 @@ fn ping_pong_sim(probe_skip: Option<CounterId>) -> Sim<u32> {
             scratch: MatchScratch::new(),
             payload: frozen_payload(),
             probe_skip,
+            counts: Counts::default(),
             rejected: 0,
         },
     );
@@ -183,9 +196,7 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
     let mut sim = ping_pong_sim(Some(probe_skip));
 
     // Warm-up: grows the scheduling heap, the command pool, the match
-    // scratch and the latency histogram to steady-state capacity.
-    // ~6 000 deliveries push the latency vector past the capacity the
-    // measured window needs.
+    // scratch and the server's `Counts` to steady-state capacity.
     sim.run_for(SimDuration::from_secs(6));
     let warm_deliveries = sim.metrics().counter("net.delivered");
     assert!(warm_deliveries > 2_000, "warm-up too short: {warm_deliveries}");

@@ -42,5 +42,5 @@ pub use record::{
     ReplayStop, SnapshotState, StateRecord,
 };
 pub use store::{
-    JournalConfig, JournalStateStore, MemoryStateStore, RecoveredState, StateCounters, StateStore,
+    JournalConfig, JournalStateStore, MemoryStateStore, RecoveredState, StateStore,
 };

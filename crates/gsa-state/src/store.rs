@@ -6,30 +6,8 @@ use crate::record::{
     StateRecord,
 };
 use gsa_profile::ProfileExpr;
-use gsa_types::{ClientId, ProfileId};
+use gsa_types::{ClientId, CounterId, Counts, ProfileId};
 use std::collections::BTreeMap;
-
-/// Bounded observability counters for the durability layer, drained by
-/// the core alongside its own counters and interned into the metric
-/// slot table as `state.*` (no per-profile labels, ever).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StateCounters {
-    /// Records appended to the journal.
-    pub journal_appends: u64,
-    /// Snapshots written (compactions).
-    pub snapshot_writes: u64,
-    /// Records applied during recovery replay.
-    pub replay_records: u64,
-    /// Mid-journal (or snapshot) corruption events observed.
-    pub journal_corrupt: u64,
-}
-
-impl StateCounters {
-    /// True when every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-}
 
 /// What recovery hands back to the core: the durable state as of the
 /// last intact journal record.
@@ -69,14 +47,19 @@ pub trait StateStore {
     /// Rebuild state from the backing medium (snapshot + journal
     /// replay). The memory backend recovers nothing, by design.
     fn recover(&mut self) -> RecoveredState;
-    /// Drain and reset the durability counters.
-    fn take_counters(&mut self) -> StateCounters;
+    /// What the backend counted (the `state.*` rows of the counter
+    /// table — no per-profile labels, ever) since the core last merged
+    /// this into its own counts.
+    fn counts_mut(&mut self) -> &mut Counts;
 }
 
 /// The default backend: volatile, free, faithful to the paper. A crash
 /// loses everything, exactly as the in-memory seed behaved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemoryStateStore;
+#[derive(Debug, Clone, Default)]
+pub struct MemoryStateStore {
+    /// Never counted into: nothing is recorded.
+    counts: Counts,
+}
 
 impl StateStore for MemoryStateStore {
     fn is_durable(&self) -> bool {
@@ -89,8 +72,8 @@ impl StateStore for MemoryStateStore {
     fn recover(&mut self) -> RecoveredState {
         RecoveredState::default()
     }
-    fn take_counters(&mut self) -> StateCounters {
-        StateCounters::default()
+    fn counts_mut(&mut self) -> &mut Counts {
+        &mut self.counts
     }
 }
 
@@ -132,7 +115,7 @@ impl Default for JournalConfig {
 pub struct JournalStateStore<M: Medium> {
     medium: M,
     config: JournalConfig,
-    counters: StateCounters,
+    counts: Counts,
     /// id → (client, expr): the durable state as this store knows it.
     shadow: BTreeMap<u64, (u64, ProfileExpr)>,
     /// fingerprint → (state tag, at_micros): latest alert lifecycle
@@ -153,7 +136,7 @@ impl<M: Medium> JournalStateStore<M> {
         Self {
             medium,
             config,
-            counters: StateCounters::default(),
+            counts: Counts::default(),
             shadow: BTreeMap::new(),
             alerts: BTreeMap::new(),
             next_profile: 0,
@@ -209,7 +192,7 @@ impl<M: Medium> JournalStateStore<M> {
         self.buf.clear();
         encode_record(&rec, &mut self.buf);
         self.medium.append_journal(&self.buf);
-        self.counters.journal_appends += 1;
+        self.counts.add(CounterId::STATE_JOURNAL_APPENDS, 1);
         self.unsynced += 1;
         if self.unsynced >= self.config.fsync_every.max(1) {
             self.medium.sync_journal();
@@ -247,7 +230,7 @@ impl<M: Medium> JournalStateStore<M> {
         };
         self.medium.replace_snapshot(&encode_snapshot(&snap));
         self.medium.truncate_journal();
-        self.counters.snapshot_writes += 1;
+        self.counts.add(CounterId::STATE_SNAPSHOT_WRITES, 1);
         self.journal_records = 0;
         self.unsynced = 0;
     }
@@ -312,7 +295,7 @@ impl<M: Medium> StateStore for JournalStateStore<M> {
                 // happen in nature — but a store must fail closed, not
                 // fall over: count it, start empty, let the journal
                 // recover what it can.
-                self.counters.journal_corrupt += 1;
+                self.counts.add(CounterId::STATE_JOURNAL_CORRUPT, 1);
             }
         }
 
@@ -324,9 +307,9 @@ impl<M: Medium> StateStore for JournalStateStore<M> {
         let (applied, stop) = replay_journal(&journal, |rec| {
             Self::apply_shadow(shadow, alerts, next_profile, summary_version, rec);
         });
-        self.counters.replay_records += applied;
+        self.counts.add(CounterId::STATE_REPLAY_RECORDS, applied);
         if stop == ReplayStop::Corrupt {
-            self.counters.journal_corrupt += 1;
+            self.counts.add(CounterId::STATE_JOURNAL_CORRUPT, 1);
         }
         // The intact records stay in the journal; compaction cadence
         // picks up from here.
@@ -354,8 +337,8 @@ impl<M: Medium> StateStore for JournalStateStore<M> {
         }
     }
 
-    fn take_counters(&mut self) -> StateCounters {
-        std::mem::take(&mut self.counters)
+    fn counts_mut(&mut self) -> &mut Counts {
+        &mut self.counts
     }
 }
 
@@ -398,9 +381,9 @@ mod tests {
         );
         assert_eq!(recovered.next_profile, 2);
         assert_eq!(recovered.summary_version, 3);
-        let counters = fresh.take_counters();
-        assert_eq!(counters.replay_records, 4);
-        assert_eq!(counters.journal_corrupt, 0);
+        let counters = fresh.counts_mut();
+        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 4);
+        assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 0);
     }
 
     #[test]
@@ -446,9 +429,9 @@ mod tests {
         // Record 0 fits inside the kept prefix, record 1 is torn away.
         assert_eq!(recovered.profiles.len(), 1);
         assert_eq!(recovered.profiles[0].0, ProfileId::from_raw(0));
-        let counters = fresh.take_counters();
-        assert_eq!(counters.journal_corrupt, 0, "a torn tail is not corruption");
-        assert_eq!(counters.replay_records, 1);
+        let counters = fresh.counts_mut();
+        assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 0, "a torn tail is not corruption");
+        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 1);
     }
 
     #[test]
@@ -476,9 +459,9 @@ mod tests {
         let mut fresh = JournalStateStore::new(medium, config);
         let after = fresh.recover();
         assert_eq!(after, before, "snapshot+truncate must preserve state");
-        let counters = fresh.take_counters();
-        assert_eq!(counters.replay_records, 0, "nothing left to replay");
-        assert_eq!(counters.journal_corrupt, 0);
+        let counters = fresh.counts_mut();
+        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 0, "nothing left to replay");
+        assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 0);
     }
 
     #[test]
@@ -495,15 +478,15 @@ mod tests {
                 &expr(&format!("host-{i}")),
             );
         }
-        let counters = s.take_counters();
-        assert_eq!(counters.snapshot_writes, 2, "11 records at cadence 4");
+        let counters = s.counts_mut();
+        assert_eq!(counters.get(CounterId::STATE_SNAPSHOT_WRITES), 2, "11 records at cadence 4");
         assert_eq!(s.journal_records(), 3);
 
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         assert_eq!(recovered.profiles.len(), 11);
         assert_eq!(recovered.next_profile, 11);
-        assert_eq!(fresh.take_counters().replay_records, 3);
+        assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 3);
     }
 
     #[test]
@@ -529,7 +512,7 @@ mod tests {
         let ids: Vec<u64> = recovered.profiles.iter().map(|(id, _, _)| id.as_u64()).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(recovered.summary_version, 9);
-        assert_eq!(fresh.take_counters().replay_records, 9);
+        assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 9);
     }
 
     #[test]
@@ -576,8 +559,8 @@ mod tests {
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         assert_eq!(recovered.profiles.len(), 1, "journal replay still works");
-        let counters = fresh.take_counters();
-        assert_eq!(counters.journal_corrupt, 1);
+        let counters = fresh.counts_mut();
+        assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 1);
     }
 
     #[test]
@@ -600,20 +583,20 @@ mod tests {
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         assert_eq!(recovered.profiles.len(), 1, "stops at last good record");
-        let counters = fresh.take_counters();
-        assert_eq!(counters.journal_corrupt, 1);
-        assert_eq!(counters.replay_records, 1);
+        let counters = fresh.counts_mut();
+        assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 1);
+        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 1);
     }
 
     #[test]
     fn memory_store_is_free_and_forgets_everything() {
-        let mut s = MemoryStateStore;
+        let mut s = MemoryStateStore::default();
         assert!(!s.is_durable());
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
         s.record_summary_version(5);
         s.record_alert(0xabc, 0, 1_000_000);
         assert_eq!(s.recover(), RecoveredState::default());
-        assert!(s.take_counters().is_zero());
+        assert!(s.counts_mut().is_empty());
     }
 
     #[test]
@@ -630,7 +613,7 @@ mod tests {
             recovered.alerts,
             vec![(0xaaa, 1, 3_000_000), (0xbbb, 0, 2_000_000)]
         );
-        assert_eq!(fresh.take_counters().replay_records, 3);
+        assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use gsa_profile::{Predicate, ProfileAttr, ProfileExpr};
 use gsa_state::{
     JournalConfig, JournalStateStore, MemMedium, RecoveredState, StateStore,
 };
-use gsa_types::{ClientId, ProfileId};
+use gsa_types::{ClientId, CounterId, ProfileId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -139,7 +139,7 @@ fn run_ops(
 fn recover_fresh(medium: MemMedium, config: JournalConfig) -> (RecoveredState, u64) {
     let mut store = JournalStateStore::new(medium, config);
     let recovered = store.recover();
-    (recovered, store.take_counters().journal_corrupt)
+    (recovered, store.counts_mut().get(CounterId::STATE_JOURNAL_CORRUPT))
 }
 
 const PLAIN: JournalConfig = JournalConfig {

@@ -24,12 +24,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counter;
 pub mod event;
 pub mod fxhash;
 pub mod id;
 pub mod meta;
 pub mod time;
 
+pub use counter::{CounterId, Counts};
 pub use event::{DocSummary, Event, EventId, EventKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use id::{

@@ -122,7 +122,7 @@ fn downed_gds_node_loses_its_subtree_only() {
     }
     // gds-3 down: Berlin (at gds-3), Delhi (gds-6) and Edmonton (gds-7)
     // are cut off from broadcasts; everyone else still hears.
-    let gds3 = system.directory().lookup(&"gds-3".into()).unwrap();
+    let gds3 = system.sim().node_id("gds-3").unwrap();
     system.sim_mut().set_node_up(gds3, false);
     system
         .rebuild("Hamilton", "news", vec![SourceDocument::new("n1", "x")])

@@ -22,8 +22,8 @@ use gsa_gds::GdsMessage;
 use gsa_profile::{AttrValue, Predicate, ProfileAttr, ProfileExpr, Wildcard};
 use gsa_store::Query;
 use gsa_types::{
-    keys, ClientId, CollectionId, DocSummary, Event, EventId, EventKind, HostName, MessageId,
-    MetadataRecord, ProfileId, SimTime,
+    keys, ClientId, CollectionId, CounterId, DocSummary, Event, EventId, EventKind, HostName,
+    MessageId, MetadataRecord, ProfileId, SimTime,
 };
 use gsa_wire::binary::payload_bytes_from_xml;
 use gsa_wire::codec::event_to_xml;
@@ -264,9 +264,9 @@ fn scan_profiles_force_pass_through_and_equalities_allow_rejection() {
         SysMessage::Gds(deliver),
         SimTime::ZERO,
     );
-    let counters = core.take_counters();
-    assert_eq!(counters.probe_passed, 1, "wildcard profiles must pass through");
-    assert_eq!(counters.probe_skipped, 0);
+    let counts = core.counts_mut();
+    assert_eq!(counts.get(CounterId::CORE_PROBE_PASS), 1, "wildcard profiles must pass through");
+    assert_eq!(counts.get(CounterId::CORE_PROBE_SKIP), 0);
 
     // Replace the wildcard with an equality that cannot match: now the
     // probe alone settles the delivery.
@@ -287,7 +287,7 @@ fn scan_profiles_force_pass_through_and_equalities_allow_rejection() {
         SysMessage::Gds(deliver),
         SimTime::ZERO,
     );
-    let counters = core.take_counters();
-    assert_eq!(counters.probe_skipped, 1, "equality-only miss must skip decode");
-    assert_eq!(counters.probe_passed, 0);
+    let counts = core.counts_mut();
+    assert_eq!(counts.get(CounterId::CORE_PROBE_SKIP), 1, "equality-only miss must skip decode");
+    assert_eq!(counts.get(CounterId::CORE_PROBE_PASS), 0);
 }

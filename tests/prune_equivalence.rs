@@ -9,9 +9,10 @@
 //! delivery sets, while also checking the pruned run actually pruned
 //! (the comparison must not be vacuous).
 
-use gsa_core::System;
+use gsa_core::{AlertPolicyConfig, BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
+use gsa_simnet::Metrics;
 use gsa_store::SourceDocument;
 use gsa_types::{keys, ClientId, CollectionId, MetadataRecord, SimTime};
 use std::collections::BTreeMap;
@@ -151,6 +152,16 @@ impl Mode {
 fn attr_mode_run(seed: u64, mode: Mode) -> (Delivered, u64, u64, u64, u64) {
     let mut system = System::new(seed);
     mode.configure(&mut system);
+    let (delivered, messages) = attr_workload(&mut system);
+    let pruned_edges = system.metrics().counter("gds.pruned_edges");
+    let confined = system.metrics().counter("gds.rendezvous_confined");
+    let grants = system.metrics().counter("gds.rendezvous_grants");
+    (delivered, messages, pruned_edges, confined, grants)
+}
+
+/// The workload of [`attr_mode_run`] on a configured, still empty
+/// system: what each watcher received and the messages it took.
+fn attr_workload(system: &mut System) -> (Delivered, u64) {
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("Oslo", "gds-6");
@@ -200,12 +211,35 @@ fn attr_mode_run(seed: u64, mode: Mode) -> (Delivered, u64, u64, u64, u64) {
     }
     system.run_until_quiet(SimTime::from_secs(180));
 
-    let delivered = drain(&mut system, &watchers);
+    let delivered = drain(system, &watchers);
     let messages = system.metrics().counter("net.sent") - sent_before;
-    let pruned_edges = system.metrics().counter("gds.pruned_edges");
-    let confined = system.metrics().counter("gds.rendezvous_confined");
-    let grants = system.metrics().counter("gds.rendezvous_grants");
-    (delivered, messages, pruned_edges, confined, grants)
+    (delivered, messages)
+}
+
+/// Every counter the product bumps has a row in the counter table, so
+/// none allocates a `String` per bump and walks the metrics store's
+/// fallback map: after the clustered workload with every switch on —
+/// which issues grants and confines floods — each name the run left
+/// behind resolves to a slot. (`gds.rendezvous_confined` and
+/// `gds.rendezvous_grants` once had a name constant and no slot.)
+#[test]
+fn every_counter_of_a_run_with_every_switch_on_has_a_slot() {
+    let mut system = System::new(SEEDS[0]);
+    system.set_wire(WireConfig::v2_batched(BatchConfig::default()));
+    system.set_reliability(ReliabilityConfig::default());
+    system.set_pruning(true);
+    system.set_rendezvous(true);
+    system.set_durability(true);
+    system.set_alert_policies(Some(AlertPolicyConfig::observe_only()));
+    let (delivered, _) = attr_workload(&mut system);
+    assert_eq!(delivered["Madrid"].len(), 3, "the workload ran");
+    assert!(system.metrics().counter("gds.rendezvous_grants") > 0);
+    assert!(system.metrics().counter("gds.rendezvous_confined") > 0);
+    let names: Vec<&str> = system.metrics().counters().map(|(name, _)| name).collect();
+    assert!(names.len() >= 15, "every layer counted something: {names:?}");
+    for name in names {
+        assert!(Metrics::resolve(name).is_some(), "{name} has no slot");
+    }
 }
 
 #[test]
