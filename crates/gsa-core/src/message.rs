@@ -4,10 +4,8 @@
 use gsa_gds::GdsMessage;
 use gsa_greenstone::GsMessage;
 use gsa_types::{CollectionId, CollectionName, Event};
-use gsa_wire::binary::{frame, framed_len, unframe, varint_len, write_varint, BinReader};
 use gsa_wire::codec::{collection_from_text, event_from_xml, event_to_xml};
-use gsa_wire::reliable::{reliable_wire_size, Reliable};
-use gsa_wire::{WireError, XmlElement};
+use gsa_wire::{Reliable, WireError, WireMessage, XmlElement};
 use std::fmt;
 
 /// Every message a node in the full system can receive: either GS
@@ -33,67 +31,6 @@ pub enum SysMessage {
     RelGdsBin(Reliable<GdsMessage>),
 }
 
-/// Binary tags for the reliable envelope inside a v2 frame.
-const REL_DATA: u8 = 0;
-const REL_ACK: u8 = 1;
-const REL_NACK: u8 = 2;
-
-/// Encodes a reliable-enveloped GDS message as a v2 binary frame:
-/// envelope tag + varint seq, then (for data) the inner message frame.
-pub fn reliable_gds_to_binary(rel: &Reliable<GdsMessage>) -> Vec<u8> {
-    let mut body = Vec::new();
-    match rel {
-        Reliable::Data { seq, payload } => {
-            body.push(REL_DATA);
-            write_varint(&mut body, *seq);
-            body.extend_from_slice(&payload.to_binary());
-        }
-        Reliable::Ack { seq } => {
-            body.push(REL_ACK);
-            write_varint(&mut body, *seq);
-        }
-        Reliable::Nack { seq } => {
-            body.push(REL_NACK);
-            write_varint(&mut body, *seq);
-        }
-    }
-    frame(body)
-}
-
-/// Decodes a reliable envelope written by [`reliable_gds_to_binary`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on bad framing or an unknown envelope tag.
-pub fn reliable_gds_from_binary(bytes: &[u8]) -> Result<Reliable<GdsMessage>, WireError> {
-    let body = unframe(bytes)?;
-    let mut r = BinReader::new(body);
-    let tag = r.read_u8()?;
-    let seq = r.read_varint()?;
-    match tag {
-        REL_DATA => {
-            let inner = r.read_slice(r.remaining())?;
-            Ok(Reliable::Data {
-                seq,
-                payload: GdsMessage::from_binary(inner)?,
-            })
-        }
-        REL_ACK => Ok(Reliable::Ack { seq }),
-        REL_NACK => Ok(Reliable::Nack { seq }),
-        other => Err(WireError::malformed(format!(
-            "unknown reliable envelope tag {other}"
-        ))),
-    }
-}
-
-fn reliable_gds_binary_size(rel: &Reliable<GdsMessage>) -> usize {
-    let body = match rel {
-        Reliable::Data { seq, payload } => 1 + varint_len(*seq) + payload.binary_wire_size(),
-        Reliable::Ack { seq } | Reliable::Nack { seq } => 1 + varint_len(*seq),
-    };
-    framed_len(body)
-}
-
 impl SysMessage {
     /// The serialized size in bytes (for the simulator's byte
     /// accounting): the v1 XML text length for text variants, the exact
@@ -102,9 +39,9 @@ impl SysMessage {
         match self {
             SysMessage::Gs(m) => m.wire_size(),
             SysMessage::Gds(m) => m.wire_size(),
-            SysMessage::RelGds(rel) => reliable_wire_size(rel, GdsMessage::wire_size),
+            SysMessage::RelGds(rel) => rel.wire_size(),
             SysMessage::GdsBin(m) => m.binary_wire_size(),
-            SysMessage::RelGdsBin(rel) => reliable_gds_binary_size(rel),
+            SysMessage::RelGdsBin(rel) => rel.binary_wire_size(),
         }
     }
 }
@@ -367,13 +304,13 @@ mod tests {
             Reliable::Ack { seq: 3 },
             Reliable::Nack { seq: 4 },
         ] {
-            let encoded = reliable_gds_to_binary(&rel);
+            let encoded = rel.to_binary();
             assert_eq!(
                 SysMessage::RelGdsBin(rel.clone()).wire_size(),
                 encoded.len(),
                 "size fn matches actual encoding"
             );
-            assert_eq!(reliable_gds_from_binary(&encoded).unwrap(), rel);
+            assert_eq!(Reliable::from_binary(&encoded).unwrap(), rel);
         }
         assert!(SysMessage::RelGdsBin(Reliable::Ack { seq: 1 })
             .to_string()

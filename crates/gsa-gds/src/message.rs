@@ -1,15 +1,19 @@
-//! GDS protocol messages and their XML encoding.
+//! GDS protocol messages and their two wire forms.
+//!
+//! The enum says what a message is; the `gds_messages!` table below it
+//! says, once per variant, what it looks like on the wire — v2 opcode,
+//! XML tag, and the fields in wire order, each of a [`Field`] kind that
+//! knows how to put a value of it into, and take it out of, both wires. The
+//! XML writer and reader, the v2 writer and reader, both size functions
+//! and the tag a message prints as are all read off that table (through
+//! [`WireMessage`]), so a new message is a variant and a table row.
 
-use gsa_types::{HostName, MessageId};
-use gsa_wire::binary::{
-    frame, framed_len, str_len, unframe, varint_len, write_str, write_varint, BinReader,
-};
-use gsa_wire::xml::{
-    attr_wire_size, element_wire_size, number_attr_wire_size, text_wire_size,
-};
-use gsa_wire::{FrozenBytes, InterestSummary, Payload, WireError, XmlElement};
-use gsa_types::Event;
-use std::collections::{BTreeMap, BTreeSet};
+use gsa_types::{Event, HostName, MessageId};
+use gsa_wire::binary::{write_str, write_varint, BinReader, ByteSink};
+use gsa_wire::payload::PayloadField;
+use gsa_wire::summary::{AttrMap, AttrMapField, SummaryField};
+use gsa_wire::xml::XmlPut;
+use gsa_wire::{Field, InterestSummary, Payload, WireError, WireMessage, XmlElement};
 use std::fmt;
 use std::sync::Arc;
 
@@ -148,7 +152,8 @@ pub enum GdsMessage {
         version: u8,
     },
     /// Several messages coalesced into one frame by the per-edge
-    /// batcher. A batch travels (and is acked) as a unit.
+    /// batcher. A batch travels (and is acked) as a unit. No sender puts
+    /// a batch inside a batch, and both decoders refuse one as malformed.
     Batch(Vec<GdsMessage>),
     /// A child (GDS node or Greenstone server) announces the interest
     /// summary of its subtree to its parent. Versions are per-sender and
@@ -179,7 +184,7 @@ pub enum GdsMessage {
         /// Monotonic per-sender version; stale grants are ignored.
         version: u64,
         /// `attribute key → granted values`; empty revokes everything.
-        grants: BTreeMap<String, BTreeSet<String>>,
+        grants: AttrMap,
     },
 }
 
@@ -210,738 +215,319 @@ impl GdsMessage {
 
     /// Encodes the message as an XML element.
     pub fn to_xml(&self) -> XmlElement {
-        match self {
-            GdsMessage::Register { gs_host } => {
-                XmlElement::new("gds:register").with_attr("host", gs_host.as_str())
-            }
-            GdsMessage::Unregister { gs_host } => {
-                XmlElement::new("gds:unregister").with_attr("host", gs_host.as_str())
-            }
-            GdsMessage::RegisterUp { gs_host, via } => XmlElement::new("gds:register-up")
-                .with_attr("host", gs_host.as_str())
-                .with_attr("via", via.as_str()),
-            GdsMessage::UnregisterUp { gs_host } => {
-                XmlElement::new("gds:unregister-up").with_attr("host", gs_host.as_str())
-            }
-            GdsMessage::Publish { id, payload } => XmlElement::new("gds:publish")
-                .with_attr("id", id.as_u64().to_string())
-                .with_child(payload.to_xml_element()),
-            GdsMessage::PublishTargeted {
-                id,
-                targets,
-                payload,
-            } => {
-                let mut el = XmlElement::new("gds:publish-targeted")
-                    .with_attr("id", id.as_u64().to_string());
-                for t in targets {
-                    el.push_child(XmlElement::new("target").with_text(t.as_str()));
-                }
-                el.push_child(payload.to_xml_element());
-                el
-            }
-            GdsMessage::Broadcast {
-                id,
-                origin,
-                payload,
-            } => XmlElement::new("gds:broadcast")
-                .with_attr("id", id.as_u64().to_string())
-                .with_attr("origin", origin.as_str())
-                .with_child(payload.to_xml_element()),
-            GdsMessage::Route {
-                id,
-                origin,
-                targets,
-                payload,
-            } => {
-                let mut el = XmlElement::new("gds:route")
-                    .with_attr("id", id.as_u64().to_string())
-                    .with_attr("origin", origin.as_str());
-                for t in targets {
-                    el.push_child(XmlElement::new("target").with_text(t.as_str()));
-                }
-                el.push_child(payload.to_xml_element());
-                el
-            }
-            GdsMessage::Deliver {
-                id,
-                origin,
-                payload,
-            } => XmlElement::new("gds:deliver")
-                .with_attr("id", id.as_u64().to_string())
-                .with_attr("origin", origin.as_str())
-                .with_child(payload.to_xml_element()),
-            GdsMessage::Resolve {
-                token,
-                name,
-                reply_to,
-            } => XmlElement::new("gds:resolve")
-                .with_attr("token", token.0.to_string())
-                .with_attr("name", name.as_str())
-                .with_attr("reply-to", reply_to.as_str()),
-            GdsMessage::ResolveResponse {
-                token,
-                name,
-                result,
-            } => {
-                let mut el = XmlElement::new("gds:resolve-response")
-                    .with_attr("token", token.0.to_string())
-                    .with_attr("name", name.as_str());
-                if let Some(r) = result {
-                    el.set_attr("result", r.as_str());
-                }
-                el
-            }
-            GdsMessage::Heartbeat => XmlElement::new("gds:heartbeat"),
-            GdsMessage::HeartbeatAck => XmlElement::new("gds:heartbeat-ack"),
-            GdsMessage::Adopt { child } => {
-                XmlElement::new("gds:adopt").with_attr("child", child.as_str())
-            }
-            GdsMessage::Detach { child } => {
-                XmlElement::new("gds:detach").with_attr("child", child.as_str())
-            }
-            GdsMessage::Hello { version } => {
-                XmlElement::new("gds:hello").with_attr("version", version.to_string())
-            }
-            GdsMessage::HelloAck { version } => {
-                XmlElement::new("gds:hello-ack").with_attr("version", version.to_string())
-            }
-            GdsMessage::Batch(items) => {
-                let mut el = XmlElement::new("gds:batch");
-                el.reserve_children(items.len());
-                for item in items {
-                    el.push_child(item.to_xml());
-                }
-                el
-            }
-            GdsMessage::SummaryUpdate {
-                from,
-                version,
-                summary,
-            } => summary
-                .to_xml("gds:summary")
-                .with_attr("from", from.as_str())
-                .with_attr("version", version.to_string()),
-            GdsMessage::RendezvousGrant {
-                from,
-                version,
-                grants,
-            } => {
-                let mut el = XmlElement::new("gds:rendezvous-grant")
-                    .with_attr("from", from.as_str())
-                    .with_attr("version", version.to_string());
-                el.reserve_children(grants.len());
-                for (key, values) in grants {
-                    let mut grant = XmlElement::new("grant").with_attr("key", key.as_str());
-                    grant.reserve_children(values.len());
-                    for v in values {
-                        grant.push_child(XmlElement::new("value").with_text(v.as_str()));
-                    }
-                    el.push_child(grant);
-                }
-                el
-            }
-        }
+        WireMessage::to_xml(self)
     }
 
-    /// Decodes a message from the element produced by
-    /// [`GdsMessage::to_xml`].
+    /// Decodes a message from the element [`GdsMessage::to_xml`] produces.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] on unknown tags or missing/invalid parts.
     pub fn from_xml(el: &XmlElement) -> Result<GdsMessage, WireError> {
-        let host = |attr: &str| -> Result<HostName, WireError> {
-            el.attr(attr)
-                .filter(|s| !s.is_empty())
-                .map(HostName::new)
-                .ok_or_else(|| WireError::malformed(format!("missing {attr}")))
-        };
-        let id = || -> Result<MessageId, WireError> {
-            el.attr("id")
-                .and_then(|i| i.parse::<u64>().ok())
-                .map(MessageId::from_raw)
-                .ok_or_else(|| WireError::malformed("missing id"))
-        };
-        let token = || -> Result<ResolveToken, WireError> {
-            el.attr("token")
-                .and_then(|t| t.parse::<u64>().ok())
-                .map(ResolveToken)
-                .ok_or_else(|| WireError::malformed("missing token"))
-        };
-        let payload = || -> Result<Payload, WireError> {
-            el.elements()
-                .find(|e| e.name() != "target")
-                .cloned()
-                .map(Payload::from)
-                .ok_or_else(|| WireError::malformed("missing payload"))
-        };
-        let version = || -> Result<u8, WireError> {
-            el.attr("version")
-                .and_then(|v| v.parse::<u8>().ok())
-                .ok_or_else(|| WireError::malformed("missing version"))
-        };
-        let targets = || -> Vec<HostName> {
-            el.children_named("target")
-                .map(|t| HostName::new(t.text()))
-                .collect()
-        };
-        match el.name() {
-            "gds:register" => Ok(GdsMessage::Register { gs_host: host("host")? }),
-            "gds:unregister" => Ok(GdsMessage::Unregister { gs_host: host("host")? }),
-            "gds:register-up" => Ok(GdsMessage::RegisterUp {
-                gs_host: host("host")?,
-                via: host("via")?,
-            }),
-            "gds:unregister-up" => Ok(GdsMessage::UnregisterUp { gs_host: host("host")? }),
-            "gds:publish" => Ok(GdsMessage::Publish {
-                id: id()?,
-                payload: payload()?,
-            }),
-            "gds:publish-targeted" => Ok(GdsMessage::PublishTargeted {
-                id: id()?,
-                targets: targets(),
-                payload: payload()?,
-            }),
-            "gds:broadcast" => Ok(GdsMessage::Broadcast {
-                id: id()?,
-                origin: host("origin")?,
-                payload: payload()?,
-            }),
-            "gds:route" => Ok(GdsMessage::Route {
-                id: id()?,
-                origin: host("origin")?,
-                targets: targets(),
-                payload: payload()?,
-            }),
-            "gds:deliver" => Ok(GdsMessage::Deliver {
-                id: id()?,
-                origin: host("origin")?,
-                payload: payload()?,
-            }),
-            "gds:resolve" => Ok(GdsMessage::Resolve {
-                token: token()?,
-                name: host("name")?,
-                reply_to: host("reply-to")?,
-            }),
-            "gds:resolve-response" => Ok(GdsMessage::ResolveResponse {
-                token: token()?,
-                name: host("name")?,
-                result: el.attr("result").map(HostName::new),
-            }),
-            "gds:heartbeat" => Ok(GdsMessage::Heartbeat),
-            "gds:heartbeat-ack" => Ok(GdsMessage::HeartbeatAck),
-            "gds:adopt" => Ok(GdsMessage::Adopt { child: host("child")? }),
-            "gds:detach" => Ok(GdsMessage::Detach { child: host("child")? }),
-            "gds:hello" => Ok(GdsMessage::Hello { version: version()? }),
-            "gds:hello-ack" => Ok(GdsMessage::HelloAck { version: version()? }),
-            "gds:batch" => Ok(GdsMessage::Batch(
-                el.elements().map(GdsMessage::from_xml).collect::<Result<_, _>>()?,
-            )),
-            "gds:summary" => Ok(GdsMessage::SummaryUpdate {
-                from: host("from")?,
-                version: el
-                    .attr("version")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| WireError::malformed("missing summary version"))?,
-                summary: InterestSummary::from_xml(el)?,
-            }),
-            "gds:rendezvous-grant" => {
-                let mut grants = BTreeMap::new();
-                for grant in el.children_named("grant") {
-                    let key = grant
-                        .attr("key")
-                        .ok_or_else(|| WireError::malformed("grant without key"))?;
-                    let values: BTreeSet<String> = grant
-                        .children_named("value")
-                        .map(|v| v.text().to_owned())
-                        .collect();
-                    grants.insert(key.to_owned(), values);
-                }
-                Ok(GdsMessage::RendezvousGrant {
-                    from: host("from")?,
-                    version: el
-                        .attr("version")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| WireError::malformed("missing grant version"))?,
-                    grants,
-                })
-            }
-            other => Err(WireError::malformed(format!("unknown GDS message <{other}>"))),
-        }
+        WireMessage::from_xml(el)
     }
 
-    /// The serialized size in bytes of the v1 XML text encoding,
-    /// without producing it. The writer is compact, so a message that
-    /// carries a payload sizes as its envelope (tag, id, origin,
-    /// targets) plus [`Payload::xml_size`], which every clone of the
-    /// payload shares: O(1) in the payload on every hop after the first.
-    /// Control messages are small and size through their element.
+    /// The serialized size in bytes of the v1 XML text, without producing
+    /// it: O(1) in the payload on every hop after the first.
     pub fn wire_size(&self) -> usize {
-        let carrier = |tag: &str,
-                       id: &MessageId,
-                       origin: Option<&HostName>,
-                       targets: &[HostName],
-                       payload: &Payload| {
-            let attrs = number_attr_wire_size("id", id.as_u64())
-                + origin.map_or(0, |o| attr_wire_size("origin", o.as_str()));
-            let targets: usize = targets
-                .iter()
-                .map(|t| element_wire_size("target", 0, text_wire_size(t.as_str())))
-                .sum();
-            element_wire_size(tag, attrs, targets + payload.xml_size())
-        };
-        match self {
-            GdsMessage::Publish { id, payload } => carrier("gds:publish", id, None, &[], payload),
-            GdsMessage::PublishTargeted {
-                id,
-                targets,
-                payload,
-            } => carrier("gds:publish-targeted", id, None, targets, payload),
-            GdsMessage::Broadcast {
-                id,
-                origin,
-                payload,
-            } => carrier("gds:broadcast", id, Some(origin), &[], payload),
-            GdsMessage::Route {
-                id,
-                origin,
-                targets,
-                payload,
-            } => carrier("gds:route", id, Some(origin), targets, payload),
-            GdsMessage::Deliver {
-                id,
-                origin,
-                payload,
-            } => carrier("gds:deliver", id, Some(origin), &[], payload),
-            GdsMessage::Batch(items) if !items.is_empty() => element_wire_size(
-                "gds:batch",
-                0,
-                items.iter().map(GdsMessage::wire_size).sum(),
-            ),
-            _ => self.to_xml().wire_size(),
-        }
+        WireMessage::wire_size(self)
     }
 
     /// Encodes the message as a wire-format-v2 binary frame.
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.binary_body_len());
-        self.write_body(&mut body);
-        frame(body)
+        WireMessage::to_binary(self)
     }
 
     /// Decodes a message from a v2 binary frame.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on bad framing, unknown opcodes or
-    /// malformed fields. Payloads are *not* deserialised here — they
-    /// arrive as frozen bytes and decode lazily at delivery time.
+    /// Returns [`WireError`] on bad framing, unknown opcodes, malformed
+    /// fields or trailing bytes.
     pub fn from_binary(bytes: &[u8]) -> Result<GdsMessage, WireError> {
-        let body = unframe(bytes)?;
-        let mut r = BinReader::new(body);
-        let msg = Self::read_body(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::malformed("trailing bytes after GDS message"));
-        }
-        Ok(msg)
+        WireMessage::from_binary(bytes)
     }
 
-    /// The exact serialized size in bytes of the v2 binary frame,
-    /// computed without materialising it. O(1) in the payload when the
-    /// payload is frozen — the flood hot path measures without
-    /// re-encoding.
+    /// The exact size in bytes of the v2 binary frame, without producing
+    /// it: O(1) in the payload when the payload is frozen.
     pub fn binary_wire_size(&self) -> usize {
-        framed_len(self.binary_body_len())
+        WireMessage::binary_wire_size(self)
+    }
+}
+
+fn missing(what: &str) -> WireError {
+    WireError::malformed(format!("missing {what}"))
+}
+
+/// A host name that must not be empty: the named attribute, a v2 string.
+struct Host(&'static str);
+
+impl Field for Host {
+    type Value = HostName;
+
+    fn put_xml(&self, v: &HostName, out: &mut impl XmlPut) {
+        out.attr(self.0, v.as_str());
     }
 
-    fn write_body(&self, buf: &mut Vec<u8>) {
-        match self {
-            GdsMessage::Register { gs_host } => {
-                buf.push(opcode::REGISTER);
-                write_str(buf, gs_host.as_str());
-            }
-            GdsMessage::Unregister { gs_host } => {
-                buf.push(opcode::UNREGISTER);
-                write_str(buf, gs_host.as_str());
-            }
-            GdsMessage::RegisterUp { gs_host, via } => {
-                buf.push(opcode::REGISTER_UP);
-                write_str(buf, gs_host.as_str());
-                write_str(buf, via.as_str());
-            }
-            GdsMessage::UnregisterUp { gs_host } => {
-                buf.push(opcode::UNREGISTER_UP);
-                write_str(buf, gs_host.as_str());
-            }
-            GdsMessage::Publish { id, payload } => {
-                buf.push(opcode::PUBLISH);
-                write_varint(buf, id.as_u64());
-                payload.write_binary(buf);
-            }
-            GdsMessage::PublishTargeted {
-                id,
-                targets,
-                payload,
-            } => {
-                buf.push(opcode::PUBLISH_TARGETED);
-                write_varint(buf, id.as_u64());
-                write_hosts(buf, targets);
-                payload.write_binary(buf);
-            }
-            GdsMessage::Broadcast {
-                id,
-                origin,
-                payload,
-            } => {
-                buf.push(opcode::BROADCAST);
-                write_varint(buf, id.as_u64());
-                write_str(buf, origin.as_str());
-                payload.write_binary(buf);
-            }
-            GdsMessage::Route {
-                id,
-                origin,
-                targets,
-                payload,
-            } => {
-                buf.push(opcode::ROUTE);
-                write_varint(buf, id.as_u64());
-                write_str(buf, origin.as_str());
-                write_hosts(buf, targets);
-                payload.write_binary(buf);
-            }
-            GdsMessage::Deliver {
-                id,
-                origin,
-                payload,
-            } => {
-                buf.push(opcode::DELIVER);
-                write_varint(buf, id.as_u64());
-                write_str(buf, origin.as_str());
-                payload.write_binary(buf);
-            }
-            GdsMessage::Resolve {
-                token,
-                name,
-                reply_to,
-            } => {
-                buf.push(opcode::RESOLVE);
-                write_varint(buf, token.0);
-                write_str(buf, name.as_str());
-                write_str(buf, reply_to.as_str());
-            }
-            GdsMessage::ResolveResponse {
-                token,
-                name,
-                result,
-            } => {
-                buf.push(opcode::RESOLVE_RESPONSE);
-                write_varint(buf, token.0);
-                write_str(buf, name.as_str());
-                match result {
-                    Some(r) => {
-                        buf.push(1);
-                        write_str(buf, r.as_str());
-                    }
-                    None => buf.push(0),
-                }
-            }
-            GdsMessage::Heartbeat => buf.push(opcode::HEARTBEAT),
-            GdsMessage::HeartbeatAck => buf.push(opcode::HEARTBEAT_ACK),
-            GdsMessage::Adopt { child } => {
-                buf.push(opcode::ADOPT);
-                write_str(buf, child.as_str());
-            }
-            GdsMessage::Detach { child } => {
-                buf.push(opcode::DETACH);
-                write_str(buf, child.as_str());
-            }
-            GdsMessage::Hello { version } => {
-                buf.push(opcode::HELLO);
-                buf.push(*version);
-            }
-            GdsMessage::HelloAck { version } => {
-                buf.push(opcode::HELLO_ACK);
-                buf.push(*version);
-            }
-            GdsMessage::Batch(items) => {
-                buf.push(opcode::BATCH);
-                write_varint(buf, items.len() as u64);
-                for item in items {
-                    item.write_body(buf);
-                }
-            }
-            GdsMessage::SummaryUpdate {
-                from,
-                version,
-                summary,
-            } => {
-                buf.push(opcode::SUMMARY_UPDATE);
-                write_str(buf, from.as_str());
-                write_varint(buf, *version);
-                summary.write_binary(buf);
-            }
-            GdsMessage::RendezvousGrant {
-                from,
-                version,
-                grants,
-            } => {
-                buf.push(opcode::RENDEZVOUS_GRANT);
-                write_str(buf, from.as_str());
-                write_varint(buf, *version);
-                write_varint(buf, grants.len() as u64);
-                for (key, values) in grants {
-                    write_str(buf, key);
-                    write_varint(buf, values.len() as u64);
-                    for v in values {
-                        write_str(buf, v);
-                    }
-                }
-            }
+    fn take_xml(&self, el: &XmlElement) -> Result<HostName, WireError> {
+        match el.attr(self.0) {
+            Some(name) if !name.is_empty() => Ok(HostName::new(name)),
+            _ => Err(missing(self.0)),
         }
     }
 
-    fn binary_body_len(&self) -> usize {
-        1 + match self {
-            GdsMessage::Register { gs_host }
-            | GdsMessage::Unregister { gs_host }
-            | GdsMessage::UnregisterUp { gs_host } => str_len(gs_host.as_str()),
-            GdsMessage::RegisterUp { gs_host, via } => {
-                str_len(gs_host.as_str()) + str_len(via.as_str())
-            }
-            GdsMessage::Publish { id, payload } => {
-                varint_len(id.as_u64()) + payload.binary_size()
-            }
-            GdsMessage::PublishTargeted {
-                id,
-                targets,
-                payload,
-            } => varint_len(id.as_u64()) + hosts_len(targets) + payload.binary_size(),
-            GdsMessage::Broadcast {
-                id,
-                origin,
-                payload,
-            } => varint_len(id.as_u64()) + str_len(origin.as_str()) + payload.binary_size(),
-            GdsMessage::Route {
-                id,
-                origin,
-                targets,
-                payload,
-            } => {
-                varint_len(id.as_u64())
-                    + str_len(origin.as_str())
-                    + hosts_len(targets)
-                    + payload.binary_size()
-            }
-            GdsMessage::Deliver {
-                id,
-                origin,
-                payload,
-            } => varint_len(id.as_u64()) + str_len(origin.as_str()) + payload.binary_size(),
-            GdsMessage::Resolve {
-                token,
-                name,
-                reply_to,
-            } => varint_len(token.0) + str_len(name.as_str()) + str_len(reply_to.as_str()),
-            GdsMessage::ResolveResponse {
-                token,
-                name,
-                result,
-            } => {
-                varint_len(token.0)
-                    + str_len(name.as_str())
-                    + 1
-                    + result.as_ref().map_or(0, |r| str_len(r.as_str()))
-            }
-            GdsMessage::Heartbeat | GdsMessage::HeartbeatAck => 0,
-            GdsMessage::Adopt { child } | GdsMessage::Detach { child } => {
-                str_len(child.as_str())
-            }
-            GdsMessage::Hello { .. } | GdsMessage::HelloAck { .. } => 1,
-            GdsMessage::Batch(items) => {
-                varint_len(items.len() as u64)
-                    + items.iter().map(GdsMessage::binary_body_len).sum::<usize>()
-            }
-            GdsMessage::SummaryUpdate {
-                from,
-                version,
-                summary,
-            } => str_len(from.as_str()) + varint_len(*version) + summary.binary_size(),
-            GdsMessage::RendezvousGrant {
-                from,
-                version,
-                grants,
-            } => {
-                str_len(from.as_str())
-                    + varint_len(*version)
-                    + varint_len(grants.len() as u64)
-                    + grants
-                        .iter()
-                        .map(|(key, values)| {
-                            str_len(key)
-                                + varint_len(values.len() as u64)
-                                + values.iter().map(|v| str_len(v)).sum::<usize>()
-                        })
-                        .sum::<usize>()
-            }
+    fn put_bin(&self, v: &HostName, out: &mut impl ByteSink) {
+        write_str(out, v.as_str());
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<HostName, WireError> {
+        match r.read_str()? {
+            "" => Err(missing(self.0)),
+            name => Ok(HostName::new(name)),
+        }
+    }
+}
+
+/// A host name that may be absent: the named attribute or none, a v2
+/// presence byte and then the string.
+struct OptHost(&'static str);
+
+impl Field for OptHost {
+    type Value = Option<HostName>;
+
+    fn put_xml(&self, v: &Option<HostName>, out: &mut impl XmlPut) {
+        if let Some(host) = v {
+            out.attr(self.0, host.as_str());
         }
     }
 
-    fn read_body(r: &mut BinReader<'_>) -> Result<GdsMessage, WireError> {
-        let read_host = |r: &mut BinReader<'_>| -> Result<HostName, WireError> {
-            let s = r.read_string()?;
-            if s.is_empty() {
-                return Err(WireError::malformed("empty host name"));
-            }
-            Ok(HostName::new(s))
-        };
-        let read_payload = |r: &mut BinReader<'_>| -> Result<Payload, WireError> {
-            let len = r.read_varint()? as usize;
-            let bytes = r.read_slice(len)?;
-            Ok(Payload::from_frozen(FrozenBytes::new(bytes.to_vec())))
-        };
-        let read_hosts = |r: &mut BinReader<'_>| -> Result<Vec<HostName>, WireError> {
-            let n = r.read_varint()? as usize;
-            let mut hosts = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                hosts.push(HostName::new(r.read_string()?));
-            }
-            Ok(hosts)
-        };
+    fn take_xml(&self, el: &XmlElement) -> Result<Option<HostName>, WireError> {
+        Ok(el.attr(self.0).map(HostName::new))
+    }
+
+    fn put_bin(&self, v: &Option<HostName>, out: &mut impl ByteSink) {
+        out.put_u8(u8::from(v.is_some()));
+        if let Some(host) = v {
+            write_str(out, host.as_str());
+        }
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<Option<HostName>, WireError> {
         match r.read_u8()? {
-            opcode::REGISTER => Ok(GdsMessage::Register { gs_host: read_host(r)? }),
-            opcode::UNREGISTER => Ok(GdsMessage::Unregister { gs_host: read_host(r)? }),
-            opcode::REGISTER_UP => Ok(GdsMessage::RegisterUp {
-                gs_host: read_host(r)?,
-                via: read_host(r)?,
-            }),
-            opcode::UNREGISTER_UP => Ok(GdsMessage::UnregisterUp { gs_host: read_host(r)? }),
-            opcode::PUBLISH => Ok(GdsMessage::Publish {
-                id: MessageId::from_raw(r.read_varint()?),
-                payload: read_payload(r)?,
-            }),
-            opcode::PUBLISH_TARGETED => Ok(GdsMessage::PublishTargeted {
-                id: MessageId::from_raw(r.read_varint()?),
-                targets: read_hosts(r)?,
-                payload: read_payload(r)?,
-            }),
-            opcode::BROADCAST => Ok(GdsMessage::Broadcast {
-                id: MessageId::from_raw(r.read_varint()?),
-                origin: read_host(r)?,
-                payload: read_payload(r)?,
-            }),
-            opcode::ROUTE => Ok(GdsMessage::Route {
-                id: MessageId::from_raw(r.read_varint()?),
-                origin: read_host(r)?,
-                targets: read_hosts(r)?,
-                payload: read_payload(r)?,
-            }),
-            opcode::DELIVER => Ok(GdsMessage::Deliver {
-                id: MessageId::from_raw(r.read_varint()?),
-                origin: read_host(r)?,
-                payload: read_payload(r)?,
-            }),
-            opcode::RESOLVE => Ok(GdsMessage::Resolve {
-                token: ResolveToken(r.read_varint()?),
-                name: read_host(r)?,
-                reply_to: read_host(r)?,
-            }),
-            opcode::RESOLVE_RESPONSE => Ok(GdsMessage::ResolveResponse {
-                token: ResolveToken(r.read_varint()?),
-                name: read_host(r)?,
-                result: match r.read_u8()? {
-                    0 => None,
-                    1 => Some(HostName::new(r.read_string()?)),
-                    other => {
-                        return Err(WireError::malformed(format!(
-                            "bad resolve-result marker {other}"
-                        )));
-                    }
-                },
-            }),
-            opcode::HEARTBEAT => Ok(GdsMessage::Heartbeat),
-            opcode::HEARTBEAT_ACK => Ok(GdsMessage::HeartbeatAck),
-            opcode::ADOPT => Ok(GdsMessage::Adopt { child: read_host(r)? }),
-            opcode::DETACH => Ok(GdsMessage::Detach { child: read_host(r)? }),
-            opcode::HELLO => Ok(GdsMessage::Hello { version: r.read_u8()? }),
-            opcode::HELLO_ACK => Ok(GdsMessage::HelloAck { version: r.read_u8()? }),
-            opcode::BATCH => {
-                let n = r.read_varint()? as usize;
-                let mut items = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    items.push(Self::read_body(r)?);
-                }
-                Ok(GdsMessage::Batch(items))
-            }
-            opcode::SUMMARY_UPDATE => Ok(GdsMessage::SummaryUpdate {
-                from: read_host(r)?,
-                version: r.read_varint()?,
-                summary: InterestSummary::read_binary(r)?,
-            }),
-            opcode::RENDEZVOUS_GRANT => {
-                let from = read_host(r)?;
-                let version = r.read_varint()?;
-                let keys = r.read_varint()? as usize;
-                let mut grants = BTreeMap::new();
-                for _ in 0..keys {
-                    let key = r.read_string()?;
-                    let count = r.read_varint()? as usize;
-                    let mut values = BTreeSet::new();
-                    for _ in 0..count {
-                        values.insert(r.read_string()?);
-                    }
-                    grants.insert(key, values);
-                }
-                Ok(GdsMessage::RendezvousGrant {
-                    from,
-                    version,
-                    grants,
-                })
-            }
-            other => Err(WireError::malformed(format!("unknown GDS opcode {other}"))),
+            0 => Ok(None),
+            1 => Ok(Some(HostName::new(r.read_str()?))),
+            other => Err(WireError::malformed(format!("bad {} marker {other}", self.0))),
         }
     }
 }
 
-/// Binary opcodes for [`GdsMessage::to_binary`]. One byte, stable
-/// across versions — new messages append, never renumber.
-mod opcode {
-    pub const REGISTER: u8 = 0;
-    pub const UNREGISTER: u8 = 1;
-    pub const REGISTER_UP: u8 = 2;
-    pub const UNREGISTER_UP: u8 = 3;
-    pub const PUBLISH: u8 = 4;
-    pub const PUBLISH_TARGETED: u8 = 5;
-    pub const BROADCAST: u8 = 6;
-    pub const ROUTE: u8 = 7;
-    pub const DELIVER: u8 = 8;
-    pub const RESOLVE: u8 = 9;
-    pub const RESOLVE_RESPONSE: u8 = 10;
-    pub const HEARTBEAT: u8 = 11;
-    pub const HEARTBEAT_ACK: u8 = 12;
-    pub const ADOPT: u8 = 13;
-    pub const DETACH: u8 = 14;
-    pub const HELLO: u8 = 15;
-    pub const HELLO_ACK: u8 = 16;
-    pub const BATCH: u8 = 17;
-    pub const SUMMARY_UPDATE: u8 = 18;
-    pub const RENDEZVOUS_GRANT: u8 = 19;
-}
+/// A number: the named attribute in decimal, a v2 varint. The two
+/// functions convert it from and to the field's own type.
+struct Num<T>(&'static str, fn(u64) -> T, fn(&T) -> u64);
 
-fn write_hosts(buf: &mut Vec<u8>, hosts: &[HostName]) {
-    write_varint(buf, hosts.len() as u64);
-    for h in hosts {
-        write_str(buf, h.as_str());
+const ID: Num<MessageId> = Num("id", MessageId::from_raw, |id| id.as_u64());
+const TOKEN: Num<ResolveToken> = Num("token", ResolveToken, |token| token.0);
+const VERSION: Num<u64> = Num("version", |v| v, |v| *v);
+
+impl<T> Field for Num<T> {
+    type Value = T;
+
+    fn put_xml(&self, v: &T, out: &mut impl XmlPut) {
+        out.num_attr(self.0, (self.2)(v));
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<T, WireError> {
+        let number = el.attr(self.0).and_then(|n| n.parse().ok());
+        number.map(self.1).ok_or_else(|| missing(self.0))
+    }
+
+    fn put_bin(&self, v: &T, out: &mut impl ByteSink) {
+        write_varint(out, (self.2)(v));
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<T, WireError> {
+        r.read_varint().map(self.1)
     }
 }
 
-fn hosts_len(hosts: &[HostName]) -> usize {
-    varint_len(hosts.len() as u64) + hosts.iter().map(|h| str_len(h.as_str())).sum::<usize>()
+/// A wire-format version: the `version` attribute, one v2 byte.
+struct FormatVersion;
+
+impl Field for FormatVersion {
+    type Value = u8;
+
+    fn put_xml(&self, v: &u8, out: &mut impl XmlPut) {
+        out.num_attr("version", u64::from(*v));
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<u8, WireError> {
+        let version = el.attr("version").and_then(|v| v.parse().ok());
+        version.ok_or_else(|| missing("version"))
+    }
+
+    fn put_bin(&self, v: &u8, out: &mut impl ByteSink) {
+        out.put_u8(*v);
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<u8, WireError> {
+        r.read_u8()
+    }
+}
+
+/// The servers a multicast still has to reach: `<target>` children ahead
+/// of the payload, a v2 count and strings.
+struct Targets;
+
+impl Field for Targets {
+    type Value = Vec<HostName>;
+
+    fn put_xml(&self, v: &Vec<HostName>, out: &mut impl XmlPut) {
+        for target in v {
+            out.child("target", |el| el.text(target.as_str()));
+        }
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<Vec<HostName>, WireError> {
+        // The last child element is the payload, whatever it is called.
+        let before_payload = el.elements().count().saturating_sub(1);
+        let targets = el.elements().take(before_payload).filter(|e| e.name() == "target");
+        Ok(targets.map(|t| HostName::new(t.text())).collect())
+    }
+
+    fn put_bin(&self, v: &Vec<HostName>, out: &mut impl ByteSink) {
+        write_varint(out, v.len() as u64);
+        for target in v {
+            write_str(out, target.as_str());
+        }
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<Vec<HostName>, WireError> {
+        let count = r.read_varint()?;
+        (0..count).map(|_| r.read_str().map(HostName::new)).collect()
+    }
+}
+
+/// The messages of a batch: child elements, a v2 count and bodies. A
+/// batch among them is malformed.
+struct Items;
+
+impl Items {
+    fn not_a_batch(item: GdsMessage) -> Result<GdsMessage, WireError> {
+        match item {
+            GdsMessage::Batch(_) => Err(WireError::malformed("a batch inside a batch")),
+            item => Ok(item),
+        }
+    }
+}
+
+impl Field for Items {
+    type Value = Vec<GdsMessage>;
+
+    fn put_xml(&self, v: &Vec<GdsMessage>, out: &mut impl XmlPut) {
+        for item in v {
+            out.child(item.tag(), |el| item.put_xml(el));
+        }
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<Vec<GdsMessage>, WireError> {
+        let item = |el| GdsMessage::from_xml(el).and_then(Self::not_a_batch);
+        el.elements().map(item).collect()
+    }
+
+    fn put_bin(&self, v: &Vec<GdsMessage>, out: &mut impl ByteSink) {
+        write_varint(out, v.len() as u64);
+        for item in v {
+            item.put_bin(out);
+        }
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<Vec<GdsMessage>, WireError> {
+        let count = r.read_varint()?;
+        let mut item = || r.nested(GdsMessage::take_bin).and_then(Self::not_a_batch);
+        (0..count).map(|_| item()).collect()
+    }
+}
+
+/// Declares the wire forms. A row is a v2 opcode (one byte, stable
+/// across versions — new messages append, never renumber), an XML tag, a
+/// variant, and the variant's fields in wire order with the [`Field`] kind of
+/// each. Both writers walk a row's fields in that order and both readers
+/// build the variant from them in that order. (A writer re-matches each
+/// field by name inside the variant's arm because the field of a tuple
+/// variant, `0`, cannot name a binding in the arm's own pattern.)
+macro_rules! gds_messages {
+    ($($opcode:literal $tag:literal $variant:ident { $($field:tt: $kind:expr),* })+) => {
+        impl WireMessage for GdsMessage {
+            fn tag(&self) -> &'static str {
+                match self {
+                    $(GdsMessage::$variant { .. } => $tag,)+
+                }
+            }
+
+            fn put_xml(&self, out: &mut impl XmlPut) {
+                match self {
+                    $(GdsMessage::$variant { .. } => {
+                        $(if let GdsMessage::$variant { $field: value, .. } = self {
+                            $kind.put_xml(value, out);
+                        })*
+                    })+
+                }
+            }
+
+            fn from_xml(el: &XmlElement) -> Result<Self, WireError> {
+                match el.name() {
+                    $($tag => Ok(GdsMessage::$variant { $($field: $kind.take_xml(el)?),* }),)+
+                    other => Err(WireError::malformed(format!("unknown GDS message <{other}>"))),
+                }
+            }
+
+            fn put_bin(&self, out: &mut impl ByteSink) {
+                match self {
+                    $(GdsMessage::$variant { .. } => {
+                        out.put_u8($opcode);
+                        $(if let GdsMessage::$variant { $field: value, .. } = self {
+                            $kind.put_bin(value, out);
+                        })*
+                    })+
+                }
+            }
+
+            fn take_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+                match r.read_u8()? {
+                    $($opcode => Ok(GdsMessage::$variant { $($field: $kind.take_bin(r)?),* }),)+
+                    other => Err(WireError::malformed(format!("unknown GDS opcode {other}"))),
+                }
+            }
+        }
+    };
+}
+
+gds_messages! {
+    0  "gds:register"         Register { gs_host: Host("host") }
+    1  "gds:unregister"       Unregister { gs_host: Host("host") }
+    2  "gds:register-up"      RegisterUp { gs_host: Host("host"), via: Host("via") }
+    3  "gds:unregister-up"    UnregisterUp { gs_host: Host("host") }
+    4  "gds:publish"          Publish { id: ID, payload: PayloadField }
+    5  "gds:publish-targeted" PublishTargeted { id: ID, targets: Targets, payload: PayloadField }
+    6  "gds:broadcast"        Broadcast { id: ID, origin: Host("origin"), payload: PayloadField }
+    7  "gds:route"            Route { id: ID, origin: Host("origin"), targets: Targets, payload: PayloadField }
+    8  "gds:deliver"          Deliver { id: ID, origin: Host("origin"), payload: PayloadField }
+    9  "gds:resolve"          Resolve { token: TOKEN, name: Host("name"), reply_to: Host("reply-to") }
+    10 "gds:resolve-response" ResolveResponse { token: TOKEN, name: Host("name"), result: OptHost("result") }
+    11 "gds:heartbeat"        Heartbeat {}
+    12 "gds:heartbeat-ack"    HeartbeatAck {}
+    13 "gds:adopt"            Adopt { child: Host("child") }
+    14 "gds:detach"           Detach { child: Host("child") }
+    15 "gds:hello"            Hello { version: FormatVersion }
+    16 "gds:hello-ack"        HelloAck { version: FormatVersion }
+    17 "gds:batch"            Batch { 0: Items }
+    18 "gds:summary"          SummaryUpdate { from: Host("from"), version: VERSION, summary: SummaryField }
+    19 "gds:rendezvous-grant" RendezvousGrant { from: Host("from"), version: VERSION, grants: AttrMapField("grant") }
 }
 
 impl fmt::Display for GdsMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.to_xml().name())
+        f.write_str(self.tag())
     }
 }
 
@@ -950,6 +536,7 @@ mod tests {
     use super::*;
     use gsa_types::{CollectionId, EventId, EventKind, SimTime};
     use gsa_wire::codec::event_to_xml;
+    use std::collections::BTreeMap;
 
     fn round_trip(msg: GdsMessage) {
         let text = msg.to_xml().to_document_string();
@@ -1100,7 +687,7 @@ mod tests {
         }
     }
 
-    fn sample_grants() -> BTreeMap<String, BTreeSet<String>> {
+    fn sample_grants() -> AttrMap {
         let mut grants = BTreeMap::new();
         grants.insert(
             "kind".to_owned(),

@@ -18,6 +18,15 @@
 //! `gsa-core`): a v2 node speaks v1 XML text to any peer that has not
 //! proven v2 support, so the two formats coexist in one tree.
 //!
+//! Every encoder here writes into a [`ByteSink`], which is a `Vec<u8>`
+//! or a [`ByteCount`]: the size of an encoding is the encoder run into
+//! the counter ([`counted`]), so a size cannot disagree with the bytes.
+//! What is already encoded — a frozen payload, a frozen summary — is
+//! handed to the sink as one slice, which the counter takes as a length.
+//! Every decoder reads from a [`BinReader`], which refuses recursion
+//! deeper than [`MAX_DEPTH`] and, through [`decode_frame`], bytes left
+//! unread inside a frame.
+//!
 //! # Examples
 //!
 //! ```
@@ -114,37 +123,75 @@ impl fmt::Debug for FrozenBytes {
     }
 }
 
-// --- varint primitives ------------------------------------------------
+// --- the byte sink and its primitives ---------------------------------
+
+/// Where an encoder writes: a buffer, or a [`ByteCount`] of what a
+/// buffer would have received.
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn put_u8(&mut self, byte: u8) {
+        self.put(&[byte]);
+    }
+}
+
+// `#[inline]`: these are plain functions of this crate, and the encoders
+// that call them once per varint byte are instantiated in their callers'.
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_u8(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
+/// The sink that keeps only the number of bytes written to it.
+#[derive(Debug, Clone, Copy)]
+pub struct ByteCount(pub usize);
+
+impl ByteSink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// The number of bytes `write` emits: the encoder run into a counter.
+pub fn counted(write: impl FnOnce(&mut ByteCount)) -> usize {
+    let mut count = ByteCount(0);
+    write(&mut count);
+    count.0
+}
 
 /// Appends `v` as a LEB128 varint.
-pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub fn write_varint(out: &mut impl ByteSink, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.push(byte);
+            out.put_u8(byte);
             return;
         }
-        buf.push(byte | 0x80);
+        out.put_u8(byte | 0x80);
     }
 }
 
-/// The encoded size of `v` as a LEB128 varint.
-pub fn varint_len(v: u64) -> usize {
-    // 1 byte per started 7-bit group; zero still takes one byte.
-    (64 - v.max(1).leading_zeros() as usize).div_ceil(7).max(1)
-}
-
 /// Appends a length-prefixed UTF-8 string.
-pub fn write_str(buf: &mut Vec<u8>, s: &str) {
-    write_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
+pub fn write_str(out: &mut impl ByteSink, s: &str) {
+    write_varint(out, s.len() as u64);
+    out.put(s.as_bytes());
 }
 
-/// The encoded size of a length-prefixed string.
-pub fn str_len(s: &str) -> usize {
-    varint_len(s.len() as u64) + s.len()
-}
+/// The deepest nesting a decoder follows: elements inside elements in
+/// [`xml_from_binary`] and in the XML text parser, messages inside
+/// messages in a batch. An event is five elements deep.
+pub const MAX_DEPTH: usize = 64;
 
 /// A cursor over binary frame bytes.
 ///
@@ -155,12 +202,68 @@ pub fn str_len(s: &str) -> usize {
 pub struct BinReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> BinReader<'a> {
     /// Starts reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        BinReader { buf, pos: 0 }
+        BinReader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `read` one nesting level down; every recursive decoder
+    /// recurses through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] beyond [`MAX_DEPTH`] levels, else what `read`
+    /// returns.
+    pub fn nested<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if self.depth == MAX_DEPTH {
+            return Err(WireError::malformed(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = read(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// Reads one v2 frame — magic byte, varint length, body — and runs
+    /// `read` over exactly the body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on a missing magic byte, a length that
+    /// disagrees with the buffer, whatever `read` returns, or bytes of
+    /// the body that `read` left unread.
+    pub fn read_frame<T>(
+        &mut self,
+        read: impl FnOnce(&mut BinReader<'a>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let magic = self.read_u8()?;
+        if magic != FRAME_MAGIC {
+            return Err(WireError::malformed(format!(
+                "expected frame magic {FRAME_MAGIC:#x}, found {magic:#x}"
+            )));
+        }
+        let len = self.read_varint()? as usize;
+        let mut body = BinReader {
+            buf: self.read_slice(len)?,
+            pos: 0,
+            depth: self.depth,
+        };
+        let value = read(&mut body)?;
+        if body.remaining() != 0 {
+            return Err(WireError::malformed("trailing bytes inside the frame"));
+        }
+        Ok(value)
     }
 
     /// Bytes not yet consumed.
@@ -278,92 +381,70 @@ const NODE_TEXT: u8 = 1;
 
 /// Encodes an arbitrary XML element tree (the v2 fallback for bodies
 /// without a native codec).
-pub fn xml_to_binary(el: &XmlElement, buf: &mut Vec<u8>) {
-    write_str(buf, el.name());
-    write_varint(buf, el.attrs().count() as u64);
+pub fn xml_to_binary(el: &XmlElement, out: &mut impl ByteSink) {
+    write_str(out, el.name());
+    write_varint(out, el.attrs().count() as u64);
     for (k, v) in el.attrs() {
-        write_str(buf, k);
-        write_str(buf, v);
+        write_str(out, k);
+        write_str(out, v);
     }
-    write_varint(buf, el.nodes().len() as u64);
+    write_varint(out, el.nodes().len() as u64);
     for node in el.nodes() {
         match node {
             XmlNode::Element(child) => {
-                buf.push(NODE_ELEMENT);
-                xml_to_binary(child, buf);
+                out.put_u8(NODE_ELEMENT);
+                xml_to_binary(child, out);
             }
             XmlNode::Text(text) => {
-                buf.push(NODE_TEXT);
-                write_str(buf, text);
+                out.put_u8(NODE_TEXT);
+                write_str(out, text);
             }
         }
     }
-}
-
-/// The encoded size of [`xml_to_binary`] without materialising it.
-pub fn xml_binary_size(el: &XmlElement) -> usize {
-    let mut n = str_len(el.name());
-    n += varint_len(el.attrs().count() as u64);
-    for (k, v) in el.attrs() {
-        n += str_len(k) + str_len(v);
-    }
-    n += varint_len(el.nodes().len() as u64);
-    for node in el.nodes() {
-        n += 1 + match node {
-            XmlNode::Element(child) => xml_binary_size(child),
-            XmlNode::Text(text) => str_len(text),
-        };
-    }
-    n
 }
 
 /// Decodes an element tree written by [`xml_to_binary`].
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncation or malformed structure.
+/// Returns [`WireError`] on truncation, malformed structure or elements
+/// nested deeper than [`MAX_DEPTH`].
 pub fn xml_from_binary(r: &mut BinReader<'_>) -> Result<XmlElement, WireError> {
-    let name = r.read_string()?;
-    let mut el = XmlElement::new(name);
-    let attrs = r.read_varint()? as usize;
-    for _ in 0..attrs {
-        let k = r.read_string()?;
-        let v = r.read_string()?;
-        el.set_attr(k, v);
-    }
-    let children = r.read_varint()? as usize;
-    el.reserve_children(children);
-    for _ in 0..children {
-        match r.read_u8()? {
-            NODE_ELEMENT => el.push_child(xml_from_binary(r)?),
-            NODE_TEXT => el.push_text(r.read_string()?),
-            other => {
-                return Err(WireError::malformed(format!("unknown node tag {other}")));
+    r.nested(|r| {
+        let name = r.read_string()?;
+        let mut el = XmlElement::new(name);
+        let attrs = r.read_varint()? as usize;
+        for _ in 0..attrs {
+            let k = r.read_string()?;
+            let v = r.read_string()?;
+            el.set_attr(k, v);
+        }
+        let children = r.read_varint()? as usize;
+        // A node is at least its tag byte, so this cannot out-reserve the input.
+        el.reserve_children(children.min(r.remaining()));
+        for _ in 0..children {
+            match r.read_u8()? {
+                NODE_ELEMENT => el.push_child(xml_from_binary(r)?),
+                NODE_TEXT => el.push_text(r.read_string()?),
+                other => {
+                    return Err(WireError::malformed(format!("unknown node tag {other}")));
+                }
             }
         }
-    }
-    Ok(el)
+        Ok(el)
+    })
 }
 
 // --- native codecs: metadata, document summaries, events --------------
 
 /// Encodes a metadata record as a flat list of key/value pairs
 /// (multi-valued keys contribute one pair per value, in record order).
-pub fn metadata_to_binary(md: &MetadataRecord, buf: &mut Vec<u8>) {
-    write_varint(buf, md.total_values() as u64);
+pub fn metadata_to_binary(md: &MetadataRecord, out: &mut impl ByteSink) {
+    write_varint(out, md.total_values() as u64);
     for (k, v) in md.iter_flat() {
-        write_str(buf, k.as_str());
-        write_str(buf, v);
+        write_str(out, k.as_str());
+        write_str(out, v);
     }
-}
-
-/// The encoded size of [`metadata_to_binary`].
-pub fn metadata_binary_size(md: &MetadataRecord) -> usize {
-    let mut n = varint_len(md.total_values() as u64);
-    for (k, v) in md.iter_flat() {
-        n += str_len(k.as_str()) + str_len(v);
-    }
-    n
 }
 
 /// Decodes a metadata record written by [`metadata_to_binary`].
@@ -383,15 +464,10 @@ pub fn metadata_from_binary(r: &mut BinReader<'_>) -> Result<MetadataRecord, Wir
 }
 
 /// Encodes a document summary: id, metadata, excerpt.
-pub fn doc_summary_to_binary(doc: &DocSummary, buf: &mut Vec<u8>) {
-    write_str(buf, doc.doc.as_str());
-    metadata_to_binary(&doc.metadata, buf);
-    write_str(buf, &doc.excerpt);
-}
-
-/// The encoded size of [`doc_summary_to_binary`].
-pub fn doc_summary_binary_size(doc: &DocSummary) -> usize {
-    str_len(doc.doc.as_str()) + metadata_binary_size(&doc.metadata) + str_len(&doc.excerpt)
+pub fn doc_summary_to_binary(doc: &DocSummary, out: &mut impl ByteSink) {
+    write_str(out, doc.doc.as_str());
+    metadata_to_binary(&doc.metadata, out);
+    write_str(out, &doc.excerpt);
 }
 
 /// Decodes a document summary written by [`doc_summary_to_binary`].
@@ -410,13 +486,9 @@ pub fn doc_summary_from_binary(r: &mut BinReader<'_>) -> Result<DocSummary, Wire
     Ok(doc)
 }
 
-fn write_collection(buf: &mut Vec<u8>, id: &CollectionId) {
-    write_str(buf, id.host().as_str());
-    write_str(buf, id.name().as_str());
-}
-
-fn collection_len(id: &CollectionId) -> usize {
-    str_len(id.host().as_str()) + str_len(id.name().as_str())
+fn write_collection(out: &mut impl ByteSink, id: &CollectionId) {
+    write_str(out, id.host().as_str());
+    write_str(out, id.name().as_str());
 }
 
 fn read_collection(r: &mut BinReader<'_>) -> Result<CollectionId, WireError> {
@@ -426,50 +498,31 @@ fn read_collection(r: &mut BinReader<'_>) -> Result<CollectionId, WireError> {
 }
 
 /// Encodes an alerting event, field for field with [`event_to_xml`].
-pub fn event_to_binary(event: &Event, buf: &mut Vec<u8>) {
-    write_str(buf, event.id.host().as_str());
-    write_varint(buf, event.id.seq());
-    write_str(buf, event.root.host().as_str());
-    write_varint(buf, event.root.seq());
-    write_collection(buf, &event.origin);
+pub fn event_to_binary(event: &Event, out: &mut impl ByteSink) {
+    write_str(out, event.id.host().as_str());
+    write_varint(out, event.id.seq());
+    write_str(out, event.root.host().as_str());
+    write_varint(out, event.root.seq());
+    write_collection(out, &event.origin);
     let kind = EventKind::ALL
         .iter()
         .position(|k| *k == event.kind)
         .expect("EventKind::ALL is exhaustive") as u64;
-    write_varint(buf, kind);
-    write_varint(buf, event.issued_at.as_micros());
-    write_varint(buf, event.provenance.len() as u64);
+    write_varint(out, kind);
+    write_varint(out, event.issued_at.as_micros());
+    write_varint(out, event.provenance.len() as u64);
     for p in &event.provenance {
-        write_collection(buf, p);
+        write_collection(out, p);
     }
-    write_varint(buf, event.docs.len() as u64);
+    write_varint(out, event.docs.len() as u64);
     for doc in &event.docs {
-        doc_summary_to_binary(doc, buf);
+        doc_summary_to_binary(doc, out);
     }
 }
 
 /// The encoded size of [`event_to_binary`].
 pub fn event_binary_size(event: &Event) -> usize {
-    let kind = EventKind::ALL
-        .iter()
-        .position(|k| *k == event.kind)
-        .expect("EventKind::ALL is exhaustive") as u64;
-    let mut n = str_len(event.id.host().as_str())
-        + varint_len(event.id.seq())
-        + str_len(event.root.host().as_str())
-        + varint_len(event.root.seq())
-        + collection_len(&event.origin)
-        + varint_len(kind)
-        + varint_len(event.issued_at.as_micros())
-        + varint_len(event.provenance.len() as u64)
-        + varint_len(event.docs.len() as u64);
-    for p in &event.provenance {
-        n += collection_len(p);
-    }
-    for doc in &event.docs {
-        n += doc_summary_binary_size(doc);
-    }
-    n
+    counted(|n| event_to_binary(event, n))
 }
 
 /// Decodes an event written by [`event_to_binary`].
@@ -524,7 +577,7 @@ pub fn payload_bytes_from_xml(el: &XmlElement) -> Vec<u8> {
         // freezing and thawing is the identity on the element tree.
         Ok(event) if event_to_xml(&event) == *el => payload_bytes_from_event(&event),
         _ => {
-            let mut buf = Vec::with_capacity(1 + xml_binary_size(el));
+            let mut buf = Vec::with_capacity(1 + counted(|n| xml_to_binary(el, n)));
             buf.push(PAYLOAD_XML);
             xml_to_binary(el, &mut buf);
             buf
@@ -578,38 +631,31 @@ pub fn payload_event_from_bytes(bytes: &[u8]) -> Result<Event, WireError> {
 
 // --- framing ----------------------------------------------------------
 
-/// Wraps an encoded body in the v2 frame: magic byte + varint length +
-/// body.
-pub fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(1 + varint_len(body.len() as u64) + body.len());
-    framed.push(FRAME_MAGIC);
-    write_varint(&mut framed, body.len() as u64);
-    framed.extend_from_slice(&body);
-    framed
+/// Writes one v2 frame: magic byte + varint length + body. `body_len` is
+/// what `body` will write ([`counted`] over the same encoder).
+pub fn write_frame<S: ByteSink>(out: &mut S, body_len: usize, body: impl FnOnce(&mut S)) {
+    out.put_u8(FRAME_MAGIC);
+    write_varint(out, body_len as u64);
+    body(out);
 }
 
 /// The framed size of a body of `body_len` bytes.
 pub fn framed_len(body_len: usize) -> usize {
-    1 + varint_len(body_len as u64) + body_len
+    counted(|n| write_frame(n, body_len, |_| {})) + body_len
 }
 
-/// Peeks a v2 frame header and returns the body slice (lazy decode: the
-/// caller slices first, deserialises later — or never).
+/// Opens a v2 frame and runs `read` over its body; the one way a frame
+/// is decoded.
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on a missing magic byte or a length that
-/// disagrees with the buffer.
-pub fn unframe(bytes: &[u8]) -> Result<&[u8], WireError> {
-    let mut r = BinReader::new(bytes);
-    let magic = r.read_u8()?;
-    if magic != FRAME_MAGIC {
-        return Err(WireError::malformed(format!(
-            "expected frame magic {FRAME_MAGIC:#x}, found {magic:#x}"
-        )));
-    }
-    let len = r.read_varint()? as usize;
-    r.read_slice(len)
+/// As [`BinReader::read_frame`]: bad framing, a failing `read`, or bytes
+/// left unread inside the frame.
+pub fn decode_frame<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut BinReader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    BinReader::new(bytes).read_frame(read)
 }
 
 #[cfg(test)]
@@ -622,7 +668,7 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, 16_383, 16_384, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "length of {v}");
+            assert_eq!(buf.len(), counted(|n| write_varint(n, v)), "length of {v}");
             let mut r = BinReader::new(&buf);
             assert_eq!(r.read_varint().unwrap(), v);
             assert_eq!(r.remaining(), 0);
@@ -640,7 +686,7 @@ mod tests {
         for s in ["", "a", "héllo <&> \"quotes\"", &"x".repeat(300)] {
             let mut buf = Vec::new();
             write_str(&mut buf, s);
-            assert_eq!(buf.len(), str_len(s));
+            assert_eq!(buf.len(), counted(|n| write_str(n, s)));
             assert_eq!(BinReader::new(&buf).read_string().unwrap(), s);
         }
     }
@@ -686,7 +732,7 @@ mod tests {
             .with_child(XmlElement::new("empty"));
         let mut buf = Vec::new();
         xml_to_binary(&el, &mut buf);
-        assert_eq!(buf.len(), xml_binary_size(&el));
+        assert_eq!(buf.len(), counted(|n| xml_to_binary(&el, n)));
         let back = xml_from_binary(&mut BinReader::new(&buf)).unwrap();
         assert_eq!(back, el);
     }
@@ -753,11 +799,14 @@ mod tests {
     #[test]
     fn frames_peek_without_decoding() {
         let body = vec![1u8, 2, 3, 4];
-        let framed = frame(body.clone());
+        let mut framed = Vec::new();
+        write_frame(&mut framed, body.len(), |out| out.put(&body));
         assert_eq!(framed.len(), framed_len(body.len()));
-        assert_eq!(unframe(&framed).unwrap(), &body[..]);
-        assert!(unframe(&[0x00, 0x01]).is_err(), "bad magic");
-        assert!(unframe(&[FRAME_MAGIC, 0x09, 0x01]).is_err(), "short body");
+        assert_eq!(framed_len(200), 1 + 2 + 200, "a two-byte length");
+        let peek = |frame: &[u8]| decode_frame(frame, |r| r.read_slice(r.remaining()).map(<[u8]>::to_vec));
+        assert_eq!(peek(&framed).unwrap(), body);
+        assert!(peek(&[0x00, 0x01]).is_err(), "bad magic");
+        assert!(peek(&[FRAME_MAGIC, 0x09, 0x01]).is_err(), "short body");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! single body element with the actual payload.
 
 use crate::binary::{
-    frame, framed_len, str_len, unframe, varint_len, write_str, write_varint, xml_binary_size,
-    xml_from_binary, xml_to_binary, BinReader, WireFormat,
+    counted, decode_frame, framed_len, write_frame, write_str, write_varint, xml_from_binary,
+    xml_to_binary, ByteSink, WireFormat,
 };
 use crate::xml::{parse_document, WireError, XmlElement};
 use gsa_types::{HostName, MessageId};
@@ -155,12 +155,16 @@ impl Envelope {
     /// headers as varints/length-prefixed strings, the body as the
     /// generic binary XML-tree codec.
     pub fn encode_binary(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.binary_body_len());
-        write_varint(&mut body, self.message_id.as_u64());
-        write_str(&mut body, self.sender.as_str());
-        write_varint(&mut body, u64::from(self.hops));
-        xml_to_binary(&self.body, &mut body);
-        frame(body)
+        let mut frame = Vec::new();
+        write_frame(&mut frame, counted(|n| self.put_bin(n)), |out| self.put_bin(out));
+        frame
+    }
+
+    fn put_bin(&self, out: &mut impl ByteSink) {
+        write_varint(out, self.message_id.as_u64());
+        write_str(out, self.sender.as_str());
+        write_varint(out, u64::from(self.hops));
+        xml_to_binary(&self.body, out);
     }
 
     /// Parses an envelope from a v2 binary frame.
@@ -168,31 +172,23 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns [`WireError`] when the frame header or any field is
-    /// malformed.
+    /// malformed, or bytes follow the body inside the frame.
     pub fn decode_binary(bytes: &[u8]) -> Result<Envelope, WireError> {
-        let body = unframe(bytes)?;
-        let mut r = BinReader::new(body);
-        let message_id = MessageId::from_raw(r.read_varint()?);
-        let sender = r.read_string()?;
-        if sender.is_empty() {
-            return Err(WireError::malformed("missing Sender header"));
-        }
-        let hops = u32::try_from(r.read_varint()?)
-            .map_err(|_| WireError::malformed("Hops header overflows u32"))?;
-        let body = xml_from_binary(&mut r)?;
-        Ok(Envelope {
-            message_id,
-            sender: HostName::new(sender),
-            hops,
-            body,
+        decode_frame(bytes, |r| {
+            let message_id = MessageId::from_raw(r.read_varint()?);
+            let sender = r.read_string()?;
+            if sender.is_empty() {
+                return Err(WireError::malformed("missing Sender header"));
+            }
+            let hops = u32::try_from(r.read_varint()?)
+                .map_err(|_| WireError::malformed("Hops header overflows u32"))?;
+            Ok(Envelope {
+                message_id,
+                sender: HostName::new(sender),
+                hops,
+                body: xml_from_binary(r)?,
+            })
         })
-    }
-
-    fn binary_body_len(&self) -> usize {
-        varint_len(self.message_id.as_u64())
-            + str_len(self.sender.as_str())
-            + varint_len(u64::from(self.hops))
-            + xml_binary_size(&self.body)
     }
 
     /// The serialized size in bytes of the v1 text encoding, for
@@ -206,7 +202,7 @@ impl Envelope {
     pub fn wire_size_in(&self, format: WireFormat) -> usize {
         match format {
             WireFormat::Xml => self.encode().len(),
-            WireFormat::Binary => framed_len(self.binary_body_len()),
+            WireFormat::Binary => framed_len(counted(|n| self.put_bin(n))),
         }
     }
 }

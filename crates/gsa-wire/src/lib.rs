@@ -10,6 +10,9 @@
 //!   information) and a body (the payload element),
 //! * [`codec`] — conversions between the shared `gsa-types` data model and
 //!   XML elements,
+//! * [`message`] — [`WireMessage`], what a protocol message states once
+//!   for both wires and what is derived from it (tree, frame, both
+//!   sizes),
 //! * [`reliable`] — an opt-in reliable-delivery envelope
 //!   ([`Reliable`]) plus a deterministic retransmission queue with
 //!   exponential backoff, jitter and a bounded retry budget
@@ -50,6 +53,7 @@
 pub mod binary;
 pub mod codec;
 pub mod envelope;
+pub mod message;
 pub mod payload;
 pub mod probe;
 pub mod reliable;
@@ -58,6 +62,7 @@ pub mod xml;
 
 pub use binary::{FrozenBytes, WireFormat};
 pub use envelope::Envelope;
+pub use message::{Field, WireMessage};
 pub use payload::Payload;
 pub use probe::{DocProbe, EventProbe, MetaProbe};
 pub use summary::{InterestCounts, InterestSummary, ATTR_KEY_KIND, ATTR_META_PREFIX};

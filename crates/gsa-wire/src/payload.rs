@@ -21,11 +21,12 @@
 
 use crate::binary::{
     event_binary_size, event_to_binary, payload_bytes_from_event, payload_bytes_from_xml,
-    payload_event_from_bytes, payload_xml_from_bytes, varint_len, write_varint, FrozenBytes,
-    PAYLOAD_EVENT,
+    payload_event_from_bytes, payload_xml_from_bytes, write_varint, BinReader, ByteSink,
+    FrozenBytes, PAYLOAD_EVENT,
 };
 use crate::codec::{event_from_xml, event_to_xml};
-use crate::xml::{WireError, XmlElement};
+use crate::message::Field;
+use crate::xml::{WireError, XmlElement, XmlPut};
 use gsa_types::Event;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -111,34 +112,25 @@ impl Payload {
         self.bin.is_some()
     }
 
-    /// The v2 encoded size of this payload including its varint length
-    /// prefix. O(1) when frozen — the flood hot path never re-encodes
-    /// just to measure — and plain arithmetic over the event before.
-    pub fn binary_size(&self) -> usize {
-        let body = match (&self.bin, &self.shared.event) {
-            (Some(bin), _) => bin.len(),
-            (None, Some(event)) => 1 + event_binary_size(event),
-            (None, None) => payload_bytes_from_xml(self.xml_element()).len(),
-        };
-        varint_len(body as u64) + body
-    }
-
     /// Appends the payload as varint length + bytes (the v2 encoding).
-    pub fn write_binary(&self, buf: &mut Vec<u8>) {
+    /// Frozen bytes go to the sink as one slice, so sizing a frozen
+    /// payload (the sink a [`ByteCount`](crate::binary::ByteCount)) is
+    /// O(1): the flood hot path never re-encodes just to measure.
+    pub fn write_binary(&self, out: &mut impl ByteSink) {
         match (&self.bin, &self.shared.event) {
             (Some(bin), _) => {
-                write_varint(buf, bin.len() as u64);
-                buf.extend_from_slice(bin);
+                write_varint(out, bin.len() as u64);
+                out.put(bin);
             }
             (None, Some(event)) => {
-                write_varint(buf, 1 + event_binary_size(event) as u64);
-                buf.push(PAYLOAD_EVENT);
-                event_to_binary(event, buf);
+                write_varint(out, 1 + event_binary_size(event) as u64);
+                out.put_u8(PAYLOAD_EVENT);
+                event_to_binary(event, out);
             }
             (None, None) => {
                 let bytes = payload_bytes_from_xml(self.xml_element());
-                write_varint(buf, bytes.len() as u64);
-                buf.extend_from_slice(&bytes);
+                write_varint(out, bytes.len() as u64);
+                out.put(&bytes);
             }
         }
     }
@@ -202,6 +194,35 @@ impl Payload {
     }
 }
 
+/// The wire forms of the payload a message carries. v1: the message
+/// element's last child element, whatever it is called. v2: a length
+/// and the payload's bytes, which a reader keeps frozen — payloads are
+/// *not* deserialised on the way in, they decode lazily at delivery time.
+#[derive(Debug, Clone, Copy)]
+pub struct PayloadField;
+
+impl Field for PayloadField {
+    type Value = Payload;
+
+    fn put_xml(&self, v: &Payload, out: &mut impl XmlPut) {
+        out.payload(v);
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<Payload, WireError> {
+        let body = el.elements().last();
+        body.cloned().map(Payload::from).ok_or_else(|| WireError::malformed("missing payload"))
+    }
+
+    fn put_bin(&self, v: &Payload, out: &mut impl ByteSink) {
+        v.write_binary(out);
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<Payload, WireError> {
+        let len = r.read_varint()? as usize;
+        Ok(Payload::from_frozen(FrozenBytes::new(r.read_slice(len)?.to_vec())))
+    }
+}
+
 impl From<XmlElement> for Payload {
     fn from(el: XmlElement) -> Self {
         Payload::new(None, OnceLock::from(el), None)
@@ -234,7 +255,7 @@ impl fmt::Debug for Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::PAYLOAD_XML;
+    use crate::binary::{counted, PAYLOAD_XML};
     use gsa_types::{
         CollectionId, DocSummary, EventId, EventKind, MetadataRecord, SimTime,
     };
@@ -310,12 +331,12 @@ mod tests {
             frozen.freeze();
             let mut buf = Vec::new();
             frozen.write_binary(&mut buf);
-            assert_eq!(buf.len(), frozen.binary_size());
+            assert_eq!(buf.len(), counted(|n| frozen.write_binary(n)));
             // Unfrozen encode agrees with the frozen one.
             let mut buf2 = Vec::new();
             payload.write_binary(&mut buf2);
             assert_eq!(buf, buf2);
-            assert_eq!(payload.binary_size(), buf2.len());
+            assert_eq!(counted(|n| payload.write_binary(n)), buf2.len());
         }
     }
 
@@ -455,7 +476,7 @@ mod tests {
             // v2: sized and written unfrozen, then frozen, byte for byte.
             let mut unfrozen = Vec::new();
             sourced.write_binary(&mut unfrozen);
-            prop_assert_eq!(unfrozen.len(), sourced.binary_size());
+            prop_assert_eq!(unfrozen.len(), counted(|n| sourced.write_binary(n)));
             let mut frozen = sourced.clone();
             frozen.freeze();
             from_xml.freeze();

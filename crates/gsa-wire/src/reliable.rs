@@ -9,12 +9,13 @@
 //! from an internal xorshift generator seeded by the caller, so the same
 //! seed replays the same retry schedule.
 //!
-//! The envelope is generic in its payload; [`reliable_to_xml`] /
-//! [`reliable_from_xml`] thread a payload codec through, so every
-//! protocol that already has an XML form gets a reliable wire form for
-//! free.
+//! The envelope is generic in its payload and is itself a
+//! [`WireMessage`] around any [`WireMessage`], so every protocol with the
+//! two wire forms gets both reliable wire forms for free.
 
-use crate::xml::{element_wire_size, number_attr_wire_size, WireError, XmlElement};
+use crate::binary::{write_varint, BinReader, ByteSink};
+use crate::message::WireMessage;
+use crate::xml::{WireError, XmlElement, XmlPut};
 use gsa_types::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -52,66 +53,73 @@ impl<M> Reliable<M> {
     }
 }
 
-/// Encodes an envelope, using `payload_to_xml` for the payload.
-pub fn reliable_to_xml<M>(
-    rel: &Reliable<M>,
-    payload_to_xml: impl Fn(&M) -> XmlElement,
-) -> XmlElement {
-    match rel {
-        Reliable::Data { seq, payload } => XmlElement::new("rel-data")
-            .with_attr("seq", seq.to_string())
-            .with_child(payload_to_xml(payload)),
-        Reliable::Ack { seq } => XmlElement::new("rel-ack").with_attr("seq", seq.to_string()),
-        Reliable::Nack { seq } => XmlElement::new("rel-nack").with_attr("seq", seq.to_string()),
+/// The XML tag of each of the envelope's three forms, at the index that
+/// is its v2 tag byte. v1 is `<tag seq="n">` around the payload's
+/// element; v2 is the tag byte, a varint seq and the payload's own frame.
+const TAGS: [&str; 3] = ["rel-data", "rel-ack", "rel-nack"];
+
+impl<M> Reliable<M> {
+    fn form(&self) -> usize {
+        match self {
+            Reliable::Data { .. } => 0,
+            Reliable::Ack { .. } => 1,
+            Reliable::Nack { .. } => 2,
+        }
+    }
+
+    /// The envelope of the given form, decoding the payload only for
+    /// [`Reliable::Data`].
+    fn of_form(
+        form: Option<usize>,
+        seq: u64,
+        payload: impl FnOnce() -> Result<M, WireError>,
+    ) -> Result<Self, WireError> {
+        match form {
+            Some(0) => Ok(Reliable::Data { seq, payload: payload()? }),
+            Some(1) => Ok(Reliable::Ack { seq }),
+            Some(2) => Ok(Reliable::Nack { seq }),
+            _ => Err(WireError::malformed("unknown reliable envelope form")),
+        }
     }
 }
 
-/// The serialized size of [`reliable_to_xml`]'s element given a sizer for
-/// the payload: the envelope's own bytes plus the payload's, without
-/// building either.
-pub fn reliable_wire_size<M>(rel: &Reliable<M>, payload_size: impl Fn(&M) -> usize) -> usize {
-    let seq = number_attr_wire_size("seq", rel.seq());
-    match rel {
-        Reliable::Data { payload, .. } => {
-            element_wire_size("rel-data", seq, payload_size(payload))
-        }
-        Reliable::Ack { .. } => "<rel-ack/>".len() + seq,
-        Reliable::Nack { .. } => "<rel-nack/>".len() + seq,
+impl<M: WireMessage> WireMessage for Reliable<M> {
+    fn tag(&self) -> &'static str {
+        TAGS[self.form()]
     }
-}
 
-/// Decodes an envelope, using `payload_from_xml` for the payload.
-///
-/// # Errors
-///
-/// Returns [`WireError`] when the element is not a reliable envelope,
-/// the sequence number is missing or malformed, or the payload codec
-/// fails.
-pub fn reliable_from_xml<M>(
-    el: &XmlElement,
-    payload_from_xml: impl Fn(&XmlElement) -> Result<M, WireError>,
-) -> Result<Reliable<M>, WireError> {
-    let seq = el
-        .attr("seq")
-        .ok_or_else(|| WireError::malformed("reliable envelope lacks seq"))?
-        .parse::<u64>()
-        .map_err(|_| WireError::malformed("reliable seq is not a number"))?;
-    match el.name() {
-        "rel-data" => {
-            let inner = el
-                .elements()
-                .next()
-                .ok_or_else(|| WireError::malformed("rel-data lacks a payload"))?;
-            Ok(Reliable::Data {
-                seq,
-                payload: payload_from_xml(inner)?,
-            })
+    fn put_xml(&self, out: &mut impl XmlPut) {
+        out.num_attr("seq", self.seq());
+        if let Reliable::Data { payload, .. } = self {
+            out.child(payload.tag(), |el| payload.put_xml(el));
         }
-        "rel-ack" => Ok(Reliable::Ack { seq }),
-        "rel-nack" => Ok(Reliable::Nack { seq }),
-        other => Err(WireError::malformed(format!(
-            "unknown reliable element <{other}>"
-        ))),
+    }
+
+    fn from_xml(el: &XmlElement) -> Result<Self, WireError> {
+        let seq = el
+            .attr("seq")
+            .ok_or_else(|| WireError::malformed("reliable envelope lacks seq"))?
+            .parse::<u64>()
+            .map_err(|_| WireError::malformed("reliable seq is not a number"))?;
+        let form = TAGS.iter().position(|tag| *tag == el.name());
+        Self::of_form(form, seq, || match el.elements().next() {
+            Some(inner) => M::from_xml(inner),
+            None => Err(WireError::malformed("rel-data lacks a payload")),
+        })
+    }
+
+    fn put_bin(&self, out: &mut impl ByteSink) {
+        out.put_u8(self.form() as u8);
+        write_varint(out, self.seq());
+        if let Reliable::Data { payload, .. } = self {
+            payload.put_frame(out);
+        }
+    }
+
+    fn take_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        let tag = r.read_u8()?;
+        let seq = r.read_varint()?;
+        Self::of_form(Some(usize::from(tag)), seq, || r.read_frame(M::take_bin))
     }
 }
 
@@ -321,7 +329,6 @@ impl<M: Clone> RetransmitQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xml::XmlElement;
 
     fn policy(budget: Option<u32>) -> RetryPolicy {
         RetryPolicy {
@@ -333,38 +340,61 @@ mod tests {
         }
     }
 
+    /// A minimal payload with both wire forms.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Note(String);
+
+    impl WireMessage for Note {
+        fn tag(&self) -> &'static str {
+            "p"
+        }
+
+        fn put_xml(&self, out: &mut impl XmlPut) {
+            out.attr("v", &self.0);
+        }
+
+        fn from_xml(el: &XmlElement) -> Result<Self, WireError> {
+            Ok(Note(el.attr("v").unwrap_or_default().to_owned()))
+        }
+
+        fn put_bin(&self, out: &mut impl ByteSink) {
+            crate::binary::write_str(out, &self.0);
+        }
+
+        fn take_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+            r.read_string().map(Note)
+        }
+    }
+
     #[test]
     fn envelope_round_trips_through_xml() {
-        let codec_to = |m: &String| XmlElement::new("p").with_attr("v", m.clone());
-        let codec_from = |el: &XmlElement| {
-            Ok(el
-                .attr("v")
-                .map(ToOwned::to_owned)
-                .unwrap_or_default())
-        };
         for rel in [
             Reliable::Data {
                 seq: 7,
-                payload: "hello".to_string(),
+                payload: Note("hello".to_string()),
             },
             Reliable::Ack { seq: 9 },
             Reliable::Nack { seq: 11 },
         ] {
-            let el = reliable_to_xml(&rel, codec_to);
-            let back = reliable_from_xml(&el, codec_from).unwrap();
-            assert_eq!(rel, back);
+            let el = rel.to_xml();
+            assert_eq!(rel.wire_size(), el.to_xml_string().len());
+            assert_eq!(Reliable::from_xml(&el).unwrap(), rel);
+            let frame = rel.to_binary();
+            assert_eq!(rel.binary_wire_size(), frame.len());
+            assert_eq!(Reliable::from_binary(&frame).unwrap(), rel);
         }
     }
 
     #[test]
     fn malformed_envelopes_are_rejected() {
-        let codec_from = |_: &XmlElement| Ok(());
         let no_seq = XmlElement::new("rel-ack");
-        assert!(reliable_from_xml(&no_seq, codec_from).is_err());
+        assert!(Reliable::<Note>::from_xml(&no_seq).is_err());
         let bad_name = XmlElement::new("rel-what").with_attr("seq", "1");
-        assert!(reliable_from_xml(&bad_name, codec_from).is_err());
+        assert!(Reliable::<Note>::from_xml(&bad_name).is_err());
         let no_payload = XmlElement::new("rel-data").with_attr("seq", "1");
-        assert!(reliable_from_xml(&no_payload, codec_from).is_err());
+        assert!(Reliable::<Note>::from_xml(&no_payload).is_err());
+        // [magic, len 2, tag 3, seq 1]: no such form.
+        assert!(Reliable::<Note>::from_binary(&[0xB2, 2, 3, 1]).is_err());
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! and frozen (same encode-once pattern as flood payloads): clones
 //! share the buffer, mutation detaches it.
 
-use crate::binary::{write_str, write_varint, BinReader};
-use crate::xml::{WireError, XmlElement};
+use crate::binary::{write_str, write_varint, BinReader, ByteSink};
+use crate::message::Field;
+use crate::xml::{WireError, XmlElement, XmlPut};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
@@ -47,6 +48,10 @@ pub const ATTR_KEY_KIND: &str = "kind";
 /// digests under `meta:K`, so a metadata key literally named "kind"
 /// cannot collide with [`ATTR_KEY_KIND`].
 pub const ATTR_META_PREFIX: &str = "meta:";
+
+/// `attribute key → set of values`: a summary's equality digests, and the
+/// subgroups of a rendezvous grant.
+pub type AttrMap = BTreeMap<String, BTreeSet<String>>;
 
 /// The lazily-frozen binary encoding of a summary. Clones share the
 /// buffer (it is part of no summary's *value*, so equality and the
@@ -77,7 +82,7 @@ pub struct InterestSummary {
     /// `values`. Keys absent from the map are unconstrained. Only
     /// meaningful alongside anchors (wildcard and empty summaries carry
     /// none — the canonical forms).
-    attrs: BTreeMap<String, BTreeSet<String>>,
+    attrs: AttrMap,
     /// Frozen binary encoding (encode-once; excluded from equality).
     frozen: FrozenEncoding,
 }
@@ -309,164 +314,150 @@ impl InterestSummary {
         self.collections.iter().map(String::as_str)
     }
 
-    // --- XML codec (wire v1) ------------------------------------------
-
-    /// Encodes the summary as an XML element with the given tag name.
-    pub fn to_xml(&self, tag: &str) -> XmlElement {
-        let mut el = XmlElement::new(tag);
-        if self.wildcard {
-            el.set_attr("wildcard", "true");
-            return el;
-        }
-        el.reserve_children(self.hosts.len() + self.collections.len() + self.attrs.len());
-        for host in &self.hosts {
-            el.push_child(XmlElement::new("host").with_attr("name", host.as_str()));
-        }
-        for coll in &self.collections {
-            el.push_child(XmlElement::new("collection").with_attr("id", coll.as_str()));
-        }
-        // A v1 (pre-digest) peer ignores unknown children, so digests
-        // degrade to anchor-only pruning on mixed-version edges.
-        for (key, vals) in &self.attrs {
-            let mut attr = XmlElement::new("attr").with_attr("key", key.as_str());
-            attr.reserve_children(vals.len());
-            for v in vals {
-                attr.push_child(XmlElement::new("value").with_text(v.as_str()));
-            }
-            el.push_child(attr);
-        }
-        el
-    }
-
-    /// Decodes a summary from the XML element produced by
-    /// [`InterestSummary::to_xml`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] when an anchor child is missing its
-    /// attribute.
-    pub fn from_xml(el: &XmlElement) -> Result<Self, WireError> {
-        if el.attr("wildcard") == Some("true") {
-            return Ok(InterestSummary::wildcard());
-        }
-        let mut summary = InterestSummary::empty();
-        for child in el.elements() {
-            match child.name() {
-                "host" => {
-                    let name = child
-                        .attr("name")
-                        .ok_or_else(|| WireError::malformed("summary host without name"))?;
-                    summary.add_host(name);
-                }
-                "collection" => {
-                    let id = child
-                        .attr("id")
-                        .ok_or_else(|| WireError::malformed("summary collection without id"))?;
-                    summary.add_collection(id);
-                }
-                "attr" => {
-                    let key = child
-                        .attr("key")
-                        .ok_or_else(|| WireError::malformed("summary attr without key"))?;
-                    let values = child
-                        .children_named("value")
-                        .map(|v| v.text().to_owned())
-                        .collect::<Vec<_>>();
-                    summary.constrain_attr(key, values);
-                }
-                _ => {} // unknown anchors from newer peers are ignored
-            }
-        }
+    /// A summary as decoded: whatever arrived, made canonical.
+    fn decoded(hosts: BTreeSet<String>, collections: BTreeSet<String>, attrs: AttrMap) -> Self {
+        let mut summary = InterestSummary {
+            hosts,
+            collections,
+            attrs,
+            ..InterestSummary::default()
+        };
         summary.canonicalize();
-        Ok(summary)
+        summary
     }
-
-    // --- binary codec (wire v2) ---------------------------------------
 
     /// The frozen binary encoding, computed on first use and shared by
     /// clones from then on — a summary re-announced on every heartbeat
-    /// serializes exactly once.
+    /// serializes exactly once. A wildcard flag byte, the two
+    /// length-prefixed anchor sets, then the attribute digests.
     fn frozen_bytes(&self) -> &[u8] {
         self.frozen.0.get_or_init(|| {
-            let mut buf = Vec::new();
-            self.encode_binary(&mut buf);
+            let mut buf = vec![u8::from(self.wildcard)];
+            for anchors in [&self.hosts, &self.collections] {
+                write_varint(&mut buf, anchors.len() as u64);
+                for anchor in anchors {
+                    write_str(&mut buf, anchor);
+                }
+            }
+            DIGESTS.put_bin(&self.attrs, &mut buf);
             buf.into_boxed_slice()
         })
     }
+}
 
-    fn encode_binary(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(self.wildcard));
-        write_varint(buf, self.hosts.len() as u64);
-        for host in &self.hosts {
-            write_str(buf, host);
+/// The wire forms of an [`AttrMap`]. v1: one child per key, named by the
+/// field, with a `key` attribute and a `<value>` child per value. v2: a
+/// count of keys, then per key the key, a count and the values. A key
+/// that arrives twice keeps its later set; no writer repeats one.
+#[derive(Debug, Clone, Copy)]
+pub struct AttrMapField(pub &'static str);
+
+const DIGESTS: AttrMapField = AttrMapField("attr");
+
+impl Field for AttrMapField {
+    type Value = AttrMap;
+
+    fn put_xml(&self, v: &AttrMap, out: &mut impl XmlPut) {
+        for (key, values) in v {
+            out.child(self.0, |entry| {
+                entry.attr("key", key);
+                for value in values {
+                    entry.child("value", |el| el.text(value));
+                }
+            });
         }
-        write_varint(buf, self.collections.len() as u64);
-        for coll in &self.collections {
-            write_str(buf, coll);
-        }
-        write_varint(buf, self.attrs.len() as u64);
-        for (key, vals) in &self.attrs {
-            write_str(buf, key);
-            write_varint(buf, vals.len() as u64);
-            for v in vals {
-                write_str(buf, v);
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<AttrMap, WireError> {
+        let entries = el.children_named(self.0).map(|entry| {
+            let key = entry
+                .attr("key")
+                .ok_or_else(|| WireError::malformed(format!("<{}> without key", self.0)))?;
+            let values = entry.children_named("value").map(XmlElement::text).collect();
+            Ok((key.to_owned(), values))
+        });
+        entries.collect()
+    }
+
+    fn put_bin(&self, v: &AttrMap, out: &mut impl ByteSink) {
+        write_varint(out, v.len() as u64);
+        for (key, values) in v {
+            write_str(out, key);
+            write_varint(out, values.len() as u64);
+            for value in values {
+                write_str(out, value);
             }
         }
     }
 
-    /// Appends the binary encoding: a wildcard flag byte, the two
-    /// length-prefixed anchor sets, then the attribute digests. The
-    /// bytes come from the frozen buffer, so repeated announcements of
-    /// an unchanged summary are a memcpy, not a re-serialization.
-    pub fn write_binary(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(self.frozen_bytes());
-    }
-
-    /// Exact length of [`InterestSummary::write_binary`]'s output.
-    pub fn binary_size(&self) -> usize {
-        self.frozen_bytes().len()
-    }
-
-    /// Decodes a summary from its binary encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on truncated or malformed input.
-    pub fn read_binary(r: &mut BinReader<'_>) -> Result<Self, WireError> {
-        let wildcard = r.read_u8()? != 0;
-        let mut summary = if wildcard {
-            InterestSummary::wildcard()
-        } else {
-            InterestSummary::empty()
-        };
-        let hosts = r.read_varint()?;
-        for _ in 0..hosts {
-            let host = r.read_string()?;
-            if !wildcard {
-                summary.add_host(host);
-            }
-        }
-        let collections = r.read_varint()?;
-        for _ in 0..collections {
-            let coll = r.read_string()?;
-            if !wildcard {
-                summary.add_collection(coll);
-            }
-        }
-        let attrs = r.read_varint()?;
-        for _ in 0..attrs {
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<AttrMap, WireError> {
+        let keys = r.read_varint()?;
+        let mut entry = || {
             let key = r.read_string()?;
-            let count = r.read_varint()? as usize;
-            let mut values = Vec::with_capacity(count.min(Self::MAX_ATTR_VALUES + 1));
-            for _ in 0..count {
-                values.push(r.read_string()?);
-            }
-            if !wildcard {
-                summary.constrain_attr(key, values);
+            let count = r.read_varint()?;
+            let values = (0..count).map(|_| r.read_string()).collect::<Result<_, _>>()?;
+            Ok((key, values))
+        };
+        (0..keys).map(|_| entry()).collect()
+    }
+}
+
+/// The wire forms of an [`InterestSummary`], which is written into the
+/// element of the message that carries it. v1: a `wildcard="true"`
+/// attribute ahead of the element's others, or a child per anchor and
+/// per digest — a v1 (pre-digest) peer ignores unknown children, so
+/// digests degrade to anchor-only pruning on mixed-version edges. v2: the
+/// summary's frozen bytes as one slice, so re-announcing an unchanged
+/// summary is a memcpy and sizing one is a length. Both readers make
+/// what arrives canonical, so a hand-crafted frame cannot smuggle an
+/// out-of-contract summary in.
+#[derive(Debug, Clone, Copy)]
+pub struct SummaryField;
+
+/// The anchor sets' child tag and attribute: hosts, then collections.
+const ANCHORS: [(&str, &str); 2] = [("host", "name"), ("collection", "id")];
+
+impl Field for SummaryField {
+    type Value = InterestSummary;
+
+    fn put_xml(&self, v: &InterestSummary, out: &mut impl XmlPut) {
+        if v.wildcard {
+            return out.attr_first("wildcard", "true");
+        }
+        for ((tag, attr), anchors) in ANCHORS.into_iter().zip([&v.hosts, &v.collections]) {
+            for anchor in anchors {
+                out.child(tag, |el| el.attr(attr, anchor));
             }
         }
-        summary.canonicalize();
-        Ok(summary)
+        DIGESTS.put_xml(&v.attrs, out);
+    }
+
+    fn take_xml(&self, el: &XmlElement) -> Result<InterestSummary, WireError> {
+        if el.attr("wildcard") == Some("true") {
+            return Ok(InterestSummary::wildcard());
+        }
+        let anchors = |(tag, attr): (&'static str, &str)| {
+            let names = el.children_named(tag).map(|anchor| anchor.attr(attr).map(str::to_owned));
+            let names: Option<BTreeSet<String>> = names.collect();
+            names.ok_or_else(|| WireError::malformed(format!("summary {tag} without {attr}")))
+        };
+        let [hosts, collections] = ANCHORS.map(anchors);
+        Ok(InterestSummary::decoded(hosts?, collections?, DIGESTS.take_xml(el)?))
+    }
+
+    fn put_bin(&self, v: &InterestSummary, out: &mut impl ByteSink) {
+        out.put(v.frozen_bytes());
+    }
+
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<InterestSummary, WireError> {
+        let wildcard = r.read_u8()? != 0;
+        let mut anchors = || {
+            let count = r.read_varint()?;
+            (0..count).map(|_| r.read_string()).collect::<Result<BTreeSet<_>, _>>()
+        };
+        let (hosts, collections) = (anchors()?, anchors()?);
+        let summary = InterestSummary::decoded(hosts, collections, DIGESTS.take_bin(r)?);
+        Ok(if wildcard { InterestSummary::wildcard() } else { summary })
     }
 }
 
@@ -634,7 +625,7 @@ impl InterestCounts {
         if self.wildcards > 0 {
             return InterestSummary::wildcard();
         }
-        let attrs: BTreeMap<String, BTreeSet<String>> = self
+        let attrs: AttrMap = self
             .attrs
             .iter()
             .filter(|(_, key)| {
@@ -657,6 +648,7 @@ impl InterestCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binary::counted;
 
     fn sample() -> InterestSummary {
         let mut s = InterestSummary::empty();
@@ -819,8 +811,9 @@ mod tests {
             sample(),
             attr_sample(),
         ] {
-            let el = s.to_xml("gds:summary");
-            assert_eq!(InterestSummary::from_xml(&el).unwrap(), s);
+            let mut el = XmlElement::new("gds:summary");
+            SummaryField.put_xml(&s, &mut el);
+            assert_eq!(SummaryField.take_xml(&el).unwrap(), s);
         }
     }
 
@@ -833,9 +826,9 @@ mod tests {
             attr_sample(),
         ] {
             let mut buf = Vec::new();
-            s.write_binary(&mut buf);
-            assert_eq!(buf.len(), s.binary_size());
-            let back = InterestSummary::read_binary(&mut BinReader::new(&buf)).unwrap();
+            SummaryField.put_bin(&s, &mut buf);
+            assert_eq!(buf.len(), counted(|n| SummaryField.put_bin(&s, n)));
+            let back = SummaryField.take_bin(&mut BinReader::new(&buf)).unwrap();
             assert_eq!(back, s);
             assert_eq!(BinReader::new(&buf[..buf.len()]).remaining(), buf.len());
         }
@@ -844,16 +837,16 @@ mod tests {
     #[test]
     fn binary_rejects_truncation() {
         let mut buf = Vec::new();
-        attr_sample().write_binary(&mut buf);
+        SummaryField.put_bin(&attr_sample(), &mut buf);
         for cut in 0..buf.len() {
-            assert!(InterestSummary::read_binary(&mut BinReader::new(&buf[..cut])).is_err());
+            assert!(SummaryField.take_bin(&mut BinReader::new(&buf[..cut])).is_err());
         }
     }
 
     #[test]
     fn encoding_freezes_once_and_detaches_on_mutation() {
         let s = attr_sample();
-        let _ = s.binary_size(); // freeze
+        let _ = s.frozen_bytes(); // freeze
         let shared = s.clone();
         // The clone shares the frozen buffer.
         assert!(Arc::ptr_eq(&s.frozen.0, &shared.frozen.0));
@@ -867,14 +860,14 @@ mod tests {
         changed.add_host("Auckland");
         assert!(!Arc::ptr_eq(&s.frozen.0, &changed.frozen.0));
         let mut buf = Vec::new();
-        changed.write_binary(&mut buf);
-        let back = InterestSummary::read_binary(&mut BinReader::new(&buf)).unwrap();
+        SummaryField.put_bin(&changed, &mut buf);
+        let back = SummaryField.take_bin(&mut BinReader::new(&buf)).unwrap();
         assert_eq!(back, changed);
         // The original's bytes are untouched.
         let mut orig = Vec::new();
-        s.write_binary(&mut orig);
+        SummaryField.put_bin(&s, &mut orig);
         assert_eq!(
-            InterestSummary::read_binary(&mut BinReader::new(&orig)).unwrap(),
+            SummaryField.take_bin(&mut BinReader::new(&orig)).unwrap(),
             s
         );
     }

@@ -7,6 +7,8 @@
 //! original Greenstone messaging effectively does), DTDs, CDATA sections or
 //! processing instructions other than a leading XML declaration.
 
+use crate::binary::{ByteCount, MAX_DEPTH};
+use crate::payload::Payload;
 use std::error::Error;
 use std::fmt;
 
@@ -223,8 +225,6 @@ impl Sink for String {
     }
 }
 
-struct ByteCount(usize);
-
 impl Sink for ByteCount {
     fn put(&mut self, s: &str) {
         self.0 += s.len();
@@ -256,34 +256,117 @@ fn escape_into(s: &str, in_attr: bool, out: &mut impl Sink) {
     out.put(&s[plain..]);
 }
 
-/// The serialized size of ` name="value"` inside a start tag (leading
-/// space and entity escapes included).
-pub fn attr_wire_size(name: &str, value: &str) -> usize {
-    let mut count = ByteCount(name.len() + 4);
-    escape_into(value, true, &mut count);
-    count.0
+/// Where a message puts its XML form: into the element under
+/// construction ([`XmlElement`]) or into a count of the bytes the writer
+/// would emit for that element ([`XmlLen`]). A message describes its
+/// element once, as calls on this trait, and is both encoded and sized
+/// by that description.
+pub trait XmlPut: Sized {
+    /// Adds the attribute `name="value"`.
+    fn attr(&mut self, name: &str, value: &str);
+
+    /// Adds an attribute ahead of those already put (`gds:summary`
+    /// writes its `wildcard` flag before the sender and version).
+    fn attr_first(&mut self, name: &str, value: &str) {
+        self.attr(name, value);
+    }
+
+    /// Adds an unsigned number, in decimal, as the attribute `name`.
+    fn num_attr(&mut self, name: &str, value: u64) {
+        self.attr(name, &value.to_string());
+    }
+
+    /// Adds a text node.
+    fn text(&mut self, text: &str);
+
+    /// Adds the child element `name`, filled by `fill`.
+    fn child(&mut self, name: &str, fill: impl FnOnce(&mut Self));
+
+    /// Adds a payload's element as a child; its length is the one the
+    /// payload memoises, so sizing a carrier never walks the payload.
+    fn payload(&mut self, payload: &Payload);
 }
 
-/// The serialized size of `<name ...>children</name>` given the summed
-/// sizes of its attributes ([`attr_wire_size`]) and of its (at least one)
-/// child nodes. The writer is compact — no whitespace, no declaration —
-/// so an element's size is exactly the sum of its parts.
-pub fn element_wire_size(name: &str, attrs: usize, children: usize) -> usize {
-    2 * name.len() + 5 + attrs + children
+impl XmlPut for XmlElement {
+    fn attr(&mut self, name: &str, value: &str) {
+        self.set_attr(name, value);
+    }
+
+    fn attr_first(&mut self, name: &str, value: &str) {
+        self.attrs.insert(0, (name.to_owned(), value.to_owned()));
+    }
+
+    fn text(&mut self, text: &str) {
+        self.push_text(text);
+    }
+
+    fn child(&mut self, name: &str, fill: impl FnOnce(&mut Self)) {
+        let mut child = XmlElement::new(name);
+        fill(&mut child);
+        self.push_child(child);
+    }
+
+    fn payload(&mut self, payload: &Payload) {
+        self.push_child(payload.to_xml_element());
+    }
 }
 
-/// The serialized size of ` name="value"` for an unsigned number written
-/// in decimal (an `id`, `seq` or `version` attribute): digits need no
-/// escaping and no string to count them.
-pub fn number_attr_wire_size(name: &str, value: u64) -> usize {
-    name.len() + 4 + value.checked_ilog10().map_or(1, |digits| digits as usize + 1)
+/// The [`XmlPut`] that counts: the bytes of the attributes and of the
+/// child nodes put so far. The writer is compact — no whitespace, no
+/// declaration — so an element's size is exactly the sum of its parts.
+#[derive(Debug, Default)]
+pub struct XmlLen {
+    attrs: usize,
+    content: usize,
+    nodes: usize,
 }
 
-/// The serialized size of a text node.
-pub fn text_wire_size(text: &str) -> usize {
-    let mut count = ByteCount(0);
-    escape_into(text, false, &mut count);
-    count.0
+impl XmlLen {
+    /// The serialized size of the element called `name` holding what was
+    /// put: `<name attrs/>`, or `<name attrs>content</name>` once it has
+    /// a child node (an empty text node is one).
+    #[inline]
+    pub fn element(&self, name: &str) -> usize {
+        match self.nodes {
+            0 => name.len() + 3 + self.attrs,
+            _ => 2 * name.len() + 5 + self.attrs + self.content,
+        }
+    }
+}
+
+impl XmlPut for XmlLen {
+    #[inline]
+    fn attr(&mut self, name: &str, value: &str) {
+        let mut count = ByteCount(name.len() + 4);
+        escape_into(value, true, &mut count);
+        self.attrs += count.0;
+    }
+
+    #[inline]
+    fn num_attr(&mut self, name: &str, value: u64) {
+        // Digits need no escaping, and no string to count them.
+        self.attrs += name.len() + 4 + value.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+
+    fn text(&mut self, text: &str) {
+        let mut count = ByteCount(0);
+        escape_into(text, false, &mut count);
+        self.content += count.0;
+        self.nodes += 1;
+    }
+
+    fn child(&mut self, name: &str, fill: impl FnOnce(&mut Self)) {
+        let mut child = XmlLen::default();
+        fill(&mut child);
+        self.content += child.element(name);
+        self.nodes += 1;
+    }
+
+    #[inline]
+    fn payload(&mut self, payload: &Payload) {
+        self.content += payload.xml_size();
+        self.nodes += 1;
+    }
 }
 
 /// An error produced while parsing an XML document.
@@ -331,14 +414,14 @@ impl Error for WireError {}
 ///
 /// Returns [`WireError`] when the input is not well-formed in the supported
 /// subset (mismatched tags, bad attribute syntax, trailing garbage, unknown
-/// entities, ...).
+/// entities, ...) or nests elements deeper than [`MAX_DEPTH`].
 pub fn parse_document(input: &str) -> Result<XmlElement, WireError> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
     };
     parser.skip_prolog()?;
-    let root = parser.parse_element()?;
+    let root = parser.parse_element(0)?;
     parser.skip_misc()?;
     if parser.pos != parser.input.len() {
         return Err(WireError::new("trailing content after root element", parser.pos));
@@ -425,9 +508,15 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
-    fn parse_element(&mut self) -> Result<XmlElement, WireError> {
+    /// Parses the element at the cursor, which `depth` open elements
+    /// enclose.
+    fn parse_element(&mut self, depth: usize) -> Result<XmlElement, WireError> {
         if self.peek() != Some(b'<') {
             return Err(WireError::new("expected '<'", self.pos));
+        }
+        if depth == MAX_DEPTH {
+            let message = format!("elements nested deeper than {MAX_DEPTH} levels");
+            return Err(WireError::new(message, self.pos));
         }
         self.bump(1);
         let name = self.parse_name()?;
@@ -503,7 +592,7 @@ impl<'a> Parser<'a> {
             }
             match self.peek() {
                 Some(b'<') => {
-                    let child = self.parse_element()?;
+                    let child = self.parse_element(depth + 1)?;
                     element.push_child(child);
                 }
                 Some(_) => {
@@ -663,21 +752,46 @@ mod tests {
         assert_eq!(el.wire_size(), el.to_xml_string().len());
     }
 
+    /// The same description run into both sinks: the counter says what
+    /// the tree serialises to, escapes, empty text nodes and empty
+    /// elements included.
     #[test]
     fn part_sizes_add_up_to_the_element_size() {
-        let value = "a<b>&\"c\" d\u{e9}";
-        let el = XmlElement::new("gds:x")
-            .with_attr("id", "18446744073709551615")
-            .with_attr("origin", value)
-            .with_child(XmlElement::new("target").with_text(value))
-            .with_child(XmlElement::new("target").with_text(""));
-        let attrs = number_attr_wire_size("id", u64::MAX) + attr_wire_size("origin", value);
-        let children = element_wire_size("target", 0, text_wire_size(value))
-            + element_wire_size("target", 0, 0);
-        assert_eq!(element_wire_size("gds:x", attrs, children), el.to_xml_string().len());
-        for v in [0, 9, 10, 99, 100, 12_345] {
-            assert_eq!(number_attr_wire_size("seq", v), attr_wire_size("seq", &v.to_string()));
+        fn describe(out: &mut impl XmlPut) {
+            let value = "a<b>&\"c\" d\u{e9}";
+            out.num_attr("id", u64::MAX);
+            out.attr("origin", value);
+            out.attr_first("flag", "true");
+            out.child("target", |el| el.text(value));
+            out.child("target", |el| el.text(""));
+            out.child("empty", |_| {});
+            out.child("nested", |el| el.child("leaf", |leaf| leaf.num_attr("n", 0)));
+            out.text("tail & all");
         }
+        let mut tree = XmlElement::new("gds:x");
+        describe(&mut tree);
+        let mut len = XmlLen::default();
+        describe(&mut len);
+        let text = tree.to_xml_string();
+        assert!(text.starts_with("<gds:x flag=\"true\" id=\"18446744073709551615\" origin="));
+        assert!(text.contains("<target></target><empty/><nested><leaf n=\"0\"/></nested>"));
+        assert_eq!(len.element("gds:x"), text.len());
+        assert_eq!(XmlLen::default().element("e"), "<e/>".len());
+        for v in [0, 9, 10, 99, 100, 12_345] {
+            let mut tree = XmlElement::new("e");
+            tree.num_attr("seq", v);
+            let mut len = XmlLen::default();
+            len.num_attr("seq", v);
+            assert_eq!(len.element("e"), tree.wire_size(), "seq = {v}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        assert!(parse_document(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_document(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
     }
 
     #[test]
