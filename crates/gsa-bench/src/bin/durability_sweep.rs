@@ -1,29 +1,33 @@
-//! Experiment E8 — durable-state recovery cost.
+//! Experiment E8 — durable-state cost: filling a journal and recovering
+//! from it.
 //!
 //! The paper has no persistence story: a crashed alerting server simply
 //! loses its subscription registry. This experiment prices the repair we
 //! add in two parts:
 //!
-//! * **Part A** times [`JournalStateStore`] recovery directly (no
-//!   simulation) over journal length × snapshot cadence. Cadence 0
-//!   (never snapshot) replays the whole journal; tighter cadences trade
-//!   snapshot writes during normal operation for a shorter replay at
-//!   restart.
+//! * **Part A** drives a [`JournalStateStore`] directly (no simulation)
+//!   over journal length × fill: what an append costs while the store
+//!   compacts itself, how many snapshots that took and what is left on
+//!   the medium, then what recovery from that medium costs. The `mixed`
+//!   fill is a registry in use (subscribes, one cancel and one summary
+//!   version in ten); `subscribes` is a set-up — three-literal profiles
+//!   nobody cancels, the case where a snapshot saves nothing at
+//!   recovery and only its write cost shows.
 //! * **Part B** is a small end-to-end sanity cell: the same workload and
 //!   server-crash fault plan run through the hybrid scheme with the
 //!   journal backend and with the volatile default, showing recovered
 //!   vs lost subscriptions.
 //!
-//! Recovery times are host wall-clock (`std::time::Instant`), the one
+//! Times are host wall-clock (`std::time::Instant`), the one
 //! measurement here that cannot come from the deterministic simulator;
-//! the medium is in-memory, so the numbers isolate decode+replay CPU
-//! cost from disk speed.
+//! the medium is in-memory, so the numbers isolate encode, compaction,
+//! decode and replay CPU cost from disk speed.
 //!
 //! Writes `BENCH_e8_durability.json` in the working directory (the repo
 //! root when run via `cargo run --release --bin durability_sweep`).
 
 use gsa_bench::{run_scheme, Oracle, RunConfig, Scheme, Table};
-use gsa_profile::parse_profile;
+use gsa_profile::{parse_profile, ProfileExpr};
 use gsa_state::{JournalConfig, JournalStateStore, MemMedium, StateStore};
 use gsa_types::{ClientId, CounterId, ProfileId, SimDuration};
 use gsa_workload::{
@@ -33,9 +37,28 @@ use gsa_workload::{
 use std::fmt::Write as _;
 use std::time::Instant;
 
-struct RecoveryRow {
+#[derive(Clone, Copy, PartialEq)]
+enum Fill {
+    /// Nine subscribes in ten records, one cancel, one summary version.
+    Mixed,
+    /// Three-literal subscribes only.
+    Subscribes,
+}
+
+impl Fill {
+    fn label(self) -> &'static str {
+        match self {
+            Fill::Mixed => "mixed",
+            Fill::Subscribes => "subscribes",
+        }
+    }
+}
+
+struct StoreRow {
+    fill: Fill,
     records: usize,
-    cadence: usize,
+    append_ns: u128,
+    snapshot_writes: u64,
     snapshot_bytes: usize,
     journal_bytes: usize,
     replayed: u64,
@@ -43,25 +66,31 @@ struct RecoveryRow {
     recover_us: u128,
 }
 
-/// Writes `records` state changes (a realistic mix of subscribes,
-/// occasional unsubscribes and summary-version bumps) through a journal
-/// store with the given snapshot cadence, then returns the crashed
-/// medium.
-fn fill_store(records: usize, cadence: usize) -> MemMedium {
+/// Writes `records` state changes through a journal store with the
+/// default tuning, returning the crashed medium, the wall-clock cost of
+/// an append (compactions included) and the snapshots written.
+fn fill_store(fill: Fill, records: usize) -> (MemMedium, u128, u64) {
     let medium = MemMedium::new();
-    let config = JournalConfig {
-        fsync_every: 1,
-        snapshot_every: cadence,
-    };
-    let mut store = JournalStateStore::new(medium.clone(), config);
-    let exprs: Vec<_> = (0..16)
-        .map(|i| parse_profile(&format!(r#"host = "host-{i}""#)).expect("static profile"))
+    let mut store = JournalStateStore::new(medium.clone(), JournalConfig::default());
+    let exprs: Vec<ProfileExpr> = (0..16)
+        .map(|i| {
+            let text = match fill {
+                Fill::Mixed => format!(r#"host = "host-{i}""#),
+                Fill::Subscribes => format!(
+                    r#"host = "host-{i}" AND kind = "documents-added" AND dc.Subject = "subject-{i}""#
+                ),
+            };
+            parse_profile(&text).expect("static profile")
+        })
         .collect();
+    let started = Instant::now();
     for i in 0..records as u64 {
         match i % 10 {
             // i-9 lands on an i%10==0 slot, so the target was subscribed.
-            9 if i > 10 => store.record_unsubscribe(ProfileId::from_raw(i - 9)),
-            8 => store.record_summary_version(i / 8),
+            9 if fill == Fill::Mixed && i > 10 => {
+                store.record_unsubscribe(ProfileId::from_raw(i - 9));
+            }
+            8 if fill == Fill::Mixed => store.record_summary_version(i / 8),
             _ => store.record_subscribe(
                 ProfileId::from_raw(i),
                 ClientId::from_raw(i % 64),
@@ -69,21 +98,19 @@ fn fill_store(records: usize, cadence: usize) -> MemMedium {
             ),
         }
     }
-    medium
+    let append_ns = started.elapsed().as_nanos() / records as u128;
+    let snapshot_writes = store.counts_mut().get(CounterId::STATE_SNAPSHOT_WRITES);
+    (medium, append_ns, snapshot_writes)
 }
 
 /// Median wall-clock recovery time over `reps` fresh stores opened on
-/// clones of the same medium, plus the last recovery's shape.
-fn time_recovery(medium: &MemMedium, cadence: usize, reps: usize) -> (u128, u64, usize) {
-    let config = JournalConfig {
-        fsync_every: 1,
-        snapshot_every: cadence,
-    };
+/// copies of the same medium, plus the last recovery's shape.
+fn time_recovery(medium: &MemMedium, reps: usize) -> (u128, u64, usize) {
     let mut times = Vec::with_capacity(reps);
     let mut replayed = 0;
     let mut profiles = 0;
     for _ in 0..reps {
-        let mut store = JournalStateStore::new(medium.clone(), config);
+        let mut store = JournalStateStore::new(medium.clone_deep(), JournalConfig::default());
         let started = Instant::now();
         let recovered = store.recover();
         times.push(started.elapsed().as_micros());
@@ -164,24 +191,25 @@ fn sanity_cells(smoke: bool) -> Vec<SanityRow> {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let lengths: &[usize] = if smoke {
-        &[100, 500]
+        &[100, 2_000]
     } else {
-        &[1_000, 10_000, 50_000]
+        &[1_000, 5_000, 10_000, 20_000, 40_000]
     };
-    let cadences: &[usize] = &[0, 256, 4096];
     let reps = if smoke { 3 } else { 5 };
 
-    println!("E8: durable-state recovery cost (journal length x snapshot cadence)");
+    println!("E8: durable-state cost (journal length x fill)");
     println!();
 
-    let mut rows: Vec<RecoveryRow> = Vec::new();
-    for &records in lengths {
-        for &cadence in cadences {
-            let medium = fill_store(records, cadence);
-            let (recover_us, replayed, profiles) = time_recovery(&medium, cadence, reps);
-            rows.push(RecoveryRow {
+    let mut rows: Vec<StoreRow> = Vec::new();
+    for fill in [Fill::Mixed, Fill::Subscribes] {
+        for &records in lengths {
+            let (medium, append_ns, snapshot_writes) = fill_store(fill, records);
+            let (recover_us, replayed, profiles) = time_recovery(&medium, reps);
+            rows.push(StoreRow {
+                fill,
                 records,
-                cadence,
+                append_ns,
+                snapshot_writes,
                 snapshot_bytes: medium.snapshot_len(),
                 journal_bytes: medium.journal_len(),
                 replayed,
@@ -192,17 +220,22 @@ fn main() {
     }
 
     let mut table = Table::new(vec![
-        "records", "cadence", "snap-bytes", "journal-bytes", "replayed", "profiles",
+        "fill",
+        "records",
+        "append-ns",
+        "snapshots",
+        "snap-bytes",
+        "journal-bytes",
+        "replayed",
+        "profiles",
         "recover-us",
     ]);
     for r in &rows {
         table.row(vec![
+            r.fill.label().to_string(),
             r.records.to_string(),
-            if r.cadence == 0 {
-                "never".to_string()
-            } else {
-                r.cadence.to_string()
-            },
+            r.append_ns.to_string(),
+            r.snapshot_writes.to_string(),
             r.snapshot_bytes.to_string(),
             r.journal_bytes.to_string(),
             r.replayed.to_string(),
@@ -211,7 +244,7 @@ fn main() {
         ]);
     }
     println!("{table}");
-    println!("(cadence = journal records between snapshots; 'never' replays everything)");
+    println!("(snapshots = compactions the store ran by itself; replayed = journal records)");
     println!();
 
     let sanity = sanity_cells(smoke);
@@ -238,17 +271,19 @@ fn main() {
     }
 }
 
-fn render_json(rows: &[RecoveryRow], sanity: &[SanityRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e8_durability\",\n  \"recovery\": [\n");
+fn render_json(rows: &[StoreRow], sanity: &[SanityRow]) -> String {
+    let mut out = String::from("{\n  \"experiment\": \"e8_durability\",\n  \"store\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         writeln!(
             out,
-            "    {{\"records\": {}, \"snapshot_cadence\": {}, \"snapshot_bytes\": {}, \
-             \"journal_bytes\": {}, \"replayed_records\": {}, \"recovered_profiles\": {}, \
-             \"recover_us\": {}}}{}",
+            "    {{\"fill\": \"{}\", \"records\": {}, \"append_ns\": {}, \
+             \"snapshot_writes\": {}, \"snapshot_bytes\": {}, \"journal_bytes\": {}, \
+             \"replayed_records\": {}, \"recovered_profiles\": {}, \"recover_us\": {}}}{}",
+            r.fill.label(),
             r.records,
-            r.cadence,
+            r.append_ns,
+            r.snapshot_writes,
             r.snapshot_bytes,
             r.journal_bytes,
             r.replayed,

@@ -17,11 +17,9 @@ use gsa_workload::DocumentGenerator;
 fn build_world(seed: u64) -> System {
     let mut system = System::new(seed);
     system.add_gds_topology(&figure2_tree());
-    let cfg = CoreConfig {
-        retry_interval: SimDuration::from_secs(2),
-        request_timeout: SimDuration::from_secs(5),
-        ..CoreConfig::default()
-    };
+    // The defaults are the regime under test: pending operations are
+    // retried every two seconds, for ever.
+    let cfg = CoreConfig::default();
     system.add_server_with_config("Hamilton", "gds-4", cfg.clone());
     system.add_server_with_config("London", "gds-2", cfg);
     system.add_collection("London", CollectionConfig::simple("E", "e"));

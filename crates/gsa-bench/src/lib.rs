@@ -14,7 +14,7 @@
 //! | E5 | partitions only delay, never corrupt (§7) | `bin/partition_healing.rs` |
 //! | E6 | rendezvous nodes bottleneck (§2) | `bin/rendezvous_load.rs` |
 //! | E7 | profile flooding costs memory, leaves orphans (§2) | `bin/profile_memory.rs` |
-//! | E8 | durable-state recovery cost (journal length × snapshot cadence) | `bin/durability_sweep.rs` |
+//! | E8 | durable-state cost: append and recovery (journal length × fill) | `bin/durability_sweep.rs` |
 //! | F1–F3 | the three figures as executable scenarios | `benches/figures.rs`, integration tests |
 //!
 //! The library half provides the shared machinery: the delivery-quality

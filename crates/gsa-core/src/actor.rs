@@ -13,7 +13,6 @@
 use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
-use gsa_greenstone::GsMessage;
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId, TimerId};
 use gsa_types::{Counts, FxHashMap, HostName, SimDuration};
 use gsa_wire::reliable::{Reliable, RetransmitQueue, RetryPolicy};
@@ -385,8 +384,9 @@ fn rides_plain(msg: &GdsMessage) -> bool {
 enum Received {
     /// A GDS message for the state machine.
     Gds(GdsMessage),
-    /// GS-protocol traffic, which never was the transport's.
-    Gs(GsMessage),
+    /// GS-network traffic, which never was the transport's: the frame
+    /// as it came.
+    Gs(SysMessage),
     /// Nothing: the frame was the transport's own business.
     Consumed,
 }
@@ -468,7 +468,7 @@ impl EdgeTransport {
                 Some(m) => m,
                 None => return Received::Consumed,
             },
-            SysMessage::Gs(m) => return Received::Gs(m),
+            other @ (SysMessage::Gs(_) | SysMessage::Aux(_)) => return Received::Gs(other),
         };
         // Version negotiation terminates here. A hello this host does
         // not accept (it is configured for v1) goes on to the state
@@ -652,7 +652,7 @@ impl Actor<SysMessage> for AlertingActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, msg: SysMessage) {
         let msg = match self.edge.receive(ctx, from, msg) {
             Received::Gds(m) => SysMessage::Gds(m),
-            Received::Gs(m) => SysMessage::Gs(m),
+            Received::Gs(frame) => frame,
             Received::Consumed => return,
         };
         let effects = self.core.handle_message(&host_of(ctx, from), msg, ctx.now());

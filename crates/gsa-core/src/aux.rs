@@ -10,7 +10,7 @@
 //! argument that partitions only delay, never corrupt.
 
 use crate::message::AuxPayload;
-use gsa_types::{CollectionId, CollectionName, Event, HostName, SimTime};
+use gsa_types::{CollectionId, CollectionName, HostName, SimTime};
 use gsa_wire::reliable::RetryPolicy;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -152,35 +152,14 @@ impl PendingOps {
         before - self.ops.len()
     }
 
-    /// The operations due for retransmission (last sent at or before
-    /// `now - interval`). Marks them re-sent.
-    pub fn due_for_retry(
-        &mut self,
-        now: SimTime,
-        interval: gsa_types::SimDuration,
-    ) -> Vec<(HostName, AuxPayload)> {
-        let mut out = Vec::new();
-        for pending in self.ops.values_mut() {
-            if pending.last_sent + interval <= now {
-                pending.last_sent = now;
-                pending.attempts += 1;
-                out.push((pending.to.clone(), pending.payload.clone()));
-            }
-        }
-        out
-    }
-
-    /// Like [`PendingOps::due_for_retry`], but under an exponential
-    /// backoff [`RetryPolicy`]: an operation's next retry comes
+    /// The operations due for retransmission under `policy`, marked
+    /// re-sent: an operation's next retry comes
     /// `policy.interval(attempts - 1)` after its last transmission, and
     /// an operation whose attempt count has reached the policy's budget
     /// is removed and returned as a dead letter instead of retried.
-    /// Returns `(retries, dead_letters)`.
-    pub fn due_for_retry_policy(
-        &mut self,
-        now: SimTime,
-        policy: &RetryPolicy,
-    ) -> (AuxBatch, AuxBatch) {
+    /// (Jitter is not read: the log retries on the host's maintenance
+    /// tick.) Returns `(retries, dead_letters)`.
+    pub fn due_for_retry(&mut self, now: SimTime, policy: &RetryPolicy) -> (AuxBatch, AuxBatch) {
         let mut retry = Vec::new();
         let mut exhausted = Vec::new();
         for (op, pending) in self.ops.iter_mut() {
@@ -221,20 +200,21 @@ impl PendingOps {
     }
 }
 
-/// Convenience: builds the forward-event payload for an aux profile
-/// match.
-pub fn forward_event_payload(op: u64, profile: &AuxProfile, event: &Event) -> AuxPayload {
-    AuxPayload::ForwardEvent {
-        op,
-        super_name: profile.super_collection.name().clone(),
-        event: event.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gsa_types::SimDuration;
+
+    /// Retry every 100 ms, for ever.
+    fn every_100ms() -> RetryPolicy {
+        RetryPolicy {
+            base: SimDuration::from_millis(100),
+            multiplier: 1.0,
+            max_interval: SimDuration::from_millis(100),
+            jitter: 0.0,
+            budget: None,
+        }
+    }
 
     fn super_d() -> CollectionId {
         CollectionId::new("Hamilton", "D")
@@ -278,18 +258,17 @@ mod tests {
             AuxPayload::Ack { op },
             SimTime::from_millis(0),
         );
+        let policy = every_100ms();
         // Not yet due.
-        assert!(ops
-            .due_for_retry(SimTime::from_millis(50), SimDuration::from_millis(100))
-            .is_empty());
+        let (due, _) = ops.due_for_retry(SimTime::from_millis(50), &policy);
+        assert!(due.is_empty());
         // Due.
-        let due = ops.due_for_retry(SimTime::from_millis(100), SimDuration::from_millis(100));
-        assert_eq!(due.len(), 1);
+        let (due, dead) = ops.due_for_retry(SimTime::from_millis(100), &policy);
+        assert_eq!((due.len(), dead.len()), (1, 0));
         assert_eq!(ops.iter().next().unwrap().attempts, 2);
         // Due again only after another interval.
-        assert!(ops
-            .due_for_retry(SimTime::from_millis(150), SimDuration::from_millis(100))
-            .is_empty());
+        let (due, _) = ops.due_for_retry(SimTime::from_millis(150), &policy);
+        assert!(due.is_empty());
     }
 
     #[test]
@@ -305,16 +284,16 @@ mod tests {
         let op = ops.next_op();
         ops.enqueue("London".into(), AuxPayload::Ack { op }, SimTime::ZERO);
         // First retry 100 ms after the original send.
-        let (due, dead) = ops.due_for_retry_policy(SimTime::from_millis(50), &policy);
+        let (due, dead) = ops.due_for_retry(SimTime::from_millis(50), &policy);
         assert!(due.is_empty() && dead.is_empty());
-        let (due, dead) = ops.due_for_retry_policy(SimTime::from_millis(100), &policy);
+        let (due, dead) = ops.due_for_retry(SimTime::from_millis(100), &policy);
         assert_eq!((due.len(), dead.len()), (1, 0));
         // Second retry backs off to 200 ms after the first.
-        let (due, dead) = ops.due_for_retry_policy(SimTime::from_millis(250), &policy);
+        let (due, dead) = ops.due_for_retry(SimTime::from_millis(250), &policy);
         assert!(due.is_empty() && dead.is_empty());
         // Budget of 2 attempts is now spent: the op dies instead of
         // retrying a third time.
-        let (due, dead) = ops.due_for_retry_policy(SimTime::from_millis(300), &policy);
+        let (due, dead) = ops.due_for_retry(SimTime::from_millis(300), &policy);
         assert_eq!((due.len(), dead.len()), (0, 1));
         assert_eq!(dead[0].0, HostName::new("London"));
         assert!(ops.is_empty(), "dead letters leave the log");
@@ -322,18 +301,12 @@ mod tests {
 
     #[test]
     fn unlimited_policy_retries_forever() {
-        let policy = RetryPolicy {
-            base: SimDuration::from_millis(100),
-            multiplier: 1.0,
-            max_interval: SimDuration::from_millis(100),
-            jitter: 0.0,
-            budget: None,
-        };
+        let policy = every_100ms();
         let mut ops = PendingOps::new();
         let op = ops.next_op();
         ops.enqueue("L".into(), AuxPayload::Ack { op }, SimTime::ZERO);
         for k in 1..20u64 {
-            let (due, dead) = ops.due_for_retry_policy(SimTime::from_millis(100 * k), &policy);
+            let (due, dead) = ops.due_for_retry(SimTime::from_millis(100 * k), &policy);
             assert_eq!((due.len(), dead.len()), (1, 0), "attempt {k}");
         }
         assert_eq!(ops.len(), 1);
@@ -377,25 +350,5 @@ mod tests {
             super_collection: super_d(),
         };
         assert!(p.to_string().contains("Hamilton.D"));
-    }
-
-    #[test]
-    fn forward_event_payload_names_super() {
-        let profile = AuxProfile {
-            sub_name: "E".into(),
-            super_collection: super_d(),
-        };
-        let event = Event::new(
-            gsa_types::EventId::new("London", 1),
-            CollectionId::new("London", "E"),
-            gsa_types::EventKind::CollectionRebuilt,
-            SimTime::ZERO,
-        );
-        match forward_event_payload(3, &profile, &event) {
-            AuxPayload::ForwardEvent { super_name, .. } => {
-                assert_eq!(super_name.as_str(), "D");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

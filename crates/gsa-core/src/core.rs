@@ -5,7 +5,7 @@
 //! planted here, and the [`PendingOps`] retry log. It is sans-IO:
 //! everything it wants transmitted comes back in a [`CoreEffects`].
 
-use crate::aux::{forward_event_payload, AuxStore, PendingOps};
+use crate::aux::{AuxStore, PendingOp, PendingOps};
 use crate::message::{AuxPayload, SysMessage};
 use crate::subs::{Notification, SubscriptionManager};
 use gsa_alerts::{
@@ -13,9 +13,7 @@ use gsa_alerts::{
 };
 use gsa_gds::{GdsClient, GdsMessage, ResolveToken};
 use gsa_greenstone::server::{FetchResult, SearchResult};
-use gsa_greenstone::{
-    BuildReport, CollectionConfig, GsError, GsMessage, RequestId, Server, SubCollectionRef,
-};
+use gsa_greenstone::{BuildReport, CollectionConfig, GsError, RequestId, Server, SubCollectionRef};
 use gsa_profile::{DnfError, ProfileExpr};
 use gsa_state::{MemoryStateStore, StateStore};
 use gsa_store::{Query, SourceDocument};
@@ -24,7 +22,7 @@ use gsa_types::{
     ProfileId, SimDuration, SimTime,
 };
 use gsa_wire::reliable::{Reliable, RetryPolicy};
-use gsa_wire::InterestSummary;
+use gsa_wire::{InterestSummary, Payload};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -32,25 +30,29 @@ use std::sync::Arc;
 /// Tunables of the alerting core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
-    /// How often unacknowledged operations are retransmitted.
-    pub retry_interval: SimDuration,
     /// How long a distributed fetch/search may wait on sub-collections
     /// before completing with partial results.
     pub request_timeout: SimDuration,
-    /// When set, pending auxiliary operations retry under this
-    /// exponential-backoff policy instead of the fixed
-    /// `retry_interval` cadence, and an operation whose attempt count
-    /// exhausts the policy's budget is dead-lettered (surfaced in
-    /// [`CoreEffects::dead_letters`]) instead of retried forever.
-    pub retry_policy: Option<RetryPolicy>,
+    /// How unacknowledged auxiliary operations are retransmitted. The
+    /// default is the paper's regime, "delayed, not lost": every two
+    /// seconds, for ever. A policy with a multiplier backs off, and one
+    /// with a budget dead-letters an operation whose attempts exhaust it
+    /// (surfaced in [`CoreEffects::dead_letters`]).
+    pub retry: RetryPolicy,
 }
 
 impl Default for CoreConfig {
     fn default() -> Self {
+        let every = SimDuration::from_secs(2);
         CoreConfig {
-            retry_interval: SimDuration::from_secs(2),
             request_timeout: SimDuration::from_secs(5),
-            retry_policy: None,
+            retry: RetryPolicy {
+                base: every,
+                multiplier: 1.0,
+                max_interval: every,
+                jitter: 0.0,
+                budget: None,
+            },
         }
     }
 }
@@ -73,7 +75,7 @@ pub struct CoreEffects {
     pub published: Vec<Arc<Event>>,
     /// Auxiliary operations abandoned this step because their retry
     /// budget ran out (destination, payload). Only produced when
-    /// [`CoreConfig::retry_policy`] sets a finite budget.
+    /// [`CoreConfig::retry`] sets a finite budget.
     pub dead_letters: Vec<(HostName, AuxPayload)>,
 }
 
@@ -107,6 +109,17 @@ fn fingerprint_of(config: &AlertPolicyConfig, n: &Notification) -> u64 {
         })
         .collect();
     fingerprint(n.profile.as_u64(), labels.iter().map(String::as_str))
+}
+
+/// Whether `p` is the unacknowledged plant of `sub` under
+/// `super_collection`, addressed to `sub`'s host.
+fn plants(p: &PendingOp, super_collection: &CollectionId, sub: &CollectionId) -> bool {
+    &p.to == sub.host()
+        && matches!(
+            &p.payload,
+            AuxPayload::Plant { super_collection: s, sub_name: n, .. }
+                if s == super_collection && n == sub.name()
+        )
 }
 
 /// The per-host alerting service state machine.
@@ -413,8 +426,8 @@ impl AlertingCore {
     }
 
     /// Auxiliary operations abandoned because their retry budget ran
-    /// out, in abandonment order. Empty unless
-    /// [`CoreConfig::retry_policy`] sets a finite budget.
+    /// out, in abandonment order. Empty unless [`CoreConfig::retry`]
+    /// sets a finite budget.
     pub fn dead_letters(&self) -> &[(HostName, AuxPayload)] {
         &self.dead_letters
     }
@@ -455,7 +468,7 @@ impl AlertingCore {
     /// discarded as stale by PR 5's version-monotonic acceptance.
     fn recover_from_store(&mut self) {
         let recovered = self.store.recover();
-        for (id, client, expr) in recovered.profiles {
+        for (id, (client, expr)) in recovered.profiles {
             // An expression that indexed before the crash indexes
             // again; restore() bypasses the store so replay is never
             // re-journaled.
@@ -463,7 +476,7 @@ impl AlertingCore {
         }
         self.subs.set_next_profile_at_least(recovered.next_profile);
         if let Some(engine) = self.alerts.as_mut() {
-            for (fp, tag, at_micros) in recovered.alerts {
+            for (fp, (tag, at_micros)) in recovered.alerts {
                 // Fail closed on unknown state bytes: a corrupt tag
                 // must not forge a lifecycle state.
                 if let Some(state) = AlertState::from_tag(tag) {
@@ -582,23 +595,10 @@ impl AlertingCore {
             let super_collection = CollectionId::new(self.host.clone(), parent.clone());
             // A still-unacknowledged plant for this pair must not
             // resurrect the profile after the delete.
-            let pair_super = super_collection.clone();
-            let pair_sub = removed.target.name().clone();
-            let pair_host = removed.target.host().clone();
-            self.pending.cancel_matching(move |p| {
-                p.to == pair_host
-                    && matches!(
-                        &p.payload,
-                        AuxPayload::Plant {
-                            super_collection: s,
-                            sub_name: n,
-                            ..
-                        } if *s == pair_super && *n == pair_sub
-                    )
-            });
-            let op = self.pending.next_op();
+            self.pending
+                .cancel_matching(|p| plants(p, &super_collection, &removed.target));
             let payload = AuxPayload::Delete {
-                op,
+                op: self.pending.next_op(),
                 super_collection,
                 sub_name: removed.target.name().clone(),
             };
@@ -622,24 +622,13 @@ impl AlertingCore {
         // An identical plant may already be queued (collection added
         // before the server's startup re-planting pass): don't duplicate.
         let super_collection = CollectionId::new(self.host.clone(), parent.clone());
-        let already_queued = self.pending.iter().any(|p| {
-            &p.to == sub.target.host()
-                && matches!(
-                    &p.payload,
-                    AuxPayload::Plant {
-                        super_collection: s,
-                        sub_name: n,
-                        ..
-                    } if *s == super_collection && n == sub.target.name()
-                )
-        });
-        if already_queued {
+        let queued = |p: &PendingOp| plants(p, &super_collection, &sub.target);
+        if self.pending.iter().any(queued) {
             return;
         }
-        let op = self.pending.next_op();
         let payload = AuxPayload::Plant {
-            op,
-            super_collection: CollectionId::new(self.host.clone(), parent.clone()),
+            op: self.pending.next_op(),
+            super_collection,
             sub_name: sub.target.name().clone(),
         };
         self.pending
@@ -814,33 +803,31 @@ impl AlertingCore {
             return;
         }
         let event = Arc::new(event);
+        // The event as it travels, made once: every carrier below takes
+        // a clone (two reference counts) and whatever one of them
+        // materialises — the XML view, its length — the others find.
+        let travelling = Payload::from_event(Arc::clone(&event));
 
         // 1. Local filtering.
         self.notify(&event, now, effects);
 
         // 2. GDS broadcast.
         if broadcast {
-            let (_, out) = self.gds.publish_event(&event);
+            let (_, out) = self.gds.publish(travelling.clone());
             effects.send(out.to, out.msg);
             effects.published.push(Arc::clone(&event));
         }
 
         // 3. Auxiliary-profile forwarding over the GS network.
-        let matching: Vec<_> = self
-            .aux_store
-            .matching(&name)
-            .into_iter()
-            .cloned()
-            .collect();
-        for profile in matching {
-            let op = self.pending.next_op();
-            let payload = forward_event_payload(op, &profile, &event);
-            self.pending
-                .enqueue(profile.super_collection.host().clone(), payload.clone(), now);
-            effects.send(
-                profile.super_collection.host().clone(),
-                payload.into_message(),
-            );
+        for profile in self.aux_store.matching(&name) {
+            let to = profile.super_collection.host();
+            let payload = AuxPayload::ForwardEvent {
+                op: self.pending.next_op(),
+                super_name: profile.super_collection.name().clone(),
+                event: travelling.clone(),
+            };
+            self.pending.enqueue(to.clone(), payload.clone(), now);
+            effects.send(to.clone(), payload.into_message());
         }
 
         // 4. Local parent chains.
@@ -944,10 +931,7 @@ impl AlertingCore {
                 self.handle_gds(payload, now)
             }
             SysMessage::RelGds(_) | SysMessage::RelGdsBin(_) => CoreEffects::default(),
-            SysMessage::Gs(GsMessage::Alerting(el)) => match AuxPayload::from_xml(&el) {
-                Ok(payload) => self.handle_aux(from, payload, now),
-                Err(_) => CoreEffects::default(),
-            },
+            SysMessage::Aux(payload) => self.handle_aux(from, payload, now),
             SysMessage::Gs(m) => {
                 let eff = self.server.handle_message(from, m);
                 self.convert_server_effects(eff)
@@ -1000,29 +984,32 @@ impl AlertingCore {
 
     fn handle_aux(&mut self, from: &HostName, payload: AuxPayload, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
+        // Every operation is acknowledged, whatever becomes of it: the
+        // sender retries until then.
+        if !matches!(payload, AuxPayload::Ack { .. }) {
+            let ack = AuxPayload::Ack { op: payload.op() };
+            effects.send(from.clone(), ack.into_message());
+        }
         match payload {
             AuxPayload::Plant {
-                op,
                 super_collection,
                 sub_name,
-            } => {
-                self.aux_store.plant(sub_name, super_collection);
-                effects.send(from.clone(), AuxPayload::Ack { op }.into_message());
-            }
+                ..
+            } => self.aux_store.plant(sub_name, super_collection),
             AuxPayload::Delete {
-                op,
                 super_collection,
                 sub_name,
-            } => {
-                self.aux_store.delete(&sub_name, &super_collection);
-                effects.send(from.clone(), AuxPayload::Ack { op }.into_message());
-            }
+                ..
+            } => drop(self.aux_store.delete(&sub_name, &super_collection)),
             AuxPayload::ForwardEvent {
-                op,
-                super_name,
-                event,
+                super_name, event, ..
             } => {
-                effects.send(from.clone(), AuxPayload::Ack { op }.into_message());
+                // What crossed the wire is decoded here, as a delivery
+                // is; one that does not decode is dropped and counted.
+                let Ok(event) = event.decode_event() else {
+                    self.counts.add(CounterId::CORE_DECODE_ERROR, 1);
+                    return effects;
+                };
                 // Cycle guard (research problem 2): a chain of rewrites
                 // may come back to a collection it already passed
                 // through — on this host or any other — because the
@@ -1080,13 +1067,7 @@ impl AlertingCore {
     /// expire timed-out distributed requests with partial results.
     pub fn on_tick(&mut self, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        let (due, dead) = match &self.config.retry_policy {
-            Some(policy) => self.pending.due_for_retry_policy(now, policy),
-            None => (
-                self.pending.due_for_retry(now, self.config.retry_interval),
-                Vec::new(),
-            ),
-        };
+        let (due, dead) = self.pending.due_for_retry(now, &self.config.retry);
         for (to, payload) in due {
             effects.send(to, payload.into_message());
         }
@@ -1191,7 +1172,7 @@ mod tests {
                     | SysMessage::GdsBin(_)
                     | SysMessage::RelGds(_)
                     | SysMessage::RelGdsBin(_) => gds_traffic.push((to, msg)),
-                    SysMessage::Gs(_) => queue.push((from.clone(), to, msg)),
+                    SysMessage::Gs(_) | SysMessage::Aux(_) => queue.push((from.clone(), to, msg)),
                 }
             }
             collected.notifications.extend(eff.notifications);
@@ -1236,9 +1217,7 @@ mod tests {
         let plants = eff
             .outbound
             .iter()
-            .filter(|(to, m)| {
-                to.as_str() == "London" && matches!(m, SysMessage::Gs(GsMessage::Alerting(_)))
-            })
+            .filter(|(to, m)| to.as_str() == "London" && matches!(m, SysMessage::Aux(_)))
             .count();
         // The plant from add_collection is still pending, so startup does
         // not queue a duplicate — the retry machinery owns delivery.
@@ -1329,7 +1308,7 @@ mod tests {
         let forward: Vec<(HostName, SysMessage)> = eff
             .outbound
             .iter()
-            .filter(|(to, m)| to.as_str() == "Hamilton" && matches!(m, SysMessage::Gs(_)))
+            .filter(|(to, m)| to.as_str() == "Hamilton" && matches!(m, SysMessage::Aux(_)))
             .cloned()
             .collect();
         assert_eq!(forward.len(), 1);
@@ -1485,7 +1464,7 @@ mod tests {
         let forwards: Vec<_> = eff
             .outbound
             .iter()
-            .filter(|(to, m)| to.as_str() == "Paris" && matches!(m, SysMessage::Gs(_)))
+            .filter(|(to, m)| to.as_str() == "Paris" && matches!(m, SysMessage::Aux(_)))
             .collect();
         assert_eq!(forwards.len(), 1);
         let (_, msg) = forwards[0].clone();
@@ -1604,14 +1583,20 @@ mod tests {
     }
 
     #[test]
-    fn malformed_alerting_payload_is_ignored() {
+    fn undecodable_forward_is_acked_dropped_and_counted() {
         let mut core = AlertingCore::new("A", "gds-1");
-        let eff = core.handle_message(
-            &HostName::new("B"),
-            SysMessage::Gs(GsMessage::Alerting(gsa_wire::XmlElement::new("garbage"))),
-            SimTime::ZERO,
-        );
-        assert_eq!(eff, CoreEffects::default());
+        let poison = AuxPayload::ForwardEvent {
+            op: 7,
+            super_name: "D".into(),
+            event: Payload::from(gsa_wire::XmlElement::new("garbage")),
+        };
+        let from = HostName::new("B");
+        let eff = core.handle_message(&from, poison.into_message(), SimTime::ZERO);
+        // Acknowledged — the sender stops retrying — and nothing else.
+        let mut only_the_ack = CoreEffects::default();
+        only_the_ack.send(from, AuxPayload::Ack { op: 7 }.into_message());
+        assert_eq!(eff, only_the_ack);
+        assert_eq!(core.counts_mut().get(CounterId::CORE_DECODE_ERROR), 1);
     }
 
     /// A Deliver carrying docs from `London.E`, as a frozen binary payload.

@@ -1,15 +1,17 @@
 //! The unified on-the-wire message type and the alerting payloads that
-//! ride the GS protocol.
+//! ride the GS network.
 
 use gsa_gds::GdsMessage;
 use gsa_greenstone::GsMessage;
-use gsa_types::{CollectionId, CollectionName, Event};
-use gsa_wire::codec::{collection_from_text, event_from_xml, event_to_xml};
-use gsa_wire::{Reliable, WireError, WireMessage, XmlElement};
+use gsa_types::{CollectionId, CollectionName};
+use gsa_wire::codec::collection_from_text;
+use gsa_wire::xml::{XmlLen, XmlPut};
+use gsa_wire::{Payload, Reliable, WireError, WireMessage, XmlElement};
 use std::fmt;
 
-/// Every message a node in the full system can receive: either GS
-/// protocol (server ↔ server, receptionist ↔ server) or GDS protocol
+/// Every message a node in the full system can receive: GS network
+/// traffic (server ↔ server, receptionist ↔ server) — the Greenstone
+/// protocol and the alerting payloads beside it — or GDS protocol
 /// (server ↔ directory, directory ↔ directory), the latter optionally
 /// wrapped in the reliable-delivery envelope. The `*Bin` variants are
 /// the same GDS messages travelling as wire-format-v2 binary frames on
@@ -19,6 +21,10 @@ use std::fmt;
 pub enum SysMessage {
     /// A Greenstone-protocol message.
     Gs(GsMessage),
+    /// An alerting payload riding the GS network (auxiliary profiles and
+    /// forwarded events, Section 4.2): on the wire a `gs:alerting`
+    /// element, which a Greenstone server never interprets.
+    Aux(AuxPayload),
     /// A directory-service message (v1 XML text encoding).
     Gds(GdsMessage),
     /// A directory-service message under the opt-in reliable-delivery
@@ -38,6 +44,7 @@ impl SysMessage {
     pub fn wire_size(&self) -> usize {
         match self {
             SysMessage::Gs(m) => m.wire_size(),
+            SysMessage::Aux(p) => p.wire_size(),
             SysMessage::Gds(m) => m.wire_size(),
             SysMessage::RelGds(rel) => rel.wire_size(),
             SysMessage::GdsBin(m) => m.binary_wire_size(),
@@ -50,6 +57,7 @@ impl fmt::Display for SysMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SysMessage::Gs(m) => write!(f, "gs:{m}"),
+            SysMessage::Aux(p) => write!(f, "gs:{p}"),
             SysMessage::Gds(m) => write!(f, "gds:{m}"),
             SysMessage::RelGds(rel) => write!(f, "rel-gds:{}", rel.seq()),
             SysMessage::GdsBin(m) => write!(f, "gds-bin:{m}"),
@@ -70,10 +78,10 @@ impl From<GdsMessage> for SysMessage {
     }
 }
 
-/// The alerting-layer payloads carried inside [`GsMessage::Alerting`]
-/// (Section 4.2). `op` numbers make every operation retryable and
-/// idempotent: the receiver acknowledges with the same `op`, and the
-/// sender retries until acknowledged (Section 7 reconciliation).
+/// The alerting-layer payloads of the GS network (Section 4.2). `op`
+/// numbers make every operation retryable and idempotent: the receiver
+/// acknowledges with the same `op`, and the sender retries until
+/// acknowledged (Section 7 reconciliation).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuxPayload {
     /// Plant an auxiliary profile: "the sub-collection you host under
@@ -103,8 +111,10 @@ pub enum AuxPayload {
         op: u64,
         /// The super-collection's local name on the receiving host.
         super_name: CollectionName,
-        /// The matched event (still with its original origin).
-        event: Event,
+        /// The matched event (still with its original origin), as it
+        /// travels everywhere else: the receiver decodes it from what
+        /// crossed ([`Payload::decode_event`]).
+        event: Payload,
     },
     /// Acknowledges the operation with the same `op` number.
     Ack {
@@ -112,6 +122,9 @@ pub enum AuxPayload {
         op: u64,
     },
 }
+
+/// The GS-network element every alerting payload rides in.
+const ENVELOPE: &str = "gs:alerting";
 
 impl AuxPayload {
     /// The retry/ack correlation number.
@@ -124,83 +137,108 @@ impl AuxPayload {
         }
     }
 
-    /// Encodes the payload as an XML element.
-    pub fn to_xml(&self) -> XmlElement {
+    /// The name of the payload's own element inside `gs:alerting`.
+    pub fn tag(&self) -> &'static str {
         match self {
-            AuxPayload::Plant {
-                op,
-                super_collection,
-                sub_name,
-            } => XmlElement::new("aux-plant")
-                .with_attr("op", op.to_string())
-                .with_attr("super", super_collection.to_string())
-                .with_attr("sub-name", sub_name.as_str()),
-            AuxPayload::Delete {
-                op,
-                super_collection,
-                sub_name,
-            } => XmlElement::new("aux-delete")
-                .with_attr("op", op.to_string())
-                .with_attr("super", super_collection.to_string())
-                .with_attr("sub-name", sub_name.as_str()),
-            AuxPayload::ForwardEvent {
-                op,
-                super_name,
-                event,
-            } => XmlElement::new("aux-event")
-                .with_attr("op", op.to_string())
-                .with_attr("super-name", super_name.as_str())
-                .with_child(event_to_xml(event)),
-            AuxPayload::Ack { op } => XmlElement::new("aux-ack").with_attr("op", op.to_string()),
+            AuxPayload::Plant { .. } => "aux-plant",
+            AuxPayload::Delete { .. } => "aux-delete",
+            AuxPayload::ForwardEvent { .. } => "aux-event",
+            AuxPayload::Ack { .. } => "aux-ack",
         }
     }
 
+    /// Puts the content of the `gs:alerting` element — the payload's own
+    /// element: the one description of its XML form. A forwarded event
+    /// goes in as the payload it is, so its size is the memoised one.
+    pub fn put_xml(&self, out: &mut impl XmlPut) {
+        out.child(self.tag(), |el| {
+            el.num_attr("op", self.op());
+            match self {
+                AuxPayload::Plant {
+                    super_collection,
+                    sub_name,
+                    ..
+                }
+                | AuxPayload::Delete {
+                    super_collection,
+                    sub_name,
+                    ..
+                } => {
+                    el.attr("super", &super_collection.to_string());
+                    el.attr("sub-name", sub_name.as_str());
+                }
+                AuxPayload::ForwardEvent {
+                    super_name, event, ..
+                } => {
+                    el.attr("super-name", super_name.as_str());
+                    el.payload(event);
+                }
+                AuxPayload::Ack { .. } => {}
+            }
+        });
+    }
+
+    /// Encodes the payload as its `gs:alerting` element.
+    pub fn to_xml(&self) -> XmlElement {
+        let mut el = XmlElement::new(ENVELOPE);
+        self.put_xml(&mut el);
+        el
+    }
+
+    /// The serialized size in bytes, for the simulator's byte
+    /// accounting, without producing the text or the tree.
+    pub fn wire_size(&self) -> usize {
+        let mut len = XmlLen::default();
+        self.put_xml(&mut len);
+        len.element(ENVELOPE)
+    }
+
     /// Decodes a payload from the element produced by
-    /// [`AuxPayload::to_xml`].
+    /// [`AuxPayload::to_xml`]. A forwarded event is taken as it came —
+    /// the last child element — and decoded when it is delivered.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] on unknown tags or missing/invalid parts.
-    pub fn from_xml(el: &XmlElement) -> Result<AuxPayload, WireError> {
-        let op = el
-            .attr("op")
-            .and_then(|o| o.parse::<u64>().ok())
-            .ok_or_else(|| WireError::malformed("missing op"))?;
-        let super_collection = || -> Result<CollectionId, WireError> {
-            collection_from_text(
-                el.attr("super")
-                    .ok_or_else(|| WireError::malformed("missing super"))?,
-            )
+    pub fn from_xml(envelope: &XmlElement) -> Result<AuxPayload, WireError> {
+        let el = match envelope.elements().next() {
+            Some(el) if envelope.name() == ENVELOPE => el,
+            _ => return Err(WireError::malformed("not an alerting payload")),
         };
-        let sub_name = || -> Result<CollectionName, WireError> {
-            el.attr("sub-name")
-                .map(CollectionName::new)
-                .ok_or_else(|| WireError::malformed("missing sub-name"))
+        let attr = |name: &str| {
+            el.attr(name)
+                .ok_or_else(|| WireError::malformed(format!("missing {name}")))
         };
+        let op = attr("op")?
+            .parse::<u64>()
+            .map_err(|_| WireError::malformed("invalid op"))?;
         match el.name() {
-            "aux-plant" => Ok(AuxPayload::Plant {
-                op,
-                super_collection: super_collection()?,
-                sub_name: sub_name()?,
-            }),
-            "aux-delete" => Ok(AuxPayload::Delete {
-                op,
-                super_collection: super_collection()?,
-                sub_name: sub_name()?,
-            }),
-            "aux-event" => {
-                let event_el = el
-                    .child("event")
-                    .ok_or_else(|| WireError::malformed("aux-event without event"))?;
-                Ok(AuxPayload::ForwardEvent {
-                    op,
-                    super_name: el
-                        .attr("super-name")
-                        .map(CollectionName::new)
-                        .ok_or_else(|| WireError::malformed("missing super-name"))?,
-                    event: event_from_xml(event_el)?,
+            tag @ ("aux-plant" | "aux-delete") => {
+                let super_collection = collection_from_text(attr("super")?)?;
+                let sub_name = CollectionName::new(attr("sub-name")?);
+                Ok(match tag {
+                    "aux-plant" => AuxPayload::Plant {
+                        op,
+                        super_collection,
+                        sub_name,
+                    },
+                    _ => AuxPayload::Delete {
+                        op,
+                        super_collection,
+                        sub_name,
+                    },
                 })
             }
+            "aux-event" => Ok(AuxPayload::ForwardEvent {
+                op,
+                super_name: CollectionName::new(attr("super-name")?),
+                event: el
+                    .elements()
+                    .last()
+                    .cloned()
+                    .map(Payload::from)
+                    .ok_or_else(|| WireError::malformed("aux-event without event"))?,
+            }),
             "aux-ack" => Ok(AuxPayload::Ack { op }),
             other => Err(WireError::malformed(format!(
                 "unknown alerting payload <{other}>"
@@ -208,22 +246,23 @@ impl AuxPayload {
         }
     }
 
-    /// Wraps the payload in a GS protocol message.
+    /// Wraps the payload as the frame that carries it.
     pub fn into_message(self) -> SysMessage {
-        SysMessage::Gs(GsMessage::Alerting(self.to_xml()))
+        SysMessage::Aux(self)
     }
 }
 
 impl fmt::Display for AuxPayload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.to_xml().name())
+        f.write_str(self.tag())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsa_types::{EventId, EventKind, SimTime};
+    use gsa_types::{Event, EventId, EventKind, SimTime};
+    use std::sync::Arc;
 
     fn round_trip(p: AuxPayload) {
         let text = p.to_xml().to_document_string();
@@ -246,12 +285,12 @@ mod tests {
         round_trip(AuxPayload::ForwardEvent {
             op: 3,
             super_name: "D".into(),
-            event: Event::new(
+            event: Payload::from_event(Arc::new(Event::new(
                 EventId::new("London", 4),
                 CollectionId::new("London", "E"),
                 EventKind::CollectionRebuilt,
                 SimTime::from_millis(8),
-            ),
+            ))),
         });
         round_trip(AuxPayload::Ack { op: 4 });
     }
@@ -263,19 +302,31 @@ mod tests {
 
     #[test]
     fn unknown_payload_errors() {
-        assert!(AuxPayload::from_xml(&XmlElement::new("aux-bogus").with_attr("op", "1")).is_err());
-        assert!(AuxPayload::from_xml(&XmlElement::new("aux-ack")).is_err());
-        assert!(AuxPayload::from_xml(&XmlElement::new("aux-plant").with_attr("op", "1")).is_err());
-        assert!(
-            AuxPayload::from_xml(&XmlElement::new("aux-event").with_attr("op", "1")).is_err()
-        );
+        let inside =
+            |el: XmlElement| AuxPayload::from_xml(&XmlElement::new(ENVELOPE).with_child(el));
+        assert!(inside(XmlElement::new("aux-ack").with_attr("op", "1")).is_ok());
+        assert!(inside(XmlElement::new("aux-bogus").with_attr("op", "1")).is_err());
+        assert!(inside(XmlElement::new("aux-ack")).is_err());
+        assert!(inside(XmlElement::new("aux-plant").with_attr("op", "1")).is_err());
+        assert!(inside(XmlElement::new("aux-event").with_attr("op", "1")).is_err());
+        // Nothing inside, or the right thing inside the wrong element.
+        assert!(AuxPayload::from_xml(&XmlElement::new(ENVELOPE)).is_err());
+        let ack = XmlElement::new("aux-ack").with_attr("op", "1");
+        assert!(AuxPayload::from_xml(&XmlElement::new("gs:fetch").with_child(ack)).is_err());
     }
 
     #[test]
     fn sys_message_conversions_and_size() {
-        let m: SysMessage = GsMessage::Alerting(XmlElement::new("aux-ack").with_attr("op", "1")).into();
-        assert!(m.wire_size() > 0);
-        assert!(m.to_string().starts_with("gs:"));
+        let ack = AuxPayload::Ack { op: 1 };
+        let m = ack.clone().into_message();
+        assert_eq!(m.wire_size(), ack.to_xml().wire_size());
+        assert_eq!(m.to_string(), "gs:aux-ack");
+        let m: SysMessage = GsMessage::DescribeRequest {
+            request: gsa_greenstone::RequestId(1),
+            collection: "D".into(),
+        }
+        .into();
+        assert_eq!(m.to_string(), "gs:gs:describe");
         let m: SysMessage = GdsMessage::Register {
             gs_host: "h".into(),
         }

@@ -1005,7 +1005,7 @@ mod tests {
         system.add_gds_topology(&figure2_tree());
         // London sits on gds-6, a leaf under gds-3; Hamilton far away.
         let cfg = CoreConfig {
-            retry_policy: Some(gsa_wire::reliable::RetryPolicy::default()),
+            retry: gsa_wire::reliable::RetryPolicy::default(),
             ..CoreConfig::default()
         };
         system.add_server_with_config("Hamilton", "gds-4", cfg.clone());

@@ -3,10 +3,9 @@
 use crate::message::{GdsMessage, ResolveToken};
 use crate::node::GdsOutbound;
 use crate::seen::SeenIds;
-use gsa_types::{Event, HostName, MessageId};
+use gsa_types::{HostName, MessageId};
 use gsa_wire::{InterestSummary, Payload};
 use std::fmt;
-use std::sync::Arc;
 
 /// A Greenstone server's handle on the directory service.
 ///
@@ -84,7 +83,9 @@ impl GdsClient {
         id
     }
 
-    /// Builds a broadcast of an arbitrary payload.
+    /// Builds a broadcast of a payload: an alerting event (the Section
+    /// 4.2 federated path) as [`Payload::from_event`], which shares the
+    /// caller's event and encodes from it directly, or any XML body.
     pub fn publish(&mut self, payload: impl Into<Payload>) -> (MessageId, GdsOutbound) {
         let id = self.fresh_id();
         (
@@ -97,13 +98,6 @@ impl GdsClient {
                 },
             },
         )
-    }
-
-    /// Builds a broadcast of an alerting event (the Section 4.2 federated
-    /// path). The payload shares the caller's event and encodes from it
-    /// directly ([`Payload::from_event`]).
-    pub fn publish_event(&mut self, event: &Arc<Event>) -> (MessageId, GdsOutbound) {
-        self.publish(Payload::from_event(Arc::clone(event)))
     }
 
     /// Builds a multicast (point-to-point when `targets.len() == 1`).
@@ -220,8 +214,9 @@ impl GdsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsa_types::{CollectionId, EventId, EventKind, SimTime};
+    use gsa_types::{CollectionId, Event, EventId, EventKind, SimTime};
     use gsa_wire::XmlElement;
+    use std::sync::Arc;
 
     fn client() -> GdsClient {
         GdsClient::new("Hamilton", "gds-4")
@@ -298,7 +293,7 @@ mod tests {
             EventKind::CollectionRebuilt,
             SimTime::ZERO,
         ));
-        let (id, out) = c.publish_event(&event);
+        let (id, out) = c.publish(Payload::from_event(event));
         match out.msg {
             GdsMessage::Publish { id: mid, payload } => {
                 assert_eq!(mid, id);

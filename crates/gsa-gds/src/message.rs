@@ -191,8 +191,8 @@ pub enum GdsMessage {
 impl GdsMessage {
     /// Convenience: a `Publish` of an alerting event. The event is
     /// copied into a [`Payload::from_event`]; a caller that already holds
-    /// it behind an `Arc` shares it through
-    /// [`GdsClient::publish_event`](crate::GdsClient::publish_event).
+    /// it behind an `Arc` shares it by handing the payload to
+    /// [`GdsClient::publish`](crate::GdsClient::publish).
     pub fn publish_event(id: MessageId, event: &Event) -> Self {
         GdsMessage::Publish {
             id,

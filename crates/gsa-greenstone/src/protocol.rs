@@ -6,13 +6,17 @@
 //! collections already visited, which is how the protocol terminates on
 //! cyclic collection graphs (research problem 2).
 //!
-//! Every message has an XML encoding ([`GsMessage::to_xml`] /
-//! [`GsMessage::from_xml`]) matching the SOAP/XML messaging of the
-//! original implementation; the simulator can account wire bytes with it.
+//! Every message has an XML encoding matching the SOAP/XML messaging of
+//! the original implementation, described once ([`GsMessage::put_xml`])
+//! and read back by [`GsMessage::from_xml`]; the tree
+//! ([`GsMessage::to_xml`]) and the size the simulator charges
+//! ([`GsMessage::wire_size`]) are that one description run into an
+//! element and into a counter.
 
 use gsa_store::{Query, SourceDocument};
 use gsa_types::{CollectionId, CollectionName, DocumentRef, MetadataRecord};
-use gsa_wire::codec::{collection_from_text, metadata_from_xml, metadata_to_xml};
+use gsa_wire::codec::{collection_from_text, metadata_from_xml, put_metadata};
+use gsa_wire::xml::{XmlLen, XmlPut};
 use gsa_wire::{WireError, XmlElement};
 use std::error::Error;
 use std::fmt;
@@ -160,125 +164,111 @@ pub enum GsMessage {
         /// A fatal error addressing the collection itself.
         fatal: Option<GsError>,
     },
-    /// An opaque alerting-layer payload riding the GS protocol (auxiliary
-    /// profiles and forwarded events, Section 4.2). The Greenstone server
-    /// itself never interprets these.
-    Alerting(XmlElement),
 }
 
 impl GsMessage {
-    /// The correlation id, when the message carries one.
-    pub fn request_id(&self) -> Option<RequestId> {
+    /// The correlation id.
+    pub fn request_id(&self) -> RequestId {
         match self {
             GsMessage::DescribeRequest { request, .. }
             | GsMessage::DescribeResponse { request, .. }
             | GsMessage::FetchRequest { request, .. }
             | GsMessage::FetchResponse { request, .. }
             | GsMessage::SearchRequest { request, .. }
-            | GsMessage::SearchResponse { request, .. } => Some(*request),
-            GsMessage::Alerting(_) => None,
+            | GsMessage::SearchResponse { request, .. } => *request,
         }
     }
 
-    /// Encodes the message as an XML element.
-    pub fn to_xml(&self) -> XmlElement {
+    /// The name of the message's XML element.
+    pub fn tag(&self) -> &'static str {
         match self {
-            GsMessage::DescribeRequest {
-                request,
-                collection,
-            } => XmlElement::new("gs:describe")
-                .with_attr("request", request.0.to_string())
-                .with_attr("collection", collection.as_str()),
-            GsMessage::DescribeResponse { request, result } => {
-                let mut el = XmlElement::new("gs:describe-response")
-                    .with_attr("request", request.0.to_string());
-                match result {
-                    Ok(info) => el.push_child(info_to_xml(info)),
-                    Err(e) => el.push_child(error_to_xml(e)),
-                }
-                el
+            GsMessage::DescribeRequest { .. } => "gs:describe",
+            GsMessage::DescribeResponse { .. } => "gs:describe-response",
+            GsMessage::FetchRequest { .. } => "gs:fetch",
+            GsMessage::FetchResponse { .. } => "gs:fetch-response",
+            GsMessage::SearchRequest { .. } => "gs:search",
+            GsMessage::SearchResponse { .. } => "gs:search-response",
+        }
+    }
+
+    /// Puts the attributes and children of the message's element: the
+    /// one description of its XML form.
+    pub fn put_xml(&self, out: &mut impl XmlPut) {
+        out.num_attr("request", self.request_id().0);
+        match self {
+            GsMessage::DescribeRequest { collection, .. } => {
+                out.attr("collection", collection.as_str());
             }
+            GsMessage::DescribeResponse { result, .. } => match result {
+                Ok(info) => out.child("info", |el| put_info(info, el)),
+                Err(e) => put_error(e, out),
+            },
             GsMessage::FetchRequest {
-                request,
                 collection,
                 visited,
                 via_parent,
+                ..
             } => {
-                let mut el = XmlElement::new("gs:fetch")
-                    .with_attr("request", request.0.to_string())
-                    .with_attr("collection", collection.as_str())
-                    .with_attr("via-parent", via_parent.to_string());
-                for v in visited {
-                    el.push_child(XmlElement::new("visited").with_text(v.to_string()));
-                }
-                el
+                out.attr("collection", collection.as_str());
+                out.attr("via-parent", &via_parent.to_string());
+                put_visited(visited, out);
             }
             GsMessage::FetchResponse {
-                request,
                 docs,
                 errors,
                 fatal,
+                ..
             } => {
-                let mut el = XmlElement::new("gs:fetch-response")
-                    .with_attr("request", request.0.to_string());
                 for d in docs {
-                    el.push_child(fetched_doc_to_xml(d));
+                    out.child("fetched", |el| put_fetched_doc(d, el));
                 }
-                for e in errors {
-                    el.push_child(error_to_xml(e));
-                }
-                if let Some(e) = fatal {
-                    el.push_child(XmlElement::new("fatal").with_child(error_to_xml(e)));
-                }
-                el
+                put_errors(errors, fatal, out);
             }
             GsMessage::SearchRequest {
-                request,
                 collection,
                 index,
                 query,
                 visited,
                 via_parent,
+                ..
             } => {
-                let mut el = XmlElement::new("gs:search")
-                    .with_attr("request", request.0.to_string())
-                    .with_attr("collection", collection.as_str())
-                    .with_attr("index", index)
-                    .with_attr("via-parent", via_parent.to_string())
-                    .with_attr("query", query.to_string());
-                for v in visited {
-                    el.push_child(XmlElement::new("visited").with_text(v.to_string()));
-                }
-                el
+                out.attr("collection", collection.as_str());
+                out.attr("index", index);
+                out.attr("via-parent", &via_parent.to_string());
+                out.attr("query", &query.to_string());
+                put_visited(visited, out);
             }
             GsMessage::SearchResponse {
-                request,
                 hits,
                 errors,
                 fatal,
+                ..
             } => {
-                let mut el = XmlElement::new("gs:search-response")
-                    .with_attr("request", request.0.to_string());
                 for h in hits {
-                    el.push_child(
-                        XmlElement::new("hit")
-                            .with_attr("collection", h.doc.collection().to_string())
-                            .with_attr("doc", h.doc.doc().as_str())
-                            .with_attr("score", format!("{:.6}", h.score)),
-                    );
+                    out.child("hit", |el| {
+                        el.attr("collection", &h.doc.collection().to_string());
+                        el.attr("doc", h.doc.doc().as_str());
+                        el.attr("score", &format!("{:.6}", h.score));
+                    });
                 }
-                for e in errors {
-                    el.push_child(error_to_xml(e));
-                }
-                if let Some(e) = fatal {
-                    el.push_child(XmlElement::new("fatal").with_child(error_to_xml(e)));
-                }
-                el
-            }
-            GsMessage::Alerting(payload) => {
-                XmlElement::new("gs:alerting").with_child(payload.clone())
+                put_errors(errors, fatal, out);
             }
         }
+    }
+
+    /// Encodes the message as an XML element.
+    pub fn to_xml(&self) -> XmlElement {
+        let mut el = XmlElement::new(self.tag());
+        self.put_xml(&mut el);
+        el
+    }
+
+    /// The serialized size in bytes, for the simulator's byte
+    /// accounting, without producing the text or the tree.
+    pub fn wire_size(&self) -> usize {
+        let mut len = XmlLen::default();
+        self.put_xml(&mut len);
+        len.element(self.tag())
     }
 
     /// Decodes a message from the element produced by
@@ -374,27 +364,14 @@ impl GsMessage {
                     fatal: fatal_from_xml(el)?,
                 })
             }
-            "gs:alerting" => {
-                let payload = el
-                    .elements()
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| WireError::malformed("empty alerting payload"))?;
-                Ok(GsMessage::Alerting(payload))
-            }
             other => Err(WireError::malformed(format!("unknown GS message <{other}>"))),
         }
-    }
-
-    /// The serialized size in bytes, for the simulator's byte accounting.
-    pub fn wire_size(&self) -> usize {
-        self.to_xml().wire_size()
     }
 }
 
 impl fmt::Display for GsMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.to_xml().name())
+        f.write_str(self.tag())
     }
 }
 
@@ -412,6 +389,12 @@ fn attr_bool(el: &XmlElement, attr: &str) -> Result<bool, WireError> {
     }
 }
 
+fn put_visited(visited: &[CollectionId], out: &mut impl XmlPut) {
+    for v in visited {
+        out.child("visited", |el| el.text(&v.to_string()));
+    }
+}
+
 fn visited_from_xml(el: &XmlElement) -> Result<Vec<CollectionId>, WireError> {
     let mut out = Vec::new();
     for v in el.children_named("visited") {
@@ -420,16 +403,27 @@ fn visited_from_xml(el: &XmlElement) -> Result<Vec<CollectionId>, WireError> {
     Ok(out)
 }
 
-fn error_to_xml(e: &GsError) -> XmlElement {
+fn put_error(e: &GsError, out: &mut impl XmlPut) {
     let (code, detail) = match e {
-        GsError::UnknownCollection(name) => ("unknown-collection", name.as_str().to_string()),
-        GsError::PrivateCollection(name) => ("private-collection", name.as_str().to_string()),
-        GsError::UnknownIndex(name) => ("unknown-index", name.clone()),
-        GsError::Timeout => ("timeout", String::new()),
+        GsError::UnknownCollection(name) => ("unknown-collection", name.as_str()),
+        GsError::PrivateCollection(name) => ("private-collection", name.as_str()),
+        GsError::UnknownIndex(name) => ("unknown-index", name.as_str()),
+        GsError::Timeout => ("timeout", ""),
     };
-    XmlElement::new("error")
-        .with_attr("code", code)
-        .with_attr("detail", detail)
+    out.child("error", |el| {
+        el.attr("code", code);
+        el.attr("detail", detail);
+    });
+}
+
+/// The tail of a response: sub-collection errors, then the fatal one.
+fn put_errors(errors: &[GsError], fatal: &Option<GsError>, out: &mut impl XmlPut) {
+    for e in errors {
+        put_error(e, out);
+    }
+    if let Some(e) = fatal {
+        out.child("fatal", |el| put_error(e, el));
+    }
 }
 
 fn error_from_xml(el: &XmlElement) -> Result<GsError, WireError> {
@@ -466,22 +460,20 @@ fn fatal_from_xml(el: &XmlElement) -> Result<Option<GsError>, WireError> {
     }
 }
 
-fn info_to_xml(info: &CollectionInfo) -> XmlElement {
-    let mut el = XmlElement::new("info")
-        .with_attr("id", info.id.to_string())
-        .with_attr("title", &info.title)
-        .with_attr("docs", info.doc_count.to_string())
-        .with_attr("virtual", info.is_virtual.to_string());
+fn put_info(info: &CollectionInfo, out: &mut impl XmlPut) {
+    out.attr("id", &info.id.to_string());
+    out.attr("title", &info.title);
+    out.num_attr("docs", info.doc_count as u64);
+    out.attr("virtual", &info.is_virtual.to_string());
     for i in &info.indexes {
-        el.push_child(XmlElement::new("index").with_text(i));
+        out.child("index", |el| el.text(i));
     }
     for c in &info.classifiers {
-        el.push_child(XmlElement::new("classifier").with_text(c));
+        out.child("classifier", |el| el.text(c));
     }
     for s in &info.subcollections {
-        el.push_child(XmlElement::new("sub").with_text(s.to_string()));
+        out.child("sub", |el| el.text(&s.to_string()));
     }
-    el
 }
 
 fn info_from_xml(el: &XmlElement) -> Result<CollectionInfo, WireError> {
@@ -509,15 +501,13 @@ fn info_from_xml(el: &XmlElement) -> Result<CollectionInfo, WireError> {
     })
 }
 
-fn fetched_doc_to_xml(d: &FetchedDoc) -> XmlElement {
-    let mut el = XmlElement::new("fetched")
-        .with_attr("collection", d.collection.to_string())
-        .with_attr("id", d.doc.id.as_str());
-    el.push_child(metadata_to_xml(&d.doc.metadata));
+fn put_fetched_doc(d: &FetchedDoc, out: &mut impl XmlPut) {
+    out.attr("collection", &d.collection.to_string());
+    out.attr("id", d.doc.id.as_str());
+    put_metadata(&d.doc.metadata, out);
     if !d.doc.text.is_empty() {
-        el.push_child(XmlElement::new("text").with_text(&d.doc.text));
+        out.child("text", |el| el.text(&d.doc.text));
     }
-    el
 }
 
 fn fetched_doc_from_xml(el: &XmlElement) -> Result<FetchedDoc, WireError> {
@@ -625,13 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn alerting_round_trips() {
-        round_trip(GsMessage::Alerting(
-            XmlElement::new("aux-profile").with_attr("super", "Hamilton.D"),
-        ));
-    }
-
-    #[test]
     fn unknown_tag_errors() {
         assert!(GsMessage::from_xml(&XmlElement::new("gs:bogus")).is_err());
     }
@@ -647,8 +630,7 @@ mod tests {
             request: RequestId(7),
             collection: "D".into(),
         };
-        assert_eq!(msg.request_id(), Some(RequestId(7)));
-        assert_eq!(GsMessage::Alerting(XmlElement::new("x")).request_id(), None);
+        assert_eq!(msg.request_id(), RequestId(7));
     }
 
     #[test]
@@ -657,6 +639,7 @@ mod tests {
             request: RequestId(7),
             collection: "D".into(),
         };
+        assert_eq!(msg.wire_size(), msg.to_xml().wire_size());
         assert!(msg.wire_size() > 10);
     }
 

@@ -159,7 +159,7 @@ impl Receptionist {
     /// Feeds a response back in; returns the completed result when the
     /// response matches a pending request.
     pub fn handle_message(&mut self, msg: GsMessage) -> Option<(RequestId, Completed)> {
-        let request = msg.request_id()?;
+        let request = msg.request_id();
         self.pending.remove(&request)?;
         match msg {
             GsMessage::DescribeResponse { result, .. } => {

@@ -287,10 +287,6 @@ impl Server {
     }
 
     /// Handles one inbound protocol message.
-    ///
-    /// [`GsMessage::Alerting`] payloads are not interpreted here — the
-    /// alerting layer wrapping this server consumes them first; receiving
-    /// one is a no-op.
     pub fn handle_message(&mut self, from: &HostName, msg: GsMessage) -> ServerEffects {
         match msg {
             GsMessage::DescribeRequest {
@@ -354,7 +350,7 @@ impl Server {
                 errors,
                 fatal,
             } => self.absorb_sub_response(request, Vec::new(), hits, errors, fatal),
-            GsMessage::DescribeResponse { .. } | GsMessage::Alerting(_) => ServerEffects::default(),
+            GsMessage::DescribeResponse { .. } => ServerEffects::default(),
         }
     }
 
@@ -917,16 +913,6 @@ mod tests {
         let mut s = Server::new("H");
         s.add_collection(CollectionConfig::simple("D", "one")).unwrap();
         assert!(s.add_collection(CollectionConfig::simple("D", "two")).is_err());
-    }
-
-    #[test]
-    fn alerting_payloads_are_ignored_by_server() {
-        let (mut hamilton, _) = figure1();
-        let effects = hamilton.handle_message(
-            &HostName::new("London"),
-            GsMessage::Alerting(gsa_wire::XmlElement::new("aux")),
-        );
-        assert_eq!(effects, ServerEffects::default());
     }
 
     #[test]

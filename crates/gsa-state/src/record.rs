@@ -1,23 +1,33 @@
-//! CRC-framed journal records and the snapshot codec.
+//! The durable state's one record stream.
 //!
-//! Every journal record is framed as
-//! `varint(body_len) ++ body ++ crc32(body) as 4 LE bytes`, reusing the
-//! v2 binary primitives from `gsa-wire`. Profile expressions travel in
+//! Journal and snapshot hold the same thing: [`StateRecord`]s, each
+//! framed as `varint(body_len) ++ body ++ crc32(body) as 4 LE bytes` on
+//! the v2 binary primitives of `gsa-wire`. Profile expressions travel in
 //! their existing XML-tree binary encoding (`expr_to_xml` →
 //! `xml_to_binary`), so the journal never invents a second expression
-//! codec.
+//! codec. The journal is the stream as it was appended; a snapshot
+//! (format version 2) is a two-byte header — magic, version — and the
+//! stream compacted: the profile-id high-water mark, the summary
+//! version, a `Subscribe` per live profile in id order, an
+//! `AlertLifecycle` per alert instance in fingerprint order. One writer
+//! ([`encode_record`]), one frame reader, one fold
+//! ([`RecoveredState::apply`](crate::RecoveredState::apply)): recovery
+//! is "replay the snapshot, then the journal".
 //!
 //! Replay is torn-tail tolerant by construction: a record that fails
-//! its CRC (or runs past the end of the buffer) at the very end of the
-//! journal is the torn final append a crash legitimately leaves behind
+//! its CRC (or runs past the end of the buffer) at the very end of a
+//! stream is the torn final append a crash legitimately leaves behind
 //! and is dropped silently; a CRC failure *with bytes after it* is
-//! mid-journal corruption — replay stops at the last good record and
-//! reports [`ReplayStop::Corrupt`] so the store can count it.
+//! mid-stream corruption — replay stops at the last good record and
+//! reports [`ReplayStop::Corrupt`] so the store can count it. A damaged
+//! snapshot degrades the same way, to the records ahead of the damage;
+//! the high-water mark comes first, so no prefix of one reuses an id.
 
 use gsa_profile::xml::{expr_from_xml, expr_to_xml};
 use gsa_profile::ProfileExpr;
 use gsa_types::{ClientId, ProfileId};
 use gsa_wire::binary::{crc32, write_varint, xml_from_binary, xml_to_binary, BinReader};
+use std::collections::BTreeMap;
 
 /// One durable state mutation, as written to the journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,67 +63,85 @@ pub enum StateRecord {
         /// Transition time, microseconds of simulated time.
         at_micros: u64,
     },
+    /// The profile-id high-water mark. Only compaction writes it, as the
+    /// first record of a snapshot: the newest profiles may all have been
+    /// cancelled, and their ids must still never be assigned again.
+    NextProfile {
+        /// The next profile id to assign.
+        next: u64,
+    },
 }
 
+// Tags append, never renumber: a journal on a disk outlives the build
+// that wrote it.
 const TAG_SUBSCRIBE: u8 = 1;
 const TAG_UNSUBSCRIBE: u8 = 2;
 const TAG_SUMMARY_VERSION: u8 = 3;
 const TAG_ALERT_LIFECYCLE: u8 = 4;
+const TAG_NEXT_PROFILE: u8 = 5;
 
 /// Snapshot magic byte (`Z` — "the state so far").
 const SNAP_MAGIC: u8 = 0x5A;
-/// Snapshot format version.
-const SNAP_VERSION: u8 = 1;
+/// Snapshot format version: 2, a compacted record stream.
+const SNAP_VERSION: u8 = 2;
 
-fn encode_body(rec: &StateRecord, buf: &mut Vec<u8>) {
-    match rec {
-        StateRecord::Subscribe { id, client, expr } => {
-            buf.push(TAG_SUBSCRIBE);
-            write_varint(buf, id.as_u64());
-            write_varint(buf, client.as_u64());
-            xml_to_binary(&expr_to_xml(expr), buf);
-        }
-        StateRecord::Unsubscribe { id } => {
-            buf.push(TAG_UNSUBSCRIBE);
-            write_varint(buf, id.as_u64());
-        }
-        StateRecord::SummaryVersion { version } => {
-            buf.push(TAG_SUMMARY_VERSION);
-            write_varint(buf, *version);
-        }
-        StateRecord::AlertLifecycle {
-            fingerprint,
-            state,
-            at_micros,
-        } => {
-            buf.push(TAG_ALERT_LIFECYCLE);
-            write_varint(buf, *fingerprint);
-            buf.push(*state);
-            write_varint(buf, *at_micros);
+impl StateRecord {
+    /// What every body starts with, and all [`compact`] reads of one:
+    /// the tag, then a varint key — profile id, version, fingerprint or
+    /// high-water mark.
+    fn head(&self) -> (u8, u64) {
+        match self {
+            StateRecord::Subscribe { id, .. } => (TAG_SUBSCRIBE, id.as_u64()),
+            StateRecord::Unsubscribe { id } => (TAG_UNSUBSCRIBE, id.as_u64()),
+            StateRecord::SummaryVersion { version } => (TAG_SUMMARY_VERSION, *version),
+            StateRecord::AlertLifecycle { fingerprint, .. } => (TAG_ALERT_LIFECYCLE, *fingerprint),
+            StateRecord::NextProfile { next } => (TAG_NEXT_PROFILE, *next),
         }
     }
 }
 
-fn decode_body(body: &[u8]) -> Option<StateRecord> {
+fn read_head(body: &[u8]) -> Option<(u8, u64, BinReader<'_>)> {
     let mut r = BinReader::new(body);
-    let rec = match r.read_u8().ok()? {
-        TAG_SUBSCRIBE => {
-            let id = ProfileId::from_raw(r.read_varint().ok()?);
-            let client = ClientId::from_raw(r.read_varint().ok()?);
-            let expr = expr_from_xml(&xml_from_binary(&mut r).ok()?).ok()?;
-            StateRecord::Subscribe { id, client, expr }
+    Some((r.read_u8().ok()?, r.read_varint().ok()?, r))
+}
+
+fn encode_body(rec: &StateRecord, buf: &mut Vec<u8>) {
+    let (tag, key) = rec.head();
+    buf.push(tag);
+    write_varint(buf, key);
+    match rec {
+        StateRecord::Subscribe { client, expr, .. } => {
+            write_varint(buf, client.as_u64());
+            xml_to_binary(&expr_to_xml(expr), buf);
         }
+        StateRecord::AlertLifecycle {
+            state, at_micros, ..
+        } => {
+            buf.push(*state);
+            write_varint(buf, *at_micros);
+        }
+        _ => {}
+    }
+}
+
+fn decode_body(body: &[u8]) -> Option<StateRecord> {
+    let (tag, key, mut r) = read_head(body)?;
+    let rec = match tag {
+        TAG_SUBSCRIBE => StateRecord::Subscribe {
+            id: ProfileId::from_raw(key),
+            client: ClientId::from_raw(r.read_varint().ok()?),
+            expr: expr_from_xml(&xml_from_binary(&mut r).ok()?).ok()?,
+        },
         TAG_UNSUBSCRIBE => StateRecord::Unsubscribe {
-            id: ProfileId::from_raw(r.read_varint().ok()?),
+            id: ProfileId::from_raw(key),
         },
-        TAG_SUMMARY_VERSION => StateRecord::SummaryVersion {
-            version: r.read_varint().ok()?,
-        },
+        TAG_SUMMARY_VERSION => StateRecord::SummaryVersion { version: key },
         TAG_ALERT_LIFECYCLE => StateRecord::AlertLifecycle {
-            fingerprint: r.read_varint().ok()?,
+            fingerprint: key,
             state: r.read_u8().ok()?,
             at_micros: r.read_varint().ok()?,
         },
+        TAG_NEXT_PROFILE => StateRecord::NextProfile { next: key },
         _ => return None,
     };
     // Trailing garbage inside a CRC-valid body is structural corruption.
@@ -129,26 +157,7 @@ pub fn encode_record(rec: &StateRecord, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&crc32(&body).to_le_bytes());
 }
 
-/// Decode exactly one framed record from the front of `bytes`,
-/// returning it with the number of bytes consumed. `None` means the
-/// frame is incomplete or fails its CRC — callers wanting the
-/// torn-vs-corrupt distinction should use [`replay_journal`].
-pub fn decode_record(bytes: &[u8]) -> Option<(StateRecord, usize)> {
-    let mut r = BinReader::new(bytes);
-    let len = r.read_varint().ok()? as usize;
-    if r.remaining() < len.checked_add(4)? {
-        return None;
-    }
-    let body = r.read_slice(len).ok()?;
-    let crc = u32::from_le_bytes(r.read_slice(4).ok()?.try_into().ok()?);
-    if crc32(body) != crc {
-        return None;
-    }
-    let rec = decode_body(body)?;
-    Some((rec, bytes.len() - r.remaining()))
-}
-
-/// How a journal replay ended.
+/// How a replay ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayStop {
     /// Every byte decoded as a valid record.
@@ -157,156 +166,132 @@ pub enum ReplayStop {
     /// after it — the torn tail of an interrupted append. Dropped
     /// silently; everything before it was applied.
     TornTail,
-    /// A record failed mid-journal (CRC mismatch or an undecodable
+    /// A record failed mid-stream (CRC mismatch or an undecodable
     /// CRC-valid body with bytes following). Replay stopped at the
     /// last good record; the store surfaces this via
     /// `state.journal_corrupt`.
     Corrupt,
 }
 
-/// Kept for API symmetry with [`ReplayStop`]; replay itself never
-/// fails — it degrades to a shorter prefix.
-pub type ReplayError = std::convert::Infallible;
+/// The one frame reader. Hands each intact frame at the front of
+/// `bytes` — the whole frame, and the body inside it — to `visit`, until
+/// the bytes run out, a frame is damaged or `visit` refuses a body.
+/// Returns how many bytes the accepted frames occupy and how the walk
+/// ended. Never panics, whatever the input.
+fn scan<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(&'a [u8], &'a [u8]) -> bool,
+) -> (usize, ReplayStop) {
+    let mut good = 0;
+    while good < bytes.len() {
+        let rest = &bytes[good..];
+        let mut r = BinReader::new(rest);
+        // A length prefix or a frame that runs off the end of the bytes
+        // is byte for byte an interrupted append.
+        let Some(body) = r
+            .read_varint()
+            .ok()
+            .and_then(|len| usize::try_from(len).ok()?.checked_add(4))
+            .filter(|&framed| framed <= r.remaining())
+            .and_then(|framed| r.read_slice(framed - 4).ok())
+        else {
+            return (good, ReplayStop::TornTail);
+        };
+        let crc = r.read_slice(4).expect("length checked above");
+        if crc32(body).to_le_bytes() != crc {
+            return match r.remaining() {
+                0 => (good, ReplayStop::TornTail),
+                _ => (good, ReplayStop::Corrupt),
+            };
+        }
+        // A frame that checksummed is not a torn write: a body nobody
+        // understands is always structural corruption.
+        let frame = &rest[..rest.len() - r.remaining()];
+        if !visit(frame, body) {
+            return (good, ReplayStop::Corrupt);
+        }
+        good += frame.len();
+    }
+    (good, ReplayStop::Clean)
+}
+
+/// [`replay_journal`], also returning the length of the intact prefix —
+/// what recovery keeps of a damaged stream.
+pub(crate) fn replay(bytes: &[u8], mut apply: impl FnMut(StateRecord)) -> (u64, usize, ReplayStop) {
+    let mut applied = 0;
+    let (good, stop) = scan(bytes, |_, body| {
+        decode_body(body)
+            .map(&mut apply)
+            .map(|()| applied += 1)
+            .is_some()
+    });
+    (applied, good, stop)
+}
 
 /// Replay every intact record in `bytes`, in order, through `apply`.
 /// Returns the number of records applied and how the scan ended.
 /// Never panics, whatever the input.
-pub fn replay_journal(bytes: &[u8], mut apply: impl FnMut(StateRecord)) -> (u64, ReplayStop) {
-    let mut offset = 0usize;
-    let mut applied = 0u64;
-    loop {
-        if offset == bytes.len() {
-            return (applied, ReplayStop::Clean);
-        }
-        let rest = &bytes[offset..];
-        let mut r = BinReader::new(rest);
-        let Ok(len) = r.read_varint() else {
-            // The length prefix itself runs off the end of the buffer.
-            return (applied, ReplayStop::TornTail);
-        };
-        let len = len as usize;
-        if (r.remaining() as u64) < len as u64 + 4 {
-            // The claimed frame extends past the end of the journal —
-            // byte-for-byte indistinguishable from an interrupted append.
-            return (applied, ReplayStop::TornTail);
-        }
-        let body = r.read_slice(len).expect("length checked above");
-        let crc_bytes = r.read_slice(4).expect("length checked above");
-        let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte slice"));
-        if crc32(body) != crc {
-            let stop = if r.remaining() == 0 {
-                ReplayStop::TornTail
-            } else {
-                ReplayStop::Corrupt
+pub fn replay_journal(bytes: &[u8], apply: impl FnMut(StateRecord)) -> (u64, ReplayStop) {
+    let (applied, _, stop) = replay(bytes, apply);
+    (applied, stop)
+}
+
+/// The record stream inside a snapshot blob: what follows the header.
+/// An empty blob is the no-snapshot-yet case; a blob without the header
+/// is not one of ours and is refused whole (`None`).
+pub(crate) fn snapshot_records(blob: &[u8]) -> Option<&[u8]> {
+    match blob {
+        [] => Some(blob),
+        [SNAP_MAGIC, SNAP_VERSION, records @ ..] => Some(records),
+        _ => None,
+    }
+}
+
+/// Compacts record streams, oldest first, into a snapshot blob: the
+/// header, the id high-water mark, the summary version, then the last
+/// `Subscribe` frame of every profile no later `Unsubscribe` names, in
+/// id order, and the last `AlertLifecycle` frame of every instance, in
+/// fingerprint order — the frames themselves, copied. Only the tag and
+/// the key of a frame are read; no expression is decoded. Each stream is
+/// read as far as [`scan`] accepts it.
+pub(crate) fn compact(streams: [&[u8]; 2]) -> Vec<u8> {
+    let (mut next, mut version) = (0u64, 0u64);
+    let mut profiles: BTreeMap<u64, &[u8]> = BTreeMap::new();
+    let mut alerts: BTreeMap<u64, &[u8]> = BTreeMap::new();
+    for bytes in streams {
+        scan(bytes, |frame, body| {
+            let Some((tag, key, _)) = read_head(body) else {
+                return false;
             };
-            return (applied, stop);
-        }
-        match decode_body(body) {
-            Some(rec) => {
-                apply(rec);
-                applied += 1;
-                offset = bytes.len() - r.remaining();
+            match tag {
+                TAG_SUBSCRIBE => {
+                    profiles.insert(key, frame);
+                    next = next.max(key.saturating_add(1));
+                }
+                TAG_UNSUBSCRIBE => drop(profiles.remove(&key)),
+                TAG_SUMMARY_VERSION => version = version.max(key),
+                TAG_ALERT_LIFECYCLE => drop(alerts.insert(key, frame)),
+                TAG_NEXT_PROFILE => next = next.max(key),
+                _ => return false,
             }
-            // CRC-valid but undecodable: not a torn write (the frame
-            // checksummed), so always structural corruption.
-            None => return (applied, ReplayStop::Corrupt),
-        }
+            true
+        });
     }
-}
-
-/// The state a snapshot captures: everything needed to rebuild a
-/// server's subscription index without the journal records the
-/// snapshot folded in.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapshotState {
-    /// Last announced interest-summary version.
-    pub summary_version: u64,
-    /// Next profile id the subscription manager would assign.
-    pub next_profile: u64,
-    /// Every live profile: `(id, owner, expression)`.
-    pub profiles: Vec<(ProfileId, ClientId, ProfileExpr)>,
-    /// Every alert instance's latest lifecycle record:
-    /// `(fingerprint, state tag, at_micros)`, fingerprint-ordered.
-    pub alerts: Vec<(u64, u8, u64)>,
-}
-
-/// Encode a snapshot: magic + format version + one CRC-framed body.
-pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + state.profiles.len() * 32);
-    write_varint(&mut body, state.summary_version);
-    write_varint(&mut body, state.next_profile);
-    write_varint(&mut body, state.profiles.len() as u64);
-    for (id, client, expr) in &state.profiles {
-        write_varint(&mut body, id.as_u64());
-        write_varint(&mut body, client.as_u64());
-        xml_to_binary(&expr_to_xml(expr), &mut body);
+    // At most everything survives, plus the header and the two leading records.
+    let mut out = Vec::with_capacity(32 + streams.iter().map(|s| s.len()).sum::<usize>());
+    out.extend([SNAP_MAGIC, SNAP_VERSION]);
+    encode_record(&StateRecord::NextProfile { next }, &mut out);
+    encode_record(&StateRecord::SummaryVersion { version }, &mut out);
+    for frame in profiles.values().chain(alerts.values()) {
+        out.extend_from_slice(frame);
     }
-    write_varint(&mut body, state.alerts.len() as u64);
-    for &(fingerprint, tag, at_micros) in &state.alerts {
-        write_varint(&mut body, fingerprint);
-        body.push(tag);
-        write_varint(&mut body, at_micros);
-    }
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.push(SNAP_MAGIC);
-    out.push(SNAP_VERSION);
-    write_varint(&mut out, body.len() as u64);
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
     out
-}
-
-/// Decode a snapshot. Empty input is the no-snapshot-yet case and
-/// yields the default (empty) state; any framing, CRC or structural
-/// failure yields `None` — the store counts it as corruption, starts
-/// from an empty snapshot and lets journal replay recover what it can.
-pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
-    if bytes.is_empty() {
-        return Some(SnapshotState::default());
-    }
-    let mut r = BinReader::new(bytes);
-    if r.read_u8().ok()? != SNAP_MAGIC || r.read_u8().ok()? != SNAP_VERSION {
-        return None;
-    }
-    let len = r.read_varint().ok()? as usize;
-    if r.remaining() != len.checked_add(4)? {
-        return None;
-    }
-    let body = r.read_slice(len).ok()?;
-    let crc = u32::from_le_bytes(r.read_slice(4).ok()?.try_into().ok()?);
-    if crc32(body) != crc {
-        return None;
-    }
-    let mut b = BinReader::new(body);
-    let summary_version = b.read_varint().ok()?;
-    let next_profile = b.read_varint().ok()?;
-    let count = b.read_varint().ok()? as usize;
-    let mut profiles = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let id = ProfileId::from_raw(b.read_varint().ok()?);
-        let client = ClientId::from_raw(b.read_varint().ok()?);
-        let expr = expr_from_xml(&xml_from_binary(&mut b).ok()?).ok()?;
-        profiles.push((id, client, expr));
-    }
-    let alert_count = b.read_varint().ok()? as usize;
-    let mut alerts = Vec::with_capacity(alert_count.min(1024));
-    for _ in 0..alert_count {
-        let fingerprint = b.read_varint().ok()?;
-        let tag = b.read_u8().ok()?;
-        let at_micros = b.read_varint().ok()?;
-        alerts.push((fingerprint, tag, at_micros));
-    }
-    (b.remaining() == 0).then_some(SnapshotState {
-        summary_version,
-        next_profile,
-        profiles,
-        alerts,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveredState;
     use gsa_profile::{Predicate, ProfileAttr};
 
     fn expr(host: &str) -> ProfileExpr {
@@ -335,6 +320,7 @@ mod tests {
                 state: 1,
                 at_micros: 12_000_000,
             },
+            StateRecord::NextProfile { next: 2 },
         ]
     }
 
@@ -343,9 +329,10 @@ mod tests {
         for rec in sample_records() {
             let mut buf = Vec::new();
             encode_record(&rec, &mut buf);
-            let (back, used) = decode_record(&buf).expect("intact frame decodes");
-            assert_eq!(back, rec);
-            assert_eq!(used, buf.len());
+            let mut back = Vec::new();
+            let (applied, good, stop) = replay(&buf, |r| back.push(r));
+            assert_eq!((applied, good, stop), (1, buf.len(), ReplayStop::Clean));
+            assert_eq!(back, vec![rec]);
         }
     }
 
@@ -440,41 +427,90 @@ mod tests {
         }
     }
 
+    /// The fold of a snapshot blob, and how its replay ended.
+    fn read(blob: &[u8]) -> (RecoveredState, ReplayStop) {
+        let mut state = RecoveredState::default();
+        let records = snapshot_records(blob).expect("a snapshot of ours");
+        let (_, _, stop) = replay(records, |r| state.apply(r));
+        (state, stop)
+    }
+
+    fn journal(recs: &[StateRecord]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for rec in recs {
+            encode_record(rec, &mut buf);
+        }
+        buf
+    }
+
     #[test]
     fn snapshot_round_trips() {
-        let state = SnapshotState {
-            summary_version: 42,
-            next_profile: 3,
-            profiles: vec![
-                (ProfileId::from_raw(1), ClientId::from_raw(7), expr("a.nz")),
-                (ProfileId::from_raw(2), ClientId::from_raw(8), expr("b.uk")),
-            ],
-            alerts: vec![(0xdead_beef, 0, 5_000_000), (0xfeed_f00d, 1, 7_500_000)],
-        };
-        let bytes = encode_snapshot(&state);
-        assert_eq!(decode_snapshot(&bytes), Some(state));
-        assert_eq!(decode_snapshot(&[]), Some(SnapshotState::default()));
+        let recs = sample_records();
+        let mut folded = RecoveredState::default();
+        recs.iter().cloned().for_each(|r| folded.apply(r));
+        let blob = compact([&[], &journal(&recs)]);
+        assert_eq!(read(&blob), (folded.clone(), ReplayStop::Clean));
+        // Compacting a snapshot with nothing new gives the same bytes,
+        // and with the journal it was made of (the crash window between
+        // snapshot write and journal truncate) the same bytes again.
+        let records = snapshot_records(&blob).unwrap();
+        assert_eq!(compact([records, &[]]), blob);
+        assert_eq!(compact([records, &journal(&recs)]), blob);
+        assert_eq!(read(&[]), (RecoveredState::default(), ReplayStop::Clean));
     }
 
     #[test]
     fn corrupt_snapshot_is_rejected_not_misparsed() {
-        let state = SnapshotState {
-            summary_version: 1,
-            next_profile: 1,
-            profiles: vec![(ProfileId::from_raw(0), ClientId::from_raw(1), expr("x"))],
-            alerts: vec![(0x1234, 2, 3_000_000)],
-        };
-        let clean = encode_snapshot(&state);
-        for i in 0..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[i] ^= 0xFF;
-            // Any single-byte corruption must fail closed. (Magic,
-            // version, length, CRC and body flips are all covered.)
-            assert_eq!(decode_snapshot(&bytes), None, "flip at byte {i}");
-        }
-        // Truncations fail closed too.
-        for cut in 1..clean.len() {
-            assert_eq!(decode_snapshot(&clean[..cut]), None, "truncated at {cut}");
+        let recs = vec![
+            StateRecord::Subscribe {
+                id: ProfileId::from_raw(0),
+                client: ClientId::from_raw(1),
+                expr: expr("x"),
+            },
+            StateRecord::Subscribe {
+                id: ProfileId::from_raw(1),
+                client: ClientId::from_raw(1),
+                expr: expr("y"),
+            },
+            StateRecord::Unsubscribe {
+                id: ProfileId::from_raw(1),
+            },
+            StateRecord::AlertLifecycle {
+                fingerprint: 0x1234,
+                state: 2,
+                at_micros: 3_000_000,
+            },
+        ];
+        let clean = compact([&[], &journal(&recs)]);
+        // What a reader may make of a damaged blob: the fold of the
+        // records ahead of the damage, never anything else.
+        let mut prefixes = vec![RecoveredState::default()];
+        scan(snapshot_records(&clean).unwrap(), |_, body| {
+            let mut next = prefixes.last().unwrap().clone();
+            next.apply(decode_body(body).unwrap());
+            prefixes.push(next);
+            true
+        });
+        assert_eq!(prefixes.len(), 5, "mark, version, one profile, one alert");
+        assert_eq!(prefixes[1].next_profile, 2, "the mark leads");
+        for damaged in (0..clean.len())
+            .map(|i| {
+                let mut bytes = clean.clone();
+                bytes[i] ^= 0xFF;
+                bytes
+            })
+            .chain((1..clean.len()).map(|cut| clean[..cut].to_vec()))
+        {
+            // The header refuses the blob whole; past it, the damage
+            // stops the replay, which is never clean.
+            let Some(records) = snapshot_records(&damaged) else {
+                assert!(!damaged.starts_with(&clean[..2]));
+                continue;
+            };
+            let mut state = RecoveredState::default();
+            let (_, _, stop) = replay(records, |r| state.apply(r));
+            assert!(prefixes[..4].contains(&state), "forged: {state:?}");
+            assert!(stop != ReplayStop::Clean || damaged.len() < clean.len());
         }
     }
 }

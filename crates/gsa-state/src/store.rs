@@ -1,29 +1,52 @@
 //! The [`StateStore`] trait and its two in-tree backends.
 
 use crate::medium::Medium;
-use crate::record::{
-    decode_snapshot, encode_record, encode_snapshot, replay_journal, ReplayStop, SnapshotState,
-    StateRecord,
-};
+use crate::record::{compact, encode_record, replay, snapshot_records, ReplayStop, StateRecord};
 use gsa_profile::ProfileExpr;
 use gsa_types::{ClientId, CounterId, Counts, ProfileId};
 use std::collections::BTreeMap;
 
-/// What recovery hands back to the core: the durable state as of the
-/// last intact journal record.
+/// The durable state: what a record stream folds into, and what recovery
+/// hands back to the core — the state as of the last intact record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredState {
-    /// Every recovered profile: `(id, owner, expression)`, id-ordered.
-    pub profiles: Vec<(ProfileId, ClientId, ProfileExpr)>,
-    /// The next profile id to assign (strictly above every recovered id).
+    /// Every live profile: id → (owner, expression).
+    pub profiles: BTreeMap<ProfileId, (ClientId, ProfileExpr)>,
+    /// The next profile id to assign (strictly above every id ever
+    /// recorded, cancelled ones included).
     pub next_profile: u64,
     /// The interest-summary version to resume announcing from.
     pub summary_version: u64,
-    /// Latest lifecycle record per alert instance:
-    /// `(fingerprint, state tag, at_micros)`, fingerprint-ordered. The
-    /// core decodes the tag (failing closed on unknown bytes) and
-    /// restores its alert engine from these.
-    pub alerts: Vec<(u64, u8, u64)>,
+    /// Latest lifecycle record per alert instance: fingerprint →
+    /// (state tag, at_micros). The core decodes the tag (failing closed
+    /// on unknown bytes) and restores its alert engine from these.
+    pub alerts: BTreeMap<u64, (u8, u64)>,
+}
+
+impl RecoveredState {
+    /// Folds one record in. Idempotent over a replayed suffix — a
+    /// subscribe overwrites by id, an unsubscribe removes by id, an
+    /// alert record overwrites by fingerprint, versions and the id mark
+    /// take the maximum — which is what makes a snapshot plus the
+    /// journal it was compacted from recover to the same state.
+    pub fn apply(&mut self, rec: StateRecord) {
+        match rec {
+            StateRecord::Subscribe { id, client, expr } => {
+                self.profiles.insert(id, (client, expr));
+                self.next_profile = self.next_profile.max(id.as_u64().saturating_add(1));
+            }
+            StateRecord::Unsubscribe { id } => drop(self.profiles.remove(&id)),
+            StateRecord::SummaryVersion { version } => {
+                self.summary_version = self.summary_version.max(version);
+            }
+            StateRecord::AlertLifecycle {
+                fingerprint,
+                state,
+                at_micros,
+            } => drop(self.alerts.insert(fingerprint, (state, at_micros))),
+            StateRecord::NextProfile { next } => self.next_profile = self.next_profile.max(next),
+        }
+    }
 }
 
 /// The persistence seam an `AlertingCore` writes durable state through.
@@ -86,45 +109,42 @@ pub struct JournalConfig {
     /// record is durable. Values > 1 batch fsyncs and accept losing up
     /// to `fsync_every - 1` acknowledged records on a crash.
     pub fsync_every: usize,
-    /// Fold the journal into a snapshot after this many records.
-    /// 0 disables automatic compaction (journal grows until
-    /// [`JournalStateStore::compact`] is called).
-    pub snapshot_every: usize,
 }
 
 impl Default for JournalConfig {
     fn default() -> Self {
-        Self {
-            fsync_every: 1,
-            snapshot_every: 256,
-        }
+        Self { fsync_every: 1 }
     }
 }
 
-/// The durable backend: append-only CRC-framed journal + periodic
-/// snapshot over a [`Medium`], with snapshot-then-truncate compaction.
+/// The least journal worth compacting, in bytes: below it a compaction
+/// costs more than the replay it saves.
+pub const COMPACT_FLOOR: usize = 64 * 1024;
+
+/// The durable backend: an append-only journal of CRC-framed records
+/// and a snapshot — the same records, compacted — over a [`Medium`].
 ///
-/// The store keeps a shadow of the durable state so compaction never
-/// re-reads the medium. Compaction writes the snapshot (atomic,
-/// durable) *before* truncating the journal; a crash in between leaves
-/// a snapshot plus a journal whose records it already folded in —
-/// harmless, because replay is idempotent over its own snapshot
-/// (subscribe overwrites by id, unsubscribe removes by id, versions
-/// take the max).
+/// The store keeps no copy of the state. Compaction reads what the
+/// medium holds, merges it frame by frame and writes it back, snapshot
+/// first (atomic, durable), journal truncate second; a crash in between
+/// leaves a snapshot plus a journal whose records it already folded in
+/// — harmless, because [`RecoveredState::apply`] is idempotent over its
+/// own snapshot. The store compacts by itself when the journal has
+/// grown to the size of the snapshot the last compaction wrote (or
+/// [`COMPACT_FLOOR`], if larger): unless records died, each compaction
+/// doubles the bytes the next one waits for, so n appends cost O(n)
+/// compacted bytes in all, and the medium holds at most twice the live
+/// state plus the floor.
 #[derive(Debug)]
 pub struct JournalStateStore<M: Medium> {
     medium: M,
     config: JournalConfig,
     counts: Counts,
-    /// id → (client, expr): the durable state as this store knows it.
-    shadow: BTreeMap<u64, (u64, ProfileExpr)>,
-    /// fingerprint → (state tag, at_micros): latest alert lifecycle
-    /// record per instance.
-    alerts: BTreeMap<u64, (u8, u64)>,
-    next_profile: u64,
-    summary_version: u64,
     unsynced: usize,
-    journal_records: usize,
+    /// Bytes of the journal and of the snapshot on the medium: what was
+    /// appended since the last compaction, and what it wrote.
+    journal_bytes: usize,
+    snapshot_bytes: usize,
     buf: Vec<u8>,
 }
 
@@ -137,12 +157,9 @@ impl<M: Medium> JournalStateStore<M> {
             medium,
             config,
             counts: Counts::default(),
-            shadow: BTreeMap::new(),
-            alerts: BTreeMap::new(),
-            next_profile: 0,
-            summary_version: 0,
             unsynced: 0,
-            journal_records: 0,
+            journal_bytes: 0,
+            snapshot_bytes: 0,
             buf: Vec::new(),
         }
     }
@@ -153,42 +170,7 @@ impl<M: Medium> JournalStateStore<M> {
         &self.medium
     }
 
-    fn apply_shadow(
-        shadow: &mut BTreeMap<u64, (u64, ProfileExpr)>,
-        alerts: &mut BTreeMap<u64, (u8, u64)>,
-        next_profile: &mut u64,
-        summary_version: &mut u64,
-        rec: StateRecord,
-    ) {
-        match rec {
-            StateRecord::Subscribe { id, client, expr } => {
-                shadow.insert(id.as_u64(), (client.as_u64(), expr));
-                *next_profile = (*next_profile).max(id.as_u64() + 1);
-            }
-            StateRecord::Unsubscribe { id } => {
-                shadow.remove(&id.as_u64());
-            }
-            StateRecord::SummaryVersion { version } => {
-                *summary_version = (*summary_version).max(version);
-            }
-            StateRecord::AlertLifecycle {
-                fingerprint,
-                state,
-                at_micros,
-            } => {
-                alerts.insert(fingerprint, (state, at_micros));
-            }
-        }
-    }
-
     fn append(&mut self, rec: StateRecord) {
-        Self::apply_shadow(
-            &mut self.shadow,
-            &mut self.alerts,
-            &mut self.next_profile,
-            &mut self.summary_version,
-            rec.clone(),
-        );
         self.buf.clear();
         encode_record(&rec, &mut self.buf);
         self.medium.append_journal(&self.buf);
@@ -198,8 +180,8 @@ impl<M: Medium> JournalStateStore<M> {
             self.medium.sync_journal();
             self.unsynced = 0;
         }
-        self.journal_records += 1;
-        if self.config.snapshot_every > 0 && self.journal_records >= self.config.snapshot_every {
+        self.journal_bytes += self.buf.len();
+        if self.journal_bytes >= self.snapshot_bytes.max(COMPACT_FLOOR) {
             self.compact();
         }
     }
@@ -208,36 +190,19 @@ impl<M: Medium> JournalStateStore<M> {
     /// Snapshot first (atomic + durable), truncate second — see the
     /// type-level docs for why the in-between crash window is safe.
     pub fn compact(&mut self) {
-        let snap = SnapshotState {
-            summary_version: self.summary_version,
-            next_profile: self.next_profile,
-            profiles: self
-                .shadow
-                .iter()
-                .map(|(&id, (client, expr))| {
-                    (
-                        ProfileId::from_raw(id),
-                        ClientId::from_raw(*client),
-                        expr.clone(),
-                    )
-                })
-                .collect(),
-            alerts: self
-                .alerts
-                .iter()
-                .map(|(&fp, &(tag, at))| (fp, tag, at))
-                .collect(),
-        };
-        self.medium.replace_snapshot(&encode_snapshot(&snap));
-        self.medium.truncate_journal();
-        self.counts.add(CounterId::STATE_SNAPSHOT_WRITES, 1);
-        self.journal_records = 0;
-        self.unsynced = 0;
+        let snapshot = self.medium.read_snapshot();
+        let journal = self.medium.read_journal();
+        self.write_compacted(snapshot_records(&snapshot).unwrap_or_default(), &journal);
     }
 
-    /// Records currently sitting in the journal (drives compaction).
-    pub fn journal_records(&self) -> usize {
-        self.journal_records
+    fn write_compacted(&mut self, snapshot: &[u8], journal: &[u8]) {
+        let blob = compact([snapshot, journal]);
+        self.medium.replace_snapshot(&blob);
+        self.medium.truncate_journal();
+        self.counts.add(CounterId::STATE_SNAPSHOT_WRITES, 1);
+        self.snapshot_bytes = blob.len();
+        self.journal_bytes = 0;
+        self.unsynced = 0;
     }
 }
 
@@ -271,70 +236,35 @@ impl<M: Medium> StateStore for JournalStateStore<M> {
     }
 
     fn recover(&mut self) -> RecoveredState {
-        self.shadow.clear();
-        self.alerts.clear();
-        self.next_profile = 0;
-        self.summary_version = 0;
-        self.unsynced = 0;
-
-        let snap_bytes = self.medium.read_snapshot();
-        match decode_snapshot(&snap_bytes) {
-            Some(snap) => {
-                self.summary_version = snap.summary_version;
-                self.next_profile = snap.next_profile;
-                for (id, client, expr) in snap.profiles {
-                    self.shadow.insert(id.as_u64(), (client.as_u64(), expr));
-                    self.next_profile = self.next_profile.max(id.as_u64() + 1);
-                }
-                for (fingerprint, tag, at) in snap.alerts {
-                    self.alerts.insert(fingerprint, (tag, at));
-                }
-            }
-            None => {
-                // Snapshot replacement is atomic, so this should never
-                // happen in nature — but a store must fail closed, not
-                // fall over: count it, start empty, let the journal
-                // recover what it can.
-                self.counts.add(CounterId::STATE_JOURNAL_CORRUPT, 1);
-            }
-        }
-
+        let mut state = RecoveredState::default();
+        let snapshot = self.medium.read_snapshot();
         let journal = self.medium.read_journal();
-        let shadow = &mut self.shadow;
-        let alerts = &mut self.alerts;
-        let next_profile = &mut self.next_profile;
-        let summary_version = &mut self.summary_version;
-        let (applied, stop) = replay_journal(&journal, |rec| {
-            Self::apply_shadow(shadow, alerts, next_profile, summary_version, rec);
-        });
+        // Snapshot replacement is atomic, so a damaged snapshot should
+        // never happen in nature — but a store fails closed, not over:
+        // count it, keep the records ahead of the damage (none, of a blob
+        // without the header), let the journal recover what it can.
+        let (kept, snapshot_stop) = match snapshot_records(&snapshot) {
+            Some(records) => {
+                let (_, good, stop) = replay(records, |rec| state.apply(rec));
+                (&records[..good], stop)
+            }
+            None => (&[][..], ReplayStop::Corrupt),
+        };
+        let (applied, good, journal_stop) = replay(&journal, |rec| state.apply(rec));
         self.counts.add(CounterId::STATE_REPLAY_RECORDS, applied);
-        if stop == ReplayStop::Corrupt {
-            self.counts.add(CounterId::STATE_JOURNAL_CORRUPT, 1);
+        let corrupt = u64::from(snapshot_stop != ReplayStop::Clean)
+            + u64::from(journal_stop == ReplayStop::Corrupt);
+        self.counts.add(CounterId::STATE_JOURNAL_CORRUPT, corrupt);
+        self.snapshot_bytes = snapshot.len();
+        self.journal_bytes = journal.len();
+        self.unsynced = 0;
+        if (snapshot_stop, journal_stop) != (ReplayStop::Clean, ReplayStop::Clean) {
+            // Leave the medium holding exactly what was recovered: an
+            // append behind a torn tail would make it mid-journal
+            // corruption, and itself unreadable, at the next restart.
+            self.write_compacted(kept, &journal[..good]);
         }
-        // The intact records stay in the journal; compaction cadence
-        // picks up from here.
-        self.journal_records = applied as usize;
-
-        RecoveredState {
-            profiles: self
-                .shadow
-                .iter()
-                .map(|(&id, (client, expr))| {
-                    (
-                        ProfileId::from_raw(id),
-                        ClientId::from_raw(*client),
-                        expr.clone(),
-                    )
-                })
-                .collect(),
-            next_profile: self.next_profile,
-            summary_version: self.summary_version,
-            alerts: self
-                .alerts
-                .iter()
-                .map(|(&fp, &(tag, at))| (fp, tag, at))
-                .collect(),
-        }
+        state
     }
 
     fn counts_mut(&mut self) -> &mut Counts {
@@ -357,11 +287,22 @@ mod tests {
         (JournalStateStore::new(medium.clone(), config), medium)
     }
 
+    /// The default tuning; the journals of these tests stay far below
+    /// [`COMPACT_FLOOR`], so only explicit compactions run.
     fn no_snapshots() -> JournalConfig {
-        JournalConfig {
-            fsync_every: 1,
-            snapshot_every: 0,
-        }
+        JournalConfig::default()
+    }
+
+    fn profiles(
+        of: impl IntoIterator<Item = (u64, u64, ProfileExpr)>,
+    ) -> BTreeMap<ProfileId, (ClientId, ProfileExpr)> {
+        of.into_iter()
+            .map(|(id, client, expr)| (ProfileId::from_raw(id), (ClientId::from_raw(client), expr)))
+            .collect()
+    }
+
+    fn ids(recovered: &RecoveredState) -> Vec<u64> {
+        recovered.profiles.keys().map(|id| id.as_u64()).collect()
     }
 
     #[test]
@@ -375,10 +316,7 @@ mod tests {
 
         let mut fresh = JournalStateStore::new(medium, no_snapshots());
         let recovered = fresh.recover();
-        assert_eq!(
-            recovered.profiles,
-            vec![(ProfileId::from_raw(1), ClientId::from_raw(8), expr("b"))]
-        );
+        assert_eq!(recovered.profiles, profiles([(1, 8, expr("b"))]));
         assert_eq!(recovered.next_profile, 2);
         assert_eq!(recovered.summary_version, 3);
         let counters = fresh.counts_mut();
@@ -388,10 +326,7 @@ mod tests {
 
     #[test]
     fn fsync_batching_loses_only_unsynced_records_on_crash() {
-        let config = JournalConfig {
-            fsync_every: 3,
-            snapshot_every: 0,
-        };
+        let config = JournalConfig { fsync_every: 3 };
         let (mut s, medium) = store(config);
         for i in 0..5u64 {
             s.record_subscribe(
@@ -406,17 +341,13 @@ mod tests {
 
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
-        let ids: Vec<u64> = recovered.profiles.iter().map(|(id, _, _)| id.as_u64()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(ids(&recovered), vec![0, 1, 2]);
         assert_eq!(recovered.next_profile, 3);
     }
 
     #[test]
     fn kill_between_append_and_fsync_tears_the_tail_silently() {
-        let config = JournalConfig {
-            fsync_every: 100,
-            snapshot_every: 0,
-        };
+        let config = JournalConfig { fsync_every: 100 };
         let (mut s, medium) = store(config);
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
         s.record_subscribe(ProfileId::from_raw(1), ClientId::from_raw(1), &expr("b"));
@@ -427,10 +358,13 @@ mod tests {
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         // Record 0 fits inside the kept prefix, record 1 is torn away.
-        assert_eq!(recovered.profiles.len(), 1);
-        assert_eq!(recovered.profiles[0].0, ProfileId::from_raw(0));
+        assert_eq!(ids(&recovered), vec![0]);
         let counters = fresh.counts_mut();
-        assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 0, "a torn tail is not corruption");
+        assert_eq!(
+            counters.get(CounterId::STATE_JOURNAL_CORRUPT),
+            0,
+            "a torn tail is not corruption"
+        );
         assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 1);
     }
 
@@ -460,32 +394,49 @@ mod tests {
         let after = fresh.recover();
         assert_eq!(after, before, "snapshot+truncate must preserve state");
         let counters = fresh.counts_mut();
-        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 0, "nothing left to replay");
+        assert_eq!(
+            counters.get(CounterId::STATE_REPLAY_RECORDS),
+            0,
+            "nothing left to replay"
+        );
         assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 0);
     }
 
     #[test]
     fn automatic_snapshot_cadence_compacts_and_recovery_still_agrees() {
-        let config = JournalConfig {
-            fsync_every: 1,
-            snapshot_every: 4,
-        };
+        let config = JournalConfig::default();
         let (mut s, medium) = store(config);
-        for i in 0..11u64 {
+        // The store compacts by itself once the journal reaches the
+        // floor, and then again only when it has grown to the size of
+        // the snapshot it wrote.
+        let mut appended = 0u64;
+        while s.counts_mut().get(CounterId::STATE_SNAPSHOT_WRITES) < 2 {
+            assert!(medium.journal_len() < COMPACT_FLOOR.max(medium.snapshot_len()));
+            let host = format!("host-{appended}");
             s.record_subscribe(
-                ProfileId::from_raw(i),
+                ProfileId::from_raw(appended),
                 ClientId::from_raw(0),
-                &expr(&format!("host-{i}")),
+                &expr(&host),
             );
+            appended += 1;
         }
-        let counters = s.counts_mut();
-        assert_eq!(counters.get(CounterId::STATE_SNAPSHOT_WRITES), 2, "11 records at cadence 4");
-        assert_eq!(s.journal_records(), 3);
+        assert_eq!(
+            medium.journal_len(),
+            0,
+            "the append that compacted left nothing behind"
+        );
+        assert!(
+            medium.snapshot_len() >= 2 * COMPACT_FLOOR,
+            "nobody cancelled: the state doubled"
+        );
+        for i in 0..3 {
+            s.record_unsubscribe(ProfileId::from_raw(i));
+        }
 
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
-        assert_eq!(recovered.profiles.len(), 11);
-        assert_eq!(recovered.next_profile, 11);
+        assert_eq!(recovered.profiles.len() as u64, appended - 3);
+        assert_eq!(recovered.next_profile, appended);
         assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 3);
     }
 
@@ -509,8 +460,7 @@ mod tests {
 
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
-        let ids: Vec<u64> = recovered.profiles.iter().map(|(id, _, _)| id.as_u64()).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(ids(&recovered), vec![1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(recovered.summary_version, 9);
         assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 9);
     }
@@ -532,14 +482,10 @@ mod tests {
             probe.recover()
         };
         // The snapshot that compaction would have written...
-        let snap = SnapshotState {
-            summary_version: clean.summary_version,
-            next_profile: clean.next_profile,
-            profiles: clean.profiles.clone(),
-            alerts: clean.alerts.clone(),
-        };
+        let mut compacted = JournalStateStore::new(medium.clone_deep(), config);
+        compacted.compact();
         let mut m = medium.clone();
-        m.replace_snapshot(&encode_snapshot(&snap));
+        m.replace_snapshot(&compacted.medium.read_snapshot());
         // ...but the truncate never happened (crash window).
         assert!(medium.journal_len() > 0);
 
@@ -553,7 +499,7 @@ mod tests {
         let config = no_snapshots();
         let (mut s, mut medium) = store(config);
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
-        // A corrupt snapshot appears (not one this store wrote).
+        // A blob without our header appears (here: format version 1).
         medium.replace_snapshot(b"\x5A\x01 this is not a snapshot");
 
         let mut fresh = JournalStateStore::new(medium, config);
@@ -611,7 +557,7 @@ mod tests {
         let recovered = fresh.recover();
         assert_eq!(
             recovered.alerts,
-            vec![(0xaaa, 1, 3_000_000), (0xbbb, 0, 2_000_000)]
+            BTreeMap::from([(0xaaa, (1, 3_000_000)), (0xbbb, (0, 2_000_000))])
         );
         assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 3);
     }
@@ -630,7 +576,7 @@ mod tests {
         let recovered = fresh.recover();
         assert_eq!(
             recovered.alerts,
-            vec![(0xccc, 2, 5_000_000), (0xddd, 0, 6_000_000)]
+            BTreeMap::from([(0xccc, (2, 5_000_000)), (0xddd, (0, 6_000_000))])
         );
         assert_eq!(recovered.profiles.len(), 1);
     }

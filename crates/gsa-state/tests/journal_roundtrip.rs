@@ -6,11 +6,13 @@
 //! bit-flipped byte) and replayed by a fresh store. The replayed state
 //! must equal the in-memory model folded over the records whose frames
 //! survived intact — never more, never a panic — and compaction at any
-//! cadence must not change what recovery returns.
+//! point, completed or cut short between its two steps, must not change
+//! what recovery returns. The snapshot is the same record stream behind
+//! a header, so the same damage is swept over it.
 
 use gsa_profile::{Predicate, ProfileAttr, ProfileExpr};
 use gsa_state::{
-    JournalConfig, JournalStateStore, MemMedium, RecoveredState, StateStore,
+    replay_journal, JournalConfig, JournalStateStore, Medium, MemMedium, RecoveredState, StateStore,
 };
 use gsa_types::{ClientId, CounterId, ProfileId};
 use proptest::prelude::*;
@@ -24,6 +26,9 @@ enum Op {
     Unsubscribe { pick: usize },
     /// Announce the next summary version.
     Announce,
+    /// Compact. When it does not complete, the process dies between
+    /// the snapshot write and the journal truncate, and the run with it.
+    Compact { completes: bool },
 }
 
 fn op_strategy() -> BoxedStrategy<Op> {
@@ -32,6 +37,20 @@ fn op_strategy() -> BoxedStrategy<Op> {
         (0u64..5, 0u8..8).prop_map(|(client, host)| Op::Subscribe { client, host }),
         (0usize..16).prop_map(|pick| Op::Unsubscribe { pick }),
         Just(Op::Announce),
+    ]
+    .boxed()
+}
+
+/// [`op_strategy`] with compactions among the ops, one in eight of them
+/// cut short.
+fn op_or_compact_strategy() -> BoxedStrategy<Op> {
+    prop_oneof![
+        op_strategy(),
+        op_strategy(),
+        op_strategy(),
+        (0u8..8).prop_map(|roll| Op::Compact {
+            completes: roll != 0
+        }),
     ]
     .boxed()
 }
@@ -55,12 +74,15 @@ impl Model {
                 .profiles
                 .iter()
                 .map(|(&id, &(client, host))| {
-                    (ProfileId::from_raw(id), ClientId::from_raw(client), expr(host))
+                    (
+                        ProfileId::from_raw(id),
+                        (ClientId::from_raw(client), expr(host)),
+                    )
                 })
                 .collect(),
             next_profile: self.next_profile,
             summary_version: self.summary_version,
-            alerts: Vec::new(),
+            alerts: BTreeMap::new(),
         }
     }
 }
@@ -90,15 +112,51 @@ fn fold(applied: &[Applied]) -> Model {
     m
 }
 
-/// Drive `ops` through a journal store over a fresh medium, returning
-/// the medium, the applied-record trace and the byte boundary after
-/// each record.
+/// A medium whose process can die between the two steps of a
+/// compaction: once `dying` is set, the journal truncate never reaches
+/// the disk.
+#[derive(Debug, Clone, Default)]
+struct Mortal {
+    disk: MemMedium,
+    dying: bool,
+}
+
+impl Medium for Mortal {
+    fn read_snapshot(&mut self) -> Vec<u8> {
+        self.disk.read_snapshot()
+    }
+    fn replace_snapshot(&mut self, bytes: &[u8]) {
+        self.disk.replace_snapshot(bytes);
+    }
+    fn append_journal(&mut self, bytes: &[u8]) {
+        self.disk.append_journal(bytes);
+    }
+    fn sync_journal(&mut self) {
+        self.disk.sync_journal();
+    }
+    fn read_journal(&mut self) -> Vec<u8> {
+        self.disk.read_journal()
+    }
+    fn truncate_journal(&mut self) {
+        if !self.dying {
+            self.disk.truncate_journal();
+        }
+    }
+}
+
+/// Drive `ops` through a journal store over a fresh medium, up to the
+/// first compaction that does not complete, returning the medium, the
+/// applied-record trace and the byte boundary after each record.
 fn run_ops(
     ops: &[Op],
     config: JournalConfig,
 ) -> (MemMedium, Vec<Applied>, Vec<usize>) {
     let medium = MemMedium::new();
-    let mut store = JournalStateStore::new(medium.clone(), config);
+    let mortal = Mortal {
+        disk: medium.clone(),
+        dying: false,
+    };
+    let mut store = JournalStateStore::new(mortal, config);
     let mut applied = Vec::new();
     let mut boundaries = Vec::new();
     let mut model = Model::default();
@@ -128,6 +186,21 @@ fn run_ops(
                 model.summary_version = version;
                 applied.push(Applied::Version { v: version });
             }
+            Op::Compact { completes: true } => {
+                store.compact();
+                continue;
+            }
+            Op::Compact { completes: false } => {
+                let mut dying = JournalStateStore::new(
+                    Mortal {
+                        disk: medium.clone(),
+                        dying: true,
+                    },
+                    config,
+                );
+                dying.compact();
+                break;
+            }
         }
         // Total bytes written so far (synced or not): the frame
         // boundary of the record just appended.
@@ -142,10 +215,9 @@ fn recover_fresh(medium: MemMedium, config: JournalConfig) -> (RecoveredState, u
     (recovered, store.counts_mut().get(CounterId::STATE_JOURNAL_CORRUPT))
 }
 
-const PLAIN: JournalConfig = JournalConfig {
-    fsync_every: 1,
-    snapshot_every: 0,
-};
+/// Sync every append. The journals here stay far below the size at
+/// which the store compacts by itself, so a compaction is an op.
+const PLAIN: JournalConfig = JournalConfig { fsync_every: 1 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -185,7 +257,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..60),
         fsync_every in 1usize..8,
     ) {
-        let config = JournalConfig { fsync_every, snapshot_every: 0 };
+        let config = JournalConfig { fsync_every };
         let (medium, applied, boundaries) = run_ops(&ops, config);
         medium.crash();
         let kept = medium.journal_len();
@@ -224,19 +296,83 @@ proptest! {
         prop_assert!(ok, "replay of a flipped journal must be a prefix fold (flip at {})", idx);
     }
 
-    /// Compaction at any cadence is invisible to recovery.
+    /// Compaction is invisible to recovery, whenever it runs and
+    /// whether or not it gets to truncate the journal.
     #[test]
     fn compaction_cadence_is_invisible_to_recovery(
-        ops in prop::collection::vec(op_strategy(), 0..60),
-        snapshot_every in 0usize..10,
+        ops in prop::collection::vec(op_or_compact_strategy(), 0..60),
         fsync_every in 1usize..4,
     ) {
-        let config = JournalConfig { fsync_every, snapshot_every };
+        let config = JournalConfig { fsync_every };
         let (medium, applied, _) = run_ops(&ops, config);
         // Everything acknowledged is either snapshotted or in the
-        // journal; no crash here, so recovery sees it all.
-        let (recovered, corrupt) = recover_fresh(medium, config);
-        prop_assert_eq!(recovered, fold(&applied).as_recovered());
+        // journal — or, after a compaction cut short, in both; no lost
+        // write here, so recovery sees it all.
+        let (recovered, corrupt) = recover_fresh(medium.clone(), config);
+        prop_assert_eq!(&recovered, &fold(&applied).as_recovered());
         prop_assert_eq!(corrupt, 0);
+        // And a compaction of whatever that left changes nothing.
+        let mut store = JournalStateStore::new(medium.clone(), config);
+        store.compact();
+        prop_assert_eq!(recover_fresh(medium, config), (recovered, 0));
+    }
+
+    /// The snapshot is a record stream too: a flipped byte or a cut
+    /// anywhere in it never panics and never invents state — recovery
+    /// keeps the snapshot records ahead of the damage and the whole
+    /// journal, counts the damage once, and leaves the medium holding
+    /// exactly that.
+    #[test]
+    fn damaged_snapshot_degrades_to_a_prefix_plus_the_journal(
+        before in prop::collection::vec(op_strategy(), 1..40),
+        after in prop::collection::vec(op_strategy(), 0..20),
+        at_frac in 0u32..1000,
+        flip in 0u8..2,
+    ) {
+        let ops: Vec<Op> = before
+            .into_iter()
+            .chain([Op::Compact { completes: true }])
+            .chain(after)
+            .collect();
+        let (mut medium, _, _) = run_ops(&ops, PLAIN);
+        let clean = medium.read_snapshot();
+        let at = (clean.len() as u64 * u64::from(at_frac) / 1000) as usize;
+        // What the snapshot and the journal hold, record by record.
+        let mut snapshot_records = Vec::new();
+        let mut ends = Vec::new();
+        let mut end = 2;
+        replay_journal(&clean[2..], |rec| {
+            let mut frame = Vec::new();
+            gsa_state::encode_record(&rec, &mut frame);
+            end += frame.len();
+            ends.push(end);
+            snapshot_records.push(rec);
+        });
+        prop_assert_eq!(end, clean.len());
+        let mut journal_records = Vec::new();
+        replay_journal(&medium.read_journal(), |rec| journal_records.push(rec));
+
+        let flip = flip == 1;
+        let mut damaged = clean.clone();
+        if flip {
+            damaged[at] ^= 0xFF;
+        } else {
+            damaged.truncate(at);
+        }
+        medium.replace_snapshot(&damaged);
+        // A cut to nothing is "no snapshot yet"; otherwise a blob with
+        // a broken header is refused whole, and past the header the
+        // records whose frames end before the damage survive.
+        let intact = if at < 2 { 0 } else { ends.iter().filter(|&&e| e <= at).count() };
+        let mut expected = RecoveredState::default();
+        for rec in snapshot_records[..intact].iter().chain(&journal_records) {
+            expected.apply(rec.clone());
+        }
+        let (recovered, corrupt) = recover_fresh(medium.clone(), PLAIN);
+        prop_assert_eq!(&recovered, &expected);
+        let unnoticed = !flip && (at == 0 || at == 2 || ends.contains(&at));
+        prop_assert_eq!(corrupt, u64::from(!unnoticed));
+        // The repair: a second recovery finds nothing to complain about.
+        prop_assert_eq!(recover_fresh(medium, PLAIN), (recovered, 0));
     }
 }

@@ -4,7 +4,7 @@
 //! bodies; keeping the codecs here means the event format is identical on
 //! the GDS and GS protocols, as in the paper.
 
-use crate::xml::{WireError, XmlElement};
+use crate::xml::{WireError, XmlElement, XmlPut};
 use gsa_types::{
     CollectionId, DocSummary, Event, EventId, EventKind, MetaKey, MetadataRecord, SimTime,
 };
@@ -18,14 +18,23 @@ use gsa_types::{
 pub fn metadata_to_xml(md: &MetadataRecord) -> XmlElement {
     let mut el = XmlElement::new("metadata");
     el.reserve_children(md.total_values());
-    for (k, v) in md.iter_flat() {
-        el.push_child(
-            XmlElement::new("meta")
-                .with_attr("name", k.as_str())
-                .with_attr("value", v),
-        );
-    }
+    put_metas(md, &mut el);
     el
+}
+
+/// Puts a metadata record, as [`metadata_to_xml`] encodes it, as the
+/// next child of the element under description.
+pub fn put_metadata(md: &MetadataRecord, out: &mut impl XmlPut) {
+    out.child("metadata", |el| put_metas(md, el));
+}
+
+fn put_metas(md: &MetadataRecord, out: &mut impl XmlPut) {
+    for (k, v) in md.iter_flat() {
+        out.child("meta", |meta| {
+            meta.attr("name", k.as_str());
+            meta.attr("value", v);
+        });
+    }
 }
 
 /// Decodes a metadata record from the element produced by

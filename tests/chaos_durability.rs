@@ -174,6 +174,45 @@ fn torn_trailing_write_recovers_the_intact_prefix() {
 }
 
 #[test]
+fn subscription_acknowledged_after_a_torn_tail_recovery_survives_the_next_crash() {
+    // The second crash. The first restart recovers past a torn tail; a
+    // client then subscribes and is acknowledged. Were the torn bytes
+    // still in the journal ahead of that record, the second restart
+    // would read them as mid-journal corruption and stop there: the
+    // late subscriber gone, and silent at the publish below.
+    let mut system = durable_hamilton(23, 4);
+    system.storage_of("Hamilton").unwrap().tear_tail(2);
+    system.crash_server("Hamilton");
+    system.restart_server("Hamilton");
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+
+    let late = system.add_client("Hamilton");
+    system
+        .subscribe_text("Hamilton", late, r#"host = "Hamilton""#)
+        .unwrap();
+    system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+    system.crash_server("Hamilton");
+    system.restart_server("Hamilton");
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+
+    let recovered = system.inspect_core("Hamilton", |c| c.subscriptions().len());
+    assert_eq!(
+        recovered, 4,
+        "three survivors of the tear and the late subscriber"
+    );
+    assert_eq!(system.metrics().counter("state.journal_corrupt"), 0);
+    system
+        .rebuild("Hamilton", "D", vec![SourceDocument::new("d1", "v1")])
+        .unwrap();
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+    assert_eq!(
+        system.take_notifications("Hamilton", late).len(),
+        1,
+        "the late subscriber is notified"
+    );
+}
+
+#[test]
 fn mid_journal_flip_stops_at_the_last_good_record_and_is_counted() {
     let mut system = durable_hamilton(22, 4);
     let storage = system.storage_of("Hamilton").unwrap();
@@ -323,7 +362,7 @@ fn every_single_byte_flip_recovers_a_subset_without_panicking() {
             recovered.profiles.len() <= 6,
             "byte {idx}: recovery must never invent profiles"
         );
-        for (id, client, _) in &recovered.profiles {
+        for (id, (client, _)) in &recovered.profiles {
             assert_eq!(id.as_u64(), client.as_u64(), "byte {idx}: pairing preserved");
         }
     }

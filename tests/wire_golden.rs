@@ -1,16 +1,23 @@
 //! Golden bytes: one sample of every GDS message variant, and the
 //! reliable envelope around one, pinned as literals on both wires — the
-//! v2 frame in hex, the v1 text as `to_document_string()` writes it.
+//! v2 frame in hex, the v1 text as `to_document_string()` writes it —
+//! and one sample of every message of the GS network (the six
+//! request/response messages and the four alerting payloads), which is
+//! XML only.
 //!
 //! For each sample the encoders must produce the literal, the three
 //! size functions (`wire_size`, `binary_wire_size`, `SysMessage::wire_size`)
 //! must report its length, and both decoders must return the value. A
 //! codec change that moves a byte on either wire fails here first.
 
-use gsa_core::SysMessage;
+use gsa_core::{AuxPayload, SysMessage};
 use gsa_gds::{GdsMessage, ResolveToken};
+use gsa_greenstone::protocol::{CollectionInfo, FetchedDoc, SearchHit};
+use gsa_greenstone::{GsError, GsMessage, RequestId};
+use gsa_store::{Query, SourceDocument};
 use gsa_types::{
-    CollectionId, DocSummary, Event, EventId, EventKind, MessageId, MetadataRecord, SimTime,
+    CollectionId, DocSummary, DocumentRef, Event, EventId, EventKind, MessageId, MetadataRecord,
+    SimTime,
 };
 use gsa_wire::binary::{
     decode_frame, payload_bytes_from_xml, payload_xml_from_bytes, write_frame, ByteSink, MAX_DEPTH,
@@ -675,4 +682,198 @@ fn trailing_bytes_inside_a_frame_are_refused() {
     ]
     .concat();
     assert!(Reliable::<GdsMessage>::from_binary(&framed(&stuffed)).is_err());
+}
+
+/// Holds one GS request or response to its literal.
+fn pin_gs(msg: GsMessage, document: &str) {
+    assert_eq!(msg.to_xml().to_document_string(), document, "text of {msg}");
+    let text_len = document.len() - DECLARATION.len();
+    assert_eq!(msg.wire_size(), text_len, "wire_size of {msg}");
+    assert_eq!(SysMessage::Gs(msg.clone()).wire_size(), text_len);
+    let parsed = parse_document(document).unwrap();
+    assert_eq!(
+        GsMessage::from_xml(&parsed).unwrap(),
+        msg,
+        "decode of {msg}"
+    );
+}
+
+/// Holds one alerting payload, inside its `gs:alerting` element, to its
+/// literal.
+fn pin_aux(payload: AuxPayload, document: &str) {
+    assert_eq!(
+        payload.to_xml().to_document_string(),
+        document,
+        "text of {payload}"
+    );
+    let text_len = document.len() - DECLARATION.len();
+    assert_eq!(payload.wire_size(), text_len, "wire_size of {payload}");
+    assert_eq!(payload.clone().into_message().wire_size(), text_len);
+    let parsed = parse_document(document).unwrap();
+    assert_eq!(
+        AuxPayload::from_xml(&parsed).unwrap(),
+        payload,
+        "decode of {payload}"
+    );
+}
+
+#[test]
+fn gs_requests_and_responses_are_pinned() {
+    pin_gs(
+        GsMessage::DescribeRequest {
+            request: RequestId(1),
+            collection: "D".into(),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:describe request=\"1\" collection=\"D\"/>",
+    );
+    pin_gs(
+        GsMessage::DescribeResponse {
+            request: RequestId(1),
+            result: Ok(CollectionInfo {
+                id: CollectionId::new("Hamilton", "D"),
+                title: "Demo & \"more\"".into(),
+                doc_count: 3,
+                indexes: vec!["text".into(), "titles".into()],
+                classifiers: vec!["creators".into()],
+                subcollections: vec![CollectionId::new("London", "E")],
+                is_virtual: false,
+            }),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:describe-response request=\"1\">\
+         <info id=\"Hamilton.D\" title=\"Demo &amp; &quot;more&quot;\" docs=\"3\" virtual=\"false\">\
+         <index>text</index><index>titles</index><classifier>creators</classifier>\
+         <sub>London.E</sub></info></gs:describe-response>",
+    );
+    pin_gs(
+        GsMessage::DescribeResponse {
+            request: RequestId(2),
+            result: Err(GsError::UnknownCollection("X<y>".into())),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:describe-response request=\"2\">\
+         <error code=\"unknown-collection\" detail=\"X&lt;y&gt;\"/></gs:describe-response>",
+    );
+    pin_gs(
+        GsMessage::FetchRequest {
+            request: RequestId(9),
+            collection: "E".into(),
+            visited: vec![
+                CollectionId::new("Hamilton", "D"),
+                CollectionId::new("Paris", "Z"),
+            ],
+            via_parent: true,
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
+         <gs:fetch request=\"9\" collection=\"E\" via-parent=\"true\">\
+         <visited>Hamilton.D</visited><visited>Paris.Z</visited></gs:fetch>",
+    );
+    let mut metadata = MetadataRecord::new();
+    metadata.add("dc.Title", "Digital <Libraries> & \"more\"");
+    metadata.add("dc.Subject", "alerting");
+    metadata.add("dc.Subject", "digital libraries");
+    pin_gs(
+        GsMessage::FetchResponse {
+            request: RequestId(9),
+            docs: vec![
+                FetchedDoc {
+                    collection: CollectionId::new("London", "E"),
+                    doc: SourceDocument::new("HASH1", "body <text> & more").with_metadata(metadata),
+                },
+                FetchedDoc {
+                    collection: CollectionId::new("London", "E"),
+                    doc: SourceDocument::new("HASH2", ""),
+                },
+            ],
+            errors: vec![GsError::Timeout, GsError::UnknownIndex("titles".into())],
+            fatal: Some(GsError::PrivateCollection("G".into())),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:fetch-response request=\"9\">\
+         <fetched collection=\"London.E\" id=\"HASH1\"><metadata>\
+         <meta name=\"dc.Subject\" value=\"alerting\"/>\
+         <meta name=\"dc.Subject\" value=\"digital libraries\"/>\
+         <meta name=\"dc.Title\" value=\"Digital &lt;Libraries&gt; &amp; &quot;more&quot;\"/>\
+         </metadata><text>body &lt;text&gt; &amp; more</text></fetched>\
+         <fetched collection=\"London.E\" id=\"HASH2\"><metadata/></fetched>\
+         <error code=\"timeout\" detail=\"\"/><error code=\"unknown-index\" detail=\"titles\"/>\
+         <fatal><error code=\"private-collection\" detail=\"G\"/></fatal></gs:fetch-response>",
+    );
+    pin_gs(
+        GsMessage::SearchRequest {
+            request: RequestId(3),
+            collection: "D".into(),
+            index: "text".into(),
+            query: Query::parse("digital AND librar*").unwrap(),
+            visited: vec![CollectionId::new("Hamilton", "D")],
+            via_parent: false,
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
+         <gs:search request=\"3\" collection=\"D\" index=\"text\" via-parent=\"false\" \
+         query=\"(digital AND librar*)\"><visited>Hamilton.D</visited></gs:search>",
+    );
+    pin_gs(
+        GsMessage::SearchResponse {
+            request: RequestId(3),
+            hits: vec![
+                SearchHit {
+                    doc: DocumentRef::new(CollectionId::new("London", "E"), "HASH2"),
+                    score: 0.5,
+                },
+                SearchHit {
+                    doc: DocumentRef::new(CollectionId::new("Hamilton", "D"), "HASH<3>"),
+                    score: 1.0,
+                },
+            ],
+            errors: vec![GsError::UnknownIndex("text".into())],
+            fatal: Some(GsError::Timeout),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:search-response request=\"3\">\
+         <hit collection=\"London.E\" doc=\"HASH2\" score=\"0.500000\"/>\
+         <hit collection=\"Hamilton.D\" doc=\"HASH&lt;3&gt;\" score=\"1.000000\"/>\
+         <error code=\"unknown-index\" detail=\"text\"/>\
+         <fatal><error code=\"timeout\" detail=\"\"/></fatal></gs:search-response>",
+    );
+}
+
+#[test]
+fn alerting_payloads_are_pinned_inside_their_gs_element() {
+    pin_aux(
+        AuxPayload::Plant {
+            op: 1,
+            super_collection: CollectionId::new("Hamilton", "D"),
+            sub_name: "E".into(),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
+         <aux-plant op=\"1\" super=\"Hamilton.D\" sub-name=\"E\"/></gs:alerting>",
+    );
+    pin_aux(
+        AuxPayload::Delete {
+            op: 300,
+            super_collection: CollectionId::new("Hamilton", "D<&>"),
+            sub_name: "E\"e".into(),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
+         <aux-delete op=\"300\" super=\"Hamilton.D&lt;&amp;&gt;\" sub-name=\"E&quot;e\"/>\
+         </gs:alerting>",
+    );
+    // Provenance and a multi-valued metadata key travel with the event.
+    let mut forwarded = event();
+    forwarded.docs[0].metadata.add("dc.Language", "en");
+    pin_aux(
+        AuxPayload::ForwardEvent {
+            op: u64::MAX,
+            super_name: "D".into(),
+            event: Payload::from_event(Arc::new(forwarded)),
+        },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
+         <aux-event op=\"18446744073709551615\" super-name=\"D\">\
+         <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
+         <origin>Hamilton.D</origin><provenance>London.E</provenance><document id=\"doc-1\">\
+         <metadata><meta name=\"dc.Language\" value=\"mi\"/><meta name=\"dc.Language\" value=\"en\"/>\
+         <meta name=\"dc.Title\" value=\"Digital &lt;Libraries&gt; &amp; &quot;more&quot;\"/>\
+         </metadata><excerpt value=\"an excerpt…\"/></document><document id=\"doc-2\">\
+         <metadata/></document></event></aux-event></gs:alerting>",
+    );
+    pin_aux(
+        AuxPayload::Ack { op: 0 },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting><aux-ack op=\"0\"/></gs:alerting>",
+    );
 }
