@@ -646,14 +646,12 @@ impl AlertingCore {
         client: ClientId,
         expr: ProfileExpr,
     ) -> Result<ProfileId, DnfError> {
-        let id = self.subs.subscribe(client, expr)?;
-        if let Some(profile) = self.subs.profile(id) {
-            // With the default in-memory store this is a no-op; the
-            // journal backend makes the subscription durable before the
-            // caller sees the ack.
-            self.store.record_subscribe(id, client, profile.expr());
-        }
-        Ok(id)
+        let stored = self.subs.subscribe(client, expr)?;
+        // With the default in-memory store this is a no-op; the journal
+        // backend makes the subscription durable before the caller sees
+        // the ack.
+        self.store.record_subscribe(stored.id(), client, stored.expr());
+        Ok(stored.id())
     }
 
     /// Cancels a profile — local and immediate.

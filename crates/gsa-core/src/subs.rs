@@ -9,7 +9,7 @@
 //! Events are matched by the server's one [`FilterEngine`] (the paper's
 //! §5 equality-preferred filter); there is no other matching backend.
 
-use gsa_filter::{DocMatch, FilterEngine, MatchScratch};
+use gsa_filter::{DocMatch, FilterEngine, FilterStats, MatchScratch};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
 use gsa_wire::{InterestCounts, InterestSummary};
@@ -53,7 +53,9 @@ impl fmt::Display for Notification {
 #[derive(Debug, Default)]
 pub struct SubscriptionManager {
     engine: FilterEngine,
-    profiles: HashMap<ProfileId, Profile>,
+    /// The stored profiles, indexed by the slot the engine keeps each
+    /// under ([`FilterEngine::slot`]); `None` where the engine has none.
+    profiles: Vec<Option<Profile>>,
     next_profile: u64,
     mailboxes: HashMap<ClientId, Vec<Notification>>,
     /// Reusable matching state; after warm-up the engine's indexed path
@@ -94,28 +96,30 @@ impl SubscriptionManager {
 
     /// Number of stored profiles.
     pub fn len(&self) -> usize {
-        self.profiles.len()
+        self.engine.len()
     }
 
     /// Returns `true` when no profiles are stored.
     pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
+        self.engine.is_empty()
     }
 
-    /// Registers a profile for `client`.
+    /// The filter index's size counters.
+    pub fn filter_stats(&self) -> FilterStats {
+        self.engine.stats()
+    }
+
+    /// Registers a profile for `client` under the next free id and
+    /// returns it as stored.
     ///
     /// # Errors
     ///
     /// Returns [`DnfError`] when the expression is too large to index.
-    pub fn subscribe(
-        &mut self,
-        client: ClientId,
-        expr: ProfileExpr,
-    ) -> Result<ProfileId, DnfError> {
+    pub fn subscribe(&mut self, client: ClientId, expr: ProfileExpr) -> Result<&Profile, DnfError> {
         let id = ProfileId::from_raw(self.next_profile);
-        self.insert_profile(id, client, expr)?;
+        let slot = self.insert_profile(id, client, expr)?;
         self.next_profile += 1;
-        Ok(id)
+        Ok(self.profiles[slot].as_ref().expect("just stored"))
     }
 
     /// Re-registers a recovered profile under its original id (the
@@ -123,6 +127,8 @@ impl SubscriptionManager {
     /// the id is the caller's: recovery must reproduce the pre-crash id
     /// space so persisted unsubscribe records and client-held handles
     /// keep meaning the same profile. Bumps the id allocator past `id`.
+    /// Restoring over a live id replaces that profile, as the later of
+    /// two journal records for one id replaces the earlier.
     ///
     /// # Errors
     ///
@@ -139,20 +145,33 @@ impl SubscriptionManager {
         Ok(())
     }
 
-    /// Indexes and stores a profile, counting its digest when counts are
-    /// kept — the one way a profile comes to be stored.
+    /// Indexes and stores a profile — the one way a profile comes to be
+    /// stored — and returns its slot. Kept counts gain its digest and
+    /// lose that of the profile it replaced (same id, so same slot); a
+    /// profile replaced by an equal expression — every one, when a server
+    /// replays its journal over live state — derives none.
     fn insert_profile(
         &mut self,
         id: ProfileId,
         client: ClientId,
         expr: ProfileExpr,
-    ) -> Result<(), DnfError> {
+    ) -> Result<usize, DnfError> {
         self.engine.insert(id, &expr)?;
-        if let Some(counts) = &mut self.interests {
-            counts.add(&digest_of(&expr));
+        let slot = self.engine.slot(id).expect("just inserted") as usize;
+        if slot >= self.profiles.len() {
+            self.profiles.resize_with(slot + 1, || None);
         }
-        self.profiles.insert(id, Profile::new(id, client, expr));
-        Ok(())
+        let replaced = self.profiles[slot].take();
+        let stored = self.profiles[slot].insert(Profile::new(id, client, expr));
+        if let Some(counts) = &mut self.interests {
+            if replaced.as_ref().map(Profile::expr) != Some(stored.expr()) {
+                if let Some(replaced) = replaced {
+                    counts.remove(&digest_of(replaced.expr()));
+                }
+                counts.add(&digest_of(stored.expr()));
+            }
+        }
+        Ok(slot)
     }
 
     /// Ensures the next assigned profile id is at least `n` (recovery
@@ -169,7 +188,7 @@ impl SubscriptionManager {
     /// side* inbox of already-produced notifications, not server state.
     pub fn wipe_for_crash(&mut self) {
         self.engine = FilterEngine::new();
-        self.profiles.clear();
+        self.profiles = Vec::new();
         self.next_profile = 0;
         if let Some(counts) = &mut self.interests {
             counts.clear();
@@ -179,38 +198,26 @@ impl SubscriptionManager {
     /// Cancels a profile. Local and immediate (research problem 4).
     /// Returns `true` when it existed.
     pub fn unsubscribe(&mut self, profile: ProfileId) -> bool {
-        self.engine.remove(profile);
-        let Some(removed) = self.profiles.remove(&profile) else {
+        let Some(slot) = self.engine.slot(profile) else {
             return false;
         };
+        self.engine.remove(profile);
+        let removed = self.profiles[slot as usize].take();
         if let Some(counts) = &mut self.interests {
+            let removed = removed.expect("an indexed profile is stored");
             counts.remove(&digest_of(removed.expr()));
         }
         true
     }
 
-    /// Cancels all profiles of a client, returning how many were removed.
-    pub fn unsubscribe_client(&mut self, client: ClientId) -> usize {
-        let ids: Vec<ProfileId> = self
-            .profiles
-            .values()
-            .filter(|p| p.owner() == client)
-            .map(Profile::id)
-            .collect();
-        for id in &ids {
-            self.unsubscribe(*id);
-        }
-        ids.len()
-    }
-
     /// Borrows a profile.
     pub fn profile(&self, id: ProfileId) -> Option<&Profile> {
-        self.profiles.get(&id)
+        self.profiles[self.engine.slot(id)? as usize].as_ref()
     }
 
     /// Iterates over all profiles (arbitrary order).
     pub fn profiles(&self) -> impl Iterator<Item = &Profile> {
-        self.profiles.values()
+        self.profiles.iter().flatten()
     }
 
     /// `true` when a subscribe, cancel, restore or crash since the last
@@ -230,7 +237,7 @@ impl SubscriptionManager {
     pub fn interest_summary(&mut self) -> InterestSummary {
         let counts = self.interests.get_or_insert_with(|| {
             let mut counts = InterestCounts::default();
-            for profile in self.profiles.values() {
+            for profile in self.profiles.iter().flatten() {
                 counts.add(&digest_of(profile.expr()));
             }
             counts
@@ -274,7 +281,8 @@ impl SubscriptionManager {
         self.hits
             .chunk_by(|a, b| a.profile == b.profile)
             .map(|of_profile| {
-                let profile = &self.profiles[&of_profile[0].profile];
+                let profile = self.profile(of_profile[0].profile);
+                let profile = profile.expect("a matched profile is stored");
                 // A docless event matches with no document at all.
                 let docs = of_profile.iter().filter_map(|hit| hit.doc);
                 let mut matched_docs = Vec::with_capacity(docs.clone().count());
@@ -355,7 +363,8 @@ mod tests {
         let mut subs = SubscriptionManager::new();
         let p = subs
             .subscribe(client(1), parse_profile(r#"host = "London""#).unwrap())
-            .unwrap();
+            .unwrap()
+            .id();
         let notifications = filter_event(&mut subs, &event("London", "d1"), SimTime::ZERO);
         assert_eq!(notifications.len(), 1);
         assert_eq!(notifications[0].profile, p);
@@ -417,20 +426,39 @@ mod tests {
         let mut subs = SubscriptionManager::new();
         let p = subs
             .subscribe(client(1), parse_profile(r#"host = "London""#).unwrap())
-            .unwrap();
+            .unwrap()
+            .id();
         assert!(subs.unsubscribe(p));
         assert!(!subs.unsubscribe(p));
         assert!(filter_event(&mut subs, &event("London", "d"), SimTime::ZERO).is_empty());
     }
 
     #[test]
-    fn unsubscribe_client_removes_all() {
+    fn restoring_over_a_live_id_forgets_the_profile_it_replaces() {
         let mut subs = SubscriptionManager::new();
-        subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        subs.subscribe(client(1), parse_profile(r#"host = "B""#).unwrap()).unwrap();
-        subs.subscribe(client(2), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        assert_eq!(subs.unsubscribe_client(client(1)), 2);
-        assert_eq!(subs.len(), 1);
+        let host = |h: &str| parse_profile(&format!(r#"host = "{h}""#)).unwrap();
+        let p = subs.subscribe(client(1), host("A")).unwrap().id();
+        assert!(subs.interest_summary().may_match("A", "A.X"));
+        let derived = derivations();
+        subs.restore(p, client(2), host("B")).unwrap();
+        assert_eq!(derivations() - derived, 2, "one digest out, one in");
+        // One profile, the new one: stored, matched and announced.
+        assert_eq!((subs.len(), subs.profiles().count()), (1, 1));
+        assert_eq!(subs.profile(p).unwrap().owner(), client(2));
+        assert!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).is_empty());
+        assert_eq!(filter_event(&mut subs, &event("B", "d"), SimTime::ZERO).len(), 1);
+        let s = subs.interest_summary();
+        assert!(s.may_match("B", "B.X"));
+        assert!(!s.may_match("A", "A.X"), "the replaced digest is still announced");
+        // Restored as itself (a journal replayed over live state), it
+        // moves no count and derives nothing.
+        let derived = derivations();
+        subs.restore(p, client(2), host("B")).unwrap();
+        assert_eq!(derivations(), derived);
+        assert!(!subs.interests_changed() && subs.interest_summary().may_match("B", "B.X"));
+        // Cancelling it leaves nothing behind.
+        assert!(subs.unsubscribe(p));
+        assert!(subs.interest_summary().is_empty());
     }
 
     #[test]
@@ -447,9 +475,9 @@ mod tests {
     #[test]
     fn profile_ids_are_unique_across_removals() {
         let mut subs = SubscriptionManager::new();
-        let p1 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
+        let p1 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap().id();
         subs.unsubscribe(p1);
-        let p2 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
+        let p2 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap().id();
         assert_ne!(p1, p2);
     }
 
@@ -469,6 +497,7 @@ mod tests {
         let sub = |subs: &mut SubscriptionManager, c, text: &str| {
             subs.subscribe(client(c), parse_profile(text).unwrap())
                 .unwrap()
+                .id()
         };
         assert!(subs.interests_changed(), "nothing read yet");
         assert!(subs.interest_summary().is_empty());
@@ -481,12 +510,12 @@ mod tests {
         let again = sub(&mut subs, 2, r#"host = "A""#);
         assert!(!subs.interests_changed());
         // An unanchorable profile widens the whole digest.
-        sub(&mut subs, 3, r#"kind = "rebuilt""#);
+        let unanchored = sub(&mut subs, 3, r#"kind = "rebuilt""#);
         assert!(subs.interests_changed());
         assert!(subs.interest_summary().is_wildcard());
         // Cancellation narrows it back: the last wildcard profile leaving
         // un-wildcards the server, the last holder of an anchor drops it.
-        subs.unsubscribe_client(client(3));
+        subs.unsubscribe(unanchored);
         subs.unsubscribe(p);
         assert!(subs.interest_summary().may_match("A", "A.X"));
         subs.unsubscribe(again);
@@ -503,6 +532,7 @@ mod tests {
                 let text = format!(r#"host = "A" AND dc.Title = "v{v}""#);
                 subs.subscribe(client(1), parse_profile(&text).unwrap())
                     .unwrap()
+                    .id()
             })
             .collect();
         let titles = |subs: &mut SubscriptionManager| {
@@ -517,7 +547,8 @@ mod tests {
                 client(1),
                 parse_profile(r#"host = "A" AND dc.Title = "x""#).unwrap(),
             )
-            .unwrap(),
+            .unwrap()
+            .id(),
         );
         assert_eq!(titles(&mut subs), None);
         subs.unsubscribe(titled[0]);
@@ -526,7 +557,8 @@ mod tests {
         // the server, for as long as it stays.
         let untitled = subs
             .subscribe(client(2), parse_profile(r#"host = "A""#).unwrap())
-            .unwrap();
+            .unwrap()
+            .id();
         assert!(subs.interests_changed());
         assert_eq!(titles(&mut subs), None);
         subs.unsubscribe(untitled);
@@ -544,8 +576,8 @@ mod tests {
     #[test]
     fn wipe_then_restore_reproduces_the_id_space() {
         let mut subs = SubscriptionManager::new();
-        let p1 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        let p2 = subs.subscribe(client(2), parse_profile(r#"host = "B""#).unwrap()).unwrap();
+        let p1 = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap().id();
+        let p2 = subs.subscribe(client(2), parse_profile(r#"host = "B""#).unwrap()).unwrap().id();
         subs.unsubscribe(p2);
         filter_event(&mut subs, &event("A", "d"), SimTime::ZERO);
         assert_eq!(subs.queued_notifications(), 1);
@@ -562,7 +594,7 @@ mod tests {
         assert_eq!(subs.profile(p1).unwrap().owner(), client(1));
         assert_eq!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).len(), 1);
         // The allocator resumes past the unsubscribed-high-water mark.
-        let p3 = subs.subscribe(client(3), parse_profile(r#"host = "C""#).unwrap()).unwrap();
+        let p3 = subs.subscribe(client(3), parse_profile(r#"host = "C""#).unwrap()).unwrap().id();
         assert_ne!(p3, p1);
         assert_ne!(p3, p2);
     }
@@ -582,7 +614,7 @@ mod tests {
     #[test]
     fn profiles_accessor() {
         let mut subs = SubscriptionManager::new();
-        let p = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
+        let p = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap().id();
         assert!(subs.profile(p).is_some());
         assert_eq!(subs.profiles().count(), 1);
         assert!(!subs.is_empty());
@@ -660,8 +692,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// After every subscribe, cancel, client cancel, crash and
-        /// restore, the summary read off the counts is the fold of
+        /// After every subscribe, cancel, client cancel, crash, restore
+        /// and restore over a live id, the summary read off the counts is
+        /// the fold of
         /// `union_with` over the live profiles — in whatever order the
         /// fold takes them — and an unraised change flag means the
         /// summary did not move.
@@ -690,7 +723,12 @@ mod tests {
                         prop_assert!(subs.unsubscribe(live[(pick * 7 + value) % live.len()]));
                     }
                     8 => {
-                        subs.unsubscribe_client(client(host as u64));
+                        let owner = client(host as u64);
+                        for id in live {
+                            if subs.profile(id).unwrap().owner() == owner {
+                                prop_assert!(subs.unsubscribe(id));
+                            }
+                        }
                     }
                     9 => {
                         // A crash, then whatever prefix of the population a
@@ -700,8 +738,17 @@ mod tests {
                             .map(|id| subs.profile(*id).unwrap().clone())
                             .collect();
                         subs.wipe_for_crash();
-                        for p in kept {
+                        for p in &kept {
                             subs.restore(p.id(), p.owner(), p.expr().clone()).unwrap();
+                        }
+                        // A second record for a live id replaces the first
+                        // (or, too large to index, leaves it as it was).
+                        if let Some(p) = kept.get(pick % kept.len().max(1)) {
+                            let shape = PALETTES[palette][pick % PALETTES[palette].len()];
+                            let expr = shaped(shape, host, name, value);
+                            let again = subs.restore(p.id(), client(host as u64), expr);
+                            prop_assert_eq!(again.is_err(), shape == 11 && value == 0);
+                            prop_assert_eq!(subs.len(), kept.len());
                         }
                     }
                     _ => {}

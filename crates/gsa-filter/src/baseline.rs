@@ -69,6 +69,7 @@ impl BaselineEngine {
             conjunctions: self.conjs.iter().flatten().count(),
             scan_conjunctions: self.scan.len(),
             index_entries: self.eq_index.values().map(HashMap::len).sum(),
+            ..FilterStats::default()
         }
     }
 

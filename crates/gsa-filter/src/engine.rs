@@ -34,41 +34,15 @@
 //! expression again.
 
 use crate::intern::{FxHashMap, Symbol, SymbolTable};
+use crate::postings::{Key, Postings};
 use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr, Wildcard};
 use gsa_store::{Query, TokenSet};
 use gsa_types::{DocSummary, Event, ProfileId};
 use gsa_wire::probe::EventProbe;
 use gsa_wire::WireError;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// An interned `(attribute, value)` pair: what the index is keyed by and
-/// what a matching context is made of.
-type Key = (Symbol, Symbol);
-
-/// Access key → the conjunctions posted under it.
-type Postings = FxHashMap<Key, Vec<u32>>;
-
-fn post(map: &mut Postings, key: Key, ci: u32) {
-    map.entry(key).or_default().push(ci);
-}
-
-fn unpost(map: &mut Postings, key: Key, ci: u32) {
-    if let Entry::Occupied(mut list) = map.entry(key) {
-        if let Some(at) = list.get().iter().position(|&c| c == ci) {
-            list.get_mut().swap_remove(at);
-        }
-        if list.get().is_empty() {
-            list.remove();
-        }
-    }
-}
-
-fn list_len(map: &Postings, key: Key) -> usize {
-    map.get(&key).map_or(0, Vec::len)
-}
 
 /// One profile matched through one document of the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -251,9 +225,9 @@ impl TokenCache {
 
 #[derive(Debug)]
 struct ConjEntry {
-    profile: ProfileId,
-    /// Dense per-profile slot, used to report a (profile, document) pair
-    /// once without hashing profile ids.
+    /// The owning profile's row of `FilterEngine::slots`: where a match
+    /// reads the profile id, and what stamps a (profile, document) pair
+    /// as reported without hashing profile ids.
     pslot: u32,
     access: Access,
     /// Everything but an equality access literal, equality checks first.
@@ -261,10 +235,27 @@ struct ConjEntry {
     lits: Box<[Lit]>,
 }
 
+/// A profile's conjunction ids; a single one needs no block.
 #[derive(Debug)]
-struct ProfileEntry {
-    conjs: Vec<u32>,
-    pslot: u32,
+enum Conjs {
+    One(u32),
+    Many(Box<[u32]>),
+}
+
+impl Conjs {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Conjs::One(ci) => std::slice::from_ref(ci),
+            Conjs::Many(cis) => cis,
+        }
+    }
+}
+
+/// One row of the dense per-profile table.
+#[derive(Debug)]
+struct ProfileSlot {
+    id: ProfileId,
+    conjs: Conjs,
 }
 
 /// An attribute some wildcard was gram-keyed on.
@@ -291,6 +282,12 @@ pub struct FilterStats {
     /// verified (another literal of its conjunction gave access) is not
     /// counted.
     pub index_entries: usize,
+    /// Rows of the per-profile table, freed ones awaiting reuse included.
+    pub profile_slots: usize,
+    /// Rows of the conjunction table, freed ones included.
+    pub conjunction_slots: usize,
+    /// Symbols ever interned or reserved.
+    pub symbols: usize,
 }
 
 impl fmt::Display for FilterStats {
@@ -368,10 +365,12 @@ pub struct FilterEngine {
     derived_key_handicap: usize,
     /// Conjunctions with no usable key, always candidates.
     scan: BTreeSet<u32>,
-    by_profile: HashMap<ProfileId, ProfileEntry>,
+    /// The one per-profile hash-map entry: id → row of `slots`.
+    by_profile: FxHashMap<ProfileId, u32>,
+    /// Per-profile rows (stale while in `free_pslots`); as many stamps
+    /// does the scratch need.
+    slots: Vec<ProfileSlot>,
     free_pslots: Vec<u32>,
-    /// High-water mark of allocated profile slots (scratch sizing).
-    pslot_high: u32,
 }
 
 impl Default for FilterEngine {
@@ -405,9 +404,9 @@ impl FilterEngine {
             token_keys: 0,
             derived_key_handicap: DERIVED_KEY_HANDICAP,
             scan: BTreeSet::new(),
-            by_profile: HashMap::new(),
+            by_profile: FxHashMap::default(),
+            slots: Vec::new(),
             free_pslots: Vec::new(),
-            pslot_high: 0,
         }
     }
 
@@ -426,13 +425,23 @@ impl FilterEngine {
         self.by_profile.contains_key(&id)
     }
 
+    /// The dense slot `id` is stored under, for per-profile state kept
+    /// beside the engine: numbered from 0, kept until the profile is
+    /// removed (re-inserting its id keeps it), reused once freed.
+    pub fn slot(&self, id: ProfileId) -> Option<u32> {
+        self.by_profile.get(&id).copied()
+    }
+
     /// Index structure statistics.
     pub fn stats(&self) -> FilterStats {
         FilterStats {
             profiles: self.by_profile.len(),
-            conjunctions: self.conjs.iter().flatten().count(),
+            conjunctions: self.conjs.len() - self.free_conjs.len(),
             scan_conjunctions: self.scan.len(),
             index_entries: self.index.len(),
+            profile_slots: self.slots.len(),
+            conjunction_slots: self.conjs.len(),
+            symbols: self.symbols.len(),
         }
     }
 
@@ -446,21 +455,16 @@ impl FilterEngine {
         }
     }
 
-    #[cfg(test)]
-    fn conj_slot_capacity(&self) -> usize {
-        self.conjs.len()
-    }
-
     /// Lengths of the posting lists `id`'s conjunctions sit in — what
     /// removing it has to search.
     #[cfg(test)]
     fn access_list_lens(&self, id: ProfileId) -> Vec<usize> {
         let mut lens = Vec::new();
-        for &ci in &self.by_profile[&id].conjs {
+        for &ci in self.slots[self.by_profile[&id] as usize].conjs.as_slice() {
             match &self.conj(ci).access {
                 Access::Scan => {}
-                Access::Eq(eq) => eq.each_key(|key| lens.push(list_len(&self.index, key))),
-                Access::Token(key) | Access::Gram(key) => lens.push(list_len(&self.index, *key)),
+                Access::Eq(eq) => eq.each_key(|key| lens.push(self.index.list(key).len())),
+                Access::Token(key) | Access::Gram(key) => lens.push(self.index.list(*key).len()),
             }
         }
         lens
@@ -487,12 +491,7 @@ impl FilterEngine {
         let dnf = gsa_profile::dnf::to_dnf(expr)?;
         self.remove(id);
         let pslot = self.free_pslots.pop().unwrap_or_else(|| {
-            let slot = self.pslot_high;
-            self.pslot_high = self
-                .pslot_high
-                .checked_add(1)
-                .expect("profile slot overflow");
-            slot
+            u32::try_from(self.slots.len()).expect("profile slot overflow")
         });
         let mut conj_ids = Vec::with_capacity(dnf.len());
         for conj in dnf {
@@ -506,7 +505,6 @@ impl FilterEngine {
             };
             let (access, lits) = self.compile(conj.literals);
             let entry = ConjEntry {
-                profile: id,
                 pslot,
                 access,
                 lits,
@@ -515,13 +513,16 @@ impl FilterEngine {
             self.conjs[ci as usize] = Some(entry);
             conj_ids.push(ci);
         }
-        self.by_profile.insert(
-            id,
-            ProfileEntry {
-                conjs: conj_ids,
-                pslot,
-            },
-        );
+        let conjs = match conj_ids[..] {
+            [ci] => Conjs::One(ci),
+            _ => Conjs::Many(conj_ids.into_boxed_slice()),
+        };
+        let slot = ProfileSlot { id, conjs };
+        match self.slots.get_mut(pslot as usize) {
+            Some(freed) => *freed = slot,
+            None => self.slots.push(slot),
+        }
+        self.by_profile.insert(id, pslot);
         Ok(())
     }
 
@@ -568,7 +569,7 @@ impl FilterEngine {
         if is_equality(lit) {
             let eq = self.intern_equality(&lit.predicate);
             let mut cost = 0;
-            eq.each_key(|key| cost += list_len(&self.index, key));
+            eq.each_key(|key| cost += self.index.list(key).len());
             return Some((Access::Eq(eq), cost));
         }
         if !lit.positive {
@@ -579,7 +580,7 @@ impl FilterEngine {
                 let mut best: Option<(Key, usize)> = None;
                 query.each_required_term(&mut |term| {
                     let key = (self.attr_token, self.symbols.intern(term));
-                    let cost = list_len(&self.index, key);
+                    let cost = self.index.list(key).len();
                     if best.is_none_or(|(_, least)| cost < least) {
                         best = Some((key, cost));
                     }
@@ -592,7 +593,7 @@ impl FilterEngine {
                 let grams = segment.as_bytes().windows(3);
                 grams
                     .map(|gram| (attr, pack_gram(gram)))
-                    .map(|key| (key, list_len(&self.index, key)))
+                    .map(|key| (key, self.index.list(key).len()))
                     .min_by_key(|&(_, cost)| cost)
                     .map(|(key, cost)| (Access::Gram(key), cost + self.derived_key_handicap))
             }
@@ -629,7 +630,7 @@ impl FilterEngine {
     /// keys (`on`), or takes both back — the one place that knows where a
     /// conjunction is linked in, so insert and remove cannot disagree.
     fn link(&mut self, ci: u32, entry: &ConjEntry, on: bool) {
-        let edit = if on { post } else { unpost };
+        let edit = if on { Postings::post } else { Postings::unpost };
         let count = |n: &mut usize| if on { *n += 1 } else { *n -= 1 };
         let key = match &entry.access {
             Access::Scan => {
@@ -667,17 +668,19 @@ impl FilterEngine {
     /// profile shares with the whole server costs nothing unless it is
     /// the key.
     pub fn remove(&mut self, id: ProfileId) -> bool {
-        let Some(entry) = self.by_profile.remove(&id) else {
+        let Some(pslot) = self.by_profile.remove(&id) else {
             return false;
         };
-        for ci in entry.conjs {
+        let freed = Conjs::Many(Box::default());
+        let conjs = std::mem::replace(&mut self.slots[pslot as usize].conjs, freed);
+        for &ci in conjs.as_slice() {
             let conj = self.conjs[ci as usize]
                 .take()
                 .expect("registered conjunction is live");
             self.link(ci, &conj, false);
             self.free_conjs.push(ci);
         }
-        self.free_pslots.push(entry.pslot);
+        self.free_pslots.push(pslot);
         true
     }
 
@@ -737,8 +740,8 @@ impl FilterEngine {
         out: &mut Vec<DocMatch>,
     ) {
         out.clear();
-        if scratch.matched.len() < self.pslot_high as usize {
-            scratch.matched.resize(self.pslot_high as usize, 0);
+        if scratch.matched.len() < self.slots.len() {
+            scratch.matched.resize(self.slots.len(), 0);
         }
         let origin = &event.origin;
         self.push_event_pairs(
@@ -830,16 +833,12 @@ impl FilterEngine {
             {
                 *slot = *generation;
                 out.push(DocMatch {
-                    profile: entry.profile,
+                    profile: self.slots[entry.pslot as usize].id,
                     doc: at,
                 });
             }
         };
-        let mut walk = |key: Key| {
-            if let Some(list) = self.index.get(&key) {
-                list.iter().for_each(|&ci| visit(ci));
-            }
-        };
+        let mut walk = |key: Key| self.index.list(key).iter().for_each(|&ci| visit(ci));
         pairs.iter().for_each(|&key| walk(key));
         for &token in token_syms.iter() {
             walk((self.attr_token, token));
@@ -913,11 +912,10 @@ impl FilterEngine {
                 Lit::TextQuery { .. } | Lit::General(_) => true,
             })
         };
-        pairs.iter().any(|key| {
+        pairs.iter().any(|&key| {
             [&self.index, &self.guard]
                 .into_iter()
-                .filter_map(|postings| postings.get(key))
-                .flatten()
+                .flat_map(|postings| postings.list(key))
                 .any(equalities_hold)
         })
     }
@@ -1204,19 +1202,23 @@ mod tests {
     #[test]
     fn removed_slots_are_reused() {
         let mut e = engine_with(&[(1, r#"host = "A" OR host = "B""#)]);
-        let capacity = e.conj_slot_capacity();
+        let tables = |e: &FilterEngine| (e.stats().profile_slots, e.stats().conjunction_slots);
+        assert_eq!(tables(&e), (1, 2));
         assert!(e.remove(pid(1)));
         e.insert(pid(2), &parse_profile(r#"host = "C" OR host = "D""#).unwrap())
             .unwrap();
-        assert_eq!(e.conj_slot_capacity(), capacity);
+        assert_eq!(tables(&e), (1, 2));
         assert_eq!(e.matches(&event("C", "E", "x", "")), vec![pid(2)]);
     }
 
     #[test]
     fn reinsert_replaces() {
-        let mut e = engine_with(&[(1, r#"host = "London""#)]);
+        let mut e = engine_with(&[(0, r#"host = "Rome""#), (1, r#"host = "London""#)]);
+        assert!(e.remove(pid(0)));
         e.insert(pid(1), &parse_profile(r#"host = "Paris""#).unwrap())
             .unwrap();
+        // In its own slot, not the one freed before it.
+        assert_eq!((e.slot(pid(1)), e.slot(pid(0))), (Some(1), None));
         assert!(e.matches(&event("London", "E", "x", "")).is_empty());
         assert!(e.matches(&event("Paris", "E", "x", "")).contains(&pid(1)));
         assert_eq!(e.len(), 1);

@@ -343,21 +343,35 @@ proptest! {
 
     /// Interleaved removals and re-insertions (slot reuse and re-chosen
     /// access keys in the clustering engine) keep all engines in
-    /// agreement with the naive reference.
+    /// agreement with the naive reference — also while one access key
+    /// gains a second profile and a third (its posting list leaves the
+    /// map entry for a slab row) and loses them again.
     #[test]
     fn engines_agree_under_churn(
         exprs in prop::collection::vec(arb_expr(), 4..10),
         churn in prop::collection::vec((0usize..10, arb_expr()), 1..6),
+        twin in arb_anchor(),
         events in prop::collection::vec(arb_event(), 1..5),
     ) {
         let mut fast = eager_engine();
         let mut baseline = BaselineEngine::new();
         let mut naive = NaiveFilter::new();
-        for (i, expr) in exprs.iter().enumerate() {
-            let id = ProfileId::from_raw(i as u64);
+        // The twins: one literal each, so all three share its key.
+        let twins = (exprs.len()..).map(pid).take(3);
+        for (id, expr) in (0..).map(pid).zip(&exprs).chain(twins.clone().zip([&twin; 3])) {
             fast.insert(id, expr).unwrap();
             baseline.insert(id, expr).unwrap();
             naive.insert(id, expr.clone());
+        }
+        let mut scratch = MatchScratch::new();
+        let mut matched = Vec::new();
+        for gone in twins.take(2) {
+            for event in &events {
+                fast.matches_into(event, &mut scratch, &mut matched);
+                prop_assert_eq!(&matched, &naive.matches(event));
+            }
+            prop_assert!(fast.remove(gone) && baseline.remove(gone));
+            naive.remove(gone);
         }
         // Alternate removing and replacing profiles; indices may repeat so
         // double-removals and reinserts after removal are exercised too.
@@ -374,8 +388,6 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.len(), naive.len());
-        let mut scratch = MatchScratch::new();
-        let mut matched = Vec::new();
         for event in &events {
             let expected = naive.matches(event);
             fast.matches_into(event, &mut scratch, &mut matched);

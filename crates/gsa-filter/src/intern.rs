@@ -9,9 +9,17 @@
 //! * an event value that was never mentioned by any profile fails the
 //!   symbol lookup immediately, before touching the posting index at all.
 //!
-//! Symbols are never freed: profile vocabularies are small and heavily
-//! shared (hosts, collection names, metadata values), so the table only
-//! grows with the number of *distinct* strings ever inserted.
+//! Each name is stored once: all of them back to back in one text buffer,
+//! one `u32` end offset per symbol, and — for the names a string can
+//! intern to — one slot of an open-addressed table at most three quarters
+//! full: a tag byte of the name's hash and, in an array of its own, the
+//! symbol. That is a name's bytes plus some 11 to 22 more and no heap
+//! block. Symbols are never freed: profile vocabularies are small and
+//! heavily shared (hosts, collection names, metadata values), so the
+//! buffers only grow with the number of *distinct* strings ever inserted
+//! — up to 2³² symbols and 4 GiB of text, past which
+//! [`SymbolTable::intern`] panics. (A posting list spends a bit of its
+//! conjunction ids on spilling, which bounds *those* at 2³¹.)
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -105,8 +113,33 @@ impl Hasher for FxHasher {
 /// An append-only string-to-[`Symbol`] table.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
-    map: FxHashMap<String, Symbol>,
-    names: Vec<String>,
+    /// Every name, in symbol order, with nothing in between.
+    text: String,
+    /// Where in `text` each symbol's name ends; it starts where the
+    /// previous one ends.
+    ends: Vec<u32>,
+    /// The reserved symbols, ascending: named in `text`, not in the table.
+    reserved: Vec<u32>,
+    /// The table, a byte per slot: 0 if empty, else a tag of the hash of
+    /// the name there; linear probing from the slot the hash's top bits
+    /// name. Empty or a power of two (8 or more) long, at most ¾ full.
+    /// An array of its own because nearly every lookup an event makes is
+    /// a miss, decided by the tag bytes up to the next empty slot — 512 KiB
+    /// for 250 000 names, which stays in cache — and by nothing else.
+    tags: Vec<u8>,
+    /// The symbol in each occupied slot.
+    syms: Vec<u32>,
+}
+
+fn hash_of(s: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(s.as_bytes());
+    hasher.finish()
+}
+
+/// A name's tag: hash bits its home slot does not use, never 0.
+fn tag_of(hash: u64) -> u8 {
+    ((hash >> 32) as u8).max(1)
 }
 
 impl SymbolTable {
@@ -115,15 +148,77 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// Where probing for `hash` starts. The table is not empty, so this
+    /// shifts by less than 64.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.tags.len().trailing_zeros())) as usize
+    }
+
+    /// Where in `text` the symbol's name is.
+    fn span(&self, sym: u32) -> std::ops::Range<usize> {
+        let at = sym as usize;
+        let start = at.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        start as usize..self.ends[at] as usize
+    }
+
+    /// The symbol `s` interned to, or the empty slot its probe ended at.
+    /// The table is not empty (and never full).
+    fn probe(&self, s: &str, hash: u64) -> Result<Symbol, usize> {
+        let mask = self.tags.len() - 1;
+        let tag = tag_of(hash);
+        let mut at = self.home(hash);
+        loop {
+            let held = self.tags[at];
+            if held == 0 {
+                return Err(at);
+            }
+            // `syms` is read on a tag match only.
+            if held == tag && self.text.as_bytes()[self.span(self.syms[at])] == *s.as_bytes() {
+                return Ok(Symbol(self.syms[at]));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the table and places every interned name again.
+    fn grow(&mut self) {
+        let doubled = (self.tags.len() * 2).max(8);
+        self.tags = vec![0; doubled];
+        self.syms = vec![0; doubled];
+        let interned = |sym: &u32| self.reserved.binary_search(sym).is_err();
+        for sym in (0..self.ends.len() as u32).filter(interned) {
+            let name = &self.text[self.span(sym)];
+            let hash = hash_of(name);
+            let at = self.probe(name, hash).expect_err("names are distinct");
+            (self.tags[at], self.syms[at]) = (tag_of(hash), sym);
+        }
+    }
+
+    /// Appends a name, numbering it with the next symbol.
+    fn push_name(&mut self, name: &str) -> u32 {
+        let sym = u32::try_from(self.ends.len()).expect("symbol table overflow");
+        self.text.push_str(name);
+        self.ends
+            .push(u32::try_from(self.text.len()).expect("symbol text overflow"));
+        sym
+    }
+
     /// Interns `s`, returning its (new or existing) symbol.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
+        // Room for one more first, so the slot a miss ends at stays valid.
+        let interned = self.ends.len() - self.reserved.len();
+        if (interned + 1) * 4 > self.tags.len() * 3 {
+            self.grow();
         }
-        let sym = Symbol(u32::try_from(self.names.len()).expect("symbol table overflow"));
-        self.names.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
-        sym
+        let hash = hash_of(s);
+        match self.probe(s, hash) {
+            Ok(sym) => sym,
+            Err(at) => {
+                let sym = self.push_name(s);
+                (self.tags[at], self.syms[at]) = (tag_of(hash), sym);
+                Symbol(sym)
+            }
+        }
     }
 
     /// Allocates a symbol that no string interns to: neither
@@ -132,9 +227,9 @@ impl SymbolTable {
     /// name or value a profile or an event can spell. `label` is only
     /// what [`resolve`](Self::resolve) shows.
     pub fn reserve(&mut self, label: &str) -> Symbol {
-        let sym = Symbol(u32::try_from(self.names.len()).expect("symbol table overflow"));
-        self.names.push(label.to_string());
-        sym
+        let sym = self.push_name(label);
+        self.reserved.push(sym);
+        Symbol(sym)
     }
 
     /// Looks up an already-interned string without inserting.
@@ -143,28 +238,32 @@ impl SymbolTable {
     /// profile ever mentioned return `None` here and skip the index.
     #[inline]
     pub fn lookup(&self, s: &str) -> Option<Symbol> {
-        self.map.get(s).copied()
+        if self.tags.is_empty() {
+            return None;
+        }
+        self.probe(s, hash_of(s)).ok()
     }
 
     /// The string a symbol was interned from.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
+        &self.text[self.span(sym.0)]
     }
 
-    /// Number of distinct interned strings.
+    /// Number of symbols: distinct interned strings plus reserved ones.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
-    /// Whether no strings were interned yet.
+    /// Whether the table holds no symbol yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn intern_is_idempotent() {
@@ -196,6 +295,73 @@ mod tests {
         assert_eq!(t.lookup("token"), None);
         assert_ne!(t.intern("token"), reserved);
         assert_eq!(t.resolve(reserved), "token");
+    }
+
+    #[test]
+    fn names_are_told_apart_by_their_bounds_not_their_bytes() {
+        // "ab" + "c" and "a" + "bc" lay down the same text.
+        let mut t = SymbolTable::new();
+        let (ab, c) = (t.intern("ab"), t.intern("c"));
+        assert_eq!(
+            (t.lookup("a"), t.lookup("bc"), t.lookup("abc")),
+            (None, None, None)
+        );
+        let (a, bc) = (t.intern("a"), t.intern("bc"));
+        let empty = t.intern("");
+        assert_eq!(t.len(), 5);
+        for (sym, name) in [(ab, "ab"), (c, "c"), (a, "a"), (bc, "bc"), (empty, "")] {
+            assert_eq!((t.lookup(name), t.resolve(sym)), (Some(sym), name));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Against `HashMap<String, u32>`, through the table's first four
+        /// growths and more: arbitrary Unicode names over a small alphabet
+        /// (so they repeat, prefix one another and concatenate alike), the
+        /// empty name, and reserved symbols in between, whose labels are
+        /// other symbols' names.
+        #[test]
+        fn the_table_is_the_map_it_replaces(
+            names in prop::collection::vec(
+                prop::collection::vec(prop::sample::select(&['a', 'b', 'é', '\u{212a}', '𝄞'][..]), 0..5),
+                100..300,
+            ),
+            extra in prop::collection::vec('\u{0}'..'\u{10ffff}', 0..12),
+            reserve_every in 2usize..9,
+        ) {
+            let mut table = SymbolTable::new();
+            let mut model: HashMap<String, u32> = HashMap::new();
+            let mut reserved: Vec<(Symbol, String)> = Vec::new();
+            let mut growths = 0;
+            let names = names.into_iter().map(String::from_iter);
+            for (step, name) in names.chain([String::from_iter(extra)]).enumerate() {
+                prop_assert_eq!(table.lookup(&name).map(|s| s.0), model.get(&name).copied());
+                let slots = table.tags.len();
+                let next = table.len() as u32;
+                let sym = table.intern(&name);
+                prop_assert_eq!(sym.0, *model.entry(name.clone()).or_insert(next));
+                prop_assert_eq!(table.resolve(sym), name.as_str());
+                growths += usize::from(table.tags.len() != slots);
+                if step % reserve_every == 0 {
+                    reserved.push((table.reserve(&name), name));
+                }
+                prop_assert_eq!(table.len(), model.len() + reserved.len());
+            }
+            prop_assert!(growths >= 3, "{growths} growths");
+            prop_assert!(model.len() * 4 <= table.tags.len() * 3);
+            prop_assert_eq!(table.tags.iter().filter(|&&tag| tag != 0).count(), model.len());
+            for (name, &sym) in &model {
+                prop_assert_eq!(table.lookup(name), Some(Symbol(sym)));
+                prop_assert_eq!(table.intern(name), Symbol(sym));
+                prop_assert_eq!(table.resolve(Symbol(sym)), name.as_str());
+            }
+            for (sym, label) in &reserved {
+                prop_assert_eq!(table.resolve(*sym), label.as_str());
+                prop_assert_ne!(table.lookup(label), Some(*sym));
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub mod baseline;
 pub mod engine;
 pub mod intern;
 pub mod naive;
+mod postings;
 
 pub use baseline::BaselineEngine;
 pub use engine::{profile_ids, DocMatch, FilterEngine, FilterStats, MatchScratch};
