@@ -326,19 +326,17 @@ impl<T> AlertEngine<T> {
         self.instances.is_empty()
     }
 
-    /// Records a transition, updating the instance table, the journal
-    /// queue and the counters in one place.
+    /// Enters `state` for an instance the engine already tracks.
     fn transition(&mut self, fingerprint: u64, state: AlertState, now: SimTime) {
-        let entry = self
-            .instances
-            .entry(fingerprint)
-            .or_insert(AlertInstance {
-                state,
-                since: now,
-                last_seen: now,
-            });
-        entry.state = state;
-        entry.since = now;
+        if let Some(instance) = self.instances.get_mut(&fingerprint) {
+            instance.state = state;
+            instance.since = now;
+        }
+        self.record(fingerprint, state, now);
+    }
+
+    /// Queues a transition for the journal and counts it.
+    fn record(&mut self, fingerprint: u64, state: AlertState, now: SimTime) {
         self.transitions.push(Transition {
             fingerprint,
             state,
@@ -353,29 +351,50 @@ impl<T> AlertEngine<T> {
         self.counts.add(id, 1);
     }
 
+    /// [`observe_with`](Self::observe_with) over a payload the caller
+    /// already has.
+    pub fn observe(&mut self, fingerprint: u64, digest_key: &str, payload: T, now: SimTime) -> Outcome {
+        self.observe_with(fingerprint, digest_key, || payload, now)
+    }
+
     /// Runs one matched event through the policy pipeline.
     ///
     /// `digest_key` is the buffer the payload joins if digesting is on
-    /// (the origin collection, for the core). Decision order is
+    /// (the origin collection, for the core); `payload` is called only
+    /// then, so a caller whose payload is a copy makes it only for an
+    /// engine that keeps it. Decision order is
     /// dedup → throttle → digest → deliver; the instance transitions to
     /// `Firing` whenever it was not already active, *regardless* of
     /// whether the notification itself is then throttled or digested —
     /// the lifecycle tracks the condition, the policies only gate the
     /// messaging.
-    pub fn observe(&mut self, fingerprint: u64, digest_key: &str, payload: T, now: SimTime) -> Outcome {
-        let active = self
-            .instances
-            .get(&fingerprint)
-            .is_some_and(|i| i.state.is_active());
-        if let Some(instance) = self.instances.get_mut(&fingerprint) {
-            instance.last_seen = now;
-        }
+    pub fn observe_with(
+        &mut self,
+        fingerprint: u64,
+        digest_key: &str,
+        payload: impl FnOnce() -> T,
+        now: SimTime,
+    ) -> Outcome {
+        // One probe finds the instance, stamps it seen and (re)fires it.
+        let mut known = true;
+        let instance = self.instances.entry(fingerprint).or_insert_with(|| {
+            known = false;
+            AlertInstance {
+                state: AlertState::Firing,
+                since: now,
+                last_seen: now,
+            }
+        });
+        instance.last_seen = now;
+        let active = known && instance.state.is_active();
         if active && self.config.dedup {
             self.counts.add(CounterId::ALERTS_SUPPRESSED, 1);
             return Outcome::Suppressed;
         }
         if !active {
-            self.transition(fingerprint, AlertState::Firing, now);
+            instance.state = AlertState::Firing;
+            instance.since = now;
+            self.record(fingerprint, AlertState::Firing, now);
         }
         if let Some(throttle) = self.config.throttle {
             let bucket = self.buckets.entry(fingerprint).or_insert(Bucket {
@@ -396,7 +415,7 @@ impl<T> AlertEngine<T> {
             if self.digests.is_empty() {
                 self.digest_due = Some(now + digest.interval);
             }
-            self.digests.entry(digest_key.to_string()).or_default().push(payload);
+            self.digests.entry(digest_key.to_string()).or_default().push(payload());
             self.counts.add(CounterId::ALERTS_DIGESTED, 1);
             return Outcome::Digested;
         }

@@ -17,6 +17,10 @@
 //!    instances that were quiescent for `stale_after`, and for all of
 //!    them after a long enough quiet period.
 //!
+//! A second engine takes every payload lazily (`observe_with`) and must
+//! agree with the eager one on every outcome, tick and transition, and
+//! build its payload exactly when the outcome is `Digested`.
+//!
 //! A final pass replays the drained transition log into a fresh engine
 //! via `restore` and requires identical instance states — the
 //! durability round-trip the journal relies on.
@@ -211,6 +215,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..60),
     ) {
         let mut engine: AlertEngine<u64> = AlertEngine::new(config.clone());
+        let mut lazy: AlertEngine<u64> = AlertEngine::new(config.clone());
         let mut model = Model::default();
         let mut now = SimTime::ZERO;
         let mut next_payload = 0u64;
@@ -228,6 +233,14 @@ proptest! {
                     let expected = model.observe(&config, fp, &key, payload, now);
                     let outcome = engine.observe(fp, &key, payload, now);
                     prop_assert_eq!(outcome, expected);
+                    // Lazy ≡ eager, and only a digest builds the payload.
+                    let mut built = false;
+                    let make = || {
+                        built = true;
+                        payload
+                    };
+                    prop_assert_eq!(lazy.observe_with(fp, &key, make, now), outcome);
+                    prop_assert_eq!(built, outcome == Outcome::Digested);
                     // Invariant 1: an active fingerprint under dedup is
                     // never notified (neither directly nor via digest).
                     if config.dedup && was_active {
@@ -239,14 +252,17 @@ proptest! {
                 }
                 Op::Ack { fp } => {
                     prop_assert_eq!(engine.ack(fp, now), model.ack(fp));
+                    lazy.ack(fp, now);
                 }
                 Op::Resolve { fp } => {
                     prop_assert_eq!(engine.resolve(fp, now), model.resolve(fp));
+                    lazy.resolve(fp, now);
                 }
                 Op::Advance { secs } => {
                     now += SimDuration::from_secs(secs);
                     let (expected_stale, expected_flush) = model.tick(&config, now);
                     let outcome = engine.on_tick(now);
+                    prop_assert_eq!(&lazy.on_tick(now), &outcome);
                     // Invariant 4: stale fires for exactly the
                     // quiescent active instances.
                     prop_assert_eq!(&outcome.stale, &expected_stale);
@@ -266,7 +282,9 @@ proptest! {
             for fp in 0..5 {
                 prop_assert_eq!(engine.state(fp), model.instances.get(&fp).map(|i| i.state));
             }
-            transitions.extend(engine.take_transitions());
+            let step = engine.take_transitions();
+            prop_assert_eq!(&lazy.take_transitions(), &step);
+            transitions.extend(step);
         }
 
         // Invariant 2, settled globally: admitted deliveries per

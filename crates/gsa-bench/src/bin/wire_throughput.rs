@@ -318,7 +318,7 @@ fn run_delivery_cell(match_pct: u32, probe: bool, events: usize) -> DeliveryRow 
     let mut notifications = 0usize;
     for msg in messages {
         let eff = core.handle_message(&gds, msg, SimTime::ZERO);
-        notifications += eff.notifications.len();
+        notifications += eff.notified;
     }
     let wall = started.elapsed();
     let counts = core.counts_mut();

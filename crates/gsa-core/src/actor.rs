@@ -614,8 +614,8 @@ impl AlertingActor {
     /// simulator context, stores request completions, and records metrics
     /// counters.
     pub fn apply(&mut self, effects: CoreEffects, ctx: &mut Ctx<'_, SysMessage>) {
-        if !effects.notifications.is_empty() {
-            ctx.count_id(CounterId::ALERT_NOTIFICATIONS, effects.notifications.len() as u64);
+        if effects.notified > 0 {
+            ctx.count_id(CounterId::ALERT_NOTIFICATIONS, effects.notified as u64);
         }
         if !effects.published.is_empty() {
             ctx.count_id(CounterId::ALERT_EVENTS_PUBLISHED, effects.published.len() as u64);

@@ -11,7 +11,7 @@ use crate::subs::{Notification, SubscriptionManager};
 use gsa_alerts::{
     fingerprint, AlertEngine, AlertPolicyConfig, AlertState, LabelKey, Outcome as AlertOutcome,
 };
-use gsa_gds::{GdsClient, GdsMessage, ResolveToken};
+use gsa_gds::{GdsClient, GdsMessage, ResolveToken, SeenIds};
 use gsa_greenstone::server::{FetchResult, SearchResult};
 use gsa_greenstone::{BuildReport, CollectionConfig, GsError, RequestId, Server, SubCollectionRef};
 use gsa_profile::{DnfError, ProfileExpr};
@@ -23,8 +23,8 @@ use gsa_types::{
 };
 use gsa_wire::reliable::{Reliable, RetryPolicy};
 use gsa_wire::{InterestSummary, Payload};
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::{BTreeMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Tunables of the alerting core.
@@ -57,14 +57,16 @@ impl Default for CoreConfig {
     }
 }
 
-/// Everything an [`AlertingCore`] wants done after one input.
+/// Everything an [`AlertingCore`] wants done after one input, and a
+/// count of what it has already done: notifications are moved into the
+/// client mailboxes during the step, not handed out here.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoreEffects {
     /// Messages to transmit, by destination host.
     pub outbound: Vec<(HostName, SysMessage)>,
-    /// Notifications produced for local clients (also queued in their
-    /// mailboxes).
-    pub notifications: Vec<Notification>,
+    /// How many notifications this step moved into local clients'
+    /// mailboxes, their one home ([`AlertingCore::take_notifications`]).
+    pub notified: usize,
     /// Completed locally-initiated fetches.
     pub fetches: Vec<(RequestId, FetchResult)>,
     /// Completed locally-initiated searches.
@@ -83,7 +85,7 @@ impl CoreEffects {
     /// Merges another effect set into this one, preserving order.
     pub fn extend(&mut self, other: CoreEffects) {
         self.outbound.extend(other.outbound);
-        self.notifications.extend(other.notifications);
+        self.notified += other.notified;
         self.fetches.extend(other.fetches);
         self.searches.extend(other.searches);
         self.resolved.extend(other.resolved);
@@ -96,19 +98,16 @@ impl CoreEffects {
     }
 }
 
-/// The stable alert fingerprint of one notification under a policy
-/// configuration: profile id plus the configured label values.
-fn fingerprint_of(config: &AlertPolicyConfig, n: &Notification) -> u64 {
-    let labels: Vec<String> = config
-        .labels
-        .iter()
-        .map(|key| match key {
-            LabelKey::Collection => n.event.origin.to_string(),
-            LabelKey::Kind => n.event.kind.as_str().to_string(),
-            LabelKey::OriginHost => n.event.origin.host().as_str().to_string(),
-        })
-        .collect();
-    fingerprint(n.profile.as_u64(), labels.iter().map(String::as_str))
+/// The stable alert fingerprint of one profile's match of `event` under
+/// a policy configuration: profile id plus the configured label values,
+/// `origin` being `event.origin` as text.
+fn fingerprint_of(config: &AlertPolicyConfig, profile: ProfileId, origin: &str, event: &Event) -> u64 {
+    let labels = config.labels.iter().map(|key| match key {
+        LabelKey::Collection => origin,
+        LabelKey::Kind => event.kind.as_str(),
+        LabelKey::OriginHost => event.origin.host().as_str(),
+    });
+    fingerprint(profile.as_u64(), labels)
 }
 
 /// Whether `p` is the unacknowledged plant of `sub` under
@@ -132,15 +131,17 @@ pub struct AlertingCore {
     pending: PendingOps,
     config: CoreConfig,
     event_seq: u64,
-    /// (original event id, local super-collection) pairs already
-    /// rewritten — makes retried ForwardEvents idempotent.
-    rewritten: HashSet<(EventId, CollectionName)>,
+    /// Per local super-collection, the original event ids already
+    /// rewritten under it (runs per origin host) — makes retried
+    /// ForwardEvents idempotent.
+    rewritten: BTreeMap<CollectionName, SeenIds>,
     /// Operations abandoned after exhausting the retry budget, kept for
     /// inspection (the §7 invariant is "delayed, not lost" — a dead
     /// letter is an explicit, observable deviation from it).
     dead_letters: Vec<(HostName, AuxPayload)>,
-    /// Locally-initiated GS requests and when they started.
-    request_started: HashMap<RequestId, SimTime>,
+    /// Locally-initiated GS requests and when they started; ordered, so
+    /// requests that time out in one tick expire in the order issued.
+    request_started: BTreeMap<RequestId, SimTime>,
     /// When true, the core announces its interest summary to its GDS
     /// node (subscription-aware flood pruning). Off by default.
     pruning: bool,
@@ -169,6 +170,9 @@ pub struct AlertingCore {
     /// dedup / throttle / digest pipeline and alert instances are
     /// tracked per fingerprint.
     alerts: Option<AlertEngine<Notification>>,
+    /// The origin of the event being matched, rendered once per event
+    /// for the policy gate: a fingerprint label and the digest key.
+    origin_label: String,
 }
 
 impl fmt::Debug for AlertingCore {
@@ -204,9 +208,9 @@ impl AlertingCore {
             pending: PendingOps::new(),
             config,
             event_seq: 0,
-            rewritten: HashSet::new(),
+            rewritten: BTreeMap::new(),
             dead_letters: Vec::new(),
-            request_started: HashMap::new(),
+            request_started: BTreeMap::new(),
             pruning: false,
             last_summary: None,
             probe: true,
@@ -214,6 +218,7 @@ impl AlertingCore {
             store: Box::new(MemoryStateStore::default()),
             recovery_pending: false,
             alerts: None,
+            origin_label: String::new(),
             host,
         }
     }
@@ -252,9 +257,9 @@ impl AlertingCore {
     /// The fingerprint the policy engine would assign this notification
     /// (`None` while policies are off).
     pub fn alert_fingerprint(&self, n: &Notification) -> Option<u64> {
-        self.alerts
-            .as_ref()
-            .map(|engine| fingerprint_of(engine.config(), n))
+        let engine = self.alerts.as_ref()?;
+        let origin = n.event.origin.to_string();
+        Some(fingerprint_of(engine.config(), n.profile, &origin, &n.event))
     }
 
     /// The lifecycle state of an alert instance (`None` for unknown
@@ -309,27 +314,21 @@ impl AlertingCore {
     /// are dropped everywhere, digested ones wait in the engine for the
     /// flush in [`on_tick`](Self::on_tick).
     fn notify(&mut self, event: &Arc<Event>, now: SimTime, effects: &mut CoreEffects) {
-        for n in self.subs.match_event(event, now) {
-            let admitted = match self.alerts.as_mut() {
-                None => true,
-                Some(engine) => {
-                    let fp = fingerprint_of(engine.config(), &n);
-                    let digest_key = n.event.origin.to_string();
-                    engine.observe(fp, &digest_key, n.clone(), now) == AlertOutcome::Deliver
-                }
-            };
-            if admitted {
-                self.deliver(n, effects);
-            }
+        let (subs, alerts, origin) = (&mut self.subs, &mut self.alerts, &mut self.origin_label);
+        if alerts.is_some() {
+            origin.clear();
+            let _ = write!(origin, "{}", event.origin);
         }
+        // An admitted match is built straight into its mailbox; one the
+        // engine digests is built into the digest buffer instead, and one
+        // it drops is never built.
+        effects.notified += subs.deliver_matches(event, now, |profile, build| {
+            alerts.as_mut().is_none_or(|engine| {
+                let fp = fingerprint_of(engine.config(), profile, origin, event);
+                engine.observe_with(fp, origin, build, now) == AlertOutcome::Deliver
+            })
+        });
         self.persist_alert_transitions();
-    }
-
-    /// Hands one admitted notification to its client: into the mailbox
-    /// and into the effects, the only way into either.
-    fn deliver(&mut self, n: Notification, effects: &mut CoreEffects) {
-        self.subs.queue_notification(&n);
-        effects.notifications.push(n);
     }
 
     /// Replaces the durable state backend (the default in-memory store
@@ -1018,41 +1017,31 @@ impl AlertingCore {
                 if event.origin == super_id || event.provenance.contains(&super_id) {
                     return effects;
                 }
-                if self
-                    .rewritten
-                    .insert((event.root.clone(), super_name.clone()))
-                {
-                    if let Some(collection) = self.server.collection(&super_name) {
-                        // The relationship may have been dropped while the
-                        // forwarded event was in flight (a dangling
-                        // auxiliary profile, Section 7): the restructuring
-                        // wins, the stale event is ignored (but
-                        // acknowledged, so the sender stops retrying).
-                        let still_included = collection
-                            .config()
-                            .subcollections
-                            .iter()
-                            .any(|s| s.target == event.origin);
-                        if !still_included {
-                            return effects;
-                        }
-                        let is_public = collection.config().visibility.is_public();
-                        let new_id = self.fresh_event_id();
-                        let rewritten = event.rewritten(
-                            new_id,
-                            CollectionId::new(self.host.clone(), super_name),
-                            now,
-                        );
-                        let mut visited = HashSet::new();
-                        self.process_local_event(
-                            rewritten,
-                            now,
-                            &mut effects,
-                            &mut visited,
-                            is_public,
-                        );
-                    }
+                // Only a collection this host holds can be re-issued
+                // under, so only such a name is ever remembered.
+                let Some(collection) = self.server.collection(&super_name) else {
+                    return effects;
+                };
+                // The relationship may have been dropped while the
+                // forwarded event was in flight (a dangling auxiliary
+                // profile, Section 7): the restructuring wins, the stale
+                // event is ignored (but acknowledged, so the sender stops
+                // retrying).
+                let still_included = collection
+                    .config()
+                    .subcollections
+                    .iter()
+                    .any(|s| s.target == event.origin);
+                let is_public = collection.config().visibility.is_public();
+                let seen = self.rewritten.entry(super_name.clone()).or_default();
+                if !still_included || !seen.insert(event.root.host(), event.root.seq()) {
+                    return effects;
                 }
+                let new_id = self.fresh_event_id();
+                let rewritten =
+                    event.rewritten(new_id, CollectionId::new(self.host.clone(), super_name), now);
+                let mut visited = HashSet::new();
+                self.process_local_event(rewritten, now, &mut effects, &mut visited, is_public);
             }
             AuxPayload::Ack { op } => {
                 self.pending.ack(op);
@@ -1098,8 +1087,9 @@ impl AlertingCore {
             for (_key, batch) in tick.flushed {
                 // Admitted when they were digested: only the delivery
                 // half is left to do.
+                effects.notified += batch.len();
                 for n in batch {
-                    self.deliver(n, &mut effects);
+                    self.subs.queue_notification(n);
                 }
             }
             self.persist_alert_transitions();
@@ -1173,7 +1163,7 @@ mod tests {
                     SysMessage::Gs(_) | SysMessage::Aux(_) => queue.push((from.clone(), to, msg)),
                 }
             }
-            collected.notifications.extend(eff.notifications);
+            collected.notified += eff.notified;
             collected.published.extend(eff.published);
             collected.fetches.extend(eff.fetches);
             collected.searches.extend(eff.searches);
@@ -1256,21 +1246,14 @@ mod tests {
         let (collected, gds) = pump_from(&mut hamilton, &mut london, eff, "London", now);
 
         // London's own client was notified locally about London.E.
-        let local: Vec<_> = collected
-            .notifications
-            .iter()
-            .filter(|n| n.client == c_l)
-            .collect();
+        assert_eq!(collected.notified, 2);
+        let local = london.take_notifications(c_l);
         assert_eq!(local.len(), 1);
         assert_eq!(local[0].event.origin, CollectionId::new("London", "E"));
 
         // Hamilton rewrote the event: its client sees Hamilton.D as the
         // origin, with London.E in the provenance.
-        let rewritten: Vec<_> = collected
-            .notifications
-            .iter()
-            .filter(|n| n.client == c_h)
-            .collect();
+        let rewritten = hamilton.take_notifications(c_h);
         assert_eq!(rewritten.len(), 1);
         assert_eq!(rewritten[0].event.origin, CollectionId::new("Hamilton", "D"));
         assert_eq!(
@@ -1318,9 +1301,59 @@ mod tests {
         let eff = hamilton.handle_message(&HostName::new("London"), msg, now);
         drop(to);
         // Only the ack comes back; no duplicate notification or publish.
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
         assert!(eff.published.is_empty());
         assert_eq!(eff.outbound.len(), 1);
+    }
+
+    #[test]
+    fn rewrite_memory_is_runs_not_one_entry_per_forward() {
+        const FORWARDS: u64 = 50_000;
+        let (mut hamilton, mut london, eff) = hamilton_london();
+        pump(&mut hamilton, &mut london, eff, SimTime::ZERO);
+        let london_e = CollectionId::new("London", "E");
+        // Two origins of what London.E forwards: its own builds, and
+        // Paris.X builds it re-issued under itself.
+        let forward = |i: u64| {
+            let seq = i / 2;
+            let event = if i.is_multiple_of(2) {
+                let id = EventId::new("London", seq);
+                Event::new(id, london_e.clone(), EventKind::DocumentsAdded, SimTime::ZERO)
+            } else {
+                let paris_x = CollectionId::new("Paris", "X");
+                Event::new(EventId::new("Paris", seq), paris_x, EventKind::DocumentsAdded, SimTime::ZERO)
+                    .rewritten(EventId::new("London", FORWARDS + seq), london_e.clone(), SimTime::ZERO)
+            };
+            AuxPayload::ForwardEvent {
+                op: i,
+                super_name: "D".into(),
+                event: Payload::from_event(Arc::new(event)),
+            }
+            .into_message()
+        };
+        let from = HostName::new("London");
+        let mut reissued = 0;
+        let mut most_runs = 0;
+        // Out of order within a window of 8 (per origin: evens, then
+        // odds), the whole window retried once it is through.
+        for window in 0..FORWARDS / 16 {
+            let order = [0, 2, 4, 6, 1, 3, 5, 7].map(|k| window * 8 + k);
+            let arrivals = order.iter().flat_map(|seq| [2 * seq, 2 * seq + 1]);
+            for i in arrivals.clone() {
+                let eff = hamilton.handle_message(&from, forward(i), SimTime::ZERO);
+                reissued += eff.published.len();
+                let runs: usize = hamilton.rewritten.values().map(SeenIds::runs).sum();
+                most_runs = most_runs.max(runs);
+            }
+            for i in arrivals {
+                let eff = hamilton.handle_message(&from, forward(i), SimTime::ZERO);
+                assert!(eff.published.is_empty() && eff.outbound.len() == 1, "only the ack");
+            }
+        }
+        assert_eq!(reissued as u64, FORWARDS);
+        assert!(most_runs <= 16, "{most_runs} runs held");
+        let runs: usize = hamilton.rewritten.values().map(SeenIds::runs).sum();
+        assert_eq!((hamilton.rewritten.len(), runs), (1, 2), "one run per origin");
     }
 
     #[test]
@@ -1540,10 +1573,13 @@ mod tests {
             SysMessage::Gds(deliver.clone()),
             SimTime::ZERO,
         );
-        assert_eq!(eff.notifications.len(), 1);
+        assert_eq!(eff.notified, 1);
         // Duplicate delivery is suppressed by the client-side dedup.
         let eff = core.handle_message(&HostName::new("gds-1"), SysMessage::Gds(deliver), SimTime::ZERO);
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
+        let inbox = core.take_notifications(client);
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].event.id, EventId::new("B", 1));
     }
 
     #[test]
@@ -1564,6 +1600,21 @@ mod tests {
         assert_eq!(eff.fetches[0].0, rid);
         assert_eq!(eff.fetches[0].1.docs.len(), 1);
         assert!(eff.fetches[0].1.errors.contains(&GsError::Timeout));
+    }
+
+    #[test]
+    fn requests_timing_out_in_one_tick_expire_in_request_order() {
+        // Every core is a fresh map: an order taken from a hasher would
+        // differ between some two of them.
+        for _ in 0..32 {
+            let (mut hamilton, _, _) = hamilton_london();
+            let started: Vec<RequestId> = (0..2)
+                .map(|_| hamilton.start_fetch(&"D".into(), SimTime::ZERO).0)
+                .collect();
+            let eff = hamilton.on_tick(SimTime::from_secs(6));
+            let expired: Vec<RequestId> = eff.fetches.iter().map(|(rid, _)| *rid).collect();
+            assert_eq!(expired, started);
+        }
     }
 
     #[test]
@@ -1624,7 +1675,7 @@ mod tests {
             payload: gsa_wire::XmlElement::new("not-an-event").into(),
         };
         let eff = core.handle_message(&HostName::new("gds-1"), SysMessage::Gds(deliver), SimTime::ZERO);
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
         assert_eq!(core.counts_mut().get(CounterId::CORE_DECODE_ERROR), 1);
         // Draining empties; the next read starts from zero.
         let drained: Vec<_> = core.counts_mut().drain().collect();
@@ -1643,7 +1694,7 @@ mod tests {
             SysMessage::Gds(binary_deliver(1, vec![])),
             SimTime::ZERO,
         );
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
         let counters = core.counts_mut();
         assert_eq!(counters.get(CounterId::CORE_PROBE_SKIP), 1);
         assert_eq!(counters.get(CounterId::CORE_PROBE_PASS), 0);
@@ -1663,7 +1714,8 @@ mod tests {
                 SysMessage::Gds(binary_deliver(1, vec![])),
                 SimTime::ZERO,
             );
-            eff.notifications
+            assert_eq!(eff.notified, 1);
+            core.take_notifications(client)
         };
         let with_probe = mk(true);
         let without_probe = mk(false);
@@ -1680,7 +1732,7 @@ mod tests {
             SysMessage::Gds(binary_deliver(1, vec![])),
             SimTime::ZERO,
         );
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
         let counters = core.counts_mut();
         assert_eq!(counters.get(CounterId::CORE_PROBE_SKIP), 0);
         assert_eq!(counters.get(CounterId::CORE_PROBE_PASS), 0);
@@ -1698,17 +1750,18 @@ mod tests {
             SysMessage::Gds(binary_deliver(1, vec![])),
             SimTime::ZERO,
         );
-        assert_eq!(eff.notifications.len(), 1);
-        let fp = core.alert_fingerprint(&eff.notifications[0]).unwrap();
+        assert_eq!(eff.notified, 1);
+        let delivered = &core.subscriptions().peek_notifications(client)[0];
+        let fp = core.alert_fingerprint(delivered).unwrap();
         assert_eq!(core.alert_state(fp), Some(AlertState::Firing));
-        // Same collection + kind: the duplicate is suppressed from both
-        // the effects and the client mailbox.
+        // Same collection + kind: the duplicate is suppressed — neither
+        // counted in the effects nor queued in the client mailbox.
         let eff = core.handle_message(
             &HostName::new("gds-1"),
             SysMessage::Gds(binary_deliver(2, vec![])),
             SimTime::from_secs(1),
         );
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
         assert_eq!(core.take_notifications(client).len(), 1);
         let counters = core.counts_mut();
         assert_eq!(counters.get(CounterId::ALERTS_FIRING), 1);
@@ -1720,7 +1773,8 @@ mod tests {
             SysMessage::Gds(binary_deliver(3, vec![])),
             SimTime::from_secs(3),
         );
-        assert_eq!(eff.notifications.len(), 1);
+        assert_eq!(eff.notified, 1);
+        assert_eq!(core.take_notifications(client).len(), 1);
         assert_eq!(core.alert_state(fp), Some(AlertState::Firing));
     }
 
@@ -1742,11 +1796,11 @@ mod tests {
             SysMessage::Gds(binary_deliver(1, vec![])),
             SimTime::ZERO,
         );
-        assert!(eff.notifications.is_empty(), "digested, not delivered");
+        assert_eq!(eff.notified, 0, "digested, not delivered");
         assert!(core.take_notifications(client).is_empty());
-        assert!(core.on_tick(SimTime::from_secs(59)).notifications.is_empty());
+        assert_eq!(core.on_tick(SimTime::from_secs(59)).notified, 0);
         let eff = core.on_tick(SimTime::from_secs(60));
-        assert_eq!(eff.notifications.len(), 1);
+        assert_eq!(eff.notified, 1);
         assert_eq!(core.take_notifications(client).len(), 1);
         assert_eq!(core.counts_mut().get(CounterId::ALERTS_DIGESTED), 1);
     }
@@ -1759,21 +1813,22 @@ mod tests {
             let client = ClientId::from_raw(1);
             core.subscribe(client, parse_profile(r#"host = "London""#).unwrap())
                 .unwrap();
-            let mut notifications = Vec::new();
+            let mut notified = 0;
             for seq in 1..=3 {
                 let eff = core.handle_message(
                     &HostName::new("gds-1"),
                     SysMessage::Gds(binary_deliver(seq, vec![])),
                     SimTime::from_secs(seq),
                 );
-                notifications.extend(eff.notifications);
+                notified += eff.notified;
             }
-            notifications.extend(core.take_notifications(client));
-            notifications
+            let inbox = core.take_notifications(client);
+            assert_eq!(notified, inbox.len());
+            inbox
         };
         let baseline = mk(None);
         let observed = mk(Some(AlertPolicyConfig::observe_only()));
-        assert_eq!(baseline.len(), 6, "3 in effects + 3 in the mailbox");
+        assert_eq!(baseline.len(), 3);
         assert_eq!(baseline, observed);
     }
 
@@ -1791,12 +1846,13 @@ mod tests {
         let client = ClientId::from_raw(1);
         core.subscribe(client, parse_profile(r#"host = "London""#).unwrap())
             .unwrap();
-        let eff = core.handle_message(
+        core.handle_message(
             &HostName::new("gds-1"),
             SysMessage::Gds(binary_deliver(1, vec![])),
             SimTime::from_secs(1),
         );
-        let fp = core.alert_fingerprint(&eff.notifications[0]).unwrap();
+        let delivered = core.take_notifications(client);
+        let fp = core.alert_fingerprint(&delivered[0]).unwrap();
         assert!(core.ack_alert(fp, SimTime::from_secs(2)));
 
         core.crash_wipe();
@@ -1810,7 +1866,64 @@ mod tests {
             SysMessage::Gds(binary_deliver(2, vec![])),
             SimTime::from_secs(4),
         );
-        assert!(eff.notifications.is_empty());
+        assert_eq!(eff.notified, 0);
+        assert!(core.take_notifications(client).is_empty());
+    }
+
+    /// A notification of `profile` about a docless event of `origin`.
+    fn notification_of(profile: u64, origin: CollectionId, kind: EventKind) -> Notification {
+        let id = EventId::new(origin.host().clone(), 1);
+        Notification {
+            profile: ProfileId::from_raw(profile),
+            client: ClientId::from_raw(1),
+            event: Arc::new(Event::new(id, origin, kind, SimTime::ZERO)),
+            matched_docs: Vec::new(),
+            at: SimTime::ZERO,
+        }
+    }
+
+    fn core_with_labels(labels: &[LabelKey]) -> AlertingCore {
+        let mut core = AlertingCore::new("A", "gds-1");
+        core.set_alert_policies(Some(AlertPolicyConfig {
+            labels: labels.to_vec(),
+            ..AlertPolicyConfig::default()
+        }));
+        core
+    }
+
+    /// Journalled fingerprints key alert instances across restarts and
+    /// versions: these were printed by the commit before the labels
+    /// stopped being built as strings.
+    #[test]
+    fn fingerprints_are_pinned() {
+        use LabelKey::{Collection, Kind, OriginHost};
+        let pinned: [(&[LabelKey], u64, CollectionId, EventKind, u64); 3] = [
+            (
+                &[Collection, Kind],
+                7,
+                CollectionId::new("Hamilton", "D"),
+                EventKind::CollectionRebuilt,
+                0x9f04_1567_6a54_083c,
+            ),
+            (
+                &[OriginHost, Kind, Collection],
+                0,
+                CollectionId::new("London", "E"),
+                EventKind::DocumentsAdded,
+                0x1ec4_f393_77b2_162c,
+            ),
+            (
+                &[Kind, OriginHost],
+                u64::MAX,
+                CollectionId::new("Paris", "a.b"),
+                EventKind::CollectionDeleted,
+                0xbcb1_65b1_252a_f7a2,
+            ),
+        ];
+        for (labels, profile, origin, kind, fp) in pinned {
+            let n = notification_of(profile, origin, kind);
+            assert_eq!(core_with_labels(labels).alert_fingerprint(&n), Some(fp));
+        }
     }
 
     /// The summary an effect set announces, if it announces one.
@@ -1924,6 +2037,54 @@ mod tests {
     }
 
     proptest! {
+        /// Hashing the labels as borrowed text is hashing the strings
+        /// the gate used to build, for every ordered subset of the keys.
+        #[test]
+        fn fingerprint_hashes_what_the_label_strings_hashed(
+            profile in 0u64..=u64::MAX,
+            host in 0usize..3,
+            name in 0usize..3,
+            kind in 0usize..4,
+        ) {
+            use LabelKey::{Collection, Kind, OriginHost};
+            let origin = CollectionId::new(["Hamilton", "London", "h"][host], ["D", "a.b", "é"][name]);
+            let kind = [
+                EventKind::CollectionRebuilt,
+                EventKind::DocumentsAdded,
+                EventKind::DocumentsUpdated,
+                EventKind::CollectionDeleted,
+            ][kind];
+            let n = notification_of(profile, origin, kind);
+            let keys = [Collection, Kind, OriginHost];
+            // Every ordered subset: sequences of distinct keys, by length.
+            let mut orders: Vec<Vec<LabelKey>> = vec![Vec::new()];
+            let mut from = 0;
+            while from < orders.len() {
+                for key in keys {
+                    if !orders[from].contains(&key) {
+                        let longer = [orders[from].as_slice(), &[key]].concat();
+                        orders.push(longer);
+                    }
+                }
+                from += 1;
+            }
+            prop_assert_eq!(orders.len(), 16);
+            for labels in orders {
+                let strings: Vec<String> = labels
+                    .iter()
+                    .map(|key| match key {
+                        Collection => n.event.origin.to_string(),
+                        Kind => n.event.kind.as_str().to_string(),
+                        OriginHost => n.event.origin.host().as_str().to_string(),
+                    })
+                    .collect();
+                let built = fingerprint(n.profile.as_u64(), strings.iter().map(String::as_str));
+                prop_assert_eq!(core_with_labels(&labels).alert_fingerprint(&n), Some(built));
+            }
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// A frame's items produce what they would have produced as
@@ -1984,7 +2145,7 @@ mod tests {
             // The mailboxes hold what the effects report, nothing else.
             let (effects, mailboxes, _) = one_by_one;
             let queued: usize = mailboxes.iter().map(Vec::len).sum();
-            prop_assert_eq!(queued, effects.notifications.len());
+            prop_assert_eq!(queued, effects.notified);
         }
     }
 }

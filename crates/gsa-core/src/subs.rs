@@ -11,13 +11,13 @@
 
 use gsa_filter::{DocMatch, FilterEngine, FilterStats, MatchScratch};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
-use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
+use gsa_types::{ClientId, DocId, Event, FxHashMap, ProfileId, SimTime};
 use gsa_wire::{InterestCounts, InterestSummary};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// A notification queued for a client.
+/// A notification: built once, when a match is admitted, and kept in
+/// its client's mailbox until drained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// The matching profile.
@@ -57,11 +57,12 @@ pub struct SubscriptionManager {
     /// under ([`FilterEngine::slot`]); `None` where the engine has none.
     profiles: Vec<Option<Profile>>,
     next_profile: u64,
-    mailboxes: HashMap<ClientId, Vec<Notification>>,
+    /// One entry per client ever notified; a drain leaves it in place.
+    mailboxes: FxHashMap<ClientId, Vec<Notification>>,
     /// Reusable matching state; after warm-up the engine's indexed path
     /// runs allocation-free across the event stream.
     scratch: MatchScratch,
-    hits: Vec<DocMatch>,
+    hits: Vec<(DocMatch, u32)>,
     /// Reference counts over the stored profiles' interest digests, kept
     /// from the first [`interest_summary`](Self::interest_summary) on —
     /// a server that never announces a summary never derives a digest.
@@ -276,15 +277,36 @@ impl SubscriptionManager {
     /// the notifications are delivered
     /// ([`queue_notification`](Self::queue_notification)).
     pub fn match_event(&mut self, event: &Arc<Event>, now: SimTime) -> Vec<Notification> {
+        let mut matched = Vec::new();
+        // Admits nothing: the mailboxes are the caller's to fill.
+        self.deliver_matches(event, now, |_, build| {
+            matched.push(build());
+            false
+        });
+        matched
+    }
+
+    /// Matches an event and, in the same pass over the engine's hits,
+    /// delivers what `admit` lets through: it sees each matching
+    /// profile's id (ascending) and a builder of its notification, and
+    /// on `true` the notification is built into its client's mailbox. A
+    /// refused match never built has allocated nothing. Returns how
+    /// many were delivered.
+    pub(crate) fn deliver_matches(
+        &mut self,
+        event: &Arc<Event>,
+        now: SimTime,
+        mut admit: impl FnMut(ProfileId, &dyn Fn() -> Notification) -> bool,
+    ) -> usize {
         self.engine
-            .match_docs_into(event, &mut self.scratch, &mut self.hits);
-        self.hits
-            .chunk_by(|a, b| a.profile == b.profile)
-            .map(|of_profile| {
-                let profile = self.profile(of_profile[0].profile);
-                let profile = profile.expect("a matched profile is stored");
+            .match_slots_into(event, &mut self.scratch, &mut self.hits);
+        let mut delivered = 0;
+        for of_profile in self.hits.chunk_by(|a, b| a.0.profile == b.0.profile) {
+            let profile = self.profiles[of_profile[0].1 as usize].as_ref();
+            let profile = profile.expect("a matched profile is stored");
+            let build = || {
                 // A docless event matches with no document at all.
-                let docs = of_profile.iter().filter_map(|hit| hit.doc);
+                let docs = of_profile.iter().filter_map(|(hit, _slot)| hit.doc);
                 let mut matched_docs = Vec::with_capacity(docs.clone().count());
                 matched_docs.extend(docs.map(|at| event.docs[at as usize].doc.clone()));
                 Notification {
@@ -294,19 +316,28 @@ impl SubscriptionManager {
                     matched_docs,
                     at: now,
                 }
-            })
-            .collect()
+            };
+            if admit(profile.id(), &build) {
+                self.mailboxes.entry(profile.owner()).or_default().push(build());
+                delivered += 1;
+            }
+        }
+        delivered
     }
 
-    /// Queues a notification into its client's mailbox — how every
-    /// delivered notification gets there.
-    pub fn queue_notification(&mut self, n: &Notification) {
-        self.mailboxes.entry(n.client).or_default().push(n.clone());
+    /// Moves a notification into its client's mailbox: how one admitted
+    /// outside a matching pass (a flushed digest) is delivered.
+    pub fn queue_notification(&mut self, n: Notification) {
+        self.mailboxes.entry(n.client).or_default().push(n);
     }
 
-    /// Drains a client's mailbox.
+    /// Drains a client's mailbox: the caller gets the buffer itself, the
+    /// emptied entry stays for the next delivery.
     pub fn take_notifications(&mut self, client: ClientId) -> Vec<Notification> {
-        self.mailboxes.remove(&client).unwrap_or_default()
+        self.mailboxes
+            .get_mut(&client)
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Peeks at a client's mailbox without draining it.
@@ -320,6 +351,11 @@ impl SubscriptionManager {
     /// Total queued notifications across all mailboxes.
     pub fn queued_notifications(&self) -> usize {
         self.mailboxes.values().map(Vec::len).sum()
+    }
+
+    /// Clients ever notified here: each has a mailbox, drained or not.
+    pub fn mailboxes(&self) -> usize {
+        self.mailboxes.len()
     }
 }
 
@@ -353,7 +389,7 @@ mod tests {
     ) -> Vec<Notification> {
         let produced = subs.match_event(event, now);
         for n in &produced {
-            subs.queue_notification(n);
+            subs.queue_notification(n.clone());
         }
         produced
     }
@@ -607,8 +643,11 @@ mod tests {
         assert_eq!(matched.len(), 1);
         assert_eq!(subs.queued_notifications(), 0);
         // Explicit admission lands in the right mailbox.
-        subs.queue_notification(&matched[0]);
+        subs.queue_notification(matched[0].clone());
         assert_eq!(subs.peek_notifications(client(1)), &matched[..]);
+        // Draining hands the buffer over and keeps the mailbox.
+        assert_eq!(subs.take_notifications(client(1)), matched);
+        assert_eq!((subs.queued_notifications(), subs.mailboxes()), (0, 1));
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //! order; the match result does not, because every other literal is
 //! checked whichever one it was.
 //!
+//! Before any context is built an event is held to its envelope: while
+//! every live conjunction carries a positive equality on `host`,
+//! `collection` or `kind`, an event none of whose three pairs is named by
+//! one — as an access key or as a counted residual — matches nothing and
+//! returns before a document is read (DESIGN.md §4, "Envelope gate").
+//!
 //! Matching state lives in a caller-owned [`MatchScratch`]; with warm
 //! buffers neither the equality path nor an excerpt's tokens (a
 //! [`TokenSet`]: spans over one reused buffer) allocate anything. The
@@ -40,6 +46,7 @@ use gsa_store::{Query, TokenSet};
 use gsa_types::{DocSummary, Event, ProfileId};
 use gsa_wire::probe::EventProbe;
 use gsa_wire::WireError;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
@@ -75,6 +82,12 @@ impl EqLit {
         match self {
             EqLit::One(key) => visit(*key),
             EqLit::Any(attr, values) => values.iter().for_each(|&v| visit((*attr, v))),
+        }
+    }
+
+    fn attr(&self) -> Symbol {
+        match self {
+            EqLit::One((attr, _)) | EqLit::Any(attr, _) => *attr,
         }
     }
 
@@ -365,6 +378,13 @@ pub struct FilterEngine {
     derived_key_handicap: usize,
     /// Conjunctions with no usable key, always candidates.
     scan: BTreeSet<u32>,
+    /// Live conjunctions with no positive equality on `host`,
+    /// `collection` or `kind`; while there is one the gate stays open.
+    ungated: usize,
+    /// How many live conjunctions *verify* each event-level equality
+    /// pair (one that gives access is in `index`): an entry per distinct
+    /// residual pair, never per profile.
+    event_residuals: FxHashMap<Key, u32>,
     /// The one per-profile hash-map entry: id → row of `slots`.
     by_profile: FxHashMap<ProfileId, u32>,
     /// Per-profile rows (stale while in `free_pslots`); as many stamps
@@ -404,6 +424,8 @@ impl FilterEngine {
             token_keys: 0,
             derived_key_handicap: DERIVED_KEY_HANDICAP,
             scan: BTreeSet::new(),
+            ungated: 0,
+            event_residuals: FxHashMap::default(),
             by_profile: FxHashMap::default(),
             slots: Vec::new(),
             free_pslots: Vec::new(),
@@ -632,6 +654,25 @@ impl FilterEngine {
     fn link(&mut self, ci: u32, entry: &ConjEntry, on: bool) {
         let edit = if on { Postings::post } else { Postings::unpost };
         let count = |n: &mut usize| if on { *n += 1 } else { *n -= 1 };
+        // What the envelope gate of `match_with` reads.
+        let event_level = [self.attr_host, self.attr_collection, self.attr_kind];
+        let mut gated = matches!(&entry.access, Access::Eq(eq) if event_level.contains(&eq.attr()));
+        for lit in entry.lits.iter() {
+            if let Lit::Eq(eq) = lit {
+                if event_level.contains(&eq.attr()) {
+                    gated = true;
+                    eq.each_key(|key| match self.event_residuals.entry(key) {
+                        held if on => *held.or_insert(0) += 1,
+                        Entry::Occupied(held) if *held.get() == 1 => drop(held.remove()),
+                        Entry::Occupied(mut held) => *held.get_mut() -= 1,
+                        Entry::Vacant(_) => unreachable!("a linked residual is counted"),
+                    });
+                }
+            }
+        }
+        if !gated {
+            count(&mut self.ungated);
+        }
         let key = match &entry.access {
             Access::Scan => {
                 if on {
@@ -716,8 +757,11 @@ impl FilterEngine {
         metadata: impl Iterator<Item = (&'a str, &'a str)>,
     ) {
         self.push_pair(pairs, self.attr_doc, doc_id);
+        // A metadata key spelled like a built-in attribute is not that
+        // attribute (no profile can name it): its value is no event pair.
+        let built_in = [self.attr_host, self.attr_collection, self.attr_kind, self.attr_doc];
         for (key, value) in metadata {
-            if let Some(attr) = self.symbols.lookup(key) {
+            if let Some(attr) = self.symbols.lookup(key).filter(|attr| !built_in.contains(attr)) {
                 self.push_pair(pairs, attr, value);
             }
         }
@@ -739,6 +783,29 @@ impl FilterEngine {
         scratch: &mut MatchScratch,
         out: &mut Vec<DocMatch>,
     ) {
+        self.match_with(event, scratch, out, |hit, _slot| hit);
+    }
+
+    /// [`match_docs_into`](FilterEngine::match_docs_into), each match
+    /// with its profile's [`slot`](FilterEngine::slot).
+    pub fn match_slots_into(
+        &self,
+        event: &Event,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<(DocMatch, u32)>,
+    ) {
+        self.match_with(event, scratch, out, |hit, slot| (hit, slot));
+    }
+
+    /// The one matching routine; `record` makes what `out` holds of a
+    /// match and its profile's slot.
+    fn match_with<H: Ord>(
+        &self,
+        event: &Event,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<H>,
+        record: impl Fn(DocMatch, u32) -> H + Copy,
+    ) {
         out.clear();
         if scratch.matched.len() < self.slots.len() {
             scratch.matched.resize(self.slots.len(), 0);
@@ -750,16 +817,24 @@ impl FilterEngine {
             origin.name().as_str(),
             event.kind.as_str(),
         );
+        // The envelope gate (module docs): no pair of the event's own is
+        // an access key or a counted residual, so no document is read.
+        let named = |&key: &Key| {
+            !self.index.list(key).is_empty() || self.event_residuals.contains_key(&key)
+        };
+        if self.ungated == 0 && !scratch.pairs.iter().any(named) {
+            return;
+        }
         let event_pairs = scratch.pairs.len();
         if event.docs.is_empty() {
-            self.match_context(event, None, scratch, out);
+            self.match_context(event, None, scratch, out, record);
         }
         for (at, doc) in event.docs.iter().enumerate() {
             scratch.pairs.truncate(event_pairs);
             let metadata = doc.metadata.iter_flat().map(|(k, v)| (k.as_str(), v));
             self.push_doc_pairs(&mut scratch.pairs, doc.doc.as_str(), metadata);
             let at = u32::try_from(at).expect("document index overflow");
-            self.match_context(event, Some((at, doc)), scratch, out);
+            self.match_context(event, Some((at, doc)), scratch, out, record);
         }
         out.sort_unstable();
     }
@@ -795,12 +870,13 @@ impl FilterEngine {
     /// One (event, document) context: walks the posting list of every
     /// pair, token and gram the context carries, then the scan set, and
     /// verifies what it finds.
-    fn match_context(
+    fn match_context<H>(
         &self,
         event: &Event,
         doc: Option<(u32, &DocSummary)>,
         scratch: &mut MatchScratch,
-        out: &mut Vec<DocMatch>,
+        out: &mut Vec<H>,
+        record: impl Fn(DocMatch, u32) -> H,
     ) {
         scratch.generation += 1;
         scratch.tokens.reset();
@@ -832,10 +908,8 @@ impl FilterEngine {
                     .all(|lit| lit.holds(event, doc, pairs, tokens))
             {
                 *slot = *generation;
-                out.push(DocMatch {
-                    profile: self.slots[entry.pslot as usize].id,
-                    doc: at,
-                });
+                let profile = self.slots[entry.pslot as usize].id;
+                out.push(record(DocMatch { profile, doc: at }, entry.pslot));
             }
         };
         let mut walk = |key: Key| self.index.list(key).iter().for_each(|&ci| visit(ci));
@@ -1282,6 +1356,99 @@ mod tests {
         let e = FilterEngine::new();
         assert!(e.is_empty());
         assert!(e.matches(&event("London", "E", "x", "")).is_empty());
+    }
+
+    #[test]
+    fn a_metadata_key_spelled_like_an_attribute_is_not_that_attribute() {
+        let e = engine_with(&[
+            (1, r#"host = "London""#),
+            (2, r#"doc = "d9""#),
+            (3, r#"dc.Subject = "dl""#),
+        ]);
+        let md: MetadataRecord = [("host", "London"), ("doc", "d9"), (keys::SUBJECT, "dl")]
+            .into_iter()
+            .collect();
+        let mut forged = event("Paris", "C", "dl", "");
+        forged.docs[0].metadata = md;
+        assert_eq!(e.matches(&forged), vec![pid(3)]);
+        assert!(probe_hit(&e, &forged));
+        forged.docs[0].metadata = [("host", "London")].into_iter().collect();
+        assert!(e.matches(&forged).is_empty() && !probe_hit(&e, &forged));
+    }
+
+    /// Whether the envelope gate refused `ev`: nothing matched and no
+    /// context was entered (a context advances the scratch generation).
+    fn refused(e: &FilterEngine, ev: &Event) -> bool {
+        let mut scratch = MatchScratch::new();
+        let mut out = Vec::new();
+        e.match_docs_into(ev, &mut scratch, &mut out);
+        assert!(scratch.generation > 0 || out.is_empty());
+        scratch.generation == 0
+    }
+
+    #[test]
+    fn envelope_gate_follows_insert_remove_and_reinsert() {
+        let insert = |e: &mut FilterEngine, id, text| {
+            e.insert(pid(id), &parse_profile(text).unwrap()).unwrap()
+        };
+        let docless = |host: &str, coll: &str| {
+            Event::new(
+                EventId::new(host, 2),
+                CollectionId::new(host, coll),
+                EventKind::CollectionDeleted,
+                SimTime::ZERO,
+            )
+        };
+        let residuals = |e: &FilterEngine| {
+            let mut counts: Vec<u32> = e.event_residuals.values().copied().collect();
+            counts.sort_unstable();
+            counts
+        };
+        let mut e = FilterEngine::new();
+        assert!(refused(&e, &event("London", "E", "dl", "")), "nothing to match");
+
+        // Keyed on an event-level equality: found through the index,
+        // counted nowhere.
+        insert(&mut e, 1, r#"host = "London""#);
+        assert_eq!((e.ungated, residuals(&e)), (0, vec![]));
+        assert!(!refused(&e, &event("London", "E", "dl", "")));
+        assert!(refused(&e, &event("Paris", "C", "dl", "")));
+        assert_eq!(e.matches(&docless("London", "E")), vec![pid(1)]);
+        assert!(refused(&e, &docless("Paris", "C")));
+
+        // An event-level equality that is only verified (the subject
+        // gives access) is counted, once per conjunction that names it.
+        insert(&mut e, 2, r#"collection = "Paris.C" AND dc.Subject = "dl""#);
+        insert(&mut e, 3, r#"collection = "Paris.C" AND dc.Subject = "ir""#);
+        assert_eq!((e.ungated, residuals(&e)), (0, vec![2]));
+        assert_eq!(e.matches(&event("Paris", "C", "dl", "")), vec![pid(2)]);
+        assert!(refused(&e, &event("Paris", "X", "dl", "")), "no pair is named");
+        assert!(e.remove(pid(2)));
+        assert_eq!(residuals(&e), vec![1]);
+        assert_eq!(e.matches(&event("Paris", "C", "ir", "")), vec![pid(3)]);
+        assert!(e.remove(pid(3)));
+        assert_eq!(residuals(&e), vec![]);
+        assert!(refused(&e, &event("Paris", "C", "ir", "")));
+        // An ID list counts under each of its values.
+        insert(&mut e, 4, r#"kind in ["documents-added", "collection-deleted"] AND doc = "d1""#);
+        assert_eq!(residuals(&e), vec![1, 1]);
+        assert!(!refused(&e, &event("Paris", "C", "x", "")));
+        assert!(e.remove(pid(4)));
+
+        // A conjunction with no event-level equality — keyed or scanned —
+        // opens the gate for every event while it lives.
+        for text in [r#"dc.Subject = "x""#, r#"text ~ "*x*""#, r#"NOT host = "London""#] {
+            insert(&mut e, 5, text);
+            assert_eq!(e.ungated, 1, "{text}");
+            assert!(!refused(&e, &event("Paris", "C", "dl", "")), "{text}");
+            assert!(!refused(&e, &docless("Paris", "C")), "{text}");
+        }
+        // Re-inserting the id replaces it: the gate closes again.
+        insert(&mut e, 5, r#"host = "London" OR kind = "collection-rebuilt""#);
+        assert_eq!((e.ungated, residuals(&e)), (0, vec![]));
+        assert!(refused(&e, &event("Paris", "C", "dl", "")));
+        assert!(e.remove(pid(5)) && e.remove(pid(1)));
+        assert!(refused(&e, &event("London", "E", "dl", "")));
     }
 
     /// Opens a probe over the event's frozen binary payload encoding.

@@ -33,4 +33,5 @@ pub mod topology;
 pub use client::GdsClient;
 pub use message::{GdsMessage, ResolveToken};
 pub use node::{GdsEffects, GdsNode, GdsOutbound};
+pub use seen::SeenIds;
 pub use topology::{figure2_tree, balanced_tree, GdsNodeSpec, GdsTopology};

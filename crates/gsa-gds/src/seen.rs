@@ -20,16 +20,17 @@ use gsa_types::{FxHashMap, HostName};
 /// id between neighbours.
 type Run = (u64, u64);
 
-/// The set of `(origin, id)` pairs a node or client has accepted.
+/// A set of `(origin, id)` pairs: what a node or client has accepted,
+/// or any other memory of ids that ascend per origin.
 #[derive(Debug, Default)]
-pub(crate) struct SeenIds {
+pub struct SeenIds {
     origins: FxHashMap<HostName, Vec<Run>>,
     len: usize,
 }
 
 impl SeenIds {
     /// Records `(origin, id)`; `true` when it was not there before.
-    pub(crate) fn insert(&mut self, origin: &HostName, id: u64) -> bool {
+    pub fn insert(&mut self, origin: &HostName, id: u64) -> bool {
         let runs = match self.origins.get_mut(origin) {
             Some(runs) => runs,
             None => self.origins.entry(origin.clone()).or_default(),
@@ -45,7 +46,7 @@ impl SeenIds {
     }
 
     /// Runs held across all origins: the memory actually used.
-    pub(crate) fn runs(&self) -> usize {
+    pub fn runs(&self) -> usize {
         self.origins.values().map(Vec::len).sum()
     }
 }
