@@ -15,9 +15,9 @@ use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId, TimerId};
 use gsa_types::{Counts, FxHashMap, HostName, SimDuration};
-use gsa_wire::reliable::{Reliable, RetransmitQueue, RetryPolicy};
+use gsa_wire::reliable::{ack_windows, acked_seqs, Reliable, RetransmitQueue, RetryPolicy};
 use gsa_wire::WireFormat;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Surfaces what a state machine counted as simulation metrics.
 fn drain_counts(counts: &mut Counts, ctx: &mut Ctx<'_, SysMessage>) {
@@ -42,11 +42,19 @@ const HEARTBEAT_TAG: u64 = 3;
 const BATCH_TAG: u64 = 4;
 /// Timer tag for the coalesced summary-announcement flush (pruning on).
 const ANNOUNCE_TAG: u64 = 5;
+/// Timer tag for the coalesced acknowledgement flush.
+const ACK_TAG: u64 = 6;
 
 /// How long a GDS node sits on a dirty aggregate before announcing it
 /// upward: long enough to coalesce a registration burst arriving in one
 /// actor frame, short against the heartbeat re-announce cadence.
 const ANNOUNCE_DELAY: SimDuration = SimDuration::from_millis(1);
+
+/// How long a receiver sits on the sequence numbers that arrived on an
+/// edge before acknowledging them in one frame: the batch flush delay,
+/// so a flushed batch burst is acknowledged together, and far inside
+/// the 500 ms retransmission base.
+const ACK_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// Tunables of the per-edge event batcher: flood traffic buffered per
 /// neighbour and flushed as one [`GdsMessage::Batch`] frame when either
@@ -278,13 +286,14 @@ impl Default for ReliabilityConfig {
 }
 
 /// One actor's reliable GDS-hop sender: wraps outgoing messages in the
-/// [`Reliable`] envelope and retransmits until acknowledged. Each
-/// queued entry remembers the wire format its edge had negotiated at
-/// send time, so retransmissions reuse a frame the peer is known to
-/// understand.
+/// [`Reliable`] envelope and retransmits until acknowledged — on the
+/// backoff schedule, or at once when a later frame's ack proves one
+/// lost. Each queued entry remembers the wire format its edge had
+/// negotiated at send time, so retransmissions reuse a frame the peer
+/// is known to understand.
 #[derive(Debug)]
 struct ReliableLink {
-    queue: RetransmitQueue<(NodeId, WireFormat, GdsMessage)>,
+    queue: RetransmitQueue<NodeId, (WireFormat, GdsMessage)>,
 }
 
 impl ReliableLink {
@@ -304,12 +313,21 @@ impl ReliableLink {
         fmt: WireFormat,
         msg: GdsMessage,
     ) {
-        let seq = self.queue.send((node, fmt, msg.clone()), ctx.now());
+        let seq = self.queue.send(node, (fmt, msg.clone()), ctx.now());
         ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
     }
 
-    fn ack(&mut self, seq: u64) {
-        self.queue.ack(seq);
+    /// Takes `from`'s ack window, and re-sends at once what it proves
+    /// lost (counting `net.retransmits` and `net.fast_retransmits`).
+    fn ack(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64, more: u64) {
+        let lost = self.queue.ack(from, acked_seqs(seq, more), ctx.now());
+        if !lost.is_empty() {
+            ctx.count_id(CounterId::NET_RETRANSMITS, lost.len() as u64);
+            ctx.count_id(CounterId::NET_FAST_RETRANSMITS, lost.len() as u64);
+        }
+        for (seq, (fmt, msg)) in lost {
+            ctx.send(from, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
+        }
     }
 
     fn nack(&mut self, seq: u64) {
@@ -323,13 +341,13 @@ impl ReliableLink {
         if !outcome.retransmit.is_empty() {
             ctx.count_id(CounterId::NET_RETRANSMITS, outcome.retransmit.len() as u64);
         }
-        for (seq, (node, fmt, msg)) in outcome.retransmit {
+        for (seq, node, (fmt, msg)) in outcome.retransmit {
             ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
         }
         outcome
             .dead
             .into_iter()
-            .map(|(_, (node, _, msg))| (node, msg))
+            .map(|(_, node, (_, msg))| (node, msg))
             .collect()
     }
 }
@@ -374,10 +392,51 @@ fn rides_plain(msg: &GdsMessage) -> bool {
     matches!(
         msg,
         GdsMessage::Heartbeat
-            | GdsMessage::HeartbeatAck
+            | GdsMessage::HeartbeatAck { .. }
             | GdsMessage::Hello { .. }
             | GdsMessage::HelloAck { .. }
     )
+}
+
+/// The receiving half of the reliable envelope: the sequence numbers
+/// that arrived per edge since the last flush, acknowledged `ACK_DELAY`
+/// after the first of them in as few selective-ack frames as cover
+/// them, each in the edge's negotiated format (binary only once the
+/// peer has proven it speaks it).
+#[derive(Debug, Default)]
+struct PendingAcks {
+    /// In `NodeId` order: a hasher's per-instance order must not steer
+    /// the send order, and with it the link RNG draw order.
+    by_edge: BTreeMap<NodeId, Vec<u64>>,
+    /// An `ACK_TAG` timer is outstanding.
+    armed: bool,
+}
+
+impl PendingAcks {
+    fn note(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64) {
+        self.by_edge.entry(from).or_default().push(seq);
+        self.arm(ctx);
+    }
+
+    /// Sets the `ACK_TAG` timer when an edge waits for its acks and no
+    /// timer is outstanding.
+    fn arm(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        if !self.armed && !self.by_edge.is_empty() {
+            ctx.set_timer(ACK_DELAY, ACK_TAG);
+            self.armed = true;
+        }
+    }
+
+    /// The `ACK_TAG` timer body: every edge's windows, one frame each.
+    fn flush(&mut self, ctx: &mut Ctx<'_, SysMessage>, wire: &WireLink) {
+        self.armed = false;
+        for (node, mut seqs) in std::mem::take(&mut self.by_edge) {
+            let fmt = wire.fmt_for(node);
+            for (seq, more) in ack_windows(&mut seqs) {
+                ctx.send(node, rel_frame(fmt, Reliable::Ack { seq, more }));
+            }
+        }
+    }
 }
 
 /// What [`EdgeTransport::receive`] leaves of a frame.
@@ -403,6 +462,8 @@ struct EdgeTransport {
     /// The retransmission-queue poll period and the queue (reliability
     /// on).
     reliable: Option<(SimDuration, ReliableLink)>,
+    /// Data envelopes received and not yet acknowledged.
+    acks: PendingAcks,
 }
 
 impl EdgeTransport {
@@ -410,6 +471,7 @@ impl EdgeTransport {
         EdgeTransport {
             wire: WireLink::new(WireConfig::default()),
             reliable: None,
+            acks: PendingAcks::default(),
         }
     }
 
@@ -421,8 +483,9 @@ impl EdgeTransport {
     /// announces wire v2 on every edge in `peers` (each upgrades
     /// independently when its hello-ack comes back) and starts the
     /// retransmission poll. A flush timer that came due while the node
-    /// was down is lost, so the armed flag is forgotten and the timer
-    /// set again when anything is still buffered.
+    /// was down is lost, so the armed flags are forgotten and each timer
+    /// set again when anything is still buffered: a batch, or acks owed
+    /// (left owed, the peer would retransmit them for ever).
     fn start<'a>(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -436,6 +499,8 @@ impl EdgeTransport {
         }
         self.wire.timer_armed = false;
         self.wire.arm_flush(ctx);
+        self.acks.armed = false;
+        self.acks.arm(ctx);
     }
 
     /// Announces wire v2 on one edge (no-op for v1 configurations).
@@ -448,10 +513,10 @@ impl EdgeTransport {
     }
 
     /// The transport's share of an arriving frame — the one place the
-    /// GDS carriers are taken apart. Data envelopes are acknowledged,
-    /// acks and nacks feed the retransmission queue, hellos this host
-    /// accepts are recorded and answered; what is left is the state
-    /// machine's.
+    /// GDS carriers are taken apart. Data envelopes are noted for the
+    /// next ack flush, acks and nacks feed the retransmission queue,
+    /// hellos this host accepts are recorded and answered; what is left
+    /// is the state machine's.
     fn receive(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -460,14 +525,12 @@ impl EdgeTransport {
     ) -> Received {
         let msg = match msg {
             SysMessage::Gds(m) | SysMessage::GdsBin(m) => m,
-            SysMessage::RelGds(rel) => match self.open(ctx, from, rel, WireFormat::Xml) {
-                Some(m) => m,
-                None => return Received::Consumed,
-            },
-            SysMessage::RelGdsBin(rel) => match self.open(ctx, from, rel, WireFormat::Binary) {
-                Some(m) => m,
-                None => return Received::Consumed,
-            },
+            SysMessage::RelGds(rel) | SysMessage::RelGdsBin(rel) => {
+                let Some(m) = self.open(ctx, from, rel) else {
+                    return Received::Consumed;
+                };
+                m
+            }
             other @ (SysMessage::Gs(_) | SysMessage::Aux(_)) => return Received::Gs(other),
         };
         // Version negotiation terminates here. A hello this host does
@@ -488,29 +551,26 @@ impl EdgeTransport {
         }
     }
 
-    /// Opens a reliable envelope arriving in `fmt`: the data it carries,
-    /// acknowledged; nothing for an ack or a nack, which feed the
-    /// retransmission queue.
+    /// Opens a reliable envelope: the data it carries, its ack owed;
+    /// nothing for an ack or a nack, which feed the retransmission queue.
     fn open(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
         from: NodeId,
         rel: Reliable<GdsMessage>,
-        fmt: WireFormat,
     ) -> Option<GdsMessage> {
         match rel {
             Reliable::Data { seq, payload } => {
-                // Always ack, even a redelivery, in the format the data
-                // arrived in: handling is idempotent (duplicate
-                // suppression at nodes and servers), and the ack is
-                // what stops the sender.
+                // Always ack, even a redelivery: handling is idempotent
+                // (duplicate suppression at nodes and servers), and the
+                // ack is what stops the sender.
                 ctx.count_id(CounterId::NET_ACKS, 1);
-                ctx.send(from, rel_frame(fmt, Reliable::Ack { seq }));
+                self.acks.note(ctx, from, seq);
                 Some(payload)
             }
-            Reliable::Ack { seq } => {
+            Reliable::Ack { seq, more } => {
                 if let Some((_, link)) = &mut self.reliable {
-                    link.ack(seq);
+                    link.ack(ctx, from, seq, more);
                 }
                 None
             }
@@ -535,7 +595,7 @@ impl EdgeTransport {
         }
     }
 
-    /// The two timers the transport owns; any other tag is not its.
+    /// The three timers the transport owns; any other tag is not its.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
         match tag {
             RELIABLE_TAG => {
@@ -551,6 +611,7 @@ impl EdgeTransport {
                 let link = self.reliable.as_mut().map(|(_, l)| l);
                 self.wire.flush_all(ctx, link);
             }
+            ACK_TAG => self.acks.flush(ctx, &self.wire),
             _ => {}
         }
     }
@@ -818,14 +879,6 @@ impl GdsActor {
                 detector.heartbeat_pending = true;
             }
         }
-        // Piggyback a summary re-announcement on the heartbeat cadence:
-        // an update lost before the reliable layer (or a parent that
-        // restarted and forgot us) heals within one heartbeat.
-        if let Some(out) = self.node.summary_announcement() {
-            let mut effects = GdsEffects::default();
-            effects.outbound.push(out);
-            self.apply(&mut effects, ctx);
-        }
         ctx.set_timer(interval, HEARTBEAT_TAG);
     }
 
@@ -903,10 +956,18 @@ impl Actor<SysMessage> for GdsActor {
             }
             Received::Consumed => return,
         };
-        if matches!(msg, GdsMessage::HeartbeatAck) {
+        if let GdsMessage::HeartbeatAck { version } = msg {
             if let Some(detector) = &mut self.detector {
                 detector.heartbeat_pending = false;
                 detector.misses = 0;
+            }
+            // The summary heal rides the heartbeat cadence: an update
+            // that was dead-lettered, or a parent that forgot us, shows
+            // as a held version that is behind (or none).
+            if let Some(out) = self.node.summary_refresh(version) {
+                let mut effects = GdsEffects::default();
+                effects.outbound.push(out);
+                self.apply(&mut effects, ctx);
             }
             return;
         }

@@ -352,7 +352,7 @@ mod tests {
                 seq: 3,
                 payload: inner,
             },
-            Reliable::Ack { seq: 3 },
+            Reliable::Ack { seq: 3, more: 0 },
             Reliable::Nack { seq: 4 },
         ] {
             let encoded = rel.to_binary();
@@ -363,7 +363,7 @@ mod tests {
             );
             assert_eq!(Reliable::from_binary(&encoded).unwrap(), rel);
         }
-        assert!(SysMessage::RelGdsBin(Reliable::Ack { seq: 1 })
+        assert!(SysMessage::RelGdsBin(Reliable::Ack { seq: 1, more: 0 })
             .to_string()
             .starts_with("rel-gds-bin:"));
     }
@@ -378,7 +378,7 @@ mod tests {
         });
         assert!(data.wire_size() > plain, "envelope adds header bytes");
         assert!(data.to_string().starts_with("rel-gds:"));
-        let ack = SysMessage::RelGds(Reliable::Ack { seq: 3 });
+        let ack = SysMessage::RelGds(Reliable::Ack { seq: 3, more: 0 });
         assert!(ack.wire_size() > 0);
         assert!(ack.wire_size() < plain, "acks are small");
     }

@@ -125,7 +125,11 @@ pub enum GdsMessage {
     /// Child→parent liveness probe (tree maintenance, §3).
     Heartbeat,
     /// Parent's reply to a [`GdsMessage::Heartbeat`].
-    HeartbeatAck,
+    HeartbeatAck {
+        /// The version of the child's interest summary the parent holds,
+        /// 0 for none: the child re-announces only when this is behind.
+        version: u64,
+    },
     /// A GDS node whose parent was declared dead asks its recorded
     /// grandparent to adopt it as a child (tree self-healing).
     Adopt {
@@ -515,7 +519,7 @@ gds_messages! {
     9  "gds:resolve"          Resolve { token: TOKEN, name: Host("name"), reply_to: Host("reply-to") }
     10 "gds:resolve-response" ResolveResponse { token: TOKEN, name: Host("name"), result: OptHost("result") }
     11 "gds:heartbeat"        Heartbeat {}
-    12 "gds:heartbeat-ack"    HeartbeatAck {}
+    12 "gds:heartbeat-ack"    HeartbeatAck { version: VERSION }
     13 "gds:adopt"            Adopt { child: Host("child") }
     14 "gds:detach"           Detach { child: Host("child") }
     15 "gds:hello"            Hello { version: FormatVersion }
@@ -639,7 +643,8 @@ mod tests {
     #[test]
     fn maintenance_messages_round_trip() {
         round_trip(GdsMessage::Heartbeat);
-        round_trip(GdsMessage::HeartbeatAck);
+        round_trip(GdsMessage::HeartbeatAck { version: 0 });
+        round_trip(GdsMessage::HeartbeatAck { version: 7 });
         round_trip(GdsMessage::Adopt { child: "gds-5".into() });
         round_trip(GdsMessage::Detach { child: "gds-5".into() });
     }
@@ -791,7 +796,7 @@ mod tests {
                 result: None,
             },
             GdsMessage::Heartbeat,
-            GdsMessage::HeartbeatAck,
+            GdsMessage::HeartbeatAck { version: 300 },
             GdsMessage::Adopt { child: "gds-5".into() },
             GdsMessage::Detach { child: "gds-5".into() },
             GdsMessage::Hello { version: 2 },

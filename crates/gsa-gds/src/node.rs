@@ -268,9 +268,10 @@ impl GdsNode {
     }
 
     /// An unconditional re-announcement of the current aggregate to the
-    /// parent (heartbeat refresh, or telling a brand-new parent after a
-    /// reparent). Versions bump on every announcement so the receiver —
-    /// which keeps only the newest per edge — always accepts it. Returns
+    /// parent (the heartbeat heal of [`GdsNode::summary_refresh`], or
+    /// telling a brand-new parent after a reparent). Versions bump on
+    /// every announcement so the receiver — which keeps only the newest
+    /// per edge — always accepts it. Returns
     /// `None` when pruning is off, the node is the root, or there has
     /// never been anything better than the parent's wildcard-by-absence
     /// default to say.
@@ -284,6 +285,20 @@ impl GdsNode {
             return None;
         }
         self.announce(agg)
+    }
+
+    /// The heartbeat heal: a [`GdsNode::summary_announcement`] unless the
+    /// parent's heartbeat reply shows it holds the newest version sent
+    /// (`held`, 0 for none). A parent that forgot this node holds
+    /// nothing, and one whose update was lost or dead-lettered holds an
+    /// older version; an idle edge re-announces nothing. A node whose
+    /// aggregate is empty from the start is never marked dirty, so its
+    /// first announcement is this one.
+    pub fn summary_refresh(&mut self, held: u64) -> Option<GdsOutbound> {
+        if held != 0 && held >= self.agg_version {
+            return None;
+        }
+        self.summary_announcement()
     }
 
     /// Whether a deferred announcement is waiting to be flushed.
@@ -701,9 +716,12 @@ impl GdsNode {
                 }
             }
             GdsMessage::Heartbeat => {
-                // Liveness probe from a child; answering is all the
-                // parent owes (the child's detector does the timing).
-                effects.send(from.clone(), GdsMessage::HeartbeatAck);
+                // Liveness probe from a child; the child's detector does
+                // the timing. The reply says which of the child's
+                // summaries this node holds, so the child re-announces
+                // only when that is behind.
+                let version = self.edge_summaries.get(from).map_or(0, |(v, _)| *v);
+                effects.send(from.clone(), GdsMessage::HeartbeatAck { version });
                 // Rendezvous heal: re-send the child's current grants
                 // (full replacement, fresh version) so a lost grant or a
                 // restarted child converges on the next heartbeat, the
@@ -823,7 +841,7 @@ impl GdsNode {
             // its per-edge format table).
             GdsMessage::Deliver { .. }
             | GdsMessage::ResolveResponse { .. }
-            | GdsMessage::HeartbeatAck
+            | GdsMessage::HeartbeatAck { .. }
             | GdsMessage::Hello { .. }
             | GdsMessage::HelloAck { .. } => {}
         }
@@ -1402,12 +1420,77 @@ mod tests {
         let effects = parent.handle_message(&"gds-7".into(), GdsMessage::Heartbeat);
         assert_eq!(effects.outbound.len(), 1);
         assert_eq!(effects.outbound[0].to, HostName::new("gds-7"));
-        assert_eq!(effects.outbound[0].msg, GdsMessage::HeartbeatAck);
+        assert_eq!(
+            effects.outbound[0].msg,
+            GdsMessage::HeartbeatAck { version: 0 }
+        );
         // The reply is ignored at the node layer (the actor's failure
         // detector consumes it).
         let child = nodes.get_mut(&HostName::new("gds-7")).unwrap();
-        let effects = child.handle_message(&"gds-3".into(), GdsMessage::HeartbeatAck);
+        let effects =
+            child.handle_message(&"gds-3".into(), GdsMessage::HeartbeatAck { version: 0 });
         assert!(effects.outbound.is_empty());
+    }
+
+    /// The heartbeat reply carries the summary version the parent holds
+    /// for the edge, and the child re-announces only when that is none
+    /// or behind what it last sent.
+    #[test]
+    fn a_heartbeat_reply_says_which_summary_the_parent_holds() {
+        let mut parent = GdsNode::new("gds-3", 2, Some(HostName::new("gds-1")));
+        parent.set_pruning(true);
+        parent.add_child("gds-7");
+        let mut child = GdsNode::new("gds-7", 3, Some(HostName::new("gds-3")));
+        child.set_pruning(true);
+        child.handle_message(
+            &"gs-7".into(),
+            GdsMessage::Register {
+                gs_host: "gs-7".into(),
+            },
+        );
+        child.handle_message(
+            &"gs-7".into(),
+            GdsMessage::SummaryUpdate {
+                from: "gs-7".into(),
+                version: 1,
+                summary: host_summary("gs-5"),
+            },
+        );
+        fn held(parent: &mut GdsNode) -> u64 {
+            match parent
+                .handle_message(&"gds-7".into(), GdsMessage::Heartbeat)
+                .outbound[0]
+                .msg
+            {
+                GdsMessage::HeartbeatAck { version } => version,
+                ref other => panic!("expected a heartbeat reply, got {other}"),
+            }
+        }
+        let version_of = |out: &GdsOutbound| match &out.msg {
+            GdsMessage::SummaryUpdate { version, .. } => *version,
+            other => panic!("expected an announcement, got {other}"),
+        };
+        assert_eq!(held(&mut parent), 0, "the parent holds nothing yet");
+        let first = child
+            .summary_refresh(0)
+            .expect("a parent holding nothing is told");
+        // Say the first was lost: still nothing held, so announce again.
+        assert!(child.summary_refresh(0).is_some());
+        // The first arrives late and the second never does: the parent
+        // holds a version behind the newest sent.
+        let first_version = version_of(&first);
+        parent.handle_message(&"gds-7".into(), first.msg);
+        assert_eq!(held(&mut parent), first_version);
+        let third = child
+            .summary_refresh(first_version)
+            .expect("behind the newest sent");
+        let third_version = version_of(&third);
+        parent.handle_message(&"gds-7".into(), third.msg);
+        assert_eq!(held(&mut parent), third_version);
+        assert!(
+            child.summary_refresh(third_version).is_none(),
+            "an idle edge re-announces nothing"
+        );
     }
 
     #[test]

@@ -237,7 +237,7 @@ fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
                 result: (version % 2 == 0).then_some(b),
             },
             6 => GdsMessage::Heartbeat,
-            7 => GdsMessage::HeartbeatAck,
+            7 => GdsMessage::HeartbeatAck { version: number },
             8 => GdsMessage::Adopt { child: a },
             9 => GdsMessage::Detach { child: a },
             10 => GdsMessage::Hello { version },
@@ -292,14 +292,24 @@ proptest! {
     }
 
     #[test]
-    fn the_reliable_envelope_adds_exactly_its_own_bytes(msg in arb_message(NASTY_HOST), seq in arb_id()) {
+    fn the_reliable_envelope_adds_exactly_its_own_bytes(
+        msg in arb_message(NASTY_HOST),
+        seq in arb_id(),
+        more in arb_id(),
+    ) {
         for rel in [
             Reliable::Data { seq, payload: msg.clone() },
-            Reliable::Ack { seq },
+            Reliable::Ack { seq, more: 0 },
+            Reliable::Ack { seq, more },
             Reliable::Nack { seq },
         ] {
             prop_assert_eq!(rel.wire_size(), rel.to_xml().to_xml_string().len());
             prop_assert_eq!(rel.binary_wire_size(), rel.to_binary().len());
+            if !matches!(rel, Reliable::Data { .. }) {
+                prop_assert_eq!(&Reliable::from_binary(&rel.to_binary()).unwrap(), &rel);
+                let text = rel.to_xml().to_document_string();
+                prop_assert_eq!(&Reliable::from_xml(&parse_document(&text).unwrap()).unwrap(), &rel);
+            }
         }
     }
 

@@ -128,7 +128,8 @@ counter_table! {
     GSFLOOD_DUPLICATE_SUPPRESSED = "gsflood.duplicate_suppressed",
     /// GS-graph flooding baseline: events dropped at hop limit zero.
     GSFLOOD_TTL_EXHAUSTED = "gsflood.ttl_exhausted",
-    /// Reliable-envelope acknowledgements sent.
+    /// Reliable data frames acknowledged (one ack frame acknowledges up
+    /// to 65 of them).
     NET_ACKS = "net.acks",
     /// Serialized bytes handed to the network.
     NET_BYTES = "net.bytes",
@@ -142,6 +143,9 @@ counter_table! {
     /// unknown destinations) — mirrored by the real-time transport's
     /// `dropped_count`.
     NET_DROPPED = "net.dropped",
+    /// Retransmissions sent at once because a later frame's ack proved
+    /// the frame lost (RACK), a subset of `net.retransmits`.
+    NET_FAST_RETRANSMITS = "net.fast_retransmits",
     /// Wire frames handed to the network (a batch frame counts once).
     NET_FRAMES = "net.frames",
     /// Reliable-envelope retransmissions (second and later attempts).

@@ -2,9 +2,10 @@
 //!
 //! The paper commits to best-effort delivery (§6); this module supplies
 //! the opt-in layer beneath it: a [`Reliable`] envelope that carries a
-//! per-sender sequence number (or acknowledges/refuses one), and a
-//! [`RetransmitQueue`] — a timer-driven outbox with exponential backoff,
-//! jitter and a bounded retry budget that any simulated actor can embed.
+//! per-sender sequence number (or acknowledges a window of them, or
+//! refuses one), and a [`RetransmitQueue`] — an outbox with exponential
+//! backoff, jitter and a bounded retry budget, plus RACK fast retransmit
+//! (RFC 8985) on acknowledgements, that any simulated actor can embed.
 //! The queue is transport-agnostic and fully deterministic: jitter comes
 //! from an internal xorshift generator seeded by the caller, so the same
 //! seed replays the same retry schedule.
@@ -32,10 +33,15 @@ pub enum Reliable<M> {
         /// The wrapped message.
         payload: M,
     },
-    /// Positive acknowledgement of `seq`.
+    /// Positive acknowledgement of a window of 65 sequence numbers, as in
+    /// an RFC 2018 selective ack: `seq`, and `seq + 1 + i` for every set
+    /// bit `i` of `more` ([`acked_seqs`]). `more == 0` acknowledges `seq`
+    /// alone.
     Ack {
-        /// The acknowledged sequence number.
+        /// The first acknowledged sequence number.
         seq: u64,
+        /// The numbers after `seq` that are acknowledged too, one bit each.
+        more: u64,
     },
     /// Negative acknowledgement: stop retrying `seq`.
     Nack {
@@ -48,37 +54,54 @@ impl<M> Reliable<M> {
     /// The sequence number this envelope refers to.
     pub fn seq(&self) -> u64 {
         match self {
-            Reliable::Data { seq, .. } | Reliable::Ack { seq } | Reliable::Nack { seq } => *seq,
+            Reliable::Data { seq, .. } | Reliable::Ack { seq, .. } | Reliable::Nack { seq } => *seq,
         }
     }
 }
 
-/// The XML tag of each of the envelope's three forms, at the index that
-/// is its v2 tag byte. v1 is `<tag seq="n">` around the payload's
-/// element; v2 is the tag byte, a varint seq and the payload's own frame.
-const TAGS: [&str; 3] = ["rel-data", "rel-ack", "rel-nack"];
+/// The sequence numbers an `Ack { seq, more }` acknowledges, in
+/// ascending order: `seq`, then `seq + 1 + i` for each set bit `i` of
+/// `more`. A bit past `u64::MAX` names no number any sender used and is
+/// skipped, so a hostile window cannot overflow.
+pub fn acked_seqs(seq: u64, more: u64) -> impl Iterator<Item = u64> {
+    let set = (0..64).filter(move |i| more >> i & 1 == 1);
+    std::iter::once(seq).chain(set.filter_map(move |i| seq.checked_add(1 + i)))
+}
+
+/// Sorts `seqs` and packs them into the fewest `(seq, more)` ack
+/// windows: each window starts at the lowest number not yet covered and
+/// takes every number of the 64 after it. Duplicates cost nothing.
+pub fn ack_windows(seqs: &mut [u64]) -> Vec<(u64, u64)> {
+    seqs.sort_unstable();
+    let mut windows: Vec<(u64, u64)> = Vec::new();
+    for &seq in seqs.iter() {
+        match windows.last_mut() {
+            Some((first, more)) if seq - *first <= 64 => {
+                // A repeat of `first` sets no bit.
+                if let Some(bit) = (seq - *first).checked_sub(1) {
+                    *more |= 1 << bit;
+                }
+            }
+            _ => windows.push((seq, 0)),
+        }
+    }
+    windows
+}
+
+/// The XML tag of each of the envelope's forms, at the index that is its
+/// v2 tag byte. v1 is `<tag seq="n">` around the payload's element, with
+/// a `more` attribute on a selective ack; v2 is the tag byte, a varint
+/// seq, and the payload's own frame or, under tag 3, a varint `more`. A
+/// bare ack keeps tag 1, so it is the frame it always was.
+const TAGS: [&str; 4] = ["rel-data", "rel-ack", "rel-nack", "rel-ack"];
 
 impl<M> Reliable<M> {
     fn form(&self) -> usize {
         match self {
             Reliable::Data { .. } => 0,
-            Reliable::Ack { .. } => 1,
+            Reliable::Ack { more: 0, .. } => 1,
             Reliable::Nack { .. } => 2,
-        }
-    }
-
-    /// The envelope of the given form, decoding the payload only for
-    /// [`Reliable::Data`].
-    fn of_form(
-        form: Option<usize>,
-        seq: u64,
-        payload: impl FnOnce() -> Result<M, WireError>,
-    ) -> Result<Self, WireError> {
-        match form {
-            Some(0) => Ok(Reliable::Data { seq, payload: payload()? }),
-            Some(1) => Ok(Reliable::Ack { seq }),
-            Some(2) => Ok(Reliable::Nack { seq }),
-            _ => Err(WireError::malformed("unknown reliable envelope form")),
+            Reliable::Ack { .. } => 3,
         }
     }
 }
@@ -90,36 +113,65 @@ impl<M: WireMessage> WireMessage for Reliable<M> {
 
     fn put_xml(&self, out: &mut impl XmlPut) {
         out.num_attr("seq", self.seq());
-        if let Reliable::Data { payload, .. } = self {
-            out.child(payload.tag(), |el| payload.put_xml(el));
+        match self {
+            Reliable::Data { payload, .. } => out.child(payload.tag(), |el| payload.put_xml(el)),
+            Reliable::Ack { more, .. } if *more != 0 => out.num_attr("more", *more),
+            _ => {}
         }
     }
 
     fn from_xml(el: &XmlElement) -> Result<Self, WireError> {
-        let seq = el
-            .attr("seq")
-            .ok_or_else(|| WireError::malformed("reliable envelope lacks seq"))?
-            .parse::<u64>()
-            .map_err(|_| WireError::malformed("reliable seq is not a number"))?;
-        let form = TAGS.iter().position(|tag| *tag == el.name());
-        Self::of_form(form, seq, || match el.elements().next() {
-            Some(inner) => M::from_xml(inner),
-            None => Err(WireError::malformed("rel-data lacks a payload")),
-        })
+        let number = |name: &str| {
+            el.attr(name).map(|n| {
+                n.parse::<u64>()
+                    .map_err(|_| WireError::malformed(format!("reliable {name} is not a number")))
+            })
+        };
+        let seq =
+            number("seq").ok_or_else(|| WireError::malformed("reliable envelope lacks seq"))??;
+        match TAGS.iter().position(|tag| *tag == el.name()) {
+            Some(0) => match el.elements().next() {
+                Some(inner) => Ok(Reliable::Data {
+                    seq,
+                    payload: M::from_xml(inner)?,
+                }),
+                None => Err(WireError::malformed("rel-data lacks a payload")),
+            },
+            Some(1) => Ok(Reliable::Ack {
+                seq,
+                more: number("more").unwrap_or(Ok(0))?,
+            }),
+            Some(2) => Ok(Reliable::Nack { seq }),
+            _ => Err(WireError::malformed("unknown reliable envelope form")),
+        }
     }
 
     fn put_bin(&self, out: &mut impl ByteSink) {
         out.put_u8(self.form() as u8);
         write_varint(out, self.seq());
-        if let Reliable::Data { payload, .. } = self {
-            payload.put_frame(out);
+        match self {
+            Reliable::Data { payload, .. } => payload.put_frame(out),
+            Reliable::Ack { more, .. } if *more != 0 => write_varint(out, *more),
+            _ => {}
         }
     }
 
     fn take_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
         let tag = r.read_u8()?;
         let seq = r.read_varint()?;
-        Self::of_form(Some(usize::from(tag)), seq, || r.read_frame(M::take_bin))
+        match tag {
+            0 => Ok(Reliable::Data {
+                seq,
+                payload: r.read_frame(M::take_bin)?,
+            }),
+            1 => Ok(Reliable::Ack { seq, more: 0 }),
+            2 => Ok(Reliable::Nack { seq }),
+            3 => Ok(Reliable::Ack {
+                seq,
+                more: r.read_varint()?,
+            }),
+            _ => Err(WireError::malformed("unknown reliable envelope form")),
+        }
     }
 }
 
@@ -165,41 +217,51 @@ impl RetryPolicy {
 
 /// One in-flight entry awaiting acknowledgement.
 #[derive(Debug, Clone)]
-struct InFlight<M> {
+struct InFlight<P, M> {
+    peer: P,
     payload: M,
     first_sent: SimTime,
     attempts: u32,
     next_due: SimTime,
+    /// Sent more than once, by either retransmission path: its ack no
+    /// longer times one send (Karn's rule), and RACK leaves it to the
+    /// backoff schedule.
+    retransmitted: bool,
 }
 
 /// What a [`RetransmitQueue::poll`] decided: payloads to retransmit now,
 /// and payloads whose retry budget is exhausted (dead letters).
 #[derive(Debug, Clone, Default)]
-pub struct PollOutcome<M> {
-    /// `(seq, payload)` pairs the caller must re-send.
-    pub retransmit: Vec<(u64, M)>,
-    /// `(seq, payload)` pairs dropped after exhausting the budget.
-    pub dead: Vec<(u64, M)>,
+pub struct PollOutcome<P, M> {
+    /// `(seq, peer, payload)` the caller must re-send.
+    pub retransmit: Vec<(u64, P, M)>,
+    /// `(seq, peer, payload)` dropped after exhausting the budget.
+    pub dead: Vec<(u64, P, M)>,
 }
 
-/// A timer-driven retransmission queue with exponential backoff, jitter
-/// and a bounded retry budget.
+/// A retransmission queue with exponential backoff, jitter, a bounded
+/// retry budget, and RACK fast retransmit (RFC 8985).
 ///
 /// The queue never does I/O: the owner calls [`RetransmitQueue::send`]
-/// when it first transmits a payload, [`RetransmitQueue::ack`] /
-/// [`RetransmitQueue::nack`] on acknowledgements, and
-/// [`RetransmitQueue::poll`] from a periodic timer, re-sending whatever
-/// comes back. Determinism: jitter is drawn from an internal xorshift
-/// seeded at construction.
+/// when it first transmits a payload to a peer,
+/// [`RetransmitQueue::ack`] / [`RetransmitQueue::nack`] on
+/// acknowledgements, and [`RetransmitQueue::poll`] from a periodic
+/// timer, re-sending whatever the last two return. Determinism: jitter
+/// is drawn from an internal xorshift seeded at construction.
 #[derive(Debug, Clone)]
-pub struct RetransmitQueue<M> {
+pub struct RetransmitQueue<P, M> {
     policy: RetryPolicy,
-    inflight: BTreeMap<u64, InFlight<M>>,
+    /// By sequence number, which is issued in send order: the entries
+    /// sent before a given time are a prefix.
+    inflight: BTreeMap<u64, InFlight<P, M>>,
     next_seq: u64,
     rng_state: u64,
+    /// The shortest send-to-ack time seen per peer, sampled from
+    /// entries sent once only.
+    min_rtt: BTreeMap<P, SimDuration>,
 }
 
-impl<M: Clone> RetransmitQueue<M> {
+impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
     /// Creates a queue with the given policy and jitter seed.
     pub fn new(policy: RetryPolicy, seed: u64) -> Self {
         RetransmitQueue {
@@ -208,6 +270,7 @@ impl<M: Clone> RetransmitQueue<M> {
             next_seq: 0,
             // xorshift state must be non-zero.
             rng_state: seed | 1,
+            min_rtt: BTreeMap::new(),
         }
     }
 
@@ -226,28 +289,68 @@ impl<M: Clone> RetransmitQueue<M> {
         self.inflight.is_empty()
     }
 
-    /// Registers a payload the caller is transmitting now; returns the
+    /// Registers a payload the caller is transmitting to `peer` now
+    /// (`now` never earlier than at the previous call); returns the
     /// sequence number to put in the [`Reliable::Data`] envelope.
-    pub fn send(&mut self, payload: M, now: SimTime) -> u64 {
+    pub fn send(&mut self, peer: P, payload: M, now: SimTime) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let delay = self.jittered(self.policy.interval(0));
         self.inflight.insert(
             seq,
             InFlight {
+                peer,
                 payload,
                 first_sent: now,
                 attempts: 0,
                 next_due: now + delay,
+                retransmitted: false,
             },
         );
         seq
     }
 
-    /// Acknowledges `seq`. Returns the payload when it was still in
-    /// flight (idempotent: duplicate acks return `None`).
-    pub fn ack(&mut self, seq: u64) -> Option<M> {
-        self.inflight.remove(&seq).map(|e| e.payload)
+    /// `peer` acknowledges `seqs` at `now`; numbers it was never sent, or
+    /// that were acknowledged already, are ignored. Returns what RACK
+    /// then infers lost, for the caller to re-send to `peer` at once:
+    /// every entry to `peer` sent once only and more than a reorder
+    /// window before the newest entry just acknowledged, the window
+    /// being a quarter of `peer`'s minimum round trip. A fast
+    /// retransmission leaves the backoff schedule as it was.
+    pub fn ack(
+        &mut self,
+        peer: P,
+        seqs: impl IntoIterator<Item = u64>,
+        now: SimTime,
+    ) -> Vec<(u64, M)> {
+        let mut newest = None;
+        for seq in seqs {
+            if self.inflight.get(&seq).is_none_or(|e| e.peer != peer) {
+                continue;
+            }
+            let entry = self.inflight.remove(&seq).expect("entry checked above");
+            if !entry.retransmitted {
+                let rtt = now.since(entry.first_sent);
+                let min_rtt = self.min_rtt.entry(peer).or_insert(rtt);
+                *min_rtt = (*min_rtt).min(rtt);
+            }
+            newest = newest.max(Some(entry.first_sent));
+        }
+        let (Some(newest), Some(min_rtt)) = (newest, self.min_rtt.get(&peer)) else {
+            return Vec::new();
+        };
+        let window = SimDuration::from_micros(min_rtt.as_micros() / 4);
+        let mut lost = Vec::new();
+        for (&seq, entry) in &mut self.inflight {
+            if entry.first_sent + window >= newest {
+                break;
+            }
+            if entry.peer == peer && !entry.retransmitted {
+                entry.retransmitted = true;
+                lost.push((seq, entry.payload.clone()));
+            }
+        }
+        lost
     }
 
     /// Negative acknowledgement: drop `seq` without further retries and
@@ -275,7 +378,7 @@ impl<M: Clone> RetransmitQueue<M> {
     /// for retransmission (attempt counter bumped, next deadline pushed
     /// out by the backed-off, jittered interval) or — once the budget is
     /// exhausted — is removed and returned as a dead letter.
-    pub fn poll(&mut self, now: SimTime) -> PollOutcome<M> {
+    pub fn poll(&mut self, now: SimTime) -> PollOutcome<P, M> {
         let mut out = PollOutcome {
             retransmit: Vec::new(),
             dead: Vec::new(),
@@ -294,12 +397,14 @@ impl<M: Clone> RetransmitQueue<M> {
                 .is_some_and(|budget| entry.attempts >= budget)
             {
                 let entry = self.inflight.remove(&seq).expect("due entry exists");
-                out.dead.push((seq, entry.payload));
+                out.dead.push((seq, entry.peer, entry.payload));
                 continue;
             }
             entry.attempts += 1;
+            entry.retransmitted = true;
             let attempts = entry.attempts;
-            out.retransmit.push((seq, entry.payload.clone()));
+            out.retransmit
+                .push((seq, entry.peer, entry.payload.clone()));
             let delay = self.jittered(self.policy.interval(attempts));
             let entry = self.inflight.get_mut(&seq).expect("due entry exists");
             entry.next_due = now + delay;
@@ -373,7 +478,15 @@ mod tests {
                 seq: 7,
                 payload: Note("hello".to_string()),
             },
-            Reliable::Ack { seq: 9 },
+            Reliable::Ack { seq: 9, more: 0 },
+            Reliable::Ack {
+                seq: 9,
+                more: 0b1011,
+            },
+            Reliable::Ack {
+                seq: u64::MAX,
+                more: u64::MAX,
+            },
             Reliable::Nack { seq: 11 },
         ] {
             let el = rel.to_xml();
@@ -393,8 +506,50 @@ mod tests {
         assert!(Reliable::<Note>::from_xml(&bad_name).is_err());
         let no_payload = XmlElement::new("rel-data").with_attr("seq", "1");
         assert!(Reliable::<Note>::from_xml(&no_payload).is_err());
-        // [magic, len 2, tag 3, seq 1]: no such form.
+        let bad_more = XmlElement::new("rel-ack")
+            .with_attr("seq", "1")
+            .with_attr("more", "x");
+        assert!(Reliable::<Note>::from_xml(&bad_more).is_err());
+        // [magic, len 2, tag 4, seq 1]: no such form.
+        assert!(Reliable::<Note>::from_binary(&[0xB2, 2, 4, 1]).is_err());
+        // [magic, len 2, tag 3, seq 1]: a selective ack without its window.
         assert!(Reliable::<Note>::from_binary(&[0xB2, 2, 3, 1]).is_err());
+    }
+
+    /// Any set of sequence numbers packs into windows that acknowledge
+    /// exactly that set, across both wires, in the fewest frames.
+    #[test]
+    fn the_window_round_trips() {
+        let sets: [&[u64]; 6] = [
+            &[5],
+            &[9, 3, 4, 3],
+            &[0, 64],
+            &[0, 65],
+            &[1, 2, 3, 70, 71, 200, 264, 265],
+            &[u64::MAX - 1, u64::MAX],
+        ];
+        for set in sets {
+            let mut seqs = set.to_vec();
+            let windows = ack_windows(&mut seqs);
+            seqs.dedup();
+            let mut acked = Vec::new();
+            for (seq, more) in &windows {
+                let ack = Reliable::<Note>::Ack {
+                    seq: *seq,
+                    more: *more,
+                };
+                assert_eq!(Reliable::from_binary(&ack.to_binary()).unwrap(), ack);
+                assert_eq!(Reliable::from_xml(&ack.to_xml()).unwrap(), ack);
+                acked.extend(acked_seqs(*seq, *more));
+            }
+            assert_eq!(acked, seqs, "{set:?}");
+            let fewest = seqs.iter().fold((0, None), |(n, first), &seq| match first {
+                Some(first) if seq - first <= 64 => (n, Some(first)),
+                _ => (n + 1, Some(seq)),
+            });
+            assert_eq!(windows.len(), fewest.0, "{set:?}");
+        }
+        assert_eq!(ack_windows(&mut [0, 64]), vec![(0, 1 << 63)]);
     }
 
     #[test]
@@ -407,14 +562,24 @@ mod tests {
         assert_eq!(p.interval(9), SimDuration::from_millis(800), "capped");
     }
 
+    /// The peer every test payload goes to, and one that it does not.
+    const PEER: u8 = 1;
+    const OTHER: u8 = 2;
+
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
+    }
+
     #[test]
     fn ack_stops_retransmission() {
         let mut q = RetransmitQueue::new(policy(None), 1);
-        let t0 = SimTime::ZERO;
-        let seq = q.send("m".to_string(), t0);
+        let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.ack(seq), Some("m".to_string()));
-        assert_eq!(q.ack(seq), None, "idempotent");
+        q.ack(OTHER, [seq], ms(1));
+        assert_eq!(q.len(), 1, "only the peer it was sent to acknowledges it");
+        q.ack(PEER, [seq], ms(1));
+        assert!(q.is_empty());
+        assert!(q.ack(PEER, [seq], ms(2)).is_empty(), "idempotent");
         let out = q.poll(SimTime::from_secs(100));
         assert!(out.retransmit.is_empty() && out.dead.is_empty());
     }
@@ -422,22 +587,94 @@ mod tests {
     #[test]
     fn unacked_payloads_retransmit_with_backoff() {
         let mut q = RetransmitQueue::new(policy(None), 1);
-        let seq = q.send("m".to_string(), SimTime::ZERO);
+        let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         // Not yet due.
-        assert!(q.poll(SimTime::from_millis(50)).retransmit.is_empty());
+        assert!(q.poll(ms(50)).retransmit.is_empty());
         // First retry at 100 ms.
-        let out = q.poll(SimTime::from_millis(100));
-        assert_eq!(out.retransmit, vec![(seq, "m".to_string())]);
+        let out = q.poll(ms(100));
+        assert_eq!(out.retransmit, vec![(seq, PEER, "m".to_string())]);
         // Next due 200 ms later, not before.
-        assert!(q.poll(SimTime::from_millis(250)).retransmit.is_empty());
-        let out = q.poll(SimTime::from_millis(300));
+        assert!(q.poll(ms(250)).retransmit.is_empty());
+        let out = q.poll(ms(300));
         assert_eq!(out.retransmit.len(), 1);
+    }
+
+    /// Three frames to one peer 10 ms apart; the middle one's ack comes
+    /// back after a 5 ms round trip, which proves the first lost.
+    fn hole_at_the_front() -> (RetransmitQueue<u8, String>, Vec<(u64, String)>) {
+        let mut q = RetransmitQueue::new(policy(None), 1);
+        for (at, payload) in [(0, "a"), (10, "b"), (20, "c")] {
+            q.send(PEER, payload.to_string(), ms(at));
+        }
+        let lost = q.ack(PEER, [1], ms(15));
+        (q, lost)
+    }
+
+    #[test]
+    fn a_hole_is_resent_once_only() {
+        let (mut q, lost) = hole_at_the_front();
+        assert_eq!(lost, vec![(0, "a".to_string())]);
+        // A later ack proves the same hole again: it is already re-sent.
+        assert!(q.ack(PEER, [2], ms(25)).is_empty());
+        assert_eq!(q.len(), 1);
+    }
+
+    /// A fast retransmission is not a backoff step: the entry is still
+    /// due at its first deadline, and the one after that is the first
+    /// backed-off interval, not the second.
+    #[test]
+    fn a_fast_retransmit_leaves_the_rto_schedule_untouched() {
+        let (mut q, lost) = hole_at_the_front();
+        assert_eq!(lost.len(), 1);
+        q.ack(PEER, [2], ms(25));
+        assert_eq!(q.next_due(), Some(ms(100)));
+        assert!(q.poll(ms(99)).retransmit.is_empty());
+        assert_eq!(q.poll(ms(100)).retransmit, vec![(0, PEER, "a".to_string())]);
+        assert!(q.poll(ms(299)).retransmit.is_empty());
+        assert_eq!(q.poll(ms(300)).retransmit.len(), 1);
+    }
+
+    /// Karn's rule: the ack of an entry sent twice times neither send,
+    /// so it gives no round-trip sample; nor does RACK re-send an entry
+    /// the backoff schedule already re-sent.
+    #[test]
+    fn retransmitted_entries_give_no_rtt_sample() {
+        let mut q = RetransmitQueue::new(policy(None), 1);
+        q.send(PEER, "a".to_string(), SimTime::ZERO);
+        q.send(PEER, "b".to_string(), ms(1));
+        assert_eq!(q.poll(ms(100)).retransmit.len(), 1);
+        q.send(PEER, "c".to_string(), ms(100));
+        assert!(q.ack(PEER, [0], ms(102)).is_empty());
+        assert_eq!(q.min_rtt.get(&PEER), None);
+        // `b` was sent once; `c`'s ack samples 4 ms and proves it lost.
+        assert_eq!(q.ack(PEER, [2], ms(104)), vec![(1, "b".to_string())]);
+        assert_eq!(q.min_rtt.get(&PEER), Some(&SimDuration::from_millis(4)));
+    }
+
+    /// Frames sent less than a quarter of the minimum round trip before
+    /// the acknowledged one may just be reordered: they are left alone,
+    /// and so is everything sent to another peer.
+    #[test]
+    fn nothing_sent_inside_the_reorder_window_is_resent() {
+        // A 40 ms round trip makes a 10 ms window.
+        let mut q = RetransmitQueue::new(policy(None), 1);
+        q.send(PEER, "inside".to_string(), ms(0));
+        q.send(OTHER, "elsewhere".to_string(), ms(0));
+        q.send(PEER, "acked".to_string(), ms(10));
+        assert!(q.ack(PEER, [2], ms(50)).is_empty());
+        // One more microsecond and the first is outside it.
+        let mut q = RetransmitQueue::new(policy(None), 1);
+        q.send(PEER, "outside".to_string(), ms(0));
+        q.send(OTHER, "elsewhere".to_string(), ms(0));
+        q.send(PEER, "acked".to_string(), SimTime::from_micros(10_001));
+        let lost = q.ack(PEER, [2], SimTime::from_micros(50_001));
+        assert_eq!(lost, vec![(0, "outside".to_string())]);
     }
 
     #[test]
     fn budget_exhaustion_dead_letters() {
         let mut q = RetransmitQueue::new(policy(Some(2)), 1);
-        let seq = q.send("m".to_string(), SimTime::ZERO);
+        let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         let mut now = SimTime::ZERO;
         let mut retransmits = 0;
         let mut dead = Vec::new();
@@ -448,14 +685,14 @@ mod tests {
             dead.extend(out.dead);
         }
         assert_eq!(retransmits, 2, "budget bounds retries");
-        assert_eq!(dead, vec![(seq, "m".to_string())]);
+        assert_eq!(dead, vec![(seq, PEER, "m".to_string())]);
         assert!(q.is_empty());
     }
 
     #[test]
     fn nack_dead_letters_immediately() {
         let mut q = RetransmitQueue::new(policy(None), 1);
-        let seq = q.send("m".to_string(), SimTime::ZERO);
+        let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         assert_eq!(q.nack(seq), Some("m".to_string()));
         assert!(q.is_empty());
     }
@@ -464,8 +701,8 @@ mod tests {
     fn jitter_stays_within_bounds_and_is_deterministic() {
         let mut p = policy(None);
         p.jitter = 0.2;
-        let mut a: RetransmitQueue<String> = RetransmitQueue::new(p.clone(), 42);
-        let mut b: RetransmitQueue<String> = RetransmitQueue::new(p, 42);
+        let mut a: RetransmitQueue<u8, String> = RetransmitQueue::new(p.clone(), 42);
+        let mut b: RetransmitQueue<u8, String> = RetransmitQueue::new(p, 42);
         for _ in 0..100 {
             let ja = a.jittered(SimDuration::from_millis(1000));
             let jb = b.jittered(SimDuration::from_millis(1000));
@@ -479,9 +716,9 @@ mod tests {
     fn next_due_tracks_earliest_entry() {
         let mut q = RetransmitQueue::new(policy(None), 1);
         assert_eq!(q.next_due(), None);
-        q.send("a".to_string(), SimTime::ZERO);
-        q.send("b".to_string(), SimTime::from_millis(500));
-        assert_eq!(q.next_due(), Some(SimTime::from_millis(100)));
+        q.send(PEER, "a".to_string(), SimTime::ZERO);
+        q.send(PEER, "b".to_string(), ms(500));
+        assert_eq!(q.next_due(), Some(ms(100)));
         assert_eq!(
             q.oldest_age(SimTime::from_secs(1)),
             Some(SimDuration::from_secs(1))

@@ -30,7 +30,7 @@
 //! Summaries travel inside `gds:summary` messages, so this module also
 //! provides the XML (v1) and binary (v2) codec halves, following the
 //! same conventions as the rest of the wire layer. Because an
-//! aggregated summary is re-announced verbatim on heartbeats and
+//! aggregated summary is re-announced verbatim by heartbeat heals and
 //! reparents, the binary encoding is computed once per distinct value
 //! and frozen (same encode-once pattern as flood payloads): clones
 //! share the buffer, mutation detaches it.
@@ -327,7 +327,7 @@ impl InterestSummary {
     }
 
     /// The frozen binary encoding, computed on first use and shared by
-    /// clones from then on — a summary re-announced on every heartbeat
+    /// clones from then on — a summary re-announced many times
     /// serializes exactly once. A wildcard flag byte, the two
     /// length-prefixed anchor sets, then the attribute digests.
     fn frozen_bytes(&self) -> &[u8] {

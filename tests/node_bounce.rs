@@ -125,3 +125,36 @@ fn a_batch_flush_survives_its_node_bouncing_best_effort() {
 fn a_batch_flush_survives_its_node_bouncing_reliable() {
     later_rebuild_crosses_a_bounced_batching_node(true);
 }
+
+/// Reliable edges on the paper's wire. A receiver holds its acks 2 ms to
+/// coalesce them; gds-2 goes down while it owes gds-1 the ack of the
+/// first rebuild's broadcast, at every 100 µs offset across the time that
+/// broadcast is in reach. Back up, gds-2 must acknowledge again: a node
+/// that still believed its ack flush armed would never send another ack,
+/// and its peers would retransmit to it for ever.
+#[test]
+fn an_ack_flush_survives_its_node_bouncing() {
+    for offset_us in (2_000..6_000).step_by(100) {
+        let (mut system, client) = world(|s| s.set_reliability(ReliabilityConfig::default()));
+        system
+            .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
+            .unwrap();
+        rebuild(&mut system, "d1");
+        system.run_for(SimDuration::from_micros(offset_us));
+        bounce(&mut system, "gds-2");
+        rebuild(&mut system, "d2");
+        system.run_for(SimDuration::from_secs(30));
+        assert_eq!(
+            system.take_notifications("Cairo", client).len(),
+            2,
+            "gds-2 down {offset_us} µs after the first rebuild: both rebuilds arrive"
+        );
+        let settled = system.metrics().counter("net.retransmits");
+        system.run_for(SimDuration::from_secs(30));
+        assert_eq!(
+            system.metrics().counter("net.retransmits"),
+            settled,
+            "gds-2 down {offset_us} µs after the first rebuild: its peers still retransmit"
+        );
+    }
+}

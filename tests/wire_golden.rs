@@ -23,9 +23,10 @@ use gsa_wire::binary::{
     decode_frame, payload_bytes_from_xml, payload_xml_from_bytes, write_frame, ByteSink, MAX_DEPTH,
 };
 use gsa_wire::codec::event_to_xml;
+use gsa_wire::reliable::acked_seqs;
 use gsa_wire::{
-    parse_document, Envelope, FrozenBytes, InterestSummary, Payload, Reliable, WireMessage,
-    XmlElement,
+    parse_document, Envelope, FrozenBytes, InterestSummary, Payload, Reliable, RetransmitQueue,
+    RetryPolicy, WireMessage, XmlElement,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -308,10 +309,18 @@ fn maintenance_and_negotiation_messages_are_pinned() {
         "b2010b",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat/>",
     );
+    // The reply names the summary version the parent holds for the
+    // child's edge, so an idle child stops re-announcing an unchanged
+    // summary every heartbeat (it was a bare `b2010c`).
     pin(
-        GdsMessage::HeartbeatAck,
-        "b2010c",
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat-ack/>",
+        GdsMessage::HeartbeatAck { version: 300 },
+        "b2030cac02",
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat-ack version=\"300\"/>",
+    );
+    pin(
+        GdsMessage::HeartbeatAck { version: 0 },
+        "b2020c00",
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat-ack version=\"0\"/>",
     );
     pin(
         GdsMessage::Adopt {
@@ -431,8 +440,10 @@ fn summaries_and_grants_are_pinned() {
     );
 }
 
-/// The reliable envelope around one of the samples, and its bare
-/// acknowledgements.
+/// The reliable envelope around one of the samples, and its
+/// acknowledgements. A bare ack is the frame it always was; an ack that
+/// covers more of a window (acks are coalesced per edge, RFC 2018
+/// style) is a form of its own on v2 and one more attribute on v1.
 #[test]
 fn the_reliable_envelope_is_pinned() {
     let inner = GdsMessage::Deliver {
@@ -453,9 +464,26 @@ fn the_reliable_envelope_is_pinned() {
          </line>tail</note></gds:deliver></rel-data>",
         ),
         (
-            Reliable::Ack { seq: 7 },
+            Reliable::Ack { seq: 7, more: 0 },
             "b2020107",
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?><rel-ack seq=\"7\"/>",
+        ),
+        (
+            Reliable::Ack {
+                seq: 7,
+                more: 0b101,
+            },
+            "b203030705",
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><rel-ack seq=\"7\" more=\"5\"/>",
+        ),
+        (
+            Reliable::Ack {
+                seq: u64::MAX,
+                more: u64::MAX,
+            },
+            "b21503ffffffffffffffffff01ffffffffffffffffff01",
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
+             <rel-ack seq=\"18446744073709551615\" more=\"18446744073709551615\"/>",
         ),
         (
             Reliable::Nack { seq: u64::MAX },
@@ -483,6 +511,27 @@ fn the_reliable_envelope_is_pinned() {
             rel
         );
     }
+}
+
+/// The hostile window pinned above, every bit set past the last sequence
+/// number, is applied to a sender's queue without an overflow: it
+/// acknowledges `u64::MAX` and nothing else.
+#[test]
+fn a_window_past_the_last_sequence_number_is_applied_safely() {
+    let frame = unhex("b21503ffffffffffffffffff01ffffffffffffffffff01");
+    let Reliable::<GdsMessage>::Ack { seq, more } = reliable_from_binary(&frame).unwrap() else {
+        panic!("expected an ack");
+    };
+    let mut queue = RetransmitQueue::new(RetryPolicy::default(), 1);
+    let first = queue.send(9u32, "first", SimTime::ZERO);
+    let lost = queue.ack(9, acked_seqs(seq, more), SimTime::from_millis(1));
+    assert!(lost.is_empty());
+    assert_eq!(queue.len(), 1, "seq {first} is still in flight");
+    assert_eq!(acked_seqs(seq, more).collect::<Vec<_>>(), vec![u64::MAX]);
+    assert_eq!(
+        acked_seqs(u64::MAX - 2, more).collect::<Vec<_>>(),
+        [u64::MAX - 2, u64::MAX - 1, u64::MAX]
+    );
 }
 
 // The reliable envelope's four codec entry points, by the names they
@@ -634,7 +683,7 @@ fn trailing_bytes_inside_a_frame_are_refused() {
         payload: inner.clone(),
     };
     type Decoder = fn(&[u8]) -> bool;
-    let decoders: [(&str, Vec<u8>, Decoder); 6] = [
+    let decoders: [(&str, Vec<u8>, Decoder); 7] = [
         ("message", inner.to_binary(), |b| {
             GdsMessage::from_binary(b).is_ok()
         }),
@@ -648,7 +697,12 @@ fn trailing_bytes_inside_a_frame_are_refused() {
         }),
         (
             "ack",
-            Reliable::<GdsMessage>::Ack { seq: 7 }.to_binary(),
+            Reliable::<GdsMessage>::Ack { seq: 7, more: 0 }.to_binary(),
+            |b| Reliable::<GdsMessage>::from_binary(b).is_ok(),
+        ),
+        (
+            "selective ack",
+            Reliable::<GdsMessage>::Ack { seq: 7, more: 3 }.to_binary(),
             |b| Reliable::<GdsMessage>::from_binary(b).is_ok(),
         ),
         (
