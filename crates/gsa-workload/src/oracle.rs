@@ -24,8 +24,8 @@
 //! contract rather than excused by a window it never published into.
 
 use crate::runners::rebuild_docs;
+use crate::{GsWorld, ProfilePopulation, RebuildSchedule};
 use gsa_types::{CollectionId, Event, EventId, EventKind, HostName, SimDuration, SimTime};
-use gsa_workload::{GsWorld, ProfilePopulation, RebuildSchedule};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -270,7 +270,7 @@ fn host_cut_around(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsa_workload::{ProfileMix, WorldParams};
+    use crate::{ProfileMix, WorldParams};
 
     fn setup() -> (GsWorld, ProfilePopulation, RebuildSchedule) {
         let world = GsWorld::generate(&WorldParams::small(11));
@@ -431,23 +431,23 @@ mod tests {
 
     #[test]
     fn ancestor_announcements_are_expected() {
-        // Build a deterministic 2-host world by hand via generate until a
-        // cross-host reference exists, then check a super-collection
-        // watcher is expected on a sub rebuild.
+        // The seeded world has a collection with a public parent on
+        // another host: a rebuild of the child is announced under it.
         let (world, _, _) = setup();
         let parents = parent_map(&world);
-        // Find a collection that has a parent on another host.
-        let candidate = parents.iter().find(|(child, ps)| {
-            ps.iter().any(|p| p.host() != child.host())
-        });
-        if let Some((child, ps)) = candidate {
-            let public = visibility_map(&world);
-            let origins = announced_origins(child, &parents, &public);
-            let remote_parent = ps.iter().find(|p| p.host() != child.host()).unwrap();
-            assert!(
-                origins.contains(remote_parent),
-                "remote super-collection must be announced"
-            );
-        }
+        let public = visibility_map(&world);
+        let (child, remote_parent) = parents
+            .iter()
+            .find_map(|(child, ps)| {
+                ps.iter()
+                    .find(|p| p.host() != child.host() && public[*p])
+                    .map(|p| (child, p))
+            })
+            .expect("seed 11 has a public parent on another host");
+        let origins = announced_origins(child, &parents, &public);
+        assert!(
+            origins.contains(remote_parent),
+            "remote super-collection must be announced"
+        );
     }
 }

@@ -2,18 +2,18 @@
 //!
 //! [`run_scheme`] plays one generated workload (world + profiles +
 //! rebuild schedule + churn) through one alerting scheme and returns the
-//! raw deliveries plus the transport and storage metrics the experiment
-//! tables report.
+//! raw deliveries plus the transport and storage metrics the paper-claim
+//! and chaos tests assert on.
 
-use gsa_baselines::{GsFloodSystem, ProfileFloodSystem, RendezvousSystem};
-use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System};
-use gsa_types::{
-    ClientId, CollectionId, Event, EventId, EventKind, HostName, ProfileId, SimDuration, SimTime,
-};
-use gsa_store::SourceDocument;
-use gsa_workload::{
+use crate::{
     ChurnEvent, DocumentGenerator, FaultAction, FaultPlan, GsWorld, ProfilePopulation,
     RebuildSchedule,
+};
+use gsa_baselines::{GsFloodSystem, ProfileFloodSystem, RendezvousSystem};
+use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System};
+use gsa_store::SourceDocument;
+use gsa_types::{
+    ClientId, CollectionId, Event, EventId, EventKind, HostName, ProfileId, SimDuration, SimTime,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -121,7 +121,8 @@ pub struct RunOutcome {
     /// Profiles stored across all servers at the end (including
     /// replicas/auxiliaries).
     pub stored_profiles: usize,
-    /// Stored profiles whose owner has cancelled them.
+    /// Stored profiles whose owner has cancelled them (client profiles
+    /// only for the hybrid, counted on every server at the end).
     pub orphan_profiles: usize,
     /// Per-node receive-load imbalance `(max, mean, gini)`.
     pub load: Option<(u64, f64, f64)>,
@@ -190,7 +191,7 @@ pub fn rebuild_event(k: usize, collection: &CollectionId, docs: &[SourceDocument
 
 /// One timed action of the merged schedule.
 enum Action<'a> {
-    Rebuild(usize, &'a gsa_workload::schedule::Rebuild),
+    Rebuild(usize, &'a crate::schedule::Rebuild),
     Churn(&'a ChurnEvent),
     Fault(&'a FaultAction),
 }
@@ -388,12 +389,21 @@ fn run_hybrid(
 
     let mut stored = 0;
     let mut stored_client = 0;
+    let mut orphans = 0;
     for host in &world.hosts {
-        let (subs, aux) = system.inspect_core(host.as_str(), |core| {
-            (core.subscriptions().len(), core.aux_store().len())
+        let (subs, aux, orphaned) = system.inspect_core(host.as_str(), |core| {
+            let subs = core.subscriptions();
+            // Client id == profile index, so a stored profile whose
+            // owner's index was cancelled is an orphan.
+            let orphaned = subs
+                .profiles()
+                .filter(|p| cancels.contains_key(&(p.owner().as_u64() as usize)))
+                .count();
+            (subs.len(), core.aux_store().len(), orphaned)
         });
         stored += subs + aux;
         stored_client += subs;
+        orphans += orphaned;
     }
     let subscribed = handles.len();
 
@@ -410,7 +420,7 @@ fn run_hybrid(
         messages: system.metrics().counter("net.sent"),
         bytes: system.metrics().counter("net.bytes"),
         stored_profiles: stored,
-        orphan_profiles: 0,
+        orphan_profiles: orphans,
         load: system.metrics().receive_load_imbalance(),
         cancels,
         partitions,
@@ -711,7 +721,7 @@ fn run_rendezvous(
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use gsa_workload::{ProfileMix, WorldParams};
+    use crate::{ProfileMix, WorldParams};
 
     fn workload() -> (GsWorld, ProfilePopulation, RebuildSchedule) {
         let world = GsWorld::generate(&WorldParams::small(21));
@@ -782,25 +792,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn profileflood_orphans_after_partitioned_cancel() {
-        let (world, pop, schedule) = workload();
-        // Cancel profile 0 while its host is partitioned.
-        let host0 = pop.profiles[0].0.clone();
-        let churn = vec![
+    /// Cancels profile `index` while its host is partitioned, healing at
+    /// `heal` if given.
+    fn partitioned_cancel(pop: &ProfilePopulation, index: usize, heal: bool) -> Vec<ChurnEvent> {
+        let mut churn = vec![
             ChurnEvent::Partition {
                 at: SimTime::from_secs(1),
-                host: host0,
+                host: pop.profiles[index].0.clone(),
                 group: 1,
             },
             ChurnEvent::Cancel {
                 at: SimTime::from_secs(2),
-                index: 0,
-            },
-            ChurnEvent::Heal {
-                at: SimTime::from_secs(3),
+                index,
             },
         ];
+        if heal {
+            churn.push(ChurnEvent::Heal {
+                at: SimTime::from_secs(3),
+            });
+        }
+        churn
+    }
+
+    #[test]
+    fn profileflood_orphans_after_partitioned_cancel() {
+        let (world, pop, schedule) = workload();
+        // A profile whose host has island neighbours is replicated to
+        // them; cancelled behind a partition, those replicas never hear.
+        let index = pop
+            .profiles
+            .iter()
+            .position(|(host, _, _)| !world.neighbors(host).is_empty())
+            .expect("a profile on a host with island neighbours");
+        let churn = partitioned_cancel(&pop, index, true);
         let outcome = run_scheme(
             Scheme::ProfileFlood,
             &world,
@@ -809,10 +833,31 @@ mod tests {
             &churn,
             &RunConfig::default(),
         );
-        // Profile 0's owner is connected to at least... possibly solitary.
-        // Orphans occur when replicas exist; just assert accounting sanity.
-        assert!(outcome.stored_profiles >= pop.len() - 1 - 1);
+        assert!(outcome.cancels.contains_key(&index));
+        assert!(
+            outcome.orphan_profiles >= 1,
+            "a replica must outlive the partitioned cancel: {} orphans",
+            outcome.orphan_profiles
+        );
+    }
+
+    #[test]
+    fn hybrid_orphans_count_cancelled_profiles_still_stored() {
+        let (world, pop, schedule) = workload();
+        // The hybrid stores a profile only at its subscriber's server, so
+        // a cancel applies there even behind a partition that never heals.
+        let churn = partitioned_cancel(&pop, 0, false);
+        let outcome = run_scheme(
+            Scheme::Hybrid,
+            &world,
+            &pop,
+            &schedule,
+            &churn,
+            &RunConfig::default(),
+        );
         assert!(outcome.cancels.contains_key(&0));
+        assert_eq!(outcome.orphan_profiles, 0, "the cancel was applied server-side");
+        assert_eq!(outcome.stored_client_profiles, pop.len() - 1);
     }
 
     #[test]

@@ -16,15 +16,14 @@
 //!    was journalled, and mid-journal corruption is surfaced through
 //!    the `state.journal_corrupt` counter.
 
-use gsa_bench::{run_scheme, Oracle, RunConfig, Scheme};
 use gsa_core::{AlertPolicyConfig, AlertState, System};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_store::SourceDocument;
 use gsa_types::{ClientId, SimDuration, SimTime};
 use gsa_workload::{
-    FaultPlan, FaultPlanParams, GsWorld, ProfileMix, ProfilePopulation, RebuildSchedule,
-    WorldParams,
+    run_scheme, FaultPlan, FaultPlanParams, GsWorld, Oracle, ProfileMix, ProfilePopulation,
+    RebuildSchedule, RunConfig, Scheme, WorldParams,
 };
 
 const SEEDS: [u64; 3] = [61, 62, 63];
@@ -73,7 +72,7 @@ fn cell(seed: u64) -> Cell {
 }
 
 /// Runs the hybrid and returns (quality, lost subscriptions).
-fn run(cell: &Cell, durable: bool) -> (gsa_bench::Quality, usize) {
+fn run(cell: &Cell, durable: bool) -> (gsa_workload::Quality, usize) {
     let outcome = run_scheme(
         Scheme::Hybrid,
         &cell.world,

@@ -1,5 +1,5 @@
 //! Deterministic chaos: the seeded fault plans from `gsa-workload`
-//! replayed through the bench runners, three fixed seeds.
+//! replayed through the scheme runners, three fixed seeds.
 //!
 //! The contract under test is the robustness claim of the reliability
 //! layer: with ambient loss, a loss burst, a transient GDS-node crash
@@ -8,11 +8,10 @@
 //! false positives, zero duplicates — while the best-effort hybrid
 //! measurably loses notifications on the same workload and faults.
 
-use gsa_bench::{run_scheme, Oracle, RunConfig, Scheme};
 use gsa_types::{HostName, SimDuration};
 use gsa_workload::{
-    FaultPlan, FaultPlanParams, GsWorld, ProfileMix, ProfilePopulation, RebuildSchedule,
-    WorldParams,
+    run_scheme, FaultPlan, FaultPlanParams, GsWorld, Oracle, ProfileMix, ProfilePopulation,
+    RebuildSchedule, RunConfig, Scheme, WorldParams,
 };
 
 const SEEDS: [u64; 3] = [41, 42, 43];
@@ -68,7 +67,7 @@ fn cell(seed: u64) -> ChaosCell {
     }
 }
 
-fn run(cell: &ChaosCell, reliable: bool, pruned: bool) -> (gsa_bench::Quality, u64) {
+fn run(cell: &ChaosCell, reliable: bool, pruned: bool) -> (gsa_workload::Quality, u64) {
     let outcome = run_scheme(
         Scheme::Hybrid,
         &cell.world,

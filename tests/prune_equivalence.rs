@@ -118,7 +118,7 @@ fn pruned_broadcast_delivers_exactly_the_flood_sets() {
     }
 }
 
-/// The three delivery modes the prune bench compares. Each is layered on
+/// The three delivery modes E6-prune compares. Each is layered on
 /// the previous one and must be behaviourally invisible: identical
 /// notification sets, fewer messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
