@@ -13,7 +13,7 @@
 use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
-use gsa_simnet::{Actor, CounterId, Ctx, NodeId, TimerId};
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
 use gsa_types::{Counts, FxHashMap, HostName, SimDuration};
 use gsa_wire::reliable::{ack_windows, acked_seqs, Reliable, RetransmitQueue, RetryPolicy};
 use gsa_wire::WireFormat;
@@ -482,8 +482,8 @@ impl EdgeTransport {
     /// The actor's `on_start`, which a node coming back up runs again:
     /// announces wire v2 on every edge in `peers` (each upgrades
     /// independently when its hello-ack comes back) and starts the
-    /// retransmission poll. A flush timer that came due while the node
-    /// was down is lost, so the armed flags are forgotten and each timer
+    /// retransmission poll. Every timer set before the node went down
+    /// is gone, so the armed flags are forgotten and each flush timer
     /// set again when anything is still buffered: a batch, or acks owed
     /// (left owed, the peer would retransmit them for ever).
     fn start<'a>(
@@ -720,7 +720,7 @@ impl Actor<SysMessage> for AlertingActor {
         self.apply(effects, ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
         if tag == TICK_TAG {
             let effects = self.core.on_tick(ctx.now());
             self.apply(effects, ctx);
@@ -940,9 +940,9 @@ impl Actor<SysMessage> for GdsActor {
                 ctx.set_timer(detector.interval, HEARTBEAT_TAG);
             }
         }
-        // As for the transport's flush timer: an announce timer that
-        // came due while the node was down is gone, and the aggregate
-        // it was to announce is still dirty.
+        // As for the transport's flush timer: an announce timer set
+        // before the node went down is gone, and the aggregate it was
+        // to announce is still dirty.
         self.announce_armed = false;
         self.arm_announce(ctx);
     }
@@ -985,7 +985,7 @@ impl Actor<SysMessage> for GdsActor {
         self.scratch = effects;
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
         match tag {
             HEARTBEAT_TAG => self.heartbeat_tick(ctx),
             ANNOUNCE_TAG => {

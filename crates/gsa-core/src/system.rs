@@ -78,9 +78,8 @@ impl System {
         self.sim.set_default_link(cfg);
     }
 
-    /// Changes the per-link drop probability on every link (default and
-    /// overrides), keeping latency characteristics — the chaos-harness
-    /// control knob.
+    /// Changes the drop probability of every link, keeping its latency
+    /// and jitter — the chaos-harness control knob.
     pub fn set_drop_probability(&mut self, p: f64) {
         self.sim.set_drop_probability(p);
     }
@@ -656,7 +655,7 @@ impl System {
         self.sim.set_partition(node, group);
     }
 
-    /// Heals all partitions and downed links.
+    /// Heals all partitions.
     pub fn heal_network(&mut self) {
         self.sim.heal_network();
     }
@@ -710,11 +709,6 @@ impl System {
     /// The accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
         self.sim.metrics()
-    }
-
-    /// Mutable metrics (quantile queries).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        self.sim.metrics_mut()
     }
 }
 

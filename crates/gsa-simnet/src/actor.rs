@@ -1,21 +1,11 @@
 //! The actor abstraction: protocol state machines driven by the simulator.
 
-use crate::metrics::{CounterId, Metrics};
+use crate::metrics::CounterId;
 use crate::sim::{NodeId, NodeMeta};
 use gsa_types::{FxHashMap, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::fmt;
 use std::sync::Arc;
-
-/// Identifies a pending timer so it can be cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
-impl fmt::Display for TimerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "timer-{}", self.0)
-    }
-}
 
 /// A protocol state machine living on one simulated node.
 ///
@@ -34,27 +24,17 @@ pub trait Actor<M>: 'static {
 
     /// Called when a timer set through [`Ctx::set_timer`] fires. `tag` is
     /// the caller-chosen discriminator passed when the timer was set.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: TimerId, tag: u64) {
-        let _ = (ctx, timer, tag);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64) {
+        let _ = (ctx, tag);
     }
-}
-
-/// A counter reference carried by a buffered [`Command::Count`]: names
-/// in the counter table travel as a copyable [`CounterId`] (no
-/// allocation on the hot path), everything else as an owned string.
-#[derive(Debug)]
-pub(crate) enum CounterKey {
-    Id(CounterId),
-    Name(String),
 }
 
 /// Commands buffered by a [`Ctx`] during one actor callback.
 #[derive(Debug)]
 pub(crate) enum Command<M> {
     Send { to: NodeId, msg: M },
-    SetTimer { id: TimerId, delay: SimDuration, tag: u64 },
-    CancelTimer { id: TimerId },
-    Count { key: CounterKey, delta: u64 },
+    SetTimer { delay: SimDuration, tag: u64 },
+    Count { id: CounterId, delta: u64 },
 }
 
 /// The interface an [`Actor`] uses to interact with the simulated world.
@@ -68,7 +48,6 @@ pub struct Ctx<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) commands: Vec<Command<M>>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) next_timer: &'a mut u64,
     pub(crate) meta: &'a [NodeMeta],
     pub(crate) names: &'a FxHashMap<Arc<str>, NodeId>,
 }
@@ -109,39 +88,16 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Schedules a timer `delay` from now. `tag` is passed back to
     /// [`Actor::on_timer`] so one actor can multiplex timer purposes.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = TimerId(*self.next_timer);
-        *self.next_timer += 1;
-        self.commands.push(Command::SetTimer { id, delay, tag });
-        id
-    }
-
-    /// Cancels a timer previously set with [`Ctx::set_timer`]. Cancelling a
-    /// timer that already fired is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.commands.push(Command::CancelTimer { id });
-    }
-
-    /// Adds `delta` to the named experiment counter — the spelling for
-    /// names outside the counter table (tests, one-off experiments),
-    /// which carry an owned string and land in the metrics fallback
-    /// map. A table name is looked up and buffered as its
-    /// [`CounterId`]; product code calls [`Ctx::count_id`] directly.
-    pub fn count(&mut self, name: &str, delta: u64) {
-        let key = match Metrics::resolve(name) {
-            Some(id) => CounterKey::Id(id),
-            None => CounterKey::Name(name.to_string()),
-        };
-        self.commands.push(Command::Count { key, delta });
+    /// The timer dies with the node: if the node goes down before it
+    /// fires, it never fires.
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
+        self.commands.push(Command::SetTimer { delay, tag });
     }
 
     /// Adds `delta` to a table counter's slot: no lookup, no
     /// allocation.
     pub fn count_id(&mut self, id: CounterId, delta: u64) {
-        self.commands.push(Command::Count {
-            key: CounterKey::Id(id),
-            delta,
-        });
+        self.commands.push(Command::Count { id, delta });
     }
 
     /// Deterministic per-run random number generator.

@@ -4,9 +4,10 @@
 //! Greenstone Directory Service (GDS) protocol, the alerting service and
 //! the baseline comparators — runs over this simulator. It replaces the
 //! physical testbed of Greenstone installations the paper's authors had:
-//! nodes are protocol actors, links have latency/jitter/loss, nodes and
-//! links can fail and recover, and the network can be partitioned and
-//! healed mid-run. Runs are fully deterministic given a seed, which is what
+//! nodes are protocol actors, links have latency/jitter/loss, nodes can
+//! fail and recover, and the network can be partitioned and healed
+//! mid-run — which is how the severed link of the paper's Section 7 is
+//! modelled. Runs are fully deterministic given a seed, which is what
 //! makes the reproduced experiments repeatable.
 //!
 //! # Model
@@ -16,12 +17,13 @@
 //!   what the simulator owns: the RNG and the name ↔ node table
 //!   ([`Ctx::resolve`], [`Ctx::name_of`]).
 //! * The [`Sim`] owns all actors, a priority queue of pending deliveries
-//!   and timers, the link model, the name of every node — stored once —
-//!   and the metrics.
+//!   and timers, the one [`LinkConfig`] every node pair shares, the name
+//!   of every node — stored once — and the metrics.
 //! * Physical connectivity is *universal by default* (the Internet), with
-//!   explicit partitions, downed nodes or per-pair link overrides taking
-//!   precedence. Fragmentation in the paper's sense — who *references*
-//!   whom — is a property of the protocols above, not of this layer.
+//!   explicit partitions and downed nodes taking precedence. A node that
+//!   goes down loses its timers; back up, it runs [`Actor::on_start`]
+//!   again. Fragmentation in the paper's sense — who *references* whom —
+//!   is a property of the protocols above, not of this layer.
 //!
 //! # Examples
 //!
@@ -38,21 +40,26 @@
 //!     }
 //! }
 //!
-//! struct Probe;
+//! #[derive(Default)]
+//! struct Probe {
+//!     replies: Vec<String>,
+//! }
 //! impl Actor<String> for Probe {
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_, String>) {
 //!         ctx.send(NodeId::from_raw(0), "ping".to_string());
 //!     }
-//!     fn on_message(&mut self, ctx: &mut Ctx<'_, String>, _from: NodeId, msg: String) {
-//!         ctx.count(&format!("probe.{msg}"), 1);
+//!     fn on_message(&mut self, _ctx: &mut Ctx<'_, String>, _from: NodeId, msg: String) {
+//!         self.replies.push(msg);
 //!     }
 //! }
 //!
 //! let mut sim = Sim::new(42);
 //! sim.add_node("echo", Echo);
-//! sim.add_node("probe", Probe);
+//! let probe = sim.add_node("probe", Probe::default());
 //! sim.run_until_quiet(SimTime::from_secs(10));
-//! assert_eq!(sim.metrics().counter("probe.pong"), 1);
+//! let replies = sim.actor::<Probe, _>(probe, |p| p.replies.clone()).unwrap();
+//! assert_eq!(replies, ["pong"]);
+//! assert_eq!(sim.metrics().counter("net.delivered"), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +71,7 @@ pub mod metrics;
 pub mod rt;
 pub mod sim;
 
-pub use actor::{Actor, Ctx, TimerId};
-pub use link::{LinkConfig, LinkState};
+pub use actor::{Actor, Ctx};
+pub use link::LinkConfig;
 pub use metrics::{CounterId, Histogram, Metrics};
 pub use sim::{NodeId, Sim, TraceEntry};

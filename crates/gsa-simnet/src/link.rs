@@ -1,27 +1,10 @@
-//! The link model: latency, jitter, loss and administrative state.
+//! The link model: latency, jitter and loss.
 
 use gsa_types::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Whether a link (or node) is administratively up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LinkState {
-    /// Traffic flows.
-    #[default]
-    Up,
-    /// All traffic is silently dropped (a severed connection, Section 7).
-    Down,
-}
-
-impl LinkState {
-    /// Returns `true` for [`LinkState::Up`].
-    pub fn is_up(self) -> bool {
-        matches!(self, LinkState::Up)
-    }
-}
-
-/// Delay and loss characteristics of a (directed) link.
+/// Delay and loss characteristics of the simulated network's links.
 ///
 /// # Examples
 ///
@@ -120,111 +103,6 @@ impl Default for LinkConfig {
     }
 }
 
-/// Indexed adjacency storage for per-pair link overrides and
-/// administrative states.
-///
-/// The simulator consults the link model once per routed message, so the
-/// lookup must not hash a `(NodeId, NodeId)` key or clone a config. Node
-/// ids are dense, which makes a per-source vector of sorted `(to, …)`
-/// pairs the natural shape: the common case (no override, link up) is an
-/// empty-slice check, and an override resolves with a binary search over
-/// the handful of edges a node actually has.
-#[derive(Debug)]
-pub(crate) struct LinkTable {
-    default: LinkConfig,
-    /// Per-source override lists, indexed by the `from` node, each
-    /// sorted by the `to` node.
-    overrides: Vec<Vec<(u32, LinkConfig)>>,
-    /// Per-source lists of peers whose directed link is down, sorted.
-    down: Vec<Vec<u32>>,
-}
-
-impl LinkTable {
-    pub(crate) fn new(default: LinkConfig) -> Self {
-        LinkTable {
-            default,
-            overrides: Vec::new(),
-            down: Vec::new(),
-        }
-    }
-
-    pub(crate) fn set_default(&mut self, cfg: LinkConfig) {
-        self.default = cfg;
-    }
-
-    fn ensure(&mut self, from: u32) -> usize {
-        let idx = from as usize;
-        if idx >= self.overrides.len() {
-            self.overrides.resize_with(idx + 1, Vec::new);
-            self.down.resize_with(idx + 1, Vec::new);
-        }
-        idx
-    }
-
-    /// Installs a directed override `from → to`.
-    pub(crate) fn set_override(&mut self, from: u32, to: u32, cfg: LinkConfig) {
-        let idx = self.ensure(from);
-        let edges = &mut self.overrides[idx];
-        match edges.binary_search_by_key(&to, |(peer, _)| *peer) {
-            Ok(pos) => edges[pos].1 = cfg,
-            Err(pos) => edges.insert(pos, (to, cfg)),
-        }
-    }
-
-    /// The effective config of the directed link `from → to`.
-    #[inline]
-    pub(crate) fn cfg(&self, from: u32, to: u32) -> &LinkConfig {
-        if let Some(edges) = self.overrides.get(from as usize) {
-            if !edges.is_empty() {
-                if let Ok(pos) = edges.binary_search_by_key(&to, |(peer, _)| *peer) {
-                    return &edges[pos].1;
-                }
-            }
-        }
-        &self.default
-    }
-
-    /// Sets the administrative state of the directed link `from → to`.
-    pub(crate) fn set_state(&mut self, from: u32, to: u32, state: LinkState) {
-        let idx = self.ensure(from);
-        let peers = &mut self.down[idx];
-        match (peers.binary_search(&to), state) {
-            (Err(pos), LinkState::Down) => peers.insert(pos, to),
-            (Ok(pos), LinkState::Up) => {
-                peers.remove(pos);
-            }
-            _ => {}
-        }
-    }
-
-    /// Whether the directed link `from → to` is administratively up.
-    #[inline]
-    pub(crate) fn is_up(&self, from: u32, to: u32) -> bool {
-        match self.down.get(from as usize) {
-            Some(peers) if !peers.is_empty() => peers.binary_search(&to).is_err(),
-            _ => true,
-        }
-    }
-
-    /// Marks every link administratively up again.
-    pub(crate) fn clear_states(&mut self) {
-        for peers in &mut self.down {
-            peers.clear();
-        }
-    }
-
-    /// Rewrites the drop probability on the default link and every
-    /// override, preserving latency characteristics.
-    pub(crate) fn set_drop_probability(&mut self, p: f64) {
-        self.default = self.default.clone().with_drop_probability(p);
-        for edges in &mut self.overrides {
-            for (_, cfg) in edges.iter_mut() {
-                *cfg = cfg.clone().with_drop_probability(p);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,48 +141,6 @@ mod tests {
     #[should_panic(expected = "drop probability")]
     fn bad_drop_probability_panics() {
         let _ = LinkConfig::lan().with_drop_probability(1.5);
-    }
-
-    #[test]
-    fn link_state_default_up() {
-        assert!(LinkState::default().is_up());
-        assert!(!LinkState::Down.is_up());
-    }
-
-    #[test]
-    fn link_table_resolves_overrides_and_states() {
-        let mut table = LinkTable::new(LinkConfig::lan());
-        let wan = LinkConfig::wan();
-        table.set_override(0, 5, wan.clone());
-        assert_eq!(table.cfg(0, 5), &wan);
-        assert_eq!(table.cfg(0, 4), &LinkConfig::lan());
-        assert_eq!(table.cfg(5, 0), &LinkConfig::lan());
-        assert_eq!(table.cfg(99, 100), &LinkConfig::lan());
-        // Replacing an override keeps one entry per edge.
-        table.set_override(0, 5, LinkConfig::lan());
-        assert_eq!(table.cfg(0, 5), &LinkConfig::lan());
-
-        assert!(table.is_up(0, 5));
-        table.set_state(0, 5, LinkState::Down);
-        assert!(!table.is_up(0, 5));
-        assert!(table.is_up(5, 0));
-        table.set_state(0, 5, LinkState::Down); // idempotent
-        assert!(!table.is_up(0, 5));
-        table.set_state(0, 5, LinkState::Up);
-        assert!(table.is_up(0, 5));
-        table.set_state(3, 1, LinkState::Down);
-        table.clear_states();
-        assert!(table.is_up(3, 1));
-    }
-
-    #[test]
-    fn link_table_drop_probability_sweeps_all_links() {
-        let mut table = LinkTable::new(LinkConfig::lan());
-        table.set_override(1, 2, LinkConfig::wan());
-        table.set_drop_probability(0.25);
-        assert_eq!(table.cfg(0, 0).drop_probability(), 0.25);
-        assert_eq!(table.cfg(1, 2).drop_probability(), 0.25);
-        assert_eq!(table.cfg(1, 2).base_latency(), SimDuration::from_millis(40));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Run metrics: named counters, histograms and per-node load accounting.
+//! Run metrics: the counter table's slots, the delivery-latency
+//! histogram and per-node receive loads.
 //!
-//! Every counter the product bumps is a row of the counter table in
-//! [`gsa_types::counter`] — declared once, there — and lives here in a
-//! fixed slot addressed by its [`CounterId`]: the hot loop increments a
-//! plain array cell. The string API stays for readers and for names
-//! outside the table (tests, experiment-specific counters), which fall
-//! back to a `BTreeMap<String, u64>`. The table is re-exported as
+//! Every counter is a row of the counter table in [`gsa_types::counter`]
+//! — declared once, there — and lives here in a fixed slot addressed by
+//! its [`CounterId`]: the hot loop increments a plain array cell. Readers
+//! may still name a counter by its string. The table is re-exported as
 //! [`CounterId`] and [`names`], so callers spell both as before.
 //!
 //! Histograms are fixed-size: exact count / sum / min / max plus
@@ -13,7 +12,6 @@
 //! of samples and two histograms merge by adding buckets.
 
 use crate::sim::NodeId;
-use std::collections::BTreeMap;
 use std::fmt;
 
 pub use gsa_types::CounterId;
@@ -194,29 +192,18 @@ impl fmt::Display for Histogram {
 
 /// Metrics accumulated during a simulation run.
 ///
-/// Counters and histograms are named by free-form strings, so tests and
-/// experiments can define their own without the simulator knowing about
-/// them. The simulator itself maintains `net.sent`, `net.delivered`,
-/// `net.dropped`, `net.bytes` and the per-node send/receive loads.
-///
-/// A name in the counter table lives in the fixed slot of its
-/// [`CounterId`]; a name outside it ([`Metrics::resolve`] says which)
-/// lands in a fallback map. Readers ([`Metrics::counter`],
-/// [`Metrics::counters`], `Display`) merge both stores, so the split is
-/// invisible in snapshots.
+/// The simulator maintains the `net.*` counters, the
+/// [`net.latency_us`](names::NET_LATENCY_US) histogram and the per-node
+/// receive loads; actors add to any other row of the counter table
+/// through [`Ctx::count_id`](crate::Ctx::count_id).
 #[derive(Debug, Clone)]
 pub struct Metrics {
     slots: [u64; CounterId::COUNT],
     /// A slot is reported in snapshots once it has been written, even
-    /// with delta 0 — matching the map semantics where `count(name, 0)`
-    /// creates a visible zero entry.
+    /// with delta 0.
     touched: [bool; CounterId::COUNT],
-    extra: BTreeMap<String, u64>,
-    /// Fast slot for the per-delivery `net.latency_us` histogram;
-    /// reported once it holds a sample.
+    /// One sample per delivered message.
     latency: Histogram,
-    histograms: BTreeMap<String, Histogram>,
-    node_sent: Vec<u64>,
     node_received: Vec<u64>,
 }
 
@@ -225,10 +212,7 @@ impl Default for Metrics {
         Metrics {
             slots: [0; CounterId::COUNT],
             touched: [false; CounterId::COUNT],
-            extra: BTreeMap::new(),
             latency: Histogram::new(),
-            histograms: BTreeMap::new(),
-            node_sent: Vec::new(),
             node_received: Vec::new(),
         }
     }
@@ -240,13 +224,6 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Looks a name up in the counter table. `None` means the name is
-    /// experiment-specific and will be kept in the fallback map.
-    #[inline]
-    pub fn resolve(name: &str) -> Option<CounterId> {
-        CounterId::from_name(name)
-    }
-
     /// Adds `delta` to a table counter's slot: one array write.
     #[inline]
     pub fn count_id(&mut self, id: CounterId, delta: u64) {
@@ -254,20 +231,10 @@ impl Metrics {
         self.touched[id.index()] = true;
     }
 
-    /// Adds `delta` to the named counter.
-    pub fn count(&mut self, name: &str, delta: u64) {
-        match Self::resolve(name) {
-            Some(id) => self.count_id(id, delta),
-            None => *self.extra.entry(name.to_string()).or_default() += delta,
-        }
-    }
-
-    /// Reads a counter (0 when never written).
+    /// Reads a counter by name (0 when never written or not in the
+    /// table).
     pub fn counter(&self, name: &str) -> u64 {
-        match Self::resolve(name) {
-            Some(id) => self.slots[id.index()],
-            None => self.extra.get(name).copied().unwrap_or(0),
-        }
+        CounterId::from_name(name).map_or(0, |id| self.slots[id.index()])
     }
 
     /// Reads a table counter's slot.
@@ -275,54 +242,22 @@ impl Metrics {
         self.slots[id.index()]
     }
 
-    /// All counters in name order, fixed slots and fallback map merged
-    /// (a name lives in exactly one of the two).
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut all: Vec<(&str, u64)> = CounterId::all()
+    /// Every counter written so far, in name order (the table's).
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        CounterId::all()
             .filter(|id| self.touched[id.index()])
             .map(|id| (id.name(), self.slots[id.index()]))
-            .collect();
-        for (name, &value) in self.extra.iter() {
-            all.push((name.as_str(), value));
-        }
-        all.sort_by(|a, b| a.0.cmp(b.0));
-        all.into_iter()
     }
 
-    /// Records a histogram sample.
-    pub fn record(&mut self, name: &str, value: u64) {
-        if name == names::NET_LATENCY_US {
-            self.record_latency(value);
-            return;
-        }
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Records one delivery-latency sample into the fixed
-    /// `net.latency_us` slot: a bucket increment, no map probe.
+    /// Records one delivery-latency sample: a bucket increment.
     #[inline]
     pub(crate) fn record_latency(&mut self, value: u64) {
         self.latency.record(value);
     }
 
-    /// Reads a histogram, if any samples were recorded under `name`.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        if name == names::NET_LATENCY_US {
-            return (!self.latency.is_empty()).then_some(&self.latency);
-        }
-        self.histograms.get(name)
-    }
-
-    #[inline]
-    pub(crate) fn note_sent(&mut self, node: NodeId) {
-        let idx = node.as_u32() as usize;
-        if idx >= self.node_sent.len() {
-            self.node_sent.resize(idx + 1, 0);
-        }
-        self.node_sent[idx] += 1;
+    /// The delivery-latency histogram, if any message was delivered.
+    pub fn latency(&self) -> Option<&Histogram> {
+        (!self.latency.is_empty()).then_some(&self.latency)
     }
 
     #[inline]
@@ -334,20 +269,10 @@ impl Metrics {
         self.node_received[idx] += 1;
     }
 
-    /// Messages sent per node, ascending by node id (nodes that never
-    /// sent are skipped).
-    pub fn node_sent(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        Self::node_loads(&self.node_sent)
-    }
-
     /// Messages received per node, ascending by node id (nodes that
     /// never received are skipped).
     pub fn node_received(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        Self::node_loads(&self.node_received)
-    }
-
-    fn node_loads(dense: &[u64]) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        dense
+        self.node_received
             .iter()
             .enumerate()
             .filter(|&(_, &count)| count > 0)
@@ -396,17 +321,8 @@ impl fmt::Display for Metrics {
             writeln!(f, "  {k} = {v}")?;
         }
         writeln!(f, "histograms:")?;
-        let mut hists: Vec<(&str, &Histogram)> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.as_str(), h))
-            .collect();
-        if !self.latency.is_empty() {
-            hists.push((names::NET_LATENCY_US, &self.latency));
-        }
-        hists.sort_by(|a, b| a.0.cmp(b.0));
-        for (k, h) in hists {
-            writeln!(f, "  {k}: {h}")?;
+        if let Some(h) = self.latency() {
+            writeln!(f, "  {}: {h}", names::NET_LATENCY_US)?;
         }
         Ok(())
     }
@@ -521,33 +437,21 @@ mod tests {
     }
 
     #[test]
-    fn count_and_record() {
-        let mut m = Metrics::new();
-        m.count("a", 2);
-        m.count("a", 3);
-        m.record("h", 7);
-        assert_eq!(m.counter("a"), 5);
-        assert_eq!(m.histogram("h").unwrap().len(), 1);
-    }
-
-    #[test]
     fn interned_table_is_sorted_and_resolvable() {
         // That the rows ascend is checked while `gsa-types` compiles;
         // here: every row resolves to its own slot, by name and by id.
         let mut m = Metrics::new();
         for (i, id) in CounterId::all().enumerate() {
-            assert_eq!(Metrics::resolve(id.name()), Some(id));
-            m.count(id.name(), 1);
-            m.count_id(id, i as u64);
+            assert_eq!(CounterId::from_name(id.name()), Some(id));
+            m.count_id(id, 1 + i as u64);
         }
-        assert!(m.extra.is_empty(), "table names must not hit the map");
         let snapshot: Vec<(&str, u64)> = m.counters().collect();
         let expected: Vec<(&str, u64)> = CounterId::all()
             .enumerate()
             .map(|(i, id)| (id.name(), 1 + i as u64))
             .collect();
         assert_eq!(snapshot, expected, "one slot per row, in name order");
-        assert_eq!(Metrics::resolve("definitely.not.a.counter"), None);
+        assert_eq!(CounterId::from_name("definitely.not.a.counter"), None);
     }
 
     #[test]
@@ -560,7 +464,7 @@ mod tests {
             (CounterId::GDS_MESSAGES, names::GDS_MESSAGES),
             (CounterId::NET_SENT, names::NET_SENT),
         ] {
-            assert_eq!(Metrics::resolve(name), Some(id));
+            assert_eq!(CounterId::from_name(name), Some(id));
             assert_eq!(id.to_string(), name);
         }
     }
@@ -568,69 +472,43 @@ mod tests {
     #[test]
     fn string_api_resolves_to_slots() {
         let mut m = Metrics::new();
-        m.count(names::NET_SENT, 2);
+        m.count_id(CounterId::NET_SENT, 2);
         m.count_id(CounterId::NET_SENT, 3);
-        // Same slot whichever way it was written.
+        // The name reads the slot the id wrote.
         assert_eq!(m.counter(names::NET_SENT), 5);
         assert_eq!(m.counter_value(CounterId::NET_SENT), 5);
-        assert!(m.extra.is_empty(), "well-known names must not hit the map");
-    }
-
-    #[test]
-    fn unknown_names_fall_back_to_map() {
-        let mut m = Metrics::new();
-        m.count("experiment.custom", 7);
-        assert_eq!(m.counter("experiment.custom"), 7);
-        let all: Vec<_> = m.counters().collect();
-        assert_eq!(all, vec![("experiment.custom", 7)]);
     }
 
     #[test]
     fn zero_delta_still_creates_entry() {
         let mut m = Metrics::new();
-        m.count(names::NET_DROPPED, 0);
-        m.count("custom.zero", 0);
+        m.count_id(CounterId::NET_DROPPED, 0);
         let all: Vec<_> = m.counters().collect();
-        assert_eq!(all, vec![("custom.zero", 0), (names::NET_DROPPED, 0)]);
-    }
-
-    #[test]
-    fn counters_iterate_in_name_order_across_stores() {
-        let mut m = Metrics::new();
-        m.count("zzz.last", 1);
-        m.count(names::NET_SENT, 1);
-        m.count("aaa.first", 1);
-        m.count(names::AUX_DEAD_LETTER, 1);
-        let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        assert_eq!(keys.first(), Some(&"aaa.first"));
-        assert_eq!(keys.last(), Some(&"zzz.last"));
+        assert_eq!(all, vec![(names::NET_DROPPED, 0)]);
     }
 
     #[test]
     fn latency_slot_behaves_like_named_histogram() {
         let mut m = Metrics::new();
-        assert!(m.histogram(names::NET_LATENCY_US).is_none());
-        m.record(names::NET_LATENCY_US, 10);
-        m.record(names::NET_LATENCY_US, 30);
-        assert_eq!(m.histogram(names::NET_LATENCY_US).unwrap().len(), 2);
-        assert_eq!(
-            m.histogram(names::NET_LATENCY_US).unwrap().quantile(1.0),
-            Some(30)
-        );
+        assert!(m.latency().is_none());
+        m.record_latency(10);
+        m.record_latency(30);
+        assert_eq!(m.latency().unwrap().len(), 2);
+        assert_eq!(m.latency().unwrap().quantile(1.0), Some(30));
         assert!(m.to_string().contains("net.latency_us"));
     }
 
     #[test]
     fn gini_uniform_is_zero() {
         let mut m = Metrics::new();
-        for i in 0..4 {
+        for i in [0, 2, 4, 6] {
             for _ in 0..10 {
                 m.note_received(NodeId::from_raw(i));
             }
         }
+        // Nodes that received nothing are skipped.
+        let loads: Vec<u32> = m.node_received().map(|(n, _)| n.as_u32()).collect();
+        assert_eq!(loads, [0, 2, 4, 6]);
         let (max, mean, gini) = m.receive_load_imbalance().unwrap();
         assert_eq!(max, 10);
         assert!((mean - 10.0).abs() < 1e-9);
@@ -650,18 +528,6 @@ mod tests {
         assert_eq!(max, 100);
         assert!(mean < 11.0);
         assert!(gini > 0.7, "gini={gini}");
-    }
-
-    #[test]
-    fn node_loads_skip_idle_nodes() {
-        let mut m = Metrics::new();
-        m.note_sent(NodeId::from_raw(3));
-        m.note_sent(NodeId::from_raw(3));
-        m.note_received(NodeId::from_raw(1));
-        let sent: Vec<_> = m.node_sent().collect();
-        assert_eq!(sent, vec![(NodeId::from_raw(3), 2)]);
-        let received: Vec<_> = m.node_received().collect();
-        assert_eq!(received, vec![(NodeId::from_raw(1), 1)]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The discrete-event simulation engine.
 
-use crate::actor::{Actor, Command, CounterKey, Ctx, TimerId};
-use crate::link::{LinkConfig, LinkState, LinkTable};
+use crate::actor::{Actor, Command, Ctx};
+use crate::link::LinkConfig;
 use crate::metrics::{CounterId, Metrics};
-use gsa_types::{FxHashMap, FxHashSet, SimDuration, SimTime};
+use gsa_types::{FxHashMap, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
@@ -75,6 +75,9 @@ impl<M: 'static, T: Actor<M>> ActorObj<M> for T {
     }
 }
 
+/// A scheduled item. Timers and starts carry the incarnation their node
+/// was in when they were scheduled, and are dropped if it has gone down
+/// since.
 enum What<M> {
     Deliver {
         from: NodeId,
@@ -84,17 +87,14 @@ enum What<M> {
     },
     Timer {
         node: NodeId,
-        id: TimerId,
+        incarnation: u32,
         tag: u64,
     },
     Start {
         node: NodeId,
+        incarnation: u32,
     },
-    Control(ControlFn<M>),
 }
-
-/// A deferred closure run against the simulator at its scheduled time.
-type ControlFn<M> = Box<dyn FnOnce(&mut Sim<M>)>;
 
 /// Per-message wire-size estimator used for byte accounting.
 type WireSizeFn<M> = Box<dyn Fn(&M) -> usize>;
@@ -177,6 +177,8 @@ pub(crate) struct NodeMeta {
     pub(crate) name: Arc<str>,
     up: bool,
     partition: u32,
+    /// How many times the node has gone down.
+    incarnation: u32,
 }
 
 /// The deterministic discrete-event simulator.
@@ -191,17 +193,8 @@ pub struct Sim<M> {
     /// Name → node, lent to actors through [`Ctx::resolve`]. Probe-only,
     /// so the fast hasher cannot leak an iteration order into behaviour.
     names: FxHashMap<Arc<str>, NodeId>,
-    links: LinkTable,
-    /// Timers scheduled but not yet popped from the queue. Cancellation
-    /// consults this set so a cancel of an already-fired (or never
-    /// scheduled) timer is a no-op instead of a permanent tombstone.
-    /// Probe-only (insert/remove/contains), so the fast hasher cannot
-    /// leak an iteration order into behaviour.
-    pending_timers: FxHashSet<u64>,
-    /// Pending timers that were cancelled; entries drain when their
-    /// queue item pops, so the set is bounded by the queue length.
-    cancelled_timers: FxHashSet<u64>,
-    next_timer: u64,
+    /// The one link config every node pair shares.
+    link: LinkConfig,
     rng: StdRng,
     metrics: Metrics,
     trace: Option<Vec<TraceEntry>>,
@@ -231,10 +224,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             actors: Vec::new(),
             meta: Vec::new(),
             names: FxHashMap::default(),
-            links: LinkTable::new(LinkConfig::lan()),
-            pending_timers: FxHashSet::default(),
-            cancelled_timers: FxHashSet::default(),
-            next_timer: 0,
+            link: LinkConfig::lan(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             trace: None,
@@ -243,18 +233,20 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         }
     }
 
-    /// Sets the link characteristics used for node pairs without an
-    /// explicit override.
+    /// Sets the link characteristics every node pair shares.
     pub fn set_default_link(&mut self, cfg: LinkConfig) {
-        self.links.set_default(cfg);
+        self.link = cfg;
     }
 
-    /// Sets the drop probability on *every* link — the default link and
-    /// all per-pair overrides — preserving their latency and jitter.
-    /// Chaos harnesses use this to open and close loss bursts without
-    /// re-describing the topology.
+    /// Sets the drop probability of every link, keeping its latency and
+    /// jitter. Chaos harnesses use this to open and close loss bursts
+    /// without re-describing the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is not within `0.0..=1.0`.
     pub fn set_drop_probability(&mut self, p: f64) {
-        self.links.set_drop_probability(p);
+        self.link = self.link.clone().with_drop_probability(p);
     }
 
     /// Enables trace recording of every delivered message.
@@ -293,9 +285,16 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             name: name.clone(),
             up: true,
             partition: 0,
+            incarnation: 0,
         });
         self.names.insert(name, id);
-        self.push(self.now, What::Start { node: id });
+        self.push(
+            self.now,
+            What::Start {
+                node: id,
+                incarnation: 0,
+            },
+        );
         id
     }
 
@@ -333,25 +332,29 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         &self.metrics
     }
 
-    /// Mutable metrics access (for external counts).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Marks a node up or down. A downed node neither receives nor runs
-    /// timers; messages to it are dropped. Bringing a downed node back
-    /// up re-runs its [`Actor::on_start`] — a restarted process re-arms
-    /// its timers on boot, while timers that came due during the outage
-    /// stay lost (they fired into a dead process).
+    /// timers; messages to it are dropped. Going down kills every timer
+    /// the node had set, and bringing it back up re-runs its
+    /// [`Actor::on_start`] once: a restarted process keeps no timer
+    /// from before the outage and re-arms what it needs on boot.
     ///
     /// # Panics
     ///
     /// Panics when `id` does not belong to this simulation.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
-        let was_up = self.meta[id.index()].up;
-        self.meta[id.index()].up = up;
-        if up && !was_up {
-            self.push(self.now, What::Start { node: id });
+        let meta = &mut self.meta[id.index()];
+        let was_up = std::mem::replace(&mut meta.up, up);
+        if was_up && !up {
+            meta.incarnation += 1;
+        } else if up && !was_up {
+            let incarnation = meta.incarnation;
+            self.push(
+                self.now,
+                What::Start {
+                    node: id,
+                    incarnation,
+                },
+            );
         }
     }
 
@@ -360,39 +363,17 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.meta[id.index()].up
     }
 
-    /// Overrides link characteristics between `a` and `b`, both directions.
-    pub fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        self.links.set_override(a.0, b.0, cfg.clone());
-        self.links.set_override(b.0, a.0, cfg);
-    }
-
-    /// Sets the administrative state of the `a`↔`b` link, both directions.
-    /// A [`LinkState::Down`] link drops all traffic, like the severed
-    /// connection of the paper's Section 7 discussion.
-    pub fn set_link_state(&mut self, a: NodeId, b: NodeId, state: LinkState) {
-        self.links.set_state(a.0, b.0, state);
-        self.links.set_state(b.0, a.0, state);
-    }
-
     /// Assigns a node to a partition group. Nodes in different groups
     /// cannot exchange messages. All nodes start in group 0.
     pub fn set_partition(&mut self, id: NodeId, group: u32) {
         self.meta[id.index()].partition = group;
     }
 
-    /// Moves every node back to partition group 0 and marks all links up.
+    /// Moves every node back to partition group 0.
     pub fn heal_network(&mut self) {
         for meta in &mut self.meta {
             meta.partition = 0;
         }
-        self.links.clear_states();
-    }
-
-    /// Schedules `f` to run against the simulator at absolute time `at`
-    /// (clamped to now). Used to script mid-run topology changes.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<M>) + 'static) {
-        let at = at.max(self.now);
-        self.push(at, What::Control(Box::new(f)));
     }
 
     /// Injects a message delivered to `to` immediately, as if sent by
@@ -432,7 +413,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     now: self.now,
                     commands: self.checkout_commands(),
                     rng: &mut self.rng,
-                    next_timer: &mut self.next_timer,
                     meta: &self.meta,
                     names: &self.names,
                 };
@@ -469,18 +449,18 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         };
         self.now = self.now.max(at);
         match what {
-            What::Start { node } => {
-                if self.meta[node.index()].up {
+            What::Start { node, incarnation } => {
+                if self.is_live(node, incarnation) {
                     self.run_actor(node, |actor, ctx| actor.on_start(ctx));
                 }
             }
-            What::Timer { node, id, tag } => {
-                self.pending_timers.remove(&id.0);
-                if self.cancelled_timers.remove(&id.0) {
-                    return true;
-                }
-                if self.meta[node.index()].up {
-                    self.run_actor(node, |actor, ctx| actor.on_timer(ctx, id, tag));
+            What::Timer {
+                node,
+                incarnation,
+                tag,
+            } => {
+                if self.is_live(node, incarnation) {
+                    self.run_actor(node, |actor, ctx| actor.on_timer(ctx, tag));
                 }
             }
             What::Deliver {
@@ -512,9 +492,14 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                 }
                 self.run_actor(to, |actor, ctx| actor.on_message(ctx, from, msg));
             }
-            What::Control(f) => f(self),
         }
         true
+    }
+
+    /// Whether `node` is up and still in `incarnation`.
+    fn is_live(&self, node: NodeId, incarnation: u32) -> bool {
+        let meta = &self.meta[node.index()];
+        meta.up && meta.incarnation == incarnation
     }
 
     /// Runs until the queue is exhausted or simulated time would exceed
@@ -582,7 +567,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             now: self.now,
             commands: self.checkout_commands(),
             rng: &mut self.rng,
-            next_timer: &mut self.next_timer,
             meta: &self.meta,
             names: &self.names,
         };
@@ -597,22 +581,18 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         for command in commands.drain(..) {
             match command {
                 Command::Send { to, msg } => self.route(node, to, msg),
-                Command::SetTimer { id, delay, tag } => {
-                    self.pending_timers.insert(id.0);
-                    self.push(self.now + delay, What::Timer { node, id, tag });
+                Command::SetTimer { delay, tag } => {
+                    let incarnation = self.meta[node.index()].incarnation;
+                    self.push(
+                        self.now + delay,
+                        What::Timer {
+                            node,
+                            incarnation,
+                            tag,
+                        },
+                    );
                 }
-                Command::CancelTimer { id } => {
-                    // Only a timer still in the queue gets a tombstone;
-                    // cancelling a fired or unknown timer is a no-op, so
-                    // neither set grows without bound.
-                    if self.pending_timers.remove(&id.0) {
-                        self.cancelled_timers.insert(id.0);
-                    }
-                }
-                Command::Count { key, delta } => match key {
-                    CounterKey::Id(id) => self.metrics.count_id(id, delta),
-                    CounterKey::Name(name) => self.metrics.count(&name, delta),
-                },
+                Command::Count { id, delta } => self.metrics.count_id(id, delta),
             }
         }
     }
@@ -620,7 +600,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     fn route(&mut self, from: NodeId, to: NodeId, msg: M) {
         self.metrics.count_id(CounterId::NET_SENT, 1);
         self.metrics.count_id(CounterId::NET_FRAMES, 1);
-        self.metrics.note_sent(from);
         if let Some(f) = &self.wire_size {
             let bytes = f(&msg) as u64;
             self.metrics.count_id(CounterId::NET_BYTES, bytes);
@@ -630,18 +609,12 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             self.metrics.count_id(CounterId::NET_DROPPED, 1);
             return;
         }
-        let up = self.links.is_up(from.0, to.0);
         let same_partition = self.meta[from.index()].partition == self.meta[to.index()].partition;
-        if !up || !same_partition || !self.meta[to.index()].up {
+        if !same_partition || !self.meta[to.index()].up || self.link.sample_drop(&mut self.rng) {
             self.metrics.count_id(CounterId::NET_DROPPED, 1);
             return;
         }
-        let cfg = self.links.cfg(from.0, to.0);
-        if cfg.sample_drop(&mut self.rng) {
-            self.metrics.count_id(CounterId::NET_DROPPED, 1);
-            return;
-        }
-        let latency = cfg.sample_latency(&mut self.rng);
+        let latency = self.link.sample_latency(&mut self.rng);
         self.push(
             self.now + latency,
             What::Deliver {
@@ -659,14 +632,17 @@ mod tests {
     use super::*;
     use crate::actor::{Actor, Ctx};
 
-    /// Replies "pong" to "ping"; counts everything it sees.
-    struct Echo;
+    /// Replies "pong" to "ping"; remembers everything it sees.
+    #[derive(Default)]
+    struct Echo {
+        received: Vec<String>,
+    }
     impl Actor<String> for Echo {
         fn on_message(&mut self, ctx: &mut Ctx<'_, String>, from: NodeId, msg: String) {
-            ctx.count(&format!("echo.recv.{msg}"), 1);
             if msg == "ping" {
                 ctx.send(from, "pong".to_string());
             }
+            self.received.push(msg);
         }
     }
 
@@ -688,16 +664,22 @@ mod tests {
 
     fn ping_sim() -> Sim<String> {
         let mut sim = Sim::new(1);
-        sim.add_node("echo", Echo);
+        sim.add_node("echo", Echo::default());
         sim.add_node("pinger", Pinger::default());
         sim
+    }
+
+    /// How many messages the echo node (node 0) has received.
+    fn pings(sim: &mut Sim<String>) -> usize {
+        sim.actor::<Echo, _>(NodeId::from_raw(0), |e| e.received.len())
+            .unwrap()
     }
 
     #[test]
     fn ping_pong_round_trip() {
         let mut sim = ping_sim();
         sim.run_until_quiet(SimTime::from_secs(1));
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 1);
+        assert_eq!(pings(&mut sim), 1);
         let pongs = sim
             .actor::<Pinger, _>(NodeId::from_raw(1), |p| p.pongs)
             .unwrap();
@@ -716,12 +698,22 @@ mod tests {
     }
 
     #[test]
+    fn set_drop_probability_keeps_the_default_links_latency_and_jitter() {
+        let mut sim = ping_sim();
+        let wan =
+            LinkConfig::new(SimDuration::from_millis(40)).with_jitter(SimDuration::from_millis(10));
+        sim.set_default_link(wan.clone());
+        sim.set_drop_probability(0.25);
+        assert_eq!(sim.link, wan.with_drop_probability(0.25));
+    }
+
+    #[test]
     fn downed_node_drops_messages() {
         let mut sim = ping_sim();
         sim.set_node_up(NodeId::from_raw(0), false);
         sim.run_until_quiet(SimTime::from_secs(1));
         assert_eq!(sim.metrics().counter("net.dropped"), 1);
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 0);
+        assert_eq!(pings(&mut sim), 0);
     }
 
     #[test]
@@ -729,21 +721,13 @@ mod tests {
         let mut sim = ping_sim();
         sim.set_partition(NodeId::from_raw(1), 1);
         sim.run_until_quiet(SimTime::from_secs(1));
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 0);
+        assert_eq!(pings(&mut sim), 0);
         sim.heal_network();
         sim.with_actor::<Pinger, _>(NodeId::from_raw(1), |_, ctx| {
             ctx.send(NodeId::from_raw(0), "ping".into());
         });
         sim.run_until_quiet(SimTime::from_secs(2));
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 1);
-    }
-
-    #[test]
-    fn downed_link_drops_messages() {
-        let mut sim = ping_sim();
-        sim.set_link_state(NodeId::from_raw(0), NodeId::from_raw(1), LinkState::Down);
-        sim.run_until_quiet(SimTime::from_secs(1));
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 0);
+        assert_eq!(pings(&mut sim), 1);
     }
 
     #[test]
@@ -754,7 +738,7 @@ mod tests {
                 LinkConfig::new(SimDuration::from_millis(1))
                     .with_jitter(SimDuration::from_millis(5)),
             );
-            sim.add_node("echo", Echo);
+            sim.add_node("echo", Echo::default());
             sim.add_node("pinger", Pinger::default());
             sim.run_until_quiet(SimTime::from_secs(1));
             sim.now()
@@ -762,20 +746,17 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
+    #[derive(Default)]
     struct TimerActor {
         fired: Vec<u64>,
-        cancel_second: bool,
     }
     impl Actor<String> for TimerActor {
         fn on_start(&mut self, ctx: &mut Ctx<'_, String>) {
             ctx.set_timer(SimDuration::from_millis(1), 1);
-            let second = ctx.set_timer(SimDuration::from_millis(2), 2);
-            if self.cancel_second {
-                ctx.cancel_timer(second);
-            }
+            ctx.set_timer(SimDuration::from_millis(2), 2);
         }
         fn on_message(&mut self, _: &mut Ctx<'_, String>, _: NodeId, _: String) {}
-        fn on_timer(&mut self, _: &mut Ctx<'_, String>, _: crate::TimerId, tag: u64) {
+        fn on_timer(&mut self, _: &mut Ctx<'_, String>, tag: u64) {
             self.fired.push(tag);
         }
     }
@@ -783,41 +764,44 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         let mut sim: Sim<String> = Sim::new(1);
-        let id = sim.add_node(
-            "t",
-            TimerActor {
-                fired: vec![],
-                cancel_second: false,
-            },
-        );
+        let id = sim.add_node("t", TimerActor::default());
         sim.run_until_quiet(SimTime::from_secs(1));
         assert_eq!(sim.actor::<TimerActor, _>(id, |t| t.fired.clone()).unwrap(), vec![1, 2]);
     }
 
-    #[test]
-    fn cancelled_timer_does_not_fire() {
-        let mut sim: Sim<String> = Sim::new(1);
-        let id = sim.add_node(
-            "t",
-            TimerActor {
-                fired: vec![],
-                cancel_second: true,
-            },
-        );
-        sim.run_until_quiet(SimTime::from_secs(1));
-        assert_eq!(sim.actor::<TimerActor, _>(id, |t| t.fired.clone()).unwrap(), vec![1]);
+    /// Counts its starts and runs one 10 ms tick chain from each.
+    #[derive(Default)]
+    struct Ticker {
+        starts: u32,
+        ticks: u32,
+    }
+    impl Actor<String> for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, String>) {
+            self.starts += 1;
+            ctx.set_timer(SimDuration::from_millis(10), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, String>, _: NodeId, _: String) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, String>, _: u64) {
+            self.ticks += 1;
+            ctx.set_timer(SimDuration::from_millis(10), 0);
+        }
     }
 
     #[test]
-    fn scheduled_control_runs_at_time() {
-        let mut sim = ping_sim();
-        sim.schedule_at(SimTime::from_millis(50), |sim| {
-            sim.set_node_up(NodeId::from_raw(0), false);
-        });
-        sim.run_until(SimTime::from_millis(100));
-        assert!(!sim.is_node_up(NodeId::from_raw(0)));
-        // Ping/pong happened before the shutdown.
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 1);
+    fn a_node_bounced_twice_in_one_instant_starts_once_and_ticks_once() {
+        let mut sim: Sim<String> = Sim::new(1);
+        let id = sim.add_node("t", Ticker::default());
+        // Ticks at 10 and 20 ms; the chain's next tick is due at 30.
+        sim.run_until(SimTime::from_millis(25));
+        for up in [false, true, false, true] {
+            sim.set_node_up(id, up);
+        }
+        // The restarted chain ticks at 35, 45, ..., 115 ms: nine times.
+        // The old chain (30, 40, ...) and a second start would each add
+        // as many again.
+        sim.run_until(SimTime::from_millis(120));
+        let (starts, ticks) = sim.actor::<Ticker, _>(id, |t| (t.starts, t.ticks)).unwrap();
+        assert_eq!((starts, ticks), (2, 2 + 9));
     }
 
     #[test]
@@ -826,7 +810,7 @@ mod tests {
         sim.run_until_quiet(SimTime::from_secs(1));
         sim.inject(NodeId::from_raw(1), NodeId::from_raw(0), "ping".into());
         sim.run_until_quiet(SimTime::from_secs(2));
-        assert_eq!(sim.metrics().counter("echo.recv.ping"), 2);
+        assert_eq!(pings(&mut sim), 2);
     }
 
     #[test]
@@ -869,12 +853,15 @@ mod tests {
     }
 
     /// Forwards every message to the node named in it.
-    struct ByName;
+    #[derive(Default)]
+    struct ByName {
+        unknown: u32,
+    }
     impl Actor<String> for ByName {
         fn on_message(&mut self, ctx: &mut Ctx<'_, String>, from: NodeId, msg: String) {
             match ctx.resolve(&msg) {
                 Some(node) => ctx.send(node, format!("from {}", ctx.name_of(from))),
-                None => ctx.count("byname.unknown", 1),
+                None => self.unknown += 1,
             }
         }
     }
@@ -882,15 +869,16 @@ mod tests {
     #[test]
     fn ctx_lends_the_simulators_name_table() {
         let mut sim: Sim<String> = Sim::new(1);
-        let router = sim.add_node("router", ByName);
+        let router = sim.add_node("router", ByName::default());
         sim.run_until_quiet(SimTime::from_secs(1));
         // Added after the router started: visible on its next callback.
-        let echo = sim.add_node("echo", Echo);
+        let echo = sim.add_node("echo", Echo::default());
         sim.inject(echo, router, "echo".into());
         sim.inject(echo, router, "nobody".into());
         sim.run_until_quiet(SimTime::from_secs(2));
-        assert_eq!(sim.metrics().counter("echo.recv.from echo"), 1);
-        assert_eq!(sim.metrics().counter("byname.unknown"), 1);
+        let received = sim.actor::<Echo, _>(echo, |e| e.received.clone()).unwrap();
+        assert_eq!(received, ["from echo"]);
+        assert_eq!(sim.actor::<ByName, _>(router, |r| r.unknown), Some(1));
         assert_eq!(sim.metrics().counter("net.sent"), 1);
     }
 
@@ -898,8 +886,8 @@ mod tests {
     #[should_panic(expected = "duplicate node name")]
     fn duplicate_names_panic() {
         let mut sim: Sim<String> = Sim::new(1);
-        sim.add_node("x", Echo);
-        sim.add_node("x", Echo);
+        sim.add_node("x", Echo::default());
+        sim.add_node("x", Echo::default());
     }
 
     #[test]
@@ -913,7 +901,7 @@ mod tests {
     fn lossy_link_eventually_drops() {
         let mut sim: Sim<String> = Sim::new(3);
         sim.set_default_link(LinkConfig::lan().with_drop_probability(1.0));
-        sim.add_node("echo", Echo);
+        sim.add_node("echo", Echo::default());
         sim.add_node("pinger", Pinger::default());
         sim.run_until_quiet(SimTime::from_secs(1));
         assert_eq!(sim.metrics().counter("net.dropped"), 1);

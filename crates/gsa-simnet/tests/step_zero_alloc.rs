@@ -9,10 +9,10 @@
 //! Everything the loop touches is pre-sized or pooled: counters live in
 //! fixed [`CounterId`] slots and the latency histogram in fixed buckets,
 //! a drained [`Counts`] keeps its capacity, names resolve in the
-//! simulator's own table, link configs resolve by indexed lookup (no
-//! clone), command buffers check out of the simulator's pool, the
-//! scheduling heap reuses warmed capacity, and the filter probe walks
-//! frozen bytes in place.
+//! simulator's own table, the one link config is read in place, command
+//! buffers check out of the simulator's pool, the scheduling heap and its
+//! payload slab reuse warmed capacity, and the filter probe walks frozen
+//! bytes in place.
 //!
 //! Same counting-allocator harness as gsa-filter's `probe_zero_alloc`:
 //! a wrapper around the system allocator counts allocations only inside
@@ -20,7 +20,7 @@
 
 use gsa_filter::{FilterEngine, MatchScratch};
 use gsa_profile::parse_profile;
-use gsa_simnet::{Actor, CounterId, Ctx, LinkConfig, Metrics, NodeId, Sim, TimerId};
+use gsa_simnet::{Actor, CounterId, Ctx, LinkConfig, NodeId, Sim};
 use gsa_types::{Counts, ProfileId, SimDuration, SimTime};
 use gsa_wire::binary::payload_bytes_from_xml;
 use gsa_wire::codec::event_to_xml;
@@ -71,10 +71,6 @@ struct Server {
     engine: FilterEngine,
     scratch: MatchScratch,
     payload: Vec<u8>,
-    /// The slot a rejection is counted in; `None` counts it under a
-    /// name outside the interned table instead, which travels as an
-    /// owned `String` (the negative control).
-    probe_skip: Option<CounterId>,
     counts: Counts,
     rejected: u64,
 }
@@ -84,10 +80,7 @@ impl Actor<u32> for Server {
         let mut probe = EventProbe::from_payload(&self.payload).unwrap().unwrap();
         if !self.engine.probe_matches(&mut probe, &mut self.scratch).unwrap() {
             self.rejected += 1;
-            match self.probe_skip {
-                Some(id) => self.counts.add(id, 1),
-                None => ctx.count("bench.unregistered", 1),
-            }
+            self.counts.add(CounterId::CORE_PROBE_SKIP, 1);
         }
         for (id, n) in self.counts.drain() {
             ctx.count_id(id, n);
@@ -99,7 +92,7 @@ impl Actor<u32> for Server {
 }
 
 /// Keeps the ping-pong going and exercises the timer machinery with a
-/// recurring tick (set on fire, so `pending_timers` churns every
+/// recurring tick (set on fire, so its queue slot recycles every
 /// period without growing).
 struct Pinger {
     server: NodeId,
@@ -116,7 +109,7 @@ impl Actor<u32> for Pinger {
         ctx.send(from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _timer: TimerId, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _tag: u64) {
         ctx.set_timer(self.tick, 1);
     }
 }
@@ -158,7 +151,7 @@ fn frozen_payload() -> Vec<u8> {
 
 /// The measured loop: a server probing every delivery and a pinger
 /// bouncing it back, over a jittered link with byte accounting on.
-fn ping_pong_sim(probe_skip: Option<CounterId>) -> Sim<u32> {
+fn ping_pong_sim() -> Sim<u32> {
     let mut sim: Sim<u32> = Sim::new(97);
     // Fixed latency plus jitter: the route path draws from the RNG
     // every message, exactly like the scale scenarios.
@@ -174,7 +167,6 @@ fn ping_pong_sim(probe_skip: Option<CounterId>) -> Sim<u32> {
             engine: rejecting_engine(),
             scratch: MatchScratch::new(),
             payload: frozen_payload(),
-            probe_skip,
             counts: Counts::default(),
             rejected: 0,
         },
@@ -192,8 +184,7 @@ fn ping_pong_sim(probe_skip: Option<CounterId>) -> Sim<u32> {
 #[test]
 fn steady_state_step_loop_is_allocation_free_after_warmup() {
     let _window = WINDOW.lock().unwrap();
-    let probe_skip = Metrics::resolve("core.probe_skip").expect("interned");
-    let mut sim = ping_pong_sim(Some(probe_skip));
+    let mut sim = ping_pong_sim();
 
     // Warm-up: grows the scheduling heap, the command pool, the match
     // scratch and the server's `Counts` to steady-state capacity.
@@ -223,30 +214,33 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
     assert_eq!(sim.metrics().counter("net.dropped"), 0);
     assert_eq!(
         sim.metrics().counter("core.probe_skip"),
-        sim.metrics().counter_value(probe_skip),
+        sim.metrics().counter_value(CounterId::CORE_PROBE_SKIP),
         "string and slot reads agree"
     );
     assert!(sim.metrics().counter("net.bytes") >= delivered * 64);
 }
 
 #[test]
-fn unregistered_counter_name_allocates_per_message() {
-    // Negative control: the identical loop with the server counting
-    // under a name outside the interned table — which buffers an owned
-    // `String` per message by design — must allocate, proving the
-    // harness above really measures the hot loop and not an idle sim.
+fn traced_step_loop_allocates_per_message() {
+    // Negative control: the identical loop with the delivery trace on —
+    // which formats a summary of every delivered message by design —
+    // must allocate, proving the harness above really measures the hot
+    // loop and not an idle sim.
     let _window = WINDOW.lock().unwrap();
-    let mut sim = ping_pong_sim(None);
+    let mut sim = ping_pong_sim();
+    sim.enable_trace();
     sim.run_for(SimDuration::from_secs(2));
+    let warm_traced = sim.trace().len();
 
     ALLOCS.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
     while sim.now() < SimTime::from_secs(3) && sim.step() {}
     TRACKING.store(false, Ordering::SeqCst);
 
+    let traced = (sim.trace().len() - warm_traced) as u64;
+    assert!(traced > 500, "measured window too short: {traced} deliveries");
     assert!(
-        ALLOCS.load(Ordering::SeqCst) > 0,
-        "an un-interned counter name is supposed to allocate per message"
+        ALLOCS.load(Ordering::SeqCst) >= traced,
+        "the trace is supposed to allocate per delivered message"
     );
-    assert!(sim.metrics().counter("bench.unregistered") > 1_000);
 }

@@ -1,13 +1,15 @@
-//! A node that goes down and comes back must not lose a timer for good.
+//! A node that goes down and comes back must run each timer exactly
+//! once: none lost for good, none twice.
 //!
-//! `Sim::set_node_up(true)` re-runs `on_start`, and a timer that comes
-//! due while its node is down is dropped. An actor that remembers "my
+//! `Sim::set_node_up(true)` re-runs `on_start`, and every timer set
+//! before the node went down is dropped. An actor that remembers "my
 //! flush timer is armed" across the outage therefore never arms it
-//! again: whatever the timer was to flush waits for ever. Both
+//! again: whatever the timer was to flush waits for ever. Those
 //! scenarios bounce one directory node on the Figure-2 tree
 //! (Hamilton@gds-4 publishes, Cairo@gds-5 listens; the flood runs
 //! gds-4 → gds-1 → gds-2 → gds-5) and assert that a notification
-//! published long after the node is back still arrives.
+//! published long after the node is back still arrives. The last one
+//! holds a bounced node's periodic chains to one each.
 
 use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
@@ -156,5 +158,43 @@ fn an_ack_flush_survives_its_node_bouncing() {
             settled,
             "gds-2 down {offset_us} µs after the first rebuild: its peers still retransmit"
         );
+    }
+}
+
+/// Frames sent and simulator steps taken over an idle 20 s window.
+fn idle_window(system: &mut System) -> (u64, usize) {
+    let sent = system.metrics().counter("net.sent");
+    let steps = system.run_for(SimDuration::from_secs(20));
+    (system.metrics().counter("net.sent") - sent, steps)
+}
+
+/// Reliable edges, so every node runs periodic chains (tick, poll,
+/// heartbeat). A node coming back re-runs `on_start`, which arms them
+/// afresh; a chain set before the outage must not run beside the new
+/// one, and neither may a second `Start` queued by another down/up in
+/// the same instant. Either shows as extra frames and steps against a
+/// twin that never bounced.
+#[test]
+fn a_bounced_node_runs_each_timer_once() {
+    let reliable = |s: &mut System| s.set_reliability(ReliabilityConfig::default());
+    let (mut twin, _) = world(reliable);
+    twin.run_for(OUTAGE);
+    twin.run_for(SimDuration::from_secs(5));
+    let expected = idle_window(&mut twin);
+    for host in ["gds-2", "Cairo"] {
+        for double in [false, true] {
+            let (mut system, _) = world(reliable);
+            bounce(&mut system, host);
+            if double {
+                system.set_host_up(host, false);
+                system.set_host_up(host, true);
+            }
+            system.run_for(SimDuration::from_secs(5));
+            assert_eq!(
+                idle_window(&mut system),
+                expected,
+                "{host} bounced (double: {double}): (frames, steps) against a twin that never bounced"
+            );
+        }
     }
 }

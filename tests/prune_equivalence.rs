@@ -12,7 +12,7 @@
 use gsa_core::{AlertPolicyConfig, BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
-use gsa_simnet::Metrics;
+use gsa_simnet::CounterId;
 use gsa_store::SourceDocument;
 use gsa_types::{keys, ClientId, CollectionId, MetadataRecord, SimTime};
 use std::collections::BTreeMap;
@@ -238,7 +238,7 @@ fn every_counter_of_a_run_with_every_switch_on_has_a_slot() {
     let names: Vec<&str> = system.metrics().counters().map(|(name, _)| name).collect();
     assert!(names.len() >= 15, "every layer counted something: {names:?}");
     for name in names {
-        assert!(Metrics::resolve(name).is_some(), "{name} has no slot");
+        assert!(CounterId::from_name(name).is_some(), "{name} has no slot");
     }
 }
 
