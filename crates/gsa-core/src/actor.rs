@@ -56,25 +56,44 @@ const ANNOUNCE_DELAY: SimDuration = SimDuration::from_millis(1);
 /// the 500 ms retransmission base.
 const ACK_DELAY: SimDuration = SimDuration::from_millis(2);
 
-/// Tunables of the per-edge event batcher: flood traffic buffered per
-/// neighbour and flushed as one [`GdsMessage::Batch`] frame when either
-/// bound is hit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchConfig {
-    /// Flush an edge's buffer as soon as it holds this many events.
-    pub max_events: usize,
-    /// Flush all buffers this long after the first event was queued.
-    pub max_delay: SimDuration,
-}
+/// How often a server runs its maintenance: auxiliary retries, request
+/// timeouts, alert-lifecycle expiry, and a hello to its directory node
+/// while that edge is still XML.
+const MAINTENANCE_TICK: SimDuration = SimDuration::from_millis(500);
 
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_events: 8,
-            max_delay: SimDuration::from_millis(2),
-        }
-    }
-}
+/// How a reliable edge retransmits an unacknowledged GDS message: after
+/// 500 ms, doubling to 4 s, ± 20 % jitter, until it is acknowledged.
+const GDS_RETRY: RetryPolicy = RetryPolicy {
+    base: SimDuration::from_millis(500),
+    multiplier: 2.0,
+    max_interval: SimDuration::from_secs(4),
+    jitter: 0.2,
+};
+
+/// How often a reliable edge polls its retransmission queue.
+const RETRANSMIT_POLL: SimDuration = SimDuration::from_millis(250);
+
+/// How often a reliable directory node pings its parent.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Consecutive unanswered heartbeats that declare the parent dead
+/// (≈ 3 s), after which the node re-parents to its grandparent.
+const HEARTBEAT_MISSES: u32 = 3;
+
+/// A batching edge flushes its buffer as soon as it holds this many
+/// events.
+const BATCH_MAX_EVENTS: usize = 8;
+
+/// A batching actor flushes every buffer this long after the first
+/// event was queued.
+const BATCH_MAX_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// Turns on the per-edge event batcher ([`WireConfig::v2_batched`]):
+/// flood traffic buffered per neighbour and flushed as one
+/// [`GdsMessage::Batch`] frame at 8 events or 2 ms, whichever comes
+/// first.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct BatchConfig;
 
 /// Per-host wire-protocol configuration: which format version the host
 /// speaks and whether flood traffic is batched per edge.
@@ -190,15 +209,13 @@ impl WireLink {
         link: Option<&mut ReliableLink>,
     ) {
         let fmt = self.fmt_for(node);
-        let batch = match &self.config.batch {
-            // Only binary edges batch: a v1 peer has no gds:batch tag.
-            Some(b) if fmt == WireFormat::Binary && batchable(&msg) => b,
-            _ => return send_data(ctx, node, fmt, msg, link),
-        };
-        let max_events = batch.max_events.max(1);
+        // Only binary edges batch: a v1 peer has no gds:batch tag.
+        if self.config.batch.is_none() || fmt != WireFormat::Binary || !batchable(&msg) {
+            return send_data(ctx, node, fmt, msg, link);
+        }
         let buf = self.pending.entry(node).or_default();
         buf.push(msg);
-        if buf.len() >= max_events {
+        if buf.len() >= BATCH_MAX_EVENTS {
             self.flush_edge(ctx, node, link);
         } else {
             self.arm_flush(ctx);
@@ -208,11 +225,9 @@ impl WireLink {
     /// Sets the `BATCH_TAG` timer when an edge holds something (a
     /// flushed edge leaves the map) and no timer is outstanding.
     fn arm_flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        if let Some(batch) = &self.config.batch {
-            if !self.timer_armed && !self.pending.is_empty() {
-                ctx.set_timer(batch.max_delay, BATCH_TAG);
-                self.timer_armed = true;
-            }
+        if self.config.batch.is_some() && !self.timer_armed && !self.pending.is_empty() {
+            ctx.set_timer(BATCH_MAX_DELAY, BATCH_TAG);
+            self.timer_armed = true;
         }
     }
 
@@ -255,35 +270,14 @@ impl WireLink {
     }
 }
 
-/// Tunables of the opt-in per-hop reliability layer: ack/retransmit
-/// parameters for GDS traffic, and the heartbeat failure detector that
-/// drives tree self-healing. Defaults: retry every 500 ms doubling to
-/// 4 s with ±20 % jitter and no budget, queue polled every 250 ms,
-/// heartbeats every second, parent declared dead after 3 silent
-/// heartbeats (≈3 s).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReliabilityConfig {
-    /// Backoff/budget for retransmitting unacknowledged GDS messages.
-    pub retry: RetryPolicy,
-    /// How often the retransmission queue is polled.
-    pub tick: SimDuration,
-    /// How often a child pings its parent.
-    pub heartbeat_interval: SimDuration,
-    /// Consecutive unanswered heartbeats before the parent is declared
-    /// dead and the child re-parents to its recorded grandparent.
-    pub heartbeat_misses: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            retry: RetryPolicy::default(),
-            tick: SimDuration::from_millis(250),
-            heartbeat_interval: SimDuration::from_secs(1),
-            heartbeat_misses: 3,
-        }
-    }
-}
+/// Turns on the per-hop reliability layer
+/// ([`System::set_reliability`](crate::System::set_reliability)): GDS
+/// traffic acknowledged and retransmitted until acknowledged (500 ms
+/// doubling to 4 s, ± 20 %, queue polled every 250 ms), and the
+/// heartbeat failure detector that drives tree self-healing (a ping a
+/// second, the parent declared dead after 3 silent ones).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ReliabilityConfig;
 
 /// One actor's reliable GDS-hop sender: wraps outgoing messages in the
 /// [`Reliable`] envelope and retransmits until acknowledged — on the
@@ -297,10 +291,10 @@ struct ReliableLink {
 }
 
 impl ReliableLink {
-    /// Creates a link with the given retry policy and jitter seed.
-    fn new(policy: RetryPolicy, seed: u64) -> Self {
+    /// Creates a link with the given jitter seed.
+    fn new(seed: u64) -> Self {
         ReliableLink {
-            queue: RetransmitQueue::new(policy, seed),
+            queue: RetransmitQueue::new(GDS_RETRY, seed),
         }
     }
 
@@ -330,25 +324,15 @@ impl ReliableLink {
         }
     }
 
-    fn nack(&mut self, seq: u64) {
-        self.queue.nack(seq);
-    }
-
-    /// Retransmits everything due (counting `net.retransmits`) and
-    /// returns messages whose retry budget ran out.
-    fn poll(&mut self, ctx: &mut Ctx<'_, SysMessage>) -> Vec<(NodeId, GdsMessage)> {
-        let outcome = self.queue.poll(ctx.now());
-        if !outcome.retransmit.is_empty() {
-            ctx.count_id(CounterId::NET_RETRANSMITS, outcome.retransmit.len() as u64);
+    /// Retransmits everything due (counting `net.retransmits`).
+    fn poll(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let due = self.queue.poll(ctx.now());
+        if !due.is_empty() {
+            ctx.count_id(CounterId::NET_RETRANSMITS, due.len() as u64);
         }
-        for (seq, node, (fmt, msg)) in outcome.retransmit {
+        for (seq, node, (fmt, msg)) in due {
             ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
         }
-        outcome
-            .dead
-            .into_iter()
-            .map(|(_, node, (_, msg))| (node, msg))
-            .collect()
     }
 }
 
@@ -459,9 +443,8 @@ enum Received {
 #[derive(Debug)]
 struct EdgeTransport {
     wire: WireLink,
-    /// The retransmission-queue poll period and the queue (reliability
-    /// on).
-    reliable: Option<(SimDuration, ReliableLink)>,
+    /// The retransmission queue (reliability on).
+    reliable: Option<ReliableLink>,
     /// Data envelopes received and not yet acknowledged.
     acks: PendingAcks,
 }
@@ -475,8 +458,8 @@ impl EdgeTransport {
         }
     }
 
-    fn enable_reliability(&mut self, config: &ReliabilityConfig, seed: u64) {
-        self.reliable = Some((config.tick, ReliableLink::new(config.retry.clone(), seed)));
+    fn enable_reliability(&mut self, seed: u64) {
+        self.reliable = Some(ReliableLink::new(seed));
     }
 
     /// The actor's `on_start`, which a node coming back up runs again:
@@ -494,8 +477,8 @@ impl EdgeTransport {
         for peer in peers {
             self.hello(ctx, peer);
         }
-        if let Some((tick, _)) = &self.reliable {
-            ctx.set_timer(*tick, RELIABLE_TAG);
+        if self.reliable.is_some() {
+            ctx.set_timer(RETRANSMIT_POLL, RELIABLE_TAG);
         }
         self.wire.timer_armed = false;
         self.wire.arm_flush(ctx);
@@ -512,9 +495,21 @@ impl EdgeTransport {
         }
     }
 
+    /// Announces wire v2 again on an edge that is still XML. A hello
+    /// and its ack ride plain and can be lost; both actors call this on
+    /// a periodic timer, so a lost one delays the upgrade instead of
+    /// preventing it.
+    fn rehello(&mut self, ctx: &mut Ctx<'_, SysMessage>, peer: &HostName) {
+        if let Some(node) = ctx.resolve(peer.as_str()) {
+            if self.wire.fmt_for(node) == WireFormat::Xml {
+                self.hello(ctx, peer);
+            }
+        }
+    }
+
     /// The transport's share of an arriving frame — the one place the
     /// GDS carriers are taken apart. Data envelopes are noted for the
-    /// next ack flush, acks and nacks feed the retransmission queue,
+    /// next ack flush, acks feed the retransmission queue,
     /// hellos this host accepts are recorded and answered; what is left
     /// is the state machine's.
     fn receive(
@@ -552,7 +547,7 @@ impl EdgeTransport {
     }
 
     /// Opens a reliable envelope: the data it carries, its ack owed;
-    /// nothing for an ack or a nack, which feed the retransmission queue.
+    /// nothing for an ack, which feeds the retransmission queue.
     fn open(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -569,14 +564,8 @@ impl EdgeTransport {
                 Some(payload)
             }
             Reliable::Ack { seq, more } => {
-                if let Some((_, link)) = &mut self.reliable {
+                if let Some(link) = &mut self.reliable {
                     link.ack(ctx, from, seq, more);
-                }
-                None
-            }
-            Reliable::Nack { seq } => {
-                if let Some((_, link)) = &mut self.reliable {
-                    link.nack(seq);
                 }
                 None
             }
@@ -590,8 +579,7 @@ impl EdgeTransport {
         if rides_plain(&msg) {
             ctx.send(node, data_frame(self.wire.fmt_for(node), msg));
         } else {
-            let link = self.reliable.as_mut().map(|(_, l)| l);
-            self.wire.dispatch(ctx, node, msg, link);
+            self.wire.dispatch(ctx, node, msg, self.reliable.as_mut());
         }
     }
 
@@ -599,18 +587,12 @@ impl EdgeTransport {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
         match tag {
             RELIABLE_TAG => {
-                if let Some((tick, link)) = &mut self.reliable {
-                    let dead = link.poll(ctx);
-                    if !dead.is_empty() {
-                        ctx.count_id(CounterId::GDS_DEAD_LETTER, dead.len() as u64);
-                    }
-                    ctx.set_timer(*tick, RELIABLE_TAG);
+                if let Some(link) = &mut self.reliable {
+                    link.poll(ctx);
+                    ctx.set_timer(RETRANSMIT_POLL, RELIABLE_TAG);
                 }
             }
-            BATCH_TAG => {
-                let link = self.reliable.as_mut().map(|(_, l)| l);
-                self.wire.flush_all(ctx, link);
-            }
+            BATCH_TAG => self.wire.flush_all(ctx, self.reliable.as_mut()),
             ACK_TAG => self.acks.flush(ctx, &self.wire),
             _ => {}
         }
@@ -622,7 +604,6 @@ impl EdgeTransport {
 pub struct AlertingActor {
     core: AlertingCore,
     edge: EdgeTransport,
-    tick: SimDuration,
     /// Locally-initiated distributed fetches that completed (taken by
     /// the [`System`](crate::System) driver).
     pub completed_fetches: Vec<(gsa_greenstone::RequestId, gsa_greenstone::server::FetchResult)>,
@@ -633,13 +614,11 @@ pub struct AlertingActor {
 }
 
 impl AlertingActor {
-    /// Wraps a core; `tick` is the maintenance-timer period (retries,
-    /// request timeouts).
-    pub fn new(core: AlertingCore, tick: SimDuration) -> Self {
+    /// Wraps a core.
+    pub fn new(core: AlertingCore) -> Self {
         AlertingActor {
             core,
             edge: EdgeTransport::new(),
-            tick,
             completed_fetches: Vec::new(),
             completed_searches: Vec::new(),
             resolved: Vec::new(),
@@ -649,8 +628,8 @@ impl AlertingActor {
     /// Turns on the reliable envelope for this host's GDS-bound traffic
     /// (registration, publishes, resolves). `seed` derives the
     /// retransmission jitter.
-    pub fn enable_reliability(&mut self, config: ReliabilityConfig, seed: u64) {
-        self.edge.enable_reliability(&config, seed);
+    pub fn enable_reliability(&mut self, seed: u64) {
+        self.edge.enable_reliability(seed);
     }
 
     /// Sets the wire-protocol configuration (format version,
@@ -681,9 +660,6 @@ impl AlertingActor {
         if !effects.published.is_empty() {
             ctx.count_id(CounterId::ALERT_EVENTS_PUBLISHED, effects.published.len() as u64);
         }
-        if !effects.dead_letters.is_empty() {
-            ctx.count_id(CounterId::AUX_DEAD_LETTER, effects.dead_letters.len() as u64);
-        }
         drain_counts(self.core.counts_mut(), ctx);
         self.completed_fetches.extend(effects.fetches);
         self.completed_searches.extend(effects.searches);
@@ -707,7 +683,7 @@ impl Actor<SysMessage> for AlertingActor {
         self.apply(effects, ctx);
         // The one edge of a server is the one to its directory node.
         self.edge.start(ctx, [self.core.gds_server()]);
-        ctx.set_timer(self.tick, TICK_TAG);
+        ctx.set_timer(MAINTENANCE_TICK, TICK_TAG);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, msg: SysMessage) {
@@ -724,7 +700,8 @@ impl Actor<SysMessage> for AlertingActor {
         if tag == TICK_TAG {
             let effects = self.core.on_tick(ctx.now());
             self.apply(effects, ctx);
-            ctx.set_timer(self.tick, TICK_TAG);
+            self.edge.rehello(ctx, self.core.gds_server());
+            ctx.set_timer(MAINTENANCE_TICK, TICK_TAG);
         } else {
             self.edge.on_timer(ctx, tag);
         }
@@ -734,10 +711,6 @@ impl Actor<SysMessage> for AlertingActor {
 /// The heartbeat failure detector of one reliable [`GdsActor`].
 #[derive(Debug)]
 struct FailureDetector {
-    /// How often the node pings its parent.
-    interval: SimDuration,
-    /// Consecutive unanswered heartbeats that declare the parent dead.
-    max_misses: u32,
     /// The fallback attachment point recorded at join time (the
     /// grandparent); consumed by one re-parenting.
     grandparent: Option<HostName>,
@@ -800,16 +773,9 @@ impl GdsActor {
     /// detector. `grandparent` is the fallback attachment point this
     /// node re-parents to when its parent is declared dead; `seed`
     /// derives the retransmission jitter.
-    pub fn enable_reliability(
-        &mut self,
-        config: ReliabilityConfig,
-        grandparent: Option<HostName>,
-        seed: u64,
-    ) {
-        self.edge.enable_reliability(&config, seed);
+    pub fn enable_reliability(&mut self, grandparent: Option<HostName>, seed: u64) {
+        self.edge.enable_reliability(seed);
         self.detector = Some(FailureDetector {
-            interval: config.heartbeat_interval,
-            max_misses: config.heartbeat_misses,
             grandparent,
             heartbeat_pending: false,
             misses: 0,
@@ -861,25 +827,21 @@ impl GdsActor {
         if detector.heartbeat_pending {
             detector.misses += 1;
         }
-        let interval = detector.interval;
-        if detector.misses >= detector.max_misses && detector.grandparent.is_some() {
+        if detector.misses >= HEARTBEAT_MISSES && detector.grandparent.is_some() {
             self.reparent(ctx);
         }
         if let Some(parent) = self.node.parent() {
             if let Some(node) = ctx.resolve(parent.as_str()) {
                 self.edge.send(ctx, node, GdsMessage::Heartbeat);
-                // A hello can be lost (it rides plain); piggyback a
-                // fresh announcement on the heartbeat cadence until the
-                // edge upgrades.
-                if self.edge.wire.fmt_for(node) == WireFormat::Xml {
-                    self.edge.hello(ctx, parent);
-                }
+                // The hello rides the heartbeat cadence until the edge
+                // upgrades.
+                self.edge.rehello(ctx, parent);
             }
             if let Some(detector) = self.detector.as_mut() {
                 detector.heartbeat_pending = true;
             }
         }
-        ctx.set_timer(interval, HEARTBEAT_TAG);
+        ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
     }
 
     /// Detaches from the dead parent and re-attaches the whole subtree
@@ -935,10 +897,8 @@ impl Actor<SysMessage> for GdsActor {
         // Every tree edge is negotiated.
         self.edge
             .start(ctx, self.node.parent().into_iter().chain(self.node.children()));
-        if let Some(detector) = &self.detector {
-            if self.node.parent().is_some() {
-                ctx.set_timer(detector.interval, HEARTBEAT_TAG);
-            }
+        if self.detector.is_some() && self.node.parent().is_some() {
+            ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
         }
         // As for the transport's flush timer: an announce timer set
         // before the node went down is gone, and the aggregate it was
@@ -962,8 +922,8 @@ impl Actor<SysMessage> for GdsActor {
                 detector.misses = 0;
             }
             // The summary heal rides the heartbeat cadence: an update
-            // that was dead-lettered, or a parent that forgot us, shows
-            // as a held version that is behind (or none).
+            // that was lost, or a parent that forgot us, shows as a held
+            // version that is behind (or none).
             if let Some(out) = self.node.summary_refresh(version) {
                 let mut effects = GdsEffects::default();
                 effects.outbound.push(out);

@@ -10,10 +10,15 @@
 //! argument that partitions only delay, never corrupt.
 
 use crate::message::AuxPayload;
-use gsa_types::{CollectionId, CollectionName, HostName, SimTime};
-use gsa_wire::reliable::RetryPolicy;
+use gsa_types::{CollectionId, CollectionName, HostName, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// How long an unacknowledged auxiliary operation waits before it is
+/// sent again: every two seconds, for ever — the paper's "delayed, not
+/// lost" (§7). The log is read on the host's maintenance tick, so a
+/// retry goes out on the first tick at or after this.
+pub const AUX_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// A batch of addressed auxiliary payloads (destination, payload).
 pub type AuxBatch = Vec<(HostName, AuxPayload)>;
@@ -97,8 +102,6 @@ pub struct PendingOp {
     pub payload: AuxPayload,
     /// When the operation was last transmitted.
     pub last_sent: SimTime,
-    /// How many times it has been transmitted.
-    pub attempts: u32,
 }
 
 /// The not-yet-acknowledged operations of one host.
@@ -131,7 +134,6 @@ impl PendingOps {
                 to,
                 payload,
                 last_sent: now,
-                attempts: 1,
             },
         );
     }
@@ -152,36 +154,18 @@ impl PendingOps {
         before - self.ops.len()
     }
 
-    /// The operations due for retransmission under `policy`, marked
-    /// re-sent: an operation's next retry comes
-    /// `policy.interval(attempts - 1)` after its last transmission, and
-    /// an operation whose attempt count has reached the policy's budget
-    /// is removed and returned as a dead letter instead of retried.
-    /// (Jitter is not read: the log retries on the host's maintenance
-    /// tick.) Returns `(retries, dead_letters)`.
-    pub fn due_for_retry(&mut self, now: SimTime, policy: &RetryPolicy) -> (AuxBatch, AuxBatch) {
+    /// The operations last sent [`AUX_RETRY_INTERVAL`] or more before
+    /// `now`, in op order, marked re-sent now. Nothing leaves the log but
+    /// by an ack or a cancel.
+    pub fn due_for_retry(&mut self, now: SimTime) -> AuxBatch {
         let mut retry = Vec::new();
-        let mut exhausted = Vec::new();
-        for (op, pending) in self.ops.iter_mut() {
-            let interval = policy.interval(pending.attempts.saturating_sub(1));
-            if pending.last_sent + interval > now {
-                continue;
-            }
-            if policy.budget.is_some_and(|b| pending.attempts >= b) {
-                exhausted.push(*op);
-                continue;
-            }
-            pending.last_sent = now;
-            pending.attempts += 1;
-            retry.push((pending.to.clone(), pending.payload.clone()));
-        }
-        let mut dead = Vec::new();
-        for op in exhausted {
-            if let Some(p) = self.ops.remove(&op) {
-                dead.push((p.to, p.payload));
+        for pending in self.ops.values_mut() {
+            if pending.last_sent + AUX_RETRY_INTERVAL <= now {
+                pending.last_sent = now;
+                retry.push((pending.to.clone(), pending.payload.clone()));
             }
         }
-        (retry, dead)
+        retry
     }
 
     /// Number of pending operations.
@@ -203,17 +187,9 @@ impl PendingOps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsa_types::SimDuration;
 
-    /// Retry every 100 ms, for ever.
-    fn every_100ms() -> RetryPolicy {
-        RetryPolicy {
-            base: SimDuration::from_millis(100),
-            multiplier: 1.0,
-            max_interval: SimDuration::from_millis(100),
-            jitter: 0.0,
-            budget: None,
-        }
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
     }
 
     fn super_d() -> CollectionId {
@@ -253,61 +229,26 @@ mod tests {
     fn pending_retry_cadence() {
         let mut ops = PendingOps::new();
         let op = ops.next_op();
-        ops.enqueue(
-            "London".into(),
-            AuxPayload::Ack { op },
-            SimTime::from_millis(0),
-        );
-        let policy = every_100ms();
+        ops.enqueue("London".into(), AuxPayload::Ack { op }, ms(0));
         // Not yet due.
-        let (due, _) = ops.due_for_retry(SimTime::from_millis(50), &policy);
-        assert!(due.is_empty());
+        assert!(ops.due_for_retry(ms(1_999)).is_empty());
         // Due.
-        let (due, dead) = ops.due_for_retry(SimTime::from_millis(100), &policy);
-        assert_eq!((due.len(), dead.len()), (1, 0));
-        assert_eq!(ops.iter().next().unwrap().attempts, 2);
+        assert_eq!(ops.due_for_retry(ms(2_000)).len(), 1);
+        assert_eq!(ops.iter().next().unwrap().last_sent, ms(2_000));
         // Due again only after another interval.
-        let (due, _) = ops.due_for_retry(SimTime::from_millis(150), &policy);
-        assert!(due.is_empty());
-    }
-
-    #[test]
-    fn policy_retry_backs_off_and_dead_letters() {
-        let policy = RetryPolicy {
-            base: SimDuration::from_millis(100),
-            multiplier: 2.0,
-            max_interval: SimDuration::from_secs(10),
-            jitter: 0.0,
-            budget: Some(2),
-        };
-        let mut ops = PendingOps::new();
-        let op = ops.next_op();
-        ops.enqueue("London".into(), AuxPayload::Ack { op }, SimTime::ZERO);
-        // First retry 100 ms after the original send.
-        let (due, dead) = ops.due_for_retry(SimTime::from_millis(50), &policy);
-        assert!(due.is_empty() && dead.is_empty());
-        let (due, dead) = ops.due_for_retry(SimTime::from_millis(100), &policy);
-        assert_eq!((due.len(), dead.len()), (1, 0));
-        // Second retry backs off to 200 ms after the first.
-        let (due, dead) = ops.due_for_retry(SimTime::from_millis(250), &policy);
-        assert!(due.is_empty() && dead.is_empty());
-        // Budget of 2 attempts is now spent: the op dies instead of
-        // retrying a third time.
-        let (due, dead) = ops.due_for_retry(SimTime::from_millis(300), &policy);
-        assert_eq!((due.len(), dead.len()), (0, 1));
-        assert_eq!(dead[0].0, HostName::new("London"));
-        assert!(ops.is_empty(), "dead letters leave the log");
+        assert!(ops.due_for_retry(ms(3_999)).is_empty());
+        // A late tick retries once, and the interval counts from it.
+        assert_eq!(ops.due_for_retry(ms(4_300)).len(), 1);
+        assert!(ops.due_for_retry(ms(6_299)).is_empty());
     }
 
     #[test]
     fn unlimited_policy_retries_forever() {
-        let policy = every_100ms();
         let mut ops = PendingOps::new();
         let op = ops.next_op();
         ops.enqueue("L".into(), AuxPayload::Ack { op }, SimTime::ZERO);
-        for k in 1..20u64 {
-            let (due, dead) = ops.due_for_retry(SimTime::from_millis(100 * k), &policy);
-            assert_eq!((due.len(), dead.len()), (1, 0), "attempt {k}");
+        for k in 1..100u64 {
+            assert_eq!(ops.due_for_retry(ms(2_000 * k)).len(), 1, "attempt {k}");
         }
         assert_eq!(ops.len(), 1);
     }

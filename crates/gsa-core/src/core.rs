@@ -21,41 +21,15 @@ use gsa_types::{
     ClientId, CollectionId, CollectionName, CounterId, Counts, Event, EventId, EventKind, HostName,
     ProfileId, SimDuration, SimTime,
 };
-use gsa_wire::reliable::{Reliable, RetryPolicy};
+use gsa_wire::reliable::Reliable;
 use gsa_wire::{InterestSummary, Payload};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-/// Tunables of the alerting core.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoreConfig {
-    /// How long a distributed fetch/search may wait on sub-collections
-    /// before completing with partial results.
-    pub request_timeout: SimDuration,
-    /// How unacknowledged auxiliary operations are retransmitted. The
-    /// default is the paper's regime, "delayed, not lost": every two
-    /// seconds, for ever. A policy with a multiplier backs off, and one
-    /// with a budget dead-letters an operation whose attempts exhaust it
-    /// (surfaced in [`CoreEffects::dead_letters`]).
-    pub retry: RetryPolicy,
-}
-
-impl Default for CoreConfig {
-    fn default() -> Self {
-        let every = SimDuration::from_secs(2);
-        CoreConfig {
-            request_timeout: SimDuration::from_secs(5),
-            retry: RetryPolicy {
-                base: every,
-                multiplier: 1.0,
-                max_interval: every,
-                jitter: 0.0,
-                budget: None,
-            },
-        }
-    }
-}
+/// How long a distributed fetch/search may wait on sub-collections
+/// before completing with partial results.
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Everything an [`AlertingCore`] wants done after one input, and a
 /// count of what it has already done: notifications are moved into the
@@ -75,10 +49,6 @@ pub struct CoreEffects {
     pub resolved: Vec<(ResolveToken, Option<HostName>)>,
     /// Events this host published to the GDS during this step (shared).
     pub published: Vec<Arc<Event>>,
-    /// Auxiliary operations abandoned this step because their retry
-    /// budget ran out (destination, payload). Only produced when
-    /// [`CoreConfig::retry`] sets a finite budget.
-    pub dead_letters: Vec<(HostName, AuxPayload)>,
 }
 
 impl CoreEffects {
@@ -90,7 +60,6 @@ impl CoreEffects {
         self.searches.extend(other.searches);
         self.resolved.extend(other.resolved);
         self.published.extend(other.published);
-        self.dead_letters.extend(other.dead_letters);
     }
 
     fn send(&mut self, to: HostName, msg: impl Into<SysMessage>) {
@@ -129,16 +98,11 @@ pub struct AlertingCore {
     subs: SubscriptionManager,
     aux_store: AuxStore,
     pending: PendingOps,
-    config: CoreConfig,
     event_seq: u64,
     /// Per local super-collection, the original event ids already
     /// rewritten under it (runs per origin host) — makes retried
     /// ForwardEvents idempotent.
     rewritten: BTreeMap<CollectionName, SeenIds>,
-    /// Operations abandoned after exhausting the retry budget, kept for
-    /// inspection (the §7 invariant is "delayed, not lost" — a dead
-    /// letter is an explicit, observable deviation from it).
-    dead_letters: Vec<(HostName, AuxPayload)>,
     /// Locally-initiated GS requests and when they started; ordered, so
     /// requests that time out in one tick expire in the order issued.
     request_started: BTreeMap<RequestId, SimTime>,
@@ -190,15 +154,6 @@ impl AlertingCore {
     /// Creates the core for `host`, registered at the GDS node
     /// `gds_server`.
     pub fn new(host: impl Into<HostName>, gds_server: impl Into<HostName>) -> Self {
-        Self::with_config(host, gds_server, CoreConfig::default())
-    }
-
-    /// Creates a core with explicit tunables.
-    pub fn with_config(
-        host: impl Into<HostName>,
-        gds_server: impl Into<HostName>,
-        config: CoreConfig,
-    ) -> Self {
         let host = host.into();
         AlertingCore {
             server: Server::new(host.clone()),
@@ -206,10 +161,8 @@ impl AlertingCore {
             subs: SubscriptionManager::new(),
             aux_store: AuxStore::new(),
             pending: PendingOps::new(),
-            config,
             event_seq: 0,
             rewritten: BTreeMap::new(),
-            dead_letters: Vec::new(),
             request_started: BTreeMap::new(),
             pruning: false,
             last_summary: None,
@@ -247,11 +200,6 @@ impl AlertingCore {
     /// durable host recovers acknowledgements across crashes.
     pub fn set_alert_policies(&mut self, config: Option<AlertPolicyConfig>) {
         self.alerts = config.map(AlertEngine::new);
-    }
-
-    /// The installed alert-policy configuration, when any.
-    pub fn alert_policies(&self) -> Option<&AlertPolicyConfig> {
-        self.alerts.as_ref().map(AlertEngine::config)
     }
 
     /// The fingerprint the policy engine would assign this notification
@@ -417,18 +365,6 @@ impl AlertingCore {
     /// The not-yet-acknowledged operations this host has sent.
     pub fn pending_ops(&self) -> &PendingOps {
         &self.pending
-    }
-
-    /// The configured tunables.
-    pub fn config(&self) -> &CoreConfig {
-        &self.config
-    }
-
-    /// Auxiliary operations abandoned because their retry budget ran
-    /// out, in abandonment order. Empty unless [`CoreConfig::retry`]
-    /// sets a finite budget.
-    pub fn dead_letters(&self) -> &[(HostName, AuxPayload)] {
-        &self.dead_letters
     }
 
     /// Startup effects: register with the GDS and plant auxiliary profiles
@@ -922,7 +858,7 @@ impl AlertingCore {
             // The actor layer acks and unwraps reliable envelopes before
             // handing the payload down; a stray envelope reaching the
             // core is still processed (processing is idempotent), and
-            // bare acks/nacks carry nothing for the core.
+            // bare acks carry nothing for the core.
             SysMessage::RelGds(Reliable::Data { payload, .. })
             | SysMessage::RelGdsBin(Reliable::Data { payload, .. }) => {
                 self.handle_gds(payload, now)
@@ -1054,20 +990,14 @@ impl AlertingCore {
     /// expire timed-out distributed requests with partial results.
     pub fn on_tick(&mut self, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        let (due, dead) = self.pending.due_for_retry(now, &self.config.retry);
-        for (to, payload) in due {
+        for (to, payload) in self.pending.due_for_retry(now) {
             effects.send(to, payload.into_message());
         }
-        for entry in dead {
-            self.dead_letters.push(entry.clone());
-            effects.dead_letters.push(entry);
-        }
-        let timeout = self.config.request_timeout;
         let expired: Vec<RequestId> = self
             .request_started
             .iter()
             .filter(|(rid, started)| {
-                now.since(**started) >= timeout && self.server.is_pending(**rid)
+                now.since(**started) >= REQUEST_TIMEOUT && self.server.is_pending(**rid)
             })
             .map(|(rid, _)| *rid)
             .collect();

@@ -60,7 +60,7 @@ pub mod message;
 pub mod subs;
 pub mod system;
 
-pub use crate::core::{AlertingCore, CoreConfig, CoreEffects};
+pub use crate::core::{AlertingCore, CoreEffects};
 pub use gsa_alerts::{
     AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
 };

@@ -353,7 +353,7 @@ mod tests {
                 payload: inner,
             },
             Reliable::Ack { seq: 3, more: 0 },
-            Reliable::Nack { seq: 4 },
+            Reliable::Ack { seq: 4, more: 0b11 },
         ] {
             let encoded = rel.to_binary();
             assert_eq!(

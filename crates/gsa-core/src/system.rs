@@ -5,7 +5,7 @@
 //! examples, integration tests and benchmarks use.
 
 use crate::actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
-use crate::core::{AlertingCore, CoreConfig};
+use crate::core::AlertingCore;
 use crate::message::SysMessage;
 use crate::subs::Notification;
 use gsa_alerts::{AlertPolicyConfig, AlertState};
@@ -25,17 +25,18 @@ use std::fmt;
 /// A whole simulated deployment: GDS tree + Greenstone servers + clients.
 ///
 /// All driver methods address nodes by host name and panic on unknown
-/// names — a deployment-script bug, not a runtime condition.
+/// names — a deployment-script bug, not a runtime condition. So do the
+/// node switches (`set_reliability`, `set_wire`, `set_pruning`,
+/// `set_rendezvous`, `set_durability`, `set_alert_policies`) once a
+/// node exists: each applies to every node or to none.
 pub struct System {
     sim: Sim<SysMessage>,
-    tick: SimDuration,
     next_client: u64,
     seed: u64,
-    reliability: Option<ReliabilityConfig>,
+    reliable: bool,
     wire: WireConfig,
     pruning: bool,
     rendezvous: bool,
-    probe: bool,
     durability: bool,
     alert_policies: Option<AlertPolicyConfig>,
     /// The simulated disk of every durable server, held by the harness
@@ -59,14 +60,12 @@ impl System {
         sim.set_wire_size_fn(SysMessage::wire_size);
         System {
             sim,
-            tick: SimDuration::from_millis(500),
             next_client: 0,
             seed,
-            reliability: None,
+            reliable: false,
             wire: WireConfig::default(),
             pruning: false,
             rendezvous: false,
-            probe: true,
             durability: false,
             alert_policies: None,
             media: HashMap::new(),
@@ -84,112 +83,103 @@ impl System {
         self.sim.set_drop_probability(p);
     }
 
-    /// Turns on the reliability layer for every node added *after* this
-    /// call: GDS traffic rides the ack/retransmit envelope, directory
-    /// servers heartbeat their parents and re-parent to their recorded
-    /// grandparent when the failure detector trips. Call before
-    /// [`System::add_gds_topology`] / [`System::add_server`]. Off by
-    /// default — the paper's §6 best-effort behaviour.
-    pub fn set_reliability(&mut self, config: ReliabilityConfig) {
-        self.reliability = Some(config);
+    /// Panics once a node exists: `switch` applies to every node or to
+    /// none, so it is set before the first one is added.
+    fn before_any_node(&self, switch: &str) {
+        assert!(
+            self.sim.node_count() == 0,
+            "{switch} must be called before the first node is added"
+        );
     }
 
-    /// The reliability configuration, when enabled.
-    pub fn reliability(&self) -> Option<&ReliabilityConfig> {
-        self.reliability.as_ref()
+    /// Turns on the reliability layer for every node: GDS traffic rides
+    /// the ack/retransmit envelope, directory servers heartbeat their
+    /// parents and re-parent to their recorded grandparent when the
+    /// failure detector trips. Off by default — the paper's §6
+    /// best-effort behaviour.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a node exists.
+    pub fn set_reliability(&mut self, _: ReliabilityConfig) {
+        self.before_any_node("set_reliability");
+        self.reliable = true;
     }
 
-    /// Sets the wire-protocol configuration for every node added
-    /// *after* this call. The default ([`WireConfig::default`]) is the
-    /// paper's XML messaging; [`WireConfig::v2`] turns on the
-    /// negotiated binary fast path with encode-once flood forwarding,
-    /// and [`WireConfig::v2_batched`] adds per-edge event batching.
-    /// Call before [`System::add_gds_topology`] / [`System::add_server`].
+    /// Sets the wire-protocol configuration of every node. The default
+    /// ([`WireConfig::default`]) is the paper's XML messaging;
+    /// [`WireConfig::v2`] turns on the negotiated binary fast path with
+    /// encode-once flood forwarding, and [`WireConfig::v2_batched`] adds
+    /// per-edge event batching. [`System::set_host_wire`] overrides one
+    /// host afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a node exists.
     pub fn set_wire(&mut self, config: WireConfig) {
+        self.before_any_node("set_wire");
         self.wire = config;
     }
 
-    /// The wire-protocol configuration new nodes receive.
-    pub fn wire(&self) -> &WireConfig {
-        &self.wire
-    }
-
-    /// Turns on subscription-aware flood pruning for every node added
-    /// *after* this call: servers announce conservative interest
-    /// summaries to their directory nodes, nodes aggregate them per
-    /// subtree, and floods skip edges that cannot match an event. Call
-    /// before [`System::add_gds_topology`] / [`System::add_server`].
-    /// Off by default — the paper's full-flood behaviour, message for
-    /// message.
+    /// Turns on subscription-aware flood pruning for every node:
+    /// servers announce conservative interest summaries to their
+    /// directory nodes, nodes aggregate them per subtree, and floods
+    /// skip edges that cannot match an event. Off by default — the
+    /// paper's full-flood behaviour, message for message.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a node exists.
     pub fn set_pruning(&mut self, enabled: bool) {
+        self.before_any_node("set_pruning");
         self.pruning = enabled;
     }
 
-    /// Whether new nodes get flood pruning.
-    pub fn pruning(&self) -> bool {
-        self.pruning
-    }
-
-    /// Enables rendezvous routing for GDS nodes added *after* this
-    /// call: nodes that can prove a hot (attribute, value) subgroup
-    /// lives entirely under one child edge grant that edge a rendezvous
-    /// point, and matching events are confined to the subtree instead
-    /// of flooding through the root. Off by default — the paper's
-    /// flood-to-root behaviour, message for message. Requires pruning
-    /// and attribute summaries to have any effect.
+    /// Enables rendezvous routing on every GDS node: nodes that can
+    /// prove a hot (attribute, value) subgroup lives entirely under one
+    /// child edge grant that edge a rendezvous point, and matching
+    /// events are confined to the subtree instead of flooding through
+    /// the root. Off by default — the paper's flood-to-root behaviour,
+    /// message for message. Requires pruning and attribute summaries to
+    /// have any effect.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a node exists.
     pub fn set_rendezvous(&mut self, enabled: bool) {
+        self.before_any_node("set_rendezvous");
         self.rendezvous = enabled;
     }
 
-    /// Whether new GDS nodes run rendezvous routing.
-    pub fn rendezvous(&self) -> bool {
-        self.rendezvous
-    }
-
-    /// Enables or disables the delivery-time attribute probe for every
-    /// server added *after* this call (on by default). The probe never
-    /// changes which notifications are produced; turning it off forces
-    /// the decode-always delivery path, the A/B baseline for the
-    /// deliver+filter bench.
-    pub fn set_probe(&mut self, enabled: bool) {
-        self.probe = enabled;
-    }
-
-    /// Whether new servers pre-filter deliveries with the attribute probe.
-    pub fn probe(&self) -> bool {
-        self.probe
-    }
-
-    /// Gives every server added *after* this call a durable state
-    /// backend: an append-only journal + snapshot store over a
-    /// simulated disk that survives [`crash_server`](Self::crash_server).
-    /// Off by default — the paper's in-memory behaviour, message for
-    /// message (with the default in-memory store the persistence seam
-    /// records nothing and paper-figure counts are untouched). Call
-    /// before [`System::add_server`].
+    /// Gives every server a durable state backend: an append-only
+    /// journal + snapshot store over a simulated disk that survives
+    /// [`crash_server`](Self::crash_server). Off by default — the
+    /// paper's in-memory behaviour, message for message (with the
+    /// default in-memory store the persistence seam records nothing and
+    /// paper-figure counts are untouched).
+    ///
+    /// # Panics
+    ///
+    /// Panics once a node exists.
     pub fn set_durability(&mut self, enabled: bool) {
+        self.before_any_node("set_durability");
         self.durability = enabled;
     }
 
-    /// Whether new servers get the durable journal backend.
-    pub fn durability(&self) -> bool {
-        self.durability
-    }
-
     /// Installs stateful alert lifecycles + delivery policies on every
-    /// server added *after* this call: matched events are fingerprinted
-    /// into firing/acked/resolved/stale instances and run through the
+    /// server: matched events are fingerprinted into
+    /// firing/acked/resolved/stale instances and run through the
     /// configured dedup / throttle / digest pipeline. Off by default —
     /// the paper's fire-and-forget behaviour, message for message (the
     /// policy-equivalence oracle pins that an `observe_only` config
-    /// changes nothing either). Call before [`System::add_server`].
+    /// changes nothing either).
+    ///
+    /// # Panics
+    ///
+    /// Panics once a node exists.
     pub fn set_alert_policies(&mut self, config: Option<AlertPolicyConfig>) {
+        self.before_any_node("set_alert_policies");
         self.alert_policies = config;
-    }
-
-    /// The alert-policy configuration new servers receive, when any.
-    pub fn alert_policies(&self) -> Option<&AlertPolicyConfig> {
-        self.alert_policies.as_ref()
     }
 
     /// The policy fingerprint a server would assign this notification
@@ -281,8 +271,8 @@ impl System {
     ) -> NodeId {
         let name = node.name().clone();
         let mut actor = GdsActor::new(node);
-        if let Some(cfg) = &self.reliability {
-            actor.enable_reliability(cfg.clone(), grandparent, self.jitter_seed());
+        if self.reliable {
+            actor.enable_reliability(grandparent, self.jitter_seed());
         }
         actor.set_wire(self.wire.clone());
         actor.set_pruning(self.pruning);
@@ -299,19 +289,8 @@ impl System {
 
     /// Adds a Greenstone server registered at the named GDS node.
     pub fn add_server(&mut self, host: &str, gds_server: &str) -> NodeId {
-        self.add_server_with_config(host, gds_server, CoreConfig::default())
-    }
-
-    /// Adds a Greenstone server with explicit alerting tunables.
-    pub fn add_server_with_config(
-        &mut self,
-        host: &str,
-        gds_server: &str,
-        config: CoreConfig,
-    ) -> NodeId {
-        let mut core = AlertingCore::with_config(host, gds_server, config);
+        let mut core = AlertingCore::new(host, gds_server);
         core.set_pruning(self.pruning);
-        core.set_probe(self.probe);
         if let Some(policies) = &self.alert_policies {
             core.set_alert_policies(Some(policies.clone()));
         }
@@ -323,9 +302,9 @@ impl System {
                 JournalConfig::default(),
             )));
         }
-        let mut actor = AlertingActor::new(core, self.tick);
-        if let Some(cfg) = &self.reliability {
-            actor.enable_reliability(cfg.clone(), self.jitter_seed());
+        let mut actor = AlertingActor::new(core);
+        if self.reliable {
+            actor.enable_reliability(self.jitter_seed());
         }
         actor.set_wire(self.wire.clone());
         self.sim.add_node(host, actor)
@@ -964,10 +943,46 @@ mod tests {
         system.take_notifications("Ghost", ClientId::from_raw(0));
     }
 
+    /// A node switch set once a node exists would reach only the nodes
+    /// added after it: it panics instead, as an unknown host does.
+    #[test]
+    #[should_panic(expected = "set_wire must be called before the first node is added")]
+    fn a_node_switch_set_after_the_first_node_panics() {
+        let mut system = System::new(1);
+        system.add_gds_topology(&figure2_tree());
+        system.set_wire(WireConfig::v2());
+    }
+
+    /// Each of the six node switches refuses a late call; the link
+    /// knobs and the per-host wire override are for a running
+    /// deployment and do not.
+    #[test]
+    fn every_node_switch_refuses_a_late_call_and_the_link_knobs_do_not() {
+        let late: [fn(&mut System); 6] = [
+            |s| s.set_reliability(ReliabilityConfig),
+            |s| s.set_wire(WireConfig::v2()),
+            |s| s.set_pruning(true),
+            |s| s.set_rendezvous(true),
+            |s| s.set_durability(true),
+            |s| s.set_alert_policies(None),
+        ];
+        for (i, set) in late.into_iter().enumerate() {
+            let mut system = System::new(1);
+            system.add_gds_node(GdsNode::new("gds-1", 1, None));
+            let call = std::panic::AssertUnwindSafe(|| set(&mut system));
+            assert!(std::panic::catch_unwind(call).is_err(), "switch {i}");
+        }
+        let mut system = System::new(1);
+        system.add_gds_node(GdsNode::new("gds-1", 1, None));
+        system.set_default_link(LinkConfig::lan());
+        system.set_drop_probability(0.1);
+        system.set_host_wire("gds-1", WireConfig::v2());
+    }
+
     #[test]
     fn reliable_layer_delivers_exactly_once_over_lossy_links() {
         let mut system = System::new(11);
-        system.set_reliability(ReliabilityConfig::default());
+        system.set_reliability(ReliabilityConfig);
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_server("London", "gds-2");
@@ -995,15 +1010,11 @@ mod tests {
     #[test]
     fn gds_crash_heals_by_reparenting_to_grandparent() {
         let mut system = System::new(5);
-        system.set_reliability(ReliabilityConfig::default());
+        system.set_reliability(ReliabilityConfig);
         system.add_gds_topology(&figure2_tree());
         // London sits on gds-6, a leaf under gds-3; Hamilton far away.
-        let cfg = CoreConfig {
-            retry: gsa_wire::reliable::RetryPolicy::default(),
-            ..CoreConfig::default()
-        };
-        system.add_server_with_config("Hamilton", "gds-4", cfg.clone());
-        system.add_server_with_config("London", "gds-6", cfg);
+        system.add_server("Hamilton", "gds-4");
+        system.add_server("London", "gds-6");
         system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
         let client = system.add_client("London");
         system

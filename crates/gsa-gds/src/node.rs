@@ -197,11 +197,6 @@ impl GdsNode {
         self.pruning = enabled;
     }
 
-    /// Whether flood pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.pruning
-    }
-
     /// The newest interest summary recorded for a direct edge, if any.
     pub fn edge_summary(&self, edge: &HostName) -> Option<&InterestSummary> {
         self.edge_summaries.get(edge).map(|(_, s)| s)
@@ -290,8 +285,8 @@ impl GdsNode {
     /// The heartbeat heal: a [`GdsNode::summary_announcement`] unless the
     /// parent's heartbeat reply shows it holds the newest version sent
     /// (`held`, 0 for none). A parent that forgot this node holds
-    /// nothing, and one whose update was lost or dead-lettered holds an
-    /// older version; an idle edge re-announces nothing. A node whose
+    /// nothing, and one whose update was lost holds an older version;
+    /// an idle edge re-announces nothing. A node whose
     /// aggregate is empty from the start is never marked dirty, so its
     /// first announcement is this one.
     pub fn summary_refresh(&mut self, held: u64) -> Option<GdsOutbound> {
@@ -336,11 +331,6 @@ impl GdsNode {
             self.held_grant_version = 0;
             self.rebuild_requested_keys();
         }
-    }
-
-    /// Whether rendezvous placement is enabled.
-    pub fn rendezvous(&self) -> bool {
-        self.rendezvous
     }
 
     /// The grants currently held from the parent (test/inspection hook).

@@ -301,7 +301,6 @@ proptest! {
             Reliable::Data { seq, payload: msg.clone() },
             Reliable::Ack { seq, more: 0 },
             Reliable::Ack { seq, more },
-            Reliable::Nack { seq },
         ] {
             prop_assert_eq!(rel.wire_size(), rel.to_xml().to_xml_string().len());
             prop_assert_eq!(rel.binary_wire_size(), rel.to_binary().len());
@@ -311,6 +310,10 @@ proptest! {
                 prop_assert_eq!(&Reliable::from_xml(&parse_document(&text).unwrap()).unwrap(), &rel);
             }
         }
+        // Tag 2 was a nack no node ever sent: at any seq, it is refused.
+        let mut nack = Reliable::<GdsMessage>::Ack { seq, more: 0 }.to_binary();
+        nack[2] = 2;
+        prop_assert!(Reliable::<GdsMessage>::from_binary(&nack).is_err());
     }
 
     /// Sizing any message allocates nothing once its payloads' XML

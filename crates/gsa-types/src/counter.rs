@@ -86,9 +86,6 @@ counter_table! {
     ALERTS_STALE = "alerts.stale",
     /// Notifications withheld by dedup or throttle policies.
     ALERTS_SUPPRESSED = "alerts.suppressed",
-    /// Auxiliary-profile operations abandoned after exhausting their
-    /// retry budget.
-    AUX_DEAD_LETTER = "aux.dead_letter",
     /// Accepted deliveries whose payload failed to decode as an event
     /// (previously dropped silently at the delivery boundary).
     CORE_DECODE_ERROR = "core.decode_error",
@@ -97,9 +94,6 @@ counter_table! {
     /// Deliveries rejected by the binary attribute probe without
     /// materialising an event.
     CORE_PROBE_SKIP = "core.probe_skip",
-    /// Reliable GDS messages abandoned after exhausting their retry
-    /// budget.
-    GDS_DEAD_LETTER = "gds.dead_letter",
     /// GDS protocol frames processed by directory nodes.
     GDS_MESSAGES = "gds.messages",
     /// GS-protocol frames that reached a directory node, which has no

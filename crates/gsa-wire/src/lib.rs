@@ -14,8 +14,8 @@
 //!   for both wires and what is derived from it (tree, frame, both
 //!   sizes),
 //! * [`reliable`] — an opt-in reliable-delivery envelope
-//!   ([`Reliable`]) plus a deterministic retransmission queue with
-//!   exponential backoff, jitter and a bounded retry budget
+//!   ([`Reliable`]) plus a deterministic retransmission queue that
+//!   retries until acknowledged, with exponential backoff and jitter
 //!   ([`RetransmitQueue`]),
 //! * [`binary`] — the negotiated wire format v2: a length-prefixed,
 //!   varint-framed binary codec with native encoders for events,

@@ -2,10 +2,11 @@
 //!
 //! The paper commits to best-effort delivery (§6); this module supplies
 //! the opt-in layer beneath it: a [`Reliable`] envelope that carries a
-//! per-sender sequence number (or acknowledges a window of them, or
-//! refuses one), and a [`RetransmitQueue`] — an outbox with exponential
-//! backoff, jitter and a bounded retry budget, plus RACK fast retransmit
-//! (RFC 8985) on acknowledgements, that any simulated actor can embed.
+//! per-sender sequence number (or acknowledges a window of them), and a
+//! [`RetransmitQueue`] — an outbox that retries every entry until it is
+//! acknowledged, with exponential backoff and jitter, plus RACK fast
+//! retransmit (RFC 8985) on acknowledgements, that any simulated actor
+//! can embed.
 //! The queue is transport-agnostic and fully deterministic: jitter comes
 //! from an internal xorshift generator seeded by the caller, so the same
 //! seed replays the same retry schedule.
@@ -20,10 +21,8 @@ use crate::xml::{WireError, XmlElement, XmlPut};
 use gsa_types::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// A reliable-delivery envelope: either a sequenced payload, a positive
-/// acknowledgement, or a negative acknowledgement (the receiver saw the
-/// sequence number but refuses the payload — the sender should
-/// dead-letter it instead of retrying).
+/// A reliable-delivery envelope: either a sequenced payload or a
+/// positive acknowledgement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reliable<M> {
     /// A payload with the sender's sequence number.
@@ -43,18 +42,13 @@ pub enum Reliable<M> {
         /// The numbers after `seq` that are acknowledged too, one bit each.
         more: u64,
     },
-    /// Negative acknowledgement: stop retrying `seq`.
-    Nack {
-        /// The refused sequence number.
-        seq: u64,
-    },
 }
 
 impl<M> Reliable<M> {
     /// The sequence number this envelope refers to.
     pub fn seq(&self) -> u64 {
         match self {
-            Reliable::Data { seq, .. } | Reliable::Ack { seq, .. } | Reliable::Nack { seq } => *seq,
+            Reliable::Data { seq, .. } | Reliable::Ack { seq, .. } => *seq,
         }
     }
 }
@@ -88,27 +82,32 @@ pub fn ack_windows(seqs: &mut [u64]) -> Vec<(u64, u64)> {
     windows
 }
 
-/// The XML tag of each of the envelope's forms, at the index that is its
-/// v2 tag byte. v1 is `<tag seq="n">` around the payload's element, with
-/// a `more` attribute on a selective ack; v2 is the tag byte, a varint
-/// seq, and the payload's own frame or, under tag 3, a varint `more`. A
-/// bare ack keeps tag 1, so it is the frame it always was.
-const TAGS: [&str; 4] = ["rel-data", "rel-ack", "rel-nack", "rel-ack"];
+/// The envelope's v2 tag bytes. v1 is `<rel-data seq="n">` around the
+/// payload's element, or `<rel-ack seq="n">` with a `more` attribute on a
+/// selective ack; v2 is the tag byte, a varint seq, and the payload's
+/// own frame or, under tag 3, a varint `more`. A bare ack keeps tag 1,
+/// so it is the frame it always was. Tag 2 and `rel-nack` were a
+/// negative acknowledgement no node ever sent: both decode to an error.
+const DATA_FORM: u8 = 0;
+const ACK_FORM: u8 = 1;
+const WINDOW_FORM: u8 = 3;
 
 impl<M> Reliable<M> {
-    fn form(&self) -> usize {
+    fn form(&self) -> u8 {
         match self {
-            Reliable::Data { .. } => 0,
-            Reliable::Ack { more: 0, .. } => 1,
-            Reliable::Nack { .. } => 2,
-            Reliable::Ack { .. } => 3,
+            Reliable::Data { .. } => DATA_FORM,
+            Reliable::Ack { more: 0, .. } => ACK_FORM,
+            Reliable::Ack { .. } => WINDOW_FORM,
         }
     }
 }
 
 impl<M: WireMessage> WireMessage for Reliable<M> {
     fn tag(&self) -> &'static str {
-        TAGS[self.form()]
+        match self {
+            Reliable::Data { .. } => "rel-data",
+            Reliable::Ack { .. } => "rel-ack",
+        }
     }
 
     fn put_xml(&self, out: &mut impl XmlPut) {
@@ -129,25 +128,24 @@ impl<M: WireMessage> WireMessage for Reliable<M> {
         };
         let seq =
             number("seq").ok_or_else(|| WireError::malformed("reliable envelope lacks seq"))??;
-        match TAGS.iter().position(|tag| *tag == el.name()) {
-            Some(0) => match el.elements().next() {
+        match el.name() {
+            "rel-data" => match el.elements().next() {
                 Some(inner) => Ok(Reliable::Data {
                     seq,
                     payload: M::from_xml(inner)?,
                 }),
                 None => Err(WireError::malformed("rel-data lacks a payload")),
             },
-            Some(1) => Ok(Reliable::Ack {
+            "rel-ack" => Ok(Reliable::Ack {
                 seq,
                 more: number("more").unwrap_or(Ok(0))?,
             }),
-            Some(2) => Ok(Reliable::Nack { seq }),
             _ => Err(WireError::malformed("unknown reliable envelope form")),
         }
     }
 
     fn put_bin(&self, out: &mut impl ByteSink) {
-        out.put_u8(self.form() as u8);
+        out.put_u8(self.form());
         write_varint(out, self.seq());
         match self {
             Reliable::Data { payload, .. } => payload.put_frame(out),
@@ -160,13 +158,12 @@ impl<M: WireMessage> WireMessage for Reliable<M> {
         let tag = r.read_u8()?;
         let seq = r.read_varint()?;
         match tag {
-            0 => Ok(Reliable::Data {
+            DATA_FORM => Ok(Reliable::Data {
                 seq,
                 payload: r.read_frame(M::take_bin)?,
             }),
-            1 => Ok(Reliable::Ack { seq, more: 0 }),
-            2 => Ok(Reliable::Nack { seq }),
-            3 => Ok(Reliable::Ack {
+            ACK_FORM => Ok(Reliable::Ack { seq, more: 0 }),
+            WINDOW_FORM => Ok(Reliable::Ack {
                 seq,
                 more: r.read_varint()?,
             }),
@@ -176,8 +173,9 @@ impl<M: WireMessage> WireMessage for Reliable<M> {
 }
 
 /// Retry parameters: exponential backoff from `base` by `multiplier` up
-/// to `max_interval`, ± `jitter` (a fraction of the interval), with an
-/// optional attempt budget after which the message is dead-lettered.
+/// to `max_interval`, ± `jitter` (a fraction of the interval). There is
+/// no attempt budget: an entry is retried until acknowledged, the §7
+/// "delayed, not lost" regime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// First retransmission delay.
@@ -188,21 +186,6 @@ pub struct RetryPolicy {
     pub max_interval: SimDuration,
     /// Jitter as a fraction of the interval (0.0 = none, 0.2 = ±20 %).
     pub jitter: f64,
-    /// Maximum number of retransmissions before dead-lettering; `None`
-    /// retries forever (the §7 "delayed, not lost" regime).
-    pub budget: Option<u32>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: SimDuration::from_millis(500),
-            multiplier: 2.0,
-            max_interval: SimDuration::from_secs(4),
-            jitter: 0.2,
-            budget: None,
-        }
-    }
 }
 
 impl RetryPolicy {
@@ -229,23 +212,12 @@ struct InFlight<P, M> {
     retransmitted: bool,
 }
 
-/// What a [`RetransmitQueue::poll`] decided: payloads to retransmit now,
-/// and payloads whose retry budget is exhausted (dead letters).
-#[derive(Debug, Clone, Default)]
-pub struct PollOutcome<P, M> {
-    /// `(seq, peer, payload)` the caller must re-send.
-    pub retransmit: Vec<(u64, P, M)>,
-    /// `(seq, peer, payload)` dropped after exhausting the budget.
-    pub dead: Vec<(u64, P, M)>,
-}
-
-/// A retransmission queue with exponential backoff, jitter, a bounded
-/// retry budget, and RACK fast retransmit (RFC 8985).
+/// A retransmission queue with exponential backoff, jitter, and RACK
+/// fast retransmit (RFC 8985). An entry leaves it only when acknowledged.
 ///
 /// The queue never does I/O: the owner calls [`RetransmitQueue::send`]
-/// when it first transmits a payload to a peer,
-/// [`RetransmitQueue::ack`] / [`RetransmitQueue::nack`] on
-/// acknowledgements, and [`RetransmitQueue::poll`] from a periodic
+/// when it first transmits a payload to a peer, [`RetransmitQueue::ack`]
+/// on acknowledgements, and [`RetransmitQueue::poll`] from a periodic
 /// timer, re-sending whatever the last two return. Determinism: jitter
 /// is drawn from an internal xorshift seeded at construction.
 #[derive(Debug, Clone)]
@@ -272,11 +244,6 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
             rng_state: seed | 1,
             min_rtt: BTreeMap::new(),
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Number of unacknowledged payloads.
@@ -353,58 +320,24 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
         lost
     }
 
-    /// Negative acknowledgement: drop `seq` without further retries and
-    /// return it for dead-lettering.
-    pub fn nack(&mut self, seq: u64) -> Option<M> {
-        self.inflight.remove(&seq).map(|e| e.payload)
-    }
-
-    /// The earliest time any entry wants a retransmission, for callers
-    /// that schedule precise timers rather than a fixed tick.
-    pub fn next_due(&self) -> Option<SimTime> {
-        self.inflight.values().map(|e| e.next_due).min()
-    }
-
-    /// Age of the oldest unacknowledged payload.
-    pub fn oldest_age(&self, now: SimTime) -> Option<SimDuration> {
-        self.inflight
-            .values()
-            .map(|e| e.first_sent)
-            .min()
-            .map(|t| now.since(t))
-    }
-
-    /// Advances the queue to `now`: every due entry either comes back
-    /// for retransmission (attempt counter bumped, next deadline pushed
-    /// out by the backed-off, jittered interval) or — once the budget is
-    /// exhausted — is removed and returned as a dead letter.
-    pub fn poll(&mut self, now: SimTime) -> PollOutcome<P, M> {
-        let mut out = PollOutcome {
-            retransmit: Vec::new(),
-            dead: Vec::new(),
-        };
+    /// Advances the queue to `now`: every due entry comes back as
+    /// `(seq, peer, payload)` for the caller to re-send, its attempt
+    /// counter bumped and its next deadline pushed out by the
+    /// backed-off, jittered interval.
+    pub fn poll(&mut self, now: SimTime) -> Vec<(u64, P, M)> {
         let due: Vec<u64> = self
             .inflight
             .iter()
             .filter(|(_, e)| e.next_due <= now)
             .map(|(seq, _)| *seq)
             .collect();
+        let mut out = Vec::with_capacity(due.len());
         for seq in due {
             let entry = self.inflight.get_mut(&seq).expect("due entry exists");
-            if self
-                .policy
-                .budget
-                .is_some_and(|budget| entry.attempts >= budget)
-            {
-                let entry = self.inflight.remove(&seq).expect("due entry exists");
-                out.dead.push((seq, entry.peer, entry.payload));
-                continue;
-            }
             entry.attempts += 1;
             entry.retransmitted = true;
             let attempts = entry.attempts;
-            out.retransmit
-                .push((seq, entry.peer, entry.payload.clone()));
+            out.push((seq, entry.peer, entry.payload.clone()));
             let delay = self.jittered(self.policy.interval(attempts));
             let entry = self.inflight.get_mut(&seq).expect("due entry exists");
             entry.next_due = now + delay;
@@ -435,13 +368,14 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
 mod tests {
     use super::*;
 
-    fn policy(budget: Option<u32>) -> RetryPolicy {
+    /// 100 ms doubling to 800 ms, no jitter: the actors' schedule, five
+    /// times faster and exact.
+    fn policy() -> RetryPolicy {
         RetryPolicy {
             base: SimDuration::from_millis(100),
             multiplier: 2.0,
             max_interval: SimDuration::from_millis(800),
             jitter: 0.0,
-            budget,
         }
     }
 
@@ -487,7 +421,6 @@ mod tests {
                 seq: u64::MAX,
                 more: u64::MAX,
             },
-            Reliable::Nack { seq: 11 },
         ] {
             let el = rel.to_xml();
             assert_eq!(rel.wire_size(), el.to_xml_string().len());
@@ -512,6 +445,10 @@ mod tests {
         assert!(Reliable::<Note>::from_xml(&bad_more).is_err());
         // [magic, len 2, tag 4, seq 1]: no such form.
         assert!(Reliable::<Note>::from_binary(&[0xB2, 2, 4, 1]).is_err());
+        // [magic, len 2, tag 2, seq 1] and `rel-nack`: the retired nack.
+        assert!(Reliable::<Note>::from_binary(&[0xB2, 2, 2, 1]).is_err());
+        let nack = XmlElement::new("rel-nack").with_attr("seq", "1");
+        assert!(Reliable::<Note>::from_xml(&nack).is_err());
         // [magic, len 2, tag 3, seq 1]: a selective ack without its window.
         assert!(Reliable::<Note>::from_binary(&[0xB2, 2, 3, 1]).is_err());
     }
@@ -554,7 +491,7 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let p = policy(None);
+        let p = policy();
         assert_eq!(p.interval(0), SimDuration::from_millis(100));
         assert_eq!(p.interval(1), SimDuration::from_millis(200));
         assert_eq!(p.interval(2), SimDuration::from_millis(400));
@@ -572,7 +509,7 @@ mod tests {
 
     #[test]
     fn ack_stops_retransmission() {
-        let mut q = RetransmitQueue::new(policy(None), 1);
+        let mut q = RetransmitQueue::new(policy(), 1);
         let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         q.ack(OTHER, [seq], ms(1));
@@ -580,29 +517,26 @@ mod tests {
         q.ack(PEER, [seq], ms(1));
         assert!(q.is_empty());
         assert!(q.ack(PEER, [seq], ms(2)).is_empty(), "idempotent");
-        let out = q.poll(SimTime::from_secs(100));
-        assert!(out.retransmit.is_empty() && out.dead.is_empty());
+        assert!(q.poll(SimTime::from_secs(100)).is_empty());
     }
 
     #[test]
     fn unacked_payloads_retransmit_with_backoff() {
-        let mut q = RetransmitQueue::new(policy(None), 1);
+        let mut q = RetransmitQueue::new(policy(), 1);
         let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         // Not yet due.
-        assert!(q.poll(ms(50)).retransmit.is_empty());
+        assert!(q.poll(ms(50)).is_empty());
         // First retry at 100 ms.
-        let out = q.poll(ms(100));
-        assert_eq!(out.retransmit, vec![(seq, PEER, "m".to_string())]);
+        assert_eq!(q.poll(ms(100)), vec![(seq, PEER, "m".to_string())]);
         // Next due 200 ms later, not before.
-        assert!(q.poll(ms(250)).retransmit.is_empty());
-        let out = q.poll(ms(300));
-        assert_eq!(out.retransmit.len(), 1);
+        assert!(q.poll(ms(250)).is_empty());
+        assert_eq!(q.poll(ms(300)).len(), 1);
     }
 
     /// Three frames to one peer 10 ms apart; the middle one's ack comes
     /// back after a 5 ms round trip, which proves the first lost.
     fn hole_at_the_front() -> (RetransmitQueue<u8, String>, Vec<(u64, String)>) {
-        let mut q = RetransmitQueue::new(policy(None), 1);
+        let mut q = RetransmitQueue::new(policy(), 1);
         for (at, payload) in [(0, "a"), (10, "b"), (20, "c")] {
             q.send(PEER, payload.to_string(), ms(at));
         }
@@ -627,11 +561,10 @@ mod tests {
         let (mut q, lost) = hole_at_the_front();
         assert_eq!(lost.len(), 1);
         q.ack(PEER, [2], ms(25));
-        assert_eq!(q.next_due(), Some(ms(100)));
-        assert!(q.poll(ms(99)).retransmit.is_empty());
-        assert_eq!(q.poll(ms(100)).retransmit, vec![(0, PEER, "a".to_string())]);
-        assert!(q.poll(ms(299)).retransmit.is_empty());
-        assert_eq!(q.poll(ms(300)).retransmit.len(), 1);
+        assert!(q.poll(ms(99)).is_empty());
+        assert_eq!(q.poll(ms(100)), vec![(0, PEER, "a".to_string())]);
+        assert!(q.poll(ms(299)).is_empty());
+        assert_eq!(q.poll(ms(300)).len(), 1);
     }
 
     /// Karn's rule: the ack of an entry sent twice times neither send,
@@ -639,10 +572,10 @@ mod tests {
     /// the backoff schedule already re-sent.
     #[test]
     fn retransmitted_entries_give_no_rtt_sample() {
-        let mut q = RetransmitQueue::new(policy(None), 1);
+        let mut q = RetransmitQueue::new(policy(), 1);
         q.send(PEER, "a".to_string(), SimTime::ZERO);
         q.send(PEER, "b".to_string(), ms(1));
-        assert_eq!(q.poll(ms(100)).retransmit.len(), 1);
+        assert_eq!(q.poll(ms(100)).len(), 1);
         q.send(PEER, "c".to_string(), ms(100));
         assert!(q.ack(PEER, [0], ms(102)).is_empty());
         assert_eq!(q.min_rtt.get(&PEER), None);
@@ -657,13 +590,13 @@ mod tests {
     #[test]
     fn nothing_sent_inside_the_reorder_window_is_resent() {
         // A 40 ms round trip makes a 10 ms window.
-        let mut q = RetransmitQueue::new(policy(None), 1);
+        let mut q = RetransmitQueue::new(policy(), 1);
         q.send(PEER, "inside".to_string(), ms(0));
         q.send(OTHER, "elsewhere".to_string(), ms(0));
         q.send(PEER, "acked".to_string(), ms(10));
         assert!(q.ack(PEER, [2], ms(50)).is_empty());
         // One more microsecond and the first is outside it.
-        let mut q = RetransmitQueue::new(policy(None), 1);
+        let mut q = RetransmitQueue::new(policy(), 1);
         q.send(PEER, "outside".to_string(), ms(0));
         q.send(OTHER, "elsewhere".to_string(), ms(0));
         q.send(PEER, "acked".to_string(), SimTime::from_micros(10_001));
@@ -671,35 +604,24 @@ mod tests {
         assert_eq!(lost, vec![(0, "outside".to_string())]);
     }
 
+    /// An entry is retried until it is acknowledged, however long that
+    /// takes: the queue has no budget to run out of.
     #[test]
-    fn budget_exhaustion_dead_letters() {
-        let mut q = RetransmitQueue::new(policy(Some(2)), 1);
+    fn an_unacknowledged_entry_is_retried_for_ever() {
+        let mut q = RetransmitQueue::new(policy(), 1);
         let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
         let mut now = SimTime::ZERO;
-        let mut retransmits = 0;
-        let mut dead = Vec::new();
-        for _ in 0..10 {
-            now += SimDuration::from_secs(2);
-            let out = q.poll(now);
-            retransmits += out.retransmit.len();
-            dead.extend(out.dead);
+        for _ in 0..50 {
+            now += SimDuration::from_secs(1);
+            assert_eq!(q.poll(now), vec![(seq, PEER, "m".to_string())]);
         }
-        assert_eq!(retransmits, 2, "budget bounds retries");
-        assert_eq!(dead, vec![(seq, PEER, "m".to_string())]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn nack_dead_letters_immediately() {
-        let mut q = RetransmitQueue::new(policy(None), 1);
-        let seq = q.send(PEER, "m".to_string(), SimTime::ZERO);
-        assert_eq!(q.nack(seq), Some("m".to_string()));
+        q.ack(PEER, [seq], now);
         assert!(q.is_empty());
     }
 
     #[test]
     fn jitter_stays_within_bounds_and_is_deterministic() {
-        let mut p = policy(None);
+        let mut p = policy();
         p.jitter = 0.2;
         let mut a: RetransmitQueue<u8, String> = RetransmitQueue::new(p.clone(), 42);
         let mut b: RetransmitQueue<u8, String> = RetransmitQueue::new(p, 42);
@@ -710,18 +632,5 @@ mod tests {
             assert!(ja >= SimDuration::from_millis(800));
             assert!(ja <= SimDuration::from_millis(1200));
         }
-    }
-
-    #[test]
-    fn next_due_tracks_earliest_entry() {
-        let mut q = RetransmitQueue::new(policy(None), 1);
-        assert_eq!(q.next_due(), None);
-        q.send(PEER, "a".to_string(), SimTime::ZERO);
-        q.send(PEER, "b".to_string(), ms(500));
-        assert_eq!(q.next_due(), Some(ms(100)));
-        assert_eq!(
-            q.oldest_age(SimTime::from_secs(1)),
-            Some(SimDuration::from_secs(1))
-        );
     }
 }

@@ -269,7 +269,7 @@ fn run_hybrid(
     let (topo, assignment) = world.gds_tree(cfg.fanout);
     let mut system = System::new(cfg.seed);
     if cfg.reliable {
-        system.set_reliability(ReliabilityConfig::default());
+        system.set_reliability(ReliabilityConfig);
     }
     system.set_pruning(cfg.pruned);
     system.set_durability(cfg.durable);

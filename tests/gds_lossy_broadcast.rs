@@ -35,7 +35,7 @@ fn lossy_world(
 ) -> (System, Watchers, Option<gsa_types::ClientId>) {
     let mut system = System::new(seed);
     configure(&mut system);
-    system.set_reliability(ReliabilityConfig::default());
+    system.set_reliability(ReliabilityConfig);
     system.set_pruning(pruned);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
@@ -198,7 +198,7 @@ fn dedup_memory_closes_every_gap_that_retransmission_fills() {
 fn wires() -> [(&'static str, WireConfig); 2] {
     [
         ("xml", WireConfig::default()),
-        ("v2-batched", WireConfig::v2_batched(BatchConfig::default())),
+        ("v2-batched", WireConfig::v2_batched(BatchConfig)),
     ]
 }
 

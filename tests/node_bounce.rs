@@ -93,9 +93,9 @@ fn later_rebuild_crosses_a_bounced_batching_node(reliable: bool) {
     // links and two upstream flush delays) and leaves about 2 ms later.
     for offset_us in (6_000..11_000).step_by(50) {
         let (mut system, client) = world(|s| {
-            s.set_wire(WireConfig::v2_batched(BatchConfig::default()));
+            s.set_wire(WireConfig::v2_batched(BatchConfig));
             if reliable {
-                s.set_reliability(ReliabilityConfig::default());
+                s.set_reliability(ReliabilityConfig);
             }
         });
         system
@@ -137,7 +137,7 @@ fn a_batch_flush_survives_its_node_bouncing_reliable() {
 #[test]
 fn an_ack_flush_survives_its_node_bouncing() {
     for offset_us in (2_000..6_000).step_by(100) {
-        let (mut system, client) = world(|s| s.set_reliability(ReliabilityConfig::default()));
+        let (mut system, client) = world(|s| s.set_reliability(ReliabilityConfig));
         system
             .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
             .unwrap();
@@ -176,7 +176,7 @@ fn idle_window(system: &mut System) -> (u64, usize) {
 /// twin that never bounced.
 #[test]
 fn a_bounced_node_runs_each_timer_once() {
-    let reliable = |s: &mut System| s.set_reliability(ReliabilityConfig::default());
+    let reliable = |s: &mut System| s.set_reliability(ReliabilityConfig);
     let (mut twin, _) = world(reliable);
     twin.run_for(OUTAGE);
     twin.run_for(SimDuration::from_secs(5));

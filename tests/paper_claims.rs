@@ -15,7 +15,8 @@
 //! fails when the document and the measurement disagree, and prints the
 //! block the document should hold.
 
-use gsa_core::{AlertPolicyConfig, CoreConfig, SysMessage, System, WireConfig};
+use gsa_core::aux::AUX_RETRY_INTERVAL;
+use gsa_core::{AlertPolicyConfig, SysMessage, System, WireConfig};
 use gsa_filter::FilterEngine;
 use gsa_gds::{balanced_tree, figure2_tree, GdsMessage, GdsTopology};
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
@@ -641,7 +642,7 @@ fn e5() -> &'static Claim {
              arrives within one retry interval and one hop of the heal, and a dangling \
              auxiliary profile is reaped",
         );
-        let retry = CoreConfig::default().retry.base;
+        let retry = AUX_RETRY_INTERVAL;
         // The first retry after the heal crosses one GS hop, London to
         // Hamilton, on the default link.
         let link = LinkConfig::default();

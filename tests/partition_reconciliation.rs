@@ -99,7 +99,7 @@ fn delete_replay_after_heal_survives_message_loss() {
     // until the ack lands; the dangling auxiliary profile must still be
     // reaped exactly as in the clean-network case.
     let mut system = System::new(7);
-    system.set_reliability(ReliabilityConfig::default());
+    system.set_reliability(ReliabilityConfig);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");

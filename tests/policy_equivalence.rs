@@ -24,10 +24,7 @@ const SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
 
 /// The wire configurations every scenario is replayed on.
 fn wires() -> [WireConfig; 2] {
-    [
-        WireConfig::default(),
-        WireConfig::v2_batched(BatchConfig::default()),
-    ]
+    [WireConfig::default(), WireConfig::v2_batched(BatchConfig)]
 }
 
 fn doc(id: &str) -> SourceDocument {

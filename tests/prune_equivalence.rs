@@ -225,8 +225,8 @@ fn attr_workload(system: &mut System) -> (Delivered, u64) {
 #[test]
 fn every_counter_of_a_run_with_every_switch_on_has_a_slot() {
     let mut system = System::new(SEEDS[0]);
-    system.set_wire(WireConfig::v2_batched(BatchConfig::default()));
-    system.set_reliability(ReliabilityConfig::default());
+    system.set_wire(WireConfig::v2_batched(BatchConfig));
+    system.set_reliability(ReliabilityConfig);
     system.set_pruning(true);
     system.set_rendezvous(true);
     system.set_durability(true);

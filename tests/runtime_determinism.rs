@@ -21,7 +21,7 @@ fn doc(id: &str, text: &str) -> SourceDocument {
 /// sets, both in deterministic order.
 fn hybrid_run(seed: u64) -> (String, Vec<String>) {
     let mut system = System::new(seed);
-    system.set_wire(WireConfig::v2_batched(BatchConfig::default()));
+    system.set_wire(WireConfig::v2_batched(BatchConfig));
     system.set_pruning(true);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");

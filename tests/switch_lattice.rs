@@ -1,0 +1,262 @@
+//! The product of the node switches: whatever combination a deployment
+//! turns on, every client receives exactly what the paper's
+//! configuration delivers.
+//!
+//! Each switch has its own oracle (`prune_equivalence`,
+//! `policy_equivalence`, `probe_equivalence`, the chaos and durability
+//! suites), but each of those holds every other switch at one setting.
+//! This file runs a pairwise covering array over the six node switches
+//! — reliability, wire (v1, v2, v2 batched), pruning, rendezvous,
+//! durability and alert policies (none or observe-only) — so every pair
+//! of values meets in some cell. Each cell runs a Figure-2 broadcast and
+//! a Figure-3 auxiliary rewrite on calm links over three seeds, and its
+//! per-client list of (root event, origin) pairs must equal the all-off
+//! cell's.
+
+use gsa_core::{AlertPolicyConfig, BatchConfig, ReliabilityConfig, System, WireConfig};
+use gsa_gds::figure2_tree;
+use gsa_greenstone::{CollectionConfig, SubCollectionRef};
+use gsa_store::SourceDocument;
+use gsa_types::{ClientId, CollectionId, SimTime};
+use std::collections::{BTreeMap, BTreeSet};
+
+const SEEDS: [u64; 3] = [1, 2, 3];
+
+/// The three wires a deployment can run.
+#[derive(Debug, Clone, Copy)]
+enum Wire {
+    V1,
+    V2,
+    V2Batched,
+}
+
+/// One setting of the six node switches.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    reliable: bool,
+    wire: Wire,
+    pruning: bool,
+    rendezvous: bool,
+    durable: bool,
+    policies: bool,
+}
+
+const fn cell(
+    reliable: bool,
+    wire: Wire,
+    pruning: bool,
+    rendezvous: bool,
+    durable: bool,
+    policies: bool,
+) -> Cell {
+    Cell {
+        reliable,
+        wire,
+        pruning,
+        rendezvous,
+        durable,
+        policies,
+    }
+}
+
+/// A pairwise covering array: the all-off reference first, then seven
+/// cells that with it cover every pair of switch values, the last of
+/// them everything on (what `production_churn` deploys).
+const CELLS: [Cell; 8] = [
+    cell(false, Wire::V1, false, false, false, false),
+    cell(true, Wire::V1, true, true, true, true),
+    cell(false, Wire::V2, true, false, false, true),
+    cell(true, Wire::V2, false, true, true, false),
+    cell(true, Wire::V2Batched, true, false, false, false),
+    cell(false, Wire::V2Batched, false, false, true, true),
+    cell(false, Wire::V2Batched, true, true, false, true),
+    cell(true, Wire::V2Batched, true, true, true, true),
+];
+
+/// A cell's value of each switch, in `Cell`'s field order.
+fn values(c: &Cell) -> [u8; 6] {
+    [
+        c.reliable as u8,
+        c.wire as u8,
+        c.pruning as u8,
+        c.rendezvous as u8,
+        c.durable as u8,
+        c.policies as u8,
+    ]
+}
+
+#[test]
+fn the_cells_cover_every_pair_of_switch_values() {
+    let mut levels = vec![BTreeSet::new(); 6];
+    let mut met = BTreeSet::new();
+    for v in CELLS.iter().map(values) {
+        for i in 0..6 {
+            levels[i].insert(v[i]);
+            for j in i + 1..6 {
+                met.insert((i, v[i], j, v[j]));
+            }
+        }
+    }
+    let sizes: Vec<usize> = levels.iter().map(BTreeSet::len).collect();
+    assert_eq!(
+        sizes,
+        [2, 3, 2, 2, 2, 2],
+        "every value of every switch appears"
+    );
+    let pairs: usize = (0..6)
+        .flat_map(|i| (i + 1..6).map(move |j| (i, j)))
+        .map(|(i, j)| sizes[i] * sizes[j])
+        .sum();
+    assert_eq!(met.len(), pairs, "every pair of values meets in some cell");
+}
+
+/// A deployment of `cell` with the Figure-2 tree in place.
+fn deploy(seed: u64, c: &Cell) -> System {
+    let mut system = System::new(seed);
+    if c.reliable {
+        system.set_reliability(ReliabilityConfig);
+    }
+    system.set_wire(match c.wire {
+        Wire::V1 => WireConfig::default(),
+        Wire::V2 => WireConfig::v2(),
+        Wire::V2Batched => WireConfig::v2_batched(BatchConfig),
+    });
+    system.set_pruning(c.pruning);
+    system.set_rendezvous(c.rendezvous);
+    system.set_durability(c.durable);
+    system.set_alert_policies(c.policies.then(AlertPolicyConfig::observe_only));
+    system.add_gds_topology(&figure2_tree());
+    system
+}
+
+fn doc(id: &str) -> SourceDocument {
+    SourceDocument::new(id, "fresh content")
+}
+
+/// Per watching host, the (root event, origin) of every notification
+/// its client received, sorted: a duplicate shows as a repeat.
+type Delivered = BTreeMap<&'static str, Vec<(String, String)>>;
+
+fn watch(system: &mut System, watchers: &[(&'static str, &str)]) -> Vec<(&'static str, ClientId)> {
+    watchers
+        .iter()
+        .map(|&(host, profile)| {
+            let client = system.add_client(host);
+            system.subscribe_text(host, client, profile).unwrap();
+            (host, client)
+        })
+        .collect()
+}
+
+fn drain(system: &mut System, clients: &[(&'static str, ClientId)]) -> Delivered {
+    clients
+        .iter()
+        .map(|&(host, client)| {
+            let mut got: Vec<(String, String)> = system
+                .take_notifications(host, client)
+                .into_iter()
+                .map(|n| (n.event.root.to_string(), n.event.origin.to_string()))
+                .collect();
+            got.sort();
+            (host, got)
+        })
+        .collect()
+}
+
+/// Figure-2 broadcast: publishers on two branches, watchers with
+/// host-, collection- and kind-anchored and never-matching profiles
+/// across the rest of the tree, three rebuilds.
+fn broadcast(seed: u64, c: &Cell) -> Delivered {
+    let mut system = deploy(seed, c);
+    for (host, gds) in [
+        ("Hamilton", "gds-4"),
+        ("London", "gds-2"),
+        ("Paris", "gds-5"),
+        ("Berlin", "gds-3"),
+        ("Oslo", "gds-6"),
+        ("Madrid", "gds-7"),
+    ] {
+        system.add_server(host, gds);
+    }
+    system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
+    system.add_collection("London", CollectionConfig::simple("E", "e"));
+    let clients = watch(
+        &mut system,
+        &[
+            ("Paris", r#"host = "Hamilton""#),
+            ("Berlin", r#"collection = "London.E""#),
+            ("Oslo", r#"kind = "collection-rebuilt""#),
+            ("Madrid", r#"host = "Nowhere""#),
+        ],
+    );
+    system.run_until_quiet(SimTime::from_secs(5));
+    system.rebuild("Hamilton", "D", vec![doc("d1")]).unwrap();
+    system.run_until(SimTime::from_secs(20));
+    system.rebuild("London", "E", vec![doc("e1")]).unwrap();
+    system.run_until(SimTime::from_secs(35));
+    system.rebuild("Hamilton", "D", vec![doc("d2")]).unwrap();
+    system.run_until_quiet(SimTime::from_secs(120));
+    drain(&mut system, &clients)
+}
+
+/// Figure-3 auxiliary rewrite: Hamilton.D includes London.E, so one
+/// rebuild of E is announced under both origins.
+fn aux_rewrite(seed: u64, c: &Cell) -> Delivered {
+    let mut system = deploy(seed, c);
+    for (host, gds) in [
+        ("Hamilton", "gds-4"),
+        ("London", "gds-2"),
+        ("Berlin", "gds-3"),
+        ("Paris", "gds-5"),
+        ("Madrid", "gds-7"),
+    ] {
+        system.add_server(host, gds);
+    }
+    system.add_collection("London", CollectionConfig::simple("E", "E"));
+    system.add_collection(
+        "Hamilton",
+        CollectionConfig::simple("D", "D")
+            .with_subcollection(SubCollectionRef::new("e", CollectionId::new("London", "E"))),
+    );
+    let clients = watch(
+        &mut system,
+        &[
+            ("Berlin", r#"collection = "Hamilton.D""#),
+            ("Paris", r#"collection = "London.E""#),
+            ("Madrid", r#"host = "Nowhere""#),
+        ],
+    );
+    system.run_until_quiet(SimTime::from_secs(5));
+    system.rebuild("London", "E", vec![doc("e1")]).unwrap();
+    system.run_until_quiet(SimTime::from_secs(90));
+    drain(&mut system, &clients)
+}
+
+/// Every cell delivers what the all-off cell delivers, on every seed;
+/// `expected` pins the all-off cell's per-host counts so the comparison
+/// is not between two empty runs.
+fn every_cell_matches(world: fn(u64, &Cell) -> Delivered, expected: &[(&str, usize)]) {
+    for seed in SEEDS {
+        let reference = world(seed, &CELLS[0]);
+        let counts: Vec<(&str, usize)> = reference.iter().map(|(h, d)| (*h, d.len())).collect();
+        let mut want = expected.to_vec();
+        want.sort();
+        assert_eq!(counts, want, "seed {seed}: the all-off cell");
+        for c in &CELLS[1..] {
+            assert_eq!(world(seed, c), reference, "seed {seed}, {c:?}");
+        }
+    }
+}
+
+#[test]
+fn every_cell_delivers_the_paper_broadcast() {
+    every_cell_matches(
+        broadcast,
+        &[("Paris", 2), ("Berlin", 1), ("Oslo", 3), ("Madrid", 0)],
+    );
+}
+
+#[test]
+fn every_cell_delivers_the_paper_aux_rewrite() {
+    every_cell_matches(aux_rewrite, &[("Berlin", 1), ("Paris", 1), ("Madrid", 0)]);
+}

@@ -17,7 +17,7 @@ use gsa_greenstone::{GsError, GsMessage, RequestId};
 use gsa_store::{Query, SourceDocument};
 use gsa_types::{
     CollectionId, DocSummary, DocumentRef, Event, EventId, EventKind, MessageId, MetadataRecord,
-    SimTime,
+    SimDuration, SimTime,
 };
 use gsa_wire::binary::{
     decode_frame, payload_bytes_from_xml, payload_xml_from_bytes, write_frame, ByteSink, MAX_DEPTH,
@@ -485,11 +485,6 @@ fn the_reliable_envelope_is_pinned() {
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
              <rel-ack seq=\"18446744073709551615\" more=\"18446744073709551615\"/>",
         ),
-        (
-            Reliable::Nack { seq: u64::MAX },
-            "b20b02ffffffffffffffffff01",
-            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><rel-nack seq=\"18446744073709551615\"/>",
-        ),
     ] {
         assert_eq!(hex(&reliable_to_binary(&rel)), frame, "v2 frame of {rel:?}");
         assert_eq!(
@@ -513,6 +508,26 @@ fn the_reliable_envelope_is_pinned() {
     }
 }
 
+/// Tag 2 and `rel-nack` were a negative acknowledgement no node ever
+/// sent, and are retired. The frames the retired encoder wrote decode to
+/// an error on both wires: never a panic, never an ack.
+#[test]
+fn the_retired_nack_is_refused_on_both_wires() {
+    for frame in ["b20b02ffffffffffffffffff01", "b2020207"] {
+        assert!(
+            reliable_from_binary(&unhex(frame)).is_err(),
+            "v2 frame {frame}"
+        );
+    }
+    for document in [
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><rel-nack seq=\"18446744073709551615\"/>",
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><rel-nack seq=\"7\"/>",
+    ] {
+        let el = parse_document(document).unwrap();
+        assert!(reliable_from_xml(&el).is_err(), "v1 text {document}");
+    }
+}
+
 /// The hostile window pinned above, every bit set past the last sequence
 /// number, is applied to a sender's queue without an overflow: it
 /// acknowledges `u64::MAX` and nothing else.
@@ -522,7 +537,13 @@ fn a_window_past_the_last_sequence_number_is_applied_safely() {
     let Reliable::<GdsMessage>::Ack { seq, more } = reliable_from_binary(&frame).unwrap() else {
         panic!("expected an ack");
     };
-    let mut queue = RetransmitQueue::new(RetryPolicy::default(), 1);
+    let policy = RetryPolicy {
+        base: SimDuration::from_millis(500),
+        multiplier: 2.0,
+        max_interval: SimDuration::from_secs(4),
+        jitter: 0.2,
+    };
+    let mut queue = RetransmitQueue::new(policy, 1);
     let first = queue.send(9u32, "first", SimTime::ZERO);
     let lost = queue.ack(9, acked_seqs(seq, more), SimTime::from_millis(1));
     assert!(lost.is_empty());
@@ -683,7 +704,7 @@ fn trailing_bytes_inside_a_frame_are_refused() {
         payload: inner.clone(),
     };
     type Decoder = fn(&[u8]) -> bool;
-    let decoders: [(&str, Vec<u8>, Decoder); 7] = [
+    let decoders: [(&str, Vec<u8>, Decoder); 6] = [
         ("message", inner.to_binary(), |b| {
             GdsMessage::from_binary(b).is_ok()
         }),
@@ -703,11 +724,6 @@ fn trailing_bytes_inside_a_frame_are_refused() {
         (
             "selective ack",
             Reliable::<GdsMessage>::Ack { seq: 7, more: 3 }.to_binary(),
-            |b| Reliable::<GdsMessage>::from_binary(b).is_ok(),
-        ),
-        (
-            "nack",
-            Reliable::<GdsMessage>::Nack { seq: 7 }.to_binary(),
             |b| Reliable::<GdsMessage>::from_binary(b).is_ok(),
         ),
         ("envelope", envelope.encode_binary(), |b| {
