@@ -14,8 +14,10 @@ use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
-use gsa_types::{Counts, FxHashMap, HostName, SimDuration};
-use gsa_wire::reliable::{ack_windows, acked_seqs, Reliable, RetransmitQueue, RetryPolicy};
+use gsa_types::{Counts, FxHashMap, HostName, SimDuration, SimTime};
+use gsa_wire::reliable::{
+    ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, RetryPolicy,
+};
 use gsa_wire::WireFormat;
 use std::collections::{BTreeMap, HashMap};
 
@@ -34,8 +36,8 @@ fn host_of(ctx: &Ctx<'_, SysMessage>, node: NodeId) -> HostName {
 
 /// Timer tag for the periodic maintenance tick.
 const TICK_TAG: u64 = 1;
-/// Timer tag for the retransmission-queue poll (reliability on).
-const RELIABLE_TAG: u64 = 2;
+/// Timer tag for the reliable link's loss timer (reliability on).
+const LOSS_TAG: u64 = 2;
 /// Timer tag for the child→parent heartbeat (reliability on).
 const HEARTBEAT_TAG: u64 = 3;
 /// Timer tag for the per-edge batch flush (batching on).
@@ -69,9 +71,6 @@ const GDS_RETRY: RetryPolicy = RetryPolicy {
     max_interval: SimDuration::from_secs(4),
     jitter: 0.2,
 };
-
-/// How often a reliable edge polls its retransmission queue.
-const RETRANSMIT_POLL: SimDuration = SimDuration::from_millis(250);
 
 /// How often a reliable directory node pings its parent.
 const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -272,22 +271,27 @@ impl WireLink {
 
 /// Turns on the per-hop reliability layer
 /// ([`System::set_reliability`](crate::System::set_reliability)): GDS
-/// traffic acknowledged and retransmitted until acknowledged (500 ms
-/// doubling to 4 s, ± 20 %, queue polled every 250 ms), and the
+/// traffic acknowledged and retransmitted until acknowledged (RACK-TLP
+/// loss detection over 500 ms doubling to 4 s, ± 20 %), and the
 /// heartbeat failure detector that drives tree self-healing (a ping a
 /// second, the parent declared dead after 3 silent ones).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReliabilityConfig;
 
 /// One actor's reliable GDS-hop sender: wraps outgoing messages in the
-/// [`Reliable`] envelope and retransmits until acknowledged — on the
-/// backoff schedule, or at once when a later frame's ack proves one
-/// lost. Each queued entry remembers the wire format its edge had
-/// negotiated at send time, so retransmissions reuse a frame the peer
-/// is known to understand.
+/// [`Reliable`] envelope and retransmits until acknowledged — when an
+/// ack proves a frame lost, on a tail probe, or on the backoff
+/// schedule. One `LOSS_TAG` timer stands at the queue's next deadline.
+/// Each queued entry remembers the wire format its edge had negotiated
+/// at send time, so retransmissions reuse a frame the peer is known to
+/// understand.
 #[derive(Debug)]
 struct ReliableLink {
     queue: RetransmitQueue<NodeId, (WireFormat, GdsMessage)>,
+    /// When the earliest outstanding `LOSS_TAG` timer fires. A timer
+    /// cannot be cancelled, so one set for a later deadline may still
+    /// be outstanding too; it finds nothing due and re-arms.
+    armed: Option<SimTime>,
 }
 
 impl ReliableLink {
@@ -295,6 +299,19 @@ impl ReliableLink {
     fn new(seed: u64) -> Self {
         ReliableLink {
             queue: RetransmitQueue::new(GDS_RETRY, seed),
+            armed: None,
+        }
+    }
+
+    /// Sets a `LOSS_TAG` timer at the queue's next deadline when none
+    /// outstanding fires by then.
+    fn arm(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let Some(at) = self.queue.next_deadline() else {
+            return;
+        };
+        if self.armed.is_none_or(|armed| at < armed) {
+            ctx.set_timer(at.since(ctx.now()), LOSS_TAG);
+            self.armed = Some(at);
         }
     }
 
@@ -309,31 +326,49 @@ impl ReliableLink {
     ) {
         let seq = self.queue.send(node, (fmt, msg.clone()), ctx.now());
         ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
+        self.arm(ctx);
     }
 
     /// Takes `from`'s ack window, and re-sends at once what it proves
-    /// lost (counting `net.retransmits` and `net.fast_retransmits`).
+    /// lost.
     fn ack(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64, more: u64) {
-        let lost = self.queue.ack(from, acked_seqs(seq, more), ctx.now());
-        if !lost.is_empty() {
-            ctx.count_id(CounterId::NET_RETRANSMITS, lost.len() as u64);
-            ctx.count_id(CounterId::NET_FAST_RETRANSMITS, lost.len() as u64);
+        for (seq, entry) in self.queue.ack(from, acked_seqs(seq, more), ctx.now()) {
+            resend(ctx, from, seq, entry, Resend::Lost);
         }
-        for (seq, (fmt, msg)) in lost {
-            ctx.send(from, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
-        }
+        self.arm(ctx);
     }
 
-    /// Retransmits everything due (counting `net.retransmits`).
-    fn poll(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        let due = self.queue.poll(ctx.now());
-        if !due.is_empty() {
-            ctx.count_id(CounterId::NET_RETRANSMITS, due.len() as u64);
+    /// The `LOSS_TAG` timer body: re-sends everything due, then re-arms.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let now = ctx.now();
+        if self.armed.is_some_and(|armed| armed <= now) {
+            self.armed = None;
         }
-        for (seq, node, (fmt, msg)) in due {
-            ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
+        for (seq, node, entry, why) in self.queue.poll(now) {
+            resend(ctx, node, seq, entry, why);
         }
+        self.arm(ctx);
     }
+}
+
+/// Re-sends a queued entry in the format it was first sent in, counting
+/// `net.retransmits`, and `net.fast_retransmits` and `net.tail_probes`
+/// for what did not wait for the backoff.
+fn resend(
+    ctx: &mut Ctx<'_, SysMessage>,
+    node: NodeId,
+    seq: u64,
+    (fmt, msg): (WireFormat, GdsMessage),
+    why: Resend,
+) {
+    ctx.count_id(CounterId::NET_RETRANSMITS, 1);
+    if why != Resend::Timeout {
+        ctx.count_id(CounterId::NET_FAST_RETRANSMITS, 1);
+    }
+    if why == Resend::Probe {
+        ctx.count_id(CounterId::NET_TAIL_PROBES, 1);
+    }
+    ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
 }
 
 /// Picks the `SysMessage` carrier for a plain data frame in a format.
@@ -464,11 +499,11 @@ impl EdgeTransport {
 
     /// The actor's `on_start`, which a node coming back up runs again:
     /// announces wire v2 on every edge in `peers` (each upgrades
-    /// independently when its hello-ack comes back) and starts the
-    /// retransmission poll. Every timer set before the node went down
-    /// is gone, so the armed flags are forgotten and each flush timer
-    /// set again when anything is still buffered: a batch, or acks owed
-    /// (left owed, the peer would retransmit them for ever).
+    /// independently when its hello-ack comes back). Every timer set
+    /// before the node went down is gone, so the armed flags are
+    /// forgotten and each timer set again when it has work: a batch to
+    /// flush, acks owed (left owed, the peer would retransmit them for
+    /// ever), or frames still unacknowledged.
     fn start<'a>(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -477,8 +512,9 @@ impl EdgeTransport {
         for peer in peers {
             self.hello(ctx, peer);
         }
-        if self.reliable.is_some() {
-            ctx.set_timer(RETRANSMIT_POLL, RELIABLE_TAG);
+        if let Some(link) = &mut self.reliable {
+            link.armed = None;
+            link.arm(ctx);
         }
         self.wire.timer_armed = false;
         self.wire.arm_flush(ctx);
@@ -586,10 +622,9 @@ impl EdgeTransport {
     /// The three timers the transport owns; any other tag is not its.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
         match tag {
-            RELIABLE_TAG => {
+            LOSS_TAG => {
                 if let Some(link) = &mut self.reliable {
-                    link.poll(ctx);
-                    ctx.set_timer(RETRANSMIT_POLL, RELIABLE_TAG);
+                    link.on_timer(ctx);
                 }
             }
             BATCH_TAG => self.wire.flush_all(ctx, self.reliable.as_mut()),

@@ -137,8 +137,9 @@ counter_table! {
     /// unknown destinations) — mirrored by the real-time transport's
     /// `dropped_count`.
     NET_DROPPED = "net.dropped",
-    /// Retransmissions sent at once because a later frame's ack proved
-    /// the frame lost (RACK), a subset of `net.retransmits`.
+    /// Retransmissions that did not wait for the backoff: RACK proved
+    /// the frame lost, or it was a tail probe. A subset of
+    /// `net.retransmits`.
     NET_FAST_RETRANSMITS = "net.fast_retransmits",
     /// Wire frames handed to the network (a batch frame counts once).
     NET_FRAMES = "net.frames",
@@ -146,6 +147,10 @@ counter_table! {
     NET_RETRANSMITS = "net.retransmits",
     /// Messages handed to the network (sim transport).
     NET_SENT = "net.sent",
+    /// Tail loss probes: a peer's newest unacknowledged frame re-sent
+    /// when no ack came for it within the probe timeout. A subset of
+    /// `net.fast_retransmits`.
+    NET_TAIL_PROBES = "net.tail_probes",
     /// Profile-flooding baseline: profile replicas stored network-wide.
     PROFILEFLOOD_REPLICAS = "profileflood.replicas",
     /// Profile-flooding baseline: notifications for a profile its owner

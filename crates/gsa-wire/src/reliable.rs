@@ -4,9 +4,8 @@
 //! the opt-in layer beneath it: a [`Reliable`] envelope that carries a
 //! per-sender sequence number (or acknowledges a window of them), and a
 //! [`RetransmitQueue`] — an outbox that retries every entry until it is
-//! acknowledged, with exponential backoff and jitter, plus RACK fast
-//! retransmit (RFC 8985) on acknowledgements, that any simulated actor
-//! can embed.
+//! acknowledged, with exponential backoff and jitter under RACK-TLP
+//! loss detection (RFC 8985), that any simulated actor can embed.
 //! The queue is transport-agnostic and fully deterministic: jitter comes
 //! from an internal xorshift generator seeded by the caller, so the same
 //! seed replays the same retry schedule.
@@ -19,7 +18,7 @@ use crate::binary::{write_varint, BinReader, ByteSink};
 use crate::message::WireMessage;
 use crate::xml::{WireError, XmlElement, XmlPut};
 use gsa_types::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A reliable-delivery envelope: either a sequenced payload or a
 /// positive acknowledgement.
@@ -198,39 +197,111 @@ impl RetryPolicy {
     }
 }
 
+/// Why [`RetransmitQueue::poll`] hands an entry back for re-sending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resend {
+    /// RACK proved it lost: an entry sent after it was acknowledged,
+    /// and its reorder window has passed.
+    Lost,
+    /// The tail loss probe: it is its peer's newest unacknowledged
+    /// entry, and no ack came for it within the probe timeout.
+    Probe,
+    /// Its backoff deadline passed.
+    Timeout,
+}
+
 /// One in-flight entry awaiting acknowledgement.
 #[derive(Debug, Clone)]
 struct InFlight<P, M> {
     peer: P,
     payload: M,
-    first_sent: SimTime,
+    /// When it was last sent, by any path: with its sequence number,
+    /// the entry's place in its peer's send order.
+    last_sent: SimTime,
     attempts: u32,
     next_due: SimTime,
-    /// Sent more than once, by either retransmission path: its ack no
-    /// longer times one send (Karn's rule), and RACK leaves it to the
-    /// backoff schedule.
+    /// Sent more than once, by any path: its ack no longer times one
+    /// send (Karn's rule).
     retransmitted: bool,
 }
 
-/// A retransmission queue with exponential backoff, jitter, and RACK
-/// fast retransmit (RFC 8985). An entry leaves it only when acknowledged.
+/// A place in the send order: (last send, sequence number), the order
+/// RFC 8985 compares transmissions in.
+type Sent = (SimTime, u64);
+
+/// The RACK-TLP state the queue keeps for one peer.
+#[derive(Debug, Clone, Default)]
+struct Peer {
+    /// The peer's unacknowledged entries, in send order.
+    order: BTreeSet<Sent>,
+    /// The shortest send-to-ack time seen, sampled from entries sent
+    /// once only.
+    min_rtt: Option<SimDuration>,
+    /// The newest acknowledged entry in send order, and the round trip
+    /// its ack measured.
+    rack: Option<(Sent, SimDuration)>,
+    /// The tail probe may fire: set by a send or an ack, spent by a
+    /// probe.
+    probe_armed: bool,
+}
+
+impl Peer {
+    /// When the oldest entry sent before the RACK entry is proved lost:
+    /// its last send plus the RACK round trip plus the reorder window,
+    /// a quarter of the minimum round trip.
+    fn reorder_deadline(&self) -> Option<SimTime> {
+        let (rack, rtt) = self.rack?;
+        let window = quarter(self.min_rtt?);
+        let &(sent, seq) = self.order.first()?;
+        ((sent, seq) < rack).then_some(sent + rtt + window)
+    }
+
+    /// When the newest unacknowledged entry is probed: its last send
+    /// plus twice the minimum round trip plus the reorder window.
+    fn probe_deadline(&self) -> Option<SimTime> {
+        if !self.probe_armed {
+            return None;
+        }
+        let min_rtt = self.min_rtt?;
+        let &(sent, _) = self.order.last()?;
+        Some(sent + min_rtt.saturating_mul(2) + quarter(min_rtt))
+    }
+}
+
+fn quarter(d: SimDuration) -> SimDuration {
+    SimDuration::from_micros(d.as_micros() / 4)
+}
+
+/// A retransmission queue with RACK-TLP loss detection (RFC 8985) on
+/// top of exponential backoff with jitter. An entry leaves it only when
+/// acknowledged.
+///
+/// Per peer, the queue orders unacknowledged entries by their last send
+/// and sequence number. The newest acknowledged entry in that order,
+/// and the round trip its ack measured, prove lost every entry ordered
+/// before it, re-sent ones included, once that entry's last send plus
+/// the round trip plus a reorder window (a quarter of the peer's
+/// minimum round trip) has passed. The newest entry has nothing after
+/// it to prove it lost: it is probed, re-sent once, when no ack came
+/// for it a probe timeout (twice the minimum round trip plus the
+/// window) after its last send. A peer without a round-trip sample is
+/// never probed. Neither path touches an entry's backoff schedule.
 ///
 /// The queue never does I/O: the owner calls [`RetransmitQueue::send`]
 /// when it first transmits a payload to a peer, [`RetransmitQueue::ack`]
-/// on acknowledgements, and [`RetransmitQueue::poll`] from a periodic
-/// timer, re-sending whatever the last two return. Determinism: jitter
-/// is drawn from an internal xorshift seeded at construction.
+/// on acknowledgements, and [`RetransmitQueue::poll`] at
+/// [`RetransmitQueue::next_deadline`], re-sending whatever the last two
+/// return. Determinism: jitter is drawn from an internal xorshift
+/// seeded at construction.
 #[derive(Debug, Clone)]
 pub struct RetransmitQueue<P, M> {
     policy: RetryPolicy,
-    /// By sequence number, which is issued in send order: the entries
-    /// sent before a given time are a prefix.
     inflight: BTreeMap<u64, InFlight<P, M>>,
+    /// Every entry's backoff deadline, earliest first.
+    due: BTreeSet<(SimTime, u64)>,
+    peers: BTreeMap<P, Peer>,
     next_seq: u64,
     rng_state: u64,
-    /// The shortest send-to-ack time seen per peer, sampled from
-    /// entries sent once only.
-    min_rtt: BTreeMap<P, SimDuration>,
 }
 
 impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
@@ -239,10 +310,11 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
         RetransmitQueue {
             policy,
             inflight: BTreeMap::new(),
+            due: BTreeSet::new(),
+            peers: BTreeMap::new(),
             next_seq: 0,
             // xorshift state must be non-zero.
             rng_state: seed | 1,
-            min_rtt: BTreeMap::new(),
         }
     }
 
@@ -262,15 +334,19 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
     pub fn send(&mut self, peer: P, payload: M, now: SimTime) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let delay = self.jittered(self.policy.interval(0));
+        let next_due = now + self.jittered(self.policy.interval(0));
+        self.due.insert((next_due, seq));
+        let state = self.peers.entry(peer).or_default();
+        state.order.insert((now, seq));
+        state.probe_armed = true;
         self.inflight.insert(
             seq,
             InFlight {
                 peer,
                 payload,
-                first_sent: now,
+                last_sent: now,
                 attempts: 0,
-                next_due: now + delay,
+                next_due,
                 retransmitted: false,
             },
         );
@@ -279,70 +355,122 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
 
     /// `peer` acknowledges `seqs` at `now`; numbers it was never sent, or
     /// that were acknowledged already, are ignored. Returns what RACK
-    /// then infers lost, for the caller to re-send to `peer` at once:
-    /// every entry to `peer` sent once only and more than a reorder
-    /// window before the newest entry just acknowledged, the window
-    /// being a quarter of `peer`'s minimum round trip. A fast
-    /// retransmission leaves the backoff schedule as it was.
+    /// then proves lost, for the caller to re-send to `peer` at once.
+    /// An acknowledged entry, re-sent or not, becomes the RACK entry
+    /// when it is newer in send order than the last one; only an entry
+    /// sent once gives a round-trip sample (Karn's rule). Any ack
+    /// re-arms the peer's tail probe.
     pub fn ack(
         &mut self,
         peer: P,
         seqs: impl IntoIterator<Item = u64>,
         now: SimTime,
     ) -> Vec<(u64, M)> {
-        let mut newest = None;
+        let mut acked = false;
         for seq in seqs {
             if self.inflight.get(&seq).is_none_or(|e| e.peer != peer) {
                 continue;
             }
             let entry = self.inflight.remove(&seq).expect("entry checked above");
+            self.due.remove(&(entry.next_due, seq));
+            let state = self.peers.get_mut(&peer).expect("a peer with an entry");
+            let sent = (entry.last_sent, seq);
+            state.order.remove(&sent);
+            acked = true;
+            let rtt = now.since(entry.last_sent);
             if !entry.retransmitted {
-                let rtt = now.since(entry.first_sent);
-                let min_rtt = self.min_rtt.entry(peer).or_insert(rtt);
-                *min_rtt = (*min_rtt).min(rtt);
+                state.min_rtt = Some(state.min_rtt.map_or(rtt, |m| m.min(rtt)));
             }
-            newest = newest.max(Some(entry.first_sent));
+            if state.rack.is_none_or(|(rack, _)| sent > rack) {
+                state.rack = Some((sent, rtt));
+            }
         }
-        let (Some(newest), Some(min_rtt)) = (newest, self.min_rtt.get(&peer)) else {
+        if !acked {
             return Vec::new();
-        };
-        let window = SimDuration::from_micros(min_rtt.as_micros() / 4);
-        let mut lost = Vec::new();
-        for (&seq, entry) in &mut self.inflight {
-            if entry.first_sent + window >= newest {
-                break;
-            }
-            if entry.peer == peer && !entry.retransmitted {
-                entry.retransmitted = true;
-                lost.push((seq, entry.payload.clone()));
-            }
         }
+        self.peers.get_mut(&peer).expect("acked above").probe_armed = true;
+        self.detect_lost(peer, now)
+    }
+
+    /// RACK on one peer at `now`: every entry whose reorder deadline has
+    /// passed is marked re-sent, moved to the back of the send order and
+    /// returned.
+    fn detect_lost(&mut self, peer: P, now: SimTime) -> Vec<(u64, M)> {
+        let state = self.peers.get_mut(&peer).expect("a known peer");
+        let mut lost = Vec::new();
+        while state.reorder_deadline().is_some_and(|at| at <= now) {
+            let (_, seq) = state.order.pop_first().expect("a deadline has an entry");
+            let entry = self.inflight.get_mut(&seq).expect("ordered entry exists");
+            entry.retransmitted = true;
+            entry.last_sent = now;
+            lost.push((seq, entry.payload.clone()));
+        }
+        state.order.extend(lost.iter().map(|(seq, _)| (now, *seq)));
         lost
     }
 
-    /// Advances the queue to `now`: every due entry comes back as
-    /// `(seq, peer, payload)` for the caller to re-send, its attempt
-    /// counter bumped and its next deadline pushed out by the
-    /// backed-off, jittered interval.
-    pub fn poll(&mut self, now: SimTime) -> Vec<(u64, P, M)> {
-        let due: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, e)| e.next_due <= now)
-            .map(|(seq, _)| *seq)
-            .collect();
-        let mut out = Vec::with_capacity(due.len());
-        for seq in due {
+    /// The earliest time at which [`RetransmitQueue::poll`] has work: a
+    /// reorder window expiring, a tail probe, or a backoff step. `None`
+    /// when nothing is in flight. Costs one look per peer, not per
+    /// entry.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let backoff = self.due.first().map(|&(at, _)| at);
+        self.peers
+            .values()
+            .flat_map(|p| [p.reorder_deadline(), p.probe_deadline()])
+            .chain([backoff])
+            .flatten()
+            .min()
+    }
+
+    /// Advances the queue to `now`: every entry due comes back as
+    /// `(seq, peer, payload, why)` for the caller to re-send. A backoff
+    /// step bumps the entry's attempt counter and pushes its deadline
+    /// out by the backed-off, jittered interval; RACK and the probe
+    /// leave that schedule as it was. Backoff runs first, so an entry
+    /// it re-sends is neither lost nor probed in the same call.
+    pub fn poll(&mut self, now: SimTime) -> Vec<(u64, P, M, Resend)> {
+        let mut out = Vec::new();
+        while let Some(&(at, seq)) = self.due.first() {
+            if at > now {
+                break;
+            }
+            self.due.pop_first();
             let entry = self.inflight.get_mut(&seq).expect("due entry exists");
             entry.attempts += 1;
-            entry.retransmitted = true;
             let attempts = entry.attempts;
-            out.push((seq, entry.peer, entry.payload.clone()));
-            let delay = self.jittered(self.policy.interval(attempts));
-            let entry = self.inflight.get_mut(&seq).expect("due entry exists");
-            entry.next_due = now + delay;
+            out.push((seq, entry.peer, entry.payload.clone(), Resend::Timeout));
+            self.resent(seq, now);
+            let next_due = now + self.jittered(self.policy.interval(attempts));
+            self.inflight.get_mut(&seq).expect("due entry exists").next_due = next_due;
+            self.due.insert((next_due, seq));
+        }
+        let peers: Vec<P> = self.peers.keys().copied().collect();
+        for peer in peers {
+            for (seq, payload) in self.detect_lost(peer, now) {
+                out.push((seq, peer, payload, Resend::Lost));
+            }
+            let state = self.peers.get_mut(&peer).expect("a known peer");
+            if state.probe_deadline().is_some_and(|at| at <= now) {
+                state.probe_armed = false;
+                let &(_, seq) = state.order.last().expect("a deadline has an entry");
+                let payload = self.inflight[&seq].payload.clone();
+                out.push((seq, peer, payload, Resend::Probe));
+                self.resent(seq, now);
+            }
         }
         out
+    }
+
+    /// Records that entry `seq` was re-sent at `now`: Karn's rule, and
+    /// its new place at the back of its peer's send order.
+    fn resent(&mut self, seq: u64, now: SimTime) {
+        let entry = self.inflight.get_mut(&seq).expect("re-sent entry exists");
+        let state = self.peers.get_mut(&entry.peer).expect("a peer with an entry");
+        state.order.remove(&(entry.last_sent, seq));
+        state.order.insert((now, seq));
+        entry.last_sent = now;
+        entry.retransmitted = true;
     }
 
     /// Applies ± `policy.jitter` to an interval using the internal
@@ -518,6 +646,7 @@ mod tests {
         assert!(q.is_empty());
         assert!(q.ack(PEER, [seq], ms(2)).is_empty(), "idempotent");
         assert!(q.poll(SimTime::from_secs(100)).is_empty());
+        assert_eq!(q.next_deadline(), None);
     }
 
     #[test]
@@ -527,10 +656,18 @@ mod tests {
         // Not yet due.
         assert!(q.poll(ms(50)).is_empty());
         // First retry at 100 ms.
-        assert_eq!(q.poll(ms(100)), vec![(seq, PEER, "m".to_string())]);
+        assert_eq!(q.poll(ms(100)), vec![(seq, PEER, "m".to_string(), Resend::Timeout)]);
         // Next due 200 ms later, not before.
         assert!(q.poll(ms(250)).is_empty());
         assert_eq!(q.poll(ms(300)).len(), 1);
+    }
+
+    fn us(micros: u64) -> SimTime {
+        SimTime::from_micros(micros)
+    }
+
+    fn min_rtt(q: &RetransmitQueue<u8, String>) -> Option<SimDuration> {
+        q.peers.get(&PEER).and_then(|p| p.min_rtt)
     }
 
     /// Three frames to one peer 10 ms apart; the middle one's ack comes
@@ -544,13 +681,109 @@ mod tests {
         (q, lost)
     }
 
+    /// A re-sent hole takes its place at the back of the send order: a
+    /// later ack proves it lost again only for a frame sent after the
+    /// retransmission, once the retransmission's round trip plus the
+    /// window has passed.
     #[test]
-    fn a_hole_is_resent_once_only() {
+    fn a_hole_is_resent_again_once_its_retransmission_is_overdue() {
         let (mut q, lost) = hole_at_the_front();
         assert_eq!(lost, vec![(0, "a".to_string())]);
-        // A later ack proves the same hole again: it is already re-sent.
-        assert!(q.ack(PEER, [2], ms(25)).is_empty());
+        // `c` was sent at 20, after the re-send at 15, and acked at 25
+        // (5 ms): the re-send was due back by 15 + 5 + 1.25 ms.
+        assert_eq!(q.ack(PEER, [2], ms(25)), vec![(0, "a".to_string())]);
         assert_eq!(q.len(), 1);
+        // The ack of a frame sent before the re-send proves nothing
+        // about it.
+        let mut q = RetransmitQueue::new(policy(), 1);
+        for (at, payload) in [(0, "a"), (10, "b"), (12, "c")] {
+            q.send(PEER, payload.to_string(), ms(at));
+        }
+        assert_eq!(q.ack(PEER, [1], ms(15)).len(), 1);
+        assert!(q.ack(PEER, [2], ms(17)).is_empty());
+    }
+
+    /// Frames sent in the same instant are ordered by sequence number: a
+    /// hole among them is proved lost when its own last send plus the
+    /// round trip plus the window has passed, through the deadline,
+    /// with no later frame to wait for.
+    #[test]
+    fn a_hole_in_a_same_instant_burst_is_found_through_the_deadline() {
+        let mut q = RetransmitQueue::new(policy(), 1);
+        for payload in ["a", "b", "c"] {
+            q.send(PEER, payload.to_string(), ms(0));
+        }
+        assert!(q.ack(PEER, [1, 2], ms(5)).is_empty());
+        assert_eq!(q.next_deadline(), Some(us(6_250)));
+        assert!(q.poll(us(6_249)).is_empty());
+        assert_eq!(
+            q.poll(us(6_250)),
+            vec![(0, PEER, "a".to_string(), Resend::Lost)]
+        );
+    }
+
+    /// A fast retransmission that is lost too is proved lost again, by
+    /// the ack of a frame sent after it, instead of waiting for the
+    /// backoff.
+    #[test]
+    fn a_lost_fast_retransmission_is_found_again() {
+        let mut q = RetransmitQueue::new(policy(), 1);
+        q.send(PEER, "a".to_string(), ms(0));
+        q.send(PEER, "b".to_string(), ms(0));
+        assert!(q.ack(PEER, [1], ms(5)).is_empty());
+        let lost = vec![(0, PEER, "a".to_string(), Resend::Lost)];
+        assert_eq!(q.poll(us(6_250)), lost);
+        // The re-send is lost; `c`, sent after it, is acked.
+        q.send(PEER, "c".to_string(), ms(7));
+        assert!(q.ack(PEER, [2], ms(12)).is_empty());
+        assert_eq!(q.next_deadline(), Some(us(12_500)));
+        assert_eq!(q.poll(us(12_500)), lost);
+    }
+
+    /// The newest frame has nothing sent after it to prove it lost: it
+    /// is probed once, twice the minimum round trip plus the window
+    /// after its last send — not before, not when it is acked, and not
+    /// on a link without a round-trip sample.
+    #[test]
+    fn the_tail_probe_fires_exactly_once() {
+        let mut q = RetransmitQueue::new(policy(), 1);
+        q.send(PEER, "unsampled".to_string(), ms(0));
+        assert_eq!(q.next_deadline(), Some(ms(100)), "no sample, no probe");
+        assert!(q.ack(PEER, [0], ms(4)).is_empty());
+        // A 4 ms round trip makes a 9 ms probe timeout.
+        q.send(PEER, "acked".to_string(), ms(10));
+        assert_eq!(q.next_deadline(), Some(ms(19)));
+        assert!(q.ack(PEER, [1], ms(14)).is_empty());
+        assert_eq!(q.next_deadline(), None, "an acked tail is not probed");
+        q.send(PEER, "tail".to_string(), ms(20));
+        assert!(q.poll(us(28_999)).is_empty());
+        assert_eq!(
+            q.poll(ms(29)),
+            vec![(2, PEER, "tail".to_string(), Resend::Probe)]
+        );
+        assert_eq!(q.next_deadline(), Some(ms(120)), "one probe only");
+        assert!(q.poll(us(119_999)).is_empty());
+    }
+
+    /// The queue's one deadline is the earliest of its three clocks.
+    #[test]
+    fn the_next_deadline_is_the_earliest_of_reorder_probe_and_backoff() {
+        let mut q = RetransmitQueue::new(policy(), 1);
+        assert_eq!(q.next_deadline(), None);
+        q.send(PEER, "sample".to_string(), ms(0));
+        q.ack(PEER, [0], ms(4));
+        q.send(PEER, "a".to_string(), ms(10));
+        q.send(PEER, "b".to_string(), ms(10));
+        assert!(q.ack(PEER, [2], ms(14)).is_empty());
+        // Reorder at 10 + 4 + 1, before the probe at 10 + 9.
+        assert_eq!(q.next_deadline(), Some(ms(15)));
+        assert_eq!(q.poll(ms(15)).len(), 1);
+        // The probe of the re-send at 15 + 9.
+        assert_eq!(q.next_deadline(), Some(ms(24)));
+        assert_eq!(q.poll(ms(24)).len(), 1);
+        // The backoff step of `a`, sent at 10.
+        assert_eq!(q.next_deadline(), Some(ms(110)));
+        assert_eq!(q.poll(ms(110))[0].3, Resend::Timeout);
     }
 
     /// A fast retransmission is not a backoff step: the entry is still
@@ -561,15 +794,19 @@ mod tests {
         let (mut q, lost) = hole_at_the_front();
         assert_eq!(lost.len(), 1);
         q.ack(PEER, [2], ms(25));
-        assert!(q.poll(ms(99)).is_empty());
-        assert_eq!(q.poll(ms(100)), vec![(0, PEER, "a".to_string())]);
+        // Re-sent twice by RACK, then probed once; the backoff is as it
+        // was.
+        assert_eq!(q.poll(ms(99))[0].3, Resend::Probe);
+        assert_eq!(
+            q.poll(ms(100)),
+            vec![(0, PEER, "a".to_string(), Resend::Timeout)]
+        );
         assert!(q.poll(ms(299)).is_empty());
         assert_eq!(q.poll(ms(300)).len(), 1);
     }
 
     /// Karn's rule: the ack of an entry sent twice times neither send,
-    /// so it gives no round-trip sample; nor does RACK re-send an entry
-    /// the backoff schedule already re-sent.
+    /// so it gives no round-trip sample.
     #[test]
     fn retransmitted_entries_give_no_rtt_sample() {
         let mut q = RetransmitQueue::new(policy(), 1);
@@ -578,30 +815,35 @@ mod tests {
         assert_eq!(q.poll(ms(100)).len(), 1);
         q.send(PEER, "c".to_string(), ms(100));
         assert!(q.ack(PEER, [0], ms(102)).is_empty());
-        assert_eq!(q.min_rtt.get(&PEER), None);
+        assert_eq!(min_rtt(&q), None);
         // `b` was sent once; `c`'s ack samples 4 ms and proves it lost.
         assert_eq!(q.ack(PEER, [2], ms(104)), vec![(1, "b".to_string())]);
-        assert_eq!(q.min_rtt.get(&PEER), Some(&SimDuration::from_millis(4)));
+        assert_eq!(min_rtt(&q), Some(SimDuration::from_millis(4)));
     }
 
-    /// Frames sent less than a quarter of the minimum round trip before
-    /// the acknowledged one may just be reordered: they are left alone,
-    /// and so is everything sent to another peer.
+    /// The reorder window runs from an entry's own last send: a frame
+    /// sent shortly before the acknowledged one is not lost at the ack,
+    /// only when its window has passed; a re-sent one counts from the
+    /// re-send. Frames to another peer are left alone.
     #[test]
     fn nothing_sent_inside_the_reorder_window_is_resent() {
         // A 40 ms round trip makes a 10 ms window.
         let mut q = RetransmitQueue::new(policy(), 1);
-        q.send(PEER, "inside".to_string(), ms(0));
-        q.send(OTHER, "elsewhere".to_string(), ms(0));
+        q.send(PEER, "inside".to_string(), ms(5));
+        q.send(OTHER, "elsewhere".to_string(), ms(5));
         q.send(PEER, "acked".to_string(), ms(10));
         assert!(q.ack(PEER, [2], ms(50)).is_empty());
-        // One more microsecond and the first is outside it.
+        assert!(q.poll(us(54_999)).is_empty());
+        let lost = vec![(0, PEER, "inside".to_string(), Resend::Lost)];
+        assert_eq!(q.poll(ms(55)), lost);
+        // Re-sent by the backoff at 100, it is due back by 150, not 55.
         let mut q = RetransmitQueue::new(policy(), 1);
-        q.send(PEER, "outside".to_string(), ms(0));
-        q.send(OTHER, "elsewhere".to_string(), ms(0));
-        q.send(PEER, "acked".to_string(), SimTime::from_micros(10_001));
-        let lost = q.ack(PEER, [2], SimTime::from_micros(50_001));
-        assert_eq!(lost, vec![(0, "outside".to_string())]);
+        q.send(PEER, "inside".to_string(), ms(0));
+        assert_eq!(q.poll(ms(100)).len(), 1);
+        q.send(PEER, "acked".to_string(), ms(101));
+        assert!(q.ack(PEER, [1], ms(141)).is_empty());
+        assert!(q.poll(us(149_999)).is_empty());
+        assert_eq!(q.poll(ms(150))[0].3, Resend::Lost);
     }
 
     /// An entry is retried until it is acknowledged, however long that
@@ -613,7 +855,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..50 {
             now += SimDuration::from_secs(1);
-            assert_eq!(q.poll(now), vec![(seq, PEER, "m".to_string())]);
+            assert_eq!(q.poll(now), vec![(seq, PEER, "m".to_string(), Resend::Timeout)]);
         }
         q.ack(PEER, [seq], now);
         assert!(q.is_empty());

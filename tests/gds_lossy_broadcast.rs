@@ -5,9 +5,11 @@
 //! every subscriber sees every event exactly once — no loss-induced
 //! false negatives, no retransmission-induced duplicates — and the
 //! repair work is visible in the `net.retransmits` / `net.acks`
-//! counters. Two more pins hold the repair to its cost: on calm links
-//! nothing is retransmitted, and at light loss a lost frame delays a
-//! notification by about a round trip, not by a retransmission timeout.
+//! counters. Three more pins hold the repair to its cost: on calm links
+//! nothing is retransmitted or probed; at light loss a lost frame delays
+//! a notification by about a round trip, not by a retransmission
+//! timeout; and so does a frame lost at the tail of a burst or in its
+//! own retransmission.
 
 use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
@@ -248,6 +250,11 @@ fn acks_flow_even_on_clean_links() {
                 0,
                 "{link_name} x {wire_name}: nothing lost, nothing retransmitted"
             );
+            assert_eq!(
+                system.metrics().counter("net.tail_probes"),
+                0,
+                "{link_name} x {wire_name}: every tail acked inside the probe timeout"
+            );
         }
     }
 }
@@ -282,4 +289,34 @@ fn a_lost_frame_costs_a_round_trip_not_a_timeout() {
             assert!(fast <= system.metrics().counter("net.retransmits"));
         }
     }
+}
+
+/// The tail of the same run: a frame lost at the end of a burst, or a
+/// retransmission lost in its turn, is found by the tail probe or by
+/// the ack of a frame sent after it, not by the 500 ms timeout. Every
+/// notification lands within 100 ms of its publish, and every
+/// retransmission is a fast one.
+#[test]
+fn a_lost_retransmission_costs_a_round_trip_too() {
+    let mut probes = 0;
+    for seed in [1, 2, 3] {
+        for (wire_name, wire) in wires() {
+            let (mut system, clients, _) = lossy_world(seed, false, |s| s.set_wire(wire));
+            system.set_drop_probability(0.02);
+            let delays = burst(&mut system, &clients);
+            let worst = delays.iter().max().expect("notifications landed");
+            assert!(
+                *worst <= SimDuration::from_millis(100),
+                "seed {seed} {wire_name}: a notification took {worst}"
+            );
+            let metrics = system.metrics();
+            assert_eq!(
+                metrics.counter("net.retransmits"),
+                metrics.counter("net.fast_retransmits"),
+                "seed {seed} {wire_name}: nothing waited for the backoff"
+            );
+            probes += metrics.counter("net.tail_probes");
+        }
+    }
+    assert!(probes > 0, "some losses were found by the tail probe");
 }
