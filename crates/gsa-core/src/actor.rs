@@ -19,7 +19,7 @@ use gsa_wire::reliable::{
     ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, RetryPolicy,
 };
 use gsa_wire::WireFormat;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Surfaces what a state machine counted as simulation metrics.
 fn drain_counts(counts: &mut Counts, ctx: &mut Ctx<'_, SysMessage>) {
@@ -88,14 +88,15 @@ const BATCH_MAX_EVENTS: usize = 8;
 const BATCH_MAX_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// Turns on the per-edge event batcher ([`WireConfig::v2_batched`]):
-/// flood traffic buffered per neighbour and flushed as one
-/// [`GdsMessage::Batch`] frame at 8 events or 2 ms, whichever comes
-/// first.
+/// every frame that carries an event — a server's publish as well as a
+/// directory node's forwarding and delivery — buffered per neighbour and
+/// flushed as one [`GdsMessage::Batch`] frame at 8 events or 2 ms,
+/// whichever comes first.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchConfig;
 
 /// Per-host wire-protocol configuration: which format version the host
-/// speaks and whether flood traffic is batched per edge.
+/// speaks and whether the frames that carry events are batched per edge.
 ///
 /// The default — version 1, no batching — reproduces the paper's
 /// XML-over-SOAP behaviour exactly, frame for frame. Version 2 hosts
@@ -108,8 +109,9 @@ pub struct WireConfig {
     /// XML text protocol; version 2 adds the length-prefixed binary
     /// codec and per-edge negotiation.
     pub version: WireVersion,
-    /// Per-edge event batching; `None` (the default) sends every flood
-    /// message as its own frame, preserving the paper's message counts.
+    /// Per-edge event batching; `None` (the default) sends every frame
+    /// that carries an event (publish, forward, deliver) as its own
+    /// frame, preserving the paper's message counts.
     pub batch: Option<BatchConfig>,
 }
 
@@ -145,14 +147,20 @@ impl WireConfig {
     }
 }
 
-/// Messages eligible for per-edge batching: only the flood-path frames
-/// (broadcast forwarding and final delivery). Control traffic —
-/// registrations, resolves, topology changes — always rides alone so
+/// Messages eligible for per-edge batching: exactly the frames that
+/// carry an event payload — a server's publish (flooded or targeted),
+/// forwarding between directory nodes (broadcast or routed) and final
+/// delivery. Control traffic — registrations, resolves, summaries,
+/// grants, topology changes, heartbeats, hellos — always rides alone so
 /// its latency and ordering stay untouched.
 fn batchable(msg: &GdsMessage) -> bool {
     matches!(
         msg,
-        GdsMessage::Broadcast { .. } | GdsMessage::Deliver { .. }
+        GdsMessage::Publish { .. }
+            | GdsMessage::PublishTargeted { .. }
+            | GdsMessage::Broadcast { .. }
+            | GdsMessage::Route { .. }
+            | GdsMessage::Deliver { .. }
     )
 }
 
@@ -165,8 +173,10 @@ struct WireLink {
     /// codec. Absent edges ride XML — always safe. Insert/probe only,
     /// so the fast hasher cannot leak an order into behaviour.
     peer_fmt: FxHashMap<NodeId, WireFormat>,
-    /// Per-edge buffered flood messages awaiting a flush.
-    pending: HashMap<NodeId, Vec<GdsMessage>>,
+    /// Per-edge buffered event frames awaiting a flush, in `NodeId`
+    /// order: a hasher's per-instance order must not steer the send
+    /// order, and with it the link RNG draw order.
+    pending: BTreeMap<NodeId, Vec<GdsMessage>>,
     /// A `BATCH_TAG` timer is outstanding.
     timer_armed: bool,
 }
@@ -176,7 +186,7 @@ impl WireLink {
         WireLink {
             config,
             peer_fmt: FxHashMap::default(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             timer_armed: false,
         }
     }
@@ -196,10 +206,10 @@ impl WireLink {
         self.peer_fmt.insert(node, WireFormat::Binary);
     }
 
-    /// Queues or sends one data message on an edge. Batchable flood
-    /// traffic on a negotiated binary edge is buffered (when batching
-    /// is on) and flushed by size or by the `BATCH_TAG` timer;
-    /// everything else goes out immediately in the edge's format.
+    /// Queues or sends one data message on an edge. A frame carrying an
+    /// event on a negotiated binary edge is buffered (when batching is
+    /// on) and flushed by size or by the `BATCH_TAG` timer; everything
+    /// else goes out immediately in the edge's format.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -215,7 +225,8 @@ impl WireLink {
         let buf = self.pending.entry(node).or_default();
         buf.push(msg);
         if buf.len() >= BATCH_MAX_EVENTS {
-            self.flush_edge(ctx, node, link);
+            let items = self.pending.remove(&node).expect("just pushed");
+            self.send_batch(ctx, node, items, link);
         } else {
             self.arm_flush(ctx);
         }
@@ -230,18 +241,16 @@ impl WireLink {
         }
     }
 
-    /// Flushes one edge's buffer: a single message rides plain, more
+    /// Sends what an edge buffered: a single message rides plain, more
     /// coalesce into one [`GdsMessage::Batch`] frame (one sequence
     /// number, one ack, when the edge is reliable).
-    fn flush_edge(
-        &mut self,
+    fn send_batch(
+        &self,
         ctx: &mut Ctx<'_, SysMessage>,
         node: NodeId,
+        mut items: Vec<GdsMessage>,
         link: Option<&mut ReliableLink>,
     ) {
-        let Some(mut items) = self.pending.remove(&node) else {
-            return;
-        };
         let fmt = self.fmt_for(node);
         let msg = match items.len() {
             0 => return,
@@ -258,13 +267,8 @@ impl WireLink {
     /// Flushes every buffered edge (the `BATCH_TAG` timer body).
     fn flush_all(&mut self, ctx: &mut Ctx<'_, SysMessage>, mut link: Option<&mut ReliableLink>) {
         self.timer_armed = false;
-        let mut edges: Vec<NodeId> = self.pending.keys().copied().collect();
-        // The map's iteration order is seeded per instance; it must not
-        // steer the send order (and with it the link RNG draw order),
-        // or same-seed runs stop replaying bit-identically.
-        edges.sort_unstable();
-        for node in edges {
-            self.flush_edge(ctx, node, link.as_deref_mut());
+        for (node, items) in std::mem::take(&mut self.pending) {
+            self.send_batch(ctx, node, items, link.as_deref_mut());
         }
     }
 }

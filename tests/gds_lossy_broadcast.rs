@@ -9,7 +9,8 @@
 //! nothing is retransmitted or probed; at light loss a lost frame delays
 //! a notification by about a round trip, not by a retransmission
 //! timeout; and so does a frame lost at the tail of a burst or in its
-//! own retransmission.
+//! own retransmission. A last pin holds a publisher's burst to its
+//! batches: on batched v2 its events leave the server eight to a frame.
 
 use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
@@ -17,6 +18,7 @@ use gsa_greenstone::CollectionConfig;
 use gsa_simnet::LinkConfig;
 use gsa_store::SourceDocument;
 use gsa_types::{SimDuration, SimTime};
+use std::collections::BTreeSet;
 
 fn doc(id: &str) -> SourceDocument {
     SourceDocument::new(id, "content")
@@ -319,4 +321,79 @@ fn a_lost_retransmission_costs_a_round_trip_too() {
         }
     }
     assert!(probes > 0, "some losses were found by the tail probe");
+}
+
+/// The reliable data frames Hamilton handed its directory node gds-4
+/// from trace entry `since` on, and when the last of them arrived. The
+/// links are calm, so every frame sent is a frame delivered.
+fn publisher_frames(system: &System, since: usize) -> (usize, Option<SimTime>) {
+    let sim = system.sim();
+    let (from, to) = (sim.node_id("Hamilton").unwrap(), sim.node_id("gds-4").unwrap());
+    let frames: Vec<SimTime> = sim.trace()[since..]
+        .iter()
+        .filter(|e| e.from == from && e.to == to && e.summary.contains("Data {"))
+        .map(|e| e.at)
+        .collect();
+    (frames.len(), frames.last().copied())
+}
+
+/// A publisher's burst rides the batcher from its first hop. On a calm
+/// reliable Figure-2 world Hamilton publishes 32 rebuilds in one
+/// instant: batched v2 hands gds-4 four data frames of eight events,
+/// unbatched v2 and XML one frame per event, and every watcher sees
+/// each event exactly once. Then one lone rebuild: on batched v2 it
+/// waits out the 2 ms flush delay at Hamilton and still leaves (the
+/// flush timer, not the size cap, sends it); on the other wires it
+/// leaves at once.
+#[test]
+fn a_published_burst_leaves_its_server_in_batches() {
+    const BURST: usize = 32;
+    let flush_delay = SimDuration::from_millis(2);
+    for (wire_name, wire, burst_frames) in [
+        ("xml", WireConfig::default(), BURST),
+        ("v2", WireConfig::v2(), BURST),
+        ("v2-batched", WireConfig::v2_batched(BatchConfig), BURST / 8),
+    ] {
+        let (mut system, clients, _) = lossy_world(1, false, |s| s.set_wire(wire));
+        system.sim_mut().enable_trace();
+        for n in 0..BURST {
+            system
+                .rebuild("Hamilton", "D", vec![doc(&format!("d{n}"))])
+                .unwrap();
+        }
+        system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+        assert_eq!(
+            publisher_frames(&system, 0).0,
+            burst_frames,
+            "{wire_name}: data frames Hamilton sent for {BURST} publishes"
+        );
+
+        let since = system.sim().trace().len();
+        let published = system.now();
+        system.rebuild("Hamilton", "D", vec![doc("lone")]).unwrap();
+        system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+        let (frames, arrived) = publisher_frames(&system, since);
+        assert_eq!(frames, 1, "{wire_name}: the lone publish left Hamilton");
+        let waited = arrived.expect("one frame").since(published) >= flush_delay;
+        assert_eq!(
+            waited,
+            wire_name == "v2-batched",
+            "{wire_name}: the lone publish waits out the flush delay exactly when batched"
+        );
+
+        for &(host, client) in &clients {
+            let inbox = system.take_notifications(host, client);
+            let events: BTreeSet<u64> = inbox.iter().map(|n| n.event.id.seq()).collect();
+            assert_eq!(
+                (inbox.len(), events.len()),
+                (BURST + 1, BURST + 1),
+                "{wire_name}: {host} sees each event exactly once"
+            );
+        }
+        assert_eq!(
+            system.metrics().counter("net.retransmits"),
+            0,
+            "{wire_name}: calm links"
+        );
+    }
 }

@@ -5,15 +5,17 @@
 //! before the node went down is dropped. An actor that remembers "my
 //! flush timer is armed" across the outage therefore never arms it
 //! again: whatever the timer was to flush waits for ever. Those
-//! scenarios bounce one directory node on the Figure-2 tree
-//! (Hamilton@gds-4 publishes, Cairo@gds-5 listens; the flood runs
-//! gds-4 → gds-1 → gds-2 → gds-5) and assert that a notification
-//! published long after the node is back still arrives. The last one
-//! holds a bounced node's periodic chains to one each.
+//! scenarios bounce one node on the Figure-2 tree — a directory node, or
+//! the publishing server itself (Hamilton@gds-4 publishes, Cairo@gds-5
+//! listens; the flood runs Hamilton → gds-4 → gds-1 → gds-2 → gds-5) —
+//! and assert that a notification published long after the node is back
+//! still arrives. The last one holds a bounced node's periodic chains to
+//! one each.
 
 use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
+use gsa_simnet::NodeId;
 use gsa_store::SourceDocument;
 use gsa_types::{ClientId, SimDuration, SimTime};
 
@@ -83,15 +85,50 @@ fn a_deferred_announcement_survives_its_node_bouncing() {
     );
 }
 
-/// Batched v2 wire. gds-2 goes down somewhere around the 2 ms in which
-/// it holds the first rebuild's broadcast for gds-5; every 50 µs offset
-/// across that window is tried. The first rebuild may be lost with the
-/// node (best effort) — the second, published half a minute after the
-/// node is back on a healthy tree, may not.
-fn later_rebuild_crosses_a_bounced_batching_node(reliable: bool) {
-    // The broadcast reaches gds-2 about 7.3 ms after the rebuild (three
-    // links and two upstream flush delays) and leaves about 2 ms later.
-    for offset_us in (6_000..11_000).step_by(50) {
+/// Whether `host` went down holding the first rebuild in its batch
+/// buffer: the event had reached it by `down` (over the edge from
+/// `prev`; a publisher has its own at once), and the first frame
+/// carrying it on to `next` arrived only after `host` was back `up`.
+/// The links are calm and the outage far longer than a link, so a frame
+/// sent before the outage arrives during it.
+fn held_over_the_outage(
+    system: &System,
+    prev: Option<&str>,
+    host: &str,
+    next: &str,
+    (down, up): (SimTime, SimTime),
+) -> bool {
+    let sim = system.sim();
+    let id = |name: &str| sim.node_id(name).unwrap();
+    let first_event = |from: NodeId, to: NodeId| {
+        sim.trace()
+            .iter()
+            .find(|e| {
+                e.from == from
+                    && e.to == to
+                    && (e.summary.contains("Publish") || e.summary.contains("Broadcast"))
+            })
+            .map(|e| e.at)
+    };
+    let had_it =
+        prev.is_none_or(|prev| first_event(id(prev), id(host)).is_some_and(|at| at <= down));
+    had_it && first_event(id(host), id(next)).is_some_and(|at| at >= up)
+}
+
+/// Batched v2 wire. `host` goes down `offset_us` after a first rebuild,
+/// for every offset in `offsets_us`, a window chosen to cover the 2 ms in
+/// which `host` holds that rebuild's event frame for `next` (arriving
+/// from `prev`). The first rebuild may be lost with the node (best
+/// effort) — the second, published half a minute after the node is back
+/// on a healthy tree, may not. At some offset `host` must really go down
+/// holding the frame, or the sweep tests nothing.
+fn later_rebuild_crosses_a_bounced_batcher(
+    (prev, host, next): (Option<&str>, &str, &str),
+    offsets_us: std::ops::Range<u64>,
+    reliable: bool,
+) {
+    let mut held = 0;
+    for offset_us in offsets_us.step_by(50) {
         let (mut system, client) = world(|s| {
             s.set_wire(WireConfig::v2_batched(BatchConfig));
             if reliable {
@@ -101,31 +138,63 @@ fn later_rebuild_crosses_a_bounced_batching_node(reliable: bool) {
         system
             .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
             .unwrap();
+        system.sim_mut().enable_trace();
         rebuild(&mut system, "d1");
         system.run_for(SimDuration::from_micros(offset_us));
-        bounce(&mut system, "gds-2");
+        let down = system.now();
+        bounce(&mut system, host);
+        let outage = (down, system.now());
         system.run_for(SimDuration::from_secs(30));
         system.take_notifications("Cairo", client);
+        if held_over_the_outage(&system, prev, host, next, outage) {
+            held += 1;
+        }
 
         rebuild(&mut system, "d2");
         system.run_for(SimDuration::from_secs(30));
         assert_eq!(
             system.take_notifications("Cairo", client).len(),
             1,
-            "reliable={reliable}, gds-2 down {offset_us} µs after the first rebuild: \
+            "reliable={reliable}, {host} down {offset_us} µs after the first rebuild: \
              the second rebuild never arrived"
         );
     }
+    assert!(
+        held > 0,
+        "reliable={reliable}: {host} never went down holding the first rebuild"
+    );
 }
+
+/// gds-2 holds the first rebuild's broadcast for gds-5. It reaches gds-2
+/// about 9.3 ms after the rebuild (three links and three flush delays:
+/// Hamilton's, gds-4's and gds-1's) and leaves about 2 ms later.
+const GDS_2: (Option<&str>, &str, &str) = (Some("gds-1"), "gds-2", "gds-5");
+const GDS_2_WINDOW_US: std::ops::Range<u64> = 8_000..13_000;
 
 #[test]
 fn a_batch_flush_survives_its_node_bouncing_best_effort() {
-    later_rebuild_crosses_a_bounced_batching_node(false);
+    later_rebuild_crosses_a_bounced_batcher(GDS_2, GDS_2_WINDOW_US, false);
 }
 
 #[test]
 fn a_batch_flush_survives_its_node_bouncing_reliable() {
-    later_rebuild_crosses_a_bounced_batching_node(true);
+    later_rebuild_crosses_a_bounced_batcher(GDS_2, GDS_2_WINDOW_US, true);
+}
+
+/// The publisher itself: Hamilton holds a lone publish for gds-4 for the
+/// 2 ms flush delay after the rebuild, and goes down somewhere across
+/// them.
+const HAMILTON: (Option<&str>, &str, &str) = (None, "Hamilton", "gds-4");
+const HAMILTON_WINDOW_US: std::ops::Range<u64> = 0..3_000;
+
+#[test]
+fn a_held_publish_survives_its_publisher_bouncing_best_effort() {
+    later_rebuild_crosses_a_bounced_batcher(HAMILTON, HAMILTON_WINDOW_US, false);
+}
+
+#[test]
+fn a_held_publish_survives_its_publisher_bouncing_reliable() {
+    later_rebuild_crosses_a_bounced_batcher(HAMILTON, HAMILTON_WINDOW_US, true);
 }
 
 /// Reliable edges on the paper's wire. A receiver holds its acks 2 ms to

@@ -108,9 +108,9 @@ fn hybrid_run_output_is_pinned_per_seed() {
         fnv1a64(format!("{metrics}\n---\n{}", deliveries.join("\n")).as_bytes())
     });
     let pinned = [
-        0x7e57_ae0a_6044_033d_u64,
-        0x79c1_a383_6c94_0e0d,
-        0x5b71_dc95_ecf4_3dcb,
+        0x352e_07df_3fe6_dae9_u64,
+        0xe1cc_3c3e_d628_2b21,
+        0xe6e0_92ec_847b_a42a,
     ];
     assert_eq!(
         hashes, pinned,
