@@ -16,7 +16,7 @@ use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
 use gsa_types::{Counts, FxHashMap, HostName, SimDuration, SimTime};
 use gsa_wire::reliable::{
-    ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, RetryPolicy,
+    ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, RetryPolicy, ACK_DELAY,
 };
 use gsa_wire::WireFormat;
 use std::collections::BTreeMap;
@@ -38,7 +38,8 @@ fn host_of(ctx: &Ctx<'_, SysMessage>, node: NodeId) -> HostName {
 const TICK_TAG: u64 = 1;
 /// Timer tag for the reliable link's loss timer (reliability on).
 const LOSS_TAG: u64 = 2;
-/// Timer tag for the child→parent heartbeat (reliability on).
+/// Timer tag for the liveness tick: beacons to the children, the
+/// parent's silence counted (reliability on).
 const HEARTBEAT_TAG: u64 = 3;
 /// Timer tag for the per-edge batch flush (batching on).
 const BATCH_TAG: u64 = 4;
@@ -49,14 +50,8 @@ const ACK_TAG: u64 = 6;
 
 /// How long a GDS node sits on a dirty aggregate before announcing it
 /// upward: long enough to coalesce a registration burst arriving in one
-/// actor frame, short against the heartbeat re-announce cadence.
+/// actor frame, short against the beacon re-announce cadence.
 const ANNOUNCE_DELAY: SimDuration = SimDuration::from_millis(1);
-
-/// How long a receiver sits on the sequence numbers that arrived on an
-/// edge before acknowledging them in one frame: the batch flush delay,
-/// so a flushed batch burst is acknowledged together, and far inside
-/// the 500 ms retransmission base.
-const ACK_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// How often a server runs its maintenance: auxiliary retries, request
 /// timeouts, alert-lifecycle expiry, and a hello to its directory node
@@ -72,10 +67,12 @@ const GDS_RETRY: RetryPolicy = RetryPolicy {
     jitter: 0.2,
 };
 
-/// How often a reliable directory node pings its parent.
+/// How often a reliable directory node beacons each of its children
+/// (a [`GdsMessage::HeartbeatAck`], unprompted) and counts whether its
+/// own parent's beacon came: one liveness frame per edge per interval.
 const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// Consecutive unanswered heartbeats that declare the parent dead
+/// Consecutive intervals without a beacon that declare the parent dead
 /// (≈ 3 s), after which the node re-parents to its grandparent.
 const HEARTBEAT_MISSES: u32 = 3;
 
@@ -151,7 +148,7 @@ impl WireConfig {
 /// carry an event payload — a server's publish (flooded or targeted),
 /// forwarding between directory nodes (broadcast or routed) and final
 /// delivery. Control traffic — registrations, resolves, summaries,
-/// grants, topology changes, heartbeats, hellos — always rides alone so
+/// grants, topology changes, beacons, hellos — always rides alone so
 /// its latency and ordering stay untouched.
 fn batchable(msg: &GdsMessage) -> bool {
     matches!(
@@ -275,10 +272,11 @@ impl WireLink {
 
 /// Turns on the per-hop reliability layer
 /// ([`System::set_reliability`](crate::System::set_reliability)): GDS
-/// traffic acknowledged and retransmitted until acknowledged (RACK-TLP
-/// loss detection over 500 ms doubling to 4 s, ± 20 %), and the
-/// heartbeat failure detector that drives tree self-healing (a ping a
-/// second, the parent declared dead after 3 silent ones).
+/// traffic acknowledged within [`ACK_DELAY`] and retransmitted until
+/// acknowledged (RACK-TLP loss detection over 500 ms doubling to 4 s,
+/// ± 20 %), and the failure detector that drives tree self-healing
+/// (every parent beacons each child once a second; a child declares its
+/// parent dead after 3 silent intervals).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReliabilityConfig;
 
@@ -406,18 +404,15 @@ fn send_data(
     }
 }
 
-/// Heartbeats ride plain — wrapping the liveness probe in the
-/// retransmit machinery would defeat its purpose (a lost probe *is*
-/// the signal). Hellos ride plain too: a version-1 peer would drop the
+/// Beacons ride plain — wrapping the liveness signal in the
+/// retransmit machinery would defeat its purpose (a lost beacon *is*
+/// a miss). Hellos ride plain too: a version-1 peer would drop the
 /// unknown tag without acking, so retransmitting one forever would
 /// defeat the fallback the hello exists to provide.
 fn rides_plain(msg: &GdsMessage) -> bool {
     matches!(
         msg,
-        GdsMessage::Heartbeat
-            | GdsMessage::HeartbeatAck { .. }
-            | GdsMessage::Hello { .. }
-            | GdsMessage::HelloAck { .. }
+        GdsMessage::HeartbeatAck { .. } | GdsMessage::Hello { .. } | GdsMessage::HelloAck { .. }
     )
 }
 
@@ -747,15 +742,19 @@ impl Actor<SysMessage> for AlertingActor {
     }
 }
 
-/// The heartbeat failure detector of one reliable [`GdsActor`].
+/// The failure detector of one reliable [`GdsActor`]: the parent
+/// beacons every [`HEARTBEAT_INTERVAL`], and the child counts the
+/// intervals in which none came. The child sends nothing for it.
 #[derive(Debug)]
 struct FailureDetector {
     /// The fallback attachment point recorded at join time (the
     /// grandparent); consumed by one re-parenting.
     grandparent: Option<HostName>,
-    /// A heartbeat is outstanding (sent, not yet acked).
-    heartbeat_pending: bool,
-    /// Consecutive unanswered heartbeats.
+    /// A beacon from the parent arrived since the last tick. Set at
+    /// start and after a re-parenting, so a parent has a whole interval
+    /// before its silence counts.
+    heard: bool,
+    /// Consecutive intervals without a beacon.
     misses: u32,
 }
 
@@ -808,15 +807,15 @@ impl GdsActor {
         self.node.set_rendezvous(enabled);
     }
 
-    /// Turns on reliable per-edge delivery and the heartbeat failure
-    /// detector. `grandparent` is the fallback attachment point this
-    /// node re-parents to when its parent is declared dead; `seed`
-    /// derives the retransmission jitter.
+    /// Turns on reliable per-edge delivery, the beacons to the children
+    /// and the failure detector. `grandparent` is the fallback
+    /// attachment point this node re-parents to when its parent is
+    /// declared dead; `seed` derives the retransmission jitter.
     pub fn enable_reliability(&mut self, grandparent: Option<HostName>, seed: u64) {
         self.edge.enable_reliability(seed);
         self.detector = Some(FailureDetector {
             grandparent,
-            heartbeat_pending: false,
+            heard: true,
             misses: 0,
         });
     }
@@ -854,32 +853,29 @@ impl GdsActor {
         }
     }
 
-    /// The heartbeat-timer body: count the silence, re-parent when the
-    /// detector trips, and probe the (possibly new) parent again.
+    /// The liveness-timer body: count an interval without the parent's
+    /// beacon as a miss, re-parent when the detector trips, say hello
+    /// again on a parent edge that is still XML, and beacon every child.
     fn heartbeat_tick(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let Some(detector) = self.detector.as_mut() else {
             return;
         };
-        if self.node.parent().is_none() {
-            return;
-        }
-        if detector.heartbeat_pending {
-            detector.misses += 1;
-        }
-        if detector.misses >= HEARTBEAT_MISSES && detector.grandparent.is_some() {
-            self.reparent(ctx);
+        if self.node.parent().is_some() {
+            if !std::mem::replace(&mut detector.heard, false) {
+                detector.misses += 1;
+            }
+            if detector.misses >= HEARTBEAT_MISSES && detector.grandparent.is_some() {
+                self.reparent(ctx);
+            }
         }
         if let Some(parent) = self.node.parent() {
-            if let Some(node) = ctx.resolve(parent.as_str()) {
-                self.edge.send(ctx, node, GdsMessage::Heartbeat);
-                // The hello rides the heartbeat cadence until the edge
-                // upgrades.
-                self.edge.rehello(ctx, parent);
-            }
-            if let Some(detector) = self.detector.as_mut() {
-                detector.heartbeat_pending = true;
-            }
+            self.edge.rehello(ctx, parent);
         }
+        let mut effects = std::mem::take(&mut self.scratch);
+        effects.clear();
+        self.node.beacons(&mut effects);
+        self.apply(&mut effects, ctx);
+        self.scratch = effects;
         ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
     }
 
@@ -896,7 +892,7 @@ impl GdsActor {
             return;
         };
         detector.misses = 0;
-        detector.heartbeat_pending = false;
+        detector.heard = true;
         let old_parent = self.node.parent().cloned();
         ctx.count_id(CounterId::GDS_REPARENT, 1);
         self.node.set_parent(Some(new_parent.clone()));
@@ -922,7 +918,7 @@ impl GdsActor {
         // set_parent dropped the grants held from the old parent, so
         // grants delegated to children lost their upward cover: revoke
         // them in the same batch (the new parent re-grants over its own
-        // heartbeat/announce cycle once summaries settle).
+        // beacon/announce cycle once summaries settle).
         self.node.refresh_rendezvous(&mut effects);
         self.apply(&mut effects, ctx);
         // The new parent is an unknown quantity: renegotiate the edge
@@ -936,7 +932,7 @@ impl Actor<SysMessage> for GdsActor {
         // Every tree edge is negotiated.
         self.edge
             .start(ctx, self.node.parent().into_iter().chain(self.node.children()));
-        if self.detector.is_some() && self.node.parent().is_some() {
+        if self.detector.is_some() {
             ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
         }
         // As for the transport's flush timer: an announce timer set
@@ -956,12 +952,17 @@ impl Actor<SysMessage> for GdsActor {
             Received::Consumed => return,
         };
         if let GdsMessage::HeartbeatAck { version } = msg {
+            // Only the parent's beacon counts: an old parent that has
+            // not yet heard of a re-parenting still beacons.
+            if self.node.parent() != Some(&host_of(ctx, from)) {
+                return;
+            }
             if let Some(detector) = &mut self.detector {
-                detector.heartbeat_pending = false;
+                detector.heard = true;
                 detector.misses = 0;
             }
-            // The summary heal rides the heartbeat cadence: an update
-            // that was lost, or a parent that forgot us, shows as a held
+            // The summary heal rides the beacon cadence: an update that
+            // was lost, or a parent that forgot us, shows as a held
             // version that is behind (or none).
             if let Some(out) = self.node.summary_refresh(version) {
                 let mut effects = GdsEffects::default();

@@ -93,10 +93,10 @@ impl System {
     }
 
     /// Turns on the reliability layer for every node: GDS traffic rides
-    /// the ack/retransmit envelope, directory servers heartbeat their
-    /// parents and re-parent to their recorded grandparent when the
-    /// failure detector trips. Off by default — the paper's §6
-    /// best-effort behaviour.
+    /// the ack/retransmit envelope, directory servers beacon their
+    /// children once a second and re-parent to their recorded
+    /// grandparent when their own parent's beacons stop. Off by default
+    /// — the paper's §6 best-effort behaviour.
     ///
     /// # Panics
     ///
@@ -1022,7 +1022,7 @@ mod tests {
             .unwrap();
         system.run_until_quiet(SimTime::from_secs(5));
         // Kill gds-3 (London's grandparent in GDS terms: gds-6's parent).
-        // gds-6 should declare it dead after ~3 missed heartbeats and
+        // gds-6 should declare it dead after ~3 missed beacons and
         // re-attach to gds-1, keeping the broadcast tree connected.
         system.set_host_up("gds-3", false);
         system.run_for(SimDuration::from_secs(10));

@@ -122,9 +122,10 @@ pub enum GdsMessage {
         /// The GDS node responsible, or `None` when unknown network-wide.
         result: Option<HostName>,
     },
-    /// Child→parent liveness probe (tree maintenance, §3).
-    Heartbeat,
-    /// Parent's reply to a [`GdsMessage::Heartbeat`].
+    /// Parent→child liveness beacon (tree maintenance, §3), sent
+    /// unprompted once per interval; a child that hears none for a few
+    /// intervals declares its parent dead. The name is older than the
+    /// beacon: it once answered a child's ping.
     HeartbeatAck {
         /// The version of the child's interest summary the parent holds,
         /// 0 for none: the child re-announces only when this is behind.
@@ -181,7 +182,7 @@ pub enum GdsMessage {
     /// rendezvous point instead of from the root. The grant set is a
     /// full replacement at a per-sender monotonic version (stale or
     /// replayed grants are ignored, like summary updates), and is
-    /// re-sent on heartbeat receipt as an idempotent heal.
+    /// re-sent with every beacon as an idempotent heal.
     RendezvousGrant {
         /// The granting parent.
         from: HostName,
@@ -518,7 +519,8 @@ gds_messages! {
     8  "gds:deliver"          Deliver { id: ID, origin: Host("origin"), payload: PayloadField }
     9  "gds:resolve"          Resolve { token: TOKEN, name: Host("name"), reply_to: Host("reply-to") }
     10 "gds:resolve-response" ResolveResponse { token: TOKEN, name: Host("name"), result: OptHost("result") }
-    11 "gds:heartbeat"        Heartbeat {}
+    // 11 and "gds:heartbeat" were the child's ping, retired for the
+    // parent's beacon: both decode to an error.
     12 "gds:heartbeat-ack"    HeartbeatAck { version: VERSION }
     13 "gds:adopt"            Adopt { child: Host("child") }
     14 "gds:detach"           Detach { child: Host("child") }
@@ -642,7 +644,6 @@ mod tests {
 
     #[test]
     fn maintenance_messages_round_trip() {
-        round_trip(GdsMessage::Heartbeat);
         round_trip(GdsMessage::HeartbeatAck { version: 0 });
         round_trip(GdsMessage::HeartbeatAck { version: 7 });
         round_trip(GdsMessage::Adopt { child: "gds-5".into() });
@@ -726,7 +727,7 @@ mod tests {
                 origin: "Hamilton".into(),
                 payload: XmlElement::new("event").with_attr("kind", "documents-added").into(),
             },
-            GdsMessage::Heartbeat,
+            GdsMessage::HeartbeatAck { version: 0 },
             GdsMessage::Deliver {
                 id: MessageId::from_raw(2),
                 origin: "Hamilton".into(),
@@ -795,7 +796,6 @@ mod tests {
                 name: "Nowhere".into(),
                 result: None,
             },
-            GdsMessage::Heartbeat,
             GdsMessage::HeartbeatAck { version: 300 },
             GdsMessage::Adopt { child: "gds-5".into() },
             GdsMessage::Detach { child: "gds-5".into() },
@@ -844,10 +844,11 @@ mod tests {
     fn binary_decode_rejects_garbage() {
         assert!(GdsMessage::from_binary(&[]).is_err());
         assert!(GdsMessage::from_binary(&[0x00, 0x01, 0xff]).is_err());
-        // Grow the declared body by one stray byte: [magic, len=1, op]
-        // becomes [magic, len=2, op, 0x00] and must be rejected.
-        let mut frame = GdsMessage::Heartbeat.to_binary();
-        assert_eq!(frame.len(), 3);
+        // Grow the declared body by one stray byte: [magic, len=2, op,
+        // version] becomes [magic, len=3, op, version, 0x00] and must be
+        // rejected.
+        let mut frame = GdsMessage::HeartbeatAck { version: 0 }.to_binary();
+        assert_eq!(frame.len(), 4);
         frame[1] += 1;
         frame.push(0x00);
         assert!(GdsMessage::from_binary(&frame).is_err());

@@ -15,7 +15,7 @@ const RECENT_CAP: usize = 128;
 
 /// Most `(attribute, value)` subgroup grants a node hands to one child.
 /// Grants are routing state replicated down an edge; the cap keeps a
-/// pathological subscription mix from turning every heartbeat heal into
+/// pathological subscription mix from turning every beacon heal into
 /// a bulk state transfer. Excess candidates simply stay ungranted —
 /// events for them flood from the root as before, which is always safe.
 const MAX_GRANTS: usize = 8;
@@ -240,7 +240,7 @@ impl GdsNode {
     /// Builds the upward `SummaryUpdate` for `agg`, bumping the version.
     /// When the aggregate equals what was last announced, the previously
     /// sent summary object is reused so its frozen binary encoding (one
-    /// `Arc`'d buffer) is shared instead of re-serialised — heartbeat and
+    /// `Arc`'d buffer) is shared instead of re-serialised — beacon and
     /// reparent re-announcements are byte-identical by definition.
     fn announce(&mut self, agg: InterestSummary) -> Option<GdsOutbound> {
         let parent = self.parent.clone()?;
@@ -263,7 +263,7 @@ impl GdsNode {
     }
 
     /// An unconditional re-announcement of the current aggregate to the
-    /// parent (the heartbeat heal of [`GdsNode::summary_refresh`], or
+    /// parent (the beacon heal of [`GdsNode::summary_refresh`], or
     /// telling a brand-new parent after a reparent). Versions bump on
     /// every announcement so the receiver — which keeps only the newest
     /// per edge — always accepts it. Returns
@@ -282,11 +282,11 @@ impl GdsNode {
         self.announce(agg)
     }
 
-    /// The heartbeat heal: a [`GdsNode::summary_announcement`] unless the
-    /// parent's heartbeat reply shows it holds the newest version sent
-    /// (`held`, 0 for none). A parent that forgot this node holds
-    /// nothing, and one whose update was lost holds an older version;
-    /// an idle edge re-announces nothing. A node whose
+    /// The beacon heal: a [`GdsNode::summary_announcement`] unless the
+    /// parent's beacon ([`GdsNode::beacons`]) shows it holds the newest
+    /// version sent (`held`, 0 for none). A parent that forgot this node
+    /// holds nothing, and one whose update was lost holds an older
+    /// version; an idle edge re-announces nothing. A node whose
     /// aggregate is empty from the start is never marked dirty, so its
     /// first announcement is this one.
     pub fn summary_refresh(&mut self, held: u64) -> Option<GdsOutbound> {
@@ -375,7 +375,7 @@ impl GdsNode {
     /// set changed. Safe under loss/reorder because a grant only ever
     /// *narrows* delivery when it is provably exclusive right now; any
     /// widening of interest elsewhere immediately revokes in the same
-    /// effects batch, and heartbeats re-send current grants as a heal.
+    /// effects batch, and beacons re-send current grants as a heal.
     fn recompute_grants(&mut self, effects: &mut GdsEffects) {
         if !self.rendezvous || !self.pruning {
             return;
@@ -458,6 +458,35 @@ impl GdsNode {
                 .insert(value.to_owned());
         }
         grants
+    }
+
+    /// One liveness beacon to every child, sent unprompted once per
+    /// interval; the child's detector does the timing. The beacon says
+    /// which of the child's summaries this node holds, so the child
+    /// re-announces only when that is behind. With rendezvous on, the
+    /// child's current grants follow (full replacement, fresh version),
+    /// so a lost grant or a restarted child converges on the next
+    /// beacon, the same way summaries re-announce.
+    pub fn beacons(&mut self, effects: &mut GdsEffects) {
+        for child in &self.children {
+            let version = self.edge_summaries.get(child).map_or(0, |(v, _)| *v);
+            effects.send(child.clone(), GdsMessage::HeartbeatAck { version });
+            if !self.rendezvous {
+                continue;
+            }
+            if let Some(grants) = self.granted.get(child) {
+                self.grant_version += 1;
+                self.counts.add(CounterId::GDS_RENDEZVOUS_GRANTS, 1);
+                effects.send(
+                    child.clone(),
+                    GdsMessage::RendezvousGrant {
+                        from: self.name.clone(),
+                        version: self.grant_version,
+                        grants: grants.clone(),
+                    },
+                );
+            }
+        }
     }
 
     /// Recomputes children's grants outside a message context (the actor
@@ -705,32 +734,6 @@ impl GdsNode {
                     );
                 }
             }
-            GdsMessage::Heartbeat => {
-                // Liveness probe from a child; the child's detector does
-                // the timing. The reply says which of the child's
-                // summaries this node holds, so the child re-announces
-                // only when that is behind.
-                let version = self.edge_summaries.get(from).map_or(0, |(v, _)| *v);
-                effects.send(from.clone(), GdsMessage::HeartbeatAck { version });
-                // Rendezvous heal: re-send the child's current grants
-                // (full replacement, fresh version) so a lost grant or a
-                // restarted child converges on the next heartbeat, the
-                // same way summaries re-announce.
-                if self.rendezvous {
-                    if let Some(grants) = self.granted.get(from).cloned() {
-                        self.grant_version += 1;
-                        self.counts.add(CounterId::GDS_RENDEZVOUS_GRANTS, 1);
-                        effects.send(
-                            from.clone(),
-                            GdsMessage::RendezvousGrant {
-                                from: self.name.clone(),
-                                version: self.grant_version,
-                                grants,
-                            },
-                        );
-                    }
-                }
-            }
             GdsMessage::Adopt { child } => {
                 // A grandchild lost its parent and re-parents here.
                 // Replay recent events down the new edge: a broadcast
@@ -824,11 +827,11 @@ impl GdsNode {
                     self.recompute_grants(effects);
                 }
             }
-            // Final deliveries, resolve answers, heartbeat replies and
-            // wire negotiation are addressed to the asker; a GDS node
-            // receiving one ignores it (the actor layer intercepts
-            // heartbeat replies for its failure detector and hellos for
-            // its per-edge format table).
+            // Final deliveries, resolve answers, beacons and wire
+            // negotiation are not the state machine's business; a GDS
+            // node receiving one ignores it (the actor layer intercepts
+            // beacons for its failure detector and hellos for its
+            // per-edge format table).
             GdsMessage::Deliver { .. }
             | GdsMessage::ResolveResponse { .. }
             | GdsMessage::HeartbeatAck { .. }
@@ -1403,30 +1406,36 @@ mod tests {
         assert_eq!(deliveries[0].0, HostName::new("gs-7"));
     }
 
+    /// A node beacons each of its children once, and no one else: not
+    /// its parent, not its local servers. A leaf beacons no one.
     #[test]
-    fn heartbeat_is_answered_with_an_ack() {
+    fn each_child_gets_a_beacon() {
         let mut nodes = figure2();
         let parent = nodes.get_mut(&HostName::new("gds-3")).unwrap();
-        let effects = parent.handle_message(&"gds-7".into(), GdsMessage::Heartbeat);
-        assert_eq!(effects.outbound.len(), 1);
-        assert_eq!(effects.outbound[0].to, HostName::new("gds-7"));
-        assert_eq!(
-            effects.outbound[0].msg,
-            GdsMessage::HeartbeatAck { version: 0 }
-        );
-        // The reply is ignored at the node layer (the actor's failure
+        let mut effects = GdsEffects::default();
+        parent.beacons(&mut effects);
+        let beacon = GdsMessage::HeartbeatAck { version: 0 };
+        let sent: Vec<(&str, &GdsMessage)> = effects
+            .outbound
+            .iter()
+            .map(|out| (out.to.as_str(), &out.msg))
+            .collect();
+        assert_eq!(sent, vec![("gds-6", &beacon), ("gds-7", &beacon)]);
+        let leaf = nodes.get_mut(&HostName::new("gds-7")).unwrap();
+        let mut effects = GdsEffects::default();
+        leaf.beacons(&mut effects);
+        assert!(effects.outbound.is_empty());
+        // The beacon is ignored at the node layer (the actor's failure
         // detector consumes it).
-        let child = nodes.get_mut(&HostName::new("gds-7")).unwrap();
-        let effects =
-            child.handle_message(&"gds-3".into(), GdsMessage::HeartbeatAck { version: 0 });
+        let effects = leaf.handle_message(&"gds-3".into(), beacon);
         assert!(effects.outbound.is_empty());
     }
 
-    /// The heartbeat reply carries the summary version the parent holds
-    /// for the edge, and the child re-announces only when that is none
-    /// or behind what it last sent.
+    /// The beacon carries the summary version the parent holds for the
+    /// edge, and the child re-announces only when that is none or behind
+    /// what it last sent.
     #[test]
-    fn a_heartbeat_reply_says_which_summary_the_parent_holds() {
+    fn a_beacon_says_which_summary_the_parent_holds() {
         let mut parent = GdsNode::new("gds-3", 2, Some(HostName::new("gds-1")));
         parent.set_pruning(true);
         parent.add_child("gds-7");
@@ -1447,13 +1456,14 @@ mod tests {
             },
         );
         fn held(parent: &mut GdsNode) -> u64 {
-            match parent
-                .handle_message(&"gds-7".into(), GdsMessage::Heartbeat)
-                .outbound[0]
-                .msg
-            {
-                GdsMessage::HeartbeatAck { version } => version,
-                ref other => panic!("expected a heartbeat reply, got {other}"),
+            let mut effects = GdsEffects::default();
+            parent.beacons(&mut effects);
+            match effects.outbound[..] {
+                [GdsOutbound {
+                    msg: GdsMessage::HeartbeatAck { version },
+                    ..
+                }] => version,
+                ref other => panic!("expected one beacon, got {other:?}"),
             }
         }
         let version_of = |out: &GdsOutbound| match &out.msg {
@@ -2065,11 +2075,16 @@ mod tests {
         let node6 = nodes.get_mut(&HostName::new("gds-6")).unwrap();
         node6.set_parent(Some("gds-3".into()));
         assert!(node6.held_grants().is_empty());
-        // The child's next heartbeat triggers a re-grant from the parent.
-        pump(&mut nodes, &"gds-3".into(), &"gds-6".into(), GdsMessage::Heartbeat);
+        // The parent's next beacon carries a re-grant.
+        let parent = nodes.get_mut(&HostName::new("gds-3")).unwrap();
+        let mut effects = GdsEffects::default();
+        parent.beacons(&mut effects);
+        for out in effects.outbound {
+            pump(&mut nodes, &out.to, &"gds-3".into(), out.msg);
+        }
         assert!(
             !nodes[&HostName::new("gds-6")].held_grants().is_empty(),
-            "heartbeat must re-send current grants"
+            "the beacon must re-send current grants"
         );
     }
 

@@ -213,8 +213,8 @@ fn arb_summary() -> BoxedStrategy<InterestSummary> {
     )
 }
 
-/// The fourteen variants that carry neither a payload nor other
-/// messages.
+/// The thirteen variants that carry neither a payload nor other
+/// messages, the beacon twice: at version 0 and at any version.
 fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
     (
         (0u8..14, arb_host(host), arb_host(host), arb_id(), 0u8..=255),
@@ -236,7 +236,7 @@ fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
                 name: a,
                 result: (version % 2 == 0).then_some(b),
             },
-            6 => GdsMessage::Heartbeat,
+            6 => GdsMessage::HeartbeatAck { version: 0 },
             7 => GdsMessage::HeartbeatAck { version: number },
             8 => GdsMessage::Adopt { child: a },
             9 => GdsMessage::Detach { child: a },
@@ -255,7 +255,7 @@ fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
         })
 }
 
-/// All twenty variants, a batch nested as deep as the decoders allow:
+/// All nineteen variants, a batch nested as deep as the decoders allow:
 /// once, around anything but a batch.
 fn arb_message(host: &'static str) -> BoxedStrategy<GdsMessage> {
     let item = prop_oneof![arb_carrier(host), arb_control(host)];

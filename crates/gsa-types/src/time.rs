@@ -109,11 +109,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Multiplies the duration by an integer factor, saturating.
-    pub const fn saturating_mul(self, factor: u64) -> Self {
-        SimDuration(self.0.saturating_mul(factor))
-    }
 }
 
 impl fmt::Display for SimDuration {

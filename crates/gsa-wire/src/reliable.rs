@@ -171,6 +171,15 @@ impl<M: WireMessage> WireMessage for Reliable<M> {
     }
 }
 
+/// How long a receiver holds the sequence numbers that arrived on an
+/// edge before acknowledging them in one frame. A burst flushed in one
+/// instant lands within the link's jitter, so half a millisecond still
+/// acknowledges it together. The sender's tail probe waits out this hold
+/// once, as RFC 9002 §6.2.1 adds the peer's maximum ack delay to the
+/// probe timeout: the receiver and the sender's probe read this one
+/// constant.
+pub const ACK_DELAY: SimDuration = SimDuration::from_micros(500);
+
 /// Retry parameters: exponential backoff from `base` by `multiplier` up
 /// to `max_interval`, ± `jitter` (a fraction of the interval). There is
 /// no attempt budget: an entry is retried until acknowledged, the §7
@@ -257,14 +266,15 @@ impl Peer {
     }
 
     /// When the newest unacknowledged entry is probed: its last send
-    /// plus twice the minimum round trip plus the reorder window.
+    /// plus the minimum round trip, the receiver's ack hold
+    /// ([`ACK_DELAY`]) and the reorder window.
     fn probe_deadline(&self) -> Option<SimTime> {
         if !self.probe_armed {
             return None;
         }
         let min_rtt = self.min_rtt?;
         let &(sent, _) = self.order.last()?;
-        Some(sent + min_rtt.saturating_mul(2) + quarter(min_rtt))
+        Some(sent + min_rtt + ACK_DELAY + quarter(min_rtt))
     }
 }
 
@@ -283,8 +293,8 @@ fn quarter(d: SimDuration) -> SimDuration {
 /// the round trip plus a reorder window (a quarter of the peer's
 /// minimum round trip) has passed. The newest entry has nothing after
 /// it to prove it lost: it is probed, re-sent once, when no ack came
-/// for it a probe timeout (twice the minimum round trip plus the
-/// window) after its last send. A peer without a round-trip sample is
+/// for it a probe timeout (the minimum round trip, the receiver's ack
+/// hold and the window) after its last send. A peer without a round-trip sample is
 /// never probed. Neither path touches an entry's backoff schedule.
 ///
 /// The queue never does I/O: the owner calls [`RetransmitQueue::send`]
@@ -741,28 +751,51 @@ mod tests {
     }
 
     /// The newest frame has nothing sent after it to prove it lost: it
-    /// is probed once, twice the minimum round trip plus the window
-    /// after its last send — not before, not when it is acked, and not
-    /// on a link without a round-trip sample.
+    /// is probed once, the minimum round trip plus the ack hold plus the
+    /// window after its last send — not before, not when it is acked,
+    /// and not on a link without a round-trip sample.
     #[test]
     fn the_tail_probe_fires_exactly_once() {
         let mut q = RetransmitQueue::new(policy(), 1);
         q.send(PEER, "unsampled".to_string(), ms(0));
         assert_eq!(q.next_deadline(), Some(ms(100)), "no sample, no probe");
         assert!(q.ack(PEER, [0], ms(4)).is_empty());
-        // A 4 ms round trip makes a 9 ms probe timeout.
+        // A 4 ms round trip makes a 4 + 0.5 + 1 ms probe timeout.
         q.send(PEER, "acked".to_string(), ms(10));
-        assert_eq!(q.next_deadline(), Some(ms(19)));
+        assert_eq!(q.next_deadline(), Some(us(15_500)));
         assert!(q.ack(PEER, [1], ms(14)).is_empty());
         assert_eq!(q.next_deadline(), None, "an acked tail is not probed");
         q.send(PEER, "tail".to_string(), ms(20));
-        assert!(q.poll(us(28_999)).is_empty());
+        assert!(q.poll(us(25_499)).is_empty());
         assert_eq!(
-            q.poll(ms(29)),
+            q.poll(us(25_500)),
             vec![(2, PEER, "tail".to_string(), Resend::Probe)]
         );
         assert_eq!(q.next_deadline(), Some(ms(120)), "one probe only");
         assert!(q.poll(us(119_999)).is_empty());
+    }
+
+    /// The probe timeout is one round trip, the receiver's ack hold and
+    /// the reorder window, whatever the round trip: a calm ack, held
+    /// [`ACK_DELAY`] at most, is back before it.
+    #[test]
+    fn the_probe_waits_a_round_trip_the_ack_hold_and_the_window() {
+        for rtt_us in [1_000, 2_200, 4_000, 40_000] {
+            let rtt = SimDuration::from_micros(rtt_us);
+            let mut q = RetransmitQueue::new(policy(), 1);
+            q.send(PEER, "sample".to_string(), ms(0));
+            q.ack(PEER, [0], SimTime::ZERO + rtt);
+            let sent = ms(200);
+            q.send(PEER, "tail".to_string(), sent);
+            let at = sent + rtt + ACK_DELAY + SimDuration::from_micros(rtt_us / 4);
+            assert_eq!(q.next_deadline(), Some(at), "{rtt}");
+            let calm_ack = sent + rtt + ACK_DELAY;
+            assert!(
+                q.poll(calm_ack).is_empty(),
+                "{rtt}: a calm ack is not overdue"
+            );
+            assert_eq!(q.poll(at)[0].3, Resend::Probe, "{rtt}");
+        }
     }
 
     /// The queue's one deadline is the earliest of its three clocks.
@@ -775,12 +808,12 @@ mod tests {
         q.send(PEER, "a".to_string(), ms(10));
         q.send(PEER, "b".to_string(), ms(10));
         assert!(q.ack(PEER, [2], ms(14)).is_empty());
-        // Reorder at 10 + 4 + 1, before the probe at 10 + 9.
+        // Reorder at 10 + 4 + 1, before the probe at 10 + 5.5.
         assert_eq!(q.next_deadline(), Some(ms(15)));
         assert_eq!(q.poll(ms(15)).len(), 1);
-        // The probe of the re-send at 15 + 9.
-        assert_eq!(q.next_deadline(), Some(ms(24)));
-        assert_eq!(q.poll(ms(24)).len(), 1);
+        // The probe of the re-send at 15 + 5.5.
+        assert_eq!(q.next_deadline(), Some(us(20_500)));
+        assert_eq!(q.poll(us(20_500)).len(), 1);
         // The backoff step of `a`, sent at 10.
         assert_eq!(q.next_deadline(), Some(ms(110)));
         assert_eq!(q.poll(ms(110))[0].3, Resend::Timeout);

@@ -30,7 +30,7 @@
 //! Summaries travel inside `gds:summary` messages, so this module also
 //! provides the XML (v1) and binary (v2) codec halves, following the
 //! same conventions as the rest of the wire layer. Because an
-//! aggregated summary is re-announced verbatim by heartbeat heals and
+//! aggregated summary is re-announced verbatim by beacon heals and
 //! reparents, the binary encoding is computed once per distinct value
 //! and frozen (same encode-once pattern as flood payloads): clones
 //! share the buffer, mutation detaches it.

@@ -73,7 +73,7 @@ pub struct RunConfig {
     /// and in-flight deliveries drain.
     pub drain: SimDuration,
     /// Turn on the reliability layer (hybrid only): per-hop
-    /// acks/retransmission and heartbeat-driven tree healing.
+    /// acks/retransmission and beacon-driven tree healing.
     pub reliable: bool,
     /// Ambient per-link drop probability applied once the workload
     /// starts (setup traffic runs clean).

@@ -50,7 +50,7 @@ fn rebuild(system: &mut System, doc: &str) {
         .unwrap();
 }
 
-/// Pruning on, reliability off (so no heartbeat re-announces on the
+/// Pruning on, reliability off (so no beacon re-announces on the
 /// node's behalf). gds-5 goes down with its deferred-announcement timer
 /// pending; the subscription Cairo registers afterwards must still
 /// reach gds-2, or gds-2 prunes Hamilton's flood away from the only
@@ -238,7 +238,7 @@ fn idle_window(system: &mut System) -> (u64, usize) {
 }
 
 /// Reliable edges, so every node runs periodic chains (tick, poll,
-/// heartbeat). A node coming back re-runs `on_start`, which arms them
+/// liveness). A node coming back re-runs `on_start`, which arms them
 /// afresh; a chain set before the outage must not run beside the new
 /// one, and neither may a second `Start` queued by another down/up in
 /// the same instant. Either shows as extra frames and steps against a

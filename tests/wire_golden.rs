@@ -304,14 +304,9 @@ fn naming_service_messages_are_pinned() {
 
 #[test]
 fn maintenance_and_negotiation_messages_are_pinned() {
-    pin(
-        GdsMessage::Heartbeat,
-        "b2010b",
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat/>",
-    );
-    // The reply names the summary version the parent holds for the
+    // The parent's beacon names the summary version it holds for the
     // child's edge, so an idle child stops re-announcing an unchanged
-    // summary every heartbeat (it was a bare `b2010c`).
+    // summary every interval (it was a bare `b2010c`).
     pin(
         GdsMessage::HeartbeatAck { version: 300 },
         "b2030cac02",
@@ -358,14 +353,14 @@ fn batches_are_pinned() {
     pin(
         GdsMessage::Batch(vec![
             GdsMessage::Broadcast { id: id(7), origin: "Hamilton".into(), payload: received_frozen() },
-            GdsMessage::Heartbeat,
+            GdsMessage::HeartbeatAck { version: 0 },
             GdsMessage::Deliver { id: id(8), origin: "London".into(), payload: xml_sourced() },
         ]),
-        "b2c401110306070848616d696c746f6e8101010848616d696c746f6e2a0848616d696c746f6e2a08\
+        "b2c501110306070848616d696c746f6e8101010848616d696c746f6e2a0848616d696c746f6e2a08\
          48616d696c746f6e014401d0a84b01064c6f6e646f6e01450205646f632d31020b64632e4c616e67\
          75616765026d690864632e5469746c651c4469676974616c203c4c69627261726965733e20262022\
-         6d6f7265220d616e2065786365727074e280a605646f632d3200000b0808064c6f6e646f6e290004\
-         6e6f746501046c616e6702656e0200046c696e650001010961203c20622026206301047461696c",
+         6d6f7265220d616e2065786365727074e280a605646f632d3200000c000808064c6f6e646f6e2900\
+         046e6f746501046c616e6702656e0200046c696e650001010961203c20622026206301047461696c",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:batch>\
          <gds:broadcast id=\"7\" origin=\"Hamilton\">\
          <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
@@ -373,7 +368,7 @@ fn batches_are_pinned() {
          <metadata><meta name=\"dc.Language\" value=\"mi\"/>\
          <meta name=\"dc.Title\" value=\"Digital &lt;Libraries&gt; &amp; &quot;more&quot;\"/>\
          </metadata><excerpt value=\"an excerpt…\"/></document><document id=\"doc-2\">\
-         <metadata/></document></event></gds:broadcast><gds:heartbeat/>\
+         <metadata/></document></event></gds:broadcast><gds:heartbeat-ack version=\"0\"/>\
          <gds:deliver id=\"8\" origin=\"London\"><note lang=\"en\"><line>a &lt; b &amp; c\
          </line>tail</note></gds:deliver></gds:batch>",
     );
@@ -528,6 +523,23 @@ fn the_retired_nack_is_refused_on_both_wires() {
     }
 }
 
+/// Opcode 11 and `<gds:heartbeat/>` were the child's ping to its
+/// parent, retired when the parent took to beaconing its children. The
+/// frame and the document the retired encoder wrote decode to an error:
+/// never a panic, never a message.
+#[test]
+fn the_retired_ping_is_refused_on_both_wires() {
+    for frame in ["b2010b", "b2020b00"] {
+        assert!(
+            GdsMessage::from_binary(&unhex(frame)).is_err(),
+            "v2 frame {frame}"
+        );
+    }
+    let document = "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat/>";
+    let el = parse_document(document).unwrap();
+    assert!(GdsMessage::from_xml(&el).is_err(), "v1 text {document}");
+}
+
 /// The hostile window pinned above, every bit set past the last sequence
 /// number, is applied to a sender's queue without an overflow: it
 /// acknowledges `u64::MAX` and nothing else.
@@ -634,11 +646,12 @@ fn framed(body: &[u8]) -> Vec<u8> {
 /// overflow — is refused at the nesting bound.
 #[test]
 fn a_batch_inside_a_batch_is_refused() {
-    let nested = GdsMessage::Batch(vec![GdsMessage::Batch(vec![GdsMessage::Heartbeat])]);
+    let beacon = GdsMessage::HeartbeatAck { version: 0 };
+    let nested = GdsMessage::Batch(vec![GdsMessage::Batch(vec![beacon.clone()])]);
     assert!(GdsMessage::from_binary(&nested.to_binary()).is_err());
     assert!(GdsMessage::from_xml(&nested.to_xml()).is_err());
 
-    let batch_of_one = GdsMessage::Batch(vec![GdsMessage::Heartbeat]).to_binary();
+    let batch_of_one = GdsMessage::Batch(vec![beacon]).to_binary();
     let header = &batch_of_one[2..4]; // [opcode, count 1]
     for levels in [10_000, 500_000] {
         let err = GdsMessage::from_binary(&framed(&header.repeat(levels))).unwrap_err();
