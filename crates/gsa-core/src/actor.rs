@@ -14,7 +14,7 @@ use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
-use gsa_types::{Counts, FxHashMap, HostName, SimDuration, SimTime};
+use gsa_types::{Counts, HostName, SimDuration, SimTime};
 use gsa_wire::reliable::{
     ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, RetryPolicy, ACK_DELAY,
 };
@@ -54,8 +54,7 @@ const ACK_TAG: u64 = 6;
 const ANNOUNCE_DELAY: SimDuration = SimDuration::from_millis(1);
 
 /// How often a server runs its maintenance: auxiliary retries, request
-/// timeouts, alert-lifecycle expiry, and a hello to its directory node
-/// while that edge is still XML.
+/// timeouts and alert-lifecycle expiry.
 const MAINTENANCE_TICK: SimDuration = SimDuration::from_millis(500);
 
 /// How a reliable edge retransmits an unacknowledged GDS message: after
@@ -92,41 +91,30 @@ const BATCH_MAX_DELAY: SimDuration = SimDuration::from_millis(2);
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchConfig;
 
-/// Per-host wire-protocol configuration: which format version the host
+/// Deployment-wide wire-protocol configuration: the format every edge
 /// speaks and whether the frames that carry events are batched per edge.
 ///
-/// The default — version 1, no batching — reproduces the paper's
-/// XML-over-SOAP behaviour exactly, frame for frame. Version 2 hosts
-/// announce themselves with a [`GdsMessage::Hello`] exchange and switch
-/// an edge to the binary codec only once the peer has proven it
-/// understands it, so mixed-version trees interoperate.
+/// The default — XML, no batching — reproduces the paper's XML-over-SOAP
+/// behaviour exactly, frame for frame. [`WireConfig::v2`] puts every
+/// edge on the binary codec from its first frame. The format is a fact
+/// of the deployment, not negotiated per edge: a tree whose hosts speak
+/// different formats is not supported.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireConfig {
-    /// Highest wire-format version this host speaks. Version 1 is the
-    /// XML text protocol; version 2 adds the length-prefixed binary
-    /// codec and per-edge negotiation.
-    pub version: WireVersion,
+    /// The format of every GDS frame: XML text (version 1, the paper's
+    /// §6 protocol) or the length-prefixed binary codec (version 2).
+    pub format: WireFormat,
     /// Per-edge event batching; `None` (the default) sends every frame
     /// that carries an event (publish, forward, deliver) as its own
     /// frame, preserving the paper's message counts.
     pub batch: Option<BatchConfig>,
 }
 
-/// Wire-format versions a host can be configured to speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireVersion {
-    /// XML messaging over SOAP-style envelopes (the paper's §6 format).
-    #[default]
-    V1,
-    /// Negotiated length-prefixed binary framing with XML fallback.
-    V2,
-}
-
 impl WireConfig {
     /// Version-2 wire format, batching off.
     pub fn v2() -> Self {
         WireConfig {
-            version: WireVersion::V2,
+            format: WireFormat::Binary,
             batch: None,
         }
     }
@@ -134,13 +122,9 @@ impl WireConfig {
     /// Version-2 wire format with per-edge batching.
     pub fn v2_batched(batch: BatchConfig) -> Self {
         WireConfig {
-            version: WireVersion::V2,
+            format: WireFormat::Binary,
             batch: Some(batch),
         }
-    }
-
-    fn speaks_v2(&self) -> bool {
-        self.version == WireVersion::V2
     }
 }
 
@@ -148,7 +132,7 @@ impl WireConfig {
 /// carry an event payload — a server's publish (flooded or targeted),
 /// forwarding between directory nodes (broadcast or routed) and final
 /// delivery. Control traffic — registrations, resolves, summaries,
-/// grants, topology changes, beacons, hellos — always rides alone so
+/// grants, topology changes, beacons — always rides alone so
 /// its latency and ordering stay untouched.
 fn batchable(msg: &GdsMessage) -> bool {
     matches!(
@@ -161,15 +145,11 @@ fn batchable(msg: &GdsMessage) -> bool {
     )
 }
 
-/// One actor's view of the wire protocol: the negotiated format per
-/// neighbour and the per-edge batch buffers.
+/// One actor's view of the wire protocol: the deployment's format and
+/// the per-edge batch buffers.
 #[derive(Debug)]
 struct WireLink {
     config: WireConfig,
-    /// Edges proven (via hello/hello-ack) to understand the binary
-    /// codec. Absent edges ride XML — always safe. Insert/probe only,
-    /// so the fast hasher cannot leak an order into behaviour.
-    peer_fmt: FxHashMap<NodeId, WireFormat>,
     /// Per-edge buffered event frames awaiting a flush, in `NodeId`
     /// order: a hasher's per-instance order must not steer the send
     /// order, and with it the link RNG draw order.
@@ -182,31 +162,20 @@ impl WireLink {
     fn new(config: WireConfig) -> Self {
         WireLink {
             config,
-            peer_fmt: FxHashMap::default(),
             pending: BTreeMap::new(),
             timer_armed: false,
         }
     }
 
-    /// The format negotiated for an edge; XML until proven otherwise.
-    fn fmt_for(&self, node: NodeId) -> WireFormat {
-        self.peer_fmt.get(&node).copied().unwrap_or(WireFormat::Xml)
-    }
-
-    /// Whether a peer's announced version upgrades the edge, given our
-    /// own configuration.
-    fn accepts(&self, version: u8) -> bool {
-        self.config.speaks_v2() && version >= 2
-    }
-
-    fn record_peer_v2(&mut self, node: NodeId) {
-        self.peer_fmt.insert(node, WireFormat::Binary);
+    /// The format every edge speaks.
+    fn format(&self) -> WireFormat {
+        self.config.format
     }
 
     /// Queues or sends one data message on an edge. A frame carrying an
-    /// event on a negotiated binary edge is buffered (when batching is
-    /// on) and flushed by size or by the `BATCH_TAG` timer; everything
-    /// else goes out immediately in the edge's format.
+    /// event on a binary wire is buffered (when batching is on) and
+    /// flushed by size or by the `BATCH_TAG` timer; everything else goes
+    /// out immediately.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -214,8 +183,8 @@ impl WireLink {
         msg: GdsMessage,
         link: Option<&mut ReliableLink>,
     ) {
-        let fmt = self.fmt_for(node);
-        // Only binary edges batch: a v1 peer has no gds:batch tag.
+        let fmt = self.format();
+        // Only the binary wire batches: the paper's XML has no gds:batch.
         if self.config.batch.is_none() || fmt != WireFormat::Binary || !batchable(&msg) {
             return send_data(ctx, node, fmt, msg, link);
         }
@@ -248,7 +217,6 @@ impl WireLink {
         mut items: Vec<GdsMessage>,
         link: Option<&mut ReliableLink>,
     ) {
-        let fmt = self.fmt_for(node);
         let msg = match items.len() {
             0 => return,
             1 => items.pop().expect("len checked"),
@@ -258,7 +226,7 @@ impl WireLink {
                 GdsMessage::Batch(items)
             }
         };
-        send_data(ctx, node, fmt, msg, link);
+        send_data(ctx, node, self.format(), msg, link);
     }
 
     /// Flushes every buffered edge (the `BATCH_TAG` timer body).
@@ -284,12 +252,9 @@ pub struct ReliabilityConfig;
 /// [`Reliable`] envelope and retransmits until acknowledged — when an
 /// ack proves a frame lost, on a tail probe, or on the backoff
 /// schedule. One `LOSS_TAG` timer stands at the queue's next deadline.
-/// Each queued entry remembers the wire format its edge had negotiated
-/// at send time, so retransmissions reuse a frame the peer is known to
-/// understand.
 #[derive(Debug)]
 struct ReliableLink {
-    queue: RetransmitQueue<NodeId, (WireFormat, GdsMessage)>,
+    queue: RetransmitQueue<NodeId, GdsMessage>,
     /// When the earliest outstanding `LOSS_TAG` timer fires. A timer
     /// cannot be cancelled, so one set for a later deadline may still
     /// be outstanding too; it finds nothing due and re-arms.
@@ -326,41 +291,49 @@ impl ReliableLink {
         fmt: WireFormat,
         msg: GdsMessage,
     ) {
-        let seq = self.queue.send(node, (fmt, msg.clone()), ctx.now());
+        let seq = self.queue.send(node, msg.clone(), ctx.now());
         ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
         self.arm(ctx);
     }
 
     /// Takes `from`'s ack window, and re-sends at once what it proves
     /// lost.
-    fn ack(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64, more: u64) {
-        for (seq, entry) in self.queue.ack(from, acked_seqs(seq, more), ctx.now()) {
-            resend(ctx, from, seq, entry, Resend::Lost);
+    fn ack(
+        &mut self,
+        ctx: &mut Ctx<'_, SysMessage>,
+        fmt: WireFormat,
+        from: NodeId,
+        seq: u64,
+        more: u64,
+    ) {
+        for (seq, msg) in self.queue.ack(from, acked_seqs(seq, more), ctx.now()) {
+            resend(ctx, fmt, from, seq, msg, Resend::Lost);
         }
         self.arm(ctx);
     }
 
     /// The `LOSS_TAG` timer body: re-sends everything due, then re-arms.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, fmt: WireFormat) {
         let now = ctx.now();
         if self.armed.is_some_and(|armed| armed <= now) {
             self.armed = None;
         }
-        for (seq, node, entry, why) in self.queue.poll(now) {
-            resend(ctx, node, seq, entry, why);
+        for (seq, node, msg, why) in self.queue.poll(now) {
+            resend(ctx, fmt, node, seq, msg, why);
         }
         self.arm(ctx);
     }
 }
 
-/// Re-sends a queued entry in the format it was first sent in, counting
-/// `net.retransmits`, and `net.fast_retransmits` and `net.tail_probes`
-/// for what did not wait for the backoff.
+/// Re-sends a queued entry, counting `net.retransmits`, and
+/// `net.fast_retransmits` and `net.tail_probes` for what did not wait
+/// for the backoff.
 fn resend(
     ctx: &mut Ctx<'_, SysMessage>,
+    fmt: WireFormat,
     node: NodeId,
     seq: u64,
-    (fmt, msg): (WireFormat, GdsMessage),
+    msg: GdsMessage,
     why: Resend,
 ) {
     ctx.count_id(CounterId::NET_RETRANSMITS, 1);
@@ -390,7 +363,7 @@ fn rel_frame(fmt: WireFormat, rel: Reliable<GdsMessage>) -> SysMessage {
 }
 
 /// Sends one data message on an edge, through the reliable link when
-/// one is supplied, otherwise fire-and-forget, in the edge's format.
+/// one is supplied, otherwise fire-and-forget.
 fn send_data(
     ctx: &mut Ctx<'_, SysMessage>,
     node: NodeId,
@@ -406,21 +379,15 @@ fn send_data(
 
 /// Beacons ride plain — wrapping the liveness signal in the
 /// retransmit machinery would defeat its purpose (a lost beacon *is*
-/// a miss). Hellos ride plain too: a version-1 peer would drop the
-/// unknown tag without acking, so retransmitting one forever would
-/// defeat the fallback the hello exists to provide.
+/// a miss).
 fn rides_plain(msg: &GdsMessage) -> bool {
-    matches!(
-        msg,
-        GdsMessage::HeartbeatAck { .. } | GdsMessage::Hello { .. } | GdsMessage::HelloAck { .. }
-    )
+    matches!(msg, GdsMessage::HeartbeatAck { .. })
 }
 
 /// The receiving half of the reliable envelope: the sequence numbers
 /// that arrived per edge since the last flush, acknowledged `ACK_DELAY`
 /// after the first of them in as few selective-ack frames as cover
-/// them, each in the edge's negotiated format (binary only once the
-/// peer has proven it speaks it).
+/// them.
 #[derive(Debug, Default)]
 struct PendingAcks {
     /// In `NodeId` order: a hasher's per-instance order must not steer
@@ -446,10 +413,9 @@ impl PendingAcks {
     }
 
     /// The `ACK_TAG` timer body: every edge's windows, one frame each.
-    fn flush(&mut self, ctx: &mut Ctx<'_, SysMessage>, wire: &WireLink) {
+    fn flush(&mut self, ctx: &mut Ctx<'_, SysMessage>, fmt: WireFormat) {
         self.armed = false;
         for (node, mut seqs) in std::mem::take(&mut self.by_edge) {
-            let fmt = wire.fmt_for(node);
             for (seq, more) in ack_windows(&mut seqs) {
                 ctx.send(node, rel_frame(fmt, Reliable::Ack { seq, more }));
             }
@@ -470,10 +436,9 @@ enum Received {
 
 /// One actor's edge transport: everything between a [`SysMessage`] frame
 /// on a tree edge and the plain message its state machine handles — the
-/// per-edge wire format and batch buffers, and (when enabled) the
+/// wire format and per-edge batch buffers, and (when enabled) the
 /// reliable envelope. [`AlertingActor`] and [`GdsActor`] each own one;
-/// neither unwraps a carrier, acknowledges, negotiates a format or
-/// polls a queue by itself.
+/// neither unwraps a carrier, acknowledges or polls a queue by itself.
 #[derive(Debug)]
 struct EdgeTransport {
     wire: WireLink,
@@ -496,21 +461,12 @@ impl EdgeTransport {
         self.reliable = Some(ReliableLink::new(seed));
     }
 
-    /// The actor's `on_start`, which a node coming back up runs again:
-    /// announces wire v2 on every edge in `peers` (each upgrades
-    /// independently when its hello-ack comes back). Every timer set
-    /// before the node went down is gone, so the armed flags are
-    /// forgotten and each timer set again when it has work: a batch to
-    /// flush, acks owed (left owed, the peer would retransmit them for
-    /// ever), or frames still unacknowledged.
-    fn start<'a>(
-        &mut self,
-        ctx: &mut Ctx<'_, SysMessage>,
-        peers: impl IntoIterator<Item = &'a HostName>,
-    ) {
-        for peer in peers {
-            self.hello(ctx, peer);
-        }
+    /// The actor's `on_start`, which a node coming back up runs again.
+    /// Every timer set before the node went down is gone, so the armed
+    /// flags are forgotten and each timer set again when it has work: a
+    /// batch to flush, acks owed (left owed, the peer would retransmit
+    /// them for ever), or frames still unacknowledged.
+    fn start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         if let Some(link) = &mut self.reliable {
             link.armed = None;
             link.arm(ctx);
@@ -521,63 +477,25 @@ impl EdgeTransport {
         self.acks.arm(ctx);
     }
 
-    /// Announces wire v2 on one edge (no-op for v1 configurations).
-    fn hello(&mut self, ctx: &mut Ctx<'_, SysMessage>, peer: &HostName) {
-        if self.wire.config.speaks_v2() {
-            if let Some(node) = ctx.resolve(peer.as_str()) {
-                ctx.send(node, SysMessage::Gds(GdsMessage::Hello { version: 2 }));
-            }
-        }
-    }
-
-    /// Announces wire v2 again on an edge that is still XML. A hello
-    /// and its ack ride plain and can be lost; both actors call this on
-    /// a periodic timer, so a lost one delays the upgrade instead of
-    /// preventing it.
-    fn rehello(&mut self, ctx: &mut Ctx<'_, SysMessage>, peer: &HostName) {
-        if let Some(node) = ctx.resolve(peer.as_str()) {
-            if self.wire.fmt_for(node) == WireFormat::Xml {
-                self.hello(ctx, peer);
-            }
-        }
-    }
-
     /// The transport's share of an arriving frame — the one place the
     /// GDS carriers are taken apart. Data envelopes are noted for the
-    /// next ack flush, acks feed the retransmission queue,
-    /// hellos this host accepts are recorded and answered; what is left
-    /// is the state machine's.
+    /// next ack flush and acks feed the retransmission queue; what is
+    /// left is the state machine's.
     fn receive(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
         from: NodeId,
         msg: SysMessage,
     ) -> Received {
-        let msg = match msg {
-            SysMessage::Gds(m) | SysMessage::GdsBin(m) => m,
-            SysMessage::RelGds(rel) | SysMessage::RelGdsBin(rel) => {
-                let Some(m) = self.open(ctx, from, rel) else {
-                    return Received::Consumed;
-                };
-                m
-            }
-            other @ (SysMessage::Gs(_) | SysMessage::Aux(_)) => return Received::Gs(other),
-        };
-        // Version negotiation terminates here. A hello this host does
-        // not accept (it is configured for v1) goes on to the state
-        // machine, which ignores the tag — a legacy peer that never
-        // upgrades.
         match msg {
-            GdsMessage::Hello { version } if self.wire.accepts(version) => {
-                self.wire.record_peer_v2(from);
-                self.send(ctx, from, GdsMessage::HelloAck { version: 2 });
-                Received::Consumed
+            SysMessage::Gds(m) | SysMessage::GdsBin(m) => Received::Gds(m),
+            SysMessage::RelGds(rel) | SysMessage::RelGdsBin(rel) => {
+                match self.open(ctx, from, rel) {
+                    Some(m) => Received::Gds(m),
+                    None => Received::Consumed,
+                }
             }
-            GdsMessage::HelloAck { version } if self.wire.accepts(version) => {
-                self.wire.record_peer_v2(from);
-                Received::Consumed
-            }
-            msg => Received::Gds(msg),
+            other @ (SysMessage::Gs(_) | SysMessage::Aux(_)) => Received::Gs(other),
         }
     }
 
@@ -600,19 +518,18 @@ impl EdgeTransport {
             }
             Reliable::Ack { seq, more } => {
                 if let Some(link) = &mut self.reliable {
-                    link.ack(ctx, from, seq, more);
+                    link.ack(ctx, self.wire.format(), from, seq, more);
                 }
                 None
             }
         }
     }
 
-    /// Sends one GDS message on an edge: liveness and negotiation
-    /// frames plain, everything else through the batcher and, when
-    /// enabled, the reliable envelope.
+    /// Sends one GDS message on an edge: beacons plain, everything else
+    /// through the batcher and, when enabled, the reliable envelope.
     fn send(&mut self, ctx: &mut Ctx<'_, SysMessage>, node: NodeId, msg: GdsMessage) {
         if rides_plain(&msg) {
-            ctx.send(node, data_frame(self.wire.fmt_for(node), msg));
+            ctx.send(node, data_frame(self.wire.format(), msg));
         } else {
             self.wire.dispatch(ctx, node, msg, self.reliable.as_mut());
         }
@@ -623,11 +540,11 @@ impl EdgeTransport {
         match tag {
             LOSS_TAG => {
                 if let Some(link) = &mut self.reliable {
-                    link.on_timer(ctx);
+                    link.on_timer(ctx, self.wire.format());
                 }
             }
             BATCH_TAG => self.wire.flush_all(ctx, self.reliable.as_mut()),
-            ACK_TAG => self.acks.flush(ctx, &self.wire),
+            ACK_TAG => self.acks.flush(ctx, self.wire.format()),
             _ => {}
         }
     }
@@ -666,8 +583,7 @@ impl AlertingActor {
         self.edge.enable_reliability(seed);
     }
 
-    /// Sets the wire-protocol configuration (format version,
-    /// batching). Takes effect from the next hello exchange.
+    /// Sets the wire-protocol configuration (format, batching).
     pub fn set_wire(&mut self, config: WireConfig) {
         self.edge.wire = WireLink::new(config);
     }
@@ -715,8 +631,7 @@ impl Actor<SysMessage> for AlertingActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let effects = self.core.startup(ctx.now());
         self.apply(effects, ctx);
-        // The one edge of a server is the one to its directory node.
-        self.edge.start(ctx, [self.core.gds_server()]);
+        self.edge.start(ctx);
         ctx.set_timer(MAINTENANCE_TICK, TICK_TAG);
     }
 
@@ -734,7 +649,6 @@ impl Actor<SysMessage> for AlertingActor {
         if tag == TICK_TAG {
             let effects = self.core.on_tick(ctx.now());
             self.apply(effects, ctx);
-            self.edge.rehello(ctx, self.core.gds_server());
             ctx.set_timer(MAINTENANCE_TICK, TICK_TAG);
         } else {
             self.edge.on_timer(ctx, tag);
@@ -788,7 +702,8 @@ impl GdsActor {
     /// Sets the wire-protocol configuration. A v2 node also freezes
     /// flood payloads at the origin (encode-once forwarding).
     pub fn set_wire(&mut self, config: WireConfig) {
-        self.node.set_encode_once(config.speaks_v2());
+        self.node
+            .set_encode_once(config.format == WireFormat::Binary);
         self.edge.wire = WireLink::new(config);
     }
 
@@ -854,8 +769,8 @@ impl GdsActor {
     }
 
     /// The liveness-timer body: count an interval without the parent's
-    /// beacon as a miss, re-parent when the detector trips, say hello
-    /// again on a parent edge that is still XML, and beacon every child.
+    /// beacon as a miss, re-parent when the detector trips, and beacon
+    /// every child.
     fn heartbeat_tick(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let Some(detector) = self.detector.as_mut() else {
             return;
@@ -867,9 +782,6 @@ impl GdsActor {
             if detector.misses >= HEARTBEAT_MISSES && detector.grandparent.is_some() {
                 self.reparent(ctx);
             }
-        }
-        if let Some(parent) = self.node.parent() {
-            self.edge.rehello(ctx, parent);
         }
         let mut effects = std::mem::take(&mut self.scratch);
         effects.clear();
@@ -907,7 +819,7 @@ impl GdsActor {
             }
         }
         effects.outbound.push(GdsOutbound {
-            to: new_parent.clone(),
+            to: new_parent,
             msg: GdsMessage::Adopt { child: me },
         });
         effects.outbound.extend(self.node.reregistrations());
@@ -921,17 +833,12 @@ impl GdsActor {
         // beacon/announce cycle once summaries settle).
         self.node.refresh_rendezvous(&mut effects);
         self.apply(&mut effects, ctx);
-        // The new parent is an unknown quantity: renegotiate the edge
-        // from the XML-safe default.
-        self.edge.hello(ctx, &new_parent);
     }
 }
 
 impl Actor<SysMessage> for GdsActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        // Every tree edge is negotiated.
-        self.edge
-            .start(ctx, self.node.parent().into_iter().chain(self.node.children()));
+        self.edge.start(ctx);
         if self.detector.is_some() {
             ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
         }

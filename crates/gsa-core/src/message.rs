@@ -14,9 +14,9 @@ use std::fmt;
 /// protocol and the alerting payloads beside it — or GDS protocol
 /// (server ↔ directory, directory ↔ directory), the latter optionally
 /// wrapped in the reliable-delivery envelope. The `*Bin` variants are
-/// the same GDS messages travelling as wire-format-v2 binary frames on
-/// edges where the hello exchange negotiated v2; the sender picks the
-/// variant per edge, so mixed-version trees carry both.
+/// the same GDS messages travelling as wire-format-v2 binary frames: a
+/// deployment configured for v2 sends every GDS frame in them, one
+/// configured for the paper's XML never does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SysMessage {
     /// A Greenstone-protocol message.

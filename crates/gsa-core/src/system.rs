@@ -108,10 +108,10 @@ impl System {
 
     /// Sets the wire-protocol configuration of every node. The default
     /// ([`WireConfig::default`]) is the paper's XML messaging;
-    /// [`WireConfig::v2`] turns on the negotiated binary fast path with
-    /// encode-once flood forwarding, and [`WireConfig::v2_batched`] adds
-    /// per-edge event batching. [`System::set_host_wire`] overrides one
-    /// host afterwards.
+    /// [`WireConfig::v2`] puts every edge on the binary fast path from
+    /// its first frame, with encode-once flood forwarding, and
+    /// [`WireConfig::v2_batched`] adds per-edge event batching. The
+    /// format is deployment-wide: there is no per-host override.
     ///
     /// # Panics
     ///
@@ -214,27 +214,6 @@ impl System {
     /// `None` for servers added while durability was off.
     pub fn storage_of(&self, host: &str) -> Option<MemMedium> {
         self.media.get(&HostName::new(host)).cloned()
-    }
-
-    /// Overrides one already-added host's wire configuration — the
-    /// mixed-version-deployment knob (e.g. pin a single directory node
-    /// to v1 in an otherwise v2 tree). Call before the first run so
-    /// the hello exchange reflects it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `host` is unknown.
-    pub fn set_host_wire(&mut self, host: &str, config: WireConfig) {
-        let node = self.node(host);
-        let done = self
-            .sim
-            .with_actor::<GdsActor, ()>(node, |actor, _| actor.set_wire(config.clone()))
-            .is_some()
-            || self
-                .sim
-                .with_actor::<AlertingActor, ()>(node, |actor, _| actor.set_wire(config.clone()))
-                .is_some();
-        assert!(done, "{host:?} is neither a GDS node nor a server");
     }
 
     /// The underlying simulator (topology control, scheduling).
@@ -954,8 +933,7 @@ mod tests {
     }
 
     /// Each of the six node switches refuses a late call; the link
-    /// knobs and the per-host wire override are for a running
-    /// deployment and do not.
+    /// knobs are for a running deployment and do not.
     #[test]
     fn every_node_switch_refuses_a_late_call_and_the_link_knobs_do_not() {
         let late: [fn(&mut System); 6] = [
@@ -976,7 +954,6 @@ mod tests {
         system.add_gds_node(GdsNode::new("gds-1", 1, None));
         system.set_default_link(LinkConfig::lan());
         system.set_drop_probability(0.1);
-        system.set_host_wire("gds-1", WireConfig::v2());
     }
 
     #[test]

@@ -143,19 +143,6 @@ pub enum GdsMessage {
         /// The departed GDS node.
         child: HostName,
     },
-    /// Wire-format negotiation: "I can speak binary wire format v2."
-    /// Sent to tree neighbours on startup; a v1 peer ignores it (an
-    /// unknown message is dropped), so the edge silently stays on XML
-    /// text.
-    Hello {
-        /// Highest wire format version the sender speaks.
-        version: u8,
-    },
-    /// Reply to a [`GdsMessage::Hello`]: the edge may upgrade.
-    HelloAck {
-        /// Version the responder agrees to speak.
-        version: u8,
-    },
     /// Several messages coalesced into one frame by the per-edge
     /// batcher. A batch travels (and is acked) as a unit. No sender puts
     /// a batch inside a batch, and both decoders refuse one as malformed.
@@ -355,29 +342,6 @@ impl<T> Field for Num<T> {
     }
 }
 
-/// A wire-format version: the `version` attribute, one v2 byte.
-struct FormatVersion;
-
-impl Field for FormatVersion {
-    type Value = u8;
-
-    fn put_xml(&self, v: &u8, out: &mut impl XmlPut) {
-        out.num_attr("version", u64::from(*v));
-    }
-
-    fn take_xml(&self, el: &XmlElement) -> Result<u8, WireError> {
-        let version = el.attr("version").and_then(|v| v.parse().ok());
-        version.ok_or_else(|| missing("version"))
-    }
-
-    fn put_bin(&self, v: &u8, out: &mut impl ByteSink) {
-        out.put_u8(*v);
-    }
-
-    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<u8, WireError> {
-        r.read_u8()
-    }
-}
 
 /// The servers a multicast still has to reach: `<target>` children ahead
 /// of the payload, a v2 count and strings.
@@ -524,8 +488,9 @@ gds_messages! {
     12 "gds:heartbeat-ack"    HeartbeatAck { version: VERSION }
     13 "gds:adopt"            Adopt { child: Host("child") }
     14 "gds:detach"           Detach { child: Host("child") }
-    15 "gds:hello"            Hello { version: FormatVersion }
-    16 "gds:hello-ack"        HelloAck { version: FormatVersion }
+    // 15 "gds:hello" and 16 "gds:hello-ack" negotiated a format per
+    // edge before the format became deployment-wide: all four decode to
+    // an error.
     17 "gds:batch"            Batch { 0: Items }
     18 "gds:summary"          SummaryUpdate { from: Host("from"), version: VERSION, summary: SummaryField }
     19 "gds:rendezvous-grant" RendezvousGrant { from: Host("from"), version: VERSION, grants: AttrMapField("grant") }
@@ -653,12 +618,6 @@ mod tests {
     #[test]
     fn unknown_tag_errors() {
         assert!(GdsMessage::from_xml(&XmlElement::new("gds:nope")).is_err());
-    }
-
-    #[test]
-    fn negotiation_messages_round_trip() {
-        round_trip(GdsMessage::Hello { version: 2 });
-        round_trip(GdsMessage::HelloAck { version: 2 });
     }
 
     fn sample_summary() -> InterestSummary {
@@ -799,8 +758,6 @@ mod tests {
             GdsMessage::HeartbeatAck { version: 300 },
             GdsMessage::Adopt { child: "gds-5".into() },
             GdsMessage::Detach { child: "gds-5".into() },
-            GdsMessage::Hello { version: 2 },
-            GdsMessage::HelloAck { version: 2 },
             GdsMessage::SummaryUpdate {
                 from: "gds-4".into(),
                 version: 3,

@@ -79,7 +79,7 @@ pub struct GdsNode {
     /// replayed to an adopted child to close the reparenting race where
     /// an in-flight broadcast misses the moved subtree.
     recent: VecDeque<(HostName, u64, Payload)>,
-    /// When true (wire format v2 negotiated by the actor layer), flood
+    /// When true (the deployment speaks wire format v2), flood
     /// payloads are frozen to their binary bytes once on entry, so
     /// every forwarded copy shares one encoded buffer instead of
     /// re-serialising per edge.
@@ -338,11 +338,6 @@ impl GdsNode {
         &self.held_grants
     }
 
-    /// The grants currently extended to `child`, if any.
-    pub fn granted_to(&self, child: &HostName) -> Option<&BTreeMap<String, BTreeSet<String>>> {
-        self.granted.get(child)
-    }
-
     /// Re-derives everything downstream of an edge-summary change: the
     /// requested-key cache and the children's rendezvous grants
     /// (revocations ride the same effects batch as the change that
@@ -548,11 +543,6 @@ impl GdsNode {
         self.held_grants.clear();
         self.held_grant_version = 0;
         self.rebuild_requested_keys();
-    }
-
-    /// The Greenstone servers registered directly here.
-    pub fn local_servers(&self) -> impl Iterator<Item = &HostName> {
-        self.local.iter()
     }
 
     /// Whether `gs_host` is known in this node's subtree.
@@ -827,16 +817,13 @@ impl GdsNode {
                     self.recompute_grants(effects);
                 }
             }
-            // Final deliveries, resolve answers, beacons and wire
-            // negotiation are not the state machine's business; a GDS
-            // node receiving one ignores it (the actor layer intercepts
-            // beacons for its failure detector and hellos for its
-            // per-edge format table).
+            // Final deliveries, resolve answers and beacons are not the
+            // state machine's business; a GDS node receiving one ignores
+            // it (the actor layer intercepts beacons for its failure
+            // detector).
             GdsMessage::Deliver { .. }
             | GdsMessage::ResolveResponse { .. }
-            | GdsMessage::HeartbeatAck { .. }
-            | GdsMessage::Hello { .. }
-            | GdsMessage::HelloAck { .. } => {}
+            | GdsMessage::HeartbeatAck { .. } => {}
         }
     }
 
@@ -1905,23 +1892,19 @@ mod tests {
     #[test]
     fn rendezvous_grants_flow_down_the_exclusive_chain() {
         let nodes = rendezvous_figure2();
-        let granted = |name: &str, child: &str| {
-            nodes[&HostName::new(name)]
-                .granted_to(&child.into())
-                .cloned()
-                .unwrap_or_default()
-        };
+        let held = |name: &str| nodes[&HostName::new(name)].held_grants();
         let expect: BTreeMap<String, BTreeSet<String>> = [(
             "kind".to_owned(),
             ["documents-added".to_owned()].into_iter().collect(),
         )]
         .into_iter()
         .collect();
-        assert_eq!(granted("gds-1", "gds-3"), expect);
-        assert_eq!(granted("gds-3", "gds-6"), expect);
-        assert_eq!(nodes[&HostName::new("gds-6")].held_grants(), &expect);
+        // What gds-1 granted gds-3 and what gds-3 granted gds-6 is what
+        // each holds.
+        assert_eq!(held("gds-3"), &expect);
+        assert_eq!(held("gds-6"), &expect);
         // The uninterested subtree holds nothing.
-        assert!(nodes[&HostName::new("gds-5")].held_grants().is_empty());
+        assert!(held("gds-5").is_empty());
     }
 
     #[test]
@@ -2134,7 +2117,6 @@ mod tests {
         assert_eq!(root.stratum(), 1);
         assert!(root.parent().is_none());
         assert_eq!(root.children().count(), 3);
-        assert_eq!(root.local_servers().count(), 1);
         assert_eq!(root.name().as_str(), "gds-1");
     }
 }

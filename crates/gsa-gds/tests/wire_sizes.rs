@@ -213,11 +213,11 @@ fn arb_summary() -> BoxedStrategy<InterestSummary> {
     )
 }
 
-/// The thirteen variants that carry neither a payload nor other
+/// The eleven variants that carry neither a payload nor other
 /// messages, the beacon twice: at version 0 and at any version.
 fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
     (
-        (0u8..14, arb_host(host), arb_host(host), arb_id(), 0u8..=255),
+        (0u8..12, arb_host(host), arb_host(host), arb_id(), 0u8..=255),
         arb_summary(),
         arb_attr_map(),
     )
@@ -240,9 +240,7 @@ fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
             7 => GdsMessage::HeartbeatAck { version: number },
             8 => GdsMessage::Adopt { child: a },
             9 => GdsMessage::Detach { child: a },
-            10 => GdsMessage::Hello { version },
-            11 => GdsMessage::HelloAck { version },
-            12 => GdsMessage::SummaryUpdate {
+            10 => GdsMessage::SummaryUpdate {
                 from: a,
                 version: number,
                 summary,
@@ -255,7 +253,7 @@ fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
         })
 }
 
-/// All nineteen variants, a batch nested as deep as the decoders allow:
+/// All seventeen variants, a batch nested as deep as the decoders allow:
 /// once, around anything but a batch.
 fn arb_message(host: &'static str) -> BoxedStrategy<GdsMessage> {
     let item = prop_oneof![arb_carrier(host), arb_control(host)];

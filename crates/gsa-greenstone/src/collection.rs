@@ -135,31 +135,9 @@ impl Collection {
         report
     }
 
-    /// Removes documents by id (documents not present are ignored).
-    pub fn remove_documents(&mut self, ids: &[DocId]) -> BuildReport {
-        let mut report = BuildReport::default();
-        for id in ids {
-            if self.store.remove_document(id).is_some() {
-                report.removed.push(id.clone());
-            }
-        }
-        self.build_seq += 1;
-        report.build_seq = self.build_seq;
-        report
-    }
-
     /// Event payload summaries for the given documents.
     pub fn summaries(&self, ids: &[DocId]) -> Vec<DocSummary> {
         self.store.summaries(ids, EXCERPT_CHARS)
-    }
-
-    /// Event payload summaries for every document (used when announcing a
-    /// full rebuild).
-    pub fn all_summaries(&self) -> Vec<DocSummary> {
-        self.store
-            .iter()
-            .map(|d| d.summary(EXCERPT_CHARS))
-            .collect()
     }
 }
 
@@ -219,15 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_documents_ignores_missing() {
-        let mut c = Collection::new(CollectionConfig::simple("D", "demo"));
-        c.import(vec![doc("a", "x")]);
-        let report = c.remove_documents(&[DocId::new("a"), DocId::new("ghost")]);
-        assert_eq!(report.removed, vec![DocId::new("a")]);
-        assert!(c.store().is_empty());
-    }
-
-    #[test]
     fn virtual_collection_detection() {
         let cfg = CollectionConfig::simple("C", "virtual").with_subcollection(
             SubCollectionRef::new("a", CollectionId::new("Hamilton", "A")),
@@ -249,7 +218,7 @@ mod tests {
     fn summaries_include_metadata_and_excerpt() {
         let mut c = Collection::new(CollectionConfig::simple("D", "demo"));
         c.import(vec![doc("a", "hello world")]);
-        let sums = c.all_summaries();
+        let sums = c.summaries(&[DocId::new("a")]);
         assert_eq!(sums.len(), 1);
         assert_eq!(sums[0].excerpt, "hello world");
     }

@@ -194,11 +194,6 @@ impl Receptionist {
             _ => None,
         }
     }
-
-    /// Number of requests still awaiting responses.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl fmt::Display for Receptionist {
@@ -287,7 +282,15 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(recep.pending_count(), 0);
+        // The answered request is no longer pending: a repeat of its
+        // response completes nothing.
+        let repeat = GsMessage::FetchResponse {
+            request: rid,
+            docs: Vec::new(),
+            errors: Vec::new(),
+            fatal: None,
+        };
+        assert!(recep.handle_message(repeat).is_none());
     }
 
     #[test]

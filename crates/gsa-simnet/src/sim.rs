@@ -358,11 +358,6 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         }
     }
 
-    /// Whether the node is currently up.
-    pub fn is_node_up(&self, id: NodeId) -> bool {
-        self.meta[id.index()].up
-    }
-
     /// Assigns a node to a partition group. Nodes in different groups
     /// cannot exchange messages. All nodes start in group 0.
     pub fn set_partition(&mut self, id: NodeId, group: u32) {

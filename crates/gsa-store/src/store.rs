@@ -196,11 +196,6 @@ impl DocumentStore {
         self.docs.values()
     }
 
-    /// The configured index names.
-    pub fn index_names(&self) -> impl Iterator<Item = &str> {
-        self.indexes.iter().map(|(s, _)| s.name.as_str())
-    }
-
     /// Executes a Boolean query against the named index.
     ///
     /// # Errors
@@ -240,11 +235,6 @@ impl DocumentStore {
             .iter()
             .find(|c| c.spec().name == name)
             .ok_or_else(|| StoreError::UnknownClassifier(name.to_string()))
-    }
-
-    /// The configured classifier names.
-    pub fn classifier_names(&self) -> impl Iterator<Item = &str> {
-        self.classifiers.iter().map(|c| c.spec().name.as_str())
     }
 
     /// Builds event payload summaries for the given documents (documents
@@ -352,13 +342,6 @@ mod tests {
         let ranked = s.ranked("text", &["library"]).unwrap();
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].0, DocId::new("d2"));
-    }
-
-    #[test]
-    fn names_are_listed() {
-        let s = store();
-        assert_eq!(s.index_names().collect::<Vec<_>>(), vec!["text", "title"]);
-        assert_eq!(s.classifier_names().collect::<Vec<_>>(), vec!["creators"]);
     }
 
     #[test]

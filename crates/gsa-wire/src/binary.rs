@@ -14,9 +14,10 @@
 //!   generic encoding of the XML element tree, so every v1 body is
 //!   representable in v2.
 //!
-//! The format is negotiated per edge (hello exchange, see
-//! `gsa-core`): a v2 node speaks v1 XML text to any peer that has not
-//! proven v2 support, so the two formats coexist in one tree.
+//! The format is chosen once per deployment (`gsa-core`'s
+//! `System::set_wire`): every edge of a v2 deployment speaks it from its
+//! first frame, and no edge negotiates. The two formats never meet in
+//! one tree.
 //!
 //! Every encoder here writes into a [`ByteSink`], which is a `Vec<u8>`
 //! or a [`ByteCount`]: the size of an encoding is the encoder run into
@@ -56,13 +57,13 @@ use std::sync::Arc;
 /// First byte of every v2 binary frame.
 pub const FRAME_MAGIC: u8 = 0xB2;
 
-/// Which encoding a message travels in on a given edge.
+/// Which encoding a deployment's messages travel in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
     /// Version 1: the paper's XML text encoding (always understood).
     #[default]
     Xml,
-    /// Version 2: the compact binary framing (negotiated per edge).
+    /// Version 2: the compact binary framing.
     Binary,
 }
 
@@ -598,7 +599,8 @@ pub fn payload_bytes_from_event(event: &Event) -> Vec<u8> {
 }
 
 /// Reconstructs the payload element from [`payload_bytes_from_xml`]
-/// bytes (the slow path, used when re-encoding for a v1 peer).
+/// bytes (the slow path, used when a frozen payload is written as
+/// XML text).
 ///
 /// # Errors
 ///

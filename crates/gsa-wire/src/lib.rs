@@ -17,7 +17,7 @@
 //!   ([`Reliable`]) plus a deterministic retransmission queue that
 //!   retries until acknowledged, with exponential backoff and jitter
 //!   ([`RetransmitQueue`]),
-//! * [`binary`] — the negotiated wire format v2: a length-prefixed,
+//! * [`binary`] — wire format v2, chosen per deployment: a length-prefixed,
 //!   varint-framed binary codec with native encoders for events,
 //!   metadata records and document summaries, and a generic XML-tree
 //!   fallback for everything else,

@@ -84,7 +84,7 @@ impl Payload {
     }
 
     /// Wraps frozen binary bytes received off a v2 edge. The XML tree
-    /// is only reconstructed if a v1 peer or a text encode asks for it.
+    /// is only reconstructed if a text encode asks for it.
     pub fn from_frozen(bin: FrozenBytes) -> Self {
         Payload::new(None, OnceLock::new(), Some(bin))
     }

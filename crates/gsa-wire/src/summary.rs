@@ -405,8 +405,7 @@ impl Field for AttrMapField {
 /// The wire forms of an [`InterestSummary`], which is written into the
 /// element of the message that carries it. v1: a `wildcard="true"`
 /// attribute ahead of the element's others, or a child per anchor and
-/// per digest — a v1 (pre-digest) peer ignores unknown children, so
-/// digests degrade to anchor-only pruning on mixed-version edges. v2: the
+/// per digest. v2: the
 /// summary's frozen bytes as one slice, so re-announcing an unchanged
 /// summary is a memcpy and sizing one is a length. Both readers make
 /// what arrives canonical, so a hand-crafted frame cannot smuggle an

@@ -108,9 +108,9 @@ fn hybrid_run_output_is_pinned_per_seed() {
         fnv1a64(format!("{metrics}\n---\n{}", deliveries.join("\n")).as_bytes())
     });
     let pinned = [
-        0x352e_07df_3fe6_dae9_u64,
-        0xe1cc_3c3e_d628_2b21,
-        0xe6e0_92ec_847b_a42a,
+        0x6487_a90a_577f_03e5_u64,
+        0x078c_68a7_92d3_7c0b,
+        0x2a8d_1ce9_bb23_3624,
     ];
     assert_eq!(
         hashes, pinned,

@@ -11,13 +11,15 @@
 //! of values meets in some cell. Each cell runs a Figure-2 broadcast and
 //! a Figure-3 auxiliary rewrite on calm links over three seeds, and its
 //! per-client list of (root event, origin) pairs must equal the all-off
-//! cell's.
+//! cell's. A last pass over the cells pins that every GDS frame rides
+//! the cell's wire from the first frame on, through a node bounce and a
+//! re-parenting.
 
 use gsa_core::{AlertPolicyConfig, BatchConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
-use gsa_types::{ClientId, CollectionId, SimTime};
+use gsa_types::{ClientId, CollectionId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -259,4 +261,110 @@ fn every_cell_delivers_the_paper_broadcast() {
 #[test]
 fn every_cell_delivers_the_paper_aux_rewrite() {
     every_cell_matches(aux_rewrite, &[("Berlin", 1), ("Paris", 1), ("Madrid", 0)]);
+}
+
+/// The carriers a wire puts GDS frames in: plain and reliable.
+fn carriers(wire: Wire) -> [&'static str; 2] {
+    match wire {
+        Wire::V1 => ["Gds", "RelGds"],
+        Wire::V2 | Wire::V2Batched => ["GdsBin", "RelGdsBin"],
+    }
+}
+
+/// The carrier (`SysMessage` variant) of every GDS frame the trace
+/// holds from `since` on, with the frame's summary.
+fn gds_frames(system: &System, since: SimTime) -> Vec<(String, String)> {
+    system
+        .sim()
+        .trace()
+        .iter()
+        .filter(|e| e.at >= since)
+        .map(|e| {
+            let carrier = e.summary.split('(').next().unwrap_or_default();
+            (carrier.to_string(), e.summary.clone())
+        })
+        .filter(|(carrier, _)| !matches!(carrier.as_str(), "Gs" | "Aux"))
+        .collect()
+}
+
+/// The wire is a fact of the deployment: every GDS frame on every tree
+/// edge travels in the cell's carrier from the very first frame — a
+/// server's registration included — on calm links, after gds-5 bounces,
+/// and (reliable cells) after gds-3 goes down for good and its children
+/// re-parent to gds-1, the `Adopt` that opens the new edge included.
+/// No frame ever travels in the other wire's carrier.
+#[test]
+fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
+    for seed in SEEDS {
+        for c in &CELLS {
+            let want = carriers(c.wire);
+            let mut system = deploy(seed, c);
+            system.sim_mut().enable_trace();
+            for (host, gds) in [
+                ("Hamilton", "gds-4"),
+                ("Paris", "gds-5"),
+                ("Oslo", "gds-6"),
+                ("Berlin", "gds-7"),
+            ] {
+                system.add_server(host, gds);
+            }
+            system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
+            let profile = r#"host = "Hamilton""#;
+            watch(
+                &mut system,
+                &[("Paris", profile), ("Oslo", profile), ("Berlin", profile)],
+            );
+            system.run_until_quiet(SimTime::from_secs(5));
+            system.rebuild("Hamilton", "D", vec![doc("d1")]).unwrap();
+            system.run_until(SimTime::from_secs(10));
+
+            let bounced = system.now();
+            system.set_host_up("gds-5", false);
+            system.run_for(SimDuration::from_millis(50));
+            system.set_host_up("gds-5", true);
+            system.rebuild("Hamilton", "D", vec![doc("d2")]).unwrap();
+            system.run_until(SimTime::from_secs(20));
+
+            let reparented = system.now();
+            if c.reliable {
+                system.set_host_up("gds-3", false);
+                system.run_for(SimDuration::from_secs(5));
+                assert_eq!(
+                    system.metrics().counter("gds.reparent"),
+                    2,
+                    "seed {seed}, {c:?}: gds-6 and gds-7 re-parent"
+                );
+            }
+            system.rebuild("Hamilton", "D", vec![doc("d3")]).unwrap();
+            system.run_until_quiet(SimTime::from_secs(60));
+
+            let frames = gds_frames(&system, SimTime::ZERO);
+            assert!(
+                frames.iter().any(|(_, s)| s.contains("Register")),
+                "seed {seed}, {c:?}: the registrations are traced"
+            );
+            for (carrier, summary) in &frames {
+                assert!(
+                    want.contains(&carrier.as_str()),
+                    "seed {seed}, {c:?}: {summary} is not on {want:?}"
+                );
+            }
+            let after = |since: SimTime, what: &str| {
+                gds_frames(&system, since)
+                    .iter()
+                    .any(|(_, s)| s.contains(what))
+            };
+            assert!(
+                after(bounced, "Deliver"),
+                "seed {seed}, {c:?}: a delivery after the bounce"
+            );
+            if c.reliable {
+                assert!(after(reparented, "Adopt"), "seed {seed}, {c:?}: the adopts");
+                assert!(
+                    after(reparented, "Deliver"),
+                    "seed {seed}, {c:?}: a delivery after the re-parenting"
+                );
+            }
+        }
+    }
 }

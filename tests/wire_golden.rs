@@ -331,16 +331,6 @@ fn maintenance_and_negotiation_messages_are_pinned() {
         "b2070e056764732d35",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:detach child=\"gds-5\"/>",
     );
-    pin(
-        GdsMessage::Hello { version: 2 },
-        "b2020f02",
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:hello version=\"2\"/>",
-    );
-    pin(
-        GdsMessage::HelloAck { version: 255 },
-        "b20210ff",
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:hello-ack version=\"255\"/>",
-    );
 }
 
 #[test]
@@ -538,6 +528,27 @@ fn the_retired_ping_is_refused_on_both_wires() {
     let document = "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:heartbeat/>";
     let el = parse_document(document).unwrap();
     assert!(GdsMessage::from_xml(&el).is_err(), "v1 text {document}");
+}
+
+/// Opcodes 15 and 16, `<gds:hello/>` and `<gds:hello-ack/>`, negotiated
+/// a wire format per edge, retired when the format became a fact of the
+/// deployment. The frames and documents the retired encoder wrote decode
+/// to an error: never a panic, never a message.
+#[test]
+fn the_retired_hellos_are_refused_on_both_wires() {
+    for frame in ["b2020f02", "b20210ff"] {
+        assert!(
+            GdsMessage::from_binary(&unhex(frame)).is_err(),
+            "v2 frame {frame}"
+        );
+    }
+    for document in [
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:hello version=\"2\"/>",
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:hello-ack version=\"255\"/>",
+    ] {
+        let el = parse_document(document).unwrap();
+        assert!(GdsMessage::from_xml(&el).is_err(), "v1 text {document}");
+    }
 }
 
 /// The hostile window pinned above, every bit set past the last sequence
