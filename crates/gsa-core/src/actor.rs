@@ -41,7 +41,7 @@ const LOSS_TAG: u64 = 2;
 /// Timer tag for the liveness tick: beacons to the children, the
 /// parent's silence counted (reliability on).
 const HEARTBEAT_TAG: u64 = 3;
-/// Timer tag for the per-edge batch flush (batching on).
+/// Timer tag for the per-edge batch flush (binary wire).
 const BATCH_TAG: u64 = 4;
 /// Timer tag for the coalesced summary-announcement flush (pruning on).
 const ANNOUNCE_TAG: u64 = 5;
@@ -75,56 +75,45 @@ const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// (≈ 3 s), after which the node re-parents to its grandparent.
 const HEARTBEAT_MISSES: u32 = 3;
 
-/// A batching edge flushes its buffer as soon as it holds this many
-/// events.
+/// A binary-wire edge flushes its buffer as soon as it holds this many
+/// events; otherwise at the end of the instant.
 const BATCH_MAX_EVENTS: usize = 8;
 
-/// A batching actor flushes every buffer this long after the first
-/// event was queued.
-const BATCH_MAX_DELAY: SimDuration = SimDuration::from_millis(2);
-
-/// Turns on the per-edge event batcher ([`WireConfig::v2_batched`]):
-/// every frame that carries an event — a server's publish as well as a
-/// directory node's forwarding and delivery — buffered per neighbour and
-/// flushed as one [`GdsMessage::Batch`] frame at 8 events or 2 ms,
-/// whichever comes first.
+/// The argument of [`WireConfig::v2_batched`]; it switches nothing,
+/// since [`WireConfig::v2`] always batches. Kept for callers that still
+/// name it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchConfig;
 
 /// Deployment-wide wire-protocol configuration: the format every edge
-/// speaks and whether the frames that carry events are batched per edge.
+/// speaks.
 ///
-/// The default — XML, no batching — reproduces the paper's XML-over-SOAP
-/// behaviour exactly, frame for frame. [`WireConfig::v2`] puts every
-/// edge on the binary codec from its first frame. The format is a fact
-/// of the deployment, not negotiated per edge: a tree whose hosts speak
-/// different formats is not supported.
+/// The default — XML — reproduces the paper's XML-over-SOAP behaviour
+/// exactly, frame for frame. [`WireConfig::v2`] puts every edge on the
+/// binary codec from its first frame, and batches the frames that carry
+/// events per edge: buffered per neighbour and flushed as one
+/// [`GdsMessage::Batch`] frame at 8 events or at the end of the instant
+/// they were sent in, whichever comes first, so a lone event waits for
+/// no clock. The format is a fact of the deployment, not negotiated per
+/// edge: a tree whose hosts speak different formats is not supported.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireConfig {
     /// The format of every GDS frame: XML text (version 1, the paper's
     /// §6 protocol) or the length-prefixed binary codec (version 2).
     pub format: WireFormat,
-    /// Per-edge event batching; `None` (the default) sends every frame
-    /// that carries an event (publish, forward, deliver) as its own
-    /// frame, preserving the paper's message counts.
-    pub batch: Option<BatchConfig>,
 }
 
 impl WireConfig {
-    /// Version-2 wire format, batching off.
+    /// Version-2 wire format, with per-edge event batching.
     pub fn v2() -> Self {
         WireConfig {
             format: WireFormat::Binary,
-            batch: None,
         }
     }
 
-    /// Version-2 wire format with per-edge batching.
-    pub fn v2_batched(batch: BatchConfig) -> Self {
-        WireConfig {
-            format: WireFormat::Binary,
-            batch: Some(batch),
-        }
+    /// An alias of [`WireConfig::v2`], which always batches.
+    pub fn v2_batched(_: BatchConfig) -> Self {
+        Self::v2()
     }
 }
 
@@ -149,7 +138,8 @@ fn batchable(msg: &GdsMessage) -> bool {
 /// the per-edge batch buffers.
 #[derive(Debug)]
 struct WireLink {
-    config: WireConfig,
+    /// The format every edge speaks.
+    format: WireFormat,
     /// Per-edge buffered event frames awaiting a flush, in `NodeId`
     /// order: a hasher's per-instance order must not steer the send
     /// order, and with it the link RNG draw order.
@@ -159,23 +149,17 @@ struct WireLink {
 }
 
 impl WireLink {
-    fn new(config: WireConfig) -> Self {
+    fn new(format: WireFormat) -> Self {
         WireLink {
-            config,
+            format,
             pending: BTreeMap::new(),
             timer_armed: false,
         }
     }
 
-    /// The format every edge speaks.
-    fn format(&self) -> WireFormat {
-        self.config.format
-    }
-
     /// Queues or sends one data message on an edge. A frame carrying an
-    /// event on a binary wire is buffered (when batching is on) and
-    /// flushed by size or by the `BATCH_TAG` timer; everything else goes
-    /// out immediately.
+    /// event on a binary wire is buffered and flushed by size or by the
+    /// `BATCH_TAG` timer; everything else goes out immediately.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
@@ -183,9 +167,9 @@ impl WireLink {
         msg: GdsMessage,
         link: Option<&mut ReliableLink>,
     ) {
-        let fmt = self.format();
+        let fmt = self.format;
         // Only the binary wire batches: the paper's XML has no gds:batch.
-        if self.config.batch.is_none() || fmt != WireFormat::Binary || !batchable(&msg) {
+        if fmt != WireFormat::Binary || !batchable(&msg) {
             return send_data(ctx, node, fmt, msg, link);
         }
         let buf = self.pending.entry(node).or_default();
@@ -199,10 +183,14 @@ impl WireLink {
     }
 
     /// Sets the `BATCH_TAG` timer when an edge holds something (a
-    /// flushed edge leaves the map) and no timer is outstanding.
+    /// flushed edge leaves the map) and no timer is outstanding. The
+    /// timer is due now: the simulator runs same-instant items in the
+    /// order they were queued, so it fires after every frame already
+    /// due in this instant, and whatever those frames send shares the
+    /// flush.
     fn arm_flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        if self.config.batch.is_some() && !self.timer_armed && !self.pending.is_empty() {
-            ctx.set_timer(BATCH_MAX_DELAY, BATCH_TAG);
+        if !self.timer_armed && !self.pending.is_empty() {
+            ctx.set_timer(SimDuration::ZERO, BATCH_TAG);
             self.timer_armed = true;
         }
     }
@@ -226,7 +214,7 @@ impl WireLink {
                 GdsMessage::Batch(items)
             }
         };
-        send_data(ctx, node, self.format(), msg, link);
+        send_data(ctx, node, self.format, msg, link);
     }
 
     /// Flushes every buffered edge (the `BATCH_TAG` timer body).
@@ -451,7 +439,7 @@ struct EdgeTransport {
 impl EdgeTransport {
     fn new() -> Self {
         EdgeTransport {
-            wire: WireLink::new(WireConfig::default()),
+            wire: WireLink::new(WireFormat::default()),
             reliable: None,
             acks: PendingAcks::default(),
         }
@@ -518,7 +506,7 @@ impl EdgeTransport {
             }
             Reliable::Ack { seq, more } => {
                 if let Some(link) = &mut self.reliable {
-                    link.ack(ctx, self.wire.format(), from, seq, more);
+                    link.ack(ctx, self.wire.format, from, seq, more);
                 }
                 None
             }
@@ -529,7 +517,7 @@ impl EdgeTransport {
     /// through the batcher and, when enabled, the reliable envelope.
     fn send(&mut self, ctx: &mut Ctx<'_, SysMessage>, node: NodeId, msg: GdsMessage) {
         if rides_plain(&msg) {
-            ctx.send(node, data_frame(self.wire.format(), msg));
+            ctx.send(node, data_frame(self.wire.format, msg));
         } else {
             self.wire.dispatch(ctx, node, msg, self.reliable.as_mut());
         }
@@ -540,11 +528,11 @@ impl EdgeTransport {
         match tag {
             LOSS_TAG => {
                 if let Some(link) = &mut self.reliable {
-                    link.on_timer(ctx, self.wire.format());
+                    link.on_timer(ctx, self.wire.format);
                 }
             }
             BATCH_TAG => self.wire.flush_all(ctx, self.reliable.as_mut()),
-            ACK_TAG => self.acks.flush(ctx, self.wire.format()),
+            ACK_TAG => self.acks.flush(ctx, self.wire.format),
             _ => {}
         }
     }
@@ -583,9 +571,9 @@ impl AlertingActor {
         self.edge.enable_reliability(seed);
     }
 
-    /// Sets the wire-protocol configuration (format, batching).
+    /// Sets the wire-protocol configuration.
     pub fn set_wire(&mut self, config: WireConfig) {
-        self.edge.wire = WireLink::new(config);
+        self.edge.wire = WireLink::new(config.format);
     }
 
     /// The wrapped core.
@@ -704,7 +692,7 @@ impl GdsActor {
     pub fn set_wire(&mut self, config: WireConfig) {
         self.node
             .set_encode_once(config.format == WireFormat::Binary);
-        self.edge.wire = WireLink::new(config);
+        self.edge.wire = WireLink::new(config.format);
     }
 
     /// Enables subscription-aware flood pruning on the wrapped node.
@@ -738,11 +726,6 @@ impl GdsActor {
     /// The wrapped node.
     pub fn node(&self) -> &GdsNode {
         &self.node
-    }
-
-    /// Mutable access to the wrapped node (topology changes).
-    pub fn node_mut(&mut self) -> &mut GdsNode {
-        &mut self.node
     }
 
     fn apply(&mut self, effects: &mut GdsEffects, ctx: &mut Ctx<'_, SysMessage>) {

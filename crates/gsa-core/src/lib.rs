@@ -64,7 +64,7 @@ pub use crate::core::{AlertingCore, CoreEffects};
 pub use gsa_alerts::{
     AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
 };
-pub use actor::{AlertingActor, BatchConfig, GdsActor, ReliabilityConfig, WireConfig};
+pub use actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
 pub use aux::{AuxProfile, AuxStore};
 pub use message::{AuxPayload, SysMessage};
 pub use subs::{Notification, SubscriptionManager};

@@ -109,9 +109,9 @@ impl System {
     /// Sets the wire-protocol configuration of every node. The default
     /// ([`WireConfig::default`]) is the paper's XML messaging;
     /// [`WireConfig::v2`] puts every edge on the binary fast path from
-    /// its first frame, with encode-once flood forwarding, and
-    /// [`WireConfig::v2_batched`] adds per-edge event batching. The
-    /// format is deployment-wide: there is no per-host override.
+    /// its first frame, with encode-once flood forwarding and per-edge
+    /// event batching flushed at the end of each instant. The format is
+    /// deployment-wide: there is no per-host override.
     ///
     /// # Panics
     ///

@@ -95,12 +95,6 @@ impl CollectionConfig {
         self
     }
 
-    /// Builder-style: replaces the classifier list.
-    pub fn with_classifiers(mut self, classifiers: Vec<ClassifierSpec>) -> Self {
-        self.classifiers = classifiers;
-        self
-    }
-
     /// Builder-style: adds a sub-collection reference.
     pub fn with_subcollection(mut self, sub: SubCollectionRef) -> Self {
         self.subcollections.push(sub);

@@ -49,6 +49,8 @@ impl fmt::Display for NodeId {
 pub struct TraceEntry {
     /// Delivery time.
     pub at: SimTime,
+    /// Send time.
+    pub sent_at: SimTime,
     /// Sending node.
     pub from: NodeId,
     /// Receiving node.
@@ -480,6 +482,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     }
                     trace.push(TraceEntry {
                         at: self.now,
+                        sent_at,
                         from,
                         to,
                         summary,

@@ -76,16 +76,10 @@ pub mod keys {
     pub const CREATOR: &str = "dc.Creator";
     /// Document subject keywords (`dc.Subject`).
     pub const SUBJECT: &str = "dc.Subject";
-    /// Free-text description (`dc.Description`).
-    pub const DESCRIPTION: &str = "dc.Description";
     /// Publication date (`dc.Date`), ISO-8601 `YYYY-MM-DD`.
     pub const DATE: &str = "dc.Date";
-    /// Media/content type (`dc.Format`), e.g. `text`, `audio`, `image`.
-    pub const FORMAT: &str = "dc.Format";
     /// Language code (`dc.Language`).
     pub const LANGUAGE: &str = "dc.Language";
-    /// Publisher (`dc.Publisher`).
-    pub const PUBLISHER: &str = "dc.Publisher";
 }
 
 /// An ordered multimap of metadata: each key maps to one or more values.

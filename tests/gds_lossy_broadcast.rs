@@ -10,9 +10,10 @@
 //! a notification by about a round trip, not by a retransmission
 //! timeout; and so does a frame lost at the tail of a burst or in its
 //! own retransmission. A last pin holds a publisher's burst to its
-//! batches: on batched v2 its events leave the server eight to a frame.
+//! batches: on v2 its events leave the server eight to a frame, while a
+//! lone publish leaves in the instant it was made.
 
-use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
+use gsa_core::{ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_simnet::LinkConfig;
@@ -198,12 +199,9 @@ fn dedup_memory_closes_every_gap_that_retransmission_fills() {
     assert!(most_runs > 1, "floods did overtake each other: there were gaps to close");
 }
 
-/// The wires a reliable edge runs on: the paper's XML, and batched v2.
+/// The wires a reliable edge runs on: the paper's XML, and v2.
 fn wires() -> [(&'static str, WireConfig); 2] {
-    [
-        ("xml", WireConfig::default()),
-        ("v2-batched", WireConfig::v2_batched(BatchConfig)),
-    ]
+    [("xml", WireConfig::default()), ("v2", WireConfig::v2())]
 }
 
 /// Publishes 200 rebuilds 0.7 ms apart, which keeps many frames in
@@ -324,7 +322,7 @@ fn a_lost_retransmission_costs_a_round_trip_too() {
 }
 
 /// The reliable data frames Hamilton handed its directory node gds-4
-/// from trace entry `since` on, and when the last of them arrived. The
+/// from trace entry `since` on, and when the last of them was sent. The
 /// links are calm, so every frame sent is a frame delivered.
 fn publisher_frames(system: &System, since: usize) -> (usize, Option<SimTime>) {
     let sim = system.sim();
@@ -332,27 +330,24 @@ fn publisher_frames(system: &System, since: usize) -> (usize, Option<SimTime>) {
     let frames: Vec<SimTime> = sim.trace()[since..]
         .iter()
         .filter(|e| e.from == from && e.to == to && e.summary.contains("Data {"))
-        .map(|e| e.at)
+        .map(|e| e.sent_at)
         .collect();
     (frames.len(), frames.last().copied())
 }
 
 /// A publisher's burst rides the batcher from its first hop. On a calm
 /// reliable Figure-2 world Hamilton publishes 32 rebuilds in one
-/// instant: batched v2 hands gds-4 four data frames of eight events,
-/// unbatched v2 and XML one frame per event, and every watcher sees
-/// each event exactly once. Then one lone rebuild: on batched v2 it
-/// waits out the 2 ms flush delay at Hamilton and still leaves (the
-/// flush timer, not the size cap, sends it); on the other wires it
-/// leaves at once.
+/// instant: v2 hands gds-4 four data frames of eight events, XML one
+/// frame per event, and every watcher sees each event exactly once.
+/// Then one lone rebuild: on every wire its frame leaves Hamilton in
+/// the instant it was published (on v2 the end-of-instant flush, not
+/// the size cap, sends it).
 #[test]
 fn a_published_burst_leaves_its_server_in_batches() {
     const BURST: usize = 32;
-    let flush_delay = SimDuration::from_millis(2);
     for (wire_name, wire, burst_frames) in [
         ("xml", WireConfig::default(), BURST),
-        ("v2", WireConfig::v2(), BURST),
-        ("v2-batched", WireConfig::v2_batched(BatchConfig), BURST / 8),
+        ("v2", WireConfig::v2(), BURST / 8),
     ] {
         let (mut system, clients, _) = lossy_world(1, false, |s| s.set_wire(wire));
         system.sim_mut().enable_trace();
@@ -372,13 +367,12 @@ fn a_published_burst_leaves_its_server_in_batches() {
         let published = system.now();
         system.rebuild("Hamilton", "D", vec![doc("lone")]).unwrap();
         system.run_until_quiet(system.now() + SimDuration::from_secs(5));
-        let (frames, arrived) = publisher_frames(&system, since);
+        let (frames, sent) = publisher_frames(&system, since);
         assert_eq!(frames, 1, "{wire_name}: the lone publish left Hamilton");
-        let waited = arrived.expect("one frame").since(published) >= flush_delay;
-        assert_eq!(
-            waited,
-            wire_name == "v2-batched",
-            "{wire_name}: the lone publish waits out the flush delay exactly when batched"
+        let waited = sent != Some(published);
+        assert!(
+            !waited,
+            "{wire_name}: the lone publish left Hamilton in the instant it was published"
         );
 
         for &(host, client) in &clients {

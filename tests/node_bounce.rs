@@ -12,7 +12,7 @@
 //! still arrives. The last one holds a bounced node's periodic chains to
 //! one each.
 
-use gsa_core::{BatchConfig, ReliabilityConfig, System, WireConfig};
+use gsa_core::{ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_simnet::NodeId;
@@ -21,9 +21,9 @@ use gsa_types::{ClientId, SimDuration, SimTime};
 
 const SEED: u64 = 7;
 
-/// How long the bounced node stays down: longer than either flush
-/// delay (1 ms announce, 2 ms batch), so a timer pending when the node
-/// goes down always comes due inside the outage.
+/// How long the bounced node stays down: longer than the 1 ms announce
+/// delay, so a timer pending when the node goes down always comes due
+/// inside the outage (a batch flush is due in the instant it was set).
 const OUTAGE: SimDuration = SimDuration::from_millis(50);
 
 fn world(configure: impl FnOnce(&mut System)) -> (System, ClientId) {
@@ -115,90 +115,99 @@ fn held_over_the_outage(
     had_it && first_event(id(host), id(next)).is_some_and(|at| at >= up)
 }
 
-/// Batched v2 wire. `host` goes down `offset_us` after a first rebuild,
-/// for every offset in `offsets_us`, a window chosen to cover the 2 ms in
-/// which `host` holds that rebuild's event frame for `next` (arriving
-/// from `prev`). The first rebuild may be lost with the node (best
-/// effort) — the second, published half a minute after the node is back
-/// on a healthy tree, may not. At some offset `host` must really go down
-/// holding the frame, or the sweep tests nothing.
+/// v2 wire. After a first rebuild the simulator runs one step at a time
+/// until `host` holds that rebuild's event frame for `next` in its batch
+/// buffer — a publisher at once, a directory node in the step that
+/// delivers the event from `prev` — and `host` goes down in that
+/// instant, before its end-of-instant flush fires. The held frame must
+/// leave only after `host` is back up, or the bounce tests nothing. On
+/// reliable edges nothing is lost: the first rebuild arrives too. The
+/// second, published half a minute after the node is back on a healthy
+/// tree, must arrive on either kind of edge.
 fn later_rebuild_crosses_a_bounced_batcher(
     (prev, host, next): (Option<&str>, &str, &str),
-    offsets_us: std::ops::Range<u64>,
     reliable: bool,
 ) {
-    let mut held = 0;
-    for offset_us in offsets_us.step_by(50) {
-        let (mut system, client) = world(|s| {
-            s.set_wire(WireConfig::v2_batched(BatchConfig));
-            if reliable {
-                s.set_reliability(ReliabilityConfig);
-            }
-        });
-        system
-            .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
-            .unwrap();
-        system.sim_mut().enable_trace();
-        rebuild(&mut system, "d1");
-        system.run_for(SimDuration::from_micros(offset_us));
-        let down = system.now();
-        bounce(&mut system, host);
-        let outage = (down, system.now());
-        system.run_for(SimDuration::from_secs(30));
-        system.take_notifications("Cairo", client);
-        if held_over_the_outage(&system, prev, host, next, outage) {
-            held += 1;
+    let (mut system, client) = world(|s| {
+        s.set_wire(WireConfig::v2());
+        if reliable {
+            s.set_reliability(ReliabilityConfig);
         }
-
-        rebuild(&mut system, "d2");
-        system.run_for(SimDuration::from_secs(30));
-        assert_eq!(
-            system.take_notifications("Cairo", client).len(),
-            1,
-            "reliable={reliable}, {host} down {offset_us} µs after the first rebuild: \
-             the second rebuild never arrived"
-        );
+    });
+    system
+        .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
+        .unwrap();
+    system.sim_mut().enable_trace();
+    rebuild(&mut system, "d1");
+    if let Some(prev) = prev {
+        let (from, to) = (system.sim().node_id(prev), system.sim().node_id(host));
+        let delivered = |system: &System| {
+            system.sim().trace().last().is_some_and(|e| {
+                Some(e.from) == from && Some(e.to) == to && e.summary.contains("Broadcast")
+            })
+        };
+        while !delivered(&system) {
+            assert!(
+                system.sim_mut().step(),
+                "reliable={reliable}: the first rebuild never reached {host}"
+            );
+        }
     }
+    let down = system.now();
+    bounce(&mut system, host);
+    let outage = (down, system.now());
+    system.run_for(SimDuration::from_secs(30));
+    let first = system.take_notifications("Cairo", client).len();
+    if reliable {
+        assert_eq!(first, 1, "{host} bounced: reliable edges lose nothing");
+    }
+
+    rebuild(&mut system, "d2");
+    system.run_for(SimDuration::from_secs(30));
+    assert_eq!(
+        system.take_notifications("Cairo", client).len(),
+        1,
+        "reliable={reliable}, {host} bounced holding the first rebuild: \
+         the second rebuild never arrived"
+    );
     assert!(
-        held > 0,
-        "reliable={reliable}: {host} never went down holding the first rebuild"
+        held_over_the_outage(&system, prev, host, next, outage),
+        "reliable={reliable}: {host} did not go down holding the first rebuild's frame for {next}"
     );
 }
 
-/// gds-2 holds the first rebuild's broadcast for gds-5. It reaches gds-2
-/// about 9.3 ms after the rebuild (three links and three flush delays:
-/// Hamilton's, gds-4's and gds-1's) and leaves about 2 ms later.
+/// gds-2 holds the first rebuild's broadcast for gds-5 from the step
+/// that delivers it from gds-1 (about 3 ms after the rebuild: three
+/// links, each hop flushing at the end of its instant).
 const GDS_2: (Option<&str>, &str, &str) = (Some("gds-1"), "gds-2", "gds-5");
-const GDS_2_WINDOW_US: std::ops::Range<u64> = 8_000..13_000;
 
 #[test]
 fn a_batch_flush_survives_its_node_bouncing_best_effort() {
-    later_rebuild_crosses_a_bounced_batcher(GDS_2, GDS_2_WINDOW_US, false);
+    later_rebuild_crosses_a_bounced_batcher(GDS_2, false);
 }
 
 #[test]
 fn a_batch_flush_survives_its_node_bouncing_reliable() {
-    later_rebuild_crosses_a_bounced_batcher(GDS_2, GDS_2_WINDOW_US, true);
+    later_rebuild_crosses_a_bounced_batcher(GDS_2, true);
 }
 
-/// The publisher itself: Hamilton holds a lone publish for gds-4 for the
-/// 2 ms flush delay after the rebuild, and goes down somewhere across
-/// them.
+/// The publisher itself: Hamilton holds a lone publish for gds-4 from
+/// the rebuild call until the end of that instant, and goes down before
+/// the instant ends.
 const HAMILTON: (Option<&str>, &str, &str) = (None, "Hamilton", "gds-4");
-const HAMILTON_WINDOW_US: std::ops::Range<u64> = 0..3_000;
 
 #[test]
 fn a_held_publish_survives_its_publisher_bouncing_best_effort() {
-    later_rebuild_crosses_a_bounced_batcher(HAMILTON, HAMILTON_WINDOW_US, false);
+    later_rebuild_crosses_a_bounced_batcher(HAMILTON, false);
 }
 
 #[test]
 fn a_held_publish_survives_its_publisher_bouncing_reliable() {
-    later_rebuild_crosses_a_bounced_batcher(HAMILTON, HAMILTON_WINDOW_US, true);
+    later_rebuild_crosses_a_bounced_batcher(HAMILTON, true);
 }
 
-/// Reliable edges on the paper's wire. A receiver holds its acks 2 ms to
-/// coalesce them; gds-2 goes down while it owes gds-1 the ack of the
+/// Reliable edges on the paper's wire. A receiver holds its acks
+/// `ACK_DELAY` (0.5 ms) to coalesce them; gds-2 goes down while it owes gds-1 the ack of the
 /// first rebuild's broadcast, at every 100 µs offset across the time that
 /// broadcast is in reach. Back up, gds-2 must acknowledge again: a node
 /// that still believed its ack flush armed would never send another ack,

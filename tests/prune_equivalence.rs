@@ -9,7 +9,7 @@
 //! delivery sets, while also checking the pruned run actually pruned
 //! (the comparison must not be vacuous).
 
-use gsa_core::{AlertPolicyConfig, BatchConfig, ReliabilityConfig, System, WireConfig};
+use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_simnet::CounterId;
@@ -225,7 +225,7 @@ fn attr_workload(system: &mut System) -> (Delivered, u64) {
 #[test]
 fn every_counter_of_a_run_with_every_switch_on_has_a_slot() {
     let mut system = System::new(SEEDS[0]);
-    system.set_wire(WireConfig::v2_batched(BatchConfig));
+    system.set_wire(WireConfig::v2());
     system.set_reliability(ReliabilityConfig);
     system.set_pruning(true);
     system.set_rendezvous(true);

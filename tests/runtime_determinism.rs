@@ -5,7 +5,7 @@
 //! paper-figure message counts recorded before the E7 scale refactor
 //! (interned counters, indexed link table, pooled command buffers).
 
-use gsa_core::{BatchConfig, System, WireConfig};
+use gsa_core::{System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
@@ -15,13 +15,13 @@ fn doc(id: &str, text: &str) -> SourceDocument {
     SourceDocument::new(id, text)
 }
 
-/// One full hybrid scenario: batched v2 wire, pruning, a federated
+/// One full hybrid scenario: v2 wire (batching), pruning, a federated
 /// sub-collection, four profile shapes, loss, a partition and a heal.
 /// Returns the rendered metrics snapshot and the per-client delivery
 /// sets, both in deterministic order.
 fn hybrid_run(seed: u64) -> (String, Vec<String>) {
     let mut system = System::new(seed);
-    system.set_wire(WireConfig::v2_batched(BatchConfig));
+    system.set_wire(WireConfig::v2());
     system.set_pruning(true);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
@@ -108,9 +108,9 @@ fn hybrid_run_output_is_pinned_per_seed() {
         fnv1a64(format!("{metrics}\n---\n{}", deliveries.join("\n")).as_bytes())
     });
     let pinned = [
-        0x6487_a90a_577f_03e5_u64,
-        0x078c_68a7_92d3_7c0b,
-        0x2a8d_1ce9_bb23_3624,
+        0x9046_6211_fd43_ff26_u64,
+        0x2d8e_b894_8199_5d3b,
+        0x2c9a_1648_eebc_4498,
     ];
     assert_eq!(
         hashes, pinned,

@@ -6,7 +6,7 @@
 //! `policy_equivalence`, `probe_equivalence`, the chaos and durability
 //! suites), but each of those holds every other switch at one setting.
 //! This file runs a pairwise covering array over the six node switches
-//! — reliability, wire (v1, v2, v2 batched), pruning, rendezvous,
+//! — reliability, wire (v1, v2), pruning, rendezvous,
 //! durability and alert policies (none or observe-only) — so every pair
 //! of values meets in some cell. Each cell runs a Figure-2 broadcast and
 //! a Figure-3 auxiliary rewrite on calm links over three seeds, and its
@@ -15,7 +15,7 @@
 //! the cell's wire from the first frame on, through a node bounce and a
 //! re-parenting.
 
-use gsa_core::{AlertPolicyConfig, BatchConfig, ReliabilityConfig, System, WireConfig};
+use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
@@ -24,12 +24,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// The three wires a deployment can run.
+/// The two wires a deployment can run.
 #[derive(Debug, Clone, Copy)]
 enum Wire {
     V1,
     V2,
-    V2Batched,
 }
 
 /// One setting of the six node switches.
@@ -69,10 +68,10 @@ const CELLS: [Cell; 8] = [
     cell(true, Wire::V1, true, true, true, true),
     cell(false, Wire::V2, true, false, false, true),
     cell(true, Wire::V2, false, true, true, false),
-    cell(true, Wire::V2Batched, true, false, false, false),
-    cell(false, Wire::V2Batched, false, false, true, true),
-    cell(false, Wire::V2Batched, true, true, false, true),
-    cell(true, Wire::V2Batched, true, true, true, true),
+    cell(true, Wire::V2, true, false, false, false),
+    cell(false, Wire::V2, false, false, true, true),
+    cell(false, Wire::V2, true, true, false, true),
+    cell(true, Wire::V2, true, true, true, true),
 ];
 
 /// A cell's value of each switch, in `Cell`'s field order.
@@ -102,7 +101,7 @@ fn the_cells_cover_every_pair_of_switch_values() {
     let sizes: Vec<usize> = levels.iter().map(BTreeSet::len).collect();
     assert_eq!(
         sizes,
-        [2, 3, 2, 2, 2, 2],
+        [2; 6],
         "every value of every switch appears"
     );
     let pairs: usize = (0..6)
@@ -121,7 +120,6 @@ fn deploy(seed: u64, c: &Cell) -> System {
     system.set_wire(match c.wire {
         Wire::V1 => WireConfig::default(),
         Wire::V2 => WireConfig::v2(),
-        Wire::V2Batched => WireConfig::v2_batched(BatchConfig),
     });
     system.set_pruning(c.pruning);
     system.set_rendezvous(c.rendezvous);
@@ -267,7 +265,7 @@ fn every_cell_delivers_the_paper_aux_rewrite() {
 fn carriers(wire: Wire) -> [&'static str; 2] {
     match wire {
         Wire::V1 => ["Gds", "RelGds"],
-        Wire::V2 | Wire::V2Batched => ["GdsBin", "RelGdsBin"],
+        Wire::V2 => ["GdsBin", "RelGdsBin"],
     }
 }
 
