@@ -20,6 +20,8 @@ use gsa_wire::reliable::{
 };
 use gsa_wire::WireFormat;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Surfaces what a state machine counted as simulation metrics.
 fn drain_counts(counts: &mut Counts, ctx: &mut Ctx<'_, SysMessage>) {
@@ -134,26 +136,164 @@ fn batchable(msg: &GdsMessage) -> bool {
     )
 }
 
+/// Where an edge's buffered events come from: a message dispatched on
+/// its own, or items of a shared frame (a reference, not a copy).
+#[derive(Debug)]
+enum Slice {
+    One(GdsMessage),
+    Shared(Arc<[GdsMessage]>, Range<usize>),
+}
+
+impl Slice {
+    fn items(&self) -> &[GdsMessage] {
+        match self {
+            Slice::One(msg) => std::slice::from_ref(msg),
+            Slice::Shared(frame, range) => &frame[range.clone()],
+        }
+    }
+}
+
+/// One edge's buffered events.
+#[derive(Debug, Default)]
+struct EdgeBuf {
+    slices: Vec<Slice>,
+    /// Events the slices hold.
+    items: usize,
+}
+
+impl EdgeBuf {
+    fn push(&mut self, slice: Slice) {
+        self.items += slice.items().len();
+        self.slices.push(slice);
+    }
+
+    /// The frame the buffer goes out as: its one event plain, exactly
+    /// one whole shared frame as that frame, anything else as the
+    /// concatenation of its events (one sequence number, one ack, when
+    /// the edge is reliable).
+    fn into_frame(mut self) -> GdsMessage {
+        match self.slices.as_slice() {
+            [Slice::Shared(frame, range)] if self.items > 1 && range.len() == frame.len() => {
+                GdsMessage::Batch(frame.clone())
+            }
+            _ if self.items == 1 => match self.slices.pop().expect("one event") {
+                Slice::One(msg) => msg,
+                Slice::Shared(frame, range) => frame[range.start].clone(),
+            },
+            slices => GdsMessage::Batch(slices.iter().flat_map(Slice::items).cloned().collect()),
+        }
+    }
+}
+
+/// What the batcher asks of the wire.
+#[derive(Debug)]
+enum Flush {
+    /// Send an edge's frame.
+    Send(NodeId, GdsMessage),
+    /// Set the `BATCH_TAG` timer: an edge holds events and no timer is
+    /// outstanding.
+    Arm,
+}
+
+/// The per-edge batch buffers of a binary wire. An edge is sent its
+/// frame the moment it holds [`BATCH_MAX_EVENTS`] events, the rest at
+/// the end of the instant, in `NodeId` order: a hasher's per-instance
+/// order must not steer the send order, and with it the link RNG draw
+/// order.
+#[derive(Debug, Default)]
+struct Batcher {
+    pending: BTreeMap<NodeId, EdgeBuf>,
+    /// A `BATCH_TAG` timer is outstanding.
+    armed: bool,
+    /// Per leg of the run being dispatched: the edge's fill, and where
+    /// the part of the run it has not been sent starts.
+    marks: Vec<(usize, usize)>,
+}
+
+impl Batcher {
+    /// Buffers one event for `node`.
+    fn push(&mut self, node: NodeId, msg: GdsMessage, out: &mut impl FnMut(Flush)) {
+        let buf = self.pending.entry(node).or_default();
+        buf.push(Slice::One(msg));
+        if buf.items == BATCH_MAX_EVENTS {
+            let buf = self.pending.remove(&node).expect("just pushed");
+            out(Flush::Send(node, buf.into_frame()));
+        } else {
+            self.arm(out);
+        }
+    }
+
+    /// Buffers a flood run: every leg's frame holds the run's items in
+    /// the form that leg's edge receives (see `GdsEffects::runs`), and
+    /// no edge has two legs. The items are walked across the legs in
+    /// the order they would have been buffered one by one, counting
+    /// instead of copying, so every frame, every send and the timer go
+    /// out exactly where they would have.
+    fn push_run(&mut self, legs: &[(NodeId, Arc<[GdsMessage]>)], out: &mut impl FnMut(Flush)) {
+        let n = legs.first().map_or(0, |(_, frame)| frame.len());
+        let pending = &self.pending;
+        self.marks.clear();
+        self.marks.extend(
+            legs.iter()
+                .map(|(node, _)| (pending.get(node).map_or(0, |buf| buf.items), 0)),
+        );
+        for i in 0..n {
+            for ((node, frame), (fill, start)) in legs.iter().zip(&mut self.marks) {
+                *fill += 1;
+                if *fill == BATCH_MAX_EVENTS {
+                    let mut buf = self.pending.remove(node).unwrap_or_default();
+                    buf.push(Slice::Shared(frame.clone(), *start..i + 1));
+                    out(Flush::Send(*node, buf.into_frame()));
+                    (*fill, *start) = (0, i + 1);
+                } else if !self.armed {
+                    self.armed = true;
+                    out(Flush::Arm);
+                }
+            }
+        }
+        for ((node, frame), &(_, start)) in legs.iter().zip(&self.marks) {
+            if start < n {
+                let slice = Slice::Shared(frame.clone(), start..n);
+                self.pending.entry(*node).or_default().push(slice);
+            }
+        }
+    }
+
+    /// Asks for the timer when an edge holds something (a flushed edge
+    /// leaves the map) and none is outstanding.
+    fn arm(&mut self, out: &mut impl FnMut(Flush)) {
+        if !self.armed && !self.pending.is_empty() {
+            self.armed = true;
+            out(Flush::Arm);
+        }
+    }
+
+    /// Sends every buffered edge (the `BATCH_TAG` timer body).
+    fn flush(&mut self, out: &mut impl FnMut(Flush)) {
+        self.armed = false;
+        for (node, buf) in std::mem::take(&mut self.pending) {
+            out(Flush::Send(node, buf.into_frame()));
+        }
+    }
+}
+
 /// One actor's view of the wire protocol: the deployment's format and
-/// the per-edge batch buffers.
+/// the per-edge batch buffers. A buffer holds references into shared
+/// frames, so an event a node forwards on several edges is not copied
+/// per edge, and a frame forwarded whole goes out as the frame that
+/// came in.
 #[derive(Debug)]
 struct WireLink {
     /// The format every edge speaks.
     format: WireFormat,
-    /// Per-edge buffered event frames awaiting a flush, in `NodeId`
-    /// order: a hasher's per-instance order must not steer the send
-    /// order, and with it the link RNG draw order.
-    pending: BTreeMap<NodeId, Vec<GdsMessage>>,
-    /// A `BATCH_TAG` timer is outstanding.
-    timer_armed: bool,
+    batcher: Batcher,
 }
 
 impl WireLink {
     fn new(format: WireFormat) -> Self {
         WireLink {
             format,
-            pending: BTreeMap::new(),
-            timer_armed: false,
+            batcher: Batcher::default(),
         }
     }
 
@@ -165,63 +305,74 @@ impl WireLink {
         ctx: &mut Ctx<'_, SysMessage>,
         node: NodeId,
         msg: GdsMessage,
-        link: Option<&mut ReliableLink>,
+        mut link: Option<&mut ReliableLink>,
     ) {
         let fmt = self.format;
         // Only the binary wire batches: the paper's XML has no gds:batch.
         if fmt != WireFormat::Binary || !batchable(&msg) {
             return send_data(ctx, node, fmt, msg, link);
         }
-        let buf = self.pending.entry(node).or_default();
-        buf.push(msg);
-        if buf.len() >= BATCH_MAX_EVENTS {
-            let items = self.pending.remove(&node).expect("just pushed");
-            self.send_batch(ctx, node, items, link);
-        } else {
-            self.arm_flush(ctx);
-        }
+        let out = &mut |flush| wire_out(ctx, fmt, flush, link.as_deref_mut());
+        self.batcher.push(node, msg, out);
     }
 
-    /// Sets the `BATCH_TAG` timer when an edge holds something (a
-    /// flushed edge leaves the map) and no timer is outstanding. The
-    /// timer is due now: the simulator runs same-instant items in the
-    /// order they were queued, so it fires after every frame already
-    /// due in this instant, and whatever those frames send shares the
-    /// flush.
-    fn arm_flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        if !self.timer_armed && !self.pending.is_empty() {
-            ctx.set_timer(SimDuration::ZERO, BATCH_TAG);
-            self.timer_armed = true;
-        }
-    }
-
-    /// Sends what an edge buffered: a single message rides plain, more
-    /// coalesce into one [`GdsMessage::Batch`] frame (one sequence
-    /// number, one ack, when the edge is reliable).
-    fn send_batch(
-        &self,
+    /// Sends a flood run (see [`Batcher::push_run`]). Off the binary
+    /// wire, which does not batch, every item goes out on its own, in
+    /// the same order.
+    fn dispatch_run(
+        &mut self,
         ctx: &mut Ctx<'_, SysMessage>,
-        node: NodeId,
-        mut items: Vec<GdsMessage>,
-        link: Option<&mut ReliableLink>,
+        legs: &[(NodeId, Arc<[GdsMessage]>)],
+        mut link: Option<&mut ReliableLink>,
     ) {
-        let msg = match items.len() {
-            0 => return,
-            1 => items.pop().expect("len checked"),
-            n => {
-                ctx.count_id(CounterId::WIRE_BATCH_FLUSHES, 1);
-                ctx.count_id(CounterId::WIRE_BATCH_COALESCED, n as u64);
-                GdsMessage::Batch(items)
+        let fmt = self.format;
+        if fmt != WireFormat::Binary {
+            let n = legs.first().map_or(0, |(_, frame)| frame.len());
+            for i in 0..n {
+                for (node, frame) in legs {
+                    self.dispatch(ctx, *node, frame[i].clone(), link.as_deref_mut());
+                }
             }
-        };
-        send_data(ctx, node, self.format, msg, link);
+            return;
+        }
+        let out = &mut |flush| wire_out(ctx, fmt, flush, link.as_deref_mut());
+        self.batcher.push_run(legs, out);
     }
 
     /// Flushes every buffered edge (the `BATCH_TAG` timer body).
     fn flush_all(&mut self, ctx: &mut Ctx<'_, SysMessage>, mut link: Option<&mut ReliableLink>) {
-        self.timer_armed = false;
-        for (node, items) in std::mem::take(&mut self.pending) {
-            self.send_batch(ctx, node, items, link.as_deref_mut());
+        let fmt = self.format;
+        self.batcher
+            .flush(&mut |flush| wire_out(ctx, fmt, flush, link.as_deref_mut()));
+    }
+
+    /// Sets the `BATCH_TAG` timer when an edge holds something and no
+    /// timer is outstanding. The timer is due now: the simulator runs
+    /// same-instant items in the order they were queued, so it fires
+    /// after every frame already due in this instant, and whatever
+    /// those frames send shares the flush.
+    fn arm_flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let fmt = self.format;
+        self.batcher.arm(&mut |flush| wire_out(ctx, fmt, flush, None));
+    }
+}
+
+/// Carries out what the batcher asks: a frame of several events is a
+/// [`GdsMessage::Batch`], counted as one flush.
+fn wire_out(
+    ctx: &mut Ctx<'_, SysMessage>,
+    fmt: WireFormat,
+    flush: Flush,
+    link: Option<&mut ReliableLink>,
+) {
+    match flush {
+        Flush::Arm => ctx.set_timer(SimDuration::ZERO, BATCH_TAG),
+        Flush::Send(node, msg) => {
+            if let GdsMessage::Batch(items) = &msg {
+                ctx.count_id(CounterId::WIRE_BATCH_FLUSHES, 1);
+                ctx.count_id(CounterId::WIRE_BATCH_COALESCED, items.len() as u64);
+            }
+            send_data(ctx, node, fmt, msg, link);
         }
     }
 }
@@ -459,7 +610,7 @@ impl EdgeTransport {
             link.armed = None;
             link.arm(ctx);
         }
-        self.wire.timer_armed = false;
+        self.wire.batcher.armed = false;
         self.wire.arm_flush(ctx);
         self.acks.armed = false;
         self.acks.arm(ctx);
@@ -521,6 +672,12 @@ impl EdgeTransport {
         } else {
             self.wire.dispatch(ctx, node, msg, self.reliable.as_mut());
         }
+    }
+
+    /// Sends a flood run through the batcher and, when enabled, the
+    /// reliable envelope.
+    fn send_run(&mut self, ctx: &mut Ctx<'_, SysMessage>, legs: &[(NodeId, Arc<[GdsMessage]>)]) {
+        self.wire.dispatch_run(ctx, legs, self.reliable.as_mut());
     }
 
     /// The three timers the transport owns; any other tag is not its.
@@ -670,6 +827,8 @@ pub struct GdsActor {
     /// survives between frames so steady-state handling allocates
     /// nothing.
     scratch: GdsEffects,
+    /// Reused legs of the flood run being sent: each edge and its frame.
+    legs: Vec<(NodeId, Arc<[GdsMessage]>)>,
     /// An `ANNOUNCE_TAG` timer is outstanding (deferred announcements).
     announce_armed: bool,
 }
@@ -683,6 +842,7 @@ impl GdsActor {
             edge: EdgeTransport::new(),
             detector: None,
             scratch: GdsEffects::default(),
+            legs: Vec::new(),
             announce_armed: false,
         }
     }
@@ -734,11 +894,37 @@ impl GdsActor {
         }
         drain_counts(self.node.counts_mut(), ctx);
         self.arm_announce(ctx);
-        for out in effects.outbound.drain(..) {
-            match ctx.resolve(out.to.as_str()) {
-                Some(node) => self.edge.send(ctx, node, out.msg),
-                None => ctx.count_id(CounterId::GDS_UNKNOWN_HOST, 1),
+        let mut outbound = effects.outbound.drain(..);
+        let mut sent = 0;
+        let mut legs = std::mem::take(&mut self.legs);
+        for run in effects.runs.drain(..) {
+            for out in outbound.by_ref().take(run.start - sent) {
+                self.send_one(ctx, out);
             }
+            legs.clear();
+            for out in outbound.by_ref().take(run.len()) {
+                let GdsMessage::Batch(frame) = out.msg else {
+                    unreachable!("a run's entries are frames");
+                };
+                match ctx.resolve(out.to.as_str()) {
+                    Some(node) => legs.push((node, frame)),
+                    None => ctx.count_id(CounterId::GDS_UNKNOWN_HOST, frame.len() as u64),
+                }
+            }
+            self.edge.send_run(ctx, &legs);
+            sent = run.end;
+        }
+        legs.clear();
+        self.legs = legs;
+        for out in outbound {
+            self.send_one(ctx, out);
+        }
+    }
+
+    fn send_one(&mut self, ctx: &mut Ctx<'_, SysMessage>, out: GdsOutbound) {
+        match ctx.resolve(out.to.as_str()) {
+            Some(node) => self.edge.send(ctx, node, out.msg),
+            None => ctx.count_id(CounterId::GDS_UNKNOWN_HOST, 1),
         }
     }
 
@@ -890,5 +1076,365 @@ impl Actor<SysMessage> for GdsActor {
             }
             tag => self.edge.on_timer(ctx, tag),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gsa_types::MessageId;
+    use gsa_wire::XmlElement;
+    use proptest::prelude::*;
+
+    /// The per-item dispatcher the run walk replaced, kept as the
+    /// reference it must agree with: every event is pushed on its own,
+    /// and an edge's buffer holds copies.
+    #[derive(Default)]
+    struct ItemBatcher {
+        pending: BTreeMap<NodeId, Vec<GdsMessage>>,
+        armed: bool,
+    }
+
+    impl ItemBatcher {
+        fn push(&mut self, node: NodeId, msg: GdsMessage, out: &mut impl FnMut(Flush)) {
+            let buf = self.pending.entry(node).or_default();
+            buf.push(msg);
+            if buf.len() >= BATCH_MAX_EVENTS {
+                let items = self.pending.remove(&node).expect("just pushed");
+                out(Flush::Send(node, Self::frame(items)));
+            } else if !self.armed {
+                self.armed = true;
+                out(Flush::Arm);
+            }
+        }
+
+        /// A run, item by item across its legs.
+        fn push_run(&mut self, legs: &[(NodeId, Arc<[GdsMessage]>)], out: &mut impl FnMut(Flush)) {
+            let n = legs.first().map_or(0, |(_, frame)| frame.len());
+            for i in 0..n {
+                for (node, frame) in legs {
+                    self.push(*node, frame[i].clone(), out);
+                }
+            }
+        }
+
+        fn flush(&mut self, out: &mut impl FnMut(Flush)) {
+            self.armed = false;
+            for (node, items) in std::mem::take(&mut self.pending) {
+                out(Flush::Send(node, Self::frame(items)));
+            }
+        }
+
+        fn frame(mut items: Vec<GdsMessage>) -> GdsMessage {
+            match items.len() {
+                1 => items.pop().expect("one item"),
+                _ => GdsMessage::Batch(items.into()),
+            }
+        }
+    }
+
+    /// The form a leg's frame carries its items in.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Form {
+        Broadcast,
+        Deliver,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Step {
+        /// One event dispatched on its own.
+        One(u32),
+        /// A flood run of `len` items; each leg an edge and its form.
+        /// Runs over different edge sets in a row are pruned sub-runs.
+        Run { len: usize, legs: Vec<(u32, Form)> },
+        /// The end of the instant: the `BATCH_TAG` timer fires.
+        EndOfInstant,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Scenario {
+        /// Events each edge holds before the first step.
+        fills: Vec<usize>,
+        /// Edges behind a reliable link: every frame takes a sequence
+        /// number there.
+        reliable: Vec<bool>,
+        steps: Vec<Step>,
+    }
+
+    /// What the wire saw: a frame to an edge — a batch or one plain
+    /// event, its events by form and id — sent in the instant or at its
+    /// end, with its sequence number on a reliable edge; or the timer
+    /// set.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Seen {
+        Frame {
+            edge: u32,
+            batch: bool,
+            events: Vec<(Form, u64)>,
+            at_end: bool,
+            seq: Option<u64>,
+        },
+        Arm,
+    }
+
+    fn form_and_id(msg: &GdsMessage) -> (Form, u64) {
+        match msg {
+            GdsMessage::Broadcast { id, .. } => (Form::Broadcast, id.as_u64()),
+            GdsMessage::Deliver { id, .. } => (Form::Deliver, id.as_u64()),
+            other => panic!("only events are dispatched, not {other}"),
+        }
+    }
+
+    /// A deterministic stream of draws (splitmix64).
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// Runs of 1–20 items over up to six edges, from a random starting
+    /// fill of 0–7 per edge, with mixed forms, lone events between
+    /// runs, ends of instants and reliable edges.
+    fn scenario(seed: u64) -> Scenario {
+        let mut d = Draws(seed);
+        let edges = 1 + d.below(6);
+        let fills = (0..edges).map(|_| d.below(8)).collect();
+        let reliable = (0..edges).map(|_| d.below(2) == 1).collect();
+        let steps = (0..1 + d.below(8))
+            .map(|_| match d.below(8) {
+                0 => Step::EndOfInstant,
+                1 => Step::One(d.below(edges) as u32),
+                _ => {
+                    let len = 1 + d.below(20);
+                    let legs = (0..edges as u32)
+                        .filter_map(|e| {
+                            let form = [Form::Broadcast, Form::Deliver][d.below(2)];
+                            (d.below(4) != 0).then_some((e, form))
+                        })
+                        .collect();
+                    Step::Run { len, legs }
+                }
+            })
+            .collect();
+        Scenario {
+            fills,
+            reliable,
+            steps,
+        }
+    }
+
+    fn event(id: u64, form: Form) -> GdsMessage {
+        let (id, origin) = (MessageId::from_raw(id), HostName::new("Hamilton"));
+        let payload = XmlElement::new("event").into();
+        match form {
+            Form::Broadcast => GdsMessage::Broadcast {
+                id,
+                origin,
+                payload,
+            },
+            Form::Deliver => GdsMessage::Deliver {
+                id,
+                origin,
+                payload,
+            },
+        }
+    }
+
+    /// Plays a scenario through one dispatcher and records the wire.
+    fn play<B>(
+        scn: &Scenario,
+        batcher: &mut B,
+        push: impl Fn(&mut B, NodeId, GdsMessage, &mut dyn FnMut(Flush)),
+        push_run: impl Fn(&mut B, &[(NodeId, Arc<[GdsMessage]>)], &mut dyn FnMut(Flush)),
+        flush: impl Fn(&mut B, &mut dyn FnMut(Flush)),
+    ) -> Vec<Seen> {
+        let mut seen = Vec::new();
+        let mut seqs = vec![0u64; scn.fills.len()];
+        let mut record = |flush: Flush, at_end: bool| {
+            seen.push(match flush {
+                Flush::Arm => Seen::Arm,
+                Flush::Send(node, frame) => {
+                    let edge = node.as_u32();
+                    let seq = scn.reliable[edge as usize].then(|| {
+                        seqs[edge as usize] += 1;
+                        seqs[edge as usize]
+                    });
+                    let (batch, events) = match &frame {
+                        GdsMessage::Batch(items) => (true, items.iter().map(form_and_id).collect()),
+                        one => (false, vec![form_and_id(one)]),
+                    };
+                    Seen::Frame {
+                        edge,
+                        batch,
+                        events,
+                        at_end,
+                        seq,
+                    }
+                }
+            })
+        };
+        let mut next_id = 0u64;
+        let mut fresh = || {
+            next_id += 1;
+            next_id
+        };
+        for (edge, &fill) in (0u32..).zip(&scn.fills) {
+            for _ in 0..fill {
+                let msg = event(fresh(), Form::Broadcast);
+                push(batcher, NodeId::from_raw(edge), msg, &mut |f| record(f, false));
+            }
+        }
+        for step in &scn.steps {
+            match step {
+                Step::One(edge) => {
+                    let msg = event(fresh(), Form::Deliver);
+                    push(batcher, NodeId::from_raw(*edge), msg, &mut |f| record(f, false));
+                }
+                Step::Run { len, legs } => {
+                    let ids: Vec<u64> = (0..*len).map(|_| fresh()).collect();
+                    let frame = |form| ids.iter().map(|&id| event(id, form)).collect();
+                    let (broadcast, deliver): (Arc<[GdsMessage]>, Arc<[GdsMessage]>) =
+                        (frame(Form::Broadcast), frame(Form::Deliver));
+                    let legs: Vec<(NodeId, Arc<[GdsMessage]>)> = legs
+                        .iter()
+                        .map(|&(edge, form)| {
+                            let frame = match form {
+                                Form::Broadcast => &broadcast,
+                                Form::Deliver => &deliver,
+                            };
+                            (NodeId::from_raw(edge), frame.clone())
+                        })
+                        .collect();
+                    push_run(batcher, &legs, &mut |f| record(f, false));
+                }
+                Step::EndOfInstant => flush(batcher, &mut |f| record(f, true)),
+            }
+        }
+        flush(batcher, &mut |f| record(f, true));
+        seen
+    }
+
+    /// Where the run walk and the per-item reference part ways, if they
+    /// do: the two records.
+    fn disagreement(scn: &Scenario) -> Option<(Vec<Seen>, Vec<Seen>)> {
+        let walked = play(
+            scn,
+            &mut Batcher::default(),
+            |b, node, msg, out| b.push(node, msg, &mut |f| out(f)),
+            |b, legs, out| b.push_run(legs, &mut |f| out(f)),
+            |b, out| b.flush(&mut |f| out(f)),
+        );
+        let reference = play(
+            scn,
+            &mut ItemBatcher::default(),
+            |b, node, msg, out| b.push(node, msg, &mut |f| out(f)),
+            |b, legs, out| b.push_run(legs, &mut |f| out(f)),
+            |b, out| b.flush(&mut |f| out(f)),
+        );
+        (walked != reference).then_some((walked, reference))
+    }
+
+    /// The smaller scenarios one step from `scn`: a step, a leg, an item,
+    /// a starting event or a reliable link fewer.
+    fn smaller(scn: &Scenario) -> Vec<Scenario> {
+        let mut out = Vec::new();
+        let mut with = |change: &dyn Fn(&mut Scenario)| {
+            let mut s = scn.clone();
+            change(&mut s);
+            if s != *scn {
+                out.push(s);
+            }
+        };
+        for i in 0..scn.steps.len() {
+            with(&|s| {
+                s.steps.remove(i);
+            });
+            with(&|s| {
+                if let Step::Run { len, .. } = &mut s.steps[i] {
+                    *len = (*len).max(2) - 1;
+                }
+            });
+            let legs = match &scn.steps[i] {
+                Step::Run { legs, .. } => legs.len(),
+                _ => 0,
+            };
+            for l in 0..legs {
+                with(&|s| {
+                    if let Step::Run { legs, .. } = &mut s.steps[i] {
+                        legs.remove(l);
+                    }
+                });
+            }
+        }
+        for e in 0..scn.fills.len() {
+            with(&|s| s.fills[e] = s.fills[e].saturating_sub(1));
+            with(&|s| s.reliable[e] = false);
+        }
+        out
+    }
+
+    /// Greedily shrinks a failing scenario until no one-step-smaller
+    /// scenario still fails.
+    fn shrink(mut scn: Scenario) -> Scenario {
+        while let Some(next) = smaller(&scn)
+            .into_iter()
+            .find(|s| disagreement(s).is_some())
+        {
+            scn = next;
+        }
+        scn
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Dispatching a run by counting sends the same frames, to the
+        /// same edges, at the same points, and sets the timer at the
+        /// same point, as pushing its items one by one. A failure
+        /// shrinks to a minimal scenario before it is reported.
+        #[test]
+        fn run_dispatch_matches_the_per_item_reference(seed in 0u64..=u64::MAX) {
+            let scn = scenario(seed);
+            if disagreement(&scn).is_some() {
+                let min = shrink(scn);
+                let (walked, reference) = disagreement(&min).expect("still fails");
+                prop_assert!(
+                    false,
+                    "minimal scenario {min:#?}\nrun walk {walked:#?}\nreference {reference:#?}"
+                );
+            }
+        }
+    }
+
+    /// A buffer holding exactly one whole shared frame sends that frame,
+    /// not a copy; a sub-range or a concatenation is a new frame.
+    #[test]
+    fn a_whole_shared_frame_goes_out_as_itself() {
+        let frame: Arc<[GdsMessage]> = (1..=3).map(|id| event(id, Form::Broadcast)).collect();
+        let node = NodeId::from_raw(0);
+        let mut batcher = Batcher::default();
+        let mut sent = Vec::new();
+        batcher.push_run(&[(node, frame.clone())], &mut |_| {});
+        batcher.flush(&mut |f| sent.push(f));
+        let [Flush::Send(_, GdsMessage::Batch(out))] = sent.as_slice() else {
+            panic!("one batch frame, got {sent:?}");
+        };
+        assert!(Arc::ptr_eq(out, &frame));
+
+        sent.clear();
+        batcher.push(node, event(9, Form::Deliver), &mut |_| {});
+        batcher.push_run(&[(node, frame.clone())], &mut |_| {});
+        batcher.flush(&mut |f| sent.push(f));
+        let [Flush::Send(_, GdsMessage::Batch(out))] = sent.as_slice() else {
+            panic!("one batch frame, got {sent:?}");
+        };
+        assert_eq!(out.len(), 4);
+        assert!(!Arc::ptr_eq(out, &frame));
     }
 }

@@ -880,7 +880,7 @@ impl AlertingCore {
     fn handle_gds(&mut self, msg: GdsMessage, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
         let items = match &msg {
-            GdsMessage::Batch(items) => items.as_slice(),
+            GdsMessage::Batch(items) => &items[..],
             one => std::slice::from_ref(one),
         };
         for msg in items {
@@ -2070,7 +2070,7 @@ mod tests {
                 (effects, mailboxes, std::mem::take(core.counts_mut()))
             };
             let one_by_one = run(items.clone());
-            let batched = run(vec![GdsMessage::Batch(items)]);
+            let batched = run(vec![GdsMessage::Batch(items.into())]);
             prop_assert_eq!(&one_by_one, &batched);
             // The mailboxes hold what the effects report, nothing else.
             let (effects, mailboxes, _) = one_by_one;

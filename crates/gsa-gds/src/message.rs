@@ -146,7 +146,11 @@ pub enum GdsMessage {
     /// Several messages coalesced into one frame by the per-edge
     /// batcher. A batch travels (and is acked) as a unit. No sender puts
     /// a batch inside a batch, and both decoders refuse one as malformed.
-    Batch(Vec<GdsMessage>),
+    ///
+    /// The items are shared: cloning a batch is one reference-count
+    /// bump, so a directory node hands the frame it received to every
+    /// edge it floods on instead of copying its items per edge.
+    Batch(Arc<[GdsMessage]>),
     /// A child (GDS node or Greenstone server) announces the interest
     /// summary of its subtree to its parent. Versions are per-sender and
     /// monotonic: the receiver keeps only the newest summary per edge,
@@ -390,27 +394,27 @@ impl Items {
 }
 
 impl Field for Items {
-    type Value = Vec<GdsMessage>;
+    type Value = Arc<[GdsMessage]>;
 
-    fn put_xml(&self, v: &Vec<GdsMessage>, out: &mut impl XmlPut) {
-        for item in v {
+    fn put_xml(&self, v: &Arc<[GdsMessage]>, out: &mut impl XmlPut) {
+        for item in v.iter() {
             out.child(item.tag(), |el| item.put_xml(el));
         }
     }
 
-    fn take_xml(&self, el: &XmlElement) -> Result<Vec<GdsMessage>, WireError> {
+    fn take_xml(&self, el: &XmlElement) -> Result<Arc<[GdsMessage]>, WireError> {
         let item = |el| GdsMessage::from_xml(el).and_then(Self::not_a_batch);
         el.elements().map(item).collect()
     }
 
-    fn put_bin(&self, v: &Vec<GdsMessage>, out: &mut impl ByteSink) {
+    fn put_bin(&self, v: &Arc<[GdsMessage]>, out: &mut impl ByteSink) {
         write_varint(out, v.len() as u64);
-        for item in v {
+        for item in v.iter() {
             item.put_bin(out);
         }
     }
 
-    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<Vec<GdsMessage>, WireError> {
+    fn take_bin(&self, r: &mut BinReader<'_>) -> Result<Arc<[GdsMessage]>, WireError> {
         let count = r.read_varint()?;
         let mut item = || r.nested(GdsMessage::take_bin).and_then(Self::not_a_batch);
         (0..count).map(|_| item()).collect()
@@ -680,19 +684,22 @@ mod tests {
 
     #[test]
     fn batch_round_trips_in_both_formats() {
-        let batch = GdsMessage::Batch(vec![
-            GdsMessage::Broadcast {
-                id: MessageId::from_raw(1),
-                origin: "Hamilton".into(),
-                payload: XmlElement::new("event").with_attr("kind", "documents-added").into(),
-            },
-            GdsMessage::HeartbeatAck { version: 0 },
-            GdsMessage::Deliver {
-                id: MessageId::from_raw(2),
-                origin: "Hamilton".into(),
-                payload: XmlElement::new("x").into(),
-            },
-        ]);
+        let batch = GdsMessage::Batch(
+            vec![
+                GdsMessage::Broadcast {
+                    id: MessageId::from_raw(1),
+                    origin: "Hamilton".into(),
+                    payload: XmlElement::new("event").with_attr("kind", "documents-added").into(),
+                },
+                GdsMessage::HeartbeatAck { version: 0 },
+                GdsMessage::Deliver {
+                    id: MessageId::from_raw(2),
+                    origin: "Hamilton".into(),
+                    payload: XmlElement::new("x").into(),
+                },
+            ]
+            .into(),
+        );
         round_trip(batch.clone());
         let back = GdsMessage::from_binary(&batch.to_binary()).unwrap();
         assert_eq!(back, batch);

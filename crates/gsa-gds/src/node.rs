@@ -2,10 +2,12 @@
 
 use crate::message::GdsMessage;
 use crate::seen::SeenIds;
-use gsa_types::{CounterId, Counts, HostName};
+use gsa_types::{CounterId, Counts, HostName, MessageId};
 use gsa_wire::{InterestSummary, Payload, ATTR_KEY_KIND, ATTR_META_PREFIX};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// How many recently flooded events a node keeps for replay to an
 /// adopted child. Only needs to cover the traffic of one outage window:
@@ -38,6 +40,15 @@ pub struct GdsOutbound {
 pub struct GdsEffects {
     /// Messages to transmit.
     pub outbound: Vec<GdsOutbound>,
+    /// The stretches of `outbound` that carry one flood run each (see
+    /// [`GdsNode`]): every entry of a stretch is a [`GdsMessage::Batch`]
+    /// of the run's items in the form its edge receives, all of one
+    /// length. Sent as they stand, the entries deliver exactly the run;
+    /// a transport that batches per edge walks the run's items across
+    /// the stretch's edges instead, item by item, to form the frames the
+    /// items would have formed one by one. Every entry outside a stretch
+    /// is one message.
+    pub runs: Vec<Range<usize>>,
     /// Multicast targets that could not be resolved anywhere in the tree.
     pub undeliverable: Vec<HostName>,
 }
@@ -47,13 +58,70 @@ impl GdsEffects {
         self.outbound.push(GdsOutbound { to, msg });
     }
 
-    /// Empties both lists, keeping their capacity — callers that
+    /// Empties the lists, keeping their capacity — callers that
     /// process effects per message reuse one buffer across messages
-    /// instead of allocating a fresh pair of vectors each time.
+    /// instead of allocating fresh vectors each time.
     pub fn clear(&mut self) {
         self.outbound.clear();
+        self.runs.clear();
         self.undeliverable.clear();
     }
+}
+
+/// A flood remembered for replay to an adopted child: the `Broadcast`
+/// at an index of a shared frame (one reference, however many of the
+/// frame's items the ring holds), or the parts of one that arrived or
+/// was built alone.
+#[derive(Debug)]
+enum Recent {
+    Shared(Arc<[GdsMessage]>, usize),
+    Lone(MessageId, HostName, Payload),
+}
+
+impl Recent {
+    fn lone(msg: &GdsMessage) -> Self {
+        match msg {
+            GdsMessage::Broadcast {
+                id,
+                origin,
+                payload,
+            } => Recent::Lone(*id, origin.clone(), payload.clone()),
+            other => unreachable!("a flood run holds broadcasts, not {other}"),
+        }
+    }
+
+    fn broadcast(&self) -> GdsMessage {
+        match self {
+            Recent::Shared(frame, i) => frame[*i].clone(),
+            Recent::Lone(id, origin, payload) => GdsMessage::Broadcast {
+                id: *id,
+                origin: origin.clone(),
+                payload: payload.clone(),
+            },
+        }
+    }
+}
+
+/// Consecutive flood items of one frame with one flood decision.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// The items' indices in the frame.
+    start: usize,
+    end: usize,
+    /// Where the run's `Broadcast`s start in [`ForwardScratch::built`]
+    /// when they were built, not received as they go out.
+    built: Option<usize>,
+}
+
+/// The reused buffers of [`GdsNode::forward`]: the flood decision of
+/// the current item and of the run being gathered, as edge positions
+/// (local servers, then the parent, then the children), and the
+/// `Broadcast`s built from publishes or from payloads frozen on entry.
+#[derive(Debug, Default)]
+struct ForwardScratch {
+    edges: Vec<u32>,
+    run_edges: Vec<u32>,
+    built: Vec<GdsMessage>,
 }
 
 /// One auxiliary directory server in the GDS tree.
@@ -63,6 +131,15 @@ impl GdsEffects {
 /// propagation — which child subtree every Greenstone server below it
 /// lives in. A stratum-1 node (no parent) therefore knows the entire
 /// network, exactly as Section 4.1 describes.
+///
+/// The node forwards the frame it received. It reads a frame's items
+/// by reference and decides each flood item as the paper does (local
+/// servers, then the parent, then the children); consecutive items with
+/// one decision form a run, and every edge of a run is sent one shared
+/// frame: the received frame itself when the run is all of it and goes
+/// out as it came, otherwise one frame built per run and form (the
+/// `Broadcast`s built from publishes, the `Deliver`s to local servers,
+/// a sub-run). A lone message is a run of one and goes out plain.
 pub struct GdsNode {
     name: HostName,
     stratum: u8,
@@ -75,10 +152,13 @@ pub struct GdsNode {
     /// every flood hop and never forgotten — kept as id runs per origin,
     /// so an in-order flood costs one run however long it lasts.
     seen: SeenIds,
-    /// Recently flooded events (origin, id, payload), oldest first;
-    /// replayed to an adopted child to close the reparenting race where
-    /// an in-flight broadcast misses the moved subtree.
-    recent: VecDeque<(HostName, u64, Payload)>,
+    /// Recently flooded events as `Broadcast`s, oldest first, at most
+    /// [`RECENT_CAP`] (so at most that many frames kept alive); replayed
+    /// to an adopted child to close the reparenting race where an
+    /// in-flight broadcast misses the moved subtree.
+    recent: VecDeque<Recent>,
+    /// Reused buffers of the flood path.
+    scratch: ForwardScratch,
     /// When true (the deployment speaks wire format v2), flood
     /// payloads are frozen to their binary bytes once on entry, so
     /// every forwarded copy shares one encoded buffer instead of
@@ -163,6 +243,7 @@ impl GdsNode {
             subtree: BTreeMap::new(),
             seen: SeenIds::default(),
             recent: VecDeque::new(),
+            scratch: ForwardScratch::default(),
             encode_once: false,
             pruning: false,
             edge_summaries: BTreeMap::new(),
@@ -492,11 +573,11 @@ impl GdsNode {
     }
 
     /// Remembers a flooded event for replay to later-adopted children.
-    fn remember(&mut self, origin: HostName, id: u64, payload: Payload) {
+    fn remember(&mut self, entry: Recent) {
         if self.recent.len() == RECENT_CAP {
             self.recent.pop_front();
         }
-        self.recent.push_back((origin, id, payload));
+        self.recent.push_back(entry);
     }
 
     /// The node's network name.
@@ -642,47 +723,12 @@ impl GdsNode {
                     effects.send(parent.clone(), GdsMessage::UnregisterUp { gs_host });
                 }
             }
-            GdsMessage::Publish { id, mut payload } => {
-                // `from` is the publishing Greenstone server.
-                let origin = from.clone();
-                if self.seen.insert(&origin, id.as_u64()) {
-                    if self.encode_once {
-                        // Serialise once; every forwarded clone below
-                        // shares this buffer.
-                        payload.freeze();
-                    }
-                    self.remember(origin.clone(), id.as_u64(), payload.clone());
-                    self.flood(&origin, id.as_u64(), payload, None, effects);
-                }
-            }
-            GdsMessage::Broadcast {
-                id,
-                origin,
-                mut payload,
-            } => {
-                if self.seen.insert(&origin, id.as_u64()) {
-                    if self.encode_once {
-                        payload.freeze();
-                    }
-                    self.remember(origin.clone(), id.as_u64(), payload.clone());
-                    self.flood(&origin, id.as_u64(), payload, Some(from), effects);
-                }
-            }
-            GdsMessage::PublishTargeted {
-                id,
-                targets,
-                payload,
-            } => {
-                let origin = from.clone();
-                self.route(&origin, id.as_u64(), targets, payload, None, effects);
-            }
-            GdsMessage::Route {
-                id,
-                origin,
-                targets,
-                payload,
-            } => {
-                self.route(&origin, id.as_u64(), targets, payload, Some(from), effects);
+            GdsMessage::Batch(frame) => self.forward(from, Some(&frame), &frame, effects),
+            msg @ (GdsMessage::Publish { .. }
+            | GdsMessage::Broadcast { .. }
+            | GdsMessage::PublishTargeted { .. }
+            | GdsMessage::Route { .. }) => {
+                self.forward(from, None, std::slice::from_ref(&msg), effects);
             }
             GdsMessage::Resolve {
                 token,
@@ -732,15 +778,8 @@ impl GdsNode {
                 // parent learns of the detach and stops forwarding; this
                 // node finished its broadcast before the edge existed).
                 // The child's duplicate suppression absorbs re-sends.
-                for (origin, id, payload) in &self.recent {
-                    effects.send(
-                        child.clone(),
-                        GdsMessage::Broadcast {
-                            id: gsa_types::MessageId::from_raw(*id),
-                            origin: origin.clone(),
-                            payload: payload.clone(),
-                        },
-                    );
+                for entry in &self.recent {
+                    effects.send(child.clone(), entry.broadcast());
                 }
                 // The adopted subtree's summary (if we ever had one from
                 // a previous stint as its parent) is stale; start at
@@ -755,13 +794,6 @@ impl GdsNode {
                 // new path rebuild the subtree view).
                 self.remove_child(&child);
                 self.interest_changed(effects);
-            }
-            GdsMessage::Batch(items) => {
-                // The per-edge batcher coalesced several messages into
-                // one frame; unpack in order, appending effects.
-                for item in items {
-                    self.handle_message_into(from, item, effects);
-                }
             }
             GdsMessage::SummaryUpdate {
                 from: edge,
@@ -827,9 +859,174 @@ impl GdsNode {
         }
     }
 
-    /// Tree flooding: deliver to local Greenstone servers (except the
-    /// origin) and forward to every tree neighbour except the one the
-    /// message came from.
+    /// Floods and routes the items of a frame in order — a frame
+    /// received whole (`shared`), or one message, a frame of one.
+    ///
+    /// Per item, duplicate suppression and the flood decision
+    /// ([`GdsNode::decide`]) are the paper's. Consecutive flood items
+    /// with one decision form a run, which [`GdsNode::close_run`] sends
+    /// every edge of the run as one frame per form. Targeted and
+    /// control items end the run before them and are handled alone.
+    fn forward(
+        &mut self,
+        from: &HostName,
+        shared: Option<&Arc<[GdsMessage]>>,
+        items: &[GdsMessage],
+        effects: &mut GdsEffects,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.built.clear();
+        let mut run: Option<Run> = None;
+        for (i, item) in items.iter().enumerate() {
+            let (publish, id, origin, payload) = match item {
+                // `from` is the publishing Greenstone server.
+                GdsMessage::Publish { id, payload } => (true, *id, from, payload),
+                GdsMessage::Broadcast {
+                    id,
+                    origin,
+                    payload,
+                } => (false, *id, origin, payload),
+                other => {
+                    self.close_run(run.take(), shared, items, &scratch, effects);
+                    self.handle_item(from, other, effects);
+                    continue;
+                }
+            };
+            if !self.seen.insert(origin, id.as_u64()) {
+                self.close_run(run.take(), shared, items, &scratch, effects);
+                continue;
+            }
+            // A publish becomes the `Broadcast` every hop forwards, and a
+            // v2 node serialises a payload once, here: every frame that
+            // carries the item shares the one buffer.
+            let built = (publish || (self.encode_once && !payload.is_frozen())).then(|| {
+                let mut payload = payload.clone();
+                if self.encode_once {
+                    payload.freeze();
+                }
+                scratch.built.push(GdsMessage::Broadcast {
+                    id,
+                    origin: origin.clone(),
+                    payload,
+                });
+                scratch.built.len() - 1
+            });
+            let payload = match built.map(|b| &scratch.built[b]) {
+                Some(GdsMessage::Broadcast { payload, .. }) => payload,
+                _ => payload,
+            };
+            let came_from = (!publish).then_some(from);
+            self.decide(origin, payload, came_from, &mut scratch.edges);
+            // Compared item by item: comparing two empty slices with
+            // `==` costs a library call, and a leaf's decision is empty.
+            let extends = run.is_some_and(|r| r.end == i && r.built.is_some() == built.is_some())
+                && scratch.edges.iter().eq(&scratch.run_edges);
+            if !extends {
+                self.close_run(run.take(), shared, items, &scratch, effects);
+                std::mem::swap(&mut scratch.edges, &mut scratch.run_edges);
+            }
+            let run = run.get_or_insert(Run {
+                start: i,
+                end: i,
+                built,
+            });
+            run.end = i + 1;
+        }
+        self.close_run(run, shared, items, &scratch, effects);
+        self.scratch = scratch;
+    }
+
+    /// Sends a run every edge of its decision (`scratch.run_edges`) and
+    /// remembers its items. A local server gets the `Deliver` form, the
+    /// parent and the children the `Broadcast` form. A run of one goes
+    /// out as the one message; a longer run goes out as one shared frame
+    /// per form — the received frame when the run is all of it and was
+    /// received as it goes out, otherwise a frame built here — and its
+    /// entries are a stretch of [`GdsEffects::runs`].
+    fn close_run(
+        &mut self,
+        run: Option<Run>,
+        shared: Option<&Arc<[GdsMessage]>>,
+        items: &[GdsMessage],
+        scratch: &ForwardScratch,
+        effects: &mut GdsEffects,
+    ) {
+        let Some(run) = run else {
+            return;
+        };
+        let n = run.end - run.start;
+        let src = match run.built {
+            Some(b) => &scratch.built[b..b + n],
+            None => &items[run.start..run.end],
+        };
+        let edges = &scratch.run_edges;
+        let locals = self.local.len();
+        // A longer run goes out as one frame per form, built once.
+        let broadcast = (n > 1
+            && (run.built.is_some() || edges.last().is_some_and(|&e| e as usize >= locals)))
+        .then(|| match shared {
+            Some(whole) if run.built.is_none() && n == whole.len() => whole.clone(),
+            _ => src.iter().cloned().collect(),
+        });
+        let deliver = (n > 1 && edges.first().is_some_and(|&e| (e as usize) < locals))
+            .then(|| src.iter().map(deliver_form).collect::<Arc<[GdsMessage]>>());
+        let first = effects.outbound.len();
+        let mut wanted = edges.iter().peekable();
+        let all = self.local.iter().chain(&self.parent).chain(&self.children);
+        for (pos, edge) in (0u32..).zip(all) {
+            let Some(&&next) = wanted.peek() else {
+                break;
+            };
+            if next != pos {
+                continue;
+            }
+            wanted.next();
+            let msg = match ((pos as usize) < locals, &deliver, &broadcast) {
+                (true, Some(frame), _) | (false, _, Some(frame)) => {
+                    GdsMessage::Batch(frame.clone())
+                }
+                (true, None, _) => deliver_form(&src[0]),
+                (false, _, None) => src[0].clone(),
+            };
+            effects.send(edge.clone(), msg);
+        }
+        if n > 1 && effects.outbound.len() > first {
+            effects.runs.push(first..effects.outbound.len());
+        }
+        for (k, item) in src.iter().enumerate() {
+            let entry = match (run.built, shared, &broadcast) {
+                (None, Some(frame), _) => Recent::Shared(frame.clone(), run.start + k),
+                (Some(_), _, Some(frame)) => Recent::Shared(frame.clone(), k),
+                _ => Recent::lone(item),
+            };
+            self.remember(entry);
+        }
+    }
+
+    /// A frame's targeted item is routed by reference; any other item
+    /// that is not a flood is handled as a message of its own.
+    fn handle_item(&mut self, from: &HostName, item: &GdsMessage, effects: &mut GdsEffects) {
+        match item {
+            GdsMessage::PublishTargeted {
+                id,
+                targets,
+                payload,
+            } => self.route(from, id.as_u64(), targets, payload, None, effects),
+            GdsMessage::Route {
+                id,
+                origin,
+                targets,
+                payload,
+            } => self.route(origin, id.as_u64(), targets, payload, Some(from), effects),
+            other => self.handle_message_into(from, other.clone(), effects),
+        }
+    }
+
+    /// The tree flood's decision for one event: deliver to local
+    /// Greenstone servers (except the origin) and forward to every tree
+    /// neighbour except the one the message came from. Writes the
+    /// chosen edges into `edges` as positions in the order local
+    /// servers, parent, children.
     ///
     /// With pruning on, downward edges (local servers and children)
     /// whose recorded summary cannot match the event's origin are
@@ -839,14 +1036,14 @@ impl GdsNode {
     /// the edge, an undecodable payload, pruning off) falls back to
     /// forwarding: false positives cost a message, false negatives are
     /// impossible by construction.
-    fn flood(
+    fn decide(
         &mut self,
         origin: &HostName,
-        id: u64,
-        payload: Payload,
+        payload: &Payload,
         came_from: Option<&HostName>,
-        effects: &mut GdsEffects,
+        edges: &mut Vec<u32>,
     ) {
+        edges.clear();
         // Attribute digests and held grants only matter when some edge
         // summary (or the parent) actually mentions them; with no key
         // requested — always the case with the features off — the flood
@@ -921,24 +1118,13 @@ impl GdsNode {
             pruned += u64::from(skip);
             skip
         };
-        let mid = gsa_types::MessageId::from_raw(id);
+        let mut pos = 0u32;
         for gs in &self.local {
             if gs != origin && !prunable(gs) {
-                effects.send(
-                    gs.clone(),
-                    GdsMessage::Deliver {
-                        id: mid,
-                        origin: origin.clone(),
-                        payload: payload.clone(),
-                    },
-                );
+                edges.push(pos);
             }
+            pos += 1;
         }
-        let forward = GdsMessage::Broadcast {
-            id: mid,
-            origin: origin.clone(),
-            payload,
-        };
         let mut confined_hops = 0u64;
         if let Some(parent) = &self.parent {
             if Some(parent) != came_from {
@@ -949,14 +1135,16 @@ impl GdsNode {
                     // of the tree) is skipped entirely.
                     confined_hops += 1;
                 } else {
-                    effects.send(parent.clone(), forward.clone());
+                    edges.push(pos);
                 }
             }
+            pos += 1;
         }
         for child in &self.children {
             if Some(child) != came_from && !prunable(child) {
-                effects.send(child.clone(), forward.clone());
+                edges.push(pos);
             }
+            pos += 1;
         }
         self.counts.add(CounterId::GDS_PRUNED_EDGES, pruned);
         self.counts.add(CounterId::GDS_RENDEZVOUS_CONFINED, confined_hops);
@@ -968,16 +1156,16 @@ impl GdsNode {
         &self,
         origin: &HostName,
         id: u64,
-        targets: Vec<HostName>,
-        payload: Payload,
+        targets: &[HostName],
+        payload: &Payload,
         came_from: Option<&HostName>,
         effects: &mut GdsEffects,
     ) {
-        let mid = gsa_types::MessageId::from_raw(id);
+        let mid = MessageId::from_raw(id);
         let mut per_child: BTreeMap<HostName, Vec<HostName>> = BTreeMap::new();
         let mut upward: Vec<HostName> = Vec::new();
         for target in targets {
-            if self.local.contains(&target) {
+            if self.local.contains(target) {
                 effects.send(
                     target.clone(),
                     GdsMessage::Deliver {
@@ -986,10 +1174,10 @@ impl GdsNode {
                         payload: payload.clone(),
                     },
                 );
-            } else if let Some(via) = self.subtree.get(&target) {
-                per_child.entry(via.clone()).or_default().push(target);
+            } else if let Some(via) = self.subtree.get(target) {
+                per_child.entry(via.clone()).or_default().push(target.clone());
             } else {
-                upward.push(target);
+                upward.push(target.clone());
             }
         }
         for (child, targets) in per_child {
@@ -1012,13 +1200,29 @@ impl GdsNode {
                             id: mid,
                             origin: origin.clone(),
                             targets: upward,
-                            payload,
+                            payload: payload.clone(),
                         },
                     );
                 }
                 _ => effects.undeliverable.extend(upward),
             }
         }
+    }
+}
+
+/// The final delivery of a flooded `Broadcast` to a local server.
+fn deliver_form(msg: &GdsMessage) -> GdsMessage {
+    match msg {
+        GdsMessage::Broadcast {
+            id,
+            origin,
+            payload,
+        } => GdsMessage::Deliver {
+            id: *id,
+            origin: origin.clone(),
+            payload: payload.clone(),
+        },
+        other => unreachable!("a flood run holds broadcasts, not {other}"),
     }
 }
 
@@ -2118,5 +2322,53 @@ mod tests {
         assert!(root.parent().is_none());
         assert_eq!(root.children().count(), 3);
         assert_eq!(root.name().as_str(), "gds-1");
+    }
+
+    /// A frame of `ids` as the parent floods it.
+    fn broadcast_frame(ids: std::ops::RangeInclusive<u64>) -> Arc<[GdsMessage]> {
+        ids.map(|id| GdsMessage::Broadcast {
+            id: MessageId::from_raw(id),
+            origin: "gs-1".into(),
+            payload: XmlElement::new("event").into(),
+        })
+        .collect()
+    }
+
+    /// The replay ring holds items as references into the frames they
+    /// came in: the newest `RECENT_CAP`, across frame boundaries, and
+    /// nothing of a frame it evicted whole.
+    #[test]
+    fn the_replay_ring_keeps_the_newest_items_by_reference() {
+        let mut node = GdsNode::new("gds-2", 2, Some("gds-1".into()));
+        let parent = HostName::new("gds-1");
+        // 17 frames of 8 and one of 5: 141 items, 13 past the cap.
+        let frames: Vec<Arc<[GdsMessage]>> = (0..17u64)
+            .map(|f| broadcast_frame(f * 8 + 1..=f * 8 + 8))
+            .chain([broadcast_frame(137..=141)])
+            .collect();
+        let first = Arc::downgrade(&frames[0]);
+        let mut frames = frames.into_iter();
+        node.handle_message(&parent, GdsMessage::Batch(frames.next().expect("17 + 1")));
+        let frames: Vec<Arc<[GdsMessage]>> = frames.collect();
+        for frame in &frames {
+            node.handle_message(&parent, GdsMessage::Batch(frame.clone()));
+        }
+        assert_eq!(node.recent.len(), RECENT_CAP);
+        assert!(first.upgrade().is_none(), "the fully evicted frame is released");
+        // The second frame lost its first five items to the cap.
+        assert_eq!(Arc::strong_count(&frames[0]), 1 + 3);
+        assert_eq!(Arc::strong_count(&frames[16]), 1 + 5);
+
+        let effects = node.handle_message(&"gds-9".into(), GdsMessage::Adopt { child: "gds-9".into() });
+        let replayed: Vec<u64> = effects
+            .outbound
+            .iter()
+            .filter(|out| out.to.as_str() == "gds-9")
+            .map(|out| match &out.msg {
+                GdsMessage::Broadcast { id, .. } => id.as_u64(),
+                other => panic!("replay sends broadcasts, not {other}"),
+            })
+            .collect();
+        assert_eq!(replayed, (14..=141).collect::<Vec<u64>>(), "in flood order");
     }
 }

@@ -260,7 +260,7 @@ fn arb_message(host: &'static str) -> BoxedStrategy<GdsMessage> {
     prop_oneof![
         arb_carrier(host),
         arb_control(host),
-        prop::collection::vec(item, 0..4).prop_map(GdsMessage::Batch),
+        prop::collection::vec(item, 0..4).prop_map(|items| GdsMessage::Batch(items.into())),
     ]
 }
 
@@ -272,7 +272,16 @@ fn freeze(msg: &mut GdsMessage) {
         | GdsMessage::Broadcast { payload, .. }
         | GdsMessage::Route { payload, .. }
         | GdsMessage::Deliver { payload, .. } => payload.freeze(),
-        GdsMessage::Batch(items) => items.iter_mut().for_each(freeze),
+        GdsMessage::Batch(items) => {
+            *items = items
+                .iter()
+                .cloned()
+                .map(|mut item| {
+                    freeze(&mut item);
+                    item
+                })
+                .collect();
+        }
         _ => {}
     }
 }

@@ -223,9 +223,9 @@ proptest! {
             let batched = GdsMessage::Batch(vec![deliver(
                 base + 3,
                 Payload::from_frozen(frozen_bytes(event).into()),
-            )]);
+            )].into());
             match GdsMessage::from_binary(&batched.to_binary()).expect("batch decodes") {
-                GdsMessage::Batch(inner) => messages.extend(inner),
+                GdsMessage::Batch(inner) => messages.extend(inner.iter().cloned()),
                 other => messages.push(other),
             }
         }

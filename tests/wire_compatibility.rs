@@ -248,7 +248,7 @@ fn sim_byte_accounting_matches_actual_encodings() {
         GdsMessage::Batch(vec![
             GdsMessage::publish_event(MessageId::from_raw(2), &event),
             GdsMessage::publish_event(MessageId::from_raw(3), &event),
-        ]),
+        ].into()),
     ];
     for msg in messages {
         // v1: the XML text the paper's implementation would write.

@@ -336,7 +336,7 @@ fn maintenance_and_negotiation_messages_are_pinned() {
 #[test]
 fn batches_are_pinned() {
     pin(
-        GdsMessage::Batch(vec![]),
+        GdsMessage::Batch(vec![].into()),
         "b2021100",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:batch/>",
     );
@@ -345,7 +345,7 @@ fn batches_are_pinned() {
             GdsMessage::Broadcast { id: id(7), origin: "Hamilton".into(), payload: received_frozen() },
             GdsMessage::HeartbeatAck { version: 0 },
             GdsMessage::Deliver { id: id(8), origin: "London".into(), payload: xml_sourced() },
-        ]),
+        ].into()),
         "b2c501110306070848616d696c746f6e8101010848616d696c746f6e2a0848616d696c746f6e2a08\
          48616d696c746f6e014401d0a84b01064c6f6e646f6e01450205646f632d31020b64632e4c616e67\
          75616765026d690864632e5469746c651c4469676974616c203c4c69627261726965733e20262022\
@@ -658,11 +658,11 @@ fn framed(body: &[u8]) -> Vec<u8> {
 #[test]
 fn a_batch_inside_a_batch_is_refused() {
     let beacon = GdsMessage::HeartbeatAck { version: 0 };
-    let nested = GdsMessage::Batch(vec![GdsMessage::Batch(vec![beacon.clone()])]);
+    let nested = GdsMessage::Batch(vec![GdsMessage::Batch(vec![beacon.clone()].into())].into());
     assert!(GdsMessage::from_binary(&nested.to_binary()).is_err());
     assert!(GdsMessage::from_xml(&nested.to_xml()).is_err());
 
-    let batch_of_one = GdsMessage::Batch(vec![beacon]).to_binary();
+    let batch_of_one = GdsMessage::Batch(vec![beacon].into()).to_binary();
     let header = &batch_of_one[2..4]; // [opcode, count 1]
     for levels in [10_000, 500_000] {
         let err = GdsMessage::from_binary(&framed(&header.repeat(levels))).unwrap_err();
@@ -734,7 +734,7 @@ fn trailing_bytes_inside_a_frame_are_refused() {
         }),
         (
             "batch",
-            GdsMessage::Batch(vec![inner.clone()]).to_binary(),
+            GdsMessage::Batch(vec![inner.clone()].into()).to_binary(),
             |b| GdsMessage::from_binary(b).is_ok(),
         ),
         ("data", data.to_binary(), |b| {
