@@ -38,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use gsa_types::{CounterId, Counts, SimDuration, SimTime};
 use std::collections::BTreeMap;

@@ -7,7 +7,7 @@ use gsa_types::{ClientId, Event, HostName, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
 /// Default TTL bounding propagation when duplicate suppression is off.
-pub const DEFAULT_TTL: u32 = 16;
+pub(crate) const DEFAULT_TTL: u32 = 16;
 
 struct GsFloodActor {
     host: HostName,

@@ -30,11 +30,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod gsflood;
-pub mod msg;
-pub mod profileflood;
-pub mod rendezvous;
+mod gsflood;
+mod msg;
+mod profileflood;
+mod rendezvous;
 
 pub use gsflood::GsFloodSystem;
 pub use msg::{BaselineMsg, Delivery, GlobalProfileId};

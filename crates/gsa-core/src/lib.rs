@@ -52,13 +52,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod actor;
 pub mod aux;
-pub mod core;
-pub mod message;
-pub mod subs;
-pub mod system;
+mod core;
+mod message;
+mod subs;
+mod system;
 
 pub use crate::core::{AlertingCore, CoreEffects};
 pub use gsa_alerts::{
@@ -68,4 +69,4 @@ pub use actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
 pub use aux::{AuxProfile, AuxStore};
 pub use message::{AuxPayload, SysMessage};
 pub use subs::{Notification, SubscriptionManager};
-pub use system::System;
+pub use system::{SubscribeError, System};

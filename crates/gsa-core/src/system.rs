@@ -1027,7 +1027,7 @@ mod tests {
         system.rebuild("Hamilton", "D", vec![doc("d1", "x")]).unwrap();
         system.run_until_quiet(SimTime::from_secs(30));
         assert!(system.metrics().counter("net.sent") > 0);
-        assert!(system.metrics().counter("net.bytes") > 0);
+        assert!(system.metrics().counter("net.bytes_sent") > 0);
         assert_eq!(system.metrics().counter("alert.notifications"), 1);
         assert!(system.metrics().counter("alert.events_published") >= 1);
     }

@@ -9,7 +9,7 @@
 //! cargo run -p gsa-examples --example federated_alerting
 //! cargo run -p gsa-examples --example distributed_alerting
 //! cargo run -p gsa-examples --example partition_healing
-//! cargo run -p gsa-examples --example live_gds
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]

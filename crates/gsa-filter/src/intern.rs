@@ -26,14 +26,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// An interned string: a dense index into a [`SymbolTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
+pub(crate) struct Symbol(u32);
 
 impl Symbol {
-    /// The raw table index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
     /// A symbol carrying `raw` itself rather than a table index. Only
     /// meaningful as the value half of a pair whose attribute half is
     /// [reserved](SymbolTable::reserve): there the value namespace is the
@@ -50,15 +45,15 @@ impl Symbol {
 /// symbol pairs and short attribute strings — so hash-flooding resistance
 /// is not needed and the cheaper mix wins on every probe.
 #[derive(Debug, Default, Clone)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -112,7 +107,7 @@ impl Hasher for FxHasher {
 
 /// An append-only string-to-[`Symbol`] table.
 #[derive(Debug, Default)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     /// Every name, in symbol order, with nothing in between.
     text: String,
     /// Where in `text` each symbol's name ends; it starts where the
@@ -144,7 +139,7 @@ fn tag_of(hash: u64) -> u8 {
 
 impl SymbolTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SymbolTable::default()
     }
 
@@ -204,7 +199,7 @@ impl SymbolTable {
     }
 
     /// Interns `s`, returning its (new or existing) symbol.
-    pub fn intern(&mut self, s: &str) -> Symbol {
+    pub(crate) fn intern(&mut self, s: &str) -> Symbol {
         // Room for one more first, so the slot a miss ends at stays valid.
         let interned = self.ends.len() - self.reserved.len();
         if (interned + 1) * 4 > self.tags.len() * 3 {
@@ -225,8 +220,8 @@ impl SymbolTable {
     /// [`intern`](Self::intern) nor [`lookup`](Self::lookup) ever returns
     /// it, so a pair keyed under it cannot collide with any attribute
     /// name or value a profile or an event can spell. `label` is only
-    /// what [`resolve`](Self::resolve) shows.
-    pub fn reserve(&mut self, label: &str) -> Symbol {
+    /// what the table's text holds for it.
+    pub(crate) fn reserve(&mut self, label: &str) -> Symbol {
         let sym = self.push_name(label);
         self.reserved.push(sym);
         Symbol(sym)
@@ -237,26 +232,16 @@ impl SymbolTable {
     /// This is the hot-path entry point: event attribute values that no
     /// profile ever mentioned return `None` here and skip the index.
     #[inline]
-    pub fn lookup(&self, s: &str) -> Option<Symbol> {
+    pub(crate) fn lookup(&self, s: &str) -> Option<Symbol> {
         if self.tags.is_empty() {
             return None;
         }
         self.probe(s, hash_of(s)).ok()
     }
 
-    /// The string a symbol was interned from.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.text[self.span(sym.0)]
-    }
-
     /// Number of symbols: distinct interned strings plus reserved ones.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ends.len()
-    }
-
-    /// Whether the table holds no symbol yet.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
     }
 }
 
@@ -264,6 +249,14 @@ impl SymbolTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl SymbolTable {
+        /// The string a symbol was interned from: the round trip these
+        /// tests check.
+        fn resolve(&self, sym: Symbol) -> &str {
+            &self.text[self.span(sym.0)]
+        }
+    }
 
     #[test]
     fn intern_is_idempotent() {
@@ -281,9 +274,9 @@ mod tests {
     #[test]
     fn lookup_does_not_insert() {
         let mut t = SymbolTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.lookup("missing"), None);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         let sym = t.intern("present");
         assert_eq!(t.lookup("present"), Some(sym));
     }

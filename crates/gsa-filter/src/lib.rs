@@ -62,11 +62,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod baseline;
-pub mod engine;
-pub mod intern;
-pub mod naive;
+mod baseline;
+mod engine;
+mod intern;
+mod naive;
 mod postings;
 
 pub use baseline::BaselineEngine;

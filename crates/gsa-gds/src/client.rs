@@ -100,26 +100,6 @@ impl GdsClient {
         )
     }
 
-    /// Builds a multicast (point-to-point when `targets.len() == 1`).
-    pub fn publish_to(
-        &mut self,
-        targets: Vec<HostName>,
-        payload: impl Into<Payload>,
-    ) -> (MessageId, GdsOutbound) {
-        let id = self.fresh_id();
-        (
-            id,
-            GdsOutbound {
-                to: self.gds_server.clone(),
-                msg: GdsMessage::PublishTargeted {
-                    id,
-                    targets,
-                    payload: payload.into(),
-                },
-            },
-        )
-    }
-
     /// Builds an interest-summary announcement for this server's GDS
     /// node (the flood-pruning layer). Versions are monotonic so the
     /// node keeps only the newest, whatever order updates arrive in.
@@ -377,17 +357,5 @@ mod tests {
         c.crash_reset();
         // A reliability-layer redelivery after restart is still a dup.
         assert!(c.accept(&deliver).is_none());
-    }
-
-    #[test]
-    fn publish_to_builds_multicast() {
-        let mut c = client();
-        let (_, out) = c.publish_to(vec!["London".into()], XmlElement::new("x"));
-        match out.msg {
-            GdsMessage::PublishTargeted { targets, .. } => {
-                assert_eq!(targets, vec![HostName::new("London")]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

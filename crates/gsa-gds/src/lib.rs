@@ -18,17 +18,18 @@
 //!
 //! [`GdsNode`] is the sans-IO state machine of one directory server;
 //! [`GdsClient`] is the thin library a Greenstone server embeds to
-//! publish, subscribe and deduplicate; [`topology`] builds trees (balanced
+//! publish, subscribe and deduplicate; `topology` builds trees (balanced
 //! or the exact 7-node arrangement of Figure 2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod client;
-pub mod message;
-pub mod node;
+mod client;
+mod message;
+mod node;
 mod seen;
-pub mod topology;
+mod topology;
 
 pub use client::GdsClient;
 pub use message::{GdsMessage, ResolveToken};

@@ -631,11 +631,6 @@ impl GdsNode {
         self.subtree.contains_key(gs_host)
     }
 
-    /// Number of Greenstone servers known in this node's subtree.
-    pub fn subtree_size(&self) -> usize {
-        self.subtree.len()
-    }
-
     /// `RegisterUp` messages re-announcing this node's whole subtree to
     /// its (new) parent.
     pub fn reregistrations(&self) -> Vec<GdsOutbound> {
@@ -1375,11 +1370,11 @@ mod tests {
     fn registration_propagates_to_root() {
         let nodes = figure2();
         let root = &nodes[&HostName::new("gds-1")];
-        assert_eq!(root.subtree_size(), 7);
+        assert_eq!(root.subtree.len(), 7);
         assert!(root.knows(&"gs-7".into()));
         // Intermediate node knows only its subtree.
         let gds3 = &nodes[&HostName::new("gds-3")];
-        assert_eq!(gds3.subtree_size(), 3); // gs-3, gs-6, gs-7
+        assert_eq!(gds3.subtree.len(), 3); // gs-3, gs-6, gs-7
         assert!(!gds3.knows(&"gs-5".into()));
     }
 

@@ -89,12 +89,6 @@ impl CollectionConfig {
         }
     }
 
-    /// Builder-style: replaces the index list.
-    pub fn with_indexes(mut self, indexes: Vec<IndexSpec>) -> Self {
-        self.indexes = indexes;
-        self
-    }
-
     /// Builder-style: adds a sub-collection reference.
     pub fn with_subcollection(mut self, sub: SubCollectionRef) -> Self {
         self.subcollections.push(sub);

@@ -27,15 +27,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod collection;
-pub mod config;
+mod config;
 pub mod protocol;
-pub mod receptionist;
+mod receptionist;
 pub mod server;
 
 pub use collection::{BuildReport, Collection};
 pub use config::{CollectionConfig, SubCollectionRef, Visibility};
 pub use protocol::{CollectionInfo, GsError, GsMessage, RequestId, SearchHit};
-pub use receptionist::Receptionist;
+pub use receptionist::{Completed, Receptionist};
 pub use server::{Outbound, Server, ServerEffects};

@@ -843,7 +843,10 @@ mod tests {
         // Remove the text index on London.E by replacing the collection.
         london.remove_collection(&"E".into());
         london
-            .add_collection(CollectionConfig::simple("E", "no index").with_indexes(vec![]))
+            .add_collection(CollectionConfig {
+                indexes: vec![],
+                ..CollectionConfig::simple("E", "no index")
+            })
             .unwrap();
         let (_, effects) = hamilton.start_search(&"D".into(), "text", &Query::term("dataset"));
         let done = pump(&mut hamilton, &mut london, effects);

@@ -4,3 +4,4 @@
 //! Run them with `cargo test -p gsa-integration`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]

@@ -38,13 +38,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod attr;
+mod attr;
 pub mod dnf;
-pub mod expr;
-pub mod interest;
-pub mod parse;
-pub mod profile;
+mod expr;
+mod interest;
+mod parse;
+mod profile;
 pub mod xml;
 
 pub use attr::{AttrValue, Predicate, ProfileAttr, Wildcard};

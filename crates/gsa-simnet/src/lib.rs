@@ -64,12 +64,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod actor;
-pub mod link;
-pub mod metrics;
-pub mod rt;
-pub mod sim;
+mod actor;
+mod link;
+mod metrics;
+mod sim;
 
 pub use actor::{Actor, Ctx};
 pub use link::LinkConfig;

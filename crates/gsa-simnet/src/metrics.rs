@@ -4,8 +4,7 @@
 //! Every counter is a row of the counter table in [`gsa_types::counter`]
 //! — declared once, there — and lives here in a fixed slot addressed by
 //! its [`CounterId`]: the hot loop increments a plain array cell. Readers
-//! may still name a counter by its string. The table is re-exported as
-//! [`CounterId`] and [`names`], so callers spell both as before.
+//! may still name a counter by its string.
 //!
 //! Histograms are fixed-size: exact count / sum / min / max plus
 //! log-linear buckets, so a run's memory does not grow with the number
@@ -16,14 +15,8 @@ use std::fmt;
 
 pub use gsa_types::CounterId;
 
-/// Well-known metric names, so dashboards and tests agree on spelling:
-/// the counter table's, plus the one histogram the simulator keeps.
-pub mod names {
-    pub use gsa_types::counter::names::*;
-
-    /// Delivery latency histogram, one sample per delivered message.
-    pub const NET_LATENCY_US: &str = "net.latency_us";
-}
+/// Delivery latency histogram, one sample per delivered message.
+const NET_LATENCY_US: &str = "net.latency_us";
 
 /// Each power-of-two range of values is split into `2^SUB_BITS` equal
 /// buckets, so a bucket is at most `1 / 2^SUB_BITS` of its lower bound
@@ -193,7 +186,7 @@ impl fmt::Display for Histogram {
 /// Metrics accumulated during a simulation run.
 ///
 /// The simulator maintains the `net.*` counters, the
-/// [`net.latency_us`](names::NET_LATENCY_US) histogram and the per-node
+/// `net.latency_us` histogram and the per-node
 /// receive loads; actors add to any other row of the counter table
 /// through [`Ctx::count_id`](crate::Ctx::count_id).
 #[derive(Debug, Clone)]
@@ -322,7 +315,7 @@ impl fmt::Display for Metrics {
         }
         writeln!(f, "histograms:")?;
         if let Some(h) = self.latency() {
-            writeln!(f, "  {}: {h}", names::NET_LATENCY_US)?;
+            writeln!(f, "  {NET_LATENCY_US}: {h}")?;
         }
         Ok(())
     }
@@ -331,6 +324,7 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsa_types::counter::names;
 
     #[test]
     fn histogram_quantiles() {

@@ -264,7 +264,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     }
 
     /// Installs a function measuring the wire size of a message, enabling
-    /// the `net.bytes` counter.
+    /// the `net.bytes_sent` counter.
     pub fn set_wire_size_fn(&mut self, f: impl Fn(&M) -> usize + 'static) {
         self.wire_size = Some(Box::new(f));
     }
@@ -599,9 +599,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.metrics.count_id(CounterId::NET_SENT, 1);
         self.metrics.count_id(CounterId::NET_FRAMES, 1);
         if let Some(f) = &self.wire_size {
-            let bytes = f(&msg) as u64;
-            self.metrics.count_id(CounterId::NET_BYTES, bytes);
-            self.metrics.count_id(CounterId::NET_BYTES_SENT, bytes);
+            self.metrics.count_id(CounterId::NET_BYTES_SENT, f(&msg) as u64);
         }
         if to.index() >= self.actors.len() {
             self.metrics.count_id(CounterId::NET_DROPPED, 1);
@@ -838,7 +836,7 @@ mod tests {
         let mut sim = ping_sim();
         sim.set_wire_size_fn(|m: &String| m.len());
         sim.run_until_quiet(SimTime::from_secs(1));
-        assert_eq!(sim.metrics().counter("net.bytes"), 8); // "ping" + "pong"
+        assert_eq!(sim.metrics().counter("net.bytes_sent"), 8); // "ping" + "pong"
     }
 
     #[test]

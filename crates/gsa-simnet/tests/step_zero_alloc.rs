@@ -217,7 +217,7 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
         sim.metrics().counter_value(CounterId::CORE_PROBE_SKIP),
         "string and slot reads agree"
     );
-    assert!(sim.metrics().counter("net.bytes") >= delivered * 64);
+    assert!(sim.metrics().counter("net.bytes_sent") >= delivered * 64);
 }
 
 #[test]

@@ -54,15 +54,6 @@ impl ClassifierSpec {
             rule: BucketRule::ByValue,
         }
     }
-
-    /// A first-letter (A–Z, `#`) classifier over `key`, named `name`.
-    pub fn by_first_letter(name: impl Into<String>, key: impl Into<String>) -> Self {
-        ClassifierSpec {
-            name: name.into(),
-            key: key.into(),
-            rule: BucketRule::ByFirstLetter,
-        }
-    }
 }
 
 /// A built browse structure.
@@ -112,11 +103,6 @@ impl Classifier {
         });
     }
 
-    /// The bucket labels in sorted order.
-    pub fn bucket_labels(&self) -> impl Iterator<Item = &str> {
-        self.buckets.keys().map(String::as_str)
-    }
-
     /// The documents in a bucket (empty when the bucket does not exist).
     pub fn bucket(&self, label: &str) -> &[DocId] {
         self.buckets.get(label).map(Vec::as_slice).unwrap_or(&[])
@@ -158,12 +144,16 @@ mod tests {
         c.add(&"d2".into(), &md("Buchanan"));
         c.add(&"d3".into(), &md("Hinze"));
         assert_eq!(c.bucket("Hinze"), &[DocId::new("d1"), DocId::new("d3")]);
-        assert_eq!(c.bucket_labels().collect::<Vec<_>>(), vec!["Buchanan", "Hinze"]);
+        assert_eq!(c.buckets.keys().collect::<Vec<_>>(), ["Buchanan", "Hinze"]);
     }
 
     #[test]
     fn by_first_letter_buckets() {
-        let mut c = Classifier::new(ClassifierSpec::by_first_letter("titles", keys::TITLE));
+        let mut c = Classifier::new(ClassifierSpec {
+            name: "titles".into(),
+            key: keys::TITLE.into(),
+            rule: BucketRule::ByFirstLetter,
+        });
         let add = |c: &mut Classifier, id: &str, title: &str| {
             let md: MetadataRecord = [(keys::TITLE, title)].into_iter().collect();
             c.add(&id.into(), &md);

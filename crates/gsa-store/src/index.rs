@@ -1,19 +1,4 @@
 //! An inverted index with Boolean and ranked retrieval.
-//!
-//! Terms are interned to dense `u32` ids the first time a document
-//! mentions them — the dictionary is probed with the `&str` the tokenizer
-//! hands out, so a known term costs one hash lookup and no `String` — and
-//! posting lists live in a `Vec` indexed by term id. A document's term
-//! frequencies come from sorting its id list in a reused scratch vector.
-//!
-//! The index is **bounded by its live documents**. Replacing or removing a
-//! document only marks its ordinal dead; once the dead ordinals, or the
-//! postings they own, outnumber the live ones, [`InvertedIndex`] compacts:
-//! dead postings are dropped, ordinals renumbered densely in indexing
-//! order, and terms no live document mentions leave the dictionary. Each
-//! compaction walks at most twice what it keeps, so the cost is amortised
-//! O(1) per posting ever added, and no query walks more than twice the
-//! postings the live documents need.
 
 use crate::query::Query;
 use crate::tokenize::for_each_token;
@@ -45,9 +30,22 @@ struct DocEntry {
 ///
 /// Documents are identified by [`DocId`]; re-adding an id replaces the
 /// previous version (an updated document after a rebuild) and moves the
-/// document to the end of the indexing order. See the [module
-/// documentation](self) for the term dictionary and the compaction rule
-/// that keeps the index no larger than twice its live documents.
+/// document to the end of the indexing order.
+///
+/// Terms are interned to dense `u32` ids the first time a document
+/// mentions them — the dictionary is probed with the `&str` the tokenizer
+/// hands out, so a known term costs one hash lookup and no `String` — and
+/// posting lists live in a `Vec` indexed by term id. A document's term
+/// frequencies come from sorting its id list in a reused scratch vector.
+///
+/// The index is **bounded by its live documents**. Replacing or removing a
+/// document only marks its ordinal dead; once the dead ordinals, or the
+/// postings they own, outnumber the live ones, the index compacts:
+/// dead postings are dropped, ordinals renumbered densely in indexing
+/// order, and terms no live document mentions leave the dictionary. Each
+/// compaction walks at most twice what it keeps, so the cost is amortised
+/// O(1) per posting ever added, and no query walks more than twice the
+/// postings the live documents need.
 ///
 /// # Examples
 ///
@@ -101,13 +99,6 @@ impl InvertedIndex {
     /// Returns `true` when the index holds no live documents.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The number of distinct terms in the dictionary: every term of a
-    /// live document, plus those of removed documents that no compaction
-    /// has dropped yet.
-    pub fn term_count(&self) -> usize {
-        self.term_ids.len()
     }
 
     /// Indexes `text` under `id`, replacing any previous document with the
@@ -436,7 +427,7 @@ mod tests {
     fn term_count_counts_distinct_terms() {
         let mut idx = InvertedIndex::new();
         idx.add("a".into(), "x x y");
-        assert_eq!(idx.term_count(), 2);
+        assert_eq!(idx.term_ids.len(), 2);
     }
 
     #[test]
@@ -454,7 +445,7 @@ mod tests {
             );
         }
         assert_eq!(joined.ranked(&["digital"]), segmented.ranked(&["digital"]));
-        assert_eq!(joined.term_count(), segmented.term_count());
+        assert_eq!(joined.term_ids.len(), segmented.term_ids.len());
     }
 
     #[test]
@@ -474,10 +465,10 @@ mod tests {
         idx.add("b".into(), "y z");
         idx.remove(&"a".into());
         idx.remove(&"b".into());
-        assert_eq!(idx.term_count(), 0);
+        assert_eq!(idx.term_ids.len(), 0);
         // A dropped term comes back under a reused id.
         idx.add("c".into(), "z z x");
-        assert_eq!(idx.term_count(), 2);
+        assert_eq!(idx.term_ids.len(), 2);
         assert_eq!(idx.postings.len(), 3);
         assert_eq!(idx.execute(&Query::term("z")), vec![DocId::new("c")]);
     }
@@ -531,7 +522,7 @@ mod tests {
             let touched = idx.postings_of("common").len();
             assert!(touched <= 2 * IDS, "round {round}: a term query walks {touched} postings");
             assert_eq!(idx.execute(&common).len(), IDS);
-            assert!(idx.term_count() <= 600 + 1);
+            assert!(idx.term_ids.len() <= 600 + 1);
         }
         // Indexing order is replacement order, compactions or not.
         let expected: Vec<DocId> = (0..IDS).map(|id| DocId::new(format!("d{id:03}"))).collect();

@@ -8,19 +8,19 @@
 //! of searching and browsing"), so this crate provides the shared
 //! machinery:
 //!
-//! * [`mod@tokenize`] — the one tokenizer, [`for_each_token`]: a visitor
+//! * `tokenize` — the one tokenizer, [`for_each_token`]: a visitor
 //!   that allocates nothing per token, behind index build, query
 //!   normalization and [`TokenSet`], the distinct tokens of one text,
-//! * [`query`] — a Boolean/prefix query language evaluated both against
+//! * `query` — a Boolean/prefix query language evaluated both against
 //!   indexes and against single documents (a [`TokenSet`]; that is how
 //!   the filter engine matches an event's excerpts on the subscriber
 //!   side),
-//! * [`index`] — an inverted index with Boolean and ranked (tf-idf)
+//! * `index` — an inverted index with Boolean and ranked (tf-idf)
 //!   retrieval: terms interned to dense ids in the index's own
 //!   dictionary, posting lists by id, and a size bounded by the live
 //!   documents — replaced and removed ones are compacted away,
-//! * [`classifier`] — metadata browse structures,
-//! * [`store`] — [`DocumentStore`], composing all of the above per the
+//! * `classifier` — metadata browse structures,
+//! * `store` — [`DocumentStore`], composing all of the above per the
 //!   collection's index/classifier specs.
 //!
 //! # Examples
@@ -40,15 +40,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod classifier;
-pub mod index;
-pub mod query;
-pub mod store;
-pub mod tokenize;
+mod classifier;
+mod index;
+mod query;
+mod store;
+mod tokenize;
 
-pub use classifier::{Classifier, ClassifierSpec};
+pub use classifier::{BucketRule, Classifier, ClassifierSpec};
 pub use index::InvertedIndex;
-pub use query::Query;
+pub use query::{ParseQueryError, Query};
 pub use store::{DocumentStore, IndexSpec, IndexSource, SourceDocument, StoreError};
 pub use tokenize::{for_each_token, tokenize, TokenSet};

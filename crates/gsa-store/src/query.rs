@@ -92,14 +92,6 @@ impl Query {
         self.matches_tokens(&TokenSet::of(text))
     }
 
-    /// All positive terms/prefixes mentioned by the query; used by filter
-    /// indexes for pre-selection.
-    pub fn positive_terms(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_positive(&mut out);
-        out
-    }
-
     /// Visits the query's *required* terms: the query itself when it is
     /// a [`Query::Term`], and every `Term` reached through [`Query::And`]
     /// nodes only. A token set the query matches contains each of them,
@@ -115,18 +107,6 @@ impl Query {
                 }
             }
             Query::Prefix(_) | Query::Or(_) | Query::Not(_) => {}
-        }
-    }
-
-    fn collect_positive<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Query::Term(t) | Query::Prefix(t) => out.push(t),
-            Query::And(qs) | Query::Or(qs) => {
-                for q in qs {
-                    q.collect_positive(out);
-                }
-            }
-            Query::Not(_) => {}
         }
     }
 }
@@ -400,12 +380,6 @@ mod tests {
             let q2 = Query::parse(&q.to_string()).unwrap();
             assert_eq!(q, q2, "query text {text}");
         }
-    }
-
-    #[test]
-    fn positive_terms_skips_negations() {
-        let q = Query::parse("a AND (b* OR NOT c)").unwrap();
-        assert_eq!(q.positive_terms(), vec!["a", "b"]);
     }
 
     #[test]

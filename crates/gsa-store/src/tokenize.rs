@@ -53,7 +53,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 
 /// Normalizes a single query term the same way document text is tokenized;
 /// returns `None` when the term contains no token characters.
-pub fn normalize_term(term: &str) -> Option<String> {
+pub(crate) fn normalize_term(term: &str) -> Option<String> {
     let mut first = None;
     for_each_token(term, &mut String::new(), |t| {
         first.get_or_insert_with(|| t.to_string());

@@ -125,17 +125,13 @@ counter_table! {
     /// Reliable data frames acknowledged (one ack frame acknowledges up
     /// to 65 of them).
     NET_ACKS = "net.acks",
-    /// Serialized bytes handed to the network.
-    NET_BYTES = "net.bytes",
     /// Serialized bytes handed to the network, as measured by the
-    /// format-aware wire-size function (alias of `net.bytes` kept
-    /// separate so dashboards can tell the v2 accounting apart).
+    /// format-aware wire-size function.
     NET_BYTES_SENT = "net.bytes_sent",
     /// Messages delivered to an up node.
     NET_DELIVERED = "net.delivered",
     /// Messages dropped in flight (loss, partitions, downed nodes,
-    /// unknown destinations) — mirrored by the real-time transport's
-    /// `dropped_count`.
+    /// unknown destinations).
     NET_DROPPED = "net.dropped",
     /// Retransmissions that did not wait for the backoff: RACK proved
     /// the frame lost, or it was a tail probe. A subset of

@@ -8,7 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The name of a Greenstone host (one server per host, Section 4.1).
@@ -295,49 +294,6 @@ opaque_u64_id!(
     "profile-"
 );
 
-/// A process-wide generator for the opaque numeric identifiers.
-///
-/// Identifier allocation is monotone within one generator. Benchmarks and
-/// simulations create their own generators so runs stay deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use gsa_types::id::IdGen;
-/// let gen = IdGen::new();
-/// let a = gen.next_raw();
-/// let b = gen.next_raw();
-/// assert!(b > a);
-/// ```
-#[derive(Debug, Default)]
-pub struct IdGen {
-    next: AtomicU64,
-}
-
-impl IdGen {
-    /// Creates a generator starting at zero.
-    pub fn new() -> Self {
-        IdGen::default()
-    }
-
-    /// Creates a generator whose first identifier is `start`.
-    pub fn starting_at(start: u64) -> Self {
-        IdGen {
-            next: AtomicU64::new(start),
-        }
-    }
-
-    /// Allocates the next raw identifier.
-    pub fn next_raw(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Allocates the next identifier as a typed id.
-    pub fn next_id<T: From<u64>>(&self) -> T {
-        T::from(self.next_raw())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,15 +329,6 @@ mod tests {
     fn document_ref_display() {
         let r = DocumentRef::new(CollectionId::new("Hamilton", "D"), "HASH01");
         assert_eq!(r.to_string(), "Hamilton.D/HASH01");
-    }
-
-    #[test]
-    fn id_gen_is_monotone() {
-        let gen = IdGen::starting_at(10);
-        let a: MessageId = gen.next_id();
-        let b: MessageId = gen.next_id();
-        assert_eq!(a.as_u64(), 10);
-        assert_eq!(b.as_u64(), 11);
     }
 
     #[test]

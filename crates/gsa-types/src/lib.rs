@@ -23,17 +23,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod counter;
-pub mod event;
-pub mod fxhash;
-pub mod id;
-pub mod meta;
-pub mod time;
+mod event;
+mod fxhash;
+mod id;
+mod meta;
+mod time;
 
 pub use counter::{CounterId, Counts};
 pub use event::{DocSummary, Event, EventId, EventKind};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::{
     ClientId, CollectionId, CollectionName, DocId, DocumentRef, HostName, MessageId, ProfileId,
 };

@@ -1,8 +1,9 @@
 //! Binary wire format v2: a length-prefixed, varint-framed codec.
 //!
-//! Version 1 of the wire protocol is the paper's "XML messaging over
-//! SOAP" text encoding ([`crate::xml`], [`crate::envelope`]). Version 2
-//! keeps the exact same information content but encodes it compactly:
+//! Version 1 of the wire protocol is the XML text encoding
+//! ([`crate::xml`]) of the paper's "XML messaging over SOAP", without
+//! the SOAP envelope. Version 2 keeps the exact same information content
+//! but encodes it compactly:
 //!
 //! * integers are LEB128 varints,
 //! * strings are a varint byte length followed by UTF-8 bytes,
@@ -26,7 +27,8 @@
 //! handed to the sink as one slice, which the counter takes as a length.
 //! Every decoder reads from a [`BinReader`], which refuses recursion
 //! deeper than [`MAX_DEPTH`] and, through [`decode_frame`], bytes left
-//! unread inside a frame.
+//! unread inside a frame; the payload decoders refuse bytes left after
+//! the payload's one encoding the same way.
 //!
 //! # Examples
 //!
@@ -261,15 +263,22 @@ impl<'a> BinReader<'a> {
             depth: self.depth,
         };
         let value = read(&mut body)?;
-        if body.remaining() != 0 {
-            return Err(WireError::malformed("trailing bytes inside the frame"));
-        }
+        body.at_end()?;
         Ok(value)
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Refuses bytes left unread: a frame body, or a frozen payload, is
+    /// exactly one encoding.
+    fn at_end(&self) -> Result<(), WireError> {
+        if self.remaining() != 0 {
+            return Err(WireError::malformed("trailing bytes inside the frame"));
+        }
+        Ok(())
     }
 
     fn truncated(&self) -> WireError {
@@ -604,14 +613,17 @@ pub fn payload_bytes_from_event(event: &Event) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on malformed bytes.
+/// Returns [`WireError`] on malformed bytes, bytes after the encoding
+/// included.
 pub fn payload_xml_from_bytes(bytes: &[u8]) -> Result<XmlElement, WireError> {
     let mut r = BinReader::new(bytes);
-    match r.read_u8()? {
-        PAYLOAD_EVENT => Ok(event_to_xml(&event_from_binary(&mut r)?)),
-        PAYLOAD_XML => xml_from_binary(&mut r),
-        other => Err(WireError::malformed(format!("unknown payload tag {other}"))),
-    }
+    let el = match r.read_u8()? {
+        PAYLOAD_EVENT => event_to_xml(&event_from_binary(&mut r)?),
+        PAYLOAD_XML => xml_from_binary(&mut r)?,
+        other => return Err(WireError::malformed(format!("unknown payload tag {other}"))),
+    };
+    r.at_end()?;
+    Ok(el)
 }
 
 /// Decodes an event straight out of frozen payload bytes — the lazy
@@ -620,15 +632,17 @@ pub fn payload_xml_from_bytes(bytes: &[u8]) -> Result<XmlElement, WireError> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] when the bytes are malformed or the payload is
-/// not an event.
+/// Returns [`WireError`] when the bytes are malformed (bytes after the
+/// encoding included) or the payload is not an event.
 pub fn payload_event_from_bytes(bytes: &[u8]) -> Result<Event, WireError> {
     let mut r = BinReader::new(bytes);
-    match r.read_u8()? {
-        PAYLOAD_EVENT => event_from_binary(&mut r),
-        PAYLOAD_XML => event_from_xml(&xml_from_binary(&mut r)?),
-        other => Err(WireError::malformed(format!("unknown payload tag {other}"))),
-    }
+    let event = match r.read_u8()? {
+        PAYLOAD_EVENT => event_from_binary(&mut r)?,
+        PAYLOAD_XML => event_from_xml(&xml_from_binary(&mut r)?)?,
+        other => return Err(WireError::malformed(format!("unknown payload tag {other}"))),
+    };
+    r.at_end()?;
+    Ok(event)
 }
 
 // --- framing ----------------------------------------------------------

@@ -1,16 +1,16 @@
 //! Wire format for gsalert protocol messages.
 //!
 //! The paper's implementation exchanges "XML messaging over SOAP"
-//! (Section 6). This crate supplies that substrate from scratch:
+//! (Section 6). This crate supplies the messages' encodings from scratch;
+//! the SOAP envelope around a message is not modelled, so the bytes a
+//! simulated send is charged are the message's own:
 //!
 //! * [`xml`] — a small XML document model ([`XmlElement`]) with a writer and
 //!   a recursive-descent parser (elements, attributes, text, comments,
 //!   entity escaping, self-closing tags),
-//! * [`envelope`] — SOAP-style envelopes wrapping a header (routing
-//!   information) and a body (the payload element),
 //! * [`codec`] — conversions between the shared `gsa-types` data model and
 //!   XML elements,
-//! * [`message`] — [`WireMessage`], what a protocol message states once
+//! * `message` — [`WireMessage`], what a protocol message states once
 //!   for both wires and what is derived from it (tree, frame, both
 //!   sizes),
 //! * [`reliable`] — an opt-in reliable-delivery envelope
@@ -49,11 +49,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod binary;
 pub mod codec;
-pub mod envelope;
-pub mod message;
+mod message;
 pub mod payload;
 pub mod probe;
 pub mod reliable;
@@ -61,7 +61,6 @@ pub mod summary;
 pub mod xml;
 
 pub use binary::{FrozenBytes, WireFormat};
-pub use envelope::Envelope;
 pub use message::{Field, WireMessage};
 pub use payload::Payload;
 pub use probe::{DocProbe, EventProbe, MetaProbe};

@@ -245,31 +245,6 @@ impl FaultPlan {
         self.actions.is_empty()
     }
 
-    /// The windows `[crash, restart)` during which `host` is down.
-    pub fn down_windows(&self, host: &HostName) -> Vec<(SimTime, SimTime)> {
-        let mut out = Vec::new();
-        let mut open: Option<SimTime> = None;
-        for a in &self.actions {
-            if let FaultAction::SetNodeUp { at, host: h, up } = a {
-                if h != host {
-                    continue;
-                }
-                match (up, open) {
-                    (false, None) => open = Some(*at),
-                    (true, Some(start)) => {
-                        out.push((start, *at));
-                        open = None;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let Some(start) = open {
-            out.push((start, SimTime::from_micros(u64::MAX)));
-        }
-        out
-    }
-
     /// The last scheduled action's time (plan end), `SimTime::ZERO` when
     /// empty.
     pub fn end(&self) -> SimTime {
@@ -326,10 +301,22 @@ mod tests {
         };
         let plan = FaultPlan::generate(17, &c, &[], &params);
         for host in &c {
-            for (down, up) in plan.down_windows(host) {
-                assert!(down < up, "window closes");
-                assert!(up.as_micros() < u64::MAX, "no crash left open");
+            // Every `[crash, restart)` window closes, and no crash is
+            // left open at the end of the plan.
+            let mut open: Option<SimTime> = None;
+            for a in &plan.actions {
+                match (a, open) {
+                    (FaultAction::SetNodeUp { host: h, up: false, at }, None) if h == host => {
+                        open = Some(*at);
+                    }
+                    (FaultAction::SetNodeUp { host: h, up: true, at }, Some(down)) if h == host => {
+                        assert!(down < *at, "window closes");
+                        open = None;
+                    }
+                    _ => {}
+                }
             }
+            assert_eq!(open, None, "{host}: no crash left open");
         }
         let crashes = plan
             .actions

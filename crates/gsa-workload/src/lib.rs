@@ -10,34 +10,35 @@
 //! each delivered. Everything is seeded: the same seed gives
 //! byte-identical workloads.
 //!
-//! * [`text`] — Zipfian vocabulary and document synthesis,
-//! * [`topology`] — fragmented Greenstone networks (islands, references,
+//! * `text` — Zipfian vocabulary and document synthesis,
+//! * `topology` — fragmented Greenstone networks (islands, references,
 //!   cycles) together with the collection structures that *cause* the
 //!   references (remote sub-collections),
-//! * [`profiles`] — profile populations with configurable operator mixes,
-//! * [`schedule`] — event (rebuild) and churn (partition, cancellation)
+//! * `profiles` — profile populations with configurable operator mixes,
+//! * `schedule` — event (rebuild) and churn (partition, cancellation)
 //!   schedules,
-//! * [`faults`] — seeded chaos plans (loss bursts, transient node
+//! * `faults` — seeded chaos plans (loss bursts, transient node
 //!   crashes, partition waves) for robustness experiments,
-//! * [`runners`] — one workload played through one alerting scheme,
-//! * [`oracle`] — the ground-truth notification set a run is classified
+//! * `runners` — one workload played through one alerting scheme,
+//! * `oracle` — the ground-truth notification set a run is classified
 //!   against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod faults;
-pub mod oracle;
-pub mod profiles;
-pub mod runners;
-pub mod schedule;
-pub mod text;
-pub mod topology;
+mod faults;
+mod oracle;
+mod profiles;
+mod runners;
+mod schedule;
+mod text;
+mod topology;
 
 pub use faults::{FaultAction, FaultPlan, FaultPlanParams};
 pub use oracle::{Oracle, Quality};
 pub use profiles::{ProfileMix, ProfilePopulation};
 pub use runners::{run_scheme, RunConfig, RunOutcome, Scheme};
-pub use schedule::{ChurnEvent, RebuildSchedule};
+pub use schedule::{ChurnEvent, Rebuild, RebuildSchedule};
 pub use text::DocumentGenerator;
 pub use topology::{GsWorld, WorldParams};

@@ -157,22 +157,6 @@ impl Oracle {
         }
     }
 
-    /// The expected pair count.
-    pub fn expected_count(&self) -> usize {
-        self.expected.len()
-    }
-
-    /// Iterates over the expected `(profile, rebuild, origin)` triples.
-    pub fn expected_iter(&self) -> impl Iterator<Item = &(usize, usize, CollectionId)> {
-        self.expected.iter()
-    }
-
-    /// Whether a triple is expected.
-    pub fn is_expected(&self, profile: usize, rebuild: usize, origin: &CollectionId) -> bool {
-        self.expected
-            .contains(&(profile, rebuild, origin.clone()))
-    }
-
     /// Classifies a scheme's deliveries (`(profile index, rebuild index,
     /// announced origin)`, one entry per delivered notification,
     /// duplicates included).
@@ -291,7 +275,7 @@ mod tests {
             &HashMap::new(),
             SimDuration::from_secs(2),
         );
-        assert!(oracle.expected_count() > 0, "workload should match something");
+        assert!(!oracle.expected.is_empty(), "workload should match something");
         // Deliver exactly the expected set.
         let deliveries: Vec<(usize, usize, CollectionId)> = oracle.expected.iter().cloned().collect();
         let q = oracle.classify(&deliveries);
@@ -322,7 +306,7 @@ mod tests {
         assert_eq!(q.false_negatives, 1);
         assert_eq!(q.false_positives, 1);
         assert_eq!(q.duplicates, 1);
-        assert!(!oracle.is_expected(dropped.0, 123456, &dropped.2));
+        assert!(!oracle.expected.contains(&(dropped.0, 123456, dropped.2.clone())));
     }
 
     #[test]
@@ -347,8 +331,8 @@ mod tests {
             &HashMap::new(),
             SimDuration::from_secs(2),
         );
-        assert!(clean.expected_count() > cancelled.expected_count());
-        assert_eq!(cancelled.expected_count(), 0);
+        assert!(clean.expected.len() > cancelled.expected.len());
+        assert_eq!(cancelled.expected.len(), 0);
         // A delivery for a cancelled profile is a false positive — pick a
         // rebuild clearly after the cancellation grace window.
         let pair = clean
@@ -378,7 +362,7 @@ mod tests {
             &partitions,
             SimDuration::from_secs(2),
         );
-        assert_eq!(oracle.expected_count(), 0);
+        assert_eq!(oracle.expected.len(), 0);
         // Nothing delivered is still clean.
         let q = oracle.classify(&[]);
         assert_eq!(q.false_negatives, 0);
@@ -402,7 +386,7 @@ mod tests {
             &HashMap::new(),
             grace,
         );
-        let (p, k, origin) = clean.expected_iter().next().cloned().unwrap();
+        let (p, k, origin) = clean.expected.iter().next().cloned().unwrap();
         let publish = schedule.rebuilds[k].at;
         // The digest interval dwarfs the grace window, so a crash that
         // swallows the flush timer is far clear of publish ± grace.
@@ -414,7 +398,7 @@ mod tests {
             .collect();
         let oracle = Oracle::build(&world, &pop, &schedule, &HashMap::new(), &partitions, grace);
         assert!(
-            oracle.is_expected(p, k, &origin),
+            oracle.expected.contains(&(p, k, origin.clone())),
             "a pair published cleanly stays expected"
         );
         // Delivered (late, out of the flushed digest): judged as a hit.

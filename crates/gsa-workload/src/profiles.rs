@@ -55,21 +55,6 @@ impl ProfileMix {
         }
     }
 
-    /// A mix dominated by kind-tightened interests — the clustered
-    /// attribute workload of the prune-efficiency experiment, where
-    /// most subscribers care about one event kind of their topic and
-    /// summaries therefore carry digests worth pruning on.
-    pub fn attr_clustered() -> Self {
-        ProfileMix {
-            watch_collection: 0.2,
-            watch_host: 0.0,
-            subject_equals: 0.1,
-            text_query: 0.0,
-            title_wildcard: 0.0,
-            kind_equals: 0.7,
-        }
-    }
-
     fn total(&self) -> f64 {
         self.watch_collection
             + self.watch_host
@@ -180,7 +165,7 @@ mod tests {
     #[test]
     fn profiles_are_spread_over_hosts() {
         let w = world();
-        let p = ProfilePopulation::generate(1, &w, w.host_count() * 2, &ProfileMix::default());
+        let p = ProfilePopulation::generate(1, &w, w.hosts.len() * 2, &ProfileMix::default());
         for host in &w.hosts {
             assert!(
                 p.profiles.iter().filter(|(h, _, _)| h == host).count() >= 1,
@@ -205,7 +190,17 @@ mod tests {
     #[test]
     fn attr_clustered_mix_produces_kind_digestible_profiles() {
         let w = world();
-        let p = ProfilePopulation::generate(3, &w, 60, &ProfileMix::attr_clustered());
+        // Dominated by kind-tightened interests: most subscribers care
+        // about one event kind of their topic.
+        let attr_clustered = ProfileMix {
+            watch_collection: 0.2,
+            watch_host: 0.0,
+            subject_equals: 0.1,
+            text_query: 0.0,
+            title_wildcard: 0.0,
+            kind_equals: 0.7,
+        };
+        let p = ProfilePopulation::generate(3, &w, 60, &attr_clustered);
         let kind_scoped = p
             .profiles
             .iter()

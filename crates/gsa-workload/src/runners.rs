@@ -163,12 +163,12 @@ pub struct RunOutcome {
 /// Deterministic per-rebuild document batches, shared by every scheme and
 /// by the oracle. Document ids are `r{k}-{i}`, which is how deliveries
 /// are mapped back to rebuilds.
-pub fn rebuild_docs(k: usize, n: usize) -> Vec<SourceDocument> {
+pub(crate) fn rebuild_docs(k: usize, n: usize) -> Vec<SourceDocument> {
     DocumentGenerator::new(1_000 + k as u64).documents(&format!("r{k}"), n)
 }
 
 /// Parses the rebuild index back out of an announced document id.
-pub fn rebuild_index_of(doc_id: &str) -> Option<usize> {
+pub(crate) fn rebuild_index_of(doc_id: &str) -> Option<usize> {
     doc_id
         .strip_prefix('r')?
         .split('-')
@@ -179,7 +179,7 @@ pub fn rebuild_index_of(doc_id: &str) -> Option<usize> {
 
 /// The event a baseline publishes for rebuild `k` (baselines have no
 /// build process of their own).
-pub fn rebuild_event(k: usize, collection: &CollectionId, docs: &[SourceDocument], at: SimTime) -> Event {
+pub(crate) fn rebuild_event(k: usize, collection: &CollectionId, docs: &[SourceDocument], at: SimTime) -> Event {
     Event::new(
         EventId::new(collection.host().clone(), k as u64),
         collection.clone(),
@@ -418,7 +418,7 @@ fn run_hybrid(
     RunOutcome {
         deliveries,
         messages: system.metrics().counter("net.sent"),
-        bytes: system.metrics().counter("net.bytes"),
+        bytes: system.metrics().counter("net.bytes_sent"),
         stored_profiles: stored,
         orphan_profiles: orphans,
         load: system.metrics().receive_load_imbalance(),
@@ -515,7 +515,7 @@ fn run_gsflood(
         stored_client_profiles: population.len() - cancels.len(),
         deliveries,
         messages: sys.metrics().counter("net.sent"),
-        bytes: sys.metrics().counter("net.bytes"),
+        bytes: sys.metrics().counter("net.bytes_sent"),
         stored_profiles: population.len() - cancels.len(),
         orphan_profiles: 0,
         load: sys.metrics().receive_load_imbalance(),
@@ -606,7 +606,7 @@ fn run_profileflood(
         stored_client_profiles: population.len() - cancels.len(),
         deliveries,
         messages: sys.metrics().counter("net.sent"),
-        bytes: sys.metrics().counter("net.bytes"),
+        bytes: sys.metrics().counter("net.bytes_sent"),
         stored_profiles: stored,
         orphan_profiles: orphans,
         load: sys.metrics().receive_load_imbalance(),
@@ -702,7 +702,7 @@ fn run_rendezvous(
         stored_client_profiles: population.len() - cancels.len(),
         deliveries,
         messages: sys.metrics().counter("net.sent"),
-        bytes: sys.metrics().counter("net.bytes"),
+        bytes: sys.metrics().counter("net.bytes_sent"),
         stored_profiles: stored,
         orphan_profiles: 0,
         load: sys.metrics().receive_load_imbalance(),

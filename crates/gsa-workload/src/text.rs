@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Subject pool used for `dc.Subject` metadata.
-pub const SUBJECTS: &[&str] = &[
+pub(crate) const SUBJECTS: &[&str] = &[
     "digital-libraries",
     "alerting",
     "publish-subscribe",
@@ -20,7 +20,7 @@ pub const SUBJECTS: &[&str] = &[
 ];
 
 /// Author pool used for `dc.Creator` metadata.
-pub const AUTHORS: &[&str] = &[
+pub(crate) const AUTHORS: &[&str] = &[
     "Hinze", "Buchanan", "Witten", "Bainbridge", "Schweer", "Bittner", "Carzaniga", "Faensen",
     "Koubarakis", "Yan",
 ];
@@ -132,16 +132,6 @@ impl DocumentGenerator {
             .map(|i| self.document(&format!("{prefix}-{i}")))
             .collect()
     }
-
-    /// A frequent term (rank 0) — most documents contain it.
-    pub fn frequent_term(&self) -> &str {
-        &self.vocab[0]
-    }
-
-    /// A rare term (last rank) — few documents contain it.
-    pub fn rare_term(&self) -> &str {
-        &self.vocab[self.vocab.len() - 1]
-    }
 }
 
 #[cfg(test)]
@@ -167,8 +157,8 @@ mod tests {
     fn zipf_skews_towards_low_ranks() {
         let mut g = DocumentGenerator::with_shape(5, 100, 1.2, 1000);
         let text = g.text();
-        let first = g.frequent_term().to_string();
-        let last = g.rare_term().to_string();
+        let first = g.vocab[0].clone();
+        let last = g.vocab[g.vocab.len() - 1].clone();
         let count = |t: &str| text.split(' ').filter(|w| *w == t).count();
         assert!(count(&first) > count(&last));
         assert!(count(&first) >= 10, "rank-1 term should be common");

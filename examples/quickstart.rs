@@ -60,6 +60,6 @@ fn main() {
     println!(
         "\nmessages on the wire: {} ({} bytes)",
         system.metrics().counter("net.sent"),
-        system.metrics().counter("net.bytes"),
+        system.metrics().counter("net.bytes_sent"),
     );
 }

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `crossbeam` APIs this workspace uses.
 //!
-//! Only `crossbeam::channel::{unbounded, Sender, Receiver}` is needed (the
-//! real-time transport in `gsa-simnet::rt`); it is implemented over
-//! `std::sync::mpsc`. Scoped threads in this workspace use
+//! Only `crossbeam::channel::{unbounded, Sender, Receiver}` is provided,
+//! implemented over `std::sync::mpsc`. No crate of the workspace uses it
+//! any more; it stays until the dependency lines go (ROADMAP item 3). Scoped threads in this workspace use
 //! `std::thread::scope` directly.
 
 pub mod channel {

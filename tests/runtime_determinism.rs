@@ -108,9 +108,9 @@ fn hybrid_run_output_is_pinned_per_seed() {
         fnv1a64(format!("{metrics}\n---\n{}", deliveries.join("\n")).as_bytes())
     });
     let pinned = [
-        0x9046_6211_fd43_ff26_u64,
-        0x2d8e_b894_8199_5d3b,
-        0x2c9a_1648_eebc_4498,
+        0x347e_4dbf_5acd_d282_u64,
+        0xb174_e9ae_db9b_564a,
+        0x6950_8a9d_763e_5a75,
     ];
     assert_eq!(
         hashes, pinned,

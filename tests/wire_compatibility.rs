@@ -1,5 +1,5 @@
 //! Wire-format integration tests: every protocol message survives the
-//! full envelope → XML text → parse → decode round trip, including
+//! full XML text path — element → text → parse → decode — including
 //! randomized events and profiles (proptest), and the v2 binary
 //! encoding is *equivalent* to the v1 XML text — decoding a value from
 //! either wire yields the same thing, and the format-aware size
@@ -10,7 +10,7 @@ use gsa_greenstone::{GsMessage, RequestId};
 use gsa_profile::{parse_profile, xml::expr_from_xml, xml::expr_to_xml};
 use gsa_store::Query;
 use gsa_types::{
-    keys, CollectionId, DocSummary, Event, EventId, EventKind, HostName, MessageId,
+    keys, CollectionId, DocSummary, Event, EventId, EventKind, MessageId,
     MetadataRecord, SimTime,
 };
 use gsa_wire::binary::{
@@ -18,13 +18,12 @@ use gsa_wire::binary::{
     metadata_to_binary, BinReader,
 };
 use gsa_wire::codec::{event_from_xml, event_to_xml};
-use gsa_wire::{Envelope, WireFormat};
+use gsa_wire::{parse_document, XmlElement};
 use proptest::prelude::*;
 
-fn through_envelope(body: gsa_wire::XmlElement) -> gsa_wire::XmlElement {
-    let env = Envelope::new(MessageId::from_raw(9), HostName::new("sender"), body);
-    let text = env.encode();
-    Envelope::decode(&text).expect("envelope decodes").into_body()
+/// The XML wire's text path: what a sender writes, read back.
+fn through_text(body: XmlElement) -> XmlElement {
+    parse_document(&body.to_xml_string()).expect("the written text parses")
 }
 
 #[test]
@@ -50,7 +49,7 @@ fn gs_messages_survive_the_full_wire_path() {
         },
     ];
     for msg in messages {
-        let body = through_envelope(msg.to_xml());
+        let body = through_text(msg.to_xml());
         assert_eq!(GsMessage::from_xml(&body).unwrap(), msg);
     }
 }
@@ -75,7 +74,7 @@ fn gds_messages_survive_the_full_wire_path() {
         },
     ];
     for msg in messages {
-        let body = through_envelope(msg.to_xml());
+        let body = through_text(msg.to_xml());
         assert_eq!(GdsMessage::from_xml(&body).unwrap(), msg);
     }
 }
@@ -89,7 +88,7 @@ fn profiles_with_nasty_strings_survive() {
     ];
     for text in texts {
         let expr = parse_profile(text).unwrap();
-        let body = through_envelope(expr_to_xml(&expr));
+        let body = through_text(expr_to_xml(&expr));
         assert_eq!(expr_from_xml(&body).unwrap(), expr, "profile {text}");
     }
 }
@@ -121,7 +120,7 @@ proptest! {
             })
             .collect();
         event.docs = docs;
-        let body = through_envelope(event_to_xml(&event));
+        let body = through_text(event_to_xml(&event));
         prop_assert_eq!(event_from_xml(&body).unwrap(), event);
     }
 
@@ -175,36 +174,6 @@ proptest! {
         let back = metadata_from_binary(&mut BinReader::new(&bin)).unwrap();
         prop_assert_eq!(back, md);
     }
-
-    /// Cross-format equivalence for envelopes: the binary wire decodes
-    /// to exactly what the XML wire decodes to, the hop count survives
-    /// `forwarded_by` chains, and `wire_size_in` reports the exact
-    /// encoded length in both formats.
-    #[test]
-    fn random_envelopes_agree_across_formats(
-        msg_id in 0u64..u64::MAX,
-        sender in "[A-Za-z][A-Za-z0-9]{0,8}",
-        forwarder in "[A-Za-z][A-Za-z0-9]{0,8}",
-        hops in 0u32..6,
-        body_attr in "[a-z][a-z0-9]{0,12}",
-    ) {
-        let mut env = Envelope::new(
-            MessageId::from_raw(msg_id),
-            HostName::new(sender.as_str()),
-            gsa_wire::XmlElement::new("event").with_attr("about", body_attr.as_str()),
-        );
-        for _ in 0..hops {
-            env = env.forwarded_by(HostName::new(forwarder.as_str()));
-        }
-        let text = env.encode();
-        let frame = env.encode_binary();
-        let via_xml = Envelope::decode(&text).unwrap();
-        let via_binary = Envelope::decode_binary(&frame).unwrap();
-        prop_assert_eq!(&via_binary, &via_xml);
-        prop_assert_eq!(via_binary.hops(), hops);
-        prop_assert_eq!(env.wire_size_in(WireFormat::Xml), text.len());
-        prop_assert_eq!(env.wire_size_in(WireFormat::Binary), frame.len());
-    }
 }
 
 /// Replays a shrunk proptest counterexample (a one-document event
@@ -223,7 +192,7 @@ fn regression_single_space_title_round_trips() {
     );
     let md: MetadataRecord = [(keys::TITLE, " ")].into_iter().collect();
     event.docs = vec![DocSummary::new("doc-0").with_metadata(md).with_excerpt("")];
-    let body = through_envelope(event_to_xml(&event));
+    let body = through_text(event_to_xml(&event));
     assert_eq!(event_from_xml(&body).unwrap(), event);
 }
 

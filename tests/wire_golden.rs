@@ -20,12 +20,13 @@ use gsa_types::{
     SimDuration, SimTime,
 };
 use gsa_wire::binary::{
-    decode_frame, payload_bytes_from_xml, payload_xml_from_bytes, write_frame, ByteSink, MAX_DEPTH,
+    decode_frame, payload_bytes_from_event, payload_bytes_from_xml, payload_event_from_bytes,
+    payload_xml_from_bytes, write_frame, ByteSink, MAX_DEPTH,
 };
 use gsa_wire::codec::event_to_xml;
 use gsa_wire::reliable::acked_seqs;
 use gsa_wire::{
-    parse_document, Envelope, FrozenBytes, InterestSummary, Payload, Reliable, RetransmitQueue,
+    parse_document, FrozenBytes, InterestSummary, Payload, Reliable, RetransmitQueue,
     RetryPolicy, WireMessage, XmlElement,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -716,19 +717,20 @@ fn element_nesting_is_bounded_on_both_wires() {
     }
 }
 
-/// Every frame decoder refuses bytes left over inside the frame.
+/// Every frame decoder refuses bytes left over inside the frame, and so
+/// does every decoder of a frozen payload, whichever encoding its tag
+/// names.
 #[test]
 fn trailing_bytes_inside_a_frame_are_refused() {
     let inner = GdsMessage::Register {
         gs_host: "Hamilton".into(),
     };
-    let envelope = Envelope::new(id(7), "Hamilton".into(), XmlElement::new("event"));
     let data = Reliable::Data {
         seq: 7,
         payload: inner.clone(),
     };
     type Decoder = fn(&[u8]) -> bool;
-    let decoders: [(&str, Vec<u8>, Decoder); 6] = [
+    let decoders: [(&str, Vec<u8>, Decoder); 5] = [
         ("message", inner.to_binary(), |b| {
             GdsMessage::from_binary(b).is_ok()
         }),
@@ -750,9 +752,6 @@ fn trailing_bytes_inside_a_frame_are_refused() {
             Reliable::<GdsMessage>::Ack { seq: 7, more: 3 }.to_binary(),
             |b| Reliable::<GdsMessage>::from_binary(b).is_ok(),
         ),
-        ("envelope", envelope.encode_binary(), |b| {
-            Envelope::decode_binary(b).is_ok()
-        }),
     ];
     for (name, frame, decodes) in decoders {
         assert!(decodes(&frame), "{name}: the frame itself decodes");
@@ -776,6 +775,28 @@ fn trailing_bytes_inside_a_frame_are_refused() {
     ]
     .concat();
     assert!(Reliable::<GdsMessage>::from_binary(&framed(&stuffed)).is_err());
+
+    // A frozen payload is its tag byte and one encoding: the native event
+    // (`PAYLOAD_EVENT`), or the XML-tree fallback (`PAYLOAD_XML`), here
+    // an event element with one attribute too many, which decodes as an
+    // event all the same.
+    let event = event();
+    let unusual = event_to_xml(&event).with_attr("note", "not canonical");
+    let payloads = [
+        ("event payload", payload_bytes_from_event(&event)),
+        ("XML-tree payload", payload_bytes_from_xml(&unusual)),
+    ];
+    assert_ne!(payloads[0].1[0], payloads[1].1[0], "one row per tag");
+    for (name, bytes) in payloads {
+        assert!(payload_xml_from_bytes(&bytes).is_ok(), "{name}: the payload itself decodes");
+        assert_eq!(payload_event_from_bytes(&bytes).unwrap(), event, "{name}");
+        let stuffed = [&bytes[..], b"garbage"].concat();
+        assert!(payload_xml_from_bytes(&stuffed).is_err(), "{name}: bytes after the tree");
+        assert!(payload_event_from_bytes(&stuffed).is_err(), "{name}: bytes after the event");
+        let received = Payload::from_frozen(FrozenBytes::new(stuffed));
+        assert!(received.decode_event().is_err(), "{name}: decode_event");
+        assert_eq!(received.xml_element().name(), "invalid-payload", "{name}: xml_element");
+    }
 }
 
 /// Holds one GS request or response to its literal.
