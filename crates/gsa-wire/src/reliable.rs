@@ -284,7 +284,7 @@ fn quarter(d: SimDuration) -> SimDuration {
 
 /// A retransmission queue with RACK-TLP loss detection (RFC 8985) on
 /// top of exponential backoff with jitter. An entry leaves it only when
-/// acknowledged.
+/// acknowledged, or cancelled by its owner.
 ///
 /// Per peer, the queue orders unacknowledged entries by their last send
 /// and sequence number. The newest acknowledged entry in that order,
@@ -314,7 +314,7 @@ pub struct RetransmitQueue<P, M> {
     rng_state: u64,
 }
 
-impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
+impl<P: Clone + Ord, M: Clone> RetransmitQueue<P, M> {
     /// Creates a queue with the given policy and jitter seed.
     pub fn new(policy: RetryPolicy, seed: u64) -> Self {
         RetransmitQueue {
@@ -346,7 +346,7 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
         self.next_seq += 1;
         let next_due = now + self.jittered(self.policy.interval(0));
         self.due.insert((next_due, seq));
-        let state = self.peers.entry(peer).or_default();
+        let state = self.peers.entry(peer.clone()).or_default();
         state.order.insert((now, seq));
         state.probe_armed = true;
         self.inflight.insert(
@@ -381,11 +381,9 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
             if self.inflight.get(&seq).is_none_or(|e| e.peer != peer) {
                 continue;
             }
-            let entry = self.inflight.remove(&seq).expect("entry checked above");
-            self.due.remove(&(entry.next_due, seq));
+            let entry = self.remove(seq);
             let state = self.peers.get_mut(&peer).expect("a peer with an entry");
             let sent = (entry.last_sent, seq);
-            state.order.remove(&sent);
             acked = true;
             let rtt = now.since(entry.last_sent);
             if !entry.retransmitted {
@@ -399,14 +397,44 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
             return Vec::new();
         }
         self.peers.get_mut(&peer).expect("acked above").probe_armed = true;
-        self.detect_lost(peer, now)
+        self.detect_lost(&peer, now)
+    }
+
+    /// The unacknowledged entries in sequence order, each as its peer
+    /// and payload.
+    pub fn iter(&self) -> impl Iterator<Item = (&P, &M)> {
+        self.inflight.values().map(|e| (&e.peer, &e.payload))
+    }
+
+    /// Drops every unacknowledged entry `f` selects, for an owner whose
+    /// later operation supersedes it: it is never re-sent, and nothing
+    /// about its peer's round trips is learnt from it.
+    pub fn cancel(&mut self, mut f: impl FnMut(&P, &M) -> bool) {
+        let gone: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|(_, e)| f(&e.peer, &e.payload))
+            .map(|(&seq, _)| seq)
+            .collect();
+        for seq in gone {
+            self.remove(seq);
+        }
+    }
+
+    /// Takes entry `seq` out of the queue and both of its orders.
+    fn remove(&mut self, seq: u64) -> InFlight<P, M> {
+        let entry = self.inflight.remove(&seq).expect("a queued entry");
+        self.due.remove(&(entry.next_due, seq));
+        let state = self.peers.get_mut(&entry.peer).expect("a peer with an entry");
+        state.order.remove(&(entry.last_sent, seq));
+        entry
     }
 
     /// RACK on one peer at `now`: every entry whose reorder deadline has
     /// passed is marked re-sent, moved to the back of the send order and
     /// returned.
-    fn detect_lost(&mut self, peer: P, now: SimTime) -> Vec<(u64, M)> {
-        let state = self.peers.get_mut(&peer).expect("a known peer");
+    fn detect_lost(&mut self, peer: &P, now: SimTime) -> Vec<(u64, M)> {
+        let state = self.peers.get_mut(peer).expect("a known peer");
         let mut lost = Vec::new();
         while state.reorder_deadline().is_some_and(|at| at <= now) {
             let (_, seq) = state.order.pop_first().expect("a deadline has an entry");
@@ -449,23 +477,23 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
             let entry = self.inflight.get_mut(&seq).expect("due entry exists");
             entry.attempts += 1;
             let attempts = entry.attempts;
-            out.push((seq, entry.peer, entry.payload.clone(), Resend::Timeout));
+            out.push((seq, entry.peer.clone(), entry.payload.clone(), Resend::Timeout));
             self.resent(seq, now);
             let next_due = now + self.jittered(self.policy.interval(attempts));
             self.inflight.get_mut(&seq).expect("due entry exists").next_due = next_due;
             self.due.insert((next_due, seq));
         }
-        let peers: Vec<P> = self.peers.keys().copied().collect();
+        let peers: Vec<P> = self.peers.keys().cloned().collect();
         for peer in peers {
-            for (seq, payload) in self.detect_lost(peer, now) {
-                out.push((seq, peer, payload, Resend::Lost));
+            for (seq, payload) in self.detect_lost(&peer, now) {
+                out.push((seq, peer.clone(), payload, Resend::Lost));
             }
             let state = self.peers.get_mut(&peer).expect("a known peer");
             if state.probe_deadline().is_some_and(|at| at <= now) {
                 state.probe_armed = false;
                 let &(_, seq) = state.order.last().expect("a deadline has an entry");
                 let payload = self.inflight[&seq].payload.clone();
-                out.push((seq, peer, payload, Resend::Probe));
+                out.push((seq, peer.clone(), payload, Resend::Probe));
                 self.resent(seq, now);
             }
         }
@@ -505,6 +533,9 @@ impl<P: Copy + Ord, M: Clone> RetransmitQueue<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsa_types::HostName;
+    use proptest::prelude::*;
+    use std::fmt;
 
     /// 100 ms doubling to 800 ms, no jitter: the actors' schedule, five
     /// times faster and exact.
@@ -906,6 +937,446 @@ mod tests {
             assert_eq!(ja, jb, "same seed, same schedule");
             assert!(ja >= SimDuration::from_millis(800));
             assert!(ja <= SimDuration::from_millis(1200));
+        }
+    }
+
+    /// RFC 8985 RACK-TLP and the backoff, written out literally over a
+    /// `Vec` of entries with linear scans: the model
+    /// [`RetransmitQueue`] is checked against. Jitter is left out (the
+    /// checked policies have none), and so is the RFC's check that
+    /// ignores a re-sent entry acknowledged within `min_rtt` of its
+    /// re-send, which the queue leaves out on purpose: a re-sent entry's
+    /// ack still advances the RACK entry.
+    #[derive(Debug)]
+    struct ReferenceQueue<P> {
+        policy: RetryPolicy,
+        entries: Vec<RefEntry<P>>,
+        peers: Vec<RefPeer<P>>,
+        next_seq: u64,
+    }
+
+    #[derive(Debug)]
+    struct RefEntry<P> {
+        seq: u64,
+        peer: P,
+        payload: u8,
+        last_sent: SimTime,
+        retransmits: u32,
+        next_due: SimTime,
+        retransmitted: bool,
+    }
+
+    #[derive(Debug)]
+    struct RefPeer<P> {
+        peer: P,
+        min_rtt: Option<SimDuration>,
+        /// RACK.xmit_ts, RACK.seq and RACK.rtt.
+        rack: Option<(SimTime, u64, SimDuration)>,
+        probe_armed: bool,
+    }
+
+    impl<P: Clone + Ord + fmt::Debug> ReferenceQueue<P> {
+        fn new(policy: RetryPolicy) -> Self {
+            ReferenceQueue {
+                policy,
+                entries: Vec::new(),
+                peers: Vec::new(),
+                next_seq: 0,
+            }
+        }
+
+        /// `base · multiplierⁿ`, capped, one step at a time.
+        fn backoff(&self, n: u32) -> SimDuration {
+            let max = self.policy.max_interval.as_micros() as f64;
+            let mut interval = (self.policy.base.as_micros() as f64).min(max);
+            for _ in 0..n {
+                interval = (interval * self.policy.multiplier).min(max);
+            }
+            SimDuration::from_micros(interval as u64)
+        }
+
+        fn peer(&mut self, peer: &P) -> &mut RefPeer<P> {
+            if !self.peers.iter().any(|p| &p.peer == peer) {
+                self.peers.push(RefPeer {
+                    peer: peer.clone(),
+                    min_rtt: None,
+                    rack: None,
+                    probe_armed: false,
+                });
+            }
+            self.peers.iter_mut().find(|p| &p.peer == peer).unwrap()
+        }
+
+        fn send(&mut self, peer: &P, payload: u8, now: SimTime) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let next_due = now + self.backoff(0);
+            self.entries.push(RefEntry {
+                seq,
+                peer: peer.clone(),
+                payload,
+                last_sent: now,
+                retransmits: 0,
+                next_due,
+                retransmitted: false,
+            });
+            // TLP: a new transmission arms the probe.
+            self.peer(peer).probe_armed = true;
+            seq
+        }
+
+        /// RFC 8985 §6.2 steps 1-2 per acknowledged entry, then step 5.
+        fn ack(&mut self, peer: &P, seqs: &[u64], now: SimTime) -> Vec<u64> {
+            let mut acked = false;
+            for &seq in seqs {
+                let Some(i) = self.entries.iter().position(|e| e.seq == seq && &e.peer == peer) else {
+                    continue;
+                };
+                let e = self.entries.remove(i);
+                acked = true;
+                let rtt = now.since(e.last_sent);
+                let state = self.peer(peer);
+                // Karn: only an entry sent once times a round trip.
+                if !e.retransmitted {
+                    state.min_rtt = Some(match state.min_rtt {
+                        Some(m) if m < rtt => m,
+                        _ => rtt,
+                    });
+                }
+                // RACK.segment: the most recently sent acknowledged one.
+                let newer = match state.rack {
+                    None => true,
+                    Some((t, s, _)) => e.last_sent > t || (e.last_sent == t && seq > s),
+                };
+                if newer {
+                    state.rack = Some((e.last_sent, seq, rtt));
+                }
+            }
+            if !acked {
+                return Vec::new();
+            }
+            self.peer(peer).probe_armed = true;
+            self.detect_lost(peer, now)
+        }
+
+        /// RFC 8985 §6.2 step 5: an entry sent before the RACK entry is
+        /// lost once its send + RACK.rtt + RACK.reo_wnd has passed, with
+        /// reo_wnd = min_rtt / 4. Lost entries are re-sent now.
+        fn detect_lost(&mut self, peer: &P, now: SimTime) -> Vec<u64> {
+            let state = self.peer(peer);
+            let (Some((rack_sent, rack_seq, rtt)), Some(min_rtt)) = (state.rack, state.min_rtt)
+            else {
+                return Vec::new();
+            };
+            let reo_wnd = SimDuration::from_micros(min_rtt.as_micros() / 4);
+            let mut lost: Vec<(SimTime, u64)> = Vec::new();
+            for e in &self.entries {
+                let before = e.last_sent < rack_sent || (e.last_sent == rack_sent && e.seq < rack_seq);
+                if &e.peer == peer && before && e.last_sent + rtt + reo_wnd <= now {
+                    lost.push((e.last_sent, e.seq));
+                }
+            }
+            lost.sort();
+            for &(_, seq) in &lost {
+                let e = self.entries.iter_mut().find(|e| e.seq == seq).unwrap();
+                e.last_sent = now;
+                e.retransmitted = true;
+            }
+            lost.into_iter().map(|(_, seq)| seq).collect()
+        }
+
+        /// The peer's newest unacknowledged entry, by (send, seq).
+        fn newest(&self, peer: &P) -> Option<&RefEntry<P>> {
+            self.entries
+                .iter()
+                .filter(|e| &e.peer == peer)
+                .max_by_key(|e| (e.last_sent, e.seq))
+        }
+
+        /// TLP: PTO = min_rtt + the receiver's ack hold + reo_wnd after
+        /// the newest entry's send, while the probe is armed.
+        fn probe_deadline(&self, peer: &P) -> Option<SimTime> {
+            let state = self.peers.iter().find(|p| &p.peer == peer)?;
+            let min_rtt = state.min_rtt.filter(|_| state.probe_armed)?;
+            let pto = min_rtt + ACK_DELAY + SimDuration::from_micros(min_rtt.as_micros() / 4);
+            Some(self.newest(peer)?.last_sent + pto)
+        }
+
+        fn reorder_deadline(&self, peer: &P) -> Option<SimTime> {
+            let state = self.peers.iter().find(|p| &p.peer == peer)?;
+            let (rack_sent, rack_seq, rtt) = state.rack?;
+            let reo_wnd = SimDuration::from_micros(state.min_rtt?.as_micros() / 4);
+            self.entries
+                .iter()
+                .filter(|e| &e.peer == peer)
+                .filter(|e| e.last_sent < rack_sent || (e.last_sent == rack_sent && e.seq < rack_seq))
+                .map(|e| e.last_sent + rtt + reo_wnd)
+                .min()
+        }
+
+        fn next_deadline(&self) -> Option<SimTime> {
+            let mut at: Vec<SimTime> = self.entries.iter().map(|e| e.next_due).collect();
+            for p in &self.peers {
+                at.extend(self.reorder_deadline(&p.peer));
+                at.extend(self.probe_deadline(&p.peer));
+            }
+            at.into_iter().min()
+        }
+
+        /// Backoff first, earliest deadline first; then per peer in
+        /// order, RACK and the probe.
+        fn poll(&mut self, now: SimTime) -> Vec<(u64, P, Resend)> {
+            let mut out = Vec::new();
+            let mut due: Vec<(SimTime, u64)> = self
+                .entries
+                .iter()
+                .filter(|e| e.next_due <= now)
+                .map(|e| (e.next_due, e.seq))
+                .collect();
+            due.sort();
+            for (_, seq) in due {
+                let i = self.entries.iter().position(|e| e.seq == seq).unwrap();
+                let retransmits = self.entries[i].retransmits + 1;
+                let next_due = now + self.backoff(retransmits);
+                let e = &mut self.entries[i];
+                e.retransmits = retransmits;
+                e.next_due = next_due;
+                e.last_sent = now;
+                e.retransmitted = true;
+                out.push((seq, e.peer.clone(), Resend::Timeout));
+            }
+            let mut peers: Vec<P> = self.peers.iter().map(|p| p.peer.clone()).collect();
+            peers.sort();
+            for peer in peers {
+                for seq in self.detect_lost(&peer, now) {
+                    out.push((seq, peer.clone(), Resend::Lost));
+                }
+                if self.probe_deadline(&peer).is_some_and(|at| at <= now) {
+                    self.peer(&peer).probe_armed = false;
+                    let seq = self.newest(&peer).unwrap().seq;
+                    let e = self.entries.iter_mut().find(|e| e.seq == seq).unwrap();
+                    e.last_sent = now;
+                    e.retransmitted = true;
+                    out.push((seq, peer.clone(), Resend::Probe));
+                }
+            }
+            out
+        }
+
+        fn cancel(&mut self, peer: &P, payload: u8) {
+            self.entries.retain(|e| !(&e.peer == peer && e.payload == payload));
+        }
+    }
+
+    /// One step of a generated run. Peers are indices into the run's
+    /// three peers; an ack's `peer` of 3 names the entry's own peer.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Send { peer: usize, payload: u8 },
+        /// Acknowledges the window at the `back`-th newest sequence
+        /// number.
+        Ack { peer: usize, back: u64, more: u64 },
+        Advance { micros: u64 },
+        Poll,
+        /// Advances to the queue's next deadline and polls there.
+        PollAtDeadline,
+        Cancel { peer: usize, payload: u8 },
+    }
+
+    fn op() -> BoxedStrategy<Op> {
+        prop_oneof![
+            (0usize..3, 0u8..3).prop_map(|(peer, payload)| Op::Send { peer, payload }),
+            (0usize..4, 0u64..4, 0u64..16).prop_map(|(peer, back, more)| Op::Ack {
+                peer,
+                back,
+                more
+            }),
+            (0u64..3_000).prop_map(|micros| Op::Advance { micros }),
+            (0u64..60_000).prop_map(|micros| Op::Advance { micros }),
+            Just(Op::Poll),
+            Just(Op::PollAtDeadline),
+            (0usize..3, 0u8..3).prop_map(|(peer, payload)| Op::Cancel { peer, payload }),
+        ]
+    }
+
+    /// Runs `ops` on the queue and the reference side by side, checking
+    /// at every step that they re-send the same entries for the same
+    /// reasons and name the same next deadline, and four invariants
+    /// that need no model: nothing is re-sent before the deadline the
+    /// queue named, an acknowledged or cancelled entry never comes back,
+    /// a flight is probed at most once, and an entry's backoff deadlines
+    /// are those of its timeouts alone.
+    fn run<P: Clone + Ord + fmt::Debug>(
+        peers: &[P; 3],
+        policy: &RetryPolicy,
+        ops: &[Op],
+    ) -> Result<(), String> {
+        let mut q: RetransmitQueue<P, u8> = RetransmitQueue::new(policy.clone(), 1);
+        let mut model = ReferenceQueue::new(policy.clone());
+        let mut now = SimTime::ZERO;
+        // What the harness itself knows of each unacknowledged entry: its
+        // peer and payload, and its backoff deadline and timeout count.
+        let mut live: BTreeMap<u64, (P, u8, SimTime, u32)> = BTreeMap::new();
+        let mut gone = BTreeSet::new();
+        // Probed since the peer's last send or ack.
+        let mut probed: BTreeMap<P, bool> = BTreeMap::new();
+        for (step, &op) in ops.iter().enumerate() {
+            let deadline = q.next_deadline();
+            match (op, deadline) {
+                (Op::Advance { micros }, _) => now += SimDuration::from_micros(micros),
+                (Op::PollAtDeadline, Some(deadline)) => now = now.max(deadline),
+                _ => {}
+            }
+            let at = |what: String| format!("step {step} {op:?} at {now:?}: {what}");
+            let resends: Vec<(u64, P, Resend)> = match op {
+                Op::Send { peer, payload } => {
+                    let peer = &peers[peer];
+                    let seq = q.send(peer.clone(), payload, now);
+                    if seq != model.send(peer, payload, now) {
+                        return Err(at("the sequence numbers differ".into()));
+                    }
+                    probed.insert(peer.clone(), false);
+                    live.insert(seq, (peer.clone(), payload, now + model.backoff(0), 0));
+                    Vec::new()
+                }
+                Op::Ack { peer, back, more } => {
+                    let seq = model.next_seq.saturating_sub(1 + back);
+                    let peer = match (peers.get(peer), live.get(&seq)) {
+                        (Some(peer), _) | (None, Some((peer, ..))) => peer.clone(),
+                        (None, None) => peers[0].clone(),
+                    };
+                    let seqs: Vec<u64> = acked_seqs(seq, more).collect();
+                    let lost = q.ack(peer.clone(), seqs.iter().copied(), now);
+                    let lost: Vec<u64> = lost.into_iter().map(|(seq, _)| seq).collect();
+                    let expected = model.ack(&peer, &seqs, now);
+                    if lost != expected {
+                        return Err(at(format!("lost {lost:?}, reference {expected:?}")));
+                    }
+                    for seq in seqs {
+                        if live.get(&seq).is_some_and(|(p, ..)| *p == peer) {
+                            live.remove(&seq);
+                            gone.insert(seq);
+                            probed.insert(peer.clone(), false);
+                        }
+                    }
+                    lost.into_iter().map(|seq| (seq, peer.clone(), Resend::Lost)).collect()
+                }
+                Op::Advance { .. } => Vec::new(),
+                Op::Poll | Op::PollAtDeadline => {
+                    let mut out = Vec::new();
+                    for (seq, peer, payload, why) in q.poll(now) {
+                        if live.get(&seq).is_some_and(|(_, sent, ..)| *sent != payload) {
+                            return Err(at(format!("{seq} came back as another payload")));
+                        }
+                        out.push((seq, peer, why));
+                    }
+                    let expected = model.poll(now);
+                    if out != expected {
+                        return Err(at(format!("re-sent {out:?}, reference {expected:?}")));
+                    }
+                    if !out.is_empty() && deadline.is_none_or(|deadline| deadline > now) {
+                        return Err(at(format!("re-sent {out:?} before {deadline:?}")));
+                    }
+                    for (seq, _, why) in &out {
+                        if let (Resend::Timeout, Some((_, _, due, n))) = (why, live.get_mut(seq)) {
+                            *n += 1;
+                            *due = now + model.backoff(*n);
+                        }
+                    }
+                    if let Some((seq, _)) = live.iter().find(|(_, (_, _, due, _))| *due <= now) {
+                        return Err(at(format!("{seq} was not re-sent at its backoff deadline")));
+                    }
+                    out
+                }
+                Op::Cancel { peer, payload } => {
+                    let peer = &peers[peer];
+                    q.cancel(|p, m| p == peer && *m == payload);
+                    model.cancel(peer, payload);
+                    live.retain(|seq, (p, m, ..)| {
+                        let keep = !(p == peer && *m == payload);
+                        if !keep {
+                            gone.insert(*seq);
+                        }
+                        keep
+                    });
+                    Vec::new()
+                }
+            };
+            for (seq, peer, why) in &resends {
+                if gone.contains(seq) {
+                    return Err(at(format!("{seq} came back after it left the queue")));
+                }
+                if *why == Resend::Probe && probed.insert(peer.clone(), true) == Some(true) {
+                    return Err(at(format!("a second probe to {peer:?} in one flight")));
+                }
+            }
+            let queued: Vec<(P, u8)> = q.iter().map(|(p, m)| (p.clone(), *m)).collect();
+            let held: Vec<(P, u8)> = live.values().map(|(p, m, ..)| (p.clone(), *m)).collect();
+            if queued != held || q.len() != live.len() {
+                return Err(at(format!("the queue holds {queued:?}, not {held:?}")));
+            }
+            if q.next_deadline() != model.next_deadline() {
+                return Err(at(format!(
+                    "next deadline {:?}, reference {:?}",
+                    q.next_deadline(),
+                    model.next_deadline()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `ops`; on a failure, drops one step at a time for as long as
+    /// the run still fails, and reports the shortest run found.
+    fn shrunk(ops: Vec<Op>, run: impl Fn(&[Op]) -> Result<(), String>) -> Result<(), TestCaseError> {
+        let Err(mut failure) = run(&ops) else {
+            return Ok(());
+        };
+        let mut ops = ops;
+        let mut i = 0;
+        while i < ops.len() {
+            let mut fewer = ops.clone();
+            fewer.remove(i);
+            match run(&fewer) {
+                Err(e) => (ops, failure) = (fewer, e),
+                Ok(()) => i += 1,
+            }
+        }
+        Err(TestCaseError::fail(format!("{failure}\nshrunk to {ops:#?}")))
+    }
+
+    /// A doubling backoff on the scale of the round trips the runs make.
+    fn doubling() -> RetryPolicy {
+        RetryPolicy {
+            base: SimDuration::from_millis(10),
+            multiplier: 2.0,
+            max_interval: SimDuration::from_millis(80),
+            jitter: 0.0,
+        }
+    }
+
+    /// A fixed interval, as the auxiliary-operation log's.
+    fn fixed() -> RetryPolicy {
+        RetryPolicy {
+            base: SimDuration::from_millis(20),
+            multiplier: 1.0,
+            max_interval: SimDuration::from_millis(20),
+            jitter: 0.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn the_queue_matches_its_reference_on_copy_peers(ops in prop::collection::vec(op(), 1..48)) {
+            shrunk(ops, |ops| run(&[1u8, 2, 3], &doubling(), ops))?;
+        }
+
+        #[test]
+        fn the_queue_matches_its_reference_on_host_peers(ops in prop::collection::vec(op(), 1..48)) {
+            let hosts = [HostName::new("Hamilton"), HostName::new("London"), HostName::new("Paris")];
+            shrunk(ops, |ops| run(&hosts, &fixed(), ops))?;
         }
     }
 }
