@@ -1,16 +1,17 @@
-//! Auxiliary profiles and the pending-operation log.
+//! Auxiliary profiles, and how the operations on them are retried.
 //!
 //! An auxiliary profile is a *server-to-server* subscription (Section 7):
 //! it lives on exactly one host (the sub-collection's), refers to exactly
 //! one super-collection, and exists because that super-collection lists
 //! the local collection as a sub-collection. [`AuxStore`] holds the
-//! profiles planted *at* a host; [`PendingOps`] holds the not-yet-
-//! acknowledged operations a host has *sent* (plants, deletes, forwarded
-//! events), which are retried until acknowledged — the paper's Section 7
-//! argument that partitions only delay, never corrupt.
+//! profiles planted *at* a host. What a host has *sent* (plants, deletes,
+//! forwarded events) waits in its [`AuxLog`], the retransmission queue
+//! the GDS edges use, until the receiver acknowledges it: the paper's
+//! Section 7 argument that partitions only delay, never corrupt.
 
 use crate::message::AuxPayload;
-use gsa_types::{CollectionId, CollectionName, HostName, SimDuration, SimTime};
+use gsa_types::{CollectionId, CollectionName, HostName, SimDuration};
+use gsa_wire::{RetransmitQueue, RetryPolicy};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -20,8 +21,19 @@ use std::fmt;
 /// retry goes out on the first tick at or after this.
 pub const AUX_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
-/// A batch of addressed auxiliary payloads (destination, payload).
-pub type AuxBatch = Vec<(HostName, AuxPayload)>;
+/// The log's retry schedule: [`AUX_RETRY_INTERVAL`], fixed, without
+/// jitter.
+pub(crate) const AUX_RETRY: RetryPolicy = RetryPolicy {
+    base: AUX_RETRY_INTERVAL,
+    multiplier: 1.0,
+    max_interval: AUX_RETRY_INTERVAL,
+    jitter: 0.0,
+};
+
+/// The not-yet-acknowledged operations one host has sent, by destination
+/// host. An operation's sequence number is the `op` it crosses the GS
+/// network under, and what the receiver acknowledges.
+pub type AuxLog = RetransmitQueue<HostName, AuxPayload>;
 
 /// An auxiliary profile planted at this host.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,104 +105,10 @@ impl AuxStore {
     }
 }
 
-/// One queued, retried-until-acknowledged operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingOp {
-    /// The destination host.
-    pub to: HostName,
-    /// The payload (its `op` number is the ack key).
-    pub payload: AuxPayload,
-    /// When the operation was last transmitted.
-    pub last_sent: SimTime,
-}
-
-/// The not-yet-acknowledged operations of one host.
-#[derive(Debug, Default)]
-pub struct PendingOps {
-    ops: BTreeMap<u64, PendingOp>,
-    next_op: u64,
-}
-
-impl PendingOps {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        PendingOps::default()
-    }
-
-    /// Allocates the next operation number.
-    pub fn next_op(&mut self) -> u64 {
-        let op = self.next_op;
-        self.next_op += 1;
-        op
-    }
-
-    /// Enqueues an operation (already numbered via [`PendingOps::next_op`])
-    /// and marks it as sent now.
-    pub fn enqueue(&mut self, to: HostName, payload: AuxPayload, now: SimTime) {
-        let op = payload.op();
-        self.ops.insert(
-            op,
-            PendingOp {
-                to,
-                payload,
-                last_sent: now,
-            },
-        );
-    }
-
-    /// Acknowledges an operation, removing it. Returns `true` when it was
-    /// pending.
-    pub fn ack(&mut self, op: u64) -> bool {
-        self.ops.remove(&op).is_some()
-    }
-
-    /// Cancels pending ops the predicate selects — superseded operations
-    /// (e.g. a delete following an unacknowledged plant) must not
-    /// resurrect. The predicate sees the whole [`PendingOp`] so it can
-    /// discriminate by destination host as well as payload.
-    pub fn cancel_matching(&mut self, f: impl Fn(&PendingOp) -> bool) -> usize {
-        let before = self.ops.len();
-        self.ops.retain(|_, pending| !f(pending));
-        before - self.ops.len()
-    }
-
-    /// The operations last sent [`AUX_RETRY_INTERVAL`] or more before
-    /// `now`, in op order, marked re-sent now. Nothing leaves the log but
-    /// by an ack or a cancel.
-    pub fn due_for_retry(&mut self, now: SimTime) -> AuxBatch {
-        let mut retry = Vec::new();
-        for pending in self.ops.values_mut() {
-            if pending.last_sent + AUX_RETRY_INTERVAL <= now {
-                pending.last_sent = now;
-                retry.push((pending.to.clone(), pending.payload.clone()));
-            }
-        }
-        retry
-    }
-
-    /// Number of pending operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Returns `true` when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Iterates over pending operations in op order.
-    pub fn iter(&self) -> impl Iterator<Item = &PendingOp> {
-        self.ops.values()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ms(millis: u64) -> SimTime {
-        SimTime::from_millis(millis)
-    }
+    use gsa_types::SimTime;
 
     fn super_d() -> CollectionId {
         CollectionId::new("Hamilton", "D")
@@ -225,63 +143,68 @@ mod tests {
         assert!(store.is_empty());
     }
 
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
+    }
+
+    fn plant(sub_name: &str) -> AuxPayload {
+        AuxPayload::Plant {
+            super_collection: super_d(),
+            sub_name: sub_name.into(),
+        }
+    }
+
+    /// The sequence numbers `poll` re-sends at `now`.
+    fn retried(log: &mut AuxLog, now: SimTime) -> Vec<u64> {
+        log.poll(now).into_iter().map(|(seq, ..)| seq).collect()
+    }
+
     #[test]
     fn pending_retry_cadence() {
-        let mut ops = PendingOps::new();
-        let op = ops.next_op();
-        ops.enqueue("London".into(), AuxPayload::Ack { op }, ms(0));
+        let mut log = AuxLog::new(AUX_RETRY, 0);
+        let op = log.send("London".into(), plant("E"), ms(0));
         // Not yet due.
-        assert!(ops.due_for_retry(ms(1_999)).is_empty());
+        assert!(retried(&mut log, ms(1_999)).is_empty());
         // Due.
-        assert_eq!(ops.due_for_retry(ms(2_000)).len(), 1);
-        assert_eq!(ops.iter().next().unwrap().last_sent, ms(2_000));
+        assert_eq!(retried(&mut log, ms(2_000)), [op]);
         // Due again only after another interval.
-        assert!(ops.due_for_retry(ms(3_999)).is_empty());
+        assert!(retried(&mut log, ms(3_999)).is_empty());
         // A late tick retries once, and the interval counts from it.
-        assert_eq!(ops.due_for_retry(ms(4_300)).len(), 1);
-        assert!(ops.due_for_retry(ms(6_299)).is_empty());
+        assert_eq!(retried(&mut log, ms(4_300)), [op]);
+        assert!(retried(&mut log, ms(6_299)).is_empty());
     }
 
     #[test]
     fn unlimited_policy_retries_forever() {
-        let mut ops = PendingOps::new();
-        let op = ops.next_op();
-        ops.enqueue("L".into(), AuxPayload::Ack { op }, SimTime::ZERO);
+        let mut log = AuxLog::new(AUX_RETRY, 0);
+        let op = log.send("L".into(), plant("E"), SimTime::ZERO);
         for k in 1..100u64 {
-            assert_eq!(ops.due_for_retry(ms(2_000 * k)).len(), 1, "attempt {k}");
+            assert_eq!(retried(&mut log, ms(2_000 * k)), [op], "attempt {k}");
         }
-        assert_eq!(ops.len(), 1);
+        assert_eq!(log.len(), 1);
     }
 
     #[test]
     fn ack_removes() {
-        let mut ops = PendingOps::new();
-        let op = ops.next_op();
-        ops.enqueue("L".into(), AuxPayload::Ack { op }, SimTime::ZERO);
-        assert_eq!(ops.len(), 1);
-        assert!(ops.ack(op));
-        assert!(!ops.ack(op));
-        assert!(ops.is_empty());
+        let mut log = AuxLog::new(AUX_RETRY, 0);
+        let op = log.send("L".into(), plant("E"), SimTime::ZERO);
+        assert_eq!(log.len(), 1);
+        log.ack("Paris".into(), [op], ms(1));
+        assert_eq!(log.len(), 1, "only its destination acknowledges it");
+        log.ack("L".into(), [op], ms(1));
+        assert!(log.is_empty());
+        log.ack("L".into(), [op], ms(2));
+        assert!(log.is_empty());
     }
 
     #[test]
-    fn cancel_matching_filters() {
-        let mut ops = PendingOps::new();
-        let op1 = ops.next_op();
-        ops.enqueue(
-            "L".into(),
-            AuxPayload::Plant {
-                op: op1,
-                super_collection: super_d(),
-                sub_name: "E".into(),
-            },
-            SimTime::ZERO,
-        );
-        let op2 = ops.next_op();
-        ops.enqueue("L".into(), AuxPayload::Ack { op: op2 }, SimTime::ZERO);
-        let removed = ops.cancel_matching(|p| matches!(p.payload, AuxPayload::Plant { .. }));
-        assert_eq!(removed, 1);
-        assert_eq!(ops.len(), 1);
+    fn cancel_filters() {
+        let mut log = AuxLog::new(AUX_RETRY, 0);
+        log.send("L".into(), plant("E"), SimTime::ZERO);
+        let kept = log.send("L".into(), plant("F"), SimTime::ZERO);
+        log.cancel(|to, p| to.as_str() == "L" && *p == plant("E"));
+        assert_eq!(log.len(), 1);
+        assert_eq!(retried(&mut log, ms(2_000)), [kept]);
     }
 
     #[test]

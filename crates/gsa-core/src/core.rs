@@ -2,10 +2,12 @@
 //!
 //! The core owns the host's Greenstone [`Server`], its [`GdsClient`], the
 //! local [`SubscriptionManager`], the [`AuxStore`] of auxiliary profiles
-//! planted here, and the [`PendingOps`] retry log. It is sans-IO:
-//! everything it wants transmitted comes back in a [`CoreEffects`].
+//! planted here, and the [`AuxLog`] of operations it sent and awaits
+//! acknowledgement of. It is sans-IO: everything it wants transmitted
+//! comes back in a [`CoreEffects`], and the log is read on the
+//! maintenance tick ([`AlertingCore::on_tick`]).
 
-use crate::aux::{AuxStore, PendingOp, PendingOps};
+use crate::aux::{AuxLog, AuxStore, AUX_RETRY};
 use crate::message::{AuxPayload, SysMessage};
 use crate::subs::{Notification, SubscriptionManager};
 use gsa_alerts::{
@@ -21,7 +23,7 @@ use gsa_types::{
     ClientId, CollectionId, CollectionName, CounterId, Counts, Event, EventId, EventKind, HostName,
     ProfileId, SimDuration, SimTime,
 };
-use gsa_wire::reliable::Reliable;
+use gsa_wire::reliable::{acked_seqs, Reliable};
 use gsa_wire::{InterestSummary, Payload};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::{self, Write as _};
@@ -79,15 +81,11 @@ fn fingerprint_of(config: &AlertPolicyConfig, profile: ProfileId, origin: &str, 
     fingerprint(profile.as_u64(), labels)
 }
 
-/// Whether `p` is the unacknowledged plant of `sub` under
-/// `super_collection`, addressed to `sub`'s host.
-fn plants(p: &PendingOp, super_collection: &CollectionId, sub: &CollectionId) -> bool {
-    &p.to == sub.host()
-        && matches!(
-            &p.payload,
-            AuxPayload::Plant { super_collection: s, sub_name: n, .. }
-                if s == super_collection && n == sub.name()
-        )
+/// Sends an auxiliary operation to `to`, logged until `to` acknowledges
+/// it.
+fn send_aux(log: &mut AuxLog, to: &HostName, op: AuxPayload, now: SimTime, out: &mut CoreEffects) {
+    let seq = log.send(to.clone(), op.clone(), now);
+    out.send(to.clone(), SysMessage::Aux(Reliable::Data { seq, payload: op }));
 }
 
 /// The per-host alerting service state machine.
@@ -97,7 +95,7 @@ pub struct AlertingCore {
     gds: GdsClient,
     subs: SubscriptionManager,
     aux_store: AuxStore,
-    pending: PendingOps,
+    pending: AuxLog,
     event_seq: u64,
     /// Per local super-collection, the original event ids already
     /// rewritten under it (runs per origin host) — makes retried
@@ -160,7 +158,7 @@ impl AlertingCore {
             gds: GdsClient::new(host.clone(), gds_server),
             subs: SubscriptionManager::new(),
             aux_store: AuxStore::new(),
-            pending: PendingOps::new(),
+            pending: AuxLog::new(AUX_RETRY, 0),
             event_seq: 0,
             rewritten: BTreeMap::new(),
             request_started: BTreeMap::new(),
@@ -298,13 +296,15 @@ impl AlertingCore {
     /// paper keeps in volatile memory is lost — profiles, the filter
     /// index, the profile-id allocator, the last announced summary and
     /// the announcement version sequence. Deliberately kept: client
-    /// mailboxes (client-side inboxes), the auxiliary-profile store and
-    /// pending-op log (exercised by their own chaos scenarios, not this
-    /// one), the event-sequence counter (avoids re-minting old event
-    /// ids) and the GDS duplicate-suppression set (reliability-layer
-    /// redeliveries arriving after restart must still dedup). The next
-    /// [`startup`](Self::startup) recovers whatever the state store can
-    /// replay — nothing, for the in-memory default.
+    /// mailboxes (client-side inboxes), the auxiliary-profile store, the
+    /// event-sequence counter (avoids re-minting old event ids) and the
+    /// GDS duplicate-suppression set (reliability-layer redeliveries
+    /// arriving after restart must still dedup). The auxiliary-operation
+    /// log is kept too, as a modelling choice: a real crash would lose
+    /// it, and what it owes would then need a journal. Kept, a crash
+    /// changes no delivery outcome of the §7 scenarios (DESIGN.md §4).
+    /// The next [`startup`](Self::startup) recovers whatever the state
+    /// store can replay — nothing, for the in-memory default.
     pub fn crash_wipe(&mut self) {
         self.subs.wipe_for_crash();
         self.gds.crash_reset();
@@ -363,7 +363,7 @@ impl AlertingCore {
     }
 
     /// The not-yet-acknowledged operations this host has sent.
-    pub fn pending_ops(&self) -> &PendingOps {
+    pub fn pending_ops(&self) -> &AuxLog {
         &self.pending
     }
 
@@ -391,7 +391,7 @@ impl AlertingCore {
             })
             .collect();
         for (parent, sub) in plants {
-            self.plant_aux(&parent, &sub, now, &mut effects);
+            self.aux_op(true, &parent, &sub.target, now, &mut effects);
         }
         effects.extend(self.summary_refresh());
         effects
@@ -474,7 +474,7 @@ impl AlertingCore {
         self.server.add_collection(config)?;
         let mut effects = CoreEffects::default();
         for (parent, sub) in plants {
-            self.plant_aux(&parent, &sub, now, &mut effects);
+            self.aux_op(true, &parent, &sub.target, now, &mut effects);
         }
         Ok(effects)
     }
@@ -498,7 +498,7 @@ impl AlertingCore {
             .ok_or_else(|| GsError::UnknownCollection(parent.clone()))?;
         collection.config_mut().subcollections.push(sub.clone());
         let mut effects = CoreEffects::default();
-        self.plant_aux(parent, &sub, now, &mut effects);
+        self.aux_op(true, parent, &sub.target, now, &mut effects);
         Ok(effects)
     }
 
@@ -526,49 +526,39 @@ impl AlertingCore {
             .remove_subcollection(alias)
             .ok_or_else(|| GsError::UnknownCollection(alias.clone()))?;
         let mut effects = CoreEffects::default();
-        if removed.target.host() != &self.host {
-            let super_collection = CollectionId::new(self.host.clone(), parent.clone());
-            // A still-unacknowledged plant for this pair must not
-            // resurrect the profile after the delete.
-            self.pending
-                .cancel_matching(|p| plants(p, &super_collection, &removed.target));
-            let payload = AuxPayload::Delete {
-                op: self.pending.next_op(),
-                super_collection,
-                sub_name: removed.target.name().clone(),
-            };
-            self.pending
-                .enqueue(removed.target.host().clone(), payload.clone(), now);
-            effects.send(removed.target.host().clone(), payload.into_message());
-        }
+        self.aux_op(false, parent, &removed.target, now, &mut effects);
         Ok(effects)
     }
 
-    fn plant_aux(
+    /// Plants (`plant`) or deletes the auxiliary profile of a remote `sub`
+    /// under the local `parent`. The operation supersedes the opposite
+    /// one still owed for the pair, which is cancelled: a plant retried
+    /// after a delete would resurrect the profile, and a delete retried
+    /// after a re-add would take it away. An identical operation still
+    /// owed (a collection added before the startup re-planting pass) is
+    /// not sent twice.
+    fn aux_op(
         &mut self,
+        plant: bool,
         parent: &CollectionName,
-        sub: &SubCollectionRef,
+        sub: &CollectionId,
         now: SimTime,
         effects: &mut CoreEffects,
     ) {
-        if sub.target.host() == &self.host {
+        let to = sub.host();
+        if to == &self.host {
             return; // local sub-collections need no auxiliary profile
         }
-        // An identical plant may already be queued (collection added
-        // before the server's startup re-planting pass): don't duplicate.
         let super_collection = CollectionId::new(self.host.clone(), parent.clone());
-        let queued = |p: &PendingOp| plants(p, &super_collection, &sub.target);
-        if self.pending.iter().any(queued) {
+        let (s, sub_name) = (super_collection.clone(), sub.name().clone());
+        let delete = AuxPayload::Delete { super_collection: s, sub_name: sub_name.clone() };
+        let plant_op = AuxPayload::Plant { super_collection, sub_name };
+        let (op, opposite) = if plant { (plant_op, delete) } else { (delete, plant_op) };
+        if self.pending.iter().any(|(host, p)| host == to && *p == op) {
             return;
         }
-        let payload = AuxPayload::Plant {
-            op: self.pending.next_op(),
-            super_collection,
-            sub_name: sub.target.name().clone(),
-        };
-        self.pending
-            .enqueue(sub.target.host().clone(), payload.clone(), now);
-        effects.send(sub.target.host().clone(), payload.into_message());
+        self.pending.cancel(|host, p| host == to && *p == opposite);
+        send_aux(&mut self.pending, to, op, now, effects);
     }
 
     /// Registers a client profile (stored locally, filtered locally).
@@ -755,12 +745,10 @@ impl AlertingCore {
         for profile in self.aux_store.matching(&name) {
             let to = profile.super_collection.host();
             let payload = AuxPayload::ForwardEvent {
-                op: self.pending.next_op(),
                 super_name: profile.super_collection.name().clone(),
                 event: travelling.clone(),
             };
-            self.pending.enqueue(to.clone(), payload.clone(), now);
-            effects.send(to.clone(), payload.into_message());
+            send_aux(&mut self.pending, to, payload, now, effects);
         }
 
         // 4. Local parent chains.
@@ -915,28 +903,39 @@ impl AlertingCore {
         effects
     }
 
-    fn handle_aux(&mut self, from: &HostName, payload: AuxPayload, now: SimTime) -> CoreEffects {
+    fn handle_aux(
+        &mut self,
+        from: &HostName,
+        frame: Reliable<AuxPayload>,
+        now: SimTime,
+    ) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        // Every operation is acknowledged, whatever becomes of it: the
-        // sender retries until then.
-        if !matches!(payload, AuxPayload::Ack { .. }) {
-            let ack = AuxPayload::Ack { op: payload.op() };
-            effects.send(from.clone(), ack.into_message());
-        }
+        let payload = match frame {
+            // An ack that proves an earlier operation lost has it re-sent
+            // at once.
+            Reliable::Ack { seq, more } => {
+                for (seq, payload) in self.pending.ack(from.clone(), acked_seqs(seq, more), now) {
+                    effects.send(from.clone(), SysMessage::Aux(Reliable::Data { seq, payload }));
+                }
+                return effects;
+            }
+            // Every operation is acknowledged at once, whatever becomes
+            // of it: the sender retries until then.
+            Reliable::Data { seq, payload } => {
+                effects.send(from.clone(), SysMessage::Aux(Reliable::Ack { seq, more: 0 }));
+                payload
+            }
+        };
         match payload {
             AuxPayload::Plant {
                 super_collection,
                 sub_name,
-                ..
             } => self.aux_store.plant(sub_name, super_collection),
             AuxPayload::Delete {
                 super_collection,
                 sub_name,
-                ..
             } => drop(self.aux_store.delete(&sub_name, &super_collection)),
-            AuxPayload::ForwardEvent {
-                super_name, event, ..
-            } => {
+            AuxPayload::ForwardEvent { super_name, event } => {
                 // What crossed the wire is decoded here, as a delivery
                 // is; one that does not decode is dropped and counted.
                 let Ok(event) = event.decode_event() else {
@@ -979,9 +978,6 @@ impl AlertingCore {
                 let mut visited = HashSet::new();
                 self.process_local_event(rewritten, now, &mut effects, &mut visited, is_public);
             }
-            AuxPayload::Ack { op } => {
-                self.pending.ack(op);
-            }
         }
         effects
     }
@@ -990,8 +986,8 @@ impl AlertingCore {
     /// expire timed-out distributed requests with partial results.
     pub fn on_tick(&mut self, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        for (to, payload) in self.pending.due_for_retry(now) {
-            effects.send(to, payload.into_message());
+        for (seq, to, payload, _) in self.pending.poll(now) {
+            effects.send(to, SysMessage::Aux(Reliable::Data { seq, payload }));
         }
         let expired: Vec<RequestId> = self
             .request_started
@@ -1254,12 +1250,13 @@ mod tests {
                 Event::new(EventId::new("Paris", seq), paris_x, EventKind::DocumentsAdded, SimTime::ZERO)
                     .rewritten(EventId::new("London", FORWARDS + seq), london_e.clone(), SimTime::ZERO)
             };
-            AuxPayload::ForwardEvent {
-                op: i,
-                super_name: "D".into(),
-                event: Payload::from_event(Arc::new(event)),
-            }
-            .into_message()
+            SysMessage::Aux(Reliable::Data {
+                seq: i,
+                payload: AuxPayload::ForwardEvent {
+                    super_name: "D".into(),
+                    event: Payload::from_event(Arc::new(event)),
+                },
+            })
         };
         let from = HostName::new("London");
         let mut reissued = 0;
@@ -1309,8 +1306,8 @@ mod tests {
             .remove_subcollection(&"D".into(), &"e".into(), SimTime::from_millis(1))
             .unwrap();
         assert_eq!(hamilton.pending_ops().len(), 1);
-        let op = hamilton.pending_ops().iter().next().unwrap();
-        assert!(matches!(op.payload, AuxPayload::Delete { .. }));
+        let (_, op) = hamilton.pending_ops().iter().next().unwrap();
+        assert!(matches!(op, AuxPayload::Delete { .. }));
     }
 
     #[test]
@@ -1565,15 +1562,18 @@ mod tests {
     fn undecodable_forward_is_acked_dropped_and_counted() {
         let mut core = AlertingCore::new("A", "gds-1");
         let poison = AuxPayload::ForwardEvent {
-            op: 7,
             super_name: "D".into(),
             event: Payload::from(gsa_wire::XmlElement::new("garbage")),
         };
         let from = HostName::new("B");
-        let eff = core.handle_message(&from, poison.into_message(), SimTime::ZERO);
+        let frame = SysMessage::Aux(Reliable::Data {
+            seq: 7,
+            payload: poison,
+        });
+        let eff = core.handle_message(&from, frame, SimTime::ZERO);
         // Acknowledged — the sender stops retrying — and nothing else.
         let mut only_the_ack = CoreEffects::default();
-        only_the_ack.send(from, AuxPayload::Ack { op: 7 }.into_message());
+        only_the_ack.send(from, SysMessage::Aux(Reliable::Ack { seq: 7, more: 0 }));
         assert_eq!(eff, only_the_ack);
         assert_eq!(core.counts_mut().get(CounterId::CORE_DECODE_ERROR), 1);
     }

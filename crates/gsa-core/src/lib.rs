@@ -67,6 +67,6 @@ pub use gsa_alerts::{
 };
 pub use actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
 pub use aux::{AuxProfile, AuxStore};
-pub use message::{AuxPayload, SysMessage};
+pub use message::{aux_from_xml, aux_to_xml, AuxPayload, SysMessage};
 pub use subs::{Notification, SubscriptionManager};
 pub use system::{SubscribeError, System};

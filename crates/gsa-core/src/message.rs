@@ -21,10 +21,12 @@ use std::fmt;
 pub enum SysMessage {
     /// A Greenstone-protocol message.
     Gs(GsMessage),
-    /// An alerting payload riding the GS network (auxiliary profiles and
-    /// forwarded events, Section 4.2): on the wire a `gs:alerting`
-    /// element, which a Greenstone server never interprets.
-    Aux(AuxPayload),
+    /// An alerting operation riding the GS network (auxiliary profiles
+    /// and forwarded events, Section 4.2) under the sender's sequence
+    /// number, or the acknowledgement of a window of them: on the wire a
+    /// `gs:alerting` element, which a Greenstone server never
+    /// interprets.
+    Aux(Reliable<AuxPayload>),
     /// A directory-service message (v1 XML text encoding).
     Gds(GdsMessage),
     /// A directory-service message under the opt-in reliable-delivery
@@ -44,7 +46,11 @@ impl SysMessage {
     pub fn wire_size(&self) -> usize {
         match self {
             SysMessage::Gs(m) => m.wire_size(),
-            SysMessage::Aux(p) => p.wire_size(),
+            SysMessage::Aux(frame) => {
+                let mut len = XmlLen::default();
+                put_aux(frame, &mut len);
+                len.element(ENVELOPE)
+            }
             SysMessage::Gds(m) => m.wire_size(),
             SysMessage::RelGds(rel) => rel.wire_size(),
             SysMessage::GdsBin(m) => m.binary_wire_size(),
@@ -57,7 +63,7 @@ impl fmt::Display for SysMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SysMessage::Gs(m) => write!(f, "gs:{m}"),
-            SysMessage::Aux(p) => write!(f, "gs:{p}"),
+            SysMessage::Aux(frame) => write!(f, "gs:{}", aux_tag(frame)),
             SysMessage::Gds(m) => write!(f, "gds:{m}"),
             SysMessage::RelGds(rel) => write!(f, "rel-gds:{}", rel.seq()),
             SysMessage::GdsBin(m) => write!(f, "gds-bin:{m}"),
@@ -78,17 +84,16 @@ impl From<GdsMessage> for SysMessage {
     }
 }
 
-/// The alerting-layer payloads of the GS network (Section 4.2). `op`
-/// numbers make every operation retryable and idempotent: the receiver
-/// acknowledges with the same `op`, and the sender retries until
-/// acknowledged (Section 7 reconciliation).
+/// The alerting-layer operations of the GS network (Section 4.2). Each
+/// crosses as the data of a [`Reliable`] envelope: the sender keeps it in
+/// its retransmission queue until the receiver acknowledges the
+/// envelope's sequence number, and retries it until then (Section 7
+/// reconciliation). Handling one twice is harmless.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuxPayload {
     /// Plant an auxiliary profile: "the sub-collection you host under
     /// `sub_name` is part of my collection `super_collection`".
     Plant {
-        /// Retry/ack correlation, unique per sending host.
-        op: u64,
         /// The super-collection (on the sending host).
         super_collection: CollectionId,
         /// The sub-collection's local name on the receiving host.
@@ -97,8 +102,6 @@ pub enum AuxPayload {
     /// Remove a previously planted auxiliary profile (the sub-collection
     /// was removed from the super-collection).
     Delete {
-        /// Retry/ack correlation.
-        op: u64,
         /// The super-collection the profile pointed at.
         super_collection: CollectionId,
         /// The sub-collection's local name on the receiving host.
@@ -107,8 +110,6 @@ pub enum AuxPayload {
     /// An event matched by an auxiliary profile, forwarded from the
     /// sub-collection's host to the super-collection's host.
     ForwardEvent {
-        /// Retry/ack correlation.
-        op: u64,
         /// The super-collection's local name on the receiving host.
         super_name: CollectionName,
         /// The matched event (still with its original origin), as it
@@ -116,146 +117,98 @@ pub enum AuxPayload {
         /// crossed ([`Payload::decode_event`]).
         event: Payload,
     },
-    /// Acknowledges the operation with the same `op` number.
-    Ack {
-        /// The acknowledged operation.
-        op: u64,
-    },
 }
 
-/// The GS-network element every alerting payload rides in.
+/// The GS-network element every alerting frame rides in.
 const ENVELOPE: &str = "gs:alerting";
 
-impl AuxPayload {
-    /// The retry/ack correlation number.
-    pub fn op(&self) -> u64 {
-        match self {
-            AuxPayload::Plant { op, .. }
-            | AuxPayload::Delete { op, .. }
-            | AuxPayload::ForwardEvent { op, .. }
-            | AuxPayload::Ack { op } => *op,
-        }
-    }
-
-    /// The name of the payload's own element inside `gs:alerting`.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            AuxPayload::Plant { .. } => "aux-plant",
-            AuxPayload::Delete { .. } => "aux-delete",
-            AuxPayload::ForwardEvent { .. } => "aux-event",
-            AuxPayload::Ack { .. } => "aux-ack",
-        }
-    }
-
-    /// Puts the content of the `gs:alerting` element — the payload's own
-    /// element: the one description of its XML form. A forwarded event
-    /// goes in as the payload it is, so its size is the memoised one.
-    pub fn put_xml(&self, out: &mut impl XmlPut) {
-        out.child(self.tag(), |el| {
-            el.num_attr("op", self.op());
-            match self {
-                AuxPayload::Plant {
-                    super_collection,
-                    sub_name,
-                    ..
-                }
-                | AuxPayload::Delete {
-                    super_collection,
-                    sub_name,
-                    ..
-                } => {
-                    el.attr("super", &super_collection.to_string());
-                    el.attr("sub-name", sub_name.as_str());
-                }
-                AuxPayload::ForwardEvent {
-                    super_name, event, ..
-                } => {
-                    el.attr("super-name", super_name.as_str());
-                    el.payload(event);
-                }
-                AuxPayload::Ack { .. } => {}
-            }
-        });
-    }
-
-    /// Encodes the payload as its `gs:alerting` element.
-    pub fn to_xml(&self) -> XmlElement {
-        let mut el = XmlElement::new(ENVELOPE);
-        self.put_xml(&mut el);
-        el
-    }
-
-    /// The serialized size in bytes, for the simulator's byte
-    /// accounting, without producing the text or the tree.
-    pub fn wire_size(&self) -> usize {
-        let mut len = XmlLen::default();
-        self.put_xml(&mut len);
-        len.element(ENVELOPE)
-    }
-
-    /// Decodes a payload from the element produced by
-    /// [`AuxPayload::to_xml`]. A forwarded event is taken as it came —
-    /// the last child element — and decoded when it is delivered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on unknown tags or missing/invalid parts.
-    pub fn from_xml(envelope: &XmlElement) -> Result<AuxPayload, WireError> {
-        let el = match envelope.elements().next() {
-            Some(el) if envelope.name() == ENVELOPE => el,
-            _ => return Err(WireError::malformed("not an alerting payload")),
-        };
-        let attr = |name: &str| {
-            el.attr(name)
-                .ok_or_else(|| WireError::malformed(format!("missing {name}")))
-        };
-        let op = attr("op")?
-            .parse::<u64>()
-            .map_err(|_| WireError::malformed("invalid op"))?;
-        match el.name() {
-            tag @ ("aux-plant" | "aux-delete") => {
-                let super_collection = collection_from_text(attr("super")?)?;
-                let sub_name = CollectionName::new(attr("sub-name")?);
-                Ok(match tag {
-                    "aux-plant" => AuxPayload::Plant {
-                        op,
-                        super_collection,
-                        sub_name,
-                    },
-                    _ => AuxPayload::Delete {
-                        op,
-                        super_collection,
-                        sub_name,
-                    },
-                })
-            }
-            "aux-event" => Ok(AuxPayload::ForwardEvent {
-                op,
-                super_name: CollectionName::new(attr("super-name")?),
-                event: el
-                    .elements()
-                    .last()
-                    .cloned()
-                    .map(Payload::from)
-                    .ok_or_else(|| WireError::malformed("aux-event without event"))?,
-            }),
-            "aux-ack" => Ok(AuxPayload::Ack { op }),
-            other => Err(WireError::malformed(format!(
-                "unknown alerting payload <{other}>"
-            ))),
-        }
-    }
-
-    /// Wraps the payload as the frame that carries it.
-    pub fn into_message(self) -> SysMessage {
-        SysMessage::Aux(self)
+/// The name of a frame's own element inside `gs:alerting`.
+fn aux_tag(frame: &Reliable<AuxPayload>) -> &'static str {
+    match frame {
+        Reliable::Data { payload: AuxPayload::Plant { .. }, .. } => "aux-plant",
+        Reliable::Data { payload: AuxPayload::Delete { .. }, .. } => "aux-delete",
+        Reliable::Data { payload: AuxPayload::ForwardEvent { .. }, .. } => "aux-event",
+        Reliable::Ack { .. } => "aux-ack",
     }
 }
 
-impl fmt::Display for AuxPayload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
+/// Puts the content of the `gs:alerting` element — the frame's own
+/// element, with the sequence number as its `op`: the one description
+/// of its XML form. An acknowledgement carries its window as `more`
+/// when it names more than `op`. A forwarded event goes in as the
+/// payload it is, so its size is the memoised one.
+fn put_aux(frame: &Reliable<AuxPayload>, out: &mut impl XmlPut) {
+    out.child(aux_tag(frame), |el| {
+        el.num_attr("op", frame.seq());
+        match frame {
+            Reliable::Data { payload: AuxPayload::ForwardEvent { super_name, event }, .. } => {
+                el.attr("super-name", super_name.as_str());
+                el.payload(event);
+            }
+            Reliable::Data { payload: AuxPayload::Plant { super_collection, sub_name }, .. }
+            | Reliable::Data { payload: AuxPayload::Delete { super_collection, sub_name }, .. } => {
+                el.attr("super", &super_collection.to_string());
+                el.attr("sub-name", sub_name.as_str());
+            }
+            Reliable::Ack { more: 0, .. } => {}
+            Reliable::Ack { more, .. } => el.num_attr("more", *more),
+        }
+    });
+}
+
+/// Encodes an alerting frame as its `gs:alerting` element.
+pub fn aux_to_xml(frame: &Reliable<AuxPayload>) -> XmlElement {
+    let mut el = XmlElement::new(ENVELOPE);
+    put_aux(frame, &mut el);
+    el
+}
+
+/// Decodes an alerting frame from the element [`aux_to_xml`] produces.
+/// A forwarded event is taken as it came — the last child element — and
+/// decoded when it is delivered.
+///
+/// # Errors
+///
+/// Returns [`WireError`] on unknown tags or missing/invalid parts.
+pub fn aux_from_xml(envelope: &XmlElement) -> Result<Reliable<AuxPayload>, WireError> {
+    let el = match envelope.elements().next() {
+        Some(el) if envelope.name() == ENVELOPE => el,
+        _ => return Err(WireError::malformed("not an alerting payload")),
+    };
+    let attr = |name: &str| {
+        el.attr(name)
+            .ok_or_else(|| WireError::malformed(format!("missing {name}")))
+    };
+    let number = |text: &str| {
+        text.parse::<u64>()
+            .map_err(|_| WireError::malformed("invalid op or window"))
+    };
+    let seq = number(attr("op")?)?;
+    let payload = match el.name() {
+        tag @ ("aux-plant" | "aux-delete") => {
+            let super_collection = collection_from_text(attr("super")?)?;
+            let sub_name = CollectionName::new(attr("sub-name")?);
+            match tag {
+                "aux-plant" => AuxPayload::Plant { super_collection, sub_name },
+                _ => AuxPayload::Delete { super_collection, sub_name },
+            }
+        }
+        "aux-event" => AuxPayload::ForwardEvent {
+            super_name: CollectionName::new(attr("super-name")?),
+            event: el
+                .elements()
+                .last()
+                .cloned()
+                .map(Payload::from)
+                .ok_or_else(|| WireError::malformed("aux-event without event"))?,
+        },
+        "aux-ack" => {
+            let more = el.attr("more").map_or(Ok(0), number)?;
+            return Ok(Reliable::Ack { seq, more });
+        }
+        other => return Err(WireError::malformed(format!("unknown alerting payload <{other}>"))),
+    };
+    Ok(Reliable::Data { seq, payload })
 }
 
 #[cfg(test)]
@@ -264,63 +217,76 @@ mod tests {
     use gsa_types::{Event, EventId, EventKind, SimTime};
     use std::sync::Arc;
 
-    fn round_trip(p: AuxPayload) {
-        let text = p.to_xml().to_document_string();
+    fn round_trip(frame: Reliable<AuxPayload>) {
+        let text = aux_to_xml(&frame).to_document_string();
         let parsed = gsa_wire::parse_document(&text).unwrap();
-        assert_eq!(AuxPayload::from_xml(&parsed).unwrap(), p);
+        assert_eq!(aux_from_xml(&parsed).unwrap(), frame);
     }
 
     #[test]
     fn all_payloads_round_trip() {
-        round_trip(AuxPayload::Plant {
-            op: 1,
-            super_collection: CollectionId::new("Hamilton", "D"),
-            sub_name: "E".into(),
+        let data = |seq, payload| Reliable::Data { seq, payload };
+        round_trip(data(
+            1,
+            AuxPayload::Plant {
+                super_collection: CollectionId::new("Hamilton", "D"),
+                sub_name: "E".into(),
+            },
+        ));
+        round_trip(data(
+            2,
+            AuxPayload::Delete {
+                super_collection: CollectionId::new("Hamilton", "D"),
+                sub_name: "E".into(),
+            },
+        ));
+        round_trip(data(
+            3,
+            AuxPayload::ForwardEvent {
+                super_name: "D".into(),
+                event: Payload::from_event(Arc::new(Event::new(
+                    EventId::new("London", 4),
+                    CollectionId::new("London", "E"),
+                    EventKind::CollectionRebuilt,
+                    SimTime::from_millis(8),
+                ))),
+            },
+        ));
+        round_trip(Reliable::Ack { seq: 4, more: 0 });
+        round_trip(Reliable::Ack { seq: 4, more: 0b101 });
+        round_trip(Reliable::Ack {
+            seq: u64::MAX,
+            more: u64::MAX,
         });
-        round_trip(AuxPayload::Delete {
-            op: 2,
-            super_collection: CollectionId::new("Hamilton", "D"),
-            sub_name: "E".into(),
-        });
-        round_trip(AuxPayload::ForwardEvent {
-            op: 3,
-            super_name: "D".into(),
-            event: Payload::from_event(Arc::new(Event::new(
-                EventId::new("London", 4),
-                CollectionId::new("London", "E"),
-                EventKind::CollectionRebuilt,
-                SimTime::from_millis(8),
-            ))),
-        });
-        round_trip(AuxPayload::Ack { op: 4 });
-    }
-
-    #[test]
-    fn op_accessor() {
-        assert_eq!(AuxPayload::Ack { op: 9 }.op(), 9);
     }
 
     #[test]
     fn unknown_payload_errors() {
-        let inside =
-            |el: XmlElement| AuxPayload::from_xml(&XmlElement::new(ENVELOPE).with_child(el));
+        let inside = |el: XmlElement| aux_from_xml(&XmlElement::new(ENVELOPE).with_child(el));
         assert!(inside(XmlElement::new("aux-ack").with_attr("op", "1")).is_ok());
         assert!(inside(XmlElement::new("aux-bogus").with_attr("op", "1")).is_err());
         assert!(inside(XmlElement::new("aux-ack")).is_err());
+        let window = XmlElement::new("aux-ack").with_attr("op", "1");
+        assert!(inside(window.clone().with_attr("more", "-1")).is_err());
+        assert!(inside(window.with_attr("more", "x")).is_err());
         assert!(inside(XmlElement::new("aux-plant").with_attr("op", "1")).is_err());
         assert!(inside(XmlElement::new("aux-event").with_attr("op", "1")).is_err());
         // Nothing inside, or the right thing inside the wrong element.
-        assert!(AuxPayload::from_xml(&XmlElement::new(ENVELOPE)).is_err());
+        assert!(aux_from_xml(&XmlElement::new(ENVELOPE)).is_err());
         let ack = XmlElement::new("aux-ack").with_attr("op", "1");
-        assert!(AuxPayload::from_xml(&XmlElement::new("gs:fetch").with_child(ack)).is_err());
+        assert!(aux_from_xml(&XmlElement::new("gs:fetch").with_child(ack)).is_err());
     }
 
     #[test]
     fn sys_message_conversions_and_size() {
-        let ack = AuxPayload::Ack { op: 1 };
-        let m = ack.clone().into_message();
-        assert_eq!(m.wire_size(), ack.to_xml().wire_size());
-        assert_eq!(m.to_string(), "gs:aux-ack");
+        for ack in [
+            Reliable::Ack { seq: 1, more: 0 },
+            Reliable::Ack { seq: 1, more: 6 },
+        ] {
+            let m = SysMessage::Aux(ack.clone());
+            assert_eq!(m.wire_size(), aux_to_xml(&ack).wire_size());
+            assert_eq!(m.to_string(), "gs:aux-ack");
+        }
         let m: SysMessage = GsMessage::DescribeRequest {
             request: gsa_greenstone::RequestId(1),
             collection: "D".into(),

@@ -4,14 +4,14 @@
 //! event. The properties of `gsa-gds/tests/wire_sizes.rs`, extended to
 //! `SysMessage::{Gs, Aux}` with the same counting allocator.
 
-use gsa_core::{AlertingCore, AuxPayload, SysMessage};
+use gsa_core::{aux_to_xml, AlertingCore, AuxPayload, SysMessage};
 use gsa_greenstone::{CollectionConfig, GsMessage, RequestId};
 use gsa_store::SourceDocument;
 use gsa_types::{
     CollectionId, DocSummary, Event, EventId, EventKind, HostName, MetadataRecord, SimTime,
 };
 use gsa_wire::codec::{event_from_xml, event_to_xml};
-use gsa_wire::Payload;
+use gsa_wire::{Payload, Reliable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -97,17 +97,21 @@ impl std::fmt::Write for Nowhere {
 
 #[test]
 fn sizing_and_printing_an_envelope_allocates_nothing() {
-    let forward = AuxPayload::ForwardEvent {
-        op: 12,
-        super_name: "D".into(),
-        event: Payload::from_event(Arc::new(rebuild_event())),
-    }
-    .into_message();
+    let forward = SysMessage::Aux(Reliable::Data {
+        seq: 12,
+        payload: AuxPayload::ForwardEvent {
+            super_name: "D".into(),
+            event: Payload::from_event(Arc::new(rebuild_event())),
+        },
+    });
     // The first sizing builds the payload's XML view and counts it; the
     // length is memoised for every clone and every later hop.
     let text_len = forward.wire_size();
     let frames = [
-        AuxPayload::Ack { op: u64::MAX }.into_message(),
+        SysMessage::Aux(Reliable::Ack {
+            seq: u64::MAX,
+            more: u64::MAX,
+        }),
         forward,
         SysMessage::Gs(GsMessage::DescribeRequest {
             request: RequestId(3),
@@ -128,7 +132,7 @@ fn sizing_and_printing_an_envelope_allocates_nothing() {
     assert_eq!(sizes[1], text_len);
     for (frame, size) in frames.iter().zip(sizes) {
         let written = match frame {
-            SysMessage::Aux(p) => p.to_xml(),
+            SysMessage::Aux(frame) => aux_to_xml(frame),
             SysMessage::Gs(m) => m.to_xml(),
             other => unreachable!("{other}"),
         };
@@ -145,12 +149,14 @@ fn observed_by(k: usize) -> AlertingCore {
         .unwrap();
     for i in 0..k {
         let host = HostName::new(format!("super-{i}"));
-        let plant = AuxPayload::Plant {
-            op: 0,
-            super_collection: CollectionId::new(host.clone(), "D"),
-            sub_name: "E".into(),
+        let plant = Reliable::Data {
+            seq: 0,
+            payload: AuxPayload::Plant {
+                super_collection: CollectionId::new(host.clone(), "D"),
+                sub_name: "E".into(),
+            },
         };
-        london.handle_message(&host, plant.into_message(), SimTime::ZERO);
+        london.handle_message(&host, SysMessage::Aux(plant), SimTime::ZERO);
     }
     assert_eq!(london.aux_store().len(), k);
     london
@@ -169,7 +175,10 @@ fn forwarding_to_k_supers_clones_no_event() {
             .outbound
             .iter()
             .filter_map(|(_, m)| match m {
-                SysMessage::Aux(AuxPayload::ForwardEvent { event, .. }) => Some(event),
+                SysMessage::Aux(Reliable::Data {
+                    payload: AuxPayload::ForwardEvent { event, .. },
+                    ..
+                }) => Some(event),
                 _ => None,
             })
             .collect();
@@ -181,7 +190,7 @@ fn forwarding_to_k_supers_clones_no_event() {
         );
         // The publisher's event is held twice whatever k is: by the
         // effects, and by the one payload the GDS publish, every forward
-        // and every pending-operation entry share.
+        // and every auxiliary-log entry share.
         let event = &effects.published[0];
         assert_eq!(Arc::strong_count(event), 2, "k = {k}");
         for forward in forwards {
@@ -190,7 +199,7 @@ fn forwarding_to_k_supers_clones_no_event() {
         costs.push(allocated);
     }
     // An extra forward costs its own bookkeeping — host names, the
-    // pending-operation entry, the effects slot — and nothing that grows
+    // auxiliary-log entry, the effects slot — and nothing that grows
     // with the event.
     let per_forward = (costs[2] - costs[1]) / 4;
     assert!(
@@ -212,14 +221,17 @@ fn one_forward_costs_one_tree_and_one_decode() {
     let (decode, _) = allocations_of(|| event_from_xml(&xml).unwrap());
     let (allocated, (charged, received)) = allocations_of(|| {
         let payload = AuxPayload::ForwardEvent {
-            op: 1,
             super_name: "D".into(),
             event: Payload::from_event(Arc::clone(&event)),
         };
         let pending = payload.clone();
-        let frame = payload.into_message();
+        let frame = SysMessage::Aux(Reliable::Data { seq: 1, payload });
         let charged = frame.wire_size();
-        let SysMessage::Aux(AuxPayload::ForwardEvent { event, .. }) = frame else {
+        let SysMessage::Aux(Reliable::Data {
+            payload: AuxPayload::ForwardEvent { event, .. },
+            ..
+        }) = frame
+        else {
             unreachable!()
         };
         drop(pending);

@@ -5,7 +5,7 @@ use gsa_core::{ReliabilityConfig, System};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
-use gsa_types::{CollectionId, SimTime};
+use gsa_types::{CollectionId, SimDuration, SimTime};
 
 fn doc(id: &str) -> SourceDocument {
     SourceDocument::new(id, "content")
@@ -91,11 +91,45 @@ fn delete_during_partition_reconciles_after_heal() {
     assert_eq!(system.inspect_core("Hamilton", |c| c.pending_ops().len()), 0);
 }
 
+/// A sub-collection removed during a partition and added back after the
+/// heal keeps its auxiliary profile: the re-add's plant cancels the
+/// delete still owed, so the delete's retry cannot take the new profile
+/// away, and a later rebuild of the sub-collection reaches the
+/// super-collection's watcher.
+#[test]
+fn a_sub_collection_re_added_after_the_heal_keeps_its_profile() {
+    for seed in 1..=3 {
+        let mut system = world(seed);
+        let watcher = system.add_client("Hamilton");
+        system
+            .subscribe_text("Hamilton", watcher, r#"collection = "Hamilton.D""#)
+            .unwrap();
+        system.set_partition("London", 1);
+        system.remove_subcollection("Hamilton", "D", "e").unwrap();
+        system.run_for(SimDuration::from_millis(300));
+        system.heal_network();
+        let sub = SubCollectionRef::new("e", CollectionId::new("London", "E"));
+        system.add_subcollection("Hamilton", "D", sub).unwrap();
+        system.run_until_quiet(system.now() + SimDuration::from_secs(60));
+        assert_eq!(
+            system.inspect_core("London", |c| c.aux_store().len()),
+            1,
+            "seed {seed}: the re-added profile stays planted"
+        );
+        assert_eq!(system.inspect_core("Hamilton", |c| c.pending_ops().len()), 0);
+
+        system.rebuild("London", "E", vec![doc("e1")]).unwrap();
+        system.run_until_quiet(system.now() + SimDuration::from_secs(60));
+        let inbox = system.take_notifications("Hamilton", watcher);
+        assert_eq!(inbox.len(), 1, "seed {seed}: the rebuild reaches Hamilton.D");
+    }
+}
+
 #[test]
 fn delete_replay_after_heal_survives_message_loss() {
     // Section 7's deletion replay, hardened: the partition heals onto a
     // *lossy* network, so the queued Delete and its Ack each face a 20 %
-    // drop on every hop. The pending-operation log keeps re-sending
+    // drop on every hop. The auxiliary-operation log keeps re-sending
     // until the ack lands; the dangling auxiliary profile must still be
     // reaped exactly as in the clean-network case.
     let mut system = System::new(7);
@@ -214,4 +248,38 @@ fn rebuild_while_super_host_down_delivers_after_restart() {
     system.run_until_quiet(SimTime::from_secs(200));
     let inbox = system.take_notifications("Hamilton", watcher);
     assert_eq!(inbox.len(), 1, "host restart behaves like a healed link");
+}
+
+/// The crash model, a pinned modelling choice: a crash wipes a server's
+/// volatile state but keeps its auxiliary-operation log (a real crash
+/// would lose it). London crashes and restarts while a forwarded event
+/// to a partitioned Hamilton is still owed; the log re-sends it after the
+/// heal, and the watcher of `Hamilton.D` hears of the rebuild once.
+#[test]
+fn a_crash_keeps_the_auxiliary_log_and_delivers_once() {
+    for seed in 1..=3 {
+        let mut system = world(seed);
+        let watcher = system.add_client("Hamilton");
+        system
+            .subscribe_text("Hamilton", watcher, r#"collection = "Hamilton.D""#)
+            .unwrap();
+        system.set_partition("Hamilton", 1);
+        system.rebuild("London", "E", vec![doc("e1")]).unwrap();
+        system.run_for(SimDuration::from_secs(3));
+        assert_eq!(system.inspect_core("London", |c| c.pending_ops().len()), 1);
+        system.crash_server("London");
+        system.run_for(SimDuration::from_secs(1));
+        system.restart_server("London");
+        assert_eq!(
+            system.inspect_core("London", |c| c.pending_ops().len()),
+            1,
+            "seed {seed}: the crash kept the forward"
+        );
+        system.run_for(SimDuration::from_secs(3));
+        system.heal_network();
+        system.run_until_quiet(system.now() + SimDuration::from_secs(60));
+        let inbox = system.take_notifications("Hamilton", watcher);
+        assert_eq!(inbox.len(), 1, "seed {seed}: notified exactly once");
+        assert_eq!(system.inspect_core("London", |c| c.pending_ops().len()), 0);
+    }
 }

@@ -2,18 +2,18 @@
 //! reliable envelope around one, pinned as literals on both wires — the
 //! v2 frame in hex, the v1 text as `to_document_string()` writes it —
 //! and one sample of every message of the GS network (the six
-//! request/response messages and the four alerting payloads), which is
-//! XML only.
+//! request/response messages, the three alerting operations and their
+//! ack), which is XML only.
 //!
 //! For each sample the encoders must produce the literal, the three
 //! size functions (`wire_size`, `binary_wire_size`, `SysMessage::wire_size`)
 //! must report its length, and both decoders must return the value. A
 //! codec change that moves a byte on either wire fails here first.
 
-use gsa_core::{AuxPayload, SysMessage};
+use gsa_core::{aux_from_xml, aux_to_xml, AlertingCore, AuxPayload, SysMessage};
 use gsa_gds::{GdsMessage, ResolveToken};
 use gsa_greenstone::protocol::{CollectionInfo, FetchedDoc, SearchHit};
-use gsa_greenstone::{GsError, GsMessage, RequestId};
+use gsa_greenstone::{CollectionConfig, GsError, GsMessage, RequestId, SubCollectionRef};
 use gsa_store::{Query, SourceDocument};
 use gsa_types::{
     CollectionId, DocSummary, DocumentRef, Event, EventId, EventKind, MessageId, MetadataRecord,
@@ -813,23 +813,18 @@ fn pin_gs(msg: GsMessage, document: &str) {
     );
 }
 
-/// Holds one alerting payload, inside its `gs:alerting` element, to its
+/// Holds one alerting frame, inside its `gs:alerting` element, to its
 /// literal.
-fn pin_aux(payload: AuxPayload, document: &str) {
+fn pin_aux(frame: Reliable<AuxPayload>, document: &str) {
     assert_eq!(
-        payload.to_xml().to_document_string(),
+        aux_to_xml(&frame).to_document_string(),
         document,
-        "text of {payload}"
+        "text of {frame:?}"
     );
     let text_len = document.len() - DECLARATION.len();
-    assert_eq!(payload.wire_size(), text_len, "wire_size of {payload}");
-    assert_eq!(payload.clone().into_message().wire_size(), text_len);
+    assert_eq!(SysMessage::Aux(frame.clone()).wire_size(), text_len, "wire_size of {frame:?}");
     let parsed = parse_document(document).unwrap();
-    assert_eq!(
-        AuxPayload::from_xml(&parsed).unwrap(),
-        payload,
-        "decode of {payload}"
-    );
+    assert_eq!(aux_from_xml(&parsed).unwrap(), frame, "decode of {frame:?}");
 }
 
 #[test]
@@ -951,19 +946,23 @@ fn gs_requests_and_responses_are_pinned() {
 #[test]
 fn alerting_payloads_are_pinned_inside_their_gs_element() {
     pin_aux(
-        AuxPayload::Plant {
-            op: 1,
-            super_collection: CollectionId::new("Hamilton", "D"),
-            sub_name: "E".into(),
+        Reliable::Data {
+            seq: 1,
+            payload: AuxPayload::Plant {
+                super_collection: CollectionId::new("Hamilton", "D"),
+                sub_name: "E".into(),
+            },
         },
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
          <aux-plant op=\"1\" super=\"Hamilton.D\" sub-name=\"E\"/></gs:alerting>",
     );
     pin_aux(
-        AuxPayload::Delete {
-            op: 300,
-            super_collection: CollectionId::new("Hamilton", "D<&>"),
-            sub_name: "E\"e".into(),
+        Reliable::Data {
+            seq: 300,
+            payload: AuxPayload::Delete {
+                super_collection: CollectionId::new("Hamilton", "D<&>"),
+                sub_name: "E\"e".into(),
+            },
         },
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
          <aux-delete op=\"300\" super=\"Hamilton.D&lt;&amp;&gt;\" sub-name=\"E&quot;e\"/>\
@@ -973,10 +972,12 @@ fn alerting_payloads_are_pinned_inside_their_gs_element() {
     let mut forwarded = event();
     forwarded.docs[0].metadata.add("dc.Language", "en");
     pin_aux(
-        AuxPayload::ForwardEvent {
-            op: u64::MAX,
-            super_name: "D".into(),
-            event: Payload::from_event(Arc::new(forwarded)),
+        Reliable::Data {
+            seq: u64::MAX,
+            payload: AuxPayload::ForwardEvent {
+                super_name: "D".into(),
+                event: Payload::from_event(Arc::new(forwarded)),
+            },
         },
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
          <aux-event op=\"18446744073709551615\" super-name=\"D\">\
@@ -988,7 +989,37 @@ fn alerting_payloads_are_pinned_inside_their_gs_element() {
          <metadata/></document></event></aux-event></gs:alerting>",
     );
     pin_aux(
-        AuxPayload::Ack { op: 0 },
+        Reliable::Ack { seq: 0, more: 0 },
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting><aux-ack op=\"0\"/></gs:alerting>",
     );
+    // The one ack form of both networks: `op` and, after it, the window.
+    pin_aux(
+        Reliable::Ack { seq: 7, more: 0b101 },
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gs:alerting>\
+         <aux-ack op=\"7\" more=\"5\"/></gs:alerting>",
+    );
+}
+
+/// A hostile `aux-ack` is refused when its window or its `op` is not a
+/// number; a window bit past `u64::MAX` names nothing and is skipped, as
+/// on a GDS edge, and the host it reaches takes it without a fault.
+#[test]
+fn hostile_alerting_acks_are_refused_or_skipped() {
+    let parse = |ack: &str| aux_from_xml(&parse_document(&format!("<gs:alerting>{ack}</gs:alerting>")).unwrap());
+    assert!(parse("<aux-ack op=\"7\" more=\"x\"/>").is_err());
+    assert!(parse("<aux-ack op=\"7\" more=\"-1\"/>").is_err());
+    assert!(parse("<aux-ack more=\"1\"/>").is_err());
+    let past_the_end = parse("<aux-ack op=\"18446744073709551615\" more=\"18446744073709551615\"/>");
+    let Ok(Reliable::Ack { seq, more }) = past_the_end else {
+        panic!("expected an ack, got {past_the_end:?}");
+    };
+    assert_eq!(acked_seqs(seq, more).collect::<Vec<_>>(), [u64::MAX]);
+    let mut hamilton = AlertingCore::new("Hamilton", "gds-4");
+    hamilton.add_collection(CollectionConfig::simple("D", "d"), SimTime::ZERO).unwrap();
+    let sub = SubCollectionRef::new("e", CollectionId::new("London", "E"));
+    hamilton.add_subcollection(&"D".into(), sub, SimTime::ZERO).unwrap();
+    let ack = SysMessage::Aux(Reliable::Ack { seq, more });
+    let effects = hamilton.handle_message(&"London".into(), ack, SimTime::from_millis(1));
+    assert!(effects.outbound.is_empty());
+    assert_eq!(hamilton.pending_ops().len(), 1, "the plant, seq 0, is still owed");
 }
