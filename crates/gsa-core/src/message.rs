@@ -125,9 +125,18 @@ const ENVELOPE: &str = "gs:alerting";
 /// The name of a frame's own element inside `gs:alerting`.
 fn aux_tag(frame: &Reliable<AuxPayload>) -> &'static str {
     match frame {
-        Reliable::Data { payload: AuxPayload::Plant { .. }, .. } => "aux-plant",
-        Reliable::Data { payload: AuxPayload::Delete { .. }, .. } => "aux-delete",
-        Reliable::Data { payload: AuxPayload::ForwardEvent { .. }, .. } => "aux-event",
+        Reliable::Data {
+            payload: AuxPayload::Plant { .. },
+            ..
+        } => "aux-plant",
+        Reliable::Data {
+            payload: AuxPayload::Delete { .. },
+            ..
+        } => "aux-delete",
+        Reliable::Data {
+            payload: AuxPayload::ForwardEvent { .. },
+            ..
+        } => "aux-event",
         Reliable::Ack { .. } => "aux-ack",
     }
 }
@@ -141,12 +150,29 @@ fn put_aux(frame: &Reliable<AuxPayload>, out: &mut impl XmlPut) {
     out.child(aux_tag(frame), |el| {
         el.num_attr("op", frame.seq());
         match frame {
-            Reliable::Data { payload: AuxPayload::ForwardEvent { super_name, event }, .. } => {
+            Reliable::Data {
+                payload: AuxPayload::ForwardEvent { super_name, event },
+                ..
+            } => {
                 el.attr("super-name", super_name.as_str());
                 el.payload(event);
             }
-            Reliable::Data { payload: AuxPayload::Plant { super_collection, sub_name }, .. }
-            | Reliable::Data { payload: AuxPayload::Delete { super_collection, sub_name }, .. } => {
+            Reliable::Data {
+                payload:
+                    AuxPayload::Plant {
+                        super_collection,
+                        sub_name,
+                    },
+                ..
+            }
+            | Reliable::Data {
+                payload:
+                    AuxPayload::Delete {
+                        super_collection,
+                        sub_name,
+                    },
+                ..
+            } => {
                 el.attr("super", &super_collection.to_string());
                 el.attr("sub-name", sub_name.as_str());
             }
@@ -189,8 +215,14 @@ pub fn aux_from_xml(envelope: &XmlElement) -> Result<Reliable<AuxPayload>, WireE
             let super_collection = collection_from_text(attr("super")?)?;
             let sub_name = CollectionName::new(attr("sub-name")?);
             match tag {
-                "aux-plant" => AuxPayload::Plant { super_collection, sub_name },
-                _ => AuxPayload::Delete { super_collection, sub_name },
+                "aux-plant" => AuxPayload::Plant {
+                    super_collection,
+                    sub_name,
+                },
+                _ => AuxPayload::Delete {
+                    super_collection,
+                    sub_name,
+                },
             }
         }
         "aux-event" => AuxPayload::ForwardEvent {
@@ -206,7 +238,11 @@ pub fn aux_from_xml(envelope: &XmlElement) -> Result<Reliable<AuxPayload>, WireE
             let more = el.attr("more").map_or(Ok(0), number)?;
             return Ok(Reliable::Ack { seq, more });
         }
-        other => return Err(WireError::malformed(format!("unknown alerting payload <{other}>"))),
+        other => {
+            return Err(WireError::malformed(format!(
+                "unknown alerting payload <{other}>"
+            )))
+        }
     };
     Ok(Reliable::Data { seq, payload })
 }
@@ -253,7 +289,10 @@ mod tests {
             },
         ));
         round_trip(Reliable::Ack { seq: 4, more: 0 });
-        round_trip(Reliable::Ack { seq: 4, more: 0b101 });
+        round_trip(Reliable::Ack {
+            seq: 4,
+            more: 0b101,
+        });
         round_trip(Reliable::Ack {
             seq: u64::MAX,
             more: u64::MAX,
