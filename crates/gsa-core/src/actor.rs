@@ -79,7 +79,7 @@ const HEARTBEAT_MISSES: u32 = 3;
 
 /// A binary-wire edge flushes its buffer as soon as it holds this many
 /// events; otherwise at the end of the instant.
-const BATCH_MAX_EVENTS: usize = 8;
+const BATCH_MAX_EVENTS: usize = 16;
 
 /// The argument of [`WireConfig::v2_batched`]; it switches nothing,
 /// since [`WireConfig::v2`] always batches. Kept for callers that still
@@ -94,7 +94,7 @@ pub struct BatchConfig;
 /// exactly, frame for frame. [`WireConfig::v2`] puts every edge on the
 /// binary codec from its first frame, and batches the frames that carry
 /// events per edge: buffered per neighbour and flushed as one
-/// [`GdsMessage::Batch`] frame at 8 events or at the end of the instant
+/// [`GdsMessage::Batch`] frame at 16 events or at the end of the instant
 /// they were sent in, whichever comes first, so a lone event waits for
 /// no clock. The format is a fact of the deployment, not negotiated per
 /// edge: a tree whose hosts speak different formats is not supported.
@@ -165,6 +165,11 @@ impl EdgeBuf {
     fn push(&mut self, slice: Slice) {
         self.items += slice.items().len();
         self.slices.push(slice);
+        debug_assert!(
+            self.items <= BATCH_MAX_EVENTS,
+            "an edge buffer holds {} events, over the cap of {BATCH_MAX_EVENTS}",
+            self.items
+        );
     }
 
     /// The frame the buffer goes out as: its one event plain, exactly
@@ -1198,20 +1203,21 @@ mod tests {
         }
     }
 
-    /// Runs of 1–20 items over up to six edges, from a random starting
-    /// fill of 0–7 per edge, with mixed forms, lone events between
-    /// runs, ends of instants and reliable edges.
+    /// Runs of 1 to 2.5 × [`BATCH_MAX_EVENTS`] items over up to six
+    /// edges, from a random starting fill below the cap per edge, with
+    /// mixed forms, lone events between runs, ends of instants and
+    /// reliable edges: every starting fill can reach a full-cap flush.
     fn scenario(seed: u64) -> Scenario {
         let mut d = Draws(seed);
         let edges = 1 + d.below(6);
-        let fills = (0..edges).map(|_| d.below(8)).collect();
+        let fills = (0..edges).map(|_| d.below(BATCH_MAX_EVENTS)).collect();
         let reliable = (0..edges).map(|_| d.below(2) == 1).collect();
         let steps = (0..1 + d.below(8))
             .map(|_| match d.below(8) {
                 0 => Step::EndOfInstant,
                 1 => Step::One(d.below(edges) as u32),
                 _ => {
-                    let len = 1 + d.below(20);
+                    let len = 1 + d.below(BATCH_MAX_EVENTS * 5 / 2);
                     let legs = (0..edges as u32)
                         .filter_map(|e| {
                             let form = [Form::Broadcast, Form::Deliver][d.below(2)];

@@ -337,7 +337,7 @@ fn publisher_frames(system: &System, since: usize) -> (usize, Option<SimTime>) {
 
 /// A publisher's burst rides the batcher from its first hop. On a calm
 /// reliable Figure-2 world Hamilton publishes 32 rebuilds in one
-/// instant: v2 hands gds-4 four data frames of eight events, XML one
+/// instant: v2 hands gds-4 two data frames of sixteen events, XML one
 /// frame per event, and every watcher sees each event exactly once.
 /// Then one lone rebuild: on every wire its frame leaves Hamilton in
 /// the instant it was published (on v2 the end-of-instant flush, not
@@ -347,7 +347,7 @@ fn a_published_burst_leaves_its_server_in_batches() {
     const BURST: usize = 32;
     for (wire_name, wire, burst_frames) in [
         ("xml", WireConfig::default(), BURST),
-        ("v2", WireConfig::v2(), BURST / 8),
+        ("v2", WireConfig::v2(), BURST / 16),
     ] {
         let (mut system, clients, _) = lossy_world(1, false, |s| s.set_wire(wire));
         system.sim_mut().enable_trace();
