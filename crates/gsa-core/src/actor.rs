@@ -12,7 +12,7 @@
 
 use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
-use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
+use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound, InterestMode};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
 use gsa_types::{Counts, HostName, SimDuration, SimTime};
 use gsa_wire::reliable::{
@@ -860,19 +860,11 @@ impl GdsActor {
         self.edge.wire = WireLink::new(config.format);
     }
 
-    /// Enables subscription-aware flood pruning on the wrapped node.
-    /// A pruning node only marks its aggregate dirty; the actor flushes
-    /// it when the `ANNOUNCE_TAG` timer fires, so a burst of
-    /// registrations in one frame produces one upward announce, not one
-    /// per registration.
-    pub fn set_pruning(&mut self, enabled: bool) {
-        self.node.set_pruning(enabled);
-    }
-
-    /// Enables rendezvous placement on the wrapped node (construction-
-    /// time knob; requires pruning for grants to mean anything).
-    pub fn set_rendezvous(&mut self, enabled: bool) {
-        self.node.set_rendezvous(enabled);
+    /// Chooses the wrapped node's interest machine (construction time).
+    /// The actor flushes a pruning node's announcements when the
+    /// `ANNOUNCE_TAG` timer fires: one upward announce per burst.
+    pub fn set_interest(&mut self, mode: InterestMode) {
+        self.node.set_interest(mode);
     }
 
     /// Turns on reliable per-edge delivery, the beacons to the children
@@ -965,11 +957,9 @@ impl GdsActor {
         ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
     }
 
-    /// Detaches from the dead parent and re-attaches the whole subtree
-    /// to the grandparent recorded at join time: adopt + re-register,
-    /// all over reliable edges so the moves survive further loss. The
-    /// detach is also reliable — it reaches the old parent when (if) it
-    /// heals, at which point it stops routing through a stale edge.
+    /// Re-attaches the whole subtree to the grandparent recorded at join
+    /// time ([`GdsNode::reparent`]), all over reliable edges so the moves
+    /// survive further loss.
     fn reparent(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let Some(detector) = self.detector.as_mut() else {
             return;
@@ -979,33 +969,9 @@ impl GdsActor {
         };
         detector.misses = 0;
         detector.heard = true;
-        let old_parent = self.node.parent().cloned();
         ctx.count_id(CounterId::GDS_REPARENT, 1);
-        self.node.set_parent(Some(new_parent.clone()));
-        let me = self.node.name().clone();
         let mut effects = GdsEffects::default();
-        if let Some(old) = old_parent {
-            if old != new_parent {
-                effects.outbound.push(GdsOutbound {
-                    to: old,
-                    msg: GdsMessage::Detach { child: me.clone() },
-                });
-            }
-        }
-        effects.outbound.push(GdsOutbound {
-            to: new_parent,
-            msg: GdsMessage::Adopt { child: me },
-        });
-        effects.outbound.extend(self.node.reregistrations());
-        // The new parent starts us at wildcard-by-absence (Adopt drops
-        // any stale edge summary); tell it what we actually cover so
-        // pruning resumes on the healed edge.
-        effects.outbound.extend(self.node.summary_announcement());
-        // set_parent dropped the grants held from the old parent, so
-        // grants delegated to children lost their upward cover: revoke
-        // them in the same batch (the new parent re-grants over its own
-        // beacon/announce cycle once summaries settle).
-        self.node.refresh_rendezvous(&mut effects);
+        self.node.reparent(new_parent, &mut effects);
         self.apply(&mut effects, ctx);
     }
 }

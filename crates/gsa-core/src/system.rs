@@ -9,7 +9,7 @@ use crate::core::AlertingCore;
 use crate::message::SysMessage;
 use crate::subs::Notification;
 use gsa_alerts::{AlertPolicyConfig, AlertState};
-use gsa_gds::{GdsNode, GdsTopology};
+use gsa_gds::{GdsNode, GdsTopology, InterestMode};
 use gsa_greenstone::server::{FetchResult, SearchResult};
 use gsa_greenstone::{BuildReport, CollectionConfig, GsError, SubCollectionRef};
 use gsa_profile::{parse_profile, DnfError, ParseProfileError, ProfileExpr};
@@ -254,8 +254,11 @@ impl System {
             actor.enable_reliability(grandparent, self.jitter_seed());
         }
         actor.set_wire(self.wire.clone());
-        actor.set_pruning(self.pruning);
-        actor.set_rendezvous(self.rendezvous);
+        actor.set_interest(match (self.pruning, self.rendezvous) {
+            (false, _) => InterestMode::Flood,
+            (true, false) => InterestMode::Prune,
+            (true, true) => InterestMode::PruneWithGrants,
+        });
         self.sim.add_node(name.as_str(), actor)
     }
 

@@ -16,22 +16,26 @@
 //!   name to the GDS node responsible for it, so servers address each
 //!   other "without having to be aware of the identity of the recipient".
 //!
-//! [`GdsNode`] is the sans-IO state machine of one directory server;
-//! [`GdsClient`] is the thin library a Greenstone server embeds to
-//! publish, subscribe and deduplicate; `topology` builds trees (balanced
-//! or the exact 7-node arrangement of Figure 2).
+//! [`GdsNode`] is the sans-IO state machine of one directory server,
+//! over membership, flood and [`InterestMode`] machines; [`GdsClient`]
+//! is what a Greenstone server embeds to publish, subscribe and dedup;
+//! `topology` builds trees (balanced, or Figure 2's 7 nodes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
 mod client;
+mod flood;
+mod interest;
+mod membership;
 mod message;
 mod node;
 mod seen;
 mod topology;
 
 pub use client::GdsClient;
+pub use interest::InterestMode;
 pub use message::{GdsMessage, ResolveToken};
 pub use node::{GdsEffects, GdsNode, GdsOutbound};
 pub use seen::SeenIds;

@@ -1,29 +1,17 @@
-//! The GDS directory-server state machine.
+//! The GDS directory-server state machine: one dispatcher over three
+//! machines — membership (the node's place in the tree and its subtree
+//! registry), flood (the paper's broadcast, with dedup, shared frames
+//! and replay) and interest (what the flood may skip).
 
+use crate::flood::{Flood, Frame};
+use crate::interest::{Interest, InterestMode};
+use crate::membership::Membership;
 use crate::message::GdsMessage;
-use crate::seen::SeenIds;
-use gsa_types::{CounterId, Counts, HostName, MessageId};
-use gsa_wire::{InterestSummary, Payload, ATTR_KEY_KIND, ATTR_META_PREFIX};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use gsa_types::{Counts, HostName};
+use gsa_wire::{summary::AttrMap, InterestSummary};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// How many recently flooded events a node keeps for replay to an
-/// adopted child. Only needs to cover the traffic of one outage window:
-/// an event older than that already reached the child through its former
-/// parent (per-edge delivery is reliable when the layer is on).
-const RECENT_CAP: usize = 128;
-
-/// Most `(attribute, value)` subgroup grants a node hands to one child.
-/// Grants are routing state replicated down an edge; the cap keeps a
-/// pathological subscription mix from turning every beacon heal into
-/// a bulk state transfer. Excess candidates simply stay ungranted —
-/// events for them flood from the root as before, which is always safe.
-const MAX_GRANTS: usize = 8;
-
-/// A grant set: attribute key → values the holder owns exclusively.
-type GrantMap = BTreeMap<String, BTreeSet<String>>;
 
 /// A message to be sent to another network participant (GDS node or
 /// Greenstone server — both are addressed by host name).
@@ -54,7 +42,7 @@ pub struct GdsEffects {
 }
 
 impl GdsEffects {
-    fn send(&mut self, to: HostName, msg: GdsMessage) {
+    pub(crate) fn send(&mut self, to: HostName, msg: GdsMessage) {
         self.outbound.push(GdsOutbound { to, msg });
     }
 
@@ -68,150 +56,20 @@ impl GdsEffects {
     }
 }
 
-/// A flood remembered for replay to an adopted child: the `Broadcast`
-/// at an index of a shared frame (one reference, however many of the
-/// frame's items the ring holds), or the parts of one that arrived or
-/// was built alone.
-#[derive(Debug)]
-enum Recent {
-    Shared(Arc<[GdsMessage]>, usize),
-    Lone(MessageId, HostName, Payload),
-}
-
-impl Recent {
-    fn lone(msg: &GdsMessage) -> Self {
-        match msg {
-            GdsMessage::Broadcast {
-                id,
-                origin,
-                payload,
-            } => Recent::Lone(*id, origin.clone(), payload.clone()),
-            other => unreachable!("a flood run holds broadcasts, not {other}"),
-        }
-    }
-
-    fn broadcast(&self) -> GdsMessage {
-        match self {
-            Recent::Shared(frame, i) => frame[*i].clone(),
-            Recent::Lone(id, origin, payload) => GdsMessage::Broadcast {
-                id: *id,
-                origin: origin.clone(),
-                payload: payload.clone(),
-            },
-        }
-    }
-}
-
-/// Consecutive flood items of one frame with one flood decision.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    /// The items' indices in the frame.
-    start: usize,
-    end: usize,
-    /// Where the run's `Broadcast`s start in [`ForwardScratch::built`]
-    /// when they were built, not received as they go out.
-    built: Option<usize>,
-}
-
-/// The reused buffers of [`GdsNode::forward`]: the flood decision of
-/// the current item and of the run being gathered, as edge positions
-/// (local servers, then the parent, then the children), and the
-/// `Broadcast`s built from publishes or from payloads frozen on entry.
-#[derive(Debug, Default)]
-struct ForwardScratch {
-    edges: Vec<u32>,
-    run_edges: Vec<u32>,
-    built: Vec<GdsMessage>,
-}
-
 /// One auxiliary directory server in the GDS tree.
 ///
 /// The node knows its parent, its children, the Greenstone servers
-/// registered directly with it (`local`), and — via registration
-/// propagation — which child subtree every Greenstone server below it
-/// lives in. A stratum-1 node (no parent) therefore knows the entire
-/// network, exactly as Section 4.1 describes.
-///
-/// The node forwards the frame it received. It reads a frame's items
-/// by reference and decides each flood item as the paper does (local
-/// servers, then the parent, then the children); consecutive items with
-/// one decision form a run, and every edge of a run is sent one shared
-/// frame: the received frame itself when the run is all of it and goes
-/// out as it came, otherwise one frame built per run and form (the
-/// `Broadcast`s built from publishes, the `Deliver`s to local servers,
-/// a sub-run). A lone message is a run of one and goes out plain.
+/// registered with it and — via registration propagation — which child
+/// subtree every server below it lives in, so a stratum-1 node knows
+/// the entire network (Section 4.1). It forwards the frame it received,
+/// one shared frame per run of flood items, and asks its
+/// [`InterestMode`]'s machine which edges each item may skip.
 pub struct GdsNode {
     name: HostName,
     stratum: u8,
-    parent: Option<HostName>,
-    children: BTreeSet<HostName>,
-    local: BTreeSet<HostName>,
-    /// Greenstone server -> next hop (self for local, else a child).
-    subtree: BTreeMap<HostName, HostName>,
-    /// Duplicate-suppression memory: (origin, message id), probed on
-    /// every flood hop and never forgotten — kept as id runs per origin,
-    /// so an in-order flood costs one run however long it lasts.
-    seen: SeenIds,
-    /// Recently flooded events as `Broadcast`s, oldest first, at most
-    /// [`RECENT_CAP`] (so at most that many frames kept alive); replayed
-    /// to an adopted child to close the reparenting race where an
-    /// in-flight broadcast misses the moved subtree.
-    recent: VecDeque<Recent>,
-    /// Reused buffers of the flood path.
-    scratch: ForwardScratch,
-    /// When true (the deployment speaks wire format v2), flood
-    /// payloads are frozen to their binary bytes once on entry, so
-    /// every forwarded copy shares one encoded buffer instead of
-    /// re-serialising per edge.
-    encode_once: bool,
-    /// When true, flood forwarding consults `edge_summaries` and skips
-    /// edges whose subtree cannot match the event. Off by default: the
-    /// paper's full flood, byte-identical message counts.
-    pruning: bool,
-    /// Newest interest summary per direct edge (local Greenstone server
-    /// or child GDS node), with the sender's version. An edge with no
-    /// entry is treated as wildcard — never pruned — which is what makes
-    /// loss, reordering, restarts and reparenting safe: forgetting a
-    /// summary only ever widens delivery.
-    edge_summaries: BTreeMap<HostName, (u64, InterestSummary)>,
-    /// Version of this node's own upward summary announcements.
-    agg_version: u64,
-    /// What this node last announced to its parent (dedup of no-op
-    /// refreshes). `None` until the first announcement: the parent's
-    /// wildcard-by-absence default already covers us, so an initial
-    /// wildcard aggregate is never sent.
-    last_sent_summary: Option<InterestSummary>,
-    /// The attribute keys a flood must read off the event, sorted: the
-    /// union of digest keys across all edge summaries and of the held
-    /// grants' keys, rebuilt whenever either changes rather than per
-    /// flood. When it is empty the attribute machinery is provably a
-    /// no-op and the flood takes exactly the PR 5 code path.
-    requested_keys: Vec<String>,
-    /// Scratch for the prune anchor (`host.name` of the event's origin),
-    /// reused across floods so the anchor costs no allocation per hop.
-    anchor_scratch: String,
-    /// Opt-in rendezvous placement (off by default — the paper's flood).
-    rendezvous: bool,
-    /// Grants this node holds from its parent: for every `(key, value)`
-    /// listed here the parent proved no interest exists outside this
-    /// node's subtree, so matching events need not be forwarded upward.
-    held_grants: GrantMap,
-    /// Version of the newest grant accepted from the parent. Reset on
-    /// reparent (versions are per-granter).
-    held_grant_version: u64,
-    /// Grants currently extended to each child (dedup of no-op re-sends).
-    granted: BTreeMap<HostName, GrantMap>,
-    /// Version counter for outgoing grants (monotonic per this node).
-    grant_version: u64,
-    /// Popularity of each `(attribute, value)` subgroup, counted from
-    /// accepted summary aggregations; ranks grant candidates so the
-    /// [`MAX_GRANTS`] budget goes to the hottest subgroups first.
-    hot_hits: BTreeMap<String, BTreeMap<String, u64>>,
-    /// The aggregate may have changed since the last upward
-    /// announcement: registrations and edge updates only mark this, and
-    /// the driver sends at most one announcement per burst via
-    /// [`GdsNode::flush_deferred_announcement`].
-    announce_dirty: bool,
+    members: Membership,
+    flood: Flood,
+    interest: Interest,
     /// Pruned edges, accepted summary updates, confined hops and issued
     /// grants since the driver last drained [`GdsNode::counts_mut`].
     counts: Counts,
@@ -222,94 +80,56 @@ impl fmt::Debug for GdsNode {
         f.debug_struct("GdsNode")
             .field("name", &self.name)
             .field("stratum", &self.stratum)
-            .field("parent", &self.parent)
-            .field("children", &self.children.len())
-            .field("local", &self.local.len())
-            .field("subtree", &self.subtree.len())
+            .field("parent", &self.members.parent)
+            .field("children", &self.members.children.len())
+            .field("local", &self.members.local.len())
             .finish()
     }
 }
 
 impl GdsNode {
-    /// Creates a node on the given stratum. Stratum 1 nodes have no
-    /// parent.
+    /// Creates a flood node on the given stratum. Stratum 1 nodes have
+    /// no parent.
     pub fn new(name: impl Into<HostName>, stratum: u8, parent: Option<HostName>) -> Self {
         GdsNode {
             name: name.into(),
             stratum,
-            parent,
-            children: BTreeSet::new(),
-            local: BTreeSet::new(),
-            subtree: BTreeMap::new(),
-            seen: SeenIds::default(),
-            recent: VecDeque::new(),
-            scratch: ForwardScratch::default(),
-            encode_once: false,
-            pruning: false,
-            edge_summaries: BTreeMap::new(),
-            agg_version: 0,
-            last_sent_summary: None,
-            requested_keys: Vec::new(),
-            anchor_scratch: String::new(),
-            rendezvous: false,
-            held_grants: GrantMap::new(),
-            held_grant_version: 0,
-            granted: BTreeMap::new(),
-            grant_version: 0,
-            hot_hits: BTreeMap::new(),
-            announce_dirty: false,
+            members: Membership { parent, ..Membership::default() },
+            flood: Flood::default(),
+            interest: Interest::new(InterestMode::Flood),
             counts: Counts::default(),
         }
     }
 
-    /// Enables encode-once forwarding: flood payloads are frozen to
-    /// binary on entry and every edge shares the same buffer. Off by
-    /// default (v1 behaviour is byte-identical to the paper's text
-    /// wire).
+    /// Enables encode-once forwarding (wire v2): flood payloads are
+    /// frozen to binary on entry and every edge shares the same buffer.
     pub fn set_encode_once(&mut self, enabled: bool) {
-        self.encode_once = enabled;
+        self.flood.encode_once = enabled;
     }
 
-    /// Enables subscription-aware flood pruning. Off by default: with
-    /// pruning disabled the node neither consults nor announces interest
-    /// summaries, so the flood is the paper's full broadcast and message
-    /// counts are untouched.
-    pub fn set_pruning(&mut self, enabled: bool) {
-        self.pruning = enabled;
+    /// Chooses the interest machine at construction; the default,
+    /// [`InterestMode::Flood`], is the paper's broadcast message for
+    /// message.
+    pub fn set_interest(&mut self, mode: InterestMode) {
+        self.interest = Interest::new(mode);
     }
 
     /// The newest interest summary recorded for a direct edge, if any.
     pub fn edge_summary(&self, edge: &HostName) -> Option<&InterestSummary> {
-        self.edge_summaries.get(edge).map(|(_, s)| s)
-    }
-
-    /// All direct edges with a recorded interest summary, in edge-name
-    /// order. Edges absent here are treated as wildcard by the flood.
-    pub fn edge_summaries(&self) -> impl Iterator<Item = (&HostName, &InterestSummary)> {
-        self.edge_summaries.iter().map(|(edge, (_, s))| (edge, s))
+        self.interest.summary(edge)
     }
 
     /// The conservative union of this node's whole subtree: every direct
     /// edge's summary, with any edge lacking one widening the result to
     /// the wildcard (unknown means "could match anything").
     pub fn aggregate_summary(&self) -> InterestSummary {
-        let mut agg = InterestSummary::empty();
-        for member in self.local.iter().chain(self.children.iter()) {
-            match self.edge_summaries.get(member) {
-                Some((_, summary)) => agg.union_with(summary),
-                None => return InterestSummary::wildcard(),
-            }
-            if agg.is_wildcard() {
-                return agg;
-            }
-        }
-        agg
+        self.interest.aggregate(&self.members)
     }
 
     /// Id runs the duplicate-suppression memory holds: one per origin
     /// while floods arrive in order, one more per id still missing.
     pub fn seen_runs(&self) -> usize {
-        self.seen.runs()
+        self.flood.seen.runs()
     }
 
     /// What the node counted since its driver last drained this (the
@@ -318,60 +138,19 @@ impl GdsNode {
         &mut self.counts
     }
 
-    /// Builds the upward `SummaryUpdate` for `agg`, bumping the version.
-    /// When the aggregate equals what was last announced, the previously
-    /// sent summary object is reused so its frozen binary encoding (one
-    /// `Arc`'d buffer) is shared instead of re-serialised — beacon and
-    /// reparent re-announcements are byte-identical by definition.
-    fn announce(&mut self, agg: InterestSummary) -> Option<GdsOutbound> {
-        let parent = self.parent.clone()?;
-        self.agg_version += 1;
-        let summary = match &self.last_sent_summary {
-            Some(prev) if *prev == agg => prev.clone(),
-            _ => {
-                self.last_sent_summary = Some(agg.clone());
-                agg
-            }
-        };
-        Some(GdsOutbound {
-            to: parent,
-            msg: GdsMessage::SummaryUpdate {
-                from: self.name.clone(),
-                version: self.agg_version,
-                summary,
-            },
-        })
-    }
-
-    /// An unconditional re-announcement of the current aggregate to the
-    /// parent (the beacon heal of [`GdsNode::summary_refresh`], or
-    /// telling a brand-new parent after a reparent). Versions bump on
-    /// every announcement so the receiver — which keeps only the newest
-    /// per edge — always accepts it. Returns
-    /// `None` when pruning is off, the node is the root, or there has
-    /// never been anything better than the parent's wildcard-by-absence
-    /// default to say.
+    /// An unconditional re-announcement of the aggregate to the parent
+    /// (a beacon heal, or a new parent after a reparent). `None` for a
+    /// flood node, the root, or while there has never been anything
+    /// better than the parent's wildcard-by-absence default to say.
     pub fn summary_announcement(&mut self) -> Option<GdsOutbound> {
-        if !self.pruning {
-            return None;
-        }
-        self.parent.as_ref()?;
-        let agg = self.aggregate_summary();
-        if self.last_sent_summary.is_none() && agg.is_wildcard() {
-            return None;
-        }
-        self.announce(agg)
+        self.interest.announce(&self.name, &self.members, false)
     }
 
     /// The beacon heal: a [`GdsNode::summary_announcement`] unless the
     /// parent's beacon ([`GdsNode::beacons`]) shows it holds the newest
-    /// version sent (`held`, 0 for none). A parent that forgot this node
-    /// holds nothing, and one whose update was lost holds an older
-    /// version; an idle edge re-announces nothing. A node whose
-    /// aggregate is empty from the start is never marked dirty, so its
-    /// first announcement is this one.
+    /// version sent (`held`, 0 for none, as after a restart or a loss).
     pub fn summary_refresh(&mut self, held: u64) -> Option<GdsOutbound> {
-        if held != 0 && held >= self.agg_version {
+        if held != 0 && held >= self.interest.version() {
             return None;
         }
         self.summary_announcement()
@@ -379,205 +158,29 @@ impl GdsNode {
 
     /// Whether a deferred announcement is waiting to be flushed.
     pub fn announce_pending(&self) -> bool {
-        self.announce_dirty
+        self.interest.pending()
     }
 
     /// Flushes a pending deferred announcement: at most one upward
-    /// `SummaryUpdate` no matter how many edge changes marked the node
-    /// dirty since the last flush (and none at all if the burst cancelled
-    /// out to the already-announced aggregate).
+    /// `SummaryUpdate` per burst of edge changes, none if the burst
+    /// cancelled out to the aggregate already announced.
     pub fn flush_deferred_announcement(&mut self) -> Option<GdsOutbound> {
-        if !std::mem::take(&mut self.announce_dirty) {
+        if !self.interest.take_pending() {
             return None;
         }
-        if !self.pruning || self.parent.is_none() {
-            return None;
-        }
-        let agg = self.aggregate_summary();
-        if self.last_sent_summary.as_ref() == Some(&agg)
-            || (self.last_sent_summary.is_none() && agg.is_wildcard())
-        {
-            return None;
-        }
-        self.announce(agg)
-    }
-
-    /// Opt-in rendezvous placement (construction-time knob; default off).
-    /// With it off the node neither issues grants nor honours held ones,
-    /// so message counts match the paper's flood exactly.
-    pub fn set_rendezvous(&mut self, enabled: bool) {
-        self.rendezvous = enabled;
-        if !enabled {
-            self.held_grants.clear();
-            self.held_grant_version = 0;
-            self.rebuild_requested_keys();
-        }
+        self.interest.announce(&self.name, &self.members, true)
     }
 
     /// The grants currently held from the parent (test/inspection hook).
-    pub fn held_grants(&self) -> &BTreeMap<String, BTreeSet<String>> {
-        &self.held_grants
+    pub fn held_grants(&self) -> &AttrMap {
+        self.interest.held_grants()
     }
 
-    /// Re-derives everything downstream of an edge-summary change: the
-    /// requested-key cache and the children's rendezvous grants
-    /// (revocations ride the same effects batch as the change that
-    /// caused them). The upward announcement is only flagged: the driver
-    /// sends at most one per burst via
-    /// [`GdsNode::flush_deferred_announcement`].
-    fn interest_changed(&mut self, effects: &mut GdsEffects) {
-        self.rebuild_requested_keys();
-        self.recompute_grants(effects);
-        if self.pruning && self.parent.is_some() {
-            self.announce_dirty = true;
-        }
-    }
-
-    /// Called wherever `edge_summaries` or `held_grants` change. Held
-    /// grants are only ever non-empty with rendezvous on (disabling it
-    /// clears them), so their keys need no further condition here.
-    fn rebuild_requested_keys(&mut self) {
-        let keys: BTreeSet<&str> = self
-            .edge_summaries
-            .values()
-            .flat_map(|(_, summary)| summary.attrs().map(|(key, _)| key))
-            .chain(self.held_grants.keys().map(String::as_str))
-            .collect();
-        self.requested_keys.clear();
-        self.requested_keys.extend(keys.into_iter().map(str::to_owned));
-    }
-
-    /// Recomputes and (re)issues grants for every child whose entitled
-    /// set changed. Safe under loss/reorder because a grant only ever
-    /// *narrows* delivery when it is provably exclusive right now; any
-    /// widening of interest elsewhere immediately revokes in the same
-    /// effects batch, and beacons re-send current grants as a heal.
-    fn recompute_grants(&mut self, effects: &mut GdsEffects) {
-        if !self.rendezvous || !self.pruning {
-            return;
-        }
-        let children: Vec<HostName> = self.children.iter().cloned().collect();
-        for child in children {
-            let grants = self.grants_for(&child);
-            let unchanged = self
-                .granted
-                .get(&child)
-                .map_or(grants.is_empty(), |g| *g == grants);
-            if unchanged {
-                continue;
-            }
-            self.grant_version += 1;
-            self.counts.add(CounterId::GDS_RENDEZVOUS_GRANTS, 1);
-            effects.send(
-                child.clone(),
-                GdsMessage::RendezvousGrant {
-                    from: self.name.clone(),
-                    version: self.grant_version,
-                    grants: grants.clone(),
-                },
-            );
-            if grants.is_empty() {
-                self.granted.remove(&child);
-            } else {
-                self.granted.insert(child, grants);
-            }
-        }
-    }
-
-    /// The `(attribute, value)` subgroups `child` is entitled to own:
-    /// pairs its own summary digests declare interest in, where every
-    /// *other* downward edge provably excludes the value and the upward
-    /// side is covered (this node is the root, or it holds the pair from
-    /// its own parent — exclusivity is transitive). Hottest subgroups
-    /// first, capped at [`MAX_GRANTS`].
-    fn grants_for(&self, child: &HostName) -> GrantMap {
-        let Some((_, child_summary)) = self.edge_summaries.get(child) else {
-            return GrantMap::new();
-        };
-        let mut candidates: Vec<(&str, &str)> = Vec::new();
-        for (key, values) in child_summary.attrs() {
-            for value in values {
-                candidates.push((key, value.as_str()));
-            }
-        }
-        candidates.retain(|(key, value)| {
-            let outside_excluded = self
-                .local
-                .iter()
-                .chain(self.children.iter())
-                .filter(|edge| *edge != child)
-                .all(|edge| match self.edge_summaries.get(edge) {
-                    Some((_, summary)) => summary.excludes_value(key, value),
-                    None => false,
-                });
-            let upward_covered = self.parent.is_none()
-                || self
-                    .held_grants
-                    .get(*key)
-                    .is_some_and(|values| values.contains(*value));
-            outside_excluded && upward_covered
-        });
-        let hits = |pair: &(&str, &str)| -> u64 {
-            self.hot_hits
-                .get(pair.0)
-                .and_then(|per_value| per_value.get(pair.1))
-                .copied()
-                .unwrap_or(0)
-        };
-        candidates.sort_by(|a, b| hits(b).cmp(&hits(a)).then_with(|| a.cmp(b)));
-        candidates.truncate(MAX_GRANTS);
-        let mut grants = GrantMap::new();
-        for (key, value) in candidates {
-            grants
-                .entry(key.to_owned())
-                .or_default()
-                .insert(value.to_owned());
-        }
-        grants
-    }
-
-    /// One liveness beacon to every child, sent unprompted once per
-    /// interval; the child's detector does the timing. The beacon says
-    /// which of the child's summaries this node holds, so the child
-    /// re-announces only when that is behind. With rendezvous on, the
-    /// child's current grants follow (full replacement, fresh version),
-    /// so a lost grant or a restarted child converges on the next
-    /// beacon, the same way summaries re-announce.
+    /// One liveness beacon to every child, once per interval, saying
+    /// which of the child's summaries this node holds; with grants on,
+    /// the child's current grants follow as a heal.
     pub fn beacons(&mut self, effects: &mut GdsEffects) {
-        for child in &self.children {
-            let version = self.edge_summaries.get(child).map_or(0, |(v, _)| *v);
-            effects.send(child.clone(), GdsMessage::HeartbeatAck { version });
-            if !self.rendezvous {
-                continue;
-            }
-            if let Some(grants) = self.granted.get(child) {
-                self.grant_version += 1;
-                self.counts.add(CounterId::GDS_RENDEZVOUS_GRANTS, 1);
-                effects.send(
-                    child.clone(),
-                    GdsMessage::RendezvousGrant {
-                        from: self.name.clone(),
-                        version: self.grant_version,
-                        grants: grants.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Recomputes children's grants outside a message context (the actor
-    /// calls this after a reparent so revocations implied by the new
-    /// topology go out immediately).
-    pub fn refresh_rendezvous(&mut self, effects: &mut GdsEffects) {
-        self.recompute_grants(effects);
-    }
-
-    /// Remembers a flooded event for replay to later-adopted children.
-    fn remember(&mut self, entry: Recent) {
-        if self.recent.len() == RECENT_CAP {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(entry);
+        self.interest.beacons(&self.name, &self.members, &mut self.counts, effects);
     }
 
     /// The node's network name.
@@ -592,61 +195,68 @@ impl GdsNode {
 
     /// The node's parent, if any.
     pub fn parent(&self) -> Option<&HostName> {
-        self.parent.as_ref()
+        self.members.parent.as_ref()
     }
 
     /// The node's children.
     pub fn children(&self) -> impl Iterator<Item = &HostName> {
-        self.children.iter()
+        self.members.children.iter()
     }
 
     /// Declares `child` as a child of this node (topology construction).
     pub fn add_child(&mut self, child: impl Into<HostName>) {
-        self.children.insert(child.into());
+        self.members.children.insert(child.into());
     }
 
     /// Removes a child (topology change); subtree entries routed through
-    /// it are dropped.
+    /// it, its summary and its grants are dropped.
     pub fn remove_child(&mut self, child: &HostName) {
-        self.children.remove(child);
-        self.subtree.retain(|_, via| via != child);
-        self.edge_summaries.remove(child);
-        self.granted.remove(child);
+        self.members.remove_child(child);
+        self.interest.forget(child, true);
     }
 
-    /// Changes the node's parent (reparenting after a failure). Use
-    /// [`GdsNode::reregistrations`] to rebuild the new parent's view.
-    /// Grants held from the old parent are dropped — their exclusivity
-    /// proof was relative to the old position in the tree — and grant
-    /// versions restart because they are per-granter.
+    /// Changes the node's parent. Grants held from the old parent are
+    /// dropped (see the interest machine). Use [`GdsNode::reparent`] to
+    /// tell the tree as well.
     pub fn set_parent(&mut self, parent: Option<HostName>) {
-        self.parent = parent;
-        self.held_grants.clear();
-        self.held_grant_version = 0;
-        self.rebuild_requested_keys();
+        self.members.parent = parent;
+        self.interest.drop_held();
+    }
+
+    /// Re-attaches this node and its subtree under `parent` once the
+    /// old parent is declared dead: a `Detach` to the old parent (should
+    /// it heal), an `Adopt` and the subtree's `RegisterUp`s to the new
+    /// one, the summary announcement that resumes pruning on the new
+    /// edge, and the revocations of grants delegated to children, which
+    /// lost their upward cover with the held grants.
+    pub fn reparent(&mut self, parent: HostName, effects: &mut GdsEffects) {
+        let old = self.members.parent.clone();
+        self.set_parent(Some(parent.clone()));
+        if let Some(old) = old.filter(|old| *old != parent) {
+            effects.send(old, GdsMessage::Detach { child: self.name.clone() });
+        }
+        effects.send(parent, GdsMessage::Adopt { child: self.name.clone() });
+        effects.outbound.extend(self.reregistrations());
+        effects.outbound.extend(self.summary_announcement());
+        self.interest_changed(false, effects);
     }
 
     /// Whether `gs_host` is known in this node's subtree.
     pub fn knows(&self, gs_host: &HostName) -> bool {
-        self.subtree.contains_key(gs_host)
+        self.members.subtree.contains_key(gs_host)
     }
 
     /// `RegisterUp` messages re-announcing this node's whole subtree to
     /// its (new) parent.
     pub fn reregistrations(&self) -> Vec<GdsOutbound> {
-        let Some(parent) = &self.parent else {
+        let Some(parent) = &self.members.parent else {
             return Vec::new();
         };
-        self.subtree
-            .keys()
-            .map(|gs| GdsOutbound {
-                to: parent.clone(),
-                msg: GdsMessage::RegisterUp {
-                    gs_host: gs.clone(),
-                    via: self.name.clone(),
-                },
-            })
-            .collect()
+        let up = |gs_host: &HostName| GdsOutbound {
+            to: parent.clone(),
+            msg: GdsMessage::RegisterUp { gs_host: gs_host.clone(), via: self.name.clone() },
+        };
+        self.members.subtree.keys().map(up).collect()
     }
 
     /// Handles one inbound message. `from` is the network sender.
@@ -672,52 +282,26 @@ impl GdsNode {
     ) {
         match msg {
             GdsMessage::Register { gs_host } => {
-                self.local.insert(gs_host.clone());
-                self.subtree.insert(gs_host.clone(), self.name.clone());
                 // Any summary the server already announced stays: the
                 // transport may reorder a registration past the server's
                 // first announcements, and summary versions are monotonic
                 // for a server's lifetime, so what is stored is never
                 // staler than wildcard-by-absence. Departures reset the
                 // edge via Unregister/Detach instead.
-                if let Some(parent) = &self.parent {
-                    effects.send(
-                        parent.clone(),
-                        GdsMessage::RegisterUp {
-                            gs_host,
-                            via: self.name.clone(),
-                        },
-                    );
-                }
-                self.interest_changed(effects);
+                self.members.local.insert(gs_host.clone());
+                self.members.register(gs_host, self.name.clone(), &self.name, effects);
+                self.interest_changed(true, effects);
             }
             GdsMessage::Unregister { gs_host } => {
-                self.local.remove(&gs_host);
-                self.subtree.remove(&gs_host);
-                self.edge_summaries.remove(&gs_host);
-                if let Some(parent) = &self.parent {
-                    effects.send(parent.clone(), GdsMessage::UnregisterUp { gs_host });
-                }
-                self.interest_changed(effects);
+                self.members.local.remove(&gs_host);
+                self.interest.forget(&gs_host, false);
+                self.members.unregister(gs_host, effects);
+                self.interest_changed(true, effects);
             }
             GdsMessage::RegisterUp { gs_host, via } => {
-                self.subtree.insert(gs_host.clone(), via);
-                if let Some(parent) = &self.parent {
-                    effects.send(
-                        parent.clone(),
-                        GdsMessage::RegisterUp {
-                            gs_host,
-                            via: self.name.clone(),
-                        },
-                    );
-                }
+                self.members.register(gs_host, via, &self.name, effects);
             }
-            GdsMessage::UnregisterUp { gs_host } => {
-                self.subtree.remove(&gs_host);
-                if let Some(parent) = &self.parent {
-                    effects.send(parent.clone(), GdsMessage::UnregisterUp { gs_host });
-                }
-            }
+            GdsMessage::UnregisterUp { gs_host } => self.members.unregister(gs_host, effects),
             GdsMessage::Batch(frame) => self.forward(from, Some(&frame), &frame, effects),
             msg @ (GdsMessage::Publish { .. }
             | GdsMessage::Broadcast { .. }
@@ -725,143 +309,61 @@ impl GdsNode {
             | GdsMessage::Route { .. }) => {
                 self.forward(from, None, std::slice::from_ref(&msg), effects);
             }
-            GdsMessage::Resolve {
-                token,
-                name,
-                reply_to,
-            } => {
-                if self.local.contains(&name) {
-                    effects.send(
-                        reply_to.clone(),
-                        GdsMessage::ResolveResponse {
-                            token,
-                            name,
-                            result: Some(self.name.clone()),
-                        },
-                    );
-                } else if let Some(via) = self.subtree.get(&name).cloned() {
-                    effects.send(via, GdsMessage::Resolve { token, name, reply_to });
-                } else if let Some(parent) = self.parent.clone() {
-                    if &parent != from {
-                        effects.send(parent, GdsMessage::Resolve { token, name, reply_to });
-                    } else {
-                        effects.send(
-                            reply_to.clone(),
-                            GdsMessage::ResolveResponse {
-                                token,
-                                name,
-                                result: None,
-                            },
-                        );
-                    }
-                } else {
-                    effects.send(
-                        reply_to.clone(),
-                        GdsMessage::ResolveResponse {
-                            token,
-                            name,
-                            result: None,
-                        },
-                    );
-                }
+            GdsMessage::Resolve { token, name, reply_to } => {
+                self.members.resolve(token, name, reply_to, from, &self.name, effects);
             }
             GdsMessage::Adopt { child } => {
-                // A grandchild lost its parent and re-parents here.
-                // Replay recent events down the new edge: a broadcast
-                // that was in flight while the child's old parent was
-                // down would otherwise miss the moved subtree (the old
-                // parent learns of the detach and stops forwarding; this
-                // node finished its broadcast before the edge existed).
-                // The child's duplicate suppression absorbs re-sends.
-                for entry in &self.recent {
-                    effects.send(child.clone(), entry.broadcast());
-                }
-                // The adopted subtree's summary (if we ever had one from
-                // a previous stint as its parent) is stale; start at
+                // A grandchild lost its parent and re-parents here. A
+                // broadcast in flight while its old parent was down would
+                // miss the moved subtree (the old parent stops forwarding;
+                // this node finished before the edge existed): replay.
+                self.flood.replay(&child, effects);
+                // A summary from a previous stint as its parent is stale:
                 // wildcard-by-absence until the child announces afresh.
-                self.edge_summaries.remove(&child);
+                self.interest.forget(&child, false);
                 self.add_child(child);
-                self.interest_changed(effects);
+                self.interest_changed(true, effects);
             }
             GdsMessage::Detach { child } => {
-                // An old child re-parented elsewhere; drop the edge and
-                // everything routed through it (re-registrations via the
-                // new path rebuild the subtree view).
+                // An old child re-parented elsewhere: its re-registrations
+                // via the new path rebuild the subtree view.
                 self.remove_child(&child);
-                self.interest_changed(effects);
+                self.interest_changed(true, effects);
             }
-            GdsMessage::SummaryUpdate {
-                from: edge,
-                version,
-                summary,
-            } => {
+            GdsMessage::SummaryUpdate { from: edge, version, summary } => {
                 // Keyed by the announced edge (the direct child or local
-                // server the summary describes); only strictly newer
-                // versions are kept, so delayed or reordered updates can
-                // never clobber fresher knowledge.
-                let newer = self
-                    .edge_summaries
-                    .get(&edge)
-                    .is_none_or(|(v, _)| version > *v);
-                if newer {
-                    // Count subgroup popularity for rendezvous ranking:
-                    // every aggregation that mentions an (attr, value)
-                    // pair is one "hit" for that subgroup.
-                    for (key, values) in summary.attrs() {
-                        for value in values {
-                            *self
-                                .hot_hits
-                                .entry(key.to_owned())
-                                .or_default()
-                                .entry(value.clone())
-                                .or_insert(0) += 1;
-                        }
-                    }
-                    self.edge_summaries.insert(edge, (version, summary));
-                    self.counts.add(CounterId::GDS_SUMMARY_UPDATES, 1);
-                    self.interest_changed(effects);
+                // server the summary describes).
+                if self.interest.on_summary(edge, version, summary, &mut self.counts) {
+                    self.interest_changed(true, effects);
                 }
             }
-            GdsMessage::RendezvousGrant {
-                from: granter,
-                version,
-                grants,
-            } => {
-                // Full-replacement grant set from the parent; accepted
-                // only from the *current* parent and only when strictly
-                // newer (per-granter monotonic versions, like summaries).
-                // With rendezvous off the node ignores grants entirely —
-                // mixed trees degrade to plain pruning, never to loss.
-                if self.rendezvous
-                    && Some(&granter) == self.parent.as_ref()
-                    && version > self.held_grant_version
-                {
-                    self.held_grant_version = version;
-                    self.held_grants = grants;
-                    self.rebuild_requested_keys();
+            GdsMessage::RendezvousGrant { from: granter, version, grants } => {
+                // Only the current parent grants.
+                let from_parent = self.members.parent.as_ref() == Some(&granter);
+                if from_parent && self.interest.on_grant(version, grants) {
                     // Our own exclusivity proof feeds the children's:
                     // re-derive what we can delegate further down.
-                    self.recompute_grants(effects);
+                    self.interest_changed(false, effects);
                 }
             }
-            // Final deliveries, resolve answers and beacons are not the
-            // state machine's business; a GDS node receiving one ignores
-            // it (the actor layer intercepts beacons for its failure
-            // detector).
+            // Not the node's business (the actor layer takes beacons for
+            // its failure detector).
             GdsMessage::Deliver { .. }
             | GdsMessage::ResolveResponse { .. }
             | GdsMessage::HeartbeatAck { .. } => {}
         }
     }
 
+    /// See [`Interest::changed`]; `dirty` for a change of edges or
+    /// summaries, which the parent must hear of.
+    fn interest_changed(&mut self, dirty: bool, effects: &mut GdsEffects) {
+        self.interest.changed(dirty, &self.name, &self.members, &mut self.counts, effects);
+    }
+
     /// Floods and routes the items of a frame in order — a frame
-    /// received whole (`shared`), or one message, a frame of one.
-    ///
-    /// Per item, duplicate suppression and the flood decision
-    /// ([`GdsNode::decide`]) are the paper's. Consecutive flood items
-    /// with one decision form a run, which [`GdsNode::close_run`] sends
-    /// every edge of the run as one frame per form. Targeted and
-    /// control items end the run before them and are handled alone.
+    /// received whole (`shared`), or one message, a frame of one. The
+    /// flood machine takes the flood items; a targeted or control item
+    /// ends the run before it and is handled here, alone.
     fn forward(
         &mut self,
         from: &HostName,
@@ -869,441 +371,34 @@ impl GdsNode {
         items: &[GdsMessage],
         effects: &mut GdsEffects,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.built.clear();
-        let mut run: Option<Run> = None;
-        for (i, item) in items.iter().enumerate() {
-            let (publish, id, origin, payload) = match item {
-                // `from` is the publishing Greenstone server.
-                GdsMessage::Publish { id, payload } => (true, *id, from, payload),
-                GdsMessage::Broadcast {
-                    id,
-                    origin,
-                    payload,
-                } => (false, *id, origin, payload),
-                other => {
-                    self.close_run(run.take(), shared, items, &scratch, effects);
-                    self.handle_item(from, other, effects);
-                    continue;
-                }
+        let (frame, mut next) = (Frame { from, shared, items }, 0);
+        loop {
+            let (members, interest, counts) = (&self.members, &mut self.interest, &mut self.counts);
+            let Some(i) = self.flood.forward(frame, next, members, interest, counts, effects) else {
+                return;
             };
-            if !self.seen.insert(origin, id.as_u64()) {
-                self.close_run(run.take(), shared, items, &scratch, effects);
-                continue;
-            }
-            // A publish becomes the `Broadcast` every hop forwards, and a
-            // v2 node serialises a payload once, here: every frame that
-            // carries the item shares the one buffer.
-            let built = (publish || (self.encode_once && !payload.is_frozen())).then(|| {
-                let mut payload = payload.clone();
-                if self.encode_once {
-                    payload.freeze();
+            match &items[i] {
+                GdsMessage::PublishTargeted { id, targets, payload } => {
+                    self.members.route(from, *id, targets, payload, None, effects);
                 }
-                scratch.built.push(GdsMessage::Broadcast {
-                    id,
-                    origin: origin.clone(),
-                    payload,
-                });
-                scratch.built.len() - 1
-            });
-            let payload = match built.map(|b| &scratch.built[b]) {
-                Some(GdsMessage::Broadcast { payload, .. }) => payload,
-                _ => payload,
-            };
-            let came_from = (!publish).then_some(from);
-            self.decide(origin, payload, came_from, &mut scratch.edges);
-            // Compared item by item: comparing two empty slices with
-            // `==` costs a library call, and a leaf's decision is empty.
-            let extends = run.is_some_and(|r| r.end == i && r.built.is_some() == built.is_some())
-                && scratch.edges.iter().eq(&scratch.run_edges);
-            if !extends {
-                self.close_run(run.take(), shared, items, &scratch, effects);
-                std::mem::swap(&mut scratch.edges, &mut scratch.run_edges);
-            }
-            let run = run.get_or_insert(Run {
-                start: i,
-                end: i,
-                built,
-            });
-            run.end = i + 1;
-        }
-        self.close_run(run, shared, items, &scratch, effects);
-        self.scratch = scratch;
-    }
-
-    /// Sends a run every edge of its decision (`scratch.run_edges`) and
-    /// remembers its items. A local server gets the `Deliver` form, the
-    /// parent and the children the `Broadcast` form. A run of one goes
-    /// out as the one message; a longer run goes out as one shared frame
-    /// per form — the received frame when the run is all of it and was
-    /// received as it goes out, otherwise a frame built here — and its
-    /// entries are a stretch of [`GdsEffects::runs`].
-    fn close_run(
-        &mut self,
-        run: Option<Run>,
-        shared: Option<&Arc<[GdsMessage]>>,
-        items: &[GdsMessage],
-        scratch: &ForwardScratch,
-        effects: &mut GdsEffects,
-    ) {
-        let Some(run) = run else {
-            return;
-        };
-        let n = run.end - run.start;
-        let src = match run.built {
-            Some(b) => &scratch.built[b..b + n],
-            None => &items[run.start..run.end],
-        };
-        let edges = &scratch.run_edges;
-        let locals = self.local.len();
-        // A longer run goes out as one frame per form, built once.
-        let broadcast = (n > 1
-            && (run.built.is_some() || edges.last().is_some_and(|&e| e as usize >= locals)))
-        .then(|| match shared {
-            Some(whole) if run.built.is_none() && n == whole.len() => whole.clone(),
-            _ => src.iter().cloned().collect(),
-        });
-        let deliver = (n > 1 && edges.first().is_some_and(|&e| (e as usize) < locals))
-            .then(|| src.iter().map(deliver_form).collect::<Arc<[GdsMessage]>>());
-        let first = effects.outbound.len();
-        let mut wanted = edges.iter().peekable();
-        let all = self.local.iter().chain(&self.parent).chain(&self.children);
-        for (pos, edge) in (0u32..).zip(all) {
-            let Some(&&next) = wanted.peek() else {
-                break;
-            };
-            if next != pos {
-                continue;
-            }
-            wanted.next();
-            let msg = match ((pos as usize) < locals, &deliver, &broadcast) {
-                (true, Some(frame), _) | (false, _, Some(frame)) => {
-                    GdsMessage::Batch(frame.clone())
+                GdsMessage::Route { id, origin, targets, payload } => {
+                    self.members.route(origin, *id, targets, payload, Some(from), effects);
                 }
-                (true, None, _) => deliver_form(&src[0]),
-                (false, _, None) => src[0].clone(),
-            };
-            effects.send(edge.clone(), msg);
-        }
-        if n > 1 && effects.outbound.len() > first {
-            effects.runs.push(first..effects.outbound.len());
-        }
-        for (k, item) in src.iter().enumerate() {
-            let entry = match (run.built, shared, &broadcast) {
-                (None, Some(frame), _) => Recent::Shared(frame.clone(), run.start + k),
-                (Some(_), _, Some(frame)) => Recent::Shared(frame.clone(), k),
-                _ => Recent::lone(item),
-            };
-            self.remember(entry);
+                other => self.handle_message_into(from, other.clone(), effects),
+            }
+            next = i + 1;
         }
     }
-
-    /// A frame's targeted item is routed by reference; any other item
-    /// that is not a flood is handled as a message of its own.
-    fn handle_item(&mut self, from: &HostName, item: &GdsMessage, effects: &mut GdsEffects) {
-        match item {
-            GdsMessage::PublishTargeted {
-                id,
-                targets,
-                payload,
-            } => self.route(from, id.as_u64(), targets, payload, None, effects),
-            GdsMessage::Route {
-                id,
-                origin,
-                targets,
-                payload,
-            } => self.route(origin, id.as_u64(), targets, payload, Some(from), effects),
-            other => self.handle_message_into(from, other.clone(), effects),
-        }
-    }
-
-    /// The tree flood's decision for one event: deliver to local
-    /// Greenstone servers (except the origin) and forward to every tree
-    /// neighbour except the one the message came from. Writes the
-    /// chosen edges into `edges` as positions in the order local
-    /// servers, parent, children.
-    ///
-    /// With pruning on, downward edges (local servers and children)
-    /// whose recorded summary cannot match the event's origin are
-    /// skipped. The parent edge is never pruned — the rest of the tree
-    /// is reachable only through it, and upward interest is not
-    /// summarised here. Any reason to doubt the skip (no summary for
-    /// the edge, an undecodable payload, pruning off) falls back to
-    /// forwarding: false positives cost a message, false negatives are
-    /// impossible by construction.
-    fn decide(
-        &mut self,
-        origin: &HostName,
-        payload: &Payload,
-        came_from: Option<&HostName>,
-        edges: &mut Vec<u32>,
-    ) {
-        edges.clear();
-        // Attribute digests and held grants only matter when some edge
-        // summary (or the parent) actually mentions them; with no key
-        // requested — always the case with the features off — the flood
-        // below is exactly the PR 5 anchor-only path.
-        let confinable = self.rendezvous && !self.held_grants.is_empty();
-        let requested = &self.requested_keys;
-        let mut event_attrs: Vec<(String, Vec<String>)> = Vec::new();
-        // The prune anchor: `coll` holds the origin as `host.name` and
-        // the host is its first `host_len` bytes.
-        let mut coll = std::mem::take(&mut self.anchor_scratch);
-        coll.clear();
-        let mut host_len = 0;
-        let mut set_anchor = |host: &str, name: &str| {
-            coll.push_str(host);
-            host_len = host.len();
-            coll.push('.');
-            coll.push_str(name);
-        };
-        if self.pruning && (!self.edge_summaries.is_empty() || confinable) {
-            // The anchor needs only the origin header. On frozen binary
-            // payloads the attribute probe reads it in place — no per-hop
-            // Event (and per-doc metadata) materialisation. Attribute
-            // values (event kind, per-doc metadata) are only gathered
-            // when a digest or grant could use them.
-            match payload.probe_event() {
-                Some(probe) => {
-                    set_anchor(probe.origin_host(), probe.origin_name());
-                    if !requested.is_empty() {
-                        // A probe failure mid-docs leaves `event_attrs`
-                        // empty: no attribute pruning, no confinement —
-                        // the conservative fallback, same as the anchor.
-                        event_attrs = probe_attr_values(probe, requested).unwrap_or_default();
-                    }
-                }
-                None => {
-                    if let Ok(event) = payload.decode_event() {
-                        set_anchor(event.origin.host().as_str(), event.origin.name().as_str());
-                        if !requested.is_empty() {
-                            event_attrs = event_attr_values(&event, requested);
-                        }
-                    }
-                }
-            }
-        }
-        let anchor = (!coll.is_empty()).then(|| (&coll[..host_len], coll.as_str()));
-        // Whether the event may be confined to this subtree: some held
-        // grant key where the event has values and *all* of them are
-        // granted to us (a partially granted value set must still go up —
-        // the ungranted values may have interest elsewhere).
-        let confined = confinable
-            && !event_attrs.is_empty()
-            && event_attrs.iter().any(|(key, values)| {
-                !values.is_empty()
-                    && self
-                        .held_grants
-                        .get(key)
-                        .is_some_and(|granted| values.iter().all(|v| granted.contains(v)))
-            });
-        let mut pruned = 0u64;
-        let summaries = &self.edge_summaries;
-        let event_attrs = &event_attrs;
-        let mut prunable = |edge: &HostName| -> bool {
-            let skip = match (&anchor, summaries.get(edge)) {
-                (Some((host, coll)), Some((_, summary))) => {
-                    !summary.may_match(host, coll)
-                        || (!event_attrs.is_empty()
-                            && summary.has_attrs()
-                            && excluded_by_digests(summary, event_attrs))
-                }
-                _ => false,
-            };
-            pruned += u64::from(skip);
-            skip
-        };
-        let mut pos = 0u32;
-        for gs in &self.local {
-            if gs != origin && !prunable(gs) {
-                edges.push(pos);
-            }
-            pos += 1;
-        }
-        let mut confined_hops = 0u64;
-        if let Some(parent) = &self.parent {
-            if Some(parent) != came_from {
-                if confined {
-                    // A held grant proves no interest in this event's
-                    // subgroup exists outside our subtree: the upward
-                    // hop (and the flood it would seed across the rest
-                    // of the tree) is skipped entirely.
-                    confined_hops += 1;
-                } else {
-                    edges.push(pos);
-                }
-            }
-            pos += 1;
-        }
-        for child in &self.children {
-            if Some(child) != came_from && !prunable(child) {
-                edges.push(pos);
-            }
-            pos += 1;
-        }
-        self.counts.add(CounterId::GDS_PRUNED_EDGES, pruned);
-        self.counts.add(CounterId::GDS_RENDEZVOUS_CONFINED, confined_hops);
-        self.anchor_scratch = coll;
-    }
-
-    /// Targeted routing along the tree using the subtree registry.
-    fn route(
-        &self,
-        origin: &HostName,
-        id: u64,
-        targets: &[HostName],
-        payload: &Payload,
-        came_from: Option<&HostName>,
-        effects: &mut GdsEffects,
-    ) {
-        let mid = MessageId::from_raw(id);
-        let mut per_child: BTreeMap<HostName, Vec<HostName>> = BTreeMap::new();
-        let mut upward: Vec<HostName> = Vec::new();
-        for target in targets {
-            if self.local.contains(target) {
-                effects.send(
-                    target.clone(),
-                    GdsMessage::Deliver {
-                        id: mid,
-                        origin: origin.clone(),
-                        payload: payload.clone(),
-                    },
-                );
-            } else if let Some(via) = self.subtree.get(target) {
-                per_child.entry(via.clone()).or_default().push(target.clone());
-            } else {
-                upward.push(target.clone());
-            }
-        }
-        for (child, targets) in per_child {
-            effects.send(
-                child,
-                GdsMessage::Route {
-                    id: mid,
-                    origin: origin.clone(),
-                    targets,
-                    payload: payload.clone(),
-                },
-            );
-        }
-        if !upward.is_empty() {
-            match (&self.parent, came_from) {
-                (Some(parent), came) if came != Some(parent) => {
-                    effects.send(
-                        parent.clone(),
-                        GdsMessage::Route {
-                            id: mid,
-                            origin: origin.clone(),
-                            targets: upward,
-                            payload: payload.clone(),
-                        },
-                    );
-                }
-                _ => effects.undeliverable.extend(upward),
-            }
-        }
-    }
-}
-
-/// The final delivery of a flooded `Broadcast` to a local server.
-fn deliver_form(msg: &GdsMessage) -> GdsMessage {
-    match msg {
-        GdsMessage::Broadcast {
-            id,
-            origin,
-            payload,
-        } => GdsMessage::Deliver {
-            id: *id,
-            origin: origin.clone(),
-            payload: payload.clone(),
-        },
-        other => unreachable!("a flood run holds broadcasts, not {other}"),
-    }
-}
-
-/// Whether an edge summary's attribute digests rule the event out: some
-/// digested key where none of the event's values is in the allowed set.
-/// An event that *lacks* a digested attribute entirely (empty values) is
-/// also excluded — every interest behind the digest demands a positive
-/// equality on it. `event_attrs` covers every key any edge digests, so a
-/// missing entry cannot mean "not extracted" here (extraction failure
-/// leaves the whole list empty and the caller skips this test).
-fn excluded_by_digests(summary: &InterestSummary, event_attrs: &[(String, Vec<String>)]) -> bool {
-    event_attrs.iter().any(|(key, values)| {
-        summary
-            .attr_constraint(key)
-            .is_some_and(|allowed| !values.iter().any(|v| allowed.contains(v)))
-    })
-}
-
-/// Collects the event's values for each requested digest key by probing
-/// the frozen payload in place: the event kind for [`ATTR_KEY_KIND`],
-/// and the union across documents of metadata values for `meta:`-prefixed
-/// keys. Returns one entry per requested key — an empty value list means
-/// the event provably lacks that attribute. `None` on a malformed doc
-/// section (callers fall back to no attribute knowledge).
-fn probe_attr_values(
-    mut probe: gsa_wire::EventProbe<'_>,
-    requested: &[String],
-) -> Option<Vec<(String, Vec<String>)>> {
-    let mut out: Vec<(String, Vec<String>)> = requested
-        .iter()
-        .map(|key| (key.clone(), Vec::new()))
-        .collect();
-    let mut wants_meta = false;
-    for (key, values) in &mut out {
-        if key == ATTR_KEY_KIND {
-            values.push(probe.kind().as_str().to_owned());
-        } else if key.starts_with(ATTR_META_PREFIX) {
-            wants_meta = true;
-        }
-    }
-    if wants_meta {
-        while let Some(doc) = probe.next_doc().ok()? {
-            for (key, values) in &mut out {
-                let Some(target) = key.strip_prefix(ATTR_META_PREFIX) else {
-                    continue;
-                };
-                for (meta_key, meta_value) in doc.metadata() {
-                    if meta_key == target && !values.iter().any(|v| v == meta_value) {
-                        values.push(meta_value.to_owned());
-                    }
-                }
-            }
-        }
-    }
-    Some(out)
-}
-
-/// Decoded-event twin of [`probe_attr_values`] for XML (v1) payloads.
-fn event_attr_values(event: &gsa_types::Event, requested: &[String]) -> Vec<(String, Vec<String>)> {
-    requested
-        .iter()
-        .map(|key| {
-            let mut values: Vec<String> = Vec::new();
-            if key == ATTR_KEY_KIND {
-                values.push(event.kind.as_str().to_owned());
-            } else if let Some(target) = key.strip_prefix(ATTR_META_PREFIX) {
-                for doc in &event.docs {
-                    for value in doc.metadata.all(target) {
-                        if !values.iter().any(|v| v == value) {
-                            values.push(value.clone());
-                        }
-                    }
-                }
-            }
-            (key.clone(), values)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flood::RECENT_CAP;
     use crate::message::ResolveToken;
-    use gsa_types::MessageId;
-    use gsa_wire::XmlElement;
-    use std::collections::BTreeMap;
+    use gsa_types::{CounterId, MessageId};
+    use gsa_wire::{Payload, XmlElement};
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// A tiny in-test router over a map of GDS nodes; Greenstone-server
     /// deliveries are collected instead of routed.
@@ -1370,11 +465,11 @@ mod tests {
     fn registration_propagates_to_root() {
         let nodes = figure2();
         let root = &nodes[&HostName::new("gds-1")];
-        assert_eq!(root.subtree.len(), 7);
+        assert_eq!(root.members.subtree.len(), 7);
         assert!(root.knows(&"gs-7".into()));
         // Intermediate node knows only its subtree.
         let gds3 = &nodes[&HostName::new("gds-3")];
-        assert_eq!(gds3.subtree.len(), 3); // gs-3, gs-6, gs-7
+        assert_eq!(gds3.members.subtree.len(), 3); // gs-3, gs-6, gs-7
         assert!(!gds3.knows(&"gs-5".into()));
     }
 
@@ -1623,10 +718,10 @@ mod tests {
     #[test]
     fn a_beacon_says_which_summary_the_parent_holds() {
         let mut parent = GdsNode::new("gds-3", 2, Some(HostName::new("gds-1")));
-        parent.set_pruning(true);
+        parent.set_interest(InterestMode::Prune);
         parent.add_child("gds-7");
         let mut child = GdsNode::new("gds-7", 3, Some(HostName::new("gds-3")));
-        child.set_pruning(true);
+        child.set_interest(InterestMode::Prune);
         child.handle_message(
             &"gs-7".into(),
             GdsMessage::Register {
@@ -1750,7 +845,7 @@ mod tests {
     fn pruned_figure2() -> BTreeMap<HostName, GdsNode> {
         let mut nodes = figure2();
         for node in nodes.values_mut() {
-            node.set_pruning(true);
+            node.set_interest(InterestMode::Prune);
         }
         for i in 1..=7 {
             let gds = HostName::new(format!("gds-{i}"));
@@ -1874,15 +969,15 @@ mod tests {
     #[test]
     fn disabled_pruning_sends_no_summary_traffic_and_full_floods() {
         let mut nodes = figure2();
-        // Updates are stored even with pruning off (cheap, and they are
-        // ready if pruning turns on), but nothing propagates upward and
-        // floods stay full.
+        // A flood node keeps no summary it is sent, so nothing
+        // propagates upward and floods stay full.
         pump(
             &mut nodes,
             &"gds-6".into(),
             &"gs-6".into(),
             GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 1, summary: InterestSummary::empty() },
         );
+        assert!(nodes[&HostName::new("gds-6")].edge_summary(&"gs-6".into()).is_none());
         assert!(nodes[&HostName::new("gds-3")].edge_summary(&"gds-6".into()).is_none());
         let (deliveries, _) = pump(
             &mut nodes,
@@ -1896,7 +991,7 @@ mod tests {
     #[test]
     fn summary_announcement_bumps_versions_and_skips_initial_wildcard() {
         let mut node = GdsNode::new("gds-9", 2, Some(HostName::new("gds-1")));
-        node.set_pruning(true);
+        node.set_interest(InterestMode::Prune);
         node.add_child("gds-10");
         // Child edge has no summary → aggregate is wildcard → nothing
         // better than the parent's default to say.
@@ -1941,7 +1036,7 @@ mod tests {
     fn attr_pruned_figure2() -> BTreeMap<HostName, GdsNode> {
         let mut nodes = figure2();
         for node in nodes.values_mut() {
-            node.set_pruning(true);
+            node.set_interest(InterestMode::Prune);
         }
         for i in 1..=7 {
             let gds = HostName::new(format!("gds-{i}"));
@@ -2024,7 +1119,7 @@ mod tests {
     fn meta_digests_prune_events_lacking_the_attribute() {
         let mut nodes = figure2();
         for node in nodes.values_mut() {
-            node.set_pruning(true);
+            node.set_interest(InterestMode::Prune);
         }
         let mut wants_maori = host_summary("gs-5");
         wants_maori.constrain_attr("meta:Language".to_owned(), vec!["mi".to_owned()]);
@@ -2067,8 +1162,7 @@ mod tests {
     fn rendezvous_figure2() -> BTreeMap<HostName, GdsNode> {
         let mut nodes = figure2();
         for node in nodes.values_mut() {
-            node.set_pruning(true);
-            node.set_rendezvous(true);
+            node.set_interest(InterestMode::PruneWithGrants);
         }
         for i in 1..=7 {
             let gds = HostName::new(format!("gds-{i}"));
@@ -2203,8 +1297,11 @@ mod tests {
         // flood is plain digest-pruned.
         let mut nodes = figure2();
         for (name, node) in nodes.iter_mut() {
-            node.set_pruning(true);
-            node.set_rendezvous(name != &HostName::new("gds-1"));
+            node.set_interest(if name == &HostName::new("gds-1") {
+                InterestMode::Prune
+            } else {
+                InterestMode::PruneWithGrants
+            });
         }
         for i in 1..=7 {
             let gds = HostName::new(format!("gds-{i}"));
@@ -2273,7 +1370,7 @@ mod tests {
     #[test]
     fn deferred_announcements_coalesce_a_burst_into_one_update() {
         let mut node = GdsNode::new("gds-9", 2, Some(HostName::new("gds-1")));
-        node.set_pruning(true);
+        node.set_interest(InterestMode::Prune);
         let mut updates = 0;
         for (i, gs) in ["gs-a", "gs-b", "gs-c"].iter().enumerate() {
             let effects = node.handle_message(
@@ -2348,7 +1445,7 @@ mod tests {
         for frame in &frames {
             node.handle_message(&parent, GdsMessage::Batch(frame.clone()));
         }
-        assert_eq!(node.recent.len(), RECENT_CAP);
+        assert_eq!(node.flood.recent.len(), RECENT_CAP);
         assert!(first.upgrade().is_none(), "the fully evicted frame is released");
         // The second frame lost its first five items to the cap.
         assert_eq!(Arc::strong_count(&frames[0]), 1 + 3);

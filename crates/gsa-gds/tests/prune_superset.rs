@@ -16,7 +16,7 @@
 //! vanishes from its node (`Unregister`) and re-registers somewhere
 //! else, re-announcing its interests with its next summary version.
 
-use gsa_gds::{GdsMessage, GdsNode};
+use gsa_gds::{GdsMessage, GdsNode, InterestMode};
 use gsa_types::{CollectionId, Event, EventId, EventKind, HostName, MessageId, SimTime};
 use gsa_wire::codec::event_to_xml;
 use gsa_wire::{InterestSummary, ATTR_KEY_KIND};
@@ -132,8 +132,11 @@ impl Harness {
         let mut parent_of = BTreeMap::new();
         for (i, (name, stratum, parent, children)) in spec.iter().enumerate() {
             let mut node = GdsNode::new(*name, *stratum, parent.map(HostName::new));
-            node.set_pruning(true);
-            node.set_rendezvous(rendezvous_mask & (1 << i) != 0);
+            node.set_interest(if rendezvous_mask & (1 << i) != 0 {
+                InterestMode::PruneWithGrants
+            } else {
+                InterestMode::Prune
+            });
             for c in *children {
                 node.add_child(*c);
             }

@@ -167,6 +167,12 @@ fn drain(system: &mut System, clients: &[(&'static str, ClientId)]) -> Delivered
 /// host-, collection- and kind-anchored and never-matching profiles
 /// across the rest of the tree, three rebuilds.
 fn broadcast(seed: u64, c: &Cell) -> Delivered {
+    let (mut system, clients) = run_broadcast(seed, c);
+    drain(&mut system, &clients)
+}
+
+/// The deployment after [`broadcast`]'s run, with its watchers.
+fn run_broadcast(seed: u64, c: &Cell) -> (System, Vec<(&'static str, ClientId)>) {
     let mut system = deploy(seed, c);
     for (host, gds) in [
         ("Hamilton", "gds-4"),
@@ -196,7 +202,7 @@ fn broadcast(seed: u64, c: &Cell) -> Delivered {
     system.run_until(SimTime::from_secs(35));
     system.rebuild("Hamilton", "D", vec![doc("d2")]).unwrap();
     system.run_until_quiet(SimTime::from_secs(120));
-    drain(&mut system, &clients)
+    (system, clients)
 }
 
 /// Figure-3 auxiliary rewrite: Hamilton.D includes London.E, so one
@@ -254,6 +260,25 @@ fn every_cell_delivers_the_paper_broadcast() {
         broadcast,
         &[("Paris", 2), ("Berlin", 1), ("Oslo", 3), ("Madrid", 0)],
     );
+}
+
+/// Rendezvous without pruning is the paper's flood: with pruning off no
+/// summary is ever announced, so no grant is ever issued. On the
+/// Figure-2 broadcast that cell sends the all-off cell's GDS frames,
+/// frame for frame and byte for byte.
+#[test]
+fn rendezvous_without_pruning_sends_the_flood_frames() {
+    let all_off = CELLS[0];
+    let rendezvous_only = Cell { rendezvous: true, ..all_off };
+    for seed in SEEDS {
+        let sent = |c: &Cell| {
+            let (system, _) = run_broadcast(seed, c);
+            ["gds.messages", "net.sent", "net.bytes_sent"].map(|k| system.metrics().counter(k))
+        };
+        let flood = sent(&all_off);
+        assert!(flood[0] > 0, "seed {seed}: the broadcast floods");
+        assert_eq!(sent(&rendezvous_only), flood, "seed {seed}");
+    }
 }
 
 #[test]
