@@ -9,7 +9,12 @@ use gsa_core::{System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
-use gsa_types::{ClientId, CollectionId, SimTime};
+use gsa_types::{ClientId, CollectionId, HostName, SimDuration, SimTime};
+use gsa_workload::{
+    run_scheme, ChurnEvent, FaultPlan, FaultPlanParams, GsWorld, ProfileMix, ProfilePopulation,
+    RebuildSchedule, RunConfig, RunOutcome, Scheme, WorldParams,
+};
+use std::collections::BTreeMap;
 
 fn doc(id: &str, text: &str) -> SourceDocument {
     SourceDocument::new(id, text)
@@ -115,6 +120,96 @@ fn hybrid_run_output_is_pinned_per_seed() {
     assert_eq!(
         hashes, pinned,
         "same-seed output moved at seeds 11/21/31: {hashes:#018x?}"
+    );
+}
+
+/// FNV-1a of one run's whole outcome. `cancels` and `partitions` are
+/// hash maps, so they are sorted before hashing.
+fn outcome_hash(mut outcome: RunOutcome) -> u64 {
+    let cancels: BTreeMap<_, _> = std::mem::take(&mut outcome.cancels).into_iter().collect();
+    let partitions: BTreeMap<_, _> = std::mem::take(&mut outcome.partitions).into_iter().collect();
+    fnv1a64(format!("{outcome:?}\n{cancels:?}\n{partitions:?}").as_bytes())
+}
+
+/// Every scheme's [`RunOutcome`] on an E4-sized world (16 servers, 40
+/// profiles, 25 rebuilds) under churn, 10 % ambient loss and a fault plan
+/// with loss bursts, directory crashes, a partition wave and hard server
+/// crashes, plus one reliable, durable hybrid run of the same plan. Every
+/// delivery, delay, count and applied fault window is hashed, so a
+/// refactor of the runners or the baselines that claims "nothing
+/// observable moves" is checked per scheme. A PR that means to change
+/// behaviour updates the six constants and says why.
+#[test]
+fn every_scheme_outcome_is_pinned_per_seed() {
+    let seed = 4_300;
+    let world = GsWorld::generate(&WorldParams {
+        seed,
+        servers: 16,
+        p_solitary: 0.4,
+        max_island: 5,
+        collections_per_server: 2,
+        p_remote_sub: 0.5,
+        p_extra_edge: 0.3,
+        p_private: 0.15,
+    });
+    let population = ProfilePopulation::generate(seed + 1, &world, 40, &ProfileMix::default());
+    let horizon = SimDuration::from_secs(60);
+    let schedule = RebuildSchedule::generate(seed + 2, &world, 25, horizon, 3);
+    let churn = ChurnEvent::schedule(seed + 3, &world, 2, 8, population.len(), horizon);
+    let fanout = 3;
+    let (topo, _) = world.gds_tree(fanout);
+    let crashable: Vec<HostName> = topo
+        .specs()
+        .iter()
+        .filter(|s| s.parent.is_some())
+        .map(|s| s.name.clone())
+        .collect();
+    let faults = FaultPlan::generate_with_servers(
+        seed + 4,
+        &crashable,
+        &world.hosts,
+        &world.hosts,
+        &FaultPlanParams {
+            horizon,
+            base_drop: 0.1,
+            server_crashes: 2,
+            ..FaultPlanParams::default()
+        },
+    );
+    let cfg = RunConfig {
+        seed: seed + 5,
+        fanout,
+        drain: SimDuration::from_secs(60),
+        base_drop: 0.1,
+        faults: Some(faults),
+        ..RunConfig::default()
+    };
+    let durable = RunConfig {
+        reliable: true,
+        durable: true,
+        ..cfg.clone()
+    };
+    let runs = Scheme::ALL
+        .iter()
+        .map(|&scheme| (scheme, &cfg))
+        .chain([(Scheme::Hybrid, &durable)]);
+    let hashes: Vec<u64> = runs
+        .map(|(scheme, cfg)| {
+            outcome_hash(run_scheme(scheme, &world, &population, &schedule, &churn, cfg))
+        })
+        .collect();
+    let pinned = [
+        0x980f_5d28_9317_3db3_u64,
+        0xa307_faef_9947_cef8,
+        0xd47d_a9a5_a64b_41f1,
+        0xc9bf_1640_40ae_6f27,
+        0xb84f_7c5d_58eb_32e7,
+        0xc5e4_198c_31e7_bc97,
+    ];
+    assert_eq!(
+        hashes, pinned,
+        "outcomes moved (hybrid, gs-flood, gs-flood-nodedup, profile-flood, rendezvous, \
+         durable hybrid): {hashes:#018x?}"
     );
 }
 
