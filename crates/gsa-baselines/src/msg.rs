@@ -1,8 +1,10 @@
 //! Shared message and record types for the baseline schemes.
 
 use gsa_profile::ProfileExpr;
+use gsa_simnet::{Ctx, NodeId};
 use gsa_types::{ClientId, Event, EventId, HostName, SimTime};
 use gsa_wire::codec::event_to_xml;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A globally unique profile identity: owning host plus host-local
@@ -39,6 +41,30 @@ pub struct Delivery {
     /// notification reached a *cancelled* subscription (an orphan-profile
     /// false positive).
     pub spurious: bool,
+}
+
+impl Delivery {
+    /// A notification for `profile` reaching its owner `host`. It is
+    /// spurious when `active`, the owner's live profiles, no longer holds
+    /// it.
+    pub(crate) fn at_owner(
+        host: &HostName,
+        active: &HashSet<GlobalProfileId>,
+        client: ClientId,
+        profile: GlobalProfileId,
+        event: &Event,
+        at: SimTime,
+    ) -> Delivery {
+        let spurious = !active.contains(&profile);
+        Delivery {
+            host: host.clone(),
+            client,
+            profile,
+            event_id: event.id.clone(),
+            at,
+            spurious,
+        }
+    }
 }
 
 /// The network messages of the baseline schemes.
@@ -130,6 +156,35 @@ impl BaselineMsg {
             BaselineMsg::FloodProfileRemove { .. } | BaselineMsg::RvProfileRemove { .. } => HEADER,
         }
     }
+}
+
+/// Floods `msg` one hop on: to every neighbour but `except`, with one hop
+/// less to go. Returns `false`, sending nothing, when the message is not a
+/// flood or its hops are spent.
+pub(crate) fn flood_on(
+    ctx: &mut Ctx<'_, BaselineMsg>,
+    neighbors: &[HostName],
+    msg: &BaselineMsg,
+    except: Option<NodeId>,
+) -> bool {
+    let mut fwd = msg.clone();
+    let (BaselineMsg::FloodEvent { ttl, .. }
+    | BaselineMsg::FloodProfileAdd { ttl, .. }
+    | BaselineMsg::FloodProfileRemove { ttl, .. }) = &mut fwd
+    else {
+        return false;
+    };
+    if *ttl == 0 {
+        return false;
+    }
+    *ttl -= 1;
+    for n in neighbors {
+        match ctx.resolve(n.as_str()) {
+            Some(node) if Some(node) != except => ctx.send(node, fwd.clone()),
+            _ => {}
+        }
+    }
+    true
 }
 
 /// A deterministic FNV-1a hash used for rendezvous selection (the std

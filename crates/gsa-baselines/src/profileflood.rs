@@ -1,368 +1,203 @@
 //! Profile flooding/replication.
 
-use crate::msg::{BaselineMsg, Delivery, GlobalProfileId};
+use crate::harness::{Baseline, Server};
+use crate::msg::{flood_on, BaselineMsg, Delivery, GlobalProfileId};
 use gsa_profile::ProfileExpr;
-use gsa_simnet::{Actor, CounterId, Ctx, NodeId, Sim};
-use gsa_types::{ClientId, Event, HostName, SimDuration, SimTime};
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
+use gsa_types::{ClientId, Event, HostName};
 use std::collections::{HashMap, HashSet};
 
 const TTL: u32 = 32;
 
-struct ProfileFloodActor {
+/// A server of the profile-flooding deployment.
+///
+/// Profiles are replicated to every server reachable over the reference
+/// graph; events are filtered *at their source* against all replicas and
+/// notifications go point-to-point to the owner. Replicas a cancellation
+/// cannot reach become **orphan profiles**: the Section 2 failure mode.
+pub struct ProfileFloodServer {
     host: HostName,
     neighbors: Vec<HostName>,
     seen: HashSet<(HostName, u64)>,
     /// Every profile this server knows: own ones and replicas.
     profiles: HashMap<GlobalProfileId, (ClientId, ProfileExpr)>,
     /// The profiles *owned* here (still active from the owner's view).
-    own_active: HashSet<u64>,
-    next_profile: u64,
+    own_active: HashSet<GlobalProfileId>,
     next_flood: u64,
     deliveries: Vec<Delivery>,
 }
 
-impl ProfileFloodActor {
-    fn flood(&self, ctx: &mut Ctx<'_, BaselineMsg>, msg: &BaselineMsg, except: Option<NodeId>) {
-        let ttl = match msg {
-            BaselineMsg::FloodProfileAdd { ttl, .. }
-            | BaselineMsg::FloodProfileRemove { ttl, .. } => *ttl,
-            _ => 0,
-        };
-        if ttl == 0 {
-            return;
+impl ProfileFloodServer {
+    /// A server at `host` with its direct reference neighbours.
+    pub fn new(host: &str, neighbors: Vec<HostName>) -> Self {
+        ProfileFloodServer {
+            host: HostName::new(host),
+            neighbors,
+            seen: HashSet::new(),
+            profiles: HashMap::new(),
+            own_active: HashSet::new(),
+            next_flood: 0,
+            deliveries: Vec::new(),
         }
-        for n in &self.neighbors {
-            let Some(node) = ctx.resolve(n.as_str()) else {
-                continue;
-            };
-            if Some(node) == except {
-                continue;
-            }
-            let mut fwd = msg.clone();
-            match &mut fwd {
-                BaselineMsg::FloodProfileAdd { ttl, .. }
-                | BaselineMsg::FloodProfileRemove { ttl, .. } => *ttl -= 1,
-                _ => {}
-            }
-            ctx.send(node, fwd);
-        }
+    }
+
+    /// Starts a flood of `msg` from here under a fresh flood id.
+    fn flood_from_here(
+        &mut self,
+        ctx: &mut Ctx<'_, BaselineMsg>,
+        msg: impl FnOnce((HostName, u64)) -> BaselineMsg,
+    ) {
+        let flood_id = (self.host.clone(), self.next_flood);
+        self.next_flood += 1;
+        self.seen.insert(flood_id.clone());
+        flood_on(ctx, &self.neighbors, &msg(flood_id), None);
     }
 }
 
-impl Actor<BaselineMsg> for ProfileFloodActor {
+impl Actor<BaselineMsg> for ProfileFloodServer {
     fn on_message(&mut self, ctx: &mut Ctx<'_, BaselineMsg>, from: NodeId, msg: BaselineMsg) {
-        match msg {
+        match &msg {
             BaselineMsg::FloodProfileAdd {
                 flood_id,
-                ttl,
                 profile,
                 client,
                 expr,
+                ..
             } => {
                 if !self.seen.insert(flood_id.clone()) {
                     return;
                 }
-                self.profiles.insert(profile.clone(), (client, expr.clone()));
+                self.profiles
+                    .insert(profile.clone(), (*client, expr.clone()));
                 ctx.count_id(CounterId::PROFILEFLOOD_REPLICAS, 1);
-                self.flood(
-                    ctx,
-                    &BaselineMsg::FloodProfileAdd {
-                        flood_id,
-                        ttl,
-                        profile,
-                        client,
-                        expr,
-                    },
-                    Some(from),
-                );
             }
             BaselineMsg::FloodProfileRemove {
-                flood_id,
-                ttl,
-                profile,
+                flood_id, profile, ..
             } => {
                 if !self.seen.insert(flood_id.clone()) {
                     return;
                 }
-                self.profiles.remove(&profile);
-                self.flood(
-                    ctx,
-                    &BaselineMsg::FloodProfileRemove {
-                        flood_id,
-                        ttl,
-                        profile,
-                    },
-                    Some(from),
-                );
+                self.profiles.remove(profile);
             }
             BaselineMsg::Notify {
                 profile,
                 client,
                 event,
             } => {
-                // The owner checks whether the profile is still active;
-                // a notification for a cancelled profile is the
+                // A notification for a cancelled profile is the
                 // user-visible orphan-profile false positive.
-                let spurious = !(profile.owner == self.host && self.own_active.contains(&profile.seq));
-                if spurious {
+                let (host, active) = (&self.host, &self.own_active);
+                let d =
+                    Delivery::at_owner(host, active, *client, profile.clone(), event, ctx.now());
+                if d.spurious {
                     ctx.count_id(CounterId::PROFILEFLOOD_SPURIOUS, 1);
                 }
-                self.deliveries.push(Delivery {
-                    host: self.host.clone(),
-                    client,
-                    profile,
-                    event_id: event.id.clone(),
-                    at: ctx.now(),
-                    spurious,
-                });
+                self.deliveries.push(d);
+                return;
             }
-            _ => {}
+            _ => return,
         }
+        flood_on(ctx, &self.neighbors, &msg, Some(from));
     }
 }
 
-/// The profile-flooding deployment.
-///
-/// Profiles are replicated to every server reachable over the reference
-/// graph; events are filtered *at their source* against all replicas and
-/// notifications go point-to-point to the owner. Replicas a cancellation
-/// cannot reach become **orphan profiles** — the Section 2 failure mode.
-pub struct ProfileFloodSystem {
-    sim: Sim<BaselineMsg>,
-}
-
-impl ProfileFloodSystem {
-    /// Creates a deployment.
-    pub fn new(seed: u64) -> Self {
-        let mut sim = Sim::new(seed);
-        sim.set_wire_size_fn(BaselineMsg::wire_size);
-        ProfileFloodSystem {
-            sim,
-        }
+impl Server for ProfileFloodServer {
+    fn host(&self) -> &HostName {
+        &self.host
     }
 
-    /// Adds a server with its direct reference neighbours.
-    pub fn add_server(&mut self, host: &str, neighbors: Vec<HostName>) -> NodeId {
-        let actor = ProfileFloodActor {
-            host: HostName::new(host),
-            neighbors,
-            seen: HashSet::new(),
-            profiles: HashMap::new(),
-            own_active: HashSet::new(),
-            next_profile: 0,
-            next_flood: 0,
-            deliveries: Vec::new(),
-        };
-        self.sim.add_node(host, actor)
+    /// The registration floods to every reachable server.
+    fn subscribe(
+        &mut self,
+        ctx: &mut Ctx<'_, BaselineMsg>,
+        _ring: &[HostName],
+        profile: &GlobalProfileId,
+        client: ClientId,
+        _topic: &str,
+        expr: ProfileExpr,
+    ) {
+        self.own_active.insert(profile.clone());
+        self.profiles
+            .insert(profile.clone(), (client, expr.clone()));
+        self.flood_from_here(ctx, |flood_id| BaselineMsg::FloodProfileAdd {
+            flood_id,
+            ttl: TTL,
+            profile: profile.clone(),
+            client,
+            expr,
+        });
     }
 
-    fn node(&self, host: &str) -> NodeId {
-        self.sim
-            .node_id(host)
-            .unwrap_or_else(|| panic!("unknown host {host:?}"))
+    /// The cancellation floods, but replicas it cannot reach stay
+    /// orphaned.
+    fn unsubscribe(
+        &mut self,
+        ctx: &mut Ctx<'_, BaselineMsg>,
+        _ring: &[HostName],
+        profile: &GlobalProfileId,
+        _topic: &str,
+    ) -> bool {
+        let was_active = self.own_active.remove(profile);
+        self.profiles.remove(profile);
+        self.flood_from_here(ctx, |flood_id| BaselineMsg::FloodProfileRemove {
+            flood_id,
+            ttl: TTL,
+            profile: profile.clone(),
+        });
+        was_active
     }
 
-    /// Registers a profile at `host`; the registration floods to every
-    /// reachable server.
-    pub fn subscribe(&mut self, host: &str, client: ClientId, expr: ProfileExpr) -> GlobalProfileId {
-        let node = self.node(host);
-        self.sim
-            .with_actor::<ProfileFloodActor, GlobalProfileId>(node, |actor, ctx| {
-                let seq = actor.next_profile;
-                actor.next_profile += 1;
-                let profile = GlobalProfileId {
-                    owner: actor.host.clone(),
-                    seq,
-                };
-                actor.own_active.insert(seq);
-                actor.profiles.insert(profile.clone(), (client, expr.clone()));
-                let flood_id = (actor.host.clone(), actor.next_flood);
-                actor.next_flood += 1;
-                actor.seen.insert(flood_id.clone());
-                let msg = BaselineMsg::FloodProfileAdd {
-                    flood_id,
-                    ttl: TTL,
-                    profile: profile.clone(),
-                    client,
-                    expr,
-                };
-                actor.flood(ctx, &msg, None);
-                profile
-            })
-            .expect("profileflood actor")
-    }
-
-    /// Cancels a profile at its owner; the cancellation floods, but
-    /// replicas it cannot reach stay orphaned.
-    pub fn unsubscribe(&mut self, profile: &GlobalProfileId) -> bool {
-        let node = self.node(profile.owner.as_str());
-        let p = profile.clone();
-        self.sim
-            .with_actor::<ProfileFloodActor, bool>(node, move |actor, ctx| {
-                let was_active = actor.own_active.remove(&p.seq);
-                actor.profiles.remove(&p);
-                let flood_id = (actor.host.clone(), actor.next_flood);
-                actor.next_flood += 1;
-                actor.seen.insert(flood_id.clone());
-                let msg = BaselineMsg::FloodProfileRemove {
-                    flood_id,
-                    ttl: TTL,
-                    profile: p,
-                };
-                actor.flood(ctx, &msg, None);
-                was_active
-            })
-            .expect("profileflood actor")
-    }
-
-    /// Publishes an event; filtering happens at the source against all
-    /// replicated profiles.
-    pub fn publish(&mut self, host: &str, event: Event) {
-        let node = self.node(host);
-        self.sim
-            .with_actor::<ProfileFloodActor, ()>(node, |actor, ctx| {
-                let mut local = Vec::new();
-                for (gpid, (client, expr)) in &actor.profiles {
-                    if !expr.matches_event(&event) {
-                        continue;
-                    }
-                    if gpid.owner == actor.host {
-                        local.push((gpid.clone(), *client));
-                    } else if let Some(owner_node) = ctx.resolve(gpid.owner.as_str()) {
-                        ctx.send(
-                            owner_node,
-                            BaselineMsg::Notify {
-                                profile: gpid.clone(),
-                                client: *client,
-                                event: event.clone(),
-                            },
-                        );
-                    }
-                }
-                for (gpid, client) in local {
-                    let spurious = !actor.own_active.contains(&gpid.seq);
-                    actor.deliveries.push(Delivery {
-                        host: actor.host.clone(),
-                        client,
-                        profile: gpid,
-                        event_id: event.id.clone(),
-                        at: ctx.now(),
-                        spurious,
-                    });
-                }
-            })
-            .expect("profileflood actor");
-    }
-
-    /// Total profiles stored across all servers (own + replicas): the E7
-    /// memory metric.
-    pub fn stored_profiles(&mut self) -> usize {
-        let mut total = 0;
-        for node in self.sim.node_ids().collect::<Vec<_>>() {
-            if let Some(n) = self
-                .sim
-                .actor::<ProfileFloodActor, usize>(node, |actor| actor.profiles.len())
-            {
-                total += n;
+    /// Filtering happens here, at the source, against every replica.
+    fn publish(&mut self, ctx: &mut Ctx<'_, BaselineMsg>, _ring: &[HostName], event: Event) {
+        let mut local = Vec::new();
+        for (gpid, (client, expr)) in &self.profiles {
+            if !expr.matches_event(&event) {
+                continue;
+            }
+            if gpid.owner == self.host {
+                local.push((gpid.clone(), *client));
+            } else if let Some(owner_node) = ctx.resolve(gpid.owner.as_str()) {
+                ctx.send(
+                    owner_node,
+                    BaselineMsg::Notify {
+                        profile: gpid.clone(),
+                        client: *client,
+                        event: event.clone(),
+                    },
+                );
             }
         }
-        total
-    }
-
-    /// Replicas whose owner has cancelled them — orphan profiles.
-    pub fn orphan_profiles(&mut self) -> usize {
-        // Collect the owners' active sets first.
-        let nodes: Vec<NodeId> = self.sim.node_ids().collect();
-        let mut active: HashSet<GlobalProfileId> = HashSet::new();
-        for node in &nodes {
-            if let Some(set) = self
-                .sim
-                .actor::<ProfileFloodActor, Vec<GlobalProfileId>>(*node, |actor| {
-                    actor
-                        .own_active
-                        .iter()
-                        .map(|seq| GlobalProfileId {
-                            owner: actor.host.clone(),
-                            seq: *seq,
-                        })
-                        .collect()
-                })
-            {
-                active.extend(set);
-            }
+        for (gpid, client) in local {
+            let (host, active) = (&self.host, &self.own_active);
+            let d = Delivery::at_owner(host, active, client, gpid, &event, ctx.now());
+            self.deliveries.push(d);
         }
-        let mut orphans = 0;
-        for node in &nodes {
-            if let Some(n) = self.sim.actor::<ProfileFloodActor, usize>(*node, |actor| {
-                actor
-                    .profiles
-                    .keys()
-                    .filter(|gpid| !active.contains(gpid))
-                    .count()
-            }) {
-                orphans += n;
-            }
-        }
-        orphans
     }
 
-    /// Drains every server's delivery log.
-    pub fn take_deliveries(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        for node in self.sim.node_ids().collect::<Vec<_>>() {
-            if let Some(mut d) =
-                self.sim
-                    .with_actor::<ProfileFloodActor, Vec<Delivery>>(node, |actor, _| {
-                        std::mem::take(&mut actor.deliveries)
-                    })
-            {
-                out.append(&mut d);
-            }
-        }
-        out
+    fn deliveries(&mut self) -> &mut Vec<Delivery> {
+        &mut self.deliveries
     }
 
-    /// The underlying simulator.
-    pub fn sim_mut(&mut self) -> &mut Sim<BaselineMsg> {
-        &mut self.sim
+    fn stored_profiles(&self) -> usize {
+        self.profiles.len()
     }
 
-    /// Runs until quiet, capped at `deadline`.
-    pub fn run_until_quiet(&mut self, deadline: SimTime) -> usize {
-        self.sim.run_until_quiet(deadline)
-    }
-
-    /// Runs for `d` of simulated time.
-    pub fn run_for(&mut self, d: SimDuration) -> usize {
-        self.sim.run_for(d)
-    }
-
-    /// Partition control by host name.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `host` is unknown.
-    pub fn set_partition(&mut self, host: &str, group: u32) {
-        let node = self.node(host);
-        self.sim.set_partition(node, group);
-    }
-
-    /// Heals all partitions.
-    pub fn heal_network(&mut self) {
-        self.sim.heal_network();
-    }
-
-    /// The accumulated metrics.
-    pub fn metrics(&self) -> &gsa_simnet::Metrics {
-        self.sim.metrics()
-    }
-}
-
-impl std::fmt::Debug for ProfileFloodSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfileFloodSystem")
-            .field("nodes", &self.sim.node_count())
-            .finish()
+    /// Replicas whose owner has cancelled them.
+    fn orphan_profiles(net: &mut Baseline<Self>) -> usize {
+        let active: HashSet<GlobalProfileId> = net
+            .servers(|server| server.own_active.clone())
+            .into_iter()
+            .flatten()
+            .collect();
+        net.servers(|server| {
+            server
+                .profiles
+                .keys()
+                .filter(|gpid| !active.contains(gpid))
+                .count()
+        })
+        .into_iter()
+        .sum()
     }
 }
 
@@ -370,6 +205,7 @@ impl std::fmt::Debug for ProfileFloodSystem {
 mod tests {
     use super::*;
     use gsa_profile::parse_profile;
+    use gsa_types::SimTime;
     use gsa_types::{CollectionId, EventId, EventKind};
 
     fn event(host: &str, seq: u64) -> Event {
@@ -385,10 +221,10 @@ mod tests {
         HostName::new(s)
     }
 
-    fn pair() -> ProfileFloodSystem {
-        let mut sys = ProfileFloodSystem::new(1);
-        sys.add_server("A", vec![h("B")]);
-        sys.add_server("B", vec![h("A")]);
+    fn pair() -> Baseline<ProfileFloodServer> {
+        let mut sys = Baseline::new(1);
+        sys.add_server(ProfileFloodServer::new("A", vec![h("B")]));
+        sys.add_server(ProfileFloodServer::new("B", vec![h("A")]));
         sys
     }
 
@@ -396,7 +232,7 @@ mod tests {
     fn profile_replication_and_remote_notification() {
         let mut sys = pair();
         let c = ClientId::from_raw(1);
-        sys.subscribe("B", c, parse_profile(r#"host = "A""#).unwrap());
+        sys.subscribe("B", c, "A.C", parse_profile(r#"host = "A""#).unwrap());
         sys.run_until_quiet(SimTime::from_secs(10));
         assert_eq!(sys.stored_profiles(), 2); // original + replica on A
         sys.publish("A", event("A", 1));
@@ -411,11 +247,11 @@ mod tests {
     fn orphan_profile_causes_spurious_notification() {
         let mut sys = pair();
         let c = ClientId::from_raw(1);
-        let p = sys.subscribe("B", c, parse_profile(r#"host = "A""#).unwrap());
+        let p = sys.subscribe("B", c, "A.C", parse_profile(r#"host = "A""#).unwrap());
         sys.run_until_quiet(SimTime::from_secs(10));
         // Partition, then cancel: the removal flood cannot reach A.
         sys.set_partition("B", 1);
-        assert!(sys.unsubscribe(&p));
+        assert!(sys.unsubscribe(&p, "A.C"));
         sys.run_until_quiet(SimTime::from_secs(20));
         assert_eq!(sys.orphan_profiles(), 1);
         // Heal only the network (the replica on A is still there).
@@ -432,9 +268,9 @@ mod tests {
     fn cancellation_reaches_replicas_when_connected() {
         let mut sys = pair();
         let c = ClientId::from_raw(1);
-        let p = sys.subscribe("B", c, parse_profile(r#"host = "A""#).unwrap());
+        let p = sys.subscribe("B", c, "A.C", parse_profile(r#"host = "A""#).unwrap());
         sys.run_until_quiet(SimTime::from_secs(10));
-        sys.unsubscribe(&p);
+        sys.unsubscribe(&p, "A.C");
         sys.run_until_quiet(SimTime::from_secs(20));
         assert_eq!(sys.stored_profiles(), 0);
         assert_eq!(sys.orphan_profiles(), 0);
@@ -445,7 +281,7 @@ mod tests {
 
     #[test]
     fn memory_grows_with_servers() {
-        let mut sys = ProfileFloodSystem::new(1);
+        let mut sys = Baseline::new(1);
         let hosts = ["A", "B", "C", "D"];
         for (i, host) in hosts.iter().enumerate() {
             // A chain A-B-C-D.
@@ -456,10 +292,10 @@ mod tests {
             if i + 1 < hosts.len() {
                 neighbors.push(h(hosts[i + 1]));
             }
-            sys.add_server(host, neighbors);
+            sys.add_server(ProfileFloodServer::new(host, neighbors));
         }
         let c = ClientId::from_raw(1);
-        sys.subscribe("A", c, parse_profile(r#"host = "D""#).unwrap());
+        sys.subscribe("A", c, "D.C", parse_profile(r#"host = "D""#).unwrap());
         sys.run_until_quiet(SimTime::from_secs(10));
         // One profile, four copies.
         assert_eq!(sys.stored_profiles(), 4);
@@ -469,7 +305,7 @@ mod tests {
     fn local_delivery_for_local_event() {
         let mut sys = pair();
         let c = ClientId::from_raw(1);
-        sys.subscribe("A", c, parse_profile(r#"host = "A""#).unwrap());
+        sys.subscribe("A", c, "A.C", parse_profile(r#"host = "A""#).unwrap());
         sys.run_until_quiet(SimTime::from_secs(5));
         sys.publish("A", event("A", 1));
         sys.run_until_quiet(SimTime::from_secs(10));

@@ -1,36 +1,55 @@
 //! Rendezvous-node routing (Scribe/Hermes-style).
 
+use crate::harness::{Baseline, Server};
 use crate::msg::{fnv1a, BaselineMsg, Delivery, GlobalProfileId};
 use gsa_profile::ProfileExpr;
-use gsa_simnet::{Actor, CounterId, Ctx, NodeId, Sim};
-use gsa_types::{ClientId, Event, HostName, SimDuration, SimTime};
-use parking_lot::RwLock;
+use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
+use gsa_types::{ClientId, Event, HostName};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-/// The shared ring of hosts rendezvous hashing selects from.
-type Ring = Arc<RwLock<Vec<HostName>>>;
-
-fn rendezvous_of(ring: &Ring, topic: &str) -> Option<HostName> {
-    let ring = ring.read();
+/// The server of `ring` that `topic` hashes to.
+fn rendezvous_of<'r>(ring: &'r [HostName], topic: &str) -> Option<&'r HostName> {
     if ring.is_empty() {
         return None;
     }
-    let idx = (fnv1a(topic) % ring.len() as u64) as usize;
-    Some(ring[idx].clone())
+    Some(&ring[(fnv1a(topic) % ring.len() as u64) as usize])
 }
 
-struct RendezvousActor {
+/// Sends `msg` to `topic`'s rendezvous, if the simulator knows it.
+fn to_rendezvous(ctx: &mut Ctx<'_, BaselineMsg>, ring: &[HostName], topic: &str, msg: BaselineMsg) {
+    if let Some(node) = rendezvous_of(ring, topic).and_then(|rv| ctx.resolve(rv.as_str())) {
+        ctx.send(node, msg);
+    }
+}
+
+/// A server of the rendezvous-routing deployment.
+///
+/// Profiles subscribe to a *topic* (the collection they observe); topic
+/// and event meet at the hash-selected rendezvous server. This gives
+/// routing without flooding, at the price Section 2 names: the rendezvous
+/// "may become a bottleneck", and its failure silently loses events.
+pub struct RendezvousServer {
     host: HostName,
     /// Profiles this node is the rendezvous for, by topic.
     table: HashMap<String, Vec<(GlobalProfileId, ClientId, ProfileExpr)>>,
     /// Profiles owned here that are still active.
-    own_active: HashSet<u64>,
-    next_profile: u64,
+    own_active: HashSet<GlobalProfileId>,
     deliveries: Vec<Delivery>,
 }
 
-impl Actor<BaselineMsg> for RendezvousActor {
+impl RendezvousServer {
+    /// A server at `host`; it joins the rendezvous ring.
+    pub fn new(host: &str) -> Self {
+        RendezvousServer {
+            host: HostName::new(host),
+            table: HashMap::new(),
+            own_active: HashSet::new(),
+            deliveries: Vec::new(),
+        }
+    }
+}
+
+impl Actor<BaselineMsg> for RendezvousServer {
     fn on_message(&mut self, ctx: &mut Ctx<'_, BaselineMsg>, _from: NodeId, msg: BaselineMsg) {
         match msg {
             BaselineMsg::RvProfileAdd {
@@ -78,233 +97,85 @@ impl Actor<BaselineMsg> for RendezvousActor {
                 client,
                 event,
             } => {
-                let spurious =
-                    !(profile.owner == self.host && self.own_active.contains(&profile.seq));
-                if spurious {
+                let (host, active) = (&self.host, &self.own_active);
+                let d = Delivery::at_owner(host, active, client, profile, &event, ctx.now());
+                if d.spurious {
                     ctx.count_id(CounterId::RENDEZVOUS_SPURIOUS, 1);
                 }
-                self.deliveries.push(Delivery {
-                    host: self.host.clone(),
-                    client,
-                    profile,
-                    event_id: event.id.clone(),
-                    at: ctx.now(),
-                    spurious,
-                });
+                self.deliveries.push(d);
             }
             _ => {}
         }
     }
 }
 
-/// The rendezvous-routing deployment.
-///
-/// Profiles subscribe to a *topic* (the collection they observe); topic
-/// and event meet at the hash-selected rendezvous server. This gives
-/// routing without flooding, at the price Section 2 names: the rendezvous
-/// "may become a bottleneck", and its failure silently loses events.
-pub struct RendezvousSystem {
-    sim: Sim<BaselineMsg>,
-    ring: Ring,
-}
-
-impl RendezvousSystem {
-    /// Creates a deployment.
-    pub fn new(seed: u64) -> Self {
-        let mut sim = Sim::new(seed);
-        sim.set_wire_size_fn(BaselineMsg::wire_size);
-        RendezvousSystem {
-            sim,
-            ring: Arc::new(RwLock::new(Vec::new())),
-        }
+impl Server for RendezvousServer {
+    fn host(&self) -> &HostName {
+        &self.host
     }
 
-    /// Adds a server; it joins the rendezvous ring.
-    pub fn add_server(&mut self, host: &str) -> NodeId {
-        let actor = RendezvousActor {
-            host: HostName::new(host),
-            table: HashMap::new(),
-            own_active: HashSet::new(),
-            next_profile: 0,
-            deliveries: Vec::new(),
-        };
-        self.ring.write().push(HostName::new(host));
-        self.sim.add_node(host, actor)
-    }
-
-    fn node(&self, host: &str) -> NodeId {
-        self.sim
-            .node_id(host)
-            .unwrap_or_else(|| panic!("unknown host {host:?}"))
-    }
-
-    /// The rendezvous host responsible for a topic.
-    pub fn rendezvous_host(&self, topic: &str) -> Option<HostName> {
-        rendezvous_of(&self.ring, topic)
-    }
-
-    /// Registers a profile at `host` for `topic`; it is stored at the
-    /// topic's rendezvous server.
-    pub fn subscribe(
+    /// The profile is stored at the topic's rendezvous server.
+    fn subscribe(
         &mut self,
-        host: &str,
+        ctx: &mut Ctx<'_, BaselineMsg>,
+        ring: &[HostName],
+        profile: &GlobalProfileId,
         client: ClientId,
         topic: &str,
         expr: ProfileExpr,
-    ) -> GlobalProfileId {
-        let node = self.node(host);
-        let ring = Arc::clone(&self.ring);
-        let topic = topic.to_string();
-        self.sim
-            .with_actor::<RendezvousActor, GlobalProfileId>(node, move |actor, ctx| {
-                let seq = actor.next_profile;
-                actor.next_profile += 1;
-                actor.own_active.insert(seq);
-                let profile = GlobalProfileId {
-                    owner: actor.host.clone(),
-                    seq,
-                };
-                if let Some(rv) = rendezvous_of(&ring, &topic) {
-                    if let Some(rv_node) = ctx.resolve(rv.as_str()) {
-                        ctx.send(
-                            rv_node,
-                            BaselineMsg::RvProfileAdd {
-                                topic,
-                                profile: profile.clone(),
-                                client,
-                                expr,
-                            },
-                        );
-                    }
-                }
-                profile
-            })
-            .expect("rendezvous actor")
+    ) {
+        self.own_active.insert(profile.clone());
+        let msg = BaselineMsg::RvProfileAdd {
+            topic: topic.to_string(),
+            profile: profile.clone(),
+            client,
+            expr,
+        };
+        to_rendezvous(ctx, ring, topic, msg);
     }
 
-    /// Cancels a profile: marks it inactive at the owner and sends the
-    /// removal to the rendezvous (which may be unreachable).
-    pub fn unsubscribe(&mut self, profile: &GlobalProfileId, topic: &str) -> bool {
-        let node = self.node(profile.owner.as_str());
-        let ring = Arc::clone(&self.ring);
-        let topic = topic.to_string();
-        let p = profile.clone();
-        self.sim
-            .with_actor::<RendezvousActor, bool>(node, move |actor, ctx| {
-                let was_active = actor.own_active.remove(&p.seq);
-                if let Some(rv) = rendezvous_of(&ring, &topic) {
-                    if let Some(rv_node) = ctx.resolve(rv.as_str()) {
-                        ctx.send(rv_node, BaselineMsg::RvProfileRemove { topic, profile: p });
-                    }
-                }
-                was_active
-            })
-            .expect("rendezvous actor")
+    /// Marks the profile inactive here and sends the removal to the
+    /// rendezvous, which may be unreachable.
+    fn unsubscribe(
+        &mut self,
+        ctx: &mut Ctx<'_, BaselineMsg>,
+        ring: &[HostName],
+        profile: &GlobalProfileId,
+        topic: &str,
+    ) -> bool {
+        let was_active = self.own_active.remove(profile);
+        let msg = BaselineMsg::RvProfileRemove {
+            topic: topic.to_string(),
+            profile: profile.clone(),
+        };
+        to_rendezvous(ctx, ring, topic, msg);
+        was_active
     }
 
-    /// Publishes an event; it is routed to its topic's rendezvous for
-    /// filtering. The topic is the event's origin collection.
-    pub fn publish(&mut self, host: &str, event: Event) {
-        let node = self.node(host);
-        let ring = Arc::clone(&self.ring);
-        self.sim
-            .with_actor::<RendezvousActor, ()>(node, move |_, ctx| {
-                let topic = event.origin.to_string();
-                if let Some(rv) = rendezvous_of(&ring, &topic) {
-                    if let Some(rv_node) = ctx.resolve(rv.as_str()) {
-                        ctx.send(rv_node, BaselineMsg::RvEvent { topic, event });
-                    }
-                }
-            })
-            .expect("rendezvous actor");
+    /// The event is routed to its topic's rendezvous for filtering. The
+    /// topic is the event's origin collection.
+    fn publish(&mut self, ctx: &mut Ctx<'_, BaselineMsg>, ring: &[HostName], event: Event) {
+        let topic = event.origin.to_string();
+        let msg = BaselineMsg::RvEvent {
+            topic: topic.clone(),
+            event,
+        };
+        to_rendezvous(ctx, ring, &topic, msg);
     }
 
-    /// Drains every server's delivery log.
-    pub fn take_deliveries(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        for node in self.sim.node_ids().collect::<Vec<_>>() {
-            if let Some(mut d) =
-                self.sim
-                    .with_actor::<RendezvousActor, Vec<Delivery>>(node, |actor, _| {
-                        std::mem::take(&mut actor.deliveries)
-                    })
-            {
-                out.append(&mut d);
-            }
-        }
-        out
+    fn deliveries(&mut self) -> &mut Vec<Delivery> {
+        &mut self.deliveries
     }
 
-    /// Profiles stored at rendezvous tables, per host — the bottleneck
-    /// metric's numerator.
-    pub fn stored_profiles_per_host(&mut self) -> HashMap<HostName, usize> {
-        let mut out = HashMap::new();
-        for node in self.sim.node_ids().collect::<Vec<_>>() {
-            if let Some((host, n)) =
-                self.sim.actor::<RendezvousActor, (HostName, usize)>(node, |actor| {
-                    (
-                        actor.host.clone(),
-                        actor.table.values().map(Vec::len).sum(),
-                    )
-                })
-            {
-                out.insert(host, n);
-            }
-        }
-        out
-    }
-
-    /// The underlying simulator.
-    pub fn sim_mut(&mut self) -> &mut Sim<BaselineMsg> {
-        &mut self.sim
-    }
-
-    /// Runs until quiet, capped at `deadline`.
-    pub fn run_until_quiet(&mut self, deadline: SimTime) -> usize {
-        self.sim.run_until_quiet(deadline)
-    }
-
-    /// Runs for `d` of simulated time.
-    pub fn run_for(&mut self, d: SimDuration) -> usize {
-        self.sim.run_for(d)
-    }
-
-    /// Marks a host up or down (rendezvous failure experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `host` is unknown.
-    pub fn set_host_up(&mut self, host: &str, up: bool) {
-        let node = self.node(host);
-        self.sim.set_node_up(node, up);
-    }
-
-    /// Partition control by host name.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `host` is unknown.
-    pub fn set_partition(&mut self, host: &str, group: u32) {
-        let node = self.node(host);
-        self.sim.set_partition(node, group);
-    }
-
-    /// Heals all partitions.
-    pub fn heal_network(&mut self) {
-        self.sim.heal_network();
-    }
-
-    /// The accumulated metrics.
-    pub fn metrics(&self) -> &gsa_simnet::Metrics {
-        self.sim.metrics()
+    fn stored_profiles(&self) -> usize {
+        self.table.values().map(Vec::len).sum()
     }
 }
 
-impl std::fmt::Debug for RendezvousSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RendezvousSystem")
-            .field("nodes", &self.sim.node_count())
-            .finish()
+impl Baseline<RendezvousServer> {
+    /// The rendezvous host responsible for a topic.
+    pub fn rendezvous_host(&self, topic: &str) -> Option<HostName> {
+        rendezvous_of(&self.ring, topic).cloned()
     }
 }
 
@@ -312,6 +183,7 @@ impl std::fmt::Debug for RendezvousSystem {
 mod tests {
     use super::*;
     use gsa_profile::parse_profile;
+    use gsa_types::SimTime;
     use gsa_types::{CollectionId, EventId, EventKind};
 
     fn event(host: &str, seq: u64) -> Event {
@@ -323,11 +195,11 @@ mod tests {
         )
     }
 
-    fn trio() -> RendezvousSystem {
-        let mut sys = RendezvousSystem::new(1);
-        sys.add_server("A");
-        sys.add_server("B");
-        sys.add_server("C");
+    fn trio() -> Baseline<RendezvousServer> {
+        let mut sys = Baseline::new(1);
+        for host in ["A", "B", "C"] {
+            sys.add_server(RendezvousServer::new(host));
+        }
         sys
     }
 
@@ -405,8 +277,8 @@ mod tests {
             sys.subscribe("B", c, topic, parse_profile(r#"host = "A""#).unwrap());
         }
         sys.run_until_quiet(SimTime::from_secs(10));
-        let per_host = sys.stored_profiles_per_host();
-        let max = per_host.values().copied().max().unwrap();
+        let per_host = sys.servers(|server| server.stored_profiles());
+        let max = per_host.into_iter().max().unwrap();
         assert_eq!(max, 30, "all profiles of one topic on one node");
     }
 

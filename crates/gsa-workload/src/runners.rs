@@ -6,11 +6,15 @@
 //! and chaos tests assert on.
 
 use crate::{
-    ChurnEvent, DocumentGenerator, FaultAction, FaultPlan, GsWorld, ProfilePopulation,
+    ChurnEvent, DocumentGenerator, FaultAction, FaultPlan, GsWorld, ProfilePopulation, Rebuild,
     RebuildSchedule,
 };
-use gsa_baselines::{GsFloodSystem, ProfileFloodSystem, RendezvousSystem};
-use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System};
+use gsa_baselines::{
+    Baseline, BaselineMsg, GlobalProfileId, GsFloodServer, ProfileFloodServer, RendezvousServer,
+    Server,
+};
+use gsa_core::{AlertPolicyConfig, ReliabilityConfig, SysMessage, System};
+use gsa_simnet::Sim;
 use gsa_store::SourceDocument;
 use gsa_types::{
     ClientId, CollectionId, Event, EventId, EventKind, HostName, ProfileId, SimDuration, SimTime,
@@ -177,23 +181,21 @@ pub(crate) fn rebuild_index_of(doc_id: &str) -> Option<usize> {
         .ok()
 }
 
-/// The event a baseline publishes for rebuild `k` (baselines have no
-/// build process of their own).
-pub(crate) fn rebuild_event(k: usize, collection: &CollectionId, docs: &[SourceDocument], at: SimTime) -> Event {
-    Event::new(
-        EventId::new(collection.host().clone(), k as u64),
-        collection.clone(),
-        EventKind::CollectionRebuilt,
-        at,
-    )
-    .with_docs(docs.iter().map(|d| d.summary(200)).collect())
+/// One timed step of the merged schedule.
+enum Action<'a> {
+    Rebuild(usize, &'a Rebuild),
+    Cancel(usize),
+    SetDropProbability(f64),
+    Heal,
+    Host(&'a HostName, HostStep),
 }
 
-/// One timed action of the merged schedule.
-enum Action<'a> {
-    Rebuild(usize, &'a crate::schedule::Rebuild),
-    Churn(&'a ChurnEvent),
-    Fault(&'a FaultAction),
+/// A step aimed at one host.
+enum HostStep {
+    Partition(u32),
+    SetUp(bool),
+    Crash,
+    Restart,
 }
 
 fn merged_actions<'a>(
@@ -206,12 +208,27 @@ fn merged_actions<'a>(
         actions.push((r.at, Action::Rebuild(k, r)));
     }
     for c in churn {
-        actions.push((c.at(), Action::Churn(c)));
+        let action = match c {
+            ChurnEvent::Partition { host, group, .. } => {
+                Action::Host(host, HostStep::Partition(*group))
+            }
+            ChurnEvent::Heal { .. } => Action::Heal,
+            ChurnEvent::Cancel { index, .. } => Action::Cancel(*index),
+        };
+        actions.push((c.at(), action));
     }
-    if let Some(plan) = faults {
-        for f in &plan.actions {
-            actions.push((f.at(), Action::Fault(f)));
-        }
+    for f in faults.map_or(&[][..], |plan| &plan.actions) {
+        let action = match f {
+            FaultAction::SetDropProbability { p, .. } => Action::SetDropProbability(*p),
+            FaultAction::SetNodeUp { host, up, .. } => Action::Host(host, HostStep::SetUp(*up)),
+            FaultAction::Partition { host, group, .. } => {
+                Action::Host(host, HostStep::Partition(*group))
+            }
+            FaultAction::Heal { .. } => Action::Heal,
+            FaultAction::CrashServer { host, .. } => Action::Host(host, HostStep::Crash),
+            FaultAction::RestartServer { host, .. } => Action::Host(host, HostStep::Restart),
+        };
+        actions.push((f.at(), action));
     }
     actions.sort_by_key(|(at, _)| *at);
     actions
@@ -226,494 +243,378 @@ pub fn run_scheme(
     churn: &[ChurnEvent],
     cfg: &RunConfig,
 ) -> RunOutcome {
+    let w = Workload {
+        world,
+        population,
+        schedule,
+        churn,
+        cfg,
+    };
+    let flood = |dedup| {
+        move |host: &HostName| GsFloodServer::new(host.as_str(), world.neighbors(host), dedup)
+    };
     match scheme {
-        Scheme::Hybrid => run_hybrid(world, population, schedule, churn, cfg),
-        Scheme::GsFlood => run_gsflood(world, population, schedule, churn, cfg, true),
-        Scheme::GsFloodNoDedup => run_gsflood(world, population, schedule, churn, cfg, false),
-        Scheme::ProfileFlood => run_profileflood(world, population, schedule, churn, cfg),
-        Scheme::Rendezvous => run_rendezvous(world, population, schedule, churn, cfg),
+        Scheme::Hybrid => w.play(Hybrid::deploy(&w)),
+        Scheme::GsFlood => w.play(Deployed::deploy(&w, flood(true))),
+        Scheme::GsFloodNoDedup => w.play(Deployed::deploy(&w, flood(false))),
+        Scheme::ProfileFlood => w.play(Deployed::deploy(&w, |host| {
+            ProfileFloodServer::new(host.as_str(), world.neighbors(host))
+        })),
+        Scheme::Rendezvous => w.play(Deployed::deploy(&w, |host| {
+            RendezvousServer::new(host.as_str())
+        })),
     }
 }
 
-/// Tracks partition intervals as they are applied.
-#[derive(Default)]
-struct PartitionTracker {
-    open: HashMap<HostName, SimTime>,
-    intervals: HashMap<HostName, Vec<(SimTime, SimTime)>>,
+/// One generated workload and the configuration it runs under.
+struct Workload<'a> {
+    world: &'a GsWorld,
+    population: &'a ProfilePopulation,
+    schedule: &'a RebuildSchedule,
+    churn: &'a [ChurnEvent],
+    cfg: &'a RunConfig,
 }
 
-impl PartitionTracker {
-    fn partition(&mut self, host: &HostName, at: SimTime) {
+/// One scheme, deployed and subscribed, as the schedule loop drives it.
+trait Deployment {
+    /// The scheme's network message.
+    type Msg: fmt::Debug + 'static;
+
+    /// Whether node outages apply: fault plans' `SetNodeUp`,
+    /// `CrashServer` and `RestartServer`. The baselines have no directory
+    /// tier and no state store, so they skip all three.
+    const OUTAGES: bool;
+
+    /// The simulator the scheme runs in.
+    fn sim(&mut self) -> &mut Sim<Self::Msg>;
+
+    /// Publishes rebuild `k`, scheduled at `at`.
+    fn rebuild(&mut self, k: usize, rebuild: &Rebuild, at: SimTime);
+
+    /// Cancels profile `index`; `true` when it was still registered.
+    fn cancel(&mut self, index: usize) -> bool;
+
+    /// Hard-crashes the server at `host` (called only when `OUTAGES`).
+    fn crash_server(&mut self, _host: &HostName) {}
+
+    /// The deliveries, their delays and the storage counts once the run
+    /// has drained; the loop fills in the rest.
+    fn read_out(
+        &mut self,
+        schedule: &RebuildSchedule,
+        cancels: &HashMap<usize, SimTime>,
+    ) -> RunOutcome;
+}
+
+impl Workload<'_> {
+    /// Plays the merged schedule through a deployed scheme.
+    fn play<D: Deployment>(&self, mut d: D) -> RunOutcome {
+        let cfg = self.cfg;
+        let mut cancels = HashMap::new();
+        let mut partitions = Windows::default();
+        // Server-crash downtime is tracked apart from partitions so a
+        // network-wide Heal cannot close a crash window early; the windows
+        // merge into the oracle's don't-care intervals at the end.
+        let mut crashes = Windows::default();
+        if cfg.base_drop > 0.0 {
+            d.sim().set_drop_probability(cfg.base_drop);
+        }
+        for (at, action) in merged_actions(self.schedule, self.churn, cfg.faults.as_ref()) {
+            d.sim().run_until(at);
+            match action {
+                Action::Rebuild(k, r) => d.rebuild(k, r, at),
+                Action::Cancel(index) => {
+                    if d.cancel(index) {
+                        cancels.insert(index, at);
+                    }
+                }
+                Action::SetDropProbability(p) => d.sim().set_drop_probability(p),
+                Action::Heal => {
+                    d.sim().heal_network();
+                    partitions.close_all(at);
+                }
+                Action::Host(_, HostStep::SetUp(_) | HostStep::Crash | HostStep::Restart)
+                    if !D::OUTAGES => {}
+                Action::Host(host, step) => {
+                    // A step naming a host the deployment lacks applies
+                    // nothing and records no window.
+                    let Some(node) = d.sim().node_id(host.as_str()) else {
+                        continue;
+                    };
+                    match step {
+                        HostStep::Partition(group) => {
+                            d.sim().set_partition(node, group);
+                            partitions.open(host, at);
+                        }
+                        HostStep::SetUp(up) => d.sim().set_node_up(node, up),
+                        HostStep::Crash => {
+                            d.crash_server(host);
+                            crashes.open(host, at);
+                        }
+                        HostStep::Restart => {
+                            d.sim().set_node_up(node, true);
+                            crashes.close(host, at);
+                        }
+                    }
+                }
+            }
+        }
+        let end = d.sim().now() + cfg.drain;
+        d.sim().run_until_quiet(end);
+        let outcome = d.read_out(self.schedule, &cancels);
+
+        let mut partitions = partitions.finish(end);
+        for (host, windows) in crashes.finish(end) {
+            partitions.entry(host).or_default().extend(windows);
+        }
+        let metrics = d.sim().metrics();
+        RunOutcome {
+            messages: metrics.counter("net.sent"),
+            bytes: metrics.counter("net.bytes_sent"),
+            load: metrics.receive_load_imbalance(),
+            cancels,
+            partitions,
+            retransmits: metrics.counter("net.retransmits"),
+            reparents: metrics.counter("gds.reparent"),
+            dropped: metrics.counter("net.dropped"),
+            pruned_edges: metrics.counter("gds.pruned_edges"),
+            alerts_firing: metrics.counter("alerts.firing"),
+            alerts_suppressed: metrics.counter("alerts.suppressed"),
+            alerts_digested: metrics.counter("alerts.digested"),
+            ..outcome
+        }
+    }
+}
+
+/// Per-host fault windows (partitions or crashes) as they are applied.
+#[derive(Default)]
+struct Windows {
+    open: HashMap<HostName, SimTime>,
+    closed: HashMap<HostName, Vec<(SimTime, SimTime)>>,
+}
+
+impl Windows {
+    fn open(&mut self, host: &HostName, at: SimTime) {
         self.open.entry(host.clone()).or_insert(at);
     }
 
-    fn heal_all(&mut self, at: SimTime) {
+    fn close(&mut self, host: &HostName, at: SimTime) {
+        if let Some((host, start)) = self.open.remove_entry(host) {
+            self.closed.entry(host).or_default().push((start, at));
+        }
+    }
+
+    fn close_all(&mut self, at: SimTime) {
         for (host, start) in self.open.drain() {
-            self.intervals.entry(host).or_default().push((start, at));
+            self.closed.entry(host).or_default().push((start, at));
         }
     }
 
     fn finish(mut self, at: SimTime) -> HashMap<HostName, Vec<(SimTime, SimTime)>> {
-        self.heal_all(at);
-        self.intervals
+        self.close_all(at);
+        self.closed
     }
 }
 
-fn run_hybrid(
-    world: &GsWorld,
-    population: &ProfilePopulation,
-    schedule: &RebuildSchedule,
-    churn: &[ChurnEvent],
-    cfg: &RunConfig,
-) -> RunOutcome {
-    let (topo, assignment) = world.gds_tree(cfg.fanout);
-    let mut system = System::new(cfg.seed);
-    if cfg.reliable {
-        system.set_reliability(ReliabilityConfig);
-    }
-    system.set_pruning(cfg.pruned);
-    system.set_durability(cfg.durable);
-    system.set_alert_policies(cfg.policies.clone());
-    system.add_gds_topology(&topo);
-    for (host, gds) in &assignment {
-        system.add_server(host.as_str(), gds.as_str());
-    }
-    for (host, configs) in &world.collections {
-        for config in configs {
-            system.add_collection(host.as_str(), config.clone());
+/// The paper's hybrid service.
+struct Hybrid<'w> {
+    system: System,
+    /// Per profile index (which is also the client id): where it lives.
+    handles: Vec<(HostName, ProfileId)>,
+    hosts: &'w [HostName],
+}
+
+impl<'w> Hybrid<'w> {
+    fn deploy(w: &Workload<'w>) -> Self {
+        let (world, cfg) = (w.world, w.cfg);
+        let (topo, assignment) = world.gds_tree(cfg.fanout);
+        let mut system = System::new(cfg.seed);
+        if cfg.reliable {
+            system.set_reliability(ReliabilityConfig);
         }
-    }
-    system.run_until_quiet(SimTime::from_secs(5));
-
-    // Subscribe: client id == profile index.
-    let mut handles: Vec<(HostName, ProfileId)> = Vec::new();
-    for (idx, (host, _topic, expr)) in population.profiles.iter().enumerate() {
-        let pid = system
-            .subscribe(host.as_str(), ClientId::from_raw(idx as u64), expr.clone())
-            .expect("profile indexes");
-        handles.push((host.clone(), pid));
-    }
-    // A subscription only counts once its interest announcement has
-    // propagated (the SDI subscribe round-trip): let the burst settle
-    // on clean links before loss and faults start, or an immediately
-    // scheduled rebuild can race a half-propagated summary.
-    system.run_until_quiet(system.now() + SimDuration::from_secs(2));
-
-    let mut cancels = HashMap::new();
-    let mut tracker = PartitionTracker::default();
-    // Server-crash downtime is tracked apart from partitions so a
-    // network-wide Heal cannot close a crash window early; the windows
-    // merge into the oracle's don't-care intervals at the end.
-    let mut crash_open: HashMap<HostName, SimTime> = HashMap::new();
-    let mut crash_windows: HashMap<HostName, Vec<(SimTime, SimTime)>> = HashMap::new();
-    if cfg.base_drop > 0.0 {
-        system.set_drop_probability(cfg.base_drop);
-    }
-    for (at, action) in merged_actions(schedule, churn, cfg.faults.as_ref()) {
-        system.run_until(at);
-        match action {
-            Action::Rebuild(k, r) => {
-                let docs = rebuild_docs(k, r.docs);
-                system
-                    .rebuild(r.collection.host().as_str(), r.collection.name().as_str(), docs)
-                    .expect("collection exists");
-            }
-            Action::Churn(ChurnEvent::Partition { host, group, .. }) => {
-                system.set_partition(host.as_str(), *group);
-                tracker.partition(host, at);
-            }
-            Action::Churn(ChurnEvent::Heal { .. }) => {
-                system.heal_network();
-                tracker.heal_all(at);
-            }
-            Action::Churn(ChurnEvent::Cancel { index, .. }) => {
-                if let Some((host, pid)) = handles.get(*index) {
-                    if system.unsubscribe(host.as_str(), *pid) {
-                        cancels.insert(*index, at);
-                    }
-                }
-            }
-            Action::Fault(FaultAction::SetDropProbability { p, .. }) => {
-                system.set_drop_probability(*p);
-            }
-            Action::Fault(FaultAction::SetNodeUp { host, up, .. }) => {
-                if system.sim().node_id(host.as_str()).is_some() {
-                    system.set_host_up(host.as_str(), *up);
-                }
-            }
-            Action::Fault(FaultAction::Partition { host, group, .. }) => {
-                if system.sim().node_id(host.as_str()).is_some() {
-                    system.set_partition(host.as_str(), *group);
-                    tracker.partition(host, at);
-                }
-            }
-            Action::Fault(FaultAction::Heal { .. }) => {
-                system.heal_network();
-                tracker.heal_all(at);
-            }
-            Action::Fault(FaultAction::CrashServer { host, .. }) => {
-                if system.sim().node_id(host.as_str()).is_some() {
-                    system.crash_server(host.as_str());
-                    crash_open.entry(host.clone()).or_insert(at);
-                }
-            }
-            Action::Fault(FaultAction::RestartServer { host, .. }) => {
-                if system.sim().node_id(host.as_str()).is_some() {
-                    system.restart_server(host.as_str());
-                    if let Some(start) = crash_open.remove(host) {
-                        crash_windows.entry(host.clone()).or_default().push((start, at));
-                    }
-                }
+        system.set_pruning(cfg.pruned);
+        system.set_durability(cfg.durable);
+        system.set_alert_policies(cfg.policies.clone());
+        system.add_gds_topology(&topo);
+        for (host, gds) in &assignment {
+            system.add_server(host.as_str(), gds.as_str());
+        }
+        for (host, configs) in &world.collections {
+            for config in configs {
+                system.add_collection(host.as_str(), config.clone());
             }
         }
-    }
-    let end = system.now() + cfg.drain;
-    system.run_until_quiet(end);
+        system.run_until_quiet(SimTime::from_secs(5));
 
-    let mut deliveries = Vec::new();
-    let mut delays = Vec::new();
-    for (idx, (host, _)) in handles.iter().enumerate() {
-        for n in system.take_notifications(host.as_str(), ClientId::from_raw(idx as u64)) {
-            let k = n
-                .event
-                .docs
-                .iter()
-                .filter_map(|d| rebuild_index_of(d.doc.as_str()))
-                .max();
-            if let Some(k) = k {
-                deliveries.push((idx, k, n.event.origin.clone()));
-                delays.push(n.at.since(schedule.rebuilds[k].at));
-            }
+        let mut handles: Vec<(HostName, ProfileId)> = Vec::new();
+        for (idx, (host, _topic, expr)) in w.population.profiles.iter().enumerate() {
+            let pid = system
+                .subscribe(host.as_str(), ClientId::from_raw(idx as u64), expr.clone())
+                .expect("profile indexes");
+            handles.push((host.clone(), pid));
         }
-    }
-
-    let mut stored = 0;
-    let mut stored_client = 0;
-    let mut orphans = 0;
-    for host in &world.hosts {
-        let (subs, aux, orphaned) = system.inspect_core(host.as_str(), |core| {
-            let subs = core.subscriptions();
-            // Client id == profile index, so a stored profile whose
-            // owner's index was cancelled is an orphan.
-            let orphaned = subs
-                .profiles()
-                .filter(|p| cancels.contains_key(&(p.owner().as_u64() as usize)))
-                .count();
-            (subs.len(), core.aux_store().len(), orphaned)
-        });
-        stored += subs + aux;
-        stored_client += subs;
-        orphans += orphaned;
-    }
-    let subscribed = handles.len();
-
-    let mut partitions = tracker.finish(end);
-    for (host, start) in crash_open {
-        crash_windows.entry(host).or_default().push((start, end));
-    }
-    for (host, windows) in crash_windows {
-        partitions.entry(host).or_default().extend(windows);
-    }
-
-    RunOutcome {
-        deliveries,
-        messages: system.metrics().counter("net.sent"),
-        bytes: system.metrics().counter("net.bytes_sent"),
-        stored_profiles: stored,
-        orphan_profiles: orphans,
-        load: system.metrics().receive_load_imbalance(),
-        cancels,
-        partitions,
-        delays,
-        retransmits: system.metrics().counter("net.retransmits"),
-        reparents: system.metrics().counter("gds.reparent"),
-        dropped: system.metrics().counter("net.dropped"),
-        pruned_edges: system.metrics().counter("gds.pruned_edges"),
-        subscribed,
-        stored_client_profiles: stored_client,
-        alerts_firing: system.metrics().counter("alerts.firing"),
-        alerts_suppressed: system.metrics().counter("alerts.suppressed"),
-        alerts_digested: system.metrics().counter("alerts.digested"),
+        // A subscription only counts once its interest announcement has
+        // propagated (the SDI subscribe round-trip): let the burst settle
+        // on clean links before loss and faults start, or an immediately
+        // scheduled rebuild can race a half-propagated summary.
+        system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+        Hybrid {
+            system,
+            handles,
+            hosts: &world.hosts,
+        }
     }
 }
 
-fn run_gsflood(
-    world: &GsWorld,
-    population: &ProfilePopulation,
-    schedule: &RebuildSchedule,
-    churn: &[ChurnEvent],
-    cfg: &RunConfig,
-    dedup: bool,
-) -> RunOutcome {
-    let mut sys = GsFloodSystem::new(cfg.seed, dedup);
-    for host in &world.hosts {
-        sys.add_server(host.as_str(), world.neighbors(host));
+impl Deployment for Hybrid<'_> {
+    type Msg = SysMessage;
+    const OUTAGES: bool = true;
+
+    fn sim(&mut self) -> &mut Sim<SysMessage> {
+        self.system.sim_mut()
     }
-    let mut handles = Vec::new();
-    for (idx, (host, _topic, expr)) in population.profiles.iter().enumerate() {
-        let gpid = sys.subscribe(host.as_str(), ClientId::from_raw(idx as u64), expr.clone());
-        handles.push(gpid);
+
+    fn rebuild(&mut self, k: usize, r: &Rebuild, _at: SimTime) {
+        let docs = rebuild_docs(k, r.docs);
+        self.system
+            .rebuild(
+                r.collection.host().as_str(),
+                r.collection.name().as_str(),
+                docs,
+            )
+            .expect("collection exists");
     }
-    let mut cancels = HashMap::new();
-    let mut tracker = PartitionTracker::default();
-    if cfg.base_drop > 0.0 {
-        sys.sim_mut().set_drop_probability(cfg.base_drop);
+
+    fn cancel(&mut self, index: usize) -> bool {
+        self.handles
+            .get(index)
+            .is_some_and(|(host, pid)| self.system.unsubscribe(host.as_str(), *pid))
     }
-    for (at, action) in merged_actions(schedule, churn, cfg.faults.as_ref()) {
-        sys.sim_mut().run_until(at);
-        match action {
-            Action::Rebuild(k, r) => {
-                let docs = rebuild_docs(k, r.docs);
-                let event = rebuild_event(k, &r.collection, &docs, at);
-                sys.publish(r.collection.host().as_str(), event);
-            }
-            Action::Churn(ChurnEvent::Partition { host, group, .. })
-            | Action::Fault(FaultAction::Partition { host, group, .. }) => {
-                sys.set_partition(host.as_str(), *group);
-                tracker.partition(host, at);
-            }
-            Action::Churn(ChurnEvent::Heal { .. }) | Action::Fault(FaultAction::Heal { .. }) => {
-                sys.sim_mut().heal_network();
-                tracker.heal_all(at);
-            }
-            Action::Churn(ChurnEvent::Cancel { index, .. }) => {
-                if let Some(gpid) = handles.get(*index) {
-                    if sys.unsubscribe(gpid) {
-                        cancels.insert(*index, at);
-                    }
+
+    fn crash_server(&mut self, host: &HostName) {
+        self.system.crash_server(host.as_str());
+    }
+
+    fn read_out(
+        &mut self,
+        schedule: &RebuildSchedule,
+        cancels: &HashMap<usize, SimTime>,
+    ) -> RunOutcome {
+        let mut out = RunOutcome {
+            subscribed: self.handles.len(),
+            ..RunOutcome::default()
+        };
+        for (idx, (host, _)) in self.handles.iter().enumerate() {
+            let client = ClientId::from_raw(idx as u64);
+            for n in self.system.take_notifications(host.as_str(), client) {
+                let k = n
+                    .event
+                    .docs
+                    .iter()
+                    .filter_map(|d| rebuild_index_of(d.doc.as_str()))
+                    .max();
+                if let Some(k) = k {
+                    out.deliveries.push((idx, k, n.event.origin.clone()));
+                    out.delays.push(n.at.since(schedule.rebuilds[k].at));
                 }
             }
-            Action::Fault(FaultAction::SetDropProbability { p, .. }) => {
-                sys.sim_mut().set_drop_probability(*p);
-            }
-            // Baselines have no directory tier or durable state: GDS
-            // crashes and hard server crashes have no counterpart here
-            // and are skipped.
-            Action::Fault(
-                FaultAction::SetNodeUp { .. }
-                | FaultAction::CrashServer { .. }
-                | FaultAction::RestartServer { .. },
-            ) => {}
         }
-    }
-    let end = sys.sim_mut().now() + cfg.drain;
-    sys.run_until_quiet(end);
-
-    let mut deliveries = Vec::new();
-    let mut delays = Vec::new();
-    for d in sys.take_deliveries() {
-        let k = d.event_id.seq() as usize;
-        deliveries.push((
-            d.client.as_u64() as usize,
-            k,
-            schedule.rebuilds[k].collection.clone(),
-        ));
-        delays.push(d.at.since(schedule.rebuilds[k].at));
-    }
-    RunOutcome {
-        subscribed: population.len(),
-        stored_client_profiles: population.len() - cancels.len(),
-        deliveries,
-        messages: sys.metrics().counter("net.sent"),
-        bytes: sys.metrics().counter("net.bytes_sent"),
-        stored_profiles: population.len() - cancels.len(),
-        orphan_profiles: 0,
-        load: sys.metrics().receive_load_imbalance(),
-        cancels,
-        partitions: tracker.finish(end),
-        delays,
-        retransmits: 0,
-        reparents: 0,
-        dropped: sys.metrics().counter("net.dropped"),
-        pruned_edges: 0,
-        ..Default::default()
+        for host in self.hosts {
+            let (subs, aux, orphaned) = self.system.inspect_core(host.as_str(), |core| {
+                let subs = core.subscriptions();
+                // Client id == profile index, so a stored profile whose
+                // owner's index was cancelled is an orphan.
+                let orphaned = subs
+                    .profiles()
+                    .filter(|p| cancels.contains_key(&(p.owner().as_u64() as usize)))
+                    .count();
+                (subs.len(), core.aux_store().len(), orphaned)
+            });
+            out.stored_profiles += subs + aux;
+            out.stored_client_profiles += subs;
+            out.orphan_profiles += orphaned;
+        }
+        out
     }
 }
 
-fn run_profileflood(
-    world: &GsWorld,
-    population: &ProfilePopulation,
-    schedule: &RebuildSchedule,
-    churn: &[ChurnEvent],
-    cfg: &RunConfig,
-) -> RunOutcome {
-    let mut sys = ProfileFloodSystem::new(cfg.seed);
-    for host in &world.hosts {
-        sys.add_server(host.as_str(), world.neighbors(host));
-    }
-    let mut handles = Vec::new();
-    for (idx, (host, _topic, expr)) in population.profiles.iter().enumerate() {
-        handles.push(sys.subscribe(host.as_str(), ClientId::from_raw(idx as u64), expr.clone()));
-    }
-    let mut cancels = HashMap::new();
-    let mut tracker = PartitionTracker::default();
-    if cfg.base_drop > 0.0 {
-        sys.sim_mut().set_drop_probability(cfg.base_drop);
-    }
-    for (at, action) in merged_actions(schedule, churn, cfg.faults.as_ref()) {
-        sys.sim_mut().run_until(at);
-        match action {
-            Action::Rebuild(k, r) => {
-                let docs = rebuild_docs(k, r.docs);
-                let event = rebuild_event(k, &r.collection, &docs, at);
-                sys.publish(r.collection.host().as_str(), event);
-            }
-            Action::Churn(ChurnEvent::Partition { host, group, .. })
-            | Action::Fault(FaultAction::Partition { host, group, .. }) => {
-                sys.set_partition(host.as_str(), *group);
-                tracker.partition(host, at);
-            }
-            Action::Churn(ChurnEvent::Heal { .. }) | Action::Fault(FaultAction::Heal { .. }) => {
-                sys.heal_network();
-                tracker.heal_all(at);
-            }
-            Action::Churn(ChurnEvent::Cancel { index, .. }) => {
-                if let Some(gpid) = handles.get(*index) {
-                    if sys.unsubscribe(gpid) {
-                        cancels.insert(*index, at);
-                    }
-                }
-            }
-            Action::Fault(FaultAction::SetDropProbability { p, .. }) => {
-                sys.sim_mut().set_drop_probability(*p);
-            }
-            // No directory tier or durable state to crash in this
-            // baseline.
-            Action::Fault(
-                FaultAction::SetNodeUp { .. }
-                | FaultAction::CrashServer { .. }
-                | FaultAction::RestartServer { .. },
-            ) => {}
+/// One of the §2 baselines, deployed and subscribed.
+struct Deployed<S> {
+    net: Baseline<S>,
+    /// Per profile index: its identity and its topic.
+    handles: Vec<(GlobalProfileId, String)>,
+}
+
+impl<S: Server> Deployed<S> {
+    fn deploy(w: &Workload<'_>, server: impl Fn(&HostName) -> S) -> Self {
+        let mut net = Baseline::new(w.cfg.seed);
+        for host in &w.world.hosts {
+            net.add_server(server(host));
         }
-    }
-    let end = sys.sim_mut().now() + cfg.drain;
-    sys.run_until_quiet(end);
-    let mut deliveries = Vec::new();
-    let mut delays = Vec::new();
-    for d in sys.take_deliveries() {
-        let k = d.event_id.seq() as usize;
-        deliveries.push((
-            d.client.as_u64() as usize,
-            k,
-            schedule.rebuilds[k].collection.clone(),
-        ));
-        delays.push(d.at.since(schedule.rebuilds[k].at));
-    }
-    let stored = sys.stored_profiles();
-    let orphans = sys.orphan_profiles();
-    RunOutcome {
-        subscribed: population.len(),
-        stored_client_profiles: population.len() - cancels.len(),
-        deliveries,
-        messages: sys.metrics().counter("net.sent"),
-        bytes: sys.metrics().counter("net.bytes_sent"),
-        stored_profiles: stored,
-        orphan_profiles: orphans,
-        load: sys.metrics().receive_load_imbalance(),
-        cancels,
-        partitions: tracker.finish(end),
-        delays,
-        retransmits: 0,
-        reparents: 0,
-        dropped: sys.metrics().counter("net.dropped"),
-        pruned_edges: 0,
-        ..Default::default()
+        let mut handles = Vec::new();
+        for (idx, (host, topic, expr)) in w.population.profiles.iter().enumerate() {
+            let (client, topic) = (ClientId::from_raw(idx as u64), topic.to_string());
+            let profile = net.subscribe(host.as_str(), client, &topic, expr.clone());
+            handles.push((profile, topic));
+        }
+        Deployed { net, handles }
     }
 }
 
-fn run_rendezvous(
-    world: &GsWorld,
-    population: &ProfilePopulation,
-    schedule: &RebuildSchedule,
-    churn: &[ChurnEvent],
-    cfg: &RunConfig,
-) -> RunOutcome {
-    let mut sys = RendezvousSystem::new(cfg.seed);
-    for host in &world.hosts {
-        sys.add_server(host.as_str());
+impl<S: Server> Deployment for Deployed<S> {
+    type Msg = BaselineMsg;
+    const OUTAGES: bool = false;
+
+    fn sim(&mut self) -> &mut Sim<BaselineMsg> {
+        self.net.sim_mut()
     }
-    let mut handles = Vec::new();
-    for (idx, (host, topic, expr)) in population.profiles.iter().enumerate() {
-        let gpid = sys.subscribe(
-            host.as_str(),
-            ClientId::from_raw(idx as u64),
-            &topic.to_string(),
-            expr.clone(),
-        );
-        handles.push((gpid, topic.to_string()));
+
+    /// Baselines have no build process of their own: they publish the
+    /// rebuild's event directly.
+    fn rebuild(&mut self, k: usize, r: &Rebuild, at: SimTime) {
+        let host = r.collection.host();
+        let docs = rebuild_docs(k, r.docs);
+        let event = Event::new(
+            EventId::new(host.clone(), k as u64),
+            r.collection.clone(),
+            EventKind::CollectionRebuilt,
+            at,
+        )
+        .with_docs(docs.iter().map(|d| d.summary(200)).collect());
+        self.net.publish(host.as_str(), event);
     }
-    let mut cancels = HashMap::new();
-    let mut tracker = PartitionTracker::default();
-    if cfg.base_drop > 0.0 {
-        sys.sim_mut().set_drop_probability(cfg.base_drop);
+
+    fn cancel(&mut self, index: usize) -> bool {
+        self.handles
+            .get(index)
+            .is_some_and(|(profile, topic)| self.net.unsubscribe(profile, topic))
     }
-    for (at, action) in merged_actions(schedule, churn, cfg.faults.as_ref()) {
-        sys.sim_mut().run_until(at);
-        match action {
-            Action::Rebuild(k, r) => {
-                let docs = rebuild_docs(k, r.docs);
-                let event = rebuild_event(k, &r.collection, &docs, at);
-                sys.publish(r.collection.host().as_str(), event);
-            }
-            Action::Churn(ChurnEvent::Partition { host, group, .. })
-            | Action::Fault(FaultAction::Partition { host, group, .. }) => {
-                sys.set_partition(host.as_str(), *group);
-                tracker.partition(host, at);
-            }
-            Action::Churn(ChurnEvent::Heal { .. }) | Action::Fault(FaultAction::Heal { .. }) => {
-                sys.heal_network();
-                tracker.heal_all(at);
-            }
-            Action::Churn(ChurnEvent::Cancel { index, .. }) => {
-                if let Some((gpid, topic)) = handles.get(*index) {
-                    if sys.unsubscribe(gpid, topic) {
-                        cancels.insert(*index, at);
-                    }
-                }
-            }
-            Action::Fault(FaultAction::SetDropProbability { p, .. }) => {
-                sys.sim_mut().set_drop_probability(*p);
-            }
-            // No directory tier or durable state to crash in this
-            // baseline.
-            Action::Fault(
-                FaultAction::SetNodeUp { .. }
-                | FaultAction::CrashServer { .. }
-                | FaultAction::RestartServer { .. },
-            ) => {}
+
+    fn read_out(
+        &mut self,
+        schedule: &RebuildSchedule,
+        cancels: &HashMap<usize, SimTime>,
+    ) -> RunOutcome {
+        let (deliveries, delays) = self
+            .net
+            .take_deliveries()
+            .into_iter()
+            .map(|d| {
+                let k = d.event_id.seq() as usize;
+                let rebuild = &schedule.rebuilds[k];
+                let delivery = (d.client.as_u64() as usize, k, rebuild.collection.clone());
+                (delivery, d.at.since(rebuild.at))
+            })
+            .unzip();
+        RunOutcome {
+            deliveries,
+            delays,
+            stored_profiles: self.net.stored_profiles(),
+            orphan_profiles: self.net.orphan_profiles(),
+            subscribed: self.handles.len(),
+            stored_client_profiles: self.handles.len() - cancels.len(),
+            ..RunOutcome::default()
         }
-    }
-    let end = sys.sim_mut().now() + cfg.drain;
-    sys.run_until_quiet(end);
-    let mut deliveries = Vec::new();
-    let mut delays = Vec::new();
-    for d in sys.take_deliveries() {
-        let k = d.event_id.seq() as usize;
-        deliveries.push((
-            d.client.as_u64() as usize,
-            k,
-            schedule.rebuilds[k].collection.clone(),
-        ));
-        delays.push(d.at.since(schedule.rebuilds[k].at));
-    }
-    let stored: usize = sys.stored_profiles_per_host().values().sum();
-    RunOutcome {
-        subscribed: population.len(),
-        stored_client_profiles: population.len() - cancels.len(),
-        deliveries,
-        messages: sys.metrics().counter("net.sent"),
-        bytes: sys.metrics().counter("net.bytes_sent"),
-        stored_profiles: stored,
-        orphan_profiles: 0,
-        load: sys.metrics().receive_load_imbalance(),
-        cancels,
-        partitions: tracker.finish(end),
-        delays,
-        retransmits: 0,
-        reparents: 0,
-        dropped: sys.metrics().counter("net.dropped"),
-        pruned_edges: 0,
-        ..Default::default()
     }
 }
 
@@ -856,8 +757,62 @@ mod tests {
             &RunConfig::default(),
         );
         assert!(outcome.cancels.contains_key(&0));
-        assert_eq!(outcome.orphan_profiles, 0, "the cancel was applied server-side");
+        assert_eq!(
+            outcome.orphan_profiles, 0,
+            "the cancel was applied server-side"
+        );
         assert_eq!(outcome.stored_client_profiles, pop.len() - 1);
+    }
+
+    /// A fault plan may name a host the deployment lacks (here every host
+    /// step names one). Every scheme skips such a step: it applies nothing
+    /// and records no window.
+    #[test]
+    fn every_scheme_skips_faults_naming_an_unknown_host() {
+        let (world, pop, schedule) = workload();
+        let host = HostName::new("nowhere");
+        let at = SimTime::from_secs;
+        let faults = FaultPlan {
+            actions: vec![
+                FaultAction::Partition {
+                    at: at(1),
+                    host: host.clone(),
+                    group: 1,
+                },
+                FaultAction::SetNodeUp {
+                    at: at(2),
+                    host: host.clone(),
+                    up: false,
+                },
+                FaultAction::CrashServer {
+                    at: at(3),
+                    host: host.clone(),
+                },
+                FaultAction::RestartServer {
+                    at: at(4),
+                    host: host.clone(),
+                },
+                FaultAction::SetNodeUp {
+                    at: at(5),
+                    host,
+                    up: true,
+                },
+            ],
+        };
+        for scheme in Scheme::ALL {
+            let clean = run_scheme(scheme, &world, &pop, &schedule, &[], &RunConfig::default());
+            let cfg = RunConfig {
+                faults: Some(faults.clone()),
+                ..RunConfig::default()
+            };
+            let outcome = run_scheme(scheme, &world, &pop, &schedule, &[], &cfg);
+            assert!(outcome.partitions.is_empty(), "{scheme} recorded a window");
+            assert_eq!(
+                outcome.deliveries, clean.deliveries,
+                "{scheme} applied a step"
+            );
+            assert_eq!(outcome.messages, clean.messages, "{scheme} applied a step");
+        }
     }
 
     #[test]
