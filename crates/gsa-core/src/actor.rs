@@ -1,9 +1,9 @@
 //! Simulation actors: adapters from the sans-IO state machines to
 //! `gsa-simnet`.
 //!
-//! An actor carries only what is the transport's — wire formats, batch
-//! buffers, the reliable envelope, timers. Names and counters pass
-//! through it without being kept: a host name resolves in the
+//! An actor carries only what is the transport's — batch buffers sized
+//! by the deployment's wire, the reliable envelope, timers. Names and
+//! counters pass through it without being kept: a host name resolves in the
 //! simulator's own name table, lent through [`Ctx::resolve`] /
 //! [`Ctx::name_of`] for the length of a callback (the name ↔ node
 //! relation exists once per world, so there is no copy to keep in
@@ -12,7 +12,7 @@
 
 use crate::core::{AlertingCore, CoreEffects};
 use crate::message::SysMessage;
-use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound, InterestMode};
+use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
 use gsa_types::{Counts, HostName, SimDuration, SimTime};
 use gsa_wire::reliable::{
@@ -113,6 +113,15 @@ impl WireConfig {
         }
     }
 
+    /// The most events one frame carries: [`BATCH_MAX_EVENTS`] on the
+    /// binary wire, one on the paper's XML, which has no `gds:batch`.
+    fn batch_cap(&self) -> usize {
+        match self.format {
+            WireFormat::Binary => BATCH_MAX_EVENTS,
+            WireFormat::Xml => 1,
+        }
+    }
+
     /// An alias of [`WireConfig::v2`], which always batches.
     pub fn v2_batched(_: BatchConfig) -> Self {
         Self::v2()
@@ -151,6 +160,17 @@ impl Slice {
             Slice::Shared(frame, range) => &frame[range.clone()],
         }
     }
+
+    /// The frame a slice goes out as on its own: its one event plain, a
+    /// whole shared frame as that frame, a part of one as a new frame.
+    fn into_frame(self) -> GdsMessage {
+        match self {
+            Slice::One(msg) => msg,
+            Slice::Shared(frame, range) if range.len() == 1 => frame[range.start].clone(),
+            Slice::Shared(frame, range) if range.len() == frame.len() => GdsMessage::Batch(frame),
+            Slice::Shared(frame, range) => GdsMessage::Batch(frame[range].into()),
+        }
+    }
 }
 
 /// One edge's buffered events.
@@ -162,30 +182,23 @@ struct EdgeBuf {
 }
 
 impl EdgeBuf {
-    fn push(&mut self, slice: Slice) {
+    fn push(&mut self, slice: Slice, cap: usize) {
         self.items += slice.items().len();
         self.slices.push(slice);
         debug_assert!(
-            self.items <= BATCH_MAX_EVENTS,
-            "an edge buffer holds {} events, over the cap of {BATCH_MAX_EVENTS}",
+            self.items <= cap,
+            "an edge buffer holds {} events, over the cap of {cap}",
             self.items
         );
     }
 
-    /// The frame the buffer goes out as: its one event plain, exactly
-    /// one whole shared frame as that frame, anything else as the
-    /// concatenation of its events (one sequence number, one ack, when
-    /// the edge is reliable).
+    /// The frame the buffer goes out as: one slice as that slice's
+    /// frame, several as the concatenation of their events (one
+    /// sequence number, one ack, when the edge is reliable).
     fn into_frame(mut self) -> GdsMessage {
-        match self.slices.as_slice() {
-            [Slice::Shared(frame, range)] if self.items > 1 && range.len() == frame.len() => {
-                GdsMessage::Batch(frame.clone())
-            }
-            _ if self.items == 1 => match self.slices.pop().expect("one event") {
-                Slice::One(msg) => msg,
-                Slice::Shared(frame, range) => frame[range.start].clone(),
-            },
-            slices => GdsMessage::Batch(slices.iter().flat_map(Slice::items).cloned().collect()),
+        match self.slices.len() {
+            1 => self.slices.pop().expect("one slice").into_frame(),
+            _ => GdsMessage::Batch(self.slices.iter().flat_map(Slice::items).cloned().collect()),
         }
     }
 }
@@ -200,13 +213,18 @@ enum Flush {
     Arm,
 }
 
-/// The per-edge batch buffers of a binary wire. An edge is sent its
-/// frame the moment it holds [`BATCH_MAX_EVENTS`] events, the rest at
-/// the end of the instant, in `NodeId` order: a hasher's per-instance
-/// order must not steer the send order, and with it the link RNG draw
-/// order.
-#[derive(Debug, Default)]
+/// The per-edge batch buffers of the deployment's wire. An edge is sent
+/// its frame the moment it holds `cap` events, the rest at the end of
+/// the instant, in `NodeId` order: a hasher's per-instance order must
+/// not steer the send order, and with it the link RNG draw order. With
+/// the XML wire's cap of one, every event goes out alone the moment it
+/// is pushed. A buffer holds references into shared frames, so an event
+/// forwarded on several edges is not copied per edge, and a frame
+/// forwarded whole goes out as the frame that came in.
+#[derive(Debug)]
 struct Batcher {
+    /// The most events one frame carries ([`WireConfig::batch_cap`]).
+    cap: usize,
     pending: BTreeMap<NodeId, EdgeBuf>,
     /// A `BATCH_TAG` timer is outstanding.
     armed: bool,
@@ -216,14 +234,22 @@ struct Batcher {
 }
 
 impl Batcher {
+    fn new(cap: usize) -> Self {
+        Batcher {
+            cap,
+            pending: BTreeMap::new(),
+            armed: false,
+            marks: Vec::new(),
+        }
+    }
+
     /// Buffers one event for `node`.
     fn push(&mut self, node: NodeId, msg: GdsMessage, out: &mut impl FnMut(Flush)) {
-        let buf = self.pending.entry(node).or_default();
-        buf.push(Slice::One(msg));
-        if buf.items == BATCH_MAX_EVENTS {
-            let buf = self.pending.remove(&node).expect("just pushed");
-            out(Flush::Send(node, buf.into_frame()));
+        let fill = self.pending.get(&node).map_or(0, |buf| buf.items);
+        if fill + 1 == self.cap {
+            self.send_full(node, Slice::One(msg), out);
         } else {
+            self.pending.entry(node).or_default().push(Slice::One(msg), self.cap);
             self.arm(out);
         }
     }
@@ -236,19 +262,17 @@ impl Batcher {
     /// out exactly where they would have.
     fn push_run(&mut self, legs: &[(NodeId, Arc<[GdsMessage]>)], out: &mut impl FnMut(Flush)) {
         let n = legs.first().map_or(0, |(_, frame)| frame.len());
-        let pending = &self.pending;
-        self.marks.clear();
-        self.marks.extend(
+        let mut marks = std::mem::take(&mut self.marks);
+        marks.clear();
+        marks.extend(
             legs.iter()
-                .map(|(node, _)| (pending.get(node).map_or(0, |buf| buf.items), 0)),
+                .map(|(node, _)| (self.pending.get(node).map_or(0, |buf| buf.items), 0)),
         );
         for i in 0..n {
-            for ((node, frame), (fill, start)) in legs.iter().zip(&mut self.marks) {
+            for ((node, frame), (fill, start)) in legs.iter().zip(&mut marks) {
                 *fill += 1;
-                if *fill == BATCH_MAX_EVENTS {
-                    let mut buf = self.pending.remove(node).unwrap_or_default();
-                    buf.push(Slice::Shared(frame.clone(), *start..i + 1));
-                    out(Flush::Send(*node, buf.into_frame()));
+                if *fill == self.cap {
+                    self.send_full(*node, Slice::Shared(frame.clone(), *start..i + 1), out);
                     (*fill, *start) = (0, i + 1);
                 } else if !self.armed {
                     self.armed = true;
@@ -256,16 +280,32 @@ impl Batcher {
                 }
             }
         }
-        for ((node, frame), &(_, start)) in legs.iter().zip(&self.marks) {
+        for ((node, frame), &(_, start)) in legs.iter().zip(&marks) {
             if start < n {
                 let slice = Slice::Shared(frame.clone(), start..n);
-                self.pending.entry(*node).or_default().push(slice);
+                self.pending.entry(*node).or_default().push(slice, self.cap);
             }
         }
+        self.marks = marks;
+    }
+
+    /// Sends `node` its buffer and `slice`, which fills it to the cap.
+    fn send_full(&mut self, node: NodeId, slice: Slice, out: &mut impl FnMut(Flush)) {
+        let frame = match self.pending.remove(&node) {
+            Some(mut buf) => {
+                buf.push(slice, self.cap);
+                buf.into_frame()
+            }
+            None => slice.into_frame(),
+        };
+        out(Flush::Send(node, frame));
     }
 
     /// Asks for the timer when an edge holds something (a flushed edge
-    /// leaves the map) and none is outstanding.
+    /// leaves the map) and none is outstanding. The timer is due now:
+    /// the simulator runs same-instant items in the order they were
+    /// queued, so it fires after every frame already due in this
+    /// instant, and whatever those frames send shares the flush.
     fn arm(&mut self, out: &mut impl FnMut(Flush)) {
         if !self.armed && !self.pending.is_empty() {
             self.armed = true;
@@ -282,94 +322,9 @@ impl Batcher {
     }
 }
 
-/// One actor's view of the wire protocol: the deployment's format and
-/// the per-edge batch buffers. A buffer holds references into shared
-/// frames, so an event a node forwards on several edges is not copied
-/// per edge, and a frame forwarded whole goes out as the frame that
-/// came in.
-#[derive(Debug)]
-struct WireLink {
-    /// The format every edge speaks.
-    format: WireFormat,
-    batcher: Batcher,
-}
-
-impl WireLink {
-    fn new(format: WireFormat) -> Self {
-        WireLink {
-            format,
-            batcher: Batcher::default(),
-        }
-    }
-
-    /// Queues or sends one data message on an edge. A frame carrying an
-    /// event on a binary wire is buffered and flushed by size or by the
-    /// `BATCH_TAG` timer; everything else goes out immediately.
-    fn dispatch(
-        &mut self,
-        ctx: &mut Ctx<'_, SysMessage>,
-        node: NodeId,
-        msg: GdsMessage,
-        mut link: Option<&mut ReliableLink>,
-    ) {
-        let fmt = self.format;
-        // Only the binary wire batches: the paper's XML has no gds:batch.
-        if fmt != WireFormat::Binary || !batchable(&msg) {
-            return send_data(ctx, node, fmt, msg, link);
-        }
-        let out = &mut |flush| wire_out(ctx, fmt, flush, link.as_deref_mut());
-        self.batcher.push(node, msg, out);
-    }
-
-    /// Sends a flood run (see [`Batcher::push_run`]). Off the binary
-    /// wire, which does not batch, every item goes out on its own, in
-    /// the same order.
-    fn dispatch_run(
-        &mut self,
-        ctx: &mut Ctx<'_, SysMessage>,
-        legs: &[(NodeId, Arc<[GdsMessage]>)],
-        mut link: Option<&mut ReliableLink>,
-    ) {
-        let fmt = self.format;
-        if fmt != WireFormat::Binary {
-            let n = legs.first().map_or(0, |(_, frame)| frame.len());
-            for i in 0..n {
-                for (node, frame) in legs {
-                    self.dispatch(ctx, *node, frame[i].clone(), link.as_deref_mut());
-                }
-            }
-            return;
-        }
-        let out = &mut |flush| wire_out(ctx, fmt, flush, link.as_deref_mut());
-        self.batcher.push_run(legs, out);
-    }
-
-    /// Flushes every buffered edge (the `BATCH_TAG` timer body).
-    fn flush_all(&mut self, ctx: &mut Ctx<'_, SysMessage>, mut link: Option<&mut ReliableLink>) {
-        let fmt = self.format;
-        self.batcher
-            .flush(&mut |flush| wire_out(ctx, fmt, flush, link.as_deref_mut()));
-    }
-
-    /// Sets the `BATCH_TAG` timer when an edge holds something and no
-    /// timer is outstanding. The timer is due now: the simulator runs
-    /// same-instant items in the order they were queued, so it fires
-    /// after every frame already due in this instant, and whatever
-    /// those frames send shares the flush.
-    fn arm_flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        let fmt = self.format;
-        self.batcher.arm(&mut |flush| wire_out(ctx, fmt, flush, None));
-    }
-}
-
 /// Carries out what the batcher asks: a frame of several events is a
 /// [`GdsMessage::Batch`], counted as one flush.
-fn wire_out(
-    ctx: &mut Ctx<'_, SysMessage>,
-    fmt: WireFormat,
-    flush: Flush,
-    link: Option<&mut ReliableLink>,
-) {
+fn wire_out(ctx: &mut Ctx<'_, SysMessage>, flush: Flush, link: Option<&mut ReliableLink>) {
     match flush {
         Flush::Arm => ctx.set_timer(SimDuration::ZERO, BATCH_TAG),
         Flush::Send(node, msg) => {
@@ -377,7 +332,7 @@ fn wire_out(
                 ctx.count_id(CounterId::WIRE_BATCH_FLUSHES, 1);
                 ctx.count_id(CounterId::WIRE_BATCH_COALESCED, items.len() as u64);
             }
-            send_data(ctx, node, fmt, msg, link);
+            send_data(ctx, node, msg, link);
         }
     }
 }
@@ -426,44 +381,31 @@ impl ReliableLink {
         }
     }
 
-    /// Wraps `msg` in a data envelope, transmits it in the edge's
-    /// format, and remembers it for retransmission until acknowledged.
-    fn transmit(
-        &mut self,
-        ctx: &mut Ctx<'_, SysMessage>,
-        node: NodeId,
-        fmt: WireFormat,
-        msg: GdsMessage,
-    ) {
+    /// Wraps `msg` in a data envelope, transmits it, and remembers it
+    /// for retransmission until acknowledged.
+    fn transmit(&mut self, ctx: &mut Ctx<'_, SysMessage>, node: NodeId, msg: GdsMessage) {
         let seq = self.queue.send(node, msg.clone(), ctx.now());
-        ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
+        ctx.send(node, SysMessage::RelGds(Reliable::Data { seq, payload: msg }));
         self.arm(ctx);
     }
 
     /// Takes `from`'s ack window, and re-sends at once what it proves
     /// lost.
-    fn ack(
-        &mut self,
-        ctx: &mut Ctx<'_, SysMessage>,
-        fmt: WireFormat,
-        from: NodeId,
-        seq: u64,
-        more: u64,
-    ) {
+    fn ack(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64, more: u64) {
         for (seq, msg) in self.queue.ack(from, acked_seqs(seq, more), ctx.now()) {
-            resend(ctx, fmt, from, seq, msg, Resend::Lost);
+            resend(ctx, from, seq, msg, Resend::Lost);
         }
         self.arm(ctx);
     }
 
     /// The `LOSS_TAG` timer body: re-sends everything due, then re-arms.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, fmt: WireFormat) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let now = ctx.now();
         if self.armed.is_some_and(|armed| armed <= now) {
             self.armed = None;
         }
         for (seq, node, msg, why) in self.queue.poll(now) {
-            resend(ctx, fmt, node, seq, msg, why);
+            resend(ctx, node, seq, msg, why);
         }
         self.arm(ctx);
     }
@@ -472,14 +414,7 @@ impl ReliableLink {
 /// Re-sends a queued entry, counting `net.retransmits`, and
 /// `net.fast_retransmits` and `net.tail_probes` for what did not wait
 /// for the backoff.
-fn resend(
-    ctx: &mut Ctx<'_, SysMessage>,
-    fmt: WireFormat,
-    node: NodeId,
-    seq: u64,
-    msg: GdsMessage,
-    why: Resend,
-) {
+fn resend(ctx: &mut Ctx<'_, SysMessage>, node: NodeId, seq: u64, msg: GdsMessage, why: Resend) {
     ctx.count_id(CounterId::NET_RETRANSMITS, 1);
     if why != Resend::Timeout {
         ctx.count_id(CounterId::NET_FAST_RETRANSMITS, 1);
@@ -487,23 +422,7 @@ fn resend(
     if why == Resend::Probe {
         ctx.count_id(CounterId::NET_TAIL_PROBES, 1);
     }
-    ctx.send(node, rel_frame(fmt, Reliable::Data { seq, payload: msg }));
-}
-
-/// Picks the `SysMessage` carrier for a plain data frame in a format.
-fn data_frame(fmt: WireFormat, msg: GdsMessage) -> SysMessage {
-    match fmt {
-        WireFormat::Xml => SysMessage::Gds(msg),
-        WireFormat::Binary => SysMessage::GdsBin(msg),
-    }
-}
-
-/// Picks the `SysMessage` carrier for a reliable envelope in a format.
-fn rel_frame(fmt: WireFormat, rel: Reliable<GdsMessage>) -> SysMessage {
-    match fmt {
-        WireFormat::Xml => SysMessage::RelGds(rel),
-        WireFormat::Binary => SysMessage::RelGdsBin(rel),
-    }
+    ctx.send(node, SysMessage::RelGds(Reliable::Data { seq, payload: msg }));
 }
 
 /// Sends one data message on an edge, through the reliable link when
@@ -511,13 +430,12 @@ fn rel_frame(fmt: WireFormat, rel: Reliable<GdsMessage>) -> SysMessage {
 fn send_data(
     ctx: &mut Ctx<'_, SysMessage>,
     node: NodeId,
-    fmt: WireFormat,
     msg: GdsMessage,
     link: Option<&mut ReliableLink>,
 ) {
     match link {
-        Some(l) => l.transmit(ctx, node, fmt, msg),
-        None => ctx.send(node, data_frame(fmt, msg)),
+        Some(l) => l.transmit(ctx, node, msg),
+        None => ctx.send(node, SysMessage::Gds(msg)),
     }
 }
 
@@ -557,11 +475,11 @@ impl PendingAcks {
     }
 
     /// The `ACK_TAG` timer body: every edge's windows, one frame each.
-    fn flush(&mut self, ctx: &mut Ctx<'_, SysMessage>, fmt: WireFormat) {
+    fn flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         self.armed = false;
         for (node, mut seqs) in std::mem::take(&mut self.by_edge) {
             for (seq, more) in ack_windows(&mut seqs) {
-                ctx.send(node, rel_frame(fmt, Reliable::Ack { seq, more }));
+                ctx.send(node, SysMessage::RelGds(Reliable::Ack { seq, more }));
             }
         }
     }
@@ -580,12 +498,14 @@ enum Received {
 
 /// One actor's edge transport: everything between a [`SysMessage`] frame
 /// on a tree edge and the plain message its state machine handles — the
-/// wire format and per-edge batch buffers, and (when enabled) the
-/// reliable envelope. [`AlertingActor`] and [`GdsActor`] each own one;
-/// neither unwraps a carrier, acknowledges or polls a queue by itself.
+/// per-edge batch buffers and (when enabled) the reliable envelope. The
+/// deployment's wire sets the batch cap when the transport is built;
+/// nothing here names a format. [`AlertingActor`] and [`GdsActor`] each
+/// own one; neither unwraps a carrier, acknowledges or polls a queue by
+/// itself.
 #[derive(Debug)]
 struct EdgeTransport {
-    wire: WireLink,
+    batcher: Batcher,
     /// The retransmission queue (reliability on).
     reliable: Option<ReliableLink>,
     /// Data envelopes received and not yet acknowledged.
@@ -593,16 +513,13 @@ struct EdgeTransport {
 }
 
 impl EdgeTransport {
-    fn new() -> Self {
+    /// A transport on `wire`, reliable when given a jitter seed.
+    fn new(wire: &WireConfig, reliable: Option<u64>) -> Self {
         EdgeTransport {
-            wire: WireLink::new(WireFormat::default()),
-            reliable: None,
+            batcher: Batcher::new(wire.batch_cap()),
+            reliable: reliable.map(ReliableLink::new),
             acks: PendingAcks::default(),
         }
-    }
-
-    fn enable_reliability(&mut self, seed: u64) {
-        self.reliable = Some(ReliableLink::new(seed));
     }
 
     /// The actor's `on_start`, which a node coming back up runs again.
@@ -615,15 +532,15 @@ impl EdgeTransport {
             link.armed = None;
             link.arm(ctx);
         }
-        self.wire.batcher.armed = false;
-        self.wire.arm_flush(ctx);
+        self.batcher.armed = false;
+        self.batcher.arm(&mut |flush| wire_out(ctx, flush, None));
         self.acks.armed = false;
         self.acks.arm(ctx);
     }
 
     /// The transport's share of an arriving frame — the one place the
-    /// GDS carriers are taken apart. Data envelopes are noted for the
-    /// next ack flush and acks feed the retransmission queue; what is
+    /// GDS carriers are taken apart. A data envelope is noted for the
+    /// next ack flush and an ack feeds the retransmission queue; what is
     /// left is the state machine's.
     fn receive(
         &mut self,
@@ -632,57 +549,46 @@ impl EdgeTransport {
         msg: SysMessage,
     ) -> Received {
         match msg {
-            SysMessage::Gds(m) | SysMessage::GdsBin(m) => Received::Gds(m),
-            SysMessage::RelGds(rel) | SysMessage::RelGdsBin(rel) => {
-                match self.open(ctx, from, rel) {
-                    Some(m) => Received::Gds(m),
-                    None => Received::Consumed,
-                }
-            }
-            other @ (SysMessage::Gs(_) | SysMessage::Aux(_)) => Received::Gs(other),
-        }
-    }
-
-    /// Opens a reliable envelope: the data it carries, its ack owed;
-    /// nothing for an ack, which feeds the retransmission queue.
-    fn open(
-        &mut self,
-        ctx: &mut Ctx<'_, SysMessage>,
-        from: NodeId,
-        rel: Reliable<GdsMessage>,
-    ) -> Option<GdsMessage> {
-        match rel {
-            Reliable::Data { seq, payload } => {
+            SysMessage::Gds(m) => Received::Gds(m),
+            SysMessage::RelGds(Reliable::Data { seq, payload }) => {
                 // Always ack, even a redelivery: handling is idempotent
                 // (duplicate suppression at nodes and servers), and the
                 // ack is what stops the sender.
                 ctx.count_id(CounterId::NET_ACKS, 1);
                 self.acks.note(ctx, from, seq);
-                Some(payload)
+                Received::Gds(payload)
             }
-            Reliable::Ack { seq, more } => {
+            SysMessage::RelGds(Reliable::Ack { seq, more }) => {
                 if let Some(link) = &mut self.reliable {
-                    link.ack(ctx, self.wire.format, from, seq, more);
+                    link.ack(ctx, from, seq, more);
                 }
-                None
+                Received::Consumed
             }
+            other @ (SysMessage::Gs(_) | SysMessage::Aux(_)) => Received::Gs(other),
         }
     }
 
-    /// Sends one GDS message on an edge: beacons plain, everything else
-    /// through the batcher and, when enabled, the reliable envelope.
+    /// Sends one GDS message on an edge: beacons plain, a frame carrying
+    /// an event through the batcher, and everything but beacons through
+    /// the reliable envelope when enabled.
     fn send(&mut self, ctx: &mut Ctx<'_, SysMessage>, node: NodeId, msg: GdsMessage) {
+        let mut link = self.reliable.as_mut();
         if rides_plain(&msg) {
-            ctx.send(node, data_frame(self.wire.format, msg));
+            ctx.send(node, SysMessage::Gds(msg));
+        } else if batchable(&msg) {
+            let out = &mut |flush| wire_out(ctx, flush, link.as_deref_mut());
+            self.batcher.push(node, msg, out);
         } else {
-            self.wire.dispatch(ctx, node, msg, self.reliable.as_mut());
+            send_data(ctx, node, msg, link);
         }
     }
 
-    /// Sends a flood run through the batcher and, when enabled, the
-    /// reliable envelope.
+    /// Sends a flood run (see [`Batcher::push_run`]) through the batcher
+    /// and, when enabled, the reliable envelope.
     fn send_run(&mut self, ctx: &mut Ctx<'_, SysMessage>, legs: &[(NodeId, Arc<[GdsMessage]>)]) {
-        self.wire.dispatch_run(ctx, legs, self.reliable.as_mut());
+        let mut link = self.reliable.as_mut();
+        let out = &mut |flush| wire_out(ctx, flush, link.as_deref_mut());
+        self.batcher.push_run(legs, out);
     }
 
     /// The three timers the transport owns; any other tag is not its.
@@ -690,11 +596,15 @@ impl EdgeTransport {
         match tag {
             LOSS_TAG => {
                 if let Some(link) = &mut self.reliable {
-                    link.on_timer(ctx, self.wire.format);
+                    link.on_timer(ctx);
                 }
             }
-            BATCH_TAG => self.wire.flush_all(ctx, self.reliable.as_mut()),
-            ACK_TAG => self.acks.flush(ctx, self.wire.format),
+            BATCH_TAG => {
+                let mut link = self.reliable.as_mut();
+                self.batcher
+                    .flush(&mut |flush| wire_out(ctx, flush, link.as_deref_mut()));
+            }
+            ACK_TAG => self.acks.flush(ctx),
             _ => {}
         }
     }
@@ -715,27 +625,18 @@ pub struct AlertingActor {
 }
 
 impl AlertingActor {
-    /// Wraps a core.
-    pub fn new(core: AlertingCore) -> Self {
+    /// Wraps a core on the deployment's `wire`. With a `reliable` seed,
+    /// which derives the retransmission jitter, this host's GDS-bound
+    /// traffic (registration, publishes, resolves) rides the reliable
+    /// envelope.
+    pub fn new(core: AlertingCore, wire: &WireConfig, reliable: Option<u64>) -> Self {
         AlertingActor {
             core,
-            edge: EdgeTransport::new(),
+            edge: EdgeTransport::new(wire, reliable),
             completed_fetches: Vec::new(),
             completed_searches: Vec::new(),
             resolved: Vec::new(),
         }
-    }
-
-    /// Turns on the reliable envelope for this host's GDS-bound traffic
-    /// (registration, publishes, resolves). `seed` derives the
-    /// retransmission jitter.
-    pub fn enable_reliability(&mut self, seed: u64) {
-        self.edge.enable_reliability(seed);
-    }
-
-    /// Sets the wire-protocol configuration.
-    pub fn set_wire(&mut self, config: WireConfig) {
-        self.edge.wire = WireLink::new(config.format);
     }
 
     /// The wrapped core.
@@ -839,45 +740,31 @@ pub struct GdsActor {
 }
 
 impl GdsActor {
-    /// Wraps a directory-server node (best-effort hops, no failure
-    /// detector — the paper's §6 baseline behaviour).
-    pub fn new(node: GdsNode) -> Self {
+    /// Wraps a directory-server node on the deployment's `wire`; a v2
+    /// node also freezes flood payloads at the origin (encode-once
+    /// forwarding). Without `reliable`, hops are best-effort and there is
+    /// no failure detector (the paper's §6 behaviour). With it, edges are
+    /// reliable and the node beacons its children and watches its
+    /// parent: `reliable` is the grandparent it re-parents to when the
+    /// parent is declared dead, and the seed of the retransmission jitter.
+    pub fn new(
+        mut node: GdsNode,
+        wire: &WireConfig,
+        reliable: Option<(Option<HostName>, u64)>,
+    ) -> Self {
+        node.set_encode_once(wire.format == WireFormat::Binary);
         GdsActor {
             node,
-            edge: EdgeTransport::new(),
-            detector: None,
+            edge: EdgeTransport::new(wire, reliable.as_ref().map(|&(_, seed)| seed)),
+            detector: reliable.map(|(grandparent, _)| FailureDetector {
+                grandparent,
+                heard: true,
+                misses: 0,
+            }),
             scratch: GdsEffects::default(),
             legs: Vec::new(),
             announce_armed: false,
         }
-    }
-
-    /// Sets the wire-protocol configuration. A v2 node also freezes
-    /// flood payloads at the origin (encode-once forwarding).
-    pub fn set_wire(&mut self, config: WireConfig) {
-        self.node
-            .set_encode_once(config.format == WireFormat::Binary);
-        self.edge.wire = WireLink::new(config.format);
-    }
-
-    /// Chooses the wrapped node's interest machine (construction time).
-    /// The actor flushes a pruning node's announcements when the
-    /// `ANNOUNCE_TAG` timer fires: one upward announce per burst.
-    pub fn set_interest(&mut self, mode: InterestMode) {
-        self.node.set_interest(mode);
-    }
-
-    /// Turns on reliable per-edge delivery, the beacons to the children
-    /// and the failure detector. `grandparent` is the fallback
-    /// attachment point this node re-parents to when its parent is
-    /// declared dead; `seed` derives the retransmission jitter.
-    pub fn enable_reliability(&mut self, grandparent: Option<HostName>, seed: u64) {
-        self.edge.enable_reliability(seed);
-        self.detector = Some(FailureDetector {
-            grandparent,
-            heard: true,
-            misses: 0,
-        });
     }
 
     /// The wrapped node.
@@ -1060,17 +947,25 @@ mod tests {
     /// The per-item dispatcher the run walk replaced, kept as the
     /// reference it must agree with: every event is pushed on its own,
     /// and an edge's buffer holds copies.
-    #[derive(Default)]
     struct ItemBatcher {
+        cap: usize,
         pending: BTreeMap<NodeId, Vec<GdsMessage>>,
         armed: bool,
     }
 
     impl ItemBatcher {
+        fn new(cap: usize) -> Self {
+            ItemBatcher {
+                cap,
+                pending: BTreeMap::new(),
+                armed: false,
+            }
+        }
+
         fn push(&mut self, node: NodeId, msg: GdsMessage, out: &mut impl FnMut(Flush)) {
             let buf = self.pending.entry(node).or_default();
             buf.push(msg);
-            if buf.len() >= BATCH_MAX_EVENTS {
+            if buf.len() >= self.cap {
                 let items = self.pending.remove(&node).expect("just pushed");
                 out(Flush::Send(node, Self::frame(items)));
             } else if !self.armed {
@@ -1124,6 +1019,9 @@ mod tests {
 
     #[derive(Debug, Clone, PartialEq)]
     struct Scenario {
+        /// The wire's batch cap: the XML wire's one, or the binary
+        /// wire's [`BATCH_MAX_EVENTS`].
+        cap: usize,
         /// Events each edge holds before the first step.
         fills: Vec<usize>,
         /// Edges behind a reliable link: every frame takes a sequence
@@ -1169,21 +1067,23 @@ mod tests {
         }
     }
 
-    /// Runs of 1 to 2.5 × [`BATCH_MAX_EVENTS`] items over up to six
-    /// edges, from a random starting fill below the cap per edge, with
-    /// mixed forms, lone events between runs, ends of instants and
-    /// reliable edges: every starting fill can reach a full-cap flush.
+    /// On either wire's cap, runs of 1 to 2.5 × the cap items (1 or 2
+    /// on the XML wire) over up to six edges, from a random starting
+    /// fill below the cap per edge, with mixed forms, lone events
+    /// between runs, ends of instants and reliable edges: every starting
+    /// fill can reach a full-cap flush.
     fn scenario(seed: u64) -> Scenario {
         let mut d = Draws(seed);
+        let cap = [1, BATCH_MAX_EVENTS][d.below(2)];
         let edges = 1 + d.below(6);
-        let fills = (0..edges).map(|_| d.below(BATCH_MAX_EVENTS)).collect();
+        let fills = (0..edges).map(|_| d.below(cap)).collect();
         let reliable = (0..edges).map(|_| d.below(2) == 1).collect();
         let steps = (0..1 + d.below(8))
             .map(|_| match d.below(8) {
                 0 => Step::EndOfInstant,
                 1 => Step::One(d.below(edges) as u32),
                 _ => {
-                    let len = 1 + d.below(BATCH_MAX_EVENTS * 5 / 2);
+                    let len = 1 + d.below(cap * 5 / 2);
                     let legs = (0..edges as u32)
                         .filter_map(|e| {
                             let form = [Form::Broadcast, Form::Deliver][d.below(2)];
@@ -1195,6 +1095,7 @@ mod tests {
             })
             .collect();
         Scenario {
+            cap,
             fills,
             reliable,
             steps,
@@ -1297,14 +1198,14 @@ mod tests {
     fn disagreement(scn: &Scenario) -> Option<(Vec<Seen>, Vec<Seen>)> {
         let walked = play(
             scn,
-            &mut Batcher::default(),
+            &mut Batcher::new(scn.cap),
             |b, node, msg, out| b.push(node, msg, &mut |f| out(f)),
             |b, legs, out| b.push_run(legs, &mut |f| out(f)),
             |b, out| b.flush(&mut |f| out(f)),
         );
         let reference = play(
             scn,
-            &mut ItemBatcher::default(),
+            &mut ItemBatcher::new(scn.cap),
             |b, node, msg, out| b.push(node, msg, &mut |f| out(f)),
             |b, legs, out| b.push_run(legs, &mut |f| out(f)),
             |b, out| b.flush(&mut |f| out(f)),
@@ -1390,7 +1291,7 @@ mod tests {
     fn a_whole_shared_frame_goes_out_as_itself() {
         let frame: Arc<[GdsMessage]> = (1..=3).map(|id| event(id, Form::Broadcast)).collect();
         let node = NodeId::from_raw(0);
-        let mut batcher = Batcher::default();
+        let mut batcher = Batcher::new(BATCH_MAX_EVENTS);
         let mut sent = Vec::new();
         batcher.push_run(&[(node, frame.clone())], &mut |_| {});
         batcher.flush(&mut |f| sent.push(f));

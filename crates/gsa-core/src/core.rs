@@ -842,16 +842,13 @@ impl AlertingCore {
         now: SimTime,
     ) -> CoreEffects {
         match msg {
-            SysMessage::Gds(m) | SysMessage::GdsBin(m) => self.handle_gds(m, now),
+            SysMessage::Gds(m) => self.handle_gds(m, now),
             // The actor layer acks and unwraps reliable envelopes before
             // handing the payload down; a stray envelope reaching the
             // core is still processed (processing is idempotent), and
             // bare acks carry nothing for the core.
-            SysMessage::RelGds(Reliable::Data { payload, .. })
-            | SysMessage::RelGdsBin(Reliable::Data { payload, .. }) => {
-                self.handle_gds(payload, now)
-            }
-            SysMessage::RelGds(_) | SysMessage::RelGdsBin(_) => CoreEffects::default(),
+            SysMessage::RelGds(Reliable::Data { payload, .. }) => self.handle_gds(payload, now),
+            SysMessage::RelGds(Reliable::Ack { .. }) => CoreEffects::default(),
             SysMessage::Aux(payload) => self.handle_aux(from, payload, now),
             SysMessage::Gs(m) => {
                 let eff = self.server.handle_message(from, m);
@@ -1082,10 +1079,7 @@ mod tests {
                           collected: &mut CoreEffects| {
             for (to, msg) in eff.outbound {
                 match &msg {
-                    SysMessage::Gds(_)
-                    | SysMessage::GdsBin(_)
-                    | SysMessage::RelGds(_)
-                    | SysMessage::RelGdsBin(_) => gds_traffic.push((to, msg)),
+                    SysMessage::Gds(_) | SysMessage::RelGds(_) => gds_traffic.push((to, msg)),
                     SysMessage::Gs(_) | SysMessage::Aux(_) => queue.push((from.clone(), to, msg)),
                 }
             }

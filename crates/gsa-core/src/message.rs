@@ -6,17 +6,16 @@ use gsa_greenstone::GsMessage;
 use gsa_types::{CollectionId, CollectionName};
 use gsa_wire::codec::collection_from_text;
 use gsa_wire::xml::{XmlLen, XmlPut};
-use gsa_wire::{Payload, Reliable, WireError, WireMessage, XmlElement};
+use gsa_wire::{Payload, Reliable, WireError, WireFormat, WireMessage, XmlElement};
 use std::fmt;
 
 /// Every message a node in the full system can receive: GS network
 /// traffic (server ↔ server, receptionist ↔ server) — the Greenstone
 /// protocol and the alerting payloads beside it — or GDS protocol
 /// (server ↔ directory, directory ↔ directory), the latter optionally
-/// wrapped in the reliable-delivery envelope. The `*Bin` variants are
-/// the same GDS messages travelling as wire-format-v2 binary frames: a
-/// deployment configured for v2 sends every GDS frame in them, one
-/// configured for the paper's XML never does.
+/// wrapped in the reliable-delivery envelope. A GDS frame travels in
+/// the deployment's one wire format, so the carrier does not name it:
+/// [`SysMessage::wire_size`] takes it as an argument.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SysMessage {
     /// A Greenstone-protocol message.
@@ -27,23 +26,20 @@ pub enum SysMessage {
     /// `gs:alerting` element, which a Greenstone server never
     /// interprets.
     Aux(Reliable<AuxPayload>),
-    /// A directory-service message (v1 XML text encoding).
+    /// A directory-service message.
     Gds(GdsMessage),
     /// A directory-service message under the opt-in reliable-delivery
     /// envelope (per-hop sequence numbers, acks and retransmission).
     RelGds(Reliable<GdsMessage>),
-    /// A directory-service message as a v2 binary frame.
-    GdsBin(GdsMessage),
-    /// A reliable-enveloped directory-service message as a v2 binary
-    /// frame.
-    RelGdsBin(Reliable<GdsMessage>),
 }
 
 impl SysMessage {
     /// The serialized size in bytes (for the simulator's byte
-    /// accounting): the v1 XML text length for text variants, the exact
-    /// v2 frame length for binary variants.
-    pub fn wire_size(&self) -> usize {
+    /// accounting) in a deployment speaking `format`: a GDS frame is its
+    /// v1 XML text length or its exact v2 frame length, a GS-network
+    /// frame is XML text on either wire.
+    pub fn wire_size(&self, format: WireFormat) -> usize {
+        let binary = format == WireFormat::Binary;
         match self {
             SysMessage::Gs(m) => m.wire_size(),
             SysMessage::Aux(frame) => {
@@ -51,10 +47,10 @@ impl SysMessage {
                 put_aux(frame, &mut len);
                 len.element(ENVELOPE)
             }
+            SysMessage::Gds(m) if binary => m.binary_wire_size(),
             SysMessage::Gds(m) => m.wire_size(),
+            SysMessage::RelGds(rel) if binary => rel.binary_wire_size(),
             SysMessage::RelGds(rel) => rel.wire_size(),
-            SysMessage::GdsBin(m) => m.binary_wire_size(),
-            SysMessage::RelGdsBin(rel) => rel.binary_wire_size(),
         }
     }
 }
@@ -66,8 +62,6 @@ impl fmt::Display for SysMessage {
             SysMessage::Aux(frame) => write!(f, "gs:{}", aux_tag(frame)),
             SysMessage::Gds(m) => write!(f, "gds:{m}"),
             SysMessage::RelGds(rel) => write!(f, "rel-gds:{}", rel.seq()),
-            SysMessage::GdsBin(m) => write!(f, "gds-bin:{m}"),
-            SysMessage::RelGdsBin(rel) => write!(f, "rel-gds-bin:{}", rel.seq()),
         }
     }
 }
@@ -323,7 +317,9 @@ mod tests {
             Reliable::Ack { seq: 1, more: 6 },
         ] {
             let m = SysMessage::Aux(ack.clone());
-            assert_eq!(m.wire_size(), aux_to_xml(&ack).wire_size());
+            for format in [WireFormat::Xml, WireFormat::Binary] {
+                assert_eq!(m.wire_size(format), aux_to_xml(&ack).wire_size());
+            }
             assert_eq!(m.to_string(), "gs:aux-ack");
         }
         let m: SysMessage = GsMessage::DescribeRequest {
@@ -346,10 +342,10 @@ mod tests {
             origin: "Hamilton".into(),
             payload: XmlElement::new("event").with_attr("kind", "documents-added").into(),
         };
-        let bin = SysMessage::GdsBin(inner.clone());
-        assert_eq!(bin.wire_size(), inner.to_binary().len());
+        let frame = SysMessage::Gds(inner.clone());
+        assert_eq!(frame.wire_size(WireFormat::Binary), inner.to_binary().len());
         assert!(
-            bin.wire_size() < SysMessage::Gds(inner.clone()).wire_size(),
+            frame.wire_size(WireFormat::Binary) < frame.wire_size(WireFormat::Xml),
             "binary frame beats XML text"
         );
         for rel in [
@@ -362,29 +358,26 @@ mod tests {
         ] {
             let encoded = rel.to_binary();
             assert_eq!(
-                SysMessage::RelGdsBin(rel.clone()).wire_size(),
+                SysMessage::RelGds(rel.clone()).wire_size(WireFormat::Binary),
                 encoded.len(),
                 "size fn matches actual encoding"
             );
             assert_eq!(Reliable::from_binary(&encoded).unwrap(), rel);
         }
-        assert!(SysMessage::RelGdsBin(Reliable::Ack { seq: 1, more: 0 })
-            .to_string()
-            .starts_with("rel-gds-bin:"));
     }
 
     #[test]
     fn reliable_envelope_accounts_payload_bytes() {
         let inner = GdsMessage::Register { gs_host: "h".into() };
-        let plain = SysMessage::Gds(inner.clone()).wire_size();
+        let plain = SysMessage::Gds(inner.clone()).wire_size(WireFormat::Xml);
         let data = SysMessage::RelGds(Reliable::Data {
             seq: 3,
             payload: inner,
         });
-        assert!(data.wire_size() > plain, "envelope adds header bytes");
+        assert!(data.wire_size(WireFormat::Xml) > plain, "envelope adds header bytes");
         assert!(data.to_string().starts_with("rel-gds:"));
         let ack = SysMessage::RelGds(Reliable::Ack { seq: 3, more: 0 });
-        assert!(ack.wire_size() > 0);
-        assert!(ack.wire_size() < plain, "acks are small");
+        assert!(ack.wire_size(WireFormat::Xml) > 0);
+        assert!(ack.wire_size(WireFormat::Xml) < plain, "acks are small");
     }
 }

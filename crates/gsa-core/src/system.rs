@@ -19,6 +19,7 @@ use gsa_store::{Query, SourceDocument};
 use gsa_types::{
     ClientId, CollectionName, HostName, ProfileId, SimDuration, SimTime,
 };
+use gsa_wire::WireFormat;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -57,7 +58,7 @@ impl System {
     /// Creates an empty deployment with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         let mut sim = Sim::new(seed);
-        sim.set_wire_size_fn(SysMessage::wire_size);
+        sim.set_wire_size_fn(|m: &SysMessage| m.wire_size(WireFormat::Xml));
         System {
             sim,
             next_client: 0,
@@ -118,6 +119,8 @@ impl System {
     /// Panics once a node exists.
     pub fn set_wire(&mut self, config: WireConfig) {
         self.before_any_node("set_wire");
+        let format = config.format;
+        self.sim.set_wire_size_fn(move |m: &SysMessage| m.wire_size(format));
         self.wire = config;
     }
 
@@ -245,20 +248,17 @@ impl System {
     /// fallback (only meaningful with reliability enabled).
     pub fn add_gds_node_with_fallback(
         &mut self,
-        node: GdsNode,
+        mut node: GdsNode,
         grandparent: Option<HostName>,
     ) -> NodeId {
         let name = node.name().clone();
-        let mut actor = GdsActor::new(node);
-        if self.reliable {
-            actor.enable_reliability(grandparent, self.jitter_seed());
-        }
-        actor.set_wire(self.wire.clone());
-        actor.set_interest(match (self.pruning, self.rendezvous) {
+        node.set_interest(match (self.pruning, self.rendezvous) {
             (false, _) => InterestMode::Flood,
             (true, false) => InterestMode::Prune,
             (true, true) => InterestMode::PruneWithGrants,
         });
+        let reliable = self.reliable.then(|| (grandparent, self.jitter_seed()));
+        let actor = GdsActor::new(node, &self.wire, reliable);
         self.sim.add_node(name.as_str(), actor)
     }
 
@@ -284,11 +284,8 @@ impl System {
                 JournalConfig::default(),
             )));
         }
-        let mut actor = AlertingActor::new(core);
-        if self.reliable {
-            actor.enable_reliability(self.jitter_seed());
-        }
-        actor.set_wire(self.wire.clone());
+        let reliable = self.reliable.then(|| self.jitter_seed());
+        let actor = AlertingActor::new(core, &self.wire, reliable);
         self.sim.add_node(host, actor)
     }
 
@@ -1033,6 +1030,38 @@ mod tests {
         assert!(system.metrics().counter("net.bytes_sent") > 0);
         assert_eq!(system.metrics().counter("alert.notifications"), 1);
         assert!(system.metrics().counter("alert.events_published") >= 1);
+    }
+
+    /// A frame is counted at its size in the deployment's format: one
+    /// server registering at one directory node sends one frame, and
+    /// `net.bytes_sent` is that frame's size on the XML wire and on v2.
+    #[test]
+    fn a_registration_is_counted_in_the_deployments_format() {
+        let register = SysMessage::Gds(gsa_gds::GdsMessage::Register {
+            gs_host: "Hamilton".into(),
+        });
+        assert_ne!(
+            register.wire_size(WireFormat::Xml),
+            register.wire_size(WireFormat::Binary),
+            "the two formats size the frame apart"
+        );
+        for (wire, format) in [
+            (WireConfig::default(), WireFormat::Xml),
+            (WireConfig::v2(), WireFormat::Binary),
+        ] {
+            let mut system = System::new(7);
+            system.set_wire(wire);
+            system.add_gds_node(GdsNode::new("gds-1", 1, None));
+            system.add_server("Hamilton", "gds-1");
+            system.run_until_quiet(SimTime::from_secs(5));
+            let metrics = system.metrics();
+            assert_eq!(metrics.counter("net.sent"), 1, "{format}: one frame");
+            assert_eq!(
+                metrics.counter("net.bytes_sent"),
+                register.wire_size(format) as u64,
+                "{format}: the registration's size"
+            );
+        }
     }
 
     /// Shared shape of the crash/restart tests: build the figure

@@ -11,7 +11,7 @@ use gsa_types::{
     CollectionId, DocSummary, Event, EventId, EventKind, HostName, MetadataRecord, SimTime,
 };
 use gsa_wire::codec::{event_from_xml, event_to_xml};
-use gsa_wire::{Payload, Reliable};
+use gsa_wire::{Payload, Reliable, WireFormat};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -106,7 +106,7 @@ fn sizing_and_printing_an_envelope_allocates_nothing() {
     });
     // The first sizing builds the payload's XML view and counts it; the
     // length is memoised for every clone and every later hop.
-    let text_len = forward.wire_size();
+    let text_len = forward.wire_size(WireFormat::Xml);
     let frames = [
         SysMessage::Aux(Reliable::Ack {
             seq: u64::MAX,
@@ -123,9 +123,9 @@ fn sizing_and_printing_an_envelope_allocates_nothing() {
             write!(Nowhere, "{frame}").unwrap();
         }
         [
-            frames[0].wire_size(),
-            frames[1].wire_size(),
-            frames[2].wire_size(),
+            frames[0].wire_size(WireFormat::Xml),
+            frames[1].wire_size(WireFormat::Xml),
+            frames[2].wire_size(WireFormat::Xml),
         ]
     });
     assert_eq!(allocated, 0, "sizing or printing a frame allocated");
@@ -226,7 +226,7 @@ fn one_forward_costs_one_tree_and_one_decode() {
         };
         let pending = payload.clone();
         let frame = SysMessage::Aux(Reliable::Data { seq: 1, payload });
-        let charged = frame.wire_size();
+        let charged = frame.wire_size(WireFormat::Xml);
         let SysMessage::Aux(Reliable::Data {
             payload: AuxPayload::ForwardEvent { event, .. },
             ..

@@ -249,9 +249,7 @@ impl Coalescing {
             per_edge_instant: BTreeMap::new(),
         };
         for e in system.sim().trace() {
-            let Some(body) =
-                e.summary.strip_prefix("GdsBin(").or_else(|| e.summary.strip_prefix("Gds("))
-            else {
+            let Some(body) = e.summary.strip_prefix("Gds(") else {
                 continue;
             };
             let kinds = ["Publish", "Broadcast", "Route", "Deliver", "Batch"];

@@ -11,13 +11,14 @@
 //! of values meets in some cell. Each cell runs a Figure-2 broadcast and
 //! a Figure-3 auxiliary rewrite on calm links over three seeds, and its
 //! per-client list of (root event, origin) pairs must equal the all-off
-//! cell's. A last pass over the cells pins that every GDS frame rides
-//! the cell's wire from the first frame on, through a node bounce and a
-//! re-parenting.
+//! cell's. A last pass over the cells pins what each actor takes from
+//! the cell's wire — whether events share a frame — from the first
+//! frame on, through a node bounce and a re-parenting.
 
 use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
+use gsa_simnet::TraceEntry;
 use gsa_store::SourceDocument;
 use gsa_types::{ClientId, CollectionId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -286,41 +287,46 @@ fn every_cell_delivers_the_paper_aux_rewrite() {
     every_cell_matches(aux_rewrite, &[("Berlin", 1), ("Paris", 1), ("Madrid", 0)]);
 }
 
-/// The carriers a wire puts GDS frames in: plain and reliable.
-fn carriers(wire: Wire) -> [&'static str; 2] {
-    match wire {
-        Wire::V1 => ["Gds", "RelGds"],
-        Wire::V2 => ["GdsBin", "RelGdsBin"],
-    }
-}
-
-/// The carrier (`SysMessage` variant) of every GDS frame the trace
-/// holds from `since` on, with the frame's summary.
-fn gds_frames(system: &System, since: SimTime) -> Vec<(String, String)> {
+/// Every GDS frame the trace holds from `since` on.
+fn gds_frames(system: &System, since: SimTime) -> Vec<&TraceEntry> {
     system
         .sim()
         .trace()
         .iter()
         .filter(|e| e.at >= since)
-        .map(|e| {
-            let carrier = e.summary.split('(').next().unwrap_or_default();
-            (carrier.to_string(), e.summary.clone())
-        })
-        .filter(|(carrier, _)| !matches!(carrier.as_str(), "Gs" | "Aux"))
+        .filter(|e| e.summary.starts_with("Gds(") || e.summary.starts_with("RelGds("))
         .collect()
 }
 
-/// The wire is a fact of the deployment: every GDS frame on every tree
-/// edge travels in the cell's carrier from the very first frame — a
-/// server's registration included — on calm links, after gds-5 bounces,
-/// and (reliable cells) after gds-3 goes down for good and its children
-/// re-parent to gds-1, the `Adopt` that opens the new edge included.
-/// No frame ever travels in the other wire's carrier.
+/// The GDS frames from `since` on that carry a `Batch`.
+fn batches(system: &System, since: SimTime) -> Vec<&TraceEntry> {
+    let mut frames = gds_frames(system, since);
+    frames.retain(|e| e.summary.contains("Batch("));
+    frames
+}
+
+/// Two rebuilds of Hamilton.D in one instant: two event frames for the
+/// server's transport to send in that instant.
+fn rebuild_twice(system: &mut System, docs: [&str; 2]) {
+    for id in docs {
+        system.rebuild("Hamilton", "D", vec![doc(id)]).unwrap();
+    }
+}
+
+/// The wire is a fact each actor is built with, and what an actor
+/// still takes from it is how many events a frame carries. On v2 cells,
+/// two rebuilds in one instant leave Hamilton as a `Batch` frame and
+/// reach every watcher in one from its directory node; on XML cells,
+/// which have no `gds:batch`, no traced frame is a `Batch`. Pinned from
+/// the very first frame — a server's registration included — on calm
+/// links, after gds-5 bounces, and (reliable cells) after gds-3 goes
+/// down for good and its children re-parent to gds-1, the `Adopt` that
+/// opens the new edge included.
 #[test]
 fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
+    let watchers = ["Paris", "Oslo", "Berlin"];
     for seed in SEEDS {
         for c in &CELLS {
-            let want = carriers(c.wire);
             let mut system = deploy(seed, c);
             system.sim_mut().enable_trace();
             for (host, gds) in [
@@ -338,14 +344,15 @@ fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
                 &[("Paris", profile), ("Oslo", profile), ("Berlin", profile)],
             );
             system.run_until_quiet(SimTime::from_secs(5));
-            system.rebuild("Hamilton", "D", vec![doc("d1")]).unwrap();
+            let calm = system.now();
+            rebuild_twice(&mut system, ["d1", "d2"]);
             system.run_until(SimTime::from_secs(10));
 
             let bounced = system.now();
             system.set_host_up("gds-5", false);
             system.run_for(SimDuration::from_millis(50));
             system.set_host_up("gds-5", true);
-            system.rebuild("Hamilton", "D", vec![doc("d2")]).unwrap();
+            rebuild_twice(&mut system, ["d3", "d4"]);
             system.run_until(SimTime::from_secs(20));
 
             let reparented = system.now();
@@ -358,24 +365,20 @@ fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
                     "seed {seed}, {c:?}: gds-6 and gds-7 re-parent"
                 );
             }
-            system.rebuild("Hamilton", "D", vec![doc("d3")]).unwrap();
+            rebuild_twice(&mut system, ["d5", "d6"]);
             system.run_until_quiet(SimTime::from_secs(60));
 
-            let frames = gds_frames(&system, SimTime::ZERO);
+            let node = |host: &str| system.sim().node_id(host).expect("a node");
             assert!(
-                frames.iter().any(|(_, s)| s.contains("Register")),
+                gds_frames(&system, SimTime::ZERO)
+                    .iter()
+                    .any(|e| e.summary.contains("Register")),
                 "seed {seed}, {c:?}: the registrations are traced"
             );
-            for (carrier, summary) in &frames {
-                assert!(
-                    want.contains(&carrier.as_str()),
-                    "seed {seed}, {c:?}: {summary} is not on {want:?}"
-                );
-            }
             let after = |since: SimTime, what: &str| {
                 gds_frames(&system, since)
                     .iter()
-                    .any(|(_, s)| s.contains(what))
+                    .any(|e| e.summary.contains(what))
             };
             assert!(
                 after(bounced, "Deliver"),
@@ -387,6 +390,28 @@ fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
                     after(reparented, "Deliver"),
                     "seed {seed}, {c:?}: a delivery after the re-parenting"
                 );
+            }
+            match c.wire {
+                Wire::V1 => {
+                    let batch = batches(&system, SimTime::ZERO).first().copied();
+                    assert!(batch.is_none(), "seed {seed}, {c:?}: {batch:?} on XML");
+                }
+                Wire::V2 => {
+                    let phases = [("calm", calm), ("bounce", bounced), ("re-parent", reparented)];
+                    for (phase, since) in phases {
+                        let sent = batches(&system, since);
+                        assert!(
+                            sent.iter().any(|e| e.from == node("Hamilton")),
+                            "seed {seed}, {c:?}, {phase}: Hamilton sends a batch"
+                        );
+                        for watcher in watchers {
+                            assert!(
+                                sent.iter().any(|e| e.to == node(watcher)),
+                                "seed {seed}, {c:?}, {phase}: {watcher} receives a batch"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

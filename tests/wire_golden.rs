@@ -27,7 +27,7 @@ use gsa_wire::codec::event_to_xml;
 use gsa_wire::reliable::acked_seqs;
 use gsa_wire::{
     parse_document, FrozenBytes, InterestSummary, Payload, Reliable, RetransmitQueue,
-    RetryPolicy, WireMessage, XmlElement,
+    RetryPolicy, WireFormat, WireMessage, XmlElement,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -61,8 +61,9 @@ fn pin(msg: GdsMessage, frame: &str, document: &str) {
         "binary_wire_size of {msg}"
     );
     assert_eq!(msg.wire_size(), text_len, "wire_size of {msg}");
-    assert_eq!(SysMessage::GdsBin(msg.clone()).wire_size(), frame.len() / 2);
-    assert_eq!(SysMessage::Gds(msg.clone()).wire_size(), text_len);
+    let carried = SysMessage::Gds(msg.clone());
+    assert_eq!(carried.wire_size(WireFormat::Binary), frame.len() / 2);
+    assert_eq!(carried.wire_size(WireFormat::Xml), text_len);
 
     assert_eq!(
         GdsMessage::from_binary(&unhex(frame)).unwrap(),
@@ -479,11 +480,11 @@ fn the_reliable_envelope_is_pinned() {
             "v1 text of {rel:?}"
         );
         assert_eq!(
-            SysMessage::RelGdsBin(rel.clone()).wire_size(),
+            SysMessage::RelGds(rel.clone()).wire_size(WireFormat::Binary),
             frame.len() / 2
         );
         assert_eq!(
-            SysMessage::RelGds(rel.clone()).wire_size(),
+            SysMessage::RelGds(rel.clone()).wire_size(WireFormat::Xml),
             document.len() - DECLARATION.len()
         );
         assert_eq!(reliable_from_binary(&unhex(frame)).unwrap(), rel);
@@ -804,7 +805,9 @@ fn pin_gs(msg: GsMessage, document: &str) {
     assert_eq!(msg.to_xml().to_document_string(), document, "text of {msg}");
     let text_len = document.len() - DECLARATION.len();
     assert_eq!(msg.wire_size(), text_len, "wire_size of {msg}");
-    assert_eq!(SysMessage::Gs(msg.clone()).wire_size(), text_len);
+    for format in [WireFormat::Xml, WireFormat::Binary] {
+        assert_eq!(SysMessage::Gs(msg.clone()).wire_size(format), text_len);
+    }
     let parsed = parse_document(document).unwrap();
     assert_eq!(
         GsMessage::from_xml(&parsed).unwrap(),
@@ -822,7 +825,10 @@ fn pin_aux(frame: Reliable<AuxPayload>, document: &str) {
         "text of {frame:?}"
     );
     let text_len = document.len() - DECLARATION.len();
-    assert_eq!(SysMessage::Aux(frame.clone()).wire_size(), text_len, "wire_size of {frame:?}");
+    for format in [WireFormat::Xml, WireFormat::Binary] {
+        let size = SysMessage::Aux(frame.clone()).wire_size(format);
+        assert_eq!(size, text_len, "wire_size of {frame:?}");
+    }
     let parsed = parse_document(document).unwrap();
     assert_eq!(aux_from_xml(&parsed).unwrap(), frame, "decode of {frame:?}");
 }
