@@ -4,6 +4,7 @@ use crate::msg::{BaselineMsg, Delivery, GlobalProfileId};
 use gsa_profile::ProfileExpr;
 use gsa_simnet::{Actor, Ctx, Metrics, NodeId, Sim};
 use gsa_types::{ClientId, Event, HostName, SimTime};
+use std::collections::HashSet;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -47,8 +48,9 @@ pub trait Server: Actor<BaselineMsg> + Sized {
     fn stored_profiles(&self) -> usize;
 
     /// Stored profiles, across the deployment, whose owner has cancelled
-    /// them. Only profile flooding counts them; the other schemes report
-    /// none.
+    /// them. Profile flooding and rendezvous routing count them by one
+    /// rule, `Baseline::count_orphans`; GS flooding stores a profile only
+    /// at its owner and reports none.
     fn orphan_profiles(_net: &mut Baseline<Self>) -> usize {
         0
     }
@@ -168,6 +170,20 @@ impl<S: Server> Baseline<S> {
     /// Stored profiles whose owner has cancelled them.
     pub fn orphan_profiles(&mut self) -> usize {
         S::orphan_profiles(self)
+    }
+
+    /// The orphan rule of every scheme that stores a profile away from
+    /// its owner: a stored entry is an orphan when no server holds its
+    /// profile active. `own_active` is a server's own profiles that are
+    /// still active; `outside` counts a server's stored entries not in
+    /// the deployment-wide active set it is given.
+    pub(crate) fn count_orphans(
+        &mut self,
+        own_active: impl Fn(&S) -> &HashSet<GlobalProfileId>,
+        outside: impl Fn(&S, &HashSet<GlobalProfileId>) -> usize,
+    ) -> usize {
+        let active = self.servers(|s| own_active(s).clone()).into_iter().flatten().collect();
+        self.servers(|s| outside(s, &active)).into_iter().sum()
     }
 
     /// The underlying simulator.

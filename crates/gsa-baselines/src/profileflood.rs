@@ -184,20 +184,13 @@ impl Server for ProfileFloodServer {
 
     /// Replicas whose owner has cancelled them.
     fn orphan_profiles(net: &mut Baseline<Self>) -> usize {
-        let active: HashSet<GlobalProfileId> = net
-            .servers(|server| server.own_active.clone())
-            .into_iter()
-            .flatten()
-            .collect();
-        net.servers(|server| {
-            server
-                .profiles
-                .keys()
-                .filter(|gpid| !active.contains(gpid))
-                .count()
-        })
-        .into_iter()
-        .sum()
+        net.count_orphans(
+            |server| &server.own_active,
+            |server, active| {
+                let stored = server.profiles.keys();
+                stored.filter(|gpid| !active.contains(gpid)).count()
+            },
+        )
     }
 }
 

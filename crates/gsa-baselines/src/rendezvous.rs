@@ -170,6 +170,18 @@ impl Server for RendezvousServer {
     fn stored_profiles(&self) -> usize {
         self.table.values().map(Vec::len).sum()
     }
+
+    /// Rendezvous entries whose owner has cancelled them: a removal
+    /// lost on the way to the rendezvous leaves its entry behind.
+    fn orphan_profiles(net: &mut Baseline<Self>) -> usize {
+        net.count_orphans(
+            |server| &server.own_active,
+            |server, active| {
+                let stored = server.table.values().flatten();
+                stored.filter(|(gpid, _, _)| !active.contains(gpid)).count()
+            },
+        )
+    }
 }
 
 impl Baseline<RendezvousServer> {
@@ -260,6 +272,7 @@ mod tests {
         sys.set_partition("B", 1);
         assert!(sys.unsubscribe(&p, topic));
         sys.run_until_quiet(SimTime::from_secs(20));
+        assert_eq!(sys.orphan_profiles(), 1);
         sys.heal_network();
         sys.publish("A", event("A", 1));
         sys.run_until_quiet(SimTime::from_secs(30));

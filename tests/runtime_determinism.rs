@@ -203,7 +203,7 @@ fn every_scheme_outcome_is_pinned_per_seed() {
         0xa307_faef_9947_cef8,
         0xd47d_a9a5_a64b_41f1,
         0xc9bf_1640_40ae_6f27,
-        0xb84f_7c5d_58eb_32e7,
+        0x8157_295b_5969_ef72,
         0xc5e4_198c_31e7_bc97,
     ];
     assert_eq!(
