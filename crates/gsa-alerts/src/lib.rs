@@ -498,18 +498,6 @@ impl<T> AlertEngine<T> {
             },
         );
     }
-
-    /// Drops all volatile *and* instance state (a crash of a host with
-    /// no durable store); recovery calls [`AlertEngine::restore`] for
-    /// whatever the journal preserved.
-    pub fn wipe(&mut self) {
-        self.instances.clear();
-        self.buckets.clear();
-        self.digests.clear();
-        self.digest_due = None;
-        self.transitions.clear();
-        self.counts = Counts::default();
-    }
 }
 
 #[cfg(test)]
@@ -685,18 +673,5 @@ mod tests {
         assert_eq!(engine.state(7), Some(AlertState::Acked));
         // The restored instance dedups exactly like a live one.
         assert_eq!(engine.observe(7, "c", 0, at(4)), Outcome::Suppressed);
-    }
-
-    #[test]
-    fn wipe_forgets_everything() {
-        let mut engine: AlertEngine<u32> = AlertEngine::new(AlertPolicyConfig::dedup_only());
-        engine.observe(1, "c", 0, T0);
-        engine.wipe();
-        assert!(engine.is_empty());
-        assert!(engine.take_transitions().is_empty());
-        assert!(engine.counts_mut().is_empty());
-        // Without the instance the duplicate delivers again — the
-        // volatile double-notify the durable store exists to prevent.
-        assert_eq!(engine.observe(1, "c", 1, at(1)), Outcome::Deliver);
     }
 }

@@ -613,7 +613,7 @@ impl EdgeTransport {
 /// The simulation actor wrapping an [`AlertingCore`].
 #[derive(Debug)]
 pub struct AlertingActor {
-    core: AlertingCore,
+    pub(crate) core: AlertingCore,
     edge: EdgeTransport,
     /// Locally-initiated distributed fetches that completed (taken by
     /// the [`System`](crate::System) driver).

@@ -109,6 +109,10 @@ pub struct AlertingCore {
     pruning: bool,
     /// The last summary announced, so no-op refreshes send nothing.
     last_summary: Option<InterestSummary>,
+    /// The version of the last announcement (0 before the first). The
+    /// GDS node keeps only the newest version it has seen, so a durable
+    /// server journals it and a restart announces above it.
+    summary_version: u64,
     /// When true (the default), frozen binary deliveries are pre-filtered
     /// by the zero-materialisation attribute probe and only decoded when
     /// some profile could match. Semantics-preserving either way; off
@@ -121,11 +125,6 @@ pub struct AlertingCore {
     /// makes every record call a no-op, so the paper-figure scenarios
     /// pay nothing for the seam's existence.
     store: Box<dyn StateStore>,
-    /// Set when the store (or a crash) may have left durable state to
-    /// replay; the next [`startup`](Self::startup) recovers exactly
-    /// once. Transient down/up transitions re-run startup without
-    /// re-wiping, so this gate keeps them from double-replaying.
-    recovery_pending: bool,
     /// The stateful-lifecycle / delivery-policy engine. `None` (the
     /// default) keeps the fire-and-forget paper behaviour byte for
     /// byte; when set, every matched notification runs through the
@@ -164,10 +163,10 @@ impl AlertingCore {
             request_started: BTreeMap::new(),
             pruning: false,
             last_summary: None,
+            summary_version: 0,
             probe: true,
             counts: Counts::default(),
             store: Box::new(MemoryStateStore::default()),
-            recovery_pending: false,
             alerts: None,
             origin_label: String::new(),
             host,
@@ -279,12 +278,11 @@ impl AlertingCore {
 
     /// Replaces the durable state backend (the default in-memory store
     /// persists nothing). Subscribe / unsubscribe / summary-version
-    /// changes are recorded through it from now on, and the next
-    /// [`startup`](Self::startup) replays whatever the backing medium
-    /// already holds — so install the store before the actor starts.
+    /// changes and alert transitions are recorded through it from now
+    /// on, and a crash replays it — so install the store before the
+    /// first subscription.
     pub fn set_state_store(&mut self, store: Box<dyn StateStore>) {
         self.store = store;
-        self.recovery_pending = true;
     }
 
     /// Whether the installed state backend survives crashes.
@@ -292,30 +290,53 @@ impl AlertingCore {
         self.store.is_durable()
     }
 
-    /// Models a server crash for the chaos harness: everything the
-    /// paper keeps in volatile memory is lost — profiles, the filter
-    /// index, the profile-id allocator, the last announced summary and
-    /// the announcement version sequence. Deliberately kept: client
-    /// mailboxes (client-side inboxes), the auxiliary-profile store, the
-    /// event-sequence counter (avoids re-minting old event ids) and the
-    /// GDS duplicate-suppression set (reliability-layer redeliveries
-    /// arriving after restart must still dedup). The auxiliary-operation
-    /// log is kept too, as a modelling choice: a real crash would lose
-    /// it, and what it owes would then need a journal. Kept, a crash
-    /// changes no delivery outcome of the §7 scenarios (DESIGN.md §4).
-    /// The next [`startup`](Self::startup) recovers whatever the state
-    /// store can replay — nothing, for the in-memory default.
-    pub fn crash_wipe(&mut self) {
-        self.subs.wipe_for_crash();
-        self.gds.crash_reset();
-        self.last_summary = None;
-        // Alert instances, throttle buckets and digest buffers are all
-        // volatile; recovery restores whatever lifecycle state the
-        // journal preserved (nothing, for the in-memory default).
-        if let Some(engine) = self.alerts.as_mut() {
-            engine.wipe();
+    /// The server that restarts after this one crashes, and the one
+    /// place that decides what a crash keeps (DESIGN.md §4, "What a
+    /// crash leaves"). A new core takes over the collections, the state
+    /// store, the client mailboxes, the GDS client whole (its id
+    /// allocators and duplicate-suppression set), the auxiliary store
+    /// and log, the event sequence, the rewrite runs, the request start
+    /// times and the settings; all else is lost because it is built new.
+    /// Then the store is replayed: a durable one gives back the profiles,
+    /// the profile-id allocator, alert states and the summary version,
+    /// so the announcement after the restart is not discarded as stale;
+    /// the in-memory default gives back nothing.
+    pub(crate) fn crashed(self) -> AlertingCore {
+        let gds_server = self.gds.gds_server().clone();
+        let mut core = AlertingCore {
+            server: self.server,
+            store: self.store,
+            gds: self.gds,
+            aux_store: self.aux_store,
+            pending: self.pending,
+            event_seq: self.event_seq,
+            rewritten: self.rewritten,
+            request_started: self.request_started,
+            pruning: self.pruning,
+            probe: self.probe,
+            alerts: self.alerts.map(|engine| AlertEngine::new(engine.config().clone())),
+            ..AlertingCore::new(self.host, gds_server)
+        };
+        core.subs.mailboxes = self.subs.mailboxes;
+        let recovered = core.store.recover();
+        for (id, (client, expr)) in recovered.profiles {
+            // An expression that indexed before the crash indexes
+            // again; restore() bypasses the store so replay is never
+            // re-journaled.
+            let _ = core.subs.restore(id, client, expr);
         }
-        self.recovery_pending = true;
+        core.subs.set_next_profile_at_least(recovered.next_profile);
+        if let Some(engine) = core.alerts.as_mut() {
+            for (fp, (tag, at_micros)) in recovered.alerts {
+                // Fail closed on unknown state bytes: a corrupt tag
+                // must not forge a lifecycle state.
+                if let Some(state) = AlertState::from_tag(tag) {
+                    engine.restore(fp, state, SimTime::from_micros(at_micros));
+                }
+            }
+        }
+        core.summary_version = recovered.summary_version;
+        core
     }
 
     /// Everything counted at this host since the driver last drained
@@ -370,10 +391,6 @@ impl AlertingCore {
     /// Startup effects: register with the GDS and plant auxiliary profiles
     /// for every remote sub-collection already configured.
     pub fn startup(&mut self, now: SimTime) -> CoreEffects {
-        if self.recovery_pending {
-            self.recovery_pending = false;
-            self.recover_from_store();
-        }
         let mut effects = CoreEffects::default();
         let reg = self.gds.register();
         effects.send(reg.to, reg.msg);
@@ -397,35 +414,6 @@ impl AlertingCore {
         effects
     }
 
-    /// Rebuilds the subscription manager and filter index from the
-    /// state store, and resumes the summary-version sequence from the
-    /// persisted value so the post-recovery re-announcement is not
-    /// discarded as stale by PR 5's version-monotonic acceptance.
-    fn recover_from_store(&mut self) {
-        let recovered = self.store.recover();
-        for (id, (client, expr)) in recovered.profiles {
-            // An expression that indexed before the crash indexes
-            // again; restore() bypasses the store so replay is never
-            // re-journaled.
-            let _ = self.subs.restore(id, client, expr);
-        }
-        self.subs.set_next_profile_at_least(recovered.next_profile);
-        if let Some(engine) = self.alerts.as_mut() {
-            for (fp, (tag, at_micros)) in recovered.alerts {
-                // Fail closed on unknown state bytes: a corrupt tag
-                // must not forge a lifecycle state.
-                if let Some(state) = AlertState::from_tag(tag) {
-                    engine.restore(fp, state, SimTime::from_micros(at_micros));
-                }
-            }
-        }
-        self.gds.resume_summary_version(recovered.summary_version);
-        // Whatever we believe we announced pre-crash, the GDS node may
-        // have reset it on Unregister or child timeout: always treat
-        // the next refresh as a fresh announcement.
-        self.last_summary = None;
-    }
-
     /// Announces this server's interest summary to its GDS node when
     /// pruning is on and the digest changed since the last announcement
     /// (subscribe, unsubscribe, startup). Empty effects otherwise.
@@ -445,8 +433,9 @@ impl AlertingCore {
             return effects;
         }
         self.last_summary = Some(summary.clone());
-        let out = self.gds.summary_update(summary);
-        self.store.record_summary_version(self.gds.summary_version());
+        self.summary_version += 1;
+        let out = self.gds.summary_update(self.summary_version, summary);
+        self.store.record_summary_version(self.summary_version);
         effects.send(out.to, out.msg);
         effects
     }
@@ -1779,8 +1768,7 @@ mod tests {
         let fp = core.alert_fingerprint(&delivered[0]).unwrap();
         assert!(core.ack_alert(fp, SimTime::from_secs(2)));
 
-        core.crash_wipe();
-        assert_eq!(core.alert_state(fp), None, "volatile state is gone");
+        let mut core = core.crashed();
         core.startup(SimTime::from_secs(3));
         // The acknowledgement replayed from the journal...
         assert_eq!(core.alert_state(fp), Some(AlertState::Acked));
@@ -1792,6 +1780,117 @@ mod tests {
         );
         assert_eq!(eff.notified, 0);
         assert!(core.take_notifications(client).is_empty());
+    }
+
+    /// A pruning, probe-off, dedup-policy server, durable or not,
+    /// holding one of everything a crash keeps or loses: a collection
+    /// with a remote sub-collection (its plant still owed), a live and a
+    /// cancelled profile, an announced summary, an acknowledged alert in
+    /// a mailbox, a profile Paris planted, an event London forwarded
+    /// (rewritten, published and forwarded on to Paris) and a fetch in
+    /// flight.
+    fn lived(durable: bool) -> AlertingCore {
+        use gsa_state::{JournalConfig, JournalStateStore, MemMedium};
+        let t = SimTime::ZERO;
+        let mut core = AlertingCore::new("A", "gds-1");
+        core.set_pruning(true);
+        core.set_probe(false);
+        core.set_alert_policies(Some(AlertPolicyConfig::dedup_only()));
+        if durable {
+            let store = JournalStateStore::new(MemMedium::new(), JournalConfig::default());
+            core.set_state_store(Box::new(store));
+        }
+        core.startup(t);
+        let london_d = CollectionId::new("London", "D");
+        let e = CollectionConfig::simple("E", "e")
+            .with_subcollection(SubCollectionRef::new("d", london_d.clone()));
+        core.add_collection(e, t).unwrap();
+        let client = ClientId::from_raw(1);
+        core.subscribe(client, parse_profile(r#"host = "London""#).unwrap()).unwrap();
+        let cancelled = core.subscribe(client, parse_profile(r#"host = "Paris""#).unwrap()).unwrap();
+        core.unsubscribe(cancelled);
+        core.summary_refresh();
+        core.handle_message(&HostName::new("gds-1"), SysMessage::Gds(binary_deliver(1, vec![])), t);
+        let fp = core.alert_fingerprint(&core.subscriptions().peek_notifications(client)[0]);
+        assert!(core.ack_alert(fp.unwrap(), t));
+        let plant = AuxPayload::Plant {
+            super_collection: CollectionId::new("Paris", "P"),
+            sub_name: CollectionName::new("E"),
+        };
+        core.handle_message(&HostName::new("Paris"), SysMessage::Aux(Reliable::Data { seq: 0, payload: plant }), t);
+        let event = Event::new(EventId::new("London", 7), london_d, EventKind::CollectionRebuilt, t);
+        let forward = AuxPayload::ForwardEvent {
+            super_name: CollectionName::new("E"),
+            event: Payload::from_event(Arc::new(event)),
+        };
+        core.handle_message(&HostName::new("London"), SysMessage::Aux(Reliable::Data { seq: 0, payload: forward }), t);
+        core.start_fetch(&CollectionName::new("E"), t);
+        core
+    }
+
+    /// One row per thing a crash keeps or loses, on a volatile and on a
+    /// durable server. A row reads one value off the server that lived,
+    /// off the server [`AlertingCore::crashed`] restarts, and off a new
+    /// one: what is kept reads as it did before the crash, what is lost
+    /// reads as on a new server, and the two must differ for the row to
+    /// tell them apart.
+    #[test]
+    fn what_a_crash_keeps_and_what_it_loses() {
+        #[derive(Debug, Clone, Copy)]
+        enum Fate {
+            Kept,
+            Lost,
+        }
+        use Fate::{Kept, Lost};
+        let deliver = |core: &mut AlertingCore, seq| {
+            let msg = SysMessage::Gds(binary_deliver(seq, vec![]));
+            core.handle_message(&HostName::new("gds-1"), msg, SimTime::ZERO).notified as u64
+        };
+        let london = || parse_profile(r#"host = "London""#).unwrap();
+        type Read<'a> = &'a dyn Fn(&mut AlertingCore) -> u64;
+        let rows: [(&str, Fate, Fate, Read); 18] = [
+            ("collections", Kept, Kept, &|c| c.server().collections().count() as u64),
+            ("client mailboxes", Kept, Kept, &|c| c.subscriptions().queued_notifications() as u64),
+            ("a redelivery does not re-notify", Kept, Kept, &|c| {
+                c.subscribe(ClientId::from_raw(9), london()).unwrap();
+                deliver(c, 1)
+            }),
+            ("the first publish after a restart gets a new message id", Kept, Kept, &|c| {
+                c.gds.publish(gsa_wire::XmlElement::new("e")).0.as_u64()
+            }),
+            ("auxiliary profiles", Kept, Kept, &|c| c.aux_store().len() as u64),
+            ("auxiliary log", Kept, Kept, &|c| c.pending_ops().len() as u64),
+            ("event sequence", Kept, Kept, &|c| c.event_seq),
+            ("rewrite runs", Kept, Kept, &|c| c.rewritten.len() as u64),
+            ("request start times", Kept, Kept, &|c| c.request_started.len() as u64),
+            ("pruning", Kept, Kept, &|c| u64::from(c.pruning)),
+            ("the probe setting", Kept, Kept, &|c| u64::from(c.probe)),
+            ("alert policies", Kept, Kept, &|c| u64::from(c.alerts.is_some())),
+            ("profiles", Lost, Kept, &|c| c.subscriptions().len() as u64),
+            ("the profile-id allocator", Lost, Kept, &|c| {
+                c.subscribe(ClientId::from_raw(9), london()).unwrap().as_u64()
+            }),
+            ("the summary version", Lost, Kept, &|c| c.summary_version),
+            ("a duplicate alert delivers again", Lost, Kept, &|c| {
+                c.subs.restore(ProfileId::from_raw(0), ClientId::from_raw(1), london()).unwrap();
+                deliver(c, 2)
+            }),
+            ("interest counts", Lost, Lost, &|c| u64::from(c.subs.interests_changed())),
+            ("the last announced summary", Lost, Lost, &|c| u64::from(c.last_summary.is_some())),
+        ];
+        for (what, volatile, durable, read) in rows {
+            for (is_durable, fate) in [(false, volatile), (true, durable)] {
+                let before = read(&mut lived(is_durable));
+                let after = read(&mut lived(is_durable).crashed());
+                let new = read(&mut AlertingCore::new("A", "gds-1"));
+                assert_ne!(before, new, "{what}: the history shows in the row");
+                let expected = match fate {
+                    Kept => before,
+                    Lost => new,
+                };
+                assert_eq!(after, expected, "{what} (durable: {is_durable}) is {fate:?}");
+            }
+        }
     }
 
     /// A notification of `profile` about a docless event of `origin`.
@@ -1895,7 +1994,7 @@ mod tests {
         assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));
         core.subscribe(ClientId::from_raw(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
         assert!(announced(&core.summary_refresh()).is_some_and(|s| s.may_match("A", "A.X")));
-        core.crash_wipe();
+        let mut core = core.crashed();
         // Nothing to replay: the restart says so, although it is what a
         // fresh server announces too.
         assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));

@@ -58,7 +58,7 @@ pub struct SubscriptionManager {
     profiles: Vec<Option<Profile>>,
     next_profile: u64,
     /// One entry per client ever notified; a drain leaves it in place.
-    mailboxes: FxHashMap<ClientId, Vec<Notification>>,
+    pub(crate) mailboxes: FxHashMap<ClientId, Vec<Notification>>,
     /// Reusable matching state; after warm-up the engine's indexed path
     /// runs allocation-free across the event stream.
     scratch: MatchScratch,
@@ -183,19 +183,6 @@ impl SubscriptionManager {
         self.next_profile = self.next_profile.max(n);
     }
 
-    /// Models a server crash: every profile, the filter index and the
-    /// id allocator vanish — exactly what an in-memory server loses.
-    /// Client mailboxes survive deliberately: they model the *client
-    /// side* inbox of already-produced notifications, not server state.
-    pub fn wipe_for_crash(&mut self) {
-        self.engine = FilterEngine::new();
-        self.profiles = Vec::new();
-        self.next_profile = 0;
-        if let Some(counts) = &mut self.interests {
-            counts.clear();
-        }
-    }
-
     /// Cancels a profile. Local and immediate (research problem 4).
     /// Returns `true` when it existed.
     pub fn unsubscribe(&mut self, profile: ProfileId) -> bool {
@@ -221,7 +208,7 @@ impl SubscriptionManager {
         self.profiles.iter().flatten()
     }
 
-    /// `true` when a subscribe, cancel, restore or crash since the last
+    /// `true` when a subscribe, cancel or restore since the last
     /// [`interest_summary`](Self::interest_summary) may have changed what
     /// it returns (and before its first call).
     pub fn interests_changed(&self) -> bool {
@@ -604,9 +591,6 @@ mod tests {
         subs.subscribe(client(2), ProfileExpr::Or(Vec::new()))
             .unwrap();
         assert!(!subs.interests_changed());
-        // A crash forgets all of it.
-        subs.wipe_for_crash();
-        assert!(subs.interests_changed() && subs.interest_summary().is_empty());
     }
 
     #[test]
@@ -618,7 +602,9 @@ mod tests {
         filter_event(&mut subs, &event("A", "d"), SimTime::ZERO);
         assert_eq!(subs.queued_notifications(), 1);
 
-        subs.wipe_for_crash();
+        // The restarted server's manager: new, with the crashed one's
+        // mailboxes.
+        let mut subs = SubscriptionManager { mailboxes: subs.mailboxes, ..SubscriptionManager::new() };
         assert!(subs.is_empty());
         assert!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).is_empty());
         // Mailboxes are client-side state and survive the crash.
@@ -776,7 +762,7 @@ mod tests {
                             .iter()
                             .map(|id| subs.profile(*id).unwrap().clone())
                             .collect();
-                        subs.wipe_for_crash();
+                        subs = SubscriptionManager::new();
                         for p in &kept {
                             subs.restore(p.id(), p.owner(), p.expr().clone()).unwrap();
                         }

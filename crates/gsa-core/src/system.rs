@@ -41,7 +41,7 @@ pub struct System {
     durability: bool,
     alert_policies: Option<AlertPolicyConfig>,
     /// The simulated disk of every durable server, held by the harness
-    /// so crash injection can reach storage after the core is wiped.
+    /// so fault injection and crashes reach the storage its store reads.
     media: HashMap<HostName, MemMedium>,
 }
 
@@ -257,16 +257,24 @@ impl System {
             (true, false) => InterestMode::Prune,
             (true, true) => InterestMode::PruneWithGrants,
         });
-        let reliable = self.reliable.then(|| (grandparent, self.jitter_seed()));
+        let reliable = self.jitter_seed(self.joining()).map(|seed| (grandparent, seed));
         let actor = GdsActor::new(node, &self.wire, reliable);
         self.sim.add_node(name.as_str(), actor)
     }
 
-    /// A per-actor deterministic jitter seed: a function of the system
-    /// seed and the join order, so runs replay bit-identically.
-    fn jitter_seed(&self) -> u64 {
-        (self.seed ^ 0x9e37_79b9_7f4a_7c15)
-            .wrapping_mul(2 * self.sim.node_count() as u64 + 1)
+    /// The id the next node added will get: ids are dense and follow
+    /// join order.
+    fn joining(&self) -> NodeId {
+        NodeId::from_raw(self.sim.node_count() as u32)
+    }
+
+    /// The retransmission jitter seed of `node`, `None` with
+    /// reliability off: a function of the system seed and the node's id,
+    /// so runs replay bit-identically and a server rebuilt after a crash
+    /// gets the seed it was first built with.
+    fn jitter_seed(&self, node: NodeId) -> Option<u64> {
+        let mix = self.seed ^ 0x9e37_79b9_7f4a_7c15;
+        self.reliable.then(|| mix.wrapping_mul(2 * u64::from(node.as_u32()) + 1))
     }
 
     /// Adds a Greenstone server registered at the named GDS node.
@@ -284,8 +292,7 @@ impl System {
                 JournalConfig::default(),
             )));
         }
-        let reliable = self.reliable.then(|| self.jitter_seed());
-        let actor = AlertingActor::new(core, &self.wire, reliable);
+        let actor = AlertingActor::new(core, &self.wire, self.jitter_seed(self.joining()));
         self.sim.add_node(host, actor)
     }
 
@@ -628,33 +635,34 @@ impl System {
         self.sim.set_node_up(node, up);
     }
 
-    /// Crashes a Greenstone server: its volatile state (profiles,
-    /// filter index, announcement sequence) is wiped, unsynced bytes on
-    /// its simulated disk are lost, and the node goes down. Contrast
-    /// with [`set_host_up`](Self::set_host_up)`(host, false)`, which
-    /// models a frozen-but-intact node (a partition of one). Restart
-    /// with [`restart_server`](Self::restart_server); what comes back
-    /// is whatever the server's state store can replay — nothing, for
-    /// the default in-memory backend.
+    /// Crashes a Greenstone server: the unsynced bytes on its simulated
+    /// disk are lost, its actor is replaced by one built around
+    /// `AlertingCore::crashed` — only what a crash keeps, the state store
+    /// already replayed, a new edge transport — and the node goes down.
+    /// Contrast with [`set_host_up`](Self::set_host_up)`(host, false)`,
+    /// which models a frozen-but-intact node (a partition of one).
+    /// Restart with [`restart_server`](Self::restart_server).
     ///
     /// # Panics
     ///
     /// Panics when `host` is unknown or not a Greenstone server.
     pub fn crash_server(&mut self, host: &str) {
         let node = self.node(host);
-        self.sim
-            .with_actor::<AlertingActor, ()>(node, |actor, _| actor.core_mut().crash_wipe())
-            .unwrap_or_else(|| panic!("{host:?} is not a Greenstone server"));
         if let Some(medium) = self.media.get(&HostName::new(host)) {
             medium.crash();
         }
+        let (wire, reliable) = (&self.wire, self.jitter_seed(node));
+        let rebuilt = self.sim.replace_actor(node, |crashed: AlertingActor| {
+            AlertingActor::new(crashed.core.crashed(), wire, reliable)
+        });
+        assert!(rebuilt, "{host:?} is not a Greenstone server");
         self.sim.set_node_up(node, false);
     }
 
-    /// Restarts a crashed server: the node comes back up and re-runs
-    /// its startup path — state-store recovery (replaying snapshot +
-    /// journal into a rebuilt subscription index), GDS re-registration
-    /// and an interest-summary re-announcement at the resumed version.
+    /// Restarts a crashed server: the node comes back up, and the actor
+    /// [`crash_server`](Self::crash_server) built starts — GDS
+    /// re-registration, the auxiliary plants of its collections, and an
+    /// interest-summary announcement above the recovered version.
     ///
     /// # Panics
     ///

@@ -17,7 +17,6 @@ pub struct GdsClient {
     gds_server: HostName,
     next_id: u64,
     next_token: u64,
-    next_summary_version: u64,
     seen: SeenIds,
 }
 
@@ -40,7 +39,6 @@ impl GdsClient {
             gds_server: gds_server.into(),
             next_id: 0,
             next_token: 0,
-            next_summary_version: 0,
             seen: SeenIds::default(),
         }
     }
@@ -101,15 +99,15 @@ impl GdsClient {
     }
 
     /// Builds an interest-summary announcement for this server's GDS
-    /// node (the flood-pruning layer). Versions are monotonic so the
-    /// node keeps only the newest, whatever order updates arrive in.
-    pub fn summary_update(&mut self, summary: InterestSummary) -> GdsOutbound {
-        self.next_summary_version += 1;
+    /// node (the flood-pruning layer). The caller numbers its
+    /// announcements upwards, so the node keeps only the newest,
+    /// whatever order updates arrive in.
+    pub fn summary_update(&self, version: u64, summary: InterestSummary) -> GdsOutbound {
         GdsOutbound {
             to: self.gds_server.clone(),
             msg: GdsMessage::SummaryUpdate {
                 from: self.host.clone(),
-                version: self.next_summary_version,
+                version,
                 summary,
             },
         }
@@ -161,33 +159,6 @@ impl GdsClient {
     /// while deliveries arrive in order, one more per id still missing.
     pub fn seen_runs(&self) -> usize {
         self.seen.runs()
-    }
-
-    /// The version the last [`summary_update`](Self::summary_update)
-    /// announced at (0 before the first announcement). Persisted by the
-    /// durable state layer so a recovered server resumes the sequence.
-    pub fn summary_version(&self) -> u64 {
-        self.next_summary_version
-    }
-
-    /// Resume the announcement sequence at (at least) `version`: the
-    /// next [`summary_update`](Self::summary_update) will announce
-    /// `version + 1` or later. Takes the max so resuming can never move
-    /// the sequence backwards — announcing below a version the GDS tree
-    /// has already seen would be silently ignored as stale, and the
-    /// re-announcement after crash recovery must not be.
-    pub fn resume_summary_version(&mut self, version: u64) {
-        self.next_summary_version = self.next_summary_version.max(version);
-    }
-
-    /// Model a server crash as the GDS layers see it: the announcement
-    /// sequence restarts at 0 (to be resumed from durable state, or
-    /// not). The duplicate-suppression set deliberately survives — it
-    /// models the client-side inbox, and the reliability layer may
-    /// redeliver in-flight messages after the restart; forgetting the
-    /// set would turn those redeliveries into duplicate notifications.
-    pub fn crash_reset(&mut self) {
-        self.next_summary_version = 0;
     }
 }
 
@@ -300,11 +271,13 @@ mod tests {
 
     #[test]
     fn summary_updates_carry_monotonic_versions() {
-        let mut c = client();
+        // The core numbers its announcements; the client carries the
+        // number it is given.
+        let c = client();
         let mut summary = InterestSummary::empty();
         summary.add_host("London");
-        let first = c.summary_update(summary.clone());
-        let second = c.summary_update(summary.clone());
+        let first = c.summary_update(1, summary.clone());
+        let second = c.summary_update(2, summary.clone());
         assert_eq!(first.to, HostName::new("gds-4"));
         let version_of = |out: &GdsOutbound| match &out.msg {
             GdsMessage::SummaryUpdate { from, version, summary: s } => {
@@ -314,48 +287,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         };
-        assert!(version_of(&second) > version_of(&first));
-    }
-
-    #[test]
-    fn crash_reset_and_resume_keep_versions_monotonic() {
-        let mut c = client();
-        let mut summary = InterestSummary::empty();
-        summary.add_host("London");
-        c.summary_update(summary.clone());
-        c.summary_update(summary.clone());
-        assert_eq!(c.summary_version(), 2);
-
-        // Crash without durability: the sequence restarts at 0 and the
-        // next announcement (version 1) would be dropped as stale —
-        // conservative over-delivery, never a false negative.
-        c.crash_reset();
-        assert_eq!(c.summary_version(), 0);
-
-        // Crash with durability: resume from the persisted version.
-        c.resume_summary_version(2);
-        let out = c.summary_update(summary.clone());
-        match out.msg {
-            GdsMessage::SummaryUpdate { version, .. } => assert_eq!(version, 3),
-            other => panic!("unexpected {other:?}"),
-        }
-
-        // Resuming backwards is a no-op.
-        c.resume_summary_version(1);
-        assert_eq!(c.summary_version(), 3);
-    }
-
-    #[test]
-    fn crash_reset_keeps_the_duplicate_suppression_set() {
-        let mut c = client();
-        let deliver = GdsMessage::Deliver {
-            id: MessageId::from_raw(5),
-            origin: "London".into(),
-            payload: XmlElement::new("event").into(),
-        };
-        assert!(c.accept(&deliver).is_some());
-        c.crash_reset();
-        // A reliability-layer redelivery after restart is still a dup.
-        assert!(c.accept(&deliver).is_none());
+        assert_eq!((version_of(&first), version_of(&second)), (1, 2));
     }
 }

@@ -69,10 +69,14 @@ impl fmt::Display for TraceEntry {
 /// every [`Actor`] automatically.
 trait ActorObj<M>: Actor<M> {
     fn as_any_mut(&mut self) -> &mut dyn Any;
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<M: 'static, T: Actor<M>> ActorObj<M> for T {
     fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -424,6 +428,24 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         };
         self.actors[id.index()] = Some(actor);
         result
+    }
+
+    /// Replaces the node's actor, downcast to `T`, with the one `f`
+    /// builds from it by value; the node's name, state and timers stay.
+    /// Returns `false`, the actor untouched, when it is not a `T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` does not belong to this simulation.
+    pub fn replace_actor<T: Actor<M>>(&mut self, id: NodeId, f: impl FnOnce(T) -> T) -> bool {
+        let slot = &mut self.actors[id.index()];
+        if !slot.as_mut().expect("actor present").as_any_mut().is::<T>() {
+            return false;
+        }
+        let old = slot.take().expect("actor present").into_any();
+        let old = old.downcast::<T>().expect("the type was checked above");
+        *slot = Some(Box::new(f(*old)));
+        true
     }
 
     /// Reads from the node's actor, downcast to `T`, without a context.
@@ -909,5 +931,21 @@ mod tests {
         let mut sim = ping_sim();
         let r = sim.with_actor::<TimerActor, _>(NodeId::from_raw(0), |_, _| 1);
         assert_eq!(r, None);
+    }
+
+    #[test]
+    fn a_replaced_actor_is_built_from_the_old_one_and_restarts_on_the_next_up() {
+        let mut sim: Sim<String> = Sim::new(1);
+        let id = sim.add_node("t", TimerActor::default());
+        sim.run_until_quiet(SimTime::from_secs(1));
+        assert!(!sim.replace_actor::<Echo>(id, |echo| echo), "not an Echo");
+        assert!(sim.replace_actor::<TimerActor>(id, |old| TimerActor {
+            fired: old.fired.into_iter().map(|tag| tag * 10).collect(),
+        }));
+        sim.set_node_up(id, false);
+        sim.set_node_up(id, true);
+        sim.run_until_quiet(SimTime::from_secs(2));
+        let fired = sim.actor::<TimerActor, _>(id, |t| t.fired.clone());
+        assert_eq!(fired, Some(vec![10, 20, 1, 2]));
     }
 }

@@ -552,17 +552,9 @@ impl InterestCounts {
         self.apply(digest, false);
     }
 
-    /// Forgets every digest.
-    pub fn clear(&mut self) {
-        *self = InterestCounts {
-            changed: true,
-            ..InterestCounts::default()
-        };
-    }
-
-    /// `true` when an [`add`](Self::add), [`remove`](Self::remove) or
-    /// [`clear`](Self::clear) since the last [`summary`](Self::summary)
-    /// may have changed the union: a count crossed between 0 and 1, or a
+    /// `true` when an [`add`](Self::add) or [`remove`](Self::remove)
+    /// since the last [`summary`](Self::summary) may have changed the
+    /// union: a count crossed between 0 and 1, or a
     /// key started or stopped being constrained by every anchored digest.
     pub fn changed(&self) -> bool {
         self.changed

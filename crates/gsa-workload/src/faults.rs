@@ -44,17 +44,19 @@ pub enum FaultAction {
         /// When.
         at: SimTime,
     },
-    /// Hard-crash an alerting server: volatile state is wiped and the
-    /// node goes down. What survives depends on the server's state
-    /// store — nothing in memory mode, the journal in durable mode.
+    /// Hard-crash an alerting server: its actor is rebuilt from what a
+    /// crash keeps (`System::crash_server`; DESIGN.md §4, "What a crash
+    /// leaves") and the node goes down. Its transport is lost; its
+    /// profiles and alert states come back only from a durable state
+    /// store's journal.
     CrashServer {
         /// When.
         at: SimTime,
         /// Which server host.
         host: HostName,
     },
-    /// Bring a crashed server back up; it recovers whatever its state
-    /// store persisted and re-announces its interest summary.
+    /// Bring a crashed server back up; it re-registers and announces its
+    /// interest summary above the version its state store recovered.
     RestartServer {
         /// When.
         at: SimTime,

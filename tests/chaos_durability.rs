@@ -15,8 +15,12 @@
 //!    recovered registry is always a prefix-consistent subset of what
 //!    was journalled, and mid-journal corruption is surfaced through
 //!    the `state.journal_corrupt` counter.
+//!
+//! And one boundary: a crash loses the server's transport, so what its
+//! first hop had not yet acknowledged is lost with it and nothing from
+//! before the crash is re-sent after it.
 
-use gsa_core::{AlertPolicyConfig, AlertState, System};
+use gsa_core::{AlertPolicyConfig, AlertState, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_store::SourceDocument;
@@ -334,6 +338,49 @@ fn volatile_lifecycle_forgets_acks_and_double_notifies_on_the_same_crash() {
         1,
         "without durability the acked alert notifies again"
     );
+}
+
+#[test]
+fn a_crash_loses_the_transport() {
+    // Hamilton rebuilds and crashes in the same instant. On XML the
+    // publish left as a frame of its own: London hears it once, and the
+    // frame whose ack found Hamilton down is not re-sent after the
+    // restart. On v2 it still sat in the batch buffer, flushed at the end
+    // of the instant, and is lost with the process: no hop owed it yet.
+    for (wire, heard) in [(WireConfig::default(), 1), (WireConfig::v2(), 0)] {
+        let mut system = System::new(42);
+        system.set_reliability(ReliabilityConfig);
+        system.set_wire(wire.clone());
+        system.add_gds_topology(&figure2_tree());
+        system.add_server("Hamilton", "gds-4");
+        system.add_server("London", "gds-2");
+        system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
+        system.run_until_quiet(SimTime::from_secs(5));
+        let client = system.add_client("London");
+        system
+            .subscribe_text("London", client, r#"host = "Hamilton""#)
+            .unwrap();
+        system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+
+        system
+            .rebuild("Hamilton", "D", vec![SourceDocument::new("d1", "v1")])
+            .unwrap();
+        system.crash_server("Hamilton");
+        system.run_for(SimDuration::from_secs(2));
+        let retransmits = system.metrics().counter("net.retransmits");
+        system.restart_server("Hamilton");
+        system.run_until_quiet(system.now() + SimDuration::from_secs(30));
+        assert_eq!(
+            system.take_notifications("London", client).len(),
+            heard,
+            "{wire:?}: London hears the publish {heard} time(s)"
+        );
+        assert_eq!(
+            system.metrics().counter("net.retransmits"),
+            retransmits,
+            "{wire:?}: nothing from before the crash is re-sent after it"
+        );
+    }
 }
 
 #[test]
