@@ -674,4 +674,20 @@ mod tests {
         // The restored instance dedups exactly like a live one.
         assert_eq!(engine.observe(7, "c", 0, at(4)), Outcome::Suppressed);
     }
+
+    #[test]
+    fn wipe_forgets_everything() {
+        let mut engine: AlertEngine<u32> = AlertEngine::new(AlertPolicyConfig::dedup_only());
+        engine.observe(1, "c", 0, T0);
+        assert!(!engine.is_empty());
+        // A crash keeps the policy and builds the engine anew from it.
+        let mut engine: AlertEngine<u32> = AlertEngine::new(engine.config().clone());
+        assert_eq!(engine.config(), &AlertPolicyConfig::dedup_only());
+        assert!(engine.is_empty());
+        assert!(engine.take_transitions().is_empty());
+        assert!(engine.counts_mut().is_empty());
+        // Without the instance the duplicate delivers again — the
+        // volatile double-notify the durable store exists to prevent.
+        assert_eq!(engine.observe(1, "c", 1, at(1)), Outcome::Deliver);
+    }
 }

@@ -289,4 +289,51 @@ mod tests {
         };
         assert_eq!((version_of(&first), version_of(&second)), (1, 2));
     }
+
+    #[test]
+    fn crash_reset_and_resume_keep_versions_monotonic() {
+        use crate::interest::Interest;
+        use gsa_types::Counts;
+        let c = client();
+        let mut node = Interest::new(crate::InterestMode::Prune);
+        let mut counts = Counts::default();
+        let mut offer = |out: GdsOutbound| match out.msg {
+            GdsMessage::SummaryUpdate { from, version, summary } => {
+                node.on_summary(from, version, summary, &mut counts)
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        let mut summary = InterestSummary::empty();
+        summary.add_host("London");
+        assert!(offer(c.summary_update(1, summary.clone())));
+        assert!(offer(c.summary_update(2, summary.clone())));
+
+        // A crash hands the client over whole, and it holds no version
+        // of its own: a durable server resumes from the version its
+        // store kept, and the node takes the next announcement.
+        summary.add_host("Paris");
+        assert!(offer(c.summary_update(3, summary.clone())));
+
+        // Delayed or reordered announcements never move the node back.
+        assert!(!offer(c.summary_update(2, InterestSummary::empty())));
+        assert!(!offer(c.summary_update(3, InterestSummary::empty())));
+    }
+
+    #[test]
+    fn crash_reset_keeps_the_duplicate_suppression_set() {
+        let mut c = client();
+        let deliver = GdsMessage::Deliver {
+            id: MessageId::from_raw(5),
+            origin: "London".into(),
+            payload: XmlElement::new("event").into(),
+        };
+        assert!(c.accept(&deliver).is_some());
+        let (before, _) = c.publish(XmlElement::new("a"));
+        // A crash hands the client over whole, with nothing to reset: a
+        // reliability-layer redelivery after the restart is still a dup.
+        assert!(c.accept(&deliver).is_none());
+        // And the first publish after the restart gets a new id.
+        let (after, _) = c.publish(XmlElement::new("a"));
+        assert_ne!(before, after);
+    }
 }
