@@ -27,30 +27,45 @@ const VOCAB: &[&str] = &["alpha", "beta", "gamma", "delta", "epsilon"];
 
 /// Titles, subjects and excerpt words: the vocabulary in mixed case and
 /// in longer strings, and non-ASCII text — including a character whose
-/// lowercase form is ASCII (the Kelvin sign) and one whose lowercase form
-/// is longer than itself (İ).
+/// lowercase form is ASCII (the Kelvin sign), one whose lowercase form
+/// is longer than itself (İ), and a long ASCII run behind a non-ASCII
+/// prefix; and a near miss that carries all but the last window of
+/// `epsilon-alpha`.
 const VALUES: &[&str] = &[
     "alpha",
     "Beta",
     "GAMMA delta",
     "epsilon-Alpha",
+    "Epsilon-ALPHA beta",
+    "epsilon-alphx",
     "Überdelta gamma",
+    "Überepsilon-alpha",
     "\u{212a}elvin beta",
     "İota",
 ];
 
-/// Wildcards over those values: keyable on a trigram or not (short,
-/// bare `*`), anchored or floating, several segments, mixed case,
-/// non-ASCII with and without an ASCII segment.
+/// Wildcards over those values: keyable on a window or not (short,
+/// bare `*`), on segments of 3, 4, 7, 8 and 13 bytes (windows of 3, 4
+/// and 8 bytes, one 8-byte window sliding through the longest),
+/// anchored or floating, several segments, mixed case, non-ASCII with
+/// and without an ASCII segment.
 const PATTERNS: &[&str] = &[
     "*alpha*",
     "*ALPHA",
     "bet*",
     "*gam*del*",
     "*lon-Al*",
+    "*amma*",
+    "*psilon*",
+    "*Lon-Alph*",
+    "*epsilon-alpha*",
+    "EPSILON-ALPHA*",
+    "*silon-alpha",
+    "*über*epsilon-alpha",
     "*über*",
     "ü*gamma",
     "*kelvin*",
+    "*kelvin beta*",
     "*ota",
     "*iot*",
     "*al*",
