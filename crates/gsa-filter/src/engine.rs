@@ -15,9 +15,12 @@
 //! * **token** — a required term of a positive `text ? (query)`, under a
 //!   reserved attribute symbol; a context carries one pair per excerpt
 //!   token some profile mentions;
-//! * **gram** — one case-folded trigram of the longest literal segment of
-//!   a positive wildcard, under a reserved symbol per attribute; a
-//!   context carries the trigrams of that attribute's values.
+//! * **gram** — one window of the longest ASCII literal segment of a
+//!   positive wildcard, as wide as the segment allows (8 bytes, else 4,
+//!   else 3), under a reserved symbol per attribute and width; a context
+//!   carries the case-folded windows of that width of the attribute's
+//!   values. A window of up to 4 bytes is packed exactly, an 8-byte one
+//!   hashed to 32 bits.
 //!
 //! Token and gram keys are only *necessary* for their literal, which is
 //! therefore still verified. A conjunction with no usable key is scanned
@@ -109,7 +112,8 @@ enum Access {
     Eq(EqLit),
     /// Under a required term of a filter query. The probe sees no tokens.
     Token(Key),
-    /// Under a trigram of a wildcard segment. The probe sees no grams.
+    /// Under a window of a wildcard segment (see [`gram_segment`]). The
+    /// probe sees no grams.
     Gram(Key),
 }
 
@@ -170,25 +174,47 @@ pub(crate) fn is_equality(lit: &Literal) -> bool {
         )
 }
 
-/// The segment a wildcard may be keyed on: its longest literal run of at
-/// least three ASCII bytes (any trigram of it is then a byte-exact
-/// substring of every lowercased value the pattern matches).
-fn gram_segment(pattern: &Wildcard) -> Option<&str> {
-    pattern
+/// The widths a gram key can have, widest first.
+const GRAM_WIDTHS: [usize; 3] = [8, 4, 3];
+
+/// What a wildcard may be keyed on: its longest ASCII literal segment,
+/// when that has at least three bytes, and the widest of [`GRAM_WIDTHS`]
+/// it holds. Any window of the segment is then a byte-exact substring of
+/// every lowercased value the pattern matches, and the wider the window,
+/// the fewer values carry it.
+fn gram_segment(pattern: &Wildcard) -> Option<(&[u8], usize)> {
+    let segment = pattern
         .segments()
-        .filter(|seg| seg.len() >= 3 && seg.is_ascii())
-        .max_by_key(|seg| seg.len())
+        .filter(|seg| seg.is_ascii())
+        .max_by_key(|seg| seg.len())?;
+    let width = GRAM_WIDTHS.into_iter().find(|&w| segment.len() >= w)?;
+    Some((segment.as_bytes(), width))
 }
 
-/// Three bytes as the value half of a gram key.
-fn pack_gram(gram: &[u8]) -> Symbol {
-    Symbol::from_raw(u32::from(gram[0]) << 16 | u32::from(gram[1]) << 8 | u32::from(gram[2]))
+/// Up to eight bytes as one number, the first byte the highest.
+fn window_bits(window: &[u8]) -> u64 {
+    window.iter().fold(0, |bits, &b| bits << 8 | u64::from(b))
 }
 
-/// Visits the case-folded trigrams of `value`, folded the way
+/// A `width`-byte window, held in the low bytes of `bits`, as the value
+/// half of a gram key: the bytes themselves up to four, folded to 32 bits
+/// by a multiply-shift hash at eight. A collision only makes another
+/// candidate, which is verified like every gram candidate.
+fn pack_gram(bits: u64, width: usize) -> Symbol {
+    let raw = if width <= 4 {
+        bits
+    } else {
+        bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32
+    };
+    Symbol::from_raw(u32::try_from(raw).expect("a packed gram has 32 bits"))
+}
+
+/// Visits the case-folded `width`-byte windows of `value`, folded the way
 /// [`Wildcard::matches`] folds it: bytewise for ASCII, through
-/// `to_lowercase` (which can turn non-ASCII into ASCII) otherwise.
-fn each_gram(value: &str, mut visit: impl FnMut(Symbol)) {
+/// `to_lowercase` (which can turn non-ASCII into ASCII) otherwise. The
+/// window slides through one register, so an ASCII value allocates
+/// nothing.
+fn each_gram(value: &str, width: usize, mut visit: impl FnMut(Symbol)) {
     let folded;
     let bytes = if value.is_ascii() {
         value.as_bytes()
@@ -196,19 +222,20 @@ fn each_gram(value: &str, mut visit: impl FnMut(Symbol)) {
         folded = value.to_lowercase();
         folded.as_bytes()
     };
-    for gram in bytes.windows(3) {
-        visit(pack_gram(&[
-            gram[0].to_ascii_lowercase(),
-            gram[1].to_ascii_lowercase(),
-            gram[2].to_ascii_lowercase(),
-        ]));
+    let kept = u64::MAX >> (64 - 8 * width);
+    let mut bits = 0;
+    for (at, &byte) in bytes.iter().enumerate() {
+        bits = (bits << 8 | u64::from(byte.to_ascii_lowercase())) & kept;
+        if at + 1 >= width {
+            visit(pack_gram(bits, width));
+        }
     }
 }
 
 /// How much shorter a token or gram list must be than the best equality
 /// list to be taken instead. A live token or gram key makes every
 /// document of every event pay for tokenizing or for enumerating
-/// trigrams — roughly what verifying this many candidates costs — which
+/// windows — roughly what verifying this many candidates costs — which
 /// only pays off once the equality lists have grown that long (or the
 /// conjunction has no equality to be keyed on).
 const DERIVED_KEY_HANDICAP: usize = 16;
@@ -271,11 +298,13 @@ struct ProfileSlot {
     conjs: Conjs,
 }
 
-/// An attribute some wildcard was gram-keyed on.
+/// An attribute and window width some wildcard was gram-keyed on.
 #[derive(Debug)]
 struct GramAttr {
     attr: ProfileAttr,
-    /// The reserved symbol its grams are posted under.
+    /// One of [`GRAM_WIDTHS`].
+    width: usize,
+    /// The reserved symbol its grams of this width are posted under.
     sym: Symbol,
     /// Live gram keys; contexts skip the attribute at zero.
     live: usize,
@@ -336,6 +365,10 @@ pub struct MatchScratch {
     token_syms: Vec<Symbol>,
     /// Backing store for [`FilterEngine::matches_into`].
     hits: Vec<DocMatch>,
+    /// Candidates verified so far: conjunctions whose literals were
+    /// checked, hit or not.
+    #[cfg(test)]
+    verified: usize,
 }
 
 impl MatchScratch {
@@ -610,11 +643,11 @@ impl FilterEngine {
                 best.map(|(key, cost)| (Access::Token(key), cost + self.derived_key_handicap))
             }
             AttrValue::Like(pattern) => {
-                let segment = gram_segment(pattern)?;
-                let attr = self.gram_attr(&lit.predicate.attr);
-                let grams = segment.as_bytes().windows(3);
-                grams
-                    .map(|gram| (attr, pack_gram(gram)))
+                let (segment, width) = gram_segment(pattern)?;
+                let attr = self.gram_attr(&lit.predicate.attr, width);
+                segment
+                    .windows(width)
+                    .map(|window| (attr, pack_gram(window_bits(window), width)))
                     .map(|key| (key, self.index.list(key).len()))
                     .min_by_key(|&(_, cost)| cost)
                     .map(|(key, cost)| (Access::Gram(key), cost + self.derived_key_handicap))
@@ -634,14 +667,16 @@ impl FilterEngine {
         }
     }
 
-    /// The reserved symbol `attr`'s grams are posted under.
-    fn gram_attr(&mut self, attr: &ProfileAttr) -> Symbol {
-        if let Some(known) = self.grams.iter().find(|g| g.attr == *attr) {
+    /// The reserved symbol `attr`'s grams of `width` are posted under.
+    fn gram_attr(&mut self, attr: &ProfileAttr, width: usize) -> Symbol {
+        let known = self.grams.iter().find(|g| g.attr == *attr && g.width == width);
+        if let Some(known) = known {
             return known.sym;
         }
         let sym = self.symbols.reserve(attr.name());
         self.grams.push(GramAttr {
             attr: attr.clone(),
+            width,
             sym,
             live: 0,
         });
@@ -888,6 +923,8 @@ impl FilterEngine {
             token_syms,
             ..
         } = scratch;
+        #[cfg(test)]
+        let verified = &mut scratch.verified;
         let (at, doc) = doc.unzip();
 
         token_syms.clear();
@@ -901,6 +938,10 @@ impl FilterEngine {
             let slot = &mut matched[entry.pslot as usize];
             // A stamped slot: another key or another conjunction already
             // reported the profile for this document.
+            #[cfg(test)]
+            if *slot != *generation {
+                *verified += 1;
+            }
             if *slot != *generation
                 && entry
                     .lits
@@ -917,9 +958,9 @@ impl FilterEngine {
         for &token in token_syms.iter() {
             walk((self.attr_token, token));
         }
-        for attr in self.grams.iter().filter(|g| g.live > 0) {
-            attr.attr.any_value(event, doc, |value| {
-                each_gram(value, |gram| walk((attr.sym, gram)));
+        for gram in self.grams.iter().filter(|g| g.live > 0) {
+            gram.attr.any_value(event, doc, |value| {
+                each_gram(value, gram.width, |window| walk((gram.sym, window)));
                 false
             });
         }
@@ -1064,26 +1105,100 @@ mod tests {
     }
 
     #[test]
-    fn wildcards_are_keyed_on_a_trigram_and_still_verified() {
+    fn wildcards_are_keyed_on_a_window_and_still_verified() {
+        // Windows of 4 bytes (a 7-byte and a 4-byte segment), 3 (two
+        // 3-byte segments) and 8 (a 9-byte segment).
         let mut e = FilterEngine::with_derived_key_handicap(0);
         for (id, text) in [
             (1, r#"text ~ "*DIGITAL*""#),
             (2, r#"dc.Subject ~ "lib*ies""#),
             (3, r#"host = "London" AND dc.Subject ~ "*brar*""#),
+            (4, r#"dc.Subject ~ "*Libraries""#),
         ] {
             e.insert(pid(id), &parse_profile(text).unwrap()).unwrap();
         }
         assert_eq!(e.stats().scan_conjunctions, 0);
-        assert_eq!(e.stats().index_entries, 3);
+        assert_eq!(e.stats().index_entries, 4);
         let hit = event("London", "E", "Libraries", "the Digital age");
-        assert_eq!(e.matches(&hit), vec![pid(1), pid(2), pid(3)]);
+        assert_eq!(e.matches(&hit), vec![pid(1), pid(2), pid(3), pid(4)]);
         // The gram is only necessary: a value carrying it is still held
         // to the whole pattern, and to the conjunction's other literals.
         assert!(e.matches(&event("London", "E", "libation", "digit")).is_empty());
+        assert!(e.matches(&event("Paris", "E", "Librariesx", "")).is_empty());
         assert_eq!(e.matches(&event("Paris", "E", "Librarians", "")), vec![]);
         // Non-ASCII values are folded the way the pattern match folds them.
         let e = engine_with(&[(1, r#"dc.Subject ~ "*kelvin*""#)]);
         assert_eq!(e.matches(&event("h", "c", "Lord \u{212a}ELVIN", "")), vec![pid(1)]);
+    }
+
+    fn titled(title: &str) -> Event {
+        let md: MetadataRecord = [(keys::TITLE, title)].into_iter().collect();
+        Event::new(
+            EventId::new("h", 1),
+            CollectionId::new("h", "c"),
+            EventKind::DocumentsAdded,
+            SimTime::ZERO,
+        )
+        .with_docs(vec![DocSummary::new("d1").with_metadata(md)])
+    }
+
+    /// The candidates `e` verifies for `ev`, and what it reports.
+    fn verified(e: &FilterEngine, ev: &Event) -> (usize, Vec<ProfileId>) {
+        let mut scratch = MatchScratch::new();
+        let mut out = Vec::new();
+        e.matches_into(ev, &mut scratch, &mut out);
+        (scratch.verified, out)
+    }
+
+    #[test]
+    fn a_wildcard_key_is_as_selective_as_its_segment() {
+        // Eight-letter words of four syllables, each opening on `bo`,
+        // the rest drawn from four: any two share prefix, suffix and
+        // trigrams, as the benchmark's title words do. The even words
+        // are wanted, twice each; the odd words carry their trigrams.
+        let word = |i: usize| -> String {
+            let syllable = |s: usize| ["ka", "ri", "mo", "tu"][s % 4];
+            ["bo", syllable(i / 16), syllable(i / 4), syllable(i)].concat()
+        };
+        let mut e = FilterEngine::new();
+        for i in (0..64).step_by(2) {
+            let text = format!(r#"dc.Title ~ "*{}*""#, word(i));
+            for id in [i, 100 + i] {
+                e.insert(pid(id as u64), &parse_profile(&text).unwrap()).unwrap();
+            }
+        }
+        let strangers = format!("{} {}", word(1), word(39).to_uppercase());
+        assert_eq!(verified(&e, &titled(&strangers)), (0, vec![]));
+        let one = format!("{strangers} {}", word(42));
+        assert_eq!(verified(&e, &titled(&one)), (2, vec![pid(42), pid(142)]));
+
+        // Two windows that hash alike, found by a birthday search over
+        // scrambled eight-letter names (expected about 2^16 names in;
+        // names counted up in order spread too evenly to collide).
+        let name = |i: u64| {
+            let mut bits = (i + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            bits ^= bits >> 31;
+            let mut window = [b'a'; 8];
+            for letter in &mut window {
+                *letter = b'a' + (bits % 26) as u8;
+                bits /= 26;
+            }
+            window
+        };
+        let mut seen = FxHashMap::default();
+        let (a, b) = (0..1u64 << 20)
+            .find_map(|i| {
+                let window = name(i);
+                let packed = pack_gram(window_bits(&window), 8);
+                let other = seen.insert(packed, window)?;
+                (other != window).then_some((other, window))
+            })
+            .expect("two of 2^20 windows share a symbol");
+        let [a, b] = [a, b].map(|w| String::from_utf8(w.to_vec()).unwrap());
+        let e = engine_with(&[(1, &format!(r#"dc.Title ~ "*{a}*""#))]);
+        // A collision costs one verification, never a false report.
+        assert_eq!(verified(&e, &titled(&format!("the {b}"))), (1, vec![]));
+        assert_eq!(verified(&e, &titled(&format!("the {a}"))), (1, vec![pid(1)]));
     }
 
     #[test]
@@ -1108,7 +1223,7 @@ mod tests {
     #[test]
     fn token_and_gram_keys_wait_for_the_equality_lists_to_grow() {
         // A live token or gram key costs every document a tokenizing or
-        // trigram pass, so an equality key is kept while its list is
+        // window pass, so an equality key is kept while its list is
         // short: the first DERIVED_KEY_HANDICAP profiles on one anchor
         // go under the anchor, later ones under their own term or gram.
         let mut e = FilterEngine::new();

@@ -32,8 +32,8 @@ impl Symbol {
     /// A symbol carrying `raw` itself rather than a table index. Only
     /// meaningful as the value half of a pair whose attribute half is
     /// [reserved](SymbolTable::reserve): there the value namespace is the
-    /// caller's own, and small fixed-width data (a packed trigram) needs
-    /// no table entry and no lookup.
+    /// caller's own, and small fixed-width data (a gram window, packed or
+    /// hashed to 32 bits) needs no table entry and no lookup.
     pub(crate) fn from_raw(raw: u32) -> Symbol {
         Symbol(raw)
     }

@@ -9,10 +9,11 @@
 //! * [`FilterEngine`] — the equality-preferred engine: profiles are
 //!   normalized to DNF and every conjunction is posted in a hash index
 //!   under **one** access key — a positive equality (or ID-list)
-//!   predicate, a required term of a filter query, or a trigram of a
-//!   wildcard — chosen for the shortest posting lists (access-predicate
+//!   predicate, a required term of a filter query, or a window of a
+//!   wildcard's longest segment, 8 bytes wide where the segment allows —
+//!   chosen for the shortest posting lists (access-predicate
 //!   clustering). An event's attribute values, excerpt tokens and value
-//!   trigrams turn up candidate conjunctions, and only on those are the
+//!   windows turn up candidate conjunctions, and only on those are the
 //!   remaining predicates verified: other equalities against the
 //!   context's interned pairs, residuals (wildcards, retrieval queries,
 //!   negations) by evaluation. It reports which documents satisfied each

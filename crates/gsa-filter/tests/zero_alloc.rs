@@ -1,7 +1,8 @@
 //! Acceptance test for the zero-allocation matching claim: after one
 //! warm-up call, [`FilterEngine::matches_into`] performs no heap
 //! allocation on the equality path, nor for tokenizing excerpts and
-//! evaluating `text ? (query)` literals against them.
+//! evaluating `text ? (query)` literals against them, nor for sliding
+//! the windows of ASCII titles past gram-keyed wildcards.
 //!
 //! A counting wrapper around the system allocator is installed as the
 //! global allocator; the window between warm-up and assertion is the
@@ -49,7 +50,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn make_event(host: &str, seq: u64, subject: &str) -> Event {
-    let md: MetadataRecord = [(keys::SUBJECT, subject)].into_iter().collect();
+    let title = format!("Collected {}-NOTEBOOKS, vol. {seq}", subject.to_uppercase());
+    let md: MetadataRecord = [(keys::SUBJECT, subject), (keys::TITLE, &title)]
+        .into_iter()
+        .collect();
     Event::new(
         EventId::new(host, seq),
         CollectionId::new(host, "demo"),
@@ -78,9 +82,12 @@ fn matches_into_is_allocation_free_after_warmup() {
     // conjunctions — one event-level, one document-level literal, keyed
     // on the second and verified on the first — and filter queries on the
     // excerpt: token-keyed terms and conjunctions, a residual behind an
-    // equality, and the scanned shapes (negations, a prefix).
+    // equality, and the scanned shapes (negations, a prefix). And title
+    // wildcards keyed on windows of 3, 4 and 8 bytes: segments of 3, 4,
+    // 8 and 12 bytes, the last slid through by an 8-byte window.
     for host in hosts {
         for subject in subjects {
+            let notebooks = format!("{subject}-notebooks");
             for text in [
                 format!(r#"collection = "{host}.demo" AND dc.Subject = "{subject}""#),
                 format!(r#"dc.Subject = "{subject}" AND host = "nowhere""#),
@@ -96,6 +103,10 @@ fn matches_into_is_allocation_free_after_warmup() {
                 format!(r#"NOT text ? ({subject})"#),
                 format!(r#"text ? (NOT {subject} AND theory)"#),
                 format!(r#"text ? (überb* AND {subject})"#),
+                format!(r#"dc.Title ~ "*{}*""#, &subject[..3]),
+                format!(r#"dc.Title ~ "*{}*""#, &subject[1..5]),
+                format!(r#"dc.Title ~ "*{}*vol*""#, &notebooks[..8]),
+                format!(r#"dc.Title ~ "*{}*""#, &notebooks[..12]),
             ] {
                 engine
                     .insert(ProfileId::from_raw(id), &parse_profile(&text).unwrap())
