@@ -182,18 +182,13 @@ const GRAM_WIDTHS: [usize; 3] = [8, 4, 3];
 /// it holds. Any window of the segment is then a byte-exact substring of
 /// every lowercased value the pattern matches, and the wider the window,
 /// the fewer values carry it.
-fn gram_segment(pattern: &Wildcard) -> Option<(&[u8], usize)> {
+fn gram_segment(pattern: &Wildcard) -> Option<(&str, usize)> {
     let segment = pattern
         .segments()
         .filter(|seg| seg.is_ascii())
         .max_by_key(|seg| seg.len())?;
     let width = GRAM_WIDTHS.into_iter().find(|&w| segment.len() >= w)?;
-    Some((segment.as_bytes(), width))
-}
-
-/// Up to eight bytes as one number, the first byte the highest.
-fn window_bits(window: &[u8]) -> u64 {
-    window.iter().fold(0, |bits, &b| bits << 8 | u64::from(b))
+    Some((segment, width))
 }
 
 /// A `width`-byte window, held in the low bytes of `bits`, as the value
@@ -213,7 +208,8 @@ fn pack_gram(bits: u64, width: usize) -> Symbol {
 /// [`Wildcard::matches`] folds it: bytewise for ASCII, through
 /// `to_lowercase` (which can turn non-ASCII into ASCII) otherwise. The
 /// window slides through one register, so an ASCII value allocates
-/// nothing.
+/// nothing. A pattern segment is lowercase already: its windows are the
+/// keys the same windows of a value look up.
 fn each_gram(value: &str, width: usize, mut visit: impl FnMut(Symbol)) {
     let folded;
     let bytes = if value.is_ascii() {
@@ -645,12 +641,15 @@ impl FilterEngine {
             AttrValue::Like(pattern) => {
                 let (segment, width) = gram_segment(pattern)?;
                 let attr = self.gram_attr(&lit.predicate.attr, width);
-                segment
-                    .windows(width)
-                    .map(|window| (attr, pack_gram(window_bits(window), width)))
-                    .map(|key| (key, self.index.list(key).len()))
-                    .min_by_key(|&(_, cost)| cost)
-                    .map(|(key, cost)| (Access::Gram(key), cost + self.derived_key_handicap))
+                let mut best: Option<(Key, usize)> = None;
+                each_gram(segment, width, |window| {
+                    let key = (attr, window);
+                    let cost = self.index.list(key).len();
+                    if best.is_none_or(|(_, least)| cost < least) {
+                        best = Some((key, cost));
+                    }
+                });
+                best.map(|(key, cost)| (Access::Gram(key), cost + self.derived_key_handicap))
             }
             _ => None,
         }
@@ -1178,23 +1177,24 @@ mod tests {
         let name = |i: u64| {
             let mut bits = (i + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             bits ^= bits >> 31;
-            let mut window = [b'a'; 8];
-            for letter in &mut window {
-                *letter = b'a' + (bits % 26) as u8;
-                bits /= 26;
-            }
-            window
+            (0..8)
+                .map(|_| {
+                    let letter = char::from(b'a' + (bits % 26) as u8);
+                    bits /= 26;
+                    letter
+                })
+                .collect::<String>()
         };
         let mut seen = FxHashMap::default();
         let (a, b) = (0..1u64 << 20)
             .find_map(|i| {
                 let window = name(i);
-                let packed = pack_gram(window_bits(&window), 8);
-                let other = seen.insert(packed, window)?;
+                let mut packed = None;
+                each_gram(&window, 8, |sym| packed = Some(sym));
+                let other = seen.insert(packed, window.clone())?;
                 (other != window).then_some((other, window))
             })
             .expect("two of 2^20 windows share a symbol");
-        let [a, b] = [a, b].map(|w| String::from_utf8(w.to_vec()).unwrap());
         let e = engine_with(&[(1, &format!(r#"dc.Title ~ "*{a}*""#))]);
         // A collision costs one verification, never a false report.
         assert_eq!(verified(&e, &titled(&format!("the {b}"))), (1, vec![]));
