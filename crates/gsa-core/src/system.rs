@@ -9,7 +9,7 @@ use crate::core::AlertingCore;
 use crate::message::SysMessage;
 use crate::subs::Notification;
 use gsa_alerts::{AlertPolicyConfig, AlertState};
-use gsa_gds::{GdsNode, GdsTopology, InterestMode};
+use gsa_gds::{GdsMessage, GdsNode, GdsTopology, InterestMode};
 use gsa_greenstone::server::{FetchResult, SearchResult};
 use gsa_greenstone::{BuildReport, CollectionConfig, GsError, SubCollectionRef};
 use gsa_profile::{parse_profile, DnfError, ParseProfileError, ProfileExpr};
@@ -20,8 +20,10 @@ use gsa_types::{
     ClientId, CollectionName, HostName, ProfileId, SimDuration, SimTime,
 };
 use gsa_wire::WireFormat;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A whole simulated deployment: GDS tree + Greenstone servers + clients.
 ///
@@ -54,11 +56,34 @@ impl fmt::Debug for System {
     }
 }
 
+/// Sizes each sent message in `format`, for `net.bytes_sent`. A flood
+/// run goes out as one shared frame on each of its edges in turn, so
+/// the last frame sized is kept with its size and a send of the same
+/// frame reuses it. The kept reference holds the frame alive, so no
+/// other frame can take its address while it is compared.
+fn wire_sizer(format: WireFormat) -> impl Fn(&SysMessage) -> usize {
+    let last: RefCell<Option<(Arc<[GdsMessage]>, usize)>> = RefCell::default();
+    move |m: &SysMessage| {
+        let SysMessage::Gds(GdsMessage::Batch(frame)) = m else {
+            return m.wire_size(format);
+        };
+        let mut last = last.borrow_mut();
+        match &*last {
+            Some((held, size)) if Arc::ptr_eq(held, frame) => *size,
+            _ => {
+                let size = m.wire_size(format);
+                *last = Some((frame.clone(), size));
+                size
+            }
+        }
+    }
+}
+
 impl System {
     /// Creates an empty deployment with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         let mut sim = Sim::new(seed);
-        sim.set_wire_size_fn(|m: &SysMessage| m.wire_size(WireFormat::Xml));
+        sim.set_wire_size_fn(wire_sizer(WireFormat::Xml));
         System {
             sim,
             next_client: 0,
@@ -119,8 +144,7 @@ impl System {
     /// Panics once a node exists.
     pub fn set_wire(&mut self, config: WireConfig) {
         self.before_any_node("set_wire");
-        let format = config.format;
-        self.sim.set_wire_size_fn(move |m: &SysMessage| m.wire_size(format));
+        self.sim.set_wire_size_fn(wire_sizer(config.format));
         self.wire = config;
     }
 
@@ -1070,6 +1094,60 @@ mod tests {
                 "{format}: the registration's size"
             );
         }
+    }
+
+    /// A v2 frame of `ids` as a directory node floods it, its payloads
+    /// frozen so every hop forwards the frame itself.
+    fn flood_frame(ids: std::ops::Range<u64>) -> Arc<[GdsMessage]> {
+        let mut payload: gsa_wire::Payload = gsa_wire::XmlElement::new("event").into();
+        payload.freeze();
+        ids.map(|id| GdsMessage::Broadcast {
+            id: gsa_types::MessageId::from_raw(id),
+            origin: "Hamilton".into(),
+            payload: payload.clone(),
+        })
+        .collect()
+    }
+
+    /// On v2 a shared frame flooded on k edges is counted k times at its
+    /// size, sized once or not. Two roots, each with four children, are
+    /// handed equal frames (distinct references) by one child in the same
+    /// instant and forward each on the other three; a smaller frame
+    /// afterwards is counted at its own size.
+    #[test]
+    fn a_shared_frame_is_counted_once_per_edge() {
+        let mut system = System::new(7);
+        system.set_wire(WireConfig::v2());
+        let mut topo = GdsTopology::new();
+        for root in [1, 11] {
+            topo.add(format!("gds-{root}"), 1, None);
+            for child in root + 1..root + 5 {
+                topo.add(format!("gds-{child}"), 2, Some(&format!("gds-{root}")));
+            }
+        }
+        system.add_gds_topology(&topo);
+        system.run_until_quiet(SimTime::from_secs(5));
+        let id = |name: &str| system.sim.node_id(name).expect("added");
+        let (one, one_child) = (id("gds-1"), id("gds-2"));
+        let (two, two_child) = (id("gds-11"), id("gds-12"));
+        let bytes = |system: &System| system.metrics().counter("net.bytes_sent");
+        let size =
+            |frame: &Arc<[GdsMessage]>| GdsMessage::Batch(frame.clone()).binary_wire_size() as u64;
+
+        let (a, b) = (flood_frame(1..9), flood_frame(1..9));
+        assert!(!Arc::ptr_eq(&a, &b) && a[..] == b[..], "equal contents, two frames");
+        let before = bytes(&system);
+        system.sim.inject(one_child, one, SysMessage::Gds(GdsMessage::Batch(a.clone())));
+        system.sim.inject(two_child, two, SysMessage::Gds(GdsMessage::Batch(b.clone())));
+        system.run_until_quiet(system.now() + SimDuration::from_secs(1));
+        assert_eq!(bytes(&system) - before, 3 * size(&a) + 3 * size(&b), "each frame on 3 edges");
+
+        let c = flood_frame(9..12);
+        assert_ne!(size(&c), size(&a));
+        let before = bytes(&system);
+        system.sim.inject(one_child, one, SysMessage::Gds(GdsMessage::Batch(c.clone())));
+        system.run_until_quiet(system.now() + SimDuration::from_secs(1));
+        assert_eq!(bytes(&system) - before, 3 * size(&c), "the next frame at its own size");
     }
 
     /// Shared shape of the crash/restart tests: build the figure

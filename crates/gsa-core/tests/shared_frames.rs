@@ -139,10 +139,10 @@ fn a_warm_node_forwards_the_frame_it_received_without_allocating() {
         vec![Range { start: 0, end: 4 }],
         "one run over the four children"
     );
-    // Held by the test, each child's copy of the reference, and one
-    // replay-ring entry per item: nothing else holds the frame, and no
+    // Held by the test, each child's copy of the reference, and the one
+    // replay-ring entry of the run: nothing else holds the frame, and no
     // item of it was copied out.
-    assert_eq!(Arc::strong_count(&received), 1 + 4 + 8);
+    assert_eq!(Arc::strong_count(&received), 1 + 4 + 1);
 }
 
 #[test]
@@ -196,7 +196,7 @@ fn the_publishers_node_builds_one_frame_per_form() {
         let built = forwarded[0].1;
         assert!(matches!(built[0], GdsMessage::Broadcast { .. }));
         assert!(forwarded.iter().all(|(_, frame)| Arc::ptr_eq(frame, built)));
-        // The parent, four children and eight replay-ring entries.
-        assert_eq!(Arc::strong_count(built), 5 + 8);
+        // The parent, four children and the run's replay-ring entry.
+        assert_eq!(Arc::strong_count(built), 5 + 1);
     }
 }

@@ -5,7 +5,8 @@
 //! when the run is all of it and goes out as it came, otherwise one
 //! frame built per run and form (`Broadcast`s built from publishes,
 //! `Deliver`s to local servers, a sub-run). A lone message is a run of
-//! one and goes out plain. Recent floods are kept for replay.
+//! one and goes out plain. Recent floods are kept for replay, one
+//! entry per run.
 
 use crate::interest::Interest;
 use crate::membership::Membership;
@@ -15,6 +16,7 @@ use crate::seen::SeenIds;
 use gsa_types::{CounterId, Counts, HostName, MessageId};
 use gsa_wire::Payload;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How many recently flooded events a node keeps for replay to an
@@ -23,12 +25,12 @@ use std::sync::Arc;
 /// parent (per-edge delivery is reliable when the layer is on).
 pub(crate) const RECENT_CAP: usize = 128;
 
-/// A flood remembered for replay to an adopted child: the `Broadcast`
-/// at an index of a shared frame (one reference, however many of the
-/// frame's items the ring holds), or the parts of one that arrived or
+/// Floods remembered for replay to an adopted child: the `Broadcast`s
+/// of a range of a shared frame (one reference per run, however many
+/// of its items the ring holds), or the parts of one that arrived or
 /// was built alone.
 pub(crate) enum Recent {
-    Shared(Arc<[GdsMessage]>, usize),
+    Shared(Arc<[GdsMessage]>, Range<usize>),
     Lone(MessageId, HostName, Payload),
 }
 
@@ -40,11 +42,24 @@ impl Recent {
         Recent::Lone(*id, origin.clone(), payload.clone())
     }
 
-    fn broadcast(&self) -> GdsMessage {
+    /// The floods it holds.
+    fn len(&self) -> usize {
         match self {
-            Recent::Shared(frame, i) => frame[*i].clone(),
+            Recent::Shared(_, items) => items.len(),
+            Recent::Lone(..) => 1,
+        }
+    }
+
+    fn replay(&self, child: &HostName, effects: &mut GdsEffects) {
+        match self {
+            Recent::Shared(frame, items) => {
+                for item in &frame[items.clone()] {
+                    effects.send(child.clone(), item.clone());
+                }
+            }
             Recent::Lone(id, origin, payload) => {
-                GdsMessage::Broadcast { id: *id, origin: origin.clone(), payload: payload.clone() }
+                let (id, origin, payload) = (*id, origin.clone(), payload.clone());
+                effects.send(child.clone(), GdsMessage::Broadcast { id, origin, payload });
             }
         }
     }
@@ -87,9 +102,12 @@ pub(crate) struct Flood {
     /// Duplicate suppression: every (origin, message id) flooded, kept
     /// as id runs per origin, one run for an in-order flood.
     pub(crate) seen: SeenIds,
-    /// The last [`RECENT_CAP`] floods, oldest first, replayed to an
-    /// adopted child: a broadcast in flight may miss the moved subtree.
+    /// The last [`RECENT_CAP`] floods, oldest first and one entry per
+    /// run, replayed to an adopted child: a broadcast in flight may miss
+    /// the moved subtree.
     pub(crate) recent: VecDeque<Recent>,
+    /// The floods `recent` holds: at most [`RECENT_CAP`].
+    pub(crate) recent_items: usize,
     scratch: Scratch,
     /// Flood payloads are frozen to binary once on entry (wire v2), so
     /// every forwarded copy shares one encoded buffer.
@@ -101,8 +119,32 @@ impl Flood {
     /// absorbs what it already has.
     pub(crate) fn replay(&self, child: &HostName, effects: &mut GdsEffects) {
         for entry in &self.recent {
-            effects.send(child.clone(), entry.broadcast());
+            entry.replay(child, effects);
         }
+    }
+
+    /// Remembers a run's floods, first dropping the oldest past
+    /// [`RECENT_CAP`] — whole entries, then the front of the oldest one
+    /// left — so the ring never grows past the cap.
+    fn remember(&mut self, mut entry: Recent) {
+        if let Recent::Shared(_, items) = &mut entry {
+            items.start = items.start.max(items.end.saturating_sub(RECENT_CAP));
+        }
+        self.recent_items += entry.len();
+        while self.recent_items > RECENT_CAP {
+            let excess = self.recent_items - RECENT_CAP;
+            match self.recent.front_mut() {
+                Some(Recent::Shared(_, items)) if items.len() > excess => {
+                    items.start += excess;
+                    self.recent_items = RECENT_CAP;
+                }
+                _ => {
+                    let oldest = self.recent.pop_front().expect("past the cap, so not empty");
+                    self.recent_items -= oldest.len();
+                }
+            }
+        }
+        self.recent.push_back(entry);
     }
 
     /// Floods the frame's items from `start` on, in order, up to the
@@ -120,6 +162,11 @@ impl Flood {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.built.clear();
         let mut run: Option<Run> = None;
+        // The origin and sender of the run's last item: a flood node's
+        // decision reads nothing else, so the next item with both reuses
+        // the run's edges.
+        let mut last: Option<(&HostName, bool)> = None;
+        let reads_events = interest.reads_events();
         let mut stop = None;
         for (i, item) in frame.items.iter().enumerate().skip(start) {
             let (publish, id, origin, payload) = match item {
@@ -154,15 +201,22 @@ impl Flood {
                 Some(GdsMessage::Broadcast { payload, .. }) => payload,
                 _ => payload,
             };
-            let came_from = (!publish).then_some(frame.from);
-            decide(&mut scratch.edges, origin, payload, came_from, members, interest, counts);
+            let same =
+                !reads_events && run.is_some_and(|r| r.end == i) && last == Some((origin, publish));
+            if !same {
+                let came_from = (!publish).then_some(frame.from);
+                decide(&mut scratch.edges, origin, payload, came_from, members, interest, counts);
+            }
+            last = Some((origin, publish));
             // Compared item by item: comparing two empty slices with
             // `==` costs a library call, and a leaf's decision is empty.
             let extends = run.is_some_and(|r| r.end == i && r.built.is_some() == built.is_some())
-                && scratch.edges.iter().eq(&scratch.run_edges);
+                && (same || scratch.edges.iter().eq(&scratch.run_edges));
             if !extends {
                 self.close_run(run.take(), frame, &scratch, members, effects);
-                std::mem::swap(&mut scratch.edges, &mut scratch.run_edges);
+                if !same {
+                    std::mem::swap(&mut scratch.edges, &mut scratch.run_edges);
+                }
             }
             let run = run.get_or_insert(Run {
                 start: i,
@@ -232,16 +286,16 @@ impl Flood {
         if n > 1 && effects.outbound.len() > first {
             effects.runs.push(first..effects.outbound.len());
         }
-        for (k, item) in src.iter().enumerate() {
-            let entry = match (run.built, frame.shared, &broadcast) {
-                (None, Some(shared), _) => Recent::Shared(shared.clone(), run.start + k),
-                (Some(_), _, Some(built)) => Recent::Shared(built.clone(), k),
-                _ => Recent::lone(item),
-            };
-            if self.recent.len() == RECENT_CAP {
-                self.recent.pop_front();
+        match (run.built, frame.shared, broadcast) {
+            (None, Some(shared), _) => {
+                self.remember(Recent::Shared(shared.clone(), run.start..run.end));
             }
-            self.recent.push_back(entry);
+            (Some(_), _, Some(built)) => self.remember(Recent::Shared(built, 0..n)),
+            _ => {
+                for item in src {
+                    self.remember(Recent::lone(item));
+                }
+            }
         }
     }
 }

@@ -297,6 +297,12 @@ impl Interest {
         }
     }
 
+    /// Whether a verdict reads the event: a flood node's never does, so
+    /// its decision for an item rests on the item's origin and sender.
+    pub(crate) fn reads_events(&self) -> bool {
+        matches!(self, Interest::Summaries(_))
+    }
+
     /// Reads the event's anchor and, when a digest or grant could use
     /// them, its attribute values: the flood's one question per event.
     /// Any doubt — no summary for an edge, an undecodable payload, a

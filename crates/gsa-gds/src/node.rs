@@ -1115,6 +1115,44 @@ mod tests {
         assert_eq!(deliveries[0].0, HostName::new("gs-6"));
     }
 
+    /// A pruning node decides every item of a frame: publishes of one
+    /// server, one after another, still go where each one's kind does.
+    #[test]
+    fn attr_digests_prune_each_item_of_a_frame() {
+        let mut nodes = attr_pruned_figure2();
+        let kinds = [
+            gsa_types::EventKind::DocumentsAdded,
+            gsa_types::EventKind::CollectionRebuilt,
+            gsa_types::EventKind::DocumentsAdded,
+            gsa_types::EventKind::CollectionRebuilt,
+        ];
+        let frame: Arc<[GdsMessage]> = (5u64..)
+            .zip(kinds)
+            .map(|(id, kind)| GdsMessage::Publish {
+                id: MessageId::from_raw(id),
+                payload: kind_event_payload("gs-5", id, kind),
+            })
+            .collect();
+        let (deliveries, _) =
+            pump(&mut nodes, &"gds-5".into(), &"gs-5".into(), GdsMessage::Batch(frame));
+        let mut delivered: Vec<(String, u64)> = Vec::new();
+        for (to, msg) in &deliveries {
+            let single = std::slice::from_ref(msg);
+            let items = match msg {
+                GdsMessage::Batch(items) => &items[..],
+                _ => single,
+            };
+            for item in items {
+                let GdsMessage::Deliver { id, .. } = item else {
+                    panic!("{to} is sent {item}");
+                };
+                delivered.push((to.to_string(), id.as_u64()));
+            }
+        }
+        delivered.sort();
+        assert_eq!(delivered, [("gs-6".to_owned(), 5), ("gs-6".to_owned(), 7)]);
+    }
+
     #[test]
     fn meta_digests_prune_events_lacking_the_attribute() {
         let mut nodes = figure2();
@@ -1445,11 +1483,12 @@ mod tests {
         for frame in &frames {
             node.handle_message(&parent, GdsMessage::Batch(frame.clone()));
         }
-        assert_eq!(node.flood.recent.len(), RECENT_CAP);
+        assert_eq!(node.flood.recent_items, RECENT_CAP);
         assert!(first.upgrade().is_none(), "the fully evicted frame is released");
-        // The second frame lost its first five items to the cap.
-        assert_eq!(Arc::strong_count(&frames[0]), 1 + 3);
-        assert_eq!(Arc::strong_count(&frames[16]), 1 + 5);
+        // The second frame lost its first five items to the cap; each
+        // frame is one entry, however many of its items it holds.
+        assert_eq!(Arc::strong_count(&frames[0]), 1 + 1);
+        assert_eq!(Arc::strong_count(&frames[16]), 1 + 1);
 
         let effects = node.handle_message(&"gds-9".into(), GdsMessage::Adopt { child: "gds-9".into() });
         let replayed: Vec<u64> = effects
@@ -1462,5 +1501,143 @@ mod tests {
             })
             .collect();
         assert_eq!(replayed, (14..=141).collect::<Vec<u64>>(), "in flood order");
+    }
+
+    /// The ids a node replays to an adopted child, which it then
+    /// detaches again so the next flood goes where it did before.
+    fn replayed_ids(node: &mut GdsNode) -> Vec<u64> {
+        let child = HostName::new("gds-9");
+        let effects = node.handle_message(&child, GdsMessage::Adopt { child: child.clone() });
+        let ids = effects
+            .outbound
+            .iter()
+            .filter(|out| out.to == child)
+            .map(|out| match &out.msg {
+                GdsMessage::Broadcast { id, .. } => id.as_u64(),
+                other => panic!("replay sends broadcasts, not {other}"),
+            })
+            .collect();
+        node.handle_message(&child.clone(), GdsMessage::Detach { child });
+        ids
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The replay ring against a queue of the newest `RECENT_CAP`
+        /// fresh ids: frames of 1 to 40 items, some with a repeated id
+        /// in the middle, and one frame longer than the ring.
+        #[test]
+        fn the_replay_ring_holds_the_newest_floods_like_a_queue(
+            frames in proptest::prop::collection::vec((1usize..=40, 0u8..4), 1..30),
+            long_at in 0usize..30,
+            long_len in RECENT_CAP + 1..RECENT_CAP + 80,
+        ) {
+            let mut node = GdsNode::new("gds-2", 2, Some("gds-1".into()));
+            let parent = HostName::new("gds-1");
+            let mut model: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
+            let mut sent: Vec<(std::sync::Weak<[GdsMessage]>, Vec<u64>)> = Vec::new();
+            let (mut next, mut total) = (1u64, 0usize);
+            let lens = frames.iter().enumerate().map(|(at, &(len, dup))| {
+                (if at == long_at { long_len } else { len }, dup == 0)
+            });
+            for (len, repeat) in lens {
+                let mut ids: Vec<u64> = (next..next + len as u64).collect();
+                next += len as u64;
+                if repeat {
+                    ids.insert(len / 2 + 1, ids[len / 2]);
+                }
+                let frame: Arc<[GdsMessage]> = ids
+                    .iter()
+                    .map(|&id| GdsMessage::Broadcast {
+                        id: MessageId::from_raw(id),
+                        origin: "gs-1".into(),
+                        payload: XmlElement::new("event").into(),
+                    })
+                    .collect();
+                sent.push((Arc::downgrade(&frame), ids.clone()));
+                node.handle_message(&parent, GdsMessage::Batch(frame));
+                ids.dedup();
+                total += ids.len();
+                for id in ids {
+                    if model.len() == RECENT_CAP {
+                        model.pop_front();
+                    }
+                    model.push_back(id);
+                }
+
+                assert_eq!(node.flood.recent_items, total.min(RECENT_CAP));
+                assert_eq!(replayed_ids(&mut node), Vec::from(model.clone()), "in flood order");
+                for (weak, ids) in &sent {
+                    let held = ids.iter().any(|id| model.contains(id));
+                    assert_eq!(weak.upgrade().is_some(), held, "frame of {ids:?}");
+                }
+            }
+        }
+    }
+
+    /// One frame from a child interleaving a remote origin and a local
+    /// server's, with a repeated id in the middle: every fresh item goes
+    /// to exactly the edges its own decision names, in frame order, and
+    /// never back to its own server; the repeat goes nowhere.
+    #[test]
+    fn a_frame_of_two_origins_goes_where_each_item_is_decided() {
+        let mut node = GdsNode::new("gds-2", 2, Some("gds-1".into()));
+        node.add_child("gds-3");
+        node.add_child("gds-4");
+        for gs in ["gs-a", "gs-b"] {
+            node.handle_message(&gs.into(), GdsMessage::Register { gs_host: gs.into() });
+        }
+        let items: Vec<(&str, u64)> = vec![
+            ("Hamilton", 1),
+            ("Hamilton", 2),
+            ("gs-a", 1),
+            ("gs-a", 2),
+            ("Hamilton", 2),
+            ("Hamilton", 3),
+            ("gs-a", 3),
+            ("gs-a", 4),
+            ("Hamilton", 4),
+        ];
+        let frame: Arc<[GdsMessage]> = items
+            .iter()
+            .map(|&(origin, id)| GdsMessage::Broadcast {
+                id: MessageId::from_raw(id),
+                origin: origin.into(),
+                payload: XmlElement::new("event").into(),
+            })
+            .collect();
+        let effects = node.handle_message(&"gds-3".into(), GdsMessage::Batch(frame));
+
+        let mut got: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
+        for out in &effects.outbound {
+            let to = out.to.as_str();
+            let single = std::slice::from_ref(&out.msg);
+            let sent = match &out.msg {
+                GdsMessage::Batch(frame) => &frame[..],
+                _ => single,
+            };
+            for msg in sent {
+                let (id, origin) = match (msg, to.starts_with("gs-")) {
+                    (GdsMessage::Deliver { id, origin, .. }, true)
+                    | (GdsMessage::Broadcast { id, origin, .. }, false) => (id, origin),
+                    (other, _) => panic!("{to} is sent {other}"),
+                };
+                got.entry(to.to_owned()).or_default().push((origin.to_string(), id.as_u64()));
+            }
+        }
+        // The per-item decision: the local servers but the origin, the
+        // parent, and the children but the sender gds-3.
+        let fresh = [0, 1, 2, 3, 5, 6, 7, 8].map(|i| items[i]);
+        let mut want: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
+        for (origin, id) in fresh {
+            for edge in ["gs-a", "gs-b", "gds-1", "gds-4"] {
+                if edge != origin {
+                    want.entry(edge.to_owned()).or_default().push((origin.to_owned(), id));
+                }
+            }
+        }
+        assert_eq!(got, want);
+        assert!(!got["gs-a"].iter().any(|(origin, _)| origin == "gs-a"));
     }
 }

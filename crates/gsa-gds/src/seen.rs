@@ -13,6 +13,10 @@
 //! run iff it was inserted, because `insert` only ever adds the one id
 //! it was given (extending a run by its neighbour, bridging two runs
 //! across the one id between them, or starting a run of one).
+//!
+//! A flooded frame carries consecutive ids of one origin, so the memory
+//! also keeps the slot of the origin it saw last: a run of items from
+//! one publisher costs one hash lookup, not one per item.
 
 use gsa_types::{FxHashMap, HostName};
 
@@ -24,20 +28,38 @@ type Run = (u64, u64);
 /// or any other memory of ids that ascend per origin.
 #[derive(Debug, Default)]
 pub struct SeenIds {
-    origins: FxHashMap<HostName, Vec<Run>>,
+    /// Each origin's slot in `runs`.
+    slots: FxHashMap<HostName, usize>,
+    runs: Vec<Vec<Run>>,
+    /// The origin inserted last and its slot.
+    last: Option<(HostName, usize)>,
     len: usize,
 }
 
 impl SeenIds {
     /// Records `(origin, id)`; `true` when it was not there before.
     pub fn insert(&mut self, origin: &HostName, id: u64) -> bool {
-        let runs = match self.origins.get_mut(origin) {
-            Some(runs) => runs,
-            None => self.origins.entry(origin.clone()).or_default(),
+        let slot = match &self.last {
+            Some((last, slot)) if last == origin => *slot,
+            _ => self.slot(origin),
         };
-        let new = insert_id(runs, id);
+        let new = insert_id(&mut self.runs[slot], id);
         self.len += usize::from(new);
         new
+    }
+
+    /// `origin`'s slot, made on its first id; remembered as the last.
+    fn slot(&mut self, origin: &HostName) -> usize {
+        let slot = match self.slots.get(origin) {
+            Some(&slot) => slot,
+            None => {
+                self.slots.insert(origin.clone(), self.runs.len());
+                self.runs.push(Vec::new());
+                self.runs.len() - 1
+            }
+        };
+        self.last = Some((origin.clone(), slot));
+        slot
     }
 
     /// Distinct pairs recorded.
@@ -47,7 +69,7 @@ impl SeenIds {
 
     /// Runs held across all origins: the memory actually used.
     pub fn runs(&self) -> usize {
-        self.origins.values().map(Vec::len).sum()
+        self.runs.iter().map(Vec::len).sum()
     }
 }
 
@@ -114,7 +136,7 @@ mod tests {
             );
             assert_eq!(seen.len(), reference.len());
         }
-        for runs in seen.origins.values() {
+        for runs in &seen.runs {
             for pair in runs.windows(2) {
                 assert!(pair[0].0 <= pair[0].1, "run is ordered");
                 assert!(
@@ -125,7 +147,8 @@ mod tests {
         }
         // Per origin: never more runs than ids still missing between the
         // smallest and largest seen, plus one.
-        for (origin, runs) in &seen.origins {
+        for (origin, &slot) in &seen.slots {
+            let runs = &seen.runs[slot];
             let ids: Vec<u64> = reference
                 .iter()
                 .filter(|(o, _)| o == origin)
@@ -150,19 +173,34 @@ mod tests {
         ]
     }
 
+    /// How many consecutive ids one draw puts out: mostly one, often a
+    /// burst as a flooded frame carries them, so the remembered last
+    /// origin is hit, missed and switched.
+    fn burst() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(1u64), Just(1u64), 2u64..8, 8u64..20]
+    }
+
     proptest! {
         #[test]
         fn answers_like_a_hash_set_in_any_order(
             origins in 1usize..=4,
             ids in prop::collection::vec(id(), 0..120),
             picks in prop::collection::vec(0usize..4, 120..121),
+            bursts in prop::collection::vec(burst(), 120..121),
             order in 0u8..4,
             swaps in prop::collection::vec((0usize..120, 0usize..120), 0..120),
         ) {
-            // In order, reversed, shuffled; duplicates and gaps come from
-            // the id generator itself.
-            let mut stream: Vec<(usize, u64)> =
-                ids.iter().zip(&picks).map(|(id, o)| (o % origins, *id)).collect();
+            // Each draw is a burst of consecutive ids of one origin, as a
+            // frame carries them. In order, reversed, shuffled; duplicates
+            // and gaps come from the id generator itself.
+            let mut stream: Vec<(usize, u64)> = ids
+                .iter()
+                .zip(&picks)
+                .zip(&bursts)
+                .flat_map(|((&id, o), &n)| {
+                    (0..n).map_while(move |k| id.checked_add(k)).map(move |id| (o % origins, id))
+                })
+                .collect();
             match order {
                 0 => stream.sort_by_key(|(_, id)| *id),
                 1 => stream.sort_by_key(|(_, id)| std::cmp::Reverse(*id)),
