@@ -1,4 +1,5 @@
-//! Auxiliary profiles, and how the operations on them are retried.
+//! The auxiliary machine: auxiliary profiles, and how the operations on
+//! them are retried (§4.3, Figure 3).
 //!
 //! An auxiliary profile is a *server-to-server* subscription (Section 7):
 //! it lives on exactly one host (the sub-collection's), refers to exactly
@@ -7,11 +8,17 @@
 //! profiles planted *at* a host. What a host has *sent* (plants, deletes,
 //! forwarded events) waits in its [`AuxLog`], the retransmission queue
 //! the GDS edges use, until the receiver acknowledges it: the paper's
-//! Section 7 argument that partitions only delay, never corrupt.
+//! Section 7 argument that partitions only delay, never corrupt. The
+//! host's auxiliary machine holds both, and decides whether a forwarded
+//! event is re-issued here.
 
-use crate::message::AuxPayload;
-use gsa_types::{CollectionId, CollectionName, HostName, SimDuration};
-use gsa_wire::{RetransmitQueue, RetryPolicy};
+use crate::core::CoreEffects;
+use crate::message::{AuxPayload, SysMessage};
+use gsa_gds::SeenIds;
+use gsa_greenstone::{CollectionConfig, Server};
+use gsa_types::{CollectionId, CollectionName, Event, HostName, SimDuration, SimTime};
+use gsa_wire::reliable::{acked_seqs, Reliable};
+use gsa_wire::{Payload, RetransmitQueue, RetryPolicy};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -102,6 +109,180 @@ impl AuxStore {
     /// Iterates over all profiles.
     pub fn iter(&self) -> impl Iterator<Item = &AuxProfile> {
         self.profiles.values()
+    }
+}
+
+/// Sends an auxiliary operation to `to`, logged until `to` acknowledges
+/// it.
+fn send(log: &mut AuxLog, to: &HostName, op: AuxPayload, now: SimTime, out: &mut CoreEffects) {
+    let seq = log.send(to.clone(), op.clone(), now);
+    out.send(to.clone(), SysMessage::Aux(Reliable::Data { seq, payload: op }));
+}
+
+/// One host's auxiliary machine: the profiles planted at it, the
+/// operations it sent and awaits acknowledgement of, and the forwarded
+/// events it already rewrote.
+#[derive(Debug)]
+pub(crate) struct Auxiliary {
+    host: HostName,
+    pub(crate) store: AuxStore,
+    pub(crate) log: AuxLog,
+    /// Per local super-collection, the original event ids already
+    /// rewritten under it (runs per origin host) — makes retried
+    /// ForwardEvents idempotent.
+    pub(crate) rewritten: BTreeMap<CollectionName, SeenIds>,
+}
+
+impl Auxiliary {
+    pub(crate) fn new(host: HostName) -> Self {
+        let (store, log, rewritten) = (AuxStore::new(), AuxLog::new(AUX_RETRY, 0), BTreeMap::new());
+        Auxiliary { host, store, log, rewritten }
+    }
+
+    /// The machine after a crash: all of it kept, a modelling choice
+    /// (DESIGN.md §4) — a real crash loses it, and journalling it is
+    /// ROADMAP item 23(b).
+    pub(crate) fn crashed(self) -> Self {
+        let Auxiliary { host, store, log, rewritten } = self;
+        Auxiliary { host, store, log, rewritten }
+    }
+
+    /// Plants the auxiliary profile of every remote sub-collection the
+    /// collection `c` lists.
+    pub(crate) fn plant_all(&mut self, c: &CollectionConfig, now: SimTime, out: &mut CoreEffects) {
+        for sub in &c.subcollections {
+            self.op(true, &c.name, &sub.target, now, out);
+        }
+    }
+
+    /// Plants (`plant`) or deletes the auxiliary profile of a remote `sub`
+    /// under the local `parent`. The operation supersedes the opposite
+    /// one still owed for the pair, which is cancelled: a plant retried
+    /// after a delete would resurrect the profile, and a delete retried
+    /// after a re-add would take it away. An identical operation still
+    /// owed (a collection added before the startup re-planting pass) is
+    /// not sent twice.
+    pub(crate) fn op(
+        &mut self,
+        plant: bool,
+        parent: &CollectionName,
+        sub: &CollectionId,
+        now: SimTime,
+        out: &mut CoreEffects,
+    ) {
+        let to = sub.host();
+        if to == &self.host {
+            return; // local sub-collections need no auxiliary profile
+        }
+        let super_collection = CollectionId::new(self.host.clone(), parent.clone());
+        let (s, sub_name) = (super_collection.clone(), sub.name().clone());
+        let delete = AuxPayload::Delete { super_collection: s, sub_name: sub_name.clone() };
+        let plant_op = AuxPayload::Plant { super_collection, sub_name };
+        let (op, opposite) = if plant { (plant_op, delete) } else { (delete, plant_op) };
+        if self.log.iter().any(|(host, p)| host == to && *p == op) {
+            return;
+        }
+        self.log.cancel(|host, p| host == to && *p == opposite);
+        send(&mut self.log, to, op, now, out);
+    }
+
+    /// Forwards an event of the local collection `name` to every
+    /// super-collection host whose auxiliary profile observes it.
+    pub(crate) fn forward(
+        &mut self,
+        name: &CollectionName,
+        event: &Payload,
+        now: SimTime,
+        out: &mut CoreEffects,
+    ) {
+        for profile in self.store.matching(name) {
+            let to = profile.super_collection.host();
+            let payload = AuxPayload::ForwardEvent {
+                super_name: profile.super_collection.name().clone(),
+                event: event.clone(),
+            };
+            send(&mut self.log, to, payload, now, out);
+        }
+    }
+
+    /// Re-sends every operation whose retry came due.
+    pub(crate) fn poll(&mut self, now: SimTime, out: &mut CoreEffects) {
+        for (seq, to, payload, _) in self.log.poll(now) {
+            out.send(to, SysMessage::Aux(Reliable::Data { seq, payload }));
+        }
+    }
+
+    /// Takes a frame from `from`: applies an ack, a plant or a delete, and
+    /// hands a forwarded event back with the local super-collection it is
+    /// for.
+    pub(crate) fn receive(
+        &mut self,
+        from: &HostName,
+        frame: Reliable<AuxPayload>,
+        now: SimTime,
+        out: &mut CoreEffects,
+    ) -> Option<(CollectionName, Payload)> {
+        let payload = match frame {
+            // An ack that proves an earlier operation lost has it re-sent
+            // at once.
+            Reliable::Ack { seq, more } => {
+                for (seq, payload) in self.log.ack(from.clone(), acked_seqs(seq, more), now) {
+                    out.send(from.clone(), SysMessage::Aux(Reliable::Data { seq, payload }));
+                }
+                return None;
+            }
+            // Every operation is acknowledged at once, whatever becomes
+            // of it: the sender retries until then.
+            Reliable::Data { seq, payload } => {
+                out.send(from.clone(), SysMessage::Aux(Reliable::Ack { seq, more: 0 }));
+                payload
+            }
+        };
+        match payload {
+            AuxPayload::Plant {
+                super_collection,
+                sub_name,
+            } => self.store.plant(sub_name, super_collection),
+            AuxPayload::Delete {
+                super_collection,
+                sub_name,
+            } => drop(self.store.delete(&sub_name, &super_collection)),
+            AuxPayload::ForwardEvent { super_name, event } => return Some((super_name, event)),
+        }
+        None
+    }
+
+    /// Whether a forwarded `event` is re-issued under the local
+    /// `super_name`, the first time it arrives: `Some(is_public)` of that
+    /// collection if so.
+    pub(crate) fn admit(
+        &mut self,
+        server: &Server,
+        super_name: &CollectionName,
+        event: &Event,
+    ) -> Option<bool> {
+        // Cycle guard (research problem 2): a chain of rewrites may come
+        // back to a collection it already passed through — on this host
+        // or any other — because the collection graph may be cyclic.
+        // Every rewrite appends to the provenance chain, so "already in
+        // provenance" exactly detects the loop.
+        let super_id = CollectionId::new(self.host.clone(), super_name.clone());
+        if event.origin == super_id || event.provenance.contains(&super_id) {
+            return None;
+        }
+        // Only a collection this host holds can be re-issued under, so
+        // only such a name is ever remembered.
+        let config = server.collection(super_name)?.config();
+        // The relationship may have been dropped while the forwarded
+        // event was in flight (a dangling auxiliary profile, Section 7):
+        // the restructuring wins, the stale event is ignored (but
+        // acknowledged, so the sender stops retrying).
+        let still_included = config.subcollections.iter().any(|s| s.target == event.origin);
+        let seen = self.rewritten.entry(super_name.clone()).or_default();
+        if !still_included || !seen.insert(event.root.host(), event.root.seq()) {
+            return None;
+        }
+        Some(config.visibility.is_public())
     }
 }
 

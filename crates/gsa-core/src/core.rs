@@ -1,37 +1,39 @@
 //! [`AlertingCore`]: one Greenstone host's alerting state machine.
 //!
-//! The core owns the host's Greenstone [`Server`], its [`GdsClient`], the
-//! local [`SubscriptionManager`], the [`AuxStore`] of auxiliary profiles
-//! planted here, and the [`AuxLog`] of operations it sent and awaits
-//! acknowledgement of. It is sans-IO: everything it wants transmitted
-//! comes back in a [`CoreEffects`], and the log is read on the
-//! maintenance tick ([`AlertingCore::on_tick`]).
+//! The core is one dispatcher over three machines, each owning its state
+//! and deciding what of it a crash keeps: profiles and their
+//! announcement (the [`SubscriptionManager`], `subs.rs`), distributed
+//! collections (the auxiliary store and log, `aux.rs`) and delivery (the
+//! probe and the alert-policy engine, `delivery.rs`). The core itself
+//! holds the host's Greenstone [`Server`], its [`GdsClient`], the state
+//! store and the event sequence, takes the driver calls and the
+//! messages, and runs the build-and-announce pipeline. It is sans-IO:
+//! everything it wants transmitted comes back in a [`CoreEffects`], and
+//! retries and timeouts run on the maintenance tick
+//! ([`AlertingCore::on_tick`]).
 
-use crate::aux::{AuxLog, AuxStore, AUX_RETRY};
+use crate::aux::{AuxLog, AuxStore, Auxiliary};
+use crate::delivery::Delivery;
 use crate::message::{AuxPayload, SysMessage};
 use crate::subs::{Notification, SubscriptionManager};
-use gsa_alerts::{
-    fingerprint, AlertEngine, AlertPolicyConfig, AlertState, LabelKey, Outcome as AlertOutcome,
-};
-use gsa_gds::{GdsClient, GdsMessage, ResolveToken, SeenIds};
+use gsa_alerts::{AlertEngine, AlertPolicyConfig, AlertState};
+use gsa_gds::{GdsClient, ResolveToken};
 use gsa_greenstone::server::{FetchResult, SearchResult};
-use gsa_greenstone::{BuildReport, CollectionConfig, GsError, RequestId, Server, SubCollectionRef};
+use gsa_greenstone::{
+    BuildReport, CollectionConfig, GsError, RequestId, Server, ServerEffects, SubCollectionRef,
+};
 use gsa_profile::{DnfError, ProfileExpr};
-use gsa_state::{MemoryStateStore, StateStore};
+use gsa_state::{MemoryStateStore, RecoveredState, StateStore};
 use gsa_store::{Query, SourceDocument};
 use gsa_types::{
-    ClientId, CollectionId, CollectionName, CounterId, Counts, Event, EventId, EventKind, HostName,
-    ProfileId, SimDuration, SimTime,
+    ClientId, CollectionId, CollectionName, Counts, Event, EventId, EventKind, HostName, ProfileId,
+    SimTime,
 };
-use gsa_wire::reliable::{acked_seqs, Reliable};
-use gsa_wire::{InterestSummary, Payload};
-use std::collections::{BTreeMap, HashSet};
-use std::fmt::{self, Write as _};
+use gsa_wire::reliable::Reliable;
+use gsa_wire::Payload;
+use std::collections::HashSet;
+use std::fmt;
 use std::sync::Arc;
-
-/// How long a distributed fetch/search may wait on sub-collections
-/// before completing with partial results.
-const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Everything an [`AlertingCore`] wants done after one input, and a
 /// count of what it has already done: notifications are moved into the
@@ -49,8 +51,8 @@ pub struct CoreEffects {
     pub searches: Vec<(RequestId, SearchResult)>,
     /// Naming-service answers that arrived.
     pub resolved: Vec<(ResolveToken, Option<HostName>)>,
-    /// Events this host published to the GDS during this step (shared).
-    pub published: Vec<Arc<Event>>,
+    /// How many events this host published to the GDS during this step.
+    pub published: usize,
 }
 
 impl CoreEffects {
@@ -61,31 +63,20 @@ impl CoreEffects {
         self.fetches.extend(other.fetches);
         self.searches.extend(other.searches);
         self.resolved.extend(other.resolved);
-        self.published.extend(other.published);
+        self.published += other.published;
     }
 
-    fn send(&mut self, to: HostName, msg: impl Into<SysMessage>) {
+    pub(crate) fn send(&mut self, to: HostName, msg: impl Into<SysMessage>) {
         self.outbound.push((to, msg.into()));
     }
 }
 
-/// The stable alert fingerprint of one profile's match of `event` under
-/// a policy configuration: profile id plus the configured label values,
-/// `origin` being `event.origin` as text.
-fn fingerprint_of(config: &AlertPolicyConfig, profile: ProfileId, origin: &str, event: &Event) -> u64 {
-    let labels = config.labels.iter().map(|key| match key {
-        LabelKey::Collection => origin,
-        LabelKey::Kind => event.kind.as_str(),
-        LabelKey::OriginHost => event.origin.host().as_str(),
-    });
-    fingerprint(profile.as_u64(), labels)
-}
-
-/// Sends an auxiliary operation to `to`, logged until `to` acknowledges
-/// it.
-fn send_aux(log: &mut AuxLog, to: &HostName, op: AuxPayload, now: SimTime, out: &mut CoreEffects) {
-    let seq = log.send(to.clone(), op.clone(), now);
-    out.send(to.clone(), SysMessage::Aux(Reliable::Data { seq, payload: op }));
+/// A [`Server`]'s effects as the core's: its messages to send and the
+/// requests this host started that completed.
+fn from_server(eff: ServerEffects) -> CoreEffects {
+    let outbound = eff.outbound.into_iter().map(|o| (o.to, o.msg.into())).collect();
+    let (fetches, searches) = (eff.fetches, eff.searches);
+    CoreEffects { outbound, fetches, searches, ..CoreEffects::default() }
 }
 
 /// The per-host alerting service state machine.
@@ -93,47 +84,17 @@ pub struct AlertingCore {
     host: HostName,
     server: Server,
     gds: GdsClient,
+    /// The profile machine: profiles, mailboxes and the announcement.
     subs: SubscriptionManager,
-    aux_store: AuxStore,
-    pending: AuxLog,
-    event_seq: u64,
-    /// Per local super-collection, the original event ids already
-    /// rewritten under it (runs per origin host) — makes retried
-    /// ForwardEvents idempotent.
-    rewritten: BTreeMap<CollectionName, SeenIds>,
-    /// Locally-initiated GS requests and when they started; ordered, so
-    /// requests that time out in one tick expire in the order issued.
-    request_started: BTreeMap<RequestId, SimTime>,
-    /// When true, the core announces its interest summary to its GDS
-    /// node (subscription-aware flood pruning). Off by default.
-    pruning: bool,
-    /// The last summary announced, so no-op refreshes send nothing.
-    last_summary: Option<InterestSummary>,
-    /// The version of the last announcement (0 before the first). The
-    /// GDS node keeps only the newest version it has seen, so a durable
-    /// server journals it and a restart announces above it.
-    summary_version: u64,
-    /// When true (the default), frozen binary deliveries are pre-filtered
-    /// by the zero-materialisation attribute probe and only decoded when
-    /// some profile could match. Semantics-preserving either way; off
-    /// exists for A/B measurement (decode-always).
-    probe: bool,
-    /// Decode errors and probe verdicts on the delivery path since the
-    /// driver last drained [`counts_mut`](Self::counts_mut).
-    counts: Counts,
+    /// The auxiliary machine: what was planted here and what is owed.
+    aux: Auxiliary,
+    /// The delivery machine: the probe and the alert-policy engine.
+    delivery: Delivery,
     /// The durable state backend. The default [`MemoryStateStore`]
     /// makes every record call a no-op, so the paper-figure scenarios
     /// pay nothing for the seam's existence.
     store: Box<dyn StateStore>,
-    /// The stateful-lifecycle / delivery-policy engine. `None` (the
-    /// default) keeps the fire-and-forget paper behaviour byte for
-    /// byte; when set, every matched notification runs through the
-    /// dedup / throttle / digest pipeline and alert instances are
-    /// tracked per fingerprint.
-    alerts: Option<AlertEngine<Notification>>,
-    /// The origin of the event being matched, rendered once per event
-    /// for the policy gate: a fingerprint label and the digest key.
-    origin_label: String,
+    event_seq: u64,
 }
 
 impl fmt::Debug for AlertingCore {
@@ -141,8 +102,8 @@ impl fmt::Debug for AlertingCore {
         f.debug_struct("AlertingCore")
             .field("host", &self.host)
             .field("profiles", &self.subs.len())
-            .field("aux", &self.aux_store.len())
-            .field("pending_ops", &self.pending.len())
+            .field("aux", &self.aux.store.len())
+            .field("pending_ops", &self.aux.log.len())
             .finish()
     }
 }
@@ -156,19 +117,10 @@ impl AlertingCore {
             server: Server::new(host.clone()),
             gds: GdsClient::new(host.clone(), gds_server),
             subs: SubscriptionManager::new(),
-            aux_store: AuxStore::new(),
-            pending: AuxLog::new(AUX_RETRY, 0),
-            event_seq: 0,
-            rewritten: BTreeMap::new(),
-            request_started: BTreeMap::new(),
-            pruning: false,
-            last_summary: None,
-            summary_version: 0,
-            probe: true,
-            counts: Counts::default(),
+            aux: Auxiliary::new(host.clone()),
+            delivery: Delivery::new(),
             store: Box::new(MemoryStateStore::default()),
-            alerts: None,
-            origin_label: String::new(),
+            event_seq: 0,
             host,
         }
     }
@@ -177,7 +129,7 @@ impl AlertingCore {
     /// Off by default: a non-announcing server is treated as wildcard
     /// by its GDS node and always receives the full flood.
     pub fn set_pruning(&mut self, enabled: bool) {
-        self.pruning = enabled;
+        self.subs.pruning = enabled;
     }
 
     /// Enables or disables the delivery-time attribute probe (on by
@@ -185,7 +137,7 @@ impl AlertingCore {
     /// produced — disabling it exists so benches can measure the
     /// decode-always baseline.
     pub fn set_probe(&mut self, enabled: bool) {
-        self.probe = enabled;
+        self.delivery.probe = enabled;
     }
 
     /// Installs (or removes, with `None`) the stateful alert-lifecycle
@@ -196,84 +148,31 @@ impl AlertingCore {
     /// lifecycle transitions are journaled through the state store so a
     /// durable host recovers acknowledgements across crashes.
     pub fn set_alert_policies(&mut self, config: Option<AlertPolicyConfig>) {
-        self.alerts = config.map(AlertEngine::new);
+        self.delivery.alerts = config.map(AlertEngine::new);
     }
 
     /// The fingerprint the policy engine would assign this notification
     /// (`None` while policies are off).
     pub fn alert_fingerprint(&self, n: &Notification) -> Option<u64> {
-        let engine = self.alerts.as_ref()?;
-        let origin = n.event.origin.to_string();
-        Some(fingerprint_of(engine.config(), n.profile, &origin, &n.event))
+        self.delivery.fingerprint(n)
     }
 
     /// The lifecycle state of an alert instance (`None` for unknown
     /// fingerprints or while policies are off).
     pub fn alert_state(&self, fingerprint: u64) -> Option<AlertState> {
-        self.alerts.as_ref().and_then(|e| e.state(fingerprint))
+        self.delivery.alerts.as_ref().and_then(|e| e.state(fingerprint))
     }
 
     /// Acknowledges a firing alert instance, journaling the transition.
     /// Returns `true` when the state changed.
     pub fn ack_alert(&mut self, fingerprint: u64, now: SimTime) -> bool {
-        let changed = self
-            .alerts
-            .as_mut()
-            .is_some_and(|e| e.ack(fingerprint, now));
-        if changed {
-            self.persist_alert_transitions();
-        }
-        changed
+        self.delivery.change(&mut *self.store, |e| e.ack(fingerprint, now))
     }
 
     /// Resolves an active alert instance, journaling the transition.
     /// Returns `true` when the state changed; the next match re-fires.
     pub fn resolve_alert(&mut self, fingerprint: u64, now: SimTime) -> bool {
-        let changed = self
-            .alerts
-            .as_mut()
-            .is_some_and(|e| e.resolve(fingerprint, now));
-        if changed {
-            self.persist_alert_transitions();
-        }
-        changed
-    }
-
-    /// Journals every lifecycle transition the engine recorded since
-    /// the last drain (a no-op store ignores them).
-    fn persist_alert_transitions(&mut self) {
-        if let Some(engine) = self.alerts.as_mut() {
-            for t in engine.take_transitions() {
-                self.store
-                    .record_alert(t.fingerprint, t.state.tag(), t.at.as_micros());
-            }
-        }
-    }
-
-    /// Matches one event against the local profiles and delivers what
-    /// is admitted — the one step of §4.2 ("each server filters locally
-    /// and notifies its own clients"), for events built here and events
-    /// arriving over the GDS alike. Without a policy engine every match
-    /// is admitted, the paper's fire-and-forget behaviour; with one the
-    /// engine decides per notification: suppressed and throttled ones
-    /// are dropped everywhere, digested ones wait in the engine for the
-    /// flush in [`on_tick`](Self::on_tick).
-    fn notify(&mut self, event: &Arc<Event>, now: SimTime, effects: &mut CoreEffects) {
-        let (subs, alerts, origin) = (&mut self.subs, &mut self.alerts, &mut self.origin_label);
-        if alerts.is_some() {
-            origin.clear();
-            let _ = write!(origin, "{}", event.origin);
-        }
-        // An admitted match is built straight into its mailbox; one the
-        // engine digests is built into the digest buffer instead, and one
-        // it drops is never built.
-        effects.notified += subs.deliver_matches(event, now, |profile, build| {
-            alerts.as_mut().is_none_or(|engine| {
-                let fp = fingerprint_of(engine.config(), profile, origin, event);
-                engine.observe_with(fp, origin, build, now) == AlertOutcome::Deliver
-            })
-        });
-        self.persist_alert_transitions();
+        self.delivery.change(&mut *self.store, |e| e.resolve(fingerprint, now))
     }
 
     /// Replaces the durable state backend (the default in-memory store
@@ -285,81 +184,38 @@ impl AlertingCore {
         self.store = store;
     }
 
-    /// Whether the installed state backend survives crashes.
-    pub fn is_durable(&self) -> bool {
-        self.store.is_durable()
-    }
-
-    /// The server that restarts after this one crashes, and the one
-    /// place that decides what a crash keeps (DESIGN.md §4, "What a
-    /// crash leaves"). A new core takes over the collections, the state
-    /// store, the client mailboxes, the GDS client whole (its id
-    /// allocators and duplicate-suppression set), the auxiliary store
-    /// and log, the event sequence, the rewrite runs, the request start
-    /// times and the settings; all else is lost because it is built new.
-    /// Then the store is replayed: a durable one gives back the profiles,
-    /// the profile-id allocator, alert states and the summary version,
-    /// so the announcement after the restart is not discarded as stale;
-    /// the in-memory default gives back nothing.
+    /// The server that restarts after this one crashes (DESIGN.md §4,
+    /// "What a crash leaves"). It keeps the collections and the requests
+    /// in flight (the [`Server`]), the GDS client whole (its id
+    /// allocators and duplicate-suppression set), the state store and
+    /// the event sequence. The store is replayed, and each machine's
+    /// `crashed` decides what of it is kept, given what it recovered.
     pub(crate) fn crashed(self) -> AlertingCore {
-        let gds_server = self.gds.gds_server().clone();
-        let mut core = AlertingCore {
-            server: self.server,
-            store: self.store,
-            gds: self.gds,
-            aux_store: self.aux_store,
-            pending: self.pending,
-            event_seq: self.event_seq,
-            rewritten: self.rewritten,
-            request_started: self.request_started,
-            pruning: self.pruning,
-            probe: self.probe,
-            alerts: self.alerts.map(|engine| AlertEngine::new(engine.config().clone())),
-            ..AlertingCore::new(self.host, gds_server)
-        };
-        core.subs.mailboxes = self.subs.mailboxes;
-        let recovered = core.store.recover();
-        for (id, (client, expr)) in recovered.profiles {
-            // An expression that indexed before the crash indexes
-            // again; restore() bypasses the store so replay is never
-            // re-journaled.
-            let _ = core.subs.restore(id, client, expr);
+        let AlertingCore { host, server, gds, subs, aux, delivery, mut store, event_seq } = self;
+        let RecoveredState { profiles, next_profile, summary_version, alerts } = store.recover();
+        AlertingCore {
+            subs: subs.crashed(profiles, next_profile, summary_version),
+            aux: aux.crashed(),
+            delivery: delivery.crashed(alerts),
+            host,
+            server,
+            gds,
+            store,
+            event_seq,
         }
-        core.subs.set_next_profile_at_least(recovered.next_profile);
-        if let Some(engine) = core.alerts.as_mut() {
-            for (fp, (tag, at_micros)) in recovered.alerts {
-                // Fail closed on unknown state bytes: a corrupt tag
-                // must not forge a lifecycle state.
-                if let Some(state) = AlertState::from_tag(tag) {
-                    engine.restore(fp, state, SimTime::from_micros(at_micros));
-                }
-            }
-        }
-        core.summary_version = recovered.summary_version;
-        core
     }
 
     /// Everything counted at this host since the driver last drained
-    /// this: the core's own delivery-path counts with the state
-    /// backend's and the alert engine's merged in (the actor layer
-    /// surfaces them as simulation metrics after each message).
+    /// this: the delivery path's counts with the state backend's and the
+    /// alert engine's merged in (the actor layer surfaces them as
+    /// simulation metrics after each message).
     pub fn counts_mut(&mut self) -> &mut Counts {
-        self.counts.merge(self.store.counts_mut());
-        if let Some(engine) = self.alerts.as_mut() {
-            self.counts.merge(engine.counts_mut());
-        }
-        &mut self.counts
+        self.delivery.counts_mut(self.store.counts_mut())
     }
 
     /// This host's name.
     pub fn host(&self) -> &HostName {
         &self.host
-    }
-
-    /// The directory-service node this host publishes to and receives
-    /// deliveries from.
-    pub fn gds_server(&self) -> &HostName {
-        self.gds.gds_server()
     }
 
     /// This host's directory-service client (read-only; its
@@ -380,12 +236,12 @@ impl AlertingCore {
 
     /// The auxiliary profiles planted at this host.
     pub fn aux_store(&self) -> &AuxStore {
-        &self.aux_store
+        &self.aux.store
     }
 
     /// The not-yet-acknowledged operations this host has sent.
     pub fn pending_ops(&self) -> &AuxLog {
-        &self.pending
+        &self.aux.log
     }
 
     /// Startup effects: register with the GDS and plant auxiliary profiles
@@ -394,21 +250,8 @@ impl AlertingCore {
         let mut effects = CoreEffects::default();
         let reg = self.gds.register();
         effects.send(reg.to, reg.msg);
-        let plants: Vec<(CollectionName, SubCollectionRef)> = self
-            .server
-            .collections()
-            .flat_map(|c| {
-                let parent = c.config().name.clone();
-                c.config()
-                    .subcollections
-                    .iter()
-                    .cloned()
-                    .map(move |s| (parent.clone(), s))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (parent, sub) in plants {
-            self.aux_op(true, &parent, &sub.target, now, &mut effects);
+        for c in self.server.collections() {
+            self.aux.plant_all(c.config(), now, &mut effects);
         }
         effects.extend(self.summary_refresh());
         effects
@@ -419,24 +262,11 @@ impl AlertingCore {
     /// (subscribe, unsubscribe, startup). Empty effects otherwise.
     pub fn summary_refresh(&mut self) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        if !self.pruning {
-            return effects;
+        if let Some((version, summary)) = self.subs.announcement() {
+            let out = self.gds.summary_update(version, summary);
+            self.store.record_summary_version(version);
+            effects.send(out.to, out.msg);
         }
-        // No subscribe or cancel since the last refresh moved a count
-        // the summary is read from: the announcement stands, and nothing
-        // the size of the summary is built or compared.
-        if self.last_summary.is_some() && !self.subs.interests_changed() {
-            return effects;
-        }
-        let summary = self.subs.interest_summary();
-        if self.last_summary.as_ref() == Some(&summary) {
-            return effects;
-        }
-        self.last_summary = Some(summary.clone());
-        self.summary_version += 1;
-        let out = self.gds.summary_update(self.summary_version, summary);
-        self.store.record_summary_version(self.summary_version);
-        effects.send(out.to, out.msg);
         effects
     }
 
@@ -454,17 +284,11 @@ impl AlertingCore {
         config: CollectionConfig,
         now: SimTime,
     ) -> Result<CoreEffects, CollectionConfig> {
-        let plants: Vec<(CollectionName, SubCollectionRef)> = config
-            .subcollections
-            .iter()
-            .cloned()
-            .map(|s| (config.name.clone(), s))
-            .collect();
+        let name = config.name.clone();
         self.server.add_collection(config)?;
         let mut effects = CoreEffects::default();
-        for (parent, sub) in plants {
-            self.aux_op(true, &parent, &sub.target, now, &mut effects);
-        }
+        let config = self.server.collection(&name).expect("just added").config();
+        self.aux.plant_all(config, now, &mut effects);
         Ok(effects)
     }
 
@@ -487,7 +311,7 @@ impl AlertingCore {
             .ok_or_else(|| GsError::UnknownCollection(parent.clone()))?;
         collection.config_mut().subcollections.push(sub.clone());
         let mut effects = CoreEffects::default();
-        self.aux_op(true, parent, &sub.target, now, &mut effects);
+        self.aux.op(true, parent, &sub.target, now, &mut effects);
         Ok(effects)
     }
 
@@ -515,39 +339,8 @@ impl AlertingCore {
             .remove_subcollection(alias)
             .ok_or_else(|| GsError::UnknownCollection(alias.clone()))?;
         let mut effects = CoreEffects::default();
-        self.aux_op(false, parent, &removed.target, now, &mut effects);
+        self.aux.op(false, parent, &removed.target, now, &mut effects);
         Ok(effects)
-    }
-
-    /// Plants (`plant`) or deletes the auxiliary profile of a remote `sub`
-    /// under the local `parent`. The operation supersedes the opposite
-    /// one still owed for the pair, which is cancelled: a plant retried
-    /// after a delete would resurrect the profile, and a delete retried
-    /// after a re-add would take it away. An identical operation still
-    /// owed (a collection added before the startup re-planting pass) is
-    /// not sent twice.
-    fn aux_op(
-        &mut self,
-        plant: bool,
-        parent: &CollectionName,
-        sub: &CollectionId,
-        now: SimTime,
-        effects: &mut CoreEffects,
-    ) {
-        let to = sub.host();
-        if to == &self.host {
-            return; // local sub-collections need no auxiliary profile
-        }
-        let super_collection = CollectionId::new(self.host.clone(), parent.clone());
-        let (s, sub_name) = (super_collection.clone(), sub.name().clone());
-        let delete = AuxPayload::Delete { super_collection: s, sub_name: sub_name.clone() };
-        let plant_op = AuxPayload::Plant { super_collection, sub_name };
-        let (op, opposite) = if plant { (plant_op, delete) } else { (delete, plant_op) };
-        if self.pending.iter().any(|(host, p)| host == to && *p == op) {
-            return;
-        }
-        self.pending.cancel(|host, p| host == to && *p == opposite);
-        send_aux(&mut self.pending, to, op, now, effects);
     }
 
     /// Registers a client profile (stored locally, filtered locally).
@@ -653,8 +446,7 @@ impl AlertingCore {
             now,
         );
         let mut effects = CoreEffects::default();
-        let mut visited = HashSet::new();
-        self.process_local_event(event, now, &mut effects, &mut visited, true);
+        self.process_local_event(event, now, &mut effects, &mut HashSet::new(), true);
         Ok(effects)
     }
 
@@ -687,8 +479,7 @@ impl AlertingCore {
             now,
         )
         .with_docs(docs);
-        let mut visited = HashSet::new();
-        self.process_local_event(event, now, &mut effects, &mut visited, is_public);
+        self.process_local_event(event, now, &mut effects, &mut HashSet::new(), is_public);
         effects
     }
 
@@ -721,24 +512,17 @@ impl AlertingCore {
         let travelling = Payload::from_event(Arc::clone(&event));
 
         // 1. Local filtering.
-        self.notify(&event, now, effects);
+        self.delivery.notify(&mut self.subs, &mut *self.store, &event, now, effects);
 
         // 2. GDS broadcast.
         if broadcast {
             let (_, out) = self.gds.publish(travelling.clone());
             effects.send(out.to, out.msg);
-            effects.published.push(Arc::clone(&event));
+            effects.published += 1;
         }
 
         // 3. Auxiliary-profile forwarding over the GS network.
-        for profile in self.aux_store.matching(&name) {
-            let to = profile.super_collection.host();
-            let payload = AuxPayload::ForwardEvent {
-                super_name: profile.super_collection.name().clone(),
-                event: travelling.clone(),
-            };
-            send_aux(&mut self.pending, to, payload, now, effects);
-        }
+        self.aux.forward(&name, &travelling, now, effects);
 
         // 4. Local parent chains.
         let parents: Vec<(CollectionName, bool)> = self
@@ -762,26 +546,20 @@ impl AlertingCore {
             if event.provenance.contains(&parent_id) {
                 continue;
             }
-            let new_id = self.fresh_event_id();
-            let rewritten = event.rewritten(
-                new_id,
-                CollectionId::new(self.host.clone(), parent.clone()),
-                now,
-            );
+            let rewritten = event.rewritten(self.fresh_event_id(), parent_id, now);
             self.process_local_event(rewritten, now, effects, visited, parent_public);
         }
     }
 
-    /// Initiates a distributed fetch (tracked for timeout expiry).
+    /// Initiates a distributed fetch, which times out on the maintenance
+    /// tick.
     pub fn start_fetch(&mut self, name: &CollectionName, now: SimTime) -> (RequestId, CoreEffects) {
-        let (rid, eff) = self.server.start_fetch(name);
-        if self.server.is_pending(rid) {
-            self.request_started.insert(rid, now);
-        }
-        (rid, self.convert_server_effects(eff))
+        let (rid, eff) = self.server.start_fetch(name, now);
+        (rid, from_server(eff))
     }
 
-    /// Initiates a distributed search (tracked for timeout expiry).
+    /// Initiates a distributed search, which times out on the
+    /// maintenance tick.
     pub fn start_search(
         &mut self,
         name: &CollectionName,
@@ -789,11 +567,8 @@ impl AlertingCore {
         query: &Query,
         now: SimTime,
     ) -> (RequestId, CoreEffects) {
-        let (rid, eff) = self.server.start_search(name, index, query);
-        if self.server.is_pending(rid) {
-            self.request_started.insert(rid, now);
-        }
-        (rid, self.convert_server_effects(eff))
+        let (rid, eff) = self.server.start_search(name, index, query, now);
+        (rid, from_server(eff))
     }
 
     /// Issues a naming-service resolution through the GDS.
@@ -804,25 +579,6 @@ impl AlertingCore {
         (token, effects)
     }
 
-    fn convert_server_effects(
-        &mut self,
-        eff: gsa_greenstone::ServerEffects,
-    ) -> CoreEffects {
-        let mut out = CoreEffects::default();
-        for o in eff.outbound {
-            out.send(o.to, o.msg);
-        }
-        for (rid, _) in &eff.fetches {
-            self.request_started.remove(rid);
-        }
-        out.fetches = eff.fetches;
-        for (rid, _) in &eff.searches {
-            self.request_started.remove(rid);
-        }
-        out.searches = eff.searches;
-        out
-    }
-
     /// Handles one inbound network message.
     pub fn handle_message(
         &mut self,
@@ -831,64 +587,26 @@ impl AlertingCore {
         now: SimTime,
     ) -> CoreEffects {
         match msg {
-            SysMessage::Gds(m) => self.handle_gds(m, now),
             // The actor layer acks and unwraps reliable envelopes before
             // handing the payload down; a stray envelope reaching the
             // core is still processed (processing is idempotent), and
             // bare acks carry nothing for the core.
-            SysMessage::RelGds(Reliable::Data { payload, .. }) => self.handle_gds(payload, now),
+            SysMessage::Gds(m) | SysMessage::RelGds(Reliable::Data { payload: m, .. }) => {
+                let mut effects = CoreEffects::default();
+                let (gds, subs, store) = (&mut self.gds, &mut self.subs, &mut *self.store);
+                self.delivery.receive(&m, gds, subs, store, now, &mut effects);
+                effects
+            }
             SysMessage::RelGds(Reliable::Ack { .. }) => CoreEffects::default(),
             SysMessage::Aux(payload) => self.handle_aux(from, payload, now),
-            SysMessage::Gs(m) => {
-                let eff = self.server.handle_message(from, m);
-                self.convert_server_effects(eff)
-            }
+            SysMessage::Gs(m) => from_server(self.server.handle_message(from, m)),
         }
     }
 
-    /// The one delivery routine: every item of a frame — the message
-    /// itself, or the messages of a wire batch in arrival order — goes
-    /// through accept → probe → decode → [`notify`](Self::notify), so a
-    /// batch produces exactly the notifications, mailboxes and counters
-    /// its items would have produced as frames of their own.
-    fn handle_gds(&mut self, msg: GdsMessage, now: SimTime) -> CoreEffects {
-        let mut effects = CoreEffects::default();
-        let items = match &msg {
-            GdsMessage::Batch(items) => &items[..],
-            one => std::slice::from_ref(one),
-        };
-        for msg in items {
-            if let GdsMessage::ResolveResponse { token, result, .. } = msg {
-                effects.resolved.push((*token, result.clone()));
-                continue;
-            }
-            let Some((_origin, payload)) = self.gds.accept(msg) else {
-                continue;
-            };
-            // Pre-filter: the attribute probe scans the frozen binary
-            // encoding in place. `false` is a proof that no stored
-            // profile matches, so the common non-matching delivery costs
-            // read-only index probes — no Event, no XML tree. XML
-            // payloads and probe errors fall through to decode-always.
-            if self.probe {
-                if let Some(mut probe) = payload.probe_event() {
-                    if !self.subs.could_match_probe(&mut probe) {
-                        self.counts.add(CounterId::CORE_PROBE_SKIP, 1);
-                        continue;
-                    }
-                    self.counts.add(CounterId::CORE_PROBE_PASS, 1);
-                }
-            }
-            // Lazy decode: a frozen binary payload deserialises through
-            // the native event codec here, at filter time.
-            match payload.decode_event() {
-                Ok(event) => self.notify(&Arc::new(event), now, &mut effects),
-                Err(_) => self.counts.add(CounterId::CORE_DECODE_ERROR, 1),
-            }
-        }
-        effects
-    }
-
+    /// An auxiliary frame: the auxiliary machine's business, except that
+    /// a forwarded event it hands back is decoded here, as a delivery is,
+    /// and, when the machine admits it, re-issued under the local
+    /// super-collection.
     fn handle_aux(
         &mut self,
         from: &HostName,
@@ -896,116 +614,30 @@ impl AlertingCore {
         now: SimTime,
     ) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        let payload = match frame {
-            // An ack that proves an earlier operation lost has it re-sent
-            // at once.
-            Reliable::Ack { seq, more } => {
-                for (seq, payload) in self.pending.ack(from.clone(), acked_seqs(seq, more), now) {
-                    effects.send(from.clone(), SysMessage::Aux(Reliable::Data { seq, payload }));
-                }
-                return effects;
-            }
-            // Every operation is acknowledged at once, whatever becomes
-            // of it: the sender retries until then.
-            Reliable::Data { seq, payload } => {
-                effects.send(from.clone(), SysMessage::Aux(Reliable::Ack { seq, more: 0 }));
-                payload
-            }
+        let Some((super_name, event)) = self.aux.receive(from, frame, now, &mut effects) else {
+            return effects;
         };
-        match payload {
-            AuxPayload::Plant {
-                super_collection,
-                sub_name,
-            } => self.aux_store.plant(sub_name, super_collection),
-            AuxPayload::Delete {
-                super_collection,
-                sub_name,
-            } => drop(self.aux_store.delete(&sub_name, &super_collection)),
-            AuxPayload::ForwardEvent { super_name, event } => {
-                // What crossed the wire is decoded here, as a delivery
-                // is; one that does not decode is dropped and counted.
-                let Ok(event) = event.decode_event() else {
-                    self.counts.add(CounterId::CORE_DECODE_ERROR, 1);
-                    return effects;
-                };
-                // Cycle guard (research problem 2): a chain of rewrites
-                // may come back to a collection it already passed
-                // through — on this host or any other — because the
-                // collection graph may be cyclic. Every rewrite appends
-                // to the provenance chain, so "already in provenance"
-                // exactly detects the loop.
-                let super_id = CollectionId::new(self.host.clone(), super_name.clone());
-                if event.origin == super_id || event.provenance.contains(&super_id) {
-                    return effects;
-                }
-                // Only a collection this host holds can be re-issued
-                // under, so only such a name is ever remembered.
-                let Some(collection) = self.server.collection(&super_name) else {
-                    return effects;
-                };
-                // The relationship may have been dropped while the
-                // forwarded event was in flight (a dangling auxiliary
-                // profile, Section 7): the restructuring wins, the stale
-                // event is ignored (but acknowledged, so the sender stops
-                // retrying).
-                let still_included = collection
-                    .config()
-                    .subcollections
-                    .iter()
-                    .any(|s| s.target == event.origin);
-                let is_public = collection.config().visibility.is_public();
-                let seen = self.rewritten.entry(super_name.clone()).or_default();
-                if !still_included || !seen.insert(event.root.host(), event.root.seq()) {
-                    return effects;
-                }
-                let new_id = self.fresh_event_id();
-                let rewritten =
-                    event.rewritten(new_id, CollectionId::new(self.host.clone(), super_name), now);
-                let mut visited = HashSet::new();
-                self.process_local_event(rewritten, now, &mut effects, &mut visited, is_public);
-            }
-        }
+        let Some(event) = self.delivery.decode(&event) else {
+            return effects;
+        };
+        let Some(is_public) = self.aux.admit(&self.server, &super_name, &event) else {
+            return effects;
+        };
+        let new_id = self.fresh_event_id();
+        let rewritten =
+            event.rewritten(new_id, CollectionId::new(self.host.clone(), super_name), now);
+        self.process_local_event(rewritten, now, &mut effects, &mut HashSet::new(), is_public);
         effects
     }
 
-    /// Periodic maintenance: retransmit unacknowledged operations and
-    /// expire timed-out distributed requests with partial results.
+    /// Periodic maintenance: retransmit unacknowledged operations, expire
+    /// timed-out distributed requests with partial results, and run the
+    /// alert engine's expiry and digest flush.
     pub fn on_tick(&mut self, now: SimTime) -> CoreEffects {
         let mut effects = CoreEffects::default();
-        for (seq, to, payload, _) in self.pending.poll(now) {
-            effects.send(to, SysMessage::Aux(Reliable::Data { seq, payload }));
-        }
-        let expired: Vec<RequestId> = self
-            .request_started
-            .iter()
-            .filter(|(rid, started)| {
-                now.since(**started) >= REQUEST_TIMEOUT && self.server.is_pending(**rid)
-            })
-            .map(|(rid, _)| *rid)
-            .collect();
-        for rid in expired {
-            self.request_started.remove(&rid);
-            let eff = self.server.expire_request(rid);
-            effects.extend(self.convert_server_effects(eff));
-        }
-        self.request_started
-            .retain(|rid, _| self.server.is_pending(*rid));
-        // Alert-lifecycle maintenance: stale-expire quiescent instances
-        // and release digest buffers that came due. Rides this tick so
-        // no new timer plumbing is needed; the engine spaces flushes by
-        // its own interval regardless of the tick cadence.
-        if let Some(engine) = self.alerts.as_mut() {
-            let tick = engine.on_tick(now);
-            for (_key, batch) in tick.flushed {
-                // Admitted when they were digested: only the delivery
-                // half is left to do.
-                effects.notified += batch.len();
-                for n in batch {
-                    self.subs.queue_notification(n);
-                }
-            }
-            self.persist_alert_transitions();
-        }
+        self.aux.poll(now, &mut effects);
+        effects.extend(from_server(self.server.expire_requests(now)));
+        self.delivery.on_tick(&mut self.subs, &mut *self.store, now, &mut effects);
         effects
     }
 }
@@ -1013,12 +645,24 @@ impl AlertingCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsa_alerts::{fingerprint, LabelKey};
+    use gsa_gds::{GdsMessage, SeenIds};
     use gsa_profile::parse_profile;
-    use gsa_wire::Payload;
+    use gsa_types::{CounterId, SimDuration};
+    use gsa_wire::{InterestSummary, Payload};
     use proptest::prelude::*;
 
     fn doc(id: &str, text: &str) -> SourceDocument {
         SourceDocument::new(id, text)
+    }
+
+    /// The events `eff` publishes to the GDS, as they travel.
+    fn published(eff: &CoreEffects) -> Vec<Event> {
+        let publishes = eff.outbound.iter().filter_map(|(_, m)| match m {
+            SysMessage::Gds(GdsMessage::Publish { payload, .. }) => Some(payload),
+            _ => None,
+        });
+        publishes.map(|p| p.decode_event().unwrap()).collect()
     }
 
     /// Hamilton.D ⊃ London.E, as in Figure 3.
@@ -1073,7 +717,7 @@ mod tests {
                 }
             }
             collected.notified += eff.notified;
-            collected.published.extend(eff.published);
+            collected.published += eff.published;
             collected.fetches.extend(eff.fetches);
             collected.searches.extend(eff.searches);
         };
@@ -1211,7 +855,7 @@ mod tests {
         drop(to);
         // Only the ack comes back; no duplicate notification or publish.
         assert_eq!(eff.notified, 0);
-        assert!(eff.published.is_empty());
+        assert_eq!(eff.published, 0);
         assert_eq!(eff.outbound.len(), 1);
     }
 
@@ -1251,19 +895,19 @@ mod tests {
             let arrivals = order.iter().flat_map(|seq| [2 * seq, 2 * seq + 1]);
             for i in arrivals.clone() {
                 let eff = hamilton.handle_message(&from, forward(i), SimTime::ZERO);
-                reissued += eff.published.len();
-                let runs: usize = hamilton.rewritten.values().map(SeenIds::runs).sum();
+                reissued += eff.published;
+                let runs: usize = hamilton.aux.rewritten.values().map(SeenIds::runs).sum();
                 most_runs = most_runs.max(runs);
             }
             for i in arrivals {
                 let eff = hamilton.handle_message(&from, forward(i), SimTime::ZERO);
-                assert!(eff.published.is_empty() && eff.outbound.len() == 1, "only the ack");
+                assert!(eff.published == 0 && eff.outbound.len() == 1, "only the ack");
             }
         }
         assert_eq!(reissued as u64, FORWARDS);
         assert!(most_runs <= 16, "{most_runs} runs held");
-        let runs: usize = hamilton.rewritten.values().map(SeenIds::runs).sum();
-        assert_eq!((hamilton.rewritten.len(), runs), (1, 2), "one run per origin");
+        let runs: usize = hamilton.aux.rewritten.values().map(SeenIds::runs).sum();
+        assert_eq!((hamilton.aux.rewritten.len(), runs), (1, 2), "one run per origin");
     }
 
     #[test]
@@ -1341,9 +985,9 @@ mod tests {
             .unwrap();
         // The private G itself must not be broadcast; the rewritten F
         // event must.
-        assert_eq!(eff.published.len(), 1);
+        assert_eq!(eff.published, 1);
         assert_eq!(
-            eff.published[0].origin,
+            published(&eff)[0].origin,
             CollectionId::new("London", "F")
         );
         // The local client subscribed to F was notified.
@@ -1401,7 +1045,7 @@ mod tests {
             .unwrap();
         // London publishes F (public) but not G (private); it also
         // forwards to Paris because the aux profile observes F.
-        assert_eq!(eff.published.len(), 1);
+        assert_eq!(eff.published, 1);
         let forwards: Vec<_> = eff
             .outbound
             .iter()
@@ -1410,10 +1054,10 @@ mod tests {
         assert_eq!(forwards.len(), 1);
         let (_, msg) = forwards[0].clone();
         let eff = paris.handle_message(&HostName::new("London"), msg, SimTime::from_millis(3));
-        assert_eq!(eff.published.len(), 1);
-        assert_eq!(eff.published[0].origin, CollectionId::new("Paris", "Z"));
+        assert_eq!(eff.published, 1);
+        assert_eq!(published(&eff)[0].origin, CollectionId::new("Paris", "Z"));
         assert_eq!(
-            eff.published[0].provenance,
+            published(&eff)[0].provenance,
             vec![
                 CollectionId::new("London", "G"),
                 CollectionId::new("London", "F"),
@@ -1428,7 +1072,7 @@ mod tests {
             .unwrap();
         let (report, eff) = core.rebuild(&"C".into(), vec![], SimTime::ZERO).unwrap();
         assert!(report.is_empty());
-        assert!(eff.published.is_empty());
+        assert_eq!(eff.published, 0);
         assert!(eff.outbound.is_empty());
     }
 
@@ -1440,11 +1084,11 @@ mod tests {
         let (_, eff) = core
             .import(&"C".into(), vec![doc("x", "1")], SimTime::ZERO)
             .unwrap();
-        assert_eq!(eff.published[0].kind, EventKind::DocumentsAdded);
+        assert_eq!(published(&eff)[0].kind, EventKind::DocumentsAdded);
         let (_, eff) = core
             .import(&"C".into(), vec![doc("x", "2")], SimTime::ZERO)
             .unwrap();
-        assert_eq!(eff.published[0].kind, EventKind::DocumentsUpdated);
+        assert_eq!(published(&eff)[0].kind, EventKind::DocumentsUpdated);
     }
 
     #[test]
@@ -1456,7 +1100,7 @@ mod tests {
         core.subscribe(client, parse_profile(r#"collection = "A.C""#).unwrap())
             .unwrap();
         let eff = core.delete_collection(&"C".into(), SimTime::ZERO).unwrap();
-        assert_eq!(eff.published[0].kind, EventKind::CollectionDeleted);
+        assert_eq!(published(&eff)[0].kind, EventKind::CollectionDeleted);
         assert_eq!(core.take_notifications(client).len(), 1);
         assert!(core.delete_collection(&"C".into(), SimTime::ZERO).is_err());
     }
@@ -1718,6 +1362,43 @@ mod tests {
         assert_eq!(core.counts_mut().get(CounterId::ALERTS_DIGESTED), 1);
     }
 
+    /// Digest buffers are volatile by design (DESIGN.md §4, "What a crash
+    /// leaves"): the delivery machine's engine is rebuilt empty, so a
+    /// notification digested before a crash is never flushed, on a
+    /// volatile and on a durable server alike.
+    #[test]
+    fn a_crash_drops_a_buffered_digest() {
+        use gsa_alerts::DigestConfig;
+        use gsa_state::{JournalConfig, JournalStateStore, MemMedium};
+        for durable in [false, true] {
+            let mut core = AlertingCore::new("A", "gds-1");
+            core.set_alert_policies(Some(AlertPolicyConfig {
+                digest: Some(DigestConfig {
+                    interval: SimDuration::from_secs(60),
+                }),
+                ..AlertPolicyConfig::default()
+            }));
+            if durable {
+                let store = JournalStateStore::new(MemMedium::new(), JournalConfig::default());
+                core.set_state_store(Box::new(store));
+            }
+            let client = ClientId::from_raw(1);
+            core.subscribe(client, parse_profile(r#"host = "London""#).unwrap())
+                .unwrap();
+            let eff = core.handle_message(
+                &HostName::new("gds-1"),
+                SysMessage::Gds(binary_deliver(1, vec![])),
+                SimTime::ZERO,
+            );
+            assert_eq!(eff.notified, 0, "digested, not delivered");
+            let mut core = core.crashed();
+            assert_eq!(core.subscriptions().len(), usize::from(durable));
+            let eff = core.on_tick(SimTime::from_secs(60));
+            assert_eq!(eff.notified, 0, "durable: {durable}");
+            assert!(core.take_notifications(client).is_empty());
+        }
+    }
+
     #[test]
     fn observe_only_policies_change_no_deliveries() {
         let mk = |policies: Option<AlertPolicyConfig>| {
@@ -1861,22 +1542,22 @@ mod tests {
             ("auxiliary profiles", Kept, Kept, &|c| c.aux_store().len() as u64),
             ("auxiliary log", Kept, Kept, &|c| c.pending_ops().len() as u64),
             ("event sequence", Kept, Kept, &|c| c.event_seq),
-            ("rewrite runs", Kept, Kept, &|c| c.rewritten.len() as u64),
-            ("request start times", Kept, Kept, &|c| c.request_started.len() as u64),
-            ("pruning", Kept, Kept, &|c| u64::from(c.pruning)),
-            ("the probe setting", Kept, Kept, &|c| u64::from(c.probe)),
-            ("alert policies", Kept, Kept, &|c| u64::from(c.alerts.is_some())),
+            ("rewrite runs", Kept, Kept, &|c| c.aux.rewritten.len() as u64),
+            ("request start times", Kept, Kept, &|c| c.on_tick(SimTime::from_secs(5)).fetches.len() as u64),
+            ("pruning", Kept, Kept, &|c| u64::from(c.subs.pruning)),
+            ("the probe setting", Kept, Kept, &|c| u64::from(c.delivery.probe)),
+            ("alert policies", Kept, Kept, &|c| u64::from(c.delivery.alerts.is_some())),
             ("profiles", Lost, Kept, &|c| c.subscriptions().len() as u64),
             ("the profile-id allocator", Lost, Kept, &|c| {
                 c.subscribe(ClientId::from_raw(9), london()).unwrap().as_u64()
             }),
-            ("the summary version", Lost, Kept, &|c| c.summary_version),
+            ("the summary version", Lost, Kept, &|c| c.subs.summary_version),
             ("a duplicate alert delivers again", Lost, Kept, &|c| {
                 c.subs.restore(ProfileId::from_raw(0), ClientId::from_raw(1), london()).unwrap();
                 deliver(c, 2)
             }),
             ("interest counts", Lost, Lost, &|c| u64::from(c.subs.interests_changed())),
-            ("the last announced summary", Lost, Lost, &|c| u64::from(c.last_summary.is_some())),
+            ("the last announced summary", Lost, Lost, &|c| u64::from(c.subs.last_summary.is_some())),
         ];
         for (what, volatile, durable, read) in rows {
             for (is_durable, fate) in [(false, volatile), (true, durable)] {

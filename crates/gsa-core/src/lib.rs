@@ -57,9 +57,11 @@
 pub mod actor;
 pub mod aux;
 mod core;
+mod delivery;
 mod message;
 mod subs;
 mod system;
+mod transport;
 
 pub use crate::core::{AlertingCore, CoreEffects};
 pub use gsa_alerts::{

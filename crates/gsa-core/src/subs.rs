@@ -1,4 +1,4 @@
-//! The per-server subscription manager.
+//! The per-server subscription manager: the profile machine.
 //!
 //! Profiles live only on the server the client registered them with
 //! (research problems 3 and 4: one access point per user, and no profile
@@ -8,11 +8,15 @@
 //!
 //! Events are matched by the server's one [`FilterEngine`] (the paper's
 //! §5 equality-preferred filter); there is no other matching backend.
+//! The manager also keeps the interest counts the server's summary is
+//! read from, and decides when that summary is announced for flood
+//! pruning and under which version.
 
 use gsa_filter::{DocMatch, FilterEngine, FilterStats, MatchScratch};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, FxHashMap, ProfileId, SimTime};
 use gsa_wire::{InterestCounts, InterestSummary};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -58,7 +62,7 @@ pub struct SubscriptionManager {
     profiles: Vec<Option<Profile>>,
     next_profile: u64,
     /// One entry per client ever notified; a drain leaves it in place.
-    pub(crate) mailboxes: FxHashMap<ClientId, Vec<Notification>>,
+    mailboxes: FxHashMap<ClientId, Vec<Notification>>,
     /// Reusable matching state; after warm-up the engine's indexed path
     /// runs allocation-free across the event stream.
     scratch: MatchScratch,
@@ -67,6 +71,15 @@ pub struct SubscriptionManager {
     /// from the first [`interest_summary`](Self::interest_summary) on —
     /// a server that never announces a summary never derives a digest.
     interests: Option<InterestCounts>,
+    /// When true, the server announces its interest summary to its GDS
+    /// node (subscription-aware flood pruning). Off by default.
+    pub(crate) pruning: bool,
+    /// The last summary announced, so no-op refreshes send nothing.
+    pub(crate) last_summary: Option<InterestSummary>,
+    /// The version of the last announcement (0 before the first). The
+    /// GDS node keeps only the newest version it has seen, so a durable
+    /// server journals it and a restart announces above it.
+    pub(crate) summary_version: u64,
 }
 
 #[cfg(test)]
@@ -93,6 +106,33 @@ impl SubscriptionManager {
     /// Creates an empty manager.
     pub fn new() -> Self {
         SubscriptionManager::default()
+    }
+
+    /// The manager after a crash (DESIGN.md §4): the client mailboxes
+    /// and the pruning setting are kept and all else is lost. Then the
+    /// profiles, id high-water mark and summary version that the state
+    /// store recovered are replayed: all of them from a durable store,
+    /// so the announcement after the restart is not discarded as stale,
+    /// none from the in-memory default.
+    pub(crate) fn crashed(
+        self,
+        profiles: BTreeMap<ProfileId, (ClientId, ProfileExpr)>,
+        next_profile: u64,
+        summary_version: u64,
+    ) -> Self {
+        let SubscriptionManager {
+            mailboxes, pruning, summary_version: _, engine: _, profiles: _, next_profile: _,
+            interests: _, last_summary: _, scratch: _, hits: _,
+        } = self;
+        let mut subs = SubscriptionManager { mailboxes, pruning, summary_version, ..Self::default() };
+        for (id, (client, expr)) in profiles {
+            // An expression that indexed before the crash indexes
+            // again; restore() bypasses the store so replay is never
+            // re-journaled.
+            let _ = subs.restore(id, client, expr);
+        }
+        subs.set_next_profile_at_least(next_profile);
+        subs
     }
 
     /// Number of stored profiles.
@@ -231,6 +271,26 @@ impl SubscriptionManager {
             counts
         });
         counts.summary()
+    }
+
+    /// The announcement a refresh owes, when pruning is on and the
+    /// summary changed since the last one (or there was none): the next
+    /// version and the summary, now recorded as announced. `None`
+    /// otherwise.
+    pub(crate) fn announcement(&mut self) -> Option<(u64, InterestSummary)> {
+        // Pruning off; or no subscribe or cancel since the last refresh
+        // moved a count the summary is read from: the announcement stands,
+        // and nothing the size of the summary is built or compared.
+        if !self.pruning || self.last_summary.is_some() && !self.interests_changed() {
+            return None;
+        }
+        let summary = self.interest_summary();
+        if self.last_summary.as_ref() == Some(&summary) {
+            return None;
+        }
+        self.last_summary = Some(summary.clone());
+        self.summary_version += 1;
+        Some((self.summary_version, summary))
     }
 
     /// The fold the counts replace, kept as the oracle they are tested

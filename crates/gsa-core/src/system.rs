@@ -554,8 +554,7 @@ impl System {
     /// meaning even the timeout machinery did not run; raise `within`.
     pub fn fetch(&mut self, host: &str, collection: &str, within: SimDuration) -> FetchResult {
         let rid = self.with_core(host, |core, now| {
-            let (rid, effects) = core.start_fetch(&CollectionName::new(collection), now);
-            (rid, effects)
+            core.start_fetch(&CollectionName::new(collection), now)
         });
         let deadline = self.sim.now() + within;
         self.sim.run_until_quiet(deadline);

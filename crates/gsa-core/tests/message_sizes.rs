@@ -5,6 +5,7 @@
 //! `SysMessage::{Gs, Aux}` with the same counting allocator.
 
 use gsa_core::{aux_to_xml, AlertingCore, AuxPayload, SysMessage};
+use gsa_gds::GdsMessage;
 use gsa_greenstone::{CollectionConfig, GsMessage, RequestId};
 use gsa_store::SourceDocument;
 use gsa_types::{
@@ -188,13 +189,21 @@ fn forwarding_to_k_supers_clones_no_event() {
             k,
             "each forward is logged until acknowledged"
         );
-        // The publisher's event is held twice whatever k is: by the
-        // effects, and by the one payload the GDS publish, every forward
-        // and every auxiliary-log entry share.
-        let event = &effects.published[0];
-        assert_eq!(Arc::strong_count(event), 2, "k = {k}");
+        // The GDS publish, every forward and every auxiliary-log entry
+        // share one payload whatever k is: one XML view among them all.
+        assert_eq!(effects.published, 1);
+        let published = effects
+            .outbound
+            .iter()
+            .find_map(|(_, m)| match m {
+                SysMessage::Gds(GdsMessage::Publish { payload, .. }) => Some(payload),
+                _ => None,
+            })
+            .expect("the event is published");
+        let event = published.decode_event().unwrap();
         for forward in forwards {
-            assert_eq!(&forward.decode_event().unwrap(), &**event);
+            assert!(std::ptr::eq(forward.xml_element(), published.xml_element()), "k = {k}");
+            assert_eq!(forward.decode_event().unwrap(), event);
         }
         costs.push(allocated);
     }

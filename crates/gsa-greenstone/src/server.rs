@@ -13,7 +13,7 @@ use crate::protocol::{
     CollectionInfo, FetchedDoc, GsError, GsMessage, RequestId, SearchHit,
 };
 use gsa_store::{Query, SourceDocument};
-use gsa_types::{CollectionId, CollectionName, DocumentRef, HostName};
+use gsa_types::{CollectionId, CollectionName, DocumentRef, HostName, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -68,10 +68,15 @@ impl ServerEffects {
     }
 }
 
+/// How long a distributed fetch or search this host started may wait on
+/// sub-collections before it completes with partial results.
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 #[derive(Debug, Clone, PartialEq)]
 enum ReplyTo {
     Remote { host: HostName, request: RequestId },
-    Local,
+    /// This host started the request, at `started`.
+    Local { started: SimTime },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,14 +252,14 @@ impl Server {
         id
     }
 
-    /// Initiates a fetch of a (possibly distributed) local collection.
-    /// The result arrives in `effects.fetches` — immediately when no
-    /// remote sub-collections are involved.
-    pub fn start_fetch(&mut self, name: &CollectionName) -> (RequestId, ServerEffects) {
+    /// Initiates, at `now`, a fetch of a (possibly distributed) local
+    /// collection. The result arrives in `effects.fetches` — immediately
+    /// when no remote sub-collections are involved.
+    pub fn start_fetch(&mut self, name: &CollectionName, now: SimTime) -> (RequestId, ServerEffects) {
         let request = self.fresh_request();
         let effects = self.begin_gather(
             request,
-            ReplyTo::Local,
+            ReplyTo::Local { started: now },
             ReqKind::Fetch,
             name,
             BTreeSet::new(),
@@ -266,17 +271,18 @@ impl Server {
         (request, effects)
     }
 
-    /// Initiates a distributed search over a local collection.
+    /// Initiates, at `now`, a distributed search over a local collection.
     pub fn start_search(
         &mut self,
         name: &CollectionName,
         index: &str,
         query: &Query,
+        now: SimTime,
     ) -> (RequestId, ServerEffects) {
         let request = self.fresh_request();
         let effects = self.begin_gather(
             request,
-            ReplyTo::Local,
+            ReplyTo::Local { started: now },
             ReqKind::Search,
             name,
             BTreeSet::new(),
@@ -354,20 +360,32 @@ impl Server {
         }
     }
 
-    /// Finalizes a still-pending locally-tracked request with partial
-    /// results, recording a [`GsError::Timeout`]. Called by the hosting
-    /// actor when its deadline timer fires; a no-op when the request
-    /// already completed.
-    pub fn expire_request(&mut self, request: RequestId) -> ServerEffects {
-        if !self.pending.contains_key(&request) {
-            return ServerEffects::default();
+    /// Finalizes with partial results, recording a [`GsError::Timeout`],
+    /// every request this host started that has waited 5 s or more on
+    /// its sub-collections by `now`, in request order. The hosting core
+    /// calls it on its maintenance tick. A remote host's request waiting
+    /// here keeps waiting: that host times it out.
+    pub fn expire_requests(&mut self, now: SimTime) -> ServerEffects {
+        let mut expired: Vec<RequestId> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| match p.reply {
+                ReplyTo::Local { started } => now.since(started) >= REQUEST_TIMEOUT,
+                ReplyTo::Remote { .. } => false,
+            })
+            .map(|(request, _)| *request)
+            .collect();
+        expired.sort_unstable();
+        let mut effects = ServerEffects::default();
+        for request in expired {
+            // Orphan any outstanding sub-requests: late responses will
+            // find no parent and be dropped.
+            self.sub_to_parent.retain(|_, parent| *parent != request);
+            let mut pending = self.pending.remove(&request).expect("listed above");
+            pending.errors.push(GsError::Timeout);
+            effects.extend(self.finalize(request, pending));
         }
-        // Orphan any outstanding sub-requests: late responses will find no
-        // parent and be dropped.
-        self.sub_to_parent.retain(|_, parent| *parent != request);
-        let mut pending = self.pending.remove(&request).expect("checked above");
-        pending.errors.push(GsError::Timeout);
-        self.finalize(request, pending)
+        effects
     }
 
     /// True when the request is still waiting on sub-collections.
@@ -599,7 +617,7 @@ impl Server {
                 }],
                 ..Default::default()
             },
-            (ReplyTo::Local, ReqKind::Fetch) => ServerEffects {
+            (ReplyTo::Local { .. }, ReqKind::Fetch) => ServerEffects {
                 fetches: vec![(
                     request,
                     FetchResult {
@@ -610,7 +628,7 @@ impl Server {
                 )],
                 ..Default::default()
             },
-            (ReplyTo::Local, ReqKind::Search) => ServerEffects {
+            (ReplyTo::Local { .. }, ReqKind::Search) => ServerEffects {
                 searches: vec![(
                     request,
                     SearchResult {
@@ -701,7 +719,7 @@ mod tests {
     #[test]
     fn local_fetch_completes_immediately() {
         let (_, mut london) = figure1();
-        let (rid, effects) = london.start_fetch(&"E".into());
+        let (rid, effects) = london.start_fetch(&"E".into(), SimTime::ZERO);
         assert_eq!(effects.fetches.len(), 1);
         assert_eq!(effects.fetches[0].0, rid);
         let result = &effects.fetches[0].1;
@@ -713,7 +731,7 @@ mod tests {
     #[test]
     fn distributed_fetch_pulls_remote_subcollection() {
         let (mut hamilton, mut london) = figure1();
-        let (rid, effects) = hamilton.start_fetch(&"D".into());
+        let (rid, effects) = hamilton.start_fetch(&"D".into(), SimTime::ZERO);
         assert!(effects.fetches.is_empty());
         assert!(hamilton.is_pending(rid));
         let done = pump(&mut hamilton, &mut london, effects);
@@ -731,7 +749,7 @@ mod tests {
     #[test]
     fn private_collection_refuses_direct_access() {
         let (_, mut london) = figure1();
-        let (_, effects) = london.start_fetch(&"G".into());
+        let (_, effects) = london.start_fetch(&"G".into(), SimTime::ZERO);
         assert_eq!(
             effects.fetches[0].1.fatal,
             Some(GsError::PrivateCollection("G".into()))
@@ -741,7 +759,7 @@ mod tests {
     #[test]
     fn private_collection_reachable_via_parent() {
         let (_, mut london) = figure1();
-        let (_, effects) = london.start_fetch(&"F".into());
+        let (_, effects) = london.start_fetch(&"F".into(), SimTime::ZERO);
         let result = &effects.fetches[0].1;
         let mut ids: Vec<&str> = result.docs.iter().map(|d| d.doc.id.as_str()).collect();
         ids.sort();
@@ -751,7 +769,7 @@ mod tests {
     #[test]
     fn unknown_collection_is_fatal() {
         let (mut hamilton, _) = figure1();
-        let (_, effects) = hamilton.start_fetch(&"Z".into());
+        let (_, effects) = hamilton.start_fetch(&"Z".into(), SimTime::ZERO);
         assert_eq!(
             effects.fetches[0].1.fatal,
             Some(GsError::UnknownCollection("Z".into()))
@@ -804,7 +822,7 @@ mod tests {
         .unwrap();
         b.import(&"Y".into(), vec![doc("y1", "y")]).unwrap();
 
-        let (rid, mut effects) = a.start_fetch(&"X".into());
+        let (rid, mut effects) = a.start_fetch(&"X".into(), SimTime::ZERO);
         let mut queue: Vec<Outbound> = effects.outbound.drain(..).collect();
         let mut done = ServerEffects::default();
         let mut steps = 0;
@@ -830,7 +848,7 @@ mod tests {
     #[test]
     fn distributed_search_merges_hits() {
         let (mut hamilton, mut london) = figure1();
-        let (_, effects) = hamilton.start_search(&"D".into(), "text", &Query::term("dataset"));
+        let (_, effects) = hamilton.start_search(&"D".into(), "text", &Query::term("dataset"), SimTime::ZERO);
         let done = pump(&mut hamilton, &mut london, effects);
         assert_eq!(done.searches.len(), 1);
         let hits = &done.searches[0].1.hits;
@@ -848,7 +866,7 @@ mod tests {
                 ..CollectionConfig::simple("E", "no index")
             })
             .unwrap();
-        let (_, effects) = hamilton.start_search(&"D".into(), "text", &Query::term("dataset"));
+        let (_, effects) = hamilton.start_search(&"D".into(), "text", &Query::term("dataset"), SimTime::ZERO);
         let done = pump(&mut hamilton, &mut london, effects);
         let result = &done.searches[0].1;
         assert_eq!(result.hits.len(), 1); // only Hamilton's own doc
@@ -858,10 +876,11 @@ mod tests {
     #[test]
     fn expire_returns_partial_results() {
         let (mut hamilton, _) = figure1();
-        let (rid, effects) = hamilton.start_fetch(&"D".into());
+        let (rid, effects) = hamilton.start_fetch(&"D".into(), SimTime::ZERO);
         assert!(effects.fetches.is_empty()); // waiting on London
-        let expired = hamilton.expire_request(rid);
+        let expired = hamilton.expire_requests(SimTime::from_secs(5));
         assert_eq!(expired.fetches.len(), 1);
+        assert_eq!(expired.fetches[0].0, rid);
         let result = &expired.fetches[0].1;
         assert_eq!(result.docs.len(), 1); // only d1
         assert!(result.errors.contains(&GsError::Timeout));
@@ -877,7 +896,31 @@ mod tests {
         );
         assert_eq!(late, ServerEffects::default());
         // Expiring again is a no-op.
-        assert_eq!(hamilton.expire_request(rid), ServerEffects::default());
+        assert_eq!(hamilton.expire_requests(SimTime::from_secs(5)), ServerEffects::default());
+    }
+
+    #[test]
+    fn a_remote_request_waiting_here_does_not_time_out() {
+        let (mut hamilton, mut london) = figure1();
+        let asked = hamilton.handle_message(
+            &HostName::new("Paris"),
+            GsMessage::FetchRequest {
+                request: RequestId(77),
+                collection: "D".into(),
+                visited: vec![],
+                via_parent: false,
+            },
+        );
+        assert_eq!(asked.outbound.len(), 1, "one sub-request, to London");
+        // Paris started the request, so only Paris times it out.
+        let expired = hamilton.expire_requests(SimTime::from_secs(60));
+        assert_eq!(expired, ServerEffects::default());
+        // London's answer still completes it, back to Paris.
+        let from = HostName::new("Hamilton");
+        let answer = london.handle_message(&from, asked.outbound[0].msg.clone());
+        let done = hamilton.handle_message(&HostName::new("London"), answer.outbound[0].msg.clone());
+        assert_eq!(done.outbound.len(), 1);
+        assert_eq!(done.outbound[0].to.as_str(), "Paris");
     }
 
     #[test]
@@ -931,7 +974,7 @@ mod tests {
         a.add_collection(CollectionConfig::simple("B", "b").private())
             .unwrap();
         a.import(&"B".into(), vec![doc("b1", "b")]).unwrap();
-        let (_, effects) = a.start_fetch(&"C".into());
+        let (_, effects) = a.start_fetch(&"C".into(), SimTime::ZERO);
         let result = &effects.fetches[0].1;
         assert_eq!(result.docs.len(), 1);
         assert_eq!(result.docs[0].collection, CollectionId::new("A", "B"));
