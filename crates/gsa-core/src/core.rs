@@ -645,6 +645,7 @@ impl AlertingCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subs::DocPositions;
     use gsa_alerts::{fingerprint, LabelKey};
     use gsa_gds::{GdsMessage, SeenIds};
     use gsa_profile::parse_profile;
@@ -1581,7 +1582,7 @@ mod tests {
             profile: ProfileId::from_raw(profile),
             client: ClientId::from_raw(1),
             event: Arc::new(Event::new(id, origin, kind, SimTime::ZERO)),
-            matched_docs: Vec::new(),
+            docs: DocPositions::Bits(0),
             at: SimTime::ZERO,
         }
     }

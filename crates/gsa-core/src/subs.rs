@@ -21,7 +21,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A notification: built once, when a match is admitted, and kept in
-/// its client's mailbox until drained.
+/// its client's mailbox until drained. It names its documents by
+/// position in its event, so up to 64 of them cost no allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// The matching profile.
@@ -31,11 +32,45 @@ pub struct Notification {
     /// The matched event (shared — one rebuild can notify many
     /// profiles, so notifications hold the event by reference count).
     pub event: Arc<Event>,
-    /// The documents within the event that satisfied the profile (empty
-    /// for event-level matches on docless events).
-    pub matched_docs: Vec<DocId>,
+    /// Which of `event.docs` satisfied the profile: read through
+    /// [`matched_docs`](Self::matched_docs).
+    pub(crate) docs: DocPositions,
     /// When the notification was produced (local server time).
     pub at: SimTime,
+}
+
+/// Ascending positions into an event's documents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum DocPositions {
+    /// Bit `i` stands for `event.docs[i]`: events of up to 64 documents.
+    Bits(u64),
+    /// Events of more: one exactly sized block.
+    List(Box<[u32]>),
+}
+
+impl DocPositions {
+    /// The ascending positions `at` of an event of `len` documents.
+    fn of(at: impl Iterator<Item = u32> + Clone, len: usize) -> DocPositions {
+        if len <= 64 {
+            return DocPositions::Bits(at.fold(0, |bits, at| bits | 1 << at));
+        }
+        let mut list = Vec::with_capacity(at.clone().count());
+        list.extend(at);
+        DocPositions::List(list.into_boxed_slice())
+    }
+}
+
+impl Notification {
+    /// The documents within the event that satisfied the profile, in
+    /// event order (none for an event-level match on a docless event).
+    pub fn matched_docs(&self) -> impl Iterator<Item = &DocId> {
+        let (bits, list) = match &self.docs {
+            DocPositions::Bits(bits) => (*bits, &[][..]),
+            DocPositions::List(list) => (0, &list[..]),
+        };
+        let set = (0..64).filter(move |at| bits >> at & 1 == 1);
+        set.chain(list.iter().copied()).map(|at| &self.event.docs[at as usize].doc)
+    }
 }
 
 impl fmt::Display for Notification {
@@ -47,7 +82,7 @@ impl fmt::Display for Notification {
             self.profile,
             self.client,
             self.event,
-            self.matched_docs.len()
+            self.matched_docs().count()
         )
     }
 }
@@ -336,9 +371,10 @@ impl SubscriptionManager {
     /// Matches an event and, in the same pass over the engine's hits,
     /// delivers what `admit` lets through: it sees each matching
     /// profile's id (ascending) and a builder of its notification, and
-    /// on `true` the notification is built into its client's mailbox. A
-    /// refused match never built has allocated nothing. Returns how
-    /// many were delivered.
+    /// on `true` the notification is built into its client's mailbox. It
+    /// names its documents by position, so a delivery from an event of
+    /// up to 64 documents, like a refused match, allocates nothing.
+    /// Returns how many were delivered.
     pub(crate) fn deliver_matches(
         &mut self,
         event: &Arc<Event>,
@@ -354,13 +390,11 @@ impl SubscriptionManager {
             let build = || {
                 // A docless event matches with no document at all.
                 let docs = of_profile.iter().filter_map(|(hit, _slot)| hit.doc);
-                let mut matched_docs = Vec::with_capacity(docs.clone().count());
-                matched_docs.extend(docs.map(|at| event.docs[at as usize].doc.clone()));
                 Notification {
                     profile: profile.id(),
                     client: profile.owner(),
                     event: Arc::clone(event),
-                    matched_docs,
+                    docs: DocPositions::of(docs, event.docs.len()),
                     at: now,
                 }
             };
@@ -452,7 +486,7 @@ mod tests {
         assert_eq!(notifications.len(), 1);
         assert_eq!(notifications[0].profile, p);
         assert_eq!(notifications[0].client, client(1));
-        assert_eq!(notifications[0].matched_docs, vec![DocId::new("d1")]);
+        assert_eq!(notifications[0].matched_docs().collect::<Vec<_>>(), [&DocId::new("d1")]);
         let inbox = subs.take_notifications(client(1));
         assert_eq!(inbox.len(), 1);
         assert!(subs.take_notifications(client(1)).is_empty());
@@ -486,7 +520,7 @@ mod tests {
         }
         let single = subs.match_event(&rebuilt, SimTime::ZERO);
         let docs_of = |n: &Notification| -> Vec<String> {
-            n.matched_docs.iter().map(|d| d.as_str().to_string()).collect()
+            n.matched_docs().map(|d| d.as_str().to_string()).collect()
         };
         assert_eq!(single.len(), 2);
         assert_eq!(docs_of(&single[0]), ["d0", "d2"]);
@@ -494,14 +528,13 @@ mod tests {
         // The expression, evaluated directly, names the same documents.
         for n in &single {
             let oracle = subs.profile(n.profile).unwrap().expr().matching_docs(&rebuilt);
-            assert_eq!(n.matched_docs.iter().collect::<Vec<_>>(), oracle);
-            assert_eq!(n.matched_docs.capacity(), n.matched_docs.len());
+            assert_eq!(n.matched_docs().collect::<Vec<_>>(), oracle);
         }
         // A docless event matches on its envelope, with no documents.
         let docless = subs.match_event(&deleted, SimTime::ZERO);
         assert_eq!(docless.len(), 1);
         assert_eq!(docless[0].profile, single[1].profile);
-        assert!(docless[0].matched_docs.is_empty());
+        assert!(docless[0].matched_docs().next().is_none());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Delivery-tail pin: what one server spends per delivered notification.
 //!
 //! From a match to a mailbox entry a notification is built once and moved
-//! once, so on a warm core the allocator sees, per delivery, the
-//! notification's `matched_docs` — the vector and one id per matched
-//! document — and nothing else: no second copy for the effects, no label
-//! strings for the policy gate, no map entry for a client drained before.
-//! A match the policy engine suppresses is never built and costs nothing.
-//! Allocator calls from a counting allocator, not timings.
+//! once, and it names its documents by position in the event it shares.
+//! So on a warm core a delivery from an event of up to 64 documents costs
+//! the allocator nothing: no copy of a document id, no second copy for
+//! the effects, no label strings for the policy gate, no map entry for a
+//! client drained before. Beyond 64 documents the positions take one
+//! block per notification. A match the policy engine suppresses is never
+//! built and costs nothing. Allocator calls from a counting allocator,
+//! not timings.
 
 use gsa_alerts::AlertPolicyConfig;
 use gsa_core::{AlertingCore, SysMessage};
@@ -112,18 +114,18 @@ fn a_delivery_costs_its_matched_docs_and_nothing_else() {
         let mut seq = 0;
         // Warm, on the largest event to come: every buffer grown, every
         // alert instance fired, every client notified and drained once.
-        delivery_calls(&mut core, &mut seq, 2);
+        delivery_calls(&mut core, &mut seq, 65);
         assert_eq!(core.subscriptions().mailboxes(), CLIENTS as usize);
 
-        // A docless event's notifications own nothing, so all it costs
-        // is the buffers of the drained mailboxes it refills …
+        // All a docless event costs is the buffers of the drained
+        // mailboxes it refills …
         let refill = delivery_calls(&mut core, &mut seq, 0);
         assert!(refill <= 3 * CLIENTS, "{refill} calls to refill the mailboxes");
-        // … and one that matches through `d` documents adds, per
-        // notification, the vector of their ids and the ids.
-        for docs in [1, 2] {
+        // … and so does one that matches through its documents, up to
+        // 64 of them; beyond, each notification's positions are a block.
+        for (docs, per_notification) in [(1, 0), (2, 0), (64, 0), (65, 1)] {
             let calls = delivery_calls(&mut core, &mut seq, docs);
-            assert_eq!(calls - refill, PROFILES * (1 + docs as u64), "{docs} documents");
+            assert_eq!(calls - refill, PROFILES * per_notification, "{docs} documents");
         }
         // Draining and refilling again is the same work on the same map.
         assert_eq!(delivery_calls(&mut core, &mut seq, 0), refill);

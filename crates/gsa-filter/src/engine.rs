@@ -22,12 +22,15 @@
 //!   values. A window of up to 4 bytes is packed exactly, an 8-byte one
 //!   hashed to 32 bits.
 //!
-//! Token and gram keys are only *necessary* for their literal, which is
-//! therefore still verified. A conjunction with no usable key is scanned
-//! in every context. The literal with the shortest posting lists at
-//! insert time gives access, so which one it is depends on insertion
-//! order; the match result does not, because every other literal is
-//! checked whichever one it was.
+//! An equality key, and the token key of a one-term `text ? (t)` (walked
+//! exactly when `t` is among the context's tokens), decide their literal,
+//! which is not verified again. Any other token key, and every gram key,
+//! is only *necessary* for its literal, which is therefore still
+//! verified. A conjunction with no usable key is scanned in every
+//! context. The literal with the shortest posting lists at insert time
+//! gives access, so which one it is depends on insertion order; the
+//! match result does not, because every other literal is checked
+//! whichever one it was.
 //!
 //! Before any context is built an event is held to its envelope: while
 //! every live conjunction carries a positive equality on `host`,
@@ -110,7 +113,8 @@ enum Access {
     /// Under each pair of an equality literal, which the key fully
     /// decides — the literal is not verified again.
     Eq(EqLit),
-    /// Under a required term of a filter query. The probe sees no tokens.
+    /// Under a required term of a filter query, which the key decides
+    /// when it is the whole query. The probe sees no tokens.
     Token(Key),
     /// Under a window of a wildcard segment (see [`gram_segment`]). The
     /// probe sees no grams.
@@ -266,8 +270,9 @@ struct ConjEntry {
     /// as reported without hashing profile ids.
     pslot: u32,
     access: Access,
-    /// Everything but an equality access literal, equality checks first.
-    /// Exactly sized; empty (and unallocated) for a single equality.
+    /// Everything but a literal the access key decides, equality checks
+    /// first. Exactly sized; empty (and unallocated) for a single
+    /// equality or a single one-term text query.
     lits: Box<[Lit]>,
 }
 
@@ -583,8 +588,9 @@ impl FilterEngine {
     /// whole server shares never outgrows the lists competing with it —
     /// then a document-level attribute over an event-level one (whose
     /// list is walked again for every document of an event), then the
-    /// earliest literal.
-    fn compile(&mut self, literals: Vec<Literal>) -> (Access, Box<[Lit]>) {
+    /// earliest literal. A literal its key decides (module docs) is not
+    /// verified.
+    fn compile(&mut self, mut literals: Vec<Literal>) -> (Access, Box<[Lit]>) {
         let mut best: Option<(usize, Access, (usize, bool))> = None;
         for (i, lit) in literals.iter().enumerate() {
             if let Some((access, cost)) = self.candidate(lit) {
@@ -594,18 +600,22 @@ impl FilterEngine {
                 }
             }
         }
-        let (chosen, access) = match best {
-            Some((i, access, _)) => (Some(i), access),
-            None => (None, Access::Scan),
-        };
-        // An equality key decides its literal; a token or gram key is
-        // only necessary for its own, which is verified with the rest.
-        let verified = literals.len() - usize::from(matches!(access, Access::Eq(_)));
-        let mut lits = Vec::with_capacity(verified);
-        for (i, lit) in literals.iter().enumerate() {
-            if Some(i) != chosen && is_equality(lit) {
-                lits.push(Lit::Eq(self.intern_equality(&lit.predicate)));
+        let access = match best {
+            Some((i, access, _)) => {
+                let value = &literals[i].predicate.value;
+                if matches!(
+                    (&access, value),
+                    (Access::Eq(_), _) | (Access::Token(_), AttrValue::Matches(Query::Term(_)))
+                ) {
+                    literals.remove(i);
+                }
+                access
             }
+            None => Access::Scan,
+        };
+        let mut lits = Vec::with_capacity(literals.len());
+        for lit in literals.iter().filter(|lit| is_equality(lit)) {
+            lits.push(Lit::Eq(self.intern_equality(&lit.predicate)));
         }
         let residual = literals.into_iter().filter(|lit| !is_equality(lit));
         lits.extend(residual.map(Lit::residual));
@@ -1218,6 +1228,34 @@ mod tests {
             vec![pid(1), pid(3)]
         );
         assert!(e.matches(&event("London", "E", "x", "a library")).is_empty());
+    }
+
+    #[test]
+    fn a_token_key_decides_a_one_term_query_and_nothing_more() {
+        let e = engine_with(&[
+            (1, r#"text ? (digital)"#),
+            (2, r#"text ? (digital AND library)"#),
+            (3, r#"text ? (digi*)"#),
+            (4, r#"text ? (digital) AND text ? (library)"#),
+        ]);
+        let kept = |id| {
+            let conjs = e.slots[e.by_profile[&pid(id)] as usize].conjs.as_slice();
+            let entry = e.conj(conjs[0]);
+            (matches!(entry.access, Access::Token(_)), entry.lits.len())
+        };
+        // Keyed on `digital`, the first query is proven by its key …
+        assert_eq!(kept(1), (true, 0));
+        // … a conjunction of terms, a prefix (which has no key) and the
+        // second of two queries are verified.
+        assert_eq!(kept(2), (true, 1));
+        assert_eq!(kept(3), (false, 1));
+        assert_eq!(kept(4), (true, 1));
+        assert_eq!(e.matches(&event("London", "E", "x", "Digital")), vec![pid(1), pid(3)]);
+        assert_eq!(
+            e.matches(&event("London", "E", "x", "a digital library")),
+            vec![pid(1), pid(2), pid(3), pid(4)]
+        );
+        assert_eq!(e.matches(&event("London", "E", "x", "digitalis library")), vec![pid(3)]);
     }
 
     #[test]

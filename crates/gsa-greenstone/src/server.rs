@@ -388,11 +388,6 @@ impl Server {
         effects
     }
 
-    /// True when the request is still waiting on sub-collections.
-    pub fn is_pending(&self, request: RequestId) -> bool {
-        self.pending.contains_key(&request)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn begin_gather(
         &mut self,
@@ -733,7 +728,7 @@ mod tests {
         let (mut hamilton, mut london) = figure1();
         let (rid, effects) = hamilton.start_fetch(&"D".into(), SimTime::ZERO);
         assert!(effects.fetches.is_empty());
-        assert!(hamilton.is_pending(rid));
+        assert!(hamilton.pending.contains_key(&rid));
         let done = pump(&mut hamilton, &mut london, effects);
         assert_eq!(done.fetches.len(), 1);
         let result = &done.fetches[0].1;
@@ -743,7 +738,7 @@ mod tests {
         // Transparency: e1 is tagged with its real source collection.
         let e1 = result.docs.iter().find(|d| d.doc.id.as_str() == "e1").unwrap();
         assert_eq!(e1.collection, CollectionId::new("London", "E"));
-        assert!(!hamilton.is_pending(rid));
+        assert!(!hamilton.pending.contains_key(&rid));
     }
 
     #[test]

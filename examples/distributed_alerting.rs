@@ -68,7 +68,7 @@ fn main() {
     println!("\nBerlin's watcher was notified:");
     println!("  origin:     {}", n.event.origin);
     println!("  provenance: {:?}", n.event.provenance.iter().map(ToString::to_string).collect::<Vec<_>>());
-    println!("  documents:  {:?}", n.matched_docs.iter().map(|d| d.as_str()).collect::<Vec<_>>());
+    println!("  documents:  {:?}", n.matched_docs().map(|d| d.as_str()).collect::<Vec<_>>());
 
     // The Section 4.2 transformation: the event names the
     // super-collection, with the sub-collection in its provenance.

@@ -52,11 +52,11 @@ fn main() {
         println!(
             "  {} — matched docs: {:?}",
             n.event,
-            n.matched_docs.iter().map(|d| d.as_str()).collect::<Vec<_>>()
+            n.matched_docs().map(|d| d.as_str()).collect::<Vec<_>>()
         );
     }
     assert_eq!(inbox.len(), 1);
-    assert_eq!(inbox[0].matched_docs.len(), 1, "only p1 mentions alerting");
+    assert_eq!(inbox[0].matched_docs().count(), 1, "only p1 mentions alerting");
     println!(
         "\nmessages on the wire: {} ({} bytes)",
         system.metrics().counter("net.sent"),

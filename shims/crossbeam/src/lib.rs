@@ -99,11 +99,14 @@ pub mod channel {
         fn send_recv_across_threads() {
             let (tx, rx) = unbounded();
             let tx2 = tx.clone();
-            std::thread::spawn(move || tx2.send(41).unwrap());
+            let sender = std::thread::spawn(move || tx2.send(41).unwrap());
             tx.send(1).unwrap();
             let a = rx.recv().unwrap();
             let b = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(a + b, 42);
+            // The thread's sender is dropped when the thread ends, which
+            // can be after its message was received.
+            sender.join().unwrap();
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         }

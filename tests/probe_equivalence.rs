@@ -124,7 +124,7 @@ fn drain(core: &mut AlertingCore, clients: &[ClientId]) -> Vec<(u64, String, usi
             (
                 n.profile.as_u64(),
                 n.event.origin.to_string(),
-                n.matched_docs.len(),
+                n.matched_docs().count(),
             )
         })
         .collect();

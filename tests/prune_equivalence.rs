@@ -40,7 +40,7 @@ fn drain(system: &mut System, watchers: &[(&'static str, ClientId)]) -> Delivere
                     n.profile.to_string(),
                     n.event.origin.to_string(),
                     n.event.id.seq(),
-                    n.matched_docs.len(),
+                    n.matched_docs().count(),
                 )
             })
             .collect();
