@@ -176,25 +176,25 @@ impl AlertingCore {
     }
 
     /// Replaces the durable state backend (the default in-memory store
-    /// persists nothing). Subscribe / unsubscribe / summary-version
-    /// changes and alert transitions are recorded through it from now
-    /// on, and a crash replays it — so install the store before the
-    /// first subscription.
+    /// persists nothing). Subscribes, unsubscribes and alert transitions
+    /// are recorded through it from now on, and a crash replays it — so
+    /// install the store before the first subscription.
     pub fn set_state_store(&mut self, store: Box<dyn StateStore>) {
         self.store = store;
     }
 
-    /// The server that restarts after this one crashes (DESIGN.md §4,
-    /// "What a crash leaves"). It keeps the collections and the requests
-    /// in flight (the [`Server`]), the GDS client whole (its id
-    /// allocators and duplicate-suppression set), the state store and
-    /// the event sequence. The store is replayed, and each machine's
-    /// `crashed` decides what of it is kept, given what it recovered.
-    pub(crate) fn crashed(self) -> AlertingCore {
+    /// The server that restarts after this one crashes at `now`
+    /// (DESIGN.md §4, "What a crash leaves"). It keeps the collections
+    /// and the requests in flight (the [`Server`]), the GDS client whole
+    /// (its id allocators and duplicate-suppression set), the state store
+    /// and the event sequence. The store is replayed, and each machine's
+    /// `crashed` decides what of it is kept, given what it recovered; the
+    /// profile machine starts a new incarnation, numbered from `now`.
+    pub(crate) fn crashed(self, now: SimTime) -> AlertingCore {
         let AlertingCore { host, server, gds, subs, aux, delivery, mut store, event_seq } = self;
-        let RecoveredState { profiles, next_profile, summary_version, alerts } = store.recover();
+        let RecoveredState { profiles, alerts } = store.recover();
         AlertingCore {
-            subs: subs.crashed(profiles, next_profile, summary_version),
+            subs: subs.crashed(now, profiles),
             aux: aux.crashed(),
             delivery: delivery.crashed(alerts),
             host,
@@ -264,7 +264,6 @@ impl AlertingCore {
         let mut effects = CoreEffects::default();
         if let Some((version, summary)) = self.subs.announcement() {
             let out = self.gds.summary_update(version, summary);
-            self.store.record_summary_version(version);
             effects.send(out.to, out.msg);
         }
         effects
@@ -1392,7 +1391,7 @@ mod tests {
                 SimTime::ZERO,
             );
             assert_eq!(eff.notified, 0, "digested, not delivered");
-            let mut core = core.crashed();
+            let mut core = core.crashed(SimTime::ZERO);
             assert_eq!(core.subscriptions().len(), usize::from(durable));
             let eff = core.on_tick(SimTime::from_secs(60));
             assert_eq!(eff.notified, 0, "durable: {durable}");
@@ -1450,7 +1449,7 @@ mod tests {
         let fp = core.alert_fingerprint(&delivered[0]).unwrap();
         assert!(core.ack_alert(fp, SimTime::from_secs(2)));
 
-        let mut core = core.crashed();
+        let mut core = core.crashed(SimTime::from_secs(2));
         core.startup(SimTime::from_secs(3));
         // The acknowledgement replayed from the journal...
         assert_eq!(core.alert_state(fp), Some(AlertState::Acked));
@@ -1514,16 +1513,20 @@ mod tests {
     /// durable server. A row reads one value off the server that lived,
     /// off the server [`AlertingCore::crashed`] restarts, and off a new
     /// one: what is kept reads as it did before the crash, what is lost
-    /// reads as on a new server, and the two must differ for the row to
-    /// tell them apart.
+    /// reads as on a new server, what is renewed reads as the first
+    /// number of the crash's new incarnation, and the server that lived
+    /// and the new one must differ for the row to tell them apart.
     #[test]
     fn what_a_crash_keeps_and_what_it_loses() {
         #[derive(Debug, Clone, Copy)]
         enum Fate {
             Kept,
             Lost,
+            Renewed,
         }
-        use Fate::{Kept, Lost};
+        use Fate::{Kept, Lost, Renewed};
+        let crash = SimTime::from_secs(1);
+        let base = (crash.as_micros() + 1) << crate::subs::INCARNATION_SHIFT;
         let deliver = |core: &mut AlertingCore, seq| {
             let msg = SysMessage::Gds(binary_deliver(seq, vec![]));
             core.handle_message(&HostName::new("gds-1"), msg, SimTime::ZERO).notified as u64
@@ -1549,10 +1552,10 @@ mod tests {
             ("the probe setting", Kept, Kept, &|c| u64::from(c.delivery.probe)),
             ("alert policies", Kept, Kept, &|c| u64::from(c.delivery.alerts.is_some())),
             ("profiles", Lost, Kept, &|c| c.subscriptions().len() as u64),
-            ("the profile-id allocator", Lost, Kept, &|c| {
+            ("the profile-id allocator", Renewed, Renewed, &|c| {
                 c.subscribe(ClientId::from_raw(9), london()).unwrap().as_u64()
             }),
-            ("the summary version", Lost, Kept, &|c| c.subs.summary_version),
+            ("the summary version", Renewed, Renewed, &|c| c.subs.summary_version),
             ("a duplicate alert delivers again", Lost, Kept, &|c| {
                 c.subs.restore(ProfileId::from_raw(0), ClientId::from_raw(1), london()).unwrap();
                 deliver(c, 2)
@@ -1563,12 +1566,13 @@ mod tests {
         for (what, volatile, durable, read) in rows {
             for (is_durable, fate) in [(false, volatile), (true, durable)] {
                 let before = read(&mut lived(is_durable));
-                let after = read(&mut lived(is_durable).crashed());
+                let after = read(&mut lived(is_durable).crashed(crash));
                 let new = read(&mut AlertingCore::new("A", "gds-1"));
                 assert_ne!(before, new, "{what}: the history shows in the row");
                 let expected = match fate {
                     Kept => before,
                     Lost => new,
+                    Renewed => base,
                 };
                 assert_eq!(after, expected, "{what} (durable: {is_durable}) is {fate:?}");
             }
@@ -1676,7 +1680,7 @@ mod tests {
         assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));
         core.subscribe(ClientId::from_raw(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
         assert!(announced(&core.summary_refresh()).is_some_and(|s| s.may_match("A", "A.X")));
-        let mut core = core.crashed();
+        let mut core = core.crashed(SimTime::ZERO);
         // Nothing to replay: the restart says so, although it is what a
         // fresh server announces too.
         assert!(announced(&core.startup(SimTime::ZERO)).is_some_and(InterestSummary::is_empty));

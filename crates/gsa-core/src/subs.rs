@@ -111,11 +111,17 @@ pub struct SubscriptionManager {
     pub(crate) pruning: bool,
     /// The last summary announced, so no-op refreshes send nothing.
     pub(crate) last_summary: Option<InterestSummary>,
-    /// The version of the last announcement (0 before the first). The
-    /// GDS node keeps only the newest version it has seen, so a durable
-    /// server journals it and a restart announces above it.
+    /// The version of the last announcement (the incarnation's base
+    /// before its first). The GDS node keeps only the newest version it
+    /// has seen, so a restart announces above every version the old
+    /// incarnation sent.
     pub(crate) summary_version: u64,
 }
+
+/// The bits of a profile id or a summary version below its incarnation:
+/// a number is `incarnation << INCARNATION_SHIFT | n`, where `n` counts
+/// the ids or announcements of that incarnation.
+pub(crate) const INCARNATION_SHIFT: u32 = 24;
 
 #[cfg(test)]
 thread_local! {
@@ -143,31 +149,54 @@ impl SubscriptionManager {
         SubscriptionManager::default()
     }
 
-    /// The manager after a crash (DESIGN.md §4): the client mailboxes
-    /// and the pruning setting are kept and all else is lost. Then the
-    /// profiles, id high-water mark and summary version that the state
-    /// store recovered are replayed: all of them from a durable store,
-    /// so the announcement after the restart is not discarded as stale,
-    /// none from the in-memory default.
+    /// The manager after a crash at `now` (DESIGN.md §4): the client
+    /// mailboxes and the pruning setting are kept and all else is lost.
+    /// The restart is a new incarnation: profile ids and summary versions
+    /// start at its base, above every one the old incarnation issued, so
+    /// its first announcement is not discarded as stale and no handle of
+    /// the old one names a new profile. Then the profiles the state store
+    /// recovered are restored under their own ids: all of them from a
+    /// durable store, none from the in-memory default.
     pub(crate) fn crashed(
         self,
+        now: SimTime,
         profiles: BTreeMap<ProfileId, (ClientId, ProfileExpr)>,
-        next_profile: u64,
-        summary_version: u64,
     ) -> Self {
+        let base = self.next_base(now);
         let SubscriptionManager {
             mailboxes, pruning, summary_version: _, engine: _, profiles: _, next_profile: _,
             interests: _, last_summary: _, scratch: _, hits: _,
         } = self;
-        let mut subs = SubscriptionManager { mailboxes, pruning, summary_version, ..Self::default() };
+        let mut subs = SubscriptionManager { mailboxes, pruning, ..Self::default() };
+        (subs.next_profile, subs.summary_version) = (base, base);
         for (id, (client, expr)) in profiles {
             // An expression that indexed before the crash indexes
             // again; restore() bypasses the store so replay is never
             // re-journaled.
             let _ = subs.restore(id, client, expr);
         }
-        subs.set_next_profile_at_least(next_profile);
         subs
+    }
+
+    /// The first number of the incarnation a crash at `now` starts. That
+    /// incarnation is the crash instant in µs plus one (the first start is
+    /// incarnation 0), or, when that is not above the incarnation the
+    /// counters have reached (two crashes in one instant), the next one.
+    ///
+    /// Either half can overflow. A counter that fills its 24 bits (2²⁴ ids
+    /// or announcements in one incarnation) carries into the incarnation
+    /// bits: it stays monotone, and the next crash reads the carry as the
+    /// incarnation reached, so its base is above it still. An incarnation
+    /// past 40 bits (a crash after about 12.7 days of simulated time)
+    /// panics.
+    fn next_base(&self, now: SimTime) -> u64 {
+        let reached = self.next_profile.max(self.summary_version) >> INCARNATION_SHIFT;
+        let incarnation = now.as_micros().saturating_add(1).max(reached + 1);
+        assert!(
+            incarnation >> (u64::BITS - INCARNATION_SHIFT) == 0,
+            "a crash at {now} starts incarnation {incarnation}, past 40 bits"
+        );
+        incarnation << INCARNATION_SHIFT
     }
 
     /// Number of stored profiles.
@@ -202,9 +231,10 @@ impl SubscriptionManager {
     /// durable-state replay path). Unlike [`subscribe`](Self::subscribe)
     /// the id is the caller's: recovery must reproduce the pre-crash id
     /// space so persisted unsubscribe records and client-held handles
-    /// keep meaning the same profile. Bumps the id allocator past `id`.
-    /// Restoring over a live id replaces that profile, as the later of
-    /// two journal records for one id replaces the earlier.
+    /// keep meaning the same profile. The id allocator does not move:
+    /// after a crash it starts at the new incarnation's base, above every
+    /// recovered id. Restoring over a live id replaces that profile, as
+    /// the later of two journal records for one id replaces the earlier.
     ///
     /// # Errors
     ///
@@ -216,9 +246,7 @@ impl SubscriptionManager {
         client: ClientId,
         expr: ProfileExpr,
     ) -> Result<(), DnfError> {
-        self.insert_profile(id, client, expr)?;
-        self.set_next_profile_at_least(id.as_u64() + 1);
-        Ok(())
+        self.insert_profile(id, client, expr).map(drop)
     }
 
     /// Indexes and stores a profile — the one way a profile comes to be
@@ -248,14 +276,6 @@ impl SubscriptionManager {
             }
         }
         Ok(slot)
-    }
-
-    /// Ensures the next assigned profile id is at least `n` (recovery
-    /// resumes the allocator from the persisted high-water mark, which
-    /// can sit above every live profile when the newest ones were
-    /// unsubscribed before the crash).
-    pub fn set_next_profile_at_least(&mut self, n: u64) {
-        self.next_profile = self.next_profile.max(n);
     }
 
     /// Cancels a profile. Local and immediate (research problem 4).
@@ -695,23 +715,86 @@ mod tests {
         filter_event(&mut subs, &event("A", "d"), SimTime::ZERO);
         assert_eq!(subs.queued_notifications(), 1);
 
-        // The restarted server's manager: new, with the crashed one's
-        // mailboxes.
-        let mut subs = SubscriptionManager { mailboxes: subs.mailboxes, ..SubscriptionManager::new() };
-        assert!(subs.is_empty());
-        assert!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).is_empty());
+        // The restarted server's manager, with what durable state would
+        // hand back: p1 under its own id.
+        let recovered = BTreeMap::from([(p1, (client(1), parse_profile(r#"host = "A""#).unwrap()))]);
+        let mut subs = subs.crashed(SimTime::ZERO, recovered);
         // Mailboxes are client-side state and survive the crash.
         assert_eq!(subs.queued_notifications(), 1);
-
-        // Replay what durable state would hand back.
-        subs.restore(p1, client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        subs.set_next_profile_at_least(2);
         assert_eq!(subs.profile(p1).unwrap().owner(), client(1));
         assert_eq!(filter_event(&mut subs, &event("A", "d"), SimTime::ZERO).len(), 1);
-        // The allocator resumes past the unsubscribed-high-water mark.
+        // The allocator starts at the new incarnation, above the
+        // cancelled p2 as well as the live p1.
         let p3 = subs.subscribe(client(3), parse_profile(r#"host = "C""#).unwrap()).unwrap().id();
-        assert_ne!(p3, p1);
-        assert_ne!(p3, p2);
+        assert_eq!(p3.as_u64(), 1 << INCARNATION_SHIFT);
+        assert!(!subs.unsubscribe(p2), "an old handle names no new profile");
+    }
+
+    /// The numbers a manager has issued so far: next id, last version.
+    fn issued(subs: &SubscriptionManager) -> (u64, u64) {
+        (subs.next_profile, subs.summary_version)
+    }
+
+    #[test]
+    fn two_crashes_in_one_instant_start_distinct_increasing_bases() {
+        let mut subs = SubscriptionManager::new();
+        subs.pruning = true;
+        let host = |h: &str| parse_profile(&format!(r#"host = "{h}""#)).unwrap();
+        subs.subscribe(client(1), host("A")).unwrap();
+        subs.announcement().unwrap();
+        assert_eq!(issued(&subs), (1, 1), "the first start is incarnation 0");
+        let at = SimTime::from_millis(3);
+        let first = (at.as_micros() + 1) << INCARNATION_SHIFT;
+        let mut subs = subs.crashed(at, BTreeMap::new());
+        assert_eq!(issued(&subs), (first, first));
+        // A second crash in the same instant, before and after the
+        // restarted server issued anything: each time the next base.
+        let subs2 = subs.crashed(at, BTreeMap::new());
+        let second = first + (1 << INCARNATION_SHIFT);
+        assert_eq!(issued(&subs2), (second, second));
+        subs = subs2;
+        assert_eq!(subs.subscribe(client(1), host("B")).unwrap().id().as_u64(), second);
+        assert_eq!(subs.announcement().unwrap().0, second + 1);
+        let subs = subs.crashed(at, BTreeMap::new());
+        let third = second + (1 << INCARNATION_SHIFT);
+        assert_eq!(issued(&subs), (third, third));
+        // A later instant takes its own incarnation again.
+        let later = SimTime::from_secs(1);
+        let subs = subs.crashed(later, BTreeMap::new());
+        assert_eq!(issued(&subs).0, (later.as_micros() + 1) << INCARNATION_SHIFT);
+    }
+
+    #[test]
+    fn a_counter_that_fills_its_bits_carries_and_the_next_base_is_above_it() {
+        let at = SimTime::from_millis(3);
+        let base = (at.as_micros() + 1) << INCARNATION_SHIFT;
+        let full = base + (1 << INCARNATION_SHIFT) - 1;
+        for (next_profile, summary_version) in [(full, base), (base, full)] {
+            // One counter at the end of its incarnation's range: the
+            // next id or announcement carries into the incarnation bits.
+            let mut subs = SubscriptionManager {
+                next_profile,
+                summary_version,
+                pruning: true,
+                ..SubscriptionManager::new()
+            };
+            subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
+            subs.announcement().unwrap();
+            let carried = issued(&subs);
+            assert!(carried.0.max(carried.1) > full, "monotone past the carry");
+            let subs = subs.crashed(at, BTreeMap::new());
+            let (next, version) = issued(&subs);
+            assert_eq!(next, version);
+            assert!(next > carried.0 && next > carried.1, "above everything issued");
+            assert_eq!(next % (1 << INCARNATION_SHIFT), 0, "a base");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past 40 bits")]
+    fn an_incarnation_past_forty_bits_panics() {
+        let thirteen_days = SimTime::from_micros(1 << 40);
+        let _ = SubscriptionManager::new().crashed(thirteen_days, BTreeMap::new());
     }
 
     #[test]
@@ -851,22 +934,23 @@ mod tests {
                     9 => {
                         // A crash, then whatever prefix of the population a
                         // journal would hand back (none, for a volatile host).
-                        let kept: Vec<Profile> = live[..(pick * value) % (live.len() + 1)]
+                        let kept: BTreeMap<ProfileId, (ClientId, ProfileExpr)> = live
+                            [..(pick * value) % (live.len() + 1)]
                             .iter()
-                            .map(|id| subs.profile(*id).unwrap().clone())
+                            .map(|id| subs.profile(*id).unwrap())
+                            .map(|p| (p.id(), (p.owner(), p.expr().clone())))
                             .collect();
-                        subs = SubscriptionManager::new();
-                        for p in &kept {
-                            subs.restore(p.id(), p.owner(), p.expr().clone()).unwrap();
-                        }
+                        let restored = kept.len();
+                        let again = kept.keys().nth(pick % restored.max(1)).copied();
+                        subs = subs.crashed(SimTime::from_micros(step as u64), kept);
                         // A second record for a live id replaces the first
                         // (or, too large to index, leaves it as it was).
-                        if let Some(p) = kept.get(pick % kept.len().max(1)) {
+                        if let Some(id) = again {
                             let shape = PALETTES[palette][pick % PALETTES[palette].len()];
                             let expr = shaped(shape, host, name, value);
-                            let again = subs.restore(p.id(), client(host as u64), expr);
+                            let again = subs.restore(id, client(host as u64), expr);
                             prop_assert_eq!(again.is_err(), shape == 11 && value == 0);
-                            prop_assert_eq!(subs.len(), kept.len());
+                            prop_assert_eq!(subs.len(), restored);
                         }
                     }
                     _ => {}

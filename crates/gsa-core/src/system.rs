@@ -661,7 +661,9 @@ impl System {
     /// Crashes a Greenstone server: the unsynced bytes on its simulated
     /// disk are lost, its actor is replaced by one built around
     /// `AlertingCore::crashed` — only what a crash keeps, the state store
-    /// already replayed, a new edge transport — and the node goes down.
+    /// already replayed, profile ids and summary versions of a new
+    /// incarnation numbered from the crash instant, a new edge transport
+    /// — and the node goes down.
     /// Contrast with [`set_host_up`](Self::set_host_up)`(host, false)`,
     /// which models a frozen-but-intact node (a partition of one).
     /// Restart with [`restart_server`](Self::restart_server).
@@ -674,9 +676,9 @@ impl System {
         if let Some(medium) = self.media.get(&HostName::new(host)) {
             medium.crash();
         }
-        let (wire, reliable) = (&self.wire, self.jitter_seed(node));
+        let (wire, reliable, now) = (&self.wire, self.jitter_seed(node), self.sim.now());
         let rebuilt = self.sim.replace_actor(node, |crashed: AlertingActor| {
-            AlertingActor::new(crashed.core.crashed(), wire, reliable)
+            AlertingActor::new(crashed.core.crashed(now), wire, reliable)
         });
         assert!(rebuilt, "{host:?} is not a Greenstone server");
         self.sim.set_node_up(node, false);
@@ -685,7 +687,8 @@ impl System {
     /// Restarts a crashed server: the node comes back up, and the actor
     /// [`crash_server`](Self::crash_server) built starts — GDS
     /// re-registration, the auxiliary plants of its collections, and an
-    /// interest-summary announcement above the recovered version.
+    /// interest-summary announcement at the first version of its new
+    /// incarnation, above every version the crashed one sent.
     ///
     /// # Panics
     ///

@@ -309,8 +309,9 @@ mod tests {
         assert!(offer(c.summary_update(2, summary.clone())));
 
         // A crash hands the client over whole, and it holds no version
-        // of its own: a durable server resumes from the version its
-        // store kept, and the node takes the next announcement.
+        // of its own: the restarted server announces from its new
+        // incarnation's base, above every version the old one sent, and
+        // the node takes that announcement.
         summary.add_host("Paris");
         assert!(offer(c.summary_update(3, summary.clone())));
 

@@ -285,9 +285,10 @@ impl GdsNode {
                 // Any summary the server already announced stays: the
                 // transport may reorder a registration past the server's
                 // first announcements, and summary versions are monotonic
-                // for a server's lifetime, so what is stored is never
-                // staler than wildcard-by-absence. Departures reset the
-                // edge via Unregister/Detach instead.
+                // across a server's restarts (each starts a new
+                // incarnation, numbered above the last), so what is
+                // stored is never staler than wildcard-by-absence.
+                // Departures reset the edge via Unregister/Detach instead.
                 self.members.local.insert(gs_host.clone());
                 self.members.register(gs_host, self.name.clone(), &self.name, effects);
                 self.interest_changed(true, effects);

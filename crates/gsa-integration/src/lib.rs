@@ -1,7 +1,7 @@
-//! Carrier package for the cross-crate integration tests living in the
-//! repository's top-level `tests/` directory.
-//!
-//! Run them with `cargo test -p gsa-integration`.
+//! Carrier package for the cross-crate integration tests in the
+//! repository's top-level `tests/` directory and the runnable examples
+//! in its `examples/` directory: `cargo test -p gsa-integration`, and
+//! `cargo run -p gsa-integration --example <name>`.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

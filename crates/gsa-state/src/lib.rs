@@ -8,9 +8,8 @@
 //! without disturbing the paper-figure behaviour:
 //!
 //! * [`StateStore`] — the trait an `AlertingCore` writes its durable
-//!   state through: registered profiles (subscribe / unsubscribe), the
-//!   last announced interest-summary version, alert-lifecycle
-//!   transitions.
+//!   state through: registered profiles (subscribe / unsubscribe) and
+//!   alert-lifecycle transitions.
 //! * [`MemoryStateStore`] — the default backend: does nothing, costs
 //!   nothing, recovers nothing. Paper-figure message counts are
 //!   untouched.
@@ -37,9 +36,11 @@
 //!   and a real-files implementation ([`FsMedium`]).
 //!
 //! Recovery returns a [`RecoveredState`]; the core rebuilds its
-//! `SubscriptionManager` / filter index from it and re-announces its
-//! summary at the persisted version, so PR 5's version-monotonic
-//! pruning converges without false negatives.
+//! `SubscriptionManager` / filter index from it. No high-water mark is
+//! stored: a restarted server numbers its profiles and summary versions
+//! from a new incarnation, above everything the old one issued, so
+//! version-monotonic pruning takes its first announcement and no old
+//! handle names a new profile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,7 @@
 //! `xml_to_binary`), so the journal never invents a second expression
 //! codec. The journal is the stream as it was appended; a snapshot
 //! (format version 2) is a two-byte header — magic, version — and the
-//! stream compacted: the profile-id high-water mark, the summary
-//! version, a `Subscribe` per live profile in id order, an
+//! stream compacted: a `Subscribe` per live profile in id order, an
 //! `AlertLifecycle` per alert instance in fingerprint order. One writer
 //! ([`encode_record`]), one frame reader, one fold
 //! ([`RecoveredState::apply`](crate::RecoveredState::apply)): recovery
@@ -20,8 +19,12 @@
 //! and is dropped silently; a CRC failure *with bytes after it* is
 //! mid-stream corruption — replay stops at the last good record and
 //! reports [`ReplayStop::Corrupt`] so the store can count it. A damaged
-//! snapshot degrades the same way, to the records ahead of the damage;
-//! the high-water mark comes first, so no prefix of one reuses an id.
+//! snapshot degrades the same way, to the records ahead of the damage.
+//!
+//! No record holds a high-water mark: a restarted server numbers its
+//! profiles and announcements from a new incarnation, above everything
+//! the old one issued. Two tags an older build wrote, 3 (a summary
+//! version) and 5 (the profile-id mark), are read and fold to nothing.
 
 use gsa_profile::xml::{expr_from_xml, expr_to_xml};
 use gsa_profile::ProfileExpr;
@@ -46,11 +49,6 @@ pub enum StateRecord {
         /// The profile id being removed.
         id: ProfileId,
     },
-    /// The server announced an interest summary at this version.
-    SummaryVersion {
-        /// The announced (monotonic, per-server) version.
-        version: u64,
-    },
     /// An alert instance entered a lifecycle state. The state byte is
     /// `gsa-alerts`' stable tag; this crate treats it as opaque (the
     /// core fails closed on tags it does not recognise), so the journal
@@ -63,39 +61,34 @@ pub enum StateRecord {
         /// Transition time, microseconds of simulated time.
         at_micros: u64,
     },
-    /// The profile-id high-water mark. Only compaction writes it, as the
-    /// first record of a snapshot: the newest profiles may all have been
-    /// cancelled, and their ids must still never be assigned again.
-    NextProfile {
-        /// The next profile id to assign.
-        next: u64,
-    },
 }
 
-// Tags append, never renumber: a journal on a disk outlives the build
-// that wrote it.
+// Tags append, never renumber, and a retired tag is never reused: a
+// journal on a disk outlives the build that wrote it.
 const TAG_SUBSCRIBE: u8 = 1;
 const TAG_UNSUBSCRIBE: u8 = 2;
+/// Retired: a summary version, which a restart no longer resumes from.
 const TAG_SUMMARY_VERSION: u8 = 3;
 const TAG_ALERT_LIFECYCLE: u8 = 4;
+/// Retired: the profile-id high-water mark, which a restart no longer
+/// resumes from.
 const TAG_NEXT_PROFILE: u8 = 5;
 
 /// Snapshot magic byte (`Z` — "the state so far").
 const SNAP_MAGIC: u8 = 0x5A;
-/// Snapshot format version: 2, a compacted record stream.
+/// Snapshot format version: 2, a compacted record stream. A snapshot
+/// an older build wrote leads with a tag-5 and a tag-3 record, which
+/// read as nothing, so the layout needs no new version.
 const SNAP_VERSION: u8 = 2;
 
 impl StateRecord {
     /// What every body starts with, and all [`compact`] reads of one:
-    /// the tag, then a varint key — profile id, version, fingerprint or
-    /// high-water mark.
+    /// the tag, then a varint key — profile id or fingerprint.
     fn head(&self) -> (u8, u64) {
         match self {
             StateRecord::Subscribe { id, .. } => (TAG_SUBSCRIBE, id.as_u64()),
             StateRecord::Unsubscribe { id } => (TAG_UNSUBSCRIBE, id.as_u64()),
-            StateRecord::SummaryVersion { version } => (TAG_SUMMARY_VERSION, *version),
             StateRecord::AlertLifecycle { fingerprint, .. } => (TAG_ALERT_LIFECYCLE, *fingerprint),
-            StateRecord::NextProfile { next } => (TAG_NEXT_PROFILE, *next),
         }
     }
 }
@@ -124,24 +117,25 @@ fn encode_body(rec: &StateRecord, buf: &mut Vec<u8>) {
     }
 }
 
-fn decode_body(body: &[u8]) -> Option<StateRecord> {
+/// The record a body holds: `Some(None)` for a retired tag, which folds
+/// to nothing, and `None` for a body nobody understands.
+fn decode_body(body: &[u8]) -> Option<Option<StateRecord>> {
     let (tag, key, mut r) = read_head(body)?;
     let rec = match tag {
-        TAG_SUBSCRIBE => StateRecord::Subscribe {
+        TAG_SUBSCRIBE => Some(StateRecord::Subscribe {
             id: ProfileId::from_raw(key),
             client: ClientId::from_raw(r.read_varint().ok()?),
             expr: expr_from_xml(&xml_from_binary(&mut r).ok()?).ok()?,
-        },
-        TAG_UNSUBSCRIBE => StateRecord::Unsubscribe {
+        }),
+        TAG_UNSUBSCRIBE => Some(StateRecord::Unsubscribe {
             id: ProfileId::from_raw(key),
-        },
-        TAG_SUMMARY_VERSION => StateRecord::SummaryVersion { version: key },
-        TAG_ALERT_LIFECYCLE => StateRecord::AlertLifecycle {
+        }),
+        TAG_ALERT_LIFECYCLE => Some(StateRecord::AlertLifecycle {
             fingerprint: key,
             state: r.read_u8().ok()?,
             at_micros: r.read_varint().ok()?,
-        },
-        TAG_NEXT_PROFILE => StateRecord::NextProfile { next: key },
+        }),
+        TAG_SUMMARY_VERSION | TAG_NEXT_PROFILE => None,
         _ => return None,
     };
     // Trailing garbage inside a CRC-valid body is structural corruption.
@@ -220,10 +214,14 @@ fn scan<'a>(
 pub(crate) fn replay(bytes: &[u8], mut apply: impl FnMut(StateRecord)) -> (u64, usize, ReplayStop) {
     let mut applied = 0;
     let (good, stop) = scan(bytes, |_, body| {
-        decode_body(body)
-            .map(&mut apply)
-            .map(|()| applied += 1)
-            .is_some()
+        let Some(rec) = decode_body(body) else {
+            return false;
+        };
+        if let Some(rec) = rec {
+            apply(rec);
+            applied += 1;
+        }
+        true
     });
     (applied, good, stop)
 }
@@ -248,14 +246,13 @@ pub(crate) fn snapshot_records(blob: &[u8]) -> Option<&[u8]> {
 }
 
 /// Compacts record streams, oldest first, into a snapshot blob: the
-/// header, the id high-water mark, the summary version, then the last
-/// `Subscribe` frame of every profile no later `Unsubscribe` names, in
-/// id order, and the last `AlertLifecycle` frame of every instance, in
-/// fingerprint order — the frames themselves, copied. Only the tag and
-/// the key of a frame are read; no expression is decoded. Each stream is
-/// read as far as [`scan`] accepts it.
+/// header, then the last `Subscribe` frame of every profile no later
+/// `Unsubscribe` names, in id order, and the last `AlertLifecycle` frame
+/// of every instance, in fingerprint order — the frames themselves,
+/// copied; a retired frame is dropped. Only the tag and the key of a
+/// frame are read; no expression is decoded. Each stream is read as far
+/// as [`scan`] accepts it.
 pub(crate) fn compact(streams: [&[u8]; 2]) -> Vec<u8> {
-    let (mut next, mut version) = (0u64, 0u64);
     let mut profiles: BTreeMap<u64, &[u8]> = BTreeMap::new();
     let mut alerts: BTreeMap<u64, &[u8]> = BTreeMap::new();
     for bytes in streams {
@@ -264,24 +261,18 @@ pub(crate) fn compact(streams: [&[u8]; 2]) -> Vec<u8> {
                 return false;
             };
             match tag {
-                TAG_SUBSCRIBE => {
-                    profiles.insert(key, frame);
-                    next = next.max(key.saturating_add(1));
-                }
+                TAG_SUBSCRIBE => drop(profiles.insert(key, frame)),
                 TAG_UNSUBSCRIBE => drop(profiles.remove(&key)),
-                TAG_SUMMARY_VERSION => version = version.max(key),
                 TAG_ALERT_LIFECYCLE => drop(alerts.insert(key, frame)),
-                TAG_NEXT_PROFILE => next = next.max(key),
+                TAG_SUMMARY_VERSION | TAG_NEXT_PROFILE => {}
                 _ => return false,
             }
             true
         });
     }
-    // At most everything survives, plus the header and the two leading records.
-    let mut out = Vec::with_capacity(32 + streams.iter().map(|s| s.len()).sum::<usize>());
+    // At most everything survives, plus the header.
+    let mut out = Vec::with_capacity(2 + streams.iter().map(|s| s.len()).sum::<usize>());
     out.extend([SNAP_MAGIC, SNAP_VERSION]);
-    encode_record(&StateRecord::NextProfile { next }, &mut out);
-    encode_record(&StateRecord::SummaryVersion { version }, &mut out);
     for frame in profiles.values().chain(alerts.values()) {
         out.extend_from_slice(frame);
     }
@@ -305,7 +296,6 @@ mod tests {
                 client: ClientId::from_raw(7),
                 expr: expr("hamilton.nz"),
             },
-            StateRecord::SummaryVersion { version: 1 },
             StateRecord::Subscribe {
                 id: ProfileId::from_raw(1),
                 client: ClientId::from_raw(9),
@@ -314,13 +304,11 @@ mod tests {
             StateRecord::Unsubscribe {
                 id: ProfileId::from_raw(0),
             },
-            StateRecord::SummaryVersion { version: 2 },
             StateRecord::AlertLifecycle {
                 fingerprint: 0x9f04_1567_6a54_083c,
                 state: 1,
                 at_micros: 12_000_000,
             },
-            StateRecord::NextProfile { next: 2 },
         ]
     }
 
@@ -402,7 +390,7 @@ mod tests {
             boundaries.push(buf.len());
         }
         // Flip a body byte of record 2 (0-indexed): its CRC fails with
-        // records 3 and 4 still behind it.
+        // record 3 still behind it.
         let idx = boundaries[1] + 3;
         buf[idx] ^= 0xFF;
         let mut seen = Vec::new();
@@ -441,6 +429,37 @@ mod tests {
             encode_record(rec, &mut buf);
         }
         buf
+    }
+
+    /// A frame around `body`, as the writer frames one.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_varint(&mut frame, body.len() as u64);
+        frame.extend_from_slice(body);
+        frame.extend_from_slice(&crc32(body).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn retired_frames_fold_to_nothing_in_replay_and_compaction() {
+        // What an older build wrote under the two retired tags, each
+        // with a one-byte key: a summary version and the id mark.
+        let (version, mark) = (frame(&[TAG_SUMMARY_VERSION, 3]), frame(&[TAG_NEXT_PROFILE, 2]));
+        let recs = sample_records();
+        let old = [&mark[..], &version, &journal(&recs[..2]), &version, &journal(&recs[2..])]
+            .concat();
+        let mut seen = Vec::new();
+        assert_eq!(replay_journal(&old, |r| seen.push(r)), (recs.len() as u64, ReplayStop::Clean));
+        assert_eq!(seen, recs);
+        // Compaction drops them: the snapshot is the one the records
+        // alone compact to, whether they came as a journal or as an
+        // older build's snapshot.
+        let blob = compact([&[], &journal(&recs)]);
+        assert_eq!(compact([&[], &old]), blob);
+        assert_eq!(compact([&old, &[]]), blob);
+        // A retired body with bytes after its key is still corruption.
+        let damaged = [frame(&[TAG_SUMMARY_VERSION, 3, 0]), journal(&recs)].concat();
+        assert_eq!(replay_journal(&damaged, |_| {}), (0, ReplayStop::Corrupt));
     }
 
     #[test]
@@ -487,12 +506,11 @@ mod tests {
         let mut prefixes = vec![RecoveredState::default()];
         scan(snapshot_records(&clean).unwrap(), |_, body| {
             let mut next = prefixes.last().unwrap().clone();
-            next.apply(decode_body(body).unwrap());
+            next.apply(decode_body(body).flatten().unwrap());
             prefixes.push(next);
             true
         });
-        assert_eq!(prefixes.len(), 5, "mark, version, one profile, one alert");
-        assert_eq!(prefixes[1].next_profile, 2, "the mark leads");
+        assert_eq!(prefixes.len(), 3, "one profile, one alert");
         for damaged in (0..clean.len())
             .map(|i| {
                 let mut bytes = clean.clone();
@@ -509,7 +527,7 @@ mod tests {
             };
             let mut state = RecoveredState::default();
             let (_, _, stop) = replay(records, |r| state.apply(r));
-            assert!(prefixes[..4].contains(&state), "forged: {state:?}");
+            assert!(prefixes[..2].contains(&state), "forged: {state:?}");
             assert!(stop != ReplayStop::Clean || damaged.len() < clean.len());
         }
     }

@@ -12,11 +12,6 @@ use std::collections::BTreeMap;
 pub struct RecoveredState {
     /// Every live profile: id → (owner, expression).
     pub profiles: BTreeMap<ProfileId, (ClientId, ProfileExpr)>,
-    /// The next profile id to assign (strictly above every id ever
-    /// recorded, cancelled ones included).
-    pub next_profile: u64,
-    /// The interest-summary version to resume announcing from.
-    pub summary_version: u64,
     /// Latest lifecycle record per alert instance: fingerprint →
     /// (state tag, at_micros). The core decodes the tag (failing closed
     /// on unknown bytes) and restores its alert engine from these.
@@ -26,32 +21,25 @@ pub struct RecoveredState {
 impl RecoveredState {
     /// Folds one record in. Idempotent over a replayed suffix — a
     /// subscribe overwrites by id, an unsubscribe removes by id, an
-    /// alert record overwrites by fingerprint, versions and the id mark
-    /// take the maximum — which is what makes a snapshot plus the
-    /// journal it was compacted from recover to the same state.
+    /// alert record overwrites by fingerprint — which is what makes a
+    /// snapshot plus the journal it was compacted from recover to the
+    /// same state.
     pub fn apply(&mut self, rec: StateRecord) {
         match rec {
-            StateRecord::Subscribe { id, client, expr } => {
-                self.profiles.insert(id, (client, expr));
-                self.next_profile = self.next_profile.max(id.as_u64().saturating_add(1));
-            }
+            StateRecord::Subscribe { id, client, expr } => drop(self.profiles.insert(id, (client, expr))),
             StateRecord::Unsubscribe { id } => drop(self.profiles.remove(&id)),
-            StateRecord::SummaryVersion { version } => {
-                self.summary_version = self.summary_version.max(version);
-            }
             StateRecord::AlertLifecycle {
                 fingerprint,
                 state,
                 at_micros,
             } => drop(self.alerts.insert(fingerprint, (state, at_micros))),
-            StateRecord::NextProfile { next } => self.next_profile = self.next_profile.max(next),
         }
     }
 }
 
 /// The persistence seam an `AlertingCore` writes durable state through.
 ///
-/// Calls sit on the subscribe / unsubscribe / summary-announce paths —
+/// Calls sit on the subscribe / unsubscribe / alert-transition paths —
 /// never the per-event hot path — and the default in-memory backend
 /// makes each a no-op, so the paper-figure scenarios pay nothing.
 pub trait StateStore {
@@ -62,8 +50,6 @@ pub trait StateStore {
     fn record_subscribe(&mut self, id: ProfileId, client: ClientId, expr: &ProfileExpr);
     /// A profile was cancelled.
     fn record_unsubscribe(&mut self, id: ProfileId);
-    /// The server announced its interest summary at `version`.
-    fn record_summary_version(&mut self, version: u64);
     /// An alert instance transitioned; only the latest record per
     /// fingerprint matters for recovery (last-write-wins).
     fn record_alert(&mut self, fingerprint: u64, state: u8, at_micros: u64);
@@ -90,7 +76,6 @@ impl StateStore for MemoryStateStore {
     }
     fn record_subscribe(&mut self, _id: ProfileId, _client: ClientId, _expr: &ProfileExpr) {}
     fn record_unsubscribe(&mut self, _id: ProfileId) {}
-    fn record_summary_version(&mut self, _version: u64) {}
     fn record_alert(&mut self, _fingerprint: u64, _state: u8, _at_micros: u64) {}
     fn recover(&mut self) -> RecoveredState {
         RecoveredState::default()
@@ -223,10 +208,6 @@ impl<M: Medium> StateStore for JournalStateStore<M> {
         self.append(StateRecord::Unsubscribe { id });
     }
 
-    fn record_summary_version(&mut self, version: u64) {
-        self.append(StateRecord::SummaryVersion { version });
-    }
-
     fn record_alert(&mut self, fingerprint: u64, state: u8, at_micros: u64) {
         self.append(StateRecord::AlertLifecycle {
             fingerprint,
@@ -306,21 +287,18 @@ mod tests {
     }
 
     #[test]
-    fn crash_and_recover_round_trips_subscriptions_and_version() {
+    fn crash_and_recover_round_trips_subscriptions() {
         let (mut s, medium) = store(no_snapshots());
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(7), &expr("a"));
         s.record_subscribe(ProfileId::from_raw(1), ClientId::from_raw(8), &expr("b"));
-        s.record_summary_version(3);
         s.record_unsubscribe(ProfileId::from_raw(0));
         medium.crash();
 
         let mut fresh = JournalStateStore::new(medium, no_snapshots());
         let recovered = fresh.recover();
         assert_eq!(recovered.profiles, profiles([(1, 8, expr("b"))]));
-        assert_eq!(recovered.next_profile, 2);
-        assert_eq!(recovered.summary_version, 3);
         let counters = fresh.counts_mut();
-        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 4);
+        assert_eq!(counters.get(CounterId::STATE_REPLAY_RECORDS), 3);
         assert_eq!(counters.get(CounterId::STATE_JOURNAL_CORRUPT), 0);
     }
 
@@ -342,7 +320,6 @@ mod tests {
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         assert_eq!(ids(&recovered), vec![0, 1, 2]);
-        assert_eq!(recovered.next_profile, 3);
     }
 
     #[test]
@@ -380,7 +357,6 @@ mod tests {
             );
         }
         s.record_unsubscribe(ProfileId::from_raw(4));
-        s.record_summary_version(6);
         let before = {
             let mut probe = JournalStateStore::new(medium.clone(), config);
             probe.recover()
@@ -436,7 +412,6 @@ mod tests {
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         assert_eq!(recovered.profiles.len() as u64, appended - 3);
-        assert_eq!(recovered.next_profile, appended);
         assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 3);
     }
 
@@ -456,13 +431,11 @@ mod tests {
             );
         }
         s.record_unsubscribe(ProfileId::from_raw(0));
-        s.record_summary_version(9);
 
         let mut fresh = JournalStateStore::new(medium, config);
         let recovered = fresh.recover();
         assert_eq!(ids(&recovered), vec![1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(recovered.summary_version, 9);
-        assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 9);
+        assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 8);
     }
 
     #[test]
@@ -476,7 +449,6 @@ mod tests {
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
         s.record_subscribe(ProfileId::from_raw(1), ClientId::from_raw(2), &expr("b"));
         s.record_unsubscribe(ProfileId::from_raw(0));
-        s.record_summary_version(2);
         let clean = {
             let mut probe = JournalStateStore::new(medium.clone(), config);
             probe.recover()
@@ -539,7 +511,6 @@ mod tests {
         let mut s = MemoryStateStore::default();
         assert!(!s.is_durable());
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
-        s.record_summary_version(5);
         s.record_alert(0xabc, 0, 1_000_000);
         assert_eq!(s.recover(), RecoveredState::default());
         assert!(s.counts_mut().is_empty());

@@ -1,7 +1,8 @@
 //! Property: the journal is a faithful, torn-tail-tolerant log.
 //!
-//! Arbitrary subscribe / unsubscribe / summary-version sequences are
-//! written through a [`JournalStateStore`], then the durable bytes are
+//! Arbitrary subscribe / unsubscribe sequences, with the summary-version
+//! frames an older build journaled among them, are written through a
+//! [`JournalStateStore`], then the durable bytes are
 //! optionally mutilated (tail truncation at an arbitrary byte, a
 //! bit-flipped byte) and replayed by a fresh store. The replayed state
 //! must equal the in-memory model folded over the records whose frames
@@ -15,6 +16,7 @@ use gsa_state::{
     replay_journal, JournalConfig, JournalStateStore, Medium, MemMedium, RecoveredState, StateStore,
 };
 use gsa_types::{ClientId, CounterId, ProfileId};
+use gsa_wire::binary::{crc32, write_varint};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -24,7 +26,8 @@ enum Op {
     Subscribe { client: u64, host: u8 },
     /// Unsubscribe the `pick`-th live profile (no-op when none live).
     Unsubscribe { pick: usize },
-    /// Announce the next summary version.
+    /// Announce the next summary version, as an older build journaled
+    /// it: a retired tag-3 frame, which replay folds to nothing.
     Announce,
     /// Compact. When it does not complete, the process dies between
     /// the snapshot write and the journal truncate, and the run with it.
@@ -64,7 +67,6 @@ fn expr(host: u8) -> ProfileExpr {
 struct Model {
     profiles: BTreeMap<u64, (u64, u8)>,
     next_profile: u64,
-    summary_version: u64,
 }
 
 impl Model {
@@ -80,8 +82,6 @@ impl Model {
                     )
                 })
                 .collect(),
-            next_profile: self.next_profile,
-            summary_version: self.summary_version,
             alerts: BTreeMap::new(),
         }
     }
@@ -92,7 +92,7 @@ impl Model {
 enum Applied {
     Sub { id: u64, client: u64, host: u8 },
     Unsub { id: u64 },
-    Version { v: u64 },
+    Retired,
 }
 
 fn fold(applied: &[Applied]) -> Model {
@@ -101,12 +101,11 @@ fn fold(applied: &[Applied]) -> Model {
         match *a {
             Applied::Sub { id, client, host } => {
                 m.profiles.insert(id, (client, host));
-                m.next_profile = m.next_profile.max(id + 1);
             }
             Applied::Unsub { id } => {
                 m.profiles.remove(&id);
             }
-            Applied::Version { v } => m.summary_version = m.summary_version.max(v),
+            Applied::Retired => {}
         }
     }
     m
@@ -181,10 +180,19 @@ fn run_ops(
                 applied.push(Applied::Unsub { id });
             }
             Op::Announce => {
+                // Appended and synced past the store, as the older
+                // build's store did.
                 version += 1;
-                store.record_summary_version(version);
-                model.summary_version = version;
-                applied.push(Applied::Version { v: version });
+                let mut body = vec![3];
+                write_varint(&mut body, version);
+                let mut frame = Vec::new();
+                write_varint(&mut frame, body.len() as u64);
+                frame.extend_from_slice(&body);
+                frame.extend_from_slice(&crc32(&body).to_le_bytes());
+                let mut disk = medium.clone();
+                disk.append_journal(&frame);
+                disk.sync_journal();
+                applied.push(Applied::Retired);
             }
             Op::Compact { completes: true } => {
                 store.compact();

@@ -1,5 +1,6 @@
 //! Golden bytes of the durable state: the journal frame of every
-//! [`StateRecord`] variant and one snapshot, pinned in hex. A frame is
+//! [`StateRecord`] variant, the frames of the two retired tags, and one
+//! snapshot, pinned in hex. A frame is
 //! `varint(body_len) ++ body ++ crc32(body)`, little-endian; the writer
 //! must produce the literal and the reader must return the value from
 //! it. A codec change that moves a byte a journal already on a disk
@@ -56,10 +57,6 @@ fn journal_records_are_pinned() {
         "0302ac02b59f7910",
     );
     pin(
-        StateRecord::SummaryVersion { version: 42 },
-        "02032aea884fb1",
-    );
-    pin(
         StateRecord::AlertLifecycle {
             fingerprint: 0x9f04_1567_6a54_083c,
             state: 1,
@@ -67,13 +64,17 @@ fn journal_records_are_pinned() {
         },
         "1004bc90d0d2f6ac85829f010180b6dc05d5a3e672",
     );
-    // The id high-water mark, which only a snapshot holds.
-    pin(StateRecord::NextProfile { next: 301 }, "0305ad0271b82d0c");
+    // A summary version (tag 3) and a profile-id high-water mark (tag 5),
+    // as an older build journaled them: retired, they read as nothing.
+    for frame in ["02032aea884fb1", "0305ad0271b82d0c"] {
+        let (applied, stop) = replay_journal(&unhex(frame), |r| panic!("{frame} read as {r:?}"));
+        assert_eq!((applied, stop), (0, ReplayStop::Clean), "{frame}");
+    }
 }
 
 /// A snapshot (format version 2) is a two-byte header and then journal
-/// frames: the id high-water mark, the summary version, the live
-/// profiles in id order, the alert instances in fingerprint order.
+/// frames: the live profiles in id order, the alert instances in
+/// fingerprint order.
 #[test]
 fn a_snapshot_is_pinned() {
     let mut medium = MemMedium::new();
@@ -84,7 +85,6 @@ fn a_snapshot_is_pinned() {
         ClientId::from_raw(7),
         &host("hamilton.nz"),
     );
-    store.record_summary_version(1);
     store.record_subscribe(
         ProfileId::from_raw(1),
         ClientId::from_raw(9),
@@ -92,22 +92,41 @@ fn a_snapshot_is_pinned() {
     );
     store.record_alert(0x9f04_1567_6a54_083c, 0, 11_000_000);
     store.record_unsubscribe(ProfileId::from_raw(1));
-    store.record_summary_version(2);
     store.record_alert(0x9f04_1567_6a54_083c, 1, 12_000_000);
     store.record_alert(0x1234, 2, 13_000_000);
     store.compact();
     assert_eq!(medium.journal_len(), 0);
     let snapshot = medium.read_snapshot();
-    assert_eq!(
-        hex(&snapshot),
-        "5a020205029687a0d20203021020fa8430010007047072656403046174747204686f7374026f7006\
-         657175616c730576616c75650b68616d696c746f6e2e6e7a008d8e478d0804b42402c0ba9906c6af\
-         cb241004bc90d0d2f6ac85829f010180b6dc05d5a3e672"
-    );
+    assert_eq!(hex(&snapshot), SNAPSHOT);
     // Past the header it reads as a journal does.
     let mut read = Vec::new();
     let (applied, stop) = replay_journal(&snapshot[2..], |r| read.push(r));
-    assert_eq!((applied, stop), (5, ReplayStop::Clean));
-    assert_eq!(read[0], StateRecord::NextProfile { next: 2 });
-    assert_eq!(read[1], StateRecord::SummaryVersion { version: 2 });
+    assert_eq!((applied, stop), (3, ReplayStop::Clean));
+    assert_eq!(
+        read[0],
+        StateRecord::Subscribe {
+            id: ProfileId::from_raw(0),
+            client: ClientId::from_raw(7),
+            expr: host("hamilton.nz"),
+        }
+    );
+    // The same state as an older build snapshotted it, led by the id
+    // high-water mark and the summary version: it recovers to the same
+    // state and compacts to the bytes above.
+    let mut old = MemMedium::new();
+    old.replace_snapshot(&unhex(OLDER_SNAPSHOT));
+    let mut reopened = JournalStateStore::new(old.clone(), JournalConfig::default());
+    assert_eq!(reopened.recover(), store.recover());
+    reopened.compact();
+    assert_eq!(hex(&old.read_snapshot()), SNAPSHOT);
 }
+
+/// The snapshot [`a_snapshot_is_pinned`] writes.
+const SNAPSHOT: &str = "5a0230010007047072656403046174747204686f7374026f7006657175616c730576616c75650b68\
+    616d696c746f6e2e6e7a008d8e478d0804b42402c0ba9906c6afcb241004bc90d0d2f6ac85829f01\
+    0180b6dc05d5a3e672";
+
+/// What an older build wrote for it: a tag-5 and a tag-3 record ahead.
+const OLDER_SNAPSHOT: &str = "5a020205029687a0d20203021020fa8430010007047072656403046174747204686f7374026f7006\
+    657175616c730576616c75650b68616d696c746f6e2e6e7a008d8e478d0804b42402c0ba9906c6af\
+    cb241004bc90d0d2f6ac85829f010180b6dc05d5a3e672";

@@ -11,7 +11,7 @@
 //! the network is notified, even though the actual change happened on a
 //! server that has never heard of them.
 //!
-//! Run with `cargo run -p gsa-examples --example distributed_alerting`.
+//! Run with `cargo run -p gsa-integration --example distributed_alerting`.
 
 use gsa_core::System;
 use gsa_gds::figure2_tree;

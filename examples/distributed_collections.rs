@@ -7,7 +7,7 @@
 //! `London.G` reachable only through `London.F` — then exercises the GS
 //! protocol exactly as Section 3 walks through it.
 //!
-//! Run with `cargo run -p gsa-examples --example distributed_collections`.
+//! Run with `cargo run -p gsa-integration --example distributed_collections`.
 
 use gsa_core::System;
 use gsa_gds::figure2_tree;

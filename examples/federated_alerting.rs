@@ -7,7 +7,7 @@
 //! the stratum-1 primary and down to every leaf; each server filters the
 //! event against its locally stored profiles.
 //!
-//! Run with `cargo run -p gsa-examples --example federated_alerting`.
+//! Run with `cargo run -p gsa-integration --example federated_alerting`.
 
 use gsa_core::System;
 use gsa_gds::figure2_tree;

@@ -2,7 +2,7 @@
 //! between super- and sub-collection host delays notifications and
 //! deletions, but never corrupts.
 //!
-//! Run with `cargo run -p gsa-examples --example partition_healing`.
+//! Run with `cargo run -p gsa-integration --example partition_healing`.
 
 use gsa_core::System;
 use gsa_gds::figure2_tree;

@@ -4,7 +4,7 @@
 //! demonstrates the end-to-end flow: subscribe → collection rebuild →
 //! notification.
 //!
-//! Run with `cargo run -p gsa-examples --example quickstart`.
+//! Run with `cargo run -p gsa-integration --example quickstart`.
 
 use gsa_core::System;
 use gsa_gds::figure2_tree;

@@ -19,12 +19,20 @@
 //! And one boundary: a crash loses the server's transport, so what its
 //! first hop had not yet acknowledged is lost with it and nothing from
 //! before the crash is re-sent after it.
+//!
+//! And one rule: a restarted server is a new incarnation. Its summary
+//! versions and profile ids start above every one it issued before the
+//! crash, on volatile and durable servers alike, so its first
+//! announcement after the restart is taken and no pre-crash handle names
+//! a new profile; and a journal an older build wrote, with the
+//! high-water marks it kept then, still replays.
 
 use gsa_core::{AlertPolicyConfig, AlertState, ReliabilityConfig, System, WireConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_store::SourceDocument;
 use gsa_types::{ClientId, SimDuration, SimTime};
+use gsa_wire::binary::{crc32, write_varint};
 use gsa_workload::{
     run_scheme, FaultPlan, FaultPlanParams, GsWorld, Oracle, ProfileMix, ProfilePopulation,
     RebuildSchedule, RunConfig, Scheme, WorldParams,
@@ -412,4 +420,142 @@ fn every_single_byte_flip_recovers_a_subset_without_panicking() {
             assert_eq!(id.as_u64(), client.as_u64(), "byte {idx}: pairing preserved");
         }
     }
+}
+
+/// The Figure-2 world of the restart pins: Hamilton at gds-4, Waikato
+/// at gds-6, London at gds-2, pruning on, London volatile or durable,
+/// reliability off or on. London's first client subscribes to
+/// Hamilton's events and the world settles.
+fn restart_world(durable: bool, reliable: bool) -> (System, ClientId) {
+    let mut system = System::new(42);
+    system.set_pruning(true);
+    system.set_durability(durable);
+    if reliable {
+        system.set_reliability(ReliabilityConfig);
+    }
+    system.add_gds_topology(&figure2_tree());
+    system.add_server("Hamilton", "gds-4");
+    system.add_server("Waikato", "gds-6");
+    system.add_server("London", "gds-2");
+    system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
+    system.add_collection("Waikato", CollectionConfig::simple("W", "w"));
+    system.run_until_quiet(SimTime::from_secs(5));
+    let client = system.add_client("London");
+    system
+        .subscribe_text("London", client, r#"host = "Hamilton""#)
+        .unwrap();
+    system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+    (system, client)
+}
+
+/// Crashes London, restarts it and lets the world settle.
+fn bounce_london(system: &mut System) {
+    system.crash_server("London");
+    system.run_for(SimDuration::from_secs(2));
+    system.restart_server("London");
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+}
+
+#[test]
+fn a_restarted_server_hears_an_interest_subscribed_after_the_restart() {
+    // With pruning on, gds-2 keeps London's summary only when the
+    // offered version is above the one it holds. A restart that numbered
+    // its announcements from 0 again would be refused as stale, and the
+    // Waikato flood pruned away from London for good.
+    for durable in [false, true] {
+        for reliable in [false, true] {
+            let (mut system, _) = restart_world(durable, reliable);
+            bounce_london(&mut system);
+            let late = system.add_client("London");
+            system
+                .subscribe_text("London", late, r#"host = "Waikato""#)
+                .unwrap();
+            system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+            system
+                .rebuild("Waikato", "W", vec![SourceDocument::new("w1", "v1")])
+                .unwrap();
+            system.run_until_quiet(system.now() + SimDuration::from_secs(30));
+            assert_eq!(
+                system.take_notifications("London", late).len(),
+                1,
+                "durable: {durable}, reliable: {reliable}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_pre_crash_handle_never_names_a_new_profile() {
+    // A restart that numbered its profiles from 0 again would give the
+    // first client's handle to the second client's profile, and the first
+    // client's cancel would silence the second. A durable server gives the
+    // first client its own profile back, so the handle cancels that.
+    for durable in [false, true] {
+        for reliable in [false, true] {
+            let cell = format!("durable: {durable}, reliable: {reliable}");
+            let (mut system, first) = restart_world(durable, reliable);
+            let old = system.inspect_core("London", |c| {
+                c.subscriptions().profiles().next().map(|p| p.id())
+            });
+            bounce_london(&mut system);
+            let second = system.add_client("London");
+            system
+                .subscribe_text("London", second, r#"host = "Hamilton""#)
+                .unwrap();
+            assert_eq!(
+                system.unsubscribe("London", old.unwrap()),
+                durable,
+                "{cell}: the old handle names the recovered profile or none"
+            );
+            system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+            system
+                .rebuild("Hamilton", "D", vec![SourceDocument::new("d1", "v1")])
+                .unwrap();
+            system.run_until_quiet(system.now() + SimDuration::from_secs(30));
+            assert_eq!(system.take_notifications("London", second).len(), 1, "{cell}");
+            assert!(system.take_notifications("London", first).is_empty(), "{cell}");
+        }
+    }
+}
+
+/// A frame under a tag this build no longer writes: 3 held a summary
+/// version, 5 the profile-id high-water mark.
+fn retired_frame(tag: u8, key: u64) -> Vec<u8> {
+    let mut body = vec![tag];
+    write_varint(&mut body, key);
+    let mut frame = Vec::new();
+    write_varint(&mut frame, body.len() as u64);
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&crc32(&body).to_le_bytes());
+    frame
+}
+
+#[test]
+fn a_journal_with_retired_high_water_marks_still_replays() {
+    use gsa_state::{replay_journal, Medium, ReplayStop};
+    let mut system = durable_hamilton(24, 1);
+    let mut storage = system.storage_of("Hamilton").unwrap();
+    // Between two subscribes, what an older build journaled when it
+    // announced a summary and when it compacted.
+    storage.append_journal(&[retired_frame(3, 7), retired_frame(5, 1)].concat());
+    storage.sync_journal();
+    let late = system.add_client("Hamilton");
+    system
+        .subscribe_text("Hamilton", late, r#"host = "Hamilton""#)
+        .unwrap();
+    system.run_until_quiet(system.now() + SimDuration::from_secs(2));
+    let (applied, stop) = replay_journal(&storage.read_journal(), |_| {});
+    assert_eq!((applied, stop), (2, ReplayStop::Clean), "both subscribes, nothing else");
+
+    system.crash_server("Hamilton");
+    system.restart_server("Hamilton");
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+    let recovered = system.inspect_core("Hamilton", |c| c.subscriptions().len());
+    assert_eq!(recovered, 2);
+    assert_eq!(system.metrics().counter("state.journal_corrupt"), 0);
+    system
+        .rebuild("Hamilton", "D", vec![SourceDocument::new("d1", "v1")])
+        .unwrap();
+    system.run_until_quiet(system.now() + SimDuration::from_secs(5));
+    assert_eq!(system.take_notifications("Hamilton", late).len(), 1);
 }
