@@ -6,7 +6,10 @@
 //! 300 requested bytes and 1.1 heap blocks each (the one block is the
 //! expression's value string). Cancelling and re-subscribing the whole
 //! population reuses slots, slab rows and symbols: no table grows and the
-//! live bytes stay put. Counts from a counting allocator, not timings.
+//! live bytes stay put. And one subscribe — parsing its text included —
+//! costs a handful of allocator calls, at most 4 for a cold profile and
+//! 12 for the benchmark's two-literal shapes. Counts from a counting
+//! allocator, not timings.
 
 use gsa_core::SubscriptionManager;
 use gsa_profile::parse_profile;
@@ -15,7 +18,7 @@ use gsa_types::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 struct CountingAlloc;
@@ -24,30 +27,40 @@ thread_local! {
     /// Per thread: the test harness allocates on its own thread while a
     /// test runs, and only the measuring thread's allocations count.
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    /// Allocator calls made by this thread, tracked or not: tests
+    /// running side by side each count their own.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
-/// Requested bytes and blocks currently live, and allocator calls made.
+/// Requested bytes and blocks currently live.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
 
 fn tracking() -> bool {
     TRACKING.try_with(Cell::get).unwrap_or(false)
 }
 
+fn count_call() {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
         if tracking() {
             LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
             LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-            CALLS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
         if tracking() {
             LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-            CALLS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -139,11 +152,11 @@ fn a_cold_profile_costs_one_block_and_churn_ratchets_nothing() {
     // without touching the allocator.
     let miss = event_from("Hamilton");
     assert!(subs.match_event(&miss, SimTime::ZERO).is_empty());
-    let before = CALLS.load(Ordering::SeqCst);
+    let before = calls();
     for _ in 0..64 {
         assert!(subs.match_event(&miss, SimTime::ZERO).is_empty());
     }
-    assert_eq!(CALLS.load(Ordering::SeqCst) - before, 0);
+    assert_eq!(calls() - before, 0);
 
     drop(subs);
     drop(ids);
@@ -154,4 +167,60 @@ fn a_cold_profile_costs_one_block_and_churn_ratchets_nothing() {
         0,
         "the count is of live blocks"
     );
+}
+
+/// A profile text of each shape the benchmark subscribes, numbered so
+/// that its value is one no profile has named before.
+type Shape = (&'static str, fn(usize) -> String, u64);
+
+/// The benchmark's shapes (`million_cold`'s and `paper_match`'s), each
+/// with its ceiling on allocator calls for one parse plus one subscribe.
+const SHAPES: [Shape; 5] = [
+    ("cold", |i| format!(r#"host = "cold-0-{i}""#), 4),
+    (
+        "creator equality",
+        |i| format!(r#"collection = "Hamilton.D" AND dc.Creator = "w{i}""#),
+        12,
+    ),
+    (
+        "subject equality",
+        |i| format!(r#"collection = "Hamilton.D" AND dc.Subject = "w{i}""#),
+        12,
+    ),
+    (
+        "text query",
+        |i| format!(r#"collection = "Hamilton.D" AND text ? (w{i})"#),
+        12,
+    ),
+    (
+        "title wildcard",
+        |i| format!(r#"collection = "Hamilton.D" AND dc.Title ~ "*w{i}*""#),
+        12,
+    ),
+];
+
+#[test]
+fn a_subscribe_parses_and_indexes_in_a_few_allocations() {
+    const WARM: usize = 20_000;
+    let mut subs = SubscriptionManager::new();
+    for i in 0..WARM {
+        let (_, text, _) = SHAPES[i % SHAPES.len()];
+        let expr = parse_profile(&text(i)).unwrap();
+        subs.subscribe(ClientId::from_raw(i as u64), expr).unwrap();
+    }
+    let mut counts = Vec::new();
+    for (k, (name, text, ceiling)) in SHAPES.into_iter().enumerate() {
+        let text = text(WARM + k);
+        let before = calls();
+        let expr = parse_profile(&text).unwrap();
+        let parsed = calls();
+        subs.subscribe(ClientId::from_raw((WARM + k) as u64), expr)
+            .unwrap();
+        let (parse, subscribe) = (parsed - before, calls() - parsed);
+        counts.push(format!("{name}: {parse} + {subscribe}"));
+        assert!(
+            parse + subscribe <= ceiling,
+            "{name}: {parse} + {subscribe} allocator calls, ceiling {ceiling} (all: {counts:?})"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! property suite can cross-check three independent implementations).
 
 use crate::engine::FilterStats;
-use gsa_profile::{AttrValue, Literal, ProfileAttr, ProfileExpr};
+use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr};
 use gsa_types::{DocSummary, Event, ProfileId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -23,8 +23,9 @@ struct ConjEntry {
     profile: ProfileId,
     /// Bitmask with one bit per indexed predicate; candidate when all set.
     required: u64,
-    /// Literals verified only on candidates.
-    residual: Vec<Literal>,
+    /// Literals verified only on candidates: a predicate and whether it
+    /// must hold (`true`) or fail.
+    residual: Vec<(Predicate, bool)>,
 }
 
 /// The string-keyed, allocation-per-event baseline engine.
@@ -114,7 +115,7 @@ impl BaselineEngine {
                     }
                     bit += 1;
                 } else {
-                    residual.push(lit);
+                    residual.push((lit.predicate.clone(), lit.positive));
                 }
             }
             if required == 0 {
@@ -131,7 +132,7 @@ impl BaselineEngine {
         Ok(())
     }
 
-    fn indexable(lit: &Literal) -> bool {
+    fn indexable(lit: &Literal<'_>) -> bool {
         if !lit.positive {
             return false;
         }
@@ -218,7 +219,8 @@ impl BaselineEngine {
             if out.contains(&entry.profile) {
                 return;
             }
-            if entry.residual.iter().all(|l| l.matches(event, doc)) {
+            let holds = |(p, positive): &(Predicate, bool)| p.matches(event, doc) == *positive;
+            if entry.residual.iter().all(holds) {
                 out.insert(entry.profile);
             }
         };

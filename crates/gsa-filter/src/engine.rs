@@ -129,22 +129,30 @@ enum Lit {
     /// so the excerpt is tokenized once per (event, document) context no
     /// matter how many profiles carry filter queries.
     TextQuery { query: Query, positive: bool },
-    /// Anything else, evaluated through the generic literal path.
-    General(Box<Literal>),
+    /// Anything else, evaluated through the generic predicate path.
+    General {
+        predicate: Box<Predicate>,
+        positive: bool,
+    },
 }
 
 impl Lit {
-    fn residual(lit: Literal) -> Lit {
-        match lit {
-            Literal {
-                predicate:
-                    Predicate {
-                        attr: ProfileAttr::Text,
-                        value: AttrValue::Matches(query),
-                    },
+    /// The residual `lit` compiles to: the one place a literal's
+    /// predicate is copied out of the profile expression.
+    fn residual(lit: &Literal<'_>) -> Lit {
+        let positive = lit.positive;
+        match lit.predicate {
+            Predicate {
+                attr: ProfileAttr::Text,
+                value: AttrValue::Matches(query),
+            } => Lit::TextQuery {
+                query: query.clone(),
                 positive,
-            } => Lit::TextQuery { query, positive },
-            other => Lit::General(Box::new(other)),
+            },
+            predicate => Lit::General {
+                predicate: Box::new(predicate.clone()),
+                positive,
+            },
         }
     }
 
@@ -160,7 +168,10 @@ impl Lit {
             Lit::TextQuery { query, positive } => {
                 doc.is_some_and(|d| query.matches_tokens(tokens.get(&d.excerpt))) == *positive
             }
-            Lit::General(lit) => lit.matches(event, doc),
+            Lit::General {
+                predicate,
+                positive,
+            } => predicate.matches(event, doc) == *positive,
         }
     }
 }
@@ -169,7 +180,7 @@ impl Lit {
 /// a context's pair set can decide. Equality on the excerpt text is never
 /// what a profile means and text is not enumerated as a pair; such
 /// predicates are evaluated like any other residual.
-pub(crate) fn is_equality(lit: &Literal) -> bool {
+pub(crate) fn is_equality(lit: &Literal<'_>) -> bool {
     lit.positive
         && lit.predicate.attr != ProfileAttr::Text
         && matches!(
@@ -545,41 +556,55 @@ impl FilterEngine {
         expr: &ProfileExpr,
     ) -> Result<(), gsa_profile::DnfError> {
         let dnf = gsa_profile::dnf::to_dnf(expr)?;
-        self.remove(id);
-        let pslot = self.free_pslots.pop().unwrap_or_else(|| {
-            u32::try_from(self.slots.len()).expect("profile slot overflow")
-        });
-        let mut conj_ids = Vec::with_capacity(dnf.len());
-        for conj in dnf {
-            let ci = match self.free_conjs.pop() {
-                Some(ci) => ci,
-                None => {
-                    let ci = u32::try_from(self.conjs.len()).expect("conjunction id overflow");
-                    self.conjs.push(None);
-                    ci
-                }
-            };
-            let (access, lits) = self.compile(conj.literals);
-            let entry = ConjEntry {
-                pslot,
-                access,
-                lits,
-            };
-            self.link(ci, &entry, true);
-            self.conjs[ci as usize] = Some(entry);
-            conj_ids.push(ci);
-        }
-        let conjs = match conj_ids[..] {
-            [ci] => Conjs::One(ci),
-            _ => Conjs::Many(conj_ids.into_boxed_slice()),
+        // A re-inserted id keeps its slot: its conjunctions are unlinked
+        // and their rows freed, as removing it would, and the new ones
+        // take those rows back.
+        let pslot = match self.by_profile.entry(id) {
+            Entry::Occupied(held) => {
+                let pslot = *held.get();
+                self.release_conjs(pslot);
+                pslot
+            }
+            Entry::Vacant(free) => *free.insert(self.free_pslots.pop().unwrap_or_else(|| {
+                u32::try_from(self.slots.len()).expect("profile slot overflow")
+            })),
+        };
+        let conjs = match &dnf[..] {
+            [conj] => Conjs::One(self.insert_conj(pslot, &conj.literals)),
+            _ => Conjs::Many(
+                dnf.iter()
+                    .map(|conj| self.insert_conj(pslot, &conj.literals))
+                    .collect(),
+            ),
         };
         let slot = ProfileSlot { id, conjs };
         match self.slots.get_mut(pslot as usize) {
             Some(freed) => *freed = slot,
             None => self.slots.push(slot),
         }
-        self.by_profile.insert(id, pslot);
         Ok(())
+    }
+
+    /// Compiles, links and stores one conjunction of the profile in row
+    /// `pslot`, and returns its id.
+    fn insert_conj(&mut self, pslot: u32, literals: &[Literal<'_>]) -> u32 {
+        let ci = match self.free_conjs.pop() {
+            Some(ci) => ci,
+            None => {
+                let ci = u32::try_from(self.conjs.len()).expect("conjunction id overflow");
+                self.conjs.push(None);
+                ci
+            }
+        };
+        let (access, lits) = self.compile(literals);
+        let entry = ConjEntry {
+            pslot,
+            access,
+            lits,
+        };
+        self.link(ci, &entry, true);
+        self.conjs[ci as usize] = Some(entry);
+        ci
     }
 
     /// Chooses a conjunction's access key and lays out what is left to
@@ -590,7 +615,7 @@ impl FilterEngine {
     /// list is walked again for every document of an event), then the
     /// earliest literal. A literal its key decides (module docs) is not
     /// verified.
-    fn compile(&mut self, mut literals: Vec<Literal>) -> (Access, Box<[Lit]>) {
+    fn compile(&mut self, literals: &[Literal<'_>]) -> (Access, Box<[Lit]>) {
         let mut best: Option<(usize, Access, (usize, bool))> = None;
         for (i, lit) in literals.iter().enumerate() {
             if let Some((access, cost)) = self.candidate(lit) {
@@ -600,25 +625,29 @@ impl FilterEngine {
                 }
             }
         }
-        let access = match best {
+        let (access, decided) = match best {
             Some((i, access, _)) => {
                 let value = &literals[i].predicate.value;
-                if matches!(
+                let decided = matches!(
                     (&access, value),
                     (Access::Eq(_), _) | (Access::Token(_), AttrValue::Matches(Query::Term(_)))
-                ) {
-                    literals.remove(i);
-                }
-                access
+                );
+                (access, decided.then_some(i))
             }
-            None => Access::Scan,
+            None => (Access::Scan, None),
         };
-        let mut lits = Vec::with_capacity(literals.len());
-        for lit in literals.iter().filter(|lit| is_equality(lit)) {
-            lits.push(Lit::Eq(self.intern_equality(&lit.predicate)));
+        let kept = || {
+            literals
+                .iter()
+                .enumerate()
+                .filter(move |&(i, _)| Some(i) != decided)
+                .map(|(_, lit)| lit)
+        };
+        let mut lits = Vec::with_capacity(literals.len() - usize::from(decided.is_some()));
+        for lit in kept().filter(|lit| is_equality(lit)) {
+            lits.push(Lit::Eq(self.intern_equality(lit.predicate)));
         }
-        let residual = literals.into_iter().filter(|lit| !is_equality(lit));
-        lits.extend(residual.map(Lit::residual));
+        lits.extend(kept().filter(|lit| !is_equality(lit)).map(Lit::residual));
         (access, lits.into_boxed_slice())
     }
 
@@ -626,9 +655,9 @@ impl FilterEngine {
     /// of the posting lists the conjunction would join, plus
     /// [`DERIVED_KEY_HANDICAP`] for a token or gram key. Interns what it
     /// looks at; a losing candidate leaves symbols behind, never postings.
-    fn candidate(&mut self, lit: &Literal) -> Option<(Access, usize)> {
+    fn candidate(&mut self, lit: &Literal<'_>) -> Option<(Access, usize)> {
         if is_equality(lit) {
-            let eq = self.intern_equality(&lit.predicate);
+            let eq = self.intern_equality(lit.predicate);
             let mut cost = 0;
             eq.each_key(|key| cost += self.index.list(key).len());
             return Some((Access::Eq(eq), cost));
@@ -756,6 +785,13 @@ impl FilterEngine {
         let Some(pslot) = self.by_profile.remove(&id) else {
             return false;
         };
+        self.release_conjs(pslot);
+        self.free_pslots.push(pslot);
+        true
+    }
+
+    /// Unlinks the conjunctions of row `pslot` and frees their rows.
+    fn release_conjs(&mut self, pslot: u32) {
         let freed = Conjs::Many(Box::default());
         let conjs = std::mem::replace(&mut self.slots[pslot as usize].conjs, freed);
         for &ci in conjs.as_slice() {
@@ -765,8 +801,6 @@ impl FilterEngine {
             self.link(ci, &conj, false);
             self.free_conjs.push(ci);
         }
-        self.free_pslots.push(pslot);
-        true
     }
 
     /// Appends `(attr, value)` when some profile mentions `value`; a
@@ -1033,7 +1067,7 @@ impl FilterEngine {
         let equalities_hold = |&ci: &u32| {
             self.conj(ci).lits.iter().all(|lit| match lit {
                 Lit::Eq(eq) => eq.holds(pairs),
-                Lit::TextQuery { .. } | Lit::General(_) => true,
+                Lit::TextQuery { .. } | Lit::General { .. } => true,
             })
         };
         pairs.iter().any(|&key| {

@@ -107,9 +107,14 @@ pub struct Wildcard {
 impl Wildcard {
     /// Creates a pattern. `*` is the only metacharacter.
     pub fn new(pattern: impl Into<String>) -> Self {
-        Wildcard {
-            pattern: pattern.into().to_lowercase(),
+        let mut pattern = pattern.into();
+        // ASCII lowercases in place, as `to_lowercase` would.
+        if pattern.is_ascii() {
+            pattern.make_ascii_lowercase();
+        } else {
+            pattern = pattern.to_lowercase();
         }
+        Wildcard { pattern }
     }
 
     /// The (lowercased) pattern text.
@@ -252,21 +257,37 @@ impl AttrValue {
     }
 }
 
+/// A value as the profile syntax quotes it: between double quotes, with
+/// a backslash before each `"` and `\\`, which the lexer reads back.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("\"")?;
+        let mut rest = self.0;
+        while let Some(at) = rest.find(['"', '\\']) {
+            write!(f, "{}\\{}", &rest[..at], &rest[at..=at])?;
+            rest = &rest[at + 1..];
+        }
+        write!(f, "{rest}\"")
+    }
+}
+
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AttrValue::Equals(v) => write!(f, "= \"{v}\""),
+            AttrValue::Equals(v) => write!(f, "= {}", Quoted(v)),
             AttrValue::OneOf(vs) => {
                 write!(f, "in [")?;
                 for (i, v) in vs.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "\"{v}\"")?;
+                    write!(f, "{}", Quoted(v))?;
                 }
                 write!(f, "]")
             }
-            AttrValue::Like(w) => write!(f, "~ \"{w}\""),
+            AttrValue::Like(w) => write!(f, "~ {}", Quoted(w.as_str())),
             AttrValue::Matches(q) => write!(f, "? ({q})"),
         }
     }

@@ -16,23 +16,23 @@ use std::fmt;
 /// DNF can blow up exponentially on adversarial input.
 pub const MAX_CONJUNCTIONS: usize = 4096;
 
-/// A possibly-negated predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Literal {
+/// A possibly-negated predicate of the expression it was normalized from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Literal<'a> {
     /// The predicate.
-    pub predicate: Predicate,
+    pub predicate: &'a Predicate,
     /// `true` for a plain predicate, `false` for a negated one.
     pub positive: bool,
 }
 
-impl Literal {
+impl Literal<'_> {
     /// Evaluates the literal in an (event, document) context.
     pub fn matches(&self, event: &Event, doc: Option<&DocSummary>) -> bool {
         self.predicate.matches(event, doc) == self.positive
     }
 }
 
-impl fmt::Display for Literal {
+impl fmt::Display for Literal<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.positive {
             write!(f, "{}", self.predicate)
@@ -44,19 +44,19 @@ impl fmt::Display for Literal {
 
 /// One conjunction of a DNF profile.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Conjunction {
+pub struct Conjunction<'a> {
     /// The literals, all of which must hold.
-    pub literals: Vec<Literal>,
+    pub literals: Vec<Literal<'a>>,
 }
 
-impl Conjunction {
+impl Conjunction<'_> {
     /// Evaluates the conjunction in an (event, document) context.
     pub fn matches(&self, event: &Event, doc: Option<&DocSummary>) -> bool {
         self.literals.iter().all(|l| l.matches(event, doc))
     }
 }
 
-impl fmt::Display for Conjunction {
+impl fmt::Display for Conjunction<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.literals.is_empty() {
             return write!(f, "TRUE");
@@ -95,85 +95,95 @@ impl fmt::Display for DnfError {
 
 impl Error for DnfError {}
 
-/// Converts an expression to DNF.
+/// Converts an expression to DNF. The literals borrow the expression's
+/// predicates; nothing of the expression is copied.
+///
+/// Negations are pushed to the leaves on the way down, and an `AND`
+/// multiplies the conjunctions of its children in order: each of the
+/// product's conjunctions is a left one's literals followed by a right
+/// one's, grouped by the left.
 ///
 /// # Errors
 ///
 /// Returns [`DnfError::TooLarge`] when the expansion exceeds
 /// [`MAX_CONJUNCTIONS`].
-pub fn to_dnf(expr: &ProfileExpr) -> Result<Vec<Conjunction>, DnfError> {
-    let nnf = push_negations(expr, false);
-    distribute(&nnf)
+pub fn to_dnf(expr: &ProfileExpr) -> Result<Vec<Conjunction<'_>>, DnfError> {
+    distribute(expr, false)
 }
 
-/// Negation-normal form node (negations only at leaves).
-enum Nnf {
-    Lit(Literal),
-    And(Vec<Nnf>),
-    Or(Vec<Nnf>),
+/// `expr` under `negate` with its leading `NOT`s taken into `negate`.
+fn peel(mut expr: &ProfileExpr, mut negate: bool) -> (&ProfileExpr, bool) {
+    while let ProfileExpr::Not(inner) = expr {
+        (expr, negate) = (inner, !negate);
+    }
+    (expr, negate)
 }
 
-fn push_negations(expr: &ProfileExpr, negate: bool) -> Nnf {
-    match expr {
-        ProfileExpr::Pred(p) => Nnf::Lit(Literal {
-            predicate: p.clone(),
+/// The literal `expr` is under `negate`, when it is a predicate behind
+/// any number of `NOT`s.
+fn literal(expr: &ProfileExpr, negate: bool) -> Option<Literal<'_>> {
+    match peel(expr, negate) {
+        (ProfileExpr::Pred(predicate), negate) => Some(Literal {
+            predicate,
             positive: !negate,
         }),
-        ProfileExpr::Not(e) => push_negations(e, !negate),
-        ProfileExpr::And(es) => {
-            let children = es.iter().map(|e| push_negations(e, negate)).collect();
-            if negate {
-                Nnf::Or(children)
-            } else {
-                Nnf::And(children)
-            }
-        }
-        ProfileExpr::Or(es) => {
-            let children = es.iter().map(|e| push_negations(e, negate)).collect();
-            if negate {
-                Nnf::And(children)
-            } else {
-                Nnf::Or(children)
-            }
-        }
+        _ => None,
     }
 }
 
-fn distribute(nnf: &Nnf) -> Result<Vec<Conjunction>, DnfError> {
-    match nnf {
-        Nnf::Lit(l) => Ok(vec![Conjunction {
-            literals: vec![l.clone()],
-        }]),
-        Nnf::Or(children) => {
-            let mut out = Vec::new();
-            for c in children {
-                out.extend(distribute(c)?);
-                if out.len() > MAX_CONJUNCTIONS {
-                    return Err(DnfError::TooLarge { reached: out.len() });
-                }
-            }
-            Ok(out)
-        }
-        Nnf::And(children) => {
-            let mut acc: Vec<Conjunction> = vec![Conjunction::default()];
-            for c in children {
-                let rhs = distribute(c)?;
-                let mut next = Vec::with_capacity(acc.len() * rhs.len());
-                for a in &acc {
-                    for b in &rhs {
-                        let mut lits = a.literals.clone();
-                        lits.extend(b.literals.iter().cloned());
-                        next.push(Conjunction { literals: lits });
-                        if next.len() > MAX_CONJUNCTIONS {
-                            return Err(DnfError::TooLarge { reached: next.len() });
-                        }
-                    }
-                }
-                acc = next;
-            }
-            Ok(acc)
-        }
+fn distribute(expr: &ProfileExpr, negate: bool) -> Result<Vec<Conjunction<'_>>, DnfError> {
+    if let Some(lit) = literal(expr, negate) {
+        let literals = vec![lit];
+        return Ok(vec![Conjunction { literals }]);
     }
+    let (children, product, negate) = match peel(expr, negate) {
+        // De Morgan: under a negation an AND is a sum, an OR a product.
+        (ProfileExpr::And(es), negate) => (es, !negate, negate),
+        (ProfileExpr::Or(es), negate) => (es, negate, negate),
+        _ => unreachable!("literal() took the predicates, peel() the NOTs"),
+    };
+    if !product {
+        let mut out = Vec::new();
+        for c in children {
+            out.extend(distribute(c, negate)?);
+            if out.len() > MAX_CONJUNCTIONS {
+                return Err(DnfError::TooLarge { reached: out.len() });
+            }
+        }
+        return Ok(out);
+    }
+    let mut acc: Vec<Conjunction<'_>> = vec![Conjunction::default()];
+    for c in children {
+        // A literal, or a child of one conjunction, extends every
+        // conjunction in place: the product has as many as `acc`, which
+        // is within the cap.
+        if let Some(lit) = literal(c, negate) {
+            acc.iter_mut().for_each(|a| a.literals.push(lit));
+            continue;
+        }
+        let rhs = distribute(c, negate)?;
+        if let [b] = &rhs[..] {
+            acc.iter_mut()
+                .for_each(|a| a.literals.extend_from_slice(&b.literals));
+            continue;
+        }
+        let mut next = Vec::with_capacity((acc.len() * rhs.len()).min(MAX_CONJUNCTIONS + 1));
+        for a in &acc {
+            for b in &rhs {
+                let mut literals = Vec::with_capacity(a.literals.len() + b.literals.len());
+                literals.extend_from_slice(&a.literals);
+                literals.extend_from_slice(&b.literals);
+                next.push(Conjunction { literals });
+                if next.len() > MAX_CONJUNCTIONS {
+                    return Err(DnfError::TooLarge {
+                        reached: next.len(),
+                    });
+                }
+            }
+        }
+        acc = next;
+    }
+    Ok(acc)
 }
 
 #[cfg(test)]
@@ -181,6 +191,7 @@ mod tests {
     use super::*;
     use crate::attr::ProfileAttr;
     use gsa_types::{CollectionId, DocSummary, EventId, EventKind, SimTime};
+    use proptest::prelude::*;
 
     fn p(name: &str, value: &str) -> ProfileExpr {
         Predicate::equals(ProfileAttr::Meta(name.into()), value).into()
@@ -290,9 +301,8 @@ mod tests {
     #[test]
     fn blowup_is_capped() {
         // (a1 OR b1) AND (a2 OR b2) AND ... expands to 2^n conjunctions.
-        let clause = |i: usize| {
-            ProfileExpr::Or(vec![p(&format!("a{i}"), "1"), p(&format!("b{i}"), "1")])
-        };
+        let clause =
+            |i: usize| ProfileExpr::Or(vec![p(&format!("a{i}"), "1"), p(&format!("b{i}"), "1")]);
         let expr = ProfileExpr::And((0..13).map(clause).collect());
         let err = to_dnf(&expr).unwrap_err();
         assert!(matches!(err, DnfError::TooLarge { .. }));
@@ -305,5 +315,130 @@ mod tests {
         let dnf = to_dnf(&expr).unwrap();
         assert_eq!(dnf[0].to_string(), "a = \"1\" AND NOT b = \"1\"");
         assert_eq!(Conjunction::default().to_string(), "TRUE");
+    }
+
+    /// Expressions wide enough to reach the cap: products of sums of
+    /// literals, some negated whole, some summed.
+    fn arb_wide() -> impl Strategy<Value = ProfileExpr> {
+        let lit = (0..6usize, 0..2usize).prop_map(|(i, negated)| {
+            let e = p(&format!("k{i}"), "1");
+            if negated == 0 {
+                e
+            } else {
+                ProfileExpr::Not(Box::new(e))
+            }
+        });
+        let sum = prop::collection::vec(lit, 1..4).prop_map(ProfileExpr::Or);
+        let product = prop::collection::vec(sum, 1..15).prop_map(ProfileExpr::And);
+        let negated = product.clone().prop_map(|e| ProfileExpr::Not(Box::new(e)));
+        let summed = prop::collection::vec(product.clone(), 1..4).prop_map(ProfileExpr::Or);
+        prop_oneof![product, negated, summed]
+    }
+
+    /// The borrowed DNF as owned pairs, for comparing with the reference.
+    fn owned(dnf: &[Conjunction<'_>]) -> Vec<Vec<(Predicate, bool)>> {
+        let owned = |l: &Literal<'_>| (l.predicate.clone(), l.positive);
+        dnf.iter()
+            .map(|c| c.literals.iter().map(owned).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The borrowed DNF has the reference's conjunctions in its order,
+        /// each with its literals in order, and fails where it fails with
+        /// the same count reached.
+        #[test]
+        fn borrowed_dnf_equals_the_owned_reference(
+            e in prop_oneof![crate::parse::tests::arb_expr(), arb_wide()]
+        ) {
+            let got = to_dnf(&e).map(|dnf| owned(&dnf));
+            let want = reference::to_dnf(&e);
+            prop_assert!(got == want, "{e}: {got:?} != {want:?}");
+        }
+    }
+}
+
+/// The first DNF conversion, which copied each predicate into owned
+/// literals: the reference [`to_dnf`] must agree with, conjunctions as
+/// `(predicate, positive)` lists.
+#[cfg(test)]
+mod reference {
+    use super::{DnfError, MAX_CONJUNCTIONS};
+    use crate::attr::Predicate;
+    use crate::expr::ProfileExpr;
+
+    type Conjunction = Vec<(Predicate, bool)>;
+
+    pub(super) fn to_dnf(expr: &ProfileExpr) -> Result<Vec<Conjunction>, DnfError> {
+        let nnf = push_negations(expr, false);
+        distribute(&nnf)
+    }
+
+    enum Nnf {
+        Lit(Predicate, bool),
+        And(Vec<Nnf>),
+        Or(Vec<Nnf>),
+    }
+
+    fn push_negations(expr: &ProfileExpr, negate: bool) -> Nnf {
+        match expr {
+            ProfileExpr::Pred(p) => Nnf::Lit(p.clone(), !negate),
+            ProfileExpr::Not(e) => push_negations(e, !negate),
+            ProfileExpr::And(es) => {
+                let children = es.iter().map(|e| push_negations(e, negate)).collect();
+                if negate {
+                    Nnf::Or(children)
+                } else {
+                    Nnf::And(children)
+                }
+            }
+            ProfileExpr::Or(es) => {
+                let children = es.iter().map(|e| push_negations(e, negate)).collect();
+                if negate {
+                    Nnf::And(children)
+                } else {
+                    Nnf::Or(children)
+                }
+            }
+        }
+    }
+
+    fn distribute(nnf: &Nnf) -> Result<Vec<Conjunction>, DnfError> {
+        match nnf {
+            Nnf::Lit(p, positive) => Ok(vec![vec![(p.clone(), *positive)]]),
+            Nnf::Or(children) => {
+                let mut out = Vec::new();
+                for c in children {
+                    out.extend(distribute(c)?);
+                    if out.len() > MAX_CONJUNCTIONS {
+                        return Err(DnfError::TooLarge { reached: out.len() });
+                    }
+                }
+                Ok(out)
+            }
+            Nnf::And(children) => {
+                let mut acc: Vec<Conjunction> = vec![Vec::new()];
+                for c in children {
+                    let rhs = distribute(c)?;
+                    let mut next = Vec::with_capacity(acc.len() * rhs.len());
+                    for a in &acc {
+                        for b in &rhs {
+                            let mut lits = a.clone();
+                            lits.extend(b.iter().cloned());
+                            next.push(lits);
+                            if next.len() > MAX_CONJUNCTIONS {
+                                return Err(DnfError::TooLarge {
+                                    reached: next.len(),
+                                });
+                            }
+                        }
+                    }
+                    acc = next;
+                }
+                Ok(acc)
+            }
+        }
     }
 }

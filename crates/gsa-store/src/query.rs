@@ -66,10 +66,12 @@ impl Query {
     /// Returns [`ParseQueryError`] on empty input, unbalanced parentheses
     /// or dangling operators.
     pub fn parse(input: &str) -> Result<Query, ParseQueryError> {
-        let tokens = lex(input);
-        let mut parser = QueryParser { tokens, pos: 0 };
+        let mut parser = QueryParser {
+            lexer: Lexer { input, at: 0 },
+            peeked: None,
+        };
         let q = parser.parse_or()?;
-        if parser.pos != parser.tokens.len() {
+        if parser.peek().is_some() {
             return Err(ParseQueryError::new("unexpected trailing input"));
         }
         Ok(q)
@@ -163,9 +165,11 @@ impl fmt::Display for ParseQueryError {
 
 impl Error for ParseQueryError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Word(String, bool), // token, is_prefix
+/// A token of the query syntax, borrowing the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    /// A word as written, and whether a `*` follows it.
+    Word(&'a str, bool),
     And,
     Or,
     Not,
@@ -173,112 +177,126 @@ enum Tok {
     Close,
 }
 
-fn lex(input: &str) -> Vec<Tok> {
-    let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c == '(' {
-            tokens.push(Tok::Open);
-            chars.next();
-        } else if c == ')' {
-            tokens.push(Tok::Close);
-            chars.next();
-        } else if c.is_alphanumeric() {
-            let mut word = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_alphanumeric() {
-                    for lc in c.to_lowercase() {
-                        word.push(lc);
-                    }
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            let is_prefix = chars.peek() == Some(&'*');
-            if is_prefix {
-                chars.next();
-            }
-            match (word.as_str(), is_prefix) {
-                ("and", false) => tokens.push(Tok::And),
-                ("or", false) => tokens.push(Tok::Or),
-                ("not", false) => tokens.push(Tok::Not),
-                _ => tokens.push(Tok::Word(word, is_prefix)),
-            }
-        } else {
-            chars.next();
+/// Cuts the input into tokens on demand. Anything but a parenthesis or
+/// an alphanumeric run separates tokens.
+struct Lexer<'a> {
+    input: &'a str,
+    at: usize,
+}
+
+impl<'a> Lexer<'a> {
+    fn next_token(&mut self) -> Option<Tok<'a>> {
+        let input = self.input;
+        let found = input[self.at..]
+            .char_indices()
+            .find(|&(_, c)| c == '(' || c == ')' || c.is_alphanumeric());
+        let Some((skipped, c)) = found else {
+            self.at = input.len();
+            return None;
+        };
+        let start = self.at + skipped;
+        if c == '(' || c == ')' {
+            self.at = start + 1;
+            return Some(if c == '(' { Tok::Open } else { Tok::Close });
         }
+        let end = input[start..]
+            .find(|c: char| !c.is_alphanumeric())
+            .map_or(input.len(), |len| start + len);
+        let is_prefix = input[end..].starts_with('*');
+        self.at = end + usize::from(is_prefix);
+        let word = &input[start..end];
+        // Only ASCII letters lowercase to the ASCII letters of a keyword.
+        let keyword = [("and", Tok::And), ("or", Tok::Or), ("not", Tok::Not)]
+            .into_iter()
+            .find(|(keyword, _)| !is_prefix && word.eq_ignore_ascii_case(keyword));
+        Some(keyword.map_or(Tok::Word(word, is_prefix), |(_, token)| token))
     }
-    tokens
 }
 
-struct QueryParser {
-    tokens: Vec<Tok>,
-    pos: usize,
+/// A word as the query stores it: lowercased character by character.
+fn fold(word: &str) -> String {
+    if word.is_ascii() {
+        return word.to_ascii_lowercase();
+    }
+    let mut out = String::with_capacity(word.len());
+    out.extend(word.chars().flat_map(char::to_lowercase));
+    out
 }
 
-impl QueryParser {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos)
+struct QueryParser<'a> {
+    lexer: Lexer<'a>,
+    peeked: Option<Tok<'a>>,
+}
+
+impl<'a> QueryParser<'a> {
+    fn peek(&mut self) -> Option<Tok<'a>> {
+        if self.peeked.is_none() {
+            self.peeked = self.lexer.next_token();
+        }
+        self.peeked
+    }
+
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let token = self.peek();
+        self.peeked = None;
+        token
     }
 
     fn parse_or(&mut self) -> Result<Query, ParseQueryError> {
-        let mut parts = vec![self.parse_and()?];
-        while self.peek() == Some(&Tok::Or) {
-            self.pos += 1;
+        let first = self.parse_and()?;
+        if self.peek() != Some(Tok::Or) {
+            return Ok(first);
+        }
+        // Two parts are the most common: room for them is one allocation.
+        let mut parts = Vec::with_capacity(2);
+        parts.push(first);
+        while self.peek() == Some(Tok::Or) {
+            self.peeked = None;
             parts.push(self.parse_and()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
-        } else {
-            Query::Or(parts)
-        })
+        Ok(Query::Or(parts))
+    }
+
+    /// Whether the next token continues a conjunction, taking an `AND`.
+    fn and_follows(&mut self) -> bool {
+        match self.peek() {
+            Some(Tok::And) => {
+                self.peeked = None;
+                true
+            }
+            Some(Tok::Word(..) | Tok::Not | Tok::Open) => true,
+            _ => false,
+        }
     }
 
     fn parse_and(&mut self) -> Result<Query, ParseQueryError> {
-        let mut parts = vec![self.parse_unary()?];
+        let first = self.parse_unary()?;
+        if !self.and_follows() {
+            return Ok(first);
+        }
+        // Two parts are the most common: room for them is one allocation.
+        let mut parts = Vec::with_capacity(2);
+        parts.push(first);
         loop {
-            match self.peek() {
-                Some(Tok::And) => {
-                    self.pos += 1;
-                    parts.push(self.parse_unary()?);
-                }
-                Some(Tok::Word(..)) | Some(Tok::Not) | Some(Tok::Open) => {
-                    parts.push(self.parse_unary()?);
-                }
-                _ => break,
+            parts.push(self.parse_unary()?);
+            if !self.and_follows() {
+                return Ok(Query::And(parts));
             }
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
-        } else {
-            Query::And(parts)
-        })
     }
 
     fn parse_unary(&mut self) -> Result<Query, ParseQueryError> {
-        match self.peek().cloned() {
-            Some(Tok::Not) => {
-                self.pos += 1;
-                Ok(Query::Not(Box::new(self.parse_unary()?)))
-            }
+        match self.next() {
+            Some(Tok::Not) => Ok(Query::Not(Box::new(self.parse_unary()?))),
             Some(Tok::Open) => {
-                self.pos += 1;
                 let q = self.parse_or()?;
-                if self.peek() != Some(&Tok::Close) {
+                if self.next() != Some(Tok::Close) {
                     return Err(ParseQueryError::new("missing closing parenthesis"));
                 }
-                self.pos += 1;
                 Ok(q)
             }
-            Some(Tok::Word(w, is_prefix)) => {
-                self.pos += 1;
-                Ok(if is_prefix {
-                    Query::Prefix(w)
-                } else {
-                    Query::Term(w)
-                })
-            }
+            Some(Tok::Word(w, true)) => Ok(Query::Prefix(fold(w))),
+            Some(Tok::Word(w, false)) => Ok(Query::Term(fold(w))),
             Some(tok) => Err(ParseQueryError::new(format!("unexpected token {tok:?}"))),
             None => Err(ParseQueryError::new("empty query")),
         }
@@ -288,6 +306,7 @@ impl QueryParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_single_term() {
@@ -363,7 +382,11 @@ mod tests {
         let q = Query::parse("libr*").unwrap();
         assert!(q.matches_text("digital libraries"));
         assert!(q.matches_text("a library"));
-        assert!(!q.matches_text("librarian-free zone".replace("librarian", "bookish").as_str()));
+        assert!(!q.matches_text(
+            "librarian-free zone"
+                .replace("librarian", "bookish")
+                .as_str()
+        ));
     }
 
     #[test]
@@ -403,7 +426,217 @@ mod tests {
 
     #[test]
     fn keywords_are_case_insensitive() {
-        assert_eq!(Query::parse("a and b").unwrap(), Query::parse("a AND b").unwrap());
-        assert_eq!(Query::parse("not a").unwrap(), Query::parse("NOT a").unwrap());
+        assert_eq!(
+            Query::parse("a and b").unwrap(),
+            Query::parse("a AND b").unwrap()
+        );
+        assert_eq!(
+            Query::parse("not a").unwrap(),
+            Query::parse("NOT a").unwrap()
+        );
+    }
+
+    #[test]
+    fn malformed_queries_keep_their_messages() {
+        let table = [
+            ("", "invalid query: empty query"),
+            ("  *, ", "invalid query: empty query"),
+            ("(a", "invalid query: missing closing parenthesis"),
+            ("(a b", "invalid query: missing closing parenthesis"),
+            ("a )", "invalid query: unexpected trailing input"),
+            ("AND", "invalid query: unexpected token And"),
+            ("a OR or", "invalid query: unexpected token Or"),
+            ("NOT", "invalid query: empty query"),
+            ("a AND )", "invalid query: unexpected token Close"),
+            ("()", "invalid query: unexpected token Close"),
+        ];
+        for (text, message) in table {
+            let err = Query::parse(text).unwrap_err();
+            assert_eq!(err.to_string(), message, "{text:?}");
+            assert_eq!(
+                reference::parse(text).unwrap_err().to_string(),
+                message,
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn words_fold_character_by_character() {
+        // `char::to_lowercase`, not `str::to_lowercase`: a final sigma
+        // stays σ, and İ and the Kelvin sign fold as they do alone.
+        assert_eq!(Query::parse("ΑΣ").unwrap(), Query::Term("ασ".into()));
+        assert_eq!(Query::parse("İx").unwrap(), Query::Term("i\u{307}x".into()));
+        assert_eq!(
+            Query::parse("\u{212a}*").unwrap(),
+            Query::Prefix("k".into())
+        );
+        assert_eq!(Query::parse("and*").unwrap(), Query::Prefix("and".into()));
+    }
+
+    const FRAGMENTS: &[&str] = &[
+        "a", "Fox", "libr", "and", "AND", "Or", "not", "NOT", "(", ")", "*", " ", "-", "ΑΣ", "İ",
+        "\u{212a}", "ß", "x1", "and*", "é", "\t",
+    ];
+
+    /// Query-like texts: fragments of the syntax in any order, and
+    /// arbitrary strings over its characters and some awkward ones.
+    fn arb_query_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            prop::collection::vec(prop::sample::select(FRAGMENTS), 0..12)
+                .prop_map(|parts| parts.concat()),
+            "[a-zA-Z0-9 ()*_.,\"\\\\ΣσİßéÅ\u{212a}\t-]{0,24}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The borrowing parser gives the reference's query, or its
+        /// error message, on any text.
+        #[test]
+        fn parse_agrees_with_the_reference(text in arb_query_text()) {
+            let (got, want) = (Query::parse(&text), reference::parse(&text));
+            prop_assert!(got == want, "{text:?}: {got:?} != {want:?}");
+        }
+    }
+}
+
+/// The first query parser, which lexed the whole input into owned tokens
+/// first: the reference [`Query::parse`] must agree with.
+#[cfg(test)]
+mod reference {
+    use super::{ParseQueryError, Query};
+
+    pub(super) fn parse(input: &str) -> Result<Query, ParseQueryError> {
+        let tokens = lex(input);
+        let mut parser = QueryParser { tokens, pos: 0 };
+        let q = parser.parse_or()?;
+        if parser.pos != parser.tokens.len() {
+            return Err(ParseQueryError::new("unexpected trailing input"));
+        }
+        Ok(q)
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Tok {
+        Word(String, bool), // token, is_prefix
+        And,
+        Or,
+        Not,
+        Open,
+        Close,
+    }
+
+    fn lex(input: &str) -> Vec<Tok> {
+        let mut tokens = Vec::new();
+        let mut chars = input.chars().peekable();
+        while let Some(&c) = chars.peek() {
+            if c == '(' {
+                tokens.push(Tok::Open);
+                chars.next();
+            } else if c == ')' {
+                tokens.push(Tok::Close);
+                chars.next();
+            } else if c.is_alphanumeric() {
+                let mut word = String::new();
+                while let Some(&c) = chars.peek() {
+                    if c.is_alphanumeric() {
+                        for lc in c.to_lowercase() {
+                            word.push(lc);
+                        }
+                        chars.next();
+                    } else {
+                        break;
+                    }
+                }
+                let is_prefix = chars.peek() == Some(&'*');
+                if is_prefix {
+                    chars.next();
+                }
+                match (word.as_str(), is_prefix) {
+                    ("and", false) => tokens.push(Tok::And),
+                    ("or", false) => tokens.push(Tok::Or),
+                    ("not", false) => tokens.push(Tok::Not),
+                    _ => tokens.push(Tok::Word(word, is_prefix)),
+                }
+            } else {
+                chars.next();
+            }
+        }
+        tokens
+    }
+
+    struct QueryParser {
+        tokens: Vec<Tok>,
+        pos: usize,
+    }
+
+    impl QueryParser {
+        fn peek(&self) -> Option<&Tok> {
+            self.tokens.get(self.pos)
+        }
+
+        fn parse_or(&mut self) -> Result<Query, ParseQueryError> {
+            let mut parts = vec![self.parse_and()?];
+            while self.peek() == Some(&Tok::Or) {
+                self.pos += 1;
+                parts.push(self.parse_and()?);
+            }
+            Ok(if parts.len() == 1 {
+                parts.pop().expect("non-empty")
+            } else {
+                Query::Or(parts)
+            })
+        }
+
+        fn parse_and(&mut self) -> Result<Query, ParseQueryError> {
+            let mut parts = vec![self.parse_unary()?];
+            loop {
+                match self.peek() {
+                    Some(Tok::And) => {
+                        self.pos += 1;
+                        parts.push(self.parse_unary()?);
+                    }
+                    Some(Tok::Word(..)) | Some(Tok::Not) | Some(Tok::Open) => {
+                        parts.push(self.parse_unary()?);
+                    }
+                    _ => break,
+                }
+            }
+            Ok(if parts.len() == 1 {
+                parts.pop().expect("non-empty")
+            } else {
+                Query::And(parts)
+            })
+        }
+
+        fn parse_unary(&mut self) -> Result<Query, ParseQueryError> {
+            match self.peek().cloned() {
+                Some(Tok::Not) => {
+                    self.pos += 1;
+                    Ok(Query::Not(Box::new(self.parse_unary()?)))
+                }
+                Some(Tok::Open) => {
+                    self.pos += 1;
+                    let q = self.parse_or()?;
+                    if self.peek() != Some(&Tok::Close) {
+                        return Err(ParseQueryError::new("missing closing parenthesis"));
+                    }
+                    self.pos += 1;
+                    Ok(q)
+                }
+                Some(Tok::Word(w, is_prefix)) => {
+                    self.pos += 1;
+                    Ok(if is_prefix {
+                        Query::Prefix(w)
+                    } else {
+                        Query::Term(w)
+                    })
+                }
+                Some(tok) => Err(ParseQueryError::new(format!("unexpected token {tok:?}"))),
+                None => Err(ParseQueryError::new("empty query")),
+            }
+        }
     }
 }
