@@ -5,12 +5,11 @@
 
 use crate::actor::{WireConfig, ACK_TAG, BATCH_TAG, GDS_RETRY, LOSS_TAG};
 use crate::message::SysMessage;
-use gsa_gds::GdsMessage;
+use gsa_gds::{GdsMessage, Items};
 use gsa_simnet::{CounterId, Ctx, NodeId};
 use gsa_types::{SimDuration, SimTime};
 use gsa_wire::reliable::{ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, ACK_DELAY};
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Messages eligible for per-edge batching: exactly the frames that
@@ -30,45 +29,17 @@ fn batchable(msg: &GdsMessage) -> bool {
     )
 }
 
-/// Where an edge's buffered events come from: a message dispatched on
-/// its own, or items of a shared frame (a reference, not a copy).
-#[derive(Debug)]
-enum Slice {
-    One(GdsMessage),
-    Shared(Arc<[GdsMessage]>, Range<usize>),
-}
-
-impl Slice {
-    fn items(&self) -> &[GdsMessage] {
-        match self {
-            Slice::One(msg) => std::slice::from_ref(msg),
-            Slice::Shared(frame, range) => &frame[range.clone()],
-        }
-    }
-
-    /// The frame a slice goes out as on its own: its one event plain, a
-    /// whole shared frame as that frame, a part of one as a new frame.
-    fn into_frame(self) -> GdsMessage {
-        match self {
-            Slice::One(msg) => msg,
-            Slice::Shared(frame, range) if range.len() == 1 => frame[range.start].clone(),
-            Slice::Shared(frame, range) if range.len() == frame.len() => GdsMessage::Batch(frame),
-            Slice::Shared(frame, range) => GdsMessage::Batch(frame[range].into()),
-        }
-    }
-}
-
 /// One edge's buffered events.
 #[derive(Debug, Default)]
 struct EdgeBuf {
-    slices: Vec<Slice>,
+    slices: Vec<Items>,
     /// Events the slices hold.
     items: usize,
 }
 
 impl EdgeBuf {
-    fn push(&mut self, slice: Slice, cap: usize) {
-        self.items += slice.items().len();
+    fn push(&mut self, slice: Items, cap: usize) {
+        self.items += slice.as_slice().len();
         self.slices.push(slice);
         debug_assert!(
             self.items <= cap,
@@ -83,7 +54,7 @@ impl EdgeBuf {
     fn into_frame(mut self) -> GdsMessage {
         match self.slices.len() {
             1 => self.slices.pop().expect("one slice").into_frame(),
-            _ => GdsMessage::Batch(self.slices.iter().flat_map(Slice::items).cloned().collect()),
+            _ => GdsMessage::Batch(self.slices.iter().flat_map(Items::as_slice).cloned().collect()),
         }
     }
 }
@@ -132,9 +103,9 @@ impl Batcher {
     fn push(&mut self, node: NodeId, msg: GdsMessage, out: &mut impl FnMut(Flush)) {
         let fill = self.pending.get(&node).map_or(0, |buf| buf.items);
         if fill + 1 == self.cap {
-            self.send_full(node, Slice::One(msg), out);
+            self.send_full(node, Items::One(msg), out);
         } else {
-            self.pending.entry(node).or_default().push(Slice::One(msg), self.cap);
+            self.pending.entry(node).or_default().push(Items::One(msg), self.cap);
             self.arm(out);
         }
     }
@@ -157,7 +128,7 @@ impl Batcher {
             for ((node, frame), (fill, start)) in legs.iter().zip(&mut marks) {
                 *fill += 1;
                 if *fill == self.cap {
-                    self.send_full(*node, Slice::Shared(frame.clone(), *start..i + 1), out);
+                    self.send_full(*node, Items::Shared(frame.clone(), *start..i + 1), out);
                     (*fill, *start) = (0, i + 1);
                 } else if !self.armed {
                     self.armed = true;
@@ -167,7 +138,7 @@ impl Batcher {
         }
         for ((node, frame), &(_, start)) in legs.iter().zip(&marks) {
             if start < n {
-                let slice = Slice::Shared(frame.clone(), start..n);
+                let slice = Items::Shared(frame.clone(), start..n);
                 self.pending.entry(*node).or_default().push(slice, self.cap);
             }
         }
@@ -175,7 +146,7 @@ impl Batcher {
     }
 
     /// Sends `node` its buffer and `slice`, which fills it to the cap.
-    fn send_full(&mut self, node: NodeId, slice: Slice, out: &mut impl FnMut(Flush)) {
+    fn send_full(&mut self, node: NodeId, slice: Items, out: &mut impl FnMut(Flush)) {
         let frame = match self.pending.remove(&node) {
             Some(mut buf) => {
                 buf.push(slice, self.cap);

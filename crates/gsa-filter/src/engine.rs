@@ -45,11 +45,11 @@
 //! ([`DocMatch`]), so building a notification never evaluates the
 //! expression again.
 
-use crate::intern::{FxHashMap, Symbol, SymbolTable};
+use crate::intern::{Symbol, SymbolTable};
 use crate::postings::{Key, Postings};
 use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr, Wildcard};
 use gsa_store::{Query, TokenSet};
-use gsa_types::{DocSummary, Event, ProfileId};
+use gsa_types::{DocSummary, Event, FxHashMap, ProfileId};
 use gsa_wire::probe::EventProbe;
 use gsa_wire::WireError;
 use std::collections::hash_map::Entry;

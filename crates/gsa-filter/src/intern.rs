@@ -21,8 +21,8 @@
 //! [`SymbolTable::intern`] panics. (A posting list spends a bit of its
 //! conjunction ids on spilling, which bounds *those* at 2³¹.)
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use gsa_types::FxHasher;
+use std::hash::Hasher;
 
 /// An interned string: a dense index into a [`SymbolTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,72 +36,6 @@ impl Symbol {
     /// hashed to 32 bits) needs no table entry and no lookup.
     pub(crate) fn from_raw(raw: u32) -> Symbol {
         Symbol(raw)
-    }
-}
-
-/// A fast, non-cryptographic hasher (FxHash-style multiply-rotate).
-///
-/// The filter index is built from trusted, engine-assigned keys — dense
-/// symbol pairs and short attribute strings — so hash-flooding resistance
-/// is not needed and the cheaper mix wins on every probe.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-/// `BuildHasher` for [`FxHasher`].
-pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` using [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word) | ((rest.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
     }
 }
 
@@ -249,6 +183,7 @@ impl SymbolTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     impl SymbolTable {
         /// The string a symbol was interned from: the round trip these
@@ -360,7 +295,7 @@ mod tests {
     #[test]
     fn fx_hasher_distinguishes_pairs() {
         use std::hash::BuildHasher;
-        let build = FxBuildHasher::default();
+        let build = gsa_types::FxBuildHasher;
         let hash = |pair: (Symbol, Symbol)| build.hash_one(pair);
         let a = hash((Symbol(1), Symbol(2)));
         let b = hash((Symbol(2), Symbol(1)));

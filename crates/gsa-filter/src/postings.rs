@@ -6,7 +6,8 @@
 //! a row of a slab; back at one it returns to the entry, and the row —
 //! with the capacity it grew — waits for the next list that spills.
 
-use crate::intern::{FxHashMap, Symbol};
+use crate::intern::Symbol;
+use gsa_types::FxHashMap;
 use std::collections::hash_map::Entry;
 
 /// An interned `(attribute, value)` pair: what the index is keyed by and

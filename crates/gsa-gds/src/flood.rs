@@ -10,13 +10,12 @@
 
 use crate::interest::Interest;
 use crate::membership::Membership;
-use crate::message::GdsMessage;
+use crate::message::{GdsMessage, Items};
 use crate::node::GdsEffects;
 use crate::seen::SeenIds;
-use gsa_types::{CounterId, Counts, HostName, MessageId};
+use gsa_types::{CounterId, Counts, HostName};
 use gsa_wire::Payload;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// How many recently flooded events a node keeps for replay to an
@@ -24,46 +23,6 @@ use std::sync::Arc;
 /// an event older than that already reached the child through its former
 /// parent (per-edge delivery is reliable when the layer is on).
 pub(crate) const RECENT_CAP: usize = 128;
-
-/// Floods remembered for replay to an adopted child: the `Broadcast`s
-/// of a range of a shared frame (one reference per run, however many
-/// of its items the ring holds), or the parts of one that arrived or
-/// was built alone.
-pub(crate) enum Recent {
-    Shared(Arc<[GdsMessage]>, Range<usize>),
-    Lone(MessageId, HostName, Payload),
-}
-
-impl Recent {
-    fn lone(msg: &GdsMessage) -> Self {
-        let GdsMessage::Broadcast { id, origin, payload } = msg else {
-            unreachable!("a flood run holds broadcasts, not {msg}");
-        };
-        Recent::Lone(*id, origin.clone(), payload.clone())
-    }
-
-    /// The floods it holds.
-    fn len(&self) -> usize {
-        match self {
-            Recent::Shared(_, items) => items.len(),
-            Recent::Lone(..) => 1,
-        }
-    }
-
-    fn replay(&self, child: &HostName, effects: &mut GdsEffects) {
-        match self {
-            Recent::Shared(frame, items) => {
-                for item in &frame[items.clone()] {
-                    effects.send(child.clone(), item.clone());
-                }
-            }
-            Recent::Lone(id, origin, payload) => {
-                let (id, origin, payload) = (*id, origin.clone(), payload.clone());
-                effects.send(child.clone(), GdsMessage::Broadcast { id, origin, payload });
-            }
-        }
-    }
-}
 
 /// Consecutive flood items of one frame with one flood decision.
 #[derive(Clone, Copy)]
@@ -105,7 +64,7 @@ pub(crate) struct Flood {
     /// The last [`RECENT_CAP`] floods, oldest first and one entry per
     /// run, replayed to an adopted child: a broadcast in flight may miss
     /// the moved subtree.
-    pub(crate) recent: VecDeque<Recent>,
+    pub(crate) recent: VecDeque<Items>,
     /// The floods `recent` holds: at most [`RECENT_CAP`].
     pub(crate) recent_items: usize,
     scratch: Scratch,
@@ -116,31 +75,37 @@ pub(crate) struct Flood {
 
 impl Flood {
     /// Replays the remembered floods to an adopted child, whose dedup
-    /// absorbs what it already has.
+    /// absorbs what it already has: each entry as the frame it goes out
+    /// as, a run of one leg when that is a shared frame.
     pub(crate) fn replay(&self, child: &HostName, effects: &mut GdsEffects) {
         for entry in &self.recent {
-            entry.replay(child, effects);
+            let frame = entry.clone().into_frame();
+            if let GdsMessage::Batch(_) = frame {
+                let at = effects.outbound.len();
+                effects.runs.push(at..at + 1);
+            }
+            effects.send(child.clone(), frame);
         }
     }
 
     /// Remembers a run's floods, first dropping the oldest past
     /// [`RECENT_CAP`] — whole entries, then the front of the oldest one
     /// left — so the ring never grows past the cap.
-    fn remember(&mut self, mut entry: Recent) {
-        if let Recent::Shared(_, items) = &mut entry {
+    fn remember(&mut self, mut entry: Items) {
+        if let Items::Shared(_, items) = &mut entry {
             items.start = items.start.max(items.end.saturating_sub(RECENT_CAP));
         }
-        self.recent_items += entry.len();
+        self.recent_items += entry.as_slice().len();
         while self.recent_items > RECENT_CAP {
             let excess = self.recent_items - RECENT_CAP;
             match self.recent.front_mut() {
-                Some(Recent::Shared(_, items)) if items.len() > excess => {
+                Some(Items::Shared(_, items)) if items.len() > excess => {
                     items.start += excess;
                     self.recent_items = RECENT_CAP;
                 }
                 _ => {
                     let oldest = self.recent.pop_front().expect("past the cap, so not empty");
-                    self.recent_items -= oldest.len();
+                    self.recent_items -= oldest.as_slice().len();
                 }
             }
         }
@@ -231,12 +196,12 @@ impl Flood {
     }
 
     /// Sends a run every edge of its decision (`scratch.run_edges`) and
-    /// remembers its items. A local server gets the `Deliver` form, the
-    /// parent and the children the `Broadcast` form. A run of one goes
-    /// out as the one message; a longer run goes out as one shared frame
-    /// per form — the received frame when the run is all of it and was
-    /// received as it goes out, otherwise a frame built here — and its
-    /// entries are a stretch of [`GdsEffects::runs`].
+    /// remembers its items. The run's items are computed once: a range
+    /// of the received frame when they go out as they came, otherwise
+    /// the message or frame built here. The parent and the children get
+    /// their frame ([`Items::into_frame`]), a local server the `Deliver`
+    /// form. A longer run's entries are a stretch of
+    /// [`GdsEffects::runs`].
     fn close_run(
         &mut self,
         run: Option<Run>,
@@ -249,21 +214,27 @@ impl Flood {
             return;
         };
         let n = run.end - run.start;
-        let src = match run.built {
-            Some(b) => &scratch.built[b..b + n],
-            None => &frame.items[run.start..run.end],
+        let items = match (run.built, frame.shared) {
+            (None, Some(shared)) => Items::Shared(shared.clone(), run.start..run.end),
+            // A lone message is a frame of one.
+            (None, None) => Items::One(frame.items[run.start].clone()),
+            (Some(b), _) if n == 1 => Items::One(scratch.built[b].clone()),
+            (Some(b), _) => Items::Shared(scratch.built[b..b + n].into(), 0..n),
         };
+        let src = items.as_slice();
         let edges = &scratch.run_edges;
         let locals = members.local.len();
-        // A longer run goes out as one frame per form, built once.
-        let broadcast = (n > 1
-            && (run.built.is_some() || edges.last().is_some_and(|&e| e as usize >= locals)))
-        .then(|| match frame.shared {
-            Some(whole) if run.built.is_none() && n == whole.len() => whole.clone(),
-            _ => src.iter().cloned().collect(),
-        });
-        let deliver = (n > 1 && edges.first().is_some_and(|&e| (e as usize) < locals))
-            .then(|| src.iter().map(deliver_form).collect::<Arc<[GdsMessage]>>());
+        let deliver = edges
+            .first()
+            .is_some_and(|&e| (e as usize) < locals)
+            .then(|| match src {
+                [one] => deliver_form(one),
+                _ => GdsMessage::Batch(src.iter().map(deliver_form).collect()),
+            });
+        let broadcast = edges
+            .last()
+            .is_some_and(|&e| e as usize >= locals)
+            .then(|| items.clone().into_frame());
         let first = effects.outbound.len();
         let mut wanted = edges.iter().peekable();
         for (pos, edge) in (0u32..).zip(members.edges()) {
@@ -274,29 +245,17 @@ impl Flood {
                 continue;
             }
             wanted.next();
-            let msg = match ((pos as usize) < locals, &deliver, &broadcast) {
-                (true, Some(frame), _) | (false, _, Some(frame)) => {
-                    GdsMessage::Batch(frame.clone())
-                }
-                (true, None, _) => deliver_form(&src[0]),
-                (false, _, None) => src[0].clone(),
+            let msg = if (pos as usize) < locals {
+                &deliver
+            } else {
+                &broadcast
             };
-            effects.send(edge.clone(), msg);
+            effects.send(edge.clone(), msg.clone().expect("decided for this edge"));
         }
         if n > 1 && effects.outbound.len() > first {
             effects.runs.push(first..effects.outbound.len());
         }
-        match (run.built, frame.shared, broadcast) {
-            (None, Some(shared), _) => {
-                self.remember(Recent::Shared(shared.clone(), run.start..run.end));
-            }
-            (Some(_), _, Some(built)) => self.remember(Recent::Shared(built, 0..n)),
-            _ => {
-                for item in src {
-                    self.remember(Recent::lone(item));
-                }
-            }
-        }
+        self.remember(items);
     }
 }
 

@@ -36,7 +36,7 @@ mod topology;
 
 pub use client::GdsClient;
 pub use interest::InterestMode;
-pub use message::{GdsMessage, ResolveToken};
+pub use message::{GdsMessage, Items, ResolveToken};
 pub use node::{GdsEffects, GdsNode, GdsOutbound};
 pub use seen::SeenIds;
 pub use topology::{figure2_tree, balanced_tree, GdsNodeSpec, GdsTopology};

@@ -15,6 +15,7 @@ use gsa_wire::summary::{AttrMap, AttrMapField, SummaryField};
 use gsa_wire::xml::XmlPut;
 use gsa_wire::{Field, InterestSummary, Payload, WireError, WireMessage, XmlElement};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Correlates a naming-service resolution with its answer.
@@ -251,6 +252,41 @@ impl GdsMessage {
     }
 }
 
+/// Event messages held by reference: one message on its own, or a range
+/// of a shared frame's items (a reference, not a copy). A flood run is
+/// sent as one, the replay ring keeps them, and an edge buffer of the
+/// transport holds them until it sends its frame.
+#[derive(Debug, Clone)]
+pub enum Items {
+    /// One message on its own.
+    One(GdsMessage),
+    /// The items of a shared frame in a range.
+    Shared(Arc<[GdsMessage]>, Range<usize>),
+}
+
+impl Items {
+    /// The messages held.
+    #[inline]
+    pub fn as_slice(&self) -> &[GdsMessage] {
+        match self {
+            Items::One(msg) => std::slice::from_ref(msg),
+            Items::Shared(frame, range) => &frame[range.clone()],
+        }
+    }
+
+    /// The frame the items go out as on their own: one item plain, a
+    /// whole shared frame as that frame, a part of one as a new frame.
+    #[inline]
+    pub fn into_frame(self) -> GdsMessage {
+        match self {
+            Items::One(msg) => msg,
+            Items::Shared(frame, range) if range.len() == 1 => frame[range.start].clone(),
+            Items::Shared(frame, range) if range.len() == frame.len() => GdsMessage::Batch(frame),
+            Items::Shared(frame, range) => GdsMessage::Batch(frame[range].into()),
+        }
+    }
+}
+
 fn missing(what: &str) -> WireError {
     WireError::malformed(format!("missing {what}"))
 }
@@ -382,9 +418,9 @@ impl Field for Targets {
 
 /// The messages of a batch: child elements, a v2 count and bodies. A
 /// batch among them is malformed.
-struct Items;
+struct BatchItems;
 
-impl Items {
+impl BatchItems {
     fn not_a_batch(item: GdsMessage) -> Result<GdsMessage, WireError> {
         match item {
             GdsMessage::Batch(_) => Err(WireError::malformed("a batch inside a batch")),
@@ -393,7 +429,7 @@ impl Items {
     }
 }
 
-impl Field for Items {
+impl Field for BatchItems {
     type Value = Arc<[GdsMessage]>;
 
     fn put_xml(&self, v: &Arc<[GdsMessage]>, out: &mut impl XmlPut) {
@@ -495,7 +531,7 @@ gds_messages! {
     // 15 "gds:hello" and 16 "gds:hello-ack" negotiated a format per
     // edge before the format became deployment-wide: all four decode to
     // an error.
-    17 "gds:batch"            Batch { 0: Items }
+    17 "gds:batch"            Batch { 0: BatchItems }
     18 "gds:summary"          SummaryUpdate { from: Host("from"), version: VERSION, summary: SummaryField }
     19 "gds:rendezvous-grant" RendezvousGrant { from: Host("from"), version: VERSION, grants: AttrMapField("grant") }
 }

@@ -31,11 +31,12 @@ pub struct GdsEffects {
     /// The stretches of `outbound` that carry one flood run each (see
     /// [`GdsNode`]): every entry of a stretch is a [`GdsMessage::Batch`]
     /// of the run's items in the form its edge receives, all of one
-    /// length. Sent as they stand, the entries deliver exactly the run;
-    /// a transport that batches per edge walks the run's items across
-    /// the stretch's edges instead, item by item, to form the frames the
-    /// items would have formed one by one. Every entry outside a stretch
-    /// is one message.
+    /// length. A replay to an adopted child sends each replay-ring entry
+    /// that is a shared frame as a run too, of one entry. Sent as they
+    /// stand, the entries deliver exactly the run; a transport that
+    /// batches per edge walks the run's items across the stretch's edges
+    /// instead, item by item, to form the frames the items would have
+    /// formed one by one. Every entry outside a stretch is one message.
     pub runs: Vec<Range<usize>>,
     /// Multicast targets that could not be resolved anywhere in the tree.
     pub undeliverable: Vec<HostName>,
@@ -1492,16 +1493,38 @@ mod tests {
         assert_eq!(Arc::strong_count(&frames[16]), 1 + 1);
 
         let effects = node.handle_message(&"gds-9".into(), GdsMessage::Adopt { child: "gds-9".into() });
-        let replayed: Vec<u64> = effects
+        let sent = replayed(&effects, &"gds-9".into());
+        let replayed: Vec<u64> = sent.iter().copied().flat_map(ids).collect();
+        assert_eq!(replayed, (14..=141).collect::<Vec<u64>>(), "in flood order");
+        // Each frame the ring holds whole is replayed as itself; the one
+        // it trimmed goes out as a new frame of what is left of it.
+        assert_eq!(ids(sent[0]).collect::<Vec<u64>>(), [14, 15, 16]);
+        assert_eq!(sent.len(), frames.len());
+        for (out, frame) in sent.iter().zip(&frames).skip(1) {
+            assert!(matches!(out, GdsMessage::Batch(out) if Arc::ptr_eq(out, frame)));
+        }
+    }
+
+    /// The frames a node's effects send `child`.
+    fn replayed<'a>(effects: &'a GdsEffects, child: &HostName) -> Vec<&'a GdsMessage> {
+        effects
             .outbound
             .iter()
-            .filter(|out| out.to.as_str() == "gds-9")
-            .map(|out| match &out.msg {
-                GdsMessage::Broadcast { id, .. } => id.as_u64(),
-                other => panic!("replay sends broadcasts, not {other}"),
-            })
-            .collect();
-        assert_eq!(replayed, (14..=141).collect::<Vec<u64>>(), "in flood order");
+            .filter(|out| out.to == *child)
+            .map(|out| &out.msg)
+            .collect()
+    }
+
+    /// The ids of the broadcasts a frame carries.
+    fn ids(frame: &GdsMessage) -> impl Iterator<Item = u64> + '_ {
+        let items = match frame {
+            GdsMessage::Batch(items) => &items[..],
+            one => std::slice::from_ref(one),
+        };
+        items.iter().map(|msg| match msg {
+            GdsMessage::Broadcast { id, .. } => id.as_u64(),
+            other => panic!("replay sends broadcasts, not {other}"),
+        })
     }
 
     /// The ids a node replays to an adopted child, which it then
@@ -1509,14 +1532,9 @@ mod tests {
     fn replayed_ids(node: &mut GdsNode) -> Vec<u64> {
         let child = HostName::new("gds-9");
         let effects = node.handle_message(&child, GdsMessage::Adopt { child: child.clone() });
-        let ids = effects
-            .outbound
-            .iter()
-            .filter(|out| out.to == child)
-            .map(|out| match &out.msg {
-                GdsMessage::Broadcast { id, .. } => id.as_u64(),
-                other => panic!("replay sends broadcasts, not {other}"),
-            })
+        let ids = replayed(&effects, &child)
+            .into_iter()
+            .flat_map(ids)
             .collect();
         node.handle_message(&child.clone(), GdsMessage::Detach { child });
         ids

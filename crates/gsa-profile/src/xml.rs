@@ -137,6 +137,7 @@ fn pred_from_xml(el: &XmlElement) -> Result<Predicate, WireError> {
 mod tests {
     use super::*;
     use crate::parse::parse_profile;
+    use gsa_types::{CollectionId, DocSummary, Event, EventId, EventKind, SimTime};
 
     fn round_trip(text: &str) {
         let expr = parse_profile(text).unwrap();
@@ -153,6 +154,27 @@ mod tests {
         round_trip(r#"doc in ["HASH1", "HASH2", "HASH3"]"#);
         round_trip(r#"text ~ "digi*tal""#);
         round_trip("text ? (digital AND librar* OR NOT spam)");
+    }
+
+    /// A query value crosses the wire as the text it prints: a word
+    /// whose folding holds a character the query lexer splits on (`İ`
+    /// folds to `i` + U+0307) still matches the same document at the far
+    /// end of an auxiliary-profile hop.
+    #[test]
+    fn a_query_word_that_folds_apart_still_matches_across_the_wire() {
+        let expr = parse_profile("text ? (İx)").unwrap();
+        let wire = gsa_wire::parse_document(&expr_to_xml(&expr).to_document_string()).unwrap();
+        let back = expr_from_xml(&wire).unwrap();
+        let event = Event::new(
+            EventId::new("London", 1),
+            CollectionId::new("London", "E"),
+            EventKind::DocumentsAdded,
+            SimTime::ZERO,
+        )
+        .with_docs(vec![DocSummary::new("d1").with_excerpt("İx")]);
+        assert!(expr.matches_event(&event));
+        assert!(back.matches_event(&event), "{back}");
+        round_trip("text ? (İx)");
     }
 
     #[test]

@@ -116,8 +116,11 @@ impl Query {
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Query::Term(t) => write!(f, "{t}"),
-            Query::Prefix(p) => write!(f, "{p}*"),
+            Query::Term(t) => write_word(f, t),
+            Query::Prefix(p) => {
+                write_word(f, p)?;
+                f.write_str("*")
+            }
             Query::And(qs) => {
                 write!(f, "(")?;
                 for (i, q) in qs.iter().enumerate() {
@@ -141,6 +144,19 @@ impl fmt::Display for Query {
             Query::Not(q) => write!(f, "NOT {q}"),
         }
     }
+}
+
+/// Writes a stored word so that it lexes and folds back to itself. `İ`
+/// (U+0130) is the one alphanumeric whose lowercase holds a character
+/// the lexer splits on, `i` + U+0307, so that pair is written as `İ`.
+fn write_word(f: &mut fmt::Formatter<'_>, word: &str) -> fmt::Result {
+    let mut rest = word;
+    while let Some(at) = rest.find("i\u{307}") {
+        f.write_str(&rest[..at])?;
+        f.write_str("İ")?;
+        rest = &rest[at + "i\u{307}".len()..];
+    }
+    f.write_str(rest)
 }
 
 /// Error parsing the textual query syntax.
@@ -398,7 +414,15 @@ mod tests {
 
     #[test]
     fn display_round_trips_through_parse() {
-        for text in ["a AND b", "a OR (b AND NOT c)", "pre* x", "NOT (a OR b)"] {
+        for text in [
+            "a AND b",
+            "a OR (b AND NOT c)",
+            "pre* x",
+            "NOT (a OR b)",
+            "İx",
+            "xİİ*",
+            "iİ",
+        ] {
             let q = Query::parse(text).unwrap();
             let q2 = Query::parse(&q.to_string()).unwrap();
             assert_eq!(q, q2, "query text {text}");
