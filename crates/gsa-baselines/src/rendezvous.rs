@@ -184,13 +184,6 @@ impl Server for RendezvousServer {
     }
 }
 
-impl Baseline<RendezvousServer> {
-    /// The rendezvous host responsible for a topic.
-    pub fn rendezvous_host(&self, topic: &str) -> Option<HostName> {
-        rendezvous_of(&self.ring, topic).cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +198,13 @@ mod tests {
             EventKind::CollectionRebuilt,
             SimTime::ZERO,
         )
+    }
+
+    impl Baseline<RendezvousServer> {
+        /// The rendezvous host responsible for a topic.
+        fn rendezvous_host(&self, topic: &str) -> Option<HostName> {
+            rendezvous_of(&self.ring, topic).cloned()
+        }
     }
 
     fn trio() -> Baseline<RendezvousServer> {

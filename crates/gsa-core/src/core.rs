@@ -1638,7 +1638,7 @@ mod tests {
     /// The summary an effect set announces, if it announces one.
     fn announced(effects: &CoreEffects) -> Option<&InterestSummary> {
         effects.outbound.iter().find_map(|(_, msg)| match msg {
-            SysMessage::Gds(GdsMessage::SummaryUpdate { summary, .. }) => Some(summary),
+            SysMessage::Gds(GdsMessage::SummaryUpdate { summary, .. }) => Some(&**summary),
             _ => None,
         })
     }

@@ -442,7 +442,8 @@ impl SubscriptionManager {
     }
 
     /// Peeks at a client's mailbox without draining it.
-    pub fn peek_notifications(&self, client: ClientId) -> &[Notification] {
+    #[cfg(test)]
+    pub(crate) fn peek_notifications(&self, client: ClientId) -> &[Notification] {
         self.mailboxes
             .get(&client)
             .map(Vec::as_slice)
@@ -450,7 +451,8 @@ impl SubscriptionManager {
     }
 
     /// Total queued notifications across all mailboxes.
-    pub fn queued_notifications(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queued_notifications(&self) -> usize {
         self.mailboxes.values().map(Vec::len).sum()
     }
 
@@ -706,6 +708,7 @@ mod tests {
         assert!(!subs.interests_changed());
     }
 
+    /// Restored profiles keep their ids, and new ones start at the base.
     #[test]
     fn wipe_then_restore_reproduces_the_id_space() {
         let mut subs = SubscriptionManager::new();
@@ -735,6 +738,7 @@ mod tests {
         (subs.next_profile, subs.summary_version)
     }
 
+    /// Two crashes in one instant start distinct, increasing bases.
     #[test]
     fn two_crashes_in_one_instant_start_distinct_increasing_bases() {
         let mut subs = SubscriptionManager::new();
@@ -764,6 +768,7 @@ mod tests {
         assert_eq!(issued(&subs).0, (later.as_micros() + 1) << INCARNATION_SHIFT);
     }
 
+    /// A counter that fills its 24 bits carries, and the next base is above it.
     #[test]
     fn a_counter_that_fills_its_bits_carries_and_the_next_base_is_above_it() {
         let at = SimTime::from_millis(3);
@@ -790,6 +795,7 @@ mod tests {
         }
     }
 
+    /// An incarnation past 40 bits panics.
     #[test]
     #[should_panic(expected = "past 40 bits")]
     fn an_incarnation_past_forty_bits_panics() {

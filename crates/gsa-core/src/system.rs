@@ -263,14 +263,17 @@ impl System {
         }
     }
 
-    /// Adds one GDS directory server (no re-parenting fallback).
-    pub fn add_gds_node(&mut self, node: GdsNode) -> NodeId {
+    /// Adds one GDS directory server (no re-parenting fallback): a test
+    /// root may name a child that never registers, which a
+    /// [`GdsTopology`] cannot build.
+    #[cfg(test)]
+    pub(crate) fn add_gds_node(&mut self, node: GdsNode) -> NodeId {
         self.add_gds_node_with_fallback(node, None)
     }
 
     /// Adds one GDS directory server with an explicit re-parenting
     /// fallback (only meaningful with reliability enabled).
-    pub fn add_gds_node_with_fallback(
+    fn add_gds_node_with_fallback(
         &mut self,
         mut node: GdsNode,
         grandparent: Option<HostName>,

@@ -199,6 +199,7 @@ const SHAPES: [Shape; 5] = [
     ),
 ];
 
+/// One parse plus one subscribe into a warm manager costs at most its shape's allocator calls.
 #[test]
 fn a_subscribe_parses_and_indexes_in_a_few_allocations() {
     const WARM: usize = 20_000;

@@ -4,9 +4,9 @@
 //! `attribute -> value -> postings` index, a fresh counter map allocated
 //! per matching context, and profile removal by sweeping the whole index.
 //! [`FilterEngine`](crate::FilterEngine) replaces it with an interned,
-//! allocation-free core; this module stays so experiment E3 can measure
-//! the replacement against the engine it replaced (and so the equivalence
-//! property suite can cross-check three independent implementations).
+//! allocation-free core; this module is compiled only into the tests, so
+//! the equivalence property suite can cross-check three independent
+//! implementations.
 
 use crate::engine::FilterStats;
 use gsa_profile::{AttrValue, Literal, Predicate, ProfileAttr, ProfileExpr};
@@ -33,7 +33,7 @@ struct ConjEntry {
 /// Semantically identical to [`FilterEngine`](crate::FilterEngine); only
 /// the index representation differs.
 #[derive(Debug, Default)]
-pub struct BaselineEngine {
+pub(crate) struct BaselineEngine {
     conjs: Vec<Option<ConjEntry>>,
     /// attribute name -> value -> [(conjunction index, predicate bit)].
     eq_index: HashMap<String, HashMap<String, Vec<(usize, u64)>>>,
@@ -44,27 +44,27 @@ pub struct BaselineEngine {
 
 impl BaselineEngine {
     /// Creates an empty engine.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BaselineEngine::default()
     }
 
     /// Number of registered profiles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.by_profile.len()
     }
 
     /// Returns `true` when no profiles are registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.by_profile.is_empty()
     }
 
     /// Whether the profile id is registered.
-    pub fn contains(&self, id: ProfileId) -> bool {
+    pub(crate) fn contains(&self, id: ProfileId) -> bool {
         self.by_profile.contains_key(&id)
     }
 
     /// Index structure statistics.
-    pub fn stats(&self) -> FilterStats {
+    pub(crate) fn stats(&self) -> FilterStats {
         FilterStats {
             profiles: self.by_profile.len(),
             conjunctions: self.conjs.iter().flatten().count(),
@@ -81,7 +81,7 @@ impl BaselineEngine {
     ///
     /// Returns [`gsa_profile::DnfError`] when the expression is too large
     /// to normalize.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         id: ProfileId,
         expr: &ProfileExpr,
@@ -152,7 +152,7 @@ impl BaselineEngine {
     ///
     /// Note the cost: the whole index is swept to prune postings (this is
     /// one of the things the replacement engine fixes with back-pointers).
-    pub fn remove(&mut self, id: ProfileId) -> bool {
+    pub(crate) fn remove(&mut self, id: ProfileId) -> bool {
         let Some(indexes) = self.by_profile.remove(&id) else {
             return false;
         };
@@ -174,7 +174,7 @@ impl BaselineEngine {
     /// The profiles matching `event` (in ascending id order). A profile
     /// matches when any of the event's documents — or the document-free
     /// context, for docless events — satisfies it.
-    pub fn matches(&self, event: &Event) -> Vec<ProfileId> {
+    pub(crate) fn matches(&self, event: &Event) -> Vec<ProfileId> {
         let mut out: BTreeSet<ProfileId> = BTreeSet::new();
         if event.docs.is_empty() {
             self.match_context(event, None, &mut out);

@@ -1573,6 +1573,7 @@ mod tests {
         scratch.generation == 0
     }
 
+    /// An event no live conjunction names is refused, through insert, remove and re-insert.
     #[test]
     fn envelope_gate_follows_insert_remove_and_reinsert() {
         let insert = |e: &mut FilterEngine, id, text| {

@@ -10,7 +10,9 @@
 //! with `And`/`Or`/`Prefix`/`Not` around a required term; mixed-case and
 //! non-ASCII patterns and values; multi-valued metadata; docless events.
 
-use crate::{BaselineEngine, DocMatch, FilterEngine, MatchScratch, NaiveFilter};
+use crate::baseline::BaselineEngine;
+use crate::naive::NaiveFilter;
+use crate::{DocMatch, FilterEngine, MatchScratch};
 use gsa_profile::dnf::to_dnf;
 use crate::engine::is_equality;
 use gsa_profile::{AttrValue, Predicate, ProfileAttr, ProfileExpr, Wildcard};

@@ -3,8 +3,7 @@
 //! Each Greenstone server filters incoming events against its locally
 //! stored profiles (Section 4.2) using "a variant of the
 //! equality-preferred algorithm" (Section 5, citing Fabret et al.). This
-//! crate provides one engine that servers run and two reference
-//! implementations it is tested against:
+//! crate provides the one engine that servers run:
 //!
 //! * [`FilterEngine`] — the equality-preferred engine: profiles are
 //!   normalized to DNF and every conjunction is posted in a hash index
@@ -20,16 +19,13 @@
 //!   profile ([`DocMatch`]). The per-event state lives in a reusable
 //!   [`MatchScratch`], so steady-state matching does not allocate on the
 //!   equality path or for excerpt tokens.
-//! * [`BaselineEngine`] — the first-generation string-keyed *counting*
-//!   implementation (every conjunction posted under every equality
-//!   predicate, hits counted per conjunction), kept as a test oracle and
-//!   so experiment E3 can measure the current engine against it.
-//! * [`NaiveFilter`] — the linear-scan baseline every profile is evaluated
-//!   against every event; used by experiment E3 to show the shape of the
-//!   equality-preferred speedup.
 //!
-//! All engines agree exactly on semantics (a property test in this crate
-//! checks them against each other on randomized profiles and events).
+//! Two reference implementations are compiled only into this crate's
+//! tests: `BaselineEngine`, the first-generation string-keyed *counting*
+//! engine (every conjunction posted under every equality predicate, hits
+//! counted per conjunction), and `NaiveFilter`, a linear scan that
+//! evaluates every profile against every event. A property test checks
+//! all three against each other on randomized profiles and events.
 //!
 //! # Examples
 //!
@@ -65,15 +61,15 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod baseline;
 mod engine;
 mod intern;
-mod naive;
 mod postings;
 
-pub use baseline::BaselineEngine;
 pub use engine::{profile_ids, DocMatch, FilterEngine, FilterStats, MatchScratch};
-pub use naive::NaiveFilter;
 
 #[cfg(test)]
+mod baseline;
+#[cfg(test)]
 mod equivalence_tests;
+#[cfg(test)]
+mod naive;

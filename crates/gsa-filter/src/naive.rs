@@ -8,41 +8,40 @@ use std::fmt;
 /// A filter that evaluates every registered profile against every event.
 ///
 /// Exact same semantics as [`FilterEngine`](crate::FilterEngine), with
-/// O(profiles) matching cost. Experiment E3 sweeps profile counts against
-/// both engines to reproduce the equality-preferred speedup shape.
+/// O(profiles) matching cost.
 #[derive(Debug, Default)]
-pub struct NaiveFilter {
+pub(crate) struct NaiveFilter {
     profiles: BTreeMap<ProfileId, ProfileExpr>,
 }
 
 impl NaiveFilter {
     /// Creates an empty filter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NaiveFilter::default()
     }
 
     /// Registers (or replaces) a profile.
-    pub fn insert(&mut self, id: ProfileId, expr: ProfileExpr) {
+    pub(crate) fn insert(&mut self, id: ProfileId, expr: ProfileExpr) {
         self.profiles.insert(id, expr);
     }
 
     /// Removes a profile. Returns `true` when it was registered.
-    pub fn remove(&mut self, id: ProfileId) -> bool {
+    pub(crate) fn remove(&mut self, id: ProfileId) -> bool {
         self.profiles.remove(&id).is_some()
     }
 
     /// Number of registered profiles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.profiles.len()
     }
 
     /// Returns `true` when no profiles are registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.profiles.is_empty()
     }
 
     /// The profiles matching `event`, in ascending id order.
-    pub fn matches(&self, event: &Event) -> Vec<ProfileId> {
+    pub(crate) fn matches(&self, event: &Event) -> Vec<ProfileId> {
         self.profiles
             .iter()
             .filter(|(_, expr)| expr.matches_event(event))

@@ -70,6 +70,7 @@ fn make_event(host: &str, seq: u64, subject: &str) -> Event {
     ])
 }
 
+/// A warm `matches_into` allocates nothing.
 #[test]
 fn matches_into_is_allocation_free_after_warmup() {
     let hosts = ["London", "Paris", "Waikato", "Berlin"];

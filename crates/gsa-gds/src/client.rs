@@ -108,7 +108,7 @@ impl GdsClient {
             msg: GdsMessage::SummaryUpdate {
                 from: self.host.clone(),
                 version,
-                summary,
+                summary: Box::new(summary),
             },
         }
     }
@@ -282,7 +282,7 @@ mod tests {
         let version_of = |out: &GdsOutbound| match &out.msg {
             GdsMessage::SummaryUpdate { from, version, summary: s } => {
                 assert_eq!(from, &HostName::new("Hamilton"));
-                assert_eq!(s, &summary);
+                assert_eq!(**s, summary);
                 *version
             }
             other => panic!("unexpected {other:?}"),
@@ -299,7 +299,7 @@ mod tests {
         let mut counts = Counts::default();
         let mut offer = |out: GdsOutbound| match out.msg {
             GdsMessage::SummaryUpdate { from, version, summary } => {
-                node.on_summary(from, version, summary, &mut counts)
+                node.on_summary(from, version, *summary, &mut counts)
             }
             other => panic!("unexpected {other:?}"),
         };

@@ -155,7 +155,7 @@ impl Interest {
             _ => s.last_sent.insert(agg).clone(),
         };
         let (from, version) = (me.clone(), s.version);
-        let msg = GdsMessage::SummaryUpdate { from, version, summary };
+        let msg = GdsMessage::SummaryUpdate { from, version, summary: Box::new(summary) };
         Some(GdsOutbound { to: parent, msg })
     }
 

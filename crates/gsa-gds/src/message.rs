@@ -162,8 +162,9 @@ pub enum GdsMessage {
         from: HostName,
         /// Monotonic per-sender version; stale updates are ignored.
         version: u64,
-        /// The conservative interest digest of the sender's subtree.
-        summary: InterestSummary,
+        /// The conservative interest digest of the sender's subtree,
+        /// boxed so that every other message does not pay its size.
+        summary: Box<InterestSummary>,
     },
     /// A parent grants its child rendezvous authority for a set of
     /// `(attribute, value)` subgroups: the parent has proved, from its
@@ -463,7 +464,9 @@ impl Field for BatchItems {
 /// each. Both writers walk a row's fields in that order and both readers
 /// build the variant from them in that order. (A writer re-matches each
 /// field by name inside the variant's arm because the field of a tuple
-/// variant, `0`, cannot name a binding in the arm's own pattern.)
+/// variant, `0`, cannot name a binding in the arm's own pattern.) A reader
+/// converts what a kind reads `into` the variant's field, so a boxed field
+/// shares its kind with the unboxed value.
 macro_rules! gds_messages {
     ($($opcode:literal $tag:literal $variant:ident { $($field:tt: $kind:expr),* })+) => {
         impl WireMessage for GdsMessage {
@@ -485,7 +488,7 @@ macro_rules! gds_messages {
 
             fn from_xml(el: &XmlElement) -> Result<Self, WireError> {
                 match el.name() {
-                    $($tag => Ok(GdsMessage::$variant { $($field: $kind.take_xml(el)?),* }),)+
+                    $($tag => Ok(GdsMessage::$variant { $($field: $kind.take_xml(el)?.into()),* }),)+
                     other => Err(WireError::malformed(format!("unknown GDS message <{other}>"))),
                 }
             }
@@ -503,7 +506,7 @@ macro_rules! gds_messages {
 
             fn take_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
                 match r.read_u8()? {
-                    $($opcode => Ok(GdsMessage::$variant { $($field: $kind.take_bin(r)?),* }),)+
+                    $($opcode => Ok(GdsMessage::$variant { $($field: $kind.take_bin(r)?.into()),* }),)+
                     other => Err(WireError::malformed(format!("unknown GDS opcode {other}"))),
                 }
             }
@@ -685,7 +688,7 @@ mod tests {
             let msg = GdsMessage::SummaryUpdate {
                 from: "gds-4".into(),
                 version: 7,
-                summary,
+                summary: Box::new(summary),
             };
             round_trip(msg.clone());
             binary_round_trip(msg);
@@ -804,7 +807,7 @@ mod tests {
             GdsMessage::SummaryUpdate {
                 from: "gds-4".into(),
                 version: 3,
-                summary: attr_summary(),
+                summary: Box::new(attr_summary()),
             },
             GdsMessage::RendezvousGrant {
                 from: "gds-2".into(),

@@ -335,7 +335,7 @@ impl GdsNode {
             GdsMessage::SummaryUpdate { from: edge, version, summary } => {
                 // Keyed by the announced edge (the direct child or local
                 // server the summary describes).
-                if self.interest.on_summary(edge, version, summary, &mut self.counts) {
+                if self.interest.on_summary(edge, version, *summary, &mut self.counts) {
                     self.interest_changed(true, effects);
                 }
             }
@@ -735,7 +735,7 @@ mod tests {
             GdsMessage::SummaryUpdate {
                 from: "gs-7".into(),
                 version: 1,
-                summary: host_summary("gs-5"),
+                summary: Box::new(host_summary("gs-5")),
             },
         );
         fn held(parent: &mut GdsNode) -> u64 {
@@ -857,7 +857,7 @@ mod tests {
                 &mut nodes,
                 &gds,
                 &gs,
-                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary },
+                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary: Box::new(summary) },
             );
         }
         nodes
@@ -931,12 +931,12 @@ mod tests {
         let gds6 = nodes.get_mut(&HostName::new("gds-6")).unwrap();
         gds6.handle_message(
             &"gs-6".into(),
-            GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 3, summary: host_summary("gs-1") },
+            GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 3, summary: Box::new(host_summary("gs-1")) },
         );
         // An older (delayed) update must not clobber the newer one.
         gds6.handle_message(
             &"gs-6".into(),
-            GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 2, summary: host_summary("gs-5") },
+            GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 2, summary: Box::new(host_summary("gs-5")) },
         );
         assert_eq!(gds6.edge_summary(&"gs-6".into()), Some(&host_summary("gs-1")));
     }
@@ -977,7 +977,7 @@ mod tests {
             &mut nodes,
             &"gds-6".into(),
             &"gs-6".into(),
-            GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 1, summary: InterestSummary::empty() },
+            GdsMessage::SummaryUpdate { from: "gs-6".into(), version: 1, summary: Box::new(InterestSummary::empty()) },
         );
         assert!(nodes[&HostName::new("gds-6")].edge_summary(&"gs-6".into()).is_none());
         assert!(nodes[&HostName::new("gds-3")].edge_summary(&"gds-6".into()).is_none());
@@ -1000,7 +1000,7 @@ mod tests {
         assert!(node.summary_announcement().is_none());
         node.handle_message(
             &"gds-10".into(),
-            GdsMessage::SummaryUpdate { from: "gds-10".into(), version: 1, summary: host_summary("gs-5") },
+            GdsMessage::SummaryUpdate { from: "gds-10".into(), version: 1, summary: Box::new(host_summary("gs-5")) },
         );
         let first = node.summary_announcement().expect("announces once known");
         let second = node.summary_announcement().expect("re-announce allowed");
@@ -1052,7 +1052,7 @@ mod tests {
                 &mut nodes,
                 &gds,
                 &gs,
-                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary },
+                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary: Box::new(summary) },
             );
         }
         nodes
@@ -1171,7 +1171,7 @@ mod tests {
                 &mut nodes,
                 &gds,
                 &gs,
-                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary },
+                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary: Box::new(summary) },
             );
         }
         // kind_event_payload docs carry Language=mi → delivered.
@@ -1216,7 +1216,7 @@ mod tests {
                 &mut nodes,
                 &gds,
                 &gs,
-                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary },
+                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary: Box::new(summary) },
             );
         }
         nodes
@@ -1295,7 +1295,7 @@ mod tests {
             GdsMessage::SummaryUpdate {
                 from: "gs-7".into(),
                 version: 2,
-                summary: kind_summary("gs-5", gsa_types::EventKind::DocumentsAdded),
+                summary: Box::new(kind_summary("gs-5", gsa_types::EventKind::DocumentsAdded)),
             },
         );
         assert!(
@@ -1355,7 +1355,7 @@ mod tests {
                 &mut nodes,
                 &gds,
                 &gs,
-                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary },
+                GdsMessage::SummaryUpdate { from: gs.clone(), version: 1, summary: Box::new(summary) },
             );
         }
         for node in nodes.values() {
@@ -1418,7 +1418,7 @@ mod tests {
                 GdsMessage::SummaryUpdate {
                     from: HostName::new(*gs),
                     version: 1,
-                    summary: host_summary(&format!("gs-{i}")),
+                    summary: Box::new(host_summary(&format!("gs-{i}"))),
                 },
             );
             node.handle_message(&HostName::new(*gs), GdsMessage::Register { gs_host: HostName::new(*gs) });
@@ -1439,7 +1439,7 @@ mod tests {
             GdsMessage::SummaryUpdate {
                 from: "gs-a".into(),
                 version: 2,
-                summary: host_summary("gs-0"),
+                summary: Box::new(host_summary("gs-0")),
             },
         );
         assert!(node.announce_pending());

@@ -190,7 +190,7 @@ impl Harness {
             GdsMessage::SummaryUpdate {
                 from: gs(server),
                 version: self.versions[server],
-                summary,
+                summary: Box::new(summary),
             },
         );
     }

@@ -243,7 +243,7 @@ fn arb_control(host: &'static str) -> BoxedStrategy<GdsMessage> {
             10 => GdsMessage::SummaryUpdate {
                 from: a,
                 version: number,
-                summary,
+                summary: Box::new(summary),
             },
             _ => GdsMessage::RendezvousGrant {
                 from: a,
@@ -388,4 +388,13 @@ proptest! {
         // over): still the tree or the bytes.
         prop_assert_eq!(sent.deliver_event().unwrap(), event);
     }
+}
+
+/// Every flood frame, replay-ring entry and edge buffer holds messages by
+/// value, so each pays the largest variant. The summary is boxed to keep
+/// an announcement's 88-byte `InterestSummary` out of that size.
+#[test]
+fn a_message_is_at_most_seventy_two_bytes() {
+    let size = std::mem::size_of::<GdsMessage>();
+    assert!(size <= 72, "a GdsMessage is {size} bytes");
 }

@@ -505,6 +505,7 @@ pub(crate) mod tests {
         }
     }
 
+    /// A table pins the error messages byte for byte, on the parser and its reference.
     #[test]
     fn malformed_profiles_keep_their_messages() {
         let table = [
@@ -565,6 +566,7 @@ pub(crate) mod tests {
         }
     }
 
+    /// `Display` escapes the `"` and `\` that the lexer unescapes.
     #[test]
     fn display_escapes_what_the_lexer_unescapes() {
         let texts = [

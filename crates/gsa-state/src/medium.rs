@@ -71,7 +71,8 @@ impl MemMedium {
     /// A torn write at crash time: the first `keep` unsynced bytes
     /// made it to the platter before the power went; the rest did not.
     /// This is the kill-between-append-and-fsync fault.
-    pub fn crash_keeping(&self, keep: usize) {
+    #[cfg(test)]
+    pub(crate) fn crash_keeping(&self, keep: usize) {
         let mut inner = self.0.lock();
         let keep = keep.min(inner.pending.len());
         let kept: Vec<u8> = inner.pending[..keep].to_vec();

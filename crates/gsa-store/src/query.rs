@@ -412,6 +412,7 @@ mod tests {
         assert!(!q.matches_tokens(&TokenSet::of("libz")));
     }
 
+    /// What a query prints parses back to it.
     #[test]
     fn display_round_trips_through_parse() {
         for text in [
@@ -460,6 +461,7 @@ mod tests {
         );
     }
 
+    /// A table pins the error messages byte for byte.
     #[test]
     fn malformed_queries_keep_their_messages() {
         let table = [
@@ -485,6 +487,7 @@ mod tests {
         }
     }
 
+    /// A query word folds character by character (`char::to_lowercase`).
     #[test]
     fn words_fold_character_by_character() {
         // `char::to_lowercase`, not `str::to_lowercase`: a final sigma

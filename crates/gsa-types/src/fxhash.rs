@@ -13,7 +13,7 @@
 //! observable behaviour — a table that is only ever probed (insert /
 //! contains / remove by key) is hasher-order-free by construction.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// Multiplier from the 64-bit Fx construction: a rotate, an xor and one
@@ -104,8 +104,6 @@ impl BuildHasher for FxBuildHasher {
 
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -146,7 +144,7 @@ mod tests {
         let mut map: FxHashMap<String, u32> = FxHashMap::default();
         map.insert("k".into(), 1);
         assert_eq!(map.get("k"), Some(&1));
-        let mut set: FxHashSet<u64> = FxHashSet::default();
+        let mut set: std::collections::HashSet<u64, FxBuildHasher> = Default::default();
         assert!(set.insert(7));
         assert!(set.contains(&7));
     }

@@ -34,7 +34,7 @@ mod time;
 
 pub use counter::{CounterId, Counts};
 pub use event::{DocSummary, Event, EventId, EventKind};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use id::{
     ClientId, CollectionId, CollectionName, DocId, DocumentRef, HostName, MessageId, ProfileId,
 };

@@ -1368,11 +1368,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10_000))]
 
+        /// The queue against its reference model on `Copy` peers.
         #[test]
         fn the_queue_matches_its_reference_on_copy_peers(ops in prop::collection::vec(op(), 1..48)) {
             shrunk(ops, |ops| run(&[1u8, 2, 3], &doubling(), ops))?;
         }
 
+        /// The queue against its reference model on `HostName` peers.
         #[test]
         fn the_queue_matches_its_reference_on_host_peers(ops in prop::collection::vec(op(), 1..48)) {
             let hosts = [HostName::new("Hamilton"), HostName::new("London"), HostName::new("Paris")];

@@ -348,6 +348,7 @@ fn volatile_lifecycle_forgets_acks_and_double_notifies_on_the_same_crash() {
     );
 }
 
+/// Nothing a server sent before its crash is re-sent after the restart.
 #[test]
 fn a_crash_loses_the_transport() {
     // Hamilton rebuilds and crashes in the same instant. On XML the
@@ -456,6 +457,7 @@ fn bounce_london(system: &mut System) {
     system.run_until_quiet(system.now() + SimDuration::from_secs(5));
 }
 
+/// A pruning server hears an interest subscribed after its restart.
 #[test]
 fn a_restarted_server_hears_an_interest_subscribed_after_the_restart() {
     // With pruning on, gds-2 keeps London's summary only when the
@@ -484,6 +486,7 @@ fn a_restarted_server_hears_an_interest_subscribed_after_the_restart() {
     }
 }
 
+/// After a restart, a pre-crash handle cancels no profile subscribed since.
 #[test]
 fn a_pre_crash_handle_never_names_a_new_profile() {
     // A restart that numbered its profiles from 0 again would give the
@@ -530,6 +533,7 @@ fn retired_frame(tag: u8, key: u64) -> Vec<u8> {
     frame
 }
 
+/// A journal with an older build's high-water marks between two subscribes replays both.
 #[test]
 fn a_journal_with_retired_high_water_marks_still_replays() {
     use gsa_state::{replay_journal, Medium, ReplayStop};

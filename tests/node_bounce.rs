@@ -196,11 +196,13 @@ fn a_batch_flush_survives_its_node_bouncing_reliable() {
 /// the instant ends.
 const HAMILTON: (Option<&str>, &str, &str) = (None, "Hamilton", "gds-4");
 
+/// A lone publish held when its publisher goes down leaves after the restart.
 #[test]
 fn a_held_publish_survives_its_publisher_bouncing_best_effort() {
     later_rebuild_crosses_a_bounced_batcher(HAMILTON, false);
 }
 
+/// The same on reliable edges.
 #[test]
 fn a_held_publish_survives_its_publisher_bouncing_reliable() {
     later_rebuild_crosses_a_bounced_batcher(HAMILTON, true);

@@ -372,7 +372,7 @@ fn summaries_and_grants_are_pinned() {
         GdsMessage::SummaryUpdate {
             from: "gds-4".into(),
             version: 7,
-            summary: InterestSummary::wildcard(),
+            summary: Box::new(InterestSummary::wildcard()),
         },
         "b20c12056764732d340701000000",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
@@ -382,7 +382,7 @@ fn summaries_and_grants_are_pinned() {
         GdsMessage::SummaryUpdate {
             from: "gds-4".into(),
             version: 1 << 40,
-            summary: digest_summary(),
+            summary: Box::new(digest_summary()),
         },
         "b24e12056764732d3480808080802000010848616d696c746f6e01084c6f6e646f6e2e4502046b69\
          6e64010f646f63756d656e74732d61646465640d6d6574613a4c616e67756167650202656e026d69",
@@ -396,7 +396,7 @@ fn summaries_and_grants_are_pinned() {
         GdsMessage::SummaryUpdate {
             from: "Hamilton".into(),
             version: 0,
-            summary: InterestSummary::empty(),
+            summary: Box::new(InterestSummary::empty()),
         },
         "b20f120848616d696c746f6e0000000000",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
