@@ -6,22 +6,36 @@
 # `shims/`.
 #
 # A file's non-test lines are its lines up to the first `#[cfg(test)]`
-# that a `mod` line follows (the file's unit tests start there). A file
-# declared only as `#[cfg(test)] mod name;` is test code as a whole and
-# is not counted.
+# that a `mod` line follows (the file's unit tests start there), less
+# every other `#[cfg(test)]` item: a test-only function, field or
+# statement, from its doc comment and attributes to the line where its
+# brackets close or its `;` or `,` ends it (a `where` clause is not
+# understood). A file declared only as
+# `#[cfg(test)] mod name;` is test code as a whole and is not counted.
 #
 # Usage: .github/count-lines.sh   (from anywhere inside the repository)
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
-# Lines of one file before its unit tests.
+# Lines of one file before its unit tests, less its test-only items.
+# Doc comments and attributes are held until the line they annotate:
+# they count with a product item and are dropped with a test-only one.
 product_lines() {
   awk '
-    pending && /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/ { exit }
-    pending { n += held; held = 0; pending = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1; held = 1; next }
-    { n++ }
-    END { print n + 0 }
+    pending && /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/ { n += held; exit }
+    pending && /^[[:space:]]*#\[/ { next }
+    pending { pending = 0; held = 0; skip = 1; depth = 0 }
+    skip {
+      line = $0
+      sub(/[[:space:]]*\/\/.*$/, "", line)
+      depth += gsub(/[[({]/, "", line) - gsub(/[])}]/, "", line)
+      if (depth <= 0 && $0 ~ /[});,][[:space:]]*(\/\/.*)?$/) skip = 0
+      next
+    }
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1; next }
+    /^[[:space:]]*(\/\/\/|#\[)/ { held++; next }
+    { n += held + 1; held = 0 }
+    END { print n + held }
   ' "$1"
 }
 

@@ -80,26 +80,17 @@ const HEARTBEAT_MISSES: u32 = 3;
 pub(crate) const BATCH_MAX_EVENTS: usize = 16;
 
 /// The argument of [`WireConfig::v2_batched`]; it switches nothing,
-/// since [`WireConfig::v2`] always batches. Kept for callers that still
-/// name it.
+/// since [`WireConfig::v2`] always batches. Kept, with [`WireConfig`]
+/// and [`ReliabilityConfig`], only as an argument of `System`'s `set_*`
+/// wrappers; a deployment is a [`SystemConfig`](crate::SystemConfig).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchConfig;
 
-/// Deployment-wide wire-protocol configuration: the format every edge
-/// speaks.
-///
-/// The default — XML — reproduces the paper's XML-over-SOAP behaviour
-/// exactly, frame for frame. [`WireConfig::v2`] puts every edge on the
-/// binary codec from its first frame, and batches the frames that carry
-/// events per edge: buffered per neighbour and flushed as one
-/// [`GdsMessage::Batch`] frame at 16 events or at the end of the instant
-/// they were sent in, whichever comes first, so a lone event waits for
-/// no clock. The format is a fact of the deployment, not negotiated per
-/// edge: a tree whose hosts speak different formats is not supported.
+/// The argument of [`System::set_wire`](crate::System::set_wire): the
+/// format of [`SystemConfig::wire`](crate::SystemConfig::wire).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireConfig {
-    /// The format of every GDS frame: XML text (version 1, the paper's
-    /// §6 protocol) or the length-prefixed binary codec (version 2).
+    /// The format of every GDS frame.
     pub format: WireFormat,
 }
 
@@ -111,29 +102,15 @@ impl WireConfig {
         }
     }
 
-    /// The most events one frame carries: [`BATCH_MAX_EVENTS`] on the
-    /// binary wire, one on the paper's XML, which has no `gds:batch`.
-    pub(crate) fn batch_cap(&self) -> usize {
-        match self.format {
-            WireFormat::Binary => BATCH_MAX_EVENTS,
-            WireFormat::Xml => 1,
-        }
-    }
-
     /// An alias of [`WireConfig::v2`], which always batches.
     pub fn v2_batched(_: BatchConfig) -> Self {
         Self::v2()
     }
 }
 
-/// Turns on the per-hop reliability layer
-/// ([`System::set_reliability`](crate::System::set_reliability)): GDS
-/// traffic acknowledged within
-/// [`ACK_DELAY`](gsa_wire::reliable::ACK_DELAY) and retransmitted until
-/// acknowledged (RACK-TLP loss detection over 500 ms doubling to 4 s,
-/// ± 20 %), and the failure detector that drives tree self-healing
-/// (every parent beacons each child once a second; a child declares its
-/// parent dead after 3 silent intervals).
+/// The argument of
+/// [`System::set_reliability`](crate::System::set_reliability), which
+/// turns [`SystemConfig::reliable`](crate::SystemConfig::reliable) on.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReliabilityConfig;
 
@@ -156,7 +133,7 @@ impl AlertingActor {
     /// which derives the retransmission jitter, this host's GDS-bound
     /// traffic (registration, publishes, resolves) rides the reliable
     /// envelope.
-    pub fn new(core: AlertingCore, wire: &WireConfig, reliable: Option<u64>) -> Self {
+    pub fn new(core: AlertingCore, wire: WireFormat, reliable: Option<u64>) -> Self {
         AlertingActor {
             core,
             edge: EdgeTransport::new(wire, reliable),
@@ -276,10 +253,10 @@ impl GdsActor {
     /// parent is declared dead, and the seed of the retransmission jitter.
     pub fn new(
         mut node: GdsNode,
-        wire: &WireConfig,
+        wire: WireFormat,
         reliable: Option<(Option<HostName>, u64)>,
     ) -> Self {
-        node.set_encode_once(wire.format == WireFormat::Binary);
+        node.set_encode_once(wire == WireFormat::Binary);
         GdsActor {
             node,
             edge: EdgeTransport::new(wire, reliable.as_ref().map(|&(_, seed)| seed)),

@@ -67,8 +67,10 @@ pub use crate::core::{AlertingCore, CoreEffects};
 pub use gsa_alerts::{
     AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
 };
+pub use gsa_gds::InterestMode;
+pub use gsa_wire::WireFormat;
 pub use actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
 pub use aux::{AuxProfile, AuxStore};
 pub use message::{aux_from_xml, aux_to_xml, AuxPayload, SysMessage};
 pub use subs::{Notification, SubscriptionManager};
-pub use system::{SubscribeError, System};
+pub use system::{SubscribeError, System, SystemConfig};

@@ -25,23 +25,77 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// What a deployment runs: one value, fixed when the [`System`] is built
+/// and applied alike to every node. The default is the paper's
+/// configuration, message for message: XML over best-effort hops, full
+/// floods, in-memory servers and fire-and-forget notifications.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SystemConfig {
+    /// The format of every GDS frame. [`WireFormat::Xml`], the default,
+    /// is the paper's XML messaging, frame for frame.
+    /// [`WireFormat::Binary`] puts every edge on the version-2 codec from
+    /// its first frame, with encode-once flood forwarding, and batches the
+    /// frames that carry events per edge: flushed as one
+    /// [`GdsMessage::Batch`] at 16 events or at the end of the instant
+    /// they were sent in, so a lone event waits for no clock. There is no
+    /// per-host override: a tree of mixed formats is not supported.
+    pub wire: WireFormat,
+    /// The per-hop reliability layer. GDS traffic is acknowledged within
+    /// [`ACK_DELAY`](gsa_wire::reliable::ACK_DELAY) and retransmitted
+    /// until acknowledged (RACK-TLP loss detection over 500 ms doubling
+    /// to 4 s, ± 20 %). Every directory node beacons each child once a
+    /// second, and a child whose parent stays silent for 3 intervals
+    /// re-parents to its recorded grandparent. Off by default: the
+    /// paper's §6 best-effort hops.
+    pub reliable: bool,
+    /// How directory nodes route a flood. [`InterestMode::Flood`], the
+    /// default, is the paper's full flood, message for message. Under
+    /// [`InterestMode::Prune`] servers announce conservative interest
+    /// summaries, nodes aggregate them per subtree, and a flood skips the
+    /// edges that cannot match its event. [`InterestMode::PruneWithGrants`]
+    /// adds rendezvous grants: a node that can prove a hot (attribute,
+    /// value) subgroup lives entirely under one child edge grants that
+    /// edge, and matching events are confined to the subtree instead of
+    /// flooding through the root.
+    pub interest: InterestMode,
+    /// A durable state backend on every server: an append-only journal
+    /// and snapshot store over a simulated disk that survives
+    /// [`System::crash_server`]. Off by default: the paper's in-memory
+    /// servers, whose store records nothing.
+    pub durable: bool,
+    /// Stateful alert lifecycles and delivery policies on every server:
+    /// matched events are fingerprinted into firing / acked / resolved /
+    /// stale instances and run through the dedup / throttle / digest
+    /// pipeline. `None` by default: the paper's fire-and-forget
+    /// notifications (the policy-equivalence oracle pins that
+    /// [`AlertPolicyConfig::observe_only`] changes no delivery either).
+    pub alert_policies: Option<AlertPolicyConfig>,
+}
+
+impl SystemConfig {
+    /// Every shipped switch on: the v2 wire, reliable hops, pruning with
+    /// rendezvous grants, durable servers and observe-only alert
+    /// policies.
+    pub fn production() -> Self {
+        SystemConfig {
+            wire: WireFormat::Binary,
+            reliable: true,
+            interest: InterestMode::PruneWithGrants,
+            durable: true,
+            alert_policies: Some(AlertPolicyConfig::observe_only()),
+        }
+    }
+}
+
 /// A whole simulated deployment: GDS tree + Greenstone servers + clients.
 ///
 /// All driver methods address nodes by host name and panic on unknown
-/// names — a deployment-script bug, not a runtime condition. So do the
-/// node switches (`set_reliability`, `set_wire`, `set_pruning`,
-/// `set_rendezvous`, `set_durability`, `set_alert_policies`) once a
-/// node exists: each applies to every node or to none.
+/// names — a deployment-script bug, not a runtime condition.
 pub struct System {
     sim: Sim<SysMessage>,
     next_client: u64,
     seed: u64,
-    reliable: bool,
-    wire: WireConfig,
-    pruning: bool,
-    rendezvous: bool,
-    durability: bool,
-    alert_policies: Option<AlertPolicyConfig>,
+    config: SystemConfig,
     /// The simulated disk of every durable server, held by the harness
     /// so fault injection and crashes reach the storage its store reads.
     media: HashMap<HostName, MemMedium>,
@@ -80,20 +134,21 @@ fn wire_sizer(format: WireFormat) -> impl Fn(&SysMessage) -> usize {
 }
 
 impl System {
-    /// Creates an empty deployment with the given RNG seed.
+    /// Creates an empty deployment of the paper's configuration with the
+    /// given RNG seed.
     pub fn new(seed: u64) -> Self {
+        Self::with_config(seed, SystemConfig::default())
+    }
+
+    /// Creates an empty deployment of `config` with the given RNG seed.
+    pub fn with_config(seed: u64, config: SystemConfig) -> Self {
         let mut sim = Sim::new(seed);
-        sim.set_wire_size_fn(wire_sizer(WireFormat::Xml));
+        sim.set_wire_size_fn(wire_sizer(config.wire));
         System {
             sim,
             next_client: 0,
             seed,
-            reliable: false,
-            wire: WireConfig::default(),
-            pruning: false,
-            rendezvous: false,
-            durability: false,
-            alert_policies: None,
+            config,
             media: HashMap::new(),
         }
     }
@@ -118,95 +173,56 @@ impl System {
         );
     }
 
-    /// Turns on the reliability layer for every node: GDS traffic rides
-    /// the ack/retransmit envelope, directory servers beacon their
-    /// children once a second and re-parent to their recorded
-    /// grandparent when their own parent's beacons stop. Off by default
-    /// — the paper's §6 best-effort behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics once a node exists.
+    // The six node switches below each write the deployment's
+    // `SystemConfig` and panic once a node exists. They are kept for the
+    // benchmark's `sut.rs`, which still builds a deployment switch by
+    // switch.
+
+    /// Turns [`SystemConfig::reliable`] on.
     pub fn set_reliability(&mut self, _: ReliabilityConfig) {
         self.before_any_node("set_reliability");
-        self.reliable = true;
+        self.config.reliable = true;
     }
 
-    /// Sets the wire-protocol configuration of every node. The default
-    /// ([`WireConfig::default`]) is the paper's XML messaging;
-    /// [`WireConfig::v2`] puts every edge on the binary fast path from
-    /// its first frame, with encode-once flood forwarding and per-edge
-    /// event batching flushed at the end of each instant. The format is
-    /// deployment-wide: there is no per-host override.
-    ///
-    /// # Panics
-    ///
-    /// Panics once a node exists.
+    /// Sets [`SystemConfig::wire`].
     pub fn set_wire(&mut self, config: WireConfig) {
         self.before_any_node("set_wire");
         self.sim.set_wire_size_fn(wire_sizer(config.format));
-        self.wire = config;
+        self.config.wire = config.format;
     }
 
-    /// Turns on subscription-aware flood pruning for every node:
-    /// servers announce conservative interest summaries to their
-    /// directory nodes, nodes aggregate them per subtree, and floods
-    /// skip edges that cannot match an event. Off by default — the
-    /// paper's full-flood behaviour, message for message.
-    ///
-    /// # Panics
-    ///
-    /// Panics once a node exists.
+    /// Sets [`SystemConfig::interest`] to [`InterestMode::Prune`], or to
+    /// [`InterestMode::Flood`] when `enabled` is false.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.before_any_node("set_pruning");
-        self.pruning = enabled;
+        self.config.interest = if enabled { InterestMode::Prune } else { InterestMode::Flood };
     }
 
-    /// Enables rendezvous routing on every GDS node: nodes that can
-    /// prove a hot (attribute, value) subgroup lives entirely under one
-    /// child edge grant that edge a rendezvous point, and matching
-    /// events are confined to the subtree instead of flooding through
-    /// the root. Off by default — the paper's flood-to-root behaviour,
-    /// message for message. Requires pruning and attribute summaries to
-    /// have any effect.
-    ///
-    /// # Panics
-    ///
-    /// Panics once a node exists.
+    /// Adds rendezvous grants to pruning
+    /// ([`InterestMode::PruneWithGrants`]), or takes them away when
+    /// `enabled` is false. Panics when enabling while pruning is off.
     pub fn set_rendezvous(&mut self, enabled: bool) {
         self.before_any_node("set_rendezvous");
-        self.rendezvous = enabled;
+        self.config.interest = match (self.config.interest, enabled) {
+            (InterestMode::Flood, true) => {
+                panic!("set_rendezvous(true) needs set_pruning(true) first")
+            }
+            (InterestMode::Flood, false) => InterestMode::Flood,
+            (_, true) => InterestMode::PruneWithGrants,
+            (_, false) => InterestMode::Prune,
+        };
     }
 
-    /// Gives every server a durable state backend: an append-only
-    /// journal + snapshot store over a simulated disk that survives
-    /// [`crash_server`](Self::crash_server). Off by default — the
-    /// paper's in-memory behaviour, message for message (with the
-    /// default in-memory store the persistence seam records nothing and
-    /// paper-figure counts are untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics once a node exists.
+    /// Sets [`SystemConfig::durable`].
     pub fn set_durability(&mut self, enabled: bool) {
         self.before_any_node("set_durability");
-        self.durability = enabled;
+        self.config.durable = enabled;
     }
 
-    /// Installs stateful alert lifecycles + delivery policies on every
-    /// server: matched events are fingerprinted into
-    /// firing/acked/resolved/stale instances and run through the
-    /// configured dedup / throttle / digest pipeline. Off by default —
-    /// the paper's fire-and-forget behaviour, message for message (the
-    /// policy-equivalence oracle pins that an `observe_only` config
-    /// changes nothing either).
-    ///
-    /// # Panics
-    ///
-    /// Panics once a node exists.
+    /// Sets [`SystemConfig::alert_policies`].
     pub fn set_alert_policies(&mut self, config: Option<AlertPolicyConfig>) {
         self.before_any_node("set_alert_policies");
-        self.alert_policies = config;
+        self.config.alert_policies = config;
     }
 
     /// The policy fingerprint a server would assign this notification
@@ -238,7 +254,7 @@ impl System {
 
     /// The simulated disk of a durable server (a shared handle — fault
     /// injection mutates the same storage the server's store reads).
-    /// `None` for servers added while durability was off.
+    /// `None` for a server of a deployment that is not durable.
     pub fn storage_of(&self, host: &str) -> Option<MemMedium> {
         self.media.get(&HostName::new(host)).cloned()
     }
@@ -279,13 +295,9 @@ impl System {
         grandparent: Option<HostName>,
     ) -> NodeId {
         let name = node.name().clone();
-        node.set_interest(match (self.pruning, self.rendezvous) {
-            (false, _) => InterestMode::Flood,
-            (true, false) => InterestMode::Prune,
-            (true, true) => InterestMode::PruneWithGrants,
-        });
+        node.set_interest(self.config.interest);
         let reliable = self.jitter_seed(self.joining()).map(|seed| (grandparent, seed));
-        let actor = GdsActor::new(node, &self.wire, reliable);
+        let actor = GdsActor::new(node, self.config.wire, reliable);
         self.sim.add_node(name.as_str(), actor)
     }
 
@@ -301,17 +313,17 @@ impl System {
     /// gets the seed it was first built with.
     fn jitter_seed(&self, node: NodeId) -> Option<u64> {
         let mix = self.seed ^ 0x9e37_79b9_7f4a_7c15;
-        self.reliable.then(|| mix.wrapping_mul(2 * u64::from(node.as_u32()) + 1))
+        self.config.reliable.then(|| mix.wrapping_mul(2 * u64::from(node.as_u32()) + 1))
     }
 
     /// Adds a Greenstone server registered at the named GDS node.
     pub fn add_server(&mut self, host: &str, gds_server: &str) -> NodeId {
         let mut core = AlertingCore::new(host, gds_server);
-        core.set_pruning(self.pruning);
-        if let Some(policies) = &self.alert_policies {
+        core.set_pruning(self.config.interest != InterestMode::Flood);
+        if let Some(policies) = &self.config.alert_policies {
             core.set_alert_policies(Some(policies.clone()));
         }
-        if self.durability {
+        if self.config.durable {
             let medium = MemMedium::new();
             self.media.insert(HostName::new(host), medium.clone());
             core.set_state_store(Box::new(JournalStateStore::new(
@@ -319,7 +331,7 @@ impl System {
                 JournalConfig::default(),
             )));
         }
-        let actor = AlertingActor::new(core, &self.wire, self.jitter_seed(self.joining()));
+        let actor = AlertingActor::new(core, self.config.wire, self.jitter_seed(self.joining()));
         self.sim.add_node(host, actor)
     }
 
@@ -679,7 +691,7 @@ impl System {
         if let Some(medium) = self.media.get(&HostName::new(host)) {
             medium.crash();
         }
-        let (wire, reliable, now) = (&self.wire, self.jitter_seed(node), self.sim.now());
+        let (wire, reliable, now) = (self.config.wire, self.jitter_seed(node), self.sim.now());
         let rebuilt = self.sim.replace_actor(node, |crashed: AlertingActor| {
             AlertingActor::new(crashed.core.crashed(now), wire, reliable)
         });
@@ -993,10 +1005,34 @@ mod tests {
         system.set_drop_probability(0.1);
     }
 
+    /// The six wrappers, called in the order the benchmark's production
+    /// deployment calls them, leave exactly the production preset, and a
+    /// new deployment holds the paper's configuration.
+    #[test]
+    fn the_wrappers_in_the_benchmarks_order_leave_the_production_preset() {
+        assert_eq!(System::new(1).config, SystemConfig::default());
+        let mut system = System::new(1);
+        system.set_wire(WireConfig::v2_batched(crate::actor::BatchConfig));
+        system.set_reliability(ReliabilityConfig);
+        system.set_pruning(true);
+        system.set_rendezvous(true);
+        system.set_durability(true);
+        system.set_alert_policies(Some(AlertPolicyConfig::observe_only()));
+        assert_eq!(system.config, SystemConfig::production());
+    }
+
+    /// Grants need pruning: asked for while the nodes flood, they are a
+    /// configuration that would behave as the flood, so it is refused.
+    #[test]
+    #[should_panic(expected = "set_rendezvous(true) needs set_pruning(true) first")]
+    fn rendezvous_before_pruning_panics() {
+        System::new(1).set_rendezvous(true);
+    }
+
     #[test]
     fn reliable_layer_delivers_exactly_once_over_lossy_links() {
-        let mut system = System::new(11);
-        system.set_reliability(ReliabilityConfig);
+        let reliable = SystemConfig { reliable: true, ..SystemConfig::default() };
+        let mut system = System::with_config(11, reliable);
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_server("London", "gds-2");
@@ -1023,8 +1059,8 @@ mod tests {
 
     #[test]
     fn gds_crash_heals_by_reparenting_to_grandparent() {
-        let mut system = System::new(5);
-        system.set_reliability(ReliabilityConfig);
+        let reliable = SystemConfig { reliable: true, ..SystemConfig::default() };
+        let mut system = System::with_config(5, reliable);
         system.add_gds_topology(&figure2_tree());
         // London sits on gds-6, a leaf under gds-3; Hamilton far away.
         system.add_server("Hamilton", "gds-4");
@@ -1082,12 +1118,9 @@ mod tests {
             register.wire_size(WireFormat::Binary),
             "the two formats size the frame apart"
         );
-        for (wire, format) in [
-            (WireConfig::default(), WireFormat::Xml),
-            (WireConfig::v2(), WireFormat::Binary),
-        ] {
-            let mut system = System::new(7);
-            system.set_wire(wire);
+        for format in [WireFormat::Xml, WireFormat::Binary] {
+            let wire = SystemConfig { wire: format, ..SystemConfig::default() };
+            let mut system = System::with_config(7, wire);
             system.add_gds_node(GdsNode::new("gds-1", 1, None));
             system.add_server("Hamilton", "gds-1");
             system.run_until_quiet(SimTime::from_secs(5));
@@ -1121,8 +1154,8 @@ mod tests {
     /// afterwards is counted at its own size.
     #[test]
     fn a_shared_frame_is_counted_once_per_edge() {
-        let mut system = System::new(7);
-        system.set_wire(WireConfig::v2());
+        let v2 = SystemConfig { wire: WireFormat::Binary, ..SystemConfig::default() };
+        let mut system = System::with_config(7, v2);
         let mut topo = GdsTopology::new();
         for root in [1, 11] {
             topo.add(format!("gds-{root}"), 1, None);
@@ -1159,8 +1192,7 @@ mod tests {
     /// world (durable or not), subscribe London to Hamilton events,
     /// crash + restart London, then publish and count notifications.
     fn crash_restart_notifications(durable: bool) -> usize {
-        let mut system = System::new(42);
-        system.set_durability(durable);
+        let mut system = System::with_config(42, SystemConfig { durable, ..SystemConfig::default() });
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_server("London", "gds-2");
@@ -1198,8 +1230,8 @@ mod tests {
 
     #[test]
     fn durable_recovery_counts_surface_as_state_metrics() {
-        let mut system = System::new(7);
-        system.set_durability(true);
+        let durable = SystemConfig { durable: true, ..SystemConfig::default() };
+        let mut system = System::with_config(7, durable);
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
@@ -1224,14 +1256,20 @@ mod tests {
         );
     }
 
+    fn pruned_durable() -> SystemConfig {
+        SystemConfig {
+            interest: InterestMode::Prune,
+            durable: true,
+            ..SystemConfig::default()
+        }
+    }
+
     #[test]
     fn durable_restart_reannounces_at_a_version_pruning_accepts() {
         // Pruning + durability: after crash+restart the re-announced
         // summary must not be dropped as stale, or the recovered
         // server's events stop flowing (a false negative PR 5 forbids).
-        let mut system = System::new(9);
-        system.set_pruning(true);
-        system.set_durability(true);
+        let mut system = System::with_config(9, pruned_durable());
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_server("London", "gds-2");
@@ -1259,9 +1297,7 @@ mod tests {
 
     #[test]
     fn durable_restart_announces_the_pre_crash_summary_and_still_narrows() {
-        let mut system = System::new(13);
-        system.set_pruning(true);
-        system.set_durability(true);
+        let mut system = System::with_config(13, pruned_durable());
         system.add_gds_topology(&figure2_tree());
         system.add_server("London", "gds-2");
         system.run_until_quiet(SimTime::from_secs(5));
@@ -1303,8 +1339,8 @@ mod tests {
 
     #[test]
     fn torn_storage_never_panics_and_never_forges_subscriptions() {
-        let mut system = System::new(11);
-        system.set_durability(true);
+        let durable = SystemConfig { durable: true, ..SystemConfig::default() };
+        let mut system = System::with_config(11, durable);
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));

@@ -3,12 +3,13 @@
 //! per-edge batch buffers, the reliable envelope and the acks owed. Its
 //! timer tags and per-hop constants are the actors' (`actor.rs`).
 
-use crate::actor::{WireConfig, ACK_TAG, BATCH_TAG, GDS_RETRY, LOSS_TAG};
+use crate::actor::{ACK_TAG, BATCH_MAX_EVENTS, BATCH_TAG, GDS_RETRY, LOSS_TAG};
 use crate::message::SysMessage;
 use gsa_gds::{GdsMessage, Items};
 use gsa_simnet::{CounterId, Ctx, NodeId};
 use gsa_types::{SimDuration, SimTime};
 use gsa_wire::reliable::{ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, ACK_DELAY};
+use gsa_wire::WireFormat;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,6 +60,15 @@ impl EdgeBuf {
     }
 }
 
+/// The most events one frame carries: [`BATCH_MAX_EVENTS`] on the
+/// binary wire, one on the paper's XML, which has no `gds:batch`.
+fn batch_cap(wire: WireFormat) -> usize {
+    match wire {
+        WireFormat::Binary => BATCH_MAX_EVENTS,
+        WireFormat::Xml => 1,
+    }
+}
+
 /// What the batcher asks of the wire.
 #[derive(Debug)]
 enum Flush {
@@ -79,7 +89,7 @@ enum Flush {
 /// forwarded whole goes out as the frame that came in.
 #[derive(Debug)]
 struct Batcher {
-    /// The most events one frame carries ([`WireConfig::batch_cap`]).
+    /// The most events one frame carries ([`batch_cap`]).
     cap: usize,
     pending: BTreeMap<NodeId, EdgeBuf>,
     /// A `BATCH_TAG` timer is outstanding.
@@ -362,9 +372,9 @@ pub(crate) struct EdgeTransport {
 
 impl EdgeTransport {
     /// A transport on `wire`, reliable when given a jitter seed.
-    pub(crate) fn new(wire: &WireConfig, reliable: Option<u64>) -> Self {
+    pub(crate) fn new(wire: WireFormat, reliable: Option<u64>) -> Self {
         EdgeTransport {
-            batcher: Batcher::new(wire.batch_cap()),
+            batcher: Batcher::new(batch_cap(wire)),
             reliable: reliable.map(ReliableLink::new),
             acks: PendingAcks::default(),
         }
@@ -461,7 +471,6 @@ impl EdgeTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::BATCH_MAX_EVENTS;
     use gsa_types::{HostName, MessageId};
     use gsa_wire::XmlElement;
     use proptest::prelude::*;

@@ -24,7 +24,8 @@ const MAX_GRANTS: usize = 8;
 static NO_GRANTS: AttrMap = AttrMap::new();
 
 /// Which interest machine a directory node runs: a construction-time
-/// choice, made alike for every node of a deployment.
+/// choice, made alike for every node of a deployment by `gsa-core`'s
+/// `SystemConfig::interest`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterestMode {
     /// The paper's flood: every event reaches every edge, and the node

@@ -13,7 +13,7 @@ use gsa_baselines::{
     Baseline, BaselineMsg, GlobalProfileId, GsFloodServer, ProfileFloodServer, RendezvousServer,
     Server,
 };
-use gsa_core::{AlertPolicyConfig, ReliabilityConfig, SysMessage, System};
+use gsa_core::{SysMessage, System, SystemConfig};
 use gsa_simnet::Sim;
 use gsa_store::SourceDocument;
 use gsa_types::{
@@ -76,24 +76,16 @@ pub struct RunConfig {
     /// Extra simulated time after the last scheduled action, so retries
     /// and in-flight deliveries drain.
     pub drain: SimDuration,
-    /// Turn on the reliability layer (hybrid only): per-hop
-    /// acks/retransmission and beacon-driven tree healing.
-    pub reliable: bool,
+    /// What the hybrid deployment runs (hybrid only). Give it
+    /// `durable` servers so hard server crashes
+    /// ([`FaultAction::CrashServer`]) recover their subscriptions on
+    /// restart.
+    pub system: SystemConfig,
     /// Ambient per-link drop probability applied once the workload
     /// starts (setup traffic runs clean).
     pub base_drop: f64,
     /// Optional chaos plan replayed alongside the workload.
     pub faults: Option<FaultPlan>,
-    /// Turn on subscription-aware flood pruning (hybrid only).
-    pub pruned: bool,
-    /// Give every hybrid server a journal+snapshot state store, so
-    /// hard server crashes ([`FaultAction::CrashServer`]) recover
-    /// their subscriptions on restart (hybrid only).
-    pub durable: bool,
-    /// Optional alert delivery policies applied to every hybrid server
-    /// (hybrid only; `None` keeps the paper-faithful fire-and-forget
-    /// path byte-identical).
-    pub policies: Option<AlertPolicyConfig>,
 }
 
 impl Default for RunConfig {
@@ -102,12 +94,9 @@ impl Default for RunConfig {
             seed: 1,
             fanout: 3,
             drain: SimDuration::from_secs(30),
-            reliable: false,
+            system: SystemConfig::default(),
             base_drop: 0.0,
             faults: None,
-            pruned: false,
-            durable: false,
-            policies: None,
         }
     }
 }
@@ -156,7 +145,7 @@ pub struct RunOutcome {
     /// crashes: `subscribed - cancels - stored_client_profiles`.
     pub stored_client_profiles: usize,
     /// Alert instances opened by the lifecycle engine (hybrid with
-    /// [`RunConfig::policies`] only, else 0).
+    /// `alert_policies` only, else 0).
     pub alerts_firing: u64,
     /// Notifications suppressed by dedup or throttle (ditto).
     pub alerts_suppressed: u64,
@@ -428,13 +417,7 @@ impl<'w> Hybrid<'w> {
     fn deploy(w: &Workload<'w>) -> Self {
         let (world, cfg) = (w.world, w.cfg);
         let (topo, assignment) = world.gds_tree(cfg.fanout);
-        let mut system = System::new(cfg.seed);
-        if cfg.reliable {
-            system.set_reliability(ReliabilityConfig);
-        }
-        system.set_pruning(cfg.pruned);
-        system.set_durability(cfg.durable);
-        system.set_alert_policies(cfg.policies.clone());
+        let mut system = System::with_config(cfg.seed, cfg.system.clone());
         system.add_gds_topology(&topo);
         for (host, gds) in &assignment {
             system.add_server(host.as_str(), gds.as_str());

@@ -27,7 +27,7 @@
 //! a new profile; and a journal an older build wrote, with the
 //! high-water marks it kept then, still replays.
 
-use gsa_core::{AlertPolicyConfig, AlertState, ReliabilityConfig, System, WireConfig};
+use gsa_core::{AlertPolicyConfig, AlertState, InterestMode, System, SystemConfig, WireFormat};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_store::SourceDocument;
@@ -94,10 +94,13 @@ fn run(cell: &Cell, durable: bool) -> (gsa_workload::Quality, usize) {
         &RunConfig {
             seed: 77,
             drain: SimDuration::from_secs(40),
-            reliable: true,
+            system: SystemConfig {
+                reliable: true,
+                durable,
+                ..SystemConfig::default()
+            },
             base_drop: 0.1,
             faults: Some(cell.faults.clone()),
-            durable,
             ..RunConfig::default()
         },
     );
@@ -153,8 +156,8 @@ fn volatile_hybrid_measurably_loses_subscriptions_on_the_same_crashes() {
 /// Builds the Figure 2 world with a durable Hamilton server holding
 /// `n` subscriptions, settled and ready for storage-fault injection.
 fn durable_hamilton(seed: u64, n: u64) -> System {
-    let mut system = System::new(seed);
-    system.set_durability(true);
+    let durable = SystemConfig { durable: true, ..SystemConfig::default() };
+    let mut system = System::with_config(seed, durable);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
@@ -248,9 +251,12 @@ fn mid_journal_flip_stops_at_the_last_good_record_and_is_counted() {
 /// One Hamilton server with dedup policies on, one local watcher, one
 /// matching rebuild already delivered and settled.
 fn lifecycle_world(seed: u64, durable: bool) -> (System, ClientId) {
-    let mut system = System::new(seed);
-    system.set_durability(durable);
-    system.set_alert_policies(Some(AlertPolicyConfig::dedup_only()));
+    let config = SystemConfig {
+        durable,
+        alert_policies: Some(AlertPolicyConfig::dedup_only()),
+        ..SystemConfig::default()
+    };
+    let mut system = System::with_config(seed, config);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_collection("Hamilton", CollectionConfig::simple("D", "d"));
@@ -356,10 +362,9 @@ fn a_crash_loses_the_transport() {
     // frame whose ack found Hamilton down is not re-sent after the
     // restart. On v2 it still sat in the batch buffer, flushed at the end
     // of the instant, and is lost with the process: no hop owed it yet.
-    for (wire, heard) in [(WireConfig::default(), 1), (WireConfig::v2(), 0)] {
-        let mut system = System::new(42);
-        system.set_reliability(ReliabilityConfig);
-        system.set_wire(wire.clone());
+    for (wire, heard) in [(WireFormat::Xml, 1), (WireFormat::Binary, 0)] {
+        let config = SystemConfig { wire, reliable: true, ..SystemConfig::default() };
+        let mut system = System::with_config(42, config);
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_server("London", "gds-2");
@@ -428,12 +433,13 @@ fn every_single_byte_flip_recovers_a_subset_without_panicking() {
 /// reliability off or on. London's first client subscribes to
 /// Hamilton's events and the world settles.
 fn restart_world(durable: bool, reliable: bool) -> (System, ClientId) {
-    let mut system = System::new(42);
-    system.set_pruning(true);
-    system.set_durability(durable);
-    if reliable {
-        system.set_reliability(ReliabilityConfig);
-    }
+    let config = SystemConfig {
+        reliable,
+        interest: InterestMode::Prune,
+        durable,
+        ..SystemConfig::default()
+    };
+    let mut system = System::with_config(42, config);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("Waikato", "gds-6");

@@ -8,6 +8,7 @@
 //! false positives, zero duplicates — while the best-effort hybrid
 //! measurably loses notifications on the same workload and faults.
 
+use gsa_core::{InterestMode, SystemConfig};
 use gsa_types::{HostName, SimDuration};
 use gsa_workload::{
     run_scheme, FaultPlan, FaultPlanParams, GsWorld, Oracle, ProfileMix, ProfilePopulation,
@@ -67,7 +68,7 @@ fn cell(seed: u64) -> ChaosCell {
     }
 }
 
-fn run(cell: &ChaosCell, reliable: bool, pruned: bool) -> (gsa_workload::Quality, u64) {
+fn run(cell: &ChaosCell, system: SystemConfig) -> (gsa_workload::Quality, u64) {
     let outcome = run_scheme(
         Scheme::Hybrid,
         &cell.world,
@@ -78,12 +79,9 @@ fn run(cell: &ChaosCell, reliable: bool, pruned: bool) -> (gsa_workload::Quality
             seed: 99,
             fanout: cell.fanout,
             drain: SimDuration::from_secs(40),
-            reliable,
-            pruned,
+            system,
             base_drop: 0.2,
             faults: Some(cell.faults.clone()),
-            durable: false,
-            ..RunConfig::default()
         },
     );
     let oracle = Oracle::build(
@@ -97,12 +95,22 @@ fn run(cell: &ChaosCell, reliable: bool, pruned: bool) -> (gsa_workload::Quality
     (oracle.classify(&outcome.deliveries), outcome.pruned_edges)
 }
 
+/// Reliable hops, nodes routing in `interest`, everything else the
+/// paper's.
+fn reliable(interest: InterestMode) -> SystemConfig {
+    SystemConfig {
+        reliable: true,
+        interest,
+        ..SystemConfig::default()
+    }
+}
+
 #[test]
 fn reliable_hybrid_is_perfect_under_seeded_chaos() {
     for seed in SEEDS {
         let cell = cell(seed);
         assert!(!cell.faults.is_empty(), "the plan actually schedules faults");
-        let (q, _) = run(&cell, true, false);
+        let (q, _) = run(&cell, reliable(InterestMode::Flood));
         assert!(q.expected > 0, "seed {seed}: workload produced deliveries");
         assert_eq!(q.false_negatives, 0, "seed {seed}: no lost notifications");
         assert_eq!(q.false_positives, 0, "seed {seed}: no spurious notifications");
@@ -117,7 +125,7 @@ fn reliable_hybrid_is_perfect_under_seeded_chaos() {
 fn reliable_pruned_hybrid_is_perfect_under_seeded_chaos() {
     for seed in SEEDS {
         let cell = cell(seed);
-        let (q, pruned_edges) = run(&cell, true, true);
+        let (q, pruned_edges) = run(&cell, reliable(InterestMode::Prune));
         assert!(q.expected > 0, "seed {seed}: workload produced deliveries");
         assert_eq!(q.false_negatives, 0, "seed {seed}: no lost notifications");
         assert_eq!(q.false_positives, 0, "seed {seed}: no spurious notifications");
@@ -134,11 +142,27 @@ fn best_effort_hybrid_measurably_fails_on_the_same_chaos() {
     let mut lost = 0;
     for seed in SEEDS {
         let cell = cell(seed);
-        lost += run(&cell, false, false).0.false_negatives;
+        lost += run(&cell, SystemConfig::default()).0.false_negatives;
     }
     assert!(
         lost > 0,
         "best-effort delivery must lose notifications under 0.2+ loss and crashes \
          (otherwise the chaos plan is too gentle to prove anything)"
     );
+}
+
+/// Every shipped switch at once — v2 batching, rendezvous grants, the
+/// journal and observe-only policies on top of reliable hops — meets the
+/// same GDS-node crash, loss burst and partition wave, and still
+/// classifies perfectly.
+#[test]
+fn the_production_configuration_is_perfect_under_seeded_chaos() {
+    for seed in SEEDS {
+        let cell = cell(seed);
+        let (q, _) = run(&cell, SystemConfig::production());
+        assert!(q.expected > 0, "seed {seed}: workload produced deliveries");
+        assert_eq!(q.false_negatives, 0, "seed {seed}: no lost notifications");
+        assert_eq!(q.false_positives, 0, "seed {seed}: no spurious notifications");
+        assert_eq!(q.duplicates, 0, "seed {seed}: no duplicate notifications");
+    }
 }

@@ -9,7 +9,7 @@
 //! four intervals, after which a publish still reaches every watcher
 //! exactly once; and light loss alone never moves a child.
 
-use gsa_core::{ReliabilityConfig, System};
+use gsa_core::{System, SystemConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_store::SourceDocument;
@@ -36,8 +36,8 @@ const WATCHERS: [(&str, &str); 4] = [
 /// Hamilton on gds-4 publishes, and every watcher subscribes to it.
 /// Runs the set-up until `settle`.
 fn reliable_world(seed: u64, settle: SimTime) -> (System, Vec<(&'static str, ClientId)>) {
-    let mut system = System::new(seed);
-    system.set_reliability(ReliabilityConfig);
+    let reliable = SystemConfig { reliable: true, ..SystemConfig::default() };
+    let mut system = System::with_config(seed, reliable);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     for (host, gds) in WATCHERS {

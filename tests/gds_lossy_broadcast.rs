@@ -13,7 +13,7 @@
 //! batches: on v2 its events leave the server eight to a frame, while a
 //! lone publish leaves in the instant it was made.
 
-use gsa_core::{ReliabilityConfig, System, WireConfig};
+use gsa_core::{InterestMode, System, SystemConfig, WireFormat};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_simnet::LinkConfig;
@@ -29,19 +29,24 @@ fn doc(id: &str) -> SourceDocument {
 /// servers spread across different branches (gds-2, gds-5, gds-7), all
 /// edges reliable. With `pruned` set, flood pruning is on and a fourth
 /// server (Oslo on gds-6) watches a host that never publishes, giving
-/// the summaries a subtree to actually cut. `configure` sets links and
-/// wire before any node exists.
+/// the summaries a subtree to actually cut. `configure` sets the links
+/// before any node exists.
 type Watchers = Vec<(&'static str, gsa_types::ClientId)>;
 
 fn lossy_world(
     seed: u64,
     pruned: bool,
+    wire: WireFormat,
     configure: impl FnOnce(&mut System),
 ) -> (System, Watchers, Option<gsa_types::ClientId>) {
-    let mut system = System::new(seed);
+    let config = SystemConfig {
+        wire,
+        reliable: true,
+        interest: if pruned { InterestMode::Prune } else { InterestMode::Flood },
+        ..SystemConfig::default()
+    };
+    let mut system = System::with_config(seed, config);
     configure(&mut system);
-    system.set_reliability(ReliabilityConfig);
-    system.set_pruning(pruned);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     let watchers = ["London", "Paris", "Berlin"];
@@ -76,7 +81,7 @@ fn broadcast_is_exactly_once_under_loss() {
     let mut total_drops = 0;
     for seed in [1, 2, 3, 4, 5] {
         for drop in [0.1, 0.2, 0.3] {
-            let (mut system, clients, _) = lossy_world(seed, false, |_| {});
+            let (mut system, clients, _) = lossy_world(seed, false, WireFormat::Xml, |_| {});
             system.set_drop_probability(drop);
             system.rebuild("Hamilton", "D", vec![doc("d1")]).unwrap();
             system.run_until(SimTime::from_secs(20));
@@ -115,7 +120,7 @@ fn pruned_broadcast_is_exactly_once_under_loss() {
     let mut total_pruned = 0;
     for seed in [1, 2, 3, 4, 5] {
         for drop in [0.1, 0.2, 0.3] {
-            let (mut system, clients, bystander) = lossy_world(seed, true, |_| {});
+            let (mut system, clients, bystander) = lossy_world(seed, true, WireFormat::Xml, |_| {});
             system.set_drop_probability(drop);
             system.rebuild("Hamilton", "D", vec![doc("d1")]).unwrap();
             system.run_until(SimTime::from_secs(20));
@@ -163,7 +168,7 @@ fn dedup_memory_closes_every_gap_that_retransmission_fills() {
     let mut total_drops = 0;
     let mut most_runs = 0;
     for seed in [1, 2, 3] {
-        let (mut system, clients, _) = lossy_world(seed, false, |_| {});
+        let (mut system, clients, _) = lossy_world(seed, false, WireFormat::Xml, |_| {});
         system.set_drop_probability(0.3);
         for n in 0..REBUILDS {
             system
@@ -200,8 +205,8 @@ fn dedup_memory_closes_every_gap_that_retransmission_fills() {
 }
 
 /// The wires a reliable edge runs on: the paper's XML, and v2.
-fn wires() -> [(&'static str, WireConfig); 2] {
-    [("xml", WireConfig::default()), ("v2", WireConfig::v2())]
+fn wires() -> [(&'static str, WireFormat); 2] {
+    [("xml", WireFormat::Xml), ("v2", WireFormat::Binary)]
 }
 
 /// Publishes 200 rebuilds 0.7 ms apart, which keeps many frames in
@@ -239,10 +244,8 @@ fn burst(system: &mut System, clients: &Watchers) -> Vec<SimDuration> {
 fn acks_flow_even_on_clean_links() {
     for (link_name, link) in [("lan", LinkConfig::lan()), ("wan", LinkConfig::wan())] {
         for (wire_name, wire) in wires() {
-            let (mut system, clients, _) = lossy_world(9, false, |s| {
-                s.set_default_link(link.clone());
-                s.set_wire(wire);
-            });
+            let (mut system, clients, _) =
+                lossy_world(9, false, wire, |s| s.set_default_link(link.clone()));
             burst(&mut system, &clients);
             assert!(system.metrics().counter("net.acks") > 0);
             assert_eq!(
@@ -268,7 +271,7 @@ fn acks_flow_even_on_clean_links() {
 fn a_lost_frame_costs_a_round_trip_not_a_timeout() {
     for seed in [1, 2, 3] {
         for (wire_name, wire) in wires() {
-            let (mut system, clients, _) = lossy_world(seed, false, |s| s.set_wire(wire));
+            let (mut system, clients, _) = lossy_world(seed, false, wire, |_| {});
             system.set_drop_probability(0.02);
             let delays = burst(&mut system, &clients);
             let prompt = delays
@@ -301,7 +304,7 @@ fn a_lost_retransmission_costs_a_round_trip_too() {
     let mut probes = 0;
     for seed in [1, 2, 3] {
         for (wire_name, wire) in wires() {
-            let (mut system, clients, _) = lossy_world(seed, false, |s| s.set_wire(wire));
+            let (mut system, clients, _) = lossy_world(seed, false, wire, |_| {});
             system.set_drop_probability(0.02);
             let delays = burst(&mut system, &clients);
             let worst = delays.iter().max().expect("notifications landed");
@@ -346,10 +349,10 @@ fn publisher_frames(system: &System, since: usize) -> (usize, Option<SimTime>) {
 fn a_published_burst_leaves_its_server_in_batches() {
     const BURST: usize = 32;
     for (wire_name, wire, burst_frames) in [
-        ("xml", WireConfig::default(), BURST),
-        ("v2", WireConfig::v2(), BURST / 16),
+        ("xml", WireFormat::Xml, BURST),
+        ("v2", WireFormat::Binary, BURST / 16),
     ] {
-        let (mut system, clients, _) = lossy_world(1, false, |s| s.set_wire(wire));
+        let (mut system, clients, _) = lossy_world(1, false, wire, |_| {});
         system.sim_mut().enable_trace();
         for n in 0..BURST {
             system

@@ -12,7 +12,7 @@
 //! still arrives. The last one holds a bounced node's periodic chains to
 //! one each.
 
-use gsa_core::{ReliabilityConfig, System, WireConfig};
+use gsa_core::{InterestMode, System, SystemConfig, WireFormat};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::CollectionConfig;
 use gsa_simnet::NodeId;
@@ -26,9 +26,8 @@ const SEED: u64 = 7;
 /// inside the outage (a batch flush is due in the instant it was set).
 const OUTAGE: SimDuration = SimDuration::from_millis(50);
 
-fn world(configure: impl FnOnce(&mut System)) -> (System, ClientId) {
-    let mut system = System::new(SEED);
-    configure(&mut system);
+fn world(config: SystemConfig) -> (System, ClientId) {
+    let mut system = System::with_config(SEED, config);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("Cairo", "gds-5");
@@ -36,6 +35,10 @@ fn world(configure: impl FnOnce(&mut System)) -> (System, ClientId) {
     let client = system.add_client("Cairo");
     system.run_until_quiet(SimTime::from_secs(5));
     (system, client)
+}
+
+fn reliable() -> SystemConfig {
+    SystemConfig { reliable: true, ..SystemConfig::default() }
 }
 
 fn bounce(system: &mut System, host: &str) {
@@ -57,7 +60,8 @@ fn rebuild(system: &mut System, doc: &str) {
 /// subscriber.
 #[test]
 fn a_deferred_announcement_survives_its_node_bouncing() {
-    let (mut system, client) = world(|s| s.set_pruning(true));
+    let pruned = SystemConfig { interest: InterestMode::Prune, ..SystemConfig::default() };
+    let (mut system, client) = world(pruned);
     // Any change to Cairo's summary marks gds-5's aggregate dirty and
     // arms its 1 ms announce timer when the update arrives.
     system
@@ -128,11 +132,10 @@ fn later_rebuild_crosses_a_bounced_batcher(
     (prev, host, next): (Option<&str>, &str, &str),
     reliable: bool,
 ) {
-    let (mut system, client) = world(|s| {
-        s.set_wire(WireConfig::v2());
-        if reliable {
-            s.set_reliability(ReliabilityConfig);
-        }
+    let (mut system, client) = world(SystemConfig {
+        wire: WireFormat::Binary,
+        reliable,
+        ..SystemConfig::default()
     });
     system
         .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
@@ -217,7 +220,7 @@ fn a_held_publish_survives_its_publisher_bouncing_reliable() {
 #[test]
 fn an_ack_flush_survives_its_node_bouncing() {
     for offset_us in (2_000..6_000).step_by(100) {
-        let (mut system, client) = world(|s| s.set_reliability(ReliabilityConfig));
+        let (mut system, client) = world(reliable());
         system
             .subscribe_text("Cairo", client, r#"host = "Hamilton""#)
             .unwrap();
@@ -256,14 +259,13 @@ fn idle_window(system: &mut System) -> (u64, usize) {
 /// twin that never bounced.
 #[test]
 fn a_bounced_node_runs_each_timer_once() {
-    let reliable = |s: &mut System| s.set_reliability(ReliabilityConfig);
-    let (mut twin, _) = world(reliable);
+    let (mut twin, _) = world(reliable());
     twin.run_for(OUTAGE);
     twin.run_for(SimDuration::from_secs(5));
     let expected = idle_window(&mut twin);
     for host in ["gds-2", "Cairo"] {
         for double in [false, true] {
-            let (mut system, _) = world(reliable);
+            let (mut system, _) = world(reliable());
             bounce(&mut system, host);
             if double {
                 system.set_host_up(host, false);

@@ -16,7 +16,7 @@
 //! block the document should hold.
 
 use gsa_core::aux::AUX_RETRY_INTERVAL;
-use gsa_core::{AlertPolicyConfig, SysMessage, System, WireConfig};
+use gsa_core::{AlertPolicyConfig, InterestMode, SysMessage, System, SystemConfig, WireFormat};
 use gsa_filter::FilterEngine;
 use gsa_gds::{balanced_tree, figure2_tree, GdsMessage, GdsTopology};
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
@@ -288,8 +288,8 @@ fn storm(system: &mut System, publisher: &HostName, origin: &HostName, events: u
 /// per-watcher notification counts.
 fn scale_cell(events: u64) -> Vec<usize> {
     let topo = balanced_tree(3, 4);
-    let mut system = System::new(0xE7);
-    system.set_wire(WireConfig::v2());
+    let v2 = SystemConfig { wire: WireFormat::Binary, ..SystemConfig::default() };
+    let mut system = System::with_config(0xE7, v2);
     system.add_gds_topology(&topo);
     let publisher = HostName::new("Hamilton");
     let origin = deepest_node(&topo);
@@ -582,11 +582,13 @@ fn e4b() -> &'static Claim {
                 seed: 204,
                 fanout,
                 drain: SimDuration::from_secs(45),
-                reliable,
+                system: SystemConfig {
+                    reliable,
+                    durable,
+                    ..SystemConfig::default()
+                },
                 base_drop: drop,
                 faults: Some(plan.clone()),
-                durable,
-                ..RunConfig::default()
             };
             let outcome = run_scheme(Scheme::Hybrid, &world, &population, &schedule, &[], &cfg);
             let q = classify(&world, &population, &schedule, &outcome);
@@ -802,13 +804,6 @@ enum Locality {
     Uniform,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Flood,
-    AttrPrune,
-    Rendezvous,
-}
-
 /// What watcher `i` subscribes to: the storm's publisher and kind, the
 /// publisher under a kind the storm never produces (only attribute
 /// digests can prune it), or a host that never publishes.
@@ -828,11 +823,13 @@ fn watcher_profile(i: usize, in_cluster: bool, locality: Locality) -> &'static s
 
 /// One E6-prune cell on the Figure-2 tree: per-watcher delivery counts,
 /// messages, rendezvous confinements and grants.
-fn prune_cell(locality: Locality, mode: Mode, events: u64) -> (Vec<usize>, u64, u64, u64) {
+fn prune_cell(
+    locality: Locality,
+    interest: InterestMode,
+    events: u64,
+) -> (Vec<usize>, u64, u64, u64) {
     let topo = figure2_tree();
-    let mut system = System::new(611);
-    system.set_pruning(mode != Mode::Flood);
-    system.set_rendezvous(mode == Mode::Rendezvous);
+    let mut system = System::with_config(611, SystemConfig { interest, ..SystemConfig::default() });
     system.add_gds_topology(&topo);
     let deepest = deepest_node(&topo);
     let publisher = HostName::new("Hamilton");
@@ -896,10 +893,10 @@ fn e6_prune() -> &'static Claim {
         let events = 16;
         let mut rows = Vec::new();
         for locality in [Locality::Clustered, Locality::Uniform] {
-            let (flood, flood_msgs, flood_confined, _) = prune_cell(locality, Mode::Flood, events);
-            let (attr, attr_msgs, attr_confined, _) = prune_cell(locality, Mode::AttrPrune, events);
+            let (flood, flood_msgs, flood_confined, _) = prune_cell(locality, InterestMode::Flood, events);
+            let (attr, attr_msgs, attr_confined, _) = prune_cell(locality, InterestMode::Prune, events);
             let (rdv, rdv_msgs, rdv_confined, grants) =
-                prune_cell(locality, Mode::Rendezvous, events);
+                prune_cell(locality, InterestMode::PruneWithGrants, events);
             let msgs = format!("{locality:?}: messages {flood_msgs} / {attr_msgs} / {rdv_msgs}");
             c.check(
                 format!("{locality:?}: deliveries flood {flood:?} attr {attr:?} rdv {rdv:?}"),
@@ -1054,8 +1051,11 @@ fn e9() -> &'static Claim {
             let cfg = RunConfig {
                 seed: 904,
                 drain: SimDuration::from_secs(90),
-                reliable: true,
-                policies,
+                system: SystemConfig {
+                    reliable: true,
+                    alert_policies: policies,
+                    ..SystemConfig::default()
+                },
                 ..RunConfig::default()
             };
             run_scheme(Scheme::Hybrid, &world, &population, &schedule, &[], &cfg)

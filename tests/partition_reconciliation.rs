@@ -1,7 +1,7 @@
 //! Integration tests for the Section 7 case analysis: every way a
 //! super↔sub connection can be disturbed, and the reconciliation after.
 
-use gsa_core::{ReliabilityConfig, System};
+use gsa_core::{System, SystemConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
@@ -132,8 +132,8 @@ fn delete_replay_after_heal_survives_message_loss() {
     // drop on every hop. The auxiliary-operation log keeps re-sending
     // until the ack lands; the dangling auxiliary profile must still be
     // reaped exactly as in the clean-network case.
-    let mut system = System::new(7);
-    system.set_reliability(ReliabilityConfig);
+    let reliable = SystemConfig { reliable: true, ..SystemConfig::default() };
+    let mut system = System::with_config(7, reliable);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");

@@ -14,7 +14,7 @@
 //! events really share batch frames — policies behind batch frames is
 //! what the benchmark's `production_churn` workload deploys.
 
-use gsa_core::{AlertPolicyConfig, System, WireConfig};
+use gsa_core::{AlertPolicyConfig, System, SystemConfig, WireFormat};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_simnet::NodeId;
@@ -25,8 +25,18 @@ use std::collections::BTreeMap;
 const SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
 
 /// The wire configurations every scenario is replayed on.
-fn wires() -> [WireConfig; 2] {
-    [WireConfig::default(), WireConfig::v2()]
+fn wires() -> [WireFormat; 2] {
+    [WireFormat::Xml, WireFormat::Binary]
+}
+
+/// An empty deployment on `wire` with `policies` on every server.
+fn deployment(seed: u64, wire: WireFormat, policies: Option<AlertPolicyConfig>) -> System {
+    let config = SystemConfig {
+        wire,
+        alert_policies: policies,
+        ..SystemConfig::default()
+    };
+    System::with_config(seed, config)
 }
 
 fn doc(id: &str) -> SourceDocument {
@@ -65,12 +75,10 @@ fn drain(system: &mut System, watchers: &[(&'static str, ClientId)]) -> Delivere
 /// tree. Returns the delivery sets plus the `alerts.firing` counter.
 fn broadcast_run(
     seed: u64,
-    wire: &WireConfig,
+    wire: &WireFormat,
     policies: Option<AlertPolicyConfig>,
 ) -> (Delivered, u64) {
-    let mut system = System::new(seed);
-    system.set_wire(wire.clone());
-    system.set_alert_policies(policies);
+    let mut system = deployment(seed, *wire, policies);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");
@@ -141,8 +149,7 @@ fn observe_only_broadcast_delivers_exactly_the_baseline_sets() {
 
 /// The `alerts.suppressed` counter after an observe-only broadcast run.
 fn broadcast_suppressed(seed: u64) -> u64 {
-    let mut system = System::new(seed);
-    system.set_alert_policies(Some(AlertPolicyConfig::observe_only()));
+    let mut system = deployment(seed, WireFormat::Xml, Some(AlertPolicyConfig::observe_only()));
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("Paris", "gds-5");
@@ -166,12 +173,10 @@ fn broadcast_suppressed(seed: u64) -> u64 {
 /// sets, `alerts.firing` and how the event frames left.
 fn aux_rewrite_run(
     seed: u64,
-    wire: &WireConfig,
+    wire: &WireFormat,
     policies: Option<AlertPolicyConfig>,
 ) -> (Delivered, u64, Coalescing) {
-    let mut system = System::new(seed);
-    system.set_wire(wire.clone());
-    system.set_alert_policies(policies);
+    let mut system = deployment(seed, *wire, policies);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");
@@ -222,8 +227,8 @@ impl Coalescing {
     /// whenever two event frames share an edge and an instant, so no
     /// edge carries two event frames sent in one instant, and the
     /// counter moves exactly when a batch flew.
-    fn assert_rule(&self, seed: u64, wire: &WireConfig) {
-        if *wire == WireConfig::default() {
+    fn assert_rule(&self, seed: u64, wire: &WireFormat) {
+        if *wire == WireFormat::Xml {
             assert_eq!(
                 (self.coalesced, self.batches),
                 (0, 0),
@@ -303,10 +308,8 @@ fn observe_only_aux_rewrite_delivers_exactly_the_baseline_sets() {
 /// observe-only deliveries equal the baseline's on both wires.
 #[test]
 fn observe_only_burst_delivers_the_baseline_sets_behind_batch_frames() {
-    let run = |seed: u64, wire: &WireConfig, policies: Option<AlertPolicyConfig>| {
-        let mut system = System::new(seed);
-        system.set_wire(wire.clone());
-        system.set_alert_policies(policies);
+    let run = |seed: u64, wire: &WireFormat, policies: Option<AlertPolicyConfig>| {
+        let mut system = deployment(seed, *wire, policies);
         system.add_gds_topology(&figure2_tree());
         system.add_server("Hamilton", "gds-4");
         system.add_server("Paris", "gds-5");
@@ -351,7 +354,7 @@ fn observe_only_burst_delivers_the_baseline_sets_behind_batch_frames() {
             "seed {seed}: observe-only must actually track instances"
         );
         coalescing.assert_rule(seed, wire);
-        let shared = if *wire == WireConfig::default() {
+        let shared = if *wire == WireFormat::Xml {
             coalescing.per_edge_instant.values().any(|&n| n > 1)
         } else {
             coalescing.batches > 0

@@ -9,7 +9,7 @@
 //! delivery sets, while also checking the pruned run actually pruned
 //! (the comparison must not be vacuous).
 
-use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System, WireConfig};
+use gsa_core::{InterestMode, System, SystemConfig};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_simnet::CounterId;
@@ -21,6 +21,11 @@ const SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
 
 fn doc(id: &str) -> SourceDocument {
     SourceDocument::new(id, "fresh content")
+}
+
+/// An empty deployment whose directory nodes route in `interest`.
+fn deployment(seed: u64, interest: InterestMode) -> System {
+    System::with_config(seed, SystemConfig { interest, ..SystemConfig::default() })
 }
 
 /// One watcher's delivered notifications, reduced to a comparable form:
@@ -53,9 +58,8 @@ fn drain(system: &mut System, watchers: &[(&'static str, ClientId)]) -> Delivere
 /// Figure-2 broadcast scenario: publishers on two branches, watchers
 /// with host-anchored, collection-anchored, unanchorable (wildcard)
 /// and never-matching profiles spread across the rest of the tree.
-fn broadcast_run(seed: u64, pruned: bool) -> (Delivered, u64, u64) {
-    let mut system = System::new(seed);
-    system.set_pruning(pruned);
+fn broadcast_run(seed: u64, interest: InterestMode) -> (Delivered, u64, u64) {
+    let mut system = deployment(seed, interest);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");
@@ -96,8 +100,8 @@ fn broadcast_run(seed: u64, pruned: bool) -> (Delivered, u64, u64) {
 #[test]
 fn pruned_broadcast_delivers_exactly_the_flood_sets() {
     for seed in SEEDS {
-        let (flood, flood_msgs, flood_pruned) = broadcast_run(seed, false);
-        let (pruned, pruned_msgs, pruned_edges) = broadcast_run(seed, true);
+        let (flood, flood_msgs, flood_pruned) = broadcast_run(seed, InterestMode::Flood);
+        let (pruned, pruned_msgs, pruned_edges) = broadcast_run(seed, InterestMode::Prune);
         assert_eq!(
             flood, pruned,
             "seed {seed}: pruned delivery sets diverged from the full flood"
@@ -118,40 +122,13 @@ fn pruned_broadcast_delivers_exactly_the_flood_sets() {
     }
 }
 
-/// The three delivery modes E6-prune compares. Each is layered on
-/// the previous one and must be behaviourally invisible: identical
-/// notification sets, fewer messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Paper baseline: full flood, no summaries.
-    Flood,
-    /// Interest summaries: anchors plus kind + metadata digests.
-    AttrPrune,
-    /// Attribute summaries plus rendezvous routing for hot subgroups.
-    Rendezvous,
-}
-
-impl Mode {
-    fn configure(self, system: &mut System) {
-        match self {
-            Mode::Flood => {}
-            Mode::AttrPrune => system.set_pruning(true),
-            Mode::Rendezvous => {
-                system.set_pruning(true);
-                system.set_rendezvous(true);
-            }
-        }
-    }
-}
-
 /// A clustered-attribute workload on the figure-2 tree: every watcher
 /// of Oslo's `documents-added` events lives in the gds-3 subtree, so a
 /// rendezvous point can be elected there, while Paris (gds-5) anchors
 /// to Oslo with a digest that provably excludes that kind — prunable
 /// only once summaries carry attributes.
-fn attr_mode_run(seed: u64, mode: Mode) -> (Delivered, u64, u64, u64, u64) {
-    let mut system = System::new(seed);
-    mode.configure(&mut system);
+fn attr_mode_run(seed: u64, interest: InterestMode) -> (Delivered, u64, u64, u64, u64) {
+    let mut system = deployment(seed, interest);
     let (delivered, messages) = attr_workload(&mut system);
     let pruned_edges = system.metrics().counter("gds.pruned_edges");
     let confined = system.metrics().counter("gds.rendezvous_confined");
@@ -224,13 +201,7 @@ fn attr_workload(system: &mut System) -> (Delivered, u64) {
 /// `gds.rendezvous_grants` once had a name constant and no slot.)
 #[test]
 fn every_counter_of_a_run_with_every_switch_on_has_a_slot() {
-    let mut system = System::new(SEEDS[0]);
-    system.set_wire(WireConfig::v2());
-    system.set_reliability(ReliabilityConfig);
-    system.set_pruning(true);
-    system.set_rendezvous(true);
-    system.set_durability(true);
-    system.set_alert_policies(Some(AlertPolicyConfig::observe_only()));
+    let mut system = System::with_config(SEEDS[0], SystemConfig::production());
     let (delivered, _) = attr_workload(&mut system);
     assert_eq!(delivered["Madrid"].len(), 3, "the workload ran");
     assert!(system.metrics().counter("gds.rendezvous_grants") > 0);
@@ -242,15 +213,18 @@ fn every_counter_of_a_run_with_every_switch_on_has_a_slot() {
     }
 }
 
+/// The three interest modes E6-prune compares, each layered on the one
+/// before, are behaviourally invisible: identical notification sets,
+/// fewer messages.
 #[test]
 fn attr_and_rendezvous_modes_deliver_exactly_the_flood_sets() {
     for seed in SEEDS {
         let (flood, flood_msgs, _, flood_confined, flood_grants) =
-            attr_mode_run(seed, Mode::Flood);
+            attr_mode_run(seed, InterestMode::Flood);
         let (attr, attr_msgs, attr_edges, attr_confined, _) =
-            attr_mode_run(seed, Mode::AttrPrune);
+            attr_mode_run(seed, InterestMode::Prune);
         let (rdv, rdv_msgs, _, rdv_confined, rdv_grants) =
-            attr_mode_run(seed, Mode::Rendezvous);
+            attr_mode_run(seed, InterestMode::PruneWithGrants);
 
         for (name, got) in [("attr-prune", &attr), ("rendezvous", &rdv)] {
             assert_eq!(
@@ -293,8 +267,7 @@ fn attr_and_rendezvous_modes_deliver_exactly_the_flood_sets() {
 #[test]
 fn announcement_bursts_coalesce_upward() {
     const BURST: u64 = 8;
-    let mut system = System::new(21);
-    system.set_pruning(true);
+    let mut system = deployment(21, InterestMode::Prune);
     system.add_gds_topology(&figure2_tree());
     system.add_server("London", "gds-2");
     system.run_until_quiet(SimTime::from_secs(5));
@@ -335,9 +308,8 @@ fn announcement_bursts_coalesce_upward() {
 /// original origin and once rewritten to the super-collection. The
 /// pruned tree must route the original to sub-collection watchers and
 /// the rewrite to super-collection watchers, and nothing anywhere else.
-fn aux_rewrite_run(seed: u64, pruned: bool) -> (Delivered, u64) {
-    let mut system = System::new(seed);
-    system.set_pruning(pruned);
+fn aux_rewrite_run(seed: u64, interest: InterestMode) -> (Delivered, u64) {
+    let mut system = deployment(seed, interest);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");
@@ -376,8 +348,8 @@ fn aux_rewrite_run(seed: u64, pruned: bool) -> (Delivered, u64) {
 #[test]
 fn pruned_tree_routes_rewritten_events_to_super_collection_watchers() {
     for seed in SEEDS {
-        let (flood, flood_pruned) = aux_rewrite_run(seed, false);
-        let (pruned, pruned_edges) = aux_rewrite_run(seed, true);
+        let (flood, flood_pruned) = aux_rewrite_run(seed, InterestMode::Flood);
+        let (pruned, pruned_edges) = aux_rewrite_run(seed, InterestMode::Prune);
         assert_eq!(
             flood, pruned,
             "seed {seed}: pruned aux-rewrite deliveries diverged from the flood"

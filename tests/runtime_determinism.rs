@@ -5,7 +5,7 @@
 //! paper-figure message counts recorded before the E7 scale refactor
 //! (interned counters, indexed link table, pooled command buffers).
 
-use gsa_core::{System, WireConfig};
+use gsa_core::{InterestMode, System, SystemConfig, WireFormat};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_store::SourceDocument;
@@ -25,9 +25,12 @@ fn doc(id: &str, text: &str) -> SourceDocument {
 /// Returns the rendered metrics snapshot and the per-client delivery
 /// sets, both in deterministic order.
 fn hybrid_run(seed: u64) -> (String, Vec<String>) {
-    let mut system = System::new(seed);
-    system.set_wire(WireConfig::v2());
-    system.set_pruning(true);
+    let config = SystemConfig {
+        wire: WireFormat::Binary,
+        interest: InterestMode::Prune,
+        ..SystemConfig::default()
+    };
+    let mut system = System::with_config(seed, config);
     system.add_gds_topology(&figure2_tree());
     system.add_server("Hamilton", "gds-4");
     system.add_server("London", "gds-2");
@@ -185,8 +188,11 @@ fn every_scheme_outcome_is_pinned_per_seed() {
         ..RunConfig::default()
     };
     let durable = RunConfig {
-        reliable: true,
-        durable: true,
+        system: SystemConfig {
+            reliable: true,
+            durable: true,
+            ..SystemConfig::default()
+        },
         ..cfg.clone()
     };
     let runs = Scheme::ALL

@@ -1,21 +1,22 @@
-//! The product of the node switches: whatever combination a deployment
-//! turns on, every client receives exactly what the paper's
+//! The product of a deployment's settings: whatever `SystemConfig` a
+//! deployment runs, every client receives exactly what the paper's
 //! configuration delivers.
 //!
-//! Each switch has its own oracle (`prune_equivalence`,
+//! Each setting has its own oracle (`prune_equivalence`,
 //! `policy_equivalence`, `probe_equivalence`, the chaos and durability
-//! suites), but each of those holds every other switch at one setting.
-//! This file runs a pairwise covering array over the six node switches
-//! — reliability, wire (v1, v2), pruning, rendezvous,
-//! durability and alert policies (none or observe-only) — so every pair
-//! of values meets in some cell. Each cell runs a Figure-2 broadcast and
-//! a Figure-3 auxiliary rewrite on calm links over three seeds, and its
-//! per-client list of (root event, origin) pairs must equal the all-off
-//! cell's. A last pass over the cells pins what each actor takes from
-//! the cell's wire — whether events share a frame — from the first
-//! frame on, through a node bounce and a re-parenting.
+//! suites), but each of those holds every other setting at one value.
+//! This file runs a pairwise covering array over the five fields of
+//! `SystemConfig` — wire (XML, v2), reliability, interest (flood, prune,
+//! prune with grants), durability and alert policies (none or
+//! observe-only) — so every pair of values meets in some cell. Each cell
+//! runs a Figure-2 broadcast and a Figure-3 auxiliary rewrite on calm
+//! links over three seeds, and its per-client list of (root event,
+//! origin) pairs must equal the paper cell's. A last pass over the cells
+//! pins what each actor takes from the cell's wire — whether events
+//! share a frame — from the first frame on, through a node bounce and a
+//! re-parenting.
 
-use gsa_core::{AlertPolicyConfig, ReliabilityConfig, System, WireConfig};
+use gsa_core::{AlertPolicyConfig, InterestMode, System, SystemConfig, WireFormat};
 use gsa_gds::figure2_tree;
 use gsa_greenstone::{CollectionConfig, SubCollectionRef};
 use gsa_simnet::TraceEntry;
@@ -25,76 +26,52 @@ use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// The two wires a deployment can run.
-#[derive(Debug, Clone, Copy)]
-enum Wire {
-    V1,
-    V2,
-}
-
-/// One setting of the six node switches.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    reliable: bool,
-    wire: Wire,
-    pruning: bool,
-    rendezvous: bool,
-    durable: bool,
-    policies: bool,
-}
-
-const fn cell(
-    reliable: bool,
-    wire: Wire,
-    pruning: bool,
-    rendezvous: bool,
-    durable: bool,
-    policies: bool,
-) -> Cell {
-    Cell {
-        reliable,
+/// A pairwise covering array: the paper's configuration first, then
+/// cells that with it cover every pair of values, the last of them
+/// [`SystemConfig::production`] (what `production_churn` deploys).
+fn cells() -> [SystemConfig; 10] {
+    use InterestMode::{Flood, Prune, PruneWithGrants as Grants};
+    use WireFormat::{Binary as V2, Xml as V1};
+    let config = |wire, reliable, interest, durable, policies: bool| SystemConfig {
         wire,
-        pruning,
-        rendezvous,
+        reliable,
+        interest,
         durable,
-        policies,
-    }
+        alert_policies: policies.then(AlertPolicyConfig::observe_only),
+    };
+    [
+        SystemConfig::default(),
+        config(V1, true, Grants, true, true),
+        config(V2, false, Prune, false, true),
+        config(V2, true, Flood, true, false),
+        config(V2, true, Prune, false, false),
+        config(V2, false, Flood, true, true),
+        config(V2, false, Grants, false, true),
+        config(V1, true, Prune, true, false),
+        config(V1, false, Grants, false, false),
+        SystemConfig::production(),
+    ]
 }
 
-/// A pairwise covering array: the all-off reference first, then seven
-/// cells that with it cover every pair of switch values, the last of
-/// them everything on (what `production_churn` deploys).
-const CELLS: [Cell; 8] = [
-    cell(false, Wire::V1, false, false, false, false),
-    cell(true, Wire::V1, true, true, true, true),
-    cell(false, Wire::V2, true, false, false, true),
-    cell(true, Wire::V2, false, true, true, false),
-    cell(true, Wire::V2, true, false, false, false),
-    cell(false, Wire::V2, false, false, true, true),
-    cell(false, Wire::V2, true, true, false, true),
-    cell(true, Wire::V2, true, true, true, true),
-];
-
-/// A cell's value of each switch, in `Cell`'s field order.
-fn values(c: &Cell) -> [u8; 6] {
+/// A cell's value of each field, in `SystemConfig`'s field order.
+fn values(c: &SystemConfig) -> [u8; 5] {
     [
-        c.reliable as u8,
         c.wire as u8,
-        c.pruning as u8,
-        c.rendezvous as u8,
+        c.reliable as u8,
+        c.interest as u8,
         c.durable as u8,
-        c.policies as u8,
+        c.alert_policies.is_some() as u8,
     ]
 }
 
 #[test]
 fn the_cells_cover_every_pair_of_switch_values() {
-    let mut levels = vec![BTreeSet::new(); 6];
+    let mut levels = vec![BTreeSet::new(); 5];
     let mut met = BTreeSet::new();
-    for v in CELLS.iter().map(values) {
-        for i in 0..6 {
+    for v in cells().iter().map(values) {
+        for i in 0..5 {
             levels[i].insert(v[i]);
-            for j in i + 1..6 {
+            for j in i + 1..5 {
                 met.insert((i, v[i], j, v[j]));
             }
         }
@@ -102,30 +79,19 @@ fn the_cells_cover_every_pair_of_switch_values() {
     let sizes: Vec<usize> = levels.iter().map(BTreeSet::len).collect();
     assert_eq!(
         sizes,
-        [2; 6],
-        "every value of every switch appears"
+        [2, 2, 3, 2, 2],
+        "every value of every field appears"
     );
-    let pairs: usize = (0..6)
-        .flat_map(|i| (i + 1..6).map(move |j| (i, j)))
+    let pairs: usize = (0..5)
+        .flat_map(|i| (i + 1..5).map(move |j| (i, j)))
         .map(|(i, j)| sizes[i] * sizes[j])
         .sum();
     assert_eq!(met.len(), pairs, "every pair of values meets in some cell");
 }
 
-/// A deployment of `cell` with the Figure-2 tree in place.
-fn deploy(seed: u64, c: &Cell) -> System {
-    let mut system = System::new(seed);
-    if c.reliable {
-        system.set_reliability(ReliabilityConfig);
-    }
-    system.set_wire(match c.wire {
-        Wire::V1 => WireConfig::default(),
-        Wire::V2 => WireConfig::v2(),
-    });
-    system.set_pruning(c.pruning);
-    system.set_rendezvous(c.rendezvous);
-    system.set_durability(c.durable);
-    system.set_alert_policies(c.policies.then(AlertPolicyConfig::observe_only));
+/// A deployment of `c` with the Figure-2 tree in place.
+fn deploy(seed: u64, c: &SystemConfig) -> System {
+    let mut system = System::with_config(seed, c.clone());
     system.add_gds_topology(&figure2_tree());
     system
 }
@@ -167,13 +133,13 @@ fn drain(system: &mut System, clients: &[(&'static str, ClientId)]) -> Delivered
 /// Figure-2 broadcast: publishers on two branches, watchers with
 /// host-, collection- and kind-anchored and never-matching profiles
 /// across the rest of the tree, three rebuilds.
-fn broadcast(seed: u64, c: &Cell) -> Delivered {
+fn broadcast(seed: u64, c: &SystemConfig) -> Delivered {
     let (mut system, clients) = run_broadcast(seed, c);
     drain(&mut system, &clients)
 }
 
 /// The deployment after [`broadcast`]'s run, with its watchers.
-fn run_broadcast(seed: u64, c: &Cell) -> (System, Vec<(&'static str, ClientId)>) {
+fn run_broadcast(seed: u64, c: &SystemConfig) -> (System, Vec<(&'static str, ClientId)>) {
     let mut system = deploy(seed, c);
     for (host, gds) in [
         ("Hamilton", "gds-4"),
@@ -208,7 +174,7 @@ fn run_broadcast(seed: u64, c: &Cell) -> (System, Vec<(&'static str, ClientId)>)
 
 /// Figure-3 auxiliary rewrite: Hamilton.D includes London.E, so one
 /// rebuild of E is announced under both origins.
-fn aux_rewrite(seed: u64, c: &Cell) -> Delivered {
+fn aux_rewrite(seed: u64, c: &SystemConfig) -> Delivered {
     let mut system = deploy(seed, c);
     for (host, gds) in [
         ("Hamilton", "gds-4"),
@@ -239,17 +205,18 @@ fn aux_rewrite(seed: u64, c: &Cell) -> Delivered {
     drain(&mut system, &clients)
 }
 
-/// Every cell delivers what the all-off cell delivers, on every seed;
-/// `expected` pins the all-off cell's per-host counts so the comparison
+/// Every cell delivers what the paper cell delivers, on every seed;
+/// `expected` pins the paper cell's per-host counts so the comparison
 /// is not between two empty runs.
-fn every_cell_matches(world: fn(u64, &Cell) -> Delivered, expected: &[(&str, usize)]) {
+fn every_cell_matches(world: fn(u64, &SystemConfig) -> Delivered, expected: &[(&str, usize)]) {
+    let cells = cells();
     for seed in SEEDS {
-        let reference = world(seed, &CELLS[0]);
+        let reference = world(seed, &cells[0]);
         let counts: Vec<(&str, usize)> = reference.iter().map(|(h, d)| (*h, d.len())).collect();
         let mut want = expected.to_vec();
         want.sort();
-        assert_eq!(counts, want, "seed {seed}: the all-off cell");
-        for c in &CELLS[1..] {
+        assert_eq!(counts, want, "seed {seed}: the paper cell");
+        for c in &cells[1..] {
             assert_eq!(world(seed, c), reference, "seed {seed}, {c:?}");
         }
     }
@@ -261,25 +228,6 @@ fn every_cell_delivers_the_paper_broadcast() {
         broadcast,
         &[("Paris", 2), ("Berlin", 1), ("Oslo", 3), ("Madrid", 0)],
     );
-}
-
-/// Rendezvous without pruning is the paper's flood: with pruning off no
-/// summary is ever announced, so no grant is ever issued. On the
-/// Figure-2 broadcast that cell sends the all-off cell's GDS frames,
-/// frame for frame and byte for byte.
-#[test]
-fn rendezvous_without_pruning_sends_the_flood_frames() {
-    let all_off = CELLS[0];
-    let rendezvous_only = Cell { rendezvous: true, ..all_off };
-    for seed in SEEDS {
-        let sent = |c: &Cell| {
-            let (system, _) = run_broadcast(seed, c);
-            ["gds.messages", "net.sent", "net.bytes_sent"].map(|k| system.metrics().counter(k))
-        };
-        let flood = sent(&all_off);
-        assert!(flood[0] > 0, "seed {seed}: the broadcast floods");
-        assert_eq!(sent(&rendezvous_only), flood, "seed {seed}");
-    }
 }
 
 #[test]
@@ -326,7 +274,7 @@ fn rebuild_twice(system: &mut System, docs: [&str; 2]) {
 fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
     let watchers = ["Paris", "Oslo", "Berlin"];
     for seed in SEEDS {
-        for c in &CELLS {
+        for c in &cells() {
             let mut system = deploy(seed, c);
             system.sim_mut().enable_trace();
             for (host, gds) in [
@@ -392,11 +340,11 @@ fn every_gds_frame_rides_the_cells_wire_from_the_first_frame() {
                 );
             }
             match c.wire {
-                Wire::V1 => {
+                WireFormat::Xml => {
                     let batch = batches(&system, SimTime::ZERO).first().copied();
                     assert!(batch.is_none(), "seed {seed}, {c:?}: {batch:?} on XML");
                 }
-                Wire::V2 => {
+                WireFormat::Binary => {
                     let phases = [("calm", calm), ("bounce", bounced), ("re-parent", reparented)];
                     for (phase, since) in phases {
                         let sent = batches(&system, since);
