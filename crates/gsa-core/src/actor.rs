@@ -3,7 +3,7 @@
 //!
 //! An actor carries only what is the transport's — its edge transport
 //! (`transport.rs`: batch buffers sized by the deployment's wire, the
-//! reliable envelope) and its timers. Names and
+//! reliable envelope) and the deadlines of its periodic work. Names and
 //! counters pass through it without being kept: a host name resolves in the
 //! simulator's own name table, lent through [`Ctx::resolve`] /
 //! [`Ctx::name_of`] for the length of a callback (the name ↔ node
@@ -16,7 +16,7 @@ use crate::message::SysMessage;
 use crate::transport::{EdgeTransport, Received};
 use gsa_gds::{GdsEffects, GdsMessage, GdsNode, GdsOutbound};
 use gsa_simnet::{Actor, CounterId, Ctx, NodeId};
-use gsa_types::{Counts, HostName, SimDuration};
+use gsa_types::{Counts, HostName, SimDuration, SimTime};
 use gsa_wire::reliable::RetryPolicy;
 use gsa_wire::WireFormat;
 use std::sync::Arc;
@@ -33,20 +33,6 @@ fn drain_counts(counts: &mut Counts, ctx: &mut Ctx<'_, SysMessage>) {
 fn host_of(ctx: &Ctx<'_, SysMessage>, node: NodeId) -> HostName {
     HostName::new(ctx.name_of(node).clone())
 }
-
-/// Timer tag for the periodic maintenance tick.
-const TICK_TAG: u64 = 1;
-/// Timer tag for the reliable link's loss timer (reliability on).
-pub(crate) const LOSS_TAG: u64 = 2;
-/// Timer tag for the liveness tick: beacons to the children, the
-/// parent's silence counted (reliability on).
-const HEARTBEAT_TAG: u64 = 3;
-/// Timer tag for the per-edge batch flush (binary wire).
-pub(crate) const BATCH_TAG: u64 = 4;
-/// Timer tag for the coalesced summary-announcement flush (pruning on).
-const ANNOUNCE_TAG: u64 = 5;
-/// Timer tag for the coalesced acknowledgement flush.
-pub(crate) const ACK_TAG: u64 = 6;
 
 /// How long a GDS node sits on a dirty aggregate before announcing it
 /// upward: long enough to coalesce a registration burst arriving in one
@@ -119,6 +105,8 @@ pub struct ReliabilityConfig;
 pub struct AlertingActor {
     pub(crate) core: AlertingCore,
     edge: EdgeTransport,
+    /// When the next maintenance tick is due, once started.
+    next_tick: Option<SimTime>,
     /// Locally-initiated distributed fetches that completed (taken by
     /// the [`System`](crate::System) driver).
     pub completed_fetches: Vec<(gsa_greenstone::RequestId, gsa_greenstone::server::FetchResult)>,
@@ -137,6 +125,7 @@ impl AlertingActor {
         AlertingActor {
             core,
             edge: EdgeTransport::new(wire, reliable),
+            next_tick: None,
             completed_fetches: Vec::new(),
             completed_searches: Vec::new(),
             resolved: Vec::new(),
@@ -186,8 +175,7 @@ impl Actor<SysMessage> for AlertingActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let effects = self.core.startup(ctx.now());
         self.apply(effects, ctx);
-        self.edge.start(ctx);
-        ctx.set_timer(MAINTENANCE_TICK, TICK_TAG);
+        self.next_tick = Some(ctx.now() + MAINTENANCE_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, msg: SysMessage) {
@@ -200,14 +188,27 @@ impl Actor<SysMessage> for AlertingActor {
         self.apply(effects, ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
-        if tag == TICK_TAG {
-            let effects = self.core.on_tick(ctx.now());
+    /// The maintenance tick, then the transport's machines, each when
+    /// due.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let now = ctx.now();
+        debug_assert!(
+            self.next_deadline().is_some_and(|at| at <= now),
+            "nothing due"
+        );
+        if self.next_tick.is_some_and(|at| at <= now) {
+            self.next_tick = Some(now + MAINTENANCE_TICK);
+            let effects = self.core.on_tick(now);
             self.apply(effects, ctx);
-            ctx.set_timer(MAINTENANCE_TICK, TICK_TAG);
-        } else {
-            self.edge.on_timer(ctx, tag);
         }
+        self.edge.on_timer(ctx);
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.next_tick
+            .into_iter()
+            .chain(self.edge.next_deadline())
+            .min()
     }
 }
 
@@ -239,8 +240,12 @@ pub struct GdsActor {
     scratch: GdsEffects,
     /// Reused legs of the flood run being sent: each edge and its frame.
     legs: Vec<(NodeId, Arc<[GdsMessage]>)>,
-    /// An `ANNOUNCE_TAG` timer is outstanding (deferred announcements).
-    announce_armed: bool,
+    /// When the next liveness tick is due (reliability on, once
+    /// started).
+    next_beat: Option<SimTime>,
+    /// When the deferred announcement is due: `ANNOUNCE_DELAY` after it
+    /// became pending.
+    announce_due: Option<SimTime>,
 }
 
 impl GdsActor {
@@ -267,7 +272,8 @@ impl GdsActor {
             }),
             scratch: GdsEffects::default(),
             legs: Vec::new(),
-            announce_armed: false,
+            next_beat: None,
+            announce_due: None,
         }
     }
 
@@ -287,7 +293,9 @@ impl GdsActor {
             ctx.count_id(CounterId::GDS_UNDELIVERABLE, effects.undeliverable.len() as u64);
         }
         drain_counts(self.node.counts_mut(), ctx);
-        self.arm_announce(ctx);
+        if self.node.announce_pending() {
+            self.announce_due.get_or_insert(ctx.now() + ANNOUNCE_DELAY);
+        }
         let mut outbound = effects.outbound.drain(..);
         let mut sent = 0;
         let mut legs = std::mem::take(&mut self.legs);
@@ -323,22 +331,14 @@ impl GdsActor {
         }
     }
 
-    /// Sets the `ANNOUNCE_TAG` timer when a deferred announcement waits
-    /// and none is outstanding.
-    fn arm_announce(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        if self.node.announce_pending() && !self.announce_armed {
-            self.announce_armed = true;
-            ctx.set_timer(ANNOUNCE_DELAY, ANNOUNCE_TAG);
-        }
-    }
-
-    /// The liveness-timer body: count an interval without the parent's
+    /// The liveness tick: count an interval without the parent's
     /// beacon as a miss, re-parent when the detector trips, and beacon
     /// every child.
     fn heartbeat_tick(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
         let Some(detector) = self.detector.as_mut() else {
             return;
         };
+        self.next_beat = Some(ctx.now() + HEARTBEAT_INTERVAL);
         if self.node.parent().is_some() {
             if !std::mem::replace(&mut detector.heard, false) {
                 detector.misses += 1;
@@ -348,7 +348,6 @@ impl GdsActor {
             }
         }
         self.step(ctx, |node, effects| node.beacons(effects));
-        ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
     }
 
     /// Re-attaches the whole subtree to the grandparent recorded at join
@@ -370,15 +369,9 @@ impl GdsActor {
 
 impl Actor<SysMessage> for GdsActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        self.edge.start(ctx);
         if self.detector.is_some() {
-            ctx.set_timer(HEARTBEAT_INTERVAL, HEARTBEAT_TAG);
+            self.next_beat = Some(ctx.now() + HEARTBEAT_INTERVAL);
         }
-        // As for the transport's flush timer: an announce timer set
-        // before the node went down is gone, and the aggregate it was
-        // to announce is still dirty.
-        self.announce_armed = false;
-        self.arm_announce(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, msg: SysMessage) {
@@ -416,16 +409,30 @@ impl Actor<SysMessage> for GdsActor {
         self.step(ctx, |node, effects| node.handle_message_into(&from, msg, effects));
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
-        match tag {
-            HEARTBEAT_TAG => self.heartbeat_tick(ctx),
-            ANNOUNCE_TAG => {
-                self.announce_armed = false;
-                if let Some(out) = self.node.flush_deferred_announcement() {
-                    self.step(ctx, |_, effects| effects.outbound.push(out));
-                }
-            }
-            tag => self.edge.on_timer(ctx, tag),
+    /// The liveness tick, the deferred announcement, then the
+    /// transport's machines, each when due.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let now = ctx.now();
+        debug_assert!(
+            self.next_deadline().is_some_and(|at| at <= now),
+            "nothing due"
+        );
+        if self.next_beat.is_some_and(|at| at <= now) {
+            self.heartbeat_tick(ctx);
         }
+        if self.announce_due.is_some_and(|at| at <= now) {
+            self.announce_due = None;
+            if let Some(out) = self.node.flush_deferred_announcement() {
+                self.step(ctx, |_, effects| effects.outbound.push(out));
+            }
+        }
+        self.edge.on_timer(ctx);
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        [self.next_beat, self.announce_due, self.edge.next_deadline()]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }

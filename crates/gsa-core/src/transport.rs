@@ -1,13 +1,14 @@
 //! The edge transport: everything between a [`SysMessage`] frame on a
 //! tree edge and the plain [`GdsMessage`] a state machine handles — the
-//! per-edge batch buffers, the reliable envelope and the acks owed. Its
-//! timer tags and per-hop constants are the actors' (`actor.rs`).
+//! per-edge batch buffers, the reliable envelope and the acks owed. Each
+//! of the three reports its deadline, and the transport's is the
+//! earliest; its per-hop constants are the actors' (`actor.rs`).
 
-use crate::actor::{ACK_TAG, BATCH_MAX_EVENTS, BATCH_TAG, GDS_RETRY, LOSS_TAG};
+use crate::actor::{BATCH_MAX_EVENTS, GDS_RETRY};
 use crate::message::SysMessage;
 use gsa_gds::{GdsMessage, Items};
 use gsa_simnet::{CounterId, Ctx, NodeId};
-use gsa_types::{SimDuration, SimTime};
+use gsa_types::SimTime;
 use gsa_wire::reliable::{ack_windows, acked_seqs, Reliable, Resend, RetransmitQueue, ACK_DELAY};
 use gsa_wire::WireFormat;
 use std::collections::BTreeMap;
@@ -74,14 +75,12 @@ fn batch_cap(wire: WireFormat) -> usize {
 enum Flush {
     /// Send an edge's frame.
     Send(NodeId, GdsMessage),
-    /// Set the `BATCH_TAG` timer: an edge holds events and no timer is
-    /// outstanding.
-    Arm,
 }
 
 /// The per-edge batch buffers of the deployment's wire. An edge is sent
 /// its frame the moment it holds `cap` events, the rest at the end of
-/// the instant, in `NodeId` order: a hasher's per-instance order must
+/// the instant (while the batcher holds anything, it is due), in
+/// `NodeId` order: a hasher's per-instance order must
 /// not steer the send order, and with it the link RNG draw order. With
 /// the XML wire's cap of one, every event goes out alone the moment it
 /// is pushed. A buffer holds references into shared frames, so an event
@@ -92,8 +91,6 @@ struct Batcher {
     /// The most events one frame carries ([`batch_cap`]).
     cap: usize,
     pending: BTreeMap<NodeId, EdgeBuf>,
-    /// A `BATCH_TAG` timer is outstanding.
-    armed: bool,
     /// Per leg of the run being dispatched: the edge's fill, and where
     /// the part of the run it has not been sent starts.
     marks: Vec<(usize, usize)>,
@@ -104,7 +101,6 @@ impl Batcher {
         Batcher {
             cap,
             pending: BTreeMap::new(),
-            armed: false,
             marks: Vec::new(),
         }
     }
@@ -116,7 +112,6 @@ impl Batcher {
             self.send_full(node, Items::One(msg), out);
         } else {
             self.pending.entry(node).or_default().push(Items::One(msg), self.cap);
-            self.arm(out);
         }
     }
 
@@ -124,8 +119,8 @@ impl Batcher {
     /// the form that leg's edge receives (see `GdsEffects::runs`), and
     /// no edge has two legs. The items are walked across the legs in
     /// the order they would have been buffered one by one, counting
-    /// instead of copying, so every frame, every send and the timer go
-    /// out exactly where they would have.
+    /// instead of copying, so every frame and every send goes out
+    /// exactly where it would have.
     fn push_run(&mut self, legs: &[(NodeId, Arc<[GdsMessage]>)], out: &mut impl FnMut(Flush)) {
         let n = legs.first().map_or(0, |(_, frame)| frame.len());
         let mut marks = std::mem::take(&mut self.marks);
@@ -140,9 +135,6 @@ impl Batcher {
                 if *fill == self.cap {
                     self.send_full(*node, Items::Shared(frame.clone(), *start..i + 1), out);
                     (*fill, *start) = (0, i + 1);
-                } else if !self.armed {
-                    self.armed = true;
-                    out(Flush::Arm);
                 }
             }
         }
@@ -167,21 +159,17 @@ impl Batcher {
         out(Flush::Send(node, frame));
     }
 
-    /// Asks for the timer when an edge holds something (a flushed edge
-    /// leaves the map) and none is outstanding. The timer is due now:
+    /// Whether an edge holds something (a flushed edge leaves the map).
+    /// The batcher is then due in the instant it took its last event:
     /// the simulator runs same-instant items in the order they were
-    /// queued, so it fires after every frame already due in this
-    /// instant, and whatever those frames send shares the flush.
-    fn arm(&mut self, out: &mut impl FnMut(Flush)) {
-        if !self.armed && !self.pending.is_empty() {
-            self.armed = true;
-            out(Flush::Arm);
-        }
+    /// queued, so the flush runs after every frame already due in that
+    /// instant, and whatever those frames send shares it.
+    fn holds(&self) -> bool {
+        !self.pending.is_empty()
     }
 
-    /// Sends every buffered edge (the `BATCH_TAG` timer body).
+    /// Sends every buffered edge (the end of the instant).
     fn flush(&mut self, out: &mut impl FnMut(Flush)) {
-        self.armed = false;
         for (node, buf) in std::mem::take(&mut self.pending) {
             out(Flush::Send(node, buf.into_frame()));
         }
@@ -190,84 +178,23 @@ impl Batcher {
 
 /// Carries out what the batcher asks: a frame of several events is a
 /// [`GdsMessage::Batch`], counted as one flush.
-fn wire_out(ctx: &mut Ctx<'_, SysMessage>, flush: Flush, link: Option<&mut ReliableLink>) {
-    match flush {
-        Flush::Arm => ctx.set_timer(SimDuration::ZERO, BATCH_TAG),
-        Flush::Send(node, msg) => {
-            if let GdsMessage::Batch(items) = &msg {
-                ctx.count_id(CounterId::WIRE_BATCH_FLUSHES, 1);
-                ctx.count_id(CounterId::WIRE_BATCH_COALESCED, items.len() as u64);
-            }
-            send_data(ctx, node, msg, link);
-        }
+fn wire_out(
+    ctx: &mut Ctx<'_, SysMessage>,
+    Flush::Send(node, msg): Flush,
+    link: Option<&mut ReliableLink>,
+) {
+    if let GdsMessage::Batch(items) = &msg {
+        ctx.count_id(CounterId::WIRE_BATCH_FLUSHES, 1);
+        ctx.count_id(CounterId::WIRE_BATCH_COALESCED, items.len() as u64);
     }
+    send_data(ctx, node, msg, link);
 }
 
-
-
-/// One actor's reliable GDS-hop sender: wraps outgoing messages in the
-/// [`Reliable`] envelope and retransmits until acknowledged — when an
-/// ack proves a frame lost, on a tail probe, or on the backoff
-/// schedule. One `LOSS_TAG` timer stands at the queue's next deadline.
-#[derive(Debug)]
-struct ReliableLink {
-    queue: RetransmitQueue<NodeId, GdsMessage>,
-    /// When the earliest outstanding `LOSS_TAG` timer fires. A timer
-    /// cannot be cancelled, so one set for a later deadline may still
-    /// be outstanding too; it finds nothing due and re-arms.
-    armed: Option<SimTime>,
-}
-
-impl ReliableLink {
-    /// Creates a link with the given jitter seed.
-    fn new(seed: u64) -> Self {
-        ReliableLink {
-            queue: RetransmitQueue::new(GDS_RETRY, seed),
-            armed: None,
-        }
-    }
-
-    /// Sets a `LOSS_TAG` timer at the queue's next deadline when none
-    /// outstanding fires by then.
-    fn arm(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        let Some(at) = self.queue.next_deadline() else {
-            return;
-        };
-        if self.armed.is_none_or(|armed| at < armed) {
-            ctx.set_timer(at.since(ctx.now()), LOSS_TAG);
-            self.armed = Some(at);
-        }
-    }
-
-    /// Wraps `msg` in a data envelope, transmits it, and remembers it
-    /// for retransmission until acknowledged.
-    fn transmit(&mut self, ctx: &mut Ctx<'_, SysMessage>, node: NodeId, msg: GdsMessage) {
-        let seq = self.queue.send(node, msg.clone(), ctx.now());
-        ctx.send(node, SysMessage::RelGds(Reliable::Data { seq, payload: msg }));
-        self.arm(ctx);
-    }
-
-    /// Takes `from`'s ack window, and re-sends at once what it proves
-    /// lost.
-    fn ack(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64, more: u64) {
-        for (seq, msg) in self.queue.ack(from, acked_seqs(seq, more), ctx.now()) {
-            resend(ctx, from, seq, msg, Resend::Lost);
-        }
-        self.arm(ctx);
-    }
-
-    /// The `LOSS_TAG` timer body: re-sends everything due, then re-arms.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        let now = ctx.now();
-        if self.armed.is_some_and(|armed| armed <= now) {
-            self.armed = None;
-        }
-        for (seq, node, msg, why) in self.queue.poll(now) {
-            resend(ctx, node, seq, msg, why);
-        }
-        self.arm(ctx);
-    }
-}
+/// One actor's reliable GDS-hop sender: the queue of messages sent in
+/// the [`Reliable`] envelope, retransmitted until acknowledged — when
+/// an ack proves a frame lost, on a tail probe, or on the backoff
+/// schedule. Its deadline is [`RetransmitQueue::next_deadline`].
+type ReliableLink = RetransmitQueue<NodeId, GdsMessage>;
 
 /// Re-sends a queued entry, counting `net.retransmits`, and
 /// `net.fast_retransmits` and `net.tail_probes` for what did not wait
@@ -283,8 +210,9 @@ fn resend(ctx: &mut Ctx<'_, SysMessage>, node: NodeId, seq: u64, msg: GdsMessage
     ctx.send(node, SysMessage::RelGds(Reliable::Data { seq, payload: msg }));
 }
 
-/// Sends one data message on an edge, through the reliable link when
-/// one is supplied, otherwise fire-and-forget.
+/// Sends one data message on an edge: through the reliable link when
+/// one is supplied, wrapped in a data envelope and remembered until
+/// acknowledged; otherwise fire-and-forget.
 fn send_data(
     ctx: &mut Ctx<'_, SysMessage>,
     node: NodeId,
@@ -292,7 +220,10 @@ fn send_data(
     link: Option<&mut ReliableLink>,
 ) {
     match link {
-        Some(l) => l.transmit(ctx, node, msg),
+        Some(link) => {
+            let seq = link.send(node, msg.clone(), ctx.now());
+            ctx.send(node, SysMessage::RelGds(Reliable::Data { seq, payload: msg }));
+        }
         None => ctx.send(node, SysMessage::Gds(msg)),
     }
 }
@@ -313,28 +244,20 @@ struct PendingAcks {
     /// In `NodeId` order: a hasher's per-instance order must not steer
     /// the send order, and with it the link RNG draw order.
     by_edge: BTreeMap<NodeId, Vec<u64>>,
-    /// An `ACK_TAG` timer is outstanding.
-    armed: bool,
+    /// When the acks are due: `ACK_DELAY` after the first number noted
+    /// since the last flush.
+    due: Option<SimTime>,
 }
 
 impl PendingAcks {
-    fn note(&mut self, ctx: &mut Ctx<'_, SysMessage>, from: NodeId, seq: u64) {
+    fn note(&mut self, now: SimTime, from: NodeId, seq: u64) {
         self.by_edge.entry(from).or_default().push(seq);
-        self.arm(ctx);
+        self.due.get_or_insert(now + ACK_DELAY);
     }
 
-    /// Sets the `ACK_TAG` timer when an edge waits for its acks and no
-    /// timer is outstanding.
-    fn arm(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        if !self.armed && !self.by_edge.is_empty() {
-            ctx.set_timer(ACK_DELAY, ACK_TAG);
-            self.armed = true;
-        }
-    }
-
-    /// The `ACK_TAG` timer body: every edge's windows, one frame each.
+    /// Every edge's windows, one frame each.
     fn flush(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        self.armed = false;
+        self.due = None;
         for (node, mut seqs) in std::mem::take(&mut self.by_edge) {
             for (seq, more) in ack_windows(&mut seqs) {
                 ctx.send(node, SysMessage::RelGds(Reliable::Ack { seq, more }));
@@ -364,6 +287,9 @@ pub(crate) enum Received {
 #[derive(Debug)]
 pub(crate) struct EdgeTransport {
     batcher: Batcher,
+    /// The instant the batcher last took an event: while it holds any,
+    /// its deadline.
+    batched_at: SimTime,
     /// The retransmission queue (reliability on).
     reliable: Option<ReliableLink>,
     /// Data envelopes received and not yet acknowledged.
@@ -375,25 +301,19 @@ impl EdgeTransport {
     pub(crate) fn new(wire: WireFormat, reliable: Option<u64>) -> Self {
         EdgeTransport {
             batcher: Batcher::new(batch_cap(wire)),
-            reliable: reliable.map(ReliableLink::new),
+            batched_at: SimTime::ZERO,
+            reliable: reliable.map(|seed| RetransmitQueue::new(GDS_RETRY, seed)),
             acks: PendingAcks::default(),
         }
     }
 
-    /// The actor's `on_start`, which a node coming back up runs again.
-    /// Every timer set before the node went down is gone, so the armed
-    /// flags are forgotten and each timer set again when it has work: a
-    /// batch to flush, acks owed (left owed, the peer would retransmit
-    /// them for ever), or frames still unacknowledged.
-    pub(crate) fn start(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
-        if let Some(link) = &mut self.reliable {
-            link.armed = None;
-            link.arm(ctx);
-        }
-        self.batcher.armed = false;
-        self.batcher.arm(&mut |flush| wire_out(ctx, flush, None));
-        self.acks.armed = false;
-        self.acks.arm(ctx);
+    /// The earliest deadline of the batcher, the retransmission queue
+    /// and the acks owed. A batch or acks held when the node went down
+    /// are overdue when it comes back, and go out at once.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        let batch = self.batcher.holds().then_some(self.batched_at);
+        let loss = self.reliable.as_ref().and_then(ReliableLink::next_deadline);
+        [batch, loss, self.acks.due].into_iter().flatten().min()
     }
 
     /// The transport's share of an arriving frame — the one place the
@@ -413,12 +333,15 @@ impl EdgeTransport {
                 // (duplicate suppression at nodes and servers), and the
                 // ack is what stops the sender.
                 ctx.count_id(CounterId::NET_ACKS, 1);
-                self.acks.note(ctx, from, seq);
+                self.acks.note(ctx.now(), from, seq);
                 Received::Gds(payload)
             }
             SysMessage::RelGds(Reliable::Ack { seq, more }) => {
                 if let Some(link) = &mut self.reliable {
-                    link.ack(ctx, from, seq, more);
+                    // What the ack proves lost is re-sent at once.
+                    for (seq, msg) in link.ack(from, acked_seqs(seq, more), ctx.now()) {
+                        resend(ctx, from, seq, msg, Resend::Lost);
+                    }
                 }
                 Received::Consumed
             }
@@ -434,6 +357,7 @@ impl EdgeTransport {
         if rides_plain(&msg) {
             ctx.send(node, SysMessage::Gds(msg));
         } else if batchable(&msg) {
+            self.batched_at = ctx.now();
             let out = &mut |flush| wire_out(ctx, flush, link.as_deref_mut());
             self.batcher.push(node, msg, out);
         } else {
@@ -444,26 +368,30 @@ impl EdgeTransport {
     /// Sends a flood run (see [`Batcher::push_run`]) through the batcher
     /// and, when enabled, the reliable envelope.
     pub(crate) fn send_run(&mut self, ctx: &mut Ctx<'_, SysMessage>, legs: &[(NodeId, Arc<[GdsMessage]>)]) {
+        self.batched_at = ctx.now();
         let mut link = self.reliable.as_mut();
         let out = &mut |flush| wire_out(ctx, flush, link.as_deref_mut());
         self.batcher.push_run(legs, out);
     }
 
-    /// The three timers the transport owns; any other tag is not its.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>, tag: u64) {
-        match tag {
-            LOSS_TAG => {
-                if let Some(link) = &mut self.reliable {
-                    link.on_timer(ctx);
+    /// Runs each of the transport's machines that is due, in this
+    /// order: the retransmission poll, the ack flush, the batch flush.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, SysMessage>) {
+        let now = ctx.now();
+        let mut link = self.reliable.as_mut();
+        if let Some(link) = link.as_deref_mut() {
+            if link.next_deadline().is_some_and(|at| at <= now) {
+                for (seq, node, msg, why) in link.poll(now) {
+                    resend(ctx, node, seq, msg, why);
                 }
             }
-            BATCH_TAG => {
-                let mut link = self.reliable.as_mut();
-                self.batcher
-                    .flush(&mut |flush| wire_out(ctx, flush, link.as_deref_mut()));
-            }
-            ACK_TAG => self.acks.flush(ctx),
-            _ => {}
+        }
+        if self.acks.due.is_some_and(|at| at <= now) {
+            self.acks.flush(ctx);
+        }
+        if self.batcher.holds() {
+            self.batcher
+                .flush(&mut |flush| wire_out(ctx, flush, link.as_deref_mut()));
         }
     }
 }
@@ -481,7 +409,6 @@ mod tests {
     struct ItemBatcher {
         cap: usize,
         pending: BTreeMap<NodeId, Vec<GdsMessage>>,
-        armed: bool,
     }
 
     impl ItemBatcher {
@@ -489,7 +416,6 @@ mod tests {
             ItemBatcher {
                 cap,
                 pending: BTreeMap::new(),
-                armed: false,
             }
         }
 
@@ -499,9 +425,6 @@ mod tests {
             if buf.len() >= self.cap {
                 let items = self.pending.remove(&node).expect("just pushed");
                 out(Flush::Send(node, Self::frame(items)));
-            } else if !self.armed {
-                self.armed = true;
-                out(Flush::Arm);
             }
         }
 
@@ -516,7 +439,6 @@ mod tests {
         }
 
         fn flush(&mut self, out: &mut impl FnMut(Flush)) {
-            self.armed = false;
             for (node, items) in std::mem::take(&mut self.pending) {
                 out(Flush::Send(node, Self::frame(items)));
             }
@@ -544,7 +466,7 @@ mod tests {
         /// A flood run of `len` items; each leg an edge and its form.
         /// Runs over different edge sets in a row are pruned sub-runs.
         Run { len: usize, legs: Vec<(u32, Form)> },
-        /// The end of the instant: the `BATCH_TAG` timer fires.
+        /// The end of the instant: the batch deadline comes.
         EndOfInstant,
     }
 
@@ -563,8 +485,9 @@ mod tests {
 
     /// What the wire saw: a frame to an edge — a batch or one plain
     /// event, its events by form and id — sent in the instant or at its
-    /// end, with its sequence number on a reliable edge; or the timer
-    /// set.
+    /// end, with its sequence number on a reliable edge; or, after each
+    /// push, run and flush, whether the batcher holds anything and so
+    /// has a deadline.
     #[derive(Debug, Clone, PartialEq)]
     enum Seen {
         Frame {
@@ -574,7 +497,7 @@ mod tests {
             at_end: bool,
             seq: Option<u64>,
         },
-        Arm,
+        Holds(bool),
     }
 
     fn form_and_id(msg: &GdsMessage) -> (Form, u64) {
@@ -657,32 +580,29 @@ mod tests {
         push: impl Fn(&mut B, NodeId, GdsMessage, &mut dyn FnMut(Flush)),
         push_run: impl Fn(&mut B, &[(NodeId, Arc<[GdsMessage]>)], &mut dyn FnMut(Flush)),
         flush: impl Fn(&mut B, &mut dyn FnMut(Flush)),
+        holds: impl Fn(&B) -> bool,
     ) -> Vec<Seen> {
-        let mut seen = Vec::new();
+        let seen = std::cell::RefCell::new(Vec::new());
         let mut seqs = vec![0u64; scn.fills.len()];
-        let mut record = |flush: Flush, at_end: bool| {
-            seen.push(match flush {
-                Flush::Arm => Seen::Arm,
-                Flush::Send(node, frame) => {
-                    let edge = node.as_u32();
-                    let seq = scn.reliable[edge as usize].then(|| {
-                        seqs[edge as usize] += 1;
-                        seqs[edge as usize]
-                    });
-                    let (batch, events) = match &frame {
-                        GdsMessage::Batch(items) => (true, items.iter().map(form_and_id).collect()),
-                        one => (false, vec![form_and_id(one)]),
-                    };
-                    Seen::Frame {
-                        edge,
-                        batch,
-                        events,
-                        at_end,
-                        seq,
-                    }
-                }
-            })
+        let mut record = |Flush::Send(node, frame): Flush, at_end: bool| {
+            let edge = node.as_u32();
+            let seq = scn.reliable[edge as usize].then(|| {
+                seqs[edge as usize] += 1;
+                seqs[edge as usize]
+            });
+            let (batch, events) = match &frame {
+                GdsMessage::Batch(items) => (true, items.iter().map(form_and_id).collect()),
+                one => (false, vec![form_and_id(one)]),
+            };
+            seen.borrow_mut().push(Seen::Frame {
+                edge,
+                batch,
+                events,
+                at_end,
+                seq,
+            });
         };
+        let deadline = |batcher: &B| seen.borrow_mut().push(Seen::Holds(holds(batcher)));
         let mut next_id = 0u64;
         let mut fresh = || {
             next_id += 1;
@@ -692,6 +612,7 @@ mod tests {
             for _ in 0..fill {
                 let msg = event(fresh(), Form::Broadcast);
                 push(batcher, NodeId::from_raw(edge), msg, &mut |f| record(f, false));
+                deadline(batcher);
             }
         }
         for step in &scn.steps {
@@ -719,9 +640,11 @@ mod tests {
                 }
                 Step::EndOfInstant => flush(batcher, &mut |f| record(f, true)),
             }
+            deadline(batcher);
         }
         flush(batcher, &mut |f| record(f, true));
-        seen
+        deadline(batcher);
+        seen.into_inner()
     }
 
     /// Where the run walk and the per-item reference part ways, if they
@@ -733,6 +656,7 @@ mod tests {
             |b, node, msg, out| b.push(node, msg, &mut |f| out(f)),
             |b, legs, out| b.push_run(legs, &mut |f| out(f)),
             |b, out| b.flush(&mut |f| out(f)),
+            Batcher::holds,
         );
         let reference = play(
             scn,
@@ -740,6 +664,7 @@ mod tests {
             |b, node, msg, out| b.push(node, msg, &mut |f| out(f)),
             |b, legs, out| b.push_run(legs, &mut |f| out(f)),
             |b, out| b.flush(&mut |f| out(f)),
+            |b| !b.pending.is_empty(),
         );
         (walked != reference).then_some((walked, reference))
     }
@@ -799,8 +724,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Dispatching a run by counting sends the same frames, to the
-        /// same edges, at the same points, and sets the timer at the
-        /// same point, as pushing its items one by one. A failure
+        /// same edges, at the same points, and leaves the batcher
+        /// holding something after the same steps, as pushing its items
+        /// one by one. A failure
         /// shrinks to a minimal scenario before it is reported.
         #[test]
         fn run_dispatch_matches_the_per_item_reference(seed in 0u64..=u64::MAX) {

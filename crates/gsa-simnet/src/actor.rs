@@ -2,7 +2,7 @@
 
 use crate::metrics::CounterId;
 use crate::sim::{NodeId, NodeMeta};
-use gsa_types::{FxHashMap, SimDuration, SimTime};
+use gsa_types::{FxHashMap, SimTime};
 use rand::rngs::StdRng;
 use std::fmt;
 use std::sync::Arc;
@@ -12,6 +12,13 @@ use std::sync::Arc;
 /// Implementations react to messages and timers through the [`Ctx`] handed
 /// to each callback; they must not block or keep references into the
 /// context between callbacks.
+///
+/// An actor does not set timers. After every callback the simulator asks
+/// it for [`Actor::next_deadline`] and keeps the node's one timer there:
+/// an unchanged deadline keeps its place in the queue, a changed one
+/// replaces it, and `None` withdraws it. [`Actor::on_timer`] runs when
+/// the deadline comes, so an actor with several things to time reports
+/// the earliest and, when called, does every one that is due.
 pub trait Actor<M>: 'static {
     /// Called once when the simulation starts (or when the node is added to
     /// an already-running simulation).
@@ -22,10 +29,18 @@ pub trait Actor<M>: 'static {
     /// Called for every message delivered to this node.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M);
 
-    /// Called when a timer set through [`Ctx::set_timer`] fires. `tag` is
-    /// the caller-chosen discriminator passed when the timer was set.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64) {
-        let _ = (ctx, tag);
+    /// Called when the deadline last reported by
+    /// [`Actor::next_deadline`] comes.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>) {
+        let _ = ctx;
+    }
+
+    /// When this actor next needs [`Actor::on_timer`]; `None` when it
+    /// needs no timer. Asked after every callback. A deadline already
+    /// past is due at once, behind what is queued for the current
+    /// instant.
+    fn next_deadline(&self) -> Option<SimTime> {
+        None
     }
 }
 
@@ -33,7 +48,6 @@ pub trait Actor<M>: 'static {
 #[derive(Debug)]
 pub(crate) enum Command<M> {
     Send { to: NodeId, msg: M },
-    SetTimer { delay: SimDuration, tag: u64 },
     Count { id: CounterId, delta: u64 },
 }
 
@@ -42,7 +56,9 @@ pub(crate) enum Command<M> {
 /// All effects are buffered and applied by the simulator after the callback
 /// returns, in order. For the length of the callback the context also
 /// lends the actor what the simulator owns: the RNG and the one
-/// name ↔ node table of the world.
+/// name ↔ node table of the world. There is no timer call: the
+/// simulator reads when the actor next needs the clock from
+/// [`Actor::next_deadline`] once the callback returns.
 pub struct Ctx<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) now: SimTime,
@@ -84,14 +100,6 @@ impl<'a, M> Ctx<'a, M> {
     /// jitter, loss, partitions and downed nodes.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.commands.push(Command::Send { to, msg });
-    }
-
-    /// Schedules a timer `delay` from now. `tag` is passed back to
-    /// [`Actor::on_timer`] so one actor can multiplex timer purposes.
-    /// The timer dies with the node: if the node goes down before it
-    /// fires, it never fires.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        self.commands.push(Command::SetTimer { delay, tag });
     }
 
     /// Adds `delta` to a table counter's slot: no lookup, no

@@ -13,16 +13,18 @@
 //! # Model
 //!
 //! * An [`Actor`] reacts to messages and timers via [`Ctx`], which buffers
-//!   its outputs (sends, new timers, counter increments) and lends it
-//!   what the simulator owns: the RNG and the name ↔ node table
-//!   ([`Ctx::resolve`], [`Ctx::name_of`]).
+//!   its outputs (sends, counter increments) and lends it what the
+//!   simulator owns: the RNG and the name ↔ node table
+//!   ([`Ctx::resolve`], [`Ctx::name_of`]). It sets no timer: after each
+//!   callback the simulator asks it for its [`Actor::next_deadline`]
+//!   and keeps the node's one timer there.
 //! * The [`Sim`] owns all actors, a priority queue of pending deliveries
 //!   and timers, the one [`LinkConfig`] every node pair shares, the name
 //!   of every node — stored once — and the metrics.
 //! * Physical connectivity is *universal by default* (the Internet), with
 //!   explicit partitions and downed nodes taking precedence. A node that
-//!   goes down loses its timers; back up, it runs [`Actor::on_start`]
-//!   again. Fragmentation in the paper's sense — who *references* whom —
+//!   goes down loses its timer; back up, it runs [`Actor::on_start`]
+//!   again, and its deadline is queued afresh. Fragmentation in the paper's sense — who *references* whom —
 //!   is a property of the protocols above, not of this layer.
 //!
 //! # Examples

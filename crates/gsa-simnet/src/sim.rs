@@ -81,9 +81,9 @@ impl<M: 'static, T: Actor<M>> ActorObj<M> for T {
     }
 }
 
-/// A scheduled item. Timers and starts carry the incarnation their node
-/// was in when they were scheduled, and are dropped if it has gone down
-/// since.
+/// A scheduled item. A start carries the incarnation its node was in
+/// when it was scheduled, a timer its node's slot generation: either is
+/// dropped when its node has moved on since.
 enum What<M> {
     Deliver {
         from: NodeId,
@@ -93,8 +93,7 @@ enum What<M> {
     },
     Timer {
         node: NodeId,
-        incarnation: u32,
-        tag: u64,
+        generation: u32,
     },
     Start {
         node: NodeId,
@@ -149,9 +148,11 @@ impl<M> Queue<M> {
         self.heap.len()
     }
 
-    /// The timestamp of the next item to pop, if any.
-    fn peek_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+    /// The next item to pop, if any.
+    fn peek(&self) -> Option<(SimTime, &What<M>)> {
+        let slim = self.heap.peek()?;
+        let what = self.slab[slim.slot as usize].as_ref();
+        Some((slim.at, what.expect("occupied slot")))
     }
 
     fn push(&mut self, at: SimTime, seq: u64, what: What<M>) {
@@ -185,6 +186,10 @@ pub(crate) struct NodeMeta {
     partition: u32,
     /// How many times the node has gone down.
     incarnation: u32,
+    /// The deadline the actor last reported, queued as the one timer
+    /// entry of the current `generation`; bumping it drops the entry.
+    deadline: Option<SimTime>,
+    generation: u32,
 }
 
 /// The deterministic discrete-event simulator.
@@ -292,6 +297,8 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             up: true,
             partition: 0,
             incarnation: 0,
+            deadline: None,
+            generation: 0,
         });
         self.names.insert(name, id);
         self.push(
@@ -339,10 +346,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     }
 
     /// Marks a node up or down. A downed node neither receives nor runs
-    /// timers; messages to it are dropped. Going down kills every timer
-    /// the node had set, and bringing it back up re-runs its
-    /// [`Actor::on_start`] once: a restarted process keeps no timer
-    /// from before the outage and re-arms what it needs on boot.
+    /// timers; messages to it are dropped. Going down withdraws the
+    /// node's timer, and bringing it back up re-runs its
+    /// [`Actor::on_start`] once, after which the deadline the actor
+    /// reports is queued afresh, even one that did not change.
     ///
     /// # Panics
     ///
@@ -352,6 +359,8 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         let was_up = std::mem::replace(&mut meta.up, up);
         if was_up && !up {
             meta.incarnation += 1;
+            meta.deadline = None;
+            meta.generation = meta.generation.wrapping_add(1);
         } else if up && !was_up {
             let incarnation = meta.incarnation;
             self.push(
@@ -418,10 +427,8 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     names: &self.names,
                 };
                 let r = f(typed, &mut ctx);
-                let mut commands = ctx.commands;
-                self.actors[id.index()] = Some(actor);
-                self.apply_commands(id, &mut commands);
-                self.checkin_commands(commands);
+                let commands = ctx.commands;
+                self.end_callback(id, actor, commands);
                 return Some(r);
             }
             None => None,
@@ -431,8 +438,9 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     }
 
     /// Replaces the node's actor, downcast to `T`, with the one `f`
-    /// builds from it by value; the node's name, state and timers stay.
-    /// Returns `false`, the actor untouched, when it is not a `T`.
+    /// builds from it by value; the node's name and state stay, and its
+    /// timer follows the new actor's deadline. Returns `false`, the
+    /// actor untouched, when it is not a `T`.
     ///
     /// # Panics
     ///
@@ -444,7 +452,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         }
         let old = slot.take().expect("actor present").into_any();
         let old = old.downcast::<T>().expect("the type was checked above");
-        *slot = Some(Box::new(f(*old)));
+        let new = f(*old);
+        let deadline = new.next_deadline();
+        *slot = Some(Box::new(new));
+        self.set_deadline(id, deadline);
         true
     }
 
@@ -461,8 +472,10 @@ impl<M: fmt::Debug + 'static> Sim<M> {
     }
 
     /// Executes the next scheduled item. Returns `false` when the queue is
-    /// empty.
+    /// empty. A timer entry that was replaced or withdrawn is dropped
+    /// on the way, and is not a step.
     pub fn step(&mut self) -> bool {
+        self.next_at();
         let Some((at, what)) = self.queue.pop() else {
             return false;
         };
@@ -473,14 +486,9 @@ impl<M: fmt::Debug + 'static> Sim<M> {
                     self.run_actor(node, |actor, ctx| actor.on_start(ctx));
                 }
             }
-            What::Timer {
-                node,
-                incarnation,
-                tag,
-            } => {
-                if self.is_live(node, incarnation) {
-                    self.run_actor(node, |actor, ctx| actor.on_timer(ctx, tag));
-                }
+            What::Timer { node, .. } => {
+                self.meta[node.index()].deadline = None;
+                self.run_actor(node, |actor, ctx| actor.on_timer(ctx));
             }
             What::Deliver {
                 from,
@@ -522,11 +530,45 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         meta.up && meta.incarnation == incarnation
     }
 
+    /// When the next item is due, once the timer entries at the head of
+    /// the queue that are no longer their node's are dropped (the clock
+    /// does not move for them).
+    fn next_at(&mut self) -> Option<SimTime> {
+        loop {
+            match self.queue.peek()? {
+                (_, &What::Timer { node, generation })
+                    if self.meta[node.index()].generation != generation =>
+                {
+                    self.queue.pop();
+                }
+                (at, _) => return Some(at),
+            }
+        }
+    }
+
+    /// Keeps `node`'s one timer at `deadline`, the one its actor just
+    /// reported: an unchanged deadline keeps its place in the queue, a
+    /// changed one replaces it (behind what is already queued for its
+    /// instant, and no earlier than now), and `None` withdraws it. A
+    /// node that is down has no timer.
+    fn set_deadline(&mut self, node: NodeId, deadline: Option<SimTime>) {
+        let meta = &mut self.meta[node.index()];
+        if !meta.up || meta.deadline == deadline {
+            return;
+        }
+        meta.generation = meta.generation.wrapping_add(1);
+        meta.deadline = deadline;
+        let generation = meta.generation;
+        if let Some(at) = deadline {
+            self.push(at.max(self.now), What::Timer { node, generation });
+        }
+    }
+
     /// Runs until the queue is exhausted or simulated time would exceed
     /// `deadline`. Returns the number of items processed.
     pub fn run_until_quiet(&mut self, deadline: SimTime) -> usize {
         let mut processed = 0;
-        while let Some(head_at) = self.queue.peek_at() {
+        while let Some(head_at) = self.next_at() {
             if head_at > deadline {
                 break;
             }
@@ -549,7 +591,7 @@ impl<M: fmt::Debug + 'static> Sim<M> {
         self.run_until(self.now + d)
     }
 
-    /// Number of items still scheduled.
+    /// Number of items still scheduled, replaced timer entries included.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -591,27 +633,29 @@ impl<M: fmt::Debug + 'static> Sim<M> {
             names: &self.names,
         };
         f(actor.as_mut(), &mut ctx);
-        let mut commands = ctx.commands;
+        let commands = ctx.commands;
+        self.end_callback(node, actor, commands);
+    }
+
+    /// Puts `actor` back after a callback, applies what it buffered, and
+    /// keeps its node's timer at the deadline it now reports.
+    fn end_callback(
+        &mut self,
+        node: NodeId,
+        actor: Box<dyn ActorObj<M>>,
+        mut commands: Vec<Command<M>>,
+    ) {
+        let deadline = actor.next_deadline();
         self.actors[node.index()] = Some(actor);
         self.apply_commands(node, &mut commands);
         self.checkin_commands(commands);
+        self.set_deadline(node, deadline);
     }
 
     fn apply_commands(&mut self, node: NodeId, commands: &mut Vec<Command<M>>) {
         for command in commands.drain(..) {
             match command {
                 Command::Send { to, msg } => self.route(node, to, msg),
-                Command::SetTimer { delay, tag } => {
-                    let incarnation = self.meta[node.index()].incarnation;
-                    self.push(
-                        self.now + delay,
-                        What::Timer {
-                            node,
-                            incarnation,
-                            tag,
-                        },
-                    );
-                }
                 Command::Count { id, delta } => self.metrics.count_id(id, delta),
             }
         }
@@ -764,18 +808,34 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
+    /// Times two tags, 1 and 2 ms after each start, and records each
+    /// as it comes due.
     #[derive(Default)]
     struct TimerActor {
         fired: Vec<u64>,
+        due: Vec<(SimTime, u64)>,
     }
     impl Actor<String> for TimerActor {
         fn on_start(&mut self, ctx: &mut Ctx<'_, String>) {
-            ctx.set_timer(SimDuration::from_millis(1), 1);
-            ctx.set_timer(SimDuration::from_millis(2), 2);
+            let now = ctx.now();
+            self.due = vec![
+                (now + SimDuration::from_millis(1), 1),
+                (now + SimDuration::from_millis(2), 2),
+            ];
         }
         fn on_message(&mut self, _: &mut Ctx<'_, String>, _: NodeId, _: String) {}
-        fn on_timer(&mut self, _: &mut Ctx<'_, String>, tag: u64) {
-            self.fired.push(tag);
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, String>) {
+            let now = ctx.now();
+            let fired = &mut self.fired;
+            self.due.retain(|&(at, tag)| {
+                at > now || {
+                    fired.push(tag);
+                    false
+                }
+            });
+        }
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.due.iter().map(|&(at, _)| at).min()
         }
     }
 
@@ -792,16 +852,20 @@ mod tests {
     struct Ticker {
         starts: u32,
         ticks: u32,
+        next: Option<SimTime>,
     }
     impl Actor<String> for Ticker {
         fn on_start(&mut self, ctx: &mut Ctx<'_, String>) {
             self.starts += 1;
-            ctx.set_timer(SimDuration::from_millis(10), 0);
+            self.next = Some(ctx.now() + SimDuration::from_millis(10));
         }
         fn on_message(&mut self, _: &mut Ctx<'_, String>, _: NodeId, _: String) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, String>, _: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, String>) {
             self.ticks += 1;
-            ctx.set_timer(SimDuration::from_millis(10), 0);
+            self.next = Some(ctx.now() + SimDuration::from_millis(10));
+        }
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.next
         }
     }
 
@@ -941,11 +1005,150 @@ mod tests {
         assert!(!sim.replace_actor::<Echo>(id, |echo| echo), "not an Echo");
         assert!(sim.replace_actor::<TimerActor>(id, |old| TimerActor {
             fired: old.fired.into_iter().map(|tag| tag * 10).collect(),
+            due: old.due,
         }));
         sim.set_node_up(id, false);
         sim.set_node_up(id, true);
         sim.run_until_quiet(SimTime::from_secs(2));
         let fired = sim.actor::<TimerActor, _>(id, |t| t.fired.clone());
         assert_eq!(fired, Some(vec![10, 20, 1, 2]));
+    }
+
+    /// Reports the deadline a driver gives it, and records when each
+    /// firing comes. On start it keeps a deadline it holds, or takes
+    /// one 10 ms out.
+    #[derive(Default)]
+    struct Alarm {
+        at: Option<SimTime>,
+        fired: Vec<SimTime>,
+    }
+    impl Actor<String> for Alarm {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, String>) {
+            let later = ctx.now() + SimDuration::from_millis(10);
+            self.at.get_or_insert(later);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, String>, _: NodeId, _: String) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, String>) {
+            self.fired.push(ctx.now());
+            self.at = None;
+        }
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.at
+        }
+    }
+
+    /// An alarm started, its deadline 10 ms out, then moved by the
+    /// driver through each of `moves` in turn.
+    fn alarm(moves: &[Option<SimTime>]) -> (Sim<String>, NodeId) {
+        let mut sim: Sim<String> = Sim::new(1);
+        let id = sim.add_node("alarm", Alarm::default());
+        assert!(sim.step(), "the start");
+        for &at in moves {
+            sim.with_actor::<Alarm, _>(id, |alarm, _| alarm.at = at);
+        }
+        (sim, id)
+    }
+
+    fn fired(sim: &mut Sim<String>, id: NodeId) -> Vec<SimTime> {
+        sim.actor::<Alarm, _>(id, |a| a.fired.clone()).unwrap()
+    }
+
+    #[test]
+    fn a_deadline_moved_earlier_fires_once_at_the_earlier_instant() {
+        let (mut sim, id) = alarm(&[Some(SimTime::from_millis(4))]);
+        sim.run_until_quiet(SimTime::from_secs(1));
+        assert_eq!(fired(&mut sim, id), [SimTime::from_millis(4)]);
+    }
+
+    #[test]
+    fn a_deadline_moved_later_fires_once_at_the_later_instant() {
+        let (mut sim, id) = alarm(&[Some(SimTime::from_millis(30))]);
+        sim.run_until_quiet(SimTime::from_secs(1));
+        assert_eq!(fired(&mut sim, id), [SimTime::from_millis(30)]);
+    }
+
+    #[test]
+    fn a_withdrawn_deadline_never_fires() {
+        let (mut sim, id) = alarm(&[None]);
+        sim.run_until_quiet(SimTime::from_secs(1));
+        assert_eq!(fired(&mut sim, id), []);
+    }
+
+    #[test]
+    fn a_dropped_entry_is_not_a_step() {
+        // Entries at 10, 4 and 6 ms are queued; only the last is the
+        // node's.
+        let moves = [Some(SimTime::from_millis(4)), Some(SimTime::from_millis(6))];
+        let (mut sim, id) = alarm(&moves);
+        assert_eq!(sim.pending(), 3);
+        assert_eq!(sim.run_until_quiet(SimTime::from_secs(1)), 1);
+        assert_eq!(sim.now(), SimTime::from_millis(6));
+        assert!(!sim.step(), "the entry at 10 ms is dropped, not stepped");
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(fired(&mut sim, id), [SimTime::from_millis(6)]);
+    }
+
+    #[test]
+    fn a_downed_node_loses_its_timer_and_its_restart_sets_one() {
+        // Back before its deadline: the unchanged deadline still fires,
+        // once.
+        let mut sim: Sim<String> = Sim::new(1);
+        let id = sim.add_node("alarm", Alarm::default());
+        sim.run_until(SimTime::from_millis(5));
+        sim.set_node_up(id, false);
+        sim.run_until(SimTime::from_millis(7));
+        sim.set_node_up(id, true);
+        sim.run_until_quiet(SimTime::from_secs(1));
+        assert_eq!(fired(&mut sim, id), [SimTime::from_millis(10)]);
+
+        // Down across its deadline: nothing fires while it is down, and
+        // the deadline, past by then, fires at the restart.
+        let mut sim: Sim<String> = Sim::new(1);
+        let id = sim.add_node("alarm", Alarm::default());
+        sim.run_until(SimTime::from_millis(5));
+        sim.set_node_up(id, false);
+        sim.run_until(SimTime::from_millis(15));
+        assert_eq!(fired(&mut sim, id), []);
+        sim.set_node_up(id, true);
+        sim.run_until_quiet(SimTime::from_secs(1));
+        assert_eq!(fired(&mut sim, id), [SimTime::from_millis(15)]);
+    }
+
+    /// Logs every message and firing; each message asks for a firing in
+    /// the same instant, as the per-edge batcher does.
+    #[derive(Default)]
+    struct Flusher {
+        log: Vec<String>,
+        due: Option<SimTime>,
+    }
+    impl Actor<String> for Flusher {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, String>, _: NodeId, msg: String) {
+            self.log.push(msg);
+            self.due = Some(ctx.now());
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, String>) {
+            self.log.push("flush".into());
+            self.due = None;
+        }
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.due
+        }
+    }
+
+    #[test]
+    fn an_unchanged_deadline_keeps_its_place_behind_what_its_instant_had_queued() {
+        let mut sim: Sim<String> = Sim::new(1);
+        let id = sim.add_node("f", Flusher::default());
+        sim.run_until_quiet(SimTime::ZERO);
+        sim.inject(id, id, "m1".into());
+        sim.inject(id, id, "m2".into());
+        assert!(sim.step(), "m1");
+        // Queued behind the timer m1 asked for. m2 leaves the deadline
+        // as it was, so the timer keeps its place: behind m2, and ahead
+        // of x.
+        sim.inject(id, id, "x".into());
+        sim.run_until_quiet(SimTime::ZERO);
+        let log = sim.actor::<Flusher, _>(id, |f| f.log.clone()).unwrap();
+        assert_eq!(log, ["m1", "m2", "flush", "x", "flush"]);
     }
 }

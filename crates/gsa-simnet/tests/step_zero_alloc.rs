@@ -92,25 +92,30 @@ impl Actor<u32> for Server {
 }
 
 /// Keeps the ping-pong going and exercises the timer machinery with a
-/// recurring tick (set on fire, so its queue slot recycles every
+/// recurring tick (moved on fire, so its queue slot recycles every
 /// period without growing).
 struct Pinger {
     server: NodeId,
     tick: SimDuration,
+    next_tick: Option<SimTime>,
 }
 
 impl Actor<u32> for Pinger {
     fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
         ctx.send(self.server, 0);
-        ctx.set_timer(self.tick, 1);
+        self.next_tick = Some(ctx.now() + self.tick);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
         ctx.send(from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _tag: u64) {
-        ctx.set_timer(self.tick, 1);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>) {
+        self.next_tick = Some(ctx.now() + self.tick);
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.next_tick
     }
 }
 
@@ -176,6 +181,7 @@ fn ping_pong_sim() -> Sim<u32> {
         Pinger {
             server,
             tick: SimDuration::from_millis(5),
+            next_tick: None,
         },
     );
     sim

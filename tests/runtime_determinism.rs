@@ -210,7 +210,7 @@ fn every_scheme_outcome_is_pinned_per_seed() {
         0xd47d_a9a5_a64b_41f1,
         0xc9bf_1640_40ae_6f27,
         0x8157_295b_5969_ef72,
-        0x9b8e_e30e_33e4_86c5,
+        0x3cd2_96fe_9304_1b51,
     ];
     assert_eq!(
         hashes, pinned,
