@@ -40,7 +40,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-use gsa_types::{CounterId, Counts, SimDuration, SimTime};
+use gsa_types::{CounterId, Counts, ProfileId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The lifecycle states of an alert instance.
@@ -194,6 +194,25 @@ where
     hash
 }
 
+/// An alert instance's name: the profile whose matches it tracks, then
+/// its fingerprint. Keys order by profile first, so one range holds all
+/// of a profile's instances ([`AlertEngine::forget_profile`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct AlertKey {
+    /// The profile the instance belongs to.
+    pub profile: ProfileId,
+    /// The instance's stable [`fingerprint`].
+    pub fingerprint: u64,
+}
+
+/// A bare fingerprint names an instance of profile 0, for an engine that
+/// serves one profile.
+impl From<u64> for AlertKey {
+    fn from(fingerprint: u64) -> Self {
+        AlertKey { profile: ProfileId::from_raw(0), fingerprint }
+    }
+}
+
 /// One alert instance: the current state plus the timestamps the timer
 /// transitions need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,8 +241,8 @@ pub enum Outcome {
 /// A recorded lifecycle transition, ready for journaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
-    /// The instance's fingerprint.
-    pub fingerprint: u64,
+    /// The instance.
+    pub key: AlertKey,
     /// The state entered.
     pub state: AlertState,
     /// When it was entered.
@@ -234,8 +253,8 @@ pub struct Transition {
 /// digest buffers that came due.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TickOutcome<T> {
-    /// Fingerprints that transitioned `Firing`/`Acked` → `Stale`.
-    pub stale: Vec<u64>,
+    /// Instances that transitioned `Firing`/`Acked` → `Stale`.
+    pub stale: Vec<AlertKey>,
     /// Flushed digests, one `(key, buffered payloads)` entry per key,
     /// in key order.
     pub flushed: Vec<(String, Vec<T>)>,
@@ -264,8 +283,8 @@ struct Bucket {
     used: u32,
 }
 
-/// The policy engine: alert instances keyed by fingerprint, plus the
-/// volatile throttle buckets and digest buffers.
+/// The policy engine: alert instances keyed by profile and fingerprint,
+/// plus the volatile throttle buckets and digest buffers.
 ///
 /// Only the instance table is durable state (the host journals
 /// transitions and restores via [`AlertEngine::restore`]); buckets and
@@ -276,8 +295,8 @@ struct Bucket {
 #[derive(Debug, Clone)]
 pub struct AlertEngine<T> {
     config: AlertPolicyConfig,
-    instances: BTreeMap<u64, AlertInstance>,
-    buckets: BTreeMap<u64, Bucket>,
+    instances: BTreeMap<AlertKey, AlertInstance>,
+    buckets: BTreeMap<AlertKey, Bucket>,
     digests: BTreeMap<String, Vec<T>>,
     /// Earliest time the buffered digests may flush; re-armed when the
     /// first payload lands in an empty buffer set.
@@ -307,14 +326,14 @@ impl<T> AlertEngine<T> {
         &self.config
     }
 
-    /// The current state of a fingerprint's instance, if one exists.
-    pub fn state(&self, fingerprint: u64) -> Option<AlertState> {
-        self.instances.get(&fingerprint).map(|i| i.state)
+    /// The current state of an instance, if one exists.
+    pub fn state(&self, key: impl Into<AlertKey>) -> Option<AlertState> {
+        self.instances.get(&key.into()).map(|i| i.state)
     }
 
-    /// The full instance record for a fingerprint.
-    pub fn instance(&self, fingerprint: u64) -> Option<&AlertInstance> {
-        self.instances.get(&fingerprint)
+    /// The full instance record.
+    pub fn instance(&self, key: impl Into<AlertKey>) -> Option<&AlertInstance> {
+        self.instances.get(&key.into())
     }
 
     /// Number of tracked instances.
@@ -328,21 +347,17 @@ impl<T> AlertEngine<T> {
     }
 
     /// Enters `state` for an instance the engine already tracks.
-    fn transition(&mut self, fingerprint: u64, state: AlertState, now: SimTime) {
-        if let Some(instance) = self.instances.get_mut(&fingerprint) {
+    fn transition(&mut self, key: AlertKey, state: AlertState, now: SimTime) {
+        if let Some(instance) = self.instances.get_mut(&key) {
             instance.state = state;
             instance.since = now;
         }
-        self.record(fingerprint, state, now);
+        self.record(key, state, now);
     }
 
     /// Queues a transition for the journal and counts it.
-    fn record(&mut self, fingerprint: u64, state: AlertState, now: SimTime) {
-        self.transitions.push(Transition {
-            fingerprint,
-            state,
-            at: now,
-        });
+    fn record(&mut self, key: AlertKey, state: AlertState, now: SimTime) {
+        self.transitions.push(Transition { key, state, at: now });
         let id = match state {
             AlertState::Firing => CounterId::ALERTS_FIRING,
             AlertState::Acked => CounterId::ALERTS_ACKED,
@@ -354,8 +369,8 @@ impl<T> AlertEngine<T> {
 
     /// [`observe_with`](Self::observe_with) over a payload the caller
     /// already has.
-    pub fn observe(&mut self, fingerprint: u64, digest_key: &str, payload: T, now: SimTime) -> Outcome {
-        self.observe_with(fingerprint, digest_key, || payload, now)
+    pub fn observe(&mut self, key: impl Into<AlertKey>, digest_key: &str, payload: T, now: SimTime) -> Outcome {
+        self.observe_with(key, digest_key, || payload, now)
     }
 
     /// Runs one matched event through the policy pipeline.
@@ -371,14 +386,15 @@ impl<T> AlertEngine<T> {
     /// messaging.
     pub fn observe_with(
         &mut self,
-        fingerprint: u64,
+        key: impl Into<AlertKey>,
         digest_key: &str,
         payload: impl FnOnce() -> T,
         now: SimTime,
     ) -> Outcome {
+        let key = key.into();
         // One probe finds the instance, stamps it seen and (re)fires it.
         let mut known = true;
-        let instance = self.instances.entry(fingerprint).or_insert_with(|| {
+        let instance = self.instances.entry(key).or_insert_with(|| {
             known = false;
             AlertInstance {
                 state: AlertState::Firing,
@@ -395,10 +411,10 @@ impl<T> AlertEngine<T> {
         if !active {
             instance.state = AlertState::Firing;
             instance.since = now;
-            self.record(fingerprint, AlertState::Firing, now);
+            self.record(key, AlertState::Firing, now);
         }
         if let Some(throttle) = self.config.throttle {
-            let bucket = self.buckets.entry(fingerprint).or_insert(Bucket {
+            let bucket = self.buckets.entry(key).or_insert(Bucket {
                 window_start: now,
                 used: 0,
             });
@@ -425,10 +441,11 @@ impl<T> AlertEngine<T> {
 
     /// Acknowledges a firing instance. Returns `true` when the state
     /// changed (only `Firing` is ackable).
-    pub fn ack(&mut self, fingerprint: u64, now: SimTime) -> bool {
-        match self.instances.get(&fingerprint).map(|i| i.state) {
+    pub fn ack(&mut self, key: impl Into<AlertKey>, now: SimTime) -> bool {
+        let key = key.into();
+        match self.state(key) {
             Some(AlertState::Firing) => {
-                self.transition(fingerprint, AlertState::Acked, now);
+                self.transition(key, AlertState::Acked, now);
                 true
             }
             _ => false,
@@ -437,10 +454,11 @@ impl<T> AlertEngine<T> {
 
     /// Resolves an active instance. Returns `true` when the state
     /// changed; the next observation of the fingerprint re-fires.
-    pub fn resolve(&mut self, fingerprint: u64, now: SimTime) -> bool {
-        match self.instances.get(&fingerprint).map(|i| i.state) {
+    pub fn resolve(&mut self, key: impl Into<AlertKey>, now: SimTime) -> bool {
+        let key = key.into();
+        match self.state(key) {
             Some(state) if state.is_active() => {
-                self.transition(fingerprint, AlertState::Resolved, now);
+                self.transition(key, AlertState::Resolved, now);
                 true
             }
             _ => false,
@@ -456,15 +474,15 @@ impl<T> AlertEngine<T> {
         if let Some(stale_after) = self.config.stale_after {
             // BTreeMap order keeps the stale list (and with it journal
             // record order) deterministic across runs.
-            let expired: Vec<u64> = self
+            let expired: Vec<AlertKey> = self
                 .instances
                 .iter()
                 .filter(|(_, i)| i.state.is_active() && now.since(i.last_seen) >= stale_after)
-                .map(|(&fp, _)| fp)
+                .map(|(&key, _)| key)
                 .collect();
-            for fp in expired {
-                self.transition(fp, AlertState::Stale, now);
-                outcome.stale.push(fp);
+            for key in expired {
+                self.transition(key, AlertState::Stale, now);
+                outcome.stale.push(key);
             }
         }
         if self.digest_due.is_some_and(|due| now >= due) {
@@ -486,11 +504,24 @@ impl<T> AlertEngine<T> {
         &mut self.counts
     }
 
+    /// Drops every instance and throttle bucket of a cancelled `profile`:
+    /// an alert ends with its profile. Records no transition — the
+    /// journal's cancel already ends them.
+    pub fn forget_profile(&mut self, profile: ProfileId) {
+        let first = AlertKey { profile, fingerprint: 0 };
+        let last = AlertKey { profile, fingerprint: u64::MAX };
+        let keys: Vec<AlertKey> = self.instances.range(first..=last).map(|(&key, _)| key).collect();
+        for key in keys {
+            self.instances.remove(&key);
+            self.buckets.remove(&key);
+        }
+    }
+
     /// Reinstates an instance from durable state (recovery replay).
     /// Does *not* record a transition — the journal already holds it.
-    pub fn restore(&mut self, fingerprint: u64, state: AlertState, at: SimTime) {
+    pub fn restore(&mut self, key: impl Into<AlertKey>, state: AlertState, at: SimTime) {
         self.instances.insert(
-            fingerprint,
+            key.into(),
             AlertInstance {
                 state,
                 since: at,
@@ -640,7 +671,7 @@ mod tests {
         assert_eq!(engine.observe(1, "c", 1, at(20)), Outcome::Suppressed);
         assert!(engine.on_tick(at(40)).stale.is_empty(), "activity at t=20");
         let outcome = engine.on_tick(at(50));
-        assert_eq!(outcome.stale, vec![1]);
+        assert_eq!(outcome.stale, vec![AlertKey::from(1)]);
         assert_eq!(engine.state(1), Some(AlertState::Stale));
         // Stale instances re-fire on the next match.
         assert_eq!(engine.observe(1, "c", 2, at(55)), Outcome::Deliver);
@@ -657,9 +688,9 @@ mod tests {
         assert_eq!(
             transitions,
             vec![
-                Transition { fingerprint: 5, state: AlertState::Firing, at: T0 },
-                Transition { fingerprint: 5, state: AlertState::Acked, at: at(1) },
-                Transition { fingerprint: 5, state: AlertState::Resolved, at: at(2) },
+                Transition { key: 5.into(), state: AlertState::Firing, at: T0 },
+                Transition { key: 5.into(), state: AlertState::Acked, at: at(1) },
+                Transition { key: 5.into(), state: AlertState::Resolved, at: at(2) },
             ]
         );
         assert!(engine.take_transitions().is_empty());
@@ -673,6 +704,30 @@ mod tests {
         assert_eq!(engine.state(7), Some(AlertState::Acked));
         // The restored instance dedups exactly like a live one.
         assert_eq!(engine.observe(7, "c", 0, at(4)), Outcome::Suppressed);
+    }
+
+    #[test]
+    fn a_cancelled_profile_takes_its_instances_and_buckets_with_it() {
+        let config = AlertPolicyConfig {
+            throttle: Some(ThrottleConfig { budget: 1, window: SimDuration::from_secs(60) }),
+            ..AlertPolicyConfig::dedup_only()
+        };
+        let mut engine: AlertEngine<u32> = AlertEngine::new(config);
+        let key = |profile, fingerprint| AlertKey {
+            profile: ProfileId::from_raw(profile),
+            fingerprint,
+        };
+        for (profile, fingerprint) in [(6, u64::MAX), (7, 0), (7, 9), (7, u64::MAX), (8, 0)] {
+            assert_eq!(engine.observe(key(profile, fingerprint), "c", 0, T0), Outcome::Deliver);
+        }
+        engine.forget_profile(ProfileId::from_raw(7));
+        assert_eq!(engine.len(), 2);
+        assert_eq!(engine.state(key(6, u64::MAX)), Some(AlertState::Firing));
+        assert_eq!(engine.state(key(8, 0)), Some(AlertState::Firing));
+        // Nothing of profile 7 is left, its spent throttle budget included.
+        assert_eq!(engine.state(key(7, 9)), None);
+        assert_eq!(engine.observe(key(7, 9), "c", 1, at(1)), Outcome::Deliver);
+        assert_eq!(engine.observe(key(8, 0), "c", 2, at(1)), Outcome::Suppressed);
     }
 
     #[test]

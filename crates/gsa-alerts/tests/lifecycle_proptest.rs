@@ -26,7 +26,7 @@
 //! durability round-trip the journal relies on.
 
 use gsa_alerts::{
-    AlertEngine, AlertPolicyConfig, AlertState, DigestConfig, Outcome, ThrottleConfig,
+    AlertEngine, AlertKey, AlertPolicyConfig, AlertState, DigestConfig, Outcome, ThrottleConfig,
 };
 use gsa_types::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -176,13 +176,13 @@ impl Model {
 
     /// Predicts a tick: which instances go stale, and whether (and
     /// with what) the digests flush.
-    fn tick(&mut self, config: &AlertPolicyConfig, now: SimTime) -> (Vec<u64>, Option<Flushed>) {
+    fn tick(&mut self, config: &AlertPolicyConfig, now: SimTime) -> (Vec<AlertKey>, Option<Flushed>) {
         let mut stale = Vec::new();
         if let Some(stale_after) = config.stale_after {
             for (&fp, instance) in self.instances.iter_mut() {
                 if instance.state.is_active() && now.since(instance.last_seen) >= stale_after {
                     instance.state = AlertState::Stale;
-                    stale.push(fp);
+                    stale.push(fp.into());
                 }
             }
         }
@@ -329,7 +329,7 @@ proptest! {
         transitions.extend(engine.take_transitions());
         let mut restored: AlertEngine<u64> = AlertEngine::new(config);
         for t in &transitions {
-            restored.restore(t.fingerprint, t.state, t.at);
+            restored.restore(t.key, t.state, t.at);
         }
         for fp in 0..5 {
             prop_assert_eq!(restored.state(fp), engine.state(fp));

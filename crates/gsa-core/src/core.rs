@@ -16,7 +16,7 @@ use crate::aux::{AuxLog, AuxStore, Auxiliary};
 use crate::delivery::Delivery;
 use crate::message::{AuxPayload, SysMessage};
 use crate::subs::{Notification, SubscriptionManager};
-use gsa_alerts::{AlertEngine, AlertPolicyConfig, AlertState};
+use gsa_alerts::{AlertEngine, AlertKey, AlertPolicyConfig, AlertState};
 use gsa_gds::{GdsClient, ResolveToken};
 use gsa_greenstone::server::{FetchResult, SearchResult};
 use gsa_greenstone::{
@@ -151,28 +151,29 @@ impl AlertingCore {
         self.delivery.alerts = config.map(AlertEngine::new);
     }
 
-    /// The fingerprint the policy engine would assign this notification
-    /// (`None` while policies are off).
-    pub fn alert_fingerprint(&self, n: &Notification) -> Option<u64> {
-        self.delivery.fingerprint(n)
+    /// The alert instance the policy engine would file this
+    /// notification under: its profile and fingerprint (`None` while
+    /// policies are off).
+    pub fn alert_key(&self, n: &Notification) -> Option<AlertKey> {
+        self.delivery.alert_key(n)
     }
 
     /// The lifecycle state of an alert instance (`None` for unknown
-    /// fingerprints or while policies are off).
-    pub fn alert_state(&self, fingerprint: u64) -> Option<AlertState> {
-        self.delivery.alerts.as_ref().and_then(|e| e.state(fingerprint))
+    /// instances or while policies are off).
+    pub fn alert_state(&self, key: AlertKey) -> Option<AlertState> {
+        self.delivery.alerts.as_ref().and_then(|e| e.state(key))
     }
 
     /// Acknowledges a firing alert instance, journaling the transition.
     /// Returns `true` when the state changed.
-    pub fn ack_alert(&mut self, fingerprint: u64, now: SimTime) -> bool {
-        self.delivery.change(&mut *self.store, |e| e.ack(fingerprint, now))
+    pub fn ack_alert(&mut self, key: AlertKey, now: SimTime) -> bool {
+        self.delivery.change(&mut *self.store, |e| e.ack(key, now))
     }
 
     /// Resolves an active alert instance, journaling the transition.
     /// Returns `true` when the state changed; the next match re-fires.
-    pub fn resolve_alert(&mut self, fingerprint: u64, now: SimTime) -> bool {
-        self.delivery.change(&mut *self.store, |e| e.resolve(fingerprint, now))
+    pub fn resolve_alert(&mut self, key: AlertKey, now: SimTime) -> bool {
+        self.delivery.change(&mut *self.store, |e| e.resolve(key, now))
     }
 
     /// Replaces the durable state backend (the default in-memory store
@@ -360,11 +361,13 @@ impl AlertingCore {
         Ok(stored.id())
     }
 
-    /// Cancels a profile — local and immediate.
+    /// Cancels a profile — local and immediate. Its alert instances end
+    /// with it.
     pub fn unsubscribe(&mut self, profile: ProfileId) -> bool {
         let existed = self.subs.unsubscribe(profile);
         if existed {
             self.store.record_unsubscribe(profile);
+            self.delivery.forget(profile);
         }
         existed
     }
@@ -1309,7 +1312,7 @@ mod tests {
         );
         assert_eq!(eff.notified, 1);
         let delivered = &core.subscriptions().peek_notifications(client)[0];
-        let fp = core.alert_fingerprint(delivered).unwrap();
+        let fp = core.alert_key(delivered).unwrap();
         assert_eq!(core.alert_state(fp), Some(AlertState::Firing));
         // Same collection + kind: the duplicate is suppressed — neither
         // counted in the effects nor queued in the client mailbox.
@@ -1446,7 +1449,7 @@ mod tests {
             SimTime::from_secs(1),
         );
         let delivered = core.take_notifications(client);
-        let fp = core.alert_fingerprint(&delivered[0]).unwrap();
+        let fp = core.alert_key(&delivered[0]).unwrap();
         assert!(core.ack_alert(fp, SimTime::from_secs(2)));
 
         let mut core = core.crashed(SimTime::from_secs(2));
@@ -1461,6 +1464,33 @@ mod tests {
         );
         assert_eq!(eff.notified, 0);
         assert!(core.take_notifications(client).is_empty());
+    }
+
+    /// An alert instance ends with its profile: 200 rounds of subscribe,
+    /// one matching delivery and cancel leave no instance in the engine,
+    /// and none comes back from the journal after a crash. Before
+    /// instances were keyed by profile, both read 200.
+    #[test]
+    fn a_cancelled_profile_leaves_no_alert_instance_before_or_after_a_crash() {
+        use gsa_state::{JournalConfig, JournalStateStore, MemMedium};
+        let mut core = AlertingCore::new("A", "gds-1");
+        core.set_alert_policies(Some(AlertPolicyConfig::observe_only()));
+        let store = JournalStateStore::new(MemMedium::new(), JournalConfig::default());
+        core.set_state_store(Box::new(store));
+        core.startup(SimTime::ZERO);
+        let client = ClientId::from_raw(1);
+        for round in 1..=200 {
+            let profile = core.subscribe(client, parse_profile(r#"host = "London""#).unwrap()).unwrap();
+            let msg = SysMessage::Gds(binary_deliver(round, vec![]));
+            let eff = core.handle_message(&HostName::new("gds-1"), msg, SimTime::from_millis(round));
+            assert_eq!(eff.notified, 1, "round {round}");
+            assert!(core.unsubscribe(profile));
+        }
+        let instances = |core: &AlertingCore| core.delivery.alerts.as_ref().map(AlertEngine::len);
+        assert_eq!(instances(&core), Some(0), "before the crash");
+        let mut core = core.crashed(SimTime::from_secs(1));
+        core.startup(SimTime::from_secs(1));
+        assert_eq!(instances(&core), Some(0), "after the crash");
     }
 
     /// A pruning, probe-off, dedup-policy server, durable or not,
@@ -1492,7 +1522,7 @@ mod tests {
         core.unsubscribe(cancelled);
         core.summary_refresh();
         core.handle_message(&HostName::new("gds-1"), SysMessage::Gds(binary_deliver(1, vec![])), t);
-        let fp = core.alert_fingerprint(&core.subscriptions().peek_notifications(client)[0]);
+        let fp = core.alert_key(&core.subscriptions().peek_notifications(client)[0]);
         assert!(core.ack_alert(fp.unwrap(), t));
         let plant = AuxPayload::Plant {
             super_collection: CollectionId::new("Paris", "P"),
@@ -1631,7 +1661,8 @@ mod tests {
         ];
         for (labels, profile, origin, kind, fp) in pinned {
             let n = notification_of(profile, origin, kind);
-            assert_eq!(core_with_labels(labels).alert_fingerprint(&n), Some(fp));
+            let key = core_with_labels(labels).alert_key(&n).unwrap();
+            assert_eq!((key.profile.as_u64(), key.fingerprint), (profile, fp));
         }
     }
 
@@ -1788,7 +1819,8 @@ mod tests {
                     })
                     .collect();
                 let built = fingerprint(n.profile.as_u64(), strings.iter().map(String::as_str));
-                prop_assert_eq!(core_with_labels(&labels).alert_fingerprint(&n), Some(built));
+                let key = core_with_labels(&labels).alert_key(&n).unwrap();
+                prop_assert_eq!((key.profile, key.fingerprint), (n.profile, built));
             }
         }
     }

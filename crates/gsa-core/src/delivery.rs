@@ -6,7 +6,7 @@
 
 use crate::core::CoreEffects;
 use crate::subs::{Notification, SubscriptionManager};
-use gsa_alerts::{fingerprint, AlertEngine, AlertPolicyConfig, AlertState, LabelKey, Outcome};
+use gsa_alerts::{fingerprint, AlertEngine, AlertKey, AlertPolicyConfig, AlertState, LabelKey, Outcome};
 use gsa_gds::{GdsClient, GdsMessage};
 use gsa_state::StateStore;
 use gsa_types::{CounterId, Counts, Event, ProfileId, SimTime};
@@ -15,16 +15,16 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// The stable alert fingerprint of one profile's match of `event` under
-/// a policy configuration: profile id plus the configured label values,
-/// `origin` being `event.origin` as text.
-fn fingerprint_of(config: &AlertPolicyConfig, profile: ProfileId, origin: &str, event: &Event) -> u64 {
+/// The alert instance of one profile's match of `event` under a policy
+/// configuration: the profile, and the stable fingerprint of its id plus
+/// the configured label values, `origin` being `event.origin` as text.
+fn key_of(config: &AlertPolicyConfig, profile: ProfileId, origin: &str, event: &Event) -> AlertKey {
     let labels = config.labels.iter().map(|key| match key {
         LabelKey::Collection => origin,
         LabelKey::Kind => event.kind.as_str(),
         LabelKey::OriginHost => event.origin.host().as_str(),
     });
-    fingerprint(profile.as_u64(), labels)
+    AlertKey { profile, fingerprint: fingerprint(profile.as_u64(), labels) }
 }
 
 /// One host's delivery machine.
@@ -59,15 +59,16 @@ impl Delivery {
     /// the policies are kept, the engine is rebuilt empty — instances,
     /// throttle buckets and digest buffers lost — and the alert states a
     /// durable store `recovered` are restored into it.
-    pub(crate) fn crashed(self, recovered: BTreeMap<u64, (u8, u64)>) -> Self {
+    pub(crate) fn crashed(self, recovered: BTreeMap<(ProfileId, u64), (u8, u64)>) -> Self {
         let Delivery { probe, alerts, origin_label: _, counts: _ } = self;
         let alerts = alerts.map(|engine| {
             let mut engine = AlertEngine::new(engine.config().clone());
-            for (fp, (tag, at_micros)) in recovered {
+            for ((profile, fingerprint), (tag, at_micros)) in recovered {
                 // Fail closed on unknown state bytes: a corrupt tag
                 // must not forge a lifecycle state.
                 if let Some(state) = AlertState::from_tag(tag) {
-                    engine.restore(fp, state, SimTime::from_micros(at_micros));
+                    let key = AlertKey { profile, fingerprint };
+                    engine.restore(key, state, SimTime::from_micros(at_micros));
                 }
             }
             engine
@@ -75,12 +76,20 @@ impl Delivery {
         Delivery { probe, alerts, ..Delivery::new() }
     }
 
-    /// The fingerprint the policy engine would assign `n` (`None` while
-    /// policies are off).
-    pub(crate) fn fingerprint(&self, n: &Notification) -> Option<u64> {
+    /// The alert instance the policy engine would file `n` under
+    /// (`None` while policies are off).
+    pub(crate) fn alert_key(&self, n: &Notification) -> Option<AlertKey> {
         let engine = self.alerts.as_ref()?;
         let origin = n.event.origin.to_string();
-        Some(fingerprint_of(engine.config(), n.profile, &origin, &n.event))
+        Some(key_of(engine.config(), n.profile, &origin, &n.event))
+    }
+
+    /// Ends a cancelled profile's alert instances. The store's cancel
+    /// record already ends them for a restart.
+    pub(crate) fn forget(&mut self, profile: ProfileId) {
+        if let Some(engine) = self.alerts.as_mut() {
+            engine.forget_profile(profile);
+        }
     }
 
     /// The delivery path's counts, with the state store's `stored` and the
@@ -112,7 +121,7 @@ impl Delivery {
     fn persist_alert_transitions(&mut self, store: &mut dyn StateStore) {
         if let Some(engine) = self.alerts.as_mut() {
             for t in engine.take_transitions() {
-                store.record_alert(t.fingerprint, t.state.tag(), t.at.as_micros());
+                store.record_alert(t.key.profile, t.key.fingerprint, t.state.tag(), t.at.as_micros());
             }
         }
     }
@@ -151,8 +160,8 @@ impl Delivery {
         // it drops is never built.
         effects.notified += subs.deliver_matches(event, now, |profile, build| {
             alerts.as_mut().is_none_or(|engine| {
-                let fp = fingerprint_of(engine.config(), profile, origin, event);
-                engine.observe_with(fp, origin, build, now) == Outcome::Deliver
+                let key = key_of(engine.config(), profile, origin, event);
+                engine.observe_with(key, origin, build, now) == Outcome::Deliver
             })
         });
         self.persist_alert_transitions(store);

@@ -65,7 +65,7 @@ mod transport;
 
 pub use crate::core::{AlertingCore, CoreEffects};
 pub use gsa_alerts::{
-    AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
+    AlertKey, AlertPolicyConfig, AlertState, DigestConfig, LabelKey, ThrottleConfig,
 };
 pub use gsa_gds::InterestMode;
 pub use gsa_wire::WireFormat;

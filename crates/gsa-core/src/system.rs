@@ -8,7 +8,7 @@ use crate::actor::{AlertingActor, GdsActor, ReliabilityConfig, WireConfig};
 use crate::core::AlertingCore;
 use crate::message::SysMessage;
 use crate::subs::Notification;
-use gsa_alerts::{AlertPolicyConfig, AlertState};
+use gsa_alerts::{AlertKey, AlertPolicyConfig, AlertState};
 use gsa_gds::{GdsMessage, GdsNode, GdsTopology, InterestMode};
 use gsa_greenstone::server::{FetchResult, SearchResult};
 use gsa_greenstone::{BuildReport, CollectionConfig, GsError, SubCollectionRef};
@@ -225,31 +225,27 @@ impl System {
         self.config.alert_policies = config;
     }
 
-    /// The policy fingerprint a server would assign this notification
+    /// The alert instance a server would file this notification under
     /// (`None` while that server runs without policies).
-    pub fn alert_fingerprint(&mut self, host: &str, n: &Notification) -> Option<u64> {
-        self.inspect_core(host, |core| core.alert_fingerprint(n))
+    pub fn alert_key(&mut self, host: &str, n: &Notification) -> Option<AlertKey> {
+        self.inspect_core(host, |core| core.alert_key(n))
     }
 
     /// The lifecycle state of an alert instance at `host`.
-    pub fn alert_state(&mut self, host: &str, fingerprint: u64) -> Option<AlertState> {
-        self.inspect_core(host, |core| core.alert_state(fingerprint))
+    pub fn alert_state(&mut self, host: &str, key: AlertKey) -> Option<AlertState> {
+        self.inspect_core(host, |core| core.alert_state(key))
     }
 
     /// Acknowledges a firing alert instance at `host` (journaled when
     /// the server is durable). Returns `true` when the state changed.
-    pub fn ack_alert(&mut self, host: &str, fingerprint: u64) -> bool {
-        self.with_core(host, |core, now| {
-            (core.ack_alert(fingerprint, now), Default::default())
-        })
+    pub fn ack_alert(&mut self, host: &str, key: AlertKey) -> bool {
+        self.with_core(host, |core, now| (core.ack_alert(key, now), Default::default()))
     }
 
     /// Resolves an active alert instance at `host`. Returns `true` when
     /// the state changed.
-    pub fn resolve_alert(&mut self, host: &str, fingerprint: u64) -> bool {
-        self.with_core(host, |core, now| {
-            (core.resolve_alert(fingerprint, now), Default::default())
-        })
+    pub fn resolve_alert(&mut self, host: &str, key: AlertKey) -> bool {
+        self.with_core(host, |core, now| (core.resolve_alert(key, now), Default::default()))
     }
 
     /// The simulated disk of a durable server (a shared handle — fault

@@ -9,8 +9,9 @@ use gsa_gds::GdsMessage;
 use gsa_greenstone::{CollectionConfig, GsMessage, RequestId};
 use gsa_store::SourceDocument;
 use gsa_types::{
-    CollectionId, DocSummary, Event, EventId, EventKind, HostName, MetadataRecord, SimTime,
+    keys, CollectionId, DocSummary, Event, EventId, EventKind, HostName, MetadataRecord, SimTime,
 };
+use gsa_wire::binary::payload_bytes_from_event;
 use gsa_wire::codec::{event_from_xml, event_to_xml};
 use gsa_wire::{Payload, Reliable, WireFormat};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -253,4 +254,47 @@ fn one_forward_costs_one_tree_and_one_decode() {
         allocated <= tree + decode + 4,
         "{allocated} allocations for a tree of {tree} and a decode of {decode}"
     );
+}
+
+/// A two-document rebuild event of the benchmark's shape: four Dublin
+/// Core keys per document, a 200-character excerpt, the root equal to
+/// the id and the origin on the publisher's host.
+fn benchmark_shaped_event() -> Event {
+    let excerpt: String = "digital libraries need alerting services for readers "
+        .repeat(4)
+        .chars()
+        .take(200)
+        .collect();
+    let docs = (0..2)
+        .map(|d| {
+            let mut metadata = MetadataRecord::new();
+            metadata.add(keys::TITLE, format!("alerting digital libraries {d}"));
+            metadata.add(keys::CREATOR, "hinze");
+            metadata.add(keys::SUBJECT, "publish-subscribe");
+            metadata.add("dc.Identifier", format!("{}", 1_000 + d));
+            DocSummary::new(format!("d{d:03}"))
+                .with_metadata(metadata)
+                .with_excerpt(excerpt.as_str())
+        })
+        .collect();
+    Event::new(
+        EventId::new("gs-17", 4_321),
+        CollectionId::new("gs-17", "c0"),
+        EventKind::CollectionRebuilt,
+        SimTime::from_millis(5_000),
+    )
+    .with_docs(docs)
+}
+
+/// The byte budget of one flooded event, which every edge of the GDS
+/// tree carries: its v2 payload and its XML text, to the byte. The v2
+/// payload writes each Dublin Core key as a one-byte code and the root
+/// and the origin's host as one flag byte each; spelled out, as they
+/// were before, the same event took 655 bytes. A change that adds a
+/// byte to every flooded event fails here.
+#[test]
+fn a_benchmark_shaped_event_keeps_its_byte_budget() {
+    let event = benchmark_shaped_event();
+    assert_eq!(payload_bytes_from_event(&event).len(), 561, "v2 payload");
+    assert_eq!(event_to_xml(&event).to_xml_string().len(), 1_068, "XML text");
 }

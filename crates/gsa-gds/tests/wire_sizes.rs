@@ -10,8 +10,8 @@
 
 use gsa_gds::{GdsMessage, ResolveToken};
 use gsa_types::{
-    CollectionId, DocSummary, Event, EventId, EventKind, HostName, MessageId, MetadataRecord,
-    SimTime,
+    keys, CollectionId, DocSummary, Event, EventId, EventKind, HostName, MessageId,
+    MetadataRecord, SimTime,
 };
 use gsa_wire::codec::event_to_xml;
 use gsa_wire::{parse_document, InterestSummary, Payload, Reliable, WireMessage, XmlElement};
@@ -71,10 +71,23 @@ const VALUE: &str = "[!-~\u{e9}\u{3bb}\u{65e5}][ -~\u{e9}\u{3bb}\u{65e5}]{0,12}"
 /// Host names both wires carry faithfully.
 const PLAIN_HOST: &str = "[A-Za-z][A-Za-z0-9-]{0,8}";
 
+/// A metadata key the v2 wire writes as a code (a Dublin Core element)
+/// or spells out (anything else, a near miss like `dc.title` included).
+fn arb_key() -> BoxedStrategy<String> {
+    prop_oneof![
+        prop::sample::select(&keys::DUBLIN_CORE).prop_map(str::to_owned),
+        "[A-Za-z.]{1,6}",
+        "dc\\.[a-z]{1,8}",
+    ]
+}
+
+/// An event whose root and origin host the v2 wire writes by reference
+/// (a fresh event at its publisher) or spells out (a rewritten one, or
+/// one whose origin is on another host).
 fn arb_event() -> BoxedStrategy<Event> {
     let doc = (
         "[a-z0-9<&]{1,8}",
-        prop::collection::vec(("[A-Za-z.]{1,6}", TEXT), 0..3),
+        prop::collection::vec((arb_key(), TEXT), 0..3),
         TEXT,
     )
         .prop_map(|(id, pairs, excerpt)| {
@@ -84,22 +97,29 @@ fn arb_event() -> BoxedStrategy<Event> {
             }
             DocSummary::new(id).with_metadata(md).with_excerpt(excerpt)
         });
+    let elsewhere = (0u8..4, "[A-Za-z][A-Za-z0-9]{0,8}", 0u64..=u64::MAX);
     (
         "[A-Za-z][A-Za-z0-9]{0,8}",
         "[A-Za-z][A-Za-z0-9]{0,8}",
         0u64..=u64::MAX,
         0usize..EventKind::ALL.len(),
-        prop::collection::vec(doc, 0..4),
+        (prop::collection::vec(doc, 0..4), elsewhere),
         prop::collection::vec("[A-Za-z][A-Za-z0-9]{0,6}", 0..3),
     )
-        .prop_map(|(host, coll, seq, kind, docs, provenance)| {
+        .prop_map(|(host, coll, seq, kind, (docs, (shape, other, root_seq)), provenance)| {
+            // Bit 0 moves the origin to another host, bit 1 the root
+            // to another id.
+            let origin_host = if shape & 1 == 1 { &other } else { &host };
             let mut event = Event::new(
                 EventId::new(host.as_str(), seq),
-                CollectionId::new(host.as_str(), coll.as_str()),
+                CollectionId::new(origin_host.as_str(), coll.as_str()),
                 EventKind::ALL[kind],
                 SimTime::from_micros(seq / 3),
             )
             .with_docs(docs);
+            if shape & 2 == 2 {
+                event.root = EventId::new(other.as_str(), root_seq);
+            }
             event.provenance = provenance
                 .into_iter()
                 .map(|h| CollectionId::new(h.as_str(), "P"))

@@ -8,7 +8,8 @@
 //! codec. The journal is the stream as it was appended; a snapshot
 //! (format version 2) is a two-byte header — magic, version — and the
 //! stream compacted: a `Subscribe` per live profile in id order, an
-//! `AlertLifecycle` per alert instance in fingerprint order. One writer
+//! `AlertLifecycle` per alert instance of a live profile in (profile,
+//! fingerprint) order. One writer
 //! ([`encode_record`]), one frame reader, one fold
 //! ([`RecoveredState::apply`](crate::RecoveredState::apply)): recovery
 //! is "replay the snapshot, then the journal".
@@ -23,8 +24,9 @@
 //!
 //! No record holds a high-water mark: a restarted server numbers its
 //! profiles and announcements from a new incarnation, above everything
-//! the old one issued. Two tags an older build wrote, 3 (a summary
-//! version) and 5 (the profile-id mark), are read and fold to nothing.
+//! the old one issued. Three tags an older build wrote, 3 (a summary
+//! version), 4 (an alert transition without its profile) and 5 (the
+//! profile-id mark), are read and fold to nothing.
 
 use gsa_profile::xml::{expr_from_xml, expr_to_xml};
 use gsa_profile::ProfileExpr;
@@ -52,8 +54,11 @@ pub enum StateRecord {
     /// An alert instance entered a lifecycle state. The state byte is
     /// `gsa-alerts`' stable tag; this crate treats it as opaque (the
     /// core fails closed on tags it does not recognise), so the journal
-    /// format does not chase the lifecycle enum.
+    /// format does not chase the lifecycle enum. The instance ends with
+    /// its profile: a later `Unsubscribe` of it folds the record away.
     AlertLifecycle {
+        /// The profile the instance belongs to.
+        profile: ProfileId,
         /// The alert instance's stable fingerprint.
         fingerprint: u64,
         /// Lifecycle state tag (`AlertState::tag`).
@@ -69,10 +74,13 @@ const TAG_SUBSCRIBE: u8 = 1;
 const TAG_UNSUBSCRIBE: u8 = 2;
 /// Retired: a summary version, which a restart no longer resumes from.
 const TAG_SUMMARY_VERSION: u8 = 3;
-const TAG_ALERT_LIFECYCLE: u8 = 4;
+/// Retired: an alert transition keyed by fingerprint alone, which a
+/// cancel could not end.
+const TAG_FINGERPRINT_ALERT: u8 = 4;
 /// Retired: the profile-id high-water mark, which a restart no longer
 /// resumes from.
 const TAG_NEXT_PROFILE: u8 = 5;
+const TAG_ALERT_LIFECYCLE: u8 = 6;
 
 /// Snapshot magic byte (`Z` — "the state so far").
 const SNAP_MAGIC: u8 = 0x5A;
@@ -82,13 +90,13 @@ const SNAP_MAGIC: u8 = 0x5A;
 const SNAP_VERSION: u8 = 2;
 
 impl StateRecord {
-    /// What every body starts with, and all [`compact`] reads of one:
-    /// the tag, then a varint key — profile id or fingerprint.
+    /// What every body starts with, and all [`compact`] reads of one
+    /// but an alert's fingerprint: the tag, then the profile id.
     fn head(&self) -> (u8, u64) {
         match self {
             StateRecord::Subscribe { id, .. } => (TAG_SUBSCRIBE, id.as_u64()),
             StateRecord::Unsubscribe { id } => (TAG_UNSUBSCRIBE, id.as_u64()),
-            StateRecord::AlertLifecycle { fingerprint, .. } => (TAG_ALERT_LIFECYCLE, *fingerprint),
+            StateRecord::AlertLifecycle { profile, .. } => (TAG_ALERT_LIFECYCLE, profile.as_u64()),
         }
     }
 }
@@ -108,8 +116,9 @@ fn encode_body(rec: &StateRecord, buf: &mut Vec<u8>) {
             xml_to_binary(&expr_to_xml(expr), buf);
         }
         StateRecord::AlertLifecycle {
-            state, at_micros, ..
+            fingerprint, state, at_micros, ..
         } => {
+            write_varint(buf, *fingerprint);
             buf.push(*state);
             write_varint(buf, *at_micros);
         }
@@ -131,10 +140,15 @@ fn decode_body(body: &[u8]) -> Option<Option<StateRecord>> {
             id: ProfileId::from_raw(key),
         }),
         TAG_ALERT_LIFECYCLE => Some(StateRecord::AlertLifecycle {
-            fingerprint: key,
+            profile: ProfileId::from_raw(key),
+            fingerprint: r.read_varint().ok()?,
             state: r.read_u8().ok()?,
             at_micros: r.read_varint().ok()?,
         }),
+        TAG_FINGERPRINT_ALERT => {
+            r.read_u8().and(r.read_varint()).ok()?; // its state and time
+            None
+        }
         TAG_SUMMARY_VERSION | TAG_NEXT_PROFILE => None,
         _ => return None,
     };
@@ -245,26 +259,42 @@ pub(crate) fn snapshot_records(blob: &[u8]) -> Option<&[u8]> {
     }
 }
 
+/// Removes every entry of `profile` from a map keyed by (profile,
+/// fingerprint): one range.
+pub(crate) fn drop_profile<V>(map: &mut BTreeMap<(ProfileId, u64), V>, profile: ProfileId) {
+    let keys: Vec<_> = map.range((profile, 0)..=(profile, u64::MAX)).map(|(&key, _)| key).collect();
+    for key in keys {
+        map.remove(&key);
+    }
+}
+
 /// Compacts record streams, oldest first, into a snapshot blob: the
 /// header, then the last `Subscribe` frame of every profile no later
 /// `Unsubscribe` names, in id order, and the last `AlertLifecycle` frame
-/// of every instance, in fingerprint order — the frames themselves,
-/// copied; a retired frame is dropped. Only the tag and the key of a
-/// frame are read; no expression is decoded. Each stream is read as far
-/// as [`scan`] accepts it.
+/// of every instance whose profile no later `Unsubscribe` names, in
+/// (profile, fingerprint) order — the frames themselves, copied; a
+/// retired frame is dropped. Only the tag and the key of a frame (and
+/// an alert's fingerprint) are read; no expression is decoded. Each
+/// stream is read as far as [`scan`] accepts it.
 pub(crate) fn compact(streams: [&[u8]; 2]) -> Vec<u8> {
     let mut profiles: BTreeMap<u64, &[u8]> = BTreeMap::new();
-    let mut alerts: BTreeMap<u64, &[u8]> = BTreeMap::new();
+    let mut alerts: BTreeMap<(ProfileId, u64), &[u8]> = BTreeMap::new();
     for bytes in streams {
         scan(bytes, |frame, body| {
-            let Some((tag, key, _)) = read_head(body) else {
+            let Some((tag, key, mut r)) = read_head(body) else {
                 return false;
             };
             match tag {
                 TAG_SUBSCRIBE => drop(profiles.insert(key, frame)),
-                TAG_UNSUBSCRIBE => drop(profiles.remove(&key)),
-                TAG_ALERT_LIFECYCLE => drop(alerts.insert(key, frame)),
-                TAG_SUMMARY_VERSION | TAG_NEXT_PROFILE => {}
+                TAG_UNSUBSCRIBE => {
+                    profiles.remove(&key);
+                    drop_profile(&mut alerts, ProfileId::from_raw(key));
+                }
+                TAG_ALERT_LIFECYCLE => match r.read_varint() {
+                    Ok(fingerprint) => drop(alerts.insert((ProfileId::from_raw(key), fingerprint), frame)),
+                    Err(_) => return false,
+                },
+                TAG_SUMMARY_VERSION | TAG_FINGERPRINT_ALERT | TAG_NEXT_PROFILE => {}
                 _ => return false,
             }
             true
@@ -305,6 +335,7 @@ mod tests {
                 id: ProfileId::from_raw(0),
             },
             StateRecord::AlertLifecycle {
+                profile: ProfileId::from_raw(1),
                 fingerprint: 0x9f04_1567_6a54_083c,
                 state: 1,
                 at_micros: 12_000_000,
@@ -442,11 +473,13 @@ mod tests {
 
     #[test]
     fn retired_frames_fold_to_nothing_in_replay_and_compaction() {
-        // What an older build wrote under the two retired tags, each
-        // with a one-byte key: a summary version and the id mark.
+        // What an older build wrote under the three retired tags, each
+        // with a one-byte key: a summary version, the id mark and an
+        // acked alert without its profile.
         let (version, mark) = (frame(&[TAG_SUMMARY_VERSION, 3]), frame(&[TAG_NEXT_PROFILE, 2]));
+        let unowned = frame(&[TAG_FINGERPRINT_ALERT, 0x34, 1, 0x80, 0x01]);
         let recs = sample_records();
-        let old = [&mark[..], &version, &journal(&recs[..2]), &version, &journal(&recs[2..])]
+        let old = [&mark[..], &version, &journal(&recs[..2]), &unowned, &journal(&recs[2..])]
             .concat();
         let mut seen = Vec::new();
         assert_eq!(replay_journal(&old, |r| seen.push(r)), (recs.len() as u64, ReplayStop::Clean));
@@ -495,6 +528,7 @@ mod tests {
                 id: ProfileId::from_raw(1),
             },
             StateRecord::AlertLifecycle {
+                profile: ProfileId::from_raw(0),
                 fingerprint: 0x1234,
                 state: 2,
                 at_micros: 3_000_000,

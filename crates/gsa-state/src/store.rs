@@ -1,7 +1,9 @@
 //! The [`StateStore`] trait and its two in-tree backends.
 
 use crate::medium::Medium;
-use crate::record::{compact, encode_record, replay, snapshot_records, ReplayStop, StateRecord};
+use crate::record::{
+    compact, drop_profile, encode_record, replay, snapshot_records, ReplayStop, StateRecord,
+};
 use gsa_profile::ProfileExpr;
 use gsa_types::{ClientId, CounterId, Counts, ProfileId};
 use std::collections::BTreeMap;
@@ -12,27 +14,32 @@ use std::collections::BTreeMap;
 pub struct RecoveredState {
     /// Every live profile: id → (owner, expression).
     pub profiles: BTreeMap<ProfileId, (ClientId, ProfileExpr)>,
-    /// Latest lifecycle record per alert instance: fingerprint →
-    /// (state tag, at_micros). The core decodes the tag (failing closed
-    /// on unknown bytes) and restores its alert engine from these.
-    pub alerts: BTreeMap<u64, (u8, u64)>,
+    /// Latest lifecycle record per alert instance of a live profile:
+    /// (profile, fingerprint) → (state tag, at_micros). The core decodes
+    /// the tag (failing closed on unknown bytes) and restores its alert
+    /// engine from these.
+    pub alerts: BTreeMap<(ProfileId, u64), (u8, u64)>,
 }
 
 impl RecoveredState {
     /// Folds one record in. Idempotent over a replayed suffix — a
-    /// subscribe overwrites by id, an unsubscribe removes by id, an
-    /// alert record overwrites by fingerprint — which is what makes a
-    /// snapshot plus the journal it was compacted from recover to the
-    /// same state.
+    /// subscribe overwrites by id, an unsubscribe removes by id the
+    /// profile and its alert instances, an alert record overwrites by
+    /// profile and fingerprint — which is what makes a snapshot plus the
+    /// journal it was compacted from recover to the same state.
     pub fn apply(&mut self, rec: StateRecord) {
         match rec {
             StateRecord::Subscribe { id, client, expr } => drop(self.profiles.insert(id, (client, expr))),
-            StateRecord::Unsubscribe { id } => drop(self.profiles.remove(&id)),
+            StateRecord::Unsubscribe { id } => {
+                self.profiles.remove(&id);
+                drop_profile(&mut self.alerts, id);
+            }
             StateRecord::AlertLifecycle {
+                profile,
                 fingerprint,
                 state,
                 at_micros,
-            } => drop(self.alerts.insert(fingerprint, (state, at_micros))),
+            } => drop(self.alerts.insert((profile, fingerprint), (state, at_micros))),
         }
     }
 }
@@ -50,9 +57,10 @@ pub trait StateStore {
     fn record_subscribe(&mut self, id: ProfileId, client: ClientId, expr: &ProfileExpr);
     /// A profile was cancelled.
     fn record_unsubscribe(&mut self, id: ProfileId);
-    /// An alert instance transitioned; only the latest record per
-    /// fingerprint matters for recovery (last-write-wins).
-    fn record_alert(&mut self, fingerprint: u64, state: u8, at_micros: u64);
+    /// An alert instance of `profile` transitioned; only the latest
+    /// record per instance matters for recovery (last-write-wins), and
+    /// none once the profile is cancelled.
+    fn record_alert(&mut self, profile: ProfileId, fingerprint: u64, state: u8, at_micros: u64);
     /// Rebuild state from the backing medium (snapshot + journal
     /// replay). The memory backend recovers nothing, by design.
     fn recover(&mut self) -> RecoveredState;
@@ -76,7 +84,7 @@ impl StateStore for MemoryStateStore {
     }
     fn record_subscribe(&mut self, _id: ProfileId, _client: ClientId, _expr: &ProfileExpr) {}
     fn record_unsubscribe(&mut self, _id: ProfileId) {}
-    fn record_alert(&mut self, _fingerprint: u64, _state: u8, _at_micros: u64) {}
+    fn record_alert(&mut self, _profile: ProfileId, _fingerprint: u64, _state: u8, _at_micros: u64) {}
     fn recover(&mut self) -> RecoveredState {
         RecoveredState::default()
     }
@@ -208,8 +216,9 @@ impl<M: Medium> StateStore for JournalStateStore<M> {
         self.append(StateRecord::Unsubscribe { id });
     }
 
-    fn record_alert(&mut self, fingerprint: u64, state: u8, at_micros: u64) {
+    fn record_alert(&mut self, profile: ProfileId, fingerprint: u64, state: u8, at_micros: u64) {
         self.append(StateRecord::AlertLifecycle {
+            profile,
             fingerprint,
             state,
             at_micros,
@@ -511,7 +520,7 @@ mod tests {
         let mut s = MemoryStateStore::default();
         assert!(!s.is_durable());
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
-        s.record_alert(0xabc, 0, 1_000_000);
+        s.record_alert(ProfileId::from_raw(0), 0xabc, 0, 1_000_000);
         assert_eq!(s.recover(), RecoveredState::default());
         assert!(s.counts_mut().is_empty());
     }
@@ -519,16 +528,17 @@ mod tests {
     #[test]
     fn alert_lifecycle_records_survive_crash_with_last_write_winning() {
         let (mut s, medium) = store(no_snapshots());
-        s.record_alert(0xaaa, 0, 1_000_000); // firing
-        s.record_alert(0xbbb, 0, 2_000_000); // firing
-        s.record_alert(0xaaa, 1, 3_000_000); // acked — supersedes
+        let p = ProfileId::from_raw(0);
+        s.record_alert(p, 0xaaa, 0, 1_000_000); // firing
+        s.record_alert(p, 0xbbb, 0, 2_000_000); // firing
+        s.record_alert(p, 0xaaa, 1, 3_000_000); // acked — supersedes
         medium.crash();
 
         let mut fresh = JournalStateStore::new(medium, no_snapshots());
         let recovered = fresh.recover();
         assert_eq!(
             recovered.alerts,
-            BTreeMap::from([(0xaaa, (1, 3_000_000)), (0xbbb, (0, 2_000_000))])
+            BTreeMap::from([((p, 0xaaa), (1, 3_000_000)), ((p, 0xbbb), (0, 2_000_000))])
         );
         assert_eq!(fresh.counts_mut().get(CounterId::STATE_REPLAY_RECORDS), 3);
     }
@@ -537,18 +547,48 @@ mod tests {
     fn alert_lifecycle_records_fold_through_compaction() {
         let (mut s, medium) = store(no_snapshots());
         s.record_subscribe(ProfileId::from_raw(0), ClientId::from_raw(1), &expr("a"));
-        s.record_alert(0xccc, 0, 4_000_000);
+        let p = ProfileId::from_raw(0);
+        s.record_alert(p, 0xccc, 0, 4_000_000);
         s.compact();
         // Post-compaction records land in the journal on top.
-        s.record_alert(0xccc, 2, 5_000_000); // resolved
-        s.record_alert(0xddd, 0, 6_000_000);
+        s.record_alert(p, 0xccc, 2, 5_000_000); // resolved
+        s.record_alert(p, 0xddd, 0, 6_000_000);
 
         let mut fresh = JournalStateStore::new(medium, no_snapshots());
         let recovered = fresh.recover();
         assert_eq!(
             recovered.alerts,
-            BTreeMap::from([(0xccc, (2, 5_000_000)), (0xddd, (0, 6_000_000))])
+            BTreeMap::from([((p, 0xccc), (2, 5_000_000)), ((p, 0xddd), (0, 6_000_000))])
         );
         assert_eq!(recovered.profiles.len(), 1);
+    }
+
+    /// An alert instance ends with its profile: a cancel folds the
+    /// profile's alert records to nothing, whether recovery reads them
+    /// from the journal or from a snapshot, and a compaction writes none.
+    #[test]
+    fn a_cancelled_profile_leaves_no_alert_records() {
+        let (mut s, mut medium) = store(no_snapshots());
+        let (kept, cancelled) = (ProfileId::from_raw(1), ProfileId::from_raw(2));
+        for id in [kept, cancelled] {
+            s.record_subscribe(id, ClientId::from_raw(1), &expr("a"));
+            s.record_alert(id, 0xaaa, 0, 1_000_000);
+            s.record_alert(id, u64::MAX, 1, 2_000_000);
+        }
+        s.record_unsubscribe(cancelled);
+        let expected = BTreeMap::from([((kept, 0xaaa), (0, 1_000_000)), ((kept, u64::MAX), (1, 2_000_000))]);
+        let recovered = JournalStateStore::new(medium.clone(), no_snapshots()).recover();
+        assert_eq!(recovered.alerts, expected);
+
+        s.compact();
+        let mut written = Vec::new();
+        replay(&medium.read_snapshot()[2..], |rec| written.push(rec));
+        assert_eq!(written.len(), 3, "{written:?}");
+        assert!(written.iter().all(|rec| match rec {
+            StateRecord::AlertLifecycle { profile, .. } => *profile == kept,
+            _ => true,
+        }));
+        let recovered = JournalStateStore::new(medium.clone(), no_snapshots()).recover();
+        assert_eq!((recovered.profiles.len(), recovered.alerts), (1, expected));
     }
 }

@@ -1,5 +1,5 @@
 //! Golden bytes of the durable state: the journal frame of every
-//! [`StateRecord`] variant, the frames of the two retired tags, and one
+//! [`StateRecord`] variant, the frames of the three retired tags, and one
 //! snapshot, pinned in hex. A frame is
 //! `varint(body_len) ++ body ++ crc32(body)`, little-endian; the writer
 //! must produce the literal and the reader must return the value from
@@ -58,23 +58,25 @@ fn journal_records_are_pinned() {
     );
     pin(
         StateRecord::AlertLifecycle {
+            profile: ProfileId::from_raw(300),
             fingerprint: 0x9f04_1567_6a54_083c,
             state: 1,
             at_micros: 12_000_000,
         },
-        "1004bc90d0d2f6ac85829f010180b6dc05d5a3e672",
+        "1206ac02bc90d0d2f6ac85829f010180b6dc05ef639ca5",
     );
-    // A summary version (tag 3) and a profile-id high-water mark (tag 5),
+    // A summary version (tag 3), an alert transition keyed by its
+    // fingerprint alone (tag 4) and a profile-id high-water mark (tag 5),
     // as an older build journaled them: retired, they read as nothing.
-    for frame in ["02032aea884fb1", "0305ad0271b82d0c"] {
+    for frame in ["02032aea884fb1", "1004bc90d0d2f6ac85829f010180b6dc05d5a3e672", "0305ad0271b82d0c"] {
         let (applied, stop) = replay_journal(&unhex(frame), |r| panic!("{frame} read as {r:?}"));
         assert_eq!((applied, stop), (0, ReplayStop::Clean), "{frame}");
     }
 }
 
 /// A snapshot (format version 2) is a two-byte header and then journal
-/// frames: the live profiles in id order, the alert instances in
-/// fingerprint order.
+/// frames: the live profiles in id order, their alert instances in
+/// (profile, fingerprint) order. A cancelled profile's alerts are gone.
 #[test]
 fn a_snapshot_is_pinned() {
     let mut medium = MemMedium::new();
@@ -90,10 +92,11 @@ fn a_snapshot_is_pinned() {
         ClientId::from_raw(9),
         &host("london.uk"),
     );
-    store.record_alert(0x9f04_1567_6a54_083c, 0, 11_000_000);
-    store.record_unsubscribe(ProfileId::from_raw(1));
-    store.record_alert(0x9f04_1567_6a54_083c, 1, 12_000_000);
-    store.record_alert(0x1234, 2, 13_000_000);
+    let (kept, cancelled) = (ProfileId::from_raw(0), ProfileId::from_raw(1));
+    store.record_alert(kept, 0x9f04_1567_6a54_083c, 0, 11_000_000);
+    store.record_alert(cancelled, 0x1234, 2, 13_000_000);
+    store.record_unsubscribe(cancelled);
+    store.record_alert(kept, 0x9f04_1567_6a54_083c, 1, 12_000_000);
     store.compact();
     assert_eq!(medium.journal_len(), 0);
     let snapshot = medium.read_snapshot();
@@ -101,7 +104,7 @@ fn a_snapshot_is_pinned() {
     // Past the header it reads as a journal does.
     let mut read = Vec::new();
     let (applied, stop) = replay_journal(&snapshot[2..], |r| read.push(r));
-    assert_eq!((applied, stop), (3, ReplayStop::Clean));
+    assert_eq!((applied, stop), (2, ReplayStop::Clean));
     assert_eq!(
         read[0],
         StateRecord::Subscribe {
@@ -111,20 +114,24 @@ fn a_snapshot_is_pinned() {
         }
     );
     // The same state as an older build snapshotted it, led by the id
-    // high-water mark and the summary version: it recovers to the same
-    // state and compacts to the bytes above.
+    // high-water mark and the summary version, its alerts without their
+    // profile: it recovers to the same profiles and no alert, and
+    // compacts to the bytes above less the alert frame.
     let mut old = MemMedium::new();
     old.replace_snapshot(&unhex(OLDER_SNAPSHOT));
     let mut reopened = JournalStateStore::new(old.clone(), JournalConfig::default());
-    assert_eq!(reopened.recover(), store.recover());
+    let (recovered, now) = (reopened.recover(), store.recover());
+    assert_eq!((recovered.profiles, recovered.alerts.len()), (now.profiles, 0));
     reopened.compact();
-    assert_eq!(hex(&old.read_snapshot()), SNAPSHOT);
+    assert_eq!(hex(&old.read_snapshot()), SNAPSHOT[..SNAPSHOT.len() - ALERT_FRAME_HEX]);
 }
+
+/// The hex digits of the alert frame that ends [`SNAPSHOT`].
+const ALERT_FRAME_HEX: usize = 44;
 
 /// The snapshot [`a_snapshot_is_pinned`] writes.
 const SNAPSHOT: &str = "5a0230010007047072656403046174747204686f7374026f7006657175616c730576616c75650b68\
-    616d696c746f6e2e6e7a008d8e478d0804b42402c0ba9906c6afcb241004bc90d0d2f6ac85829f01\
-    0180b6dc05d5a3e672";
+    616d696c746f6e2e6e7a008d8e478d110600bc90d0d2f6ac85829f010180b6dc05b2e2b724";
 
 /// What an older build wrote for it: a tag-5 and a tag-3 record ahead.
 const OLDER_SNAPSHOT: &str = "5a020205029687a0d20203021020fa8430010007047072656403046174747204686f7374026f7006\

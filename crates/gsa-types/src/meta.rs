@@ -80,6 +80,16 @@ pub mod keys {
     pub const DATE: &str = "dc.Date";
     /// Language code (`dc.Language`).
     pub const LANGUAGE: &str = "dc.Language";
+
+    /// The fifteen elements of the Dublin Core Metadata Element Set 1.1,
+    /// in the standard's order. The order is part of the v2 wire: key
+    /// `DUBLIN_CORE[i]` travels as the one-byte code `i + 1`.
+    #[rustfmt::skip]
+    pub const DUBLIN_CORE: [&str; 15] = [
+        TITLE, CREATOR, SUBJECT, "dc.Description", "dc.Publisher", "dc.Contributor", DATE,
+        "dc.Type", "dc.Format", "dc.Identifier", "dc.Source", LANGUAGE, "dc.Relation",
+        "dc.Coverage", "dc.Rights",
+    ];
 }
 
 /// An ordered multimap of metadata: each key maps to one or more values.

@@ -13,12 +13,18 @@
 //! * well-known bodies (events, metadata records, document summaries)
 //!   have native field-for-field codecs; anything else falls back to a
 //!   generic encoding of the XML element tree, so every v1 body is
-//!   representable in v2.
+//!   representable in v2,
+//! * an event spells only what its receiver cannot know: a metadata key
+//!   is a varint code, 1–15 for the Dublin Core elements in the fixed
+//!   order of [`keys::DUBLIN_CORE`] and 0 for a key spelled out after it;
+//!   the root id and the origin's host are a flag byte, 0 when they are
+//!   the event id and the id's host, else 1 and the value spelled out.
+//!   Decoders refuse any other code or flag.
 //!
 //! The format is chosen once per deployment (`gsa-core`'s
-//! `System::set_wire`): every edge of a v2 deployment speaks it from its
-//! first frame, and no edge negotiates. The two formats never meet in
-//! one tree.
+//! `SystemConfig::wire`): every edge of a v2 deployment speaks it from
+//! its first frame, and no edge negotiates. The two formats never meet
+//! in one tree.
 //!
 //! Every encoder here writes into a [`ByteSink`], which is a `Vec<u8>`
 //! or a [`ByteCount`]: the size of an encoding is the encoder run into
@@ -51,7 +57,7 @@
 
 use crate::codec::{event_from_xml, event_to_xml};
 use crate::xml::{WireError, XmlElement, XmlNode};
-use gsa_types::{CollectionId, DocSummary, Event, EventId, EventKind, MetadataRecord, SimTime};
+use gsa_types::{keys, CollectionId, DocSummary, Event, EventId, EventKind, MetadataRecord, SimTime};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -353,6 +359,31 @@ impl<'a> BinReader<'a> {
         self.read_str().map(str::to_owned)
     }
 
+    /// Reads a metadata key written by [`write_key`], borrowed from the
+    /// Dublin Core table or the buffer; a code above 15 is an error.
+    pub fn read_key(&mut self) -> Result<&'a str, WireError> {
+        match self.read_varint()? {
+            0 => self.read_str(),
+            code => (keys::DUBLIN_CORE.iter().zip(1..))
+                .find_map(|(key, c)| (c == code).then_some(*key))
+                .ok_or_else(|| WireError::malformed(format!("unknown metadata key code {code}"))),
+        }
+    }
+
+    /// Reads the flag [`write_ref`] writes: `None` after a 0 (the
+    /// receiver knows the field), what `read` reads after a 1, and an
+    /// error after any other byte.
+    pub fn read_ref<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        match self.read_u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            flag => Err(WireError::malformed(format!("unknown reference flag {flag}"))),
+        }
+    }
+
     /// Advances past a length-prefixed string without validating UTF-8.
     ///
     /// # Errors
@@ -447,12 +478,31 @@ pub fn xml_from_binary(r: &mut BinReader<'_>) -> Result<XmlElement, WireError> {
 
 // --- native codecs: metadata, document summaries, events --------------
 
+/// Writes a metadata key as its code: `i + 1` for
+/// `keys::DUBLIN_CORE[i]`, else 0 and the key spelled out.
+fn write_key(out: &mut impl ByteSink, key: &str) {
+    let code = keys::DUBLIN_CORE.iter().position(|dc| *dc == key).map_or(0, |i| i + 1);
+    write_varint(out, code as u64);
+    if code == 0 {
+        write_str(out, key);
+    }
+}
+
+/// Writes the flag of a field the receiver may already know from the
+/// event id: 0 when `known`, else 1 and what `spell` writes.
+fn write_ref<S: ByteSink>(out: &mut S, known: bool, spell: impl FnOnce(&mut S)) {
+    out.put_u8(u8::from(!known));
+    if !known {
+        spell(out);
+    }
+}
+
 /// Encodes a metadata record as a flat list of key/value pairs
 /// (multi-valued keys contribute one pair per value, in record order).
 pub fn metadata_to_binary(md: &MetadataRecord, out: &mut impl ByteSink) {
     write_varint(out, md.total_values() as u64);
     for (k, v) in md.iter_flat() {
-        write_str(out, k.as_str());
+        write_key(out, k.as_str());
         write_str(out, v);
     }
 }
@@ -461,12 +511,13 @@ pub fn metadata_to_binary(md: &MetadataRecord, out: &mut impl ByteSink) {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncation or invalid UTF-8.
+/// Returns [`WireError`] on truncation, invalid UTF-8 or an unknown key
+/// code.
 pub fn metadata_from_binary(r: &mut BinReader<'_>) -> Result<MetadataRecord, WireError> {
     let pairs = r.read_varint()? as usize;
     let mut md = MetadataRecord::new();
     for _ in 0..pairs {
-        let k = r.read_string()?;
+        let k = r.read_key()?;
         let v = r.read_string()?;
         md.add(k, v);
     }
@@ -496,24 +547,20 @@ pub fn doc_summary_from_binary(r: &mut BinReader<'_>) -> Result<DocSummary, Wire
     Ok(doc)
 }
 
-fn write_collection(out: &mut impl ByteSink, id: &CollectionId) {
-    write_str(out, id.host().as_str());
-    write_str(out, id.name().as_str());
-}
-
-fn read_collection(r: &mut BinReader<'_>) -> Result<CollectionId, WireError> {
-    let host = r.read_string()?;
-    let name = r.read_string()?;
-    Ok(CollectionId::new(host, name))
-}
-
-/// Encodes an alerting event, field for field with [`event_to_xml`].
+/// Encodes an alerting event, field for field with [`event_to_xml`],
+/// except that the root id and the origin's host are written only where
+/// they differ from the event id.
 pub fn event_to_binary(event: &Event, out: &mut impl ByteSink) {
     write_str(out, event.id.host().as_str());
     write_varint(out, event.id.seq());
-    write_str(out, event.root.host().as_str());
-    write_varint(out, event.root.seq());
-    write_collection(out, &event.origin);
+    write_ref(out, event.root == event.id, |out| {
+        write_str(out, event.root.host().as_str());
+        write_varint(out, event.root.seq());
+    });
+    write_ref(out, event.origin.host() == event.id.host(), |out| {
+        write_str(out, event.origin.host().as_str());
+    });
+    write_str(out, event.origin.name().as_str());
     let kind = EventKind::ALL
         .iter()
         .position(|k| *k == event.kind)
@@ -522,7 +569,8 @@ pub fn event_to_binary(event: &Event, out: &mut impl ByteSink) {
     write_varint(out, event.issued_at.as_micros());
     write_varint(out, event.provenance.len() as u64);
     for p in &event.provenance {
-        write_collection(out, p);
+        write_str(out, p.host().as_str());
+        write_str(out, p.name().as_str());
     }
     write_varint(out, event.docs.len() as u64);
     for doc in &event.docs {
@@ -539,14 +587,15 @@ pub fn event_binary_size(event: &Event) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncation, invalid UTF-8 or an unknown
-/// event kind.
+/// Returns [`WireError`] on truncation, invalid UTF-8, an unknown
+/// reference flag, key code or event kind.
 pub fn event_from_binary(r: &mut BinReader<'_>) -> Result<Event, WireError> {
-    let id_host = r.read_string()?;
-    let id_seq = r.read_varint()?;
-    let root_host = r.read_string()?;
-    let root_seq = r.read_varint()?;
-    let origin = read_collection(r)?;
+    let id = EventId::new(r.read_str()?, r.read_varint()?);
+    let root = r
+        .read_ref(|r| Ok(EventId::new(r.read_str()?, r.read_varint()?)))?
+        .unwrap_or_else(|| id.clone());
+    let origin_host = r.read_ref(|r| r.read_str().map(Into::into))?;
+    let origin = CollectionId::new(origin_host.unwrap_or_else(|| id.host().clone()), r.read_str()?);
     let kind_idx = r.read_varint()? as usize;
     let kind = *EventKind::ALL
         .get(kind_idx)
@@ -555,7 +604,7 @@ pub fn event_from_binary(r: &mut BinReader<'_>) -> Result<Event, WireError> {
     let provenance_len = r.read_varint()? as usize;
     let mut provenance = Vec::with_capacity(provenance_len.min(64));
     for _ in 0..provenance_len {
-        provenance.push(read_collection(r)?);
+        provenance.push(CollectionId::new(r.read_str()?, r.read_str()?));
     }
     let docs_len = r.read_varint()? as usize;
     let mut docs = Vec::with_capacity(docs_len.min(64));
@@ -563,8 +612,8 @@ pub fn event_from_binary(r: &mut BinReader<'_>) -> Result<Event, WireError> {
         docs.push(doc_summary_from_binary(r)?);
     }
     Ok(Event {
-        id: EventId::new(id_host, id_seq),
-        root: EventId::new(root_host, root_seq),
+        id,
+        root,
         origin,
         kind,
         docs,
@@ -779,6 +828,23 @@ mod tests {
         assert_eq!(buf.len(), event_binary_size(&event));
         let back = event_from_binary(&mut BinReader::new(&buf)).unwrap();
         assert_eq!(back, event);
+    }
+
+    #[test]
+    fn dublin_core_keys_travel_as_one_byte_codes_and_others_spelled_out() {
+        for (i, key) in keys::DUBLIN_CORE.into_iter().enumerate() {
+            assert_eq!(keys::DUBLIN_CORE.iter().filter(|k| **k == key).count(), 1, "{key}");
+            let md: MetadataRecord = [(key, "v")].into_iter().collect();
+            let mut buf = Vec::new();
+            metadata_to_binary(&md, &mut buf);
+            assert_eq!(buf, [1, i as u8 + 1, 1, b'v'], "{key}");
+            assert_eq!(metadata_from_binary(&mut BinReader::new(&buf)).unwrap(), md);
+        }
+        let md: MetadataRecord = [("dc.title", "v")].into_iter().collect();
+        let mut buf = Vec::new();
+        metadata_to_binary(&md, &mut buf);
+        assert_eq!(buf, b"\x01\x00\x08dc.title\x01v");
+        assert_eq!(metadata_from_binary(&mut BinReader::new(&buf)).unwrap(), md);
     }
 
     #[test]

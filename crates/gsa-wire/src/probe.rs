@@ -69,17 +69,16 @@ impl<'a> EventProbe<'a> {
     /// # Errors
     ///
     /// Returns [`WireError`] on truncation, invalid UTF-8 in a header
-    /// string, an unknown payload tag or an unknown event kind.
+    /// string, an unknown payload tag, reference flag or event kind.
     pub fn from_payload(bytes: &'a [u8]) -> Result<Option<EventProbe<'a>>, WireError> {
         let mut r = BinReader::new(bytes);
         match r.read_u8()? {
             PAYLOAD_XML => Ok(None),
             PAYLOAD_EVENT => {
-                r.skip_string()?; // event id host
+                let id_host = r.read_str()?;
                 r.read_varint()?; // event id seq
-                r.skip_string()?; // root id host
-                r.read_varint()?; // root id seq
-                let origin_host = r.read_str()?;
+                r.read_ref(|r| r.skip_string().and_then(|()| r.read_varint()))?; // root id
+                let origin_host = r.read_ref(BinReader::read_str)?.unwrap_or(id_host);
                 let origin_name = r.read_str()?;
                 let kind_idx = r.read_varint()? as usize;
                 let kind = *EventKind::ALL
@@ -128,9 +127,9 @@ impl<'a> EventProbe<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on truncation or invalid UTF-8 anywhere in
-    /// the document (metadata included — iterating the returned
-    /// [`DocProbe::metadata`] cannot fail afterwards).
+    /// Returns [`WireError`] on truncation, invalid UTF-8 or an unknown
+    /// key code anywhere in the document (metadata included — iterating
+    /// the returned [`DocProbe::metadata`] cannot fail afterwards).
     pub fn next_doc(&mut self) -> Result<Option<DocProbe<'a>>, WireError> {
         if self.docs_remaining == 0 {
             return Ok(None);
@@ -144,7 +143,7 @@ impl<'a> EventProbe<'a> {
         };
         for _ in 0..pairs {
             // Validate now so metadata iteration is infallible.
-            self.r.read_str()?;
+            self.r.read_key()?;
             self.r.read_str()?;
         }
         let excerpt = self.r.read_str()?;
@@ -196,7 +195,7 @@ impl<'a> Iterator for MetaProbe<'a> {
             return None;
         }
         self.remaining -= 1;
-        let k = self.r.read_str().ok()?;
+        let k = self.r.read_key().ok()?;
         let v = self.r.read_str().ok()?;
         Some((k, v))
     }

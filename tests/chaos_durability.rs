@@ -280,7 +280,7 @@ fn durable_lifecycle_survives_crash_without_losing_acks_or_double_notifying() {
         let inbox = system.take_notifications("Hamilton", client);
         assert_eq!(inbox.len(), 1, "seed {seed}: the first rebuild notifies");
         let fp = system
-            .alert_fingerprint("Hamilton", &inbox[0])
+            .alert_key("Hamilton", &inbox[0])
             .expect("seed {seed}: policies are on, so the engine fingerprints");
         assert_eq!(
             system.alert_state("Hamilton", fp),
@@ -324,7 +324,7 @@ fn volatile_lifecycle_forgets_acks_and_double_notifies_on_the_same_crash() {
     let (mut system, client) = lifecycle_world(71, false);
     let inbox = system.take_notifications("Hamilton", client);
     assert_eq!(inbox.len(), 1);
-    let fp = system.alert_fingerprint("Hamilton", &inbox[0]).unwrap();
+    let fp = system.alert_key("Hamilton", &inbox[0]).unwrap();
     assert!(system.ack_alert("Hamilton", fp));
 
     system.crash_server("Hamilton");

@@ -116,9 +116,9 @@ fn hybrid_run_output_is_pinned_per_seed() {
         fnv1a64(format!("{metrics}\n---\n{}", deliveries.join("\n")).as_bytes())
     });
     let pinned = [
-        0x347e_4dbf_5acd_d282_u64,
-        0xb174_e9ae_db9b_564a,
-        0x6950_8a9d_763e_5a75,
+        0x53dc_8806_cc07_052d_u64,
+        0x2654_7483_0d69_ebfc,
+        0x17fd_b368_1085_267b,
     ];
     assert_eq!(
         hashes, pinned,

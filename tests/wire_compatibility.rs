@@ -17,8 +17,9 @@ use gsa_wire::binary::{
     event_binary_size, event_from_binary, event_to_binary, metadata_from_binary,
     metadata_to_binary, BinReader,
 };
+use gsa_wire::binary::payload_bytes_from_event;
 use gsa_wire::codec::{event_from_xml, event_to_xml};
-use gsa_wire::{parse_document, XmlElement};
+use gsa_wire::{parse_document, EventProbe, XmlElement};
 use proptest::prelude::*;
 
 /// The XML wire's text path: what a sender writes, read back.
@@ -236,4 +237,55 @@ fn sim_byte_accounting_matches_actual_encodings() {
         assert_eq!(GdsMessage::from_binary(&msg.to_binary()).unwrap(), msg);
         assert_eq!(GdsMessage::from_xml(&msg.to_xml()).unwrap(), msg);
     }
+}
+
+/// An event re-issued through an auxiliary profile (London.E into
+/// Hamilton.D): its root names the sub-collection's event, so the v2 wire
+/// spells it out, while its origin is on the re-issuing host and travels
+/// by reference. Its keys take both spellings: Dublin Core elements as
+/// codes, the rest, a near miss in case included, spelled out. Both wires
+/// and the probe read back what was sent.
+#[test]
+fn an_aux_rewritten_event_agrees_across_formats() {
+    let md: MetadataRecord = [
+        (keys::TITLE, "On Digital Libraries"),
+        (keys::SUBJECT, "alerting"),
+        ("dc.Identifier", "HASH0102"),
+        ("dc.title", "near miss"),
+        ("gs.Source", "e1.txt"),
+    ]
+    .into_iter()
+    .collect();
+    let original = Event::new(
+        EventId::new("London", 3),
+        CollectionId::new("London", "E"),
+        EventKind::DocumentsAdded,
+        SimTime::from_millis(40),
+    )
+    .with_docs(vec![DocSummary::new("e1").with_metadata(md).with_excerpt("european documents")]);
+    let event = original.rewritten(
+        EventId::new("Hamilton", 9),
+        CollectionId::new("Hamilton", "D"),
+        SimTime::from_millis(45),
+    );
+    assert_ne!(event.root, event.id);
+
+    let mut bin = Vec::new();
+    event_to_binary(&event, &mut bin);
+    assert_eq!(bin.len(), event_binary_size(&event));
+    let from_binary = event_from_binary(&mut BinReader::new(&bin)).unwrap();
+    assert_eq!(from_binary, event);
+    assert_eq!(event_from_xml(&through_text(event_to_xml(&event))).unwrap(), event);
+
+    let payload = payload_bytes_from_event(&event);
+    let mut probe = EventProbe::from_payload(&payload).unwrap().unwrap();
+    assert_eq!((probe.origin_host(), probe.origin_name()), ("Hamilton", "D"));
+    let doc = probe.next_doc().unwrap().unwrap();
+    let pairs: Vec<_> = doc.metadata().collect();
+    let sent: Vec<_> = event.docs[0]
+        .metadata
+        .iter_flat()
+        .map(|(k, v)| (k.as_str(), v))
+        .collect();
+    assert_eq!(pairs, sent);
 }

@@ -26,8 +26,8 @@ use gsa_wire::binary::{
 use gsa_wire::codec::event_to_xml;
 use gsa_wire::reliable::acked_seqs;
 use gsa_wire::{
-    parse_document, FrozenBytes, InterestSummary, Payload, Reliable, RetransmitQueue,
-    RetryPolicy, WireFormat, WireMessage, XmlElement,
+    parse_document, EventProbe, FrozenBytes, InterestSummary, Payload, Reliable,
+    RetransmitQueue, RetryPolicy, WireFormat, WireMessage, XmlElement,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -183,10 +183,9 @@ fn registration_messages_are_pinned() {
 
 #[test]
 fn payload_carriers_are_pinned_in_every_payload_representation() {
-    pin(GdsMessage::Publish { id: id(1), payload: event_sourced() }, "b2850104018101010848616d696c746f6e2a0848616d696c746f6e2a0848616d696c746f6e014401\
-         d0a84b01064c6f6e646f6e01450205646f632d31020b64632e4c616e6775616765026d690864632e\
-         5469746c651c4469676974616c203c4c69627261726965733e202620226d6f7265220d616e206578\
-         6365727074e280a605646f632d320000", "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:publish id=\"1\">\
+    pin(GdsMessage::Publish { id: id(1), payload: event_sourced() }, "b26004015d010848616d696c746f6e2a0000014401d0a84b01064c6f6e646f6e01450205646f632d\
+         31020c026d69011c4469676974616c203c4c69627261726965733e202620226d6f7265220d616e20\
+         65786365727074e280a605646f632d320000", "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:publish id=\"1\">\
          <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
          <origin>Hamilton.D</origin><provenance>London.E</provenance><document id=\"doc-1\">\
          <metadata><meta name=\"dc.Language\" value=\"mi\"/>\
@@ -207,10 +206,9 @@ fn payload_carriers_are_pinned_in_every_payload_representation() {
     );
     pin(
         GdsMessage::Broadcast { id: id(u64::MAX), origin: "Hamilton".into(), payload: received_frozen() },
-        "b2970106ffffffffffffffffff010848616d696c746f6e8101010848616d696c746f6e2a0848616d\
-         696c746f6e2a0848616d696c746f6e014401d0a84b01064c6f6e646f6e01450205646f632d31020b\
-         64632e4c616e6775616765026d690864632e5469746c651c4469676974616c203c4c696272617269\
-         65733e202620226d6f7265220d616e2065786365727074e280a605646f632d320000",
+        "b27206ffffffffffffffffff010848616d696c746f6e5d010848616d696c746f6e2a0000014401d0\
+         a84b01064c6f6e646f6e01450205646f632d31020c026d69011c4469676974616c203c4c69627261\
+         726965733e202620226d6f7265220d616e2065786365727074e280a605646f632d320000",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
          <gds:broadcast id=\"18446744073709551615\" origin=\"Hamilton\">\
          <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
@@ -227,10 +225,9 @@ fn payload_carriers_are_pinned_in_every_payload_representation() {
             targets: vec!["London".into()],
             payload: Payload::from(event_to_xml(&event())),
         },
-        "b2960107040848616d696c746f6e01064c6f6e646f6e8101010848616d696c746f6e2a0848616d69\
-         6c746f6e2a0848616d696c746f6e014401d0a84b01064c6f6e646f6e01450205646f632d31020b64\
-         632e4c616e6775616765026d690864632e5469746c651c4469676974616c203c4c69627261726965\
-         733e202620226d6f7265220d616e2065786365727074e280a605646f632d320000",
+        "b27107040848616d696c746f6e01064c6f6e646f6e5d010848616d696c746f6e2a0000014401d0a8\
+         4b01064c6f6e646f6e01450205646f632d31020c026d69011c4469676974616c203c4c6962726172\
+         6965733e202620226d6f7265220d616e2065786365727074e280a605646f632d320000",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:route id=\"4\" origin=\"Hamilton\">\
          <target>London</target>\
          <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
@@ -256,10 +253,9 @@ fn payload_carriers_are_pinned_in_every_payload_representation() {
     frozen_at_origin.freeze();
     pin(
         GdsMessage::Deliver { id: id(0), origin: "Hamilton".into(), payload: frozen_at_origin },
-        "b28e0108000848616d696c746f6e8101010848616d696c746f6e2a0848616d696c746f6e2a084861\
-         6d696c746f6e014401d0a84b01064c6f6e646f6e01450205646f632d31020b64632e4c616e677561\
-         6765026d690864632e5469746c651c4469676974616c203c4c69627261726965733e202620226d6f\
-         7265220d616e2065786365727074e280a605646f632d320000",
+        "b26908000848616d696c746f6e5d010848616d696c746f6e2a0000014401d0a84b01064c6f6e646f\
+         6e01450205646f632d31020c026d69011c4469676974616c203c4c69627261726965733e20262022\
+         6d6f7265220d616e2065786365727074e280a605646f632d320000",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:deliver id=\"0\" origin=\"Hamilton\">\
          <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
          <origin>Hamilton.D</origin><provenance>London.E</provenance><document id=\"doc-1\">\
@@ -348,11 +344,11 @@ fn batches_are_pinned() {
             GdsMessage::HeartbeatAck { version: 0 },
             GdsMessage::Deliver { id: id(8), origin: "London".into(), payload: xml_sourced() },
         ].into()),
-        "b2c501110306070848616d696c746f6e8101010848616d696c746f6e2a0848616d696c746f6e2a08\
-         48616d696c746f6e014401d0a84b01064c6f6e646f6e01450205646f632d31020b64632e4c616e67\
-         75616765026d690864632e5469746c651c4469676974616c203c4c69627261726965733e20262022\
-         6d6f7265220d616e2065786365727074e280a605646f632d3200000c000808064c6f6e646f6e2900\
-         046e6f746501046c616e6702656e0200046c696e650001010961203c20622026206301047461696c",
+        "b2a001110306070848616d696c746f6e5d010848616d696c746f6e2a0000014401d0a84b01064c6f\
+         6e646f6e01450205646f632d31020c026d69011c4469676974616c203c4c69627261726965733e20\
+         2620226d6f7265220d616e2065786365727074e280a605646f632d3200000c000808064c6f6e646f\
+         6e2900046e6f746501046c616e6702656e0200046c696e650001010961203c206220262063010474\
+         61696c",
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?><gds:batch>\
          <gds:broadcast id=\"7\" origin=\"Hamilton\">\
          <event host=\"Hamilton\" seq=\"42\" root-host=\"Hamilton\" root-seq=\"42\" kind=\"documents-added\" issued-us=\"1234000\">\
@@ -797,6 +793,175 @@ fn trailing_bytes_inside_a_frame_are_refused() {
         let received = Payload::from_frozen(FrozenBytes::new(stuffed));
         assert!(received.decode_event().is_err(), "{name}: decode_event");
         assert_eq!(received.xml_element().name(), "invalid-payload", "{name}: xml_element");
+    }
+}
+
+// --- hostile bytes: every cut and a flip at every offset ----------------
+
+/// What a reader learns of an event: its origin, its kind, and each
+/// document's id with its metadata pairs, sorted (a decoded record keeps
+/// its pairs in key order, the probe in wire order).
+type Seen = (String, String, EventKind, Vec<(String, Vec<(String, String)>)>);
+
+fn seen_by_decode(event: &Event) -> Seen {
+    let docs = event.docs.iter().map(|d| {
+        let mut pairs: Vec<_> =
+            d.metadata.iter_flat().map(|(k, v)| (k.to_string(), v.to_owned())).collect();
+        pairs.sort();
+        (d.doc.to_string(), pairs)
+    });
+    let origin = &event.origin;
+    (origin.host().to_string(), origin.name().to_string(), event.kind, docs.collect())
+}
+
+/// The probe's walk over every document and pair; `Ok(None)` for a
+/// payload that is not an encoded event.
+fn seen_by_probe(bytes: &[u8]) -> Result<Option<Seen>, gsa_wire::WireError> {
+    let Some(mut probe) = EventProbe::from_payload(bytes)? else {
+        return Ok(None);
+    };
+    let mut docs = Vec::new();
+    while let Some(doc) = probe.next_doc()? {
+        let mut pairs: Vec<_> = doc.metadata().map(|(k, v)| (k.to_owned(), v.to_owned())).collect();
+        pairs.sort();
+        docs.push((doc.id().to_owned(), pairs));
+    }
+    let origin = (probe.origin_host().to_owned(), probe.origin_name().to_owned());
+    Ok(Some((origin.0, origin.1, probe.kind(), docs)))
+}
+
+/// Reads payload bytes both ways, which must not panic; where both
+/// accept them, they must have read the same event. Returns whether the
+/// full decode accepted them.
+fn read_both_ways(bytes: &[u8]) -> bool {
+    let decoded = payload_event_from_bytes(bytes);
+    if let (Ok(event), Ok(Some(probed))) = (&decoded, seen_by_probe(bytes)) {
+        assert_eq!(seen_by_decode(event), probed, "probe and decode of {}", hex(bytes));
+    }
+    decoded.is_ok()
+}
+
+/// Every payload a decoded message carries, batch items included.
+fn carried(msg: &GdsMessage) -> Vec<&Payload> {
+    match msg {
+        GdsMessage::Publish { payload, .. }
+        | GdsMessage::PublishTargeted { payload, .. }
+        | GdsMessage::Broadcast { payload, .. }
+        | GdsMessage::Route { payload, .. }
+        | GdsMessage::Deliver { payload, .. } => vec![payload],
+        GdsMessage::Batch(items) => items.iter().flat_map(carried).collect(),
+        _ => vec![],
+    }
+}
+
+/// A decoded message's payloads, read every way a receiver reads one.
+fn read_carried(msg: &GdsMessage) {
+    for payload in carried(msg) {
+        let _ = payload.decode_event();
+        let _ = payload.probe_event().map(|mut p| while let Ok(Some(_)) = p.next_doc() {});
+        let _ = payload.xml_element();
+        if let Some(bytes) = payload.frozen() {
+            read_both_ways(bytes);
+        }
+    }
+}
+
+/// xorshift64: the sweep's flips are a function of this seed alone.
+struct Flips(u64);
+
+impl Flips {
+    /// A mask with at least one bit set.
+    fn next_mask(&mut self) -> u8 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % 255) as u8 + 1
+    }
+}
+
+/// Every cut of `frame` is refused, and a flip at every offset (three
+/// seeded masks each) decodes or is refused without a panic; whatever
+/// decodes has its payloads read both ways.
+fn sweep(frame: &[u8], decode: impl Fn(&[u8]) -> Option<Vec<GdsMessage>>, flips: &mut Flips) {
+    for cut in 0..frame.len() {
+        assert!(decode(&frame[..cut]).is_none(), "{} cut at {cut}", hex(frame));
+    }
+    let mut mutated = frame.to_vec();
+    for at in 0..frame.len() {
+        for _ in 0..3 {
+            mutated[at] ^= flips.next_mask();
+            for msg in decode(&mutated).unwrap_or_default() {
+                read_carried(&msg);
+            }
+            mutated[at] = frame[at];
+        }
+    }
+}
+
+/// The hostile-bytes sweep over every event-bearing frame pinned above —
+/// `Publish`, `Broadcast`, `Deliver` and the batch, each bare and inside
+/// the reliable envelope — and over the event payload itself: no cut or
+/// flipped byte panics `GdsMessage::from_binary`, `Reliable::from_binary`,
+/// `payload_event_from_bytes` or `EventProbe`, and wherever the probe
+/// and the full decode both accept a payload they read the same event.
+#[test]
+fn hostile_bytes_never_panic_and_the_probe_agrees_with_the_decoder() {
+    let mut frozen_at_origin = event_sourced();
+    frozen_at_origin.freeze();
+    let frames = [
+        GdsMessage::Publish { id: id(1), payload: event_sourced() },
+        GdsMessage::Broadcast { id: id(u64::MAX), origin: "Hamilton".into(), payload: received_frozen() },
+        GdsMessage::Deliver { id: id(0), origin: "Hamilton".into(), payload: frozen_at_origin },
+        GdsMessage::Batch(vec![
+            GdsMessage::Broadcast { id: id(7), origin: "Hamilton".into(), payload: received_frozen() },
+            GdsMessage::HeartbeatAck { version: 0 },
+            GdsMessage::Deliver { id: id(8), origin: "London".into(), payload: xml_sourced() },
+        ].into()),
+    ];
+    let mut flips = Flips(0x5eed_2005);
+    for msg in frames {
+        sweep(&msg.to_binary(), |b| GdsMessage::from_binary(b).ok().map(|m| vec![m]), &mut flips);
+        let rel = Reliable::Data { seq: 300, payload: msg };
+        let unwrap = |b: &[u8]| match reliable_from_binary(b).ok()? {
+            Reliable::Data { payload, .. } => Some(vec![payload]),
+            Reliable::Ack { .. } => Some(vec![]),
+        };
+        sweep(&reliable_to_binary(&rel), unwrap, &mut flips);
+    }
+
+    let payload = payload_bytes_from_event(&event());
+    for cut in 0..payload.len() {
+        assert!(!read_both_ways(&payload[..cut]), "payload cut at {cut}");
+    }
+    let mut mutated = payload.clone();
+    for at in 0..payload.len() {
+        for byte in 0..=255 {
+            mutated[at] = byte;
+            read_both_ways(&mutated);
+        }
+        mutated[at] = payload[at];
+    }
+}
+
+/// A reference flag is 0 or 1 and a key code at most 15: every other
+/// byte in either place is refused by the decoder and the probe alike.
+#[test]
+fn unknown_reference_flags_and_key_codes_are_refused() {
+    let payload = payload_bytes_from_event(&event());
+    // The tag, the id's host ("Hamilton", length-prefixed) and its seq
+    // (42, one byte); then the root's flag and the origin host's flag.
+    let root_flag = 1 + 9 + 1;
+    // The first pair of doc-1: dc.Language (code 12), then "mi".
+    let first_key = payload.windows(4).position(|w| w == [12, 2, b'm', b'i']).unwrap();
+    assert_eq!(&payload[root_flag..root_flag + 2], [0, 0]);
+    let probe_walk = |bytes: &[u8]| seen_by_probe(bytes).map(|_| ());
+    for (at, refused) in [(root_flag, 2..=255), (root_flag + 1, 2..=255), (first_key, 16..=255)] {
+        let mut mutated = payload.clone();
+        for byte in refused {
+            mutated[at] = byte;
+            assert!(payload_event_from_bytes(&mutated).is_err(), "byte {byte} at {at}");
+            assert!(probe_walk(&mutated).is_err(), "probe: byte {byte} at {at}");
+        }
     }
 }
 
